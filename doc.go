@@ -42,6 +42,22 @@
 // ("Benchmark driver") documents the harness and scripts/bench.sh
 // snapshots the numbers (BENCH_5.json).
 //
+// Clients hand the coordinator statements two ways. Txn.Exec(sql) takes
+// ad-hoc text. A statement issued repeatedly is prepared once and bound
+// per call:
+//
+//	var stockOf = sqlparse.MustPrepare("SELECT * FROM stock WHERE s_key = ? AND s_w_id = ?")
+//	...
+//	rows, err := t.ExecPrepared(stockOf, datum.NewInt(key), datum.NewInt(w))
+//
+// Prepare parses the text and derives the table, the write flag and the
+// routing-constraint skeleton; a call fills the skeleton from its
+// arguments, routes, and ships the shared template plus the arguments
+// and constraints to the nodes, which parse and extract nothing. Both
+// ways converge on one internal plan and one executor (DESIGN.md,
+// "Statement path"); the TPC-C, YCSB and simplecount clients in
+// internal/workloads run on prepared statements.
+//
 // The whole stack is observable through internal/obs: a registry of
 // counters, gauges and the driver's lock-free HDR histograms (lifted
 // into obs and re-exported by internal/driver), sampled per-transaction

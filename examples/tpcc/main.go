@@ -10,7 +10,9 @@ import (
 
 	"schism/internal/cluster"
 	"schism/internal/core"
+	"schism/internal/datum"
 	"schism/internal/partition"
+	"schism/internal/sqlparse"
 	"schism/internal/storage"
 	"schism/internal/workloads"
 )
@@ -65,4 +67,22 @@ func main() {
 	fmt.Println("=== live cluster run ===")
 	stats := cluster.RunLoad(co, 4**k, *duration, 7, workloads.TPCCRuntimeTxn(cfg))
 	fmt.Println(stats)
+
+	// 4. Query the result. A statement issued more than once is prepared
+	// once and bound per call: after MustPrepare nothing is parsed again,
+	// on the coordinator or on the nodes (the load above runs the same
+	// way, from the statements in internal/workloads/stmts.go).
+	stockOf := sqlparse.MustPrepare("SELECT s_quantity, s_ytd FROM stock WHERE s_w_id = ? AND s_i_id = ?")
+	if _, _, err := co.RunTxn(func(t *cluster.Txn) error {
+		for item := int64(0); item < 3; item++ {
+			rows, err := t.ExecPrepared(stockOf, datum.NewInt(1), datum.NewInt(item))
+			if err != nil {
+				return err
+			}
+			fmt.Printf("warehouse 1, item %d: quantity %v, sold %v\n", item, rows[0][0], rows[0][1])
+		}
+		return nil
+	}); err != nil {
+		panic(err)
+	}
 }

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"math/rand"
+	"math/bits"
 	"time"
 )
 
@@ -21,11 +21,32 @@ const (
 // retry storms of transactions that all died against the same holder.
 // Deterministic for a given (attempt, rng state): tests pin sequences
 // under a fixed seed.
-func retryBackoff(attempt int, rng *rand.Rand) time.Duration {
+func retryBackoff(attempt int, rng *prng) time.Duration {
 	shift := attempt
 	if shift > backoffMaxShift {
 		shift = backoffMaxShift
 	}
 	base := backoffBase << shift
-	return base/2 + time.Duration(rng.Int63n(int64(base)))
+	return base/2 + time.Duration(rng.intn(int(base)))
+}
+
+// prng is the per-transaction random source for replica choice and
+// backoff jitter: a splitmix64 word held by value in Txn, because most
+// transactions never draw from it and a math/rand source is a 4.9 KB
+// allocation per Begin. Any seed works, consecutive clock ticks included.
+type prng uint64
+
+func (r *prng) next() uint64 {
+	*r += 0x9e3779b97f4a7c15
+	z := uint64(*r)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// intn returns a uniform int in [0, n), n > 0, by multiply-shift (the
+// bias is below n/2^64).
+func (r *prng) intn(n int) int {
+	hi, _ := bits.Mul64(r.next(), uint64(n))
+	return int(hi)
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -12,13 +11,13 @@ import (
 // would silently break if the formula, the cap or the rng consumption
 // pattern changed.
 func TestRetryBackoffPinnedSequence(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+	rng := prng(42)
 	want := []time.Duration{
-		128675, 156411, 478760, 624009, 1947657,
-		3037261, 3513247, 14614208, 13492868, 15364184,
+		124156, 131982, 311440, 675352, 860848,
+		4378329, 4597793, 16648088, 10751117, 14316570,
 	}
 	for i, w := range want {
-		if got := retryBackoff(i, rng); got != w {
+		if got := retryBackoff(i, &rng); got != w {
 			t.Fatalf("retryBackoff(%d) under seed 42 = %v, want %v", i, got, w)
 		}
 	}
@@ -28,7 +27,7 @@ func TestRetryBackoffPinnedSequence(t *testing.T) {
 // jitter in [base/2, 3*base/2) around base = backoffBase << min(attempt,
 // backoffMaxShift), so the cap holds the worst case at 19.2ms.
 func TestRetryBackoffBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := prng(7)
 	for attempt := 0; attempt < 20; attempt++ {
 		shift := attempt
 		if shift > backoffMaxShift {
@@ -36,7 +35,7 @@ func TestRetryBackoffBounds(t *testing.T) {
 		}
 		base := backoffBase << shift
 		for i := 0; i < 100; i++ {
-			d := retryBackoff(attempt, rng)
+			d := retryBackoff(attempt, &rng)
 			if d < base/2 || d >= base+base/2 {
 				t.Fatalf("attempt %d: backoff %v outside [%v, %v)", attempt, d, base/2, base+base/2)
 			}
@@ -47,8 +46,9 @@ func TestRetryBackoffBounds(t *testing.T) {
 // TestRetryBackoffCapped verifies attempts past the cap draw from the
 // same distribution as the cap itself (no unbounded growth).
 func TestRetryBackoffCapped(t *testing.T) {
-	a := retryBackoff(backoffMaxShift, rand.New(rand.NewSource(99)))
-	b := retryBackoff(backoffMaxShift+10, rand.New(rand.NewSource(99)))
+	ra, rb := prng(99), prng(99)
+	a := retryBackoff(backoffMaxShift, &ra)
+	b := retryBackoff(backoffMaxShift+10, &rb)
 	if a != b {
 		t.Fatalf("capped attempts diverge: %v vs %v", a, b)
 	}

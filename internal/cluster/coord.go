@@ -3,10 +3,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
+	"schism/internal/datum"
 	"schism/internal/obs"
 	"schism/internal/partition"
 	"schism/internal/sqlparse"
@@ -281,7 +281,7 @@ type Txn struct {
 	touched map[int]bool
 	failed  bool
 	system  bool // capture-exempt (migration and other internal work)
-	rng     *rand.Rand
+	rng     prng
 
 	// Replicated-cluster routing state (nil maps when replication is
 	// off). wrote marks groups this attempt has written — their reads
@@ -342,7 +342,7 @@ func (co *Coordinator) begin(system bool) *Txn {
 	t := &Txn{
 		co: co, ts: co.c.clock.Next(), epoch: 1, strat: strat, capture: capture, system: system,
 		touched: make(map[int]bool),
-		rng:     rand.New(rand.NewSource(int64(co.c.clock.Next()))),
+		rng:     prng(co.c.clock.Next()),
 		mets:    co.mets,
 	}
 	if t.mets != nil {
@@ -387,8 +387,33 @@ func (t *Txn) reset() {
 // Touched returns the number of nodes this transaction has accessed.
 func (t *Txn) Touched() int { return len(t.touched) }
 
+// plan is one statement ready to run, the single shape every entry point
+// (Exec, ExecStmt, ExecStmtAt, ExecPrepared) reduces to and the request
+// carries to the node: the statement, the arguments its placeholders take
+// (nil for ad-hoc SQL, which has none), and what the coordinator already
+// derived from it, so the node's executor derives nothing twice.
+type plan struct {
+	stmt  sqlparse.Statement
+	args  []datum.D
+	table string
+	write bool
+	// cons/routable are sqlparse.Constraints' result: the router's input
+	// here, the primary-key / range / index lookup on the node.
+	cons     []sqlparse.Constraint
+	routable bool
+}
+
+// adhocPlan plans a parsed statement that has no placeholders to bind.
+func adhocPlan(stmt sqlparse.Statement) *plan {
+	table, cons, routable := sqlparse.Constraints(stmt)
+	return &plan{stmt: stmt, table: table, write: isWrite(stmt), cons: cons, routable: routable}
+}
+
+var errTxnFailed = errors.New("cluster: transaction already failed; abort and retry")
+
 // Exec parses, routes and executes one SQL statement within the
-// transaction, returning the (unioned) result rows.
+// transaction, returning the (unioned) result rows. Statements a client
+// issues repeatedly are cheaper through ExecPrepared.
 func (t *Txn) Exec(sql string) ([]storage.Row, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -397,10 +422,10 @@ func (t *Txn) Exec(sql string) ([]storage.Row, error) {
 	return t.ExecStmt(stmt)
 }
 
-// ExecStmt executes a pre-parsed statement (hot paths avoid re-parsing).
+// ExecStmt executes a pre-parsed statement.
 func (t *Txn) ExecStmt(stmt sqlparse.Statement) ([]storage.Row, error) {
 	if t.failed {
-		return nil, errors.New("cluster: transaction already failed; abort and retry")
+		return nil, errTxnFailed
 	}
 	switch stmt.(type) {
 	case *sqlparse.Begin:
@@ -411,19 +436,35 @@ func (t *Txn) ExecStmt(stmt sqlparse.Statement) ([]storage.Row, error) {
 		t.Abort()
 		return nil, nil
 	}
-	table, cons, routable := sqlparse.Constraints(stmt)
-	route := t.strat.RouteStmt(table, cons, routable)
-	write := isWrite(stmt)
+	return t.route(adhocPlan(stmt))
+}
 
+// ExecPrepared executes a prepared statement with args bound to its
+// placeholders, in order. Nothing is parsed and the AST is not walked:
+// the routing constraints come from the statement's skeleton. args is
+// read until the statement returns; p may be shared between goroutines.
+func (t *Txn) ExecPrepared(p *sqlparse.Prepared, args ...datum.D) ([]storage.Row, error) {
+	if t.failed {
+		return nil, errTxnFailed
+	}
+	if len(args) != p.NumParams() {
+		return nil, fmt.Errorf("cluster: %d arguments for the %d placeholders of %q", len(args), p.NumParams(), p.SQL())
+	}
+	cons, routable := p.Constraints(args)
+	return t.route(&plan{stmt: p.Template(), args: args, table: p.Table(), write: p.Write(), cons: cons, routable: routable})
+}
+
+// route picks the statement's target partitions (App. C.2) and runs it.
+func (t *Txn) route(pl *plan) ([]storage.Row, error) {
+	route := t.strat.RouteStmt(pl.table, pl.cons, pl.routable)
 	var targets []int
 	switch {
-	case write && len(route.All) > 0:
+	case pl.write && len(route.All) > 0:
 		targets = route.All
-	case write && len(route.Single) > 0:
-		// Unconstrained write (e.g. INSERT of a brand-new tuple under a
-		// floating lookup strategy): place it at the transaction's home.
-		targets = []int{t.pickReplica(route.Single)}
-	case !write && len(route.Single) > 0:
+	case len(route.Single) > 0:
+		// A read any one replica serves, or an unconstrained write (e.g.
+		// INSERT of a brand-new tuple under a floating lookup strategy):
+		// place it at the transaction's home.
 		targets = []int{t.pickReplica(route.Single)}
 	default:
 		targets = route.All
@@ -431,7 +472,7 @@ func (t *Txn) ExecStmt(stmt sqlparse.Statement) ([]storage.Row, error) {
 	if len(targets) == 0 {
 		targets = allNodes(t.co.c.NumGroups())
 	}
-	return t.execOn(stmt, table, write, targets)
+	return t.execOn(pl, targets)
 }
 
 // ExecStmtAt executes a pre-parsed statement on an explicit node set,
@@ -440,13 +481,12 @@ func (t *Txn) ExecStmt(stmt sqlparse.Statement) ([]storage.Row, error) {
 // two-phase commit apply exactly as for routed statements.
 func (t *Txn) ExecStmtAt(stmt sqlparse.Statement, nodes []int) ([]storage.Row, error) {
 	if t.failed {
-		return nil, errors.New("cluster: transaction already failed; abort and retry")
+		return nil, errTxnFailed
 	}
 	if len(nodes) == 0 {
 		return nil, nil
 	}
-	table, _, _ := sqlparse.Constraints(stmt)
-	return t.execOn(stmt, table, isWrite(stmt), nodes)
+	return t.execOn(adhocPlan(stmt), nodes)
 }
 
 // execOn fans a statement out to targets and merges the replies, recording
@@ -455,7 +495,7 @@ func (t *Txn) ExecStmtAt(stmt sqlparse.Statement, nodes []int) ([]storage.Row, e
 // replica report the same logical key; those are deduplicated so the
 // captured access set matches offline trace semantics (one access per
 // tuple per statement).
-func (t *Txn) execOn(stmt sqlparse.Statement, table string, write bool, targets []int) ([]storage.Row, error) {
+func (t *Txn) execOn(pl *plan, targets []int) ([]storage.Row, error) {
 	if len(targets) > 1 {
 		t.stmtDist++
 	} else {
@@ -473,7 +513,7 @@ func (t *Txn) execOn(stmt sqlparse.Statement, table string, write bool, targets 
 	if t.observer != nil || t.mets != nil {
 		start = time.Now()
 	}
-	resps := t.fanout(reqExec, stmt, targets)
+	resps := t.fanout(reqExec, pl, targets)
 	var rows []storage.Row
 	var seen map[int64]struct{}
 	if t.capture != nil && len(targets) > 1 {
@@ -494,8 +534,8 @@ func (t *Txn) execOn(stmt sqlparse.Statement, table string, write bool, targets 
 					seen[k] = struct{}{}
 				}
 				t.accs = append(t.accs, workload.Access{
-					Tuple: workload.TupleID{Table: table, Key: k},
-					Write: write,
+					Tuple: workload.TupleID{Table: pl.table, Key: k},
+					Write: pl.write,
 				})
 			}
 		}
@@ -503,7 +543,7 @@ func (t *Txn) execOn(stmt sqlparse.Statement, table string, write bool, targets 
 	if t.observer != nil || t.mets != nil {
 		d := time.Since(start)
 		if t.observer != nil {
-			t.observer(table, write, len(targets), d)
+			t.observer(pl.table, pl.write, len(targets), d)
 		}
 		if t.mets != nil {
 			t.mets.route.Record(d)
@@ -534,7 +574,7 @@ func (t *Txn) pickReplica(single []int) int {
 	if len(avail) == 0 {
 		avail = single // nothing is up; fail fast on whatever we pick
 	}
-	return avail[t.rng.Intn(len(avail))]
+	return avail[t.rng.intn(len(avail))]
 }
 
 // fanout sends a request to each target node in parallel and waits for all
@@ -543,9 +583,9 @@ func (t *Txn) pickReplica(single []int) int {
 // response instead — note the request stays queued and MAY still execute
 // later (a paused node drains its queue on Resume), so a timed-out
 // request's outcome is unknown, not "not executed".
-func (t *Txn) fanout(kind reqKind, stmt sqlparse.Statement, targets []int) []response {
+func (t *Txn) fanout(kind reqKind, pl *plan, targets []int) []response {
 	if t.co.c.replicated() {
-		return t.fanoutGroups(kind, stmt, targets)
+		return t.fanoutGroups(kind, pl, targets)
 	}
 	type slot struct {
 		reply chan response
@@ -557,7 +597,7 @@ func (t *Txn) fanout(kind reqKind, stmt sqlparse.Statement, targets []int) []res
 	}
 	for i, nid := range targets {
 		slots[i].reply = make(chan response, 1)
-		r := &request{kind: kind, ts: t.ts, epoch: t.epoch, stmt: stmt, capture: t.capture != nil, reply: slots[i].reply}
+		r := &request{kind: kind, ts: t.ts, epoch: t.epoch, plan: pl, capture: t.capture != nil, reply: slots[i].reply}
 		if spans != nil {
 			spans[i] = t.span.Child(reqName(kind))
 			spans[i].Annotate("node %d", nid)
@@ -712,7 +752,7 @@ func (t *Txn) deliverCommit(nodes []int) bool {
 			return false
 		}
 		pending = failed
-		time.Sleep(retryBackoff(attempt, t.rng))
+		time.Sleep(retryBackoff(attempt, &t.rng))
 	}
 }
 
@@ -924,7 +964,7 @@ func (co *Coordinator) runTxn(t *Txn, fn func(*Txn) error) (TxnResult, error) {
 		// toward the holder's timescale turns a retry storm into roughly
 		// one retry per conflict; the victim keeps its timestamp, so it
 		// still ages and eventually wins.
-		backoff := retryBackoff(attempt, t.rng)
+		backoff := retryBackoff(attempt, &t.rng)
 		if m := co.mets; m != nil {
 			m.backoffNS.Add(int64(backoff))
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"schism/internal/datum"
@@ -15,34 +16,36 @@ import (
 // locks provide transaction isolation. Locks are never awaited while a
 // latch is held. With capture set, the response reports the keys of every
 // row the statement actually matched — the ground truth the live workload
-// capture records.
-func (n *Node) execute(ts txn.TS, st *txnState, stmt sqlparse.Statement, capture bool) response {
-	switch s := stmt.(type) {
+// capture records. Literals of pl.stmt may be placeholders: every value is
+// read through pl.args (sqlparse.BindValue / EvalBound).
+func (n *Node) execute(ts txn.TS, st *txnState, pl *plan, capture bool) response {
+	switch s := pl.stmt.(type) {
 	case *sqlparse.Select:
-		return n.execSelect(ts, s, capture)
+		return n.execSelect(ts, pl, s, capture, true)
 	case *sqlparse.Update:
-		return n.execUpdate(ts, st, s, capture)
+		return n.execUpdate(ts, st, pl, s, capture)
 	case *sqlparse.Insert:
-		return n.execInsert(ts, st, s, capture)
+		return n.execInsert(ts, st, pl, s, capture)
 	case *sqlparse.Delete:
-		return n.execDelete(ts, st, s, capture)
+		return n.execDelete(ts, st, pl, s, capture)
 	default:
-		return response{err: fmt.Errorf("cluster: unsupported statement %T", stmt)}
+		return response{err: fmt.Errorf("cluster: unsupported statement %T", pl.stmt)}
 	}
 }
 
 // candidates finds the keys of rows possibly matching the WHERE clause,
-// using the primary key or a secondary index when the constraints allow,
-// and a full scan otherwise. Caller re-checks the predicate after locking.
-func (n *Node) candidates(tbl *storage.Table, table string, where sqlparse.Expr) []int64 {
+// using the primary key or a secondary index when the constraints the
+// coordinator extracted allow, and a full scan otherwise. Caller re-checks
+// the predicate after locking.
+func (n *Node) candidates(tbl *storage.Table, pl *plan, where sqlparse.Expr) []int64 {
 	n.latch.RLock()
 	defer n.latch.RUnlock()
 
 	keyCol := tbl.Schema.Key
 	var keys []int64
-	if cons, ok := constraintsOf(table, where); ok {
+	if pl.routable {
 		// Point/IN lookups on the primary key.
-		for _, c := range cons {
+		for _, c := range pl.cons {
 			if c.Column != keyCol || len(c.Eq) == 0 {
 				continue
 			}
@@ -54,7 +57,7 @@ func (n *Node) candidates(tbl *storage.Table, table string, where sqlparse.Expr)
 			return dedupInt64(keys)
 		}
 		// Range on the primary key.
-		for _, c := range cons {
+		for _, c := range pl.cons {
 			if c.Column != keyCol || (c.Lo == nil && c.Hi == nil) {
 				continue
 			}
@@ -66,7 +69,7 @@ func (n *Node) candidates(tbl *storage.Table, table string, where sqlparse.Expr)
 			return keys
 		}
 		// Secondary index equality.
-		for _, c := range cons {
+		for _, c := range pl.cons {
 			if len(c.Eq) != 1 || !tbl.HasIndex(c.Column) {
 				continue
 			}
@@ -76,19 +79,12 @@ func (n *Node) candidates(tbl *storage.Table, table string, where sqlparse.Expr)
 	// Full scan: pre-filter with the predicate to avoid locking everything.
 	schema := tbl.Schema
 	tbl.ScanAll(func(k int64, row storage.Row) bool {
-		if evalRow(where, schema, row) {
+		if evalRow(where, pl.args, schema, row) {
 			keys = append(keys, k)
 		}
 		return true
 	})
 	return keys
-}
-
-// constraintsOf wraps sqlparse.Constraints for a bare WHERE expression.
-func constraintsOf(table string, where sqlparse.Expr) ([]sqlparse.Constraint, bool) {
-	stmt := &sqlparse.Select{Table: table, Where: where, Limit: -1}
-	_, cons, ok := sqlparse.Constraints(stmt)
-	return cons, ok
 }
 
 func keyRange(c sqlparse.Constraint) (lo, hi int64) {
@@ -112,8 +108,8 @@ func keyRange(c sqlparse.Constraint) (lo, hi int64) {
 	return lo, hi
 }
 
-func evalRow(where sqlparse.Expr, schema *storage.TableSchema, row storage.Row) bool {
-	return sqlparse.EvalWhere(where, func(c sqlparse.ColRef) datum.D {
+func evalRow(where sqlparse.Expr, args []datum.D, schema *storage.TableSchema, row storage.Row) bool {
+	return sqlparse.EvalBound(where, args, func(c sqlparse.ColRef) datum.D {
 		i := schema.ColIndex(c.Column)
 		if i < 0 {
 			return datum.NullD
@@ -122,27 +118,20 @@ func evalRow(where sqlparse.Expr, schema *storage.TableSchema, row storage.Row) 
 	})
 }
 
+// dedupInt64 sorts keys and drops repeats, in place.
 func dedupInt64(keys []int64) []int64 {
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	j := 0
-	for i, k := range keys {
-		if i == 0 || k != keys[i-1] {
-			keys[j] = k
-			j++
-		}
+	if len(keys) < 2 {
+		return keys // a point lookup's one key
 	}
-	return keys[:j]
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
-func (n *Node) execSelect(ts txn.TS, s *sqlparse.Select, capture bool) response {
-	return n.execSelectAt(ts, s, capture, true)
-}
-
-// execSelectAt runs a SELECT, with row locking optional: the leader path
+// execSelect runs a SELECT, with row locking optional: the leader path
 // locks (strict 2PL isolation), a lease-valid follower reads its
 // committed prefix lock-free — rows are atomic under the latch, but the
 // result is a timeline read, not serializable against the leader.
-func (n *Node) execSelectAt(ts txn.TS, s *sqlparse.Select, capture, locked bool) response {
+func (n *Node) execSelect(ts txn.TS, pl *plan, s *sqlparse.Select, capture, locked bool) response {
 	if s.Join != nil {
 		return response{err: fmt.Errorf("cluster: runtime joins not supported")}
 	}
@@ -156,7 +145,7 @@ func (n *Node) execSelectAt(ts txn.TS, s *sqlparse.Select, capture, locked bool)
 	}
 	var rows []storage.Row
 	var keys []int64
-	for _, k := range n.candidates(tbl, s.Table, s.Where) {
+	for _, k := range n.candidates(tbl, pl, s.Where) {
 		if locked {
 			if err := n.locks.Acquire(ts, txn.LockKey{Table: s.Table, Key: k}, mode); err != nil {
 				return response{err: err}
@@ -165,7 +154,7 @@ func (n *Node) execSelectAt(ts txn.TS, s *sqlparse.Select, capture, locked bool)
 		n.latch.RLock()
 		row, ok := tbl.Get(k)
 		n.latch.RUnlock()
-		if ok && evalRow(s.Where, tbl.Schema, row) {
+		if ok && evalRow(s.Where, pl.args, tbl.Schema, row) {
 			rows = append(rows, projectRow(s, tbl.Schema, row))
 			if capture {
 				keys = append(keys, k)
@@ -223,25 +212,25 @@ func projectedIndex(s *sqlparse.Select, schema *storage.TableSchema, col string)
 	return -1
 }
 
-func (n *Node) execUpdate(ts txn.TS, st *txnState, s *sqlparse.Update, capture bool) response {
+func (n *Node) execUpdate(ts txn.TS, st *txnState, pl *plan, s *sqlparse.Update, capture bool) response {
 	tbl := n.db.Table(s.Table)
 	if tbl == nil {
 		return response{err: fmt.Errorf("cluster: no table %q", s.Table)}
 	}
 	count := 0
 	var keys []int64
-	for _, k := range n.candidates(tbl, s.Table, s.Where) {
+	for _, k := range n.candidates(tbl, pl, s.Where) {
 		if err := n.locks.Acquire(ts, txn.LockKey{Table: s.Table, Key: k}, txn.Exclusive); err != nil {
 			return response{err: err}
 		}
 		n.latch.Lock()
 		row, ok := tbl.Get(k)
-		if !ok || !evalRow(s.Where, tbl.Schema, row) {
+		if !ok || !evalRow(s.Where, pl.args, tbl.Schema, row) {
 			n.latch.Unlock()
 			continue
 		}
 		newRow := row.Clone()
-		if err := applySet(s.Set, tbl.Schema, newRow); err != nil {
+		if err := applySet(s.Set, pl.args, tbl.Schema, newRow); err != nil {
 			n.latch.Unlock()
 			return response{err: err}
 		}
@@ -262,28 +251,29 @@ func (n *Node) execUpdate(ts txn.TS, st *txnState, s *sqlparse.Update, capture b
 	return response{n: count, keys: keys}
 }
 
-func applySet(set []sqlparse.Assignment, schema *storage.TableSchema, row storage.Row) error {
+func applySet(set []sqlparse.Assignment, args []datum.D, schema *storage.TableSchema, row storage.Row) error {
 	for _, a := range set {
 		ci := schema.ColIndex(a.Col)
 		if ci < 0 {
 			return fmt.Errorf("cluster: no column %q", a.Col)
 		}
+		v := sqlparse.BindValue(a.Value, args)
 		if a.SelfOp == 0 {
-			row[ci] = a.Value
+			row[ci] = v
 			continue
 		}
 		// col = col ± v, preserving integer-ness when both sides are ints.
 		old := row[ci]
-		if old.K == datum.Int && a.Value.K == datum.Int {
+		if old.K == datum.Int && v.K == datum.Int {
 			if a.SelfOp == '+' {
-				row[ci] = datum.NewInt(old.I + a.Value.I)
+				row[ci] = datum.NewInt(old.I + v.I)
 			} else {
-				row[ci] = datum.NewInt(old.I - a.Value.I)
+				row[ci] = datum.NewInt(old.I - v.I)
 			}
 			continue
 		}
 		of, ok1 := old.AsFloat()
-		vf, ok2 := a.Value.AsFloat()
+		vf, ok2 := v.AsFloat()
 		if !ok1 || !ok2 {
 			return fmt.Errorf("cluster: non-numeric self-assignment on %q", a.Col)
 		}
@@ -296,7 +286,7 @@ func applySet(set []sqlparse.Assignment, schema *storage.TableSchema, row storag
 	return nil
 }
 
-func (n *Node) execInsert(ts txn.TS, st *txnState, s *sqlparse.Insert, capture bool) response {
+func (n *Node) execInsert(ts txn.TS, st *txnState, pl *plan, s *sqlparse.Insert, capture bool) response {
 	tbl := n.db.Table(s.Table)
 	if tbl == nil {
 		return response{err: fmt.Errorf("cluster: no table %q", s.Table)}
@@ -308,7 +298,7 @@ func (n *Node) execInsert(ts txn.TS, st *txnState, s *sqlparse.Insert, capture b
 		if ci < 0 {
 			return response{err: fmt.Errorf("cluster: no column %q", col)}
 		}
-		row[ci] = s.Values[i]
+		row[ci] = sqlparse.BindValue(s.Values[i], pl.args)
 	}
 	key, ok := row[schema.KeyIndex()].AsInt()
 	if !ok {
@@ -333,20 +323,20 @@ func (n *Node) execInsert(ts txn.TS, st *txnState, s *sqlparse.Insert, capture b
 	return resp
 }
 
-func (n *Node) execDelete(ts txn.TS, st *txnState, s *sqlparse.Delete, capture bool) response {
+func (n *Node) execDelete(ts txn.TS, st *txnState, pl *plan, s *sqlparse.Delete, capture bool) response {
 	tbl := n.db.Table(s.Table)
 	if tbl == nil {
 		return response{err: fmt.Errorf("cluster: no table %q", s.Table)}
 	}
 	count := 0
 	var keys []int64
-	for _, k := range n.candidates(tbl, s.Table, s.Where) {
+	for _, k := range n.candidates(tbl, pl, s.Where) {
 		if err := n.locks.Acquire(ts, txn.LockKey{Table: s.Table, Key: k}, txn.Exclusive); err != nil {
 			return response{err: err}
 		}
 		n.latch.Lock()
 		row, ok := tbl.Get(k)
-		if ok && evalRow(s.Where, tbl.Schema, row) {
+		if ok && evalRow(s.Where, pl.args, tbl.Schema, row) {
 			n.wal.AppendUpdate(uint64(ts), s.Table, k, row, true)
 			st.undo = append(st.undo, undoRec{table: s.Table, key: k, oldRow: row})
 			tbl.Delete(k)

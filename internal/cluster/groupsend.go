@@ -20,10 +20,10 @@ import (
 // fanoutGroups is fanout on group targets. Single-target SELECTs against
 // groups the transaction has not written are follower-readable: they
 // take no locks and do not make the group a 2PC participant.
-func (t *Txn) fanoutGroups(kind reqKind, stmt sqlparse.Statement, targets []int) []response {
+func (t *Txn) fanoutGroups(kind reqKind, pl *plan, targets []int) []response {
 	followerRead := false
 	if kind == reqExec {
-		if sel, ok := stmt.(*sqlparse.Select); ok && !sel.ForUpdate &&
+		if sel, ok := pl.stmt.(*sqlparse.Select); ok && !sel.ForUpdate &&
 			len(targets) == 1 && !t.wrote[targets[0]] {
 			followerRead = true
 		}
@@ -33,7 +33,7 @@ func (t *Txn) fanoutGroups(kind reqKind, stmt sqlparse.Statement, targets []int)
 			// fan-out to reach its group.
 			for _, g := range targets {
 				t.touched[g] = true
-				if isWrite(stmt) {
+				if pl.write {
 					t.wrote[g] = true
 				}
 			}
@@ -41,7 +41,7 @@ func (t *Txn) fanoutGroups(kind reqKind, stmt sqlparse.Statement, targets []int)
 	}
 	out := make([]response, len(targets))
 	if len(targets) == 1 {
-		out[0] = t.sendGroup(kind, stmt, targets[0], followerRead)
+		out[0] = t.sendGroup(kind, pl, targets[0], followerRead)
 		return out
 	}
 	var wg sync.WaitGroup
@@ -49,20 +49,20 @@ func (t *Txn) fanoutGroups(kind reqKind, stmt sqlparse.Statement, targets []int)
 		wg.Add(1)
 		go func(i, g int) {
 			defer wg.Done()
-			out[i] = t.sendGroup(kind, stmt, g, false)
+			out[i] = t.sendGroup(kind, pl, g, false)
 		}(i, g)
 	}
 	wg.Wait()
 	return out
 }
 
-func (t *Txn) sendGroup(kind reqKind, stmt sqlparse.Statement, g int, followerRead bool) response {
+func (t *Txn) sendGroup(kind reqKind, pl *plan, g int, followerRead bool) response {
 	switch kind {
 	case reqExec:
 		if followerRead {
-			return t.readReplica(stmt, g)
+			return t.readReplica(pl, g)
 		}
-		return t.execOnLeader(stmt, g)
+		return t.execOnLeader(pl, g)
 	case reqPrepare:
 		return t.prepareGroup(g)
 	case reqCommit:
@@ -73,7 +73,7 @@ func (t *Txn) sendGroup(kind reqKind, stmt sqlparse.Statement, g int, followerRe
 }
 
 // sendNode performs one bounded request/reply exchange with a member.
-func (t *Txn) sendNode(kind reqKind, stmt sqlparse.Statement, nid int, replRead, cont bool, bound time.Duration) response {
+func (t *Txn) sendNode(kind reqKind, pl *plan, nid int, replRead, cont bool, bound time.Duration) response {
 	c := t.co.c
 	reply := make(chan response, 1)
 	var sp *obs.Span
@@ -82,7 +82,7 @@ func (t *Txn) sendNode(kind reqKind, stmt sqlparse.Statement, nid int, replRead,
 		sp.Annotate("node %d", nid)
 		defer sp.Finish()
 	}
-	r := &request{kind: kind, ts: t.ts, epoch: t.epoch, stmt: stmt,
+	r := &request{kind: kind, ts: t.ts, epoch: t.epoch, plan: pl,
 		capture: t.capture != nil, replRead: replRead, twoPhase: t.twoPhase,
 		cont: cont, reply: reply, trace: sp}
 	c.nodes[nid].send(r)
@@ -156,7 +156,7 @@ func (t *Txn) nextMember(g, cur int, err error) int {
 // only sound move is failing the attempt so the whole transaction
 // retries; the cont flag makes a restarted or re-elected member detect
 // the loss instead of silently starting fresh.
-func (t *Txn) execOnLeader(stmt sqlparse.Statement, g int) response {
+func (t *Txn) execOnLeader(pl *plan, g int) response {
 	c := t.co.c
 	target, pinned := t.served(g)
 	if !pinned {
@@ -168,7 +168,7 @@ func (t *Txn) execOnLeader(stmt sqlparse.Statement, g int) response {
 	}
 	deadline := time.Now().Add(20 * elect) // a few failovers' worth
 	for {
-		resp := t.sendNode(reqExec, stmt, target, false, pinned, 0)
+		resp := t.sendNode(reqExec, pl, target, false, pinned, 0)
 		if resp.err == nil || !redirected(resp.err) {
 			// Served (or executed and failed — lock conflict, SQL error —
 			// in which case the member may hold doomed state for us).
@@ -195,21 +195,21 @@ func (t *Txn) execOnLeader(stmt sqlparse.Statement, g int) response {
 // like any locked read — the response's locked flag reports whether the
 // serving member took locks, since the sticky pick may happen to be the
 // leader).
-func (t *Txn) readReplica(stmt sqlparse.Statement, g int) response {
+func (t *Txn) readReplica(pl *plan, g int) response {
 	c := t.co.c
 	members := c.GroupMembers(g)
 	t.smu.Lock()
 	nid, ok := t.sticky[g]
 	t.smu.Unlock()
 	if !ok {
-		nid = members[t.rng.Intn(len(members))]
+		nid = members[t.rng.intn(len(members))]
 	}
 	for try := 0; try <= len(members); try++ {
 		if c.nodes[nid].down() {
-			nid = members[t.rng.Intn(len(members))] // re-seed stickiness
+			nid = members[t.rng.intn(len(members))] // re-seed stickiness
 			continue
 		}
-		resp := t.sendNode(reqExec, stmt, nid, true, false, 0)
+		resp := t.sendNode(reqExec, pl, nid, true, false, 0)
 		if resp.err == nil {
 			if resp.locked {
 				t.markServed(g, nid) // the leader served it under locks
@@ -222,10 +222,10 @@ func (t *Txn) readReplica(stmt sqlparse.Statement, g int) response {
 		if !redirected(resp.err) {
 			return resp
 		}
-		nid = members[t.rng.Intn(len(members))] // re-seed stickiness
+		nid = members[t.rng.intn(len(members))] // re-seed stickiness
 	}
 	// No replica could serve it lock-free; read through the leader.
-	return t.execOnLeader(stmt, g)
+	return t.execOnLeader(pl, g)
 }
 
 // prepareGroup sends the 2PC vote request to the member that executed

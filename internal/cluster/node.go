@@ -34,8 +34,8 @@ type request struct {
 	// queued on a paused node when the retry's messages arrive — can be
 	// recognised and ignored instead of killing the live attempt.
 	epoch   uint64
-	stmt    sqlparse.Statement
-	capture bool // ask the executor to report accessed keys
+	plan    *plan // the statement of a reqExec; nil for protocol messages
+	capture bool  // ask the executor to report accessed keys
 	// replRead marks a read the router deliberately sent to a chosen
 	// replica of a group: a follower may serve it locally (lock-free,
 	// committed prefix) while its lease is valid; the leader serves it
@@ -308,7 +308,7 @@ func (n *Node) serve(r *request) {
 		if gr != nil {
 			resp = n.execReplicated(gr, r)
 		} else {
-			resp = n.execStmt(r.ts, r.epoch, r.stmt, r.capture, r.cont)
+			resp = n.execStmt(r.ts, r.epoch, r.plan, r.capture, r.cont)
 		}
 	case reqPrepare:
 		n.trigger(BeforePrepareAck)
@@ -366,7 +366,7 @@ func (n *Node) execReplicated(gr *groupRuntime, r *request) response {
 			n.leaderGate.RUnlock()
 			return response{err: n.notLeaderErr(gr)}
 		}
-		resp := n.execStmt(r.ts, r.epoch, r.stmt, r.capture, r.cont)
+		resp := n.execStmt(r.ts, r.epoch, r.plan, r.capture, r.cont)
 		n.leaderGate.RUnlock()
 		resp.locked = true
 		return resp
@@ -384,11 +384,11 @@ func (n *Node) execReplicated(gr *groupRuntime, r *request) response {
 		}
 		return response{err: fmt.Errorf("cluster: node %d: %w", n.ID, ErrLeaseExpired)}
 	}
-	sel, ok := r.stmt.(*sqlparse.Select)
+	sel, ok := r.plan.stmt.(*sqlparse.Select)
 	if !ok || sel.ForUpdate {
 		return response{err: n.notLeaderErr(gr)}
 	}
-	return n.execSelectAt(r.ts, sel, r.capture, false)
+	return n.execSelect(r.ts, r.plan, sel, r.capture, false)
 }
 
 func (n *Node) hasPreparedNative() bool {
@@ -638,7 +638,7 @@ func (n *Node) state(ts txn.TS) *txnState {
 	return st
 }
 
-func (n *Node) execStmt(ts txn.TS, epoch uint64, stmt sqlparse.Statement, capture, cont bool) response {
+func (n *Node) execStmt(ts txn.TS, epoch uint64, pl *plan, capture, cont bool) response {
 	n.tmu.Lock()
 	st := n.txns[ts]
 	if st != nil && st.epoch != epoch {
@@ -668,7 +668,7 @@ func (n *Node) execStmt(ts txn.TS, epoch uint64, stmt sqlparse.Statement, captur
 	if st.doomed {
 		return response{err: errors.New("cluster: transaction already failed on this node")}
 	}
-	resp := n.execute(ts, st, stmt, capture)
+	resp := n.execute(ts, st, pl, capture)
 	if resp.err != nil {
 		st.doomed = true
 	}

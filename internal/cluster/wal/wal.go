@@ -88,8 +88,10 @@ type Record struct {
 
 // defaultCompactAt bounds log growth: once the buffer exceeds this many
 // bytes, finished transactions' records are dropped (their effects are
-// in the storage image, which is durable in this simulator).
-const defaultCompactAt = 16 << 20
+// in the storage image, which is durable in this simulator). It is what a
+// node keeps resident for records nobody will read again; compaction
+// costs the same per appended byte whatever the bound.
+const defaultCompactAt = 1 << 20
 
 // Log is one node's write-ahead log. All methods are safe for
 // concurrent use; force latency is charged outside the lock so
@@ -250,7 +252,10 @@ func (l *Log) appendLocked(encode func([]byte) []byte) {
 // their live undo chain plus, if prepared, the prepare record — which
 // preserves exactly what recovery would reconstruct.
 func (l *Log) compactLocked() {
-	an := Analyze(l.buf)
+	// Nearly every record belongs to a finished transaction and is about
+	// to be dropped: find the few unfinished ones from the record headers,
+	// and decode only theirs.
+	an := analyze(l.buf, unfinished(l.buf))
 	tss := make([]uint64, 0, len(an.Txns))
 	for ts, tl := range an.Txns {
 		if tl.Status == StatusActive || tl.Status == StatusPrepared {
@@ -258,7 +263,7 @@ func (l *Log) compactLocked() {
 		}
 	}
 	sort.Slice(tss, func(i, j int) bool { return tss[i] < tss[j] })
-	l.buf = nil
+	l.buf = l.buf[:0] // the analysis holds copies, not views of the buffer
 	for _, ts := range tss {
 		tl := an.Txns[ts]
 		for _, u := range tl.Undo {
@@ -403,26 +408,46 @@ func decode(payload []byte) (Record, bool) {
 	return rec, !r.bad
 }
 
-// next decodes the record at off, returning its framed size. ok is
-// false at end of log or at a torn/corrupt record.
-func next(data []byte, off int) (int, Record, bool) {
+// frame returns the payload of the record at off and its framed size. ok
+// is false at end of log or at a torn/corrupt record.
+func frame(data []byte, off int) (payload []byte, n int, ok bool) {
 	if len(data)-off < 8 {
-		return 0, Record{}, false
+		return nil, 0, false
 	}
 	ln := int(binary.LittleEndian.Uint32(data[off:]))
 	crc := binary.LittleEndian.Uint32(data[off+4:])
 	if ln < 0 || ln > len(data)-off-8 {
-		return 0, Record{}, false // torn: the tail was lost mid-append
+		return nil, 0, false // torn: the tail was lost mid-append
 	}
-	payload := data[off+8 : off+8+ln]
+	payload = data[off+8 : off+8+ln]
 	if crc32.ChecksumIEEE(payload) != crc {
+		return nil, 0, false
+	}
+	return payload, 8 + ln, true
+}
+
+// header reads what every payload starts with: the record type and the
+// transaction timestamp.
+func header(payload []byte) (Type, uint64, bool) {
+	if len(payload) < 2 {
+		return 0, 0, false
+	}
+	ts, n := binary.Uvarint(payload[1:])
+	return Type(payload[0]), ts, n > 0
+}
+
+// next decodes the record at off, returning its framed size. ok is
+// false at end of log or at a torn/corrupt record.
+func next(data []byte, off int) (int, Record, bool) {
+	payload, n, ok := frame(data, off)
+	if !ok {
 		return 0, Record{}, false
 	}
 	rec, ok := decode(payload)
 	if !ok {
 		return 0, Record{}, false
 	}
-	return 8 + ln, rec, true
+	return n, rec, true
 }
 
 // Iterate decodes records in order until the end of the log or a
@@ -505,9 +530,56 @@ type Analysis struct {
 // analysis must not mix the finished incarnation's undo into the live
 // one, or recovery could clobber writes other transactions committed in
 // between.
-func Analyze(data []byte) *Analysis {
+func Analyze(data []byte) *Analysis { return analyze(data, nil) }
+
+// unfinished returns the transactions whose last record in the intact
+// prefix of data is not a commit or abort — the ones Analyze would report
+// active or prepared — reading record headers only.
+func unfinished(data []byte) map[uint64]struct{} {
+	open := make(map[uint64]struct{})
+	for off := 0; ; {
+		payload, n, ok := frame(data, off)
+		if !ok {
+			return open
+		}
+		typ, ts, ok := header(payload)
+		if !ok {
+			return open
+		}
+		if typ == TCommit || typ == TAbort {
+			delete(open, ts)
+		} else {
+			open[ts] = struct{}{}
+		}
+		off += n
+	}
+}
+
+// analyze is Analyze restricted, when only is non-nil, to the transactions
+// in only: other transactions' records are counted but not decoded.
+func analyze(data []byte, only map[uint64]struct{}) *Analysis {
 	a := &Analysis{Txns: make(map[uint64]*TxnLog)}
-	a.Bytes = Iterate(data, func(r Record) bool {
+	for {
+		payload, n, ok := frame(data, a.Bytes)
+		if !ok {
+			return a
+		}
+		if only != nil {
+			_, ts, ok := header(payload)
+			if !ok {
+				return a
+			}
+			if _, wanted := only[ts]; !wanted {
+				a.Bytes += n
+				a.Records++
+				continue
+			}
+		}
+		r, ok := decode(payload)
+		if !ok {
+			return a
+		}
+		a.Bytes += n
 		a.Records++
 		tl := a.Txns[r.TS]
 		if tl == nil {
@@ -528,7 +600,5 @@ func Analyze(data []byte) *Analysis {
 		case TAbort:
 			*tl = TxnLog{Status: StatusAborted}
 		}
-		return true
-	})
-	return a
+	}
 }

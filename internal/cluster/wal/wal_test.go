@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -346,5 +348,53 @@ func TestWALForceLatency(t *testing.T) {
 	l.AppendCommit(1)
 	if d := time.Since(start); d < 5*time.Millisecond {
 		t.Fatalf("forced append returned in %v, want >= 5ms", d)
+	}
+}
+
+// Compaction finds the unfinished transactions from record headers and
+// decodes only their records. On random logs — interleaved transactions,
+// every ending, timestamps reused by retried incarnations — that must
+// reconstruct exactly what the full analysis says about the transactions
+// still active or prepared, and nothing about the others.
+func TestCompactionScanMatchesAnalyze(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 200; round++ {
+		l := New(0, 1<<30) // never compacts: the log under test is the raw one
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			ts := uint64(1 + rng.Intn(8))
+			switch rng.Intn(6) {
+			case 0:
+				l.AppendPrepare(ts, []Key{{Table: "t", Key: int64(i)}})
+			case 1:
+				l.AppendCommit(ts)
+			case 2:
+				l.AppendAbort(ts)
+			default:
+				l.AppendUpdate(ts, "t", int64(i), row(i, "before"), i%3 != 0)
+			}
+		}
+		data := l.Snapshot()
+		if cut := rng.Intn(4); cut == 0 && len(data) > 0 {
+			data = data[:rng.Intn(len(data))] // a torn tail
+		}
+		full := Analyze(data)
+		open := unfinished(data)
+		quick := analyze(data, open)
+		if quick.Bytes != full.Bytes || quick.Records != full.Records {
+			t.Fatalf("round %d: scanned %d bytes / %d records, full analysis %d / %d",
+				round, quick.Bytes, quick.Records, full.Bytes, full.Records)
+		}
+		for ts, tl := range full.Txns {
+			live := tl.Status == StatusActive || tl.Status == StatusPrepared
+			if _, found := open[ts]; found != live {
+				t.Fatalf("round %d: txn %d is %v, header scan says unfinished=%v", round, ts, tl.Status, found)
+			}
+			if live && !reflect.DeepEqual(quick.Txns[ts], tl) {
+				t.Fatalf("round %d: txn %d reconstructed as %+v, want %+v", round, ts, quick.Txns[ts], tl)
+			}
+		}
+		if len(quick.Txns) != len(open) {
+			t.Fatalf("round %d: decoded %d txns for %d unfinished", round, len(quick.Txns), len(open))
+		}
 	}
 }

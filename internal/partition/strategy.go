@@ -6,6 +6,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -406,6 +407,9 @@ func (l *Lookup) RouteStmt(table string, cons []sqlparse.Constraint, routable bo
 		if c.Table != table || c.Column != keyCol || len(c.Eq) == 0 {
 			continue
 		}
+		if len(c.Eq) == 1 {
+			return l.routeKey(t, c.Eq[0])
+		}
 		// Intersection of per-key replica sets serves the whole read;
 		// union is what writes must touch. Floating (new) keys do not
 		// constrain either.
@@ -451,6 +455,32 @@ func (l *Lookup) RouteStmt(table string, cons []sqlparse.Constraint, routable bo
 		return Route{Single: keys(inter), All: keys(union)}
 	}
 	return broadcast(l.K)
+}
+
+// routeKey routes a one-key equality, the shape of every point statement:
+// the key's replica set is both Single and All, so the set logic of the IN
+// path above reduces to one sorted copy (the lookup table keeps its own).
+func (l *Lookup) routeKey(t lookup.Table, v datum.D) Route {
+	k, ok := v.AsInt()
+	if !ok {
+		return broadcast(l.K)
+	}
+	parts, found := t.Locate(k)
+	if !found {
+		switch {
+		case l.Floating:
+			return Route{Single: allParts(l.K)}
+		case l.Default != nil:
+			parts = l.Default
+		default:
+			p := []int{HashPart(k, l.K)}
+			return Route{Single: p, All: p}
+		}
+	}
+	set := slices.Clone(parts)
+	slices.Sort(set)
+	set = slices.Compact(set)
+	return Route{Single: set, All: set}
 }
 
 // HashPart is the canonical key-hash fallback placement: the partition a

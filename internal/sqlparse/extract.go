@@ -94,6 +94,21 @@ type Constraint struct {
 // to broadcast (the paper's fallback, App. C.2). Placeholder values (?)
 // also yield ok=false.
 func Constraints(stmt Statement) (table string, cons []Constraint, ok bool) {
+	return constraints(stmt, nil)
+}
+
+// constraints is Constraints. With ne non-nil it extracts a prepared
+// statement's skeleton: a numbered placeholder counts as a known value and
+// stays in the result for Prepared.Constraints to replace with its
+// argument, and ne collects the placeholders compared with != — they feed
+// no constraint, but a NULL there still makes the statement unroutable.
+func constraints(stmt Statement, ne *[]int) (table string, cons []Constraint, ok bool) {
+	unknown := func(v datum.D) bool {
+		if _, param := paramIndex(v); param && ne != nil {
+			return false
+		}
+		return v.IsNull()
+	}
 	var where Expr
 	switch s := stmt.(type) {
 	case *Select:
@@ -105,7 +120,7 @@ func Constraints(stmt Statement) (table string, cons []Constraint, ok bool) {
 	case *Insert:
 		cons = make([]Constraint, 0, len(s.Cols))
 		for i, c := range s.Cols {
-			if s.Values[i].IsNull() {
+			if unknown(s.Values[i]) {
 				return s.Table, nil, false
 			}
 			cons = append(cons, Constraint{Table: s.Table, Column: c, Eq: []datum.D{s.Values[i]}})
@@ -134,7 +149,7 @@ func Constraints(stmt Statement) (table string, cons []Constraint, ok bool) {
 				// Join predicate: constrains no literal value.
 				return
 			}
-			if x.Value.IsNull() {
+			if unknown(x.Value) {
 				ok = false
 				return
 			}
@@ -148,6 +163,9 @@ func Constraints(stmt Statement) (table string, cons []Constraint, ok bool) {
 			case OpEq:
 				c.Eq = []datum.D{v}
 			case OpNe:
+				if j, param := paramIndex(v); param {
+					*ne = append(*ne, j)
+				}
 				return // not routing-relevant
 			case OpLt:
 				c.Hi, c.HiStrict = &v, true
@@ -161,7 +179,7 @@ func Constraints(stmt Statement) (table string, cons []Constraint, ok bool) {
 			cons = append(cons, c)
 		case *In:
 			for _, v := range x.Values {
-				if v.IsNull() {
+				if unknown(v) {
 					ok = false
 					return
 				}
@@ -172,7 +190,7 @@ func Constraints(stmt Statement) (table string, cons []Constraint, ok bool) {
 			}
 			cons = append(cons, Constraint{Table: tbl, Column: x.Col.Column, Eq: x.Values})
 		case *Between:
-			if x.Lo.IsNull() || x.Hi.IsNull() {
+			if unknown(x.Lo) || unknown(x.Hi) {
 				ok = false
 				return
 			}
@@ -195,17 +213,23 @@ func Constraints(stmt Statement) (table string, cons []Constraint, ok bool) {
 // returns the value of a column (resolving unqualified names). A nil
 // expression is true.
 func EvalWhere(e Expr, lookup func(ColRef) datum.D) bool {
+	return EvalBound(e, nil, lookup)
+}
+
+// EvalBound is EvalWhere for the WHERE clause of a prepared statement's
+// template: each placeholder takes its value from args (see BindValue).
+func EvalBound(e Expr, args []datum.D, lookup func(ColRef) datum.D) bool {
 	if e == nil {
 		return true
 	}
 	switch x := e.(type) {
 	case *And:
-		return EvalWhere(x.L, lookup) && EvalWhere(x.R, lookup)
+		return EvalBound(x.L, args, lookup) && EvalBound(x.R, args, lookup)
 	case *Or:
-		return EvalWhere(x.L, lookup) || EvalWhere(x.R, lookup)
+		return EvalBound(x.L, args, lookup) || EvalBound(x.R, args, lookup)
 	case *Compare:
 		lv := lookup(x.Col)
-		rv := x.Value
+		rv := BindValue(x.Value, args)
 		if x.Col2 != nil {
 			rv = lookup(*x.Col2)
 		}
@@ -227,14 +251,14 @@ func EvalWhere(e Expr, lookup func(ColRef) datum.D) bool {
 	case *In:
 		lv := lookup(x.Col)
 		for _, v := range x.Values {
-			if datum.Equal(lv, v) {
+			if datum.Equal(lv, BindValue(v, args)) {
 				return true
 			}
 		}
 		return false
 	case *Between:
 		lv := lookup(x.Col)
-		return datum.Compare(lv, x.Lo) >= 0 && datum.Compare(lv, x.Hi) <= 0
+		return datum.Compare(lv, BindValue(x.Lo, args)) >= 0 && datum.Compare(lv, BindValue(x.Hi, args)) <= 0
 	}
 	return false
 }

@@ -9,25 +9,33 @@ import (
 	"schism/internal/datum"
 )
 
-// Parse parses a single SQL statement.
+// Parse parses a single SQL statement. A placeholder (?) parses as the
+// NULL literal: the value is unknown, so the router broadcasts.
 func Parse(src string) (Statement, error) {
+	stmt, _, err := parse(src, false)
+	return stmt, err
+}
+
+// parse is Parse; with numbered set, the n-th placeholder becomes
+// placeholder(n) instead of plain NULL and the count is returned.
+func parse(src string, numbered bool) (Statement, int, error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	p := &parser{toks: toks, src: src}
+	p := &parser{toks: toks, src: src, numbered: numbered}
 	stmt, err := p.parseStatement()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// Allow a trailing semicolon.
 	if p.peek().kind == tokPunct && p.peek().text == ";" {
 		p.next()
 	}
 	if p.peek().kind != tokEOF {
-		return nil, p.errorf("trailing input %q", p.peek().text)
+		return nil, 0, p.errorf("trailing input %q", p.peek().text)
 	}
-	return stmt, nil
+	return stmt, p.nparams, nil
 }
 
 // MustParse parses or panics; for tests and static workload definitions.
@@ -43,6 +51,10 @@ type parser struct {
 	toks []token
 	i    int
 	src  string
+	// numbered makes literal() number the placeholders it meets (Prepare);
+	// nparams counts them.
+	numbered bool
+	nparams  int
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -489,6 +501,10 @@ func (p *parser) literal() (datum.D, error) {
 		return datum.NewString(t.text), nil
 	case tokPlaceholder:
 		p.next()
+		if p.numbered {
+			p.nparams++
+			return placeholder(p.nparams), nil
+		}
 		return datum.NullD, nil
 	case tokIdent:
 		if strings.EqualFold(t.text, "NULL") {

@@ -121,8 +121,11 @@ func insertNode(n node, key int64, val Row) (splitKey int64, right node, inserte
 				vals: append([]Row(nil), x.vals[mid:]...),
 				next: x.next,
 			}
-			x.keys = x.keys[:mid]
-			x.vals = x.vals[:mid]
+			// The left half moves to right-sized arrays too: under ascending
+			// keys (order ids, history ids) it never grows again, and keeping
+			// the overflowed arrays would hold twice what it stores.
+			x.keys = append([]int64(nil), x.keys[:mid]...)
+			x.vals = append([]Row(nil), x.vals[:mid]...)
 			x.next = r
 			return r.keys[0], r, true
 		}

@@ -279,6 +279,15 @@ func TestBTreeLargeSequential(t *testing.T) {
 	if _, ok := tree.get(n); ok {
 		t.Fatal("phantom key")
 	}
+	// Ascending inserts (order ids) fill only the rightmost leaf, so every
+	// split's left half is final: it must not keep the arrays it overflowed.
+	slots := 0
+	for l := tree.findLeaf(minInt64); l != nil; l = l.next {
+		slots += max(cap(l.keys), cap(l.vals))
+	}
+	if slots > n+n/4 {
+		t.Fatalf("leaves reserve %d slots for %d sequential keys", slots, n)
+	}
 }
 
 func BenchmarkBTreeInsert(b *testing.B) {

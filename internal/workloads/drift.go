@@ -101,9 +101,7 @@ func YCSBGroups(cfg YCSBGroupsConfig) *Workload {
 // ycsbGroupTxn draws one transaction over group g: two reads and one
 // update on distinct group members.
 func ycsbGroupTxn(cfg YCSBGroupsConfig, g int, rng *rand.Rand) ([]workload.Access, []string) {
-	keys := cfg.groupKeys(g)
-	perm := rng.Perm(len(keys)) // GroupSize >= 3, so three distinct members exist
-	r1, r2, w := keys[perm[0]], keys[perm[1]], keys[perm[2]]
+	r1, r2, w := cfg.drawMembers(g, rng)
 	acc := []workload.Access{
 		{Tuple: workload.TupleID{Table: "usertable", Key: r1}},
 		{Tuple: workload.TupleID{Table: "usertable", Key: r2}},
@@ -115,6 +113,14 @@ func ycsbGroupTxn(cfg YCSBGroupsConfig, g int, rng *rand.Rand) ([]workload.Acces
 		fmt.Sprintf("UPDATE usertable SET field0 = 'u' WHERE ycsb_key = %d", w),
 	}
 	return acc, sql
+}
+
+// drawMembers picks the two read keys and the written key of one
+// transaction over group g.
+func (c YCSBGroupsConfig) drawMembers(g int, rng *rand.Rand) (r1, r2, w int64) {
+	keys := c.groupKeys(g)
+	perm := rng.Perm(len(keys)) // GroupSize >= 3, so three distinct members exist
+	return keys[perm[0]], keys[perm[1]], keys[perm[2]]
 }
 
 // YCSBGroupsTxn returns the runtime form of the same mix for cluster
@@ -130,12 +136,19 @@ func YCSBGroupsTxn(cfg YCSBGroupsConfig) cluster.TxnFunc {
 		if g >= groups {
 			g = groups - 1
 		}
-		_, sql := ycsbGroupTxn(cfg, g, rng)
-		for _, s := range sql {
-			if _, err := t.Exec(s); err != nil {
-				return err
-			}
-		}
-		return nil
+		r1, r2, w := cfg.drawMembers(g, rng)
+		return runYCSBGroup(t, r1, r2, w)
 	}
+}
+
+// runYCSBGroup issues one group transaction: two reads and one update.
+func runYCSBGroup(t *cluster.Txn, r1, r2, w int64) error {
+	if _, err := t.ExecPrepared(selUser, num(r1)); err != nil {
+		return err
+	}
+	if _, err := t.ExecPrepared(selUser, num(r2)); err != nil {
+		return err
+	}
+	_, err := t.ExecPrepared(updUser, num(w))
+	return err
 }

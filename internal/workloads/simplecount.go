@@ -88,10 +88,10 @@ func SimplecountTxn(cfg SimplecountConfig, distributed bool) cluster.TxnFunc {
 			id1 = p*per + rng.Intn(per)
 			id2 = p*per + rng.Intn(per)
 		}
-		if _, err := t.Exec(fmt.Sprintf("SELECT * FROM simplecount WHERE id = %d", id1)); err != nil {
+		if _, err := t.ExecPrepared(selCount, num(id1)); err != nil {
 			return err
 		}
-		_, err := t.Exec(fmt.Sprintf("SELECT * FROM simplecount WHERE id = %d", id2))
+		_, err := t.ExecPrepared(selCount, num(id2))
 		return err
 	}
 }
@@ -111,10 +111,10 @@ func SimplecountUpdateTxn(cfg SimplecountConfig, distributed bool) cluster.TxnFu
 			id1 = p*per + rng.Intn(per)
 			id2 = p*per + rng.Intn(per)
 		}
-		if _, err := t.Exec(fmt.Sprintf("UPDATE simplecount SET counter = counter + 1 WHERE id = %d", id1)); err != nil {
+		if _, err := t.ExecPrepared(updCount, num(id1)); err != nil {
 			return err
 		}
-		_, err := t.Exec(fmt.Sprintf("UPDATE simplecount SET counter = counter + 1 WHERE id = %d", id2))
+		_, err := t.ExecPrepared(updCount, num(id2))
 		return err
 	}
 }

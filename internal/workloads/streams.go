@@ -114,13 +114,13 @@ func (s *tpccStream) newOrderOp() driver.Op {
 	sig := fmt.Sprintf("no w%d d%d c%d i%v s%v", w, d, c, items, supply)
 	run := func(t *cluster.Txn) error {
 		dk := k.district(w, d)
-		if _, err := t.Exec(fmt.Sprintf("SELECT * FROM warehouse WHERE w_id = %d", w)); err != nil {
+		if _, err := t.ExecPrepared(selWarehouse, num(w)); err != nil {
 			return err
 		}
-		if _, err := t.Exec(fmt.Sprintf("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_key = %d AND d_w_id = %d", dk, w)); err != nil {
+		if _, err := t.ExecPrepared(updDistrictNextByKey, num(dk), num(w)); err != nil {
 			return err
 		}
-		rows, err := t.Exec(fmt.Sprintf("SELECT d_next_o_id FROM district WHERE d_key = %d AND d_w_id = %d", dk, w))
+		rows, err := t.ExecPrepared(selDistrictNextByKey, num(dk), num(w))
 		if err != nil {
 			return err
 		}
@@ -130,25 +130,25 @@ func (s *tpccStream) newOrderOp() driver.Op {
 		next, _ := rows[0][0].AsInt()
 		o := int(next - 1)
 		oKey := k.order(w, d, o)
-		if _, err := t.Exec(fmt.Sprintf("SELECT * FROM customer WHERE c_key = %d AND c_w_id = %d", k.customer(w, d, c), w)); err != nil {
+		if _, err := t.ExecPrepared(selCustomerByKey, num(k.customer(w, d, c)), num(w)); err != nil {
 			return err
 		}
-		if _, err := t.Exec(fmt.Sprintf("INSERT INTO orders (o_key, o_w_id, o_d_id, o_id, o_c_id, o_carrier_id, o_ol_cnt) VALUES (%d, %d, %d, %d, %d, 0, %d)", oKey, w, d, o, c, nItems)); err != nil {
+		if _, err := t.ExecPrepared(insOrder, num(oKey), num(w), num(d), num(o), num(c), num(nItems)); err != nil {
 			return err
 		}
-		if _, err := t.Exec(fmt.Sprintf("INSERT INTO new_order (no_key, no_w_id, no_d_id, no_o_id) VALUES (%d, %d, %d, %d)", oKey, w, d, o)); err != nil {
+		if _, err := t.ExecPrepared(insNewOrder, num(oKey), num(w), num(d), num(o)); err != nil {
 			return err
 		}
 		for l := 0; l < nItems; l++ {
 			item, sw := items[l], supply[l]
-			if _, err := t.Exec(fmt.Sprintf("SELECT * FROM item WHERE i_id = %d", item)); err != nil {
+			if _, err := t.ExecPrepared(selItem, num(item)); err != nil {
 				return err
 			}
-			if _, err := t.Exec(fmt.Sprintf("UPDATE stock SET s_quantity = s_quantity - 1, s_ytd = s_ytd + 1 WHERE s_key = %d AND s_w_id = %d", k.stock(sw, item), sw)); err != nil {
+			if _, err := t.ExecPrepared(updStockByKey, num(k.stock(sw, item)), num(sw)); err != nil {
 				return err
 			}
-			if _, err := t.Exec(fmt.Sprintf("INSERT INTO order_line (ol_key, ol_w_id, ol_d_id, ol_o_id, ol_number, ol_i_id, ol_supply_w_id, ol_amount) VALUES (%d, %d, %d, %d, %d, %d, %d, 9.99)",
-				k.orderLine(oKey, l+1), w, d, o, l+1, item, sw)); err != nil {
+			if _, err := t.ExecPrepared(insOrderLine,
+				num(k.orderLine(oKey, l+1)), num(w), num(d), num(o), num(l+1), num(item), num(sw)); err != nil {
 				return err
 			}
 		}
@@ -169,16 +169,16 @@ func (s *tpccStream) paymentOp() driver.Op {
 	h := s.histID()
 	sig := fmt.Sprintf("pay w%d d%d c%d cw%d", w, d, c, cw)
 	run := func(t *cluster.Txn) error {
-		if _, err := t.Exec(fmt.Sprintf("UPDATE warehouse SET w_ytd = w_ytd + 100.00 WHERE w_id = %d", w)); err != nil {
+		if _, err := t.ExecPrepared(updWarehouse, num(w)); err != nil {
 			return err
 		}
-		if _, err := t.Exec(fmt.Sprintf("UPDATE district SET d_ytd = d_ytd + 100.00 WHERE d_key = %d AND d_w_id = %d", k.district(w, d), w)); err != nil {
+		if _, err := t.ExecPrepared(updDistrictYtdByKey, num(k.district(w, d)), num(w)); err != nil {
 			return err
 		}
-		if _, err := t.Exec(fmt.Sprintf("UPDATE customer SET c_balance = c_balance - 100.00, c_ytd_payment = c_ytd_payment + 100.00 WHERE c_key = %d AND c_w_id = %d", k.customer(cw, d, c), cw)); err != nil {
+		if _, err := t.ExecPrepared(updCustomerPayByKey, num(k.customer(cw, d, c)), num(cw)); err != nil {
 			return err
 		}
-		_, err := t.Exec(fmt.Sprintf("INSERT INTO history (h_id, h_w_id, h_amount) VALUES (%d, %d, 100.00)", h, w))
+		_, err := t.ExecPrepared(insHistory, num(h), num(w))
 		return err
 	}
 	return driver.Op{Sig: sig, Run: run}
@@ -191,17 +191,17 @@ func (s *tpccStream) orderStatusOp() driver.Op {
 	c := 1 + rng.Intn(cfg.Customers)
 	sig := fmt.Sprintf("os w%d d%d c%d", w, d, c)
 	run := func(t *cluster.Txn) error {
-		if _, err := t.Exec(fmt.Sprintf("SELECT * FROM customer WHERE c_key = %d AND c_w_id = %d", k.customer(w, d, c), w)); err != nil {
+		if _, err := t.ExecPrepared(selCustomerByKey, num(k.customer(w, d, c)), num(w)); err != nil {
 			return err
 		}
 		dk := k.district(w, d)
 		lo, hi := dk*tpccOrderSpace, (dk+1)*tpccOrderSpace-1
-		rows, err := t.Exec(fmt.Sprintf("SELECT * FROM orders WHERE o_w_id = %d AND o_key BETWEEN %d AND %d ORDER BY o_key DESC LIMIT 1", w, lo, hi))
+		rows, err := t.ExecPrepared(selLastOrder, num(w), num(lo), num(hi))
 		if err != nil || len(rows) == 0 {
 			return err
 		}
 		oKey, _ := rows[0][0].AsInt()
-		_, err = t.Exec(fmt.Sprintf("SELECT * FROM order_line WHERE ol_w_id = %d AND ol_key BETWEEN %d AND %d", w, oKey*tpccLineSpace, (oKey+1)*tpccLineSpace-1))
+		_, err = t.ExecPrepared(selOrderLines, num(w), num(oKey*tpccLineSpace), num((oKey+1)*tpccLineSpace-1))
 		return err
 	}
 	return driver.Op{Sig: sig, Run: run}
@@ -215,7 +215,7 @@ func (s *tpccStream) deliveryOp() driver.Op {
 		for d := 1; d <= cfg.Districts; d++ {
 			dk := k.district(w, d)
 			lo, hi := dk*tpccOrderSpace, (dk+1)*tpccOrderSpace-1
-			rows, err := t.Exec(fmt.Sprintf("SELECT * FROM new_order WHERE no_w_id = %d AND no_key BETWEEN %d AND %d ORDER BY no_key LIMIT 1", w, lo, hi))
+			rows, err := t.ExecPrepared(selOldNewOrder, num(w), num(lo), num(hi))
 			if err != nil {
 				return err
 			}
@@ -223,24 +223,24 @@ func (s *tpccStream) deliveryOp() driver.Op {
 				continue
 			}
 			oKey, _ := rows[0][0].AsInt()
-			if _, err := t.Exec(fmt.Sprintf("DELETE FROM new_order WHERE no_w_id = %d AND no_key = %d", w, oKey)); err != nil {
+			if _, err := t.ExecPrepared(delNewOrder, num(w), num(oKey)); err != nil {
 				return err
 			}
-			ordRows, err := t.Exec(fmt.Sprintf("SELECT * FROM orders WHERE o_w_id = %d AND o_key = %d", w, oKey))
+			ordRows, err := t.ExecPrepared(selOrder, num(w), num(oKey))
 			if err != nil {
 				return err
 			}
-			if _, err := t.Exec(fmt.Sprintf("UPDATE orders SET o_carrier_id = 7 WHERE o_w_id = %d AND o_key = %d", w, oKey)); err != nil {
+			if _, err := t.ExecPrepared(updOrder, num(w), num(oKey)); err != nil {
 				return err
 			}
-			if _, err := t.Exec(fmt.Sprintf("SELECT * FROM order_line WHERE ol_w_id = %d AND ol_key BETWEEN %d AND %d", w, oKey*tpccLineSpace, (oKey+1)*tpccLineSpace-1)); err != nil {
+			if _, err := t.ExecPrepared(selOrderLines, num(w), num(oKey*tpccLineSpace), num((oKey+1)*tpccLineSpace-1)); err != nil {
 				return err
 			}
 			cid := int64(1)
 			if len(ordRows) > 0 {
 				cid, _ = ordRows[0][4].AsInt()
 			}
-			if _, err := t.Exec(fmt.Sprintf("UPDATE customer SET c_balance = c_balance + 50.00 WHERE c_key = %d AND c_w_id = %d", k.customer(w, d, int(cid)), w)); err != nil {
+			if _, err := t.ExecPrepared(updCustomerDlvByKey, num(k.customer(w, d, int(cid))), num(w)); err != nil {
 				return err
 			}
 		}
@@ -256,7 +256,7 @@ func (s *tpccStream) stockLevelOp() driver.Op {
 	sig := fmt.Sprintf("sl w%d d%d", w, d)
 	run := func(t *cluster.Txn) error {
 		dk := k.district(w, d)
-		rows, err := t.Exec(fmt.Sprintf("SELECT d_next_o_id FROM district WHERE d_key = %d AND d_w_id = %d", dk, w))
+		rows, err := t.ExecPrepared(selDistrictNextByKey, num(dk), num(w))
 		if err != nil || len(rows) == 0 {
 			return err
 		}
@@ -267,7 +267,7 @@ func (s *tpccStream) stockLevelOp() driver.Op {
 		}
 		lo := (dk*tpccOrderSpace + loO) * tpccLineSpace
 		hi := (dk*tpccOrderSpace + next) * tpccLineSpace
-		lines, err := t.Exec(fmt.Sprintf("SELECT ol_i_id FROM order_line WHERE ol_w_id = %d AND ol_key BETWEEN %d AND %d", w, lo, hi))
+		lines, err := t.ExecPrepared(selLineItems, num(w), num(lo), num(hi))
 		if err != nil {
 			return err
 		}
@@ -279,7 +279,7 @@ func (s *tpccStream) stockLevelOp() driver.Op {
 				continue
 			}
 			seen[item] = true
-			if _, err := t.Exec(fmt.Sprintf("SELECT * FROM stock WHERE s_key = %d AND s_w_id = %d", k.stock(w, int(item)), w)); err != nil {
+			if _, err := t.ExecPrepared(selStockByKey, num(k.stock(w, int(item))), num(w)); err != nil {
 				return err
 			}
 			if checked++; checked >= 20 {
@@ -307,7 +307,7 @@ func YCSBAStream(cfg YCSBConfig) driver.StreamMaker {
 				return driver.Op{
 					Sig: fmt.Sprintf("u %d", key),
 					Run: func(t *cluster.Txn) error {
-						_, err := t.Exec(fmt.Sprintf("UPDATE usertable SET field0 = 'u' WHERE ycsb_key = %d", key))
+						_, err := t.ExecPrepared(updUser, num(key))
 						return err
 					},
 				}
@@ -315,7 +315,7 @@ func YCSBAStream(cfg YCSBConfig) driver.StreamMaker {
 			return driver.Op{
 				Sig: fmt.Sprintf("r %d", key),
 				Run: func(t *cluster.Txn) error {
-					_, err := t.Exec(fmt.Sprintf("SELECT * FROM usertable WHERE ycsb_key = %d", key))
+					_, err := t.ExecPrepared(selUser, num(key))
 					return err
 				},
 			}
@@ -339,21 +339,10 @@ func YCSBGroupsStream(cfg YCSBGroupsConfig) driver.StreamMaker {
 			if g >= groups {
 				g = groups - 1
 			}
-			keys := cfg.groupKeys(g)
-			perm := rng.Perm(len(keys))
-			r1, r2, w := keys[perm[0]], keys[perm[1]], keys[perm[2]]
+			r1, r2, w := cfg.drawMembers(g, rng)
 			return driver.Op{
 				Sig: fmt.Sprintf("g%d r%d r%d w%d", g, r1, r2, w),
-				Run: func(t *cluster.Txn) error {
-					if _, err := t.Exec(fmt.Sprintf("SELECT * FROM usertable WHERE ycsb_key = %d", r1)); err != nil {
-						return err
-					}
-					if _, err := t.Exec(fmt.Sprintf("SELECT * FROM usertable WHERE ycsb_key = %d", r2)); err != nil {
-						return err
-					}
-					_, err := t.Exec(fmt.Sprintf("UPDATE usertable SET field0 = 'u' WHERE ycsb_key = %d", w))
-					return err
-				},
+				Run: func(t *cluster.Txn) error { return runYCSBGroup(t, r1, r2, w) },
 			}
 		})
 	}

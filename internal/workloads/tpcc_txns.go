@@ -356,13 +356,13 @@ func runtimeNewOrder(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys)
 	w := cfg.pickW(rng)
 	d := 1 + rng.Intn(cfg.Districts)
 	c := 1 + rng.Intn(cfg.Customers)
-	if _, err := t.Exec(fmt.Sprintf("SELECT * FROM warehouse WHERE w_id = %d", w)); err != nil {
+	if _, err := t.ExecPrepared(selWarehouse, num(w)); err != nil {
 		return err
 	}
-	if _, err := t.Exec(fmt.Sprintf("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = %d AND d_id = %d", w, d)); err != nil {
+	if _, err := t.ExecPrepared(updDistrictNextByAttr, num(w), num(d)); err != nil {
 		return err
 	}
-	rows, err := t.Exec(fmt.Sprintf("SELECT d_next_o_id FROM district WHERE d_w_id = %d AND d_id = %d", w, d))
+	rows, err := t.ExecPrepared(selDistrictNextByAttr, num(w), num(d))
 	if err != nil {
 		return err
 	}
@@ -372,14 +372,14 @@ func runtimeNewOrder(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys)
 	next, _ := rows[0][0].AsInt()
 	o := int(next - 1)
 	oKey := k.order(w, d, o)
-	if _, err := t.Exec(fmt.Sprintf("SELECT * FROM customer WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d", w, d, c)); err != nil {
+	if _, err := t.ExecPrepared(selCustomerByAttr, num(w), num(d), num(c)); err != nil {
 		return err
 	}
 	nItems := 5 + rng.Intn(11)
-	if _, err := t.Exec(fmt.Sprintf("INSERT INTO orders (o_key, o_w_id, o_d_id, o_id, o_c_id, o_carrier_id, o_ol_cnt) VALUES (%d, %d, %d, %d, %d, 0, %d)", oKey, w, d, o, c, nItems)); err != nil {
+	if _, err := t.ExecPrepared(insOrder, num(oKey), num(w), num(d), num(o), num(c), num(nItems)); err != nil {
 		return err
 	}
-	if _, err := t.Exec(fmt.Sprintf("INSERT INTO new_order (no_key, no_w_id, no_d_id, no_o_id) VALUES (%d, %d, %d, %d)", oKey, w, d, o)); err != nil {
+	if _, err := t.ExecPrepared(insNewOrder, num(oKey), num(w), num(d), num(o)); err != nil {
 		return err
 	}
 	for l := 1; l <= nItems; l++ {
@@ -388,14 +388,14 @@ func runtimeNewOrder(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys)
 		if rng.Intn(100) == 0 {
 			sw = remoteWarehouse(rng, w, cfg.Warehouses)
 		}
-		if _, err := t.Exec(fmt.Sprintf("SELECT * FROM item WHERE i_id = %d", item)); err != nil {
+		if _, err := t.ExecPrepared(selItem, num(item)); err != nil {
 			return err
 		}
-		if _, err := t.Exec(fmt.Sprintf("UPDATE stock SET s_quantity = s_quantity - 1, s_ytd = s_ytd + 1 WHERE s_w_id = %d AND s_i_id = %d", sw, item)); err != nil {
+		if _, err := t.ExecPrepared(updStockByAttr, num(sw), num(item)); err != nil {
 			return err
 		}
-		if _, err := t.Exec(fmt.Sprintf("INSERT INTO order_line (ol_key, ol_w_id, ol_d_id, ol_o_id, ol_number, ol_i_id, ol_supply_w_id, ol_amount) VALUES (%d, %d, %d, %d, %d, %d, %d, 9.99)",
-			k.orderLine(oKey, l), w, d, o, l, item, sw)); err != nil {
+		if _, err := t.ExecPrepared(insOrderLine,
+			num(k.orderLine(oKey, l)), num(w), num(d), num(o), num(l), num(item), num(sw)); err != nil {
 			return err
 		}
 	}
@@ -410,17 +410,17 @@ func runtimePayment(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys) 
 	if rng.Intn(100) < 15 {
 		cw = remoteWarehouse(rng, w, cfg.Warehouses)
 	}
-	if _, err := t.Exec(fmt.Sprintf("UPDATE warehouse SET w_ytd = w_ytd + 100.00 WHERE w_id = %d", w)); err != nil {
+	if _, err := t.ExecPrepared(updWarehouse, num(w)); err != nil {
 		return err
 	}
-	if _, err := t.Exec(fmt.Sprintf("UPDATE district SET d_ytd = d_ytd + 100.00 WHERE d_w_id = %d AND d_id = %d", w, d)); err != nil {
+	if _, err := t.ExecPrepared(updDistrictYtdByAttr, num(w), num(d)); err != nil {
 		return err
 	}
-	if _, err := t.Exec(fmt.Sprintf("UPDATE customer SET c_balance = c_balance - 100.00, c_ytd_payment = c_ytd_payment + 100.00 WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d", cw, d, c)); err != nil {
+	if _, err := t.ExecPrepared(updCustomerPayByAttr, num(cw), num(d), num(c)); err != nil {
 		return err
 	}
 	h := tpccHistID.Add(1)
-	_, err := t.Exec(fmt.Sprintf("INSERT INTO history (h_id, h_w_id, h_amount) VALUES (%d, %d, 100.00)", h, w))
+	_, err := t.ExecPrepared(insHistory, num(h), num(w))
 	return err
 }
 
@@ -428,17 +428,17 @@ func runtimeOrderStatus(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKe
 	w := cfg.pickW(rng)
 	d := 1 + rng.Intn(cfg.Districts)
 	c := 1 + rng.Intn(cfg.Customers)
-	if _, err := t.Exec(fmt.Sprintf("SELECT * FROM customer WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d", w, d, c)); err != nil {
+	if _, err := t.ExecPrepared(selCustomerByAttr, num(w), num(d), num(c)); err != nil {
 		return err
 	}
 	dk := k.district(w, d)
 	lo, hi := dk*tpccOrderSpace, (dk+1)*tpccOrderSpace-1
-	rows, err := t.Exec(fmt.Sprintf("SELECT * FROM orders WHERE o_w_id = %d AND o_key BETWEEN %d AND %d ORDER BY o_key DESC LIMIT 1", w, lo, hi))
+	rows, err := t.ExecPrepared(selLastOrder, num(w), num(lo), num(hi))
 	if err != nil || len(rows) == 0 {
 		return err
 	}
 	oKey, _ := rows[0][0].AsInt()
-	_, err = t.Exec(fmt.Sprintf("SELECT * FROM order_line WHERE ol_w_id = %d AND ol_key BETWEEN %d AND %d", w, oKey*tpccLineSpace, (oKey+1)*tpccLineSpace-1))
+	_, err = t.ExecPrepared(selOrderLines, num(w), num(oKey*tpccLineSpace), num((oKey+1)*tpccLineSpace-1))
 	return err
 }
 
@@ -447,7 +447,7 @@ func runtimeDelivery(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys)
 	for d := 1; d <= cfg.Districts; d++ {
 		dk := k.district(w, d)
 		lo, hi := dk*tpccOrderSpace, (dk+1)*tpccOrderSpace-1
-		rows, err := t.Exec(fmt.Sprintf("SELECT * FROM new_order WHERE no_w_id = %d AND no_key BETWEEN %d AND %d ORDER BY no_key LIMIT 1", w, lo, hi))
+		rows, err := t.ExecPrepared(selOldNewOrder, num(w), num(lo), num(hi))
 		if err != nil {
 			return err
 		}
@@ -456,24 +456,24 @@ func runtimeDelivery(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys)
 		}
 		oKey, _ := rows[0][0].AsInt()
 		o, _ := rows[0][3].AsInt()
-		if _, err := t.Exec(fmt.Sprintf("DELETE FROM new_order WHERE no_w_id = %d AND no_key = %d", w, oKey)); err != nil {
+		if _, err := t.ExecPrepared(delNewOrder, num(w), num(oKey)); err != nil {
 			return err
 		}
-		ordRows, err := t.Exec(fmt.Sprintf("SELECT * FROM orders WHERE o_w_id = %d AND o_key = %d", w, oKey))
+		ordRows, err := t.ExecPrepared(selOrder, num(w), num(oKey))
 		if err != nil {
 			return err
 		}
-		if _, err := t.Exec(fmt.Sprintf("UPDATE orders SET o_carrier_id = 7 WHERE o_w_id = %d AND o_key = %d", w, oKey)); err != nil {
+		if _, err := t.ExecPrepared(updOrder, num(w), num(oKey)); err != nil {
 			return err
 		}
-		if _, err := t.Exec(fmt.Sprintf("SELECT * FROM order_line WHERE ol_w_id = %d AND ol_key BETWEEN %d AND %d", w, oKey*tpccLineSpace, (oKey+1)*tpccLineSpace-1)); err != nil {
+		if _, err := t.ExecPrepared(selOrderLines, num(w), num(oKey*tpccLineSpace), num((oKey+1)*tpccLineSpace-1)); err != nil {
 			return err
 		}
 		cid := int64(1)
 		if len(ordRows) > 0 {
 			cid, _ = ordRows[0][4].AsInt()
 		}
-		if _, err := t.Exec(fmt.Sprintf("UPDATE customer SET c_balance = c_balance + 50.00 WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d", w, d, cid)); err != nil {
+		if _, err := t.ExecPrepared(updCustomerDlvByAttr, num(w), num(d), num(cid)); err != nil {
 			return err
 		}
 		_ = o
@@ -484,7 +484,7 @@ func runtimeDelivery(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys)
 func runtimeStockLevel(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys) error {
 	w := cfg.pickW(rng)
 	d := 1 + rng.Intn(cfg.Districts)
-	rows, err := t.Exec(fmt.Sprintf("SELECT d_next_o_id FROM district WHERE d_w_id = %d AND d_id = %d", w, d))
+	rows, err := t.ExecPrepared(selDistrictNextByAttr, num(w), num(d))
 	if err != nil || len(rows) == 0 {
 		return err
 	}
@@ -496,7 +496,7 @@ func runtimeStockLevel(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKey
 	dk := k.district(w, d)
 	lo := (dk*tpccOrderSpace + loO) * tpccLineSpace
 	hi := (dk*tpccOrderSpace + next) * tpccLineSpace
-	lines, err := t.Exec(fmt.Sprintf("SELECT ol_i_id FROM order_line WHERE ol_w_id = %d AND ol_key BETWEEN %d AND %d", w, lo, hi))
+	lines, err := t.ExecPrepared(selLineItems, num(w), num(lo), num(hi))
 	if err != nil {
 		return err
 	}
@@ -508,7 +508,7 @@ func runtimeStockLevel(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKey
 			continue
 		}
 		seen[item] = true
-		if _, err := t.Exec(fmt.Sprintf("SELECT * FROM stock WHERE s_w_id = %d AND s_i_id = %d", w, item)); err != nil {
+		if _, err := t.ExecPrepared(selStockByAttr, num(w), num(item)); err != nil {
 			return err
 		}
 		checked++
@@ -541,13 +541,13 @@ func keyedNewOrder(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys) e
 	d := 1 + rng.Intn(cfg.Districts)
 	c := 1 + rng.Intn(cfg.Customers)
 	dk := k.district(w, d)
-	if _, err := t.Exec(fmt.Sprintf("SELECT * FROM warehouse WHERE w_id = %d", w)); err != nil {
+	if _, err := t.ExecPrepared(selWarehouse, num(w)); err != nil {
 		return err
 	}
-	if _, err := t.Exec(fmt.Sprintf("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_key = %d", dk)); err != nil {
+	if _, err := t.ExecPrepared(updDistrictNextByKey, num(dk), num(w)); err != nil {
 		return err
 	}
-	rows, err := t.Exec(fmt.Sprintf("SELECT d_next_o_id FROM district WHERE d_key = %d", dk))
+	rows, err := t.ExecPrepared(selDistrictNextByKey, num(dk), num(w))
 	if err != nil {
 		return err
 	}
@@ -557,14 +557,14 @@ func keyedNewOrder(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys) e
 	next, _ := rows[0][0].AsInt()
 	o := int(next - 1)
 	oKey := k.order(w, d, o)
-	if _, err := t.Exec(fmt.Sprintf("SELECT * FROM customer WHERE c_key = %d", k.customer(w, d, c))); err != nil {
+	if _, err := t.ExecPrepared(selCustomerByKey, num(k.customer(w, d, c)), num(w)); err != nil {
 		return err
 	}
 	nItems := 5 + rng.Intn(11)
-	if _, err := t.Exec(fmt.Sprintf("INSERT INTO orders (o_key, o_w_id, o_d_id, o_id, o_c_id, o_carrier_id, o_ol_cnt) VALUES (%d, %d, %d, %d, %d, 0, %d)", oKey, w, d, o, c, nItems)); err != nil {
+	if _, err := t.ExecPrepared(insOrder, num(oKey), num(w), num(d), num(o), num(c), num(nItems)); err != nil {
 		return err
 	}
-	if _, err := t.Exec(fmt.Sprintf("INSERT INTO new_order (no_key, no_w_id, no_d_id, no_o_id) VALUES (%d, %d, %d, %d)", oKey, w, d, o)); err != nil {
+	if _, err := t.ExecPrepared(insNewOrder, num(oKey), num(w), num(d), num(o)); err != nil {
 		return err
 	}
 	for l := 1; l <= nItems; l++ {
@@ -573,14 +573,14 @@ func keyedNewOrder(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys) e
 		if rng.Intn(100) == 0 {
 			sw = remoteWarehouse(rng, w, cfg.Warehouses)
 		}
-		if _, err := t.Exec(fmt.Sprintf("SELECT * FROM item WHERE i_id = %d", item)); err != nil {
+		if _, err := t.ExecPrepared(selItem, num(item)); err != nil {
 			return err
 		}
-		if _, err := t.Exec(fmt.Sprintf("UPDATE stock SET s_quantity = s_quantity - 1, s_ytd = s_ytd + 1 WHERE s_key = %d", k.stock(sw, item))); err != nil {
+		if _, err := t.ExecPrepared(updStockByKey, num(k.stock(sw, item)), num(sw)); err != nil {
 			return err
 		}
-		if _, err := t.Exec(fmt.Sprintf("INSERT INTO order_line (ol_key, ol_w_id, ol_d_id, ol_o_id, ol_number, ol_i_id, ol_supply_w_id, ol_amount) VALUES (%d, %d, %d, %d, %d, %d, %d, 9.99)",
-			k.orderLine(oKey, l), w, d, o, l, item, sw)); err != nil {
+		if _, err := t.ExecPrepared(insOrderLine,
+			num(k.orderLine(oKey, l)), num(w), num(d), num(o), num(l), num(item), num(sw)); err != nil {
 			return err
 		}
 	}
@@ -595,16 +595,16 @@ func keyedPayment(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys) er
 	if rng.Intn(100) < 15 {
 		cw = remoteWarehouse(rng, w, cfg.Warehouses)
 	}
-	if _, err := t.Exec(fmt.Sprintf("UPDATE warehouse SET w_ytd = w_ytd + 100.00 WHERE w_id = %d", w)); err != nil {
+	if _, err := t.ExecPrepared(updWarehouse, num(w)); err != nil {
 		return err
 	}
-	if _, err := t.Exec(fmt.Sprintf("UPDATE district SET d_ytd = d_ytd + 100.00 WHERE d_key = %d", k.district(w, d))); err != nil {
+	if _, err := t.ExecPrepared(updDistrictYtdByKey, num(k.district(w, d)), num(w)); err != nil {
 		return err
 	}
-	if _, err := t.Exec(fmt.Sprintf("UPDATE customer SET c_balance = c_balance - 100.00, c_ytd_payment = c_ytd_payment + 100.00 WHERE c_key = %d", k.customer(cw, d, c))); err != nil {
+	if _, err := t.ExecPrepared(updCustomerPayByKey, num(k.customer(cw, d, c)), num(cw)); err != nil {
 		return err
 	}
 	h := tpccHistID.Add(1)
-	_, err := t.Exec(fmt.Sprintf("INSERT INTO history (h_id, h_w_id, h_amount) VALUES (%d, %d, 100.00)", h, w))
+	_, err := t.ExecPrepared(insHistory, num(h), num(w))
 	return err
 }
