@@ -8,7 +8,7 @@
 // router, lookup tables, workload generators) in sibling packages, and the
 // paper's evaluation in internal/experiments. The trace→graph→CSR hot
 // path works on interned dense tuple ids (workload.Interner) with
-// deterministic parallel edge generation and counting-sort CSR assembly;
+// the CSR written directly, row by row, identically at any worker count;
 // the explanation phase trains its decision trees columnar
 // (SLIQ/SPRINT-style pre-sorted index columns, parallel and
 // byte-identical at any worker count, differential-tested against the

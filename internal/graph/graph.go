@@ -20,19 +20,18 @@
 //
 // Construction is allocation-lean and parallel (see DESIGN.md): the trace
 // is interned into dense tuple ids once, per-transaction deduplication
-// uses epoch-stamped scratch arrays instead of maps, coalescing signatures
-// are 64-bit hashes verified on collision, and edge/pin generation is
-// sharded across GOMAXPROCS goroutines over contiguous transaction ranges
-// so the merged edge list — and therefore the CSR — is byte-identical to a
+// uses epoch-stamped scratch arrays instead of maps, and coalescing
+// signatures are 64-bit hashes verified on collision. Build writes the
+// CSR directly, row by row, with GOMAXPROCS goroutines owning contiguous
+// node ranges — no edge list exists in between; BuildHyper shards pin
+// generation over contiguous transaction ranges. Every output slot has
+// exactly one writer either way, so the result is byte-identical to a
 // single-threaded build.
 package graph
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"schism/internal/metis"
 	"schism/internal/workload"
@@ -180,7 +179,7 @@ const (
 	flagWrite uint8 = 1 << 1
 )
 
-// maxWorkers overrides edge-generation parallelism; 0 means
+// maxWorkers overrides row- and pin-generation parallelism; 0 means
 // runtime.GOMAXPROCS(0). Tests set it to check that worker count never
 // changes the built graph.
 var maxWorkers = 0
@@ -231,21 +230,15 @@ func (g *Graph) nodeFor(gi, ti int32) int32 {
 
 // Build constructs the clique/star workload graph for a trace. It
 // returns a typed *OptionsError for invalid or contradictory options,
-// and an error wrapping metis.ErrTooLarge when the edge list would
+// and an error wrapping metis.ErrTooLarge when the adjacency rows would
 // overflow the int32 CSR index space (BuildHyper, linear in access-set
 // size, usually still fits).
 func Build(tr *workload.Trace, opts Options) (*Graph, error) {
-	g, c, nwgt, numNodes, numGroups, numTxns, err := buildCore(tr, opts)
+	g, _, nwgt, _, _, _, err := buildCore(tr, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Edges: transaction cliques/stars generated in parallel, replication
-	// stars appended after.
-	edges, err := g.buildEdges(c, numGroups, numTxns)
-	if err != nil {
-		return nil, err
-	}
-	g.CSR, err = metis.NewGraph(int(numNodes), edges, nwgt)
+	g.CSR, err = g.buildCSR(nwgt)
 	if err != nil {
 		return nil, err
 	}
@@ -472,164 +465,6 @@ func buildCore(tr *workload.Trace, opts Options) (g *Graph, c *workload.Compact,
 	}
 
 	return g, c, nwgt, numNodes, numGroups, numTxns, nil
-}
-
-// buildEdges generates the transaction edges (clique or star per txn over
-// its distinct groups) sharded across workers by contiguous transaction
-// ranges, then the replication edges. Each worker counts its shard's edges
-// first, so every edge is written directly into its final slot and the
-// merged order equals the single-threaded order regardless of worker
-// count.
-func (g *Graph) buildEdges(c *workload.Compact, numGroups, numTxns int) ([]metis.BuilderEdge, error) {
-	workers := maxWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numTxns {
-		workers = numTxns
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (numTxns + workers - 1) / workers
-
-	star := g.Opts.TxnEdges == StarEdges
-	// One scratch array per worker, shared by both passes. Both passes
-	// revisit the same transaction indices, so each pass stamps its own
-	// epoch value (2·ti, then 2·ti+1) to keep the scratch valid without
-	// re-initialising between passes.
-	seenScratch := make([][]int32, workers)
-	for s := range seenScratch {
-		seen := make([]int32, numGroups)
-		for i := range seen {
-			seen[i] = -1
-		}
-		seenScratch[s] = seen
-	}
-
-	// Pass 1: per-shard edge counts (deduping each transaction's groups
-	// with the epoch-stamped scratch).
-	shardCount := make([]int64, workers)
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			lo, hi := s*chunk, (s+1)*chunk
-			if hi > numTxns {
-				hi = numTxns
-			}
-			seen := seenScratch[s]
-			var total int64
-			for ti := lo; ti < hi; ti++ {
-				epoch := int32(2 * ti)
-				m := int64(0)
-				for _, e := range c.Txn(ti) {
-					gi := g.GroupOf[e&^workload.WriteBit]
-					if seen[gi] != epoch {
-						seen[gi] = epoch
-						m++
-					}
-				}
-				if m < 2 {
-					continue
-				}
-				if star {
-					total += m - 1
-				} else {
-					total += m * (m - 1) / 2
-				}
-			}
-			shardCount[s] = total
-		}(s)
-	}
-	wg.Wait()
-
-	shardStart := make([]int64, workers+1)
-	for s := 0; s < workers; s++ {
-		shardStart[s+1] = shardStart[s] + shardCount[s]
-	}
-	txnEdges := shardStart[workers]
-	var replEdges int64
-	for gi := 0; gi < numGroups; gi++ {
-		if g.exploded[gi] {
-			replEdges += int64(g.accCount[gi])
-		}
-	}
-	// Guard before allocating: the clique expansion is quadratic per
-	// transaction, so the raw edge count can blow past int32 CSR capacity
-	// (and any sane allocation) from a modest trace. 2× because every
-	// undirected edge becomes two directed adjacency entries.
-	if err := metis.CheckCSRCapacity(2 * (txnEdges + replEdges)); err != nil {
-		return nil, fmt.Errorf("graph: %d clique/star edges from %d transactions: %w (sample the trace or use BuildHyper)",
-			txnEdges+replEdges, numTxns, err)
-	}
-	edges := make([]metis.BuilderEdge, txnEdges+replEdges)
-
-	// Pass 2: each worker writes its shard's edges into place.
-	for s := 0; s < workers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			lo, hi := s*chunk, (s+1)*chunk
-			if hi > numTxns {
-				hi = numTxns
-			}
-			seen := seenScratch[s]
-			var nodes []int32 // member nodes, in first-access order
-			w := shardStart[s]
-			for ti := lo; ti < hi; ti++ {
-				epoch := int32(2*ti + 1)
-				nodes = nodes[:0]
-				for _, e := range c.Txn(ti) {
-					gi := g.GroupOf[e&^workload.WriteBit]
-					if seen[gi] != epoch {
-						seen[gi] = epoch
-						nodes = append(nodes, g.nodeFor(gi, int32(ti)))
-					}
-				}
-				if len(nodes) < 2 {
-					continue
-				}
-				if star {
-					hub := nodes[0]
-					for _, v := range nodes[1:] {
-						edges[w] = metis.BuilderEdge{U: hub, V: v, Weight: 1}
-						w++
-					}
-				} else {
-					for i := 0; i < len(nodes); i++ {
-						for j := i + 1; j < len(nodes); j++ {
-							edges[w] = metis.BuilderEdge{U: nodes[i], V: nodes[j], Weight: 1}
-							w++
-						}
-					}
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-
-	// Replication edges: centre—replica, weighted by the group's update
-	// count (the cost of keeping that replica in a different partition).
-	w := txnEdges
-	for gi := int32(0); int(gi) < numGroups; gi++ {
-		if !g.exploded[gi] {
-			continue
-		}
-		var updates int64
-		for _, f := range g.groupFlags(gi) {
-			if f&flagWrite != 0 {
-				updates++
-			}
-		}
-		base := g.groupBase[gi]
-		for ri := int32(0); ri < g.accCount[gi]; ri++ {
-			edges[w] = metis.BuilderEdge{U: base, V: base + 1 + ri, Weight: updates}
-			w++
-		}
-	}
-	return edges, nil
 }
 
 // sigHash is a 64-bit FNV-1a-style hash of a tuple's access signature:

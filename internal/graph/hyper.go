@@ -49,7 +49,7 @@ const hyperNetScale = 64
 
 // buildPins generates the net pin lists in CSR form: transaction nets
 // sharded across workers (two passes — count, then fill into final
-// slots, mirroring buildEdges), replication nets appended serially.
+// slots), replication nets appended serially.
 // Transactions touching fewer than two distinct groups produce no net.
 func (g *Graph) buildPins(c *workload.Compact, numGroups, numTxns int) (xpins, pins []int32, netWgt []int64, err error) {
 	workers := maxWorkers
@@ -65,8 +65,8 @@ func (g *Graph) buildPins(c *workload.Compact, numGroups, numTxns int) (xpins, p
 	chunk := (numTxns + workers - 1) / workers
 
 	// Epoch-stamped dedup scratch, one per worker, shared by both passes
-	// (pass 1 stamps 2·ti, pass 2 stamps 2·ti+1 — same discipline as
-	// buildEdges).
+	// (pass 1 stamps 2·ti, pass 2 stamps 2·ti+1, so the scratch stays
+	// valid without re-initialising between passes).
 	seenScratch := make([][]int32, workers)
 	for s := range seenScratch {
 		seen := make([]int32, numGroups)

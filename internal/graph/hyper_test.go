@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"schism/internal/metis"
@@ -155,9 +156,17 @@ func TestBuildOverflowDifferential(t *testing.T) {
 		}
 		tr.Add(acc)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	_, err := Build(tr, Options{})
+	runtime.ReadMemStats(&after)
 	if !errors.Is(err, metis.ErrTooLarge) {
 		t.Fatalf("Build on quadratic blow-up: err = %v, want ErrTooLarge", err)
+	}
+	// The guard fires on row sizes alone: the failing call allocated the
+	// front half (linear in the 210k accesses), not 2.2 G edges.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Fatalf("failing Build allocated %d MB", got>>20)
 	}
 	g, err := BuildHyper(tr, Options{})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"schism/internal/metis"
 	"schism/internal/workload"
+	"schism/internal/workloads"
 )
 
 // referenceBuild is the original single-threaded, map-based graph builder,
@@ -254,20 +255,99 @@ func randomTrace(rng *rand.Rand, txns int) *workload.Trace {
 	return tr
 }
 
-func assertMatchesReference(t *testing.T, g *Graph, ref *refGraph) {
+// shapedTraces returns the generated traces the differential tests run
+// over besides randomTrace: TPC-C (transactions of tens of tuples sharing
+// hot warehouse/district/item rows), YCSB-E (overlapping scans, so pairs
+// co-occur in many transactions) and YCSB-A (one tuple per transaction:
+// no transaction has two distinct nodes).
+func shapedTraces() map[string]*workload.Trace {
+	return map[string]*workload.Trace{
+		"random": randomTrace(rand.New(rand.NewSource(21)), 300),
+		"tpcc": workloads.TPCC(workloads.TPCCConfig{
+			Warehouses: 2, Customers: 10, Items: 40, InitialOrders: 3, Txns: 250, Seed: 4,
+		}).Trace,
+		"ycsb-e": workloads.YCSBE(workloads.YCSBConfig{Rows: 400, Txns: 200, MaxScan: 12, Seed: 4}).Trace,
+		"ycsb-a": workloads.YCSBA(workloads.YCSBConfig{Rows: 150, Txns: 200, Seed: 4}).Trace,
+	}
+}
+
+// optsMatrix is replication on/off × coalescing on/off × clique/star.
+func optsMatrix() []Options {
+	var out []Options
+	for _, repl := range []bool{false, true} {
+		for _, coal := range []bool{false, true} {
+			for _, mode := range []EdgeMode{CliqueEdges, StarEdges} {
+				out = append(out, Options{Replication: repl, Coalesce: coal, TxnEdges: mode, Seed: 3})
+			}
+		}
+	}
+	return out
+}
+
+// edgeListCSR rebuilds g's CSR the way Build did before the row writer:
+// enumerate every transaction's clique/star edges and every replication
+// edge over g's node layout, and let metis.NewGraph sort and fold them.
+func edgeListCSR(g *Graph) *metis.Graph {
+	var edges []metis.BuilderEdge
+	seen := make(map[int32]bool)
+	for ti := 0; ti < g.Compact.NumTxns(); ti++ {
+		clear(seen)
+		var nodes []int32
+		for _, e := range g.Compact.Txn(ti) {
+			gi := g.GroupOf[e&^workload.WriteBit]
+			if !seen[gi] {
+				seen[gi] = true
+				nodes = append(nodes, g.nodeFor(gi, int32(ti)))
+			}
+		}
+		for i := 0; i < len(nodes); i++ {
+			for j := i + 1; j < len(nodes); j++ {
+				if i == 0 || g.Opts.TxnEdges == CliqueEdges {
+					edges = append(edges, metis.BuilderEdge{U: nodes[i], V: nodes[j], Weight: 1})
+				}
+			}
+		}
+	}
+	for gi := range g.groupBase {
+		if !g.exploded[gi] {
+			continue
+		}
+		updates, _ := g.replWeights(int32(gi))
+		for ri := int32(0); ri < g.accCount[gi]; ri++ {
+			edges = append(edges, metis.BuilderEdge{U: g.groupBase[gi], V: g.groupBase[gi] + 1 + ri, Weight: updates})
+		}
+	}
+	csr, err := metis.NewGraph(len(g.Nodes), edges, g.CSR.NWgt)
+	if err != nil {
+		panic(err)
+	}
+	return csr
+}
+
+// assertSameCSR compares all four CSR arrays with reflect.DeepEqual, so a
+// nil array never passes for an empty one.
+func assertSameCSR(t *testing.T, got, want *metis.Graph) {
 	t.Helper()
-	if !reflect.DeepEqual(g.CSR.XAdj, ref.csr.XAdj) {
+	if !reflect.DeepEqual(got.XAdj, want.XAdj) {
 		t.Fatal("XAdj mismatch")
 	}
-	if !reflect.DeepEqual(g.CSR.Adj, ref.csr.Adj) {
+	if !reflect.DeepEqual(got.Adj, want.Adj) {
 		t.Fatal("Adj mismatch")
 	}
-	if !reflect.DeepEqual(g.CSR.EWgt, ref.csr.EWgt) {
+	if !reflect.DeepEqual(got.EWgt, want.EWgt) {
 		t.Fatal("EWgt mismatch")
 	}
-	if !reflect.DeepEqual(g.CSR.NWgt, ref.csr.NWgt) {
+	if !reflect.DeepEqual(got.NWgt, want.NWgt) {
 		t.Fatal("NWgt mismatch")
 	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("invalid CSR: %v", err)
+	}
+}
+
+func assertMatchesReference(t *testing.T, g *Graph, ref *refGraph) {
+	t.Helper()
+	assertSameCSR(t, g.CSR, ref.csr)
 	if !reflect.DeepEqual(g.Nodes, ref.nodes) {
 		t.Fatal("Nodes mismatch")
 	}
@@ -283,61 +363,50 @@ func assertMatchesReference(t *testing.T, g *Graph, ref *refGraph) {
 }
 
 // TestBuildMatchesReference cross-checks the rewritten builder against the
-// original map-based builder over random traces and the full option
-// matrix: replication on/off × coalescing on/off × clique/star edges,
-// plus data-size weights and the §5.1 trace filters.
+// original map-based builder over random and TPC-C/YCSB-shaped traces and
+// the full option matrix: replication on/off × coalescing on/off ×
+// clique/star edges, plus data-size weights and the §5.1 trace filters.
 func TestBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var optsMatrix []Options
-	for _, repl := range []bool{false, true} {
-		for _, coal := range []bool{false, true} {
-			for _, mode := range []EdgeMode{CliqueEdges, StarEdges} {
-				optsMatrix = append(optsMatrix, Options{
-					Replication: repl, Coalesce: coal, TxnEdges: mode, Seed: 3,
-				})
-			}
-		}
-	}
-	optsMatrix = append(optsMatrix,
+	matrix := append(optsMatrix(),
 		Options{Replication: true, Weights: DataSizeWeight,
 			TupleSize: func(id workload.TupleID) int64 { return 10 + id.Key%7 }, Seed: 3},
 		Options{Replication: true, Coalesce: true, TxnSampleRate: 0.6,
 			BlanketMaxTuples: 8, MinAccesses: 2, Seed: 9},
 	)
+	traces := shapedTraces()
 	for trial := 0; trial < 4; trial++ {
-		tr := randomTrace(rng, 60+trial*40)
-		for oi, opts := range optsMatrix {
-			t.Run(fmt.Sprintf("trial%d/opts%d", trial, oi), func(t *testing.T) {
-				g := mustBuild(Build(tr, opts))
-				ref := referenceBuild(tr, opts)
-				assertMatchesReference(t, g, ref)
-				if err := g.CSR.Validate(); err != nil {
-					t.Fatalf("invalid CSR: %v", err)
-				}
+		traces[fmt.Sprintf("trial%d", trial)] = randomTrace(rng, 60+trial*40)
+	}
+	for name, tr := range traces {
+		for oi, opts := range matrix {
+			t.Run(fmt.Sprintf("%s/opts%d", name, oi), func(t *testing.T) {
+				assertMatchesReference(t, mustBuild(Build(tr, opts)), referenceBuild(tr, opts))
 			})
 		}
 	}
 }
 
-// TestBuildDeterministicAcrossWorkers pins the tentpole guarantee: for a
-// fixed seed the sharded edge generation yields a byte-identical graph at
-// any worker count.
+// TestBuildDeterministicAcrossWorkers pins the tentpole guarantee: every
+// CSR row has one writer, so the graph is byte-identical at any worker
+// count — and equal to the edge-list assembly the row writer replaced.
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	tr := randomTrace(rng, 300)
-	opts := Options{Replication: true, Coalesce: true, Seed: 5}
-
-	defer func() { maxWorkers = 0 }()
-	maxWorkers = 1
-	base := mustBuild(Build(tr, opts))
-	for _, w := range []int{2, 3, 8, 64} {
-		maxWorkers = w
-		g := mustBuild(Build(tr, opts))
-		if !reflect.DeepEqual(g.CSR, base.CSR) {
-			t.Fatalf("CSR differs at %d workers", w)
-		}
-		if !reflect.DeepEqual(g.Nodes, base.Nodes) {
-			t.Fatalf("nodes differ at %d workers", w)
+	defer func(old int) { maxWorkers = old }(maxWorkers)
+	for name, tr := range shapedTraces() {
+		for oi, opts := range optsMatrix() {
+			t.Run(fmt.Sprintf("%s/opts%d", name, oi), func(t *testing.T) {
+				maxWorkers = 1
+				base := mustBuild(Build(tr, opts))
+				assertSameCSR(t, base.CSR, edgeListCSR(base))
+				for _, w := range []int{2, 3, 8, 64} {
+					maxWorkers = w
+					g := mustBuild(Build(tr, opts))
+					assertSameCSR(t, g.CSR, base.CSR)
+					if !reflect.DeepEqual(g.Nodes, base.Nodes) {
+						t.Fatalf("nodes differ at %d workers", w)
+					}
+				}
+			})
 		}
 	}
 }

@@ -1,0 +1,253 @@
+package graph
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
+
+	"schism/internal/metis"
+	"schism/internal/workload"
+)
+
+// rowWriter writes the clique/star CSR row by row. A node's neighbours
+// follow from the transactions it belongs to, so every adjacency row can
+// be sized and filled on its own — no edge list is materialised, nothing
+// is sorted globally, and each row has exactly one writer.
+type rowWriter struct {
+	g    *Graph
+	star bool
+	// txnNodes[txnOff[ti]:txnOff[ti+1]] are transaction ti's distinct
+	// member nodes: ascending for cliques, so that a row copied from them
+	// arrives sorted; in first-access order for stars, whose hub is the
+	// first.
+	txnNodes []int32
+	txnOff   []int32
+}
+
+// members returns transaction ti's distinct member nodes.
+func (w *rowWriter) members(ti int32) []int32 {
+	return w.txnNodes[w.txnOff[ti]:w.txnOff[ti+1]]
+}
+
+// txnDegree is the number of neighbours transaction ti gives its member v.
+func (w *rowWriter) txnDegree(v, ti int32) int {
+	mem := w.members(ti)
+	switch {
+	case len(mem) < 2:
+		return 0
+	case w.star && mem[0] != v:
+		return 1
+	default:
+		return len(mem) - 1
+	}
+}
+
+// fillTxn writes the neighbours counted by txnDegree into dst and returns
+// how many it wrote.
+func (w *rowWriter) fillTxn(dst []int32, v, ti int32) int {
+	mem := w.members(ti)
+	if len(mem) < 2 {
+		return 0
+	}
+	if w.star {
+		if mem[0] != v {
+			dst[0] = mem[0]
+			return 1
+		}
+		return copy(dst, mem[1:])
+	}
+	k := 0
+	for _, u := range mem {
+		if u != v {
+			dst[k] = u
+			k++
+		}
+	}
+	return k
+}
+
+// degree is the raw (unfolded) length of node v's adjacency row: a
+// centre's replicas; a replica's co-members in its one transaction plus
+// its centre; a plain node's co-members in every accessing transaction.
+func (w *rowWriter) degree(v int32) int {
+	g := w.g
+	n := g.Nodes[v]
+	switch {
+	case n.Center:
+		return int(g.accCount[n.Group])
+	case n.Txn >= 0:
+		return w.txnDegree(v, n.Txn) + 1
+	}
+	d := 0
+	for _, ti := range g.groupTxns(n.Group) {
+		d += w.txnDegree(v, ti)
+	}
+	return d
+}
+
+// fillRow writes node v's sorted, folded adjacency into adj/ewgt (the
+// row's raw-size slots) and returns the folded length. Equal neighbours —
+// a pair co-accessed by several transactions, possible only for plain
+// nodes — fold into one entry whose weight is the multiplicity; a
+// replication edge weighs updates, the update count of v's group.
+func (w *rowWriter) fillRow(v int32, adj []int32, ewgt []int64, updates int64) int {
+	g := w.g
+	n := g.Nodes[v]
+	if n.Center {
+		for i := range adj {
+			adj[i] = v + 1 + int32(i)
+			ewgt[i] = updates
+		}
+		return len(adj)
+	}
+	centre := int32(-1)
+	if n.Txn >= 0 {
+		// The centre goes to its sorted place: after a clique's ascending
+		// members that leaves nothing for the sort below to do.
+		k := w.fillTxn(adj, v, n.Txn)
+		centre = g.groupBase[n.Group]
+		for ; k > 0 && adj[k-1] > centre; k-- {
+			adj[k] = adj[k-1]
+		}
+		adj[k] = centre
+	} else {
+		k := 0
+		for _, ti := range g.groupTxns(n.Group) {
+			k += w.fillTxn(adj[k:], v, ti)
+		}
+	}
+	if !slices.IsSorted(adj) {
+		slices.Sort(adj)
+	}
+	k := 0
+	for i := 0; i < len(adj); {
+		u, j := adj[i], i+1
+		for j < len(adj) && adj[j] == u {
+			j++
+		}
+		adj[k], ewgt[k] = u, int64(j-i)
+		k++
+		i = j
+	}
+	if centre >= 0 {
+		// A centre is no transaction's member, so it sits in the row once.
+		at, _ := slices.BinarySearch(adj[:k], centre)
+		ewgt[at] = updates
+	}
+	return k
+}
+
+// buildCSR assembles the clique/star CSR over the node layout buildCore
+// produced. The result is what metis.NewGraph returns for the same edges —
+// sorted rows, duplicate edges summed — and is identical at any worker
+// count, because every row is computed from read-only inputs by the one
+// worker that owns it.
+func (g *Graph) buildCSR(nwgt []int64) (*metis.Graph, error) {
+	c, numNodes, numTxns := g.Compact, int32(len(g.Nodes)), g.Compact.NumTxns()
+	w := &rowWriter{
+		g:        g,
+		star:     g.Opts.TxnEdges == StarEdges,
+		txnNodes: make([]int32, 0, len(g.txnList)),
+		txnOff:   make([]int32, numTxns+1),
+	}
+	// Member lists. Transactions run in ascending order and so do accessor
+	// lists, so seen[gi] — the distinct transactions met so far that access
+	// group gi — is both the replica rank of the current one and, through
+	// the accessor list, the record of whether it was already counted.
+	seen := make([]int32, len(g.groupBase))
+	for ti := 0; ti < numTxns; ti++ {
+		for _, e := range c.Txn(ti) {
+			gi := g.GroupOf[e&^workload.WriteBit]
+			r := seen[gi]
+			if r > 0 && g.txnList[g.accOff[gi]+r-1] == int32(ti) {
+				continue
+			}
+			seen[gi] = r + 1
+			node := g.groupBase[gi]
+			if g.exploded[gi] {
+				node += 1 + r
+			}
+			w.txnNodes = append(w.txnNodes, node)
+		}
+		w.txnOff[ti+1] = int32(len(w.txnNodes))
+		if !w.star {
+			slices.Sort(w.members(int32(ti)))
+		}
+	}
+
+	// Row offsets at raw size. The sum runs in int64 and is checked before
+	// anything proportional to edges is allocated: the clique expansion is
+	// quadratic per transaction, so a modest trace can blow past int32 CSR
+	// capacity (and any sane allocation). The int32 offsets stored on the
+	// way only wrap for a graph the check rejects.
+	xadj := make([]int32, numNodes+1)
+	var entries int64
+	for v := int32(0); v < numNodes; v++ {
+		entries += int64(w.degree(v))
+		xadj[v+1] = int32(entries)
+	}
+	if err := metis.CheckCSRCapacity(entries); err != nil {
+		return nil, fmt.Errorf("graph: %d clique/star edges from %d transactions: %w (sample the trace or use BuildHyper)",
+			entries/2, numTxns, err)
+	}
+	adj := make([]int32, entries)
+	ewgt := make([]int64, entries)
+
+	// Fill: workers own contiguous node ranges holding about equal shares
+	// of the entries. A row that folded ends in a -1 sentinel.
+	workers := maxWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, int(numNodes)))
+	folded := make([]bool, workers)
+	var wg sync.WaitGroup
+	lo := int32(0)
+	for s := 0; s < workers; s++ {
+		hi := numNodes
+		if s < workers-1 {
+			target := entries * int64(s+1) / int64(workers)
+			hi = int32(sort.Search(int(numNodes), func(v int) bool { return int64(xadj[v]) >= target }))
+		}
+		wg.Add(1)
+		go func(s int, lo, hi int32) {
+			defer wg.Done()
+			// A star's nodes are contiguous, so its update count is
+			// computed once per worker that meets it, not once per replica.
+			group, updates := int32(-1), int64(0)
+			for v := lo; v < hi; v++ {
+				if gi := g.Nodes[v].Group; gi != group && g.exploded[gi] {
+					group = gi
+					updates, _ = g.replWeights(gi)
+				}
+				row := adj[xadj[v]:xadj[v+1]]
+				if k := w.fillRow(v, row, ewgt[xadj[v]:xadj[v+1]], updates); k < len(row) {
+					row[k] = -1
+					folded[s] = true
+				}
+			}
+		}(s, lo, hi)
+		lo = hi
+	}
+	wg.Wait()
+
+	// Compact folded rows left, in place. Under Replication every
+	// non-centre node belongs to one transaction, no row folds, and the raw
+	// offsets are already final.
+	if slices.Contains(folded, true) {
+		out := int32(0)
+		for v := int32(0); v < numNodes; v++ {
+			from, end := xadj[v], xadj[v+1]
+			xadj[v] = out
+			for ; from < end && adj[from] >= 0; from++ {
+				adj[out], ewgt[out] = adj[from], ewgt[from]
+				out++
+			}
+		}
+		xadj[numNodes] = out
+		adj, ewgt = adj[:out], ewgt[:out]
+	}
+	return &metis.Graph{XAdj: xadj, Adj: adj, EWgt: ewgt, NWgt: nwgt}, nil
+}

@@ -96,7 +96,10 @@ func (m MigrationStats) String() string {
 type Executor struct {
 	co      *cluster.Coordinator
 	schemas map[string]*storage.TableSchema
-	tables  map[string]*SyncTable
+	// cols is each table's column-name list, shared by every INSERT that
+	// re-creates one of its rows.
+	cols   map[string][]string
+	tables map[string]*SyncTable
 	// BatchSize is the number of tuple moves per migration transaction
 	// (default 32).
 	BatchSize int
@@ -106,7 +109,15 @@ type Executor struct {
 // column layout (for rebuilding INSERT statements); tables holds the
 // routing entries to flip as moves commit.
 func NewExecutor(co *cluster.Coordinator, schemas map[string]*storage.TableSchema, tables map[string]*SyncTable) *Executor {
-	return &Executor{co: co, schemas: schemas, tables: tables}
+	cols := make(map[string][]string, len(schemas))
+	for name, schema := range schemas {
+		names := make([]string, len(schema.Columns))
+		for i, c := range schema.Columns {
+			names[i] = c.Name
+		}
+		cols[name] = names
+	}
+	return &Executor{co: co, schemas: schemas, cols: cols, tables: tables}
 }
 
 // Apply executes the plan and returns migration statistics.
@@ -209,8 +220,8 @@ func (e *Executor) applyBatch(batch []Move, stats *MigrationStats) {
 // the added replicas. Returns false when the row no longer exists
 // (concurrently deleted, or a floating tuple the plan mislocated).
 func (e *Executor) copyTuple(t *cluster.Txn, m Move) (bool, error) {
-	schema := e.schemas[m.Table]
-	if schema == nil {
+	cols, ok := e.cols[m.Table]
+	if !ok {
 		return false, fmt.Errorf("live: no schema for table %q", m.Table)
 	}
 	sel := &sqlparse.Select{Table: m.Table, Where: e.keyEq(m.Table, m.Key), Limit: -1, ForUpdate: true}
@@ -228,10 +239,6 @@ func (e *Executor) copyTuple(t *cluster.Txn, m Move) (bool, error) {
 		del := &sqlparse.Delete{Table: m.Table, Where: e.keyEq(m.Table, m.Key)}
 		if _, err := t.ExecStmtAt(del, m.Adds); err != nil {
 			return false, err
-		}
-		cols := make([]string, len(schema.Columns))
-		for i, c := range schema.Columns {
-			cols[i] = c.Name
 		}
 		ins := &sqlparse.Insert{Table: m.Table, Cols: cols, Values: rows[0]}
 		if _, err := t.ExecStmtAt(ins, m.Adds); err != nil {

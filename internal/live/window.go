@@ -119,8 +119,13 @@ func (w *Window) Snapshot() *workload.Trace {
 	nth := func(i int) *windowTxn { return &w.ring[(oldest+i)%len(w.ring)] }
 
 	if w.cfg.Decay <= 0 || w.cfg.Decay >= 1 {
+		total := 0
 		for i := 0; i < w.count; i++ {
-			tr.Add(w.rehydrate(nth(i).accs))
+			total += len(nth(i).accs)
+		}
+		buf := make([]workload.Access, total)
+		for i := 0; i < w.count; i++ {
+			buf = w.rehydrate(tr, buf, nth(i).accs)
 		}
 		return tr
 	}
@@ -131,6 +136,7 @@ func (w *Window) Snapshot() *workload.Trace {
 		weight float64
 		occs   int
 		first  int // first (oldest) occurrence index
+		emit   int // copies of the first occurrence in the snapshot
 	}
 	aggs := make(map[uint64]*sigAgg, w.count)
 	pow := 1.0
@@ -146,38 +152,38 @@ func (w *Window) Snapshot() *workload.Trace {
 		a.first = i
 		pow *= w.cfg.Decay
 	}
-	emitted := make(map[uint64]bool, len(aggs))
+	total := 0
+	for _, a := range aggs {
+		a.emit = min(max(int(a.weight+0.5), 1), a.occs)
+		total += a.emit * len(nth(a.first).accs)
+	}
+	buf := make([]workload.Access, total)
 	for i := 0; i < w.count; i++ {
 		t := nth(i)
-		if emitted[t.sig] {
-			continue
-		}
-		emitted[t.sig] = true
-		a := aggs[t.sig]
-		m := int(a.weight + 0.5)
-		if m < 1 {
-			m = 1
-		}
-		if m > a.occs {
-			m = a.occs
-		}
-		for c := 0; c < m; c++ {
-			tr.Add(w.rehydrate(t.accs))
+		if a := aggs[t.sig]; a.first == i {
+			for c := 0; c < a.emit; c++ {
+				buf = w.rehydrate(tr, buf, t.accs)
+			}
 		}
 	}
 	return tr
 }
 
-// rehydrate converts packed accesses back to workload.Access values.
-func (w *Window) rehydrate(packed []uint32) []workload.Access {
-	out := make([]workload.Access, len(packed))
+// rehydrate appends one transaction to tr, converting its packed accesses
+// back to workload.Access values in the front of buf — the snapshot's one
+// backing array — and returns the rest of buf. The transaction's slice is
+// capped at its length, so an append to it reallocates instead of running
+// into the next transaction's accesses.
+func (w *Window) rehydrate(tr *workload.Trace, buf []workload.Access, packed []uint32) []workload.Access {
+	out := buf[:len(packed):len(packed)]
 	for i, e := range packed {
 		out[i] = workload.Access{
 			Tuple: w.in.TupleOf(int32(e &^ workload.WriteBit)),
 			Write: e&workload.WriteBit != 0,
 		}
 	}
-	return out
+	tr.Add(out)
+	return buf[len(packed):]
 }
 
 // sigHash is an FNV-1a-style hash of the packed access sequence; it only

@@ -102,3 +102,37 @@ func TestWindowSnapshotDeterministic(t *testing.T) {
 		t.Fatalf("snapshots differ:\n%v\n%v", a, b)
 	}
 }
+
+// TestWindowSnapshotSharedBacking pins the snapshot's allocation shape —
+// one Txn per transaction plus a constant (the trace, its growing Txns
+// slice and ONE access array for the whole snapshot, not one per
+// transaction; decay adds one aggregate per distinct signature and their
+// map) — and that transactions carved from that array stay independent:
+// appending to one must not reach the next.
+func TestWindowSnapshotSharedBacking(t *testing.T) {
+	for _, decay := range []float64{0, 0.9} {
+		w := NewWindow(WindowConfig{Capacity: 256, Decay: decay})
+		for i := 0; i < 300; i++ {
+			w.Record([]workload.Access{acc(int64(i), false), acc(int64(i+1), true), acc(int64(i%9), false)})
+		}
+		n := w.Snapshot().Len()
+		limit := n + 24
+		if decay > 0 {
+			limit += n + 24
+		}
+		if allocs := testing.AllocsPerRun(20, func() { w.Snapshot() }); allocs > float64(limit) {
+			t.Errorf("decay %v: Snapshot of %d txns made %.0f allocations, want <= %d", decay, n, allocs, limit)
+		}
+		tr := w.Snapshot()
+		want := traceKeys(tr)
+		for _, txn := range tr.Txns {
+			txn.Accesses = append(txn.Accesses, acc(-1, true))
+		}
+		for i, txn := range tr.Txns {
+			txn.Accesses = txn.Accesses[:len(txn.Accesses)-1]
+			if got := traceKeys(&workload.Trace{Txns: []*workload.Txn{txn}})[0]; got != want[i] {
+				t.Fatalf("decay %v: txn %d = %s after appending to its neighbours, want %s", decay, i, got, want[i])
+			}
+		}
+	}
+}

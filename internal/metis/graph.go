@@ -9,9 +9,10 @@
 // (§4.2). It operates on undirected graphs in compressed sparse row form
 // with integer node and edge weights. CSR assembly from edge lists
 // (NewGraph) is map-free: packed (u,v) keys are ordered by two stable
-// counting-sort passes and duplicates fold in one linear scan, which
-// matters both for workload-graph construction and for every coarsening
-// level built during partitioning (see DESIGN.md). CSR capacity is
+// counting-sort passes and duplicates fold in one linear scan. The
+// workload graph (graph.Build) and the coarsening levels write their CSR
+// directly, so NewGraph serves the coarsest-hypergraph clique expansion
+// (hcoarsen.go) and tests (see DESIGN.md). CSR capacity is
 // int32-indexed; NewGraph, NewHGraph and CheckCSRCapacity reject inputs
 // past that limit with ErrTooLarge instead of silently wrapping.
 //

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Runs the performance-tracked benchmarks — graph construction
-# (graph.Build, metis.NewGraph; BenchmarkHGraphBuild is the
+# (graph.Build, which writes the clique CSR row by row with no edge list
+# in between, and metis.NewGraph, the edge-list assembly left to the
+# coarsest-hypergraph expansion; BenchmarkHGraphBuild is the
 # hypergraph-native build whose ns_per_op and bytes_per_op against
 # BenchmarkGraphBuild/clique are the PR-9 acceptance numbers), the
 # multilevel partitioner (BenchmarkPartKway on the TPCC-50W-scale graph,
