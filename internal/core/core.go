@@ -48,25 +48,12 @@ type Input struct {
 	// the connectivity metric, instead of the clique expansion + edge cut.
 	// Result.EdgeCut then reports the connectivity cost.
 	Hyper bool
-	// Prior, when set, is an already-deployed per-tuple assignment the new
-	// partitioning should disturb as little as possible: after min-cut
-	// partitioning, the fresh partition labels are permuted by a greedy
-	// max-weight matching against Prior (partition.RelabelMap), so a
-	// redeployment moves the fewest tuples. Result.PriorDiff reports the
-	// implied movement (and PriorNaiveDiff what it would have been without
-	// relabeling).
-	Prior map[workload.TupleID][]int
-	// Warm, with Prior set, skips the full multilevel cut: Prior is
-	// projected onto the graph's node space (graph.ProjectLabels) and
-	// refined in place (metis.RefineKway/RefineHKway) — the offline form
-	// of the live loop's warm-start cycles. Ignored without Prior (there
-	// is nothing to warm-start from).
-	Warm bool
 }
 
 // Options tune the pipeline phases.
 type Options struct {
-	// Partitions is k, the number of target partitions. Required.
+	// Partitions is k, the number of target partitions. Required, at most
+	// lookup.MaxPartitions.
 	Partitions int
 	// Graph configures graph construction (§4.1, §5.1). Replication is ON
 	// unless DisableReplication is set.
@@ -136,9 +123,6 @@ type Result struct {
 	Stats      GraphStats
 	EdgeCut    int64
 	PartWeight []int64
-	// Mode records how phase 3 computed the partitioning: "full" for the
-	// multilevel min-cut, "warm" for refine-only from Input.Prior.
-	Mode string
 
 	// Assignments is the per-tuple replica-set map the pipeline deploys:
 	// the graph phase's placement after write-aware replica pruning
@@ -156,11 +140,6 @@ type Result struct {
 	// the style of §5.2.
 	RuleStrings map[string][]string
 
-	// PriorDiff and PriorNaiveDiff compare the (relabeled, resp. raw)
-	// partitioning against Input.Prior; zero-valued when Prior is unset.
-	PriorDiff      partition.Diff
-	PriorNaiveDiff partition.Diff
-
 	// Costs maps strategy name -> measured cost on the test trace.
 	// Keys: "lookup-table", "range-predicates", "hashing", "replication".
 	Costs map[string]partition.Cost
@@ -171,12 +150,16 @@ type Result struct {
 	Timings Timings
 }
 
-// Run executes the full pipeline.
+// Run executes the full pipeline, always from scratch: re-running against
+// a deployed placement is live.Repartitioner.Repartition(trace, locate).
 func Run(in Input, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	k := opts.Partitions
 	if k < 1 {
 		return nil, fmt.Errorf("core: Partitions must be >= 1")
+	}
+	if k > lookup.MaxPartitions {
+		return nil, fmt.Errorf("core: Partitions = %d exceeds lookup.MaxPartitions (%d)", k, lookup.MaxPartitions)
 	}
 	if in.Trace == nil || in.Trace.Len() == 0 {
 		return nil, fmt.Errorf("core: empty trace")
@@ -223,20 +206,7 @@ func Run(in Input, opts Options) (*Result, error) {
 		mopts.Seed = opts.Seed
 	}
 	t0 = time.Now()
-	var parts []int32
-	var cut int64
-	if in.Warm && in.Prior != nil {
-		res.Mode = "warm"
-		parts = g.ProjectLabels(k, func(id workload.TupleID) []int { return in.Prior[id] })
-		if in.Hyper {
-			cut, err = metis.RefineHKway(g.HG, k, parts, mopts)
-		} else {
-			cut, err = metis.RefineKway(g.CSR, k, parts, mopts)
-		}
-	} else {
-		res.Mode = "full"
-		parts, cut, err = g.Partition(k, mopts)
-	}
+	parts, cut, err := g.Partition(k, mopts)
 	if err != nil {
 		return nil, fmt.Errorf("core: partitioning failed: %w", err)
 	}
@@ -244,30 +214,11 @@ func Run(in Input, opts Options) (*Result, error) {
 	res.EdgeCut = cut
 	tuples := g.Intern.Tuples()
 	dense := g.DenseAssignments(parts)
-	var oldSets [][]int
-	if in.Prior != nil {
-		// Incremental mode: rename the fresh labels to disturb the
-		// deployed assignment minimally (a pure permutation; the cut and
-		// balance are untouched).
-		oldSets = make([][]int, len(tuples))
-		for d, id := range tuples {
-			oldSets[d] = in.Prior[id]
-		}
-		res.PriorNaiveDiff = partition.AssignmentDiff(oldSets, dense, k)
-		perm := partition.RelabelMap(oldSets, dense, k)
-		partition.ApplyRelabel(parts, perm)
-		dense = g.DenseAssignments(parts)
-	}
 	// PartWeight is the graph phase's balance (per-partition node weight
 	// under the min-cut labels); the replica pruning below adjusts the
 	// deployed replica sets but not the graph labels.
 	res.PartWeight = g.PartWeights(parts, k)
-	res.PrunedReplicas = pruneWriteReplicas(train, tuples, dense, opts.ReadMostlyWriteFrac)
-	if in.Prior != nil {
-		// Diff against the deployed (post-prune) sets: this is the
-		// movement a redeployment actually performs.
-		res.PriorDiff = partition.AssignmentDiff(oldSets, dense, k)
-	}
+	res.PrunedReplicas = pruneWriteReplicas(train, g.Intern, dense, opts.ReadMostlyWriteFrac)
 	res.Assignments = make(map[workload.TupleID][]int, len(dense))
 	for d, set := range dense {
 		res.Assignments[tuples[d]] = set
@@ -282,8 +233,7 @@ func Run(in Input, opts Options) (*Result, error) {
 	// Phase 4: explanation.
 	t0 = time.Now()
 	if in.Resolver != nil {
-		stats := workload.ComputeStats(train)
-		res.Range = explain(res, train, in, opts, stats)
+		res.Range = explain(res, train, in, opts)
 		if res.Range != nil && !balanced(res.Range, res.Assignments, in.Resolver, k) {
 			// §4.3 condition (ii): an explanation that funnels the load
 			// onto few partitions degrades the graph solution; discard it.
@@ -367,32 +317,32 @@ func balanced(r *partition.Range, asg map[workload.TupleID][]int, resolve partit
 // restores the paper's invariant. The home kept is the replica where the
 // plurality of the tuple's transactions already execute, so demotion
 // never increases a transaction's node span.
-func pruneWriteReplicas(train *workload.Trace, tuples []workload.TupleID, dense [][]int, maxWriteFrac float64) int {
-	// Access statistics for replicated tuples only.
+func pruneWriteReplicas(train *workload.Trace, in *workload.Interner, dense [][]int, maxWriteFrac float64) int {
+	// Access statistics, kept for replicated tuples only (votes != nil);
+	// votes[i] counts the transactions homed on dense[d][i].
 	type stat struct {
 		reads, writes int
-		votes         map[int]int
+		votes         []int
 	}
-	cand := make(map[workload.TupleID]*stat)
+	stats := make([]stat, len(dense))
+	replicated := false
 	for d, parts := range dense {
 		if len(parts) > 1 {
-			cand[tuples[d]] = &stat{}
+			stats[d].votes = make([]int, len(parts))
+			replicated = true
 		}
 	}
-	if len(cand) == 0 {
+	if !replicated {
 		return 0
-	}
-	byID := make(map[workload.TupleID]int, len(tuples))
-	for d, id := range tuples {
-		byID[id] = d
 	}
 	var hist []int
 	for _, tx := range train.Txns {
 		// The transaction's home vote: the partition holding the
-		// plurality of its singly-assigned tuples.
+		// plurality of its singly-assigned tuples. Tuples the graph
+		// dropped (sampling, relevance filter) take no part.
 		hist = hist[:0]
 		for _, a := range tx.Accesses {
-			d, ok := byID[a.Tuple]
+			d, ok := in.Lookup(a.Tuple)
 			if !ok || len(dense[d]) != 1 {
 				continue
 			}
@@ -409,36 +359,33 @@ func pruneWriteReplicas(train *workload.Trace, tuples []workload.TupleID, dense 
 			}
 		}
 		for _, a := range tx.Accesses {
-			st, ok := cand[a.Tuple]
-			if !ok {
+			d, ok := in.Lookup(a.Tuple)
+			if !ok || stats[d].votes == nil {
 				continue
 			}
+			st := &stats[d]
 			if a.Write {
 				st.writes++
 			} else {
 				st.reads++
 			}
-			if home >= 0 {
-				if st.votes == nil {
-					st.votes = make(map[int]int)
+			for i, p := range dense[d] {
+				if p == home {
+					st.votes[i]++
 				}
-				st.votes[home]++
 			}
 		}
 	}
 	pruned := 0
 	for d, parts := range dense {
-		st, ok := cand[tuples[d]]
-		if !ok {
-			continue
-		}
+		st := &stats[d]
 		total := st.reads + st.writes
 		if total == 0 || float64(st.writes)/float64(total) <= maxWriteFrac {
 			continue
 		}
 		home, best := parts[0], -1
-		for _, p := range parts {
-			if v := st.votes[p]; v > best {
+		for i, p := range parts {
+			if v := st.votes[i]; v > best {
 				home, best = p, v
 			}
 		}
@@ -514,8 +461,8 @@ func allParts(k int) []int {
 // Report renders a Fig. 4-style summary.
 func (r *Result) Report() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "partitions=%d mode=%s graph: %d tuples, %d txns, %d nodes, %d edges, cut=%d\n",
-		r.K, r.Mode, r.Stats.Tuples, r.Stats.Txns, r.Stats.Nodes, r.Stats.Edges, r.EdgeCut)
+	fmt.Fprintf(&sb, "partitions=%d graph: %d tuples, %d txns, %d nodes, %d edges, cut=%d\n",
+		r.K, r.Stats.Tuples, r.Stats.Txns, r.Stats.Nodes, r.Stats.Edges, r.EdgeCut)
 	names := make([]string, 0, len(r.Costs))
 	for n := range r.Costs {
 		names = append(names, n)

@@ -17,7 +17,7 @@ import (
 // train a decision tree on (tuple attributes -> replica-set label), and
 // convert its rules into a range-predicate strategy. Returns nil when no
 // table could be explained.
-func explain(res *Result, train *workload.Trace, in Input, opts Options, stats *workload.Stats) *partition.Range {
+func explain(res *Result, train *workload.Trace, in Input, opts Options) *partition.Range {
 	counts, totalStmts := featsel.Frequencies(train)
 	if totalStmts == 0 {
 		return nil

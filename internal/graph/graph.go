@@ -122,8 +122,7 @@ type Graph struct {
 	// Intern assigns the dense tuple ids used by GroupOf and
 	// DenseAssignments; ids are in order of first access in Trace.
 	Intern *workload.Interner
-	// GroupOf maps dense tuple id -> group (the slice-indexed counterpart
-	// of TupleGroup).
+	// GroupOf maps dense tuple id -> group.
 	GroupOf []int32
 	// Trace is the post-filtering trace the graph represents.
 	Trace *workload.Trace
@@ -144,34 +143,6 @@ type Graph struct {
 	accCount []int32
 	txnList  []int32
 	flagList []uint8
-	// stats and tupleGroup cache the map-based views (built on first use).
-	stats      *workload.Stats
-	tupleGroup map[workload.TupleID]int32
-}
-
-// TupleGroup returns the tuple → group map, the map-based counterpart of
-// GroupOf, materialised lazily on first call (not goroutine-safe); the
-// build hot path never hashes TupleIDs.
-func (g *Graph) TupleGroup() map[workload.TupleID]int32 {
-	if g.tupleGroup == nil {
-		tuples := g.Intern.Tuples()
-		m := make(map[workload.TupleID]int32, len(g.GroupOf))
-		for d, gi := range g.GroupOf {
-			m[tuples[d]] = gi
-		}
-		g.tupleGroup = m
-	}
-	return g.tupleGroup
-}
-
-// Stats returns access statistics over Trace. The map-based view is
-// materialised lazily on first call (not goroutine-safe); the build hot
-// path itself only ever touches dense counters.
-func (g *Graph) Stats() *workload.Stats {
-	if g.stats == nil {
-		g.stats = g.Compact.Stats().ToStats(g.Compact.In)
-	}
-	return g.stats
 }
 
 const (
@@ -234,7 +205,7 @@ func (g *Graph) nodeFor(gi, ti int32) int32 {
 // overflow the int32 CSR index space (BuildHyper, linear in access-set
 // size, usually still fits).
 func Build(tr *workload.Trace, opts Options) (*Graph, error) {
-	g, _, nwgt, _, _, _, err := buildCore(tr, opts)
+	g, nwgt, err := buildCore(tr, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -250,9 +221,9 @@ func Build(tr *workload.Trace, opts Options) (*Graph, error) {
 // node weights. Only the final representation — clique/star edges vs
 // transaction nets — differs between the two entry points, so they
 // translate node partitionings back to tuples identically.
-func buildCore(tr *workload.Trace, opts Options) (g *Graph, c *workload.Compact, nwgt []int64, numNodes int32, numGroups, numTxns int, err error) {
-	if err = opts.Validate(); err != nil {
-		return nil, nil, nil, 0, 0, 0, err
+func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	// §5.1 heuristics, applied in trace space first.
@@ -271,11 +242,11 @@ func buildCore(tr *workload.Trace, opts Options) (g *Graph, c *workload.Compact,
 
 	// Intern the trace: every access hashes once, everything after indexes
 	// slices by dense tuple id.
-	c = workload.CompactTrace(tr)
+	c := workload.CompactTrace(tr)
 	numTuples := c.NumTuples()
-	numTxns = c.NumTxns()
+	numTxns := c.NumTxns()
 
-	g = &Graph{
+	g := &Graph{
 		Trace:   tr,
 		Compact: c,
 		Opts:    opts,
@@ -372,7 +343,7 @@ func buildCore(tr *workload.Trace, opts Options) (g *Graph, c *workload.Compact,
 			rep[d] = int32(d)
 		}
 	}
-	numGroups = len(rep)
+	numGroups := len(rep)
 
 	// Group accessor lists alias the representative tuple's list.
 	g.accOff = make([]int32, numGroups)
@@ -410,6 +381,7 @@ func buildCore(tr *workload.Trace, opts Options) (g *Graph, c *workload.Compact,
 	}
 	// Lay out nodes: a single node per group, or centre + one replica per
 	// accessing transaction for exploded groups.
+	var numNodes int32
 	g.groupBase = make([]int32, numGroups)
 	g.exploded = make([]bool, numGroups)
 	for gi := 0; gi < numGroups; gi++ {
@@ -424,7 +396,7 @@ func buildCore(tr *workload.Trace, opts Options) (g *Graph, c *workload.Compact,
 
 	// Node metadata and weights.
 	g.Nodes = make([]Node, numNodes)
-	nwgt = make([]int64, numNodes)
+	nwgt := make([]int64, numNodes)
 	sizeOf := func(gi int32) int64 {
 		var sz int64
 		for _, id := range g.GroupTuples[gi] {
@@ -464,7 +436,7 @@ func buildCore(tr *workload.Trace, opts Options) (g *Graph, c *workload.Compact,
 		}
 	}
 
-	return g, c, nwgt, numNodes, numGroups, numTxns, nil
+	return g, nwgt, nil
 }
 
 // sigHash is a 64-bit FNV-1a-style hash of a tuple's access signature:
@@ -529,21 +501,11 @@ func (g *Graph) groupSets(parts []int32) [][]int {
 	return sets
 }
 
-// Assignments translates a node partitioning into per-tuple replica sets:
-// for an exploded tuple, the distinct partitions of its replica nodes; for
-// a plain tuple, its single node's partition. Partition lists are sorted.
-func (g *Graph) Assignments(parts []int32) map[workload.TupleID][]int {
-	sets := g.groupSets(parts)
-	out := make(map[workload.TupleID][]int, len(g.GroupOf))
-	for d, gi := range g.GroupOf {
-		out[g.Intern.TupleOf(int32(d))] = sets[gi]
-	}
-	return out
-}
-
-// DenseAssignments translates a node partitioning into replica sets
-// indexed by the graph's dense tuple ids (Graph.Intern). Tuples in the
-// same group share one slice.
+// DenseAssignments translates a node partitioning into per-tuple replica
+// sets indexed by the graph's dense tuple ids (Graph.Intern): for an
+// exploded tuple, the distinct partitions of its replica nodes; for a
+// plain tuple, its single node's partition. Partition lists are sorted;
+// tuples in the same group share one slice.
 func (g *Graph) DenseAssignments(parts []int32) [][]int {
 	sets := g.groupSets(parts)
 	out := make([][]int, len(g.GroupOf))

@@ -15,6 +15,18 @@ func mustBuild(g *Graph, err error) *Graph {
 	return g
 }
 
+// denseOf returns the dense id of a tuple the graph represents.
+func denseOf(g *Graph, id workload.TupleID) int32 {
+	d, ok := g.Intern.Lookup(id)
+	if !ok {
+		panic("tuple not in graph: " + id.String())
+	}
+	return d
+}
+
+// groupOf returns the group of a tuple the graph represents.
+func groupOf(g *Graph, id workload.TupleID) int32 { return g.GroupOf[denseOf(g, id)] }
+
 // bankTrace reconstructs the paper's running example (Figures 2 and 3):
 // an account table with five tuples and four transactions.
 func bankTrace() *workload.Trace {
@@ -43,8 +55,8 @@ func TestBuildBasicGraph(t *testing.T) {
 		t.Fatalf("invalid CSR: %v", err)
 	}
 	// Edge {1,2} is co-accessed by T0 and T1 -> weight 2.
-	n1 := g.TupleGroup()[workload.TupleID{Table: "account", Key: 1}]
-	n2 := g.TupleGroup()[workload.TupleID{Table: "account", Key: 2}]
+	n1 := groupOf(g, workload.TupleID{Table: "account", Key: 1})
+	n2 := groupOf(g, workload.TupleID{Table: "account", Key: 2})
 	w := edgeWeightBetween(g.CSR, g.groupBase[n1], g.groupBase[n2])
 	if w != 2 {
 		t.Errorf("edge weight(1,2) = %d, want 2", w)
@@ -66,7 +78,7 @@ func TestBuildReplicationStar(t *testing.T) {
 	// two (T0, T1): it must explode into 3 replicas + 1 centre, and the
 	// replication edges must weigh 2 (Fig. 3).
 	id1 := workload.TupleID{Table: "account", Key: 1}
-	gi := g.TupleGroup()[id1]
+	gi := groupOf(g, id1)
 	if !g.isExploded(gi) {
 		t.Fatal("tuple 1 was not exploded")
 	}
@@ -84,7 +96,7 @@ func TestBuildReplicationStar(t *testing.T) {
 	}
 	// Tuple 3 is accessed by exactly one transaction: never exploded.
 	id3 := workload.TupleID{Table: "account", Key: 3}
-	if g.isExploded(g.TupleGroup()[id3]) {
+	if g.isExploded(groupOf(g, id3)) {
 		t.Error("tuple 3 should not be exploded")
 	}
 	if err := g.CSR.Validate(); err != nil {
@@ -98,13 +110,13 @@ func TestAssignmentsWithoutReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asg := g.Assignments(parts)
+	asg := g.DenseAssignments(parts)
 	if len(asg) != 5 {
 		t.Fatalf("assignments cover %d tuples, want 5", len(asg))
 	}
-	for id, ps := range asg {
+	for d, ps := range asg {
 		if len(ps) != 1 {
-			t.Errorf("%v assigned to %v; want exactly one partition without replication", id, ps)
+			t.Errorf("%v assigned to %v; want exactly one partition without replication", g.Intern.TupleOf(int32(d)), ps)
 		}
 	}
 }
@@ -131,17 +143,17 @@ func TestAssignmentsWithReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asg := g.Assignments(parts)
-	if got := len(asg[tid(0)]); got != 2 {
+	asg := g.DenseAssignments(parts)
+	if got := len(asg[denseOf(g, tid(0))]); got != 2 {
 		t.Errorf("shared read-only tuple replicated to %d partitions, want 2", got)
 	}
 	// The write clusters must not be split or replicated.
 	for _, k := range []int64{100, 101, 200, 201} {
-		if got := len(asg[tid(k)]); got != 1 {
+		if got := len(asg[denseOf(g, tid(k))]); got != 1 {
 			t.Errorf("written tuple %d in %d partitions, want 1", k, got)
 		}
 	}
-	if asg[tid(100)][0] == asg[tid(200)][0] {
+	if asg[denseOf(g, tid(100))][0] == asg[denseOf(g, tid(200))][0] {
 		t.Error("the two write clusters should land on different partitions")
 	}
 }
@@ -157,7 +169,7 @@ func TestCoalescing(t *testing.T) {
 		})
 	}
 	g := mustBuild(Build(tr, Options{Coalesce: true}))
-	g1, g2 := g.TupleGroup()[tid(1)], g.TupleGroup()[tid(2)]
+	g1, g2 := groupOf(g, tid(1)), groupOf(g, tid(2))
 	if g1 != g2 {
 		t.Error("tuples 1 and 2 should coalesce into one group")
 	}
@@ -169,7 +181,7 @@ func TestCoalescing(t *testing.T) {
 	}
 	tr2.Add([]workload.Access{{Tuple: tid(1), Write: true}, {Tuple: tid(2)}})
 	gg := mustBuild(Build(tr2, Options{Coalesce: true}))
-	if gg.TupleGroup()[tid(1)] == gg.TupleGroup()[tid(2)] {
+	if groupOf(gg, tid(1)) == groupOf(gg, tid(2)) {
 		t.Error("different write patterns must prevent coalescing")
 	}
 	if err := g.CSR.Validate(); err != nil {
@@ -194,9 +206,9 @@ func TestCoalescingReducesNodes(t *testing.T) {
 		t.Errorf("coalescing did not shrink graph: %d -> %d", plain.NumNodes(), coal.NumNodes())
 	}
 	// The coalesced block must map all five tuples to one group.
-	g0 := coal.TupleGroup()[tid(0)]
+	g0 := groupOf(coal, tid(0))
 	for j := int64(1); j < 5; j++ {
-		if coal.TupleGroup()[tid(j)] != g0 {
+		if groupOf(coal, tid(j)) != g0 {
 			t.Errorf("tuple %d not coalesced with block", j)
 		}
 	}
@@ -234,11 +246,10 @@ func TestHeuristicFilters(t *testing.T) {
 
 	// Relevance filter: tuples appearing once (the scan tuples) vanish.
 	g3 := mustBuild(Build(tr, Options{MinAccesses: 3}))
-	for _, tuples := range g3.GroupTuples {
-		for _, id := range tuples {
-			if g3.Stats().Accesses(id) < 3 {
-				t.Fatalf("irrelevant tuple %v kept", id)
-			}
+	st := g3.Compact.Stats()
+	for d, id := range g3.Intern.Tuples() {
+		if st.Reads[d]+st.Writes[d] < 3 {
+			t.Fatalf("irrelevant tuple %v kept", id)
 		}
 	}
 }
@@ -282,7 +293,7 @@ func TestWorkloadWeights(t *testing.T) {
 	tr.Add([]workload.Access{{Tuple: tid(1)}, {Tuple: tid(3)}})
 	tr.Add([]workload.Access{{Tuple: tid(1)}, {Tuple: tid(4)}})
 	g := mustBuild(Build(tr, Options{Weights: WorkloadWeight}))
-	n1 := g.groupBase[g.TupleGroup()[tid(1)]]
+	n1 := g.groupBase[groupOf(g, tid(1))]
 	if w := g.CSR.NWgt[n1]; w != 3 {
 		t.Errorf("workload weight of hot tuple = %d, want 3", w)
 	}

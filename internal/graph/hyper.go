@@ -25,15 +25,15 @@ import (
 // worker writing into precomputed slots, so the result is byte-identical
 // to a single-threaded build regardless of worker count.
 func BuildHyper(tr *workload.Trace, opts Options) (*Graph, error) {
-	g, c, nwgt, numNodes, numGroups, numTxns, err := buildCore(tr, opts)
+	g, nwgt, err := buildCore(tr, opts)
 	if err != nil {
 		return nil, err
 	}
-	xpins, pins, netWgt, err := g.buildPins(c, numGroups, numTxns)
+	xpins, pins, netWgt, err := g.buildPins()
 	if err != nil {
 		return nil, err
 	}
-	g.HG, err = metis.NewHGraph(int(numNodes), xpins, pins, netWgt, nwgt)
+	g.HG, err = metis.NewHGraph(len(g.Nodes), xpins, pins, netWgt, nwgt)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +51,8 @@ const hyperNetScale = 64
 // sharded across workers (two passes — count, then fill into final
 // slots), replication nets appended serially.
 // Transactions touching fewer than two distinct groups produce no net.
-func (g *Graph) buildPins(c *workload.Compact, numGroups, numTxns int) (xpins, pins []int32, netWgt []int64, err error) {
+func (g *Graph) buildPins() (xpins, pins []int32, netWgt []int64, err error) {
+	c, numGroups, numTxns := g.Compact, len(g.groupBase), g.Compact.NumTxns()
 	workers := maxWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -28,7 +28,7 @@ func TestBuildHyperBasic(t *testing.T) {
 		t.Fatalf("NumNets = %d, want 4 (one per transaction)", got)
 	}
 	node := func(key int64) int32 {
-		gi := g.TupleGroup()[workload.TupleID{Table: "account", Key: key}]
+		gi := groupOf(g, workload.TupleID{Table: "account", Key: key})
 		return g.groupBase[gi]
 	}
 	wantPins := [][]int32{

@@ -4,8 +4,8 @@ import "schism/internal/workload"
 
 // ProjectLabels projects a deployed tuple placement onto this graph's
 // node space, producing the initial assignment a warm-start refinement
-// cycle (metis.RefineKway/RefineHKway) starts from. locate returns the
-// deployed replica set of a tuple, or nil/empty when the tuple was not
+// cycle (metis.Solver.RefineKway/RefineHKway) starts from. locate returns
+// the deployed replica set of a tuple, or nil/empty when the tuple was not
 // placed; labels outside [0, k) are ignored, so a placement produced for
 // a different k degrades gracefully to "unseen" instead of poisoning the
 // seed.

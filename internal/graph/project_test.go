@@ -22,7 +22,7 @@ func TestProjectLabelsDeployedPlacement(t *testing.T) {
 	}
 	parts := g.ProjectLabels(2, locateFrom(deployed))
 	for id, want := range deployed {
-		gi := g.TupleGroup()[id]
+		gi := groupOf(g, id)
 		if got := parts[g.groupBase[gi]]; int(got) != want[0] {
 			t.Errorf("tuple %v projected to %d, want %d", id, got, want[0])
 		}
@@ -36,7 +36,7 @@ func TestProjectLabelsSpreadsReplicaSets(t *testing.T) {
 		id1: {0, 2}, acct(2): {1}, acct(3): {1}, acct(4): {1}, acct(5): {1},
 	}
 	parts := g.ProjectLabels(3, locateFrom(deployed))
-	gi := g.TupleGroup()[id1]
+	gi := groupOf(g, id1)
 	base := g.groupBase[gi]
 	if parts[base] != 0 {
 		t.Errorf("centre of tuple 1 projected to %d, want 0 (set[0])", parts[base])
@@ -58,7 +58,7 @@ func TestProjectLabelsPluralityNeighborFallback(t *testing.T) {
 		acct(1): {1}, acct(2): {1}, acct(3): {0}, acct(4): {1},
 	}
 	parts := g.ProjectLabels(2, locateFrom(deployed))
-	gi := g.TupleGroup()[acct(5)]
+	gi := groupOf(g, acct(5))
 	if got := parts[g.groupBase[gi]]; got != 1 {
 		t.Errorf("unseen tuple 5 projected to %d, want plurality neighbour part 1", got)
 	}
@@ -121,11 +121,11 @@ func TestProjectLabelsDeterministicAcrossRepresentations(t *testing.T) {
 		t.Fatal("ProjectLabels not deterministic on the hypergraph build")
 	}
 	for id, want := range deployed {
-		gi := g.TupleGroup()[id]
+		gi := groupOf(g, id)
 		if got := a[g.groupBase[gi]]; int(got) != want[0] {
 			t.Errorf("clique: tuple %v projected to %d, want %d", id, got, want[0])
 		}
-		hgi := h.TupleGroup()[id]
+		hgi := groupOf(h, id)
 		if got := ha[h.groupBase[hgi]]; int(got) != want[0] {
 			t.Errorf("hyper: tuple %v projected to %d, want %d", id, got, want[0])
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"schism/internal/metis"
@@ -354,8 +355,13 @@ func assertMatchesReference(t *testing.T, g *Graph, ref *refGraph) {
 	if !reflect.DeepEqual(g.GroupTuples, ref.groupTuples) {
 		t.Fatal("GroupTuples mismatch")
 	}
-	if !reflect.DeepEqual(g.TupleGroup(), ref.tupleGroup) {
-		t.Fatal("TupleGroup mismatch")
+	if len(g.GroupOf) != len(ref.tupleGroup) {
+		t.Fatalf("GroupOf covers %d tuples, reference %d", len(g.GroupOf), len(ref.tupleGroup))
+	}
+	for d, id := range g.Intern.Tuples() {
+		if want, ok := ref.tupleGroup[id]; !ok || g.GroupOf[d] != want {
+			t.Fatalf("tuple %v in group %d, reference %d (known %v)", id, g.GroupOf[d], want, ok)
+		}
 	}
 	if !reflect.DeepEqual(g.groupBase, ref.groupBase) {
 		t.Fatal("groupBase mismatch")
@@ -411,8 +417,36 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDenseAssignmentsMatchesMap checks the dense replica-set view agrees
-// with the map-based Assignments.
+// referenceAssignments derives per-tuple replica sets straight from the
+// node provenance: the distinct partitions of every non-centre node of the
+// tuple's group, sorted.
+func referenceAssignments(g *Graph, parts []int32) map[workload.TupleID][]int {
+	groupParts := make(map[int32]map[int]bool)
+	for v, n := range g.Nodes {
+		if n.Center {
+			continue
+		}
+		if groupParts[n.Group] == nil {
+			groupParts[n.Group] = make(map[int]bool)
+		}
+		groupParts[n.Group][int(parts[v])] = true
+	}
+	out := make(map[workload.TupleID][]int)
+	for gi, tuples := range g.GroupTuples {
+		var set []int
+		for p := range groupParts[int32(gi)] {
+			set = append(set, p)
+		}
+		sort.Ints(set)
+		for _, id := range tuples {
+			out[id] = set
+		}
+	}
+	return out
+}
+
+// TestDenseAssignmentsMatchesMap checks the dense replica-set view against
+// the map-keyed reference above.
 func TestDenseAssignmentsMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	tr := randomTrace(rng, 200)
@@ -421,7 +455,7 @@ func TestDenseAssignmentsMatchesMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asg := g.Assignments(parts)
+	asg := referenceAssignments(g, parts)
 	dense := g.DenseAssignments(parts)
 	if len(dense) != g.Intern.Len() {
 		t.Fatalf("dense len %d != interned %d", len(dense), g.Intern.Len())

@@ -28,7 +28,7 @@ func traceOf(txns ...[]int64) *workload.Trace {
 func TestBuildRowsMatchEdgeList(t *testing.T) {
 	defer func(old int) { maxWorkers = old }(maxWorkers)
 	node := func(g *Graph, key int64) int32 {
-		return g.groupBase[g.TupleGroup()[workload.TupleID{Table: "t", Key: key}]]
+		return g.groupBase[groupOf(g, workload.TupleID{Table: "t", Key: key})]
 	}
 	for _, tc := range []struct {
 		name  string

@@ -2,10 +2,10 @@ package live
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"schism/internal/graph"
+	"schism/internal/lookup"
 	"schism/internal/metis"
 	"schism/internal/partition"
 	"schism/internal/workload"
@@ -13,7 +13,7 @@ import (
 
 // RepartitionConfig tunes the incremental repartitioner.
 type RepartitionConfig struct {
-	// K is the number of partitions (required, >= 1).
+	// K is the number of partitions (required, 1..lookup.MaxPartitions).
 	K int
 	// Graph configures workload-graph construction over the window.
 	Graph graph.Options
@@ -28,9 +28,9 @@ type RepartitionConfig struct {
 	NaiveLabels bool
 	// WarmStart enables refine-only cycles: when a deployed placement
 	// exists, project it onto the new window's graph (graph.ProjectLabels)
-	// and run boundary-restricted refinement (metis.RefineKway/RefineHKway)
-	// instead of the full multilevel cut. Steady-state cycles then skip
-	// coarsening entirely — ROADMAP item 5's warm-start lever.
+	// and run boundary-restricted refinement
+	// (metis.Solver.RefineKway/RefineHKway) instead of the full multilevel
+	// cut. Steady-state cycles then skip coarsening entirely.
 	WarmStart bool
 	// FullCutEveryN forces a periodic full multilevel cut after every N-1
 	// consecutive warm cycles, the backstop against refine-only runs
@@ -65,6 +65,10 @@ func (c RepartitionConfig) Validate() error {
 	if c.K <= 0 {
 		return &ConfigError{Field: "K",
 			Reason: fmt.Sprintf("%d partitions (must be >= 1)", c.K)}
+	}
+	if c.K > lookup.MaxPartitions {
+		return &ConfigError{Field: "K",
+			Reason: fmt.Sprintf("%d partitions (lookup.MaxPartitions is %d)", c.K, lookup.MaxPartitions)}
 	}
 	return c.Graph.Validate()
 }
@@ -129,16 +133,10 @@ type Repartition struct {
 	Deployed [][]int
 	// PhaseGraph/PhaseCut/PhaseRelabel break the run down into its three
 	// pipeline stages (graph build, min-cut, movement-minimizing
-	// relabel) — the attribution ROADMAP item 5's cycle-time work needs.
+	// relabel).
 	PhaseGraph   time.Duration
 	PhaseCut     time.Duration
 	PhaseRelabel time.Duration
-
-	// locateOnce/located memoize LocateFunc's placement map: the
-	// Controller and Executor both resolve through it every cycle, and
-	// rebuilding a map over every windowed tuple per call was pure waste.
-	locateOnce sync.Once
-	located    map[workload.TupleID][]int
 }
 
 // Repartitioner reruns the graph + min-cut pipeline over live windows. It
@@ -289,18 +287,17 @@ func (r *Repartitioner) RepartitionDrift(tr *workload.Trace, locate LocateFunc, 
 }
 
 // LocateFunc exposes the repartitioning as a placement function: the
-// relabeled replica set for tuples it covers, nil for anything else. The
-// underlying map is built once and shared by every returned closure.
+// relabeled replica set for tuples it covers, nil for anything else. It
+// resolves through the graph's interner, whose dense ids index
+// Assignments; the closure only reads, so it is safe for concurrent use.
 func (r *Repartition) LocateFunc() LocateFunc {
-	r.locateOnce.Do(func() {
-		m := make(map[workload.TupleID][]int, len(r.Tuples))
-		for i, id := range r.Tuples {
-			m[id] = r.Assignments[i]
+	in, sets := r.Graph.Intern, r.Assignments
+	return func(id workload.TupleID) []int {
+		if d, ok := in.Lookup(id); ok {
+			return sets[d]
 		}
-		r.located = m
-	})
-	m := r.located
-	return func(id workload.TupleID) []int { return m[id] }
+		return nil
+	}
 }
 
 func identityPerm(k int) []int {

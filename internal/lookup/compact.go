@@ -39,7 +39,7 @@ func (d *setDict) intern(parts []int) uint32 {
 	d.scratch = s
 	b := d.keybuf[:0]
 	for _, p := range s {
-		if p < 0 || p >= 0xFE {
+		if p < 0 || p >= MaxPartitions {
 			panic(fmt.Sprintf("lookup: partition id %d out of range", p))
 		}
 		b = append(b, byte(p))

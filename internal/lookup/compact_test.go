@@ -187,12 +187,12 @@ func TestExtremeKeys(t *testing.T) {
 	}
 }
 
-// TestTableEquivalenceQuick: all four exact tables agree under random
+// TestTableEquivalenceQuick: all three representations agree under random
 // workloads (quick-check property, complements the fuzz harness).
 func TestTableEquivalenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tables := []Table{NewHashIndex(), NewBitArray(512), NewCompact(), NewRuns()}
+		tables := []Table{NewHashIndex(), NewCompact(), NewRuns()}
 		for i := 0; i < 400; i++ {
 			k := rng.Int63n(512)
 			if rng.Intn(8) == 0 {
@@ -257,10 +257,9 @@ func TestCompressPicksRepresentation(t *testing.T) {
 			t.Fatalf("Locate(%d) = %v %v, want %v", k, got, ok, want)
 		}
 	}
-	// A Bloom table (no Range) passes through unchanged.
-	b := NewBloom(2, 10, 0.1)
-	b.Set(1, []int{0})
-	if Compress(b) != Table(b) {
+	// A table without Range passes through unchanged.
+	opaque := struct{ Table }{h2}
+	if Compress(opaque) != Table(opaque) {
 		t.Error("non-Ranger table should pass through Compress")
 	}
 	// A range-clustered table plus outlier keys near both int64 extremes:

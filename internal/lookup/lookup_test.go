@@ -1,10 +1,6 @@
 package lookup
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func testTableBasics(t *testing.T, mk func() Table) {
 	t.Helper()
@@ -63,93 +59,6 @@ func TestHashIndex(t *testing.T) {
 	}
 }
 
-func TestBitArray(t *testing.T) {
-	testTableBasics(t, func() Table { return NewBitArray(100) })
-	b := NewBitArray(10)
-	// Out-of-range keys spill to the side map.
-	b.Set(1000, []int{1})
-	if parts, ok := b.Locate(1000); !ok || parts[0] != 1 {
-		t.Errorf("out-of-range key: %v %v", parts, ok)
-	}
-	b.Set(-3, []int{0})
-	if _, ok := b.Locate(-3); !ok {
-		t.Error("negative key lost")
-	}
-	// Dense single-partition storage stays in the byte array.
-	b2 := NewBitArray(1000)
-	for k := int64(0); k < 1000; k++ {
-		b2.Set(k, []int{int(k % 7)})
-	}
-	if len(b2.special) != 0 {
-		t.Errorf("dense keys leaked to side map: %d", len(b2.special))
-	}
-	if b2.MemoryBytes() < 1000 {
-		t.Errorf("memory = %d, want >= capacity", b2.MemoryBytes())
-	}
-	// Replacing a replica set with a single partition cleans the side map.
-	b3 := NewBitArray(10)
-	b3.Set(4, []int{0, 1})
-	b3.Set(4, []int{1})
-	if len(b3.special) != 0 {
-		t.Errorf("stale special entry: %v", b3.special)
-	}
-	if parts, _ := b3.Locate(4); !containsAll(parts, 1) || len(parts) != 1 {
-		t.Errorf("Locate(4) = %v", parts)
-	}
-}
-
-func TestBloomNoFalseNegatives(t *testing.T) {
-	b := NewBloom(4, 1000, 0.01)
-	rng := rand.New(rand.NewSource(1))
-	truth := make(map[int64]int)
-	for i := 0; i < 1000; i++ {
-		k := rng.Int63n(1 << 40)
-		p := rng.Intn(4)
-		b.Set(k, []int{p})
-		truth[k] = p
-	}
-	for k, p := range truth {
-		parts, ok := b.Locate(k)
-		if !ok {
-			t.Fatalf("false negative for key %d", k)
-		}
-		if !containsAll(parts, p) {
-			t.Fatalf("Locate(%d) = %v missing true partition %d", k, parts, p)
-		}
-	}
-}
-
-func TestBloomFalsePositiveRate(t *testing.T) {
-	b := NewBloom(2, 5000, 0.01)
-	for k := int64(0); k < 5000; k++ {
-		b.Set(k, []int{int(k % 2)})
-	}
-	extra := 0
-	const probes = 5000
-	for k := int64(1 << 30); k < 1<<30+probes; k++ {
-		if parts, ok := b.Locate(k); ok {
-			extra += len(parts)
-		}
-	}
-	// Expected false positives ~ 2 filters * 1% * probes = 100; allow 5x.
-	if extra > 500 {
-		t.Errorf("false positive count %d too high", extra)
-	}
-}
-
-func TestBloomMemorySmallerThanIndex(t *testing.T) {
-	n := 100000
-	idx := NewHashIndex()
-	bloom := NewBloom(4, n/4, 0.05)
-	for k := int64(0); k < int64(n); k++ {
-		idx.Set(k, []int{int(k % 4)})
-		bloom.Set(k, []int{int(k % 4)})
-	}
-	if bloom.MemoryBytes() >= idx.MemoryBytes() {
-		t.Errorf("bloom %d bytes >= index %d bytes", bloom.MemoryBytes(), idx.MemoryBytes())
-	}
-}
-
 func TestNormalisePanicsOnBadPartition(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -157,45 +66,4 @@ func TestNormalisePanicsOnBadPartition(t *testing.T) {
 		}
 	}()
 	NewHashIndex().Set(1, []int{300})
-}
-
-// Property: for random workloads, HashIndex and BitArray agree exactly.
-func TestHashIndexBitArrayEquivalence(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := NewHashIndex()
-		b := NewBitArray(256)
-		for i := 0; i < 300; i++ {
-			k := rng.Int63n(256)
-			np := 1 + rng.Intn(3)
-			parts := make([]int, np)
-			for j := range parts {
-				parts[j] = rng.Intn(8)
-			}
-			h.Set(k, parts)
-			b.Set(k, parts)
-		}
-		for k := int64(0); k < 256; k++ {
-			hp, hok := h.Locate(k)
-			bp, bok := b.Locate(k)
-			if hok != bok {
-				return false
-			}
-			if !hok {
-				continue
-			}
-			if len(hp) != len(bp) {
-				return false
-			}
-			for i := range hp {
-				if hp[i] != bp[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -104,9 +104,9 @@ func (r *Router) Compress() {
 
 // Compress rebuilds a finished table in whichever representation —
 // run-length intervals, dense Compact slots, or the general HashIndex —
-// is estimated smallest for its contents. Tables that cannot enumerate
-// themselves (e.g. Bloom) are returned unchanged, as is any table the
-// estimate cannot beat.
+// is estimated smallest for its contents. A table that cannot enumerate
+// itself (no Ranger) is returned unchanged, as is any table the estimate
+// cannot beat.
 func Compress(t Table) Table {
 	src, ok := t.(Ranger)
 	if !ok {

@@ -101,13 +101,19 @@ func (s *Solver) heavyEdgeMatch(g *Graph, cmap []int32) int {
 //
 //  1. a counting sort of cmap groups fine nodes into per-coarse-node
 //     member lists (ascending fine id, so output is deterministic);
-//  2. one fill-and-fold pass walks each coarse node's members and writes
-//     its folded row in first-encounter order, merging parallel edge
-//     weights via a marker/slot table;
-//  3. one symmetric scatter pass transposes the folded rows: visiting
-//     source rows in ascending order emits every destination row sorted
-//     by neighbour id, preserving the package's sorted-adjacency
-//     invariant with no comparison sort.
+//  2. a counting pass over the fine adjacency finds every coarse node's
+//     distinct coarse neighbours, so the coarse CSR is allocated once at
+//     its exact size;
+//  3. a fold-and-scatter pass walks each coarse node's members, folds its
+//     row in first-encounter order into a one-row scratch (a marker/slot
+//     table merges parallel edge weights) and scatters it to its
+//     neighbours' rows: visiting source rows in ascending order emits
+//     every destination row sorted by neighbour id, preserving the
+//     package's sorted-adjacency invariant with no comparison sort.
+//
+// Only one folded row is held beside the output: all of them together
+// are a second copy of the coarse graph, and with that copy live the peak
+// heap of a run depends on where a collection happens to fall.
 //
 // The result is bit-identical to NewGraph over the same coarse edge
 // multiset (pinned by TestContractMatchesNaive).
@@ -148,11 +154,8 @@ func (s *Solver) contract(f *Graph, cmap []int32, numCoarse int, out *levelData)
 		pos[c]++
 	}
 
-	// Fill-and-fold: one pass over the fine adjacency writes each coarse
-	// row compactly in first-encounter order, merging parallel edges via
-	// the slot table. Rows are appended, so no separate counting pass is
-	// needed to pre-size them; the append buffers keep their capacity in
-	// the solver, making steady-state contraction allocation-free.
+	// Count: mark[c] is stamped first so the node's own group is never
+	// counted, which leaves the inner loop one test.
 	s.mark = growI32(s.mark, nc)
 	s.slot = growI32(s.slot, nc)
 	mark, slot := s.mark[:nc], s.slot[:nc]
@@ -161,11 +164,46 @@ func (s *Solver) contract(f *Graph, cmap []int32, numCoarse int, out *levelData)
 	}
 	out.xadj = growI32(out.xadj, nc+1)
 	xadj := out.xadj[:nc+1]
-	xadj[0] = 0
-	tadj, tewgt := s.tadj[:0], s.tewgt[:0]
 	fxadj, fadj, few := f.XAdj, f.Adj, f.EWgt
+	m := 0
 	for c := 0; c < nc; c++ {
+		xadj[c] = int32(m)
 		stamp := int32(c) + 1
+		mark[c] = stamp
+		for _, u := range mem[ms[c]:ms[c+1]] {
+			for _, v := range fadj[fxadj[u]:fxadj[u+1]] {
+				cv := cmap[v]
+				if mark[cv] != stamp {
+					m++
+				}
+				mark[cv] = stamp
+			}
+		}
+	}
+	// A coarse row folds a subset of the fine adjacency, so m can never
+	// exceed the fine entry count and the int32 offsets are safe by
+	// induction from NewGraph's overflow guard; assert it anyway so a
+	// future invariant break fails loudly instead of wrapping.
+	if int64(m) > maxCSREntries {
+		panic("metis: contracted graph exceeds int32 CSR index capacity")
+	}
+	xadj[nc] = int32(m)
+
+	// The two arrays are most of a level, so they get no grow headroom.
+	if cap(out.adj) < m {
+		out.adj, out.ewgt = make([]int32, m), make([]int64, m)
+	}
+	adj, ewgt := out.adj[:m], out.ewgt[:m]
+
+	// Fold and scatter: row cv receives its neighbours c in ascending order
+	// because source rows are visited in ascending order, and the folded
+	// weight of (c,cv) equals that of (cv,c) by symmetry. Stamps are
+	// negative here to tell them from the counting pass's.
+	copy(pos, xadj[:nc])
+	row, roww := s.row, s.roww
+	for c := 0; c < nc; c++ {
+		stamp := -int32(c) - 1
+		row, roww = row[:0], roww[:0]
 		for _, u := range mem[ms[c]:ms[c+1]] {
 			for j, end := int(fxadj[u]), int(fxadj[u+1]); j < end; j++ {
 				cv := cmap[fadj[j]]
@@ -178,41 +216,21 @@ func (s *Solver) contract(f *Graph, cmap []int32, numCoarse int, out *levelData)
 				}
 				if mark[cv] != stamp {
 					mark[cv] = stamp
-					slot[cv] = int32(len(tadj))
-					tadj = append(tadj, cv)
-					tewgt = append(tewgt, w)
+					slot[cv] = int32(len(row))
+					row = append(row, cv)
+					roww = append(roww, w)
 				} else {
-					tewgt[slot[cv]] += w
+					roww[slot[cv]] += w
 				}
 			}
 		}
-		xadj[c+1] = int32(len(tadj))
-	}
-	s.tadj, s.tewgt = tadj, tewgt
-	m := len(tadj)
-	// A coarse row folds a subset of the fine adjacency, so m can never
-	// exceed the fine entry count and the int32 offsets below are safe by
-	// induction from NewGraph's overflow guard; assert it anyway so a
-	// future invariant break fails loudly instead of wrapping.
-	if int64(m) > maxCSREntries {
-		panic("metis: contracted graph exceeds int32 CSR index capacity")
-	}
-
-	// Symmetric scatter: row cv receives its neighbours c in ascending
-	// order because source rows are visited in ascending order, and the
-	// folded weight of (c,cv) equals that of (cv,c) by symmetry.
-	out.adj = growI32(out.adj, m)
-	out.ewgt = growI64(out.ewgt, m)
-	adj, ewgt := out.adj[:m], out.ewgt[:m]
-	copy(pos, xadj[:nc])
-	for c := 0; c < nc; c++ {
-		for idx := xadj[c]; idx < xadj[c+1]; idx++ {
-			cv := tadj[idx]
+		for i, cv := range row {
 			p := pos[cv]
 			adj[p] = int32(c)
-			ewgt[p] = tewgt[idx]
+			ewgt[p] = roww[i]
 			pos[cv] = p + 1
 		}
 	}
+	s.row, s.roww = row, roww
 	out.graph = Graph{XAdj: xadj, Adj: adj, EWgt: ewgt, NWgt: nwgt}
 }

@@ -4,7 +4,7 @@ import "fmt"
 
 // This file adds the warm-start entry points of the partitioner: refine
 // a caller-supplied k-way assignment without rebuilding the multilevel
-// hierarchy. The live control loop (ROADMAP item 5) seeds them by
+// hierarchy. live.Repartitioner, their one caller, seeds them by
 // projecting the deployed placement onto a fresh window's graph, so a
 // steady-state repartitioning cycle costs one boundary-restricted
 // refinement pass instead of the full coarsen → bisect → uncoarsen
@@ -136,21 +136,4 @@ func (s *Solver) sizeRefineScratch(total int64, k int, imbalance float64) {
 		}
 		maxPW[p] = m
 	}
-}
-
-// RefineKway is the pooled-Solver form of Solver.RefineKway, for callers
-// that do not hold a context.
-func RefineKway(g *Graph, k int, parts []int32, opts Options) (int64, error) {
-	s := solverPool.Get().(*Solver)
-	cut, err := s.RefineKway(g, k, parts, opts)
-	solverPool.Put(s)
-	return cut, err
-}
-
-// RefineHKway is the pooled-Solver form of Solver.RefineHKway.
-func RefineHKway(h *HGraph, k int, parts []int32, opts Options) (int64, error) {
-	s := solverPool.Get().(*Solver)
-	cost, err := s.RefineHKway(h, k, parts, opts)
-	solverPool.Put(s)
-	return cost, err
 }

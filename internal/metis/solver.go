@@ -30,11 +30,11 @@ type Solver struct {
 	// Contraction scratch (see Solver.contract).
 	mstart  []int32 // member-list offsets per coarse node, len nc+1
 	members []int32 // fine nodes grouped by coarse id, len n
-	mark    []int32 // last coarse id (+1) that saw each coarse neighbour
+	mark    []int32 // stamp of the coarse row that last saw each coarse neighbour
 	slot    []int32 // coarse neighbour -> fill position in the open row
 	pos     []int32 // scatter cursors, len nc
-	tadj    []int32 // folded coarse adjacency in first-encounter order
-	tewgt   []int64
+	row     []int32 // one folded coarse row in first-encounter order
+	roww    []int64
 
 	// Refinement scratch (see refine.go).
 	conn     []int64 // connectivity of the current node to each part

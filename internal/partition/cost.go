@@ -29,93 +29,21 @@ func (c Cost) DistributedFrac() float64 {
 //     transaction already needs.
 //
 // A transaction is single-sited iff one partition can serve all of it.
+// Tuples whose replica set is empty are unconstrained — brand-new tuples a
+// floating lookup strategy lets the transaction create at its home
+// partition — and impose no requirement. The trace is interned once and
+// every distinct tuple located once.
 func Evaluate(tr *workload.Trace, s Strategy, resolve Resolver) Cost {
-	cache := make(map[workload.TupleID][]int)
-	locate := func(id workload.TupleID) []int {
-		if parts, ok := cache[id]; ok {
-			return parts
-		}
+	c := workload.CompactTrace(tr)
+	sets := make([][]int, c.NumTuples())
+	for d, id := range c.In.Tuples() {
 		var row Row
 		if resolve != nil {
 			row = resolve(id)
 		}
-		parts := s.Locate(id, row)
-		cache[id] = parts
-		return parts
+		sets[d] = s.Locate(id, row)
 	}
-	c := Cost{Total: tr.Len()}
-	for _, t := range tr.Txns {
-		if txnDistributed(t, locate) {
-			c.Distributed++
-		}
-	}
-	return c
-}
-
-// txnDistributed decides whether a transaction must span >1 partition.
-// Tuples whose replica set is empty are unconstrained — brand-new tuples a
-// floating lookup strategy lets the transaction create at its home
-// partition — and impose no requirement.
-func txnDistributed(t *workload.Txn, locate func(workload.TupleID) []int) bool {
-	writes := t.WriteSet()
-	reads := t.ReadSet()
-
-	// Partitions the transaction is forced to touch: every replica of
-	// every written tuple.
-	required := map[int]bool{}
-	for _, id := range writes {
-		for _, p := range locate(id) {
-			required[p] = true
-		}
-	}
-	if len(required) > 1 {
-		return true
-	}
-
-	if len(required) == 1 {
-		// The single required partition must also hold a replica of every
-		// tuple the transaction reads.
-		var home int
-		for p := range required {
-			home = p
-		}
-		for _, id := range reads {
-			parts := locate(id)
-			if len(parts) == 0 {
-				continue
-			}
-			if !contains(parts, home) {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Read-only (or all writes unconstrained): single-sited iff the
-	// intersection of all non-empty replica sets is non-empty.
-	var inter map[int]bool
-	for _, id := range reads {
-		parts := locate(id)
-		if len(parts) == 0 {
-			continue
-		}
-		if inter == nil {
-			inter = map[int]bool{}
-			for _, p := range parts {
-				inter[p] = true
-			}
-			continue
-		}
-		for p := range inter {
-			if !contains(parts, p) {
-				delete(inter, p)
-			}
-		}
-		if len(inter) == 0 {
-			return true
-		}
-	}
-	return false
+	return EvaluateAssignmentsCompact(c, sets, nil)
 }
 
 func contains(parts []int, p int) bool {
@@ -127,33 +55,16 @@ func contains(parts []int, p int) bool {
 	return false
 }
 
-// EvaluateAssignments counts distributed transactions for a raw per-tuple
-// assignment map (the graph partitioner's direct output), using the given
-// default replica set for unassigned tuples (nil means unconstrained: new
-// tuples follow their transaction). This is the "schism" series in Fig. 4
-// before any explanation is attempted.
-func EvaluateAssignments(tr *workload.Trace, asg map[workload.TupleID][]int, k int, def []int) Cost {
-	locate := func(id workload.TupleID) []int {
-		if parts, ok := asg[id]; ok {
-			return parts
-		}
-		return def
-	}
-	c := Cost{Total: tr.Len()}
-	for _, t := range tr.Txns {
-		if txnDistributed(t, locate) {
-			c.Distributed++
-		}
-	}
-	return c
-}
-
-// EvaluateAssignmentsCompact is EvaluateAssignments over an interned
-// trace: sets[d] is the replica set of dense tuple d in c's interner (nil
-// means unassigned: the default applies). The hot loop indexes slices by
-// dense id — no TupleID hashing, no per-transaction read/write-set
-// allocation. Use graph.DenseAssignmentsFor to align a partitioning with
-// the evaluation trace's interner.
+// EvaluateAssignmentsCompact counts distributed transactions for a raw
+// per-tuple assignment (the graph partitioner's direct output) over an
+// interned trace: sets[d] is the replica set of dense tuple d in c's
+// interner, and unassigned tuples (nil) get the default replica set def
+// (nil means unconstrained: new tuples follow their transaction). This
+// is the "schism" series in Fig. 4 before any explanation is attempted.
+// The hot loop indexes slices by dense id — no TupleID hashing, no
+// per-transaction read/write-set allocation. Use
+// graph.DenseAssignmentsFor to align a partitioning with the evaluation
+// trace's interner.
 func EvaluateAssignmentsCompact(c *workload.Compact, sets [][]int, def []int) Cost {
 	cost := Cost{Total: c.NumTxns()}
 	var scratch evalScratch
@@ -172,8 +83,9 @@ type evalScratch struct {
 	inter []int
 }
 
-// txnDistributedCompact mirrors txnDistributed over packed accesses.
-// Duplicate accesses need no deduplication: every step is idempotent.
+// txnDistributedCompact decides whether a transaction, given as packed
+// accesses, must span >1 partition. Duplicate accesses need no
+// deduplication: every step is idempotent.
 func txnDistributedCompact(accs []uint32, sets [][]int, def []int, s *evalScratch) bool {
 	locate := func(e uint32) []int {
 		if p := sets[e&^workload.WriteBit]; p != nil {

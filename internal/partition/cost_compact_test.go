@@ -7,6 +7,133 @@ import (
 	"schism/internal/workload"
 )
 
+// accessSet returns the distinct tuples the transaction writes (write) or
+// reads (!write); a read-modify-write counts in both sets.
+func accessSet(t *workload.Txn, write bool) []workload.TupleID {
+	seen := make(map[workload.TupleID]struct{})
+	var out []workload.TupleID
+	for _, a := range t.Accesses {
+		if a.Write != write {
+			continue
+		}
+		if _, ok := seen[a.Tuple]; !ok {
+			seen[a.Tuple] = struct{}{}
+			out = append(out, a.Tuple)
+		}
+	}
+	return out
+}
+
+// txnDistributed is the map-keyed form of txnDistributedCompact: it builds
+// the transaction's write and read sets and decides from them whether the
+// transaction must span >1 partition.
+func txnDistributed(t *workload.Txn, locate func(workload.TupleID) []int) bool {
+	writes := accessSet(t, true)
+	reads := accessSet(t, false)
+
+	// Partitions the transaction is forced to touch: every replica of
+	// every written tuple.
+	required := map[int]bool{}
+	for _, id := range writes {
+		for _, p := range locate(id) {
+			required[p] = true
+		}
+	}
+	if len(required) > 1 {
+		return true
+	}
+
+	if len(required) == 1 {
+		// The single required partition must also hold a replica of every
+		// tuple the transaction reads.
+		var home int
+		for p := range required {
+			home = p
+		}
+		for _, id := range reads {
+			parts := locate(id)
+			if len(parts) == 0 {
+				continue
+			}
+			if !contains(parts, home) {
+				return true
+			}
+		}
+		return false
+	}
+
+	// Read-only (or all writes unconstrained): single-sited iff the
+	// intersection of all non-empty replica sets is non-empty.
+	var inter map[int]bool
+	for _, id := range reads {
+		parts := locate(id)
+		if len(parts) == 0 {
+			continue
+		}
+		if inter == nil {
+			inter = map[int]bool{}
+			for _, p := range parts {
+				inter[p] = true
+			}
+			continue
+		}
+		for p := range inter {
+			if !contains(parts, p) {
+				delete(inter, p)
+			}
+		}
+		if len(inter) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// evaluateAssignmentsMap is the map-keyed evaluator, kept as the oracle
+// for EvaluateAssignmentsCompact: unassigned tuples get def.
+func evaluateAssignmentsMap(tr *workload.Trace, asg map[workload.TupleID][]int, def []int) Cost {
+	locate := func(id workload.TupleID) []int {
+		if parts, ok := asg[id]; ok {
+			return parts
+		}
+		return def
+	}
+	c := Cost{Total: tr.Len()}
+	for _, t := range tr.Txns {
+		if txnDistributed(t, locate) {
+			c.Distributed++
+		}
+	}
+	return c
+}
+
+// mapStrategy places tuples by a map, def for the rest.
+type mapStrategy struct {
+	Strategy
+	asg map[workload.TupleID][]int
+	def []int
+}
+
+func (m mapStrategy) Locate(id workload.TupleID, _ Row) []int {
+	if parts, ok := m.asg[id]; ok {
+		return parts
+	}
+	return m.def
+}
+
+// evaluateDense interns the trace, aligns the map-keyed assignment with
+// its dense ids and runs EvaluateAssignmentsCompact.
+func evaluateDense(tr *workload.Trace, asg map[workload.TupleID][]int, def []int) Cost {
+	c := workload.CompactTrace(tr)
+	sets := make([][]int, c.NumTuples())
+	for d, id := range c.In.Tuples() {
+		if parts, ok := asg[id]; ok {
+			sets[d] = parts
+		}
+	}
+	return EvaluateAssignmentsCompact(c, sets, def)
+}
+
 // TestEvaluateAssignmentsCompactMatchesMap cross-checks the dense
 // evaluator against the map-based one over random traces, assignments
 // with replication, unassigned tuples, and both default policies.
@@ -42,17 +169,14 @@ func TestEvaluateAssignmentsCompactMatchesMap(t *testing.T) {
 		var defs [][]int
 		defs = append(defs, nil, []int{0})
 		for _, def := range defs {
-			want := EvaluateAssignments(tr, asg, k, def)
-			c := workload.CompactTrace(tr)
-			sets := make([][]int, c.NumTuples())
-			for d := range sets {
-				if parts, ok := asg[c.In.TupleOf(int32(d))]; ok {
-					sets[d] = parts
-				}
-			}
-			got := EvaluateAssignmentsCompact(c, sets, def)
+			want := evaluateAssignmentsMap(tr, asg, def)
+			got := evaluateDense(tr, asg, def)
 			if got != want {
 				t.Fatalf("trial %d def=%v: compact %+v != map %+v", trial, def, got, want)
+			}
+			// Evaluate reaches the same evaluator through a Strategy.
+			if got := Evaluate(tr, mapStrategy{asg: asg, def: def}, nil); got != want {
+				t.Fatalf("trial %d def=%v: Evaluate %+v != map %+v", trial, def, got, want)
 			}
 		}
 	}

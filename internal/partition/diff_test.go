@@ -123,11 +123,3 @@ func TestRelabelMapEmptyOverlapIsPermutation(t *testing.T) {
 		}
 	}
 }
-
-func TestApplyRelabel(t *testing.T) {
-	parts := []int32{0, 1, 2, 1, 0}
-	ApplyRelabel(parts, []int{2, 0, 1})
-	if want := []int32{2, 0, 1, 0, 2}; !reflect.DeepEqual(parts, want) {
-		t.Fatalf("parts = %v, want %v", parts, want)
-	}
-}

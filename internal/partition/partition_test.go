@@ -252,14 +252,14 @@ func TestEvaluateAssignments(t *testing.T) {
 	tr := workload.NewTrace()
 	tr.Add([]workload.Access{{Tuple: tid("t", 1)}, {Tuple: tid("t", 2)}})
 	tr.Add([]workload.Access{{Tuple: tid("t", 1)}, {Tuple: tid("t", 3)}})
-	c := EvaluateAssignments(tr, asg, 2, nil)
+	c := evaluateDense(tr, asg, nil)
 	if c.Distributed != 1 {
 		t.Errorf("cost = %+v, want 1 distributed", c)
 	}
 	// Default replica set covers unknown tuples.
 	tr2 := workload.NewTrace()
 	tr2.Add([]workload.Access{{Tuple: tid("t", 1)}, {Tuple: tid("t", 999)}})
-	c2 := EvaluateAssignments(tr2, asg, 2, []int{0, 1})
+	c2 := evaluateDense(tr2, asg, []int{0, 1})
 	if c2.Distributed != 0 {
 		t.Errorf("unknown tuple replicated everywhere should be local: %+v", c2)
 	}

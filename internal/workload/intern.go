@@ -96,19 +96,19 @@ func (c *Compact) NumTuples() int { return c.In.Len() }
 // Txn returns transaction i's packed accesses (aliasing Accs).
 func (c *Compact) Txn(i int) []uint32 { return c.Accs[c.Off[i]:c.Off[i+1]] }
 
-// DenseStats mirrors Stats with slice-indexed counters: Reads[d] and
-// Writes[d] count the transactions that read resp. wrote dense tuple d.
+// DenseStats summarises per-tuple access behaviour over a compact trace:
+// Reads[d] and Writes[d] count the transactions (not statements) that
+// read resp. wrote dense tuple d.
 type DenseStats struct {
-	Reads    []int32
-	Writes   []int32
-	TxnCount int
+	Reads  []int32
+	Writes []int32
 }
 
 // Stats aggregates per-tuple transaction counts over the compact trace
 // using epoch-stamped scratch arrays — no per-transaction maps.
 func (c *Compact) Stats() *DenseStats {
 	n := c.NumTuples()
-	ds := &DenseStats{Reads: make([]int32, n), Writes: make([]int32, n), TxnCount: c.NumTxns()}
+	ds := &DenseStats{Reads: make([]int32, n), Writes: make([]int32, n)}
 	lastRead := make([]int32, n)
 	lastWrite := make([]int32, n)
 	for i := range lastRead {
@@ -129,24 +129,4 @@ func (c *Compact) Stats() *DenseStats {
 		}
 	}
 	return ds
-}
-
-// ToStats materialises the map-based Stats API from dense counters.
-func (ds *DenseStats) ToStats(in *Interner) *Stats {
-	s := &Stats{
-		Reads:    make(map[TupleID]int, len(ds.Reads)),
-		Writes:   make(map[TupleID]int, len(ds.Writes)),
-		TxnCount: ds.TxnCount,
-	}
-	for d, r := range ds.Reads {
-		if r > 0 {
-			s.Reads[in.TupleOf(int32(d))] = int(r)
-		}
-	}
-	for d, w := range ds.Writes {
-		if w > 0 {
-			s.Writes[in.TupleOf(int32(d))] = int(w)
-		}
-	}
-	return s
 }

@@ -67,14 +67,18 @@ func TestCompactTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// referenceStats is the original map-per-transaction ComputeStats,
-// kept as the semantic reference for the dense implementation.
-func referenceStats(tr *Trace) *Stats {
-	s := &Stats{
-		Reads:    make(map[TupleID]int),
-		Writes:   make(map[TupleID]int),
-		TxnCount: len(tr.Txns),
-	}
+// refStats is the map-keyed form of DenseStats that referenceStats
+// fills.
+type refStats struct {
+	reads, writes map[TupleID]int
+}
+
+func (s *refStats) accesses(id TupleID) int { return s.reads[id] + s.writes[id] }
+
+// referenceStats counts with one map per transaction, kept as the
+// semantic reference for the dense implementation.
+func referenceStats(tr *Trace) *refStats {
+	s := &refStats{reads: make(map[TupleID]int), writes: make(map[TupleID]int)}
 	for _, t := range tr.Txns {
 		reads := make(map[TupleID]bool)
 		writes := make(map[TupleID]bool)
@@ -86,10 +90,10 @@ func referenceStats(tr *Trace) *Stats {
 			}
 		}
 		for id := range reads {
-			s.Reads[id]++
+			s.reads[id]++
 		}
 		for id := range writes {
-			s.Writes[id]++
+			s.writes[id]++
 		}
 	}
 	return s
@@ -110,15 +114,13 @@ func TestDenseStatsMatchesReference(t *testing.T) {
 			}
 			tr.Add(acc)
 		}
-		got, want := ComputeStats(tr), referenceStats(tr)
-		if got.TxnCount != want.TxnCount {
-			t.Fatalf("TxnCount %d != %d", got.TxnCount, want.TxnCount)
-		}
-		if !reflect.DeepEqual(got.Reads, want.Reads) {
-			t.Fatalf("Reads mismatch:\n got %v\nwant %v", got.Reads, want.Reads)
-		}
-		if !reflect.DeepEqual(got.Writes, want.Writes) {
-			t.Fatalf("Writes mismatch:\n got %v\nwant %v", got.Writes, want.Writes)
+		c := CompactTrace(tr)
+		got, want := c.Stats(), referenceStats(tr)
+		for d, id := range c.In.Tuples() {
+			if int(got.Reads[d]) != want.reads[id] || int(got.Writes[d]) != want.writes[id] {
+				t.Fatalf("tuple %v: %d reads %d writes, want %d/%d",
+					id, got.Reads[d], got.Writes[d], want.reads[id], want.writes[id])
+			}
 		}
 	}
 }

@@ -68,13 +68,15 @@ func FilterRelevance(tr *Trace, minAccesses int) *Trace {
 	if minAccesses <= 1 {
 		return tr
 	}
-	stats := ComputeStats(tr)
+	c := CompactTrace(tr)
+	stats := c.Stats()
 	out := NewTrace()
-	for _, t := range tr.Txns {
+	for ti, t := range tr.Txns {
 		var acc []Access
-		for _, a := range t.Accesses {
-			if stats.Accesses(a.Tuple) >= minAccesses {
-				acc = append(acc, a)
+		for j, e := range c.Txn(ti) {
+			d := e &^ WriteBit
+			if int(stats.Reads[d]+stats.Writes[d]) >= minAccesses {
+				acc = append(acc, t.Accesses[j])
 			}
 		}
 		if len(acc) > 0 {

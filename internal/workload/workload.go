@@ -62,53 +62,6 @@ func (t *Txn) Tuples() []TupleID {
 	return out
 }
 
-// WriteSet returns the distinct tuples written by the transaction.
-func (t *Txn) WriteSet() []TupleID {
-	seen := make(map[TupleID]struct{})
-	var out []TupleID
-	for _, a := range t.Accesses {
-		if !a.Write {
-			continue
-		}
-		if _, ok := seen[a.Tuple]; ok {
-			continue
-		}
-		seen[a.Tuple] = struct{}{}
-		out = append(out, a.Tuple)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// ReadSet returns the distinct tuples the transaction reads (including
-// tuples it also writes: a read-modify-write counts in both sets).
-func (t *Txn) ReadSet() []TupleID {
-	seen := make(map[TupleID]struct{})
-	var out []TupleID
-	for _, a := range t.Accesses {
-		if a.Write {
-			continue
-		}
-		if _, ok := seen[a.Tuple]; ok {
-			continue
-		}
-		seen[a.Tuple] = struct{}{}
-		out = append(out, a.Tuple)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// Writes reports whether the transaction writes the given tuple.
-func (t *Txn) Writes(id TupleID) bool {
-	for _, a := range t.Accesses {
-		if a.Write && a.Tuple == id {
-			return true
-		}
-	}
-	return false
-}
-
 // ReadOnly reports whether the transaction performs no writes.
 func (t *Txn) ReadOnly() bool {
 	for _, a := range t.Accesses {
@@ -149,46 +102,4 @@ func (tr *Trace) Split(trainFrac float64) (train, test *Trace) {
 	}
 	n := int(float64(len(tr.Txns)) * trainFrac)
 	return &Trace{Txns: tr.Txns[:n]}, &Trace{Txns: tr.Txns[n:]}
-}
-
-// Stats summarises per-tuple access behaviour over a trace.
-type Stats struct {
-	// Reads and Writes count transactions (not statements) that read or
-	// wrote each tuple.
-	Reads  map[TupleID]int
-	Writes map[TupleID]int
-	// TxnCount is the number of transactions in the trace.
-	TxnCount int
-}
-
-// Accesses returns reads+writes for the tuple.
-func (s *Stats) Accesses(id TupleID) int { return s.Reads[id] + s.Writes[id] }
-
-// Tuples returns all tuples observed, in deterministic order.
-func (s *Stats) Tuples() []TupleID {
-	seen := make(map[TupleID]struct{}, len(s.Reads)+len(s.Writes))
-	var out []TupleID
-	for id := range s.Reads {
-		if _, ok := seen[id]; !ok {
-			seen[id] = struct{}{}
-			out = append(out, id)
-		}
-	}
-	for id := range s.Writes {
-		if _, ok := seen[id]; !ok {
-			seen[id] = struct{}{}
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// ComputeStats scans the trace once and aggregates per-tuple counts.
-// A transaction that accesses a tuple several times counts once per kind.
-// The trace is interned and counted over dense ids, so each access hashes
-// once instead of once per intermediate map.
-func ComputeStats(tr *Trace) *Stats {
-	c := CompactTrace(tr)
-	return c.Stats().ToStats(c.In)
 }

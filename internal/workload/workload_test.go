@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -19,15 +20,6 @@ func TestTxnSets(t *testing.T) {
 	})
 	if got := len(txn.Tuples()); got != 3 {
 		t.Errorf("Tuples = %d distinct, want 3", got)
-	}
-	if got := len(txn.WriteSet()); got != 1 {
-		t.Errorf("WriteSet = %d, want 1", got)
-	}
-	if got := len(txn.ReadSet()); got != 2 {
-		t.Errorf("ReadSet = %d, want 2", got)
-	}
-	if !txn.Writes(tid(2)) || txn.Writes(tid(1)) {
-		t.Error("Writes misreports")
 	}
 	if txn.ReadOnly() {
 		t.Error("txn has a write; ReadOnly must be false")
@@ -53,14 +45,17 @@ func TestComputeStats(t *testing.T) {
 	tr := NewTrace()
 	tr.Add([]Access{{Tuple: tid(1)}, {Tuple: tid(1)}})              // read x2 counts once
 	tr.Add([]Access{{Tuple: tid(1), Write: true}, {Tuple: tid(2)}}) // write 1, read 2
-	s := ComputeStats(tr)
-	if s.Reads[tid(1)] != 1 || s.Writes[tid(1)] != 1 {
-		t.Errorf("tuple 1 stats = %d reads %d writes, want 1/1", s.Reads[tid(1)], s.Writes[tid(1)])
+	c := CompactTrace(tr)
+	s := c.Stats()
+	d1, _ := c.In.Lookup(tid(1))
+	d2, _ := c.In.Lookup(tid(2))
+	if s.Reads[d1] != 1 || s.Writes[d1] != 1 {
+		t.Errorf("tuple 1 stats = %d reads %d writes, want 1/1", s.Reads[d1], s.Writes[d1])
 	}
-	if s.Accesses(tid(2)) != 1 {
-		t.Errorf("tuple 2 accesses = %d, want 1", s.Accesses(tid(2)))
+	if s.Reads[d2]+s.Writes[d2] != 1 {
+		t.Errorf("tuple 2 accesses = %d, want 1", s.Reads[d2]+s.Writes[d2])
 	}
-	if got := len(s.Tuples()); got != 2 {
+	if got := len(s.Reads); got != 2 {
 		t.Errorf("distinct tuples = %d, want 2", got)
 	}
 }
@@ -129,6 +124,42 @@ func TestFilterRelevance(t *testing.T) {
 			}
 		}
 	}
+
+	// Differential: exactly the accesses whose tuple reaches the threshold
+	// survive, a tuple one transaction both reads and writes counting twice.
+	rng := rand.New(rand.NewSource(3))
+	rnd := NewTrace()
+	for i := 0; i < 200; i++ {
+		var acc []Access
+		for j := 0; j < 1+rng.Intn(6); j++ {
+			acc = append(acc, Access{Tuple: tid(int64(rng.Intn(60))), Write: rng.Intn(3) == 0})
+		}
+		rnd.Add(acc)
+	}
+	ref := referenceStats(rnd)
+	for _, min := range []int{2, 4, 9} {
+		want := NewTrace()
+		for _, txn := range rnd.Txns {
+			var acc []Access
+			for _, a := range txn.Accesses {
+				if ref.accesses(a.Tuple) >= min {
+					acc = append(acc, a)
+				}
+			}
+			if len(acc) > 0 {
+				want.Add(acc)
+			}
+		}
+		got := FilterRelevance(rnd, min)
+		if got.Len() != want.Len() {
+			t.Fatalf("min=%d: kept %d txns, want %d", min, got.Len(), want.Len())
+		}
+		for i := range want.Txns {
+			if !reflect.DeepEqual(got.Txns[i].Accesses, want.Txns[i].Accesses) {
+				t.Fatalf("min=%d txn %d: kept %v, want %v", min, i, got.Txns[i].Accesses, want.Txns[i].Accesses)
+			}
+		}
+	}
 }
 
 // Property: Stats computed after txn sampling never exceed original counts.
@@ -143,15 +174,15 @@ func TestSamplingMonotone(t *testing.T) {
 			}
 			tr.Add(acc)
 		}
-		full := ComputeStats(tr)
-		sampled := ComputeStats(SampleTxns(tr, 0.5, rng))
-		for id, n := range sampled.Reads {
-			if n > full.Reads[id] {
+		full := referenceStats(tr)
+		sampled := referenceStats(SampleTxns(tr, 0.5, rng))
+		for id, n := range sampled.reads {
+			if n > full.reads[id] {
 				return false
 			}
 		}
-		for id, n := range sampled.Writes {
-			if n > full.Writes[id] {
+		for id, n := range sampled.writes {
+			if n > full.writes[id] {
 				return false
 			}
 		}
