@@ -116,15 +116,17 @@ func BenchmarkPartHKway(b *testing.B) {
 // snapshots it into BENCH_<n>.json, and the bench-smoke CI gate requires
 // warm < cold).
 //
-// cold: the from-scratch path PR 3-9 shipped — rebuild the clique
-// workload graph, run the full multilevel min-cut with the held solver,
-// relabel against the deployed assignment, and plan the migration.
+// Both arms build the window's hypergraph; they differ in the cut.
 //
-// warm: the steady-state path of ROADMAP item 5 — hypergraph build,
-// deployed placement projected onto the new graph, boundary-restricted
-// refinement in place of coarsen → bisect → uncoarsen, same relabel +
-// plan tail. FullCutEveryN / DriftCutThreshold are disabled so every
-// measured iteration is a genuine warm cycle. One warm cycle runs
+// cold: the from-scratch cycle — full multilevel connectivity cut with
+// the held solver, relabel against the deployed assignment, and plan the
+// migration.
+//
+// warm: the steady-state cycle — deployed placement projected onto the
+// new hypergraph, boundary-restricted refinement in place of coarsen →
+// bisect → uncoarsen, same relabel + plan tail. FullCutEveryN /
+// DriftCutThreshold are disabled so every measured iteration is a
+// genuine warm cycle. One warm cycle runs
 // untimed first: the first refinement after a deploy walks the whole
 // boundary down to a local optimum (the adapt experiment measures that
 // transient), while steady state re-refines an already-converged
@@ -181,12 +183,13 @@ func BenchmarkLiveRepartition(b *testing.B) {
 		b.ReportMetric(float64(last.PhaseRelabel.Milliseconds()), "relabel-ms")
 	}
 
+	base := live.RepartitionConfig{
+		K:     8,
+		Graph: graph.Options{Replication: true, Coalesce: true, Seed: 3},
+		Metis: metis.Options{Seed: 7},
+	}
 	b.Run("cold", func(b *testing.B) {
-		cfg := live.RepartitionConfig{
-			K:     8,
-			Graph: graph.Options{Replication: true, Coalesce: true, Seed: 3},
-			Metis: metis.Options{Seed: 7},
-		}
+		cfg := base
 		prior := deploy(b, cfg)
 		cfg.Metis.Seed = 8
 		rep, err := live.NewRepartitioner(cfg)
@@ -196,12 +199,7 @@ func BenchmarkLiveRepartition(b *testing.B) {
 		measure(b, rep, prior, live.ModeFull)
 	})
 	b.Run("warm", func(b *testing.B) {
-		cfg := live.RepartitionConfig{
-			K:     8,
-			Graph: graph.Options{Replication: true, Coalesce: true, Seed: 3},
-			Metis: metis.Options{Seed: 7},
-			Hyper: true,
-		}
+		cfg := base
 		prior := deploy(b, cfg)
 		cfg.Metis.Seed = 8
 		cfg.WarmStart = true

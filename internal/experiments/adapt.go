@@ -114,7 +114,7 @@ func adaptChunks(tr *workload.Trace, n int) []*workload.Trace {
 // both arms.
 func adaptRun(sc driftScenario, warm bool, chunks int) (AdaptRun, error) {
 	cfg := live.RepartitionConfig{
-		K: sc.k, Graph: sc.gopts, Metis: sc.mopts, Hyper: true,
+		K: sc.k, Graph: sc.gopts, Metis: sc.mopts,
 		WarmStart: warm,
 		// A tight backstop: refine-only cycles can wedge in a local minimum
 		// the drift ratio cannot see (it is relative to the deployed
@@ -176,9 +176,7 @@ func adaptRun(sc driftScenario, warm bool, chunks int) (AdaptRun, error) {
 	}
 	out.FinalDist = live.ScoreWindow(sc.shiftedTr, sc.k, locate).Distributed
 
-	offrep, err := live.NewRepartitioner(live.RepartitionConfig{
-		K: sc.k, Graph: sc.gopts, Metis: sc.mopts, Hyper: true,
-	})
+	offrep, err := live.NewRepartitioner(live.RepartitionConfig{K: sc.k, Graph: sc.gopts, Metis: sc.mopts})
 	if err != nil {
 		return AdaptRun{}, err
 	}

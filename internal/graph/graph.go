@@ -108,12 +108,14 @@ type Node struct {
 // Graph is the built workload graph plus the metadata needed to translate a
 // node partitioning back into a tuple placement.
 type Graph struct {
-	// CSR is the clique/star partitioner input; nil for hypergraph
-	// builds (BuildHyper), which fill HG instead.
+	// CSR is the clique/star partitioner input Build fills: what the
+	// offline pipeline cuts by default and the hypergraph's differential
+	// oracle. Nil for hypergraph builds (BuildHyper).
 	CSR *metis.Graph
-	// HG is the hypergraph partitioner input: one net per transaction
-	// over its distinct group nodes, plus 2-pin replication nets. Nil
-	// for clique/star builds (Build).
+	// HG is the hypergraph partitioner input BuildHyper fills: one net
+	// per transaction over its distinct group nodes, plus replication
+	// nets. Every live cycle cuts it and ProjectLabels walks it. Nil for
+	// clique/star builds (Build).
 	HG *metis.HGraph
 	// Nodes maps node id -> provenance.
 	Nodes []Node

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"schism/internal/workload"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -49,14 +51,33 @@ func TestOptionsValidate(t *testing.T) {
 
 // TestBuildRejectsInvalidOptions checks both builders validate up front:
 // contradictory settings fail with the typed error instead of silently
-// producing a sample-dependent graph.
+// producing a sample-dependent graph, and BuildHyper — whose nets have no
+// edge shape to select — rejects StarEdges instead of ignoring it.
 func TestBuildRejectsInvalidOptions(t *testing.T) {
-	bad := Options{Coalesce: true, TupleSampleRate: 0.5}
-	var oe *OptionsError
-	if _, err := Build(bankTrace(), bad); !errors.As(err, &oe) {
-		t.Errorf("Build with contradictory options: err = %v, want *OptionsError", err)
-	}
-	if _, err := BuildHyper(bankTrace(), bad); !errors.As(err, &oe) {
-		t.Errorf("BuildHyper with contradictory options: err = %v, want *OptionsError", err)
+	contradictory := Options{Coalesce: true, TupleSampleRate: 0.5}
+	star := Options{TxnEdges: StarEdges}
+	for _, tc := range []struct {
+		name  string
+		build func(*workload.Trace, Options) (*Graph, error)
+		opts  Options
+		field string // "" means the options are valid for that builder
+	}{
+		{"Build/contradictory", Build, contradictory, "TupleSampleRate"},
+		{"BuildHyper/contradictory", BuildHyper, contradictory, "TupleSampleRate"},
+		{"Build/star", Build, star, ""},
+		{"BuildHyper/star", BuildHyper, star, "TxnEdges"},
+		{"BuildHyper/clique", BuildHyper, Options{TxnEdges: CliqueEdges}, ""},
+	} {
+		_, err := tc.build(bankTrace(), tc.opts)
+		if tc.field == "" {
+			if err != nil {
+				t.Errorf("%s: err = %v, want nil", tc.name, err)
+			}
+			continue
+		}
+		var oe *OptionsError
+		if !errors.As(err, &oe) || oe.Field != tc.field {
+			t.Errorf("%s: err = %v, want *OptionsError on %s", tc.name, err, tc.field)
+		}
 	}
 }

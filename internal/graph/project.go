@@ -2,9 +2,9 @@ package graph
 
 import "schism/internal/workload"
 
-// ProjectLabels projects a deployed tuple placement onto this graph's
-// node space, producing the initial assignment a warm-start refinement
-// cycle (metis.Solver.RefineKway/RefineHKway) starts from. locate returns
+// ProjectLabels projects a deployed tuple placement onto this
+// hypergraph's node space, producing the initial assignment a warm-start
+// refinement cycle (metis.Solver.RefineHKway) starts from. locate returns
 // the deployed replica set of a tuple, or nil/empty when the tuple was not
 // placed; labels outside [0, k) are ignored, so a placement produced for
 // a different k degrades gracefully to "unseen" instead of poisoning the
@@ -38,20 +38,23 @@ import "schism/internal/workload"
 //     projected node weight, ties to the lowest index.
 //
 // The result depends only on (g, k, locate) — never on map iteration or
-// GOMAXPROCS — and every label is in [0, k).
+// GOMAXPROCS — and every label is in [0, k). A graph without nets to walk
+// (built by Build, not BuildHyper) or k < 1 yields the empty slice, which
+// RefineHKway's length check rejects.
 func (g *Graph) ProjectLabels(k int, locate func(workload.TupleID) []int) []int32 {
+	h := g.HG
+	if h == nil || k < 1 {
+		return nil
+	}
 	n := g.NumNodes()
 	parts := make([]int32, n)
 	for i := range parts {
 		parts[i] = -1
 	}
-	if k < 1 {
-		return parts[:0]
-	}
 	pw := make([]int64, k)
 	assign := func(u, p int32) {
 		parts[u] = p
-		pw[p] += g.nodeWeight(u)
+		pw[p] += h.NodeWeight(u)
 	}
 
 	// Pass 1: deployed placement, per group. Exploded groups deployed on
@@ -111,21 +114,10 @@ func (g *Graph) ProjectLabels(k int, locate func(workload.TupleID) []int) []int3
 		for ri := int32(0); ri < g.accCount[d.gi]; ri++ {
 			u := base + 1 + ri
 			touched = touched[:0]
-			if g.HG != nil {
-				h := g.HG
-				for j := h.XNets[u]; j < h.XNets[u+1]; j++ {
-					e := h.Nets[j]
-					for pj := h.XPins[e]; pj < h.XPins[e+1]; pj++ {
-						v := h.Pins[pj]
-						if (v < base || v >= end) && parts[v] >= 0 {
-							vote(parts[v])
-						}
-					}
-				}
-			} else {
-				c := g.CSR
-				for j := c.XAdj[u]; j < c.XAdj[u+1]; j++ {
-					v := c.Adj[j]
+			for j := h.XNets[u]; j < h.XNets[u+1]; j++ {
+				e := h.Nets[j]
+				for pj := h.XPins[e]; pj < h.XPins[e+1]; pj++ {
+					v := h.Pins[pj]
 					if (v < base || v >= end) && parts[v] >= 0 {
 						vote(parts[v])
 					}
@@ -153,20 +145,10 @@ func (g *Graph) ProjectLabels(k int, locate func(workload.TupleID) []int) []int3
 			continue
 		}
 		touched = touched[:0]
-		if g.HG != nil {
-			h := g.HG
-			for j := h.XNets[u]; j < h.XNets[u+1]; j++ {
-				e := h.Nets[j]
-				for pj := h.XPins[e]; pj < h.XPins[e+1]; pj++ {
-					if v := h.Pins[pj]; v != u && parts[v] >= 0 {
-						vote(parts[v])
-					}
-				}
-			}
-		} else {
-			c := g.CSR
-			for j := c.XAdj[u]; j < c.XAdj[u+1]; j++ {
-				if v := c.Adj[j]; parts[v] >= 0 {
+		for j := h.XNets[u]; j < h.XNets[u+1]; j++ {
+			e := h.Nets[j]
+			for pj := h.XPins[e]; pj < h.XPins[e+1]; pj++ {
+				if v := h.Pins[pj]; v != u && parts[v] >= 0 {
 					vote(parts[v])
 				}
 			}
@@ -205,12 +187,4 @@ func locateSet(locate func(workload.TupleID) []int, id workload.TupleID) []int {
 		return nil
 	}
 	return locate(id)
-}
-
-// nodeWeight returns node u's balance weight under either representation.
-func (g *Graph) nodeWeight(u int32) int64 {
-	if g.HG != nil {
-		return g.HG.NodeWeight(u)
-	}
-	return g.CSR.NodeWeight(u)
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"schism/internal/metis"
 	"schism/internal/workload"
 )
 
@@ -16,7 +17,7 @@ func locateFrom(m map[workload.TupleID][]int) func(workload.TupleID) []int {
 }
 
 func TestProjectLabelsDeployedPlacement(t *testing.T) {
-	g := mustBuild(Build(bankTrace(), Options{}))
+	g := mustBuild(BuildHyper(bankTrace(), Options{}))
 	deployed := map[workload.TupleID][]int{
 		acct(1): {0}, acct(2): {0}, acct(3): {1}, acct(4): {1}, acct(5): {1},
 	}
@@ -30,7 +31,7 @@ func TestProjectLabelsDeployedPlacement(t *testing.T) {
 }
 
 func TestProjectLabelsSpreadsReplicaSets(t *testing.T) {
-	g := mustBuild(Build(bankTrace(), Options{Replication: true}))
+	g := mustBuild(BuildHyper(bankTrace(), Options{Replication: true}))
 	id1 := acct(1)
 	deployed := map[workload.TupleID][]int{
 		id1: {0, 2}, acct(2): {1}, acct(3): {1}, acct(4): {1}, acct(5): {1},
@@ -51,7 +52,7 @@ func TestProjectLabelsSpreadsReplicaSets(t *testing.T) {
 }
 
 func TestProjectLabelsPluralityNeighborFallback(t *testing.T) {
-	g := mustBuild(Build(bankTrace(), Options{}))
+	g := mustBuild(BuildHyper(bankTrace(), Options{}))
 	// Tuple 5 is unseen; its neighbours (via T1: {1,2,4}, via T3: {2})
 	// all sit on partition 1, so it must land there.
 	deployed := map[workload.TupleID][]int{
@@ -65,7 +66,7 @@ func TestProjectLabelsPluralityNeighborFallback(t *testing.T) {
 }
 
 func TestProjectLabelsIgnoresOutOfRangeAndEmpty(t *testing.T) {
-	g := mustBuild(Build(bankTrace(), Options{}))
+	g := mustBuild(BuildHyper(bankTrace(), Options{}))
 	// The deployed placement was computed for k=4; projecting onto k=2
 	// must treat labels >= 2 as unseen rather than crash or clamp.
 	deployed := map[workload.TupleID][]int{
@@ -92,7 +93,7 @@ func TestProjectLabelsIgnoresOutOfRangeAndEmpty(t *testing.T) {
 }
 
 func TestProjectLabelsNilLocate(t *testing.T) {
-	g := mustBuild(Build(bankTrace(), Options{}))
+	g := mustBuild(BuildHyper(bankTrace(), Options{}))
 	parts := g.ProjectLabels(2, nil)
 	for u, p := range parts {
 		if p < 0 || p >= 2 {
@@ -101,33 +102,35 @@ func TestProjectLabelsNilLocate(t *testing.T) {
 	}
 }
 
-// TestProjectLabelsDeterministicAcrossRepresentations pins determinism:
-// equal inputs give byte-identical projections, and the hypergraph and
-// clique builds of the same trace agree on pass-1 (deployed) labels.
-func TestProjectLabelsDeterministicAcrossRepresentations(t *testing.T) {
+// TestProjectLabelsDeterministic pins determinism — equal inputs give
+// byte-identical projections carrying the deployed labels — and the
+// rejection of a graph with no nets to walk: a clique build projects to
+// the empty slice, which RefineHKway's length check refuses.
+func TestProjectLabelsDeterministic(t *testing.T) {
 	deployed := map[workload.TupleID][]int{
 		acct(1): {0}, acct(2): {1}, acct(4): {1},
 	}
-	g := mustBuild(Build(bankTrace(), Options{}))
-	a := g.ProjectLabels(2, locateFrom(deployed))
-	b := g.ProjectLabels(2, locateFrom(deployed))
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("ProjectLabels not deterministic on the clique build")
-	}
 	h := mustBuild(BuildHyper(bankTrace(), Options{}))
-	ha := h.ProjectLabels(2, locateFrom(deployed))
-	hb := h.ProjectLabels(2, locateFrom(deployed))
-	if !reflect.DeepEqual(ha, hb) {
+	a := h.ProjectLabels(2, locateFrom(deployed))
+	b := h.ProjectLabels(2, locateFrom(deployed))
+	if len(a) != h.NumNodes() || !reflect.DeepEqual(a, b) {
 		t.Fatal("ProjectLabels not deterministic on the hypergraph build")
 	}
 	for id, want := range deployed {
-		gi := groupOf(g, id)
-		if got := a[g.groupBase[gi]]; int(got) != want[0] {
-			t.Errorf("clique: tuple %v projected to %d, want %d", id, got, want[0])
+		if got := a[h.groupBase[groupOf(h, id)]]; int(got) != want[0] {
+			t.Errorf("tuple %v projected to %d, want %d", id, got, want[0])
 		}
-		hgi := groupOf(h, id)
-		if got := ha[h.groupBase[hgi]]; int(got) != want[0] {
-			t.Errorf("hyper: tuple %v projected to %d, want %d", id, got, want[0])
-		}
+	}
+
+	g := mustBuild(Build(bankTrace(), Options{}))
+	parts := g.ProjectLabels(2, locateFrom(deployed))
+	if len(parts) != 0 {
+		t.Errorf("clique build projected to %d labels, want none", len(parts))
+	}
+	if _, err := metis.NewSolver().RefineHKway(h.HG, 2, parts, metis.Options{}); err == nil {
+		t.Error("RefineHKway accepted the clique build's empty projection")
+	}
+	if parts := h.ProjectLabels(0, locateFrom(deployed)); len(parts) != 0 {
+		t.Errorf("k=0 projected to %d labels, want none", len(parts))
 	}
 }

@@ -63,7 +63,8 @@ type Adaptation struct {
 	// Before and After score the deployment against the same window
 	// snapshot, pre- and post-adaptation.
 	Before, After Score
-	// EdgeCut is the fresh partitioning's cut.
+	// EdgeCut is the fresh partitioning's connectivity cost
+	// (Repartition.EdgeCut).
 	EdgeCut int64
 	// Diff and NaiveDiff are the movement with and without relabeling.
 	Diff, NaiveDiff partition.Diff

@@ -24,7 +24,7 @@ type driftRun struct {
 	adaptations  int
 }
 
-func runDriftScenario(t *testing.T, naive bool) driftRun {
+func runDriftScenario(t *testing.T) driftRun {
 	t.Helper()
 	const k = 4
 	gopts := graph.Options{Coalesce: true, Seed: 7}
@@ -51,7 +51,7 @@ func runDriftScenario(t *testing.T, naive bool) driftRun {
 		Detector: DetectorConfig{
 			MinWindow: 500, DistributedFloor: 0.05, DegradeFactor: 1.5, ImbalanceTrigger: -1,
 		},
-		Repartition: RepartitionConfig{Graph: gopts, Metis: mopts, NaiveLabels: naive},
+		Repartition: RepartitionConfig{Graph: gopts, Metis: mopts},
 	}, tables, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func locateOf(r *Repartition, k int) LocateFunc {
 }
 
 func TestControllerAdaptsToDrift(t *testing.T) {
-	run := runDriftScenario(t, false)
+	run := runDriftScenario(t)
 
 	// The shift must degrade the deployment markedly before adaptation...
 	if run.trigger.Distributed < 2*run.baseline.Distributed {
@@ -143,21 +143,9 @@ func TestControllerAdaptsToDrift(t *testing.T) {
 }
 
 func TestControllerDeterministic(t *testing.T) {
-	a := runDriftScenario(t, false)
-	b := runDriftScenario(t, false)
+	a := runDriftScenario(t)
+	b := runDriftScenario(t)
 	if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
 		t.Fatalf("same-seed runs differ:\n%+v\n%+v", a, b)
-	}
-}
-
-func TestControllerNaiveAblation(t *testing.T) {
-	// The naive run must still adapt — only with more movement. Its Diff
-	// equals its NaiveDiff by construction.
-	run := runDriftScenario(t, true)
-	if run.movedRelabel != run.movedNaive {
-		t.Fatalf("naive run should not relabel: %d vs %d", run.movedRelabel, run.movedNaive)
-	}
-	if run.after.Distributed > run.trigger.Distributed/2 {
-		t.Fatalf("naive adaptation did not restore: %+v", run)
 	}
 }

@@ -12,11 +12,13 @@
 //     against the live window via partition.EvaluateAssignmentsCompact and
 //     flags degradation of the distributed-transaction rate or of load
 //     balance;
-//   - a Repartitioner reruns graph construction and metis.PartKway over
-//     the window (holding one metis.Solver for allocation-free steady
-//     state) and relabels the fresh partitioning against the deployed one
-//     with a greedy max-weight part matching (partition.RelabelMap), so
-//     label churn — and therefore migration volume — is minimal;
+//   - a Repartitioner rebuilds the window's hypergraph (graph.BuildHyper)
+//     and cuts it with metis.PartHKway, or refines the projected deployed
+//     placement with RefineHKway on warm cycles (holding one metis.Solver
+//     for allocation-free steady state), and relabels the fresh
+//     partitioning against the deployed one with a greedy max-weight part
+//     matching (partition.RelabelMap), so label churn — and therefore
+//     migration volume — is minimal;
 //   - a migration Plan diffs old and new dense assignments into per-tuple
 //     move operations, and an Executor applies them through the cluster
 //     nodes in small locking transactions while traffic continues,

@@ -19,18 +19,11 @@ type RepartitionConfig struct {
 	Graph graph.Options
 	// Metis configures the partitioner.
 	Metis metis.Options
-	// Hyper selects the hypergraph-native representation (graph.BuildHyper
-	// + connectivity-metric partitioning) instead of the clique expansion;
-	// EdgeCut then reports the connectivity cost.
-	Hyper bool
-	// NaiveLabels disables the minimal-movement relabeling (ablation: use
-	// the partitioner's raw labels).
-	NaiveLabels bool
 	// WarmStart enables refine-only cycles: when a deployed placement
-	// exists, project it onto the new window's graph (graph.ProjectLabels)
-	// and run boundary-restricted refinement
-	// (metis.Solver.RefineKway/RefineHKway) instead of the full multilevel
-	// cut. Steady-state cycles then skip coarsening entirely.
+	// exists, project it onto the new window's hypergraph
+	// (graph.ProjectLabels) and run boundary-restricted refinement
+	// (metis.Solver.RefineHKway) instead of the full multilevel cut.
+	// Steady-state cycles then skip coarsening entirely.
 	WarmStart bool
 	// FullCutEveryN forces a periodic full multilevel cut after every N-1
 	// consecutive warm cycles, the backstop against refine-only runs
@@ -70,6 +63,11 @@ func (c RepartitionConfig) Validate() error {
 		return &ConfigError{Field: "K",
 			Reason: fmt.Sprintf("%d partitions (lookup.MaxPartitions is %d)", c.K, lookup.MaxPartitions)}
 	}
+	if c.Graph.TxnEdges == graph.StarEdges {
+		// What graph.BuildHyper would return on every cycle.
+		return &graph.OptionsError{Field: "TxnEdges",
+			Reason: "StarEdges: live cycles cut the hypergraph, which has no transaction edges"}
+	}
 	return c.Graph.Validate()
 }
 
@@ -96,9 +94,10 @@ const (
 
 // Repartition is the outcome of one incremental repartitioning run.
 type Repartition struct {
-	// Graph is the workload graph built from the window.
+	// Graph is the workload hypergraph built from the window (Graph.HG).
 	Graph *graph.Graph
-	// EdgeCut is the achieved min-cut.
+	// EdgeCut is the cut's connectivity cost Σ w(e)·(λ(e)−1) in
+	// graph.BuildHyper's net weights, where a transaction net weighs 64.
 	EdgeCut int64
 	// Mode records whether this cycle ran the full multilevel cut or a
 	// warm-start refinement, and Drift echoes the drift measurement the
@@ -109,8 +108,8 @@ type Repartition struct {
 	// (relabeled) replica set of Tuples[i].
 	Tuples      []workload.TupleID
 	Assignments [][]int
-	// Perm is the applied new→old label permutation (identity under
-	// NaiveLabels).
+	// Perm is the applied new→old label permutation (identity when there
+	// is no deployed placement to relabel against).
 	Perm []int
 	// Cycle is this run's index in the repartitioner's lifetime, and
 	// SampleSeed the sampling seed derived from it: cycleSeed(base, Cycle).
@@ -194,7 +193,7 @@ func (r *Repartitioner) chooseMode(locate LocateFunc, drift float64) CycleMode {
 	return ModeWarm
 }
 
-// Repartition builds the workload graph for a window snapshot, min-cut
+// Repartition builds the workload hypergraph for a window snapshot, min-cut
 // partitions it, and relabels the result against the deployed placement
 // (locate; may be nil when there is none) so that the fewest tuples move.
 // It always takes the full-cut path for drift purposes; callers with a
@@ -214,13 +213,7 @@ func (r *Repartitioner) RepartitionDrift(tr *workload.Trace, locate LocateFunc, 
 	gopts.Seed = cycleSeed(gopts.Seed, cycle)
 
 	phase := time.Now()
-	var g *graph.Graph
-	var err error
-	if r.cfg.Hyper {
-		g, err = graph.BuildHyper(tr, gopts)
-	} else {
-		g, err = graph.Build(tr, gopts)
-	}
+	g, err := graph.BuildHyper(tr, gopts)
 	if err != nil {
 		return nil, err
 	}
@@ -232,17 +225,9 @@ func (r *Repartitioner) RepartitionDrift(tr *workload.Trace, locate LocateFunc, 
 	var cut int64
 	if mode == ModeWarm {
 		parts = g.ProjectLabels(r.cfg.K, locate)
-		if r.cfg.Hyper {
-			cut, err = r.solver.RefineHKway(g.HG, r.cfg.K, parts, r.cfg.Metis)
-		} else {
-			cut, err = r.solver.RefineKway(g.CSR, r.cfg.K, parts, r.cfg.Metis)
-		}
+		cut, err = r.solver.RefineHKway(g.HG, r.cfg.K, parts, r.cfg.Metis)
 	} else {
-		if r.cfg.Hyper {
-			parts, cut, err = r.solver.PartHKway(g.HG, r.cfg.K, r.cfg.Metis)
-		} else {
-			parts, cut, err = r.solver.PartKway(g.CSR, r.cfg.K, r.cfg.Metis)
-		}
+		parts, cut, err = r.solver.PartHKway(g.HG, r.cfg.K, r.cfg.Metis)
 	}
 	if err != nil {
 		return nil, err
@@ -269,7 +254,7 @@ func (r *Repartitioner) RepartitionDrift(tr *workload.Trace, locate LocateFunc, 
 
 	phase = time.Now()
 	perm := identityPerm(r.cfg.K)
-	if !r.cfg.NaiveLabels && locate != nil {
+	if locate != nil {
 		perm = partition.RelabelMap(oldSets, newSets, r.cfg.K)
 	}
 	if isIdentityPerm(perm) {

@@ -57,10 +57,7 @@ func TestRepartitionCycleSeedDeterminism(t *testing.T) {
 			t.Fatalf("cycle %d: sample seeds differ across repartitioners", c)
 		}
 		ga, gb := a[c].Graph, b[c].Graph
-		if !reflect.DeepEqual(ga.CSR.XAdj, gb.CSR.XAdj) ||
-			!reflect.DeepEqual(ga.CSR.Adj, gb.CSR.Adj) ||
-			!reflect.DeepEqual(ga.CSR.EWgt, gb.CSR.EWgt) ||
-			!reflect.DeepEqual(ga.CSR.NWgt, gb.CSR.NWgt) {
+		if !reflect.DeepEqual(ga.HG, gb.HG) {
 			t.Fatalf("cycle %d: sampled graphs differ across fresh repartitioners", c)
 		}
 		if !reflect.DeepEqual(a[c].Assignments, b[c].Assignments) {
@@ -73,13 +70,13 @@ func TestRepartitionCycleSeedDeterminism(t *testing.T) {
 		t.Fatal("cycles 0 and 1 derived the same sampling seed")
 	}
 	if a[0].Graph.NumEdges() == a[1].Graph.NumEdges() &&
-		reflect.DeepEqual(a[0].Graph.CSR.Adj, a[1].Graph.CSR.Adj) {
+		reflect.DeepEqual(a[0].Graph.HG.Pins, a[1].Graph.HG.Pins) {
 		t.Fatal("cycles 0 and 1 produced identical sampled graphs; sampling is not cycle-dependent")
 	}
 }
 
-// TestRepartitionHyper checks the hypergraph-native path end to end:
-// same window, Hyper config, valid placement covering every tuple.
+// TestRepartitionHyper checks the hypergraph-native path end to end with
+// replication on: same window, valid placement covering every tuple.
 func TestRepartitionHyper(t *testing.T) {
 	w := workloads.YCSBGroups(workloads.YCSBGroupsConfig{
 		Rows: 1600, GroupSize: 4, Txns: 2000, Seed: 1,
@@ -88,14 +85,13 @@ func TestRepartitionHyper(t *testing.T) {
 		K:     4,
 		Graph: graph.Options{Coalesce: true, Replication: true, Seed: 9},
 		Metis: metis.Options{Seed: 7},
-		Hyper: true,
 	}
 	res, err := mustRep(t, cfg).Repartition(w.Trace, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Graph.HG == nil {
-		t.Fatal("Hyper repartition built no hypergraph")
+		t.Fatal("repartition built no hypergraph")
 	}
 	if len(res.Tuples) != len(res.Assignments) {
 		t.Fatalf("placement covers %d tuples with %d assignments", len(res.Tuples), len(res.Assignments))

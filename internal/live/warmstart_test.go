@@ -28,7 +28,6 @@ func TestWarmRepartitionDeterministic(t *testing.T) {
 		K:     4,
 		Graph: graph.Options{Coalesce: true, Seed: 9},
 		Metis: metis.Options{Seed: 7},
-		Hyper: true,
 		// Force every post-deployment cycle down the warm path.
 		WarmStart: true, FullCutEveryN: -1, DriftCutThreshold: -1,
 	}
@@ -106,7 +105,6 @@ func TestDriftEscapeFullCut(t *testing.T) {
 		K:     k,
 		Graph: graph.Options{Coalesce: true, Seed: 7},
 		Metis: metis.Options{Seed: 7},
-		Hyper: true,
 		// Defaults: FullCutEveryN 16, DriftCutThreshold 3.
 		WarmStart: true,
 	}
@@ -137,7 +135,7 @@ func TestDriftEscapeFullCut(t *testing.T) {
 	}
 
 	scratch, err := mustRep(t, RepartitionConfig{
-		K: k, Graph: cfg.Graph, Metis: cfg.Metis, Hyper: true,
+		K: k, Graph: cfg.Graph, Metis: cfg.Metis,
 	}).Repartition(phaseB.Trace, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -235,18 +233,6 @@ func TestRepartitionDiffSinglePass(t *testing.T) {
 		t.Fatalf("relabeling saved too little on a rotated deployment: moved %d vs naive %d",
 			res.Diff.Moved, res.NaiveDiff.Moved)
 	}
-
-	// The NaiveLabels ablation takes the identity shortcut: one diff, two
-	// names.
-	ncfg := cfg
-	ncfg.NaiveLabels = true
-	nres, err := mustRep(t, ncfg).Repartition(w.Trace, locate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(nres.Diff, nres.NaiveDiff) {
-		t.Fatal("NaiveLabels run's Diff differs from its NaiveDiff")
-	}
 }
 
 // TestLocateFuncResolvesThroughInterner: the placement closure answers
@@ -320,5 +306,24 @@ func TestRepartitionConfigRejectsBadK(t *testing.T) {
 		if !errors.As(err, &ce) || ce.Field != "K" {
 			t.Fatalf("NewController(K=%d) error = %v, want *ConfigError on K", k, err)
 		}
+	}
+}
+
+// TestRepartitionConfigRejectsStarEdges: a live cycle cuts the
+// hypergraph, which has no transaction edges to shape, so StarEdges
+// fails at wiring time on both constructors with the graph package's
+// typed error instead of being ignored every cycle.
+func TestRepartitionConfigRejectsStarEdges(t *testing.T) {
+	star := graph.Options{TxnEdges: graph.StarEdges}
+	var oe *graph.OptionsError
+	if _, err := NewRepartitioner(RepartitionConfig{K: 4, Graph: star}); !errors.As(err, &oe) || oe.Field != "TxnEdges" {
+		t.Fatalf("NewRepartitioner(StarEdges) error = %v, want *graph.OptionsError on TxnEdges", err)
+	}
+	oe = nil
+	if _, err := NewController(Config{K: 4, Repartition: RepartitionConfig{Graph: star}}, nil, nil); !errors.As(err, &oe) || oe.Field != "TxnEdges" {
+		t.Fatalf("NewController(StarEdges) error = %v, want *graph.OptionsError on TxnEdges", err)
+	}
+	if err := (RepartitionConfig{K: 4, Graph: graph.Options{TxnEdges: graph.CliqueEdges}}).Validate(); err != nil {
+		t.Fatalf("CliqueEdges (the zero value) rejected: %v", err)
 	}
 }

@@ -43,23 +43,10 @@ func (s *Solver) PartHKway(h *HGraph, k int, opts Options) ([]int32, int64, erro
 	opts = opts.withDefaults(k)
 	s.src.Seed(opts.Seed)
 
-	// Size the k-dependent scratch. conn must start all-zero: refinement
-	// maintains that invariant via sparse resets.
-	s.conn = growI64(s.conn, k)
-	for i := range s.conn {
-		s.conn[i] = 0
-	}
-	s.pw = growI64(s.pw, k)
-	s.maxPW = growI64(s.maxPW, k)
+	s.sizeRefineScratch(h.TotalNodeWeight(), k, opts.Imbalance)
 
 	numLevels := s.hcoarsen(h, opts.CoarsenTo)
 	coarsest := s.hlevelGraph(h, numLevels-1)
-
-	s.targets = growF64(s.targets, k)
-	targets := s.targets[:k]
-	for i := range targets {
-		targets[i] = 1.0 / float64(k)
-	}
 
 	cparts := parts
 	if numLevels > 1 {
@@ -71,17 +58,7 @@ func (s *Solver) PartHKway(h *HGraph, k int, opts Options) ([]int32, int64, erro
 	if err != nil {
 		return nil, 0, err
 	}
-	s.initialPartition(cg, k, targets, opts.Imbalance, cparts)
-
-	total := h.TotalNodeWeight()
-	maxPW := s.maxPW[:k]
-	for p := 0; p < k; p++ {
-		m := int64(float64(total) * targets[p] * opts.Imbalance)
-		if ceil := (total + int64(k) - 1) / int64(k); m < ceil {
-			m = ceil
-		}
-		maxPW[p] = m
-	}
+	s.initialPartition(cg, k, s.targets[:k], opts.Imbalance, cparts)
 
 	// Refine at the coarsest level, then project and refine at each finer
 	// level; balance caps are in total weight, invariant across levels.

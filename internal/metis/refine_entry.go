@@ -2,65 +2,28 @@ package metis
 
 import "fmt"
 
-// This file adds the warm-start entry points of the partitioner: refine
-// a caller-supplied k-way assignment without rebuilding the multilevel
-// hierarchy. live.Repartitioner, their one caller, seeds them by
-// projecting the deployed placement onto a fresh window's graph, so a
-// steady-state repartitioning cycle costs one boundary-restricted
+// This file adds the warm-start entry point of the partitioner: refine a
+// caller-supplied k-way assignment of a hypergraph without rebuilding the
+// multilevel hierarchy. live.Repartitioner, its one caller, seeds it by
+// projecting the deployed placement onto a fresh window's hypergraph, so
+// a steady-state repartitioning cycle costs one boundary-restricted
 // refinement pass instead of the full coarsen → bisect → uncoarsen
 // pipeline. The refinement machinery is exactly the finest-level half of
-// PartKway/PartHKway — seedRefinement, rebalance, and the boundary
-// worklist passes — so warm and cold cycles share every invariant and
-// differ only in where the initial labels come from.
+// PartHKway — hseedRefinement, hrebalance, and the λ−1 boundary passes —
+// so warm and cold cycles share every invariant and differ only in where
+// the initial labels come from.
 
-// RefineKway refines a caller-supplied assignment of g into k parts in
-// place: it seeds the boundary worklist from the cut edges of parts,
-// rebalances any partition over the Imbalance cap, and runs the same
-// boundary-restricted refinement passes PartKway runs at its finest
-// level. It returns the achieved edge cut. Every label must already be
-// in [0, k); out-of-range labels are an error, not clamped, because a
-// clamp would silently concentrate unknown nodes on partition 0.
+// RefineHKway refines a caller-supplied assignment of h into k parts in
+// place on the connectivity metric Σ w(e)·(λ(e)−1): it seeds the per-net
+// span state and boundary worklist from parts, rebalances any partition
+// over the Imbalance cap, and runs the same λ−1 boundary passes PartHKway
+// runs at its finest level. It returns the achieved connectivity cost.
+// Every label must already be in [0, k); out-of-range labels are an
+// error, not clamped, because a clamp would silently concentrate unknown
+// nodes on partition 0.
 //
-// Output depends only on (g, k, parts, opts) — never on Solver state or
-// GOMAXPROCS — and the refined assignment's cut is never worse than what
-// rebalancing the input to feasibility allows.
-func (s *Solver) RefineKway(g *Graph, k int, parts []int32, opts Options) (int64, error) {
-	n := g.NumNodes()
-	if err := checkRefineInput(n, k, parts); err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	if k == 1 {
-		for i := range parts {
-			parts[i] = 0
-		}
-		return 0, nil
-	}
-	opts = opts.withDefaults(k)
-	s.src.Seed(opts.Seed)
-	s.sizeRefineScratch(g.TotalNodeWeight(), k, opts.Imbalance)
-
-	s.seedRefinement(g, parts, k)
-	s.rebalance(g, parts, k)
-	if k == 2 {
-		s.fmRefine2(g, parts, opts.Passes)
-	} else {
-		s.kwayRefine(g, parts, k, opts.Passes)
-	}
-	var cut int64
-	for _, e := range s.ed[:n] {
-		cut += e
-	}
-	return cut / 2, nil
-}
-
-// RefineHKway is RefineKway's hypergraph twin: refine a caller-supplied
-// assignment of h into k parts in place on the connectivity metric
-// Σ w(e)·(λ(e)−1), using the per-net span state and λ−1 boundary passes
-// of PartHKway's finest level. It returns the achieved connectivity
-// cost. The same label-range and determinism contracts apply.
+// Output depends only on (h, k, parts, opts) — never on Solver state or
+// GOMAXPROCS.
 func (s *Solver) RefineHKway(h *HGraph, k int, parts []int32, opts Options) (int64, error) {
 	n := h.NumNodes()
 	if err := checkRefineInput(n, k, parts); err != nil {
@@ -91,7 +54,7 @@ func (s *Solver) RefineHKway(h *HGraph, k int, parts []int32, opts Options) (int
 	return cost, nil
 }
 
-// checkRefineInput validates the shared warm-start preconditions.
+// checkRefineInput validates the warm-start preconditions.
 func checkRefineInput(n, k int, parts []int32) error {
 	if k < 1 {
 		return fmt.Errorf("metis: k must be >= 1, got %d", k)
@@ -111,8 +74,8 @@ func checkRefineInput(n, k int, parts []int32) error {
 }
 
 // sizeRefineScratch sizes the k-dependent refinement scratch and fills
-// the balance caps, mirroring the setup PartKway/PartHKway perform
-// before their own refinement. conn must start all-zero: refinement
+// the uniform targets and balance caps for PartHKway and RefineHKway
+// (PartKway does the same inline). conn must start all-zero: refinement
 // maintains that invariant via sparse resets.
 func (s *Solver) sizeRefineScratch(total int64, k int, imbalance float64) {
 	s.conn = growI64(s.conn, k)

@@ -10,11 +10,11 @@
 # trace's hypergraph — both record the shared %distributed quality
 # metric so the two pipelines stay directly comparable PR over PR), the
 # live incremental-repartitioning cycle
-# (BenchmarkLiveRepartition/{cold,warm}: the from-scratch clique
-# pipeline vs the PR-10 warm-start cycle — hypergraph build plus
-# refine-only from the projected deployed placement; the script FAILS
-# unless warm ns/op is strictly below cold, the same gate the
-# bench-smoke CI job applies), the explanation-phase decision-tree trainer
+# (BenchmarkLiveRepartition/{cold,warm}: both build the window's
+# hypergraph; cold runs the full multilevel cut, warm refines the
+# projected deployed placement; the script FAILS unless warm ns/op is
+# strictly below cold, the same gate the bench-smoke CI job applies),
+# the explanation-phase decision-tree trainer
 # (BenchmarkExplain: columnar vs the seed implementation), the routing
 # hot path (BenchmarkRouterLocate: HashIndex vs the compressed Compact /
 # Runs representations, with per-table memory as table-bytes), the
