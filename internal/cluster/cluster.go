@@ -351,7 +351,7 @@ func SplitDatabase(src *storage.Database, strat partition.Strategy, node int) *s
 		st := src.Table(tn)
 		schema := *st.Schema
 		tbl := db.MustCreateTable(&schema)
-		st.ScanAll(func(key int64, row storage.Row) bool {
+		st.ViewAll(func(key int64, row storage.Row) bool {
 			id := workload.TupleID{Table: tn, Key: key}
 			parts := strat.Locate(id, storage.RowView{Schema: st.Schema, Data: row})
 			if len(parts) == 0 {
@@ -359,7 +359,7 @@ func SplitDatabase(src *storage.Database, strat partition.Strategy, node int) *s
 			}
 			for _, p := range parts {
 				if p == node {
-					if err := tbl.Insert(row.Clone()); err != nil {
+					if err := tbl.Insert(row); err != nil {
 						panic(err)
 					}
 					break

@@ -62,7 +62,7 @@ func (n *Node) candidates(tbl *storage.Table, pl *plan, where sqlparse.Expr) []i
 				continue
 			}
 			lo, hi := keyRange(c)
-			tbl.Scan(lo, hi, func(k int64, _ storage.Row) bool {
+			tbl.ScanKeys(lo, hi, func(k int64) bool {
 				keys = append(keys, k)
 				return true
 			})
@@ -78,7 +78,7 @@ func (n *Node) candidates(tbl *storage.Table, pl *plan, where sqlparse.Expr) []i
 	}
 	// Full scan: pre-filter with the predicate to avoid locking everything.
 	schema := tbl.Schema
-	tbl.ScanAll(func(k int64, row storage.Row) bool {
+	tbl.ViewAll(func(k int64, row storage.Row) bool {
 		if evalRow(where, pl.args, schema, row) {
 			keys = append(keys, k)
 		}
@@ -224,13 +224,16 @@ func (n *Node) execUpdate(ts txn.TS, st *txnState, pl *plan, s *sqlparse.Update,
 			return response{err: err}
 		}
 		n.latch.Lock()
+		// row is the one copy made per updated tuple: the before-image the
+		// WAL encodes and the undo chain keeps. The new values are built in
+		// the node's scratch row and written over the stored ones in place.
 		row, ok := tbl.Get(k)
 		if !ok || !evalRow(s.Where, pl.args, tbl.Schema, row) {
 			n.latch.Unlock()
 			continue
 		}
-		newRow := row.Clone()
-		if err := applySet(s.Set, pl.args, tbl.Schema, newRow); err != nil {
+		n.rowBuf = append(n.rowBuf[:0], row...)
+		if err := applySet(s.Set, pl.args, tbl.Schema, n.rowBuf); err != nil {
 			n.latch.Unlock()
 			return response{err: err}
 		}
@@ -238,7 +241,7 @@ func (n *Node) execUpdate(ts txn.TS, st *txnState, pl *plan, s *sqlparse.Update,
 		// changes, or a crash between the two could lose the undo.
 		n.wal.AppendUpdate(uint64(ts), s.Table, k, row, true)
 		st.undo = append(st.undo, undoRec{table: s.Table, key: k, oldRow: row})
-		if err := tbl.Update(k, newRow); err != nil {
+		if err := tbl.Update(k, n.rowBuf); err != nil {
 			n.latch.Unlock()
 			return response{err: err}
 		}
@@ -292,15 +295,16 @@ func (n *Node) execInsert(ts txn.TS, st *txnState, pl *plan, s *sqlparse.Insert,
 		return response{err: fmt.Errorf("cluster: no table %q", s.Table)}
 	}
 	schema := tbl.Schema
-	row := make(storage.Row, len(schema.Columns))
+	// The row lock comes before the latch and needs the key, so the key is
+	// bound first; the row is then built under the latch in the node's
+	// scratch row, and Insert's write into the leaf is its only copy.
+	var keyVal datum.D
 	for i, col := range s.Cols {
-		ci := schema.ColIndex(col)
-		if ci < 0 {
-			return response{err: fmt.Errorf("cluster: no column %q", col)}
+		if col == schema.Key {
+			keyVal = sqlparse.BindValue(s.Values[i], pl.args)
 		}
-		row[ci] = sqlparse.BindValue(s.Values[i], pl.args)
 	}
-	key, ok := row[schema.KeyIndex()].AsInt()
+	key, ok := keyVal.AsInt()
 	if !ok {
 		return response{err: fmt.Errorf("cluster: INSERT without integer key")}
 	}
@@ -309,6 +313,15 @@ func (n *Node) execInsert(ts txn.TS, st *txnState, pl *plan, s *sqlparse.Insert,
 	}
 	n.latch.Lock()
 	defer n.latch.Unlock()
+	row := append(n.rowBuf[:0], make(storage.Row, len(schema.Columns))...)
+	n.rowBuf = row
+	for i, col := range s.Cols {
+		ci := schema.ColIndex(col)
+		if ci < 0 {
+			return response{err: fmt.Errorf("cluster: no column %q", col)}
+		}
+		row[ci] = sqlparse.BindValue(s.Values[i], pl.args)
+	}
 	if err := tbl.Insert(row); err != nil {
 		// No WAL record for a failed insert: logging one first would make
 		// recovery delete the pre-existing row that caused the conflict.

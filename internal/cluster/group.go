@@ -270,7 +270,7 @@ func (gr *groupRuntime) applyRedo(redo []repl.Mutation) {
 			continue
 		}
 		row := storage.Row(m.Row)
-		if _, ok := tbl.Get(m.Key); ok {
+		if tbl.Has(m.Key) {
 			if err := tbl.Update(m.Key, row); err != nil {
 				panic("cluster: redo update failed: " + err.Error())
 			}
@@ -328,17 +328,20 @@ func (gr *groupRuntime) Snapshot() []byte {
 	for _, tn := range n.db.TableNames() {
 		tbl := n.db.Table(tn)
 		ov := override[tn]
+		// One block holds the table's rows: the scan shows each in its
+		// scratch row, and the image keeps the block's sub-slices.
+		ncols := len(tbl.Schema.Columns)
+		flat := make([]datum.D, 0, tbl.Len()*ncols)
 		rows := make([][]datum.D, 0, tbl.Len())
-		tbl.ScanAll(func(key int64, row storage.Row) bool {
-			if ov != nil {
-				if old, hit := ov[key]; hit {
-					if old == nil {
-						return true // inserted by an in-flight txn: not committed state
-					}
-					row = old
+		tbl.ViewAll(func(key int64, row storage.Row) bool {
+			if old, hit := ov[key]; hit {
+				if old == nil {
+					return true // inserted by an in-flight txn: not committed state
 				}
+				row = old
 			}
-			rows = append(rows, append([]datum.D(nil), row...))
+			flat = append(flat, row...)
+			rows = append(rows, flat[len(flat)-ncols:len(flat):len(flat)])
 			return true
 		})
 		// Keys deleted by an in-flight transaction still exist in the
@@ -347,7 +350,7 @@ func (gr *groupRuntime) Snapshot() []byte {
 			if old == nil {
 				continue
 			}
-			if _, live := tbl.Get(key); !live {
+			if !tbl.Has(key) {
 				rows = append(rows, append([]datum.D(nil), old...))
 			}
 		}
@@ -388,8 +391,8 @@ func (gr *groupRuntime) Restore(snap []byte) {
 	n.latch.Lock()
 	for _, tn := range n.db.TableNames() {
 		tbl := n.db.Table(tn)
-		var keys []int64
-		tbl.ScanAll(func(key int64, _ storage.Row) bool {
+		keys := make([]int64, 0, tbl.Len())
+		tbl.ScanAllKeys(func(key int64) bool {
 			keys = append(keys, key)
 			return true
 		})

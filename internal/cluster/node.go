@@ -9,7 +9,6 @@ import (
 
 	"schism/internal/cluster/repl"
 	"schism/internal/cluster/wal"
-	"schism/internal/datum"
 	"schism/internal/obs"
 	"schism/internal/sqlparse"
 	"schism/internal/storage"
@@ -102,6 +101,10 @@ type Node struct {
 	db    *storage.Database
 	locks *txn.LockManager
 	latch sync.RWMutex // protects tree/index structure; row locks protect data
+	// rowBuf is where execUpdate and execInsert build the row they are
+	// about to write (storage copies it in); used only with latch
+	// write-held.
+	rowBuf storage.Row
 
 	wal   *wal.Log
 	hooks *hookSlot
@@ -505,7 +508,7 @@ func (n *Node) buildRedoLocked(undo []undoRec) []repl.Mutation {
 		m := repl.Mutation{Table: u.table, Key: u.key}
 		if tbl := n.db.Table(u.table); tbl != nil {
 			if row, ok := tbl.Get(u.key); ok {
-				m.Row = append([]datum.D(nil), row...)
+				m.Row = row
 			}
 		}
 		redo = append(redo, m)
@@ -777,7 +780,7 @@ func (n *Node) applyUndo(undo []undoRec) {
 		}
 		if u.oldRow == nil {
 			tbl.Delete(u.key)
-		} else if _, ok := tbl.Get(u.key); ok {
+		} else if tbl.Has(u.key) {
 			if err := tbl.Update(u.key, u.oldRow); err != nil {
 				panic("cluster: undo failed: " + err.Error())
 			}

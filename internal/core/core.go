@@ -434,7 +434,7 @@ func buildLookup(tuples []workload.TupleID, dense [][]int, k int, in Input, read
 	all := allParts(k)
 	for _, name := range in.DB.TableNames() {
 		t := router.Table(name)
-		in.DB.Table(name).ScanAll(func(key int64, _ storage.Row) bool {
+		in.DB.Table(name).ScanAllKeys(func(key int64) bool {
 			if _, ok := t.Locate(key); !ok {
 				if readMostly {
 					t.Set(key, all)

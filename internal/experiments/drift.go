@@ -325,9 +325,9 @@ func runDriftClusterScenario(sc driftScenario) (DriftCluster, error) {
 		for _, tn := range sc.db.TableNames() {
 			schema := *schemas[tn]
 			tbl := db.MustCreateTable(&schema)
-			sc.db.Table(tn).ScanAll(func(key int64, row storage.Row) bool {
+			sc.db.Table(tn).ViewAll(func(key int64, row storage.Row) bool {
 				if parts, ok := tables[tn].Locate(key); ok && slices.Contains(parts, node) {
-					if err := tbl.Insert(row.Clone()); err != nil {
+					if err := tbl.Insert(row); err != nil {
 						panic(err)
 					}
 				}

@@ -23,7 +23,7 @@ func DeployLookup(db *storage.Database, k int, keyCols map[string]string, locate
 	sync := make(map[string]*SyncTable)
 	for _, name := range db.TableNames() {
 		t := lookup.NewCompact()
-		db.Table(name).ScanAll(func(key int64, _ storage.Row) bool {
+		db.Table(name).ScanAllKeys(func(key int64) bool {
 			id := workload.TupleID{Table: name, Key: key}
 			parts := locate(id)
 			if len(parts) == 0 {

@@ -74,16 +74,15 @@ func (db *Database) SizeBytes() int64 {
 // own copy of replicated tables, and to reset state between experiments).
 func (db *Database) Clone() *Database {
 	out := NewDatabase()
-	for name, t := range db.tables {
+	for _, t := range db.tables {
 		schema := *t.Schema
 		nt := out.MustCreateTable(&schema)
-		t.ScanAll(func(_ int64, row Row) bool {
+		t.ViewAll(func(_ int64, row Row) bool {
 			if err := nt.Insert(row); err != nil {
 				panic(err)
 			}
 			return true
 		})
-		_ = name
 	}
 	return out
 }

@@ -217,7 +217,7 @@ func TestDatabaseClone(t *testing.T) {
 func TestBTreeMatchesMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tree := newBTree()
+		tree := newBTree(1)
 		ref := make(map[int64]float64)
 		for op := 0; op < 3000; op++ {
 			k := rng.Int63n(500)
@@ -239,21 +239,22 @@ func TestBTreeMatchesMap(t *testing.T) {
 			return false
 		}
 		for k, v := range ref {
-			r, ok := tree.get(k)
-			if !ok || r[0].F != v {
+			l, i, ok := tree.find(k)
+			if !ok || tree.col(l, i, 0).F != v {
 				return false
 			}
 		}
 		// Order check.
 		prev := int64(minInt64)
 		okOrder := true
-		tree.ascendAll(func(k int64, _ Row) bool {
-			if k <= prev {
-				okOrder = false
-				return false
+		tree.runs(minInt64, maxInt64, func(l *leaf, from, to int) bool {
+			for _, k := range l.keys[from:to] {
+				if k <= prev {
+					okOrder = false
+				}
+				prev = k
 			}
-			prev = k
-			return true
+			return okOrder
 		})
 		return okOrder
 	}
@@ -263,7 +264,7 @@ func TestBTreeMatchesMap(t *testing.T) {
 }
 
 func TestBTreeLargeSequential(t *testing.T) {
-	tree := newBTree()
+	tree := newBTree(1)
 	const n = 50000
 	for i := int64(0); i < n; i++ {
 		tree.set(i, Row{datum.NewInt(i)})
@@ -272,18 +273,18 @@ func TestBTreeLargeSequential(t *testing.T) {
 		t.Fatalf("Len = %d", tree.Len())
 	}
 	for _, k := range []int64{0, 1, n / 2, n - 1} {
-		if _, ok := tree.get(k); !ok {
+		if _, _, ok := tree.find(k); !ok {
 			t.Fatalf("missing key %d", k)
 		}
 	}
-	if _, ok := tree.get(n); ok {
+	if _, _, ok := tree.find(n); ok {
 		t.Fatal("phantom key")
 	}
 	// Ascending inserts (order ids) fill only the rightmost leaf, so every
 	// split's left half is final: it must not keep the arrays it overflowed.
 	slots := 0
 	for l := tree.findLeaf(minInt64); l != nil; l = l.next {
-		slots += max(cap(l.keys), cap(l.vals))
+		slots += max(cap(l.keys), cap(l.slab)/tree.stride)
 	}
 	if slots > n+n/4 {
 		t.Fatalf("leaves reserve %d slots for %d sequential keys", slots, n)
@@ -291,7 +292,7 @@ func TestBTreeLargeSequential(t *testing.T) {
 }
 
 func BenchmarkBTreeInsert(b *testing.B) {
-	tree := newBTree()
+	tree := newBTree(1)
 	r := Row{datum.NewInt(0)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -300,12 +301,12 @@ func BenchmarkBTreeInsert(b *testing.B) {
 }
 
 func BenchmarkBTreeGet(b *testing.B) {
-	tree := newBTree()
+	tree := newBTree(1)
 	for i := int64(0); i < 100000; i++ {
 		tree.set(i, Row{datum.NewInt(i)})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.get(int64(i) % 100000)
+		tree.find(int64(i) % 100000)
 	}
 }

@@ -77,14 +77,10 @@ func (s *TableSchema) KeyIndex() int { return s.keyIdx }
 // Row is one tuple's values, positionally matching the schema columns.
 type Row []datum.D
 
-// Clone copies the row (rows handed to callers must not alias storage).
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
-// Table is a B+tree-ordered heap of rows keyed by primary key.
+// Table is a B+tree-ordered heap of rows keyed by primary key. Rows are
+// stored packed in the tree's leaves (see leaf), not as Rows: writes copy
+// a Row's values in, reads build a Row from them, and no Row passed to or
+// returned from a Table aliases its storage.
 type Table struct {
 	Schema *TableSchema
 	tree   *btree
@@ -95,7 +91,7 @@ type Table struct {
 }
 
 func newTable(schema *TableSchema) *Table {
-	t := &Table{Schema: schema, tree: newBTree()}
+	t := &Table{Schema: schema, tree: newBTree(len(schema.Columns))}
 	if len(schema.Indexes) > 0 {
 		t.secondary = make(map[string]map[uint64][]int64, len(schema.Indexes))
 		for _, c := range schema.Indexes {
@@ -108,11 +104,14 @@ func newTable(schema *TableSchema) *Table {
 // Len returns the number of rows.
 func (t *Table) Len() int { return t.tree.Len() }
 
-// SizeBytes returns the approximate total size of stored rows.
+// SizeBytes returns the approximate total size of stored rows: the sum of
+// their values' datum.Size, the weight the partitioner balances — not the
+// bytes the packed representation occupies.
 func (t *Table) SizeBytes() int64 { return t.sizeBytes }
 
 // Insert adds a row; the key is taken from the row's key column. It fails
-// on duplicate keys or arity/type mismatch.
+// on a duplicate key, a row of the wrong arity or a non-numeric key; the
+// values' kinds are stored as given, not checked against the column types.
 func (t *Table) Insert(row Row) error {
 	if len(row) != len(t.Schema.Columns) {
 		return fmt.Errorf("storage: row arity %d != %d for %q", len(row), len(t.Schema.Columns), t.Schema.Name)
@@ -121,65 +120,137 @@ func (t *Table) Insert(row Row) error {
 	if !ok {
 		return fmt.Errorf("storage: non-integer key in %q", t.Schema.Name)
 	}
-	if _, exists := t.tree.get(key); exists {
+	if t.Has(key) {
 		return fmt.Errorf("storage: duplicate key %d in %q", key, t.Schema.Name)
 	}
-	r := row.Clone()
-	t.tree.set(key, r)
-	t.sizeBytes += rowSize(r)
-	t.indexAdd(key, r)
+	t.tree.set(key, row)
+	t.sizeBytes += rowSize(row)
+	for col, idx := range t.secondary {
+		h := datum.Hash(row[t.Schema.ColIndex(col)])
+		idx[h] = append(idx[h], key)
+	}
 	return nil
+}
+
+// Has reports whether a row is stored under key.
+func (t *Table) Has(key int64) bool {
+	_, _, ok := t.tree.find(key)
+	return ok
 }
 
 // Get returns a copy of the row under key.
 func (t *Table) Get(key int64) (Row, bool) {
-	r, ok := t.tree.get(key)
+	l, i, ok := t.tree.find(key)
 	if !ok {
 		return nil, false
 	}
-	return r.Clone(), true
+	r := make(Row, t.tree.ncols)
+	t.tree.unpack(l, i, r)
+	return r, true
 }
 
-// Update replaces the row under key (which must exist). The new row must
-// keep the same key.
+// Update overwrites the row under key (which must exist) in place. The new
+// row must keep the same key.
 func (t *Table) Update(key int64, row Row) error {
-	old, ok := t.tree.get(key)
+	l, i, ok := t.tree.find(key)
 	if !ok {
 		return fmt.Errorf("storage: update of missing key %d in %q", key, t.Schema.Name)
+	}
+	if len(row) != len(t.Schema.Columns) {
+		return fmt.Errorf("storage: row arity %d != %d for %q", len(row), len(t.Schema.Columns), t.Schema.Name)
 	}
 	nk, _ := row[t.Schema.keyIdx].AsInt()
 	if nk != key {
 		return fmt.Errorf("storage: update may not change key (%d -> %d)", key, nk)
 	}
-	t.indexRemove(key, old)
-	t.sizeBytes -= rowSize(old)
-	r := row.Clone()
-	t.tree.set(key, r)
-	t.sizeBytes += rowSize(r)
-	t.indexAdd(key, r)
+	// An index entry moves only when the column's hash does, and most
+	// updates leave indexed columns as they are.
+	for col, idx := range t.secondary {
+		ci := t.Schema.ColIndex(col)
+		old := t.tree.col(l, i, ci)
+		if old == row[ci] {
+			continue
+		}
+		if oh, nh := datum.Hash(old), datum.Hash(row[ci]); oh != nh {
+			indexRemove(idx, oh, key)
+			idx[nh] = append(idx[nh], key)
+		}
+	}
+	t.sizeBytes += rowSize(row) - t.tree.rowBytes(l, i)
+	t.tree.pack(l, i, row)
 	return nil
 }
 
 // Delete removes the row under key, reporting whether it existed.
 func (t *Table) Delete(key int64) bool {
-	old, ok := t.tree.get(key)
+	l, i, ok := t.tree.find(key)
 	if !ok {
 		return false
 	}
-	t.indexRemove(key, old)
-	t.sizeBytes -= rowSize(old)
+	for col, idx := range t.secondary {
+		indexRemove(idx, datum.Hash(t.tree.col(l, i, t.Schema.ColIndex(col))), key)
+	}
+	t.sizeBytes -= t.tree.rowBytes(l, i)
 	return t.tree.delete(key)
 }
 
 // Scan visits rows with keys in [lo, hi] in key order; fn returning false
-// stops. The row passed to fn must not be retained or mutated.
+// stops. Each row is a copy fn may keep or change; the rows of one leaf
+// are cut from one allocation, so keeping one keeps its neighbours'
+// memory. fn must not write to the table.
 func (t *Table) Scan(lo, hi int64, fn func(key int64, row Row) bool) {
-	t.tree.ascend(lo, hi, fn)
+	n := t.tree.ncols
+	t.tree.runs(lo, hi, func(l *leaf, from, to int) bool {
+		block := make(Row, (to-from)*n)
+		for i := from; i < to; i++ {
+			row := block[:n:n]
+			block = block[n:]
+			t.tree.unpack(l, i, row)
+			if !fn(l.keys[i], row) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
-// ScanAll visits every row in key order.
+// ScanAll visits every row in key order, as Scan does.
 func (t *Table) ScanAll(fn func(key int64, row Row) bool) {
-	t.tree.ascendAll(fn)
+	t.Scan(minInt64, maxInt64, fn)
+}
+
+// ViewAll visits every row in key order without allocating per row: fn
+// sees each one in the same buffer, allocated per call (so concurrent
+// readers do not share it), which it must not keep past its return.
+func (t *Table) ViewAll(fn func(key int64, row Row) bool) {
+	row := make(Row, t.tree.ncols)
+	t.tree.runs(minInt64, maxInt64, func(l *leaf, from, to int) bool {
+		for i := from; i < to; i++ {
+			t.tree.unpack(l, i, row)
+			if !fn(l.keys[i], row) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// ScanKeys visits the keys in [lo, hi] in order, reading no row; fn
+// returning false stops.
+func (t *Table) ScanKeys(lo, hi int64, fn func(key int64) bool) {
+	t.tree.runs(lo, hi, func(l *leaf, from, to int) bool {
+		for _, k := range l.keys[from:to] {
+			if !fn(k) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// ScanAllKeys visits every key in order.
+func (t *Table) ScanAllKeys(fn func(key int64) bool) {
+	t.ScanKeys(minInt64, maxInt64, fn)
 }
 
 // LookupIndex returns the keys of rows whose indexed column equals v.
@@ -192,7 +263,7 @@ func (t *Table) LookupIndex(col string, v datum.D) []int64 {
 	ci := t.Schema.ColIndex(col)
 	var out []int64
 	for _, key := range idx[datum.Hash(v)] {
-		if r, ok := t.tree.get(key); ok && datum.Equal(r[ci], v) {
+		if l, i, ok := t.tree.find(key); ok && datum.Equal(t.tree.col(l, i, ci), v) {
 			out = append(out, key)
 		}
 	}
@@ -206,26 +277,17 @@ func (t *Table) HasIndex(col string) bool {
 	return ok
 }
 
-func (t *Table) indexAdd(key int64, row Row) {
-	for col, idx := range t.secondary {
-		h := datum.Hash(row[t.Schema.ColIndex(col)])
-		idx[h] = append(idx[h], key)
+// indexRemove drops key from the bucket of hash h.
+func indexRemove(idx map[uint64][]int64, h uint64, key int64) {
+	keys := idx[h]
+	for i, k := range keys {
+		if k == key {
+			idx[h] = append(keys[:i], keys[i+1:]...)
+			break
+		}
 	}
-}
-
-func (t *Table) indexRemove(key int64, row Row) {
-	for col, idx := range t.secondary {
-		h := datum.Hash(row[t.Schema.ColIndex(col)])
-		keys := idx[h]
-		for i, k := range keys {
-			if k == key {
-				idx[h] = append(keys[:i], keys[i+1:]...)
-				break
-			}
-		}
-		if len(idx[h]) == 0 {
-			delete(idx, h)
-		}
+	if len(idx[h]) == 0 {
+		delete(idx, h)
 	}
 }
 
