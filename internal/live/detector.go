@@ -65,9 +65,11 @@ func (s Score) String() string {
 // matching partition.Lookup semantics).
 type LocateFunc func(id workload.TupleID) []int
 
-// ScoreWindow evaluates a placement against a window snapshot: the trace
-// is interned once and scored with the compact evaluator, so the hot loop
-// indexes slices rather than hashing tuples.
+// ScoreWindow evaluates a placement against a window snapshot with the
+// compact evaluator, over the trace's shared interned form
+// (workload.CompactTrace: a Window.Snapshot arrives with it, any other
+// trace is interned on first use). Scoring hashes no tuple itself; it
+// calls locate once per distinct tuple and indexes slices from there on.
 func ScoreWindow(tr *workload.Trace, k int, locate LocateFunc) Score {
 	if tr.Len() == 0 {
 		return Score{}

@@ -38,18 +38,35 @@ type windowTxn struct {
 
 // Window is the live capture sink: a sliding window over the most recent
 // committed transactions, stored directly in the dense interned
-// representation (one Interner for the window's lifetime, packed
-// dense-id|WriteBit accesses per transaction — the capture path hashes
-// each access exactly once and allocates only the per-transaction packed
-// slice). Safe for concurrent use.
+// representation (packed dense-id|WriteBit accesses per transaction). The
+// capture path hashes each access exactly once and, once the ring is
+// full, allocates only when it meets a new tuple: a recorded transaction
+// is packed into the backing array of the slot it evicts. Snapshots hand
+// that dense form on (see Snapshot), so nothing downstream hashes a
+// windowed tuple again. Safe for concurrent use.
 type Window struct {
 	mu    sync.Mutex
 	cfg   WindowConfig
-	in    *workload.Interner
 	ring  []windowTxn
 	head  int    // next slot to overwrite
 	count int    // live entries, <= Capacity
 	total uint64 // transactions ever recorded
+
+	// in interns every tuple recorded since the last reintern, evicted
+	// ones included; live is how many of them the ring still referenced
+	// when last counted (by a snapshot or a reintern). Record reinterns
+	// once in.Len() passes twice that, which bounds the interner by the
+	// window's contents instead of the controller's lifetime.
+	in   *workload.Interner
+	live int
+
+	// Snapshot and reintern scratch, indexed by window id: remap[d] is
+	// d's id in the pass under way, valid when stamp[d] == epoch. order
+	// lists the window ids in the order the pass first met them.
+	remap []int32
+	stamp []uint32
+	epoch uint32
+	order []int32
 }
 
 // NewWindow returns an empty capture window.
@@ -69,21 +86,88 @@ func (w *Window) Record(accs []workload.Access) uint64 {
 	if len(accs) == 0 {
 		return w.total
 	}
-	packed := make([]uint32, len(accs))
-	for i, a := range accs {
+	// Snapshot copies out under the lock, so nothing aliases the evicted
+	// slot's array.
+	slot := &w.ring[w.head]
+	packed := slot.accs[:0]
+	for _, a := range accs {
 		e := uint32(w.in.Intern(a.Tuple))
 		if a.Write {
 			e |= workload.WriteBit
 		}
-		packed[i] = e
+		packed = append(packed, e)
 	}
-	w.ring[w.head] = windowTxn{accs: packed, sig: sigHash(packed)}
+	*slot = windowTxn{accs: packed, sig: sigHash(packed)}
 	w.head = (w.head + 1) % len(w.ring)
 	if w.count < len(w.ring) {
 		w.count++
 	}
 	w.total++
+	// Nothing is evicted, so nothing can have leaked, until the ring wraps.
+	if w.total > uint64(len(w.ring)) && w.in.Len() > 2*w.live {
+		w.reintern()
+	}
 	return w.total
+}
+
+// nth returns the i-th oldest windowed transaction.
+func (w *Window) nth(i int) *windowTxn {
+	oldest := (w.head - w.count + len(w.ring)) % len(w.ring)
+	return &w.ring[(oldest+i)%len(w.ring)]
+}
+
+// beginPass starts a renumbering pass over the window's dense ids.
+func (w *Window) beginPass() {
+	if n := w.in.Len(); len(w.stamp) < n {
+		w.remap = append(w.remap, make([]int32, n-len(w.remap))...)
+		w.stamp = append(w.stamp, make([]uint32, n-len(w.stamp))...)
+	}
+	w.epoch++
+	if w.epoch == 0 { // wrapped: stale stamps could match again
+		clear(w.stamp)
+		w.epoch = 1
+	}
+	w.order = w.order[:0]
+}
+
+// renumber returns window id d's id in the current pass, assigning the
+// next one (and appending d to order) the first time the pass meets it.
+func (w *Window) renumber(d uint32) uint32 {
+	if w.stamp[d] != w.epoch {
+		w.stamp[d] = w.epoch
+		w.remap[d] = int32(len(w.order))
+		w.order = append(w.order, int32(d))
+	}
+	return uint32(w.remap[d])
+}
+
+// passTuples returns the tuples the pass met, indexed by the ids it gave
+// them, in a slice with room for spare more.
+func (w *Window) passTuples(spare int) []workload.TupleID {
+	tuples := make([]workload.TupleID, len(w.order), len(w.order)+spare)
+	for i, d := range w.order {
+		tuples[i] = w.in.TupleOf(d)
+	}
+	return tuples
+}
+
+// reintern replaces the interner with one holding only the tuples the
+// ring still references and rewrites the ring to its ids. Signatures are
+// recomputed from the new ids, so a pattern recorded later still hashes
+// like its windowed occurrences. A reintern that keeps n tuples leaves
+// room for n more — which is when the next one is due — so it hashes
+// each kept tuple once and Record allocates nothing in between.
+func (w *Window) reintern() {
+	w.beginPass()
+	for i := 0; i < w.count; i++ {
+		t := w.nth(i)
+		for j, e := range t.accs {
+			t.accs[j] = w.renumber(e&^workload.WriteBit) | e&workload.WriteBit
+		}
+		t.sig = sigHash(t.accs)
+	}
+	w.live = len(w.order)
+	w.in = workload.InternerOf(w.passTuples(w.live))
 }
 
 // Len returns the number of transactions currently windowed.
@@ -108,6 +192,12 @@ func (w *Window) Total() uint64 {
 // the occurrence count), biasing the snapshot toward patterns that are
 // recent, not merely frequent. Snapshots are deterministic functions of
 // the recorded sequence.
+//
+// The trace comes with its interned form attached (workload.CompactTrace
+// returns it without hashing): the ring's dense ids renumbered in order
+// of first appearance in the snapshot, which is exactly what interning
+// the trace would assign. Its interner indexes tuples by id only and
+// builds the reverse maps if someone asks for a tuple's id.
 func (w *Window) Snapshot() *workload.Trace {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -115,75 +205,76 @@ func (w *Window) Snapshot() *workload.Trace {
 	if w.count == 0 {
 		return tr
 	}
-	oldest := (w.head - w.count + len(w.ring)) % len(w.ring)
-	nth := func(i int) *windowTxn { return &w.ring[(oldest+i)%len(w.ring)] }
 
-	if w.cfg.Decay <= 0 || w.cfg.Decay >= 1 {
-		total := 0
-		for i := 0; i < w.count; i++ {
-			total += len(nth(i).accs)
-		}
-		buf := make([]workload.Access, total)
-		for i := 0; i < w.count; i++ {
-			buf = w.rehydrate(tr, buf, nth(i).accs)
-		}
-		return tr
+	emit := w.copies()
+	txns, total := 0, 0
+	for i, n := range emit {
+		txns += int(n)
+		total += int(n) * len(w.nth(i).accs)
 	}
 
-	// Decayed signature weights: offset o counts back from the newest
-	// entry (o=0), so weight(sig) = Σ_occurrences Decay^o.
+	// One backing array for the snapshot's accesses, one for their packed
+	// form. A transaction's slice is capped at its length, so an append
+	// to it reallocates instead of running into its neighbour.
+	buf := make([]workload.Access, total)
+	c := &workload.Compact{Off: make([]int32, 1, txns+1), Accs: make([]uint32, 0, total)}
+	w.beginPass()
+	for i := 0; i < w.count; i++ {
+		t := w.nth(i)
+		for copies := emit[i]; copies > 0; copies-- {
+			out := buf[:len(t.accs):len(t.accs)]
+			buf = buf[len(t.accs):]
+			for j, e := range t.accs {
+				d := e &^ workload.WriteBit
+				out[j] = workload.Access{Tuple: w.in.TupleOf(int32(d)), Write: e&workload.WriteBit != 0}
+				c.Accs = append(c.Accs, w.renumber(d)|e&workload.WriteBit)
+			}
+			c.Off = append(c.Off, int32(len(c.Accs)))
+			tr.Add(out)
+		}
+	}
+	c.In = workload.InternerOf(w.passTuples(0))
+	tr.SetCompact(c)
+	w.live = len(w.order)
+	return tr
+}
+
+// copies returns, per windowed transaction (oldest first), how many
+// copies of it a snapshot emits. Without decay, one each. With decay,
+// round(Σ Decay^offset) over the occurrences of its signature for the
+// signature's oldest occurrence and zero for the later ones; offset o
+// counts back from the newest entry (o=0).
+func (w *Window) copies() []int32 {
+	emit := make([]int32, w.count)
+	if w.cfg.Decay <= 0 || w.cfg.Decay >= 1 {
+		for i := range emit {
+			emit[i] = 1
+		}
+		return emit
+	}
 	type sigAgg struct {
 		weight float64
 		occs   int
 		first  int // first (oldest) occurrence index
-		emit   int // copies of the first occurrence in the snapshot
 	}
 	aggs := make(map[uint64]*sigAgg, w.count)
 	pow := 1.0
 	for i := w.count - 1; i >= 0; i-- {
-		t := nth(i)
-		a := aggs[t.sig]
+		sig := w.nth(i).sig
+		a := aggs[sig]
 		if a == nil {
 			a = &sigAgg{}
-			aggs[t.sig] = a
+			aggs[sig] = a
 		}
 		a.weight += pow
 		a.occs++
 		a.first = i
 		pow *= w.cfg.Decay
 	}
-	total := 0
 	for _, a := range aggs {
-		a.emit = min(max(int(a.weight+0.5), 1), a.occs)
-		total += a.emit * len(nth(a.first).accs)
+		emit[a.first] = int32(min(max(int(a.weight+0.5), 1), a.occs))
 	}
-	buf := make([]workload.Access, total)
-	for i := 0; i < w.count; i++ {
-		t := nth(i)
-		if a := aggs[t.sig]; a.first == i {
-			for c := 0; c < a.emit; c++ {
-				buf = w.rehydrate(tr, buf, t.accs)
-			}
-		}
-	}
-	return tr
-}
-
-// rehydrate appends one transaction to tr, converting its packed accesses
-// back to workload.Access values in the front of buf — the snapshot's one
-// backing array — and returns the rest of buf. The transaction's slice is
-// capped at its length, so an append to it reallocates instead of running
-// into the next transaction's accesses.
-func (w *Window) rehydrate(tr *workload.Trace, buf []workload.Access, packed []uint32) []workload.Access {
-	out := buf[:len(packed):len(packed)]
-	for i, e := range packed {
-		out[i] = workload.Access{
-			Tuple: w.in.TupleOf(int32(e &^ workload.WriteBit)),
-			Write: e&workload.WriteBit != 0,
-		}
-	}
-	tr.Add(out)
-	return buf[len(packed):]
+	return emit
 }
 
 // sigHash is an FNV-1a-style hash of the packed access sequence; it only

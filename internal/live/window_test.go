@@ -2,7 +2,11 @@ package live
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"schism/internal/workload"
@@ -134,5 +138,239 @@ func TestWindowSnapshotSharedBacking(t *testing.T) {
 				t.Fatalf("decay %v: txn %d = %s after appending to its neighbours, want %s", decay, i, got, want[i])
 			}
 		}
+	}
+}
+
+// allocated runs fn once and returns the bytes and objects it allocated
+// (AllocsPerRun's warm-up call would hide anything fn does only the first
+// time).
+func allocated(fn func()) (bytes, mallocs uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// internedFresh interns a copy of the trace's transactions that carries
+// no memoised form: the reference a snapshot's attached Compact must equal.
+func internedFresh(tr *workload.Trace) *workload.Compact {
+	return workload.CompactTrace(&workload.Trace{Txns: tr.Txns})
+}
+
+// checkCompactEqual compares two interned forms of the same transactions.
+func checkCompactEqual(t *testing.T, name string, got, want *workload.Compact) {
+	t.Helper()
+	if !slices.Equal(got.Off, want.Off) || !slices.Equal(got.Accs, want.Accs) {
+		t.Fatalf("%s: packed accesses differ from interning the trace:\n got %v %v\nwant %v %v", name, got.Off, got.Accs, want.Off, want.Accs)
+	}
+	if !slices.Equal(got.In.Tuples(), want.In.Tuples()) {
+		t.Fatalf("%s: tuple table differs from interning the trace:\n got %v\nwant %v", name, got.In.Tuples(), want.In.Tuples())
+	}
+}
+
+// TestSnapshotCompactMatchesIntern checks that the interned form a
+// snapshot carries is what interning its transactions yields — ids in
+// first-appearance order, the same packed accesses, the same tuple table
+// — for empty, partly filled and wrapped windows, with and without decay,
+// and that its interner's lazily built reverse maps answer Lookup for
+// every tuple when the first callers race.
+func TestSnapshotCompactMatchesIntern(t *testing.T) {
+	tables := []string{"t", "u", "v"}
+	for _, decay := range []float64{0, 0.9} {
+		for _, records := range []int{0, 1, 20, 64, 65, 700} {
+			name := fmt.Sprintf("decay %v, %d records", decay, records)
+			rng := rand.New(rand.NewSource(int64(records) + 1))
+			w := NewWindow(WindowConfig{Capacity: 64, Decay: decay})
+			for i := 0; i < records; i++ {
+				accs := make([]workload.Access, 1+rng.Intn(6))
+				for j := range accs {
+					// A small hot set (so signatures repeat and decay has
+					// something to collapse) and a tail of fresh keys (so
+					// the window reinterns along the way).
+					key := int64(rng.Intn(6))
+					if rng.Intn(3) == 0 {
+						key = int64(1000 + i)
+					}
+					accs[j] = workload.Access{
+						Tuple: workload.TupleID{Table: tables[rng.Intn(len(tables))], Key: key},
+						Write: rng.Intn(3) == 0,
+					}
+				}
+				w.Record(accs)
+			}
+			snap := w.Snapshot()
+			if want := min(records, 64); decay == 0 && snap.Len() != want {
+				t.Fatalf("%s: snapshot has %d txns, want %d", name, snap.Len(), want)
+			}
+			var got *workload.Compact
+			if bytes, _ := allocated(func() { got = workload.CompactTrace(snap) }); records > 0 && bytes != 0 {
+				t.Fatalf("%s: CompactTrace of a snapshot allocated %d B: its interned form was not attached", name, bytes)
+			}
+			want := internedFresh(snap)
+			if got == want {
+				t.Fatalf("%s: reference shares the snapshot's memo", name)
+			}
+			checkCompactEqual(t, name, got, want)
+
+			// First use of the reverse maps, from 8 goroutines at once.
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for d, id := range got.In.Tuples() {
+						if ld, ok := got.In.Lookup(id); !ok || ld != int32(d) {
+							t.Errorf("%s: Lookup(%v) = %d,%v, want %d", name, id, ld, ok, d)
+							return
+						}
+					}
+					if _, ok := got.In.Lookup(workload.TupleID{Table: "t", Key: -1}); ok {
+						t.Errorf("%s: Lookup found a tuple the window never saw", name)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+	}
+}
+
+// internerLen reads the size of the window's interner.
+func internerLen(w *Window) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.in.Len()
+}
+
+// TestWindowInternerBounded pins the capture window's memory to its
+// contents: under a stream of fresh keys the interner must hold at most
+// twice the tuples the window references (it used to keep every tuple
+// ever recorded), and reinterning must not change what a snapshot says.
+func TestWindowInternerBounded(t *testing.T) {
+	const capacity = 64
+	txn := func(i int) []workload.Access {
+		return []workload.Access{acc(int64(i%5), false), acc(int64(1000+2*i), true), acc(int64(1001+2*i), false)}
+	}
+	for _, decay := range []float64{0, 0.9} {
+		w := NewWindow(WindowConfig{Capacity: capacity, Decay: decay})
+		peak, shrunk := 0, 0
+		for i := 0; i < 12*capacity; i++ {
+			before := internerLen(w)
+			w.Record(txn(i))
+			n := internerLen(w)
+			if n < before {
+				shrunk++
+			}
+			distinct := map[workload.TupleID]bool{}
+			for j := max(0, i-capacity+1); j <= i; j++ {
+				for _, a := range txn(j) {
+					distinct[a.Tuple] = true
+				}
+			}
+			if i >= capacity && n > 2*len(distinct) {
+				t.Fatalf("decay %v: after %d records the interner holds %d tuples, the window %d", decay, i+1, n, len(distinct))
+			}
+			peak = max(peak, n)
+		}
+		// Amortised: a reintern is due only after as many new tuples as
+		// the last one kept (~2 per transaction here, ~133 kept).
+		if shrunk == 0 || shrunk > 12 {
+			t.Errorf("decay %v: interner shrank %d times over %d records (peak %d)", decay, shrunk, 12*capacity, peak)
+		}
+
+		before := w.Snapshot()
+		w.mu.Lock()
+		w.reintern()
+		w.mu.Unlock()
+		after := w.Snapshot()
+		if !reflect.DeepEqual(traceKeys(before), traceKeys(after)) {
+			t.Fatalf("decay %v: snapshot changed across a reintern:\n%v\n%v", decay, traceKeys(before), traceKeys(after))
+		}
+		checkCompactEqual(t, fmt.Sprintf("decay %v, across a reintern", decay), workload.CompactTrace(after), workload.CompactTrace(before))
+
+		// A pattern recorded after a reintern must still collapse with its
+		// windowed occurrences: recompute-or-keep-consistent signatures.
+		plain := NewWindow(WindowConfig{Capacity: capacity, Decay: decay})
+		forced := NewWindow(WindowConfig{Capacity: capacity, Decay: decay})
+		for i := 0; i < 3*capacity; i++ {
+			accs := []workload.Access{acc(int64(i%4), true), acc(int64(i%3), false), acc(int64(5000+i/8), false)}
+			plain.Record(accs)
+			forced.Record(accs)
+			if i%17 == 0 {
+				forced.mu.Lock()
+				forced.reintern()
+				forced.mu.Unlock()
+			}
+		}
+		if a, b := traceKeys(plain.Snapshot()), traceKeys(forced.Snapshot()); !reflect.DeepEqual(a, b) {
+			t.Fatalf("decay %v: reinterning mid-stream changed the snapshot:\n%v\n%v", decay, a, b)
+		}
+	}
+}
+
+// TestWindowRecordReusesSlots pins the capture path's allocation shape:
+// once the ring is full, recording a transaction over known tuples packs
+// it into the evicted slot's array and allocates nothing.
+func TestWindowRecordReusesSlots(t *testing.T) {
+	w := NewWindow(WindowConfig{Capacity: 32})
+	i := 0
+	record := func() {
+		w.Record([]workload.Access{acc(int64(i%11), false), acc(int64(i%7), true), acc(int64(i%13), false)})
+		i++
+	}
+	for i < 3*32 {
+		record()
+	}
+	accs := []workload.Access{acc(1, false), acc(2, true), acc(3, false)}
+	if allocs := testing.AllocsPerRun(200, func() { w.Record(accs) }); allocs != 0 {
+		t.Errorf("Record on a full window made %.1f allocations, want 0", allocs)
+	}
+	got := traceKeys(w.Snapshot())
+	if len(got) != 32 || got[31] != "1:false,2:true,3:false," {
+		t.Fatalf("snapshot after slot reuse = %v", got)
+	}
+}
+
+// TestScoreWindowHashesNoTuples pins "a cycle does not hash tuples" where
+// it can fail: scoring a fresh snapshot allocates its per-tuple replica
+// table and per-partition load, and nothing that grows with the number of
+// accesses — no second packed array, no TupleID maps.
+func TestScoreWindowHashesNoTuples(t *testing.T) {
+	const k = 4
+	w := NewWindow(WindowConfig{Capacity: 512})
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 600; i++ {
+		accs := make([]workload.Access, 8)
+		for j := range accs {
+			accs[j] = acc(int64(rng.Intn(3000)), rng.Intn(4) == 0)
+		}
+		w.Record(accs)
+	}
+	parts := make([][]int, k)
+	for p := range parts {
+		parts[p] = []int{p}
+	}
+	locate := func(id workload.TupleID) []int { return parts[id.Key%k] }
+
+	var tuples int
+	var bytes, mallocs uint64
+	for run := 0; run < 3; run++ {
+		snap := w.Snapshot() // fresh each time: a scored trace keeps its form
+		var s Score
+		b, m := allocated(func() { s = ScoreWindow(snap, k, locate) })
+		if s.Txns != 512 {
+			t.Fatalf("scored %d txns, want 512", s.Txns)
+		}
+		tuples = workload.CompactTrace(snap).NumTuples()
+		if run == 0 || b < bytes {
+			bytes, mallocs = b, m
+		}
+	}
+	// sets is one slice header per tuple (plus up to an eighth of size-class
+	// rounding), load one float per partition; the evaluator's scratch and
+	// the closures are the constant.
+	budget := uint64(24*tuples*9/8 + 8*k + 512)
+	if bytes > budget || mallocs > 8 {
+		t.Errorf("ScoreWindow allocated %d B in %d objects for %d tuples; budget %d B, 8 objects", bytes, mallocs, tuples, budget)
 	}
 }

@@ -1,5 +1,7 @@
 package workload
 
+import "sync"
+
 // Interner assigns dense int32 ids to TupleIDs in first-appearance order.
 // Interning a trace once lets every downstream hot loop (graph
 // construction, partition evaluation, lookup building) index plain slices
@@ -7,24 +9,56 @@ package workload
 //
 // Ids are dense: the i-th distinct tuple interned gets id i, so slices of
 // length Len() are valid per-tuple tables.
+//
+// The id → tuple table is the interner's state; the TupleID → id maps are
+// an index over it, built on the first Intern or Lookup. An interner made
+// by InternerOf for a producer that already holds dense ids (the live
+// capture window) therefore costs no hashing unless someone asks for a
+// tuple's id. Lookup, TupleOf, Tuples and Len are safe for concurrent
+// use; Intern is not. An Interner holds a sync.Once: do not copy it.
 type Interner struct {
-	tables map[string]map[int64]int32
 	tuples []TupleID
+	index  sync.Once
+	tables map[string]map[int64]int32
 }
 
 // NewInterner returns an empty interner.
-func NewInterner() *Interner {
-	return &Interner{tables: make(map[string]map[int64]int32)}
+func NewInterner() *Interner { return &Interner{} }
+
+// InternerOf returns an interner whose id i is tuples[i]. The tuples must
+// be distinct and the caller must not use the slice afterwards. Spare
+// capacity says how far the interner is expected to grow: Intern appends
+// into it, and the reverse maps are sized for it too.
+func InternerOf(tuples []TupleID) *Interner { return &Interner{tuples: tuples} }
+
+// byTable returns the TupleID → id maps, hashing every tuple interned so
+// far on the first call.
+func (in *Interner) byTable() map[string]map[int64]int32 {
+	in.index.Do(func() {
+		perTable := make(map[string]int)
+		for _, id := range in.tuples {
+			perTable[id.Table]++
+		}
+		in.tables = make(map[string]map[int64]int32, len(perTable))
+		for table, n := range perTable {
+			in.tables[table] = make(map[int64]int32, n*cap(in.tuples)/len(in.tuples))
+		}
+		for d, id := range in.tuples {
+			in.tables[id.Table][id.Key] = int32(d)
+		}
+	})
+	return in.tables
 }
 
 // Intern returns the dense id for the tuple, assigning the next id on
 // first sight. The two-level (table, key) map hashes an int64 per access
 // instead of a struct containing a string.
 func (in *Interner) Intern(id TupleID) int32 {
-	keys := in.tables[id.Table]
+	tables := in.byTable()
+	keys := tables[id.Table]
 	if keys == nil {
 		keys = make(map[int64]int32)
-		in.tables[id.Table] = keys
+		tables[id.Table] = keys
 	}
 	d, ok := keys[id.Key]
 	if !ok {
@@ -37,7 +71,7 @@ func (in *Interner) Intern(id TupleID) int32 {
 
 // Lookup returns the dense id for a tuple interned earlier.
 func (in *Interner) Lookup(id TupleID) (int32, bool) {
-	d, ok := in.tables[id.Table][id.Key]
+	d, ok := in.byTable()[id.Table][id.Key]
 	return d, ok
 }
 
@@ -66,9 +100,18 @@ type Compact struct {
 	Accs []uint32
 }
 
-// CompactTrace interns a trace. Every access hashes exactly once, here;
-// afterwards the trace is pure slice data.
+// CompactTrace returns the trace's interned form. It is computed — every
+// access hashed exactly once — on the first call and kept on the trace,
+// so the graph build, the evaluator, the window scorer and relevance
+// filtering share one Compact per trace; callers must treat it as
+// read-only. The memo is valid while the trace has as many transactions
+// as it had when interned (Add drops it), and relies on a transaction's
+// Accesses not being edited once its trace has been interned. Concurrent
+// calls are safe; racing first calls may each compute the (equal) form.
 func CompactTrace(tr *Trace) *Compact {
+	if c := tr.compact.Load(); c != nil && c.NumTxns() == len(tr.Txns) {
+		return c
+	}
 	n := 0
 	for _, t := range tr.Txns {
 		n += len(t.Accesses)
@@ -84,7 +127,19 @@ func CompactTrace(tr *Trace) *Compact {
 		}
 		c.Off = append(c.Off, int32(len(c.Accs)))
 	}
+	tr.compact.Store(c)
 	return c
+}
+
+// SetCompact hands the trace the interned form its producer already
+// holds (the live capture window stores dense ids), so that CompactTrace
+// returns c instead of hashing the trace. c must be exactly what
+// CompactTrace would compute: ids in first-appearance order over Txns.
+func (tr *Trace) SetCompact(c *Compact) {
+	if c.NumTxns() != len(tr.Txns) {
+		panic("workload: SetCompact: compact form and trace differ in length")
+	}
+	tr.compact.Store(c)
 }
 
 // NumTxns returns the number of transactions.

@@ -124,3 +124,88 @@ func TestDenseStatsMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactTraceMemo pins who shares a trace's interned form: a second
+// call returns the first call's Compact, growing the trace drops it, and
+// no derived trace inherits its parent's.
+func TestCompactTraceMemo(t *testing.T) {
+	tid := func(k int64) TupleID { return TupleID{Table: "t", Key: k} }
+	tr := NewTrace()
+	for i := int64(0); i < 40; i++ {
+		tr.Add([]Access{{Tuple: tid(i % 7), Write: i%3 == 0}, {Tuple: tid(i % 5)}, {Tuple: tid(100 + i)}})
+	}
+	c := CompactTrace(tr)
+	if CompactTrace(tr) != c {
+		t.Fatal("second CompactTrace returned a different Compact")
+	}
+
+	train, test := tr.Split(0.5)
+	derived := map[string]*Trace{
+		"Split train":     train,
+		"Split test":      test,
+		"SampleTxns":      SampleTxns(tr, 0.5, rand.New(rand.NewSource(1))),
+		"SampleTuples":    SampleTuples(tr, 0.5, rand.New(rand.NewSource(1))),
+		"FilterBlanket":   FilterBlanket(tr, 100),
+		"FilterRelevance": FilterRelevance(tr, 2),
+	}
+	for name, d := range derived {
+		if d == tr {
+			t.Fatalf("%s returned its input", name)
+		}
+		if d.compact.Load() != nil {
+			t.Errorf("%s output carries a memoised Compact", name)
+		}
+		dc := CompactTrace(d)
+		if dc == c || dc.NumTxns() != d.Len() {
+			t.Errorf("%s: CompactTrace has %d txns for a trace of %d (parent's: %v)", name, dc.NumTxns(), d.Len(), dc == c)
+		}
+	}
+	if CompactTrace(tr) != c {
+		t.Error("deriving traces dropped the parent's Compact")
+	}
+
+	tr.Add([]Access{{Tuple: tid(999)}})
+	grown := CompactTrace(tr)
+	if grown == c {
+		t.Fatal("CompactTrace after Add returned the stale Compact")
+	}
+	if grown.NumTxns() != tr.Len() {
+		t.Fatalf("CompactTrace after Add has %d txns, want %d", grown.NumTxns(), tr.Len())
+	}
+	if _, ok := grown.In.Lookup(tid(999)); !ok {
+		t.Error("CompactTrace after Add misses the added tuple")
+	}
+	// An append that bypasses Add is caught by the length check.
+	tr.Txns = append(tr.Txns, &Txn{ID: tr.Len(), Accesses: []Access{{Tuple: tid(1000)}}})
+	if c := CompactTrace(tr); c == grown || c.NumTxns() != tr.Len() {
+		t.Errorf("CompactTrace after a direct append: stale=%v, %d txns, want %d", c == grown, c.NumTxns(), tr.Len())
+	}
+}
+
+// TestInternerOfLazyIndex checks an interner built from its id → tuple
+// table: ids answer without the reverse maps, and the maps, built on the
+// first Lookup, agree with them and accept new tuples.
+func TestInternerOfLazyIndex(t *testing.T) {
+	tuples := []TupleID{{Table: "a", Key: 3}, {Table: "b", Key: 3}, {Table: "a", Key: 1}}
+	in := InternerOf(tuples)
+	if in.Len() != 3 || in.TupleOf(1) != tuples[1] {
+		t.Fatalf("Len=%d TupleOf(1)=%v", in.Len(), in.TupleOf(1))
+	}
+	if in.tables != nil {
+		t.Fatal("reverse maps built before anyone asked for an id")
+	}
+	for d, id := range tuples {
+		if got, ok := in.Lookup(id); !ok || got != int32(d) {
+			t.Errorf("Lookup(%v) = %d,%v, want %d", id, got, ok, d)
+		}
+	}
+	if _, ok := in.Lookup(TupleID{Table: "c", Key: 3}); ok {
+		t.Error("Lookup found a tuple never interned")
+	}
+	if d := in.Intern(TupleID{Table: "c", Key: 3}); d != 3 {
+		t.Errorf("Intern of a new tuple = %d, want 3", d)
+	}
+	if d := in.Intern(tuples[2]); d != 2 {
+		t.Errorf("Intern of tuple 2 = %d", d)
+	}
+}

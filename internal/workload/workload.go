@@ -10,6 +10,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // TupleID identifies a tuple globally by table name and primary key.
@@ -76,6 +77,11 @@ func (t *Txn) ReadOnly() bool {
 // workload log.
 type Trace struct {
 	Txns []*Txn
+
+	// compact memoises CompactTrace. Traces derived from this one (Split,
+	// sampling, filtering) are new values and do not inherit it. It makes
+	// a Trace non-copyable; pass traces by pointer.
+	compact atomic.Pointer[Compact]
 }
 
 // NewTrace returns an empty trace.
@@ -85,6 +91,7 @@ func NewTrace() *Trace { return &Trace{} }
 func (tr *Trace) Add(accesses []Access, sql ...string) *Txn {
 	t := &Txn{ID: len(tr.Txns), Accesses: accesses, SQL: sql}
 	tr.Txns = append(tr.Txns, t)
+	tr.compact.Store(nil)
 	return t
 }
 
