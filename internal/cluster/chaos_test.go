@@ -408,6 +408,121 @@ func TestCrashBeforeVotePresumedAbort(t *testing.T) {
 	}
 }
 
+// TestCrashBetweenStatementsRetriesWhole pins the partial-commit guard at
+// R = 1: a node that crashes and restarts between two statements of one
+// transaction undoes the first as a loser, so the second must not run on
+// fresh state. It (or the commit) fails retryably, nothing commits, and
+// under RunTxn the retry commits the whole transfer.
+func TestCrashBetweenStatementsRetriesWhole(t *testing.T) {
+	c, co, _ := newChaosCluster(t, 1, 4, 0)
+	defer c.Close()
+	const total = 4000
+	if got := sumBalances(c); got != total {
+		t.Fatalf("seeded %d, want %d", got, total)
+	}
+	crash := func() {
+		c.Crash(0)
+		if _, err := co.RestartNode(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tx := co.Begin()
+	if _, err := tx.Exec("UPDATE account SET bal = bal - 100 WHERE id = 0"); err != nil {
+		t.Fatal(err)
+	}
+	crash()
+	_, err := tx.Exec("UPDATE account SET bal = bal + 100 WHERE id = 1")
+	if err == nil {
+		err = tx.Commit()
+	} else {
+		tx.Abort()
+	}
+	if got := sumBalances(c); got != total {
+		t.Fatalf("half a transfer committed (err %v): balances sum to %d, want %d", err, got, total)
+	}
+	if err == nil || !IsRetryable(err) {
+		t.Fatalf("statement after the crash: %v, want a retryable refusal", err)
+	}
+
+	crashed := false
+	_, aborts, err := co.RunTxn(func(tx *Txn) error {
+		if _, err := tx.Exec("UPDATE account SET bal = bal - 100 WHERE id = 0"); err != nil {
+			return err
+		}
+		if !crashed {
+			crashed = true
+			crash()
+		}
+		_, err := tx.Exec("UPDATE account SET bal = bal + 100 WHERE id = 1")
+		return err
+	})
+	if err != nil || aborts != 1 {
+		t.Fatalf("RunTxn across the crash: aborts=%d err=%v, want one retry then commit", aborts, err)
+	}
+	check := co.Begin()
+	defer check.Abort()
+	for key, want := range map[int64]int64{0: 900, 1: 1100, 2: 1000, 3: 1000} {
+		rows, err := check.Exec(fmt.Sprintf("SELECT * FROM account WHERE id = %d", key))
+		if err != nil || len(rows) != 1 || rows[0][1].I != want {
+			t.Fatalf("key %d after the retried transfer: rows=%v err=%v, want bal=%d", key, rows, err, want)
+		}
+	}
+}
+
+// TestCrashBeforeOneRoundCommitRetries: a node that crashes and restarts
+// after a transaction's last statement has undone it as a loser, so the
+// one-round commit must be refused retryably rather than report a
+// commit whose writes are gone.
+func TestCrashBeforeOneRoundCommitRetries(t *testing.T) {
+	c, co, _ := newChaosCluster(t, 1, 4, 0)
+	defer c.Close()
+	tx := co.Begin()
+	if err := transfer(tx, 0, 1, 100); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(0)
+	if _, err := co.RestartNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err == nil || !IsRetryable(err) {
+		t.Fatalf("commit of undone writes: %v, want a retryable refusal", err)
+	}
+	check := co.Begin()
+	defer check.Abort()
+	rows, err := check.Exec("SELECT * FROM account WHERE id IN (0, 1)")
+	if err != nil || len(rows) != 2 || rows[0][1].I != 1000 || rows[1][1].I != 1000 {
+		t.Fatalf("balances after the refused commit: rows=%v err=%v, want both 1000", rows, err)
+	}
+}
+
+// TestCrashedNodeStatementFailsFast pins the one-member group's refusal:
+// a statement for a crashed R = 1 node comes back with ErrNodeDown after
+// one send. There is no other member to redirect to, so nothing may
+// chase the refusal through the failover budget (20 elections of the
+// default 60 ms).
+func TestCrashedNodeStatementFailsFast(t *testing.T) {
+	c, co, strat := newChaosCluster(t, 2, 4, 0)
+	defer c.Close()
+	locate := func(k int64) int { return strat.Locate(tid(k), nil)[0] }
+	key := findKeys(t, locate, 2, 1)[1][0]
+	c.Crash(1)
+	tx := co.Begin()
+	start := time.Now()
+	_, err := tx.Exec(fmt.Sprintf("UPDATE account SET bal = bal + 1 WHERE id = %d", key))
+	d := time.Since(start)
+	tx.Abort()
+	if !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("statement on crashed node: %v, want ErrNodeDown", err)
+	}
+	if d > 20*time.Millisecond {
+		t.Fatalf("refusal took %v, want one send (well under one 60ms election)", d)
+	}
+	if _, err := co.RestartNode(1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRestartEmptyWAL restarts a node that crashed having done nothing:
 // analysis of the empty log must succeed with zero work.
 func TestRestartEmptyWAL(t *testing.T) {
@@ -483,6 +598,20 @@ func TestDrainFailsFastOnDownNode(t *testing.T) {
 	c.Resume(0)
 	if err := co.Drain(); err != nil {
 		t.Fatalf("Drain after resume: %v", err)
+	}
+}
+
+// TestDrainFailsFastPollAllocFree: the availability check Drain polls
+// every 100 µs allocates nothing, for groups of one and of three alike.
+func TestDrainFailsFastPollAllocFree(t *testing.T) {
+	c1, _, _ := newChaosCluster(t, 2, 1, 0)
+	defer c1.Close()
+	c3, _, _ := newGroupCluster(t, 1, 3, 1, 0)
+	defer c3.Close()
+	for _, c := range []*Cluster{c1, c3} {
+		if a := testing.AllocsPerRun(100, func() { c.allAvailable() }); a != 0 {
+			t.Errorf("allAvailable at R = %d allocates %v times per poll, want 0", c.ReplicationFactor(), a)
+		}
 	}
 }
 
@@ -567,7 +696,7 @@ func TestCrashFailsLockWaiters(t *testing.T) {
 	if !errors.Is(err, txn.ErrShutdown) {
 		t.Fatalf("lock waiter on crashed node got %v, want ErrShutdown", err)
 	}
-	if !Retryable(err) {
+	if !IsRetryable(err) {
 		t.Fatalf("shutdown error must be retryable: %v", err)
 	}
 	if d := time.Since(start); d > 250*time.Millisecond {

@@ -86,8 +86,8 @@ type Config struct {
 	// each group running one replicated log with leader failover (see
 	// package repl and DESIGN.md, "Replication and failover"). Partitions
 	// are then group-granular: a strategy's NumPartitions must equal
-	// Nodes/R, and R must divide Nodes. 0 or 1 disables replication —
-	// every node is its own group and behaves exactly as before.
+	// Nodes/R, and R must divide Nodes. 0 or 1 disables replication:
+	// every node is a group of one, which it leads, with no consensus log.
 	ReplicationFactor int
 	// ReplHeartbeat / ReplElection / ReplLease / ReplCompactEntries tune
 	// the group consensus protocol (zero: repl package defaults). Tests
@@ -134,12 +134,14 @@ type Cluster struct {
 	clock txn.Clock
 	hooks hookSlot
 
-	// Replication state (ReplicationFactor > 1). durables is each node's
-	// crash-surviving consensus log (its "disk"); leaderCache is the
-	// cluster's best guess at each group's leader, updated by LeaderReady
-	// callbacks and coordinator redirect hints.
-	durables    []*repl.Durable
+	// groups lists each group's member nodes (one member when R = 1);
+	// leaderCache is the cluster's best guess at each group's leader,
+	// updated by LeaderReady callbacks and coordinator redirect hints.
+	// durables is each node's crash-surviving consensus log (its "disk"),
+	// nil when R = 1.
+	groups      [][]int
 	leaderCache []atomic.Int32
+	durables    []*repl.Durable
 
 	// Link-fault table for the replication transport (fault.go).
 	netMu  sync.Mutex
@@ -184,14 +186,17 @@ func New(cfg Config, builddb func(node int) *storage.Database) *Cluster {
 		}
 		c.nodes = append(c.nodes, newNode(i, cfg, db, &c.hooks))
 	}
+	r, ids := cfg.ReplicationFactor, allNodes(cfg.Nodes)
+	c.groups = make([][]int, c.NumGroups())
+	c.leaderCache = make([]atomic.Int32, c.NumGroups())
+	for g := range c.groups {
+		c.groups[g] = ids[g*r : (g+1)*r : (g+1)*r]
+		c.leaderCache[g].Store(int32(g * r))
+	}
 	if c.replicated() {
 		c.durables = make([]*repl.Durable, cfg.Nodes)
 		for i := range c.durables {
 			c.durables[i] = repl.NewDurable()
-		}
-		c.leaderCache = make([]atomic.Int32, c.NumGroups())
-		for g := range c.leaderCache {
-			c.leaderCache[g].Store(int32(g * cfg.ReplicationFactor))
 		}
 		for i, n := range c.nodes {
 			n.startGroup(c, c.durables[i])
@@ -284,27 +289,16 @@ func (c *Cluster) NumGroups() int { return len(c.nodes) / c.cfg.ReplicationFacto
 // GroupOf returns the replication group node i belongs to.
 func (c *Cluster) GroupOf(node int) int { return node / c.cfg.ReplicationFactor }
 
-// GroupMembers returns the node ids of group g.
-func (c *Cluster) GroupMembers(g int) []int {
-	r := c.cfg.ReplicationFactor
-	out := make([]int, r)
-	for i := range out {
-		out[i] = g*r + i
-	}
-	return out
-}
+// GroupMembers returns the node ids of group g. The slice is the
+// cluster's own; callers must not modify it.
+func (c *Cluster) GroupMembers(g int) []int { return c.groups[g] }
 
 // GroupLeader returns the cluster's best guess at group g's current
-// leader node (replication off: the group IS the node).
-func (c *Cluster) GroupLeader(g int) int {
-	if !c.replicated() {
-		return g
-	}
-	return int(c.leaderCache[g].Load())
-}
+// leader node (a group of one: its node).
+func (c *Cluster) GroupLeader(g int) int { return int(c.leaderCache[g].Load()) }
 
 func (c *Cluster) noteLeader(g, node int) {
-	if c.replicated() && node >= 0 {
+	if node >= 0 {
 		c.leaderCache[g].Store(int32(node))
 	}
 }

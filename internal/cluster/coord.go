@@ -274,29 +274,22 @@ type StmtObserver func(table string, write bool, nodes int, d time.Duration)
 
 // Txn is a client transaction handle. Not safe for concurrent use.
 type Txn struct {
-	co      *Coordinator
-	ts      txn.TS
-	epoch   uint64 // attempt number; wait-die retries bump it (see request)
-	strat   partition.Strategy
-	touched map[int]bool
-	failed  bool
-	system  bool // capture-exempt (migration and other internal work)
-	rng     prng
-
-	// Replicated-cluster routing state (nil maps when replication is
-	// off). wrote marks groups this attempt has written — their reads
-	// must see the transaction's own writes, so they go to the leader;
-	// servedBy pins each participant group to the member that executed
-	// for us (it holds our locks and undo; protocol messages follow it);
-	// sticky is the follower-read affinity, re-seeded when the chosen
-	// replica cannot serve. smu guards touched/servedBy against the
-	// multi-target fan-out goroutines; sticky and wrote are only touched
-	// between statements.
-	smu      sync.Mutex
+	co       *Coordinator
+	ts       txn.TS
+	epoch    uint64 // attempt number; wait-die retries bump it (see request)
+	strat    partition.Strategy
+	failed   bool
+	system   bool // capture-exempt (migration and other internal work)
 	twoPhase bool // current commit concluded a prepare round
-	wrote    map[int]bool
-	servedBy map[int]int
-	sticky   map[int]int
+	rng      prng
+
+	// touched is the attempt's participant state, keyed by group: nil
+	// until the first locked statement, cleared by a retry. sticky is the
+	// follower-read affinity per group, re-seeded when the chosen replica
+	// cannot serve; it survives retries, and stays nil while only
+	// one-member groups are read (they have no follower).
+	touched map[int]part
+	sticky  map[int]int
 
 	capture CaptureFunc
 	accs    []workload.Access
@@ -341,17 +334,11 @@ func (co *Coordinator) begin(system bool) *Txn {
 	}
 	t := &Txn{
 		co: co, ts: co.c.clock.Next(), epoch: 1, strat: strat, capture: capture, system: system,
-		touched: make(map[int]bool),
-		rng:     prng(co.c.clock.Next()),
-		mets:    co.mets,
+		rng:  prng(co.c.clock.Next()),
+		mets: co.mets,
 	}
 	if t.mets != nil {
 		t.span = t.mets.tracer.Start("txn")
-	}
-	if co.c.replicated() {
-		t.wrote = make(map[int]bool)
-		t.servedBy = make(map[int]int)
-		t.sticky = make(map[int]int)
 	}
 	co.register(t.ts)
 	return t
@@ -367,14 +354,9 @@ func (t *Txn) reset() {
 	if t.system {
 		t.capture = nil
 	}
-	t.touched = make(map[int]bool)
+	clear(t.touched)
 	t.failed = false
 	t.twoPhase = false
-	if t.co.c.replicated() {
-		// Fresh write and pin maps; sticky read affinity survives retries.
-		t.wrote = make(map[int]bool)
-		t.servedBy = make(map[int]int)
-	}
 	t.epoch++ // new attempt: participants must not honour the old one's messages
 	t.accs = t.accs[:0]
 	t.stmtLocal, t.stmtDist = 0, 0
@@ -384,8 +366,58 @@ func (t *Txn) reset() {
 	t.co.register(t.ts)
 }
 
-// Touched returns the number of nodes this transaction has accessed.
+// Touched returns the number of partitions (groups; nodes when R = 1)
+// this transaction has accessed.
 func (t *Txn) Touched() int { return len(t.touched) }
+
+// part is a transaction attempt's state in one participant group.
+type part struct {
+	// member executed for us on the locked path (valid when pinned): it
+	// holds our locks and undo, so later statements and every protocol
+	// message follow it.
+	member int
+	pinned bool
+	// wrote: reads of the group must see our writes, so they take the
+	// locked path, never a follower.
+	wrote bool
+}
+
+// touch marks group g a participant of this attempt, and a written one
+// when write.
+func (t *Txn) touch(g int, write bool) {
+	p := t.touched[g]
+	p.wrote = p.wrote || write
+	t.setPart(g, p)
+}
+
+// pin records member nid as the one executing for this attempt in g.
+func (t *Txn) pin(g, nid int) {
+	p := t.touched[g]
+	p.member, p.pinned = nid, true
+	t.setPart(g, p)
+}
+
+// served returns the member pinned for group g, if any.
+func (t *Txn) served(g int) (int, bool) {
+	p := t.touched[g]
+	return p.member, p.pinned
+}
+
+func (t *Txn) setPart(g int, p part) {
+	if t.touched == nil {
+		t.touched = make(map[int]part)
+	}
+	t.touched[g] = p
+}
+
+// participants lists the attempt's participant groups.
+func (t *Txn) participants() []int {
+	out := make([]int, 0, len(t.touched))
+	for g := range t.touched {
+		out = append(out, g)
+	}
+	return out
+}
 
 // plan is one statement ready to run, the single shape every entry point
 // (Exec, ExecStmt, ExecStmtAt, ExecPrepared) reduces to and the request
@@ -561,7 +593,7 @@ func (t *Txn) execOn(pl *plan, targets []int) ([]storage.Row, error) {
 func (t *Txn) pickReplica(single []int) int {
 	c := t.co.c
 	for _, p := range single {
-		if t.touched[p] && c.partitionAvailable(p) {
+		if _, touched := t.touched[p]; touched && c.partitionAvailable(p) {
 			return p
 		}
 	}
@@ -577,94 +609,16 @@ func (t *Txn) pickReplica(single []int) int {
 	return avail[t.rng.intn(len(avail))]
 }
 
-// fanout sends a request to each target node in parallel and waits for all
-// replies (including their simulated network delay). With RPCTimeout set,
-// a node that does not answer within the bound gets an ErrRPCTimeout
-// response instead — note the request stays queued and MAY still execute
-// later (a paused node drains its queue on Resume), so a timed-out
-// request's outcome is unknown, not "not executed".
-func (t *Txn) fanout(kind reqKind, pl *plan, targets []int) []response {
-	if t.co.c.replicated() {
-		return t.fanoutGroups(kind, pl, targets)
-	}
-	type slot struct {
-		reply chan response
-	}
-	slots := make([]slot, len(targets))
-	var spans []*obs.Span
-	if t.span != nil {
-		spans = make([]*obs.Span, len(targets))
-	}
-	for i, nid := range targets {
-		slots[i].reply = make(chan response, 1)
-		r := &request{kind: kind, ts: t.ts, epoch: t.epoch, plan: pl, capture: t.capture != nil, reply: slots[i].reply}
-		if spans != nil {
-			spans[i] = t.span.Child(reqName(kind))
-			spans[i].Annotate("node %d", nid)
-			r.trace = spans[i]
-		}
-		t.touched[nid] = true
-		t.co.c.nodes[nid].send(r)
-	}
-	defer func() {
-		for _, sp := range spans {
-			sp.Finish()
-		}
-	}()
-	out := make([]response, len(targets))
-	rpcTimeout := t.co.c.cfg.RPCTimeout
-	if kind == reqExec {
-		// Statements may legitimately block in lock waits up to the lock
-		// timeout; the RPC bound covers only the 2PC protocol messages,
-		// which are fast on any live node.
-		rpcTimeout = 0
-	}
-	if rpcTimeout <= 0 {
-		for i := range slots {
-			resp := <-slots[i].reply
-			waitNet(resp.sentAt, t.co.c.cfg.NetworkDelay)
-			out[i] = resp
-		}
-		return out
-	}
-	timer := time.NewTimer(rpcTimeout)
-	defer timer.Stop()
-	expired := false
-	for i := range slots {
-		if expired {
-			// The shared deadline already passed; collect whatever replies
-			// are in hand without waiting further.
-			select {
-			case resp := <-slots[i].reply:
-				waitNet(resp.sentAt, t.co.c.cfg.NetworkDelay)
-				out[i] = resp
-			default:
-				out[i] = response{err: fmt.Errorf("cluster: node %d: %w", targets[i], ErrRPCTimeout)}
-			}
-			continue
-		}
-		select {
-		case resp := <-slots[i].reply:
-			waitNet(resp.sentAt, t.co.c.cfg.NetworkDelay)
-			out[i] = resp
-		case <-timer.C:
-			expired = true
-			out[i] = response{err: fmt.Errorf("cluster: node %d: %w", targets[i], ErrRPCTimeout)}
-		}
-	}
-	return out
-}
-
-// Commit finishes the transaction: single-node transactions commit in one
-// round; multi-node transactions run two-phase commit (prepare all, then
-// commit or abort all) as in §3.
+// Commit finishes the transaction: a transaction on one group commits
+// in one round; one spanning groups runs two-phase commit (prepare all,
+// then commit or abort all) as in §3.
 func (t *Txn) Commit() error {
 	if t.failed {
 		t.Abort()
 		return errors.New("cluster: commit of failed transaction")
 	}
 	defer t.co.deregister(t.ts)
-	nodes := touchedNodes(t.touched)
+	nodes := t.participants()
 	if len(nodes) == 0 {
 		t.captured()
 		return nil
@@ -674,9 +628,10 @@ func (t *Txn) Commit() error {
 		if err := resp[0].err; err != nil {
 			if errors.Is(err, ErrNodeDown) || errors.Is(err, ErrNotLeader) {
 				// The node refused the commit without processing it (crash,
-				// or a deposed group leader whose unprepared writes were
-				// already swept), so the transaction did not commit and its
-				// writes die with the refusal. Safe to retry whole.
+				// a restart whose recovery undid the writes, or a deposed
+				// group leader whose unprepared writes were already swept),
+				// so the transaction did not commit and its writes die with
+				// the refusal. Safe to retry whole.
 				return fmt.Errorf("cluster: commit refused by node %d: %w", nodes[0], err)
 			}
 			// Timeout: the commit is queued and may still apply when the
@@ -770,7 +725,11 @@ func (t *Txn) captured() {
 		} else {
 			m.onePhase.Inc()
 		}
-		m.reg.MarkCommit(t.touched)
+		groups := make(map[int]bool) // on the stack: MarkCommit only reads it
+		for g := range t.touched {
+			groups[g] = true
+		}
+		m.reg.MarkCommit(groups)
 		if t.span != nil {
 			t.span.Annotate("committed nodes=%d", len(t.touched))
 			t.span.Finish()
@@ -783,11 +742,10 @@ func (t *Txn) captured() {
 	}
 }
 
-// Abort rolls the transaction back on every touched node.
+// Abort rolls the transaction back in every participant group.
 func (t *Txn) Abort() {
-	nodes := touchedNodes(t.touched)
-	if len(nodes) > 0 {
-		t.fanout(reqAbort, nil, nodes)
+	if len(t.touched) > 0 {
+		t.fanout(reqAbort, nil, t.participants())
 	}
 	if t.span != nil {
 		t.span.Annotate("aborted")
@@ -810,14 +768,6 @@ func reqName(kind reqKind) string {
 	default:
 		return "abort"
 	}
-}
-
-func touchedNodes(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	return out
 }
 
 func allNodes(n int) []int {
@@ -854,9 +804,6 @@ func IsRetryable(err error) bool {
 		errors.Is(err, ErrRPCTimeout) || errors.Is(err, ErrNotLeader) ||
 		errors.Is(err, ErrLeaseExpired)
 }
-
-// Retryable is the historical name for IsRetryable.
-func Retryable(err error) bool { return IsRetryable(err) }
 
 // RetryCauses lists every classification RetryCause can return, in
 // reporting order. Metric names are "txn.retry.<cause>".

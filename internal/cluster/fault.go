@@ -185,32 +185,13 @@ func (c *Cluster) NodeRunning(i int) bool {
 	return c.nodes[i].getStatus() == statusRunning
 }
 
-// allRunning is the allocation-free check Drain polls.
-func (c *Cluster) allRunning() bool {
-	for _, n := range c.nodes {
-		if n.getStatus() != statusRunning {
-			return false
-		}
-	}
-	return true
-}
-
-// allAvailable is allRunning at partition granularity: with replication
-// on, a group with a running majority can still commit, so Drain need
-// not fail fast just because a minority replica is down.
+// allAvailable reports whether every partition can serve: a group with
+// a running majority can still commit, so Drain need not fail fast just
+// because a minority replica is down. Allocation-free — Drain polls it
+// every 100 µs.
 func (c *Cluster) allAvailable() bool {
-	if !c.replicated() {
-		return c.allRunning()
-	}
-	r := c.cfg.ReplicationFactor
-	for g := 0; g < c.NumGroups(); g++ {
-		running := 0
-		for _, m := range c.GroupMembers(g) {
-			if c.nodes[m].getStatus() == statusRunning {
-				running++
-			}
-		}
-		if running < r/2+1 {
+	for g := range c.groups {
+		if !c.partitionAvailable(g) {
 			return false
 		}
 	}
@@ -218,19 +199,16 @@ func (c *Cluster) allAvailable() bool {
 }
 
 // partitionAvailable reports whether partition p can currently serve
-// requests: its node is running (replication off) or its group has a
-// running majority (which can elect a leader and commit).
+// requests: a majority of its group is running, which can elect a
+// leader and commit (a group of one: its node is running).
 func (c *Cluster) partitionAvailable(p int) bool {
-	if !c.replicated() {
-		return c.NodeRunning(p)
-	}
 	running := 0
-	for _, m := range c.GroupMembers(p) {
+	for _, m := range c.groups[p] {
 		if c.nodes[m].getStatus() == statusRunning {
 			running++
 		}
 	}
-	return running >= c.cfg.ReplicationFactor/2+1
+	return running > len(c.groups[p])/2
 }
 
 // Unavailable lists the nodes currently not serving requests (paused,

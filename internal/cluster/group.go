@@ -106,9 +106,6 @@ func (n *Node) stopGroup() {
 	gr.wg.Wait()
 }
 
-// replicated reports whether this node is a member of a consensus group.
-func (n *Node) replicated() bool { return n.grp.Load() != nil }
-
 // groupStatus returns the node's replica status; ok is false when
 // replication is off or the group runtime is stopped.
 func (n *Node) groupStatus() (repl.Status, bool) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"schism/internal/datum"
 	"schism/internal/partition"
 	"schism/internal/storage"
+	"schism/internal/txn"
 )
 
 // newGroupCluster builds a replicated chaos cluster: `groups` consensus
@@ -301,7 +303,7 @@ func TestGroupInDoubtCommitFailover(t *testing.T) {
 		if err := transfer(tx, onA, onB, 100); err != nil {
 			t.Fatal(err)
 		}
-		victim = tx.servedBy[0]
+		victim, _ = tx.served(0)
 		plan := NewFaultPlan(co, Fault{Point: AfterPrepareAck, Node: victim})
 		err := tx.Commit()
 		plan.Close()
@@ -369,7 +371,8 @@ func TestGroupInDoubtAbortFailover(t *testing.T) {
 		if err := transfer(tx, onA, onB, 100); err != nil {
 			t.Fatal(err)
 		}
-		v0, v1 := tx.servedBy[0], tx.servedBy[1]
+		v0, _ := tx.served(0)
+		v1, _ := tx.served(1)
 		plan := NewFaultPlan(co,
 			Fault{Point: AfterPrepareAck, Node: v0},
 			Fault{Point: BeforePrepareAck, Node: v1},
@@ -556,6 +559,50 @@ func TestGroupFollowerCatchUpPastTruncation(t *testing.T) {
 	}
 }
 
+// TestGroupLeaderReadDieIsAborted pins the participant rule for a
+// replica-routed read whose sticky pick is the leader: the leader serves
+// it on the locked path, so it is a participant whether the read
+// succeeds or fails. Here the read locks row 2, dies in wait-die on row
+// 5 (held by an older writer), and the younger reader's Abort must still
+// reach the leader, or its lock on 2 outlives it and the older writer
+// waits out its lock timeout.
+func TestGroupLeaderReadDieIsAborted(t *testing.T) {
+	c, co, _ := newGroupCluster(t, 1, 3, 8, 0)
+	defer c.Close()
+	writer := co.Begin() // older: wait-die kills younger requesters of its rows
+	if _, err := writer.Exec("UPDATE account SET bal = bal - 1 WHERE id = 5"); err != nil {
+		t.Fatal(err)
+	}
+	leader, ok := writer.served(0)
+	if !ok {
+		t.Fatal("writer's statement pinned no member")
+	}
+	reader := co.Begin()
+	reader.sticky = map[int]int{0: leader}
+	if _, err := reader.Exec("SELECT * FROM account WHERE id IN (2, 5)"); !errors.Is(err, txn.ErrDie) {
+		t.Fatalf("leader-served read of a held row: %v, want wait-die", err)
+	}
+	reader.Abort()
+	n := c.Node(leader)
+	n.tmu.Lock()
+	_, leaked := n.txns[reader.ts]
+	n.tmu.Unlock()
+	if leaked {
+		t.Fatalf("leader %d still holds the aborted reader's participant state", leader)
+	}
+	waits := n.locks.Stats().Waits
+	start := time.Now()
+	if _, err := writer.Exec("UPDATE account SET bal = bal + 1 WHERE id = 2"); err != nil {
+		t.Fatalf("older writer on the reader's row: %v", err)
+	}
+	if d, w := time.Since(start), n.locks.Stats().Waits-waits; w != 0 || d > 100*time.Millisecond {
+		t.Fatalf("older writer waited (%d lock waits, %v) on a row the aborted reader held", w, d)
+	}
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGroupReadFailsOverFromCrashedReplica pins the follower-read
 // failover: reads stick to a chosen replica, and when that replica
 // crashes the next read re-seeds to a live member instead of failing
@@ -577,7 +624,7 @@ func TestGroupReadFailsOverFromCrashedReplica(t *testing.T) {
 	var ok bool
 	if sticky, ok = tx.sticky[0]; !ok {
 		// Leader-served read: pinned instead of sticky.
-		if sticky, ok = tx.servedBy[0]; !ok {
+		if sticky, ok = tx.served(0); !ok {
 			t.Fatal("read recorded neither sticky nor pinned member")
 		}
 		// A pinned (locked) read cannot survive losing its member — that
@@ -585,7 +632,7 @@ func TestGroupReadFailsOverFromCrashedReplica(t *testing.T) {
 		// path is required to fail over; re-run on a follower.
 		tx.Abort()
 		tx = co.Begin()
-		tx.sticky[0] = (sticky + 1) % 3
+		tx.sticky = map[int]int{0: (sticky + 1) % 3}
 		if rows, err := tx.Exec(q); err != nil || len(rows) != 1 {
 			t.Fatalf("follower read: rows=%v err=%v", rows, err)
 		}

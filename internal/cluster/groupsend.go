@@ -3,119 +3,195 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"schism/internal/obs"
 	"schism/internal/sqlparse"
 )
 
-// This file is the coordinator's routing layer for a replicated cluster
-// (ReplicationFactor > 1): fanout targets are GROUP ids, and each group
-// send resolves the group to a member — the leader for anything that
-// creates or decides transaction state, any lease-valid replica for
-// plain reads — chasing redirect hints through leader changes so the
-// client keeps making progress while a group fails over.
+// This file is the coordinator's routing layer, the one path every
+// request takes. A partition is a replication group of R consecutive
+// nodes — a group of one when R = 1 — and fanout targets are group ids.
+// Each request resolves its group to a member: the one already executing
+// for the transaction (it holds the locks and undo, so later statements
+// and every protocol message follow it), else the member the cluster
+// believes leads; a single-group read may instead go to any lease-valid
+// follower. A member that refuses before acting is chased through
+// redirect hints so the client keeps making progress while a group fails
+// over. A group of one has its node as leader, no follower to read from
+// and no other member to redirect to: its refusal comes back at once.
 
-// fanoutGroups is fanout on group targets. Single-target SELECTs against
-// groups the transaction has not written are follower-readable: they
-// take no locks and do not make the group a 2PC participant.
-func (t *Txn) fanoutGroups(kind reqKind, pl *plan, targets []int) []response {
-	followerRead := false
-	if kind == reqExec {
-		if sel, ok := pl.stmt.(*sqlparse.Select); ok && !sel.ForUpdate &&
-			len(targets) == 1 && !t.wrote[targets[0]] {
-			followerRead = true
-		}
-		if !followerRead {
-			// Mark participation BEFORE sending (like the flat fanout): a
-			// statement that fails after taking locks still needs the abort
-			// fan-out to reach its group.
-			for _, g := range targets {
-				t.touched[g] = true
-				if pl.write {
-					t.wrote[g] = true
-				}
-			}
-		}
-	}
+// call is one request in flight to member nid of group g.
+type call struct {
+	g, nid int
+	pinned bool // nid already executed for this attempt
+	reply  chan response
+	sp     *obs.Span
+}
+
+// fanout sends one request to each target group and returns the replies
+// in target order. Single-group SELECTs of groups the attempt has not
+// written are follower-readable where the group has followers: they take
+// no locks and do not make the group a 2PC participant.
+func (t *Txn) fanout(kind reqKind, pl *plan, targets []int) []response {
 	out := make([]response, len(targets))
-	if len(targets) == 1 {
-		out[0] = t.sendGroup(kind, pl, targets[0], followerRead)
-		return out
+	if kind == reqExec && t.followerReadable(pl, targets) {
+		out[0] = t.readReplica(pl, targets[0])
+	} else {
+		t.dispatch(kind, pl, targets, out)
 	}
-	var wg sync.WaitGroup
-	for i, g := range targets {
-		wg.Add(1)
-		go func(i, g int) {
-			defer wg.Done()
-			out[i] = t.sendGroup(kind, pl, g, false)
-		}(i, g)
-	}
-	wg.Wait()
 	return out
 }
 
-func (t *Txn) sendGroup(kind reqKind, pl *plan, g int, followerRead bool) response {
-	switch kind {
-	case reqExec:
-		if followerRead {
-			return t.readReplica(pl, g)
+func (t *Txn) followerReadable(pl *plan, targets []int) bool {
+	if len(targets) != 1 || len(t.co.c.GroupMembers(targets[0])) == 1 || t.touched[targets[0]].wrote {
+		return false
+	}
+	sel, ok := pl.stmt.(*sqlparse.Select)
+	return ok && !sel.ForUpdate
+}
+
+// dispatch enqueues the request for every target before it awaits the
+// first reply, so a multi-group statement or 2PC round costs one round
+// trip and no goroutines; only the members that refused before acting
+// are then chased, one target at a time. A statement marks its groups
+// participants BEFORE sending: one that fails after taking locks still
+// needs the abort to reach its group.
+func (t *Txn) dispatch(kind reqKind, pl *plan, targets []int, out []response) {
+	var inline [4]call
+	calls := inline[:0]
+	for _, g := range targets {
+		nid, pinned := t.served(g)
+		if !pinned {
+			nid = t.co.c.GroupLeader(g)
 		}
-		return t.execOnLeader(pl, g)
-	case reqPrepare:
-		return t.prepareGroup(g)
-	case reqCommit:
-		return t.commitGroup(g)
-	default:
-		return t.abortGroup(g)
+		if kind == reqExec {
+			t.touch(g, pl.write)
+		}
+		calls = append(calls, t.post(kind, pl, g, nid, pinned, false))
+	}
+	t.collect(calls, out, t.bound(kind))
+	for i := range calls {
+		out[i] = t.settle(kind, pl, &calls[i], out[i])
 	}
 }
 
-// sendNode performs one bounded request/reply exchange with a member.
-func (t *Txn) sendNode(kind reqKind, pl *plan, nid int, replRead, cont bool, bound time.Duration) response {
-	c := t.co.c
-	reply := make(chan response, 1)
+// post enqueues one request to member nid of group g. A statement for
+// the member already executing for this attempt carries cont: that
+// member's participant state must still exist (see request.cont).
+func (t *Txn) post(kind reqKind, pl *plan, g, nid int, pinned, replRead bool) call {
 	var sp *obs.Span
 	if t.span != nil {
 		sp = t.span.Child(reqName(kind))
 		sp.Annotate("node %d", nid)
-		defer sp.Finish()
 	}
-	r := &request{kind: kind, ts: t.ts, epoch: t.epoch, plan: pl,
+	reply := make(chan response, 1)
+	t.co.c.nodes[nid].send(&request{kind: kind, ts: t.ts, epoch: t.epoch, plan: pl,
 		capture: t.capture != nil, replRead: replRead, twoPhase: t.twoPhase,
-		cont: cont, reply: reply, trace: sp}
-	c.nodes[nid].send(r)
-	if bound <= 0 {
-		resp := <-reply
-		waitNet(resp.sentAt, c.cfg.NetworkDelay)
-		return resp
+		cont: pinned && kind == reqExec, reply: reply, trace: sp})
+	return call{g: g, nid: nid, pinned: pinned, reply: reply, sp: sp}
+}
+
+// bound is a request kind's reply timeout: RPCTimeout for the protocol
+// messages, which are fast on any live node; none for statements, which
+// may legitimately wait on locks up to the lock timeout.
+func (t *Txn) bound(kind reqKind) time.Duration {
+	if kind == reqExec {
+		return 0
 	}
-	timer := time.NewTimer(bound)
-	defer timer.Stop()
-	select {
-	case resp := <-reply:
-		waitNet(resp.sentAt, c.cfg.NetworkDelay)
-		return resp
-	case <-timer.C:
-		return response{err: fmt.Errorf("cluster: node %d: %w", nid, ErrRPCTimeout)}
+	return t.co.c.cfg.RPCTimeout
+}
+
+// collect waits for each call's reply, in order, including its
+// simulated network delay. With bound > 0 the calls share one deadline:
+// a member that has not answered by then gets an ErrRPCTimeout response
+// — its request stays queued and MAY still execute later (a paused node
+// drains its queue on Resume), so the outcome is unknown, not "not
+// executed" — and once it has passed, replies already in hand are still
+// taken but nothing more is awaited.
+func (t *Txn) collect(calls []call, out []response, bound time.Duration) {
+	var expired <-chan time.Time
+	if bound > 0 {
+		timer := time.NewTimer(bound)
+		defer timer.Stop()
+		expired = timer.C
+	}
+	late := false
+	for i := range calls {
+		c := &calls[i]
+		var ok bool
+		if late {
+			select {
+			case out[i], ok = <-c.reply:
+			default:
+			}
+		} else {
+			select {
+			case out[i], ok = <-c.reply:
+			case <-expired:
+				late = true
+			}
+		}
+		if ok {
+			waitNet(out[i].sentAt, t.co.c.cfg.NetworkDelay)
+		} else {
+			out[i] = response{err: fmt.Errorf("cluster: node %d: %w", c.nid, ErrRPCTimeout)}
+		}
+		c.sp.Finish()
 	}
 }
 
-// served / markServed access the group -> executing-member pin under smu
-// (multi-target fan-outs run sendGroup concurrently).
-func (t *Txn) served(g int) (int, bool) {
-	t.smu.Lock()
-	defer t.smu.Unlock()
-	nid, ok := t.servedBy[g]
-	return nid, ok
+// sendNode is one bounded request/reply exchange with member nid of g.
+func (t *Txn) sendNode(kind reqKind, pl *plan, g, nid int, replRead bool) response {
+	calls := [1]call{t.post(kind, pl, g, nid, false, replRead)}
+	var out [1]response
+	t.collect(calls[:], out[:], t.bound(kind))
+	return out[0]
 }
 
-func (t *Txn) markServed(g, nid int) {
-	t.smu.Lock()
-	t.touched[g] = true
-	t.servedBy[g] = nid
-	t.smu.Unlock()
+// settle applies the delivery rules of the request's kind to one
+// target's reply.
+//
+// A statement pins its group to the member that executed it — also when
+// it executed and failed (lock conflict, SQL error), as the member may
+// hold doomed state for us. A refusal by the pinned member means that
+// state is lost (crash, or a deposition sweep) with the earlier
+// statements' effects, and the only sound move is failing the attempt so
+// the whole transaction retries; the cont flag makes a restarted or
+// re-elected member detect the loss instead of silently starting fresh.
+//
+// A prepare is never redirected: any refusal is a no vote, and presumed
+// abort makes aborting always safe. A one-round commit must land on the
+// executing member (its refusal means the writes died; the transaction
+// retries whole), but a 2PC decision is sealed by the coordinator's
+// record and its prepare entry is quorum-replicated in the group log, so
+// it may be delivered through whichever member now leads. An abort the
+// executing member cannot take goes to the current leader, which can
+// clean any replicated prepare entry — best effort: the group leader's
+// resolver sweeps whatever this misses.
+func (t *Txn) settle(kind reqKind, pl *plan, c *call, resp response) response {
+	switch {
+	case kind == reqExec:
+		nid := c.nid
+		if redirected(resp.err) {
+			if c.pinned {
+				return response{err: fmt.Errorf(
+					"cluster: group %d: executing member %d lost mid-transaction: %w",
+					c.g, nid, ErrNodeDown)}
+			}
+			if resp, nid = t.chase(kind, pl, c.g, nid, resp); redirected(resp.err) {
+				return resp
+			}
+		}
+		t.pin(c.g, nid)
+	case kind == reqCommit && t.twoPhase && redirected(resp.err):
+		resp, _ = t.chase(kind, nil, c.g, c.nid, resp)
+	case kind == reqAbort && resp.err != nil:
+		if l := t.co.c.GroupLeader(c.g); l != c.nid {
+			resp = t.sendNode(kind, nil, c.g, l, false)
+		}
+	}
+	return resp
 }
 
 // redirected is true for the errors that mean "this member refused
@@ -125,9 +201,38 @@ func redirected(err error) bool {
 		errors.Is(err, ErrLeaseExpired)
 }
 
+// chase re-sends a request that member nid of group g refused before
+// acting, following redirects until a member serves it (or fails it
+// after acting), a failover budget of 20 elections runs out, or no other
+// member is left to ask — at once, in a group of one. It returns the
+// last reply and the member that gave it.
+func (t *Txn) chase(kind reqKind, pl *plan, g, nid int, resp response) (response, int) {
+	var deadline time.Time
+	for redirected(resp.err) {
+		next := t.nextMember(g, nid, resp.err)
+		if next == nid {
+			break
+		}
+		if deadline.IsZero() {
+			elect := t.co.c.cfg.ReplElection
+			if elect <= 0 {
+				elect = 60 * time.Millisecond
+			}
+			deadline = time.Now().Add(20 * elect) // a few failovers' worth
+		} else if time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+		nid = next
+		resp = t.sendNode(kind, pl, g, nid, false)
+	}
+	return resp, nid
+}
+
 // nextMember follows a redirect: the hint embedded in the error when it
 // names a different member of this group, the cluster's leader cache
-// when that moved, and plain rotation otherwise.
+// when that moved, and plain rotation otherwise — which, in a group of
+// one, comes back to cur.
 func (t *Txn) nextMember(g, cur int, err error) int {
 	c := t.co.c
 	var hint *LeaderHintError
@@ -147,60 +252,17 @@ func (t *Txn) nextMember(g, cur int, err error) int {
 	return members[0]
 }
 
-// execOnLeader executes a statement on the member currently leading
-// group g, chasing redirects through a failover within a bounded
-// budget. Once a member has executed for this transaction the statement
-// stream is pinned to it — its lock table holds our locks and its undo
-// log our images. If that member is lost (crash, or deposition swept
-// its unprepared state), earlier statements' effects are gone and the
-// only sound move is failing the attempt so the whole transaction
-// retries; the cont flag makes a restarted or re-elected member detect
-// the loss instead of silently starting fresh.
-func (t *Txn) execOnLeader(pl *plan, g int) response {
-	c := t.co.c
-	target, pinned := t.served(g)
-	if !pinned {
-		target = c.GroupLeader(g)
-	}
-	elect := c.cfg.ReplElection
-	if elect <= 0 {
-		elect = 60 * time.Millisecond
-	}
-	deadline := time.Now().Add(20 * elect) // a few failovers' worth
-	for {
-		resp := t.sendNode(reqExec, pl, target, false, pinned, 0)
-		if resp.err == nil || !redirected(resp.err) {
-			// Served (or executed and failed — lock conflict, SQL error —
-			// in which case the member may hold doomed state for us).
-			t.markServed(g, target)
-			return resp
-		}
-		if pinned {
-			return response{err: fmt.Errorf(
-				"cluster: group %d: executing member %d lost mid-transaction: %w",
-				g, target, ErrNodeDown)}
-		}
-		if time.Now().After(deadline) {
-			return resp
-		}
-		target = t.nextMember(g, target, resp.err)
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// readReplica serves a single-target SELECT from a group replica:
-// sticky per transaction for locality, re-seeded past members that are
-// down, deposed-and-dirty, or lease-expired, with the leader's locked
-// path as the final fallback (which then makes the group a participant
-// like any locked read — the response's locked flag reports whether the
-// serving member took locks, since the sticky pick may happen to be the
-// leader).
+// readReplica serves a single-group SELECT from a group replica: sticky
+// per transaction for locality, re-seeded past members that are down,
+// deposed-and-dirty, or lease-expired, with the locked path as the final
+// fallback. The sticky pick may be the leader, which serves the read on
+// its locked path (the response's locked flag says so): that member then
+// holds our locks and participant state whether the read succeeded or
+// died, so it is pinned like any locked statement.
 func (t *Txn) readReplica(pl *plan, g int) response {
 	c := t.co.c
 	members := c.GroupMembers(g)
-	t.smu.Lock()
 	nid, ok := t.sticky[g]
-	t.smu.Unlock()
 	if !ok {
 		nid = members[t.rng.intn(len(members))]
 	}
@@ -209,14 +271,15 @@ func (t *Txn) readReplica(pl *plan, g int) response {
 			nid = members[t.rng.intn(len(members))] // re-seed stickiness
 			continue
 		}
-		resp := t.sendNode(reqExec, pl, nid, true, false, 0)
+		resp := t.sendNode(reqExec, pl, g, nid, true)
+		if resp.locked {
+			t.pin(g, nid)
+		}
 		if resp.err == nil {
-			if resp.locked {
-				t.markServed(g, nid) // the leader served it under locks
+			if t.sticky == nil {
+				t.sticky = make(map[int]int)
 			}
-			t.smu.Lock()
 			t.sticky[g] = nid
-			t.smu.Unlock()
 			return resp
 		}
 		if !redirected(resp.err) {
@@ -224,68 +287,8 @@ func (t *Txn) readReplica(pl *plan, g int) response {
 		}
 		nid = members[t.rng.intn(len(members))] // re-seed stickiness
 	}
-	// No replica could serve it lock-free; read through the leader.
-	return t.execOnLeader(pl, g)
-}
-
-// prepareGroup sends the 2PC vote request to the member that executed
-// this transaction's statements — only it holds the write-set to
-// replicate and promise. No redirects: any refusal is a no vote, and
-// presumed abort makes aborting always safe.
-func (t *Txn) prepareGroup(g int) response {
-	c := t.co.c
-	target, ok := t.served(g)
-	if !ok {
-		target = c.GroupLeader(g)
-	}
-	return t.sendNode(reqPrepare, nil, target, false, false, c.cfg.RPCTimeout)
-}
-
-// commitGroup delivers a commit. A single-group commit must land on the
-// executing member (its refusal means the writes died; the transaction
-// retries whole). A 2PC decision is sealed by the coordinator's record
-// and the prepare entry is quorum-replicated in the group log, so it
-// may be delivered through whichever member currently leads.
-func (t *Txn) commitGroup(g int) response {
-	c := t.co.c
-	target, ok := t.served(g)
-	if !ok {
-		target = c.GroupLeader(g)
-	}
-	elect := c.cfg.ReplElection
-	if elect <= 0 {
-		elect = 60 * time.Millisecond
-	}
-	deadline := time.Now().Add(20 * elect) // outlast a failover
-	var resp response
-	for {
-		resp = t.sendNode(reqCommit, nil, target, false, false, c.cfg.RPCTimeout)
-		if resp.err == nil || !t.twoPhase || !redirected(resp.err) {
-			return resp
-		}
-		if time.Now().After(deadline) {
-			return resp
-		}
-		target = t.nextMember(g, target, resp.err)
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// abortGroup rolls the transaction back on its executing member, then —
-// if that member is unreachable or deposed — tells the current leader,
-// which can clean any replicated prepare entry. Best effort: the group
-// leader's resolver sweeps whatever this misses.
-func (t *Txn) abortGroup(g int) response {
-	c := t.co.c
-	target, ok := t.served(g)
-	if !ok {
-		target = c.GroupLeader(g)
-	}
-	resp := t.sendNode(reqAbort, nil, target, false, false, c.cfg.RPCTimeout)
-	if resp.err != nil {
-		if l := c.GroupLeader(g); l != target {
-			resp = t.sendNode(reqAbort, nil, l, false, false, c.cfg.RPCTimeout)
-		}
-	}
-	return resp
+	// No replica could serve it lock-free; read through the locked path.
+	var out [1]response
+	t.dispatch(reqExec, pl, []int{g}, out[:])
+	return out[0]
 }

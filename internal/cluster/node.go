@@ -334,11 +334,17 @@ func (n *Node) serve(r *request) {
 	case reqCommit:
 		n.trigger(BeforeCommitAck)
 		n.pauseGate()
-		if n.down() {
+		switch {
+		case n.down():
 			resp.err = n.downErr()
-		} else if gr != nil {
+		case gr != nil:
 			resp.err = n.commitReplicated(gr, r)
-		} else {
+		case !r.twoPhase && !n.hasState(r.ts):
+			// One-round commit with no participant state: the node crashed
+			// and restarted since the statements ran, and recovery undid
+			// them as losers. Refuse so the whole transaction retries.
+			resp.err = n.downErr()
+		default:
 			n.commit(r.ts)
 		}
 	case reqAbort:
@@ -394,6 +400,12 @@ func (n *Node) execReplicated(gr *groupRuntime, r *request) response {
 	return n.execSelect(r.ts, r.plan, sel, r.capture, false)
 }
 
+func (n *Node) hasState(ts txn.TS) bool {
+	n.tmu.Lock()
+	defer n.tmu.Unlock()
+	return n.txns[ts] != nil
+}
+
 func (n *Node) hasPreparedNative() bool {
 	n.tmu.Lock()
 	defer n.tmu.Unlock()
@@ -418,18 +430,10 @@ func (n *Node) prepareReplicated(gr *groupRuntime, r *request) error {
 		return n.notLeaderErr(gr)
 	}
 	n.tmu.Lock()
-	st := n.txns[ts]
-	if st == nil {
+	st, err := n.voteLocked(ts, epoch)
+	if err != nil {
 		n.tmu.Unlock()
-		return fmt.Errorf("cluster: vote no: participant state lost: %w", ErrNodeDown)
-	}
-	if st.epoch != epoch {
-		n.tmu.Unlock()
-		return errors.New("cluster: vote no: stale prepare from a superseded attempt")
-	}
-	if st.doomed {
-		n.tmu.Unlock()
-		return errors.New("cluster: vote no")
+		return err
 	}
 	redo := n.buildRedoLocked(st.undo)
 	var qStart time.Time
@@ -590,20 +594,13 @@ func (n *Node) commitReplicated(gr *groupRuntime, r *request) error {
 	return nil
 }
 
-// abortReplicated rolls back the native branch (epoch-guarded) and, on
-// the leader, replicates the abort fate if the transaction ever
-// produced a durable prepare entry. The proposal is synchronous (local
-// log append) so it is ordered BEFORE any later attempt's prepare entry
-// — the epoch guard at apply handles the rest.
+// abortReplicated is abort plus, on the leader, replicating the abort
+// fate if the transaction ever produced a durable prepare entry. The
+// proposal is synchronous (local log append) so it is ordered BEFORE
+// any later attempt's prepare entry — the epoch guard at apply handles
+// the rest.
 func (n *Node) abortReplicated(gr *groupRuntime, ts txn.TS, epoch uint64) {
-	n.tmu.Lock()
-	st := n.txns[ts]
-	wasPrepared := false
-	if st != nil && st.epoch == epoch {
-		wasPrepared = st.prepared
-		n.rollbackLocked(ts, st)
-	}
-	n.tmu.Unlock()
+	wasPrepared := n.abort(ts, epoch)
 	if !gr.leading.Load() {
 		return
 	}
@@ -678,41 +675,46 @@ func (n *Node) execStmt(ts txn.TS, epoch uint64, pl *plan, capture, cont bool) r
 	return resp
 }
 
-// prepare is the 2PC vote: yes iff every statement succeeded here. A yes
-// vote logs the transaction's write-set and forces the WAL before it is
-// acked — the vote is a durable promise to commit on demand, and after a
-// crash recovery re-installs it as an in-doubt transaction. A missing
-// participant state (lost in a crash since the statements ran) means
-// nothing here can be committed, so the node votes no: under presumed
-// abort that is always safe.
+// voteLocked is the 2PC vote check every participant runs: yes iff the
+// asking attempt's state is here and every statement succeeded. A
+// missing state (lost to a crash+restart or a deposition sweep since
+// the statements ran) means nothing here can be committed; nothing
+// durable happened for the attempt, so the refusal is retryable like
+// any ErrNodeDown. A stale prepare from an attempt the coordinator
+// already gave up on must not get a yes: it would durably promise the
+// CURRENT attempt's half-built write-set to a requester that no longer
+// exists. Under presumed abort a no vote is always safe. Caller holds
+// tmu.
+func (n *Node) voteLocked(ts txn.TS, epoch uint64) (*txnState, error) {
+	st := n.txns[ts]
+	switch {
+	case st == nil:
+		return nil, fmt.Errorf("cluster: vote no: participant state lost: %w", ErrNodeDown)
+	case st.epoch != epoch:
+		return nil, errors.New("cluster: vote no: stale prepare from a superseded attempt")
+	case st.doomed:
+		return nil, errors.New("cluster: vote no")
+	}
+	return st, nil
+}
+
+// prepare is the 2PC vote on a node of a one-member group. A yes vote
+// logs the transaction's write-set and forces the WAL before it is
+// acked — the vote is a durable promise to commit on demand, and after
+// a crash recovery re-installs it as an in-doubt transaction.
 // The vote check and the prepare-record append run atomically under tmu:
 // a timed-out prepare can still be parked on a paused node when its own
 // abort arrives, and logging a vote after the rollback would promise a
 // write-set that no longer exists. The modeled flush latency is paid
 // after tmu is released so it never serializes other transactions.
 func (n *Node) prepare(r *request) error {
-	ts, epoch := r.ts, r.epoch
 	n.tmu.Lock()
-	st := n.txns[ts]
-	if st == nil {
+	st, err := n.voteLocked(r.ts, r.epoch)
+	if err != nil {
 		n.tmu.Unlock()
-		// The state was lost in a crash since the statements ran (the node
-		// has since recovered). Nothing durable happened for this attempt,
-		// so the refusal is retryable like any ErrNodeDown.
-		return fmt.Errorf("cluster: vote no: participant state lost in crash: %w", ErrNodeDown)
+		return err
 	}
-	if st.epoch != epoch {
-		n.tmu.Unlock()
-		// A stale prepare from an attempt the coordinator already gave up
-		// on. Voting yes would durably promise the CURRENT attempt's
-		// half-built write-set to a requester that no longer exists.
-		return errors.New("cluster: vote no: stale prepare from a superseded attempt")
-	}
-	if st.doomed {
-		n.tmu.Unlock()
-		return errors.New("cluster: vote no")
-	}
-	pay := n.wal.AppendPrepareAsync(uint64(ts), writeSet(st.undo))
+	pay := n.wal.AppendPrepareAsync(uint64(r.ts), writeSet(st.undo))
 	st.prepared = true
 	n.tmu.Unlock()
 	n.payForce(pay, r.trace)
@@ -745,14 +747,16 @@ func (n *Node) commit(ts txn.TS) {
 // epoch does not match the live state — or that finds no state at all —
 // is stale or duplicate and must touch NOTHING: in particular not the
 // lock table, which a newer attempt of the same ts may be relying on.
-func (n *Node) abort(ts txn.TS, epoch uint64) {
+// It reports whether the attempt it rolled back had voted yes.
+func (n *Node) abort(ts txn.TS, epoch uint64) (wasPrepared bool) {
 	n.tmu.Lock()
 	defer n.tmu.Unlock()
 	st := n.txns[ts]
 	if st == nil || st.epoch != epoch {
-		return
+		return false
 	}
 	n.rollbackLocked(ts, st)
+	return st.prepared
 }
 
 // rollbackLocked rolls one attempt's writes back, logs the abort and
