@@ -1,16 +1,17 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"schism/internal/cluster/codec"
 	"schism/internal/cluster/repl"
-	"schism/internal/datum"
 	"schism/internal/storage"
 	"schism/internal/txn"
 )
@@ -51,6 +52,10 @@ type groupRuntime struct {
 	// non-natives apply the redo.
 	pmu      sync.Mutex
 	pendings map[txn.TS]*pendingPrepare
+
+	// snapLen is the payload length of the last Snapshot image, which
+	// sizes the next one (apply goroutine only).
+	snapLen int
 
 	kick    chan struct{} // wakes the resolver early (LeaderReady)
 	stopCh  chan struct{}
@@ -123,12 +128,12 @@ func (n *Node) groupStatus() (repl.Status, bool) {
 func (gr *groupRuntime) rebuildPendings(d *repl.Durable) {
 	applied := d.Applied()
 	if snap, snapIdx := d.Snapshot(); snap != nil && snapIdx <= applied {
-		var img groupSnap
-		if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&img); err != nil {
-			panic("cluster: corrupt group snapshot: " + err.Error())
+		r, err := openSnapshot(snap)
+		if err == nil {
+			err = readSnapPendings(&r, gr.pendings)
 		}
-		for ts, p := range img.Pendings {
-			gr.pendings[txn.TS(ts)] = &pendingPrepare{redo: p.Redo, epoch: p.Epoch, born: time.Now()}
+		if err != nil {
+			panic("cluster: corrupt group snapshot: " + err.Error())
 		}
 	}
 	d.Range(func(index uint64, e repl.Entry) bool {
@@ -277,18 +282,22 @@ func (gr *groupRuntime) applyRedo(redo []repl.Mutation) {
 	}
 }
 
-// groupSnap is the gob image a group snapshot carries: every table's
-// rows at the applied index (with uncommitted native writes backed out)
-// plus the unresolved pendings.
-type groupSnap struct {
-	Tables   map[string][][]datum.D
-	Pendings map[uint64]snapPending
-}
+// A group snapshot image is one member's group-committed prefix, written
+// with the row codec the node WAL uses (package codec):
+//
+//	checksum  crc32 (IEEE, little-endian) of everything after it
+//	pendings  count; per pending: ts, epoch, mutation count, and per
+//	          mutation: table, key, has-row (0 or 1), row
+//	tables    count; per table: name, row count, rows
+//
+// Pendings come first so that rebuildPendings reads only the prefix it
+// needs.
+const snapHeader = 4
 
-type snapPending struct {
-	Redo  []repl.Mutation
-	Epoch uint64
-}
+var (
+	errSnapChecksum  = errors.New("checksum mismatch")
+	errSnapMalformed = errors.New("truncated or malformed image")
+)
 
 // Snapshot serializes the node's applied state. Runs on the apply
 // goroutine, so no entry is mid-application; native transactions still
@@ -296,9 +305,30 @@ type snapPending struct {
 // from the undo chain — the image must be exactly the group-committed
 // prefix, because a follower restoring it has no way to undo anything.
 func (gr *groupRuntime) Snapshot() []byte {
+	// One allocation per image: the previous one's length, and room to grow.
+	b := make([]byte, snapHeader, snapHeader+gr.snapLen+gr.snapLen/8)
+	// Only the apply goroutine changes pendings, so reading them ahead of
+	// the tables loses nothing.
+	gr.pmu.Lock()
+	b = binary.AppendUvarint(b, uint64(len(gr.pendings)))
+	for ts, p := range gr.pendings {
+		b = binary.AppendUvarint(b, uint64(ts))
+		b = binary.AppendUvarint(b, p.epoch)
+		b = binary.AppendUvarint(b, uint64(len(p.redo)))
+		for _, m := range p.redo {
+			b = codec.AppendString(b, m.Table)
+			b = binary.AppendVarint(b, m.Key)
+			if m.Row == nil {
+				b = append(b, 0)
+			} else {
+				b = codec.AppendRow(append(b, 1), m.Row)
+			}
+		}
+	}
+	gr.pmu.Unlock()
+
 	n := gr.n
 	n.tmu.Lock()
-	defer n.tmu.Unlock()
 	// The latch must cover the undo-chain read AND the table scan as one
 	// critical section: executors append undo records and mutate rows
 	// under the write latch (tmu → latch is the established order), so
@@ -308,11 +338,14 @@ func (gr *groupRuntime) Snapshot() []byte {
 	// override[table][key] = the pre-transaction image (nil: key absent).
 	// The FIRST undo record for a key holds the oldest before-image; keys
 	// cannot repeat across transactions (exclusive locks).
-	override := make(map[string]map[int64]storage.Row)
+	var override map[string]map[int64]storage.Row
 	for _, st := range n.txns {
 		for _, u := range st.undo {
 			m := override[u.table]
 			if m == nil {
+				if override == nil {
+					override = make(map[string]map[int64]storage.Row)
+				}
 				m = make(map[int64]storage.Row)
 				override[u.table] = m
 			}
@@ -321,49 +354,97 @@ func (gr *groupRuntime) Snapshot() []byte {
 			}
 		}
 	}
-	img := groupSnap{Tables: make(map[string][][]datum.D), Pendings: make(map[uint64]snapPending)}
-	for _, tn := range n.db.TableNames() {
+	names := n.db.TableNames()
+	b = binary.AppendUvarint(b, uint64(len(names)))
+	for _, tn := range names {
 		tbl := n.db.Table(tn)
 		ov := override[tn]
-		// One block holds the table's rows: the scan shows each in its
-		// scratch row, and the image keeps the block's sub-slices.
-		ncols := len(tbl.Schema.Columns)
-		flat := make([]datum.D, 0, tbl.Len()*ncols)
-		rows := make([][]datum.D, 0, tbl.Len())
+		rows := tbl.Len()
+		for key, old := range ov {
+			switch has := tbl.Has(key); {
+			case old == nil && has:
+				rows-- // inserted by an in-flight txn: not committed state
+			case old != nil && !has:
+				rows++ // deleted by an in-flight txn: resurrected below
+			}
+		}
+		b = codec.AppendString(b, tn)
+		b = binary.AppendUvarint(b, uint64(rows))
 		tbl.ViewAll(func(key int64, row storage.Row) bool {
 			if old, hit := ov[key]; hit {
 				if old == nil {
-					return true // inserted by an in-flight txn: not committed state
+					return true
 				}
 				row = old
 			}
-			flat = append(flat, row...)
-			rows = append(rows, flat[len(flat)-ncols:len(flat):len(flat)])
+			b = codec.AppendRow(b, row)
 			return true
 		})
-		// Keys deleted by an in-flight transaction still exist in the
-		// committed prefix: resurrect their before-images.
 		for key, old := range ov {
-			if old == nil {
-				continue
-			}
-			if !tbl.Has(key) {
-				rows = append(rows, append([]datum.D(nil), old...))
+			if old != nil && !tbl.Has(key) {
+				b = codec.AppendRow(b, old)
 			}
 		}
-		img.Tables[tn] = rows
 	}
 	n.latch.RUnlock()
-	gr.pmu.Lock()
-	for ts, p := range gr.pendings {
-		img.Pendings[uint64(ts)] = snapPending{Redo: p.redo, Epoch: p.epoch}
+	n.tmu.Unlock()
+	binary.LittleEndian.PutUint32(b, crc32.ChecksumIEEE(b[snapHeader:]))
+	gr.snapLen = len(b) - snapHeader
+	return b
+}
+
+// openSnapshot checks an image's checksum and returns a reader over the
+// pendings and tables behind it.
+func openSnapshot(img []byte) (codec.Reader, error) {
+	if len(img) < snapHeader || binary.LittleEndian.Uint32(img) != crc32.ChecksumIEEE(img[snapHeader:]) {
+		return codec.Reader{}, errSnapChecksum
 	}
-	gr.pmu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		panic("cluster: group snapshot encode failed: " + err.Error())
+	return codec.NewReader(img[snapHeader:]), nil
+}
+
+// readSnapPendings decodes the pendings of an image into dst.
+func readSnapPendings(r *codec.Reader, dst map[txn.TS]*pendingPrepare) error {
+	born := time.Now()
+	for i := r.Count(3); i > 0; i-- { // ts, epoch, mutation count
+		ts := txn.TS(r.Uvarint())
+		epoch := r.Uvarint()
+		redo := make([]repl.Mutation, r.Count(3)) // table, key, has-row
+		for j := range redo {
+			m := &redo[j]
+			m.Table = r.Str()
+			m.Key = r.Varint()
+			if r.Bool() {
+				m.Row = r.Row(nil)
+			}
+		}
+		if r.Bad() {
+			return errSnapMalformed
+		}
+		dst[ts] = &pendingPrepare{redo: redo, epoch: epoch, born: born}
 	}
-	return buf.Bytes()
+	if r.Bad() {
+		return errSnapMalformed
+	}
+	return nil
+}
+
+// readSnapTables decodes the tables of an image, after its pendings,
+// handing fn each row in a buffer that is reused for the next.
+func readSnapTables(r *codec.Reader, fn func(table string, row storage.Row)) error {
+	var row storage.Row
+	for i := r.Count(2); i > 0 && !r.Bad(); i-- { // name, row count
+		name := r.Str()
+		for j := r.Count(1); j > 0; j-- {
+			if row = r.Row(row); r.Bad() {
+				return errSnapMalformed
+			}
+			fn(name, row)
+		}
+	}
+	if r.Bad() || r.Len() != 0 {
+		return errSnapMalformed
+	}
+	return nil
 }
 
 // Restore replaces the node's state with a leader snapshot (this
@@ -374,8 +455,12 @@ func (gr *groupRuntime) Snapshot() []byte {
 // get abort records in the node WAL so a later crash-recovery does not
 // reinstall them against the restored image.
 func (gr *groupRuntime) Restore(snap []byte) {
-	var img groupSnap
-	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&img); err != nil {
+	pendings := make(map[txn.TS]*pendingPrepare)
+	r, err := openSnapshot(snap)
+	if err == nil {
+		err = readSnapPendings(&r, pendings)
+	}
+	if err != nil {
 		panic("cluster: corrupt group snapshot: " + err.Error())
 	}
 	n := gr.n
@@ -396,19 +481,27 @@ func (gr *groupRuntime) Restore(snap []byte) {
 		for _, k := range keys {
 			tbl.Delete(k)
 		}
-		for _, row := range img.Tables[tn] {
-			if err := tbl.Insert(storage.Row(row)); err != nil {
-				panic("cluster: snapshot restore insert failed: " + err.Error())
-			}
-		}
 	}
+	var cur string
+	var tbl *storage.Table
+	err = readSnapTables(&r, func(name string, row storage.Row) {
+		if name != cur {
+			cur, tbl = name, n.db.Table(name)
+		}
+		if tbl == nil {
+			return
+		}
+		if err := tbl.Insert(row); err != nil {
+			panic("cluster: snapshot restore insert failed: " + err.Error())
+		}
+	})
 	n.latch.Unlock()
 	n.tmu.Unlock()
-	gr.pmu.Lock()
-	gr.pendings = make(map[txn.TS]*pendingPrepare)
-	for ts, p := range img.Pendings {
-		gr.pendings[txn.TS(ts)] = &pendingPrepare{redo: p.Redo, epoch: p.Epoch, born: time.Now()}
+	if err != nil {
+		panic("cluster: corrupt group snapshot: " + err.Error())
 	}
+	gr.pmu.Lock()
+	gr.pendings = pendings
 	gr.pmu.Unlock()
 }
 

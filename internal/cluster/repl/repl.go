@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -694,12 +695,19 @@ func (r *Replica) replicateTo(peer int) {
 // makes a quorum-acked prepare survive any future election. Caller
 // holds mu.
 func (r *Replica) advanceCommitLocked(term uint64) {
-	matches := make([]uint64, 0, len(r.cfg.Peers))
+	// It runs on every append ack: a group of up to eight sorts on the
+	// stack.
+	var buf [8]uint64
+	matches := buf[:0]
+	if len(r.cfg.Peers) > len(buf) {
+		matches = make([]uint64, 0, len(r.cfg.Peers))
+	}
 	for _, p := range r.cfg.Peers {
 		matches = append(matches, r.matchIndex[p])
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
-	candidate := matches[r.quorum()-1]
+	slices.Sort(matches)
+	// The quorum-th highest match: replicated on a quorum of members.
+	candidate := matches[len(matches)-r.quorum()]
 	if candidate <= r.commitIndex {
 		return
 	}
@@ -989,27 +997,15 @@ func (r *Replica) WaitApplied(index uint64, bound time.Duration) error {
 
 func (r *Replica) waitFor(done func() bool, bound time.Duration) error {
 	deadline := time.Now().Add(bound)
-	// cond has no timed wait; a ticker goroutine converts the deadline
-	// into periodic broadcasts. Cheap enough for the protocol paths that
-	// use it (one per 2PC round).
-	stopTick := make(chan struct{})
-	go func() {
-		t := time.NewTicker(time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopTick:
-				return
-			case <-t.C:
-				r.mu.Lock()
-				r.cond.Broadcast()
-				r.mu.Unlock()
-			}
-		}
-	}()
-	defer close(stopTick)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if done() {
+		return nil
+	}
+	// cond has no timed wait: one timer broadcasts at the deadline, so the
+	// loop wakes for every real state change and once more at expiry.
+	t := time.AfterFunc(bound, r.broadcast)
+	defer t.Stop()
 	for {
 		if done() {
 			return nil
@@ -1017,11 +1013,17 @@ func (r *Replica) waitFor(done func() bool, bound time.Duration) error {
 		if r.stopped {
 			return ErrStopped
 		}
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			return fmt.Errorf("%w after %v", ErrTimeout, bound)
 		}
 		r.cond.Wait()
 	}
+}
+
+func (r *Replica) broadcast() {
+	r.mu.Lock()
+	r.cond.Broadcast()
+	r.mu.Unlock()
 }
 
 // IsLeader reports whether this replica is the group's ready leader.

@@ -408,6 +408,9 @@ func TestSnapshotInstallOnLaggingFollower(t *testing.T) {
 	for i := int64(0); i < 50; i++ {
 		last = g.propose(leader, put(uint64(100+i), i, i*2))
 	}
+	// Compaction runs on apply, which may trail the commit propose waited
+	// for.
+	g.waitApplied(leader, last, 2*time.Second)
 	if _, snapIdx := g.durs[leader].Snapshot(); snapIdx == 0 {
 		t.Fatalf("leader never compacted (snapIndex 0 after 50 entries, CompactEntries 8)")
 	}
@@ -427,6 +430,12 @@ func TestSnapshotInstallOnLaggingFollower(t *testing.T) {
 	g.crash(follower)
 	for i := int64(70); i < 90; i++ {
 		last = g.propose(leader, put(uint64(200+i), i, i))
+	}
+	// The toy state machine is volatile: the restarted follower gets the
+	// pending back only by installing a snapshot, so every running replica
+	// must first have compacted past the follower's log.
+	for id := range g.reps {
+		g.waitApplied(id, last, 2*time.Second)
 	}
 	g.restart(follower)
 	g.waitApplied(follower, last, 3*time.Second)
@@ -568,6 +577,51 @@ func TestDurableSurvivesRestartOfWholeGroup(t *testing.T) {
 			if v, _ := g.sms[id].get(i); v != i*3 {
 				t.Fatalf("replica %d lost durable entry for key %d after full restart", id, i)
 			}
+		}
+	}
+}
+
+// TestAdvanceCommitAllocFree pins the watermark computed on every append
+// ack: the commit index moves to the quorum-th highest match index when
+// that entry is of the current term, without allocating in groups of up
+// to eight members.
+func TestAdvanceCommitAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		matches []uint64
+		want    uint64
+		pinned  bool
+	}{
+		{matches: []uint64{9, 4, 7}, want: 7, pinned: true},
+		{matches: []uint64{3, 9, 1, 8, 5}, want: 5, pinned: true},
+		{matches: []uint64{2, 9, 4, 1, 8, 3, 7, 5, 6}, want: 5},
+	} {
+		d := NewDurable()
+		for i := 0; i < 10; i++ {
+			d.entries = append(d.entries, Entry{Term: 1})
+		}
+		r := &Replica{d: d, matchIndex: make(map[int]uint64)}
+		r.cond = sync.NewCond(&r.mu)
+		for id, m := range tc.matches {
+			r.cfg.Peers = append(r.cfg.Peers, id)
+			r.matchIndex[id] = m
+		}
+		r.advanceCommitLocked(2)
+		if r.commitIndex != 0 {
+			t.Fatalf("R=%d: committed index %d of an earlier term", len(tc.matches), r.commitIndex)
+		}
+		r.advanceCommitLocked(1)
+		if r.commitIndex != tc.want {
+			t.Fatalf("R=%d matches %v: commit index %d, want %d", len(tc.matches), tc.matches, r.commitIndex, tc.want)
+		}
+		if !tc.pinned {
+			continue
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			r.commitIndex = 0
+			r.advanceCommitLocked(1)
+		})
+		if allocs != 0 {
+			t.Fatalf("R=%d: advanceCommitLocked allocates %.1f times per ack, want 0", len(tc.matches), allocs)
 		}
 	}
 }

@@ -23,12 +23,12 @@ package wal
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"schism/internal/cluster/codec"
 	"schism/internal/datum"
 )
 
@@ -188,11 +188,11 @@ func encodeUpdate(ts uint64, table string, key int64, old []datum.D, hadOld bool
 	return func(b []byte) []byte {
 		b = append(b, byte(TUpdate))
 		b = binary.AppendUvarint(b, ts)
-		b = appendString(b, table)
+		b = codec.AppendString(b, table)
 		b = binary.AppendVarint(b, key)
 		if hadOld {
 			b = append(b, 1)
-			b = appendRow(b, old)
+			b = codec.AppendRow(b, old)
 		} else {
 			b = append(b, 0)
 		}
@@ -206,7 +206,7 @@ func encodePrepare(ts uint64, writeSet []Key) func([]byte) []byte {
 		b = binary.AppendUvarint(b, ts)
 		b = binary.AppendUvarint(b, uint64(len(writeSet)))
 		for _, k := range writeSet {
-			b = appendString(b, k.Table)
+			b = codec.AppendString(b, k.Table)
 			b = binary.AppendVarint(b, k.Key)
 		}
 		return b
@@ -278,134 +278,32 @@ func (l *Log) compactLocked() {
 	l.compacts.Add(1)
 }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendRow(b []byte, row []datum.D) []byte {
-	b = binary.AppendUvarint(b, uint64(len(row)))
-	for _, d := range row {
-		b = append(b, byte(d.K))
-		switch d.K {
-		case datum.Int:
-			b = binary.AppendVarint(b, d.I)
-		case datum.Float:
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.F))
-		case datum.String:
-			b = appendString(b, d.S)
-		}
-	}
-	return b
-}
-
-// reader decodes a payload, flagging truncation/corruption via bad.
-type reader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *reader) byte() byte {
-	if r.off >= len(r.b) {
-		r.bad = true
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) varint() int64 {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) string() string {
-	n := r.uvarint()
-	if r.bad || uint64(len(r.b)-r.off) < n {
-		r.bad = true
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-func (r *reader) row() []datum.D {
-	n := r.uvarint()
-	if r.bad || n > uint64(len(r.b)-r.off) { // each datum is >= 1 byte
-		r.bad = true
-		return nil
-	}
-	row := make([]datum.D, n)
-	for i := range row {
-		k := datum.Kind(r.byte())
-		switch k {
-		case datum.Null:
-		case datum.Int:
-			row[i] = datum.NewInt(r.varint())
-		case datum.Float:
-			if len(r.b)-r.off < 8 {
-				r.bad = true
-				return nil
-			}
-			row[i] = datum.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:])))
-			r.off += 8
-		case datum.String:
-			row[i] = datum.NewString(r.string())
-		default:
-			r.bad = true
-			return nil
-		}
-		if r.bad {
-			return nil
-		}
-	}
-	return row
-}
-
 func decode(payload []byte) (Record, bool) {
-	r := &reader{b: payload}
-	rec := Record{Type: Type(r.byte()), TS: r.uvarint()}
+	r := codec.NewReader(payload)
+	rec := Record{Type: Type(r.Byte()), TS: r.Uvarint()}
 	switch rec.Type {
 	case TUpdate:
-		rec.Table = r.string()
-		rec.Key = r.varint()
-		rec.HadOld = r.byte() == 1
+		rec.Table = r.Str()
+		rec.Key = r.Varint()
+		rec.HadOld = r.Byte() == 1
 		if rec.HadOld {
-			rec.Old = r.row()
+			rec.Old = r.Row(nil)
 		}
 	case TPrepare:
-		n := r.uvarint()
-		if r.bad || n > uint64(len(payload)) {
+		n := r.Count(2) // a key is at least its table's length byte and a varint
+		if r.Bad() {
 			return rec, false
 		}
 		rec.WriteSet = make([]Key, n)
 		for i := range rec.WriteSet {
-			rec.WriteSet[i].Table = r.string()
-			rec.WriteSet[i].Key = r.varint()
+			rec.WriteSet[i].Table = r.Str()
+			rec.WriteSet[i].Key = r.Varint()
 		}
 	case TCommit, TAbort:
 	default:
 		return rec, false
 	}
-	return rec, !r.bad
+	return rec, !r.Bad()
 }
 
 // frame returns the payload of the record at off and its framed size. ok

@@ -4,7 +4,6 @@ package datum
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -166,34 +165,45 @@ func rank(k Kind) int {
 func Equal(a, b D) bool { return Compare(a, b) == 0 }
 
 // Hash returns a stable hash of the datum, with Int and Float of equal
-// value hashing identically (consistent with Equal).
+// value hashing identically (consistent with Equal): the 64-bit FNV-1a of
+// a kind-dependent encoding, computed inline because it runs on every
+// routed statement and index probe.
 func Hash(d D) uint64 {
-	h := fnv.New64a()
+	h := uint64(fnvOffset64)
 	switch d.K {
 	case Null:
-		h.Write([]byte{0})
+		h = fnvByte(h, 0)
 	case Int:
-		writeU64(h, uint64(d.I))
+		h = fnvU64(h, uint64(d.I))
 	case Float:
 		if d.F == math.Trunc(d.F) && d.F >= math.MinInt64 && d.F <= math.MaxInt64 {
 			// Hash integral floats as ints for Equal-consistency.
-			writeU64(h, uint64(int64(d.F)))
+			h = fnvU64(h, uint64(int64(d.F)))
 		} else {
-			writeU64(h, math.Float64bits(d.F))
+			h = fnvU64(h, math.Float64bits(d.F))
 		}
 	case String:
-		h.Write([]byte{2})
-		h.Write([]byte(d.S))
+		h = fnvByte(h, 2)
+		for i := 0; i < len(d.S); i++ {
+			h = fnvByte(h, d.S[i])
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
-func writeU64(h interface{ Write([]byte) (int, error) }, v uint64) {
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvU64 hashes v's eight little-endian bytes.
+func fnvU64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = fnvByte(h, byte(v>>(8*i)))
 	}
-	h.Write(b[:])
+	return h
 }
 
 // Size returns the approximate in-memory size of the datum in bytes, used

@@ -1,6 +1,10 @@
 package datum
 
 import (
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -104,5 +108,74 @@ func TestCompareProperties(t *testing.T) {
 	}
 	if err := quick.Check(hashEq, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refHash is Hash as written against hash/fnv: the reference the inline
+// FNV-1a must match bit for bit (placements and secondary indexes are
+// keyed by it).
+func refHash(d D) uint64 {
+	h := fnv.New64a()
+	u64 := func(v uint64) {
+		var b [8]byte
+		for i := range b {
+			b[i] = byte(v >> (8 * i))
+		}
+		h.Write(b[:])
+	}
+	switch d.K {
+	case Null:
+		h.Write([]byte{0})
+	case Int:
+		u64(uint64(d.I))
+	case Float:
+		if d.F == math.Trunc(d.F) && d.F >= math.MinInt64 && d.F <= math.MaxInt64 {
+			u64(uint64(int64(d.F)))
+		} else {
+			u64(math.Float64bits(d.F))
+		}
+	case String:
+		h.Write([]byte{2})
+		h.Write([]byte(d.S))
+	}
+	return h.Sum64()
+}
+
+func TestHashMatchesFNV(t *testing.T) {
+	edge := math.Ldexp(1, 63) // float64(math.MaxInt64) rounds up to 2^63
+	ds := []D{
+		NullD, {K: Kind(7)},
+		NewInt(0), NewInt(-1), NewInt(math.MaxInt64), NewInt(math.MinInt64),
+		NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(math.NaN()),
+		NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(0.5), NewFloat(-2.25),
+		NewFloat(edge), NewFloat(-edge), NewFloat(math.Nextafter(edge, 0)),
+		NewFloat(math.Nextafter(edge, math.Inf(1))), NewFloat(math.Nextafter(-edge, math.Inf(-1))),
+		NewFloat(math.SmallestNonzeroFloat64), NewFloat(math.MaxFloat64),
+		NewString(""), NewString("a"), NewString(strings.Repeat("xy\x00\xff", 1024)),
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		switch i % 4 {
+		case 0:
+			ds = append(ds, NewInt(int64(rng.Uint64())))
+		case 1:
+			ds = append(ds, NewFloat(float64(rng.Int63n(1<<40)-1<<39)))
+		case 2:
+			ds = append(ds, NewFloat(math.Float64frombits(rng.Uint64())))
+		case 3:
+			b := make([]byte, rng.Intn(64))
+			rng.Read(b)
+			ds = append(ds, NewString(string(b)))
+		}
+	}
+	for _, d := range ds {
+		if got, want := Hash(d), refHash(d); got != want {
+			t.Fatalf("Hash(%#v) = %#x, hash/fnv gives %#x", d, got, want)
+		}
+	}
+	for _, d := range []D{NullD, NewInt(42), NewFloat(1.5), NewFloat(3), NewString("abc")} {
+		if allocs := testing.AllocsPerRun(100, func() { Hash(d) }); allocs != 0 {
+			t.Fatalf("Hash(%v) allocates %.1f times, want 0", d, allocs)
+		}
 	}
 }

@@ -5,7 +5,6 @@
 package zipf
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -90,13 +89,12 @@ func (s *Scrambled) Next() uint64 {
 // Hash64 is the FNV-1a hash of the little-endian encoding of v, used to
 // scatter Zipfian ranks across the key space deterministically.
 func Hash64(v uint64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
+	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
 	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+		h ^= (v >> (8 * i)) & 0xff
+		h *= 1099511628211 // FNV-1a 64-bit prime
 	}
-	h.Write(b[:])
-	return h.Sum64()
+	return h
 }
 
 // Uniform draws uniformly from [0, n); provided for symmetry so workload

@@ -1,6 +1,9 @@
 package zipf
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -101,5 +104,23 @@ func TestNewPanics(t *testing.T) {
 			}()
 			New(rng, tc.n, tc.theta)
 		}()
+	}
+}
+
+func TestHash64MatchesFNV(t *testing.T) {
+	vs := []uint64{0, 1, 255, 256, math.MaxUint64, 1 << 63}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		vs = append(vs, rng.Uint64())
+	}
+	for _, v := range vs {
+		h := fnv.New64a()
+		h.Write(binary.LittleEndian.AppendUint64(nil, v))
+		if got, want := Hash64(v), h.Sum64(); got != want {
+			t.Fatalf("Hash64(%d) = %#x, hash/fnv gives %#x", v, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Hash64(12345) }); allocs != 0 {
+		t.Fatalf("Hash64 allocates %.1f times, want 0", allocs)
 	}
 }
