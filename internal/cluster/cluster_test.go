@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"math/rand"
 	"schism/internal/datum"
 
+	"schism/internal/cluster/repl"
 	"schism/internal/partition"
 	"schism/internal/storage"
 	"schism/internal/workload"
@@ -318,5 +320,41 @@ func TestUnsupportedStatement(t *testing.T) {
 	defer tx2.Abort()
 	if _, err := tx2.Exec("SELECT * FROM account JOIN account ON account.id = account.id"); err == nil {
 		t.Error("join should error at runtime")
+	}
+}
+
+// TestBuildRedoDedupesWriteSet pins the redo a replicated prepare or
+// one-round commit ships: one mutation per key written, in first-write
+// order, carrying the row image after the transaction's last statement,
+// and no row for a key it deleted.
+func TestBuildRedoDedupesWriteSet(t *testing.T) {
+	c, co, _ := newAccountCluster(t, 1, 10)
+	defer c.Close()
+	tx := co.Begin()
+	defer tx.Abort()
+	for _, sql := range []string{
+		"UPDATE account SET bal = 7 WHERE id = 1",
+		"INSERT INTO account (id, bal) VALUES (100, 5)",
+		"UPDATE account SET bal = 8 WHERE id = 1",
+		"DELETE FROM account WHERE id = 2",
+		"UPDATE account SET bal = 9 WHERE id = 3",
+		"DELETE FROM account WHERE id = 3",
+	} {
+		if _, err := tx.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	n := c.Node(0)
+	n.tmu.Lock()
+	redo := n.buildRedoLocked(n.txns[tx.ts].undo)
+	n.tmu.Unlock()
+	want := []repl.Mutation{
+		{Table: "account", Key: 1, Row: []datum.D{datum.NewInt(1), datum.NewInt(8)}},
+		{Table: "account", Key: 100, Row: []datum.D{datum.NewInt(100), datum.NewInt(5)}},
+		{Table: "account", Key: 2},
+		{Table: "account", Key: 3},
+	}
+	if !reflect.DeepEqual(redo, want) {
+		t.Fatalf("redo write set:\n got %v\nwant %v", redo, want)
 	}
 }

@@ -286,10 +286,10 @@ type Txn struct {
 	// touched is the attempt's participant state, keyed by group: nil
 	// until the first locked statement, cleared by a retry. sticky is the
 	// follower-read affinity per group, re-seeded when the chosen replica
-	// cannot serve; it survives retries, and stays nil while only
+	// cannot serve; it survives retries, and stays empty while only
 	// one-member groups are read (they have no follower).
 	touched map[int]part
-	sticky  map[int]int
+	sticky  stickyReads
 
 	capture CaptureFunc
 	accs    []workload.Access
@@ -408,6 +408,38 @@ func (t *Txn) setPart(g int, p part) {
 		t.touched = make(map[int]part)
 	}
 	t.touched[g] = p
+}
+
+// stickyReads is a transaction's follower-read affinity: a short list of
+// (group, member) pairs. A transaction reads few groups, so a scan does
+// the lookup, and the first pair lives in the Txn itself.
+type stickyReads struct {
+	picks []readPick // buf[:0] once the first pick is set
+	buf   [1]readPick
+}
+
+type readPick struct{ group, member int }
+
+func (s *stickyReads) get(g int) (int, bool) {
+	for _, p := range s.picks {
+		if p.group == g {
+			return p.member, true
+		}
+	}
+	return 0, false
+}
+
+func (s *stickyReads) set(g, member int) {
+	for i := range s.picks {
+		if s.picks[i].group == g {
+			s.picks[i].member = member
+			return
+		}
+	}
+	if s.picks == nil {
+		s.picks = s.buf[:0]
+	}
+	s.picks = append(s.picks, readPick{g, member})
 }
 
 // participants lists the attempt's participant groups.

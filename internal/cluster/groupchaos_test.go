@@ -578,7 +578,7 @@ func TestGroupLeaderReadDieIsAborted(t *testing.T) {
 		t.Fatal("writer's statement pinned no member")
 	}
 	reader := co.Begin()
-	reader.sticky = map[int]int{0: leader}
+	reader.sticky.set(0, leader)
 	if _, err := reader.Exec("SELECT * FROM account WHERE id IN (2, 5)"); !errors.Is(err, txn.ErrDie) {
 		t.Fatalf("leader-served read of a held row: %v, want wait-die", err)
 	}
@@ -622,7 +622,7 @@ func TestGroupReadFailsOverFromCrashedReplica(t *testing.T) {
 	// Whichever member served it is now sticky; crash exactly that one.
 	var sticky int
 	var ok bool
-	if sticky, ok = tx.sticky[0]; !ok {
+	if sticky, ok = tx.sticky.get(0); !ok {
 		// Leader-served read: pinned instead of sticky.
 		if sticky, ok = tx.served(0); !ok {
 			t.Fatal("read recorded neither sticky nor pinned member")
@@ -632,18 +632,18 @@ func TestGroupReadFailsOverFromCrashedReplica(t *testing.T) {
 		// path is required to fail over; re-run on a follower.
 		tx.Abort()
 		tx = co.Begin()
-		tx.sticky = map[int]int{0: (sticky + 1) % 3}
+		tx.sticky.set(0, (sticky+1)%3)
 		if rows, err := tx.Exec(q); err != nil || len(rows) != 1 {
 			t.Fatalf("follower read: rows=%v err=%v", rows, err)
 		}
-		sticky = tx.sticky[0]
+		sticky, _ = tx.sticky.get(0)
 	}
 	c.Crash(sticky)
 	rows, err := tx.Exec(q)
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("read through crashed sticky replica %d: rows=%v err=%v", sticky, rows, err)
 	}
-	if again, ok := tx.sticky[0]; ok && again == sticky {
+	if again, ok := tx.sticky.get(0); ok && again == sticky {
 		t.Fatalf("stickiness not re-seeded off crashed replica %d", sticky)
 	}
 	tx.Abort()

@@ -262,7 +262,7 @@ func (t *Txn) nextMember(g, cur int, err error) int {
 func (t *Txn) readReplica(pl *plan, g int) response {
 	c := t.co.c
 	members := c.GroupMembers(g)
-	nid, ok := t.sticky[g]
+	nid, ok := t.sticky.get(g)
 	if !ok {
 		nid = members[t.rng.intn(len(members))]
 	}
@@ -276,10 +276,7 @@ func (t *Txn) readReplica(pl *plan, g int) response {
 			t.pin(g, nid)
 		}
 		if resp.err == nil {
-			if t.sticky == nil {
-				t.sticky = make(map[int]int)
-			}
-			t.sticky[g] = nid
+			t.sticky.set(g, nid)
 			return resp
 		}
 		if !redirected(resp.err) {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -497,18 +498,20 @@ func (n *Node) payForce(pay func(), trace *obs.Span) {
 
 // buildRedoLocked extracts a transaction's redo write-set: the CURRENT
 // row image (after all its statements) for every key it wrote, nil for
-// keys it deleted. Caller holds tmu; rows are read under the latch.
+// keys it deleted, in first-write order. A key written by several
+// statements has an undo record per statement; the later ones are
+// skipped by scanning the mutations already built, which for the few
+// keys a transaction writes is cheaper than a map per prepare (the scan
+// is quadratic in the keys written). Caller holds tmu; rows are read
+// under the latch.
 func (n *Node) buildRedoLocked(undo []undoRec) []repl.Mutation {
 	n.latch.RLock()
 	defer n.latch.RUnlock()
-	seen := make(map[txn.LockKey]bool, len(undo))
 	redo := make([]repl.Mutation, 0, len(undo))
 	for _, u := range undo {
-		k := txn.LockKey{Table: u.table, Key: u.key}
-		if seen[k] {
+		if slices.ContainsFunc(redo, func(m repl.Mutation) bool { return m.Key == u.key && m.Table == u.table }) {
 			continue
 		}
-		seen[k] = true
 		m := repl.Mutation{Table: u.table, Key: u.key}
 		if tbl := n.db.Table(u.table); tbl != nil {
 			if row, ok := tbl.Get(u.key); ok {

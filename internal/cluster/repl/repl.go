@@ -180,6 +180,21 @@ func (d *Durable) termAt(index uint64) (uint64, bool) {
 
 func (d *Durable) entry(index uint64) Entry { return d.entries[index-d.snapIndex-1] }
 
+// dropPrefix removes the first n retained entries (compaction, snapshot
+// install). The suffix moves down inside the same backing array, so the
+// log stops regrowing after every compaction; every reader copies
+// entries out under d.mu, so none sees the move. Caller holds d.mu.
+func (d *Durable) dropPrefix(n uint64) {
+	d.truncate(uint64(copy(d.entries, d.entries[n:])))
+}
+
+// truncate keeps the first n retained entries and zeroes the vacated
+// tail, so the Redo it referenced can be collected. Caller holds d.mu.
+func (d *Durable) truncate(n uint64) {
+	clear(d.entries[n:])
+	d.entries = d.entries[:n]
+}
+
 // StateMachine consumes the replicated log. All methods are invoked from
 // a single per-replica apply goroutine, in a strict order: entries in
 // log order, with role transitions interleaved at the causally correct
@@ -208,6 +223,13 @@ type StateMachine interface {
 // false when the message or its reply was dropped (crashed peer, network
 // fault); the sender treats that like a timeout. Calls may block for the
 // simulated network delay.
+//
+// AppendEntries is synchronous, and req.Entries is valid only during the
+// call: the leader's sender for that peer reuses the slice's backing
+// array for its next batch once the call returns. The receiving replica
+// copies the entries into its own log before HandleAppend returns; an
+// implementation that delivers later, or keeps the request, must copy
+// them first.
 type Transport interface {
 	RequestVote(from, to int, req VoteReq) (VoteResp, bool)
 	AppendEntries(from, to int, req AppendReq) (AppendResp, bool)
@@ -297,6 +319,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// tick is the tick loop's period: a quarter heartbeat, at least 0.5 ms.
+func (c Config) tick() time.Duration { return max(c.Heartbeat/4, 500*time.Microsecond) }
+
 // Errors.
 var (
 	// ErrNotLeader: Propose called on a non-leader (or a leader that has
@@ -359,11 +384,19 @@ type Replica struct {
 	applied     uint64 // volatile mirror of d.applied
 	ready       bool
 	readyIndex  uint64 // index of this term's no-op barrier
+	// timedWaits counts waiters with a bound; while it is non-zero the
+	// tick loop broadcasts cond every tick so they can see their deadline.
+	timedWaits int
 
 	nextIndex  map[int]uint64
 	matchIndex map[int]uint64
-	inflight   map[int]bool // an append RPC is outstanding to this peer
 	votes      map[int]bool
+
+	// kicks holds one capacity-1 channel per peer, read by that peer's
+	// sender loop: a send wakes the loop, and a kick that lands while an
+	// RPC is in flight stays buffered, so nothing proposed is missed.
+	kicks []chan struct{}
+	stopc chan struct{} // closed by Stop: senders exit
 
 	lastHeard    time.Time // follower: last valid leader contact
 	ackTime      map[int]time.Time
@@ -393,6 +426,7 @@ func Start(cfg Config, d *Durable, sm StateMachine, tr Transport) *Replica {
 		tr:     tr,
 		leader: -1,
 		rng:    rand.New(rand.NewSource(cfg.Seed ^ (int64(cfg.ID+1) * 0x5851f42d4c957f2d))),
+		stopc:  make(chan struct{}),
 	}
 	r.cond = sync.NewCond(&r.mu)
 	d.mu.Lock()
@@ -403,6 +437,17 @@ func Start(cfg Config, d *Durable, sm StateMachine, tr Transport) *Replica {
 	d.mu.Unlock()
 	r.lastHeard = time.Now()
 	r.resetElectionTimer(cfg.Bootstrap)
+	// Every kick channel exists before the tick loop starts: it can win
+	// an election and broadcast at once.
+	for _, p := range cfg.Peers {
+		if p == cfg.ID {
+			continue
+		}
+		kick := make(chan struct{}, 1)
+		r.kicks = append(r.kicks, kick)
+		r.wg.Add(1)
+		go r.sendLoop(p, kick)
+	}
 	r.wg.Add(2)
 	go r.tickLoop()
 	go r.applyLoop()
@@ -419,6 +464,7 @@ func (r *Replica) Stop() {
 		return
 	}
 	r.stopped = true
+	close(r.stopc)
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	r.wg.Wait()
@@ -439,13 +485,12 @@ func (r *Replica) resetElectionTimer(immediate bool) {
 
 func (r *Replica) quorum() int { return len(r.cfg.Peers)/2 + 1 }
 
-// tickLoop drives heartbeats (leader) and election timeouts (others).
+// tickLoop drives heartbeats (leader) and election timeouts (others),
+// and is the clock of timed waits: while any is pending, every tick
+// wakes the waiters so each can check its own deadline.
 func (r *Replica) tickLoop() {
 	defer r.wg.Done()
-	tick := r.cfg.Heartbeat / 4
-	if tick < 500*time.Microsecond {
-		tick = 500 * time.Microsecond
-	}
+	tick := r.cfg.tick()
 	for {
 		time.Sleep(tick)
 		r.mu.Lock()
@@ -464,6 +509,9 @@ func (r *Replica) tickLoop() {
 			if now.After(r.electionDue) {
 				r.startElectionLocked()
 			}
+		}
+		if r.timedWaits > 0 {
+			r.cond.Broadcast()
 		}
 		r.mu.Unlock()
 	}
@@ -556,7 +604,6 @@ func (r *Replica) becomeLeaderLocked(term uint64) {
 	r.becomeLocked(Leader, term, r.cfg.ID)
 	r.nextIndex = make(map[int]uint64)
 	r.matchIndex = make(map[int]uint64)
-	r.inflight = make(map[int]bool)
 	r.ackTime = map[int]time.Time{r.cfg.ID: time.Now()}
 
 	r.d.mu.Lock()
@@ -596,26 +643,45 @@ func (r *Replica) Propose(e Entry) (uint64, error) {
 	return idx, nil
 }
 
-// broadcastLocked sends append/heartbeat RPCs to every peer that has no
-// RPC outstanding. Caller holds mu.
+// broadcastLocked wakes every peer's sender loop for an append or
+// heartbeat. It never blocks: a sender already holding a kick will send
+// whatever the log holds by the time it runs. Caller holds mu.
 func (r *Replica) broadcastLocked() {
-	for _, p := range r.cfg.Peers {
-		if p == r.cfg.ID || r.inflight[p] {
-			continue
+	for _, kick := range r.kicks {
+		select {
+		case kick <- struct{}{}:
+		default:
 		}
-		r.inflight[p] = true
-		go r.replicateTo(p)
 	}
 }
 
-// replicateTo sends one append (or snapshot) RPC to peer and integrates
-// the reply.
-func (r *Replica) replicateTo(peer int) {
+// sendLoop is the one goroutine that talks AppendEntries to peer, so
+// there is never more than one RPC in flight to it. Each kick runs
+// replicateTo until the peer is caught up (or the send failed), then the
+// loop parks. batch is the loop's reusable entry buffer.
+func (r *Replica) sendLoop(peer int, kick <-chan struct{}) {
+	defer r.wg.Done()
+	var batch []Entry
+	for {
+		select {
+		case <-r.stopc:
+			return
+		case <-kick:
+		}
+		for r.replicateTo(peer, &batch) {
+		}
+	}
+}
+
+// replicateTo sends one append (or snapshot) RPC to peer, carrying its
+// entries in *batch, and integrates the reply. It reports whether
+// another RPC should follow at once: the peer is behind the log end, or
+// refused the consistency check and needs an earlier batch.
+func (r *Replica) replicateTo(peer int, batch *[]Entry) bool {
 	r.mu.Lock()
 	if r.stopped || r.role != Leader {
-		r.inflight[peer] = false
 		r.mu.Unlock()
-		return
+		return false
 	}
 	r.d.mu.Lock()
 	term := r.d.term
@@ -633,61 +699,48 @@ func (r *Replica) replicateTo(peer int) {
 		}
 	} else {
 		prevTerm, _ := r.d.termAt(ni - 1)
-		last := r.d.lastIndex()
-		batch := last - ni + 1
-		if batch > 256 {
-			batch = 256
-		}
-		ents := make([]Entry, batch)
-		copy(ents, r.d.entries[ni-r.d.snapIndex-1:ni-r.d.snapIndex-1+batch])
+		lo := ni - r.d.snapIndex - 1
+		hi := min(uint64(len(r.d.entries)), lo+256)
+		*batch = append((*batch)[:0], r.d.entries[lo:hi]...)
 		req = AppendReq{
 			Term: term, Leader: r.cfg.ID,
 			PrevIndex: ni - 1, PrevTerm: prevTerm,
-			Entries: ents, Commit: r.commitIndex,
+			Entries: *batch, Commit: r.commitIndex,
 		}
 	}
 	r.d.mu.Unlock()
 	r.mu.Unlock()
 
 	resp, ok := r.tr.AppendEntries(r.cfg.ID, peer, req)
+	// The peer copied what it keeps; drop the buffer's Redo references so
+	// a compacted prefix is not held alive by the next, shorter batch.
+	clear(*batch)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.inflight[peer] = false
 	if r.stopped || !ok {
-		return
+		return false
 	}
 	if resp.Term > term {
 		r.stepDownLocked(resp.Term, -1)
-		return
+		return false
 	}
 	if r.role != Leader || r.currentTerm() != term {
-		return
+		return false
 	}
 	r.ackTime[peer] = time.Now()
-	if resp.Success {
-		if resp.Match > r.matchIndex[peer] {
-			r.matchIndex[peer] = resp.Match
-		}
-		r.nextIndex[peer] = resp.Match + 1
-		r.advanceCommitLocked(term)
-		// More to send (or commit index to propagate)? Go again.
-		r.d.mu.Lock()
-		more := r.nextIndex[peer] <= r.d.lastIndex()
-		r.d.mu.Unlock()
-		if more {
-			r.inflight[peer] = true
-			go r.replicateTo(peer)
-		}
-	} else {
-		ni := resp.Hint
-		if ni == 0 {
-			ni = 1
-		}
-		r.nextIndex[peer] = ni
-		r.inflight[peer] = true
-		go r.replicateTo(peer)
+	if !resp.Success {
+		r.nextIndex[peer] = max(resp.Hint, 1)
+		return true
 	}
+	if resp.Match > r.matchIndex[peer] {
+		r.matchIndex[peer] = resp.Match
+	}
+	r.nextIndex[peer] = resp.Match + 1
+	r.advanceCommitLocked(term)
+	r.d.mu.Lock()
+	defer r.d.mu.Unlock()
+	return r.nextIndex[peer] <= r.d.lastIndex()
 }
 
 // advanceCommitLocked moves the commit index to the quorum-replicated
@@ -815,7 +868,7 @@ func (r *Replica) HandleAppend(req AppendReq) AppendResp {
 			}
 			// Conflict: drop idx and everything after (uncommitted by
 			// definition — committed entries never conflict).
-			r.d.entries = r.d.entries[:idx-r.d.snapIndex-1]
+			r.d.truncate(idx - r.d.snapIndex - 1)
 		}
 		r.d.entries = append(r.d.entries, e)
 	}
@@ -851,12 +904,7 @@ func (r *Replica) installSnapshotLocked(req AppendReq) AppendResp {
 		return resp
 	}
 	// Keep any log suffix past the snapshot; drop the rest.
-	if req.SnapIndex < r.d.lastIndex() {
-		keep := r.d.entries[req.SnapIndex-r.d.snapIndex:]
-		r.d.entries = append([]Entry(nil), keep...)
-	} else {
-		r.d.entries = nil
-	}
+	r.d.dropPrefix(min(req.SnapIndex, r.d.lastIndex()) - r.d.snapIndex)
 	r.d.snap = req.Snapshot
 	r.d.snapIndex = req.SnapIndex
 	r.d.snapTerm = req.SnapTerm
@@ -977,7 +1025,7 @@ func (r *Replica) maybeCompact() {
 		return
 	}
 	st, _ := r.d.termAt(applied)
-	r.d.entries = append([]Entry(nil), r.d.entries[applied-r.d.snapIndex:]...)
+	r.d.dropPrefix(applied - r.d.snapIndex)
 	r.d.snap = snap
 	r.d.snapIndex = applied
 	r.d.snapTerm = st
@@ -987,27 +1035,29 @@ func (r *Replica) maybeCompact() {
 // WaitCommitted blocks until index is committed (quorum-replicated in
 // the leader's current term), the bound expires, or the replica stops.
 func (r *Replica) WaitCommitted(index uint64, bound time.Duration) error {
-	return r.waitFor(func() bool { return r.commitIndex >= index }, bound)
+	return r.waitFor(&r.commitIndex, index, bound)
 }
 
 // WaitApplied blocks until the local state machine has applied index.
 func (r *Replica) WaitApplied(index uint64, bound time.Duration) error {
-	return r.waitFor(func() bool { return r.applied >= index }, bound)
+	return r.waitFor(&r.applied, index, bound)
 }
 
-func (r *Replica) waitFor(done func() bool, bound time.Duration) error {
+// waitFor blocks until *mark (a watermark guarded by mu) reaches index.
+// cond has no timed wait: the waiter registers in timedWaits, and the
+// tick loop then broadcasts every tick, so the wait returns ErrTimeout
+// no earlier than bound and at most about one tick after it.
+func (r *Replica) waitFor(mark *uint64, index uint64, bound time.Duration) error {
 	deadline := time.Now().Add(bound)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if done() {
+	if *mark >= index {
 		return nil
 	}
-	// cond has no timed wait: one timer broadcasts at the deadline, so the
-	// loop wakes for every real state change and once more at expiry.
-	t := time.AfterFunc(bound, r.broadcast)
-	defer t.Stop()
+	r.timedWaits++
+	defer func() { r.timedWaits-- }()
 	for {
-		if done() {
+		if *mark >= index {
 			return nil
 		}
 		if r.stopped {
@@ -1018,12 +1068,6 @@ func (r *Replica) waitFor(done func() bool, bound time.Duration) error {
 		}
 		r.cond.Wait()
 	}
-}
-
-func (r *Replica) broadcast() {
-	r.mu.Lock()
-	r.cond.Broadcast()
-	r.mu.Unlock()
 }
 
 // IsLeader reports whether this replica is the group's ready leader.

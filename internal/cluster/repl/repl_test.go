@@ -2,6 +2,8 @@ package repl
 
 import (
 	"encoding/json"
+	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,7 +90,6 @@ type kvSM struct {
 	mu      sync.Mutex
 	rows    map[int64]int64
 	pending map[uint64][]Mutation
-	applies []uint64 // applied indexes, in order
 	ready   atomic.Bool
 }
 
@@ -99,7 +100,6 @@ func newKVSM() *kvSM {
 func (s *kvSM) Apply(index uint64, e Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.applies = append(s.applies, index)
 	switch e.Kind {
 	case KPrepare:
 		s.pending[e.TS] = e.Redo
@@ -176,7 +176,7 @@ func (s *kvSM) pendingCount() int {
 
 // group is a test harness bundling N replicas over a fakeNet.
 type group struct {
-	t    *testing.T
+	t    testing.TB
 	net  *fakeNet
 	reps map[int]*Replica
 	sms  map[int]*kvSM
@@ -185,7 +185,7 @@ type group struct {
 	cfg  func(id int) Config
 }
 
-func newGroup(t *testing.T, n int, tweak func(c *Config)) *group {
+func newGroup(t testing.TB, n int, tweak func(c *Config)) *group {
 	t.Helper()
 	g := &group{
 		t:    t,
@@ -622,6 +622,163 @@ func TestAdvanceCommitAllocFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("R=%d: advanceCommitLocked allocates %.1f times per ack, want 0", len(tc.matches), allocs)
+		}
+	}
+}
+
+// TestSteadyStateReplicationAllocFree pins the hot loop of a replicated
+// write: once the log array has reached its working size, propose ->
+// quorum -> apply allocates nothing on any member — no goroutine per
+// append RPC, no batch per send, no timer per wait, no log regrowth.
+func TestSteadyStateReplicationAllocFree(t *testing.T) {
+	const runs = 200
+	g := newGroup(t, 3, func(c *Config) { c.CompactEntries = 4 * runs })
+	leader := g.waitLeader(2 * time.Second)
+	r := g.reps[leader]
+	e := put(1, 1, 1)
+	// Warm up past one compaction on every member, so each log array has
+	// the capacity the measured run needs; the run itself is shorter than
+	// CompactEntries and never snapshots the toy state machine.
+	var last uint64
+	for i := 0; i < 4*runs+runs/2; i++ {
+		last = g.propose(leader, e)
+	}
+	for _, id := range g.ids {
+		g.waitApplied(id, last, 2*time.Second)
+		if _, snapIdx := g.durs[id].Snapshot(); snapIdx == 0 {
+			t.Fatalf("replica %d never compacted during warm-up", id)
+		}
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		idx, err := r.Propose(e)
+		if err != nil {
+			t.Fatalf("propose: %v", err)
+		}
+		if err := r.WaitApplied(idx, 2*time.Second); err != nil {
+			t.Fatalf("wait applied %d: %v", idx, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state propose -> applied allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestCompactionKeepsLogArray pins in-place compaction: across several
+// compactions on the leader and on the followers, each log keeps its
+// backing array, and the vacated tail references no Redo.
+func TestCompactionKeepsLogArray(t *testing.T) {
+	const compact = 8
+	g := newGroup(t, 3, func(c *Config) { c.CompactEntries = compact })
+	leader := g.waitLeader(2 * time.Second)
+	var ts uint64
+	write := func(n int) {
+		for i := 0; i < n; i++ {
+			ts++
+			idx := g.propose(leader, put(ts, int64(ts%5), int64(ts)))
+			for _, id := range g.ids {
+				g.waitApplied(id, idx, 2*time.Second)
+			}
+		}
+	}
+	type logArray struct {
+		base      *Entry
+		cap       int
+		snapIndex uint64
+	}
+	inspect := func(id int) logArray {
+		d := g.durs[id]
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		for i, e := range d.entries[len(d.entries):cap(d.entries)] {
+			if e.Redo != nil {
+				t.Fatalf("replica %d: vacated slot %d past the log end still holds Redo", id, len(d.entries)+i)
+			}
+		}
+		a := logArray{cap: cap(d.entries), snapIndex: d.snapIndex}
+		if a.cap > 0 {
+			a.base = &d.entries[:a.cap][0]
+		}
+		return a
+	}
+	write(4 * compact) // the arrays reach their working size
+	before := map[int]logArray{}
+	for _, id := range g.ids {
+		before[id] = inspect(id)
+	}
+	write(6 * compact)
+	for _, id := range g.ids {
+		was, now := before[id], inspect(id)
+		if now.snapIndex < was.snapIndex+3*compact {
+			t.Fatalf("replica %d compacted %d -> %d, want several compactions", id, was.snapIndex, now.snapIndex)
+		}
+		if now.base != was.base || now.cap != was.cap {
+			t.Fatalf("replica %d: compaction replaced the log array (cap %d -> %d)", id, was.cap, now.cap)
+		}
+	}
+}
+
+// TestTimedWaitBound pins the tick-resolved timeout: a wait that cannot
+// succeed returns ErrTimeout no earlier than its bound and within about
+// one tick after it, on the leader and on a follower alike.
+func TestTimedWaitBound(t *testing.T) {
+	g := newGroup(t, 3, nil)
+	g.waitLeader(2 * time.Second)
+	const bound = 30 * time.Millisecond
+	for _, id := range g.ids {
+		tick := g.cfg(id).tick()
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			err := g.reps[id].WaitCommitted(1<<40, bound)
+			took := time.Since(start)
+			if !errors.Is(err, ErrTimeout) {
+				t.Fatalf("replica %d: wait on an unreachable index returned %v, want ErrTimeout", id, err)
+			}
+			if took < bound || took >= bound+2*tick+20*time.Millisecond {
+				t.Fatalf("replica %d: %v wait returned after %v (tick %v)", id, bound, took, tick)
+			}
+		}
+	}
+}
+
+// TestStopJoinsSenders pins the sender loops' lifetime: Stop joins every
+// goroutine Start launched, so group restarts leak none.
+func TestStopJoinsSenders(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		g := newGroup(t, 3, nil)
+		leader := g.waitLeader(2 * time.Second)
+		g.propose(leader, put(uint64(i+1), 1, int64(i)))
+		for _, id := range g.ids {
+			g.crash(id)
+		}
+	}
+	// Vote RPCs run on short-lived goroutines of their own; give the last
+	// of them a moment to return.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 20 start/stop cycles, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkGroupCommit measures one replicated write at R = 3 over the
+// in-memory transport: propose on the leader, wait until it is applied
+// there.
+func BenchmarkGroupCommit(b *testing.B) {
+	g := newGroup(b, 3, nil)
+	r := g.reps[g.waitLeader(2*time.Second)]
+	e := put(1, 1, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx, err := r.Propose(e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.WaitApplied(idx, 2*time.Second); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
