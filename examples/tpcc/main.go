@@ -1,16 +1,21 @@
 // Example tpcc: partition TPC-C with Schism, then run the live workload on
 // a simulated shared-nothing cluster partitioned by the derived rules —
-// the end-to-end flow of §6.3.
+// the end-to-end flow of §6.3. It exits non-zero if any transaction of
+// the run failed:
+//
+//	go run ./examples/tpcc -duration 200ms
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"schism/internal/cluster"
 	"schism/internal/core"
 	"schism/internal/datum"
+	"schism/internal/driver"
 	"schism/internal/partition"
 	"schism/internal/sqlparse"
 	"schism/internal/storage"
@@ -63,10 +68,16 @@ func main() {
 	defer c.Close()
 	co := cluster.NewCoordinator(c, strategy)
 
-	// 3. Drive the live five-transaction mix.
+	// 3. Drive the live five-transaction mix: closed-loop clients, each
+	// drawing from its own deterministic stream. Every statement carries
+	// the warehouse predicate the range rules route on.
 	fmt.Println("=== live cluster run ===")
-	stats := cluster.RunLoad(co, 4**k, *duration, 7, workloads.TPCCRuntimeTxn(cfg))
-	fmt.Println(stats)
+	r := driver.Run(co, driver.Config{Clients: 4 * *k, Measure: *duration, Seed: 7}, workloads.TPCCStream(cfg))
+	fmt.Println(r)
+	if r.Failed > 0 {
+		fmt.Fprintf(os.Stderr, "%d transactions failed\n", r.Failed)
+		os.Exit(1)
+	}
 
 	// 4. Query the result. A statement issued more than once is prepared
 	// once and bound per call: after MustPrepare nothing is parsed again,

@@ -382,42 +382,3 @@ func spinWait(d time.Duration) {
 	for time.Now().Before(end) {
 	}
 }
-
-// Stats aggregates a load run (see RunLoad).
-type Stats struct {
-	Commits      int64
-	Aborts       int64 // wait-die/timeout aborts that triggered a retry
-	Distributed  int64 // committed transactions spanning > 1 node
-	Elapsed      time.Duration
-	TotalLatency time.Duration // sum over committed transactions
-}
-
-// Throughput returns committed transactions per second.
-func (s Stats) Throughput() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Commits) / s.Elapsed.Seconds()
-}
-
-// AvgLatency returns the mean committed-transaction latency.
-func (s Stats) AvgLatency() time.Duration {
-	if s.Commits == 0 {
-		return 0
-	}
-	return s.TotalLatency / time.Duration(s.Commits)
-}
-
-// DistributedFrac returns the fraction of committed transactions that were
-// distributed.
-func (s Stats) DistributedFrac() float64 {
-	if s.Commits == 0 {
-		return 0
-	}
-	return float64(s.Distributed) / float64(s.Commits)
-}
-
-func (s Stats) String() string {
-	return fmt.Sprintf("commits=%d aborts=%d distributed=%.1f%% throughput=%.0f txn/s avg_latency=%v",
-		s.Commits, s.Aborts, 100*s.DistributedFrac(), s.Throughput(), s.AvgLatency())
-}

@@ -3,12 +3,10 @@ package cluster
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"math/rand"
 	"schism/internal/datum"
 
 	"schism/internal/cluster/repl"
@@ -286,25 +284,6 @@ func TestProjection(t *testing.T) {
 	}
 	if len(rows) != 1 || len(rows[0]) != 1 || rows[0][0].I != 1000 {
 		t.Fatalf("projected: %v", rows)
-	}
-}
-
-func TestRunLoadCounts(t *testing.T) {
-	c, co, _ := newAccountCluster(t, 2, 50)
-	defer c.Close()
-	stats := RunLoad(co, 4, 150*time.Millisecond, 1, func(tx *Txn, rng *rand.Rand) error {
-		id := rng.Int63n(100)
-		_, err := tx.Exec(fmt.Sprintf("SELECT * FROM account WHERE id = %d", id))
-		return err
-	})
-	if stats.Commits == 0 {
-		t.Fatal("no commits")
-	}
-	if stats.Throughput() <= 0 {
-		t.Fatal("no throughput")
-	}
-	if !strings.Contains(stats.String(), "commits=") {
-		t.Error("Stats.String malformed")
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 // Op is one logical client transaction drawn from a Stream. Every random
 // parameter is drawn when the Op is generated, so Run is idempotent under
 // concurrency-control retries: the retry loop re-executes the same
-// logical transaction rather than re-drawing a fresh one (the way
-// cluster.TxnFunc generators do). Sig is a compact, deterministic
-// description of the drawn parameters; the driver folds each client's Sig
-// stream into a hash so determinism is checkable end to end.
+// logical transaction rather than re-drawing a fresh one. Sig is a
+// compact, deterministic description of the drawn parameters; the driver
+// folds each client's Sig stream into a hash so determinism is checkable
+// end to end.
 type Op struct {
 	Sig string
 	Run func(t *cluster.Txn) error

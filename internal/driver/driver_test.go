@@ -33,7 +33,7 @@ func newTPCCCluster(t testing.TB, cfg workloads.TPCCConfig, k int) (*cluster.Clu
 	return c, cluster.NewCoordinator(c, strat)
 }
 
-// tpccTestConfig is fully specified (TPCCPopulate applies no defaults).
+// tpccTestConfig fixes every TPC-C size small, below the defaults.
 func tpccTestConfig(w int) workloads.TPCCConfig {
 	return workloads.TPCCConfig{
 		Warehouses: w, Districts: 4, Customers: 20, Items: 100,

@@ -172,8 +172,7 @@ func (r *BenchResult) Row(strategy string) *BenchRow {
 	return nil
 }
 
-// benchTPCCConfig fixes every TPC-C parameter (TPCCPopulate applies no
-// defaults) at the experiment scale.
+// benchTPCCConfig fixes every TPC-C parameter at the experiment scale.
 func benchTPCCConfig(cfg BenchConfig, s Scale) workloads.TPCCConfig {
 	return workloads.TPCCConfig{
 		Warehouses:    cfg.Warehouses,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"schism/internal/cluster"
+	"schism/internal/driver"
 	"schism/internal/graph"
 	"schism/internal/live"
 	"schism/internal/metis"
@@ -52,10 +53,10 @@ type driftScenario struct {
 	keyCols    map[string]string
 	initialTr  *workload.Trace // pre-shift trace (initial deployment + baseline)
 	shiftedTr  *workload.Trace // post-shift trace (drift feed + offline comparator)
-	txnBefore  cluster.TxnFunc
-	txnAfter   cluster.TxnFunc
+	before     driver.StreamMaker
+	after      driver.StreamMaker
 	clients    int
-	duration   time.Duration
+	ops        int // transactions per client per cluster phase
 	networkLat time.Duration
 }
 
@@ -81,7 +82,7 @@ type DriftSim struct {
 // DriftPhaseStats is one cluster load phase.
 type DriftPhaseStats struct {
 	Name string
-	cluster.Stats
+	*driver.Result
 }
 
 // DriftCluster is the live cluster outcome.
@@ -135,10 +136,10 @@ func ycsbDriftScenario(s Scale) driftScenario {
 		keyCols:    phaseA.KeyColumns,
 		initialTr:  phaseA.Trace,
 		shiftedTr:  phaseB.Trace,
-		txnBefore:  workloads.YCSBGroupsTxn(cfgA),
-		txnAfter:   workloads.YCSBGroupsTxn(cfgB),
+		before:     workloads.YCSBGroupsStream(cfgA),
+		after:      workloads.YCSBGroupsStream(cfgB),
 		clients:    8,
-		duration:   time.Duration(s.scaled(900, 300)) * time.Millisecond,
+		ops:        s.scaled(1200, 400),
 		networkLat: 20 * time.Microsecond,
 	}
 }
@@ -178,12 +179,11 @@ func tpccDriftScenario(s Scale) driftScenario {
 			DegradeFactor: 2.5, ImbalanceTrigger: 1.35,
 		},
 		clusterCheck: 100,
-		txnBefore:    workloads.TPCCKeyedTxn(cfgA),
-		txnAfter:     workloads.TPCCKeyedTxn(cfgB),
+		before:       workloads.TPCCNewOrderPaymentStream(cfgA),
+		after:        workloads.TPCCNewOrderPaymentStream(cfgB),
 		clients:      4,
-		duration:     time.Duration(s.scaled(900, 400)) * time.Millisecond,
+		ops:          s.scaled(1200, 600),
 		networkLat:   0, // statement-heavy mix: sleep granularity would dwarf real delays
-
 	}
 }
 
@@ -358,13 +358,17 @@ func runDriftClusterScenario(sc driftScenario) (DriftCluster, error) {
 	co.SetCapture(ctrl.Record)
 
 	out := DriftCluster{Scenario: sc.name, RouterBytes: deployed.MemoryBytes()}
-	run := func(phase string, fn cluster.TxnFunc, seed int64) {
-		st := cluster.RunLoad(co, sc.clients, sc.duration, seed, fn)
-		out.Phases = append(out.Phases, DriftPhaseStats{Name: phase, Stats: st})
+	// Each phase runs a fixed transaction count, not a wall-clock
+	// duration, so the committed stream the detector sees does not shrink
+	// when the machine is loaded.
+	run := func(phase string, mk driver.StreamMaker, seed int64) {
+		r := driver.Run(co, driver.Config{Clients: sc.clients, Ops: sc.ops, Seed: seed},
+			phaseStream(mk, len(out.Phases), sc.clients))
+		out.Phases = append(out.Phases, DriftPhaseStats{Name: phase, Result: r})
 	}
-	run("before", sc.txnBefore, 11)
-	run("during", sc.txnAfter, 12) // the shift: adaptation fires mid-phase
-	run("after", sc.txnAfter, 13)
+	run("before", sc.before, 11)
+	run("during", sc.after, 12) // the shift: adaptation fires mid-phase
+	run("after", sc.after, 13)
 
 	co.SetCapture(nil)
 	ctrl.Stop()
@@ -382,6 +386,15 @@ func runDriftClusterScenario(sc driftScenario) (DriftCluster, error) {
 	}
 	out.Metrics = reg.Snapshot()
 	return out, nil
+}
+
+// phaseStream gives phase p of a run on one cluster the client ids
+// [p*clients, (p+1)*clients), so no two phases share a client id. A TPC-C
+// stream derives its history keys from (client, sequence) alone: without
+// the offset a later phase would re-insert an earlier phase's history
+// rows and fail on a duplicate key.
+func phaseStream(mk driver.StreamMaker, phase, clients int) driver.StreamMaker {
+	return func(client int, seed int64) driver.Stream { return mk(phase*clients+client, seed) }
 }
 
 // Drift runs both drivers for one scenario.
@@ -424,9 +437,10 @@ func PrintDrift(w io.Writer, r DriftResult) {
 			fmt.Sprintf("%.0f", p.Throughput()),
 			pct(p.DistributedFrac()),
 			fmt.Sprintf("%d", p.Aborts),
+			fmt.Sprintf("%d", p.Failed),
 		})
 	}
-	table(w, []string{"phase", "tps", "%distributed", "aborts"}, rows)
+	table(w, []string{"phase", "tps", "%distributed", "aborts", "failed"}, rows)
 	fmt.Fprintf(w, "  window: baseline %v -> final %v\n", r.Cluster.Baseline, r.Cluster.Final)
 	fmt.Fprintf(w, "  adaptations=%d migration: %v\n", r.Cluster.Adaptations, r.Cluster.Migration)
 	for i, ph := range r.Cluster.Cycles {

@@ -2,6 +2,11 @@ package experiments
 
 import (
 	"testing"
+
+	"schism/internal/cluster"
+	"schism/internal/driver"
+	"schism/internal/storage"
+	"schism/internal/workloads"
 )
 
 // TestDriftSimScenarios pins the ISSUE-3 acceptance criteria on the
@@ -67,7 +72,7 @@ func TestDriftClusterSmoke(t *testing.T) {
 		t.Fatalf("phases = %d", len(cl.Phases))
 	}
 	for _, p := range cl.Phases {
-		if p.Commits == 0 {
+		if p.Committed == 0 {
 			t.Fatalf("phase %s committed nothing", p.Name)
 		}
 	}
@@ -78,4 +83,29 @@ func TestDriftClusterSmoke(t *testing.T) {
 		t.Fatal("migration moved nothing")
 	}
 	t.Logf("cluster: %+v migration: %v", cl.Phases, cl.Migration)
+}
+
+// TestPhaseStreamsShareOneCluster runs two back-to-back
+// TPCCNewOrderPaymentStream phases on one small cluster through
+// phaseStream, as the TPC-C drift scenario's cluster phases do. A stream's
+// history keys depend only on (client, sequence), so the phases only stay
+// clear of duplicate keys because phaseStream gives them disjoint client
+// ids.
+func TestPhaseStreamsShareOneCluster(t *testing.T) {
+	cfg := workloads.TPCCConfig{Warehouses: 2, Customers: 10, Items: 50, InitialOrders: 3}
+	c := cluster.New(cluster.Config{Nodes: 1}, func(int) *storage.Database {
+		db := storage.NewDatabase()
+		workloads.TPCCPopulate(db, cfg, 1, cfg.Warehouses, true)
+		return db
+	})
+	defer c.Close()
+	co := cluster.NewCoordinator(c, workloads.TPCCManual(cfg, 1))
+	const clients, ops = 2, 30
+	for phase := 0; phase < 2; phase++ {
+		r := driver.Run(co, driver.Config{Clients: clients, Ops: ops, Seed: int64(11 + phase)},
+			phaseStream(workloads.TPCCNewOrderPaymentStream(cfg), phase, clients))
+		if r.Failed != 0 || r.Committed != clients*ops {
+			t.Fatalf("phase %d: committed %d, failed %d; want %d committed", phase, r.Committed, r.Failed, clients*ops)
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"schism/internal/cluster"
+	"schism/internal/driver"
 	"schism/internal/storage"
 	"schism/internal/workloads"
 )
@@ -67,13 +68,15 @@ func (c Fig1Config) withDefaults(s Scale) Fig1Config {
 // Fig1 measures the price of distribution: the same 2-read transaction
 // executed single-partition vs spread over two nodes with 2PC. The paper's
 // result — distributed throughput ≈ half of single-partition, ≈ 2x latency
-// — comes from the doubled per-transaction message count.
+// — comes from the doubled per-transaction message count. Each point is a
+// closed-loop driver.Run over SimplecountStream; latency is the mean
+// commit latency, retries included.
 func Fig1(cfg Fig1Config, s Scale) []Fig1Row {
 	cfg = cfg.withDefaults(s)
 	var rows []Fig1Row
 	for n := 1; n <= cfg.MaxServers; n++ {
 		sc := workloads.SimplecountConfig{Rows: cfg.RowsPerNode * n, Partitions: n}
-		run := func(distributed bool) cluster.Stats {
+		run := func(distributed bool) *driver.Result {
 			c := cluster.New(cluster.Config{
 				Nodes:          n,
 				WorkersPerNode: cfg.Workers,
@@ -82,18 +85,22 @@ func Fig1(cfg Fig1Config, s Scale) []Fig1Row {
 			}, func(node int) *storage.Database { return workloads.SimplecountDB(sc, node) })
 			defer c.Close()
 			co := cluster.NewCoordinator(c, workloads.SimplecountStrategy(sc))
-			return cluster.RunLoad(co, cfg.ClientsPerServer*n, cfg.Duration, 42, workloads.SimplecountTxn(sc, distributed))
+			return driver.Run(co, driver.Config{
+				Clients: cfg.ClientsPerServer * n,
+				Measure: cfg.Duration,
+				Seed:    42,
+			}, workloads.SimplecountStream(sc, distributed))
 		}
 		single := run(false)
 		row := Fig1Row{
 			Servers:       n,
 			SingleTPS:     single.Throughput(),
-			SingleLatency: single.AvgLatency(),
+			SingleLatency: single.Latency.Mean(),
 		}
 		if n > 1 {
 			dist := run(true)
 			row.DistributedTPS = dist.Throughput()
-			row.DistLatency = dist.AvgLatency()
+			row.DistLatency = dist.Latency.Mean()
 		}
 		rows = append(rows, row)
 	}

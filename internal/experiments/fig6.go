@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"schism/internal/cluster"
+	"schism/internal/driver"
 	"schism/internal/storage"
 	"schism/internal/workloads"
 )
@@ -20,6 +21,9 @@ type Fig6Row struct {
 	// PerMachineTPS: 16 warehouses PER machine (scale-out by growing the
 	// database with the hardware; near-linear in the paper).
 	PerMachineTPS float64
+	// failed counts the transactions of both series that failed
+	// permanently; PrintFig6 shows it beside the throughputs.
+	failed int64
 }
 
 // Fig6Config parameterises the end-to-end experiment.
@@ -66,22 +70,27 @@ func (c Fig6Config) withDefaults(s Scale) Fig6Config {
 // warehouse partitioning (identical to the rules the pipeline learns; see
 // TestTPCCExplanation). The fixed-16-warehouse series saturates on
 // warehouse/district lock contention as warehouses-per-machine shrinks;
-// the 16-per-machine series scales near-linearly (§6.3).
+// the 16-per-machine series scales near-linearly (§6.3). Each point is a
+// closed-loop driver.Run over TPCCNewOrderPaymentStream, whose
+// statements carry the warehouse predicate TPCCManual routes on.
 func Fig6(cfg Fig6Config, s Scale) []Fig6Row {
 	cfg = cfg.withDefaults(s)
 	var rows []Fig6Row
 	for _, k := range cfg.Partitions {
+		fixed := fig6Run(cfg, s, k, cfg.WarehousesFixed)
+		perMachine := fig6Run(cfg, s, k, cfg.WarehousesPer*k)
 		rows = append(rows, Fig6Row{
 			Partitions:    k,
-			FixedTotalTPS: fig6Run(cfg, s, k, cfg.WarehousesFixed),
-			PerMachineTPS: fig6Run(cfg, s, k, cfg.WarehousesPer*k),
+			FixedTotalTPS: fixed.Throughput(),
+			PerMachineTPS: perMachine.Throughput(),
+			failed:        fixed.Failed + perMachine.Failed,
 		})
 	}
 	return rows
 }
 
-// fig6Run measures throughput for one cluster size and warehouse count.
-func fig6Run(cfg Fig6Config, s Scale, k, warehouses int) float64 {
+// fig6Run measures one cluster size and warehouse count.
+func fig6Run(cfg Fig6Config, s Scale, k, warehouses int) *driver.Result {
 	tcfg := workloads.TPCCConfig{
 		Warehouses: warehouses,
 		Customers:  s.scaled(60, 20),
@@ -90,22 +99,6 @@ func fig6Run(cfg Fig6Config, s Scale, k, warehouses int) float64 {
 		InitialOrders: 5,
 		Seed:          13,
 	}
-	strat := workloads.TPCCManual(tcfg, k)
-	c := cluster.New(cluster.Config{
-		Nodes:          k,
-		WorkersPerNode: 8,
-		ServiceTime:    cfg.ServiceTime,
-		NetworkDelay:   cfg.NetworkDelay,
-		LockTimeout:    5 * time.Second,
-	}, func(node int) *storage.Database {
-		db := storage.NewDatabase()
-		wLo := node*warehouses/k + 1
-		wHi := (node + 1) * warehouses / k
-		workloads.TPCCPopulate(db, tcfg, wLo, wHi, true)
-		return db
-	})
-	defer c.Close()
-	co := cluster.NewCoordinator(c, strat)
 	// NewOrder+Payment mix: the throughput-dominant write transactions
 	// whose warehouse/district row locks produce the paper's contention
 	// bottleneck (§6.3 reports "nearly all transactions conflict" at 2
@@ -118,8 +111,33 @@ func fig6Run(cfg Fig6Config, s Scale, k, warehouses int) float64 {
 	if cap := 2 * warehouses; clients > cap {
 		clients = cap
 	}
-	stats := cluster.RunLoad(co, clients, cfg.Duration, 17, workloads.TPCCNewOrderPaymentTxn(tcfg))
-	return stats.Throughput()
+	strat := workloads.TPCCManual(tcfg, k)
+	c := cluster.New(cluster.Config{
+		Nodes: k,
+		// A lock wait parks the worker serving it. With fewer workers than
+		// clients, waiters on the hot district and warehouse rows can take
+		// every worker of a node, so the holders' next statements queue
+		// until LockTimeout frees them and the point stalls for seconds.
+		// One worker per client rules that out; at this ServiceTime the
+		// node's CPU is not what limits the run.
+		WorkersPerNode: clients,
+		ServiceTime:    cfg.ServiceTime,
+		NetworkDelay:   cfg.NetworkDelay,
+		LockTimeout:    5 * time.Second,
+	}, func(node int) *storage.Database {
+		db := storage.NewDatabase()
+		wLo := node*warehouses/k + 1
+		wHi := (node + 1) * warehouses / k
+		workloads.TPCCPopulate(db, tcfg, wLo, wHi, true)
+		return db
+	})
+	defer c.Close()
+	co := cluster.NewCoordinator(c, strat)
+	return driver.Run(co, driver.Config{
+		Clients: clients,
+		Measure: cfg.Duration,
+		Seed:    17,
+	}, workloads.TPCCNewOrderPaymentStream(tcfg))
 }
 
 // PrintFig6 renders the Fig. 6 series with speedup factors.
@@ -144,7 +162,8 @@ func PrintFig6(w io.Writer, rows []Fig6Row) {
 			su1,
 			fmt.Sprintf("%.0f", r.PerMachineTPS),
 			su2,
+			fmt.Sprintf("%d", r.failed),
 		})
 	}
-	table(w, []string{"partitions", "16wh total tps", "speedup", "16wh/machine tps", "speedup"}, out)
+	table(w, []string{"partitions", "16wh total tps", "speedup", "16wh/machine tps", "speedup", "failed"}, out)
 }

@@ -123,24 +123,6 @@ func (c YCSBGroupsConfig) drawMembers(g int, rng *rand.Rand) (r1, r2, w int64) {
 	return keys[perm[0]], keys[perm[1]], keys[perm[2]]
 }
 
-// YCSBGroupsTxn returns the runtime form of the same mix for cluster
-// experiments; phase switching happens by swapping the returned TxnFunc.
-func YCSBGroupsTxn(cfg YCSBGroupsConfig) cluster.TxnFunc {
-	cfg = cfg.withDefaults()
-	groups := cfg.numGroups()
-	return func(t *cluster.Txn, rng *rand.Rand) error {
-		// Zipf-free runtime skew: square a uniform draw to warm the low
-		// group ids without per-client generator state.
-		u := rng.Float64()
-		g := int(u * u * float64(groups))
-		if g >= groups {
-			g = groups - 1
-		}
-		r1, r2, w := cfg.drawMembers(g, rng)
-		return runYCSBGroup(t, r1, r2, w)
-	}
-}
-
 // runYCSBGroup issues one group transaction: two reads and one update.
 func runYCSBGroup(t *cluster.Txn, r1, r2, w int64) error {
 	if _, err := t.ExecPrepared(selUser, num(r1)); err != nil {

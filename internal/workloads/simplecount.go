@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"schism/internal/cluster"
 	"schism/internal/datum"
 	"schism/internal/partition"
 	"schism/internal/storage"
@@ -70,57 +69,8 @@ func SimplecountStrategy(cfg SimplecountConfig) partition.Strategy {
 	}
 }
 
-// SimplecountTxn returns a TxnFunc issuing two single-row SELECTs. When
-// distributed is false both ids come from the same partition; when true
-// the two ids are guaranteed to live on different partitions (forcing
-// two-phase commit), reproducing the two series of Fig. 1.
-func SimplecountTxn(cfg SimplecountConfig, distributed bool) cluster.TxnFunc {
-	per := cfg.Rows / cfg.Partitions
-	return func(t *cluster.Txn, rng *rand.Rand) error {
-		var id1, id2 int
-		if distributed && cfg.Partitions > 1 {
-			p1 := rng.Intn(cfg.Partitions)
-			p2 := (p1 + 1 + rng.Intn(cfg.Partitions-1)) % cfg.Partitions
-			id1 = p1*per + rng.Intn(per)
-			id2 = p2*per + rng.Intn(per)
-		} else {
-			p := rng.Intn(cfg.Partitions)
-			id1 = p*per + rng.Intn(per)
-			id2 = p*per + rng.Intn(per)
-		}
-		if _, err := t.ExecPrepared(selCount, num(id1)); err != nil {
-			return err
-		}
-		_, err := t.ExecPrepared(selCount, num(id2))
-		return err
-	}
-}
-
-// SimplecountUpdateTxn is the update variant the paper mentions testing.
-func SimplecountUpdateTxn(cfg SimplecountConfig, distributed bool) cluster.TxnFunc {
-	per := cfg.Rows / cfg.Partitions
-	return func(t *cluster.Txn, rng *rand.Rand) error {
-		var id1, id2 int
-		if distributed && cfg.Partitions > 1 {
-			p1 := rng.Intn(cfg.Partitions)
-			p2 := (p1 + 1 + rng.Intn(cfg.Partitions-1)) % cfg.Partitions
-			id1 = p1*per + rng.Intn(per)
-			id2 = p2*per + rng.Intn(per)
-		} else {
-			p := rng.Intn(cfg.Partitions)
-			id1 = p*per + rng.Intn(per)
-			id2 = p*per + rng.Intn(per)
-		}
-		if _, err := t.ExecPrepared(updCount, num(id1)); err != nil {
-			return err
-		}
-		_, err := t.ExecPrepared(updCount, num(id2))
-		return err
-	}
-}
-
 // Simplecount builds the workload bundle (for pipeline experiments; the
-// Fig. 1 experiment drives the cluster directly via SimplecountTxn).
+// Fig. 1 experiment drives the cluster with SimplecountStream).
 func Simplecount(cfg SimplecountConfig, txns int, seed int64) *Workload {
 	db := storage.NewDatabase()
 	tbl := db.MustCreateTable(SimplecountSchema())

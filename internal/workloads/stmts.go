@@ -5,17 +5,14 @@ import (
 	"schism/internal/sqlparse"
 )
 
-// Every statement the TPC-C, YCSB and simplecount clients issue at run
-// time, prepared once: the streams (streams.go) and the TxnFunc
-// generators share these values, so a statement's text exists in one
+// Every statement the TPC-C, YCSB and simplecount streams (streams.go)
+// issue at run time, prepared once, so a statement's text exists in one
 // place and a call costs a bind, not a format, a lex and a parse.
 //
-// TPC-C addresses a row two ways. The ByKey statements carry the
-// surrogate-key predicate AND the warehouse-attribute predicate, so one
-// statement is routable by lookup tables and hash (the key) and by range
-// predicates (the warehouse column): the streams and TPCCKeyedTxn use
-// them. The ByAttr statements address rows by their TPC-C attributes only
-// (TPCCRuntimeTxn, the Fig. 6 deployment routed on warehouse columns).
+// TPC-C has one statement family: a statement that addresses a row by
+// its surrogate key (the ByKey statements) also carries the warehouse
+// predicate, so it is routable by lookup tables and hash (the key) and
+// by range predicates (the warehouse column) alike.
 var (
 	selWarehouse   = sqlparse.MustPrepare("SELECT * FROM warehouse WHERE w_id = ?")
 	updWarehouse   = sqlparse.MustPrepare("UPDATE warehouse SET w_ytd = w_ytd + 100.00 WHERE w_id = ?")
@@ -41,20 +38,10 @@ var (
 	selStockByKey        = sqlparse.MustPrepare("SELECT * FROM stock WHERE s_key = ? AND s_w_id = ?")
 	updStockByKey        = sqlparse.MustPrepare("UPDATE stock SET s_quantity = s_quantity - 1, s_ytd = s_ytd + 1 WHERE s_key = ? AND s_w_id = ?")
 
-	updDistrictNextByAttr = sqlparse.MustPrepare("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = ? AND d_id = ?")
-	selDistrictNextByAttr = sqlparse.MustPrepare("SELECT d_next_o_id FROM district WHERE d_w_id = ? AND d_id = ?")
-	updDistrictYtdByAttr  = sqlparse.MustPrepare("UPDATE district SET d_ytd = d_ytd + 100.00 WHERE d_w_id = ? AND d_id = ?")
-	selCustomerByAttr     = sqlparse.MustPrepare("SELECT * FROM customer WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?")
-	updCustomerPayByAttr  = sqlparse.MustPrepare("UPDATE customer SET c_balance = c_balance - 100.00, c_ytd_payment = c_ytd_payment + 100.00 WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?")
-	updCustomerDlvByAttr  = sqlparse.MustPrepare("UPDATE customer SET c_balance = c_balance + 50.00 WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?")
-	selStockByAttr        = sqlparse.MustPrepare("SELECT * FROM stock WHERE s_w_id = ? AND s_i_id = ?")
-	updStockByAttr        = sqlparse.MustPrepare("UPDATE stock SET s_quantity = s_quantity - 1, s_ytd = s_ytd + 1 WHERE s_w_id = ? AND s_i_id = ?")
-
 	selUser = sqlparse.MustPrepare("SELECT * FROM usertable WHERE ycsb_key = ?")
 	updUser = sqlparse.MustPrepare("UPDATE usertable SET field0 = 'u' WHERE ycsb_key = ?")
 
 	selCount = sqlparse.MustPrepare("SELECT * FROM simplecount WHERE id = ?")
-	updCount = sqlparse.MustPrepare("UPDATE simplecount SET counter = counter + 1 WHERE id = ?")
 )
 
 // num is an integer argument of a prepared statement.

@@ -60,24 +60,17 @@ func stmtFixture() (cfg TPCCConfig, db *storage.Database, cases []stmtCase) {
 	add(selWarehouse, num(w))
 	add(updDistrictNextByKey, num(dk), num(w))
 	add(selDistrictNextByKey, num(dk), num(w))
-	add(updDistrictNextByAttr, num(w), num(d))
-	add(selDistrictNextByAttr, num(w), num(d))
 	add(selCustomerByKey, num(ck), num(w))
-	add(selCustomerByAttr, num(w), num(d), num(c))
 	add(insOrder, num(oKey), num(w), num(d), num(o), num(c), num(2))
 	add(insNewOrder, num(oKey), num(w), num(d), num(o))
 	add(selItem, num(item))
 	add(updStockByKey, num(sk), num(remote))
-	add(updStockByAttr, num(remote), num(item))
 	add(selStockByKey, num(sk), num(remote))
-	add(selStockByAttr, num(remote), num(item))
 	add(insOrderLine, num(k.orderLine(oKey, 1)), num(w), num(d), num(o), num(1), num(item), num(remote))
 	add(insOrderLine, num(k.orderLine(oKey, 2)), num(w), num(d), num(o), num(2), num(item+1), num(w))
 	add(updWarehouse, num(w))
 	add(updDistrictYtdByKey, num(dk), num(w))
-	add(updDistrictYtdByAttr, num(w), num(d))
 	add(updCustomerPayByKey, num(ck), num(w))
-	add(updCustomerPayByAttr, num(w), num(d), num(c))
 	add(insHistory, num(int64(1)<<40|1), num(w))
 	add(selLastOrder, num(w), num(lo), num(hi))
 	add(selOrderLines, num(w), num(oKey*tpccLineSpace), num((oKey+1)*tpccLineSpace-1))
@@ -87,11 +80,9 @@ func stmtFixture() (cfg TPCCConfig, db *storage.Database, cases []stmtCase) {
 	add(updOrder, num(w), num(oKey))
 	add(delNewOrder, num(w), num(oKey))
 	add(updCustomerDlvByKey, num(ck), num(w))
-	add(updCustomerDlvByAttr, num(w), num(d), num(c))
 	add(selUser, num(17))
 	add(updUser, num(17))
 	add(selCount, num(5))
-	add(updCount, num(5))
 	return cfg, db, cases
 }
 

@@ -10,9 +10,10 @@ import (
 )
 
 // This file provides the streaming per-client transaction iterators the
-// benchmark driver consumes (driver.StreamMaker). Unlike the
-// cluster.TxnFunc generators above, a stream draws EVERY random parameter
-// when the transaction is generated and packages them into a driver.Op:
+// benchmark driver consumes (driver.StreamMaker); the cluster
+// experiments, the examples and the repo benchmark draw their
+// transactions from them. A stream draws EVERY random parameter when the
+// transaction is generated and packages them into a driver.Op:
 //
 //   - retries re-execute the same logical transaction instead of
 //     re-drawing a fresh one, so a fixed seed produces byte-identical
@@ -332,8 +333,8 @@ func YCSBGroupsStream(cfg YCSBGroupsConfig) driver.StreamMaker {
 	return func(client int, seed int64) driver.Stream {
 		rng := rand.New(rand.NewSource(seed + int64(client)*7919))
 		return driver.StreamFunc(func() driver.Op {
-			// Square a uniform draw to warm low group ids (same skew as
-			// YCSBGroupsTxn).
+			// Zipf-free runtime skew: square a uniform draw to warm the
+			// low group ids.
 			u := rng.Float64()
 			g := int(u * u * float64(groups))
 			if g >= groups {
@@ -343,6 +344,39 @@ func YCSBGroupsStream(cfg YCSBGroupsConfig) driver.StreamMaker {
 			return driver.Op{
 				Sig: fmt.Sprintf("g%d r%d r%d w%d", g, r1, r2, w),
 				Run: func(t *cluster.Txn) error { return runYCSBGroup(t, r1, r2, w) },
+			}
+		})
+	}
+}
+
+// --- Simplecount ---
+
+// SimplecountStream is the two-read transaction of the §3
+// microbenchmark as a deterministic per-client stream. When distributed
+// is false both ids come from the same partition; when true they come
+// from two different partitions (forcing two-phase commit), which is the
+// second series of Fig. 1. With one partition every transaction is
+// local.
+func SimplecountStream(cfg SimplecountConfig, distributed bool) driver.StreamMaker {
+	per := cfg.Rows / cfg.Partitions
+	return func(client int, seed int64) driver.Stream {
+		rng := rand.New(rand.NewSource(seed + int64(client)*7919))
+		return driver.StreamFunc(func() driver.Op {
+			p1 := rng.Intn(cfg.Partitions)
+			p2 := p1
+			if distributed && cfg.Partitions > 1 {
+				p2 = (p1 + 1 + rng.Intn(cfg.Partitions-1)) % cfg.Partitions
+			}
+			id1, id2 := p1*per+rng.Intn(per), p2*per+rng.Intn(per)
+			return driver.Op{
+				Sig: fmt.Sprintf("sc %d %d", id1, id2),
+				Run: func(t *cluster.Txn) error {
+					if _, err := t.ExecPrepared(selCount, num(id1)); err != nil {
+						return err
+					}
+					_, err := t.ExecPrepared(selCount, num(id2))
+					return err
+				},
 			}
 		})
 	}

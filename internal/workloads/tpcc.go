@@ -209,8 +209,10 @@ func TPCCSchemas() []*storage.TableSchema {
 // TPCCPopulate fills db with the warehouses in [wLo, wHi] (1-based,
 // inclusive) plus — when withItems — the full item table. Splitting by
 // warehouse range is exactly how the paper's partitioned deployments lay
-// data out.
+// data out. Unset sizes take the same defaults the streams apply, so the
+// rows a stream addresses exist.
 func TPCCPopulate(db *storage.Database, cfg TPCCConfig, wLo, wHi int, withItems bool) {
+	cfg = cfg.withDefaults()
 	k := tpccKeys{cfg}
 	for _, s := range TPCCSchemas() {
 		schema := *s

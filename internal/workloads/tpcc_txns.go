@@ -3,9 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
-	"schism/internal/cluster"
 	"schism/internal/partition"
 	"schism/internal/storage"
 	"schism/internal/workload"
@@ -310,301 +308,4 @@ func (st *tpccState) stockLevelTrace(rng *rand.Rand) ([]workload.Access, []strin
 		}
 	}
 	return acc, sql
-}
-
-// --- Runtime transactions for the cluster experiments (Fig. 6) ---
-
-var tpccHistID atomic.Int64
-
-// TPCCRuntimeTxn returns a TxnFunc running the live five-transaction mix
-// against a cluster. The NewOrder/Payment hot-row updates (district
-// d_next_o_id, warehouse w_ytd) create the contention that limits Fig. 6's
-// fixed-16-warehouse scaling.
-func TPCCRuntimeTxn(cfg TPCCConfig) cluster.TxnFunc {
-	cfg = cfg.withDefaults()
-	k := tpccKeys{cfg}
-	return func(t *cluster.Txn, rng *rand.Rand) error {
-		switch p := rng.Intn(100); {
-		case p < 45:
-			return runtimeNewOrder(t, rng, cfg, k)
-		case p < 88:
-			return runtimePayment(t, rng, cfg, k)
-		case p < 92:
-			return runtimeOrderStatus(t, rng, cfg, k)
-		case p < 96:
-			return runtimeDelivery(t, rng, cfg, k)
-		default:
-			return runtimeStockLevel(t, rng, cfg, k)
-		}
-	}
-}
-
-// TPCCNewOrderPaymentTxn restricts the mix to the two write-heavy
-// transactions; useful for focused contention experiments.
-func TPCCNewOrderPaymentTxn(cfg TPCCConfig) cluster.TxnFunc {
-	cfg = cfg.withDefaults()
-	k := tpccKeys{cfg}
-	return func(t *cluster.Txn, rng *rand.Rand) error {
-		if rng.Intn(100) < 51 {
-			return runtimeNewOrder(t, rng, cfg, k)
-		}
-		return runtimePayment(t, rng, cfg, k)
-	}
-}
-
-func runtimeNewOrder(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys) error {
-	w := cfg.pickW(rng)
-	d := 1 + rng.Intn(cfg.Districts)
-	c := 1 + rng.Intn(cfg.Customers)
-	if _, err := t.ExecPrepared(selWarehouse, num(w)); err != nil {
-		return err
-	}
-	if _, err := t.ExecPrepared(updDistrictNextByAttr, num(w), num(d)); err != nil {
-		return err
-	}
-	rows, err := t.ExecPrepared(selDistrictNextByAttr, num(w), num(d))
-	if err != nil {
-		return err
-	}
-	if len(rows) != 1 {
-		return fmt.Errorf("tpcc: district (%d,%d) not found", w, d)
-	}
-	next, _ := rows[0][0].AsInt()
-	o := int(next - 1)
-	oKey := k.order(w, d, o)
-	if _, err := t.ExecPrepared(selCustomerByAttr, num(w), num(d), num(c)); err != nil {
-		return err
-	}
-	nItems := 5 + rng.Intn(11)
-	if _, err := t.ExecPrepared(insOrder, num(oKey), num(w), num(d), num(o), num(c), num(nItems)); err != nil {
-		return err
-	}
-	if _, err := t.ExecPrepared(insNewOrder, num(oKey), num(w), num(d), num(o)); err != nil {
-		return err
-	}
-	for l := 1; l <= nItems; l++ {
-		item := rng.Intn(cfg.Items)
-		sw := w
-		if rng.Intn(100) == 0 {
-			sw = remoteWarehouse(rng, w, cfg.Warehouses)
-		}
-		if _, err := t.ExecPrepared(selItem, num(item)); err != nil {
-			return err
-		}
-		if _, err := t.ExecPrepared(updStockByAttr, num(sw), num(item)); err != nil {
-			return err
-		}
-		if _, err := t.ExecPrepared(insOrderLine,
-			num(k.orderLine(oKey, l)), num(w), num(d), num(o), num(l), num(item), num(sw)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func runtimePayment(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys) error {
-	w := cfg.pickW(rng)
-	d := 1 + rng.Intn(cfg.Districts)
-	c := 1 + rng.Intn(cfg.Customers)
-	cw := w
-	if rng.Intn(100) < 15 {
-		cw = remoteWarehouse(rng, w, cfg.Warehouses)
-	}
-	if _, err := t.ExecPrepared(updWarehouse, num(w)); err != nil {
-		return err
-	}
-	if _, err := t.ExecPrepared(updDistrictYtdByAttr, num(w), num(d)); err != nil {
-		return err
-	}
-	if _, err := t.ExecPrepared(updCustomerPayByAttr, num(cw), num(d), num(c)); err != nil {
-		return err
-	}
-	h := tpccHistID.Add(1)
-	_, err := t.ExecPrepared(insHistory, num(h), num(w))
-	return err
-}
-
-func runtimeOrderStatus(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys) error {
-	w := cfg.pickW(rng)
-	d := 1 + rng.Intn(cfg.Districts)
-	c := 1 + rng.Intn(cfg.Customers)
-	if _, err := t.ExecPrepared(selCustomerByAttr, num(w), num(d), num(c)); err != nil {
-		return err
-	}
-	dk := k.district(w, d)
-	lo, hi := dk*tpccOrderSpace, (dk+1)*tpccOrderSpace-1
-	rows, err := t.ExecPrepared(selLastOrder, num(w), num(lo), num(hi))
-	if err != nil || len(rows) == 0 {
-		return err
-	}
-	oKey, _ := rows[0][0].AsInt()
-	_, err = t.ExecPrepared(selOrderLines, num(w), num(oKey*tpccLineSpace), num((oKey+1)*tpccLineSpace-1))
-	return err
-}
-
-func runtimeDelivery(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys) error {
-	w := cfg.pickW(rng)
-	for d := 1; d <= cfg.Districts; d++ {
-		dk := k.district(w, d)
-		lo, hi := dk*tpccOrderSpace, (dk+1)*tpccOrderSpace-1
-		rows, err := t.ExecPrepared(selOldNewOrder, num(w), num(lo), num(hi))
-		if err != nil {
-			return err
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		oKey, _ := rows[0][0].AsInt()
-		o, _ := rows[0][3].AsInt()
-		if _, err := t.ExecPrepared(delNewOrder, num(w), num(oKey)); err != nil {
-			return err
-		}
-		ordRows, err := t.ExecPrepared(selOrder, num(w), num(oKey))
-		if err != nil {
-			return err
-		}
-		if _, err := t.ExecPrepared(updOrder, num(w), num(oKey)); err != nil {
-			return err
-		}
-		if _, err := t.ExecPrepared(selOrderLines, num(w), num(oKey*tpccLineSpace), num((oKey+1)*tpccLineSpace-1)); err != nil {
-			return err
-		}
-		cid := int64(1)
-		if len(ordRows) > 0 {
-			cid, _ = ordRows[0][4].AsInt()
-		}
-		if _, err := t.ExecPrepared(updCustomerDlvByAttr, num(w), num(d), num(cid)); err != nil {
-			return err
-		}
-		_ = o
-	}
-	return nil
-}
-
-func runtimeStockLevel(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys) error {
-	w := cfg.pickW(rng)
-	d := 1 + rng.Intn(cfg.Districts)
-	rows, err := t.ExecPrepared(selDistrictNextByAttr, num(w), num(d))
-	if err != nil || len(rows) == 0 {
-		return err
-	}
-	next, _ := rows[0][0].AsInt()
-	loO := next - 20
-	if loO < 0 {
-		loO = 0
-	}
-	dk := k.district(w, d)
-	lo := (dk*tpccOrderSpace + loO) * tpccLineSpace
-	hi := (dk*tpccOrderSpace + next) * tpccLineSpace
-	lines, err := t.ExecPrepared(selLineItems, num(w), num(lo), num(hi))
-	if err != nil {
-		return err
-	}
-	seen := map[int64]bool{}
-	checked := 0
-	for _, r := range lines {
-		item, _ := r[0].AsInt()
-		if seen[item] {
-			continue
-		}
-		seen[item] = true
-		if _, err := t.ExecPrepared(selStockByAttr, num(w), num(item)); err != nil {
-			return err
-		}
-		checked++
-		if checked >= 20 {
-			break
-		}
-	}
-	return nil
-}
-
-// TPCCKeyedTxn returns a NewOrder/Payment mix whose statements constrain
-// the surrogate primary keys (d_key, c_key, s_key, ...) instead of the
-// (w_id, d_id, ...) pairs, so a per-tuple lookup-table strategy — the
-// deployment the live repartitioning loop manages — can route every
-// statement exactly. The access pattern (hot district/warehouse rows,
-// remote customers) is unchanged.
-func TPCCKeyedTxn(cfg TPCCConfig) cluster.TxnFunc {
-	cfg = cfg.withDefaults()
-	k := tpccKeys{cfg}
-	return func(t *cluster.Txn, rng *rand.Rand) error {
-		if rng.Intn(100) < 51 {
-			return keyedNewOrder(t, rng, cfg, k)
-		}
-		return keyedPayment(t, rng, cfg, k)
-	}
-}
-
-func keyedNewOrder(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys) error {
-	w := cfg.pickW(rng)
-	d := 1 + rng.Intn(cfg.Districts)
-	c := 1 + rng.Intn(cfg.Customers)
-	dk := k.district(w, d)
-	if _, err := t.ExecPrepared(selWarehouse, num(w)); err != nil {
-		return err
-	}
-	if _, err := t.ExecPrepared(updDistrictNextByKey, num(dk), num(w)); err != nil {
-		return err
-	}
-	rows, err := t.ExecPrepared(selDistrictNextByKey, num(dk), num(w))
-	if err != nil {
-		return err
-	}
-	if len(rows) != 1 {
-		return fmt.Errorf("tpcc: district %d not found", dk)
-	}
-	next, _ := rows[0][0].AsInt()
-	o := int(next - 1)
-	oKey := k.order(w, d, o)
-	if _, err := t.ExecPrepared(selCustomerByKey, num(k.customer(w, d, c)), num(w)); err != nil {
-		return err
-	}
-	nItems := 5 + rng.Intn(11)
-	if _, err := t.ExecPrepared(insOrder, num(oKey), num(w), num(d), num(o), num(c), num(nItems)); err != nil {
-		return err
-	}
-	if _, err := t.ExecPrepared(insNewOrder, num(oKey), num(w), num(d), num(o)); err != nil {
-		return err
-	}
-	for l := 1; l <= nItems; l++ {
-		item := rng.Intn(cfg.Items)
-		sw := w
-		if rng.Intn(100) == 0 {
-			sw = remoteWarehouse(rng, w, cfg.Warehouses)
-		}
-		if _, err := t.ExecPrepared(selItem, num(item)); err != nil {
-			return err
-		}
-		if _, err := t.ExecPrepared(updStockByKey, num(k.stock(sw, item)), num(sw)); err != nil {
-			return err
-		}
-		if _, err := t.ExecPrepared(insOrderLine,
-			num(k.orderLine(oKey, l)), num(w), num(d), num(o), num(l), num(item), num(sw)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func keyedPayment(t *cluster.Txn, rng *rand.Rand, cfg TPCCConfig, k tpccKeys) error {
-	w := cfg.pickW(rng)
-	d := 1 + rng.Intn(cfg.Districts)
-	c := 1 + rng.Intn(cfg.Customers)
-	cw := w
-	if rng.Intn(100) < 15 {
-		cw = remoteWarehouse(rng, w, cfg.Warehouses)
-	}
-	if _, err := t.ExecPrepared(updWarehouse, num(w)); err != nil {
-		return err
-	}
-	if _, err := t.ExecPrepared(updDistrictYtdByKey, num(k.district(w, d)), num(w)); err != nil {
-		return err
-	}
-	if _, err := t.ExecPrepared(updCustomerPayByKey, num(k.customer(cw, d, c)), num(cw)); err != nil {
-		return err
-	}
-	h := tpccHistID.Add(1)
-	_, err := t.ExecPrepared(insHistory, num(h), num(w))
-	return err
 }

@@ -1,11 +1,14 @@
 package workloads
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"schism/internal/cluster"
 	"schism/internal/datum"
+	"schism/internal/driver"
 	"schism/internal/partition"
 	"schism/internal/storage"
 	"schism/internal/workload"
@@ -196,52 +199,93 @@ func TestTPCESchemaAndTrace(t *testing.T) {
 	}
 }
 
-// TestTPCCRuntimeOnCluster runs the live five-transaction mix through the
-// cluster with the manual warehouse partitioning and checks integrity:
-// committed transactions only, money-style invariants on district next-o-id
-// monotonicity, and a sane distributed fraction.
+// TestTPCCRuntimeOnCluster runs the five-transaction TPCCStream mix
+// through the cluster under the manual warehouse partitioning, a fixed
+// number of transactions per client, and checks integrity: nothing fails,
+// d_next_o_id equals the number of orders per district, every order has
+// o_ol_cnt order lines, the distributed fraction is near the
+// multi-warehouse rate, and a rerun draws the same per-client streams.
 func TestTPCCRuntimeOnCluster(t *testing.T) {
 	cfg := TPCCConfig{Warehouses: 4, Customers: 20, Items: 100, InitialOrders: 5, Seed: 9}
-	cfg = cfg.withDefaults()
-	k := 2
-	strat := TPCCManual(cfg, k)
-	c := cluster.New(cluster.Config{Nodes: k, LockTimeout: 2 * time.Second}, func(node int) *storage.Database {
-		db := storage.NewDatabase()
-		wLo := node*cfg.Warehouses/k + 1
-		wHi := (node + 1) * cfg.Warehouses / k
-		TPCCPopulate(db, cfg, wLo, wHi, true) // item replicated on every node
-		return db
-	})
+	const k = 2
+	run := func() (*cluster.Cluster, *driver.Result) {
+		c := cluster.New(cluster.Config{Nodes: k, LockTimeout: 2 * time.Second}, func(node int) *storage.Database {
+			db := storage.NewDatabase()
+			wLo := node*cfg.Warehouses/k + 1
+			wHi := (node + 1) * cfg.Warehouses / k
+			TPCCPopulate(db, cfg, wLo, wHi, true) // item replicated on every node
+			return db
+		})
+		co := cluster.NewCoordinator(c, TPCCManual(cfg, k))
+		return c, driver.Run(co, driver.Config{Clients: 8, Ops: 50, Seed: 1}, TPCCStream(cfg))
+	}
+	c, res := run()
 	defer c.Close()
-	co := cluster.NewCoordinator(c, strat)
-	stats := cluster.RunLoad(co, 8, 400*time.Millisecond, 1, TPCCRuntimeTxn(cfg))
-	if stats.Commits == 0 {
-		t.Fatal("no committed transactions")
+	if res.Committed == 0 || res.Failed != 0 {
+		t.Fatalf("committed %d, failed %d; want every transaction committed", res.Committed, res.Failed)
 	}
 	// Distributed fraction should be near the multi-warehouse rate, far
 	// from 100%.
-	if f := stats.DistributedFrac(); f > 0.4 {
+	if f := res.DistributedFrac(); f > 0.4 {
 		t.Errorf("distributed fraction %.2f too high for warehouse partitioning", f)
 	}
-	// Integrity: every order inserted has order lines on the same node,
-	// and d_next_o_id matches the number of orders per district.
 	for n := 0; n < k; n++ {
 		db := c.Node(n).DB()
-		dist := db.Table("district")
-		orders := db.Table("orders")
-		counts := map[int64]int64{}
-		orders.ScanAll(func(key int64, row storage.Row) bool {
-			dk := key / tpccOrderSpace
-			counts[dk]++
+		orders := map[int64]int64{} // district key -> orders
+		olCnt := map[int64]int64{}  // order key -> o_ol_cnt
+		lines := map[int64]int64{}  // order key -> order_line rows
+		db.Table("orders").ScanAll(func(key int64, row storage.Row) bool {
+			orders[key/tpccOrderSpace]++
+			olCnt[key], _ = row[6].AsInt()
 			return true
 		})
-		dist.ScanAll(func(key int64, row storage.Row) bool {
+		db.Table("order_line").ScanAll(func(key int64, _ storage.Row) bool {
+			lines[key/tpccLineSpace]++
+			return true
+		})
+		db.Table("district").ScanAll(func(key int64, row storage.Row) bool {
 			next, _ := row[3].AsInt()
-			if counts[key] != next {
-				t.Errorf("node %d district %d: next_o_id=%d but %d orders", n, key, next, counts[key])
+			if orders[key] != next {
+				t.Errorf("node %d district %d: next_o_id=%d but %d orders", n, key, next, orders[key])
 			}
 			return true
 		})
+		for oKey, want := range olCnt {
+			if lines[oKey] != want {
+				t.Errorf("node %d order %d: o_ol_cnt=%d but %d order lines", n, oKey, want, lines[oKey])
+			}
+		}
+		if len(lines) != len(olCnt) {
+			t.Errorf("node %d: order lines of %d orders, %d orders", n, len(lines), len(olCnt))
+		}
+	}
+	c2, res2 := run()
+	c2.Close()
+	if !reflect.DeepEqual(res.ClientSigs, res2.ClientSigs) {
+		t.Errorf("rerun drew different streams: %x vs %x", res.ClientSigs, res2.ClientSigs)
+	}
+}
+
+// TestTPCCPopulateAppliesDefaults populates with Districts and Customers
+// unset and checks that every district and customer key the streams
+// address (they default the same config) exists.
+func TestTPCCPopulateAppliesDefaults(t *testing.T) {
+	cfg := TPCCConfig{Warehouses: 2, Items: 50, InitialOrders: 3}
+	db := storage.NewDatabase()
+	TPCCPopulate(db, cfg, 1, cfg.Warehouses, true)
+	full := cfg.withDefaults()
+	k := tpccKeys{full}
+	for w := 1; w <= full.Warehouses; w++ {
+		for d := 1; d <= full.Districts; d++ {
+			if _, ok := db.Table("district").Get(k.district(w, d)); !ok {
+				t.Fatalf("district (%d,%d) not populated", w, d)
+			}
+			for c := 1; c <= full.Customers; c++ {
+				if _, ok := db.Table("customer").Get(k.customer(w, d, c)); !ok {
+					t.Fatalf("customer (%d,%d,%d) not populated", w, d, c)
+				}
+			}
+		}
 	}
 }
 
@@ -270,6 +314,42 @@ func TestSimplecountWorkload(t *testing.T) {
 	r999 := strat.Locate(workload.TupleID{Table: "simplecount", Key: 999}, mapRowSC{"id": datum.NewInt(999)})
 	if len(r0) != 1 || r0[0] != 0 || len(r999) != 1 || r999[0] != 3 {
 		t.Errorf("routing: 0->%v 999->%v", r0, r999)
+	}
+}
+
+// TestSimplecountStreamPlacement draws many ops at 1, 2 and 5 partitions
+// and locates both ids of each under SimplecountStrategy: a distributed
+// op's ids live on different partitions, a local op's on the same one,
+// and at one partition a distributed op falls back to local.
+func TestSimplecountStreamPlacement(t *testing.T) {
+	for _, parts := range []int{1, 2, 5} {
+		cfg := SimplecountConfig{Rows: 1000, Partitions: parts}
+		strat := SimplecountStrategy(cfg)
+		locate := func(id int64) int {
+			if id < 0 || id >= int64(cfg.Rows) {
+				t.Fatalf("partitions=%d: id %d outside the table", parts, id)
+			}
+			p := strat.Locate(workload.TupleID{Table: "simplecount", Key: id}, mapRowSC{"id": datum.NewInt(id)})
+			if len(p) != 1 {
+				t.Fatalf("partitions=%d: id %d locates to %v", parts, id, p)
+			}
+			return p[0]
+		}
+		for _, distributed := range []bool{false, true} {
+			stream := SimplecountStream(cfg, distributed)(3, 42)
+			for i := 0; i < 2000; i++ {
+				op := stream.Next()
+				var a, b int64
+				if _, err := fmt.Sscanf(op.Sig, "sc %d %d", &a, &b); err != nil {
+					t.Fatalf("sig %q: %v", op.Sig, err)
+				}
+				split := locate(a) != locate(b)
+				if want := distributed && parts > 1; split != want {
+					t.Fatalf("partitions=%d distributed=%v: ids %d, %d on partitions %d, %d",
+						parts, distributed, a, b, locate(a), locate(b))
+				}
+			}
+		}
 	}
 }
 
