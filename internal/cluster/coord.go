@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -283,13 +284,14 @@ type Txn struct {
 	twoPhase bool // current commit concluded a prepare round
 	rng      prng
 
-	// touched is the attempt's participant state, keyed by group: nil
-	// until the first locked statement, cleared by a retry. sticky is the
-	// follower-read affinity per group, re-seeded when the chosen replica
-	// cannot serve; it survives retries, and stays empty while only
-	// one-member groups are read (they have no follower).
-	touched map[int]part
-	sticky  stickyReads
+	// touched is the attempt's participant state, one entry per group:
+	// empty until the first locked statement, emptied by a retry. sticky
+	// is the follower-read affinity per group, re-seeded when the chosen
+	// replica cannot serve; it survives retries, and stays empty while
+	// only one-member groups are read (they have no follower).
+	touched groupMap[part]
+	sticky  groupMap[int]
+	groups  []int // participants' buffer; survives retries
 
 	capture CaptureFunc
 	accs    []workload.Access
@@ -354,7 +356,7 @@ func (t *Txn) reset() {
 	if t.system {
 		t.capture = nil
 	}
-	clear(t.touched)
+	t.touched.reset()
 	t.failed = false
 	t.twoPhase = false
 	t.epoch++ // new attempt: participants must not honour the old one's messages
@@ -368,7 +370,7 @@ func (t *Txn) reset() {
 
 // Touched returns the number of partitions (groups; nodes when R = 1)
 // this transaction has accessed.
-func (t *Txn) Touched() int { return len(t.touched) }
+func (t *Txn) Touched() int { return len(t.touched.list) }
 
 // part is a transaction attempt's state in one participant group.
 type part struct {
@@ -385,70 +387,71 @@ type part struct {
 // touch marks group g a participant of this attempt, and a written one
 // when write.
 func (t *Txn) touch(g int, write bool) {
-	p := t.touched[g]
+	p, _ := t.touched.get(g)
 	p.wrote = p.wrote || write
-	t.setPart(g, p)
+	t.touched.set(g, p)
 }
 
 // pin records member nid as the one executing for this attempt in g.
 func (t *Txn) pin(g, nid int) {
-	p := t.touched[g]
+	p, _ := t.touched.get(g)
 	p.member, p.pinned = nid, true
-	t.setPart(g, p)
+	t.touched.set(g, p)
 }
 
 // served returns the member pinned for group g, if any.
 func (t *Txn) served(g int) (int, bool) {
-	p := t.touched[g]
+	p, _ := t.touched.get(g)
 	return p.member, p.pinned
 }
 
-func (t *Txn) setPart(g int, p part) {
-	if t.touched == nil {
-		t.touched = make(map[int]part)
-	}
-	t.touched[g] = p
+// groupMap is a short list of (group, value) pairs in first-set order:
+// a transaction touches and reads few groups, so a scan does the lookup,
+// and the first pair lives in the Txn itself.
+type groupMap[V any] struct {
+	list []groupVal[V] // buf[:0] once the first group is set
+	buf  [1]groupVal[V]
 }
 
-// stickyReads is a transaction's follower-read affinity: a short list of
-// (group, member) pairs. A transaction reads few groups, so a scan does
-// the lookup, and the first pair lives in the Txn itself.
-type stickyReads struct {
-	picks []readPick // buf[:0] once the first pick is set
-	buf   [1]readPick
+type groupVal[V any] struct {
+	group int
+	val   V
 }
 
-type readPick struct{ group, member int }
-
-func (s *stickyReads) get(g int) (int, bool) {
-	for _, p := range s.picks {
-		if p.group == g {
-			return p.member, true
+// get returns g's value and whether g is set (the zero value when not).
+func (m *groupMap[V]) get(g int) (V, bool) {
+	for _, e := range m.list {
+		if e.group == g {
+			return e.val, true
 		}
 	}
-	return 0, false
+	var zero V
+	return zero, false
 }
 
-func (s *stickyReads) set(g, member int) {
-	for i := range s.picks {
-		if s.picks[i].group == g {
-			s.picks[i].member = member
+func (m *groupMap[V]) set(g int, v V) {
+	for i := range m.list {
+		if m.list[i].group == g {
+			m.list[i].val = v
 			return
 		}
 	}
-	if s.picks == nil {
-		s.picks = s.buf[:0]
+	if m.list == nil {
+		m.list = m.buf[:0]
 	}
-	s.picks = append(s.picks, readPick{g, member})
+	m.list = append(m.list, groupVal[V]{g, v})
 }
 
-// participants lists the attempt's participant groups.
+func (m *groupMap[V]) reset() { m.list = m.list[:0] }
+
+// participants lists the attempt's participant groups in first-touch
+// order, in a Txn-owned buffer the next call overwrites.
 func (t *Txn) participants() []int {
-	out := make([]int, 0, len(t.touched))
-	for g := range t.touched {
-		out = append(out, g)
+	t.groups = t.groups[:0]
+	for _, p := range t.touched.list {
+		t.groups = append(t.groups, p.group)
 	}
-	return out
+	return t.groups
 }
 
 // plan is one statement ready to run, the single shape every entry point
@@ -588,7 +591,11 @@ func (t *Txn) execOn(pl *plan, targets []int) ([]storage.Row, error) {
 			t.failed = true
 			return nil, r.err
 		}
-		rows = append(rows, r.rows...)
+		if rows == nil {
+			rows = r.rows // built for this request alone: no copy needed
+		} else {
+			rows = append(rows, r.rows...)
+		}
 		if t.capture != nil {
 			for _, k := range r.keys {
 				if seen != nil {
@@ -625,7 +632,7 @@ func (t *Txn) execOn(pl *plan, targets []int) ([]storage.Row, error) {
 func (t *Txn) pickReplica(single []int) int {
 	c := t.co.c
 	for _, p := range single {
-		if _, touched := t.touched[p]; touched && c.partitionAvailable(p) {
+		if _, touched := t.touched.get(p); touched && c.partitionAvailable(p) {
 			return p
 		}
 	}
@@ -700,8 +707,9 @@ func (t *Txn) Commit() error {
 	// and a participant that crashes before hearing so will learn it
 	// from this record via the termination protocol. The record is only
 	// garbage-collected once every participant acked; delivery failures
-	// bound-retry and then leave the record in place.
-	t.co.recordCommit(t.ts, nodes)
+	// bound-retry and then leave the record in place, so it keeps its own
+	// copy of the participants, not the Txn's buffer.
+	t.co.recordCommit(t.ts, slices.Clone(nodes))
 	commitStart := time.Time{}
 	if t.mets != nil {
 		commitStart = time.Now()
@@ -749,7 +757,7 @@ func (t *Txn) deliverCommit(nodes []int) bool {
 func (t *Txn) captured() {
 	if m := t.mets; m != nil {
 		m.committed.Inc()
-		if len(t.touched) > 1 {
+		if t.Touched() > 1 {
 			m.distributed.Inc()
 		}
 		if t.twoPhase {
@@ -757,13 +765,9 @@ func (t *Txn) captured() {
 		} else {
 			m.onePhase.Inc()
 		}
-		groups := make(map[int]bool) // on the stack: MarkCommit only reads it
-		for g := range t.touched {
-			groups[g] = true
-		}
-		m.reg.MarkCommit(groups)
+		m.reg.MarkCommit(t.participants())
 		if t.span != nil {
-			t.span.Annotate("committed nodes=%d", len(t.touched))
+			t.span.Annotate("committed nodes=%d", t.Touched())
 			t.span.Finish()
 			t.span = nil
 		}
@@ -776,7 +780,7 @@ func (t *Txn) captured() {
 
 // Abort rolls the transaction back in every participant group.
 func (t *Txn) Abort() {
-	if len(t.touched) > 0 {
+	if t.Touched() > 0 {
 		t.fanout(reqAbort, nil, t.participants())
 	}
 	if t.span != nil {
@@ -918,8 +922,8 @@ func (co *Coordinator) runTxn(t *Txn, fn func(*Txn) error) (TxnResult, error) {
 		if ferr == nil {
 			ferr = t.Commit()
 			if ferr == nil {
-				res.Distributed = len(t.touched) > 1
-				res.Nodes = len(t.touched)
+				res.Distributed = t.Touched() > 1
+				res.Nodes = t.Touched()
 				res.StmtLocal, res.StmtDistributed = t.stmtLocal, t.stmtDist
 				return res, nil
 			}

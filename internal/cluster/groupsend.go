@@ -44,7 +44,10 @@ func (t *Txn) fanout(kind reqKind, pl *plan, targets []int) []response {
 }
 
 func (t *Txn) followerReadable(pl *plan, targets []int) bool {
-	if len(targets) != 1 || len(t.co.c.GroupMembers(targets[0])) == 1 || t.touched[targets[0]].wrote {
+	if len(targets) != 1 || len(t.co.c.GroupMembers(targets[0])) == 1 {
+		return false
+	}
+	if p, _ := t.touched.get(targets[0]); p.wrote {
 		return false
 	}
 	sel, ok := pl.stmt.(*sqlparse.Select)

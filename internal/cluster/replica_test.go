@@ -124,8 +124,8 @@ func TestPickReplicaFailsOverFromDownNode(t *testing.T) {
 				t.Fatal(err)
 			}
 			var sticky int
-			for nid := range tx.touched {
-				sticky = nid
+			for _, p := range tx.touched.list {
+				sticky = p.group
 			}
 			if pause {
 				c.Pause(sticky)
@@ -140,8 +140,8 @@ func TestPickReplicaFailsOverFromDownNode(t *testing.T) {
 				t.Fatalf("replicated read through %s of sticky node %d: rows=%v err=%v",
 					name, sticky, rows, err)
 			}
-			if len(tx.touched) != 2 {
-				t.Fatalf("read did not re-seed to a live replica: touched=%v", tx.touched)
+			if tx.Touched() != 2 {
+				t.Fatalf("read did not re-seed to a live replica: touched=%v", tx.touched.list)
 			}
 			if pause {
 				c.Resume(sticky)

@@ -22,6 +22,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -213,12 +214,12 @@ func (r *Registry) ArmFirstCommit(group int) {
 // participant set: group ids on a replicated cluster, node ids on a
 // flat one; nil/empty means single-node) for the first-commit watch.
 // Costs one atomic load when disarmed.
-func (r *Registry) MarkCommit(touched map[int]bool) {
+func (r *Registry) MarkCommit(touched []int) {
 	if r == nil || !r.firstCommit.Load() {
 		return
 	}
 	g := int(r.firstGroup.Load())
-	if g >= 0 && !touched[g] {
+	if g >= 0 && !slices.Contains(touched, g) {
 		return
 	}
 	if r.firstCommit.CompareAndSwap(true, false) {

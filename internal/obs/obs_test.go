@@ -201,14 +201,14 @@ func TestFirstCommitArm(t *testing.T) {
 	r := NewRegistry()
 	r.MarkCommit(nil) // disarmed: no event
 	r.ArmFirstCommit(2)
-	r.MarkCommit(map[int]bool{0: true, 1: true}) // wrong group: stays armed
+	r.MarkCommit([]int{0, 1}) // wrong group: stays armed
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() { defer wg.Done(); r.MarkCommit(map[int]bool{2: true}) }()
+		go func() { defer wg.Done(); r.MarkCommit([]int{2}) }()
 	}
 	wg.Wait()
-	r.MarkCommit(map[int]bool{2: true})
+	r.MarkCommit([]int{2})
 	var n int
 	for _, ev := range r.Timeline().Events() {
 		if ev.Kind == "first-commit" {

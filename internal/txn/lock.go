@@ -130,16 +130,13 @@ func (lm *LockManager) Acquire(ts TS, key LockKey, mode Mode) error {
 		return nil
 	}
 	// Wait-die: wait only if older (smaller ts) than every conflicting
-	// holder; otherwise die immediately.
-	for hts, hmode := range ls.holders {
-		if hts == ts {
-			continue
-		}
-		if conflicts(hmode, mode) && ts > hts {
-			lm.mu.Unlock()
-			lm.dies.Add(1)
-			return ErrDie
-		}
+	// holder AND every conflicting waiter it would queue behind — both
+	// block the grant (grantable), so ts would wait for either; otherwise
+	// die immediately.
+	if ls.olderConflict(ts, mode) {
+		lm.mu.Unlock()
+		lm.dies.Add(1)
+		return ErrDie
 	}
 	w := &waiter{ts: ts, mode: mode, ready: make(chan error, 1)}
 	ls.queue = append(ls.queue, w)
@@ -185,6 +182,22 @@ func (lm *LockManager) grantable(ls *lockState, ts TS, mode Mode) bool {
 		}
 	}
 	return true
+}
+
+// olderConflict reports whether a holder or queued waiter other than ts
+// is older than ts and holds or wants a mode that conflicts with mode.
+func (ls *lockState) olderConflict(ts TS, mode Mode) bool {
+	for hts, hmode := range ls.holders {
+		if hts != ts && conflicts(hmode, mode) && hts < ts {
+			return true
+		}
+	}
+	for _, w := range ls.queue {
+		if w.ts != ts && conflicts(w.mode, mode) && w.ts < ts {
+			return true
+		}
+	}
+	return false
 }
 
 func (lm *LockManager) grant(ls *lockState, ts TS, key LockKey, mode Mode) {

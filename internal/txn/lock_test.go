@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -254,5 +255,144 @@ func TestClockMonotonic(t *testing.T) {
 			t.Fatal("clock not monotonic")
 		}
 		prev = ts
+	}
+}
+
+// waitQueued blocks until the manager has queued n acquisitions in all.
+func waitQueued(t *testing.T, lm *LockManager, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for lm.Stats().Waits < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d acquisitions queued, want %d", lm.Stats().Waits, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWaitDieUpgradeBehindOlderWaiter: ts 5 holds k shared and ts 3
+// queues for it exclusive; ts 5's upgrade would queue behind the older
+// ts 3, which waits for ts 5 — it must die at once, not time out.
+func TestWaitDieUpgradeBehindOlderWaiter(t *testing.T) {
+	lm := NewLockManager(2 * time.Second)
+	if err := lm.Acquire(5, key(1), Shared); err != nil {
+		t.Fatal(err)
+	}
+	older := make(chan error, 1)
+	go func() { older <- lm.Acquire(3, key(1), Exclusive) }()
+	waitQueued(t, lm, 1)
+	start := time.Now()
+	if err := lm.Acquire(5, key(1), Exclusive); !errors.Is(err, ErrDie) {
+		t.Fatalf("upgrade behind an older waiter: got %v, want ErrDie", err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("upgrade took %v to die", d)
+	}
+	lm.ReleaseAll(5)
+	if err := <-older; err != nil {
+		t.Fatalf("older waiter after the younger aborted: %v", err)
+	}
+	lm.ReleaseAll(3)
+}
+
+// TestWaitDieCycleThroughWaiter: O (ts 1) queues behind H (ts 3) on c,
+// H queues behind Y (ts 5) on b, and then Y asks c shared. No holder of
+// c conflicts with Y's shared request, but O's queued exclusive request
+// does, and O is older: Y waiting would close the cycle H → Y → O → H,
+// so Y must die and the other two finish.
+func TestWaitDieCycleThroughWaiter(t *testing.T) {
+	lm := NewLockManager(2 * time.Second)
+	const o, h, y = 1, 3, 5
+	b, c := key(2), key(3)
+	if err := lm.Acquire(h, c, Shared); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.Acquire(y, b, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	oDone, hDone := make(chan error, 1), make(chan error, 1)
+	go func() { oDone <- lm.Acquire(o, c, Exclusive) }()
+	waitQueued(t, lm, 1)
+	go func() { hDone <- lm.Acquire(h, b, Exclusive) }()
+	waitQueued(t, lm, 2)
+	start := time.Now()
+	if err := lm.Acquire(y, c, Shared); !errors.Is(err, ErrDie) {
+		t.Fatalf("young request behind an older waiter: got %v, want ErrDie", err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("young request took %v to die", d)
+	}
+	lm.ReleaseAll(y)
+	if err := <-hDone; err != nil {
+		t.Fatalf("H after Y aborted: %v", err)
+	}
+	lm.ReleaseAll(h)
+	if err := <-oDone; err != nil {
+		t.Fatalf("O after H released: %v", err)
+	}
+	lm.ReleaseAll(o)
+}
+
+// TestMixedModesReleaseClean runs 8 goroutines over 6 overlapping keys
+// in mixed modes, with upgrades, re-entrant requests and wait-die
+// aborts. Exclusive holders must exclude each other, ReleaseAll must
+// leave the transaction holding nothing, and once everyone is done the
+// table must be empty: no holder or waiter left behind on any key.
+func TestMixedModesReleaseClean(t *testing.T) {
+	lm := NewLockManager(time.Second)
+	var clock Clock
+	var writers [6]atomic.Int32
+	var violations, commits atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 300; i++ {
+				ts := clock.Next()
+				var mine []int64
+				ok := true
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					k := int64(rng.Intn(len(writers)))
+					mode := Mode(rng.Intn(2))
+					if err := lm.Acquire(ts, key(k), mode); err != nil {
+						ok = false
+						break
+					}
+					if mode == Exclusive && !slices.Contains(mine, k) {
+						mine = append(mine, k)
+					}
+				}
+				if ok {
+					for _, k := range mine {
+						if writers[k].Add(1) != 1 {
+							violations.Add(1)
+						}
+					}
+					for _, k := range mine {
+						writers[k].Add(-1)
+					}
+					commits.Add(1)
+				}
+				lm.ReleaseAll(ts)
+				if n := lm.HeldLocks(ts); n != 0 {
+					t.Errorf("ts %d holds %d locks after ReleaseAll", ts, n)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if violations.Load() > 0 {
+		t.Fatalf("%d mutual-exclusion violations", violations.Load())
+	}
+	if commits.Load() == 0 {
+		t.Fatal("no transaction ever took its locks")
+	}
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if len(lm.locks) != 0 || len(lm.byTxn) != 0 {
+		t.Fatalf("%d entries and %d key sets left after every release", len(lm.locks), len(lm.byTxn))
 	}
 }
