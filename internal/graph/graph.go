@@ -204,8 +204,8 @@ func (g *Graph) nodeFor(gi, ti int32) int32 {
 // Build constructs the clique/star workload graph for a trace. It
 // returns a typed *OptionsError for invalid or contradictory options,
 // and an error wrapping metis.ErrTooLarge when the adjacency rows would
-// overflow the int32 CSR index space (BuildHyper, linear in access-set
-// size, usually still fits).
+// overflow the int32 CSR index space or their total weight int32
+// (BuildHyper, linear in access-set size, usually still fits).
 func Build(tr *workload.Trace, opts Options) (*Graph, error) {
 	g, nwgt, err := buildCore(tr, opts)
 	if err != nil {

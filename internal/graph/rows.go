@@ -92,7 +92,7 @@ func (w *rowWriter) degree(v int32) int {
 // a pair co-accessed by several transactions, possible only for plain
 // nodes — fold into one entry whose weight is the multiplicity; a
 // replication edge weighs updates, the update count of v's group.
-func (w *rowWriter) fillRow(v int32, adj []int32, ewgt []int64, updates int64) int {
+func (w *rowWriter) fillRow(v int32, adj []int32, ewgt []int32, updates int32) int {
 	g := w.g
 	n := g.Nodes[v]
 	if n.Center {
@@ -127,7 +127,7 @@ func (w *rowWriter) fillRow(v int32, adj []int32, ewgt []int64, updates int64) i
 		for j < len(adj) && adj[j] == u {
 			j++
 		}
-		adj[k], ewgt[k] = u, int64(j-i)
+		adj[k], ewgt[k] = u, int32(j-i)
 		k++
 		i = j
 	}
@@ -182,18 +182,33 @@ func (g *Graph) buildCSR(nwgt []int64) (*metis.Graph, error) {
 	// quadratic per transaction, so a modest trace can blow past int32 CSR
 	// capacity (and any sane allocation). The int32 offsets stored on the
 	// way only wrap for a graph the check rejects.
+	//
+	// The total edge weight is checked alongside: transaction entries weigh
+	// 1 each before folding, so they sum to their raw count, but a star's
+	// 2·replicas entries weigh its group's update count, and a write-hot
+	// group's star can outweigh int32 on its own.
 	xadj := make([]int32, numNodes+1)
-	var entries int64
+	var entries, weight int64
 	for v := int32(0); v < numNodes; v++ {
-		entries += int64(w.degree(v))
+		d := int64(w.degree(v))
+		entries += d
 		xadj[v+1] = int32(entries)
+		if n := g.Nodes[v]; n.Center {
+			updates, _ := g.replWeights(n.Group)
+			weight += 2 * d * (updates - 1)
+		}
 	}
+	weight += entries
 	if err := metis.CheckCSRCapacity(entries); err != nil {
 		return nil, fmt.Errorf("graph: %d clique/star edges from %d transactions: %w (sample the trace or use BuildHyper)",
 			entries/2, numTxns, err)
 	}
+	if err := metis.CheckEdgeWeight(weight); err != nil {
+		return nil, fmt.Errorf("graph: replicated tuples of %d transactions: %w (sample the trace or use BuildHyper)",
+			numTxns, err)
+	}
 	adj := make([]int32, entries)
-	ewgt := make([]int64, entries)
+	ewgt := make([]int32, entries)
 
 	// Fill: workers own contiguous node ranges holding about equal shares
 	// of the entries. A row that folded ends in a -1 sentinel.
@@ -216,11 +231,12 @@ func (g *Graph) buildCSR(nwgt []int64) (*metis.Graph, error) {
 			defer wg.Done()
 			// A star's nodes are contiguous, so its update count is
 			// computed once per worker that meets it, not once per replica.
-			group, updates := int32(-1), int64(0)
+			group, updates := int32(-1), int32(0)
 			for v := lo; v < hi; v++ {
 				if gi := g.Nodes[v].Group; gi != group && g.exploded[gi] {
 					group = gi
-					updates, _ = g.replWeights(gi)
+					u, _ := g.replWeights(gi)
+					updates = int32(u)
 				}
 				row := adj[xadj[v]:xadj[v+1]]
 				if k := w.fillRow(v, row, ewgt[xadj[v]:xadj[v+1]], updates); k < len(row) {

@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"schism/internal/metis"
 	"schism/internal/workload"
 	"schism/internal/workloads"
 )
@@ -124,13 +126,55 @@ func TestBuildRowsMatchEdgeList(t *testing.T) {
 	}
 }
 
+// TestEdgeWeightOverflowGuard drives a replication star past the int32
+// edge-weight limit at its real value. Every transaction writes tuple 0
+// and reads tuple 1, so both are exploded: tuple 0's star has 2N entries
+// of weight N (its update count), tuple 1's weigh 0, and the N replica
+// pairs add 2N entries of weight 1 — 2N² + 2N in all, which fits int32 at
+// N = 32767 and not at 32768. Build must count it exactly, before
+// allocating the CSR; BuildHyper, whose net weights are int64, takes both.
+func TestEdgeWeightOverflowGuard(t *testing.T) {
+	hot := func(n int) *workload.Trace {
+		tr := workload.NewTrace()
+		for i := 0; i < n; i++ {
+			tr.Add([]workload.Access{
+				{Tuple: workload.TupleID{Table: "t", Key: 0}, Write: true},
+				{Tuple: workload.TupleID{Table: "t", Key: 1}},
+			})
+		}
+		return tr
+	}
+	opts := Options{Replication: true}
+	const fits = 32767
+	g, err := Build(hot(fits), opts)
+	if err != nil {
+		t.Fatalf("Build at total weight 2N²+2N = %d: %v", 2*fits*fits+2*fits, err)
+	}
+	var total int64
+	for _, w := range g.CSR.EWgt {
+		total += int64(w)
+	}
+	if want := int64(2*fits*fits + 2*fits); total != want {
+		t.Fatalf("built total weight %d, want %d", total, want)
+	}
+	tr := hot(fits + 1)
+	if _, err := Build(tr, opts); !errors.Is(err, metis.ErrTooLarge) {
+		t.Fatalf("Build one transaction past the limit: err = %v, want ErrTooLarge", err)
+	}
+	if _, err := BuildHyper(tr, opts); err != nil {
+		t.Fatalf("BuildHyper on the same trace: %v", err)
+	}
+}
+
 // TestBuildByteBudget fails if Build goes back to materialising edges
-// before the CSR. The CSR itself is 12 B per directed adjacency entry
-// (int32 neighbour + int64 weight); the old edge list, packed keys and
+// before the CSR, or to 64-bit weights. The CSR itself is 8 B per
+// directed adjacency entry (int32 neighbour + int32 weight; 12 B with the
+// int64 weights it had before); the old edge list, packed keys and
 // counting-sort temporaries cost 24 B per entry on top (287 MB against 99
 // MB on this trace). Everything else Build allocates — interned trace,
 // accessor lists, node table, member lists, XAdj — is linear in accesses
-// and nodes, about 41 B per access-or-node here.
+// and nodes, about 24 B per access-or-node here (8.4 B per entry in all;
+// 12.4 B with int64 weights, which the budget of 10 rejects).
 func TestBuildByteBudget(t *testing.T) {
 	tr := workloads.TPCC(workloads.TPCCConfig{
 		Warehouses: 4, Customers: 10, Items: 200, InitialOrders: 3, Txns: 2000, Seed: 5,
@@ -148,13 +192,13 @@ func TestBuildByteBudget(t *testing.T) {
 		}
 	})
 	entries := int64(len(g.CSR.Adj))
-	budget := 14*entries + 64*int64(accesses+g.NumNodes())
+	budget := 10*entries + 64*int64(accesses+g.NumNodes())
 	if got := res.AllocedBytesPerOp(); got > budget {
 		t.Errorf("Build allocated %d B for %d adjacency entries, %d accesses, %d nodes; budget %d",
 			got, entries, accesses, g.NumNodes(), budget)
 	}
 	// The allocation count does not grow with the graph: the edge-list
-	// builder made 287 on this trace, the row writer makes 259.
+	// builder made 287 on this trace, the row writer makes 33.
 	if got := res.AllocsPerOp(); got > 300 {
 		t.Errorf("Build made %d allocations, want <= 300", got)
 	}

@@ -61,7 +61,7 @@ func (s *Solver) heavyEdgeMatch(g *Graph, cmap []int32) int {
 			}
 			w := int64(1)
 			if ew != nil {
-				w = ew[j]
+				w = int64(ew[j])
 			}
 			if w > bestW {
 				bestW, best = w, v
@@ -191,14 +191,16 @@ func (s *Solver) contract(f *Graph, cmap []int32, numCoarse int, out *levelData)
 
 	// The two arrays are most of a level, so they get no grow headroom.
 	if cap(out.adj) < m {
-		out.adj, out.ewgt = make([]int32, m), make([]int64, m)
+		out.adj, out.ewgt = make([]int32, m), make([]int32, m)
 	}
 	adj, ewgt := out.adj[:m], out.ewgt[:m]
 
 	// Fold and scatter: row cv receives its neighbours c in ascending order
 	// because source rows are visited in ascending order, and the folded
 	// weight of (c,cv) equals that of (cv,c) by symmetry. Stamps are
-	// negative here to tell them from the counting pass's.
+	// negative here to tell them from the counting pass's. A folded weight
+	// sums fine weights in int64 and fits the int32 slot because the fine
+	// graph's total does (CheckEdgeWeight).
 	copy(pos, xadj[:nc])
 	row, roww := s.row, s.roww
 	for c := 0; c < nc; c++ {
@@ -212,7 +214,7 @@ func (s *Solver) contract(f *Graph, cmap []int32, numCoarse int, out *levelData)
 				}
 				w := int64(1)
 				if few != nil {
-					w = few[j]
+					w = int64(few[j])
 				}
 				if mark[cv] != stamp {
 					mark[cv] = stamp
@@ -227,7 +229,7 @@ func (s *Solver) contract(f *Graph, cmap []int32, numCoarse int, out *levelData)
 		for i, cv := range row {
 			p := pos[cv]
 			adj[p] = int32(c)
-			ewgt[p] = roww[i]
+			ewgt[p] = int32(roww[i])
 			pos[cv] = p + 1
 		}
 	}

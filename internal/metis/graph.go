@@ -16,6 +16,13 @@
 // int32-indexed; NewGraph, NewHGraph and CheckCSRCapacity reject inputs
 // past that limit with ErrTooLarge instead of silently wrapping.
 //
+// Edge weights are int32 at every level — 8 bytes per directed adjacency
+// entry with the neighbour id — under one invariant: a graph's total
+// directed edge weight fits int32. A coarse edge's weight is a sum of fine
+// ones, so the invariant bounds every level of the hierarchy; graph.Build
+// and NewGraph check it (CheckEdgeWeight), and every sum the partitioner
+// forms from weights (gains, cuts, degrees, contraction folds) is int64.
+//
 // PartHKway is the hypergraph counterpart (hgraph.go, hcoarsen.go,
 // hrefine.go, hkway.go): the same multilevel shape over pin lists,
 // minimising the connectivity metric Σ w(e)·(λ(e)−1) — the number of
@@ -39,7 +46,9 @@ type Graph struct {
 	XAdj []int32
 	Adj  []int32
 	// EWgt holds per-directed-edge weights; nil means all edges weigh 1.
-	EWgt []int64
+	// Their sum over all entries must fit int32 (CheckEdgeWeight), which
+	// keeps every coarse weight folded from them in range too.
+	EWgt []int32
 	// NWgt holds per-node weights; nil means all nodes weigh 1.
 	NWgt []int64
 }
@@ -68,7 +77,7 @@ func (g *Graph) edgeWeight(j int32) int64 {
 	if g.EWgt == nil {
 		return 1
 	}
-	return g.EWgt[j]
+	return int64(g.EWgt[j])
 }
 
 // TotalNodeWeight returns the sum of all node weights.
@@ -84,8 +93,8 @@ func (g *Graph) TotalNodeWeight() int64 {
 }
 
 // Validate checks structural invariants: monotone XAdj, in-range sorted
-// adjacency, no self-loops or duplicate neighbours, and symmetric edges
-// with matching weights.
+// adjacency, no self-loops or duplicate neighbours, symmetric edges with
+// matching weights, and a total edge weight within CheckEdgeWeight's limit.
 //
 // Adjacency lists sorted by ascending neighbour id are an invariant of
 // every graph this package builds (NewGraph and level contraction both
@@ -112,6 +121,13 @@ func (g *Graph) Validate() error {
 	}
 	if g.NWgt != nil && len(g.NWgt) != n {
 		return fmt.Errorf("metis: len(NWgt)=%d != n=%d", len(g.NWgt), n)
+	}
+	var total int64
+	for _, w := range g.EWgt {
+		total += int64(w)
+	}
+	if err := CheckEdgeWeight(total); err != nil {
+		return err
 	}
 	cursor := make([]int32, n)
 	for i := 0; i < n; i++ {
@@ -183,12 +199,12 @@ type BuilderEdge struct {
 	Weight int64
 }
 
-// ErrTooLarge reports an input whose CSR arrays would overflow the int32
-// index space (more than 2^31-1 adjacency or pin entries). Before the
-// guard existed, xadj offsets silently wrapped negative on such inputs;
-// now construction fails loudly and callers can fall back to sampling or
-// the hypergraph path (which is linear in access-set size).
-var ErrTooLarge = errors.New("metis: graph exceeds int32 CSR index capacity")
+// ErrTooLarge reports an input whose CSR arrays would overflow int32:
+// more than 2^31-1 adjacency or pin entries, or a total edge weight past
+// 2^31-1. Before the guard existed, xadj offsets silently wrapped negative
+// on such inputs; now construction fails loudly and callers can fall back
+// to sampling or the hypergraph path (which is linear in access-set size).
+var ErrTooLarge = errors.New("metis: graph exceeds int32 CSR capacity")
 
 // maxCSREntries bounds the folded directed-adjacency (and hypergraph
 // pin) count so int32 offsets cannot wrap. Tests lower it to exercise
@@ -211,6 +227,23 @@ func CheckCSRCapacity(entries int64) error {
 	return nil
 }
 
+// maxEdgeWeight bounds a graph's total directed edge weight, so that every
+// weight — and every coarse weight, a sum of fine ones — fits the int32
+// EWgt. Tests lower it, as they do maxCSREntries.
+var maxEdgeWeight = int64(math.MaxInt32)
+
+// CheckEdgeWeight returns ErrTooLarge (wrapped) when a graph's total edge
+// weight, summed over directed adjacency entries (twice the undirected
+// sum), would not fit int32. graph.Build calls it before allocating the
+// CSR; NewGraph and Validate check the graphs they see.
+func CheckEdgeWeight(total int64) error {
+	if total > maxEdgeWeight {
+		return fmt.Errorf("metis: total edge weight %d over the int32 limit %d: %w",
+			total, maxEdgeWeight, ErrTooLarge)
+	}
+	return nil
+}
+
 // NewGraph assembles a CSR graph from an edge list, merging duplicate
 // edges by summing their weights. nodeWeights may be nil (all ones).
 // Self-loops are dropped.
@@ -223,7 +256,7 @@ func CheckCSRCapacity(entries int64) error {
 //
 // Returns ErrTooLarge (wrapped) when the folded graph needs more than
 // 2^31-1 directed adjacency entries, which int32 XAdj offsets cannot
-// address.
+// address, or when its total edge weight fails CheckEdgeWeight.
 func NewGraph(numNodes int, edges []BuilderEdge, nodeWeights []int64) (*Graph, error) {
 	// Pack normalised u < v keys; drop self-loops.
 	keys := make([]uint64, 0, len(edges))
@@ -263,11 +296,19 @@ func NewGraph(numNodes int, edges []BuilderEdge, nodeWeights []int64) (*Graph, e
 		keys, wts = keys[:m], wts[:m]
 	}
 
-	// Overflow guard: every distinct edge contributes two directed
-	// adjacency entries, and XAdj offsets are int32.
+	// Overflow guards: every distinct edge contributes two directed
+	// adjacency entries, XAdj offsets are int32, and so are the folded
+	// weights.
 	if 2*int64(len(keys)) > maxCSREntries {
 		return nil, fmt.Errorf("metis: %d edges need %d adjacency entries, over the int32 limit %d: %w",
 			len(keys), 2*int64(len(keys)), maxCSREntries, ErrTooLarge)
+	}
+	var total int64
+	for _, w := range wts {
+		total += w
+	}
+	if err := CheckEdgeWeight(2 * total); err != nil {
+		return nil, err
 	}
 
 	for i := range count {
@@ -282,13 +323,13 @@ func NewGraph(numNodes int, edges []BuilderEdge, nodeWeights []int64) (*Graph, e
 		xadj[i+1] = xadj[i] + int32(count[i])
 	}
 	adj := make([]int32, xadj[numNodes])
-	ewgt := make([]int64, xadj[numNodes])
+	ewgt := make([]int32, xadj[numNodes])
 	for i := 0; i < numNodes; i++ {
 		count[i] = int64(xadj[i])
 	}
 	for i, k := range keys {
 		u, v := int32(k>>32), int32(uint32(k))
-		w := wts[i]
+		w := int32(wts[i])
 		adj[count[u]], ewgt[count[u]] = v, w
 		count[u]++
 		adj[count[v]], ewgt[count[v]] = u, w

@@ -38,12 +38,12 @@ func naiveNewGraph(numNodes int, edges []BuilderEdge, nodeWeights []int64) *Grap
 		xadj[i+1] = xadj[i] + deg[i]
 	}
 	adj := make([]int32, xadj[numNodes])
-	ewgt := make([]int64, xadj[numNodes])
+	ewgt := make([]int32, xadj[numNodes])
 	pos := make([]int32, numNodes)
 	copy(pos, xadj[:numNodes])
 	for _, k := range keys {
 		u, v := int32(k>>32), int32(uint32(k))
-		w := merged[k]
+		w := int32(merged[k])
 		adj[pos[u]], ewgt[pos[u]] = v, w
 		pos[u]++
 		adj[pos[v]], ewgt[pos[v]] = u, w

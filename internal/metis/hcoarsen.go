@@ -238,25 +238,22 @@ const cliqueCap = 16
 // star for nets above cliqueCap. Expansion is quadratic per net but the
 // coarsest hypergraph is at most CoarsenTo nodes with merged nets, so
 // it is cheap — the whole point of coarsening before expanding.
+//
+// The expansion only seeds the initial partition, so pair weights whose
+// total would break the graph's int32 weight invariant are scaled down
+// (expandShift) rather than refused: a cut never fails on its seed.
 func (s *Solver) cliqueExpandCoarsest(h *HGraph) (*Graph, error) {
+	shift := expandShift(h)
 	edges := s.cliq[:0]
 	for e := int32(0); int(e) < h.NumNets(); e++ {
 		pins := h.netPins(e)
-		w := h.netWeight(e)
+		pw := pairWeight(h.netWeight(e), len(pins), shift)
 		if len(pins) > cliqueCap {
 			hub := pins[0]
-			pw := (w << 4) / int64(len(pins)-1)
-			if pw < 1 {
-				pw = 1
-			}
 			for _, v := range pins[1:] {
 				edges = append(edges, BuilderEdge{U: hub, V: v, Weight: pw})
 			}
 			continue
-		}
-		pw := (w << 4) / int64(len(pins)-1)
-		if pw < 1 {
-			pw = 1
 		}
 		for i := 0; i < len(pins); i++ {
 			for j := i + 1; j < len(pins); j++ {
@@ -266,4 +263,33 @@ func (s *Solver) cliqueExpandCoarsest(h *HGraph) (*Graph, error) {
 	}
 	s.cliq = edges[:0]
 	return NewGraph(h.NumNodes(), edges, h.NWgt)
+}
+
+// pairWeight is the expansion weight of each pair of a net of the given
+// weight and pin count: 16·w/(s−1) in fixed point, shifted right by shift,
+// and at least 1.
+func pairWeight(w int64, pins int, shift uint) int64 {
+	return max(((w<<4)/int64(pins-1))>>shift, 1)
+}
+
+// expandShift returns the smallest right shift of the pair weights that
+// keeps the expansion's total directed edge weight within CheckEdgeWeight,
+// 0 whenever the weights fit as they are. Past 62 every pair weighs 1.
+func expandShift(h *HGraph) uint {
+	shift := uint(0)
+	for ; shift < 63; shift++ {
+		var total int64
+		for e := int32(0); int(e) < h.NumNets(); e++ {
+			s := len(h.netPins(e))
+			pairs := int64(s - 1)
+			if s <= cliqueCap {
+				pairs = int64(s * (s - 1) / 2)
+			}
+			total += pairs * pairWeight(h.netWeight(e), s, shift)
+		}
+		if 2*total <= maxEdgeWeight {
+			break
+		}
+	}
+	return shift
 }

@@ -88,7 +88,7 @@ func (s *Solver) induce(g *Graph, nodes []int32) {
 	}
 	m := int(xadj[n])
 	s.bis.adj = growI32(s.bis.adj, m)
-	s.bis.ewgt = growI64(s.bis.ewgt, m)
+	s.bis.ewgt = growI32(s.bis.ewgt, m)
 	s.bis.nwgt = growI64(s.bis.nwgt, n)
 	adj, ewgt, nwgt := s.bis.adj[:m], s.bis.ewgt[:m], s.bis.nwgt[:n]
 	for i, u := range nodes {
@@ -98,7 +98,7 @@ func (s *Solver) induce(g *Graph, nodes []int32) {
 			v := g.Adj[j]
 			if stamp[v] == stampGen {
 				adj[p] = lid[v]
-				ewgt[p] = g.edgeWeight(j)
+				ewgt[p] = int32(g.edgeWeight(j))
 				p++
 			}
 		}

@@ -75,7 +75,7 @@ func TestValidateRejectsAsymmetry(t *testing.T) {
 	g := &Graph{
 		XAdj: []int32{0, 1, 1},
 		Adj:  []int32{1},
-		EWgt: []int64{1},
+		EWgt: []int32{1},
 	}
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate accepted asymmetric graph")

@@ -29,7 +29,7 @@ func (s *Solver) seedRefinement(g *Graph, parts []int32, k int) {
 		for j, end := int(xadj[u]), int(xadj[u+1]); j < end; j++ {
 			w := int64(1)
 			if ew != nil {
-				w = ew[j]
+				w = int64(ew[j])
 			}
 			tot += w
 			if parts[adj[j]] != pu {
@@ -66,7 +66,7 @@ func (s *Solver) applyMove(g *Graph, parts []int32, u, from, to int32, connTo, t
 		case from:
 			// v's edge to u was internal and is now cut.
 			if ew != nil {
-				s.ed[v] += ew[j]
+				s.ed[v] += int64(ew[j])
 			} else {
 				s.ed[v]++
 			}
@@ -74,7 +74,7 @@ func (s *Solver) applyMove(g *Graph, parts []int32, u, from, to int32, connTo, t
 		case to:
 			// v's edge to u was cut and is now internal.
 			if ew != nil {
-				s.ed[v] -= ew[j]
+				s.ed[v] -= int64(ew[j])
 			} else {
 				s.ed[v]--
 			}
@@ -144,7 +144,7 @@ func (s *Solver) kwayRefine(g *Graph, parts []int32, k, maxPasses int) {
 				p := parts[adj[j]]
 				w := int64(1)
 				if ew != nil {
-					w = ew[j]
+					w = int64(ew[j])
 				}
 				if conn[p] == 0 {
 					touched = append(touched, p)

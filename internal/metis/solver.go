@@ -89,7 +89,7 @@ type levelData struct {
 	// Coarse-graph storage (levels > 0; level 0 is the caller's graph).
 	xadj  []int32
 	adj   []int32
-	ewgt  []int64
+	ewgt  []int32
 	nwgt  []int64
 	graph Graph
 }
@@ -116,7 +116,7 @@ type hlevelData struct {
 type bisectScratch struct {
 	xadj []int32
 	adj  []int32
-	ewgt []int64
+	ewgt []int32
 	nwgt []int64
 	sub  Graph
 
