@@ -511,6 +511,26 @@ func (t *Txn) ExecStmt(stmt sqlparse.Statement) ([]storage.Row, error) {
 // the routing constraints come from the statement's skeleton. args is
 // read until the statement returns; p may be shared between goroutines.
 func (t *Txn) ExecPrepared(p *sqlparse.Prepared, args ...datum.D) ([]storage.Row, error) {
+	pl, err := t.bind(p, args)
+	if err != nil {
+		return nil, err
+	}
+	return t.route(pl)
+}
+
+// ExecPreparedAt is ExecPrepared on an explicit node set, bypassing the
+// router as ExecStmtAt does. The live migration executor re-creates each
+// copied row at its new home through it, the row's values as args.
+func (t *Txn) ExecPreparedAt(p *sqlparse.Prepared, nodes []int, args ...datum.D) ([]storage.Row, error) {
+	pl, err := t.bind(p, args)
+	if err != nil || len(nodes) == 0 {
+		return nil, err
+	}
+	return t.execOn(pl, nodes)
+}
+
+// bind plans a prepared statement with args bound to its placeholders.
+func (t *Txn) bind(p *sqlparse.Prepared, args []datum.D) (*plan, error) {
 	if t.failed {
 		return nil, errTxnFailed
 	}
@@ -518,7 +538,7 @@ func (t *Txn) ExecPrepared(p *sqlparse.Prepared, args ...datum.D) ([]storage.Row
 		return nil, fmt.Errorf("cluster: %d arguments for the %d placeholders of %q", len(args), p.NumParams(), p.SQL())
 	}
 	cons, routable := p.Constraints(args)
-	return t.route(&plan{stmt: p.Template(), args: args, table: p.Table(), write: p.Write(), cons: cons, routable: routable})
+	return &plan{stmt: p.Template(), args: args, table: p.Table(), write: p.Write(), cons: cons, routable: routable}, nil
 }
 
 // route picks the statement's target partitions (App. C.2) and runs it.
@@ -543,9 +563,10 @@ func (t *Txn) route(pl *plan) ([]storage.Row, error) {
 }
 
 // ExecStmtAt executes a pre-parsed statement on an explicit node set,
-// bypassing the router. The live migration executor uses this to read a
-// tuple at its current home and re-create it at its new one; row locks and
-// two-phase commit apply exactly as for routed statements.
+// bypassing the router. The live migration executor uses this to lock a
+// batch's rows at their source with one SELECT … IN … FOR UPDATE and to
+// delete replicas by key list; row locks and two-phase commit apply
+// exactly as for routed statements.
 func (t *Txn) ExecStmtAt(stmt sqlparse.Statement, nodes []int) ([]storage.Row, error) {
 	if t.failed {
 		return nil, errTxnFailed
@@ -561,7 +582,9 @@ func (t *Txn) ExecStmtAt(stmt sqlparse.Statement, nodes []int) ([]storage.Row, e
 // nodes (write-all on replicated tuples, broadcast reads) has every
 // replica report the same logical key; those are deduplicated so the
 // captured access set matches offline trace semantics (one access per
-// tuple per statement).
+// tuple per statement). Each node applies a SELECT's ORDER BY and LIMIT to
+// its own rows; with several targets the merged rows are sorted and cut
+// again here, so the result is the global first LIMIT rows.
 func (t *Txn) execOn(pl *plan, targets []int) ([]storage.Row, error) {
 	if len(targets) > 1 {
 		t.stmtDist++
@@ -570,8 +593,8 @@ func (t *Txn) execOn(pl *plan, targets []int) ([]storage.Row, error) {
 	}
 	if t.system {
 		// Live migration runs as system transactions; fire the fault
-		// trigger per copy target so chaos schedules can kill a node in
-		// the middle of a tuple copy.
+		// trigger per target of each of a batch's grouped statements, so
+		// chaos schedules can kill a node in the middle of a batch's copy.
 		for _, nid := range targets {
 			t.co.c.hooks.fire(DuringMigrationCopy, nid)
 		}
@@ -582,6 +605,7 @@ func (t *Txn) execOn(pl *plan, targets []int) ([]storage.Row, error) {
 	}
 	resps := t.fanout(reqExec, pl, targets)
 	var rows []storage.Row
+	order := 0 // ORDER BY column's position in the rows, as the nodes report it
 	var seen map[int64]struct{}
 	if t.capture != nil && len(targets) > 1 {
 		seen = make(map[int64]struct{})
@@ -596,6 +620,7 @@ func (t *Txn) execOn(pl *plan, targets []int) ([]storage.Row, error) {
 		} else {
 			rows = append(rows, r.rows...)
 		}
+		order = r.order
 		if t.capture != nil {
 			for _, k := range r.keys {
 				if seen != nil {
@@ -611,6 +636,9 @@ func (t *Txn) execOn(pl *plan, targets []int) ([]storage.Row, error) {
 			}
 		}
 	}
+	if s, ok := pl.stmt.(*sqlparse.Select); ok && len(targets) > 1 {
+		rows = cutMerged(s, rows, order)
+	}
 	if t.observer != nil || t.mets != nil {
 		d := time.Since(start)
 		if t.observer != nil {
@@ -621,6 +649,24 @@ func (t *Txn) execOn(pl *plan, targets []int) ([]storage.Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// cutMerged applies a SELECT's ORDER BY and LIMIT to the concatenated
+// replies of several nodes: each node sorted and cut only its own rows.
+// ci is the ORDER BY column's position in the rows. Ties keep reply order.
+func cutMerged(s *sqlparse.Select, rows []storage.Row, ci int) []storage.Row {
+	if s.OrderBy != nil {
+		slices.SortStableFunc(rows, func(a, b storage.Row) int {
+			if s.Desc {
+				return datum.Compare(b[ci], a[ci])
+			}
+			return datum.Compare(a[ci], b[ci])
+		})
+	}
+	if s.Limit >= 0 && len(rows) > s.Limit {
+		rows = rows[:s.Limit]
+	}
+	return rows
 }
 
 // pickReplica chooses a read replica, preferring a partition the

@@ -145,6 +145,7 @@ func (n *Node) execSelect(ts txn.TS, pl *plan, s *sqlparse.Select, capture, lock
 	}
 	var rows []storage.Row
 	var keys []int64
+	order := 0
 	for _, k := range n.candidates(tbl, pl, s.Where) {
 		if locked {
 			if err := n.locks.Acquire(ts, txn.LockKey{Table: s.Table, Key: k}, mode); err != nil {
@@ -169,6 +170,7 @@ func (n *Node) execSelect(ts txn.TS, pl *plan, s *sqlparse.Select, capture, lock
 		if pi >= 0 {
 			ci = pi
 		}
+		order = ci
 		sort.SliceStable(rows, func(i, j int) bool {
 			cmp := datum.Compare(rows[i][ci], rows[j][ci])
 			if s.Desc {
@@ -182,7 +184,7 @@ func (n *Node) execSelect(ts txn.TS, pl *plan, s *sqlparse.Select, capture, lock
 	}
 	// keys lists every matched (hence locked and read) row, including any
 	// trimmed off by LIMIT: those reads happened.
-	return response{rows: rows, n: len(rows), keys: keys}
+	return response{rows: rows, n: len(rows), keys: keys, order: order}
 }
 
 // projectRow applies the SELECT column list (copying; * returns the row).

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,6 +72,9 @@ const (
 	BeforeCommitAck
 	// DuringMigrationCopy fires on the coordinator for each target of a
 	// live-migration (system transaction) statement, before it is sent.
+	// The executor groups a batch's work, so it fires once per grouped
+	// statement — a locked SELECT per source, a DELETE per node set, an
+	// INSERT per copied row — not once per step of each tuple.
 	DuringMigrationCopy
 
 	numTriggerPoints = 4
@@ -391,24 +395,17 @@ func (p *FaultPlan) hook(point TriggerPoint, node int) {
 	k := [2]int{int(point), node}
 	p.counts[k]++
 	occ := p.counts[k]
-	var fault *Fault
-	for i := range p.pending {
-		f := &p.pending[i]
-		after := f.After
-		if after <= 0 {
-			after = 1
-		}
-		if f.Point == point && f.Node == node && after == occ {
-			fault = f
-			p.pending = append(p.pending[:i], p.pending[i+1:]...)
-			break
-		}
-	}
-	if fault == nil {
+	i := slices.IndexFunc(p.pending, func(f Fault) bool {
+		return f.Point == point && f.Node == node && max(f.After, 1) == occ
+	})
+	if i < 0 {
 		p.mu.Unlock()
 		return
 	}
-	f := *fault
+	// Copy the fault out before deleting it: the deletion shifts the next
+	// pending fault into its slot.
+	f := p.pending[i]
+	p.pending = slices.Delete(p.pending, i, i+1)
 	switch {
 	case f.Pause:
 		p.stats.Pauses++

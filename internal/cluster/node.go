@@ -65,6 +65,9 @@ type response struct {
 	rows []storage.Row
 	n    int     // rows affected for writes
 	keys []int64 // accessed keys, populated only when request.capture
+	// order is the position in rows of the column a SELECT's ORDER BY
+	// names: the coordinator re-sorts several nodes' rows on it.
+	order int
 	// locked reports that the statement ran under the native locked path
 	// (a replica-routed read served by the member that happens to lead
 	// holds locks; the router must treat the group as a participant).

@@ -29,10 +29,11 @@ func TestExecPrepared(t *testing.T) {
 	if tx.Touched() != 1 {
 		t.Errorf("point statements touched %d nodes, want 1", tx.Touched())
 	}
-	// A statement no key constrains broadcasts like its ad-hoc twin.
+	// A statement no key constrains broadcasts like its ad-hoc twin, and
+	// its LIMIT holds across both nodes' rows.
 	rows, err = tx.ExecPrepared(scanAccount, datum.NewInt(900))
 	want, werr := tx.Exec("SELECT id FROM account WHERE bal != 900 ORDER BY id LIMIT 3")
-	if err != nil || werr != nil || len(rows) != 6 || !reflect.DeepEqual(rows, want) {
+	if err != nil || werr != nil || len(rows) != 3 || !reflect.DeepEqual(rows, want) {
 		t.Fatalf("scan rows %v err %v, ad-hoc rows %v err %v", rows, err, want, werr)
 	}
 	if _, err := tx.ExecPrepared(selAccount); err == nil {

@@ -75,14 +75,25 @@ func TestMigrationSurvivesCopyCrashes(t *testing.T) {
 	const total = 40
 	c, co, tables := newChaosMigrationCluster(t, 2, total)
 	defer c.Close()
+	const batchSize = 4
 	exec := NewExecutor(co, map[string]*storage.TableSchema{"account": accountSchema()}, tables)
-	exec.BatchSize = 4
+	exec.BatchSize = batchSize
 
 	// Crash the copy target early in the migration and the copy source
 	// later on; each restarts (with recovery) while batches are in flight.
+	// The trigger fires per target of each grouped statement. Every batch
+	// here moves batchSize keys from node 0 to node 1, so a fault-free
+	// batch fires on the target once for the DELETE of lingering replicas
+	// and once per INSERT, and on the source once for the locked SELECT
+	// and once for the cleanup DELETE. The target fails in the middle of
+	// the first batch's copy, the source at the locked SELECT of the
+	// fourth batch; the first batch's retries while the target is down
+	// each re-run the SELECT, which only brings the source's fault earlier,
+	// and the ten occurrences a fault-free run has guarantee it fires.
+	const targetPerBatch, sourcePerBatch = 1 + batchSize, 2
 	plan := cluster.NewFaultPlan(co,
-		cluster.Fault{Point: cluster.DuringMigrationCopy, Node: 1, After: 5, RestartAfter: 15 * time.Millisecond},
-		cluster.Fault{Point: cluster.DuringMigrationCopy, Node: 0, After: 25, RestartAfter: 15 * time.Millisecond},
+		cluster.Fault{Point: cluster.DuringMigrationCopy, Node: 1, After: 1 + targetPerBatch/2, RestartAfter: 15 * time.Millisecond},
+		cluster.Fault{Point: cluster.DuringMigrationCopy, Node: 0, After: 3*sourcePerBatch + 1, RestartAfter: 15 * time.Millisecond},
 	)
 
 	stop := make(chan struct{})

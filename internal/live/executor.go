@@ -1,8 +1,10 @@
 package live
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -82,42 +84,64 @@ func (m MigrationStats) String() string {
 //  2. Coordinator.Drain — an epoch barrier: transactions routed before
 //     the flip finish before any row is copied, so no write can land on
 //     the old home after its row was read;
-//  3. one migration transaction per batch exclusively locks each source
-//     row, re-creates it on the added replicas, and two-phase commits
-//     (conflicts with live traffic resolve via ordinary wait-die
-//     retries);
+//  3. one migration transaction per batch exclusively locks the source
+//     rows — one SELECT … WHERE key IN (…) FOR UPDATE per (table, source)
+//     group — clears lingering replicas with one DELETE … IN per (table,
+//     add set) group, re-creates each row on its added replicas with one
+//     prepared INSERT, and two-phase commits (conflicts with live traffic
+//     resolve via ordinary wait-die retries);
 //  4. flip the entries to the final new sets and Drain again, so nobody
 //     is still writing the union;
-//  5. a cleanup transaction deletes the dropped replicas.
+//  5. a cleanup transaction deletes the dropped replicas, one DELETE … IN
+//     per (table, drop set) group.
+//
+// Plan.Batches sorts the moves so that a batch's groups are few: a batch
+// that relocates one table's tuples from one source to one target costs
+// a locked SELECT, a DELETE, one INSERT per tuple and a cleanup DELETE.
 //
 // The one remaining (documented) anomaly: a read routed during step 3
 // may pick the replica whose copy has not committed yet and see no row;
 // writes are never lost.
 type Executor struct {
-	co      *cluster.Coordinator
-	schemas map[string]*storage.TableSchema
-	// cols is each table's column-name list, shared by every INSERT that
-	// re-creates one of its rows.
-	cols   map[string][]string
+	co     *cluster.Coordinator
+	meta   map[string]tableMeta
 	tables map[string]*SyncTable
 	// BatchSize is the number of tuple moves per migration transaction
 	// (default 32).
 	BatchSize int
 }
 
+// tableMeta is what the executor needs of one table's schema.
+type tableMeta struct {
+	key    string // key column name
+	keyIdx int    // key column position in a SELECT * row
+	// ins is INSERT INTO t (every column) VALUES (?, …), prepared once:
+	// re-creating a row binds the row itself as the arguments.
+	ins *sqlparse.Prepared
+}
+
 // NewExecutor returns a migration executor. schemas supplies each table's
-// column layout (for rebuilding INSERT statements); tables holds the
-// routing entries to flip as moves commit.
+// column layout (for re-creating rows); tables holds the routing entries to
+// flip as moves commit. It panics if a table or column name is not an SQL
+// identifier.
 func NewExecutor(co *cluster.Coordinator, schemas map[string]*storage.TableSchema, tables map[string]*SyncTable) *Executor {
-	cols := make(map[string][]string, len(schemas))
+	meta := make(map[string]tableMeta, len(schemas))
 	for name, schema := range schemas {
+		// By name, not ColIndex: a schema need not have been through
+		// CreateTable, which builds the column index.
 		names := make([]string, len(schema.Columns))
+		m := tableMeta{key: schema.Key, keyIdx: -1}
 		for i, c := range schema.Columns {
 			names[i] = c.Name
+			if c.Name == schema.Key {
+				m.keyIdx = i
+			}
 		}
-		cols[name] = names
+		m.ins = sqlparse.MustPrepare(fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)",
+			name, strings.Join(names, ", "), strings.TrimSuffix(strings.Repeat("?, ", len(names)), ", ")))
+		meta[name] = m
 	}
-	return &Executor{co: co, schemas: schemas, cols: cols, tables: tables}
+	return &Executor{co: co, meta: meta, tables: tables}
 }
 
 // Apply executes the plan and returns migration statistics.
@@ -151,20 +175,11 @@ func (e *Executor) applyBatch(batch []Move, stats *MigrationStats) {
 
 	// Step 3: copy rows to their added replicas under exclusive locks.
 	// System transactions: migration must not capture itself into the
-	// drift window it is reacting to.
-	var copied []Move // moves whose source row existed this attempt
+	// drift window it is reacting to. rows[i] is batch[i]'s source row,
+	// nil when it had vanished by this attempt.
+	rows := make([]storage.Row, len(batch))
 	_, aborts, err := e.co.RunSystemTxn(func(t *cluster.Txn) error {
-		copied = copied[:0]
-		for _, m := range batch {
-			ok, err := e.copyTuple(t, m)
-			if err != nil {
-				return err
-			}
-			if ok {
-				copied = append(copied, m)
-			}
-		}
-		return nil
+		return e.copyRows(t, batch, rows)
 	})
 	stats.Aborts += aborts
 	if err != nil {
@@ -178,12 +193,15 @@ func (e *Executor) applyBatch(batch []Move, stats *MigrationStats) {
 	}
 
 	// Step 4: final flip + barrier, so nobody still writes the union.
-	for _, m := range copied {
+	copied := 0
+	for i, m := range batch {
+		if rows[i] == nil {
+			// Vanished rows: restore the pre-migration entry.
+			e.flip(m.Table, m.Key, union(diff(m.To, m.Adds), m.Dels))
+			continue
+		}
 		e.flip(m.Table, m.Key, m.To)
-	}
-	for _, m := range uncopied(batch, copied) {
-		// Vanished rows: restore the pre-migration entry.
-		e.flip(m.Table, m.Key, union(diff(m.To, m.Adds), m.Dels))
+		copied++
 	}
 	if err := e.co.Drain(); err != nil {
 		// The copies are committed and the final routing is in place; an
@@ -196,65 +214,102 @@ func (e *Executor) applyBatch(batch []Move, stats *MigrationStats) {
 
 	// Step 5: drop the abandoned replicas.
 	_, aborts, err = e.co.RunSystemTxn(func(t *cluster.Txn) error {
-		for _, m := range copied {
-			if len(m.Dels) == 0 {
-				continue
-			}
-			del := &sqlparse.Delete{Table: m.Table, Where: e.keyEq(m.Table, m.Key)}
-			if _, err := t.ExecStmtAt(del, m.Dels); err != nil {
-				return err
-			}
-		}
-		return nil
+		return e.deleteGrouped(t, batch, rows, func(m *Move) []int { return m.Dels })
 	})
 	stats.Aborts += aborts
 	if err != nil {
 		// The copies and routing are in place; only dead replicas linger.
 		stats.FailedBatches++
 	}
-	stats.Moved += len(copied)
-	stats.Skipped += len(batch) - len(copied)
+	stats.Moved += copied
+	stats.Skipped += len(batch) - copied
 }
 
-// copyTuple locks the tuple's surviving source row and re-creates it on
-// the added replicas. Returns false when the row no longer exists
-// (concurrently deleted, or a floating tuple the plan mislocated).
-func (e *Executor) copyTuple(t *cluster.Txn, m Move) (bool, error) {
-	cols, ok := e.cols[m.Table]
-	if !ok {
-		return false, fmt.Errorf("live: no schema for table %q", m.Table)
-	}
-	sel := &sqlparse.Select{Table: m.Table, Where: e.keyEq(m.Table, m.Key), Limit: -1, ForUpdate: true}
-	rows, err := t.ExecStmtAt(sel, []int{m.CopyFrom})
-	if err != nil {
-		return false, err
-	}
-	if len(rows) == 0 {
-		return false, nil
-	}
-	if len(m.Adds) > 0 {
-		// Clear any lingering replica first (a previously failed cleanup
-		// can leave one behind); otherwise the INSERT would hit a
-		// duplicate key and permanently fail the batch.
-		del := &sqlparse.Delete{Table: m.Table, Where: e.keyEq(m.Table, m.Key)}
-		if _, err := t.ExecStmtAt(del, m.Adds); err != nil {
-			return false, err
+// copyRows is step 3's transaction body. It locks the batch's source rows
+// with one SELECT … IN … FOR UPDATE per (table, source) run of the sorted
+// batch and records each move's row in rows (nil when the row no longer
+// exists: concurrently deleted, or a floating tuple the plan mislocated).
+// It then clears lingering replicas on the add targets, which a previously
+// failed cleanup can leave behind and which would make the INSERT hit a
+// duplicate key and permanently fail the batch, and re-creates each row
+// there with the table's prepared INSERT.
+func (e *Executor) copyRows(t *cluster.Txn, batch []Move, rows []storage.Row) error {
+	clear(rows) // a retried attempt starts over
+	for lo := 0; lo < len(batch); {
+		m := &batch[lo]
+		hi := lo + 1
+		for hi < len(batch) && batch[hi].Table == m.Table && batch[hi].CopyFrom == m.CopyFrom {
+			hi++
 		}
-		ins := &sqlparse.Insert{Table: m.Table, Cols: cols, Values: rows[0]}
-		if _, err := t.ExecStmtAt(ins, m.Adds); err != nil {
-			return false, err
+		meta, ok := e.meta[m.Table]
+		if !ok {
+			return fmt.Errorf("live: no schema for table %q", m.Table)
+		}
+		keys := make([]datum.D, hi-lo)
+		for i := range keys {
+			keys[i] = datum.NewInt(batch[lo+i].Key)
+		}
+		sel := &sqlparse.Select{Table: m.Table, Where: keyIn(meta.key, keys), Limit: -1, ForUpdate: true}
+		got, err := t.ExecStmtAt(sel, []int{m.CopyFrom})
+		if err != nil {
+			return err
+		}
+		slices.SortFunc(got, func(a, b storage.Row) int { return cmp.Compare(a[meta.keyIdx].I, b[meta.keyIdx].I) })
+		for i := lo; i < hi; i++ {
+			j, found := slices.BinarySearchFunc(got, batch[i].Key, func(r storage.Row, k int64) int {
+				return cmp.Compare(r[meta.keyIdx].I, k)
+			})
+			if found {
+				rows[i] = got[j]
+			}
+		}
+		lo = hi
+	}
+	if err := e.deleteGrouped(t, batch, rows, func(m *Move) []int { return m.Adds }); err != nil {
+		return err
+	}
+	for i := range batch {
+		m := &batch[i]
+		if rows[i] == nil || len(m.Adds) == 0 {
+			continue
+		}
+		if _, err := t.ExecPreparedAt(e.meta[m.Table].ins, m.Adds, rows[i]...); err != nil {
+			return err
 		}
 	}
-	return true, nil
+	return nil
 }
 
-// keyEq builds the WHERE key = value predicate for a table.
-func (e *Executor) keyEq(table string, key int64) sqlparse.Expr {
-	return &sqlparse.Compare{
-		Col:   sqlparse.ColRef{Column: e.schemas[table].Key},
-		Op:    sqlparse.OpEq,
-		Value: datum.NewInt(key),
+// deleteGrouped deletes the batch's copied tuples (rows[i] != nil) from the
+// node set nodes(m) names for each, with one DELETE … WHERE key IN (…) per
+// (table, node set) group, in the order the groups first occur.
+func (e *Executor) deleteGrouped(t *cluster.Txn, batch []Move, rows []storage.Row, nodes func(*Move) []int) error {
+	done := make([]bool, len(batch))
+	for i := range batch {
+		m := &batch[i]
+		if done[i] || rows[i] == nil || len(nodes(m)) == 0 {
+			continue
+		}
+		keys := make([]datum.D, 1, len(batch)-i)
+		keys[0] = datum.NewInt(m.Key)
+		for j := i + 1; j < len(batch); j++ {
+			o := &batch[j]
+			if !done[j] && rows[j] != nil && o.Table == m.Table && slices.Equal(nodes(o), nodes(m)) {
+				done[j] = true
+				keys = append(keys, datum.NewInt(o.Key))
+			}
+		}
+		del := &sqlparse.Delete{Table: m.Table, Where: keyIn(e.meta[m.Table].key, keys)}
+		if _, err := t.ExecStmtAt(del, nodes(m)); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// keyIn builds the WHERE key IN (keys) predicate.
+func keyIn(key string, keys []datum.D) sqlparse.Expr {
+	return &sqlparse.In{Col: sqlparse.ColRef{Column: key}, Values: keys}
 }
 
 // flip rewrites one routing entry.
@@ -282,27 +337,6 @@ func diff(a, b []int) []int {
 	for _, p := range a {
 		if !slices.Contains(b, p) {
 			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// uncopied returns the batch moves not present in copied.
-func uncopied(batch, copied []Move) []Move {
-	if len(copied) == len(batch) {
-		return nil
-	}
-	var out []Move
-	for _, m := range batch {
-		found := false
-		for _, c := range copied {
-			if c.Table == m.Table && c.Key == m.Key {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, m)
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -319,5 +320,54 @@ func TestExecutorUnderTraffic(t *testing.T) {
 	}
 	if sum != int64(total)*1000 {
 		t.Fatalf("money not conserved across migration: %d", sum)
+	}
+}
+
+// maxApplyAllocsPerTuple bounds TestApplyStatementsPerBatch's Apply,
+// counting every goroutine's allocations (the nodes' included): 24.4 with
+// grouped statements, 60 or more when each tuple runs its own.
+const maxApplyAllocsPerTuple = 30
+
+// TestApplyStatementsPerBatch pins a batch's statement shape: 32 moves of
+// one table from one source to one target run one locked SELECT, one
+// DELETE of lingering replicas, one INSERT per row and one cleanup
+// DELETE — 35 statements where the per-tuple executor ran 4 x 32 — and
+// bounds what Apply allocates per moved tuple.
+func TestApplyStatementsPerBatch(t *testing.T) {
+	const moves = 32
+	c, co, tables := newMigrationCluster(t, 2, 2*moves)
+	defer c.Close()
+	exec := NewExecutor(co, map[string]*storage.TableSchema{"account": accountSchema()}, tables)
+	var ids []workload.TupleID
+	var to [][]int
+	for k := 0; k < 2*moves; k += 2 {
+		ids = append(ids, workload.TupleID{Table: "account", Key: int64(k)})
+		to = append(to, []int{1})
+	}
+	plan := BuildPlan(ids, func(id workload.TupleID) []int {
+		p, _ := tables["account"].Locate(id.Key)
+		return p
+	}, to)
+
+	before := c.NodeOps()
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	stats := exec.Apply(plan)
+	runtime.ReadMemStats(&m1)
+	after := c.NodeOps()
+	if stats.Moved != moves || stats.Batches != 1 || stats.FailedBatches != 0 {
+		t.Fatalf("stats = %v, want %d moves in one batch", stats, moves)
+	}
+	// Node 0 is the source, node 1 the target.
+	if src, dst := after[0]-before[0], after[1]-before[1]; src != 2 || dst != 1+moves {
+		t.Fatalf("source ran %d statements, target %d: want 2 (SELECT, cleanup DELETE) and %d (DELETE, %d INSERTs)",
+			src, dst, 1+moves, moves)
+	}
+	if got := countRows(c, 1); got != 2*moves {
+		t.Fatalf("target holds %d rows, want %d", got, 2*moves)
+	}
+	if perTuple := float64(m1.Mallocs-m0.Mallocs) / moves; perTuple > maxApplyAllocsPerTuple {
+		t.Errorf("Apply allocates %.1f objects per moved tuple, want <= %d", perTuple, maxApplyAllocsPerTuple)
 	}
 }

@@ -1,7 +1,9 @@
 package live
 
 import (
+	"cmp"
 	"slices"
+	"strings"
 
 	"schism/internal/partition"
 	"schism/internal/workload"
@@ -77,18 +79,35 @@ func BuildPlanSets(tuples []workload.TupleID, oldSets, newSets [][]int) Plan {
 }
 
 // Batches splits the plan into batches of at most size moves, each applied
-// as one migration transaction.
+// as one migration transaction. The batches cut a copy of the moves stably
+// sorted by (Table, CopyFrom, Adds, Dels), so each batch is as homogeneous
+// as the plan allows: the executor runs one statement per (table, source),
+// (table, add set) and (table, drop set) group of a batch, and the sort
+// keeps those groups few and large. p.Moves keeps its dense-id order.
 func (p Plan) Batches(size int) [][]Move {
 	if size <= 0 {
 		size = 32
 	}
+	moves := slices.Clone(p.Moves)
+	slices.SortStableFunc(moves, compareMoves)
 	var out [][]Move
-	for lo := 0; lo < len(p.Moves); lo += size {
-		hi := lo + size
-		if hi > len(p.Moves) {
-			hi = len(p.Moves)
-		}
-		out = append(out, p.Moves[lo:hi])
+	for lo := 0; lo < len(moves); lo += size {
+		out = append(out, moves[lo:min(lo+size, len(moves))])
 	}
 	return out
+}
+
+// compareMoves orders moves by (Table, CopyFrom, Adds, Dels); replica sets
+// are sorted, so equal sets compare equal.
+func compareMoves(a, b Move) int {
+	if c := strings.Compare(a.Table, b.Table); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.CopyFrom, b.CopyFrom); c != 0 {
+		return c
+	}
+	if c := slices.Compare(a.Adds, b.Adds); c != 0 {
+		return c
+	}
+	return slices.Compare(a.Dels, b.Dels)
 }
