@@ -30,8 +30,9 @@
 package graph
 
 import (
+	"encoding/binary"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"schism/internal/metis"
 	"schism/internal/workload"
@@ -321,11 +322,20 @@ func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 			}
 			return true
 		}
-		byHash := make(map[uint64][]int32)
+		// byHash[h] is the newest group with signature hash h, and next[gi]
+		// the next older one with gi's hash (-1 ends the chain). Groups have
+		// distinct signatures, so at most one on a chain matches and the
+		// chain's order cannot change the grouping.
+		byHash := make(map[uint64]int32)
+		var next []int32
 		for d := int32(0); int(d) < numTuples; d++ {
 			h := sigHash(sigTxns(d), sigFlags(d))
+			head, ok := byHash[h]
+			if !ok {
+				head = -1
+			}
 			gi := int32(-1)
-			for _, cand := range byHash[h] {
+			for cand := head; cand >= 0; cand = next[cand] {
 				if sigEqual(rep[cand], d) {
 					gi = cand
 					break
@@ -334,7 +344,8 @@ func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 			if gi < 0 {
 				gi = int32(len(rep))
 				rep = append(rep, d)
-				byHash[h] = append(byHash[h], gi)
+				next = append(next, head)
+				byHash[h] = gi
 			}
 			g.GroupOf[d] = gi
 		}
@@ -474,31 +485,55 @@ func (g *Graph) Partition(k int, opts metis.Options) ([]int32, int64, error) {
 }
 
 // groupSets returns each group's sorted distinct partition set under the
-// node partitioning.
+// node partitioning. Groups with equal sets share one slice, capped at its
+// length: a plain group takes its partition's singleton, made once per
+// label, and an exploded group's set is interned by its labels, so the
+// call allocates per distinct set, not per group.
 func (g *Graph) groupSets(parts []int32) [][]int {
 	sets := make([][]int, len(g.groupBase))
+	var singles [][]int // singles[p] is {p}, made on first use
+	single := func(p int) []int {
+		for len(singles) <= p {
+			singles = append(singles, nil)
+		}
+		if singles[p] == nil {
+			singles[p] = []int{p}
+		}
+		return singles[p]
+	}
+	var interned map[string][]int
+	var set []int
+	var key []byte
 	for gi := range g.groupBase {
 		base := g.groupBase[gi]
 		if !g.exploded[gi] {
-			sets[gi] = []int{int(parts[base])}
+			sets[gi] = single(int(parts[base]))
 			continue
 		}
-		var set []int
+		set = set[:0]
 		for ri := int32(0); ri < g.accCount[gi]; ri++ {
-			p := int(parts[base+1+ri])
-			dup := false
-			for _, q := range set {
-				if q == p {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if p := int(parts[base+1+ri]); !slices.Contains(set, p) {
 				set = append(set, p)
 			}
 		}
-		sort.Ints(set)
-		sets[gi] = set
+		if len(set) == 1 {
+			sets[gi] = single(set[0])
+			continue
+		}
+		slices.Sort(set)
+		key = key[:0]
+		for _, p := range set {
+			key = binary.AppendUvarint(key, uint64(p))
+		}
+		s, ok := interned[string(key)]
+		if !ok {
+			if interned == nil {
+				interned = make(map[string][]int)
+			}
+			s = slices.Clip(slices.Clone(set))
+			interned[string(key)] = s
+		}
+		sets[gi] = s
 	}
 	return sets
 }
@@ -506,8 +541,13 @@ func (g *Graph) groupSets(parts []int32) [][]int {
 // DenseAssignments translates a node partitioning into per-tuple replica
 // sets indexed by the graph's dense tuple ids (Graph.Intern): for an
 // exploded tuple, the distinct partitions of its replica nodes; for a
-// plain tuple, its single node's partition. Partition lists are sorted;
-// tuples in the same group share one slice.
+// plain tuple, its single node's partition. Partition lists are sorted.
+//
+// Tuples with equal sets share one slice, whether or not they share a
+// group, so the result costs one allocation per distinct set. Treat the
+// sets as read-only: replace an entry rather than editing it, and rename
+// labels only through partition.RelabelAssignments, which rewrites each
+// shared slice exactly once.
 func (g *Graph) DenseAssignments(parts []int32) [][]int {
 	sets := g.groupSets(parts)
 	out := make([][]int, len(g.GroupOf))
@@ -520,8 +560,9 @@ func (g *Graph) DenseAssignments(parts []int32) [][]int {
 // DenseAssignmentsFor aligns a node partitioning with an arbitrary compact
 // trace's interner: out[d] is the replica set of c's dense tuple d, or nil
 // when the graph does not represent that tuple (the caller's default
-// policy applies). Used to evaluate a partitioning over a trace other than
-// the one the graph was built from without hashing TupleIDs per access.
+// policy applies); sets are shared as in DenseAssignments. Used to
+// evaluate a partitioning over a trace other than the one the graph was
+// built from without hashing TupleIDs per access.
 func (g *Graph) DenseAssignmentsFor(c *workload.Compact, parts []int32) [][]int {
 	sets := g.groupSets(parts)
 	out := make([][]int, c.NumTuples())

@@ -1,0 +1,167 @@
+package live
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"schism/internal/graph"
+	"schism/internal/metis"
+	"schism/internal/partition"
+	"schism/internal/workload"
+	"schism/internal/workloads"
+)
+
+// refBuildPlanSets is BuildPlanSets as it was before moves were cut from
+// shared arrays: one SetDelta pair per moved tuple.
+func refBuildPlanSets(tuples []workload.TupleID, oldSets, newSets [][]int) Plan {
+	var p Plan
+	for i, id := range tuples {
+		to, from := newSets[i], oldSets[i]
+		if to == nil || from == nil {
+			continue
+		}
+		adds, dels := partition.SetDelta(from, to)
+		if len(adds) == 0 && len(dels) == 0 {
+			continue
+		}
+		m := Move{Table: id.Table, Key: id.Key, CopyFrom: from[0], Adds: adds, Dels: dels, To: to}
+		for _, f := range from {
+			if slices.Contains(to, f) {
+				m.CopyFrom = f
+				break
+			}
+		}
+		p.Moves = append(p.Moves, m)
+		p.Copies += len(adds)
+		p.Drops += len(dels)
+	}
+	return p
+}
+
+// randomPlanSets returns n sorted, duplicate-free replica sets over labels
+// below k, with nil (unknown) sets mixed in, and empty ones if empty is
+// set. A deployed set is never empty: the planner copies from its first
+// replica.
+func randomPlanSets(rng *rand.Rand, n, k int, empty bool) [][]int {
+	sets := make([][]int, n)
+	for i := range sets {
+		switch rng.Intn(8) {
+		case 0:
+			continue
+		case 1:
+			if empty {
+				sets[i] = []int{}
+				continue
+			}
+		}
+		for len(sets[i]) == 0 {
+			for p := 0; p < k; p++ {
+				if rng.Intn(3) == 0 {
+					sets[i] = append(sets[i], p)
+				}
+			}
+			if empty {
+				break
+			}
+		}
+	}
+	return sets
+}
+
+// TestBuildPlanSetsMatchesSetDelta checks the shared-array planner against
+// the per-tuple SetDelta planner on random sets, and that the cut sets are
+// capped: appending to one move's Adds or Dels leaves every other move's
+// sets as they were.
+func TestBuildPlanSetsMatchesSetDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 30; round++ {
+		n, k := 1+rng.Intn(200), 1+rng.Intn(6)
+		tuples := make([]workload.TupleID, n)
+		for i := range tuples {
+			tuples[i] = workload.TupleID{Table: "t", Key: int64(i)}
+		}
+		oldSets, newSets := randomPlanSets(rng, n, k, false), randomPlanSets(rng, n, k, true)
+		got, want := BuildPlanSets(tuples, oldSets, newSets), refBuildPlanSets(tuples, oldSets, newSets)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: plan differs from the per-tuple SetDelta plan:\n got %+v\nwant %+v", round, got, want)
+		}
+		for i := range got.Moves {
+			m := &got.Moves[i]
+			m.Adds = append(m.Adds, -1)
+			m.Dels = append(m.Dels, -1)
+		}
+		for i, m := range got.Moves {
+			w := want.Moves[i]
+			if !slices.Equal(m.Adds[:len(m.Adds)-1], w.Adds) || !slices.Equal(m.Dels[:len(m.Dels)-1], w.Dels) {
+				t.Fatalf("round %d: move %d's sets changed to %v/%v when its neighbours were appended to, want %v/%v",
+					round, i, m.Adds, m.Dels, w.Adds, w.Dels)
+			}
+		}
+	}
+}
+
+// TestWarmCycleAllocsIndependentOfWindow pins the decision path's
+// allocations: a warm cycle (Snapshot, ScoreWindow, RepartitionDrift,
+// BuildPlanSets) over a TPC-C window of 4 000 transactions allocates about
+// as many objects as one over 1 000. Per-group replica sets, a per-hash
+// coalescing slice, a *Txn per snapshot transaction or a delta pair per
+// moved tuple would each add thousands.
+func TestWarmCycleAllocsIndependentOfWindow(t *testing.T) {
+	const k = 8
+	sizes := []int{1000, 4000}
+	tr := workloads.TPCC(workloads.TPCCConfig{
+		Warehouses: 4, Districts: 10, Customers: 30, Items: 200, InitialOrders: 10,
+		Txns: sizes[1] * 3 / 2, Seed: 1,
+	}).Trace
+	var mallocs []uint64
+	for _, n := range sizes {
+		if tr.Len() < n*5/4 {
+			t.Fatalf("trace has %d transactions, need %d", tr.Len(), n*5/4)
+		}
+		win := NewWindow(WindowConfig{Capacity: n})
+		for _, tx := range tr.Txns[:n] {
+			win.Record(tx.Accesses)
+		}
+		rep := mustRep(t, RepartitionConfig{K: k,
+			Graph:     graph.Options{Coalesce: true, Replication: true, Seed: 1},
+			Metis:     metis.Options{Seed: 1},
+			WarmStart: true, FullCutEveryN: -1, DriftCutThreshold: -1})
+		initial, err := rep.Repartition(win.Snapshot(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A plain map, so that resolving the deployment allocates nothing.
+		deployed := make(map[workload.TupleID][]int, len(initial.Tuples))
+		for i, id := range initial.Tuples {
+			deployed[id] = initial.Assignments[i]
+		}
+		locate := func(id workload.TupleID) []int { return deployed[id] }
+		// A quarter of the window turns over before the measured cycle.
+		for _, tx := range tr.Txns[n : n*5/4] {
+			win.Record(tx.Accesses)
+		}
+		var res *Repartition
+		var plan Plan
+		_, allocs := allocated(func() {
+			snap := win.Snapshot()
+			ScoreWindow(snap, k, locate)
+			if res, err = rep.RepartitionDrift(snap, locate, 1); err == nil {
+				plan = BuildPlanSets(res.Tuples, res.Deployed, res.Assignments)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Mode != ModeWarm || len(plan.Moves) == 0 {
+			t.Fatalf("window %d: a %s cycle planning %d moves, want a warm cycle that moves tuples", n, res.Mode, len(plan.Moves))
+		}
+		t.Logf("window %d: %d allocations, %d tuples, %d moves", n, allocs, len(res.Tuples), len(plan.Moves))
+		mallocs = append(mallocs, allocs)
+	}
+	if d, limit := int64(mallocs[1])-int64(mallocs[0]), int64(64+2*k); d > limit || -d > limit {
+		t.Errorf("windows of %d and %d transactions: %d and %d allocations, want within %d of each other",
+			sizes[0], sizes[1], mallocs[0], mallocs[1], limit)
+	}
+}

@@ -62,7 +62,9 @@ func (s Score) String() string {
 
 // LocateFunc resolves a tuple's currently deployed replica set; nil means
 // the placement is unknown (new tuples float to their transaction's home,
-// matching partition.Lookup semantics).
+// matching partition.Lookup semantics). The returned slice may be shared
+// by every tuple with the same set, as lookup tables and
+// Repartition.LocateFunc share them: read it, never write it.
 type LocateFunc func(id workload.TupleID) []int
 
 // ScoreWindow evaluates a placement against a window snapshot with the

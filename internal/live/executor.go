@@ -147,27 +147,30 @@ func NewExecutor(co *cluster.Coordinator, schemas map[string]*storage.TableSchem
 // Apply executes the plan and returns migration statistics.
 func (e *Executor) Apply(plan Plan) MigrationStats {
 	var stats MigrationStats
+	var flips []int // step 1's union sets, built in place one move at a time
 	start := time.Now()
 	for _, batch := range plan.Batches(e.BatchSize) {
 		stats.Batches++
-		e.applyBatch(batch, &stats)
+		e.applyBatch(batch, &stats, &flips)
 	}
 	stats.Elapsed = time.Since(start)
 	return stats
 }
 
-// applyBatch runs the five-step move protocol for one batch.
-func (e *Executor) applyBatch(batch []Move, stats *MigrationStats) {
+// applyBatch runs the five-step move protocol for one batch. scratch is
+// reused for the step-1 union sets, which the routing tables copy.
+func (e *Executor) applyBatch(batch []Move, stats *MigrationStats, scratch *[]int) {
 	// Step 1+2: union flip, then wait out transactions routed before it.
 	for _, m := range batch {
-		e.flip(m.Table, m.Key, union(m.To, m.Dels))
+		*scratch = union(*scratch, m.To, m.Dels)
+		e.flip(m.Table, m.Key, *scratch)
 	}
 	if err := e.co.Drain(); err != nil {
 		// A node is down: the epoch barrier cannot be reached, so nothing
 		// has been copied yet. Revert the flips and fail the batch — the
 		// next migration cycle retries once the cluster is whole.
 		for _, m := range batch {
-			e.flip(m.Table, m.Key, union(diff(m.To, m.Adds), m.Dels))
+			e.flip(m.Table, m.Key, union(nil, diff(m.To, m.Adds), m.Dels))
 		}
 		stats.FailedBatches++
 		return
@@ -186,7 +189,7 @@ func (e *Executor) applyBatch(batch []Move, stats *MigrationStats) {
 		// Permanent failure: revert the batch's entries to their old sets
 		// (union minus nothing was ever copied) and leave the tuples put.
 		for _, m := range batch {
-			e.flip(m.Table, m.Key, union(diff(m.To, m.Adds), m.Dels))
+			e.flip(m.Table, m.Key, union(nil, diff(m.To, m.Adds), m.Dels))
 		}
 		stats.FailedBatches++
 		return
@@ -197,7 +200,7 @@ func (e *Executor) applyBatch(batch []Move, stats *MigrationStats) {
 	for i, m := range batch {
 		if rows[i] == nil {
 			// Vanished rows: restore the pre-migration entry.
-			e.flip(m.Table, m.Key, union(diff(m.To, m.Adds), m.Dels))
+			e.flip(m.Table, m.Key, union(nil, diff(m.To, m.Adds), m.Dels))
 			continue
 		}
 		e.flip(m.Table, m.Key, m.To)
@@ -319,10 +322,10 @@ func (e *Executor) flip(table string, key int64, parts []int) {
 	}
 }
 
-// union merges two sorted-ish partition sets (result order irrelevant:
-// lookup tables normalise).
-func union(a, b []int) []int {
-	out := append([]int(nil), a...)
+// union merges two sorted-ish partition sets into dst's array (result
+// order irrelevant: lookup tables normalise).
+func union(dst, a, b []int) []int {
+	out := append(dst[:0], a...)
 	for _, p := range b {
 		if !slices.Contains(out, p) {
 			out = append(out, p)

@@ -45,11 +45,11 @@ func (e *perTupleExecutor) flip(table string, key int64, parts []int) {
 
 func (e *perTupleExecutor) applyBatch(batch []Move, stats *MigrationStats) {
 	for _, m := range batch {
-		e.flip(m.Table, m.Key, union(m.To, m.Dels))
+		e.flip(m.Table, m.Key, union(nil, m.To, m.Dels))
 	}
 	if err := e.co.Drain(); err != nil {
 		for _, m := range batch {
-			e.flip(m.Table, m.Key, union(diff(m.To, m.Adds), m.Dels))
+			e.flip(m.Table, m.Key, union(nil, diff(m.To, m.Adds), m.Dels))
 		}
 		stats.FailedBatches++
 		return
@@ -71,7 +71,7 @@ func (e *perTupleExecutor) applyBatch(batch []Move, stats *MigrationStats) {
 	stats.Aborts += aborts
 	if err != nil {
 		for _, m := range batch {
-			e.flip(m.Table, m.Key, union(diff(m.To, m.Adds), m.Dels))
+			e.flip(m.Table, m.Key, union(nil, diff(m.To, m.Adds), m.Dels))
 		}
 		stats.FailedBatches++
 		return
@@ -81,7 +81,7 @@ func (e *perTupleExecutor) applyBatch(batch []Move, stats *MigrationStats) {
 	}
 	for _, m := range batch {
 		if !slices.ContainsFunc(copied, func(c Move) bool { return c.Table == m.Table && c.Key == m.Key }) {
-			e.flip(m.Table, m.Key, union(diff(m.To, m.Adds), m.Dels))
+			e.flip(m.Table, m.Key, union(nil, diff(m.To, m.Adds), m.Dels))
 		}
 	}
 	if err := e.co.Drain(); err != nil {

@@ -12,6 +12,11 @@ import (
 // Move relocates one tuple: create replicas on Adds (copying the row from
 // CopyFrom), drop replicas from Dels, and flip the routing entry to the
 // full new replica set To once the data movement commits.
+//
+// The sets are shared, not owned: To is the repartitioning's replica set,
+// which tuples with equal sets share, and Adds and Dels are cut from
+// arrays shared by the whole plan, each capped at its length. Read them,
+// or append to them (an append reallocates); never write them in place.
 type Move struct {
 	Table    string
 	Key      int64
@@ -48,8 +53,12 @@ func BuildPlan(tuples []workload.TupleID, locate LocateFunc, newSets [][]int) Pl
 // already resolved every windowed tuple once for its movement diff and
 // exposes the result as Deployed; planning from it skips a second
 // per-tuple map pass over the whole window.
+//
+// Every move's Adds and Dels are cut, capped, from two arrays the plan
+// grows as it goes, so planning allocates per array growth, not per move.
 func BuildPlanSets(tuples []workload.TupleID, oldSets, newSets [][]int) Plan {
 	var p Plan
+	var addBuf, delBuf []int
 	for i, id := range tuples {
 		to := newSets[i]
 		if to == nil {
@@ -59,11 +68,13 @@ func BuildPlanSets(tuples []workload.TupleID, oldSets, newSets [][]int) Plan {
 		if from == nil {
 			continue
 		}
-		adds, dels := partition.SetDelta(from, to)
-		if len(adds) == 0 && len(dels) == 0 {
+		na, nd := len(addBuf), len(delBuf)
+		addBuf, delBuf = partition.AppendSetDelta(addBuf, delBuf, from, to)
+		if len(addBuf) == na && len(delBuf) == nd {
 			continue
 		}
-		m := Move{Table: id.Table, Key: id.Key, CopyFrom: from[0], Adds: adds, Dels: dels, To: to}
+		m := Move{Table: id.Table, Key: id.Key, CopyFrom: from[0], To: to,
+			Adds: capped(addBuf, na), Dels: capped(delBuf, nd)}
 		// Prefer copying from a replica that survives the move.
 		for _, f := range from {
 			if slices.Contains(to, f) {
@@ -72,10 +83,18 @@ func BuildPlanSets(tuples []workload.TupleID, oldSets, newSets [][]int) Plan {
 			}
 		}
 		p.Moves = append(p.Moves, m)
-		p.Copies += len(adds)
-		p.Drops += len(dels)
 	}
+	p.Copies, p.Drops = len(addBuf), len(delBuf)
 	return p
+}
+
+// capped returns buf[from:] capped at its length, so an append to it
+// reallocates instead of running into the next cut; nil when empty.
+func capped(buf []int, from int) []int {
+	if len(buf) == from {
+		return nil
+	}
+	return buf[from:len(buf):len(buf)]
 }
 
 // Batches splits the plan into batches of at most size moves, each applied

@@ -105,7 +105,9 @@ type Repartition struct {
 	Mode  CycleMode
 	Drift float64
 	// Tuples and Assignments give the new placement: Assignments[i] is the
-	// (relabeled) replica set of Tuples[i].
+	// (relabeled) replica set of Tuples[i]. Tuples with equal sets share
+	// one slice (graph.DenseAssignments), so treat the sets as read-only
+	// and rename labels only through partition.RelabelAssignments.
 	Tuples      []workload.TupleID
 	Assignments [][]int
 	// Perm is the applied new→old label permutation (identity when there
@@ -275,6 +277,8 @@ func (r *Repartitioner) RepartitionDrift(tr *workload.Trace, locate LocateFunc, 
 // relabeled replica set for tuples it covers, nil for anything else. It
 // resolves through the graph's interner, whose dense ids index
 // Assignments; the closure only reads, so it is safe for concurrent use.
+// It returns Assignments' shared slices themselves: callers must not
+// write to them (lookup tables copy what they are Set to).
 func (r *Repartition) LocateFunc() LocateFunc {
 	in, sets := r.Graph.Intern, r.Assignments
 	return func(id workload.TupleID) []int {

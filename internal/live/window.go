@@ -201,9 +201,8 @@ func (w *Window) Total() uint64 {
 func (w *Window) Snapshot() *workload.Trace {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	tr := workload.NewTrace()
 	if w.count == 0 {
-		return tr
+		return workload.NewTrace()
 	}
 
 	emit := w.copies()
@@ -213,9 +212,12 @@ func (w *Window) Snapshot() *workload.Trace {
 		total += int(n) * len(w.nth(i).accs)
 	}
 
-	// One backing array for the snapshot's accesses, one for their packed
-	// form. A transaction's slice is capped at its length, so an append
-	// to it reallocates instead of running into its neighbour.
+	// One backing array for the snapshot's transactions, one for their
+	// accesses and one for the packed form. A transaction's accesses are
+	// capped at their length, so an append to them reallocates instead of
+	// running into the neighbour's.
+	tr := &workload.Trace{Txns: make([]*workload.Txn, txns)}
+	block := make([]workload.Txn, txns)
 	buf := make([]workload.Access, total)
 	c := &workload.Compact{Off: make([]int32, 1, txns+1), Accs: make([]uint32, 0, total)}
 	w.beginPass()
@@ -229,8 +231,10 @@ func (w *Window) Snapshot() *workload.Trace {
 				out[j] = workload.Access{Tuple: w.in.TupleOf(int32(d)), Write: e&workload.WriteBit != 0}
 				c.Accs = append(c.Accs, w.renumber(d)|e&workload.WriteBit)
 			}
+			id := len(c.Off) - 1
+			block[id] = workload.Txn{ID: id, Accesses: out}
+			tr.Txns[id] = &block[id]
 			c.Off = append(c.Off, int32(len(c.Accs)))
-			tr.Add(out)
 		}
 	}
 	c.In = workload.InternerOf(w.passTuples(0))
@@ -257,15 +261,20 @@ func (w *Window) copies() []int32 {
 		occs   int
 		first  int // first (oldest) occurrence index
 	}
-	aggs := make(map[uint64]*sigAgg, w.count)
+	// One aggregate per distinct signature, kept in a slice the map indexes,
+	// so a snapshot allocates per array growth, not per signature.
+	var aggs []sigAgg
+	index := make(map[uint64]int32, w.count)
 	pow := 1.0
 	for i := w.count - 1; i >= 0; i-- {
 		sig := w.nth(i).sig
-		a := aggs[sig]
-		if a == nil {
-			a = &sigAgg{}
-			aggs[sig] = a
+		ai, ok := index[sig]
+		if !ok {
+			ai = int32(len(aggs))
+			index[sig] = ai
+			aggs = append(aggs, sigAgg{})
 		}
+		a := &aggs[ai]
 		a.weight += pow
 		a.occs++
 		a.first = i

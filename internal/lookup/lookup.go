@@ -20,7 +20,8 @@ const MaxPartitions = 254
 // Table maps tuple keys to the set of partitions storing the tuple.
 type Table interface {
 	// Set records the replica set for a key. Partition ids must be below
-	// MaxPartitions.
+	// MaxPartitions. The table keeps a copy, never parts itself, so a
+	// caller may reuse the slice once Set returns.
 	Set(key int64, parts []int)
 	// Locate returns the replica set for a key; ok=false when the key is
 	// unknown (the caller applies its default policy, e.g. replicate-

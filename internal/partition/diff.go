@@ -38,9 +38,11 @@ func (d Diff) MovedFrac() float64 {
 // AssignmentDiff compares two dense assignments over the same tuple-id
 // space: old[d] and new[d] are the replica sets (sorted, as the graph and
 // lookup layers produce them) of dense tuple d. k bounds the per-part
-// churn arrays.
+// churn arrays. Each tuple's delta goes into two scratch slices reused
+// across tuples, so the call allocates a constant, not per moved tuple.
 func AssignmentDiff(oldSets, newSets [][]int, k int) Diff {
 	d := Diff{PartGain: make([]int, k), PartLoss: make([]int, k)}
+	adds, dels := make([]int, 0, k), make([]int, 0, k)
 	n := len(oldSets)
 	if len(newSets) < n {
 		n = len(newSets)
@@ -51,7 +53,7 @@ func AssignmentDiff(oldSets, newSets [][]int, k int) Diff {
 			continue
 		}
 		d.Total++
-		adds, dels := SetDelta(o, nw)
+		adds, dels = AppendSetDelta(adds[:0], dels[:0], o, nw)
 		if len(adds) == 0 && len(dels) == 0 {
 			continue
 		}
@@ -73,8 +75,16 @@ func AssignmentDiff(oldSets, newSets [][]int, k int) Diff {
 }
 
 // SetDelta returns newSet\oldSet (adds) and oldSet\newSet (dels) for two
-// sorted partition sets; the migration planner and diff both build on it.
+// sorted partition sets, in fresh slices (nil when empty).
 func SetDelta(oldSet, newSet []int) (adds, dels []int) {
+	return AppendSetDelta(nil, nil, oldSet, newSet)
+}
+
+// AppendSetDelta appends newSet\oldSet to adds and oldSet\newSet to dels
+// for two sorted partition sets and returns the extended slices. The
+// migration planner cuts many moves' deltas from two growing arrays
+// this way instead of allocating a pair per moved tuple.
+func AppendSetDelta(adds, dels, oldSet, newSet []int) ([]int, []int) {
 	i, j := 0, 0
 	for i < len(oldSet) && j < len(newSet) {
 		switch {
@@ -169,12 +179,14 @@ func RelabelMap(oldSets, newSets [][]int, k int) []int {
 // RelabelAssignments applies a label permutation to a dense assignment in
 // place: every replica set s becomes {perm[p] : p ∈ s}, re-sorted so the
 // sets stay in the canonical order SetDelta expects. DenseAssignments
-// aliases one slice across all tuples of a coalesced group, so slices are
+// aliases one slice across all tuples with equal sets, so slices are
 // deduplicated by backing-array identity first — each distinct slice is
 // rewritten exactly once, never double-permuted. Labels outside
 // [0, len(perm)) are left alone.
 func RelabelAssignments(sets [][]int, perm []int) {
-	done := make(map[*int]struct{}, len(sets))
+	// Sized by growth, not len(sets): shared sets make the distinct slices
+	// a handful however many tuples there are.
+	done := make(map[*int]struct{})
 	for _, s := range sets {
 		if len(s) == 0 {
 			continue

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -120,6 +121,108 @@ func TestRelabelMapEmptyOverlapIsPermutation(t *testing.T) {
 		seen[p] = true
 		if p != q {
 			t.Fatalf("perm = %v, want identity on empty overlap", perm)
+		}
+	}
+}
+
+// refAssignmentDiff is AssignmentDiff as it was before it reused its delta
+// scratch: a fresh SetDelta pair per tuple.
+func refAssignmentDiff(oldSets, newSets [][]int, k int) Diff {
+	d := Diff{PartGain: make([]int, k), PartLoss: make([]int, k)}
+	for i := 0; i < min(len(oldSets), len(newSets)); i++ {
+		o, nw := oldSets[i], newSets[i]
+		if o == nil || nw == nil {
+			continue
+		}
+		d.Total++
+		adds, dels := SetDelta(o, nw)
+		if len(adds) == 0 && len(dels) == 0 {
+			continue
+		}
+		d.Moved++
+		d.Copies += len(adds)
+		d.Drops += len(dels)
+		for _, p := range adds {
+			if p >= 0 && p < k {
+				d.PartGain[p]++
+			}
+		}
+		for _, p := range dels {
+			if p >= 0 && p < k {
+				d.PartLoss[p]++
+			}
+		}
+	}
+	return d
+}
+
+// randomSets returns n sorted, duplicate-free replica sets over labels
+// below k, with nil and empty sets mixed in.
+func randomSets(rng *rand.Rand, n, k int) [][]int {
+	sets := make([][]int, n)
+	for i := range sets {
+		switch rng.Intn(8) {
+		case 0:
+			continue // nil: unknown to this side
+		case 1:
+			sets[i] = []int{}
+			continue
+		}
+		for p := 0; p < k; p++ {
+			if rng.Intn(3) == 0 {
+				sets[i] = append(sets[i], p)
+			}
+		}
+	}
+	return sets
+}
+
+func TestAssignmentDiffMatchesSetDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 50; round++ {
+		k := 1 + rng.Intn(8)
+		oldSets, newSets := randomSets(rng, 1+rng.Intn(300), k), randomSets(rng, 1+rng.Intn(300), k)
+		// A few labels at or past k exercise the churn arrays' bounds.
+		for _, s := range [][]int{oldSets[0], newSets[0]} {
+			if len(s) > 0 {
+				s[len(s)-1] = k + rng.Intn(2)
+			}
+		}
+		got, want := AssignmentDiff(oldSets, newSets, k), refAssignmentDiff(oldSets, newSets, k)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: AssignmentDiff = %+v, per-tuple SetDelta gives %+v", round, got, want)
+		}
+	}
+	sets := randomSets(rng, 500, 8)
+	if a := testing.AllocsPerRun(10, func() { AssignmentDiff(sets, sets[1:], 8) }); a > 4 {
+		t.Errorf("AssignmentDiff made %.0f allocations, want <= 4 (churn arrays and delta scratch)", a)
+	}
+}
+
+// TestRelabelAssignmentsSharedSets relabels an assignment whose tuples
+// share a handful of set slices, as graph.DenseAssignments returns them,
+// and checks it against relabelling a deep copy in which no slice is
+// shared: each shared slice must be permuted exactly once.
+func TestRelabelAssignmentsSharedSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for round := 0; round < 20; round++ {
+		const k = 6
+		pool := randomSets(rng, 5, k)
+		shared := make([][]int, 400)
+		for i := range shared {
+			shared[i] = pool[rng.Intn(len(pool))]
+		}
+		deep := make([][]int, len(shared))
+		for i, s := range shared {
+			if s != nil {
+				deep[i] = append([]int{}, s...)
+			}
+		}
+		perm := rng.Perm(k)
+		RelabelAssignments(shared, perm)
+		RelabelAssignments(deep, perm)
+		if !reflect.DeepEqual(shared, deep) {
+			t.Fatalf("round %d: relabelled shared sets differ from relabelled deep copy", round)
 		}
 	}
 }
