@@ -29,7 +29,8 @@ type Input struct {
 	// training and testing portions.
 	Trace *workload.Trace
 	// TrainFrac is the training split (default 0.5, as the paper separates
-	// traces "into training and testing sets").
+	// traces "into training and testing sets"); any value outside (0, 1),
+	// NaN included, means the default.
 	TrainFrac float64
 	// Resolver returns a tuple's column values (for the explanation phase
 	// and attribute-hash strategies). May be nil: explanation is skipped.
@@ -164,7 +165,7 @@ func Run(in Input, opts Options) (*Result, error) {
 	if in.Trace == nil || in.Trace.Len() == 0 {
 		return nil, fmt.Errorf("core: empty trace")
 	}
-	if in.TrainFrac <= 0 || in.TrainFrac >= 1 {
+	if !(in.TrainFrac > 0 && in.TrainFrac < 1) {
 		in.TrainFrac = 0.5
 	}
 	train, test := in.Trace.Split(in.TrainFrac)
@@ -195,7 +196,7 @@ func Run(in Input, opts Options) (*Result, error) {
 	res.Timings.Graph = time.Since(t0)
 	res.Stats = GraphStats{
 		Tuples: g.Intern.Len(),
-		Txns:   g.Trace.Len(),
+		Txns:   g.Compact.NumTxns(),
 		Nodes:  g.NumNodes(),
 		Edges:  g.NumEdges(),
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -198,6 +199,27 @@ func TestPipelineErrors(t *testing.T) {
 	w := workloads.YCSBA(workloads.YCSBConfig{Rows: 100, Txns: 50, Seed: 1})
 	if _, err := Run(Input{Trace: w.Trace}, Options{Partitions: 0}); err == nil {
 		t.Error("k=0 should error")
+	}
+}
+
+// TestRunNonFiniteTrainFrac: a NaN or infinite training split means the
+// default, as any other value outside (0, 1) does, instead of a slice
+// bounds panic in Split.
+func TestRunNonFiniteTrainFrac(t *testing.T) {
+	w := workloads.YCSBA(workloads.YCSBConfig{Rows: 200, Txns: 200, Seed: 1})
+	want, err := Run(Input{Trace: w.Trace, KeyColumns: w.KeyColumns}, Options{Partitions: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		res, err := Run(Input{Trace: w.Trace, KeyColumns: w.KeyColumns, TrainFrac: frac}, Options{Partitions: 2, Seed: 1})
+		if err != nil {
+			t.Fatalf("TrainFrac %v: %v", frac, err)
+		}
+		if res.Stats != want.Stats || res.EdgeCut != want.EdgeCut {
+			t.Errorf("TrainFrac %v: stats %+v cut %d, want the default split's %+v cut %d",
+				frac, res.Stats, res.EdgeCut, want.Stats, want.EdgeCut)
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func Table1(s Scale) []Table1Row {
 		rows = append(rows, Table1Row{
 			Dataset:     d.name,
 			Tuples:      d.g.Intern.Len(),
-			Txns:        d.g.Trace.Len(),
+			Txns:        d.g.Compact.NumTxns(),
 			Nodes:       d.g.NumNodes(),
 			Edges:       d.g.NumEdges(),
 			PaperTuples: d.paper[0],

@@ -97,7 +97,8 @@ type Options struct {
 
 // Node describes what one graph node represents.
 type Node struct {
-	// Group indexes Graph.GroupTuples.
+	// Group is the node's (coalesced) tuple group; Graph.GroupMembers
+	// lists its tuples.
 	Group int32
 	// Center marks the hub of a replication star.
 	Center bool
@@ -118,18 +119,21 @@ type Graph struct {
 	// nets. Every live cycle cuts it and ProjectLabels walks it. Nil for
 	// clique/star builds (Build).
 	HG *metis.HGraph
-	// Nodes maps node id -> provenance.
+	// Nodes maps node id -> provenance. Only Build fills it (its row
+	// writer reads it); a hypergraph's node layout is groupBase.
 	Nodes []Node
-	// GroupTuples lists the member tuples of each coalesced group.
-	GroupTuples [][]workload.TupleID
-	// Intern assigns the dense tuple ids used by GroupOf and
-	// DenseAssignments; ids are in order of first access in Trace.
+	// Members lists every group's member tuples as dense ids, ascending:
+	// group gi's are Members[MemberOff[gi]:MemberOff[gi+1]] (see
+	// GroupMembers).
+	Members   []int32
+	MemberOff []int32
+	// Intern assigns the dense tuple ids used by GroupOf, Members and
+	// DenseAssignments; ids are in order of first access in Compact.
 	Intern *workload.Interner
 	// GroupOf maps dense tuple id -> group.
 	GroupOf []int32
-	// Trace is the post-filtering trace the graph represents.
-	Trace *workload.Trace
-	// Compact is the interned form of Trace the graph was built from.
+	// Compact is the post-filtering interned trace the graph represents:
+	// the input's interned form after the §5.1 heuristics.
 	Compact *workload.Compact
 	// Opts echoes the options used.
 	Opts Options
@@ -137,6 +141,7 @@ type Graph struct {
 	// groupBase[g] is the first node id of group g; exploded groups occupy
 	// groupBase[g] (centre) through groupBase[g]+numReplicas(g).
 	groupBase []int32
+	numNodes  int32 // groupBase's layout covers nodes [0, numNodes)
 	// exploded marks groups expanded into replication stars.
 	exploded []bool
 	// accOff[g]/accCount[g] locate group g's accessor list within txnList/
@@ -157,6 +162,11 @@ const (
 // runtime.GOMAXPROCS(0). Tests set it to check that worker count never
 // changes the built graph.
 var maxWorkers = 0
+
+// GroupMembers returns group gi's member tuples as dense ids, ascending.
+func (g *Graph) GroupMembers(gi int32) []int32 {
+	return g.Members[g.MemberOff[gi]:g.MemberOff[gi+1]]
+}
 
 // groupTxns returns the ascending transaction ids accessing group gi.
 func (g *Graph) groupTxns(gi int32) []int32 {
@@ -212,6 +222,7 @@ func Build(tr *workload.Trace, opts Options) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.Nodes = g.nodeTable()
 	g.CSR, err = g.buildCSR(nwgt)
 	if err != nil {
 		return nil, err
@@ -219,38 +230,36 @@ func Build(tr *workload.Trace, opts Options) (*Graph, error) {
 	return g, nil
 }
 
-// buildCore is the shared front half of Build and BuildHyper: §5.1 trace
-// heuristics, interning, accessor lists, coalescing, node layout, and
-// node weights. Only the final representation — clique/star edges vs
+// buildCore is the shared front half of Build and BuildHyper: interning,
+// the §5.1 heuristics on the interned trace, accessor lists, coalescing,
+// node layout, and node weights. Only the final representation — clique/star edges vs
 // transaction nets — differs between the two entry points, so they
 // translate node partitionings back to tuples identically.
 func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
 	}
+	// Intern the trace (a shared memo, or a compact-only trace's own
+	// form): everything after indexes slices by dense tuple id. The §5.1
+	// heuristics then run on that form.
+	c := workload.CompactTrace(tr)
 	rng := rand.New(rand.NewSource(opts.Seed))
-	// §5.1 heuristics, applied in trace space first.
 	if opts.BlanketMaxTuples > 0 {
-		tr = workload.FilterBlanket(tr, opts.BlanketMaxTuples)
+		c = workload.FilterBlanket(c, opts.BlanketMaxTuples)
 	}
 	if opts.TxnSampleRate > 0 && opts.TxnSampleRate < 1 {
-		tr = workload.SampleTxns(tr, opts.TxnSampleRate, rng)
+		c = workload.SampleTxns(c, opts.TxnSampleRate, rng)
 	}
 	if opts.TupleSampleRate > 0 && opts.TupleSampleRate < 1 {
-		tr = workload.SampleTuples(tr, opts.TupleSampleRate, rng)
+		c = workload.SampleTuples(c, opts.TupleSampleRate, rng)
 	}
 	if opts.MinAccesses > 1 {
-		tr = workload.FilterRelevance(tr, opts.MinAccesses)
+		c = workload.FilterRelevance(c, opts.MinAccesses)
 	}
-
-	// Intern the trace: every access hashes once, everything after indexes
-	// slices by dense tuple id.
-	c := workload.CompactTrace(tr)
 	numTuples := c.NumTuples()
 	numTxns := c.NumTxns()
 
 	g := &Graph{
-		Trace:   tr,
 		Compact: c,
 		Opts:    opts,
 		Intern:  c.In,
@@ -366,90 +375,84 @@ func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 		g.accCount[gi] = tupOff[d+1] - tupOff[d]
 	}
 
-	// Group membership, flattened into one backing array.
-	tuples := c.In.Tuples()
-	g.GroupTuples = make([][]workload.TupleID, numGroups)
-	if opts.Coalesce {
-		memCnt := make([]int32, numGroups)
-		for _, gi := range g.GroupOf {
-			memCnt[gi]++
-		}
-		memOff := make([]int32, numGroups+1)
-		for gi := 0; gi < numGroups; gi++ {
-			memOff[gi+1] = memOff[gi] + memCnt[gi]
-		}
-		flat := make([]workload.TupleID, numTuples)
-		copy(memCnt, memOff[:numGroups])
-		for d, gi := range g.GroupOf {
-			flat[memCnt[gi]] = tuples[d]
-			memCnt[gi]++
-		}
-		for gi := 0; gi < numGroups; gi++ {
-			g.GroupTuples[gi] = flat[memOff[gi]:memOff[gi+1]]
-		}
-	} else {
-		for d := range g.GroupTuples {
-			g.GroupTuples[d] = tuples[d : d+1]
-		}
+	// Group membership: dense ids, counting-sorted by group, so each
+	// group's members stay ascending.
+	g.MemberOff = make([]int32, numGroups+1)
+	g.Members = make([]int32, numTuples)
+	for _, gi := range g.GroupOf {
+		g.MemberOff[gi+1]++
 	}
+	for gi := 0; gi < numGroups; gi++ {
+		g.MemberOff[gi+1] += g.MemberOff[gi]
+	}
+	fill := cnt[:numGroups] // the accessor lists' cursor, free again
+	copy(fill, g.MemberOff[:numGroups])
+	for d, gi := range g.GroupOf {
+		g.Members[fill[gi]] = int32(d)
+		fill[gi]++
+	}
+
 	// Lay out nodes: a single node per group, or centre + one replica per
 	// accessing transaction for exploded groups.
-	var numNodes int32
 	g.groupBase = make([]int32, numGroups)
 	g.exploded = make([]bool, numGroups)
 	for gi := 0; gi < numGroups; gi++ {
-		g.groupBase[gi] = numNodes
+		g.groupBase[gi] = g.numNodes
 		if opts.Replication && g.accCount[gi] >= 2 {
 			g.exploded[gi] = true
-			numNodes += g.accCount[gi] + 1
+			g.numNodes += g.accCount[gi] + 1
 		} else {
-			numNodes++
+			g.numNodes++
 		}
 	}
 
-	// Node metadata and weights.
-	g.Nodes = make([]Node, numNodes)
-	nwgt := make([]int64, numNodes)
-	sizeOf := func(gi int32) int64 {
-		var sz int64
-		for _, id := range g.GroupTuples[gi] {
-			if opts.TupleSize != nil {
-				sz += opts.TupleSize(id)
-			} else {
-				sz++
+	// Node weights. A group's size is its member count, or under
+	// DataSizeWeight its members' bytes. A star's centre weighs nothing
+	// and each replica the group's size; a plain node weighs its size,
+	// times its accessors under WorkloadWeight.
+	nwgt := make([]int64, g.numNodes)
+	tuples := c.In.Tuples()
+	for gi := int32(0); int(gi) < numGroups; gi++ {
+		members := g.GroupMembers(gi)
+		size := int64(len(members))
+		if opts.Weights == DataSizeWeight && opts.TupleSize != nil {
+			size = 0
+			for _, d := range members {
+				size += opts.TupleSize(tuples[d])
 			}
 		}
-		return sz
-	}
-	for gi := int32(0); int(gi) < numGroups; gi++ {
 		base := g.groupBase[gi]
-		if g.exploded[gi] {
-			g.Nodes[base] = Node{Group: gi, Center: true, Txn: -1}
-			nwgt[base] = 0
-			var w int64
-			switch opts.Weights {
-			case DataSizeWeight:
-				w = sizeOf(gi)
-			default:
-				w = int64(len(g.GroupTuples[gi]))
+		switch {
+		case g.exploded[gi]:
+			for ri := int32(1); ri <= g.accCount[gi]; ri++ {
+				nwgt[base+ri] = size
 			}
-			for ri, ti := range g.groupTxns(gi) {
-				node := base + 1 + int32(ri)
-				g.Nodes[node] = Node{Group: gi, Txn: ti}
-				nwgt[node] = w
-			}
-		} else {
-			g.Nodes[base] = Node{Group: gi, Txn: -1}
-			switch opts.Weights {
-			case DataSizeWeight:
-				nwgt[base] = sizeOf(gi)
-			default:
-				nwgt[base] = int64(g.accCount[gi]) * int64(len(g.GroupTuples[gi]))
-			}
+		case opts.Weights == DataSizeWeight:
+			nwgt[base] = size
+		default:
+			nwgt[base] = int64(g.accCount[gi]) * size
 		}
 	}
 
 	return g, nwgt, nil
+}
+
+// nodeTable returns every node's provenance: what Build's row writer
+// reads, and nothing on the hypergraph path does.
+func (g *Graph) nodeTable() []Node {
+	nodes := make([]Node, g.numNodes)
+	for gi := int32(0); int(gi) < len(g.groupBase); gi++ {
+		base := g.groupBase[gi]
+		if !g.exploded[gi] {
+			nodes[base] = Node{Group: gi, Txn: -1}
+			continue
+		}
+		nodes[base] = Node{Group: gi, Center: true, Txn: -1}
+		for ri, ti := range g.groupTxns(gi) {
+			nodes[base+1+int32(ri)] = Node{Group: gi, Txn: ti}
+		}
+	}
+	return nodes
 }
 
 // sigHash is a 64-bit FNV-1a-style hash of a tuple's access signature:

@@ -228,10 +228,10 @@ func TestHeuristicFilters(t *testing.T) {
 	tr.Add(scan)
 
 	g := mustBuild(Build(tr, Options{BlanketMaxTuples: 20}))
-	if g.Trace.Len() != 50 {
-		t.Errorf("blanket filter kept %d txns, want 50", g.Trace.Len())
+	if g.Compact.NumTxns() != 50 {
+		t.Errorf("blanket filter kept %d txns, want 50", g.Compact.NumTxns())
 	}
-	for _, tuples := range g.GroupTuples {
+	for _, tuples := range groupTuples(g) {
 		for _, id := range tuples {
 			if id.Key >= 500 {
 				t.Fatalf("blanket tuple %v leaked into graph", id)
@@ -240,8 +240,8 @@ func TestHeuristicFilters(t *testing.T) {
 	}
 
 	g2 := mustBuild(Build(tr, Options{TxnSampleRate: 0.5, Seed: 1}))
-	if g2.Trace.Len() >= 51 || g2.Trace.Len() == 0 {
-		t.Errorf("txn sampling kept %d txns, want roughly half", g2.Trace.Len())
+	if n := g2.Compact.NumTxns(); n >= 51 || n == 0 {
+		t.Errorf("txn sampling kept %d txns, want roughly half", n)
 	}
 
 	// Relevance filter: tuples appearing once (the scan tuples) vanish.

@@ -40,7 +40,7 @@ func BuildHyper(tr *workload.Trace, opts Options) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.HG, err = metis.NewHGraph(len(g.Nodes), xpins, pins, netWgt, nwgt)
+	g.HG, err = metis.NewHGraph(int(g.numNodes), xpins, pins, netWgt, nwgt)
 	if err != nil {
 		return nil, err
 	}

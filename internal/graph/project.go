@@ -67,10 +67,11 @@ func (g *Graph) ProjectLabels(k int, locate func(workload.TupleID) []int) []int3
 	var deferred []deferredGroup
 	var setPool []int
 	var set []int
+	tuples := g.Intern.Tuples()
 	for gi := range g.groupBase {
 		set = set[:0]
-		for _, id := range g.GroupTuples[gi] {
-			for _, p := range locateSet(locate, id) {
+		for _, d := range g.GroupMembers(int32(gi)) {
+			for _, p := range locateSet(locate, tuples[d]) {
 				if p >= 0 && p < k {
 					set = append(set, p)
 				}

@@ -42,20 +42,25 @@ func refSignatureKey(ga *refAccess) string {
 	return string(buf)
 }
 
+// referenceBuild takes the §5.1 filters from the workload package, which
+// pins them to their trace-space oracles; it applies them in its own
+// order and builds from the expanded result.
 func referenceBuild(tr *workload.Trace, opts Options) *refGraph {
 	rng := rand.New(rand.NewSource(opts.Seed))
+	c := workload.CompactTrace(tr)
 	if opts.BlanketMaxTuples > 0 {
-		tr = workload.FilterBlanket(tr, opts.BlanketMaxTuples)
+		c = workload.FilterBlanket(c, opts.BlanketMaxTuples)
 	}
 	if opts.TxnSampleRate > 0 && opts.TxnSampleRate < 1 {
-		tr = workload.SampleTxns(tr, opts.TxnSampleRate, rng)
+		c = workload.SampleTxns(c, opts.TxnSampleRate, rng)
 	}
 	if opts.TupleSampleRate > 0 && opts.TupleSampleRate < 1 {
-		tr = workload.SampleTuples(tr, opts.TupleSampleRate, rng)
+		c = workload.SampleTuples(c, opts.TupleSampleRate, rng)
 	}
 	if opts.MinAccesses > 1 {
-		tr = workload.FilterRelevance(tr, opts.MinAccesses)
+		c = workload.FilterRelevance(c, opts.MinAccesses)
 	}
+	tr = expand(c)
 
 	g := &refGraph{tupleGroup: make(map[workload.TupleID]int32)}
 
@@ -229,6 +234,31 @@ func referenceBuild(tr *workload.Trace, opts Options) *refGraph {
 	return g
 }
 
+// expand rebuilds the transactions of a compact trace: the trace-space
+// twin of a compact-only one.
+func expand(c *workload.Compact) *workload.Trace {
+	tr := workload.NewTrace()
+	for ti := 0; ti < c.NumTxns(); ti++ {
+		accs := make([]workload.Access, 0, len(c.Txn(ti)))
+		for _, e := range c.Txn(ti) {
+			accs = append(accs, workload.Access{Tuple: c.In.TupleOf(int32(e &^ workload.WriteBit)), Write: e&workload.WriteBit != 0})
+		}
+		tr.Add(accs)
+	}
+	return tr
+}
+
+// groupTuples resolves every group's members to their tuples.
+func groupTuples(g *Graph) [][]workload.TupleID {
+	out := make([][]workload.TupleID, len(g.MemberOff)-1)
+	for gi := range out {
+		for _, d := range g.GroupMembers(int32(gi)) {
+			out[gi] = append(out[gi], g.Intern.TupleOf(d))
+		}
+	}
+	return out
+}
+
 // randomTrace synthesises a trace with hot/cold tuples across several
 // tables, duplicate accesses inside transactions, and mixed read/write
 // patterns — the shapes that stress deduplication, coalescing, and
@@ -352,8 +382,8 @@ func assertMatchesReference(t *testing.T, g *Graph, ref *refGraph) {
 	if !reflect.DeepEqual(g.Nodes, ref.nodes) {
 		t.Fatal("Nodes mismatch")
 	}
-	if !reflect.DeepEqual(g.GroupTuples, ref.groupTuples) {
-		t.Fatal("GroupTuples mismatch")
+	if !reflect.DeepEqual(groupTuples(g), ref.groupTuples) {
+		t.Fatal("group members mismatch")
 	}
 	if len(g.GroupOf) != len(ref.tupleGroup) {
 		t.Fatalf("GroupOf covers %d tuples, reference %d", len(g.GroupOf), len(ref.tupleGroup))
@@ -432,7 +462,7 @@ func referenceAssignments(g *Graph, parts []int32) map[workload.TupleID][]int {
 		groupParts[n.Group][int(parts[v])] = true
 	}
 	out := make(map[workload.TupleID][]int)
-	for gi, tuples := range g.GroupTuples {
+	for gi, tuples := range groupTuples(g) {
 		var set []int
 		for p := range groupParts[int32(gi)] {
 			set = append(set, p)

@@ -165,3 +165,63 @@ func TestWarmCycleAllocsIndependentOfWindow(t *testing.T) {
 			sizes[0], sizes[1], mallocs[0], mallocs[1], limit)
 	}
 }
+
+// TestWarmCycleBytes pins the decision path's bytes on the shape of the
+// live-tpcc benchmark (16 warehouses, a 4 000-transaction window, k = 8,
+// a quarter of the window turned over): a warm cycle — Snapshot,
+// ScoreWindow, RepartitionDrift, BuildPlanSets — stays in the dense form,
+// so it allocates under 120 B per windowed access. Rehydrating the
+// snapshot into workload.Access values, a per-tuple score table or
+// TupleID group members push it past 150.
+func TestWarmCycleBytes(t *testing.T) {
+	const k, window, turnover = 8, 4000, 1000
+	tr := workloads.TPCC(workloads.TPCCConfig{
+		Warehouses: 16, Districts: 10, Customers: 30, Items: 200, InitialOrders: 10,
+		Txns: (window + turnover) * 21 / 20, Seed: 3,
+	}).Trace
+	if tr.Len() < window+turnover {
+		t.Fatalf("trace has %d transactions, need %d", tr.Len(), window+turnover)
+	}
+	win := NewWindow(WindowConfig{Capacity: window})
+	for _, tx := range tr.Txns[:window] {
+		win.Record(tx.Accesses)
+	}
+	rep := mustRep(t, RepartitionConfig{K: k,
+		Graph:     graph.Options{Coalesce: true, Replication: true, Seed: 3},
+		Metis:     metis.Options{Seed: 3},
+		WarmStart: true, FullCutEveryN: -1, DriftCutThreshold: -1})
+	initial, err := rep.Repartition(win.Snapshot(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deployed := make(map[workload.TupleID][]int, len(initial.Tuples))
+	for i, id := range initial.Tuples {
+		deployed[id] = initial.Assignments[i]
+	}
+	locate := func(id workload.TupleID) []int { return deployed[id] }
+	for _, tx := range tr.Txns[window : window+turnover] {
+		win.Record(tx.Accesses)
+	}
+	var accesses int
+	var res *Repartition
+	var plan Plan
+	bytes, _ := allocated(func() {
+		snap := win.Snapshot()
+		accesses = len(workload.CompactTrace(snap).Accs)
+		ScoreWindow(snap, k, locate)
+		if res, err = rep.RepartitionDrift(snap, locate, 1); err == nil {
+			plan = BuildPlanSets(res.Tuples, res.Deployed, res.Assignments)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mode != ModeWarm || len(plan.Moves) == 0 {
+		t.Fatalf("a %s cycle planning %d moves, want a warm cycle that moves tuples", res.Mode, len(plan.Moves))
+	}
+	perAccess := float64(bytes) / float64(accesses)
+	t.Logf("%d B for %d accesses (%.1f B/access), %d tuples, %d moves", bytes, accesses, perAccess, len(res.Tuples), len(plan.Moves))
+	if perAccess > 120 {
+		t.Errorf("a warm cycle allocated %.1f B per windowed access, want <= 120", perAccess)
+	}
+}

@@ -68,27 +68,23 @@ func (s Score) String() string {
 type LocateFunc func(id workload.TupleID) []int
 
 // ScoreWindow evaluates a placement against a window snapshot with the
-// compact evaluator, over the trace's shared interned form
-// (workload.CompactTrace: a Window.Snapshot arrives with it, any other
-// trace is interned on first use). Scoring hashes no tuple itself; it
-// calls locate once per distinct tuple and indexes slices from there on.
+// compact evaluator, over the trace's interned form (a Window.Snapshot is
+// nothing else; any other trace is interned on first use). Scoring hashes
+// no tuple itself: it calls locate once per distinct tuple (locateAll)
+// and folds every access into the partition loads as
+// partition.EvaluateCompact meets it.
 func ScoreWindow(tr *workload.Trace, k int, locate LocateFunc) Score {
 	if tr.Len() == 0 {
 		return Score{}
 	}
 	c := workload.CompactTrace(tr)
-	sets := make([][]int, c.NumTuples())
-	for d, id := range c.In.Tuples() {
-		sets[d] = locate(id)
-	}
-	cost := partition.EvaluateAssignmentsCompact(c, sets, nil)
-
+	slot, sets := locateAll(c.In.Tuples(), locate)
 	load := make([]float64, k)
 	var total float64
-	for _, e := range c.Accs {
-		set := sets[e&^workload.WriteBit]
+	cost := partition.EvaluateCompact(c, func(d int32) []int {
+		set := sets[slot[d]]
 		if len(set) == 0 {
-			continue
+			return set
 		}
 		share := 1.0 / float64(len(set))
 		for _, p := range set {
@@ -97,7 +93,8 @@ func ScoreWindow(tr *workload.Trace, k int, locate LocateFunc) Score {
 				total += share
 			}
 		}
-	}
+		return set
+	})
 	imb := 1.0
 	if total > 0 && k > 0 {
 		mean := total / float64(k)
@@ -108,6 +105,40 @@ func ScoreWindow(tr *workload.Trace, k int, locate LocateFunc) Score {
 		}
 	}
 	return Score{Txns: cost.Total, Distributed: cost.DistributedFrac(), Imbalance: imb}
+}
+
+// locateAll resolves every tuple through locate once and returns tuple
+// d's set as sets[slot[d]]: four bytes per tuple, not a slice header,
+// because locate hands out a few shared slices (a routing table's set
+// dictionary) and sets holds each distinct one once. Consecutive tuples
+// often share a slice, so only a change of slice consults the index.
+func locateAll(tuples []workload.TupleID, locate LocateFunc) (slot []int32, sets [][]int) {
+	// A slice is identified by its backing array and length.
+	type sliceID struct {
+		first *int
+		n     int
+	}
+	slot = make([]int32, len(tuples))
+	index := make(map[sliceID]int32)
+	last, lastSlot := sliceID{}, int32(-1)
+	for d, id := range tuples {
+		set := locate(id)
+		key := sliceID{n: len(set)}
+		if len(set) > 0 {
+			key.first = &set[0]
+		}
+		if key != last || lastSlot < 0 {
+			s, ok := index[key]
+			if !ok {
+				s = int32(len(sets))
+				sets = append(sets, set)
+				index[key] = s
+			}
+			last, lastSlot = key, s
+		}
+		slot[d] = lastSlot
+	}
+	return slot, sets
 }
 
 // Detector decides when the deployed placement has drifted far enough

@@ -54,18 +54,29 @@ func BuildPlan(tuples []workload.TupleID, locate LocateFunc, newSets [][]int) Pl
 // exposes the result as Deployed; planning from it skips a second
 // per-tuple map pass over the whole window.
 //
-// Every move's Adds and Dels are cut, capped, from two arrays the plan
-// grows as it goes, so planning allocates per array growth, not per move.
+// A first pass counts the moves and their replica deltas, so the moves
+// and the two arrays every move's Adds and Dels are cut from (capped) are
+// each allocated once, at their final size.
 func BuildPlanSets(tuples []workload.TupleID, oldSets, newSets [][]int) Plan {
-	var p Plan
-	var addBuf, delBuf []int
-	for i, id := range tuples {
-		to := newSets[i]
-		if to == nil {
+	moves, adds, dels := 0, 0, 0
+	var a, d []int // one move's delta; at most k entries each
+	for i := range tuples {
+		if oldSets[i] == nil || newSets[i] == nil {
 			continue
 		}
-		from := oldSets[i]
-		if from == nil {
+		a, d = partition.AppendSetDelta(a[:0], d[:0], oldSets[i], newSets[i])
+		if len(a)+len(d) > 0 {
+			moves, adds, dels = moves+1, adds+len(a), dels+len(d)
+		}
+	}
+	if moves == 0 {
+		return Plan{}
+	}
+	p := Plan{Moves: make([]Move, 0, moves)}
+	addBuf, delBuf := make([]int, 0, adds), make([]int, 0, dels)
+	for i, id := range tuples {
+		to, from := newSets[i], oldSets[i]
+		if to == nil || from == nil {
 			continue
 		}
 		na, nd := len(addBuf), len(delBuf)

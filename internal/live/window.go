@@ -193,11 +193,11 @@ func (w *Window) Total() uint64 {
 // recent, not merely frequent. Snapshots are deterministic functions of
 // the recorded sequence.
 //
-// The trace comes with its interned form attached (workload.CompactTrace
-// returns it without hashing): the ring's dense ids renumbered in order
-// of first appearance in the snapshot, which is exactly what interning
-// the trace would assign. Its interner indexes tuples by id only and
-// builds the reverse maps if someone asks for a tuple's id.
+// The trace is compact-only (workload.FromCompact): the ring's dense ids
+// renumbered in order of first appearance in the snapshot, which is
+// exactly what interning the transactions would assign, and no Txns.
+// Its interner indexes tuples by id only and builds the reverse maps if
+// someone asks for a tuple's id.
 func (w *Window) Snapshot() *workload.Trace {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -211,36 +211,20 @@ func (w *Window) Snapshot() *workload.Trace {
 		txns += int(n)
 		total += int(n) * len(w.nth(i).accs)
 	}
-
-	// One backing array for the snapshot's transactions, one for their
-	// accesses and one for the packed form. A transaction's accesses are
-	// capped at their length, so an append to them reallocates instead of
-	// running into the neighbour's.
-	tr := &workload.Trace{Txns: make([]*workload.Txn, txns)}
-	block := make([]workload.Txn, txns)
-	buf := make([]workload.Access, total)
 	c := &workload.Compact{Off: make([]int32, 1, txns+1), Accs: make([]uint32, 0, total)}
 	w.beginPass()
 	for i := 0; i < w.count; i++ {
 		t := w.nth(i)
 		for copies := emit[i]; copies > 0; copies-- {
-			out := buf[:len(t.accs):len(t.accs)]
-			buf = buf[len(t.accs):]
-			for j, e := range t.accs {
-				d := e &^ workload.WriteBit
-				out[j] = workload.Access{Tuple: w.in.TupleOf(int32(d)), Write: e&workload.WriteBit != 0}
-				c.Accs = append(c.Accs, w.renumber(d)|e&workload.WriteBit)
+			for _, e := range t.accs {
+				c.Accs = append(c.Accs, w.renumber(e&^workload.WriteBit)|e&workload.WriteBit)
 			}
-			id := len(c.Off) - 1
-			block[id] = workload.Txn{ID: id, Accesses: out}
-			tr.Txns[id] = &block[id]
 			c.Off = append(c.Off, int32(len(c.Accs)))
 		}
 	}
 	c.In = workload.InternerOf(w.passTuples(0))
-	tr.SetCompact(c)
 	w.live = len(w.order)
-	return tr
+	return workload.FromCompact(c)
 }
 
 // copies returns, per windowed transaction (oldest first), how many

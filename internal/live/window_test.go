@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"schism/internal/partition"
 	"schism/internal/workload"
 )
 
@@ -16,10 +17,25 @@ func acc(key int64, write bool) workload.Access {
 	return workload.Access{Tuple: workload.TupleID{Table: "t", Key: key}, Write: write}
 }
 
+// expandTrace rebuilds the transactions of a trace's interned form: a
+// compact-only snapshot's as a plain trace.
+func expandTrace(tr *workload.Trace) *workload.Trace {
+	c := workload.CompactTrace(tr)
+	out := workload.NewTrace()
+	for ti := 0; ti < c.NumTxns(); ti++ {
+		accs := make([]workload.Access, 0, len(c.Txn(ti)))
+		for _, e := range c.Txn(ti) {
+			accs = append(accs, workload.Access{Tuple: c.In.TupleOf(int32(e &^ workload.WriteBit)), Write: e&workload.WriteBit != 0})
+		}
+		out.Add(accs)
+	}
+	return out
+}
+
 // traceKeys flattens a trace into per-txn (key, write) strings.
 func traceKeys(tr *workload.Trace) []string {
 	var out []string
-	for _, t := range tr.Txns {
+	for _, t := range expandTrace(tr).Txns {
 		s := ""
 		for _, a := range t.Accesses {
 			s += fmt.Sprintf("%d:%v,", a.Tuple.Key, a.Write)
@@ -78,7 +94,7 @@ func TestWindowDecayCollapsesStaleRepeats(t *testing.T) {
 	}
 	decayed := build(0.9)
 	stale := 0
-	for _, tx := range decayed.Txns {
+	for _, tx := range expandTrace(decayed).Txns {
 		if tx.Accesses[0].Tuple.Key == 1 {
 			stale++
 		}
@@ -107,38 +123,40 @@ func TestWindowSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// TestWindowSnapshotSharedBacking pins the snapshot's allocation shape —
-// a constant, whatever the window's length: the trace, ONE Txn block, ONE
-// Txns slice and ONE access array for the whole snapshot, not one per
-// transaction; decay adds one aggregate array and its index map, not an
-// aggregate per distinct signature — and that transactions carved from
-// that array stay independent: appending to one must not reach the next.
+// TestWindowSnapshotSharedBacking pins the snapshot's allocation shape.
+// A constant number of objects, whatever the window's length: the packed
+// accesses, their offsets and the tuple table each come from one array,
+// and decay adds one aggregate array and its index map, not an aggregate
+// per distinct signature. And a byte budget: a snapshot is compact-only,
+// so it pays 4 B per access, 4 B per transaction and a 24 B TupleID per
+// distinct tuple, plus decay's per-signature bookkeeping — never a
+// 32 B workload.Access per access or a Txn per transaction.
 func TestWindowSnapshotSharedBacking(t *testing.T) {
 	for _, decay := range []float64{0, 0.9} {
 		w := NewWindow(WindowConfig{Capacity: 256, Decay: decay})
 		for i := 0; i < 300; i++ {
 			w.Record([]workload.Access{acc(int64(i), false), acc(int64(i+1), true), acc(int64(i%9), false)})
 		}
-		// A constant: the transactions, their accesses and decay's
-		// per-signature aggregates each come from one array.
-		n := w.Snapshot().Len()
+		snap := w.Snapshot()
+		c := workload.CompactTrace(snap)
 		limit := 24
 		if decay > 0 {
 			limit = 48
 		}
 		if allocs := testing.AllocsPerRun(20, func() { w.Snapshot() }); allocs > float64(limit) {
-			t.Errorf("decay %v: Snapshot of %d txns made %.0f allocations, want <= %d", decay, n, allocs, limit)
+			t.Errorf("decay %v: Snapshot of %d txns made %.0f allocations, want <= %d", decay, snap.Len(), allocs, limit)
 		}
-		tr := w.Snapshot()
-		want := traceKeys(tr)
-		for _, txn := range tr.Txns {
-			txn.Accesses = append(txn.Accesses, acc(-1, true))
+		// Size classes round each array up by at most an eighth; decay's
+		// aggregates and index map cost under 96 B per windowed txn.
+		budget := (4*len(c.Accs)+4*len(c.Off)+24*c.NumTuples()+4*256)*9/8 + 1024
+		if decay > 0 {
+			budget += 96 * 256
 		}
-		for i, txn := range tr.Txns {
-			txn.Accesses = txn.Accesses[:len(txn.Accesses)-1]
-			if got := traceKeys(&workload.Trace{Txns: []*workload.Txn{txn}})[0]; got != want[i] {
-				t.Fatalf("decay %v: txn %d = %s after appending to its neighbours, want %s", decay, i, got, want[i])
-			}
+		bytes, _ := allocated(func() { w.Snapshot() })
+		t.Logf("decay %v: %d B for %d accesses, %d txns, %d tuples (%.1f B/access)",
+			decay, bytes, len(c.Accs), snap.Len(), c.NumTuples(), float64(bytes)/float64(len(c.Accs)))
+		if bytes > uint64(budget) {
+			t.Errorf("decay %v: Snapshot allocated %d B for %d accesses, budget %d B", decay, bytes, len(c.Accs), budget)
 		}
 	}
 }
@@ -154,10 +172,10 @@ func allocated(fn func()) (bytes, mallocs uint64) {
 	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }
 
-// internedFresh interns a copy of the trace's transactions that carries
-// no memoised form: the reference a snapshot's attached Compact must equal.
+// internedFresh interns the snapshot's transactions afresh: the reference
+// a snapshot's Compact must equal.
 func internedFresh(tr *workload.Trace) *workload.Compact {
-	return workload.CompactTrace(&workload.Trace{Txns: tr.Txns})
+	return workload.CompactTrace(expandTrace(tr))
 }
 
 // checkCompactEqual compares two interned forms of the same transactions.
@@ -205,8 +223,16 @@ func TestSnapshotCompactMatchesIntern(t *testing.T) {
 			if want := min(records, 64); decay == 0 && snap.Len() != want {
 				t.Fatalf("%s: snapshot has %d txns, want %d", name, snap.Len(), want)
 			}
+			// MemStats are process-wide and the runtime allocates now and
+			// then on its own, so a fresh snapshot gets three tries to show
+			// that CompactTrace hands back its form without computing one.
 			var got *workload.Compact
-			if bytes, _ := allocated(func() { got = workload.CompactTrace(snap) }); records > 0 && bytes != 0 {
+			bytes := uint64(1)
+			for try := 0; try < 3 && bytes != 0; try++ {
+				snap = w.Snapshot()
+				bytes, _ = allocated(func() { got = workload.CompactTrace(snap) })
+			}
+			if records > 0 && bytes != 0 {
 				t.Fatalf("%s: CompactTrace of a snapshot allocated %d B: its interned form was not attached", name, bytes)
 			}
 			want := internedFresh(snap)
@@ -334,9 +360,10 @@ func TestWindowRecordReusesSlots(t *testing.T) {
 }
 
 // TestScoreWindowHashesNoTuples pins "a cycle does not hash tuples" where
-// it can fail: scoring a fresh snapshot allocates its per-tuple replica
-// table and per-partition load, and nothing that grows with the number of
-// accesses — no second packed array, no TupleID maps.
+// it can fail: scoring a fresh snapshot allocates four bytes per tuple to
+// remember its located set, the per-partition load, the evaluator's two
+// partition lists and an index of the few distinct sets — no slice header
+// per tuple, no second packed array, no TupleID maps.
 func TestScoreWindowHashesNoTuples(t *testing.T) {
 	const k = 4
 	w := NewWindow(WindowConfig{Capacity: 512})
@@ -368,11 +395,88 @@ func TestScoreWindowHashesNoTuples(t *testing.T) {
 			bytes, mallocs = b, m
 		}
 	}
-	// sets is one slice header per tuple (plus up to an eighth of size-class
-	// rounding), load one float per partition; the evaluator's scratch and
-	// the closures are the constant.
-	budget := uint64(24*tuples*9/8 + 8*k + 512)
-	if bytes > budget || mallocs > 8 {
-		t.Errorf("ScoreWindow allocated %d B in %d objects for %d tuples; budget %d B, 8 objects", bytes, mallocs, tuples, budget)
+	// Four bytes per tuple (plus up to an eighth of size-class rounding),
+	// load one float per partition; the evaluator's lists, the k distinct
+	// sets' index and the closures are the constant.
+	budget := uint64(4*tuples*9/8 + 8*k + 1024)
+	if bytes > budget || mallocs > 16 {
+		t.Errorf("ScoreWindow allocated %d B in %d objects for %d tuples; budget %d B, 16 objects", bytes, mallocs, tuples, budget)
+	}
+}
+
+// refScoreWindow is ScoreWindow as it was before it stopped keeping a
+// replica set per tuple: locate every distinct tuple into a table, then
+// evaluate and weigh the loads from it.
+func refScoreWindow(tr *workload.Trace, k int, locate LocateFunc) Score {
+	c := workload.CompactTrace(tr)
+	sets := make([][]int, c.NumTuples())
+	for d, id := range c.In.Tuples() {
+		sets[d] = locate(id)
+	}
+	cost := partition.EvaluateAssignmentsCompact(c, sets, nil)
+	load := make([]float64, k)
+	var total float64
+	for _, e := range c.Accs {
+		set := sets[e&^workload.WriteBit]
+		if len(set) == 0 {
+			continue
+		}
+		share := 1.0 / float64(len(set))
+		for _, p := range set {
+			if p >= 0 && p < k {
+				load[p] += share
+				total += share
+			}
+		}
+	}
+	imb := 1.0
+	if total > 0 {
+		mean := total / float64(k)
+		for _, l := range load {
+			imb = max(imb, l/mean)
+		}
+	}
+	return Score{Txns: cost.Total, Distributed: cost.DistributedFrac(), Imbalance: imb}
+}
+
+// TestScoreWindowMatchesReference checks locateAll's set slots against the
+// per-tuple table it replaced, bit for bit, with a locate that shares its
+// sets, one that returns a fresh slice per call (a distinct slice per
+// tuple), and one that leaves tuples unplaced.
+func TestScoreWindowMatchesReference(t *testing.T) {
+	const k = 5
+	rng := rand.New(rand.NewSource(4))
+	tr := workload.NewTrace()
+	for i := 0; i < 3000; i++ {
+		accs := make([]workload.Access, 2+rng.Intn(6))
+		for j := range accs {
+			// Hot keys repeat; the tail keeps tuples fresh.
+			key := int64(rng.Intn(50))
+			if j > 1 {
+				key = int64(100 + 6*i + j)
+			}
+			accs[j] = acc(key, rng.Intn(3) == 0)
+		}
+		tr.Add(accs)
+	}
+	shared := make([][]int, k+2)
+	for p := range k {
+		shared[p] = []int{p}
+	}
+	shared[k] = []int{0, 2, 4}
+	locates := map[string]LocateFunc{
+		"shared": func(id workload.TupleID) []int { return shared[id.Key%int64(len(shared))] },
+		"fresh":  func(id workload.TupleID) []int { return []int{int(id.Key % k), int(id.Key%3) + k - 3} },
+		"unplaced": func(id workload.TupleID) []int {
+			if id.Key%4 == 0 {
+				return nil
+			}
+			return shared[id.Key%k]
+		},
+	}
+	for name, locate := range locates {
+		if got, want := ScoreWindow(tr, k, locate), refScoreWindow(tr, k, locate); got != want {
+			t.Errorf("%s: ScoreWindow = %+v, reference %+v", name, got, want)
+		}
 	}
 }

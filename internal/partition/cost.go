@@ -61,91 +61,72 @@ func contains(parts []int, p int) bool {
 // interner, and unassigned tuples (nil) get the default replica set def
 // (nil means unconstrained: new tuples follow their transaction). This
 // is the "schism" series in Fig. 4 before any explanation is attempted.
-// The hot loop indexes slices by dense id — no TupleID hashing, no
-// per-transaction read/write-set allocation. Use
-// graph.DenseAssignmentsFor to align a partitioning with the evaluation
-// trace's interner.
+// Use graph.DenseAssignmentsFor to align a partitioning with the
+// evaluation trace's interner.
 func EvaluateAssignmentsCompact(c *workload.Compact, sets [][]int, def []int) Cost {
+	return EvaluateCompact(c, func(d int32) []int {
+		if p := sets[d]; p != nil {
+			return p
+		}
+		return def
+	})
+}
+
+// EvaluateCompact is the evaluator every entry point shares: it counts
+// the distributed transactions of an interned trace, resolving the
+// replica set of dense tuple d through set(d) (empty means
+// unconstrained). set is called exactly once per access, in trace order,
+// so a caller can fold its own per-access accounting into it. The hot
+// loop indexes no TupleID and its scratch is two partition lists, so the
+// call allocates O(k), whatever the trace's size.
+func EvaluateCompact(c *workload.Compact, set func(d int32) []int) Cost {
 	cost := Cost{Total: c.NumTxns()}
-	var scratch evalScratch
+	var s evalScratch
 	for ti := 0; ti < c.NumTxns(); ti++ {
-		if txnDistributedCompact(c.Txn(ti), sets, def, &scratch) {
+		if s.distributed(c.Txn(ti), set) {
 			cost.Distributed++
 		}
 	}
 	return cost
 }
 
-// evalScratch holds the small partition-set buffers reused across
-// transactions by txnDistributedCompact.
+// evalScratch holds the partition lists reused across transactions.
 type evalScratch struct {
 	req   []int
 	inter []int
 }
 
-// txnDistributedCompact decides whether a transaction, given as packed
-// accesses, must span >1 partition. Duplicate accesses need no
-// deduplication: every step is idempotent.
-func txnDistributedCompact(accs []uint32, sets [][]int, def []int, s *evalScratch) bool {
-	locate := func(e uint32) []int {
-		if p := sets[e&^workload.WriteBit]; p != nil {
-			return p
-		}
-		return def
-	}
-	// Partitions the transaction is forced to touch: every replica of
-	// every written tuple.
-	req := s.req[:0]
+// distributed decides whether a transaction, given as packed accesses,
+// must span more than one partition, in one pass over its accesses:
+//
+//   - every write must reach every replica of the written tuple, so req
+//     gathers the union of written tuples' replica sets;
+//   - a read may be served by any replica, so inter narrows to the
+//     partitions holding a replica of every (constrained) read tuple.
+//
+// The transaction is single-sited iff req has at most one partition and
+// that partition — or, with no constrained write, some partition — is in
+// every constrained read's set. Duplicate accesses need no deduplication:
+// every step is idempotent.
+func (s *evalScratch) distributed(accs []uint32, set func(d int32) []int) bool {
+	req, inter := s.req[:0], s.inter[:0]
+	reads := false // a constrained read was met; inter is its running intersection
 	for _, e := range accs {
-		if e&workload.WriteBit == 0 {
-			continue
-		}
-		for _, p := range locate(e) {
-			if !contains(req, p) {
-				req = append(req, p)
-			}
-		}
-		if len(req) > 1 {
-			s.req = req
-			return true
-		}
-	}
-	s.req = req
-
-	if len(req) == 1 {
-		// The single required partition must also hold a replica of every
-		// tuple the transaction reads.
-		home := req[0]
-		for _, e := range accs {
-			if e&workload.WriteBit != 0 {
-				continue
-			}
-			parts := locate(e)
-			if len(parts) == 0 {
-				continue
-			}
-			if !contains(parts, home) {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Read-only (or all writes unconstrained): single-sited iff the
-	// intersection of all non-empty replica sets is non-empty.
-	inter := s.inter[:0]
-	first := true
-	for _, e := range accs {
+		parts := set(int32(e &^ workload.WriteBit))
 		if e&workload.WriteBit != 0 {
+			for _, p := range parts {
+				if len(req) <= 1 && !contains(req, p) {
+					req = append(req, p)
+				}
+			}
 			continue
 		}
-		parts := locate(e)
 		if len(parts) == 0 {
 			continue
 		}
-		if first {
+		if !reads {
 			inter = append(inter, parts...)
-			first = false
+			reads = true
 			continue
 		}
 		k := 0
@@ -156,11 +137,16 @@ func txnDistributedCompact(accs []uint32, sets [][]int, def []int, s *evalScratc
 			}
 		}
 		inter = inter[:k]
-		if len(inter) == 0 {
-			s.inter = inter
-			return true
-		}
 	}
-	s.inter = inter
-	return false
+	s.req, s.inter = req, inter
+	switch {
+	case len(req) > 1:
+		return true
+	case !reads:
+		return false
+	case len(req) == 1:
+		return !contains(inter, req[0])
+	default:
+		return len(inter) == 0
+	}
 }

@@ -24,7 +24,7 @@ func accessSet(t *workload.Txn, write bool) []workload.TupleID {
 	return out
 }
 
-// txnDistributed is the map-keyed form of txnDistributedCompact: it builds
+// txnDistributed is the map-keyed form of EvaluateCompact's test: it builds
 // the transaction's write and read sets and decides from them whether the
 // transaction must span >1 partition.
 func txnDistributed(t *workload.Txn, locate func(workload.TupleID) []int) bool {
@@ -179,5 +179,40 @@ func TestEvaluateAssignmentsCompactMatchesMap(t *testing.T) {
 				t.Fatalf("trial %d def=%v: Evaluate %+v != map %+v", trial, def, got, want)
 			}
 		}
+	}
+}
+
+// TestEvaluateCompactResolvesEachAccessOnce pins the contract callers fold
+// their own accounting into: set is called exactly once per access, in
+// trace order, whatever the transactions decide early.
+func TestEvaluateCompactResolvesEachAccessOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	tr := workload.NewTrace()
+	for i := 0; i < 200; i++ {
+		var acc []workload.Access
+		for j := 0; j < 1+rng.Intn(8); j++ {
+			acc = append(acc, workload.Access{
+				Tuple: workload.TupleID{Table: "t", Key: int64(rng.Intn(30))},
+				Write: rng.Intn(2) == 0,
+			})
+		}
+		tr.Add(acc)
+	}
+	c := workload.CompactTrace(tr)
+	var seen []uint32
+	cost := EvaluateCompact(c, func(d int32) []int {
+		seen = append(seen, uint32(d))
+		return []int{int(d) % 3}
+	})
+	if len(seen) != len(c.Accs) {
+		t.Fatalf("set called %d times for %d accesses", len(seen), len(c.Accs))
+	}
+	for i, e := range c.Accs {
+		if seen[i] != e&^workload.WriteBit {
+			t.Fatalf("call %d resolved tuple %d, access %d is tuple %d", i, seen[i], i, e&^workload.WriteBit)
+		}
+	}
+	if cost.Distributed == 0 || cost.Distributed == cost.Total {
+		t.Fatalf("%d of %d distributed: the trace decides nothing early", cost.Distributed, cost.Total)
 	}
 }

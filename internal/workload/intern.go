@@ -108,7 +108,11 @@ type Compact struct {
 // as it had when interned (Add drops it), and relies on a transaction's
 // Accesses not being edited once its trace has been interned. Concurrent
 // calls are safe; racing first calls may each compute the (equal) form.
+// A compact-only trace (FromCompact) returns its Compact.
 func CompactTrace(tr *Trace) *Compact {
+	if tr.dense != nil {
+		return tr.dense
+	}
 	if c := tr.compact.Load(); c != nil && c.NumTxns() == len(tr.Txns) {
 		return c
 	}
@@ -129,17 +133,6 @@ func CompactTrace(tr *Trace) *Compact {
 	}
 	tr.compact.Store(c)
 	return c
-}
-
-// SetCompact hands the trace the interned form its producer already
-// holds (the live capture window stores dense ids), so that CompactTrace
-// returns c instead of hashing the trace. c must be exactly what
-// CompactTrace would compute: ids in first-appearance order over Txns.
-func (tr *Trace) SetCompact(c *Compact) {
-	if c.NumTxns() != len(tr.Txns) {
-		panic("workload: SetCompact: compact form and trace differ in length")
-	}
-	tr.compact.Store(c)
 }
 
 // NumTxns returns the number of transactions.

@@ -141,12 +141,20 @@ func TestCompactTraceMemo(t *testing.T) {
 
 	train, test := tr.Split(0.5)
 	derived := map[string]*Trace{
-		"Split train":     train,
-		"Split test":      test,
-		"SampleTxns":      SampleTxns(tr, 0.5, rand.New(rand.NewSource(1))),
-		"SampleTuples":    SampleTuples(tr, 0.5, rand.New(rand.NewSource(1))),
-		"FilterBlanket":   FilterBlanket(tr, 100),
-		"FilterRelevance": FilterRelevance(tr, 2),
+		"Split train": train,
+		"Split test":  test,
+	}
+	for name, d := range map[string]*Compact{
+		"SampleTxns":      SampleTxns(c, 0.5, rand.New(rand.NewSource(1))),
+		"SampleTuples":    SampleTuples(c, 0.5, rand.New(rand.NewSource(1))),
+		"FilterBlanket":   FilterBlanket(c, 100),
+		"FilterRelevance": FilterRelevance(c, 2),
+	} {
+		// A filter's output is a new Compact, in a trace of its own.
+		if d == c {
+			t.Fatalf("%s returned its input", name)
+		}
+		derived[name] = expand(d)
 	}
 	for name, d := range derived {
 		if d == tr {

@@ -75,20 +75,38 @@ func (t *Txn) ReadOnly() bool {
 
 // Trace is an ordered collection of transactions, as captured from a
 // workload log.
+//
+// A trace made by FromCompact is compact-only: it holds its transactions
+// in their interned form and nothing else. Its Txns is nil; Len and
+// CompactTrace answer from the Compact, which is all the graph build, the
+// evaluator and the live scorer read. Add and Split panic on it, because
+// both hand out or extend per-transaction Txn values it does not have.
 type Trace struct {
 	Txns []*Txn
 
-	// compact memoises CompactTrace. Traces derived from this one (Split,
-	// sampling, filtering) are new values and do not inherit it. It makes
-	// a Trace non-copyable; pass traces by pointer.
+	// compact memoises CompactTrace. The halves Split returns are new
+	// values and do not inherit it. It makes a Trace non-copyable; pass
+	// traces by pointer.
 	compact atomic.Pointer[Compact]
+	// dense is the whole of a compact-only trace.
+	dense *Compact
 }
 
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// Add appends a transaction, assigning it the next sequential ID.
+// FromCompact returns a compact-only trace over c, for a producer that
+// already holds its transactions in dense form (the live capture window).
+// c must follow CompactTrace's rules: ids in first-appearance order, and
+// read-only from here on.
+func FromCompact(c *Compact) *Trace { return &Trace{dense: c} }
+
+// Add appends a transaction, assigning it the next sequential ID. It
+// panics on a compact-only trace, which has no Txns to append to.
 func (tr *Trace) Add(accesses []Access, sql ...string) *Txn {
+	if tr.dense != nil {
+		panic("workload: Add to a compact-only trace")
+	}
 	t := &Txn{ID: len(tr.Txns), Accesses: accesses, SQL: sql}
 	tr.Txns = append(tr.Txns, t)
 	tr.compact.Store(nil)
@@ -96,17 +114,28 @@ func (tr *Trace) Add(accesses []Access, sql ...string) *Txn {
 }
 
 // Len returns the number of transactions in the trace.
-func (tr *Trace) Len() int { return len(tr.Txns) }
+func (tr *Trace) Len() int {
+	if tr.dense != nil {
+		return tr.dense.NumTxns()
+	}
+	return len(tr.Txns)
+}
 
 // Split divides the trace into a training prefix and testing suffix.
-// trainFrac is clamped to [0,1].
+// trainFrac is clamped to [0,1], NaN counting as 0. The halves share the
+// parent's transactions but not its backing array's spare room: an Add
+// to train allocates instead of overwriting test's first transaction. It
+// panics on a compact-only trace.
 func (tr *Trace) Split(trainFrac float64) (train, test *Trace) {
-	if trainFrac < 0 {
+	if tr.dense != nil {
+		panic("workload: Split of a compact-only trace")
+	}
+	if !(trainFrac > 0) {
 		trainFrac = 0
 	}
 	if trainFrac > 1 {
 		trainFrac = 1
 	}
 	n := int(float64(len(tr.Txns)) * trainFrac)
-	return &Trace{Txns: tr.Txns[:n]}, &Trace{Txns: tr.Txns[n:]}
+	return &Trace{Txns: tr.Txns[:n:n]}, &Trace{Txns: tr.Txns[n:]}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -66,11 +67,11 @@ func TestSampleTxnsRate(t *testing.T) {
 		tr.Add([]Access{{Tuple: tid(i)}})
 	}
 	rng := rand.New(rand.NewSource(1))
-	s := SampleTxns(tr, 0.3, rng)
-	if s.Len() < 200 || s.Len() > 400 {
-		t.Errorf("sampled %d of 1000 at rate 0.3", s.Len())
+	s := SampleTxns(CompactTrace(tr), 0.3, rng)
+	if s.NumTxns() < 200 || s.NumTxns() > 400 {
+		t.Errorf("sampled %d of 1000 at rate 0.3", s.NumTxns())
 	}
-	if SampleTxns(tr, 1.0, rng).Len() != 1000 {
+	if SampleTxns(CompactTrace(tr), 1.0, rng).NumTxns() != 1000 {
 		t.Error("rate 1.0 must keep everything")
 	}
 }
@@ -82,7 +83,7 @@ func TestSampleTuplesConsistency(t *testing.T) {
 		tr.Add([]Access{{Tuple: tid(1)}, {Tuple: tid(int64(i))}})
 	}
 	rng := rand.New(rand.NewSource(2))
-	s := SampleTuples(tr, 0.5, rng)
+	s := expand(SampleTuples(CompactTrace(tr), 0.5, rng))
 	count := 0
 	for _, txn := range s.Txns {
 		for _, a := range txn.Accesses {
@@ -105,9 +106,9 @@ func TestFilterBlanket(t *testing.T) {
 		big = append(big, Access{Tuple: tid(i)})
 	}
 	tr.Add(big)
-	out := FilterBlanket(tr, 10)
-	if out.Len() != 1 {
-		t.Fatalf("FilterBlanket kept %d txns, want 1", out.Len())
+	out := FilterBlanket(CompactTrace(tr), 10)
+	if out.NumTxns() != 1 {
+		t.Fatalf("FilterBlanket kept %d txns, want 1", out.NumTxns())
 	}
 }
 
@@ -116,7 +117,7 @@ func TestFilterRelevance(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Add([]Access{{Tuple: tid(1)}, {Tuple: tid(int64(100 + i))}})
 	}
-	out := FilterRelevance(tr, 2)
+	out := expand(FilterRelevance(CompactTrace(tr), 2))
 	for _, txn := range out.Txns {
 		for _, a := range txn.Accesses {
 			if a.Tuple != tid(1) {
@@ -150,7 +151,7 @@ func TestFilterRelevance(t *testing.T) {
 				want.Add(acc)
 			}
 		}
-		got := FilterRelevance(rnd, min)
+		got := expand(FilterRelevance(CompactTrace(rnd), min))
 		if got.Len() != want.Len() {
 			t.Fatalf("min=%d: kept %d txns, want %d", min, got.Len(), want.Len())
 		}
@@ -175,7 +176,7 @@ func TestSamplingMonotone(t *testing.T) {
 			tr.Add(acc)
 		}
 		full := referenceStats(tr)
-		sampled := referenceStats(SampleTxns(tr, 0.5, rng))
+		sampled := referenceStats(expand(SampleTxns(CompactTrace(tr), 0.5, rng)))
 		for id, n := range sampled.reads {
 			if n > full.reads[id] {
 				return false
@@ -190,5 +191,73 @@ func TestSamplingMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSplitTrainAddKeepsTest appends to the train half of a split. The
+// halves share the parent's transactions, so an append that ran into the
+// parent's backing array would overwrite test's first transaction and
+// the parent's own, and leave the parent's interned form stale.
+func TestSplitTrainAddKeepsTest(t *testing.T) {
+	tr := NewTrace()
+	for i := int64(0); i < 10; i++ {
+		tr.Add([]Access{{Tuple: tid(i)}})
+	}
+	c := CompactTrace(tr)
+	train, test := tr.Split(0.5)
+	first, parentNth := test.Txns[0], tr.Txns[5]
+	train.Add([]Access{{Tuple: tid(99), Write: true}})
+	if test.Txns[0] != first || tr.Txns[5] != parentNth {
+		t.Fatal("train.Add overwrote a transaction of the test half and the parent")
+	}
+	if got := CompactTrace(tr); got != c || got.NumTuples() != 10 {
+		t.Fatalf("parent's interned form changed under train.Add: %d tuples", got.NumTuples())
+	}
+	if train.Len() != 6 || train.Txns[5].Accesses[0].Tuple != tid(99) {
+		t.Fatalf("train after Add has %d txns", train.Len())
+	}
+}
+
+// TestSplitNaN splits at a NaN fraction, which clamps to 0 instead of
+// slicing at the minimum int.
+func TestSplitNaN(t *testing.T) {
+	tr := NewTrace()
+	for i := int64(0); i < 10; i++ {
+		tr.Add([]Access{{Tuple: tid(i)}})
+	}
+	train, test := tr.Split(math.NaN())
+	if train.Len() != 0 || test.Len() != 10 {
+		t.Fatalf("Split(NaN) = %d/%d, want 0/10", train.Len(), test.Len())
+	}
+}
+
+// TestCompactOnlyTrace pins what a trace made from its interned form
+// answers: Len and CompactTrace from the Compact, and a panic from Add
+// and Split, which would otherwise work on its empty Txns and silently
+// drop the dense transactions.
+func TestCompactOnlyTrace(t *testing.T) {
+	src := NewTrace()
+	src.Add([]Access{{Tuple: tid(1)}, {Tuple: tid(2), Write: true}})
+	src.Add([]Access{{Tuple: tid(2)}})
+	c := CompactTrace(src)
+	tr := FromCompact(c)
+	if tr.Len() != 2 || CompactTrace(tr) != c {
+		t.Fatalf("Len = %d, CompactTrace shared = %v", tr.Len(), CompactTrace(tr) == c)
+	}
+	for name, fn := range map[string]func(){
+		"Add":   func() { tr.Add([]Access{{Tuple: tid(3)}}) },
+		"Split": func() { tr.Split(0.5) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a compact-only trace did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	if tr.Len() != 2 {
+		t.Fatalf("Len after the refused calls = %d, want 2", tr.Len())
 	}
 }
