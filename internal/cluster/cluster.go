@@ -54,8 +54,6 @@ type Config struct {
 	ServiceTime time.Duration
 	// LockTimeout bounds lock waits (default 5s).
 	LockTimeout time.Duration
-	// QueueDepth is the per-node request queue length (default 1024).
-	QueueDepth int
 	// LogForce is the synchronous commit-log flush latency a node pays
 	// before acknowledging a prepare or a commit (§3 attributes the
 	// distributed-transaction penalty to "the additional network messages
@@ -74,12 +72,6 @@ type Config struct {
 	// tests set it so a paused node surfaces as ErrRPCTimeout instead of
 	// wedging the commit path.
 	RPCTimeout time.Duration
-	// CommitRetries is how many extra delivery rounds the coordinator
-	// gives participants that fail to ack a commit decision before it
-	// gives up and leaves the decision record in place for recovery to
-	// find (default 3). The decision itself is already taken; this only
-	// tunes delivery persistence.
-	CommitRetries int
 
 	// ReplicationFactor groups consecutive nodes into consensus
 	// replication groups of this size: nodes [g*R, (g+1)*R) form group g,
@@ -89,12 +81,11 @@ type Config struct {
 	// Nodes/R, and R must divide Nodes. 0 or 1 disables replication:
 	// every node is a group of one, which it leads, with no consensus log.
 	ReplicationFactor int
-	// ReplHeartbeat / ReplElection / ReplLease / ReplCompactEntries tune
-	// the group consensus protocol (zero: repl package defaults). Tests
-	// shrink them for fast failover.
+	// ReplHeartbeat / ReplElection / ReplCompactEntries tune the group
+	// consensus protocol (zero: repl package defaults). Tests shrink them
+	// for fast failover.
 	ReplHeartbeat      time.Duration
 	ReplElection       time.Duration
-	ReplLease          time.Duration
 	ReplCompactEntries int
 	// ReplSeed seeds election jitter and probabilistic link faults, so a
 	// seeded chaos schedule replays identically.
@@ -114,12 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LockTimeout <= 0 {
 		c.LockTimeout = 5 * time.Second
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
-	if c.CommitRetries <= 0 {
-		c.CommitRetries = 3
 	}
 	if c.ReplicationFactor <= 0 {
 		c.ReplicationFactor = 1

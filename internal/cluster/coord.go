@@ -770,12 +770,16 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
+// commitRetries is how many extra delivery rounds deliverCommit gives
+// participants that fail to ack a commit decision.
+const commitRetries = 3
+
 // deliverCommit fans the commit decision out, re-sending to participants
-// that failed to ack (crashed mid-delivery, RPC timeout) a bounded
-// number of times. It reports whether every participant acked — the
-// caller keeps the decision record otherwise, so stragglers can still
-// learn the outcome during recovery. The transaction's fate is already
-// sealed; this is pure delivery.
+// that failed to ack (crashed mid-delivery, RPC timeout) commitRetries
+// times. It reports whether every participant acked — the caller keeps
+// the decision record otherwise, so stragglers can still learn the
+// outcome during recovery. The transaction's fate is already sealed;
+// this is pure delivery.
 func (t *Txn) deliverCommit(nodes []int) bool {
 	pending := nodes
 	for attempt := 0; ; attempt++ {
@@ -789,7 +793,7 @@ func (t *Txn) deliverCommit(nodes []int) bool {
 		if len(failed) == 0 {
 			return true
 		}
-		if attempt >= t.co.c.cfg.CommitRetries {
+		if attempt >= commitRetries {
 			return false
 		}
 		pending = failed

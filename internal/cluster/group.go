@@ -87,7 +87,6 @@ func (n *Node) startGroup(c *Cluster, d *repl.Durable) {
 		Peers:           c.GroupMembers(g),
 		Heartbeat:       c.cfg.ReplHeartbeat,
 		ElectionTimeout: c.cfg.ReplElection,
-		Lease:           c.cfg.ReplLease,
 		CompactEntries:  c.cfg.ReplCompactEntries,
 		Seed:            c.cfg.ReplSeed,
 		Bootstrap:       n.ID == c.GroupMembers(g)[0],

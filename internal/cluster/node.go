@@ -16,6 +16,9 @@ import (
 	"schism/internal/txn"
 )
 
+// queueDepth is each node's request queue length.
+const queueDepth = 1024
+
 type reqKind int
 
 const (
@@ -190,7 +193,7 @@ func newNode(id int, cfg Config, db *storage.Database, hooks *hookSlot) *Node {
 		locks: txn.NewLockManager(cfg.LockTimeout),
 		wal:   wal.New(cfg.LogForce, 0),
 		hooks: hooks,
-		reqCh: make(chan *request, cfg.QueueDepth),
+		reqCh: make(chan *request, queueDepth),
 		txns:  make(map[txn.TS]*txnState),
 		mets:  newNodeMetrics(cfg.Obs),
 	}

@@ -283,15 +283,13 @@ type Config struct {
 	// Heartbeat is the leader's append/heartbeat interval (default 8ms).
 	Heartbeat time.Duration
 	// ElectionTimeout is the base follower timeout; each timeout is drawn
-	// uniformly from [T, 2T) (default 60ms).
+	// uniformly from [T, 2T) (default 60ms). It is also the read-lease
+	// window: a leader serves reads only while a quorum acked within it,
+	// a follower only while it heard the leader within it. Leader
+	// stickiness — votes are refused while the current leader was heard
+	// within ElectionTimeout — keeps a lease-holding leader from being
+	// deposed under its lease.
 	ElectionTimeout time.Duration
-	// Lease is the read-lease window: a leader serves reads only while a
-	// quorum acked within Lease, a follower only while it heard the
-	// leader within Lease. It also enforces leader stickiness — votes are
-	// refused while the current leader was heard within ElectionTimeout —
-	// so a lease-holding leader cannot be deposed under it (default:
-	// ElectionTimeout).
-	Lease time.Duration
 	// CompactEntries bounds retained log length: once the applied prefix
 	// exceeds it, the prefix is truncated into a snapshot (default 4096).
 	CompactEntries int
@@ -309,9 +307,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ElectionTimeout <= 0 {
 		c.ElectionTimeout = 60 * time.Millisecond
-	}
-	if c.Lease <= 0 {
-		c.Lease = c.ElectionTimeout
 	}
 	if c.CompactEntries <= 0 {
 		c.CompactEntries = 4096
@@ -1089,9 +1084,9 @@ func (r *Replica) Leader() int {
 
 // LeaseValid reports whether this replica may serve a local read: a
 // leader needs a quorum ack within the lease window, a follower a
-// leader contact within it. The lease is sound because vote stickiness
-// keeps a new leader from being elected while the old one's lease can
-// still be valid (Lease <= ElectionTimeout).
+// leader contact within it. The lease is sound because it is
+// ElectionTimeout long and vote stickiness keeps a new leader from being
+// elected while the old one was heard within ElectionTimeout.
 func (r *Replica) LeaseValid() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -1113,9 +1108,9 @@ func (r *Replica) LeaseValid() bool {
 			acks = append(acks, r.ackTime[p])
 		}
 		sort.Slice(acks, func(i, j int) bool { return acks[i].After(acks[j]) })
-		return time.Since(acks[r.quorum()-1]) < r.cfg.Lease
+		return time.Since(acks[r.quorum()-1]) < r.cfg.ElectionTimeout
 	}
-	return r.leader >= 0 && time.Since(r.lastHeard) < r.cfg.Lease
+	return r.leader >= 0 && time.Since(r.lastHeard) < r.cfg.ElectionTimeout
 }
 
 // Status snapshots the replica's visible state.

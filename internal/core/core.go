@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"schism/internal/datum"
 	"schism/internal/graph"
 	"schism/internal/lookup"
 	"schism/internal/metis"
@@ -25,13 +24,9 @@ import (
 
 // Input bundles what the pipeline needs.
 type Input struct {
-	// Trace is the full captured workload; the pipeline splits it into
-	// training and testing portions.
+	// Trace is the full captured workload; the pipeline splits it in half
+	// (trainFrac) into training and testing portions.
 	Trace *workload.Trace
-	// TrainFrac is the training split (default 0.5, as the paper separates
-	// traces "into training and testing sets"); any value outside (0, 1),
-	// NaN included, means the default.
-	TrainFrac float64
 	// Resolver returns a tuple's column values (for the explanation phase
 	// and attribute-hash strategies). May be nil: explanation is skipped.
 	Resolver partition.Resolver
@@ -63,9 +58,6 @@ type Options struct {
 	DisableReplication bool
 	// Metis configures the partitioner.
 	Metis metis.Options
-	// MinAttrFrac is the minimum fraction of a table's statements that
-	// must use an attribute for it to be a candidate (default 0.1).
-	MinAttrFrac float64
 	// TrainTuplesPerTable caps the explanation training set per table
 	// (default 5000; the paper's stress test uses 250).
 	TrainTuplesPerTable int
@@ -73,26 +65,30 @@ type Options struct {
 	// transaction fraction of the best are "ties" resolved by simplicity
 	// (default 0.01).
 	ValidationTolerance float64
-	// ReadMostlyWriteFrac: when the trace's write fraction is below this,
-	// tuples absent from the lookup table are replicated everywhere, as in
-	// the paper's Epinions experiment (default 0.15).
-	ReadMostlyWriteFrac float64
 	// Seed drives sampling.
 	Seed int64
 }
 
+const (
+	// trainFrac is the training share of the trace (the paper separates
+	// traces "into training and testing sets").
+	trainFrac = 0.5
+	// minAttrFrac is the minimum fraction of a table's statements that
+	// must use an attribute for it to be an explanation candidate (§5.2).
+	minAttrFrac = 0.1
+	// readMostlyWriteFrac is the read-mostly line: below it the trace's
+	// write fraction replicates tuples absent from the lookup table
+	// everywhere (the paper's Epinions policy), and above it a replicated
+	// tuple's own write fraction demotes it to one home.
+	readMostlyWriteFrac = 0.15
+)
+
 func (o Options) withDefaults() Options {
-	if o.MinAttrFrac <= 0 {
-		o.MinAttrFrac = 0.1
-	}
 	if o.TrainTuplesPerTable <= 0 {
 		o.TrainTuplesPerTable = 5000
 	}
 	if o.ValidationTolerance <= 0 {
 		o.ValidationTolerance = 0.01
-	}
-	if o.ReadMostlyWriteFrac <= 0 {
-		o.ReadMostlyWriteFrac = 0.15
 	}
 	return o
 }
@@ -125,10 +121,13 @@ type Result struct {
 	EdgeCut    int64
 	PartWeight []int64
 
-	// Assignments is the per-tuple replica-set map the pipeline deploys:
-	// the graph phase's placement after write-aware replica pruning
-	// (see PrunedReplicas).
-	Assignments map[workload.TupleID][]int
+	// Tuples and Assignments give the placement the pipeline deploys:
+	// Assignments[i] is the replica set of Tuples[i], the graph's dense
+	// tuple ids, after write-aware replica pruning (see PrunedReplicas).
+	// Tuples with equal sets share one slice (graph.DenseAssignments), as
+	// in live.Repartition, so treat the sets as read-only.
+	Tuples      []workload.TupleID
+	Assignments [][]int
 	// PrunedReplicas counts write-hot tuples demoted from replicated to
 	// single-home placement (see pruneWriteReplicas).
 	PrunedReplicas int
@@ -165,10 +164,7 @@ func Run(in Input, opts Options) (*Result, error) {
 	if in.Trace == nil || in.Trace.Len() == 0 {
 		return nil, fmt.Errorf("core: empty trace")
 	}
-	if !(in.TrainFrac > 0 && in.TrainFrac < 1) {
-		in.TrainFrac = 0.5
-	}
-	train, test := in.Trace.Split(in.TrainFrac)
+	train, test := in.Trace.Split(trainFrac)
 	if test.Len() == 0 {
 		test = train
 	}
@@ -213,29 +209,24 @@ func Run(in Input, opts Options) (*Result, error) {
 	}
 	res.Timings.Partition = time.Since(t0)
 	res.EdgeCut = cut
-	tuples := g.Intern.Tuples()
-	dense := g.DenseAssignments(parts)
+	res.Tuples = g.Intern.Tuples()
+	res.Assignments = g.DenseAssignments(parts)
 	// PartWeight is the graph phase's balance (per-partition node weight
 	// under the min-cut labels); the replica pruning below adjusts the
 	// deployed replica sets but not the graph labels.
 	res.PartWeight = g.PartWeights(parts, k)
-	res.PrunedReplicas = pruneWriteReplicas(train, g.Intern, dense, opts.ReadMostlyWriteFrac)
-	res.Assignments = make(map[workload.TupleID][]int, len(dense))
-	for d, set := range dense {
-		res.Assignments[tuples[d]] = set
-	}
+	res.PrunedReplicas = pruneWriteReplicas(train, g.Intern, res.Assignments, k)
 
 	// Fine-grained lookup strategy from the raw assignments, built over
 	// the graph's dense tuple ids (slice iteration, deterministic order).
-	writeFrac := writeFraction(train)
-	readMostly := writeFrac < opts.ReadMostlyWriteFrac
-	res.Lookup = buildLookup(tuples, dense, k, in, readMostly)
+	readMostly := writeFraction(train) < readMostlyWriteFrac
+	res.Lookup = buildLookup(res.Tuples, res.Assignments, k, in, readMostly)
 
 	// Phase 4: explanation.
 	t0 = time.Now()
 	if in.Resolver != nil {
 		res.Range = explain(res, train, in, opts)
-		if res.Range != nil && !balanced(res.Range, res.Assignments, in.Resolver, k) {
+		if res.Range != nil && !balanced(res.Range, res.Tuples, in.Resolver, k) {
 			// §4.3 condition (ii): an explanation that funnels the load
 			// onto few partitions degrades the graph solution; discard it.
 			res.Range = nil
@@ -281,13 +272,13 @@ func Run(in Input, opts Options) (*Result, error) {
 // balanced checks that the explained strategy spreads the graph's tuples
 // acceptably: no partition may hold more than twice its fair share
 // (replicated tuples count toward every replica).
-func balanced(r *partition.Range, asg map[workload.TupleID][]int, resolve partition.Resolver, k int) bool {
+func balanced(r *partition.Range, tuples []workload.TupleID, resolve partition.Resolver, k int) bool {
 	if k <= 1 {
 		return true
 	}
 	load := make([]int64, k)
 	var total int64
-	for id := range asg {
+	for _, id := range tuples {
 		for _, p := range r.Locate(id, resolve(id)) {
 			if p >= 0 && p < k {
 				load[p]++
@@ -308,7 +299,8 @@ func balanced(r *partition.Range, asg map[workload.TupleID][]int, resolve partit
 }
 
 // pruneWriteReplicas demotes replicated write-hot tuples to a single
-// home, returning how many tuples were demoted. Replication only pays
+// home, returning how many tuples were demoted: those whose accesses are
+// more than readMostlyWriteFrac writes. Replication only pays
 // for itself on read-mostly tuples (§2, §4.1): every write to a
 // replicated tuple must reach all replicas, so a write-hot tuple that
 // the balance-pressured min-cut happened to split across partitions
@@ -317,8 +309,9 @@ func balanced(r *partition.Range, asg map[workload.TupleID][]int, resolve partit
 // but at small graph sizes balance pressure can overrule it; this pass
 // restores the paper's invariant. The home kept is the replica where the
 // plurality of the tuple's transactions already execute, so demotion
-// never increases a transaction's node span.
-func pruneWriteReplicas(train *workload.Trace, in *workload.Interner, dense [][]int, maxWriteFrac float64) int {
+// never increases a transaction's node span. A demoted tuple takes its
+// home's shared singleton, so equal sets still share one slice.
+func pruneWriteReplicas(train *workload.Trace, in *workload.Interner, dense [][]int, k int) int {
 	// Access statistics, kept for replicated tuples only (votes != nil);
 	// votes[i] counts the transactions homed on dense[d][i].
 	type stat struct {
@@ -327,10 +320,15 @@ func pruneWriteReplicas(train *workload.Trace, in *workload.Interner, dense [][]
 	}
 	stats := make([]stat, len(dense))
 	replicated := false
+	// singles[p] is the {p} single-home tuples share: the graph's own, or
+	// one made for the first tuple demoted to p.
+	singles := make([][]int, k)
 	for d, parts := range dense {
 		if len(parts) > 1 {
 			stats[d].votes = make([]int, len(parts))
 			replicated = true
+		} else if len(parts) == 1 && singles[parts[0]] == nil {
+			singles[parts[0]] = parts
 		}
 	}
 	if !replicated {
@@ -381,7 +379,7 @@ func pruneWriteReplicas(train *workload.Trace, in *workload.Interner, dense [][]
 	for d, parts := range dense {
 		st := &stats[d]
 		total := st.reads + st.writes
-		if total == 0 || float64(st.writes)/float64(total) <= maxWriteFrac {
+		if total == 0 || float64(st.writes)/float64(total) <= readMostlyWriteFrac {
 			continue
 		}
 		home, best := parts[0], -1
@@ -390,7 +388,10 @@ func pruneWriteReplicas(train *workload.Trace, in *workload.Interner, dense [][]
 				home, best = p, v
 			}
 		}
-		dense[d] = []int{home}
+		if singles[home] == nil {
+			singles[home] = []int{home}
+		}
+		dense[d] = singles[home]
 		pruned++
 	}
 	return pruned
@@ -440,7 +441,7 @@ func buildLookup(tuples []workload.TupleID, dense [][]int, k int, in Input, read
 				if readMostly {
 					t.Set(key, all)
 				} else {
-					t.Set(key, []int{int(datum.Hash(datum.NewInt(key)) % uint64(k))})
+					t.Set(key, []int{partition.HashPart(key, k)})
 				}
 			}
 			return true

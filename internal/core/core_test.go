@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -202,27 +201,6 @@ func TestPipelineErrors(t *testing.T) {
 	}
 }
 
-// TestRunNonFiniteTrainFrac: a NaN or infinite training split means the
-// default, as any other value outside (0, 1) does, instead of a slice
-// bounds panic in Split.
-func TestRunNonFiniteTrainFrac(t *testing.T) {
-	w := workloads.YCSBA(workloads.YCSBConfig{Rows: 200, Txns: 200, Seed: 1})
-	want, err := Run(Input{Trace: w.Trace, KeyColumns: w.KeyColumns}, Options{Partitions: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frac := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		res, err := Run(Input{Trace: w.Trace, KeyColumns: w.KeyColumns, TrainFrac: frac}, Options{Partitions: 2, Seed: 1})
-		if err != nil {
-			t.Fatalf("TrainFrac %v: %v", frac, err)
-		}
-		if res.Stats != want.Stats || res.EdgeCut != want.EdgeCut {
-			t.Errorf("TrainFrac %v: stats %+v cut %d, want the default split's %+v cut %d",
-				frac, res.Stats, res.EdgeCut, want.Stats, want.EdgeCut)
-		}
-	}
-}
-
 // TestPartitionCountBound: k is capped by the lookup tables' one-byte
 // partition ids; the cap is an error up front, not a panic in phase 3.
 func TestPartitionCountBound(t *testing.T) {
@@ -275,9 +253,9 @@ func TestDisableReplicationAblation(t *testing.T) {
 		Users: 200, Items: 100, Communities: 2, Txns: cut(1500, 800), Seed: 6,
 	})
 	res := runPipeline(t, w, 2, Options{Seed: 2, DisableReplication: true})
-	for id, parts := range res.Assignments {
+	for d, parts := range res.Assignments {
 		if len(parts) > 1 {
-			t.Fatalf("tuple %v replicated with replication disabled", id)
+			t.Fatalf("tuple %v replicated with replication disabled", res.Tuples[d])
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -24,38 +26,39 @@ func explain(res *Result, train *workload.Trace, in Input, opts Options) *partit
 	}
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
 
-	// Group assigned tuples by table, deterministically ordered.
-	byTable := make(map[string][]workload.TupleID)
-	for id := range res.Assignments {
-		byTable[id.Table] = append(byTable[id.Table], id)
+	// The assigned tuples' dense ids in (table, key) order: one run per
+	// table, tables and keys ascending.
+	order := make([]int32, len(res.Tuples))
+	for d := range order {
+		order[d] = int32(d)
 	}
-	tables := make([]string, 0, len(byTable))
-	for t := range byTable {
-		tables = append(tables, t)
-		sort.Slice(byTable[t], func(i, j int) bool { return byTable[t][i].Key < byTable[t][j].Key })
-	}
-	sort.Strings(tables)
+	slices.SortFunc(order, func(a, b int32) int {
+		ta, tb := res.Tuples[a], res.Tuples[b]
+		return cmp.Or(cmp.Compare(ta.Table, tb.Table), cmp.Compare(ta.Key, tb.Key))
+	})
 
 	out := &partition.Range{K: res.K, Tables: make(map[string]*partition.TableRules)}
-	explained := 0
-	for _, table := range tables {
-		tr := explainTable(res, table, byTable[table], counts, in, opts, rng)
-		if tr == nil {
-			continue
+	for lo, hi := 0, 0; lo < len(order); lo = hi {
+		table := res.Tuples[order[lo]].Table
+		hi = lo + 1
+		for hi < len(order) && res.Tuples[order[hi]].Table == table {
+			hi++
 		}
-		out.Tables[table] = tr
-		explained++
+		if tr := explainTable(res, table, order[lo:hi], counts, in, opts, rng); tr != nil {
+			out.Tables[table] = tr
+		}
 	}
-	if explained == 0 {
+	if len(out.Tables) == 0 {
 		return nil
 	}
 	return out
 }
 
-// explainTable learns predicate rules for one table, or returns nil.
-func explainTable(res *Result, table string, tuples []workload.TupleID, counts map[featsel.TableColumn]int, in Input, opts Options, rng *rand.Rand) *partition.TableRules {
+// explainTable learns predicate rules for one table, or returns nil;
+// tuples are the table's dense ids in key order.
+func explainTable(res *Result, table string, tuples []int32, counts map[featsel.TableColumn]int, in Input, opts Options, rng *rand.Rand) *partition.TableRules {
 	// Candidate attributes: frequently used in WHERE clauses (§5.2).
-	candidates := featsel.Frequent(counts, table, opts.MinAttrFrac)
+	candidates := featsel.Frequent(counts, table, minAttrFrac)
 	if len(candidates) == 0 {
 		return nil
 	}
@@ -65,7 +68,7 @@ func explainTable(res *Result, table string, tuples []workload.TupleID, counts m
 	if len(sample) > opts.TrainTuplesPerTable {
 		idx := rng.Perm(len(sample))[:opts.TrainTuplesPerTable]
 		sort.Ints(idx)
-		picked := make([]workload.TupleID, len(idx))
+		picked := make([]int32, len(idx))
 		for i, j := range idx {
 			picked[i] = sample[j]
 		}
@@ -78,8 +81,8 @@ func explainTable(res *Result, table string, tuples []workload.TupleID, counts m
 	var labelSets [][]int
 	var rows [][]datum.D
 	var labels []int
-	for _, id := range sample {
-		row := in.Resolver(id)
+	for _, d := range sample {
+		row := in.Resolver(res.Tuples[d])
 		if row == nil {
 			continue
 		}
@@ -87,12 +90,12 @@ func explainTable(res *Result, table string, tuples []workload.TupleID, counts m
 		for i, col := range candidates {
 			vals[i] = row.Get(col)
 		}
-		key := setKey(res.Assignments[id])
+		key := setKey(res.Assignments[d])
 		l, ok := labelOf[key]
 		if !ok {
 			l = len(labelSets)
 			labelOf[key] = l
-			labelSets = append(labelSets, res.Assignments[id])
+			labelSets = append(labelSets, res.Assignments[d])
 		}
 		rows = append(rows, vals)
 		labels = append(labels, l)

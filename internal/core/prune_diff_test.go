@@ -176,8 +176,8 @@ func TestPruneWriteReplicasMatchesReference(t *testing.T) {
 			want := make([][]int, len(got))
 			copy(want, got)
 
-			wantN := referencePruneWriteReplicas(tc.trace, g.Intern.Tuples(), want, 0.15)
-			gotN := pruneWriteReplicas(tc.trace, g.Intern, got, 0.15)
+			wantN := referencePruneWriteReplicas(tc.trace, g.Intern.Tuples(), want, readMostlyWriteFrac)
+			gotN := pruneWriteReplicas(tc.trace, g.Intern, got, tc.k)
 			if gotN != wantN {
 				t.Fatalf("pruned %d tuples, reference %d", gotN, wantN)
 			}
@@ -187,6 +187,20 @@ func TestPruneWriteReplicasMatchesReference(t *testing.T) {
 			for d := range got {
 				if !reflect.DeepEqual(got[d], want[d]) {
 					t.Fatalf("tuple %v: set %v, reference %v", g.Intern.TupleOf(int32(d)), got[d], want[d])
+				}
+			}
+			// Equal sets share one slice after pruning too: a demoted
+			// tuple takes its home's singleton, not a []int{home} of its
+			// own.
+			shared := map[int]*int{}
+			for d, set := range got {
+				if len(set) != 1 {
+					continue
+				}
+				if first, ok := shared[set[0]]; !ok {
+					shared[set[0]] = &set[0]
+				} else if first != &set[0] {
+					t.Fatalf("tuple %v: its set %v has its own array, not the one its equals share", g.Intern.TupleOf(int32(d)), set)
 				}
 			}
 		})

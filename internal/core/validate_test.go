@@ -184,9 +184,9 @@ func (f rowFunc) Get(column string) datum.D { return f(column) }
 // spreads load, and treat k = 1 as trivially balanced.
 func TestBalancedRejectsFunnel(t *testing.T) {
 	const k = 4
-	asg := make(map[workload.TupleID][]int)
-	for i := 0; i < 100; i++ {
-		asg[workload.TupleID{Table: "t", Key: int64(i)}] = []int{i % k}
+	tuples := make([]workload.TupleID, 100)
+	for i := range tuples {
+		tuples[i] = workload.TupleID{Table: "t", Key: int64(i)}
 	}
 	resolve := func(id workload.TupleID) partition.Row {
 		key := id.Key
@@ -195,10 +195,10 @@ func TestBalancedRejectsFunnel(t *testing.T) {
 	funnel := &partition.Range{K: k, Tables: map[string]*partition.TableRules{
 		"t": {Table: "t", Rules: []partition.RangeRule{{Parts: []int{0}}}, Default: []int{0}},
 	}}
-	if balanced(funnel, asg, resolve, k) {
+	if balanced(funnel, tuples, resolve, k) {
 		t.Error("funnel explanation accepted")
 	}
-	if !balanced(funnel, asg, resolve, 1) {
+	if !balanced(funnel, tuples, resolve, 1) {
 		t.Error("k=1 must always be balanced")
 	}
 	// Rules splitting on x = key mod k spread the load evenly.
@@ -209,7 +209,7 @@ func TestBalancedRejectsFunnel(t *testing.T) {
 			{Conds: []partition.RangeCond{{Column: "x", Op: dtree.CondLe, Value: datum.NewInt(2)}}, Parts: []int{2}},
 		}, Default: []int{3}},
 	}}
-	if !balanced(spread, asg, resolve, k) {
+	if !balanced(spread, tuples, resolve, k) {
 		t.Error("spread explanation rejected")
 	}
 }
@@ -223,7 +223,7 @@ func TestPipelineRejectsDegenerateExplanation(t *testing.T) {
 	res := runPipeline(t, w, 8, Options{Seed: 4})
 	if res.Range != nil {
 		// Any surviving explanation must itself be balanced.
-		if !balanced(res.Range, res.Assignments, w.Resolver(), 8) {
+		if !balanced(res.Range, res.Tuples, w.Resolver(), 8) {
 			t.Errorf("unbalanced explanation survived:\n%s", res.Report())
 		}
 	}

@@ -175,7 +175,7 @@ func runFig4Case(c fig4Case, s Scale) Fig4Row {
 	}
 	_, test := w.Trace.Split(0.5)
 	stored := 0
-	for id := range res.Assignments {
+	for _, id := range res.Tuples {
 		if tbl := w.DB.Table(id.Table); tbl != nil {
 			if _, ok := tbl.Get(id.Key); ok {
 				stored++

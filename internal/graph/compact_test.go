@@ -15,9 +15,9 @@ import (
 // compact-only trace (workload.FromCompact, or a live window snapshot)
 // and from its expanded twin, a plain trace with the same transactions.
 // The builds must be identical — CSR or hypergraph, groups, members,
-// node weights and tuple table — over the shaped traces and window
-// snapshots with and without decay, across the option matrix and the
-// §5.1 heuristics, which the build applies to the interned form.
+// node weights and tuple table — over the shaped traces and a window
+// snapshot, across the option matrix and the §5.1 heuristics, which the
+// build applies to the interned form.
 func TestCompactOnlyMatchesExpanded(t *testing.T) {
 	traces := map[string]*workload.Trace{}
 	for name, tr := range graph.ShapedTraces() {
@@ -26,14 +26,12 @@ func TestCompactOnlyMatchesExpanded(t *testing.T) {
 	tpcc := workloads.TPCC(workloads.TPCCConfig{
 		Warehouses: 2, Customers: 10, Items: 40, InitialOrders: 3, Txns: 400, Seed: 5,
 	}).Trace
-	for _, decay := range []float64{0, 0.9} {
-		// The window wraps, so it has reinterned before the snapshot.
-		w := live.NewWindow(live.WindowConfig{Capacity: 120, Decay: decay})
-		for _, tx := range tpcc.Txns {
-			w.Record(tx.Accesses)
-		}
-		traces[fmt.Sprintf("window-decay%v", decay)] = w.Snapshot()
+	// The window wraps, so it has reinterned before the snapshot.
+	w := live.NewWindow(live.WindowConfig{Capacity: 120})
+	for _, tx := range tpcc.Txns {
+		w.Record(tx.Accesses)
 	}
+	traces["window-decay0"] = w.Snapshot()
 	matrix := append(graph.OptsMatrix(),
 		graph.Options{Replication: true, Weights: graph.DataSizeWeight,
 			TupleSize: func(id workload.TupleID) int64 { return 10 + id.Key%7 }, Seed: 3},

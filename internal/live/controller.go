@@ -25,10 +25,6 @@ type Config struct {
 	// transactions (default 512; background mode only — synchronous
 	// callers decide when to Tick).
 	CheckEvery int
-	// CooldownTxns suppresses re-triggering until this many transactions
-	// have been captured after an adaptation, so the window refills with
-	// post-migration traffic (default half the window capacity).
-	CooldownTxns int
 	// Obs attaches an observability registry: per-cycle phase latency
 	// histograms (graph build, cut, relabel, plan, migrate), a
 	// capture-window depth gauge, and "migration" timeline events. Nil
@@ -41,9 +37,6 @@ func (c Config) withDefaults() Config {
 	c.Detector = c.Detector.withDefaults()
 	if c.CheckEvery <= 0 {
 		c.CheckEvery = 512
-	}
-	if c.CooldownTxns <= 0 {
-		c.CooldownTxns = c.Window.Capacity / 2
 	}
 	c.Repartition.K = c.K
 	return c
@@ -190,7 +183,9 @@ func (c *Controller) Tick() (*Adaptation, error) {
 	defer c.mu.Unlock()
 
 	total := c.win.Total()
-	if c.lastAdaptAt > 0 && total-c.lastAdaptAt < uint64(c.cfg.CooldownTxns) {
+	// Cool down after an adaptation until half a window of post-migration
+	// traffic has been captured.
+	if c.lastAdaptAt > 0 && total-c.lastAdaptAt < uint64(c.cfg.Window.Capacity/2) {
 		return nil, nil
 	}
 	snap := c.win.Snapshot()

@@ -6,12 +6,11 @@
 //   - a capture hook (cluster.Coordinator.SetCapture → Window.Record)
 //     streams every committed transaction's observed read/write set into a
 //     ring-buffered sliding window held in the dense interned
-//     representation, with optional exponential decay of repeated access
-//     signatures;
+//     representation;
 //   - a drift Detector periodically re-scores the deployed strategy
-//     against the live window via partition.EvaluateAssignmentsCompact and
-//     flags degradation of the distributed-transaction rate or of load
-//     balance;
+//     against the live window (ScoreWindow, over
+//     partition.EvaluateCompact) and flags degradation of the
+//     distributed-transaction rate or of load balance;
 //   - a Repartitioner rebuilds the window's hypergraph (graph.BuildHyper)
 //     and cuts it with metis.PartHKway, or refines the projected deployed
 //     placement with RefineHKway on warm cycles (holding one metis.Solver

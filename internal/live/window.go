@@ -11,15 +11,6 @@ type WindowConfig struct {
 	// Capacity is the number of most-recent transactions retained (ring
 	// buffer). Default 4096.
 	Capacity int
-	// Decay, when in (0,1), enables exponential decay of repeated access
-	// signatures: a transaction whose exact access pattern occurred o
-	// positions ago contributes Decay^o to its signature's weight, and
-	// snapshots emit each distinct signature round(total weight) times
-	// (minimum 1) instead of once per occurrence. Hot repeated patterns
-	// are therefore represented, but dominated by their recent
-	// occurrences; 0 disables (every windowed transaction is emitted
-	// as-is).
-	Decay float64
 }
 
 func (c WindowConfig) withDefaults() WindowConfig {
@@ -27,13 +18,6 @@ func (c WindowConfig) withDefaults() WindowConfig {
 		c.Capacity = 4096
 	}
 	return c
-}
-
-// windowTxn is one captured transaction: its packed dense accesses and the
-// 64-bit hash of that access sequence (the "signature").
-type windowTxn struct {
-	accs []uint32
-	sig  uint64
 }
 
 // Window is the live capture sink: a sliding window over the most recent
@@ -46,11 +30,10 @@ type windowTxn struct {
 // windowed tuple again. Safe for concurrent use.
 type Window struct {
 	mu    sync.Mutex
-	cfg   WindowConfig
-	ring  []windowTxn
-	head  int    // next slot to overwrite
-	count int    // live entries, <= Capacity
-	total uint64 // transactions ever recorded
+	ring  [][]uint32 // per transaction, its packed dense accesses
+	head  int        // next slot to overwrite
+	count int        // live entries, <= Capacity
+	total uint64     // transactions ever recorded
 
 	// in interns every tuple recorded since the last reintern, evicted
 	// ones included; live is how many of them the ring still referenced
@@ -72,7 +55,7 @@ type Window struct {
 // NewWindow returns an empty capture window.
 func NewWindow(cfg WindowConfig) *Window {
 	cfg = cfg.withDefaults()
-	return &Window{cfg: cfg, in: workload.NewInterner(), ring: make([]windowTxn, cfg.Capacity)}
+	return &Window{in: workload.NewInterner(), ring: make([][]uint32, cfg.Capacity)}
 }
 
 // Record captures one committed transaction's access set and returns the
@@ -88,8 +71,7 @@ func (w *Window) Record(accs []workload.Access) uint64 {
 	}
 	// Snapshot copies out under the lock, so nothing aliases the evicted
 	// slot's array.
-	slot := &w.ring[w.head]
-	packed := slot.accs[:0]
+	packed := w.ring[w.head][:0]
 	for _, a := range accs {
 		e := uint32(w.in.Intern(a.Tuple))
 		if a.Write {
@@ -97,7 +79,7 @@ func (w *Window) Record(accs []workload.Access) uint64 {
 		}
 		packed = append(packed, e)
 	}
-	*slot = windowTxn{accs: packed, sig: sigHash(packed)}
+	w.ring[w.head] = packed
 	w.head = (w.head + 1) % len(w.ring)
 	if w.count < len(w.ring) {
 		w.count++
@@ -110,10 +92,10 @@ func (w *Window) Record(accs []workload.Access) uint64 {
 	return w.total
 }
 
-// nth returns the i-th oldest windowed transaction.
-func (w *Window) nth(i int) *windowTxn {
+// nth returns the i-th oldest windowed transaction's packed accesses.
+func (w *Window) nth(i int) []uint32 {
 	oldest := (w.head - w.count + len(w.ring)) % len(w.ring)
-	return &w.ring[(oldest+i)%len(w.ring)]
+	return w.ring[(oldest+i)%len(w.ring)]
 }
 
 // beginPass starts a renumbering pass over the window's dense ids.
@@ -152,19 +134,17 @@ func (w *Window) passTuples(spare int) []workload.TupleID {
 }
 
 // reintern replaces the interner with one holding only the tuples the
-// ring still references and rewrites the ring to its ids. Signatures are
-// recomputed from the new ids, so a pattern recorded later still hashes
-// like its windowed occurrences. A reintern that keeps n tuples leaves
-// room for n more — which is when the next one is due — so it hashes
-// each kept tuple once and Record allocates nothing in between.
+// ring still references and rewrites the ring to its ids. A reintern that
+// keeps n tuples leaves room for n more — which is when the next one is
+// due — so it hashes each kept tuple once and Record allocates nothing in
+// between.
 func (w *Window) reintern() {
 	w.beginPass()
 	for i := 0; i < w.count; i++ {
-		t := w.nth(i)
-		for j, e := range t.accs {
-			t.accs[j] = w.renumber(e&^workload.WriteBit) | e&workload.WriteBit
+		accs := w.nth(i)
+		for j, e := range accs {
+			accs[j] = w.renumber(e&^workload.WriteBit) | e&workload.WriteBit
 		}
-		t.sig = sigHash(t.accs)
 	}
 	w.live = len(w.order)
 	w.in = workload.InternerOf(w.passTuples(w.live))
@@ -184,14 +164,9 @@ func (w *Window) Total() uint64 {
 	return w.total
 }
 
-// Snapshot materialises the windowed transactions, oldest first, as a
-// trace ready for graph construction or evaluation. Without decay every
-// windowed transaction appears exactly once. With decay, transactions
-// sharing an access signature collapse into the signature's first
-// occurrence repeated round(Σ Decay^offset) times (minimum 1, capped at
-// the occurrence count), biasing the snapshot toward patterns that are
-// recent, not merely frequent. Snapshots are deterministic functions of
-// the recorded sequence.
+// Snapshot materialises the windowed transactions, oldest first and each
+// exactly once, as a trace ready for graph construction or evaluation.
+// Snapshots are deterministic functions of the recorded sequence.
 //
 // The trace is compact-only (workload.FromCompact): the ring's dense ids
 // renumbered in order of first appearance in the snapshot, which is
@@ -205,84 +180,19 @@ func (w *Window) Snapshot() *workload.Trace {
 		return workload.NewTrace()
 	}
 
-	emit := w.copies()
-	txns, total := 0, 0
-	for i, n := range emit {
-		txns += int(n)
-		total += int(n) * len(w.nth(i).accs)
+	total := 0
+	for i := 0; i < w.count; i++ {
+		total += len(w.nth(i))
 	}
-	c := &workload.Compact{Off: make([]int32, 1, txns+1), Accs: make([]uint32, 0, total)}
+	c := &workload.Compact{Off: make([]int32, 1, w.count+1), Accs: make([]uint32, 0, total)}
 	w.beginPass()
 	for i := 0; i < w.count; i++ {
-		t := w.nth(i)
-		for copies := emit[i]; copies > 0; copies-- {
-			for _, e := range t.accs {
-				c.Accs = append(c.Accs, w.renumber(e&^workload.WriteBit)|e&workload.WriteBit)
-			}
-			c.Off = append(c.Off, int32(len(c.Accs)))
+		for _, e := range w.nth(i) {
+			c.Accs = append(c.Accs, w.renumber(e&^workload.WriteBit)|e&workload.WriteBit)
 		}
+		c.Off = append(c.Off, int32(len(c.Accs)))
 	}
 	c.In = workload.InternerOf(w.passTuples(0))
 	w.live = len(w.order)
 	return workload.FromCompact(c)
-}
-
-// copies returns, per windowed transaction (oldest first), how many
-// copies of it a snapshot emits. Without decay, one each. With decay,
-// round(Σ Decay^offset) over the occurrences of its signature for the
-// signature's oldest occurrence and zero for the later ones; offset o
-// counts back from the newest entry (o=0).
-func (w *Window) copies() []int32 {
-	emit := make([]int32, w.count)
-	if w.cfg.Decay <= 0 || w.cfg.Decay >= 1 {
-		for i := range emit {
-			emit[i] = 1
-		}
-		return emit
-	}
-	type sigAgg struct {
-		weight float64
-		occs   int
-		first  int // first (oldest) occurrence index
-	}
-	// One aggregate per distinct signature, kept in a slice the map indexes,
-	// so a snapshot allocates per array growth, not per signature.
-	var aggs []sigAgg
-	index := make(map[uint64]int32, w.count)
-	pow := 1.0
-	for i := w.count - 1; i >= 0; i-- {
-		sig := w.nth(i).sig
-		ai, ok := index[sig]
-		if !ok {
-			ai = int32(len(aggs))
-			index[sig] = ai
-			aggs = append(aggs, sigAgg{})
-		}
-		a := &aggs[ai]
-		a.weight += pow
-		a.occs++
-		a.first = i
-		pow *= w.cfg.Decay
-	}
-	for _, a := range aggs {
-		emit[a.first] = int32(min(max(int(a.weight+0.5), 1), a.occs))
-	}
-	return emit
-}
-
-// sigHash is an FNV-1a-style hash of the packed access sequence; it only
-// groups transactions for decay, so collisions merely merge their decayed
-// weights.
-func sigHash(packed []uint32) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, e := range packed {
-		h ^= uint64(e)
-		h *= prime64
-		h ^= h >> 29
-	}
-	return h
 }

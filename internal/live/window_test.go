@@ -74,44 +74,9 @@ func TestWindowSnapshotPreservesWritesAndOrder(t *testing.T) {
 	}
 }
 
-func TestWindowDecayCollapsesStaleRepeats(t *testing.T) {
-	// A signature repeated 10 times long ago, then fresher traffic: with
-	// decay the stale signature must shrink to far fewer than 10 copies;
-	// without decay the snapshot keeps every occurrence.
-	build := func(decay float64) *workload.Trace {
-		w := NewWindow(WindowConfig{Capacity: 64, Decay: decay})
-		for i := 0; i < 10; i++ {
-			w.Record([]workload.Access{acc(1, false), acc(2, true)})
-		}
-		for i := 0; i < 20; i++ {
-			w.Record([]workload.Access{acc(100+int64(i), true)})
-		}
-		return w.Snapshot()
-	}
-	plain := build(0)
-	if plain.Len() != 30 {
-		t.Fatalf("no-decay snapshot has %d txns, want 30", plain.Len())
-	}
-	decayed := build(0.9)
-	stale := 0
-	for _, tx := range expandTrace(decayed).Txns {
-		if tx.Accesses[0].Tuple.Key == 1 {
-			stale++
-		}
-	}
-	if stale < 1 || stale >= 5 {
-		t.Fatalf("stale signature emitted %d times, want in [1,5)", stale)
-	}
-	// Fresh singletons must all survive (each is its own signature with
-	// weight >= decay^19 rounding to 1).
-	if got := decayed.Len() - stale; got != 20 {
-		t.Fatalf("fresh txns = %d, want 20", got)
-	}
-}
-
 func TestWindowSnapshotDeterministic(t *testing.T) {
 	run := func() []string {
-		w := NewWindow(WindowConfig{Capacity: 16, Decay: 0.8})
+		w := NewWindow(WindowConfig{Capacity: 16})
 		for i := 0; i < 40; i++ {
 			w.Record([]workload.Access{acc(int64(i%7), i%3 == 0), acc(int64(i%5), false)})
 		}
@@ -125,39 +90,27 @@ func TestWindowSnapshotDeterministic(t *testing.T) {
 
 // TestWindowSnapshotSharedBacking pins the snapshot's allocation shape.
 // A constant number of objects, whatever the window's length: the packed
-// accesses, their offsets and the tuple table each come from one array,
-// and decay adds one aggregate array and its index map, not an aggregate
-// per distinct signature. And a byte budget: a snapshot is compact-only,
-// so it pays 4 B per access, 4 B per transaction and a 24 B TupleID per
-// distinct tuple, plus decay's per-signature bookkeeping — never a
-// 32 B workload.Access per access or a Txn per transaction.
+// accesses, their offsets and the tuple table each come from one array.
+// And a byte budget: a snapshot is compact-only, so it pays 4 B per
+// access, 4 B per transaction and a 24 B TupleID per distinct tuple —
+// never a 32 B workload.Access per access or a Txn per transaction.
 func TestWindowSnapshotSharedBacking(t *testing.T) {
-	for _, decay := range []float64{0, 0.9} {
-		w := NewWindow(WindowConfig{Capacity: 256, Decay: decay})
-		for i := 0; i < 300; i++ {
-			w.Record([]workload.Access{acc(int64(i), false), acc(int64(i+1), true), acc(int64(i%9), false)})
-		}
-		snap := w.Snapshot()
-		c := workload.CompactTrace(snap)
-		limit := 24
-		if decay > 0 {
-			limit = 48
-		}
-		if allocs := testing.AllocsPerRun(20, func() { w.Snapshot() }); allocs > float64(limit) {
-			t.Errorf("decay %v: Snapshot of %d txns made %.0f allocations, want <= %d", decay, snap.Len(), allocs, limit)
-		}
-		// Size classes round each array up by at most an eighth; decay's
-		// aggregates and index map cost under 96 B per windowed txn.
-		budget := (4*len(c.Accs)+4*len(c.Off)+24*c.NumTuples()+4*256)*9/8 + 1024
-		if decay > 0 {
-			budget += 96 * 256
-		}
-		bytes, _ := allocated(func() { w.Snapshot() })
-		t.Logf("decay %v: %d B for %d accesses, %d txns, %d tuples (%.1f B/access)",
-			decay, bytes, len(c.Accs), snap.Len(), c.NumTuples(), float64(bytes)/float64(len(c.Accs)))
-		if bytes > uint64(budget) {
-			t.Errorf("decay %v: Snapshot allocated %d B for %d accesses, budget %d B", decay, bytes, len(c.Accs), budget)
-		}
+	w := NewWindow(WindowConfig{Capacity: 256})
+	for i := 0; i < 300; i++ {
+		w.Record([]workload.Access{acc(int64(i), false), acc(int64(i+1), true), acc(int64(i%9), false)})
+	}
+	snap := w.Snapshot()
+	c := workload.CompactTrace(snap)
+	if allocs := testing.AllocsPerRun(20, func() { w.Snapshot() }); allocs > 24 {
+		t.Errorf("Snapshot of %d txns made %.0f allocations, want <= 24", snap.Len(), allocs)
+	}
+	// Size classes round each array up by at most an eighth.
+	budget := (4*len(c.Accs)+4*len(c.Off)+24*c.NumTuples())*9/8 + 1024
+	bytes, _ := allocated(func() { w.Snapshot() })
+	t.Logf("%d B for %d accesses, %d txns, %d tuples (%.1f B/access)",
+		bytes, len(c.Accs), snap.Len(), c.NumTuples(), float64(bytes)/float64(len(c.Accs)))
+	if bytes > uint64(budget) {
+		t.Errorf("Snapshot allocated %d B for %d accesses, budget %d B", bytes, len(c.Accs), budget)
 	}
 }
 
@@ -192,74 +145,70 @@ func checkCompactEqual(t *testing.T, name string, got, want *workload.Compact) {
 // TestSnapshotCompactMatchesIntern checks that the interned form a
 // snapshot carries is what interning its transactions yields — ids in
 // first-appearance order, the same packed accesses, the same tuple table
-// — for empty, partly filled and wrapped windows, with and without decay,
-// and that its interner's lazily built reverse maps answer Lookup for
+// — for empty, partly filled and wrapped windows, and that its interner's lazily built reverse maps answer Lookup for
 // every tuple when the first callers race.
 func TestSnapshotCompactMatchesIntern(t *testing.T) {
 	tables := []string{"t", "u", "v"}
-	for _, decay := range []float64{0, 0.9} {
-		for _, records := range []int{0, 1, 20, 64, 65, 700} {
-			name := fmt.Sprintf("decay %v, %d records", decay, records)
-			rng := rand.New(rand.NewSource(int64(records) + 1))
-			w := NewWindow(WindowConfig{Capacity: 64, Decay: decay})
-			for i := 0; i < records; i++ {
-				accs := make([]workload.Access, 1+rng.Intn(6))
-				for j := range accs {
-					// A small hot set (so signatures repeat and decay has
-					// something to collapse) and a tail of fresh keys (so
-					// the window reinterns along the way).
-					key := int64(rng.Intn(6))
-					if rng.Intn(3) == 0 {
-						key = int64(1000 + i)
-					}
-					accs[j] = workload.Access{
-						Tuple: workload.TupleID{Table: tables[rng.Intn(len(tables))], Key: key},
-						Write: rng.Intn(3) == 0,
+	for _, records := range []int{0, 1, 20, 64, 65, 700} {
+		name := fmt.Sprintf("%d records", records)
+		rng := rand.New(rand.NewSource(int64(records) + 1))
+		w := NewWindow(WindowConfig{Capacity: 64})
+		for i := 0; i < records; i++ {
+			accs := make([]workload.Access, 1+rng.Intn(6))
+			for j := range accs {
+				// A small hot set (so transactions repeat) and a tail of
+				// fresh keys (so the window reinterns along the way).
+				key := int64(rng.Intn(6))
+				if rng.Intn(3) == 0 {
+					key = int64(1000 + i)
+				}
+				accs[j] = workload.Access{
+					Tuple: workload.TupleID{Table: tables[rng.Intn(len(tables))], Key: key},
+					Write: rng.Intn(3) == 0,
+				}
+			}
+			w.Record(accs)
+		}
+		snap := w.Snapshot()
+		if want := min(records, 64); snap.Len() != want {
+			t.Fatalf("%s: snapshot has %d txns, want %d", name, snap.Len(), want)
+		}
+		// MemStats are process-wide and the runtime allocates now and
+		// then on its own, so a fresh snapshot gets three tries to show
+		// that CompactTrace hands back its form without computing one.
+		var got *workload.Compact
+		bytes := uint64(1)
+		for try := 0; try < 3 && bytes != 0; try++ {
+			snap = w.Snapshot()
+			bytes, _ = allocated(func() { got = workload.CompactTrace(snap) })
+		}
+		if records > 0 && bytes != 0 {
+			t.Fatalf("%s: CompactTrace of a snapshot allocated %d B: its interned form was not attached", name, bytes)
+		}
+		want := internedFresh(snap)
+		if got == want {
+			t.Fatalf("%s: reference shares the snapshot's memo", name)
+		}
+		checkCompactEqual(t, name, got, want)
+
+		// First use of the reverse maps, from 8 goroutines at once.
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for d, id := range got.In.Tuples() {
+					if ld, ok := got.In.Lookup(id); !ok || ld != int32(d) {
+						t.Errorf("%s: Lookup(%v) = %d,%v, want %d", name, id, ld, ok, d)
+						return
 					}
 				}
-				w.Record(accs)
-			}
-			snap := w.Snapshot()
-			if want := min(records, 64); decay == 0 && snap.Len() != want {
-				t.Fatalf("%s: snapshot has %d txns, want %d", name, snap.Len(), want)
-			}
-			// MemStats are process-wide and the runtime allocates now and
-			// then on its own, so a fresh snapshot gets three tries to show
-			// that CompactTrace hands back its form without computing one.
-			var got *workload.Compact
-			bytes := uint64(1)
-			for try := 0; try < 3 && bytes != 0; try++ {
-				snap = w.Snapshot()
-				bytes, _ = allocated(func() { got = workload.CompactTrace(snap) })
-			}
-			if records > 0 && bytes != 0 {
-				t.Fatalf("%s: CompactTrace of a snapshot allocated %d B: its interned form was not attached", name, bytes)
-			}
-			want := internedFresh(snap)
-			if got == want {
-				t.Fatalf("%s: reference shares the snapshot's memo", name)
-			}
-			checkCompactEqual(t, name, got, want)
-
-			// First use of the reverse maps, from 8 goroutines at once.
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for d, id := range got.In.Tuples() {
-						if ld, ok := got.In.Lookup(id); !ok || ld != int32(d) {
-							t.Errorf("%s: Lookup(%v) = %d,%v, want %d", name, id, ld, ok, d)
-							return
-						}
-					}
-					if _, ok := got.In.Lookup(workload.TupleID{Table: "t", Key: -1}); ok {
-						t.Errorf("%s: Lookup found a tuple the window never saw", name)
-					}
-				}()
-			}
-			wg.Wait()
+				if _, ok := got.In.Lookup(workload.TupleID{Table: "t", Key: -1}); ok {
+					t.Errorf("%s: Lookup found a tuple the window never saw", name)
+				}
+			}()
 		}
+		wg.Wait()
 	}
 }
 
@@ -279,60 +228,58 @@ func TestWindowInternerBounded(t *testing.T) {
 	txn := func(i int) []workload.Access {
 		return []workload.Access{acc(int64(i%5), false), acc(int64(1000+2*i), true), acc(int64(1001+2*i), false)}
 	}
-	for _, decay := range []float64{0, 0.9} {
-		w := NewWindow(WindowConfig{Capacity: capacity, Decay: decay})
-		peak, shrunk := 0, 0
-		for i := 0; i < 12*capacity; i++ {
-			before := internerLen(w)
-			w.Record(txn(i))
-			n := internerLen(w)
-			if n < before {
-				shrunk++
-			}
-			distinct := map[workload.TupleID]bool{}
-			for j := max(0, i-capacity+1); j <= i; j++ {
-				for _, a := range txn(j) {
-					distinct[a.Tuple] = true
-				}
-			}
-			if i >= capacity && n > 2*len(distinct) {
-				t.Fatalf("decay %v: after %d records the interner holds %d tuples, the window %d", decay, i+1, n, len(distinct))
-			}
-			peak = max(peak, n)
+	w := NewWindow(WindowConfig{Capacity: capacity})
+	peak, shrunk := 0, 0
+	for i := 0; i < 12*capacity; i++ {
+		before := internerLen(w)
+		w.Record(txn(i))
+		n := internerLen(w)
+		if n < before {
+			shrunk++
 		}
-		// Amortised: a reintern is due only after as many new tuples as
-		// the last one kept (~2 per transaction here, ~133 kept).
-		if shrunk == 0 || shrunk > 12 {
-			t.Errorf("decay %v: interner shrank %d times over %d records (peak %d)", decay, shrunk, 12*capacity, peak)
+		distinct := map[workload.TupleID]bool{}
+		for j := max(0, i-capacity+1); j <= i; j++ {
+			for _, a := range txn(j) {
+				distinct[a.Tuple] = true
+			}
 		}
+		if i >= capacity && n > 2*len(distinct) {
+			t.Fatalf("after %d records the interner holds %d tuples, the window %d", i+1, n, len(distinct))
+		}
+		peak = max(peak, n)
+	}
+	// Amortised: a reintern is due only after as many new tuples as
+	// the last one kept (~2 per transaction here, ~133 kept).
+	if shrunk == 0 || shrunk > 12 {
+		t.Errorf("interner shrank %d times over %d records (peak %d)", shrunk, 12*capacity, peak)
+	}
 
-		before := w.Snapshot()
-		w.mu.Lock()
-		w.reintern()
-		w.mu.Unlock()
-		after := w.Snapshot()
-		if !reflect.DeepEqual(traceKeys(before), traceKeys(after)) {
-			t.Fatalf("decay %v: snapshot changed across a reintern:\n%v\n%v", decay, traceKeys(before), traceKeys(after))
-		}
-		checkCompactEqual(t, fmt.Sprintf("decay %v, across a reintern", decay), workload.CompactTrace(after), workload.CompactTrace(before))
+	before := w.Snapshot()
+	w.mu.Lock()
+	w.reintern()
+	w.mu.Unlock()
+	after := w.Snapshot()
+	if !reflect.DeepEqual(traceKeys(before), traceKeys(after)) {
+		t.Fatalf("snapshot changed across a reintern:\n%v\n%v", traceKeys(before), traceKeys(after))
+	}
+	checkCompactEqual(t, "across a reintern", workload.CompactTrace(after), workload.CompactTrace(before))
 
-		// A pattern recorded after a reintern must still collapse with its
-		// windowed occurrences: recompute-or-keep-consistent signatures.
-		plain := NewWindow(WindowConfig{Capacity: capacity, Decay: decay})
-		forced := NewWindow(WindowConfig{Capacity: capacity, Decay: decay})
-		for i := 0; i < 3*capacity; i++ {
-			accs := []workload.Access{acc(int64(i%4), true), acc(int64(i%3), false), acc(int64(5000+i/8), false)}
-			plain.Record(accs)
-			forced.Record(accs)
-			if i%17 == 0 {
-				forced.mu.Lock()
-				forced.reintern()
-				forced.mu.Unlock()
-			}
+	// Reinterning mid-stream, as often as every 17 records, must not
+	// change what the window reports.
+	plain := NewWindow(WindowConfig{Capacity: capacity})
+	forced := NewWindow(WindowConfig{Capacity: capacity})
+	for i := 0; i < 3*capacity; i++ {
+		accs := []workload.Access{acc(int64(i%4), true), acc(int64(i%3), false), acc(int64(5000+i/8), false)}
+		plain.Record(accs)
+		forced.Record(accs)
+		if i%17 == 0 {
+			forced.mu.Lock()
+			forced.reintern()
+			forced.mu.Unlock()
 		}
-		if a, b := traceKeys(plain.Snapshot()), traceKeys(forced.Snapshot()); !reflect.DeepEqual(a, b) {
-			t.Fatalf("decay %v: reinterning mid-stream changed the snapshot:\n%v\n%v", decay, a, b)
-		}
+	}
+	if a, b := traceKeys(plain.Snapshot()), traceKeys(forced.Snapshot()); !reflect.DeepEqual(a, b) {
+		t.Fatalf("reinterning mid-stream changed the snapshot:\n%v\n%v", a, b)
 	}
 }
 

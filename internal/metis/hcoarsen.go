@@ -236,7 +236,7 @@ const cliqueCap = 16
 // with pair weight ⌈16·w/(s−1)⌉-ish (fixed-point of the standard w/(s−1)
 // clique scaling, so 2-pin nets keep their exact relative weight), or a
 // star for nets above cliqueCap. Expansion is quadratic per net but the
-// coarsest hypergraph is at most CoarsenTo nodes with merged nets, so
+// coarsest hypergraph is at most coarsenTo(k) nodes with merged nets, so
 // it is cheap — the whole point of coarsening before expanding.
 //
 // The expansion only seeds the initial partition, so pair weights whose

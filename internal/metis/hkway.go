@@ -40,12 +40,12 @@ func (s *Solver) PartHKway(h *HGraph, k int, opts Options) ([]int32, int64, erro
 		}
 		return parts, h.ConnectivityCost(parts, n), nil
 	}
-	opts = opts.withDefaults(k)
+	opts = opts.withDefaults()
 	s.src.Seed(opts.Seed)
 
 	s.sizeRefineScratch(h.TotalNodeWeight(), k, opts.Imbalance)
 
-	numLevels := s.hcoarsen(h, opts.CoarsenTo)
+	numLevels := s.hcoarsen(h, coarsenTo(k))
 	coarsest := s.hlevelGraph(h, numLevels-1)
 
 	cparts := parts
@@ -67,7 +67,7 @@ func (s *Solver) PartHKway(h *HGraph, k int, opts Options) ([]int32, int64, erro
 	// hrebalance runs at every level, including the coarsest.
 	s.hseedRefinement(coarsest, cparts, k)
 	s.hrebalance(coarsest, cparts, k)
-	s.hkwayRefine(coarsest, cparts, k, opts.Passes)
+	s.hkwayRefine(coarsest, cparts, k, refinePasses)
 	for li := numLevels - 2; li >= 0; li-- {
 		fh := s.hlevelGraph(h, li)
 		fn := fh.NumNodes()
@@ -83,7 +83,7 @@ func (s *Solver) PartHKway(h *HGraph, k int, opts Options) ([]int32, int64, erro
 		}
 		s.hseedRefinement(fh, fparts, k)
 		s.hrebalance(fh, fparts, k)
-		s.hkwayRefine(fh, fparts, k, opts.Passes)
+		s.hkwayRefine(fh, fparts, k, refinePasses)
 		cparts = fparts
 	}
 	// The refinement state holds each finest-level net's λ in hpLen, so

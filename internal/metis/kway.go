@@ -10,28 +10,20 @@ type Options struct {
 	Imbalance float64
 	// Seed drives all randomised decisions; equal seeds give equal output.
 	Seed int64
-	// Passes bounds refinement passes per level (default 8).
-	Passes int
-	// CoarsenTo stops coarsening once the graph is at most this many nodes
-	// (default max(100, 15*k)).
-	CoarsenTo int
 }
 
-func (o Options) withDefaults(k int) Options {
+func (o Options) withDefaults() Options {
 	if o.Imbalance <= 1 {
 		o.Imbalance = 1.05
 	}
-	if o.Passes <= 0 {
-		o.Passes = 8
-	}
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 15 * k
-		if o.CoarsenTo < 100 {
-			o.CoarsenTo = 100
-		}
-	}
 	return o
 }
+
+// refinePasses bounds the refinement passes per level.
+const refinePasses = 8
+
+// coarsenTo is the node count at which coarsening for a k-way cut stops.
+func coarsenTo(k int) int { return max(100, 15*k) }
 
 // PartKway partitions g into k balanced parts minimising the weighted edge
 // cut, in the style of METIS kmetis (§4.2 of the Schism paper). It returns
@@ -66,7 +58,7 @@ func (s *Solver) PartKway(g *Graph, k int, opts Options) ([]int32, int64, error)
 		}
 		return parts, g.EdgeCut(parts), nil
 	}
-	opts = opts.withDefaults(k)
+	opts = opts.withDefaults()
 	s.src.Seed(opts.Seed)
 
 	// Size the k-dependent scratch. conn must start all-zero: refinement
@@ -78,7 +70,7 @@ func (s *Solver) PartKway(g *Graph, k int, opts Options) ([]int32, int64, error)
 	s.pw = growI64(s.pw, k)
 	s.maxPW = growI64(s.maxPW, k)
 
-	numLevels := s.coarsen(g, opts.CoarsenTo)
+	numLevels := s.coarsen(g, coarsenTo(k))
 	coarsest := s.levelGraph(g, numLevels-1)
 
 	s.targets = growF64(s.targets, k)
@@ -114,9 +106,9 @@ func (s *Solver) PartKway(g *Graph, k int, opts Options) ([]int32, int64, error)
 	// climbing with rollback); k > 2 gets the greedy boundary pass.
 	refine := func(lg *Graph, lparts []int32) {
 		if k == 2 {
-			s.fmRefine2(lg, lparts, opts.Passes)
+			s.fmRefine2(lg, lparts, refinePasses)
 		} else {
-			s.kwayRefine(lg, lparts, k, opts.Passes)
+			s.kwayRefine(lg, lparts, k, refinePasses)
 		}
 	}
 	s.seedRefinement(coarsest, cparts, k)

@@ -26,10 +26,10 @@ func naivePartKway(g *Graph, k int, opts Options) ([]int32, int64, error) {
 		}
 		return parts, g.EdgeCut(parts), nil
 	}
-	opts = opts.withDefaults(k)
+	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	levels := naiveCoarsen(g, opts.CoarsenTo, rng)
+	levels := naiveCoarsen(g, coarsenTo(k), rng)
 	coarsest := levels[len(levels)-1].g
 
 	targets := make([]float64, k)
@@ -48,7 +48,7 @@ func naivePartKway(g *Graph, k int, opts Options) ([]int32, int64, error) {
 		maxPW[p] = m
 	}
 
-	naiveKwayRefine(coarsest, cparts, k, maxPW, opts.Passes, rng)
+	naiveKwayRefine(coarsest, cparts, k, maxPW, refinePasses, rng)
 	for li := len(levels) - 2; li >= 0; li-- {
 		fine := levels[li]
 		fparts := make([]int32, fine.g.NumNodes())
@@ -56,7 +56,7 @@ func naivePartKway(g *Graph, k int, opts Options) ([]int32, int64, error) {
 			fparts[u] = cparts[fine.cmap[u]]
 		}
 		naiveRebalance(fine.g, fparts, k, maxPW, rng)
-		naiveKwayRefine(fine.g, fparts, k, maxPW, opts.Passes, rng)
+		naiveKwayRefine(fine.g, fparts, k, maxPW, refinePasses, rng)
 		cparts = fparts
 	}
 	return cparts, g.EdgeCut(cparts), nil

@@ -38,13 +38,13 @@ func (s *Solver) RefineHKway(h *HGraph, k int, parts []int32, opts Options) (int
 		}
 		return 0, nil
 	}
-	opts = opts.withDefaults(k)
+	opts = opts.withDefaults()
 	s.src.Seed(opts.Seed)
 	s.sizeRefineScratch(h.TotalNodeWeight(), k, opts.Imbalance)
 
 	s.hseedRefinement(h, parts, k)
 	s.hrebalance(h, parts, k)
-	s.hkwayRefine(h, parts, k, opts.Passes)
+	s.hkwayRefine(h, parts, k, refinePasses)
 	var cost int64
 	for e := int32(0); int(e) < h.NumNets(); e++ {
 		if lambda := int64(s.hpLen[e]); lambda > 1 {

@@ -19,7 +19,7 @@ func randomLabels(n, k int, seed int64) []int32 {
 // checkBalance asserts no partition exceeds the cap RefineHKway enforces.
 func checkBalance(t *testing.T, h *HGraph, parts []int32, k int, opts Options) {
 	t.Helper()
-	opts = opts.withDefaults(k)
+	opts = opts.withDefaults()
 	total := h.TotalNodeWeight()
 	maxPW := int64(float64(total) / float64(k) * opts.Imbalance)
 	if ceil := (total + int64(k) - 1) / int64(k); maxPW < ceil {
