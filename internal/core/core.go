@@ -298,13 +298,13 @@ func balanced(r *partition.Range, tuples []workload.TupleID, resolve partition.R
 	return true
 }
 
-// pruneWriteReplicas demotes replicated write-hot tuples to a single
-// home, returning how many tuples were demoted: those whose accesses are
-// more than readMostlyWriteFrac writes. Replication only pays
-// for itself on read-mostly tuples (§2, §4.1): every write to a
-// replicated tuple must reach all replicas, so a write-hot tuple that
-// the balance-pressured min-cut happened to split across partitions
-// turns each of its writers into a distributed transaction. The star
+// pruneWriteReplicas demotes replicated write-hot tuples (more than
+// readMostlyWriteFrac of their accesses are writes) to a single home,
+// returning how many tuples were demoted. Replication only pays for
+// itself on read-mostly tuples (§2, §4.1): every write to a replicated
+// tuple must reach all replicas, so a write-hot tuple that the
+// balance-pressured min-cut happened to split across partitions turns
+// each of its writers into a distributed transaction. The star
 // expansion prices this (centre-replica edges weigh the update count),
 // but at small graph sizes balance pressure can overrule it; this pass
 // restores the paper's invariant. The home kept is the replica where the
