@@ -1,10 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus ablations of the design choices called out in
-// DESIGN.md. Each benchmark runs a scaled-down ("quick") configuration of
-// the corresponding experiment; cmd/experiments runs the full versions and
-// prints the paper-style tables.
+// Benchmarks of the partitioner and the live repartitioning cycle at
+// TPCC-50W trace scale, plus ablations of the design choices called out
+// in DESIGN.md. cmd/experiments regenerates the paper's tables and
+// figures; the tests in internal/experiments check them.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 package schism_test
 
 import (
@@ -12,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"schism/internal/experiments"
 	"schism/internal/graph"
 	"schism/internal/live"
 	"schism/internal/metis"
@@ -20,8 +18,6 @@ import (
 	"schism/internal/workload"
 	"schism/internal/workloads"
 )
-
-var quick = experiments.Scale{Quick: true}
 
 // mustBuild unwraps graph.Build/BuildHyper for known-valid options.
 func mustBuild(g *graph.Graph, err error) *graph.Graph {
@@ -112,9 +108,9 @@ func BenchmarkPartHKway(b *testing.B) {
 }
 
 // BenchmarkLiveRepartition measures one incremental-repartitioning cycle
-// of the live control loop at TPCC-50W trace scale (scripts/bench.sh
-// snapshots it into BENCH_<n>.json, and the bench-smoke CI gate requires
-// warm < cold).
+// of the live control loop at TPCC-50W trace scale (internal/live's
+// TestWarmCycleCheaperThanFull asserts, on a smaller window, that a warm
+// cycle allocates a fraction of a full one).
 //
 // Both arms build the window's hypergraph; they differ in the cut.
 //
@@ -221,91 +217,6 @@ func BenchmarkLiveRepartition(b *testing.B) {
 		}
 		measure(b, rep, converged.LocateFunc(), live.ModeWarm)
 	})
-}
-
-// BenchmarkFigure1 regenerates Fig. 1 (the price of distribution): the
-// reported metric is the distributed/single throughput ratio at the
-// largest cluster (paper: ~0.5).
-func BenchmarkFigure1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig1(experiments.Fig1Config{MaxServers: 3}, quick)
-		last := rows[len(rows)-1]
-		if last.SingleTPS > 0 {
-			b.ReportMetric(last.DistributedTPS/last.SingleTPS, "dist/single-tps")
-		}
-	}
-}
-
-// BenchmarkFigure4 regenerates each of the nine Fig. 4 experiments; the
-// reported metric is the chosen strategy's distributed-transaction
-// percentage.
-func BenchmarkFigure4(b *testing.B) {
-	for _, name := range []string{
-		"YCSB-A", "YCSB-E", "TPCC-2W", "TPCC-2W sampled", "TPCC-50W",
-		"TPC-E", "EPINIONS 2p", "EPINIONS 10p", "RANDOM",
-	} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				row, err := experiments.Fig4Case(name, quick)
-				if err != nil {
-					b.Fatal(err)
-				}
-				chosen := row.Schism
-				switch row.Chosen {
-				case "range-predicates":
-					chosen = row.Range
-				case "hashing":
-					chosen = row.Hashing
-				case "replication":
-					chosen = row.Replication
-				}
-				b.ReportMetric(100*chosen, "%distributed")
-				if row.Manual >= 0 {
-					b.ReportMetric(100*row.Manual, "%manual")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFigure5 regenerates Fig. 5 (partitioner scalability); the
-// metric is the seconds at the largest partition count on the largest
-// graph.
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig5([]int{2, 8, 32}, quick)
-		b.ReportMetric(rows[len(rows)-1].Seconds, "s/512way-equiv")
-	}
-}
-
-// BenchmarkFigure6 regenerates Fig. 6 (end-to-end TPC-C scaling); metrics
-// are the speedups at the largest cluster for both configurations
-// (paper: ~4.7x fixed, ~7.7x per-machine at 8 nodes).
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig6(experiments.Fig6Config{Partitions: []int{1, 2, 4}}, quick)
-		first, last := rows[0], rows[len(rows)-1]
-		if first.FixedTotalTPS > 0 {
-			b.ReportMetric(last.FixedTotalTPS/first.FixedTotalTPS, "fixed-speedup")
-		}
-		if first.PerMachineTPS > 0 {
-			b.ReportMetric(last.PerMachineTPS/first.PerMachineTPS, "permachine-speedup")
-		}
-	}
-}
-
-// BenchmarkTable1 regenerates Table 1 (graph construction at the three
-// dataset shapes); the metric is total edges built.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1(quick)
-		edges := 0
-		for _, r := range rows {
-			edges += r.Edges
-		}
-		b.ReportMetric(float64(edges), "edges")
-	}
 }
 
 // epinionsTrace builds the ablation workload once per benchmark.

@@ -55,7 +55,7 @@ func main() {
 			ran = true
 		}
 	}
-	do("fig1", func() { experiments.PrintFig1(os.Stdout, experiments.Fig1(experiments.Fig1Config{}, s)) })
+	do("fig1", func() { experiments.PrintFig1(os.Stdout, experiments.Fig1(s)) })
 	do("fig4", func() { experiments.PrintFig4(os.Stdout, experiments.Fig4(s)) })
 	do("fig5", func() {
 		ks := []int{2, 4, 8, 16, 32, 64, 128, 256, 512}
@@ -64,7 +64,7 @@ func main() {
 		}
 		experiments.PrintFig5(os.Stdout, experiments.Fig5(ks, s))
 	})
-	do("fig6", func() { experiments.PrintFig6(os.Stdout, experiments.Fig6(experiments.Fig6Config{}, s)) })
+	do("fig6", func() { experiments.PrintFig6(os.Stdout, experiments.Fig6(s)) })
 	do("table1", func() { experiments.PrintTable1(os.Stdout, experiments.Table1(s)) })
 	do("hyper", func() {
 		ks := []int{2, 8, 64}
@@ -82,7 +82,7 @@ func main() {
 		experiments.PrintBench(os.Stdout, res)
 	})
 	do("failover", func() {
-		rows, err := experiments.Failover(experiments.FailoverConfig{}, s)
+		rows, err := experiments.Failover(s)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "failover:", err)
 			os.Exit(1)

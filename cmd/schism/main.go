@@ -12,33 +12,9 @@
 // for the hypergraph-native representation (one net per transaction,
 // partitioned on the connectivity metric).
 //
-// The drift subcommand runs the internal/live online-repartitioning loop
-// against a shifting workload (deterministic control-loop simulation plus
-// a live cluster run with tuple migration under traffic):
-//
-//	schism drift -scenario ycsb|tpcc [-scale n] [-quick] [-sim-only] [-obs addr]
-//
-// The adapt subcommand compares warm-start (refine-only, drift-gated)
-// repartitioning cycles against from-scratch full cuts on the drift
-// scenarios, reporting per-cycle mode, cycle time, movement, and
-// distributed rate:
-//
-//	schism adapt -scenario ycsb|tpcc [-scale n] [-quick]
-//
-// The bench subcommand runs the end-to-end strategy-comparison benchmark:
-// concurrent closed-loop (or open-loop) clients drive identical TPC-C
-// transaction streams through a simulated cluster under Schism lookup
-// routing vs hash vs range vs full-replication, reporting throughput,
-// p50/p95/p99 latency, distributed-transaction rate, abort rate, and
-// per-node load imbalance:
-//
-//	schism bench [-warehouses 8] [-partitions 4] [-clients 8] [-quick]
-//	             [-measure 2s] [-rate 0] [-strategies schism,hash,...]
-//	             [-obs addr]
-//
-// Both subcommands accept -obs addr to serve the run's metrics registry
-// over HTTP while it executes: a JSON snapshot at /metrics, expvar at
-// /debug/vars, and pprof at /debug/pprof/.
+// The online-repartitioning loop, the warm-start comparison and the
+// end-to-end strategy comparison run from cmd/experiments
+// (experiments -run drift|adapt|bench).
 package main
 
 import (
@@ -48,127 +24,11 @@ import (
 	"strings"
 
 	"schism/internal/core"
-	"schism/internal/experiments"
 	"schism/internal/graph"
-	"schism/internal/obs"
 	"schism/internal/workloads"
 )
 
-// serveObs starts the observability HTTP endpoint (JSON metrics snapshot
-// at /metrics, expvar at /debug/vars, pprof at /debug/pprof/) when addr
-// is non-empty.
-func serveObs(addr string) {
-	if addr == "" {
-		return
-	}
-	bound, err := obs.Serve(addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schism: obs:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("observability endpoint on http://%s/metrics\n", bound)
-}
-
-// driftMain drives the online-repartitioning experiment.
-func driftMain(args []string) {
-	fs := flag.NewFlagSet("drift", flag.ExitOnError)
-	scenario := fs.String("scenario", "ycsb", "drift scenario: ycsb|tpcc")
-	scale := fs.Int("scale", 1, "dataset scale factor")
-	quick := fs.Bool("quick", false, "tiny datasets for smoke runs")
-	simOnly := fs.Bool("sim-only", false, "run only the deterministic control-loop simulation")
-	obsAddr := fs.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-	fs.Parse(args)
-	serveObs(*obsAddr)
-
-	s := experiments.Scale{Factor: *scale, Quick: *quick}
-	if *simOnly {
-		sim, err := experiments.DriftSimRun(*scenario, s)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "schism drift:", err)
-			os.Exit(1)
-		}
-		experiments.PrintDrift(os.Stdout, experiments.DriftResult{Sim: sim})
-		return
-	}
-	res, err := experiments.Drift(*scenario, s)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schism drift:", err)
-		os.Exit(1)
-	}
-	experiments.PrintDrift(os.Stdout, res)
-}
-
-// adaptMain drives the warm-start vs full-cut cycle comparison.
-func adaptMain(args []string) {
-	fs := flag.NewFlagSet("adapt", flag.ExitOnError)
-	scenario := fs.String("scenario", "ycsb", "drift scenario: ycsb|tpcc")
-	scale := fs.Int("scale", 1, "dataset scale factor")
-	quick := fs.Bool("quick", false, "tiny datasets for smoke runs")
-	obsAddr := fs.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-	fs.Parse(args)
-	serveObs(*obsAddr)
-
-	res, err := experiments.Adapt(*scenario, experiments.Scale{Factor: *scale, Quick: *quick})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schism adapt:", err)
-		os.Exit(1)
-	}
-	experiments.PrintAdapt(os.Stdout, res)
-}
-
-// benchMain drives the strategy-comparison benchmark.
-func benchMain(args []string) {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	warehouses := fs.Int("warehouses", 0, "TPC-C warehouses (0 = default 8)")
-	partitions := fs.Int("partitions", 0, "cluster nodes / partitions k (0 = default 4)")
-	clients := fs.Int("clients", 0, "concurrent clients (0 = 2*partitions)")
-	warmup := fs.Duration("warmup", 0, "warmup phase (0 = scale default, negative = none)")
-	measure := fs.Duration("measure", 0, "measurement phase (0 = scale default)")
-	rate := fs.Float64("rate", 0, "open-loop arrival rate, txns/s (0 = closed loop)")
-	logForce := fs.Duration("log-force", 0, "commit-log flush latency (0 = default 5ms, negative = none)")
-	netDelay := fs.Duration("net-delay", 0, "one-way network latency (0 = none)")
-	seed := fs.Int64("seed", 0, "random seed (0 = default)")
-	scale := fs.Int("scale", 1, "dataset scale factor")
-	quick := fs.Bool("quick", false, "tiny datasets for smoke runs")
-	strategies := fs.String("strategies", "", "comma-separated subset of schism,hash,range,replication")
-	obsAddr := fs.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-	fs.Parse(args)
-	serveObs(*obsAddr)
-
-	cfg := experiments.BenchConfig{
-		Warehouses: *warehouses, Partitions: *partitions, Clients: *clients,
-		Warmup: *warmup, Measure: *measure, Rate: *rate,
-		LogForce: *logForce, NetworkDelay: *netDelay, Seed: *seed,
-		Obs: true,
-	}
-	if *strategies != "" {
-		for _, s := range strings.Split(*strategies, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				cfg.Strategies = append(cfg.Strategies, s)
-			}
-		}
-	}
-	res, err := experiments.Bench(cfg, experiments.Scale{Factor: *scale, Quick: *quick})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schism bench:", err)
-		os.Exit(1)
-	}
-	experiments.PrintBench(os.Stdout, res)
-}
-
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "drift" {
-		driftMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "adapt" {
-		adaptMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		benchMain(os.Args[2:])
-		return
-	}
 	name := flag.String("workload", "tpcc", "workload: tpcc|tpce|ycsb-a|ycsb-e|epinions|random")
 	k := flag.Int("partitions", 2, "number of partitions")
 	seed := flag.Int64("seed", 42, "random seed")
@@ -180,6 +40,10 @@ func main() {
 	noCoalesce := flag.Bool("no-coalesce", false, "disable tuple coalescing")
 	hyper := flag.Bool("hyper", false, "use the hypergraph-native representation (one net per transaction, connectivity-metric partitioning) instead of the clique expansion")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "schism: unexpected argument %q (drift, adapt and bench run as experiments -run NAME)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	var w *workloads.Workload
 	switch strings.ToLower(*name) {

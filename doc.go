@@ -15,8 +15,9 @@
 // seed C4.5); and statement routing resolves through compressed lookup
 // tables (internal/lookup: dense set-dictionary arrays and run-length
 // intervals behind lookup.Router, fuzz-tested equivalent to the hash
-// index they replace). DESIGN.md documents those layers and
-// scripts/bench.sh tracks their performance over time.
+// index they replace). DESIGN.md documents those layers; bench/ (its own
+// module, declared by BENCHMARK.json) measures them end to end and per
+// layer.
 //
 // Beyond the paper's one-shot pipeline, internal/live turns the system
 // adaptive: a capture hook on the cluster coordinator streams committed
@@ -30,17 +31,17 @@
 // The paper's headline claim — fewer distributed transactions means
 // higher throughput — is measured end to end by internal/driver: a
 // concurrent benchmark harness that drives the cluster coordinator with
-// closed-loop (or open-loop, fixed-arrival-rate) clients executing
+// closed-loop clients executing
 // deterministic per-client transaction streams (internal/workloads
 // streams; byte-identical sequences at any GOMAXPROCS), records latency
 // in a lock-free sharded HDR-style histogram (p50/p95/p99/p999), and
 // reports throughput, distributed-transaction and per-statement
 // distribution rates, abort/retry rates, and per-node load imbalance.
-// `schism bench` (or `experiments -run bench`) runs the same TPC-C
-// streams under Schism lookup routing vs hash vs range vs
-// full-replication and prints the Fig. 6/7-style comparison; DESIGN.md
-// ("Benchmark driver") documents the harness and scripts/bench.sh
-// snapshots the numbers (BENCH_5.json).
+// `experiments -run bench` runs the same TPC-C streams under Schism
+// lookup routing vs hash vs range vs full-replication and prints the
+// Fig. 6/7-style comparison; DESIGN.md ("Benchmark driver") documents
+// the harness, and BENCH_5.json keeps a frozen 3-iteration snapshot of
+// its numbers.
 //
 // Clients hand the coordinator statements two ways. Txn.Exec(sql) takes
 // ad-hoc text. A statement issued repeatedly is prepared once and bound
@@ -67,12 +68,12 @@
 // detect→elect→barrier→first-commit. Instrumentation follows a "nil
 // means off" rule — with no registry configured every recording site
 // costs one branch, so the uninstrumented fast path stays the benchmark
-// baseline (DESIGN.md, "Observability"; BENCH_8.json). `-obs addr` on
-// cmd/schism and cmd/experiments serves JSON snapshots, expvar and
-// pprof over HTTP while a run executes.
+// baseline (DESIGN.md, "Observability"; the frozen BENCH_8.json
+// snapshot). `-obs addr` on cmd/experiments serves JSON snapshots,
+// expvar and pprof over HTTP while a run executes.
 //
-// Run the evaluation with cmd/experiments, the partitioner with
-// cmd/schism, the online-repartitioning experiment with `schism drift`
-// or `experiments -run drift`, and the end-to-end benchmark with
-// `schism bench` or `experiments -run bench`.
+// Run the partitioner with cmd/schism and everything else with
+// cmd/experiments: the paper's evaluation, the online-repartitioning
+// experiment (`experiments -run drift`) and the end-to-end strategy
+// comparison (`experiments -run bench`).
 package schism

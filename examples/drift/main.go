@@ -41,7 +41,8 @@ func main() {
 
 	// The control loop: capture window + drift detector + repartitioner.
 	// (No cluster here, so routing entries flip logically; see
-	// `schism drift` for the full cluster run with tuple migration.)
+	// `experiments -run drift` for the full cluster run with tuple
+	// migration.)
 	ctrl, err := live.NewController(live.Config{
 		K:      k,
 		Window: live.WindowConfig{Capacity: 1500},

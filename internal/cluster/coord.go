@@ -236,25 +236,6 @@ func (co *Coordinator) Drain() error {
 // driver snapshots per-node load counters through it).
 func (co *Coordinator) Cluster() *Cluster { return co.c }
 
-// Strategy returns the currently deployed routing strategy.
-func (co *Coordinator) Strategy() partition.Strategy {
-	co.mu.RLock()
-	defer co.mu.RUnlock()
-	return co.strategy
-}
-
-// SetStrategy swaps the routing strategy. In-flight transactions keep the
-// strategy they started with; retries pick up the new one.
-func (co *Coordinator) SetStrategy(s partition.Strategy) {
-	if s.NumPartitions() != co.c.NumGroups() {
-		panic(fmt.Sprintf("cluster: strategy has %d partitions, cluster %d groups",
-			s.NumPartitions(), co.c.NumGroups()))
-	}
-	co.mu.Lock()
-	co.strategy = s
-	co.mu.Unlock()
-}
-
 // SetCapture installs (or, with nil, removes) the workload-capture hook:
 // after every successful commit the transaction's observed read/write set
 // is passed to fn. Transactions begun while no hook is installed incur no
@@ -348,7 +329,7 @@ func (co *Coordinator) begin(system bool) *Txn {
 
 // reset prepares the handle for a retry, KEEPING the timestamp: wait-die
 // relies on retried transactions aging so they eventually win conflicts.
-// The routing strategy is re-read so retries observe live swaps.
+// The capture hook is re-read so retries observe SetCapture.
 func (t *Txn) reset() {
 	t.co.mu.RLock()
 	t.strat, t.capture = t.co.strategy, t.co.capture

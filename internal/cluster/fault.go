@@ -254,13 +254,6 @@ func (c *Cluster) SetLinkFault(from, to int, f LinkFault) {
 	c.links[[2]int{from, to}] = f
 }
 
-// ClearLinkFault heals the directed link from -> to.
-func (c *Cluster) ClearLinkFault(from, to int) {
-	c.netMu.Lock()
-	defer c.netMu.Unlock()
-	delete(c.links, [2]int{from, to})
-}
-
 // PartitionNodes installs a symmetric network partition: messages
 // between nodes in different sets are dropped, traffic within a set is
 // untouched. Nodes absent from every set communicate freely with

@@ -56,17 +56,6 @@ type Config struct {
 	Ops int
 	// Seed drives every client stream (client c uses (c, Seed)).
 	Seed int64
-	// Rate, when positive, switches clients from closed-loop to
-	// open-loop: transactions are started on a fixed schedule totalling
-	// Rate transactions/second across all clients, and latency is
-	// measured from the scheduled start (so queueing delay from a
-	// saturated cluster is charged to latency, avoiding coordinated
-	// omission). Zero means closed loop: each client submits its next
-	// transaction as soon as the previous one finishes.
-	Rate float64
-	// HistShards overrides the latency histogram shard count (default:
-	// one shard per client).
-	HistShards int
 	// BucketWidth, when positive, records committed transactions into
 	// fixed-width time buckets counted from the start of the measurement
 	// phase (Result.Buckets). Availability experiments use it to see the
@@ -81,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Ops <= 0 && c.Measure <= 0 {
 		c.Measure = time.Second
-	}
-	if c.HistShards <= 0 {
-		c.HistShards = c.Clients
 	}
 	return c
 }
@@ -231,8 +217,8 @@ func (r *Result) String() string {
 // permanent failures are counted and skipped.
 func Run(co *cluster.Coordinator, cfg Config, mk StreamMaker) *Result {
 	cfg = cfg.withDefaults()
-	lat := NewSharded(cfg.HistShards)
-	stmtLat := NewSharded(cfg.HistShards)
+	lat := NewSharded(cfg.Clients)
+	stmtLat := NewSharded(cfg.Clients)
 
 	var (
 		committed   atomic.Int64
@@ -282,15 +268,6 @@ func Run(co *cluster.Coordinator, cfg Config, mk StreamMaker) *Result {
 			defer func() { sigs[client] = sig.Sum64() }()
 			obs := func(_ string, _ bool, _ int, d time.Duration) { hs.Record(d) }
 
-			var interval time.Duration
-			var next time.Time
-			if cfg.Rate > 0 {
-				interval = time.Duration(float64(cfg.Clients) / cfg.Rate * float64(time.Second))
-				// Stagger client phases so aggregate arrivals are evenly
-				// spaced rather than bursts of cfg.Clients.
-				next = start.Add(interval * time.Duration(client) / time.Duration(cfg.Clients))
-			}
-
 			for i := 0; ; i++ {
 				if opsMode {
 					if i >= cfg.Ops {
@@ -304,13 +281,6 @@ func Run(co *cluster.Coordinator, cfg Config, mk StreamMaker) *Result {
 				sig.Write([]byte{'\n'})
 
 				txnStart := time.Now()
-				if cfg.Rate > 0 {
-					if d := time.Until(next); d > 0 {
-						time.Sleep(d)
-					}
-					txnStart = next // open loop: latency from scheduled arrival
-					next = next.Add(interval)
-				}
 				measured := opsMode || !txnStart.Before(warmupEnd)
 				res, err := co.RunTxnStats(func(t *cluster.Txn) error {
 					if measured {

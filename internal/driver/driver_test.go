@@ -170,29 +170,6 @@ func fnvHash(s string) uint64 {
 	return h
 }
 
-// TestDriverOpenLoop runs the fixed-arrival-rate mode: arrivals are
-// scheduled rather than closed-loop, and latency is measured from the
-// scheduled start.
-func TestDriverOpenLoop(t *testing.T) {
-	cfg := tpccTestConfig(2)
-	c, co := newTPCCCluster(t, cfg, 2)
-	defer c.Close()
-	res := driver.Run(co, driver.Config{
-		Clients: 2, Measure: 300 * time.Millisecond, Seed: 9, Rate: 200,
-	}, workloads.TPCCNewOrderPaymentStream(cfg))
-	if res.Committed == 0 {
-		t.Fatal("no commits in open-loop mode")
-	}
-	// At 200 txn/s over ~0.3s the schedule offers ~60 txns; the run must
-	// not wildly overshoot the offered load (closed-loop would).
-	if res.Committed > 120 {
-		t.Fatalf("open loop committed %d txns, far above the offered load", res.Committed)
-	}
-	if res.Latency.Count() != res.Committed {
-		t.Fatalf("samples %d != commits %d", res.Latency.Count(), res.Committed)
-	}
-}
-
 // clusterFromDB splits a single-node database image across k nodes per
 // the strategy's placement (cluster.SplitDatabase).
 func clusterFromDB(t testing.TB, src *storage.Database, strat partition.Strategy) (*cluster.Cluster, *cluster.Coordinator) {

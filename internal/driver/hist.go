@@ -1,11 +1,10 @@
 // Package driver is the end-to-end benchmark harness: it drives a
-// cluster.Coordinator with concurrent closed-loop (or open-loop,
-// fixed-arrival-rate) clients executing transactions drawn from
-// deterministic per-client streams, and reports throughput, latency
-// percentiles, distributed-transaction and abort rates, and per-node
-// load imbalance. This is the measurement surface behind the paper's
-// headline claim: fewer distributed transactions means higher TPS
-// (§3, §6.3).
+// cluster.Coordinator with concurrent closed-loop clients executing
+// transactions drawn from deterministic per-client streams, and reports
+// throughput, latency percentiles, distributed-transaction and abort
+// rates, and per-node load imbalance. This is the measurement surface
+// behind the paper's headline claim: fewer distributed transactions
+// means higher TPS (§3, §6.3).
 package driver
 
 import "schism/internal/obs"

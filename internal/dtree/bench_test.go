@@ -34,7 +34,7 @@ func explainDataset(rows int, seed int64) *Dataset {
 // BenchmarkExplain measures decision-tree training — the dominant cost of
 // the offline explanation phase (§4.3) — on the TPCC-50W-scale training
 // set: columnar (the production trainer) vs the seed's row-at-a-time
-// reference. scripts/bench.sh snapshots this into BENCH_<n>.json.
+// reference.
 func BenchmarkExplain(b *testing.B) {
 	ds := explainDataset(100000, 42)
 	b.Run("columnar", func(b *testing.B) {

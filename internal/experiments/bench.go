@@ -34,44 +34,41 @@ import (
 // precisely as that strategy can — the comparison isolates placement
 // quality, not parser luck.
 
-// BenchConfig parameterises the strategy-comparison experiment.
+// The strategy comparison's fixed parameters.
+const (
+	// benchWarehouses is the TPC-C scale and benchPartitions the cluster
+	// size k.
+	benchWarehouses = 8
+	benchPartitions = 4
+	// benchClients is the number of concurrent driver clients: twice the
+	// partitions, which stays within two per warehouse to avoid wait-die
+	// retry storms, as in Fig. 6.
+	benchClients = 2 * benchPartitions
+	// benchServiceTime is the per-message CPU cost at a node. There is no
+	// network delay: on the paper's LAN the commit-log force, not the
+	// wire, dominates the cost of distribution, and sub-millisecond sleeps
+	// overshoot badly enough under load to drown the strategy gap in
+	// scheduler noise.
+	benchServiceTime = 20 * time.Microsecond
+	// benchWorkers is the per-node executor parallelism: queueing delay
+	// inflates lock hold times, which couples into wait-die churn.
+	benchWorkers = 16
+	// benchLogForce is the synchronous log-flush latency at prepare and
+	// commit. This is the deterministic price of 2PC the paper measures
+	// (§3): a local transaction forces the log once, a distributed one
+	// twice, sequentially, on the latency path.
+	benchLogForce = 5 * time.Millisecond
+	// benchLockTimeout bounds lock waits: long stalls feed the retry storm
+	// instead of resolving it.
+	benchLockTimeout = 300 * time.Millisecond
+	// benchSeed drives trace generation, the pipeline, and the client
+	// streams.
+	benchSeed = 42
+)
+
+// BenchConfig selects what the strategy comparison runs; everything else
+// is fixed (see the bench* constants).
 type BenchConfig struct {
-	// Warehouses is the TPC-C scale (default 8).
-	Warehouses int
-	// Partitions is the cluster size k (default 4).
-	Partitions int
-	// Clients is the number of concurrent driver clients (default
-	// 2*Partitions, capped at 2*Warehouses to avoid wait-die retry
-	// storms, as in Fig. 6).
-	Clients int
-	// Warmup and Measure are the driver phases. Zero means "use the
-	// scale default"; a negative Warmup disables the warmup phase.
-	Warmup, Measure time.Duration
-	// ServiceTime is the per-message CPU cost at a node (default 20µs).
-	// NetworkDelay is the one-way wire latency; it defaults to ZERO
-	// because on the paper's LAN the commit-log force (LogForce), not the
-	// wire, dominates the cost of distribution — and sub-millisecond
-	// sleeps overshoot badly enough under load to drown the strategy gap
-	// in scheduler noise. Set it positive to model a slow network.
-	ServiceTime, NetworkDelay time.Duration
-	// Rate, when positive, switches the driver to open-loop arrivals at
-	// this aggregate transactions/second.
-	Rate float64
-	// Workers is the per-node executor parallelism (default 16: queueing
-	// delay inflates lock hold times, which couples into wait-die churn).
-	Workers int
-	// LogForce is the synchronous log-flush latency at prepare and
-	// commit (zero means the default 5ms; negative disables the flush
-	// entirely, isolating message costs). This is the deterministic
-	// price of 2PC the paper measures (§3): a local transaction forces
-	// the log once, a distributed one twice, sequentially, on the
-	// latency path.
-	LogForce time.Duration
-	// LockTimeout bounds lock waits (default 300ms: long stalls feed the
-	// retry storm instead of resolving it).
-	LockTimeout time.Duration
-	// Seed drives trace generation, the pipeline, and the client streams.
-	Seed int64
 	// Strategies restricts the comparison (default all four:
 	// schism, hash, range, replication).
 	Strategies []string
@@ -81,53 +78,6 @@ type BenchConfig struct {
 	// Default off, so the headline numbers measure the uninstrumented
 	// fast path.
 	Obs bool
-}
-
-func (c BenchConfig) withDefaults(s Scale) BenchConfig {
-	if c.Warehouses <= 0 {
-		c.Warehouses = 8
-	}
-	if c.Partitions <= 0 {
-		c.Partitions = 4
-	}
-	if c.Clients <= 0 {
-		c.Clients = 2 * c.Partitions
-		if cap := 2 * c.Warehouses; c.Clients > cap {
-			c.Clients = cap
-		}
-	}
-	// The measurement window must be long relative to the wait-die
-	// retry/backoff dynamics or run-to-run variance swamps the strategy
-	// gap; warmup lets the initial lock-conflict churn settle.
-	if c.Warmup == 0 {
-		c.Warmup = time.Duration(s.scaled(500, 300)) * time.Millisecond
-	} else if c.Warmup < 0 {
-		c.Warmup = 0
-	}
-	if c.Measure <= 0 {
-		c.Measure = time.Duration(s.scaled(2000, 1000)) * time.Millisecond
-	}
-	if c.ServiceTime <= 0 {
-		c.ServiceTime = 20 * time.Microsecond
-	}
-	if c.Workers <= 0 {
-		c.Workers = 16
-	}
-	if c.LogForce == 0 {
-		c.LogForce = 5 * time.Millisecond
-	} else if c.LogForce < 0 {
-		c.LogForce = 0
-	}
-	if c.LockTimeout <= 0 {
-		c.LockTimeout = 300 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if len(c.Strategies) == 0 {
-		c.Strategies = []string{"schism", "hash", "range", "replication"}
-	}
-	return c
 }
 
 // BenchRow is one strategy's measured line.
@@ -157,9 +107,7 @@ type BenchResult struct {
 	Workload string
 	K        int
 	Clients  int
-	// Rate is the open-loop aggregate arrival rate (0 = closed loop).
-	Rate float64
-	Rows []BenchRow
+	Rows     []BenchRow
 }
 
 // Row returns the named strategy's row (nil if absent).
@@ -173,9 +121,9 @@ func (r *BenchResult) Row(strategy string) *BenchRow {
 }
 
 // benchTPCCConfig fixes every TPC-C parameter at the experiment scale.
-func benchTPCCConfig(cfg BenchConfig, s Scale) workloads.TPCCConfig {
+func benchTPCCConfig(s Scale) workloads.TPCCConfig {
 	return workloads.TPCCConfig{
-		Warehouses:    cfg.Warehouses,
+		Warehouses:    benchWarehouses,
 		Districts:     10,
 		Customers:     s.scaled(30, 10),
 		Items:         s.scaled(300, 100),
@@ -185,7 +133,7 @@ func benchTPCCConfig(cfg BenchConfig, s Scale) workloads.TPCCConfig {
 		// runtime streams touch; untraced tuples are the main source of
 		// avoidable distributed transactions at small scale.
 		Txns: s.scaled(30000, 12000),
-		Seed: cfg.Seed,
+		Seed: benchSeed,
 	}
 }
 
@@ -193,9 +141,12 @@ func benchTPCCConfig(cfg BenchConfig, s Scale) workloads.TPCCConfig {
 // Schism lookup strategy from it, then drive identical client streams
 // through each strategy's cluster and measure.
 func Bench(cfg BenchConfig, s Scale) (*BenchResult, error) {
-	cfg = cfg.withDefaults(s)
-	k := cfg.Partitions
-	tcfg := benchTPCCConfig(cfg, s)
+	strategyNames := cfg.Strategies
+	if len(strategyNames) == 0 {
+		strategyNames = []string{"schism", "hash", "range", "replication"}
+	}
+	k := benchPartitions
+	tcfg := benchTPCCConfig(s)
 	w := workloads.TPCC(tcfg)
 
 	// Learn the Schism strategy from the captured trace (the full
@@ -206,7 +157,7 @@ func Bench(cfg BenchConfig, s Scale) (*BenchResult, error) {
 		Resolver:   w.Resolver(),
 		KeyColumns: w.KeyColumns,
 		DB:         w.DB,
-	}, core.Options{Partitions: k, Seed: cfg.Seed})
+	}, core.Options{Partitions: k, Seed: benchSeed})
 	if err != nil {
 		return nil, fmt.Errorf("bench: pipeline: %w", err)
 	}
@@ -218,13 +169,13 @@ func Bench(cfg BenchConfig, s Scale) (*BenchResult, error) {
 		"replication": &partition.FullReplication{K: k},
 	}
 
-	out := &BenchResult{Workload: w.Name, K: k, Clients: cfg.Clients, Rate: cfg.Rate}
-	for _, name := range cfg.Strategies {
+	out := &BenchResult{Workload: w.Name, K: k, Clients: benchClients}
+	for _, name := range strategyNames {
 		strat, ok := strategies[name]
 		if !ok {
 			return nil, fmt.Errorf("bench: unknown strategy %q", name)
 		}
-		row, err := benchOne(cfg, tcfg, w, name, strat)
+		row, err := benchOne(cfg.Obs, s, tcfg, w, name, strat)
 		if err != nil {
 			return nil, err
 		}
@@ -235,19 +186,18 @@ func Bench(cfg BenchConfig, s Scale) (*BenchResult, error) {
 
 // benchOne builds a cluster populated per the strategy's placement and
 // drives it with the shared client streams.
-func benchOne(cfg BenchConfig, tcfg workloads.TPCCConfig, w *workloads.Workload, name string, strat partition.Strategy) (BenchRow, error) {
+func benchOne(withObs bool, s Scale, tcfg workloads.TPCCConfig, w *workloads.Workload, name string, strat partition.Strategy) (BenchRow, error) {
 	k := strat.NumPartitions()
 	var reg *obs.Registry
-	if cfg.Obs {
+	if withObs {
 		reg = obs.NewRegistry()
 	}
 	c := cluster.New(cluster.Config{
 		Nodes:          k,
-		WorkersPerNode: cfg.Workers,
-		ServiceTime:    cfg.ServiceTime,
-		NetworkDelay:   cfg.NetworkDelay,
-		LockTimeout:    cfg.LockTimeout,
-		LogForce:       cfg.LogForce,
+		WorkersPerNode: benchWorkers,
+		ServiceTime:    benchServiceTime,
+		LockTimeout:    benchLockTimeout,
+		LogForce:       benchLogForce,
 		Obs:            reg,
 	}, func(node int) *storage.Database {
 		return cluster.SplitDatabase(w.DB, strat, node)
@@ -255,12 +205,14 @@ func benchOne(cfg BenchConfig, tcfg workloads.TPCCConfig, w *workloads.Workload,
 	defer c.Close()
 	co := cluster.NewCoordinator(c, strat)
 
+	// The measurement window must be long relative to the wait-die
+	// retry/backoff dynamics or run-to-run variance swamps the strategy
+	// gap; warmup lets the initial lock-conflict churn settle.
 	r := driver.Run(co, driver.Config{
-		Clients: cfg.Clients,
-		Warmup:  cfg.Warmup,
-		Measure: cfg.Measure,
-		Seed:    cfg.Seed,
-		Rate:    cfg.Rate,
+		Clients: benchClients,
+		Warmup:  time.Duration(s.scaled(500, 300)) * time.Millisecond,
+		Measure: time.Duration(s.scaled(2000, 1000)) * time.Millisecond,
+		Seed:    benchSeed,
 	}, workloads.TPCCNewOrderPaymentStream(tcfg))
 	if r.Committed == 0 {
 		return BenchRow{}, fmt.Errorf("bench: strategy %q committed no transactions", name)
@@ -291,11 +243,7 @@ func benchOne(cfg BenchConfig, tcfg workloads.TPCCConfig, w *workloads.Workload,
 
 // PrintBench renders the Fig. 6/7-style comparison table.
 func PrintBench(wr io.Writer, r *BenchResult) {
-	mode := "closed-loop clients"
-	if r.Rate > 0 {
-		mode = fmt.Sprintf("open-loop clients at %.0f txn/s offered", r.Rate)
-	}
-	fmt.Fprintf(wr, "Benchmark: %s end-to-end, %d partitions, %d %s\n", r.Workload, r.K, r.Clients, mode)
+	fmt.Fprintf(wr, "Benchmark: %s end-to-end, %d partitions, %d closed-loop clients\n", r.Workload, r.K, r.Clients)
 	var rows [][]string
 	var base float64
 	for i, row := range r.Rows {

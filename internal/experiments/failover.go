@@ -24,50 +24,20 @@ import (
 // leader serves, how deep the throughput dip, how fast it refills). The
 // driver's fixed-width commit buckets resolve the dip directly.
 
-// FailoverConfig parameterises the experiment.
-type FailoverConfig struct {
-	// Groups is the number of consensus groups (default 2).
-	Groups int
-	// KeysPerGroup sizes each group's account shard (default 16).
-	KeysPerGroup int
-	// Clients is the number of closed-loop driver clients (default 4).
-	Clients int
-	// Measure is the per-run measurement window; the crash fires at
-	// Measure/3 (default from Scale).
-	Measure time.Duration
-	// BucketWidth is the availability-bucket resolution (default 50ms).
-	BucketWidth time.Duration
-	// Rs lists the replication factors to compare (default 1, 3).
-	Rs []int
-	// Election is the consensus election timeout — the failover-detection
-	// lag a dead leader costs (default 25ms).
-	Election time.Duration
-}
+// The experiment's fixed parameters.
+const (
+	failoverGroups       = 2  // consensus groups
+	failoverKeysPerGroup = 16 // accounts in each group's shard
+	failoverClients      = 4  // closed-loop driver clients
+	// failoverBucketWidth is the availability-bucket resolution.
+	failoverBucketWidth = 50 * time.Millisecond
+	// failoverElection is the consensus election timeout: the
+	// failover-detection lag a dead leader costs.
+	failoverElection = 25 * time.Millisecond
+)
 
-func (c FailoverConfig) withDefaults(s Scale) FailoverConfig {
-	if c.Groups <= 0 {
-		c.Groups = 2
-	}
-	if c.KeysPerGroup <= 0 {
-		c.KeysPerGroup = 16
-	}
-	if c.Clients <= 0 {
-		c.Clients = 4
-	}
-	if c.Measure <= 0 {
-		c.Measure = time.Duration(s.scaled(3000, 1500)) * time.Millisecond
-	}
-	if c.BucketWidth <= 0 {
-		c.BucketWidth = 50 * time.Millisecond
-	}
-	if len(c.Rs) == 0 {
-		c.Rs = []int{1, 3}
-	}
-	if c.Election <= 0 {
-		c.Election = 25 * time.Millisecond
-	}
-	return c
-}
+// failoverRs lists the replication factors compared.
+var failoverRs = []int{1, 3}
 
 // FailoverRow is one replication factor's measurements.
 type FailoverRow struct {
@@ -99,12 +69,14 @@ type FailoverRow struct {
 	Metrics *obs.Snapshot
 }
 
-// Failover runs the experiment for each configured replication factor.
-func Failover(cfg FailoverConfig, s Scale) ([]FailoverRow, error) {
-	cfg = cfg.withDefaults(s)
-	rows := make([]FailoverRow, 0, len(cfg.Rs))
-	for _, r := range cfg.Rs {
-		row, err := failoverRun(cfg, r)
+// Failover runs the experiment for each replication factor. Each run
+// measures for a Scale-dependent window; the crash fires a third of the
+// way in.
+func Failover(s Scale) ([]FailoverRow, error) {
+	measure := time.Duration(s.scaled(3000, 1500)) * time.Millisecond
+	rows := make([]FailoverRow, 0, len(failoverRs))
+	for _, r := range failoverRs {
+		row, err := failoverRun(measure, r)
 		if err != nil {
 			return nil, err
 		}
@@ -113,16 +85,16 @@ func Failover(cfg FailoverConfig, s Scale) ([]FailoverRow, error) {
 	return rows, nil
 }
 
-func failoverCluster(cfg FailoverConfig, r int, reg *obs.Registry) (*cluster.Cluster, *cluster.Coordinator, error) {
-	strat := &partition.Hash{K: cfg.Groups, KeyColumn: map[string]string{"account": "id"}}
-	total := cfg.Groups * cfg.KeysPerGroup
+func failoverCluster(r int, reg *obs.Registry) (*cluster.Cluster, *cluster.Coordinator, error) {
+	strat := &partition.Hash{K: failoverGroups, KeyColumn: map[string]string{"account": "id"}}
+	total := failoverGroups * failoverKeysPerGroup
 	c := cluster.New(cluster.Config{
-		Nodes:             cfg.Groups * r,
+		Nodes:             failoverGroups * r,
 		ReplicationFactor: r,
 		LockTimeout:       500 * time.Millisecond,
 		RPCTimeout:        20 * time.Millisecond,
 		ReplHeartbeat:     2 * time.Millisecond,
-		ReplElection:      cfg.Election,
+		ReplElection:      failoverElection,
 		ReplSeed:          19,
 		Obs:               reg,
 	}, func(node int) *storage.Database {
@@ -180,18 +152,18 @@ func failoverStream(total int) driver.StreamMaker {
 	}
 }
 
-func failoverRun(cfg FailoverConfig, r int) (FailoverRow, error) {
+func failoverRun(measure time.Duration, r int) (FailoverRow, error) {
 	row := FailoverRow{R: r}
-	total := cfg.Groups * cfg.KeysPerGroup
+	total := failoverGroups * failoverKeysPerGroup
 	dcfg := driver.Config{
-		Clients:     cfg.Clients,
-		Measure:     cfg.Measure,
+		Clients:     failoverClients,
+		Measure:     measure,
 		Seed:        29,
-		BucketWidth: cfg.BucketWidth,
+		BucketWidth: failoverBucketWidth,
 	}
 
 	// Fault-free pass: the steady-state cost of quorum replication.
-	c, co, err := failoverCluster(cfg, r, nil)
+	c, co, err := failoverCluster(r, nil)
 	if err != nil {
 		return row, err
 	}
@@ -205,13 +177,13 @@ func failoverRun(cfg FailoverConfig, r int) (FailoverRow, error) {
 	// transaction traces without perturbing the run.
 	reg := obs.NewRegistry()
 	reg.Tracer().SetSample(64)
-	c, co, err = failoverCluster(cfg, r, reg)
+	c, co, err = failoverCluster(r, reg)
 	if err != nil {
 		return row, err
 	}
 	defer c.Close()
-	crashDelay := cfg.Measure / 3
-	restartAfter := cfg.Measure / 6
+	crashDelay := measure / 3
+	restartAfter := measure / 6
 	var crashedAt, ledAt time.Time
 	done := make(chan struct{})
 	start := time.Now()
@@ -261,7 +233,7 @@ func failoverRun(cfg FailoverConfig, r int) (FailoverRow, error) {
 
 	// Bucket analysis around the crash. The driver's epoch is the run
 	// start (no warmup), so the crash lands in bucket crashIdx.
-	crashIdx := int(crashedAt.Sub(start) / cfg.BucketWidth)
+	crashIdx := int(crashedAt.Sub(start) / failoverBucketWidth)
 	b := res.Buckets
 	if crashIdx < 1 || crashIdx >= len(b) {
 		return row, fmt.Errorf("failover: crash bucket %d outside run (%d buckets)", crashIdx, len(b))
@@ -270,13 +242,13 @@ func failoverRun(cfg FailoverConfig, r int) (FailoverRow, error) {
 	sort.Slice(pre, func(i, j int) bool { return pre[i] < pre[j] })
 	row.BaselineBucket = pre[len(pre)/2]
 	row.DipBucket = b[crashIdx]
-	row.Recover = time.Duration(len(b)-crashIdx) * cfg.BucketWidth // pessimistic default
+	row.Recover = time.Duration(len(b)-crashIdx) * failoverBucketWidth // pessimistic default
 	for i := crashIdx; i < len(b); i++ {
 		if b[i] < row.DipBucket {
 			row.DipBucket = b[i]
 		}
 		if b[i] >= (row.BaselineBucket+1)/2 {
-			row.Recover = time.Duration(i-crashIdx) * cfg.BucketWidth
+			row.Recover = time.Duration(i-crashIdx) * failoverBucketWidth
 			break
 		}
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +13,7 @@ func TestFailoverExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second failover runs belong to the chaos CI job")
 	}
-	rows, err := Failover(FailoverConfig{}, Scale{Quick: true})
+	rows, err := Failover(Scale{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,27 +67,5 @@ func TestFailoverExperiment(t *testing.T) {
 	}
 	if !sawFirst {
 		t.Error("R=3: no first-commit event for the crashed group")
-	}
-}
-
-// BenchmarkFailover snapshots the failover metrics for scripts/bench.sh:
-// per-R fault-free throughput (the replication overhead), crash-run
-// throughput, time-to-new-leader, dip depth, and time-to-recover.
-func BenchmarkFailover(b *testing.B) {
-	var rows []FailoverRow
-	for i := 0; i < b.N; i++ {
-		r, err := Failover(FailoverConfig{}, Scale{Quick: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = r
-	}
-	for _, r := range rows {
-		pre := fmt.Sprintf("r%d", r.R)
-		b.ReportMetric(r.BaseTPS, pre+"-base-tps")
-		b.ReportMetric(r.TPS, pre+"-crash-tps")
-		b.ReportMetric(float64(r.Failover)/float64(time.Millisecond), pre+"-failover-ms")
-		b.ReportMetric(float64(r.DipBucket), pre+"-dip-bucket")
-		b.ReportMetric(float64(r.Recover)/float64(time.Millisecond), pre+"-recover-ms")
 	}
 }

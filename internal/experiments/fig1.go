@@ -22,48 +22,16 @@ type Fig1Row struct {
 	DistLatency    time.Duration
 }
 
-// Fig1Config parameterises the §3 microbenchmark.
-type Fig1Config struct {
-	MaxServers int // paper: 5
-	// ClientsPerServer scales offered load with the cluster (the paper's
-	// 150 clients over 5 servers = 30 per server); keeping per-node load
-	// constant isolates the single-vs-distributed comparison.
-	ClientsPerServer int
-	RowsPerNode      int           // paper: 1k per client
-	Duration         time.Duration // per measurement point
-	ServiceTime      time.Duration // per-message CPU cost at a node
-	NetworkDelay     time.Duration // one-way latency
-	Workers          int           // executor workers per node (CPU cores)
-}
-
-func (c Fig1Config) withDefaults(s Scale) Fig1Config {
-	if c.MaxServers <= 0 {
-		c.MaxServers = 5
-	}
-	if c.ClientsPerServer <= 0 {
-		// Enough closed-loop clients to saturate every server's CPU (the
-		// paper uses 150 over 5 servers): the 2x gap only appears once the
-		// cluster is CPU-bound, because a distributed transaction costs
-		// twice the aggregate messages of a local one.
-		c.ClientsPerServer = s.scaled(30, 20)
-	}
-	if c.RowsPerNode <= 0 {
-		c.RowsPerNode = 1000
-	}
-	if c.Duration <= 0 {
-		c.Duration = time.Duration(s.scaled(700, 150)) * time.Millisecond
-	}
-	if c.ServiceTime <= 0 {
-		c.ServiceTime = 300 * time.Microsecond
-	}
-	if c.NetworkDelay <= 0 {
-		c.NetworkDelay = 200 * time.Microsecond
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	return c
-}
+// The §3 microbenchmark's fixed parameters.
+const (
+	fig1MaxServers  = 5    // paper: 5
+	fig1RowsPerNode = 1000 // paper: 1k per client
+	// fig1ServiceTime is the per-message CPU cost at a node and
+	// fig1NetworkDelay the one-way latency.
+	fig1ServiceTime  = 300 * time.Microsecond
+	fig1NetworkDelay = 200 * time.Microsecond
+	fig1Workers      = 1 // executor workers per node (CPU cores)
+)
 
 // Fig1 measures the price of distribution: the same 2-read transaction
 // executed single-partition vs spread over two nodes with 2PC. The paper's
@@ -71,23 +39,31 @@ func (c Fig1Config) withDefaults(s Scale) Fig1Config {
 // — comes from the doubled per-transaction message count. Each point is a
 // closed-loop driver.Run over SimplecountStream; latency is the mean
 // commit latency, retries included.
-func Fig1(cfg Fig1Config, s Scale) []Fig1Row {
-	cfg = cfg.withDefaults(s)
+func Fig1(s Scale) []Fig1Row {
+	// Clients per server scale offered load with the cluster (the paper's
+	// 150 clients over 5 servers = 30 per server); keeping per-node load
+	// constant isolates the single-vs-distributed comparison. There are
+	// enough closed-loop clients to saturate every server's CPU: the 2x
+	// gap only appears once the cluster is CPU-bound, because a
+	// distributed transaction costs twice the aggregate messages of a
+	// local one.
+	clientsPerServer := s.scaled(30, 20)
+	duration := time.Duration(s.scaled(700, 150)) * time.Millisecond // per point
 	var rows []Fig1Row
-	for n := 1; n <= cfg.MaxServers; n++ {
-		sc := workloads.SimplecountConfig{Rows: cfg.RowsPerNode * n, Partitions: n}
+	for n := 1; n <= fig1MaxServers; n++ {
+		sc := workloads.SimplecountConfig{Rows: fig1RowsPerNode * n, Partitions: n}
 		run := func(distributed bool) *driver.Result {
 			c := cluster.New(cluster.Config{
 				Nodes:          n,
-				WorkersPerNode: cfg.Workers,
-				ServiceTime:    cfg.ServiceTime,
-				NetworkDelay:   cfg.NetworkDelay,
+				WorkersPerNode: fig1Workers,
+				ServiceTime:    fig1ServiceTime,
+				NetworkDelay:   fig1NetworkDelay,
 			}, func(node int) *storage.Database { return workloads.SimplecountDB(sc, node) })
 			defer c.Close()
 			co := cluster.NewCoordinator(c, workloads.SimplecountStrategy(sc))
 			return driver.Run(co, driver.Config{
-				Clients: cfg.ClientsPerServer * n,
-				Measure: cfg.Duration,
+				Clients: clientsPerServer * n,
+				Measure: duration,
 				Seed:    42,
 			}, workloads.SimplecountStream(sc, distributed))
 		}

@@ -144,16 +144,6 @@ func Fig4(s Scale) []Fig4Row {
 	return rows
 }
 
-// Fig4Case runs a single named experiment (used by focused benchmarks).
-func Fig4Case(name string, s Scale) (Fig4Row, error) {
-	for _, c := range fig4Cases() {
-		if c.name == name {
-			return runFig4Case(c, s), nil
-		}
-	}
-	return Fig4Row{}, fmt.Errorf("experiments: unknown Fig4 case %q", name)
-}
-
 func runFig4Case(c fig4Case, s Scale) Fig4Row {
 	w := c.build(s)
 	opts := core.Options{

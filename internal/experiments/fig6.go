@@ -26,45 +26,20 @@ type Fig6Row struct {
 	failed int64
 }
 
-// Fig6Config parameterises the end-to-end experiment.
-type Fig6Config struct {
-	WarehousesFixed int // total warehouses in config 1 (paper: 16)
-	WarehousesPer   int // warehouses per machine in config 2 (paper: 16)
-	ClientsPerNode  int
-	Duration        time.Duration
-	ServiceTime     time.Duration
-	NetworkDelay    time.Duration
-	Partitions      []int // paper: 1, 2, 4, 8
-}
+// The end-to-end experiment's fixed parameters.
+const (
+	fig6WarehousesFixed = 16 // total warehouses in config 1 (paper: 16)
+	fig6WarehousesPer   = 16 // warehouses per machine in config 2 (paper: 16)
+	fig6ServiceTime     = 10 * time.Microsecond
+	// fig6NetworkDelay makes statement round-trips dominate transaction
+	// duration (as with the paper's real network); lock hold times, and
+	// therefore the hot-row contention that limits the fixed-16-warehouse
+	// series, scale with this delay.
+	fig6NetworkDelay = 300 * time.Microsecond
+)
 
-func (c Fig6Config) withDefaults(s Scale) Fig6Config {
-	if c.WarehousesFixed <= 0 {
-		c.WarehousesFixed = 16
-	}
-	if c.WarehousesPer <= 0 {
-		c.WarehousesPer = 16
-	}
-	if c.ClientsPerNode <= 0 {
-		c.ClientsPerNode = s.scaled(48, 16)
-	}
-	if c.Duration <= 0 {
-		c.Duration = time.Duration(s.scaled(800, 200)) * time.Millisecond
-	}
-	if c.ServiceTime <= 0 {
-		c.ServiceTime = 10 * time.Microsecond
-	}
-	if c.NetworkDelay <= 0 {
-		// Statement round-trips dominate transaction duration (as with the
-		// paper's real network); lock hold times, and therefore the hot-row
-		// contention that limits the fixed-16-warehouse series, scale with
-		// this delay.
-		c.NetworkDelay = 300 * time.Microsecond
-	}
-	if len(c.Partitions) == 0 {
-		c.Partitions = []int{1, 2, 4, 8}
-	}
-	return c
-}
+// fig6Partitions are the cluster sizes measured (paper: 1, 2, 4, 8).
+var fig6Partitions = []int{1, 2, 4, 8}
 
 // Fig6 runs TPC-C end-to-end through the cluster with the Schism-derived
 // warehouse partitioning (identical to the rules the pipeline learns; see
@@ -73,12 +48,11 @@ func (c Fig6Config) withDefaults(s Scale) Fig6Config {
 // the 16-per-machine series scales near-linearly (§6.3). Each point is a
 // closed-loop driver.Run over TPCCNewOrderPaymentStream, whose
 // statements carry the warehouse predicate TPCCManual routes on.
-func Fig6(cfg Fig6Config, s Scale) []Fig6Row {
-	cfg = cfg.withDefaults(s)
+func Fig6(s Scale) []Fig6Row {
 	var rows []Fig6Row
-	for _, k := range cfg.Partitions {
-		fixed := fig6Run(cfg, s, k, cfg.WarehousesFixed)
-		perMachine := fig6Run(cfg, s, k, cfg.WarehousesPer*k)
+	for _, k := range fig6Partitions {
+		fixed := fig6Run(s, k, fig6WarehousesFixed)
+		perMachine := fig6Run(s, k, fig6WarehousesPer*k)
 		rows = append(rows, Fig6Row{
 			Partitions:    k,
 			FixedTotalTPS: fixed.Throughput(),
@@ -90,7 +64,7 @@ func Fig6(cfg Fig6Config, s Scale) []Fig6Row {
 }
 
 // fig6Run measures one cluster size and warehouse count.
-func fig6Run(cfg Fig6Config, s Scale, k, warehouses int) *driver.Result {
+func fig6Run(s Scale, k, warehouses int) *driver.Result {
 	tcfg := workloads.TPCCConfig{
 		Warehouses: warehouses,
 		Customers:  s.scaled(60, 20),
@@ -107,7 +81,7 @@ func fig6Run(cfg Fig6Config, s Scale, k, warehouses int) *driver.Result {
 	// closed-loop workload collapses into wait-die retry storms, which is
 	// the same effect that keeps the paper from saturating single machines
 	// at 2 warehouses each.
-	clients := cfg.ClientsPerNode * k
+	clients := s.scaled(48, 16) * k
 	if cap := 2 * warehouses; clients > cap {
 		clients = cap
 	}
@@ -121,8 +95,8 @@ func fig6Run(cfg Fig6Config, s Scale, k, warehouses int) *driver.Result {
 		// One worker per client rules that out; at this ServiceTime the
 		// node's CPU is not what limits the run.
 		WorkersPerNode: clients,
-		ServiceTime:    cfg.ServiceTime,
-		NetworkDelay:   cfg.NetworkDelay,
+		ServiceTime:    fig6ServiceTime,
+		NetworkDelay:   fig6NetworkDelay,
 		LockTimeout:    5 * time.Second,
 	}, func(node int) *storage.Database {
 		db := storage.NewDatabase()
@@ -135,7 +109,7 @@ func fig6Run(cfg Fig6Config, s Scale, k, warehouses int) *driver.Result {
 	co := cluster.NewCoordinator(c, strat)
 	return driver.Run(co, driver.Config{
 		Clients: clients,
-		Measure: cfg.Duration,
+		Measure: time.Duration(s.scaled(800, 200)) * time.Millisecond,
 		Seed:    17,
 	}, workloads.TPCCNewOrderPaymentStream(tcfg))
 }

@@ -26,7 +26,6 @@ func benchFill(t Table, n int) {
 // Table.Locate — and each representation's memory footprint (reported as
 // table-bytes) at TPCC-50W scale. The seed routed through HashIndex;
 // compact and runs are the compressed representations Router deploys.
-// scripts/bench.sh snapshots this into BENCH_<n>.json.
 func BenchmarkRouterLocate(b *testing.B) {
 	const n = 500000
 	reps := []struct {

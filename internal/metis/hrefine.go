@@ -69,17 +69,6 @@ func (s *Solver) hseedRefinement(h *HGraph, parts []int32, k int) {
 	}
 }
 
-// hpCount returns net e's pin count in partition p (0 when absent).
-func (s *Solver) hpCount(e, p int32) int32 {
-	base := s.hpOff[e]
-	for i := base; i < base+s.hpLen[e]; i++ {
-		if s.hpPart[i] == p {
-			return s.hpCnt[i]
-		}
-	}
-	return 0
-}
-
 // hpAdd adds one pin of net e to partition p, extending the span when p
 // was absent (λ grows by one).
 func (s *Solver) hpAdd(e, p int32) {

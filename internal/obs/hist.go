@@ -82,9 +82,6 @@ func (h *Hist) Record(d time.Duration) {
 // Count returns the number of recorded values.
 func (h *Hist) Count() int64 { return int64(h.n.Load()) }
 
-// Sum returns the total of all recorded durations.
-func (h *Hist) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
 // Mean returns the average recorded duration.
 func (h *Hist) Mean() time.Duration {
 	n := h.n.Load()

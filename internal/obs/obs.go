@@ -12,7 +12,8 @@
 // no time.Now calls, no allocation. cluster.Config.Obs,
 // driver runs and live.Config.Obs all default to nil, so the
 // instrumented stack benchmarks within noise of the uninstrumented one
-// (see BENCH_8.json: BenchmarkBenchTPCC vs BenchmarkBenchTPCCObs).
+// (the frozen 3-iteration BENCH_8.json snapshot; TestObsOverheadGuard in
+// internal/experiments runs the comparison).
 //
 // Readers use Registry.Snapshot, which folds in registered collectors
 // (the cluster contributes WAL bytes/forces/compactions, lock-manager

@@ -11,7 +11,7 @@ import (
 // /metrics (JSON snapshot), plus the standard expvar (/debug/vars) and
 // pprof (/debug/pprof/) handlers. It returns the bound address (useful
 // with ":0") or an error; the server runs until the process exits.
-// Both cmd/schism and cmd/experiments expose this behind an -obs flag.
+// cmd/experiments exposes this behind its -obs flag.
 func Serve(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

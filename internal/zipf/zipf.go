@@ -109,8 +109,3 @@ func NewUniform(rng *rand.Rand, n uint64) *Uniform { return &Uniform{rng: rng, n
 
 // Next draws the next uniform value in [0, n).
 func (u *Uniform) Next() uint64 { return uint64(u.rng.Int63n(int64(u.n))) }
-
-// Generator is the common interface over key-distribution generators.
-type Generator interface {
-	Next() uint64
-}
