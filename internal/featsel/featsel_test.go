@@ -6,6 +6,7 @@ import (
 
 	"schism/internal/datum"
 	"schism/internal/workload"
+	"schism/internal/workloads"
 )
 
 func TestFrequencies(t *testing.T) {
@@ -130,5 +131,16 @@ func TestDiscretiseManyDistinct(t *testing.T) {
 	// Equal-frequency: value order preserved.
 	if codes[0] != 0 || codes[999] != maxCode {
 		t.Errorf("rank binning broken: first=%d last=%d", codes[0], codes[999])
+	}
+}
+
+// BenchmarkFrequencies mines a TPC-C 2-warehouse trace, as core.Run does
+// with its training half: the cost is parsing every statement.
+func BenchmarkFrequencies(b *testing.B) {
+	tr := workloads.TPCC(workloads.TPCCConfig{Warehouses: 2, Customers: 10, Items: 100, InitialOrders: 5, Txns: 1000, Seed: 2}).Trace
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Frequencies(tr)
 	}
 }

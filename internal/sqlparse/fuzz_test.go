@@ -2,10 +2,12 @@ package sqlparse
 
 // Fuzz harness for the parser and its downstream consumers: Parse must
 // never panic, every accepted statement must render to text that reparses
-// to an identical rendering (the router logs and replays statements), and
-// the predicates the router extracts must survive the round trip.
+// to an identical rendering (the router logs and replays statements), the
+// predicates the router extracts must survive the round trip, and the
+// pooled parse must agree with a fresh one.
 
 import (
+	"reflect"
 	"testing"
 
 	"schism/internal/datum"
@@ -18,6 +20,7 @@ func FuzzParse(f *testing.F) {
 		"SELECT * FROM t WHERE a BETWEEN 5 AND 9 OR b = 'x''y'",
 		"SELECT * FROM orders JOIN lines ON orders.o_id = lines.l_o_id WHERE o_id >= 7 FOR UPDATE",
 		"UPDATE stock SET s_qty = s_qty - 10, s_remote = 1 WHERE s_w_id = 2 AND s_i_id = 77",
+		"UPDATE t SET a = a -1 WHERE k = 3",
 		"INSERT INTO history (h_id, h_amount, h_data) VALUES (42, 3.25, 'pay')",
 		"DELETE FROM new_order WHERE no_o_id <= 2100",
 		"SELECT * FROM t WHERE x = 1e+06 AND y != -0.5",
@@ -29,8 +32,15 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, err := Parse(src) // must not panic
+		fresh, ferr := ParseFresh(src)
+		if (err == nil) != (ferr == nil) || err != nil && err.Error() != ferr.Error() {
+			t.Fatalf("%q: pooled error %v, fresh error %v", src, err, ferr)
+		}
 		if err != nil {
 			return
+		}
+		if stmt.String() != fresh.String() || !reflect.DeepEqual(WhereColumns(stmt), WhereColumns(fresh)) {
+			t.Fatalf("%q: pooled %q and fresh %q parses differ", src, stmt, fresh)
 		}
 		// Downstream consumers must accept anything Parse accepts.
 		_ = WhereColumns(stmt)
@@ -125,6 +135,7 @@ func TestFuzzSeedsRoundTrip(t *testing.T) {
 		"SELECT * FROM t WHERE s = 'a''b' AND f = 2.0",
 		"UPDATE t SET a = 1.5, b = b + 2 WHERE k IN (-1, 0, 1)",
 		"SELECT * FROM t WHERE f = 1e-3",
+		"UPDATE t SET a = a -1 WHERE k = 3",
 	} {
 		stmt, err := Parse(src)
 		if err != nil {

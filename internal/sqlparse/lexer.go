@@ -34,10 +34,12 @@ type lexer struct {
 	toks []token
 }
 
-// lex tokenises the input, returning an error for unterminated strings or
-// unexpected bytes.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+// lex tokenises the input into buf[:0] and returns the grown buffer, also
+// with the error it reports for an unterminated string or unexpected
+// byte. Only a string literal's text is allocated; every other token's is
+// a substring of src or a constant.
+func lex(src string, buf []token) ([]token, error) {
+	l := lexer{src: src, toks: buf[:0]}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -91,7 +93,7 @@ func lex(src string) ([]token, error) {
 				l.pos++
 			}
 			if !closed {
-				return nil, fmt.Errorf("sqlparse: unterminated string at %d", start)
+				return l.toks, fmt.Errorf("sqlparse: unterminated string at %d", start)
 			}
 			l.emit(tokString, sb.String(), start)
 		case c == '?':
@@ -99,20 +101,16 @@ func lex(src string) ([]token, error) {
 			l.pos++
 		case strings.IndexByte("=<>!(),.*+-;", c) >= 0:
 			start := l.pos
-			two := ""
-			if l.pos+1 < len(l.src) {
-				two = l.src[l.pos : l.pos+2]
+			l.pos++
+			if l.pos < len(l.src) {
+				switch l.src[start : l.pos+1] {
+				case "<=", ">=", "!=", "<>":
+					l.pos++
+				}
 			}
-			switch two {
-			case "<=", ">=", "!=", "<>":
-				l.pos += 2
-				l.emit(tokPunct, two, start)
-			default:
-				l.pos++
-				l.emit(tokPunct, string(c), start)
-			}
+			l.emit(tokPunct, l.src[start:l.pos], start)
 		default:
-			return nil, fmt.Errorf("sqlparse: unexpected byte %q at %d", c, l.pos)
+			return l.toks, fmt.Errorf("sqlparse: unexpected byte %q at %d", c, l.pos)
 		}
 	}
 	l.emit(tokEOF, "", l.pos)

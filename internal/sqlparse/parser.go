@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 
 	"schism/internal/datum"
 )
@@ -16,13 +17,31 @@ func Parse(src string) (Statement, error) {
 	return stmt, err
 }
 
+// tokenPool holds lexer buffers between parses, so that a parse allocates
+// only the statement it returns. A buffer is cleared before it goes back:
+// a pooled buffer references no SQL text.
+var tokenPool = sync.Pool{New: func() any { return new([]token) }}
+
 // parse is Parse; with numbered set, the n-th placeholder becomes
-// placeholder(n) instead of plain NULL and the count is returned.
+// placeholder(n) instead of plain NULL and the count is returned. Each
+// call lexes into a buffer of its own from tokenPool, so parses may run
+// concurrently.
 func parse(src string, numbered bool) (Statement, int, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, 0, err
+	buf := tokenPool.Get().(*[]token)
+	toks, err := lex(src, *buf)
+	var stmt Statement
+	var n int
+	if err == nil {
+		stmt, n, err = parseTokens(toks, src, numbered)
 	}
+	clear(toks)
+	*buf = toks[:0]
+	tokenPool.Put(buf)
+	return stmt, n, err
+}
+
+// parseTokens parses one statement from the tokens lex produced for src.
+func parseTokens(toks []token, src string, numbered bool) (Statement, int, error) {
 	p := &parser{toks: toks, src: src, numbered: numbered}
 	stmt, err := p.parseStatement()
 	if err != nil {
@@ -193,10 +212,11 @@ func (p *parser) parseSelect() (Statement, error) {
 		if p.peek().kind != tokNumber {
 			return nil, p.errorf("expected LIMIT count")
 		}
-		n, err := strconv.Atoi(p.next().text)
+		n, err := strconv.Atoi(p.peek().text)
 		if err != nil {
-			return nil, p.errorf("bad LIMIT: %v", err)
+			return nil, p.errorf("bad LIMIT %q", p.peek().text)
 		}
+		p.next()
 		s.Limit = n
 	}
 	if p.keyword("FOR") {
@@ -237,11 +257,19 @@ func (p *parser) parseUpdate() (Statement, error) {
 				return nil, p.errorf("SET %s references %s; only self-references supported", col, ref)
 			}
 			opTok := p.peek()
-			if opTok.kind != tokPunct || (opTok.text != "+" && opTok.text != "-") {
+			switch {
+			case opTok.kind == tokPunct && (opTok.text == "+" || opTok.text == "-"):
+				p.next()
+				a.SelfOp = opTok.text[0]
+			case opTok.kind == tokNumber && opTok.text[0] == '-':
+				// "a -1": the lexer folded the minus into the number.
+				// Split it back into the operator and the magnitude.
+				a.SelfOp = '-'
+				p.toks[p.i].text = opTok.text[1:]
+				p.toks[p.i].pos++
+			default:
 				return nil, p.errorf("expected + or - after self-reference")
 			}
-			p.next()
-			a.SelfOp = opTok.text[0]
 			if a.Value, err = p.literal(); err != nil {
 				return nil, err
 			}
@@ -483,18 +511,21 @@ func (p *parser) literal() (datum.D, error) {
 	t := p.peek()
 	switch t.kind {
 	case tokNumber:
-		p.next()
+		// The error names the literal itself, so it is reported before
+		// the literal is consumed.
 		if strings.ContainsAny(t.text, ".eE") {
 			f, err := strconv.ParseFloat(t.text, 64)
 			if err != nil || math.IsInf(f, 0) {
 				return datum.NullD, p.errorf("bad float %q", t.text)
 			}
+			p.next()
 			return datum.NewFloat(f), nil
 		}
 		v, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return datum.NullD, p.errorf("bad int %q", t.text)
 		}
+		p.next()
 		return datum.NewInt(v), nil
 	case tokString:
 		p.next()

@@ -70,6 +70,22 @@ func TestParseUpdate(t *testing.T) {
 	if w.Value.S != "carlo" {
 		t.Errorf("where literal: %v", w.Value)
 	}
+
+	// Without a space the lexer folds "-1" into one number; it still
+	// reads as the operator and the magnitude, and renders with the space.
+	for _, src := range []string{"UPDATE t SET a = a -1", "UPDATE t SET a = a - 1"} {
+		s := MustParse(src).(*Update)
+		if a := s.Set[0]; a.SelfOp != '-' || a.Value.I != 1 {
+			t.Errorf("%s: assignment %+v", src, a)
+		}
+		if got := s.String(); got != "UPDATE t SET a = a - 1" {
+			t.Errorf("%s renders %q", src, got)
+		}
+	}
+	if a := MustParse("UPDATE t SET a = a -2.5, b = b - -3").(*Update).Set; a[0].SelfOp != '-' || a[0].Value.F != 2.5 ||
+		a[1].SelfOp != '-' || a[1].Value.I != -3 {
+		t.Errorf("assignments %+v", a)
+	}
 }
 
 func TestParseInsertDelete(t *testing.T) {
@@ -128,6 +144,20 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
+		}
+	}
+
+	// A bad literal is named with its own text and position, not the
+	// token after it.
+	for _, tc := range []struct{ src, want string }{
+		{"SELECT * FROM t WHERE a = 9223372036854775808 AND b = 1",
+			`bad int "9223372036854775808" (at "9223372036854775808", pos 26)`},
+		{"SELECT * FROM t WHERE a = 1.5.5", `bad float "1.5.5" (at "1.5.5", pos 26)`},
+		{"SELECT * FROM t LIMIT 1.5", `bad LIMIT "1.5" (at "1.5", pos 22)`},
+	} {
+		_, err := Parse(tc.src)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Parse(%q) = %v, want %s", tc.src, err, tc.want)
 		}
 	}
 }
@@ -240,6 +270,74 @@ func TestEvalWhere(t *testing.T) {
 	}
 	if !EvalWhere(nil, lookup) {
 		t.Error("nil WHERE must be true")
+	}
+}
+
+// The statements of a NewOrder whose parse cost is pinned and measured.
+var (
+	orderLineInsert = "INSERT INTO order_line (ol_key, ol_w_id, ol_d_id, ol_o_id, ol_number, ol_i_id, ol_supply_w_id, ol_amount) VALUES (300150001, 1, 5, 3001, 1, 77, 2, 41.25)"
+	stockUpdate     = "UPDATE stock SET s_quantity = s_quantity - 1, s_ytd = s_ytd + 1 WHERE s_w_id = 2 AND s_i_id = 77"
+	customerSelect  = "SELECT * FROM customer WHERE c_w_id = 1 AND c_d_id = 5 AND c_id = 9"
+)
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// TestParseAllocs pins what a parse allocates to its statement: the token
+// buffer comes from a pool and punctuation tokens are substrings of the
+// source.
+func TestParseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	for _, tc := range []struct {
+		src string
+		max float64
+	}{
+		{orderLineInsert, 9},
+		{stockUpdate, 6},
+		{customerSelect, 6},
+	} {
+		MustParse(tc.src)
+		if n := testing.AllocsPerRun(100, func() { MustParse(tc.src) }); n > tc.max {
+			t.Errorf("Parse(%.30q...) allocates %v objects, want <= %v", tc.src, n, tc.max)
+		}
+	}
+}
+
+// TestPooledBufferHoldsNoText checks that a token buffer goes back to the
+// pool cleared, so the pool keeps no SQL text reachable.
+func TestPooledBufferHoldsNoText(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	MustParse(orderLineInsert)
+	buf := tokenPool.Get().(*[]token)
+	defer tokenPool.Put(buf)
+	if cap(*buf) == 0 {
+		t.Skip("two collections emptied the pool before the buffer was inspected")
+	}
+	for i, tok := range (*buf)[:cap(*buf)] {
+		if tok != (token{}) {
+			t.Fatalf("pooled token %d is %+v, want zero", i, tok)
+		}
+	}
+}
+
+func BenchmarkParse(b *testing.B) {
+	for _, bc := range []struct{ name, src string }{
+		{"insert-order_line", orderLineInsert},
+		{"update-stock", stockUpdate},
+		{"select-customer", customerSelect},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Parse(bc.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -10,6 +10,8 @@
 package workloads
 
 import (
+	"strings"
+
 	"schism/internal/dtree"
 	"schism/internal/partition"
 	"schism/internal/sqlparse"
@@ -65,10 +67,15 @@ func (w *Workload) Resolver() partition.Resolver {
 }
 
 // virtualRows reconstructs rows for tuples created by the trace's INSERTs.
+// Only a statement that starts with INSERT can parse to one, so no other
+// statement is parsed.
 func (w *Workload) virtualRows() map[workload.TupleID]storage.RowView {
 	out := make(map[workload.TupleID]storage.RowView)
 	for _, t := range w.Trace.Txns {
 		for _, src := range t.SQL {
+			if !startsWithInsert(src) {
+				continue
+			}
 			stmt, err := sqlparse.Parse(src)
 			if err != nil {
 				continue
@@ -99,6 +106,13 @@ func (w *Workload) virtualRows() map[workload.TupleID]storage.RowView {
 		}
 	}
 	return out
+}
+
+// startsWithInsert reports whether src's first word, after the whitespace
+// the SQL lexer skips, begins with INSERT in any letter case.
+func startsWithInsert(src string) bool {
+	src = strings.TrimLeft(src, " \t\n\r")
+	return len(src) >= len("INSERT") && strings.EqualFold(src[:len("INSERT")], "INSERT")
 }
 
 // TupleSize returns a size function for data-size balancing.

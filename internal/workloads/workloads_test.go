@@ -10,6 +10,7 @@ import (
 	"schism/internal/datum"
 	"schism/internal/driver"
 	"schism/internal/partition"
+	"schism/internal/sqlparse"
 	"schism/internal/storage"
 	"schism/internal/workload"
 )
@@ -356,3 +357,77 @@ func TestSimplecountStreamPlacement(t *testing.T) {
 type mapRowSC map[string]datum.D
 
 func (m mapRowSC) Get(c string) datum.D { return m[c] }
+
+// virtualRowsParseAll is virtualRows without its INSERT filter: it parses
+// every statement of the trace.
+func virtualRowsParseAll(w *Workload) map[workload.TupleID]storage.RowView {
+	out := make(map[workload.TupleID]storage.RowView)
+	for _, t := range w.Trace.Txns {
+		for _, src := range t.SQL {
+			stmt, err := sqlparse.Parse(src)
+			if err != nil {
+				continue
+			}
+			ins, ok := stmt.(*sqlparse.Insert)
+			if !ok {
+				continue
+			}
+			tbl := w.DB.Table(ins.Table)
+			if tbl == nil {
+				continue
+			}
+			schema := tbl.Schema
+			row := make(storage.Row, len(schema.Columns))
+			for i, col := range ins.Cols {
+				if ci := schema.ColIndex(col); ci >= 0 {
+					row[ci] = ins.Values[i]
+				}
+			}
+			key, ok := row[schema.KeyIndex()].AsInt()
+			if !ok {
+				continue
+			}
+			id := workload.TupleID{Table: ins.Table, Key: key}
+			if _, dup := out[id]; !dup {
+				out[id] = storage.RowView{Schema: schema, Data: row}
+			}
+		}
+	}
+	return out
+}
+
+// TestVirtualRowsMatchesParseAll holds virtualRows, which parses only the
+// statements that start with INSERT, to the rows found by parsing every
+// statement.
+func TestVirtualRowsMatchesParseAll(t *testing.T) {
+	tpcc := TPCC(TPCCConfig{Warehouses: 2, Customers: 10, Items: 100, InitialOrders: 5, Txns: 500, Seed: 2})
+	handWritten := &Workload{DB: tpcc.DB, Trace: &workload.Trace{Txns: []*workload.Txn{{SQL: []string{
+		"insert into history (h_id, h_w_id, h_amount) values (900001, 1, 10.5)",
+		"\n\tINSERT INTO history (h_id, h_w_id, h_amount) VALUES (900002, 2, 7)",
+		"INSERT INTO history (h_id, h_w_id) VALUES (900003",
+		"INSERT INTO history (h_id, h_w_id) VALUES (900004, 1)",
+		"  Insert Into history (h_id) VALUES (900004)",
+		"SELECT * FROM history WHERE h_id = 900005",
+		"UPDATE history SET h_amount = h_amount -1 WHERE h_id = 900001",
+	}}}}}
+	for _, tc := range []struct {
+		name string
+		w    *Workload
+		min  int
+	}{
+		{"tpcc-2w", tpcc, 1},
+		{"epinions", Epinions(EpinionsConfig{Users: 300, Items: 150, Communities: 8, Txns: 500, Seed: 7}), 0},
+		{"tpce", TPCE(TPCEConfig{Customers: 100, Securities: 50, Txns: 500, Seed: 8}), 1},
+		{"ycsb-a", YCSBA(YCSBConfig{Rows: 1000, Txns: 500, Seed: 4}), 0},
+		{"hand-written", handWritten, 3},
+	} {
+		got, want := tc.w.virtualRows(), virtualRowsParseAll(tc.w)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: virtualRows has %d rows, parsing every statement finds %d, and they differ",
+				tc.name, len(got), len(want))
+		}
+		if len(want) < tc.min {
+			t.Errorf("%s: %d virtual rows, want at least %d", tc.name, len(want), tc.min)
+		}
+	}
+}
