@@ -66,7 +66,7 @@ func TestBuildBasicGraph(t *testing.T) {
 func edgeWeightBetween(g *metis.Graph, u, v int32) int32 {
 	for j := g.XAdj[u]; j < g.XAdj[u+1]; j++ {
 		if g.Adj[j] == v {
-			return g.EWgt[j]
+			return csrWeights(g)[j]
 		}
 	}
 	return 0

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -87,12 +88,16 @@ func (w *rowWriter) degree(v int32) int {
 	return d
 }
 
+// weight is an adjacency weight as the CSR stores it: int32 in general,
+// uint16 when buildCSR has bounded every weight below 2^16.
+type weight interface{ int32 | uint16 }
+
 // fillRow writes node v's sorted, folded adjacency into adj/ewgt (the
 // row's raw-size slots) and returns the folded length. Equal neighbours —
 // a pair co-accessed by several transactions, possible only for plain
 // nodes — fold into one entry whose weight is the multiplicity; a
 // replication edge weighs updates, the update count of v's group.
-func (w *rowWriter) fillRow(v int32, adj []int32, ewgt []int32, updates int32) int {
+func fillRow[W weight](w *rowWriter, v int32, adj []int32, ewgt []W, updates W) int {
 	g := w.g
 	n := g.Nodes[v]
 	if n.Center {
@@ -127,7 +132,7 @@ func (w *rowWriter) fillRow(v int32, adj []int32, ewgt []int32, updates int32) i
 		for j < len(adj) && adj[j] == u {
 			j++
 		}
-		adj[k], ewgt[k] = u, int32(j-i)
+		adj[k], ewgt[k] = u, W(j-i)
 		k++
 		i = j
 	}
@@ -187,15 +192,23 @@ func (g *Graph) buildCSR(nwgt []int64) (*metis.Graph, error) {
 	// 1 each before folding, so they sum to their raw count, but a star's
 	// 2·replicas entries weigh its group's update count, and a write-hot
 	// group's star can outweigh int32 on its own.
+	//
+	// maxW bounds every single weight: a star entry weighs its group's
+	// update count, and a folded clique entry at most the number of
+	// transactions accessing its plain group.
 	xadj := make([]int32, numNodes+1)
-	var entries, weight int64
+	var entries, weight, maxW int64
 	for v := int32(0); v < numNodes; v++ {
 		d := int64(w.degree(v))
 		entries += d
 		xadj[v+1] = int32(entries)
-		if n := g.Nodes[v]; n.Center {
+		switch n := g.Nodes[v]; {
+		case n.Center:
 			updates, _ := g.replWeights(n.Group)
 			weight += 2 * d * (updates - 1)
+			maxW = max(maxW, updates)
+		case n.Txn < 0:
+			maxW = max(maxW, int64(g.accCount[n.Group]))
 		}
 	}
 	weight += entries
@@ -207,8 +220,22 @@ func (g *Graph) buildCSR(nwgt []int64) (*metis.Graph, error) {
 		return nil, fmt.Errorf("graph: replicated tuples of %d transactions: %w (sample the trace or use BuildHyper)",
 			numTxns, err)
 	}
+	// The weights take two bytes an entry when maxW allows, the common
+	// case: a clique entry that no second transaction shares weighs 1.
+	out := &metis.Graph{XAdj: xadj, NWgt: nwgt}
 	adj := make([]int32, entries)
-	ewgt := make([]int32, entries)
+	if maxW <= math.MaxUint16 {
+		out.Adj, out.EWgt16 = fillCSR(w, xadj, adj, make([]uint16, entries))
+	} else {
+		out.Adj, out.EWgt = fillCSR(w, xadj, adj, make([]int32, entries))
+	}
+	return out, nil
+}
+
+// fillCSR fills adj and ewgt, allocated at the raw sizes xadj gives, row
+// by row, and folds them (and xadj) to their final size.
+func fillCSR[W weight](w *rowWriter, xadj, adj []int32, ewgt []W) ([]int32, []W) {
+	g, numNodes, entries := w.g, int32(len(xadj)-1), int64(len(adj))
 
 	// Fill: workers own contiguous node ranges holding about equal shares
 	// of the entries. A row that folded ends in a -1 sentinel.
@@ -231,15 +258,15 @@ func (g *Graph) buildCSR(nwgt []int64) (*metis.Graph, error) {
 			defer wg.Done()
 			// A star's nodes are contiguous, so its update count is
 			// computed once per worker that meets it, not once per replica.
-			group, updates := int32(-1), int32(0)
+			group, updates := int32(-1), W(0)
 			for v := lo; v < hi; v++ {
 				if gi := g.Nodes[v].Group; gi != group && g.exploded[gi] {
 					group = gi
 					u, _ := g.replWeights(gi)
-					updates = int32(u)
+					updates = W(u)
 				}
 				row := adj[xadj[v]:xadj[v+1]]
-				if k := w.fillRow(v, row, ewgt[xadj[v]:xadj[v+1]], updates); k < len(row) {
+				if k := fillRow(w, v, row, ewgt[xadj[v]:xadj[v+1]], updates); k < len(row) {
 					row[k] = -1
 					folded[s] = true
 				}
@@ -265,5 +292,5 @@ func (g *Graph) buildCSR(nwgt []int64) (*metis.Graph, error) {
 		xadj[numNodes] = out
 		adj, ewgt = adj[:out], ewgt[:out]
 	}
-	return &metis.Graph{XAdj: xadj, Adj: adj, EWgt: ewgt, NWgt: nwgt}, nil
+	return adj, ewgt
 }

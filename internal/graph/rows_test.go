@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"schism/internal/metis"
@@ -118,7 +120,7 @@ func TestBuildRowsMatchEdgeList(t *testing.T) {
 	// The generated shapes fold too: overlapping YCSB-E scans repeat pairs.
 	g := mustBuild(Build(shapedTraces()["ycsb-e"], Options{}))
 	heavy := false
-	for _, w := range g.CSR.EWgt {
+	for _, w := range csrWeights(g.CSR) {
 		heavy = heavy || w > 1
 	}
 	if !heavy {
@@ -151,7 +153,7 @@ func TestEdgeWeightOverflowGuard(t *testing.T) {
 		t.Fatalf("Build at total weight 2N²+2N = %d: %v", 2*fits*fits+2*fits, err)
 	}
 	var total int64
-	for _, w := range g.CSR.EWgt {
+	for _, w := range csrWeights(g.CSR) {
 		total += int64(w)
 	}
 	if want := int64(2*fits*fits + 2*fits); total != want {
@@ -166,15 +168,46 @@ func TestEdgeWeightOverflowGuard(t *testing.T) {
 	}
 }
 
+// TestBuildWeightWidth pins the CSR weights' width: two bytes whenever
+// every weight fits, and int32 as soon as one pair's multiplicity does
+// not — here 65 536 transactions co-access one pair, without replication
+// so that the pair folds into a single plain edge.
+func TestBuildWeightWidth(t *testing.T) {
+	pair := func(n int) *workload.Trace {
+		tr := workload.NewTrace()
+		for i := 0; i < n; i++ {
+			tr.Add([]workload.Access{
+				{Tuple: workload.TupleID{Table: "t", Key: 0}, Write: true},
+				{Tuple: workload.TupleID{Table: "t", Key: 1}},
+			})
+		}
+		return tr
+	}
+	for _, tc := range []struct {
+		n    int
+		wide bool
+	}{{math.MaxUint16, false}, {math.MaxUint16 + 1, true}} {
+		g := mustBuild(Build(pair(tc.n), Options{}))
+		if wide := g.CSR.EWgt != nil; wide != tc.wide || (g.CSR.EWgt16 != nil) == wide {
+			t.Fatalf("%d transactions: EWgt set %v, EWgt16 set %v; want int32 weights %v",
+				tc.n, g.CSR.EWgt != nil, g.CSR.EWgt16 != nil, tc.wide)
+		}
+		if got := csrWeights(g.CSR); !slices.Equal(got, []int32{int32(tc.n), int32(tc.n)}) {
+			t.Fatalf("%d transactions: weights %v, want both %d", tc.n, got, tc.n)
+		}
+	}
+}
+
 // TestBuildByteBudget fails if Build goes back to materialising edges
-// before the CSR, or to 64-bit weights. The CSR itself is 8 B per
-// directed adjacency entry (int32 neighbour + int32 weight; 12 B with the
+// before the CSR, or to 32- or 64-bit weights on a graph whose weights
+// fit two bytes. The CSR itself is 6 B per directed adjacency entry
+// (int32 neighbour + uint16 weight; 8 B with int32 weights, 12 B with the
 // int64 weights it had before); the old edge list, packed keys and
 // counting-sort temporaries cost 24 B per entry on top (287 MB against 99
 // MB on this trace). Everything else Build allocates — interned trace,
 // accessor lists, node table, member lists, XAdj — is linear in accesses
-// and nodes, about 24 B per access-or-node here (8.4 B per entry in all;
-// 12.4 B with int64 weights, which the budget of 10 rejects).
+// and nodes, about 24 B per access-or-node here (6.4 B per entry in all;
+// 8.4 B with int32 weights, which the budget of 7 rejects).
 func TestBuildByteBudget(t *testing.T) {
 	tr := workloads.TPCC(workloads.TPCCConfig{
 		Warehouses: 4, Customers: 10, Items: 200, InitialOrders: 3, Txns: 2000, Seed: 5,
@@ -192,7 +225,7 @@ func TestBuildByteBudget(t *testing.T) {
 		}
 	})
 	entries := int64(len(g.CSR.Adj))
-	budget := 10*entries + 64*int64(accesses+g.NumNodes())
+	budget := 7*entries + 64*int64(accesses+g.NumNodes())
 	if got := res.AllocedBytesPerOp(); got > budget {
 		t.Errorf("Build allocated %d B for %d adjacency entries, %d accesses, %d nodes; budget %d",
 			got, entries, accesses, g.NumNodes(), budget)

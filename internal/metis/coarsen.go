@@ -47,7 +47,7 @@ func (s *Solver) heavyEdgeMatch(g *Graph, cmap []int32) int {
 	for i := range match {
 		match[i] = -1
 	}
-	xadj, adj, ew := g.XAdj, g.Adj, g.EWgt
+	xadj, adj, ew := g.XAdj, g.Adj, g.weights()
 	for _, u := range s.permute(n) {
 		if match[u] >= 0 {
 			continue
@@ -59,11 +59,7 @@ func (s *Solver) heavyEdgeMatch(g *Graph, cmap []int32) int {
 			if match[v] >= 0 || v == u {
 				continue
 			}
-			w := int64(1)
-			if ew != nil {
-				w = int64(ew[j])
-			}
-			if w > bestW {
+			if w := ew.at(j); w > bestW {
 				bestW, best = w, v
 			}
 		}
@@ -164,7 +160,7 @@ func (s *Solver) contract(f *Graph, cmap []int32, numCoarse int, out *levelData)
 	}
 	out.xadj = growI32(out.xadj, nc+1)
 	xadj := out.xadj[:nc+1]
-	fxadj, fadj, few := f.XAdj, f.Adj, f.EWgt
+	fxadj, fadj, few := f.XAdj, f.Adj, f.weights()
 	m := 0
 	for c := 0; c < nc; c++ {
 		xadj[c] = int32(m)
@@ -212,10 +208,7 @@ func (s *Solver) contract(f *Graph, cmap []int32, numCoarse int, out *levelData)
 				if int(cv) == c {
 					continue
 				}
-				w := int64(1)
-				if few != nil {
-					w = int64(few[j])
-				}
+				w := few.at(j)
 				if mark[cv] != stamp {
 					mark[cv] = stamp
 					slot[cv] = int32(len(row))

@@ -16,12 +16,14 @@
 // int32-indexed; NewGraph, NewHGraph and CheckCSRCapacity reject inputs
 // past that limit with ErrTooLarge instead of silently wrapping.
 //
-// Edge weights are int32 at every level — 8 bytes per directed adjacency
-// entry with the neighbour id — under one invariant: a graph's total
-// directed edge weight fits int32. A coarse edge's weight is a sum of fine
-// ones, so the invariant bounds every level of the hierarchy; graph.Build
-// and NewGraph check it (CheckEdgeWeight), and every sum the partitioner
-// forms from weights (gains, cuts, degrees, contraction folds) is int64.
+// Edge weights are int32 at every coarse level — 8 bytes per directed
+// adjacency entry with the neighbour id — and may be uint16 in the input
+// graph when its builder knows they fit (EWgt16, 6 bytes an entry). Both
+// forms keep one invariant: a graph's total directed edge weight fits
+// int32. A coarse edge's weight is a sum of fine ones, so the invariant
+// bounds every level of the hierarchy; graph.Build and NewGraph check it
+// (CheckEdgeWeight), and every sum the partitioner forms from weights
+// (gains, cuts, degrees, contraction folds) is int64.
 //
 // PartHKway is the hypergraph counterpart (hgraph.go, hcoarsen.go,
 // hrefine.go, hkway.go): the same multilevel shape over pin lists,
@@ -49,6 +51,10 @@ type Graph struct {
 	// Their sum over all entries must fit int32 (CheckEdgeWeight), which
 	// keeps every coarse weight folded from them in range too.
 	EWgt []int32
+	// EWgt16 is EWgt's two-byte form, for a builder whose weights all fit
+	// uint16: it halves the weight array of a large input graph. At most
+	// one of EWgt and EWgt16 is set; coarse levels always use EWgt.
+	EWgt16 []uint16
 	// NWgt holds per-node weights; nil means all nodes weigh 1.
 	NWgt []int64
 }
@@ -73,11 +79,26 @@ func (g *Graph) NodeWeight(i int32) int64 {
 }
 
 // edgeWeight returns the weight of the directed edge at adjacency index j.
-func (g *Graph) edgeWeight(j int32) int64 {
-	if g.EWgt == nil {
-		return 1
+func (g *Graph) edgeWeight(j int32) int64 { return g.weights().at(int(j)) }
+
+// edgeWeights reads a graph's per-entry weights in whichever form holds
+// them; the partitioner's inner loops take it once per graph.
+type edgeWeights struct {
+	w32 []int32
+	w16 []uint16
+}
+
+func (g *Graph) weights() edgeWeights { return edgeWeights{g.EWgt, g.EWgt16} }
+
+// at is the weight of adjacency entry j (1 when the graph has none).
+func (w edgeWeights) at(j int) int64 {
+	switch {
+	case w.w32 != nil:
+		return int64(w.w32[j])
+	case w.w16 != nil:
+		return int64(w.w16[j])
 	}
-	return int64(g.EWgt[j])
+	return 1
 }
 
 // TotalNodeWeight returns the sum of all node weights.
@@ -119,11 +140,17 @@ func (g *Graph) Validate() error {
 	if g.EWgt != nil && len(g.EWgt) != len(g.Adj) {
 		return fmt.Errorf("metis: len(EWgt)=%d != len(Adj)=%d", len(g.EWgt), len(g.Adj))
 	}
+	if g.EWgt16 != nil && (g.EWgt != nil || len(g.EWgt16) != len(g.Adj)) {
+		return fmt.Errorf("metis: EWgt16 with EWgt set or len(EWgt16)=%d != len(Adj)=%d", len(g.EWgt16), len(g.Adj))
+	}
 	if g.NWgt != nil && len(g.NWgt) != n {
 		return fmt.Errorf("metis: len(NWgt)=%d != n=%d", len(g.NWgt), n)
 	}
 	var total int64
 	for _, w := range g.EWgt {
+		total += int64(w)
+	}
+	for _, w := range g.EWgt16 {
 		total += int64(w)
 	}
 	if err := CheckEdgeWeight(total); err != nil {

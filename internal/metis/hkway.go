@@ -8,14 +8,11 @@ import "fmt"
 // objective approximates. It returns the partition label of every node
 // and the achieved connectivity cost.
 //
-// Scratch memory comes from a pooled Solver, so steady-state calls
-// allocate little beyond the returned label slice. Output depends only
-// on (h, k, opts) — never on pool state or GOMAXPROCS.
+// Like PartKway, each call runs on a fresh Solver; callers that
+// partition repeatedly hold their own. Output depends only on
+// (h, k, opts), never on GOMAXPROCS.
 func PartHKway(h *HGraph, k int, opts Options) ([]int32, int64, error) {
-	s := solverPool.Get().(*Solver)
-	parts, cost, err := s.PartHKway(h, k, opts)
-	solverPool.Put(s)
-	return parts, cost, err
+	return NewSolver().PartHKway(h, k, opts)
 }
 
 // PartHKway is the context-reusing form of the package-level PartHKway,

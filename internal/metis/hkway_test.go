@@ -230,7 +230,7 @@ func TestPartHKwayInvariants(t *testing.T) {
 }
 
 // TestPartHKwayDeterministic pins that equal (h, k, opts) give
-// byte-identical output whether the solver is fresh, reused, or pooled.
+// byte-identical output whether the solver is fresh or reused.
 func TestPartHKwayDeterministic(t *testing.T) {
 	h := randomHyper(400, 1200, 7)
 	ref, refCost, err := PartHKway(h, 8, Options{Seed: 99})

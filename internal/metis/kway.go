@@ -29,14 +29,13 @@ func coarsenTo(k int) int { return max(100, 15*k) }
 // cut, in the style of METIS kmetis (§4.2 of the Schism paper). It returns
 // the partition label of every node and the achieved edge cut.
 //
-// Scratch memory comes from a pooled Solver, so steady-state calls
-// allocate little beyond the returned label slice. Output depends only on
-// (g, k, opts) — never on pool state or GOMAXPROCS.
+// Each call runs on a fresh Solver whose scratch — the whole coarse
+// hierarchy — is garbage when it returns, so nothing outlives the call
+// and what a call costs does not depend on the calls before it. Callers
+// that partition repeatedly hold their own Solver. Output depends only
+// on (g, k, opts), never on GOMAXPROCS.
 func PartKway(g *Graph, k int, opts Options) ([]int32, int64, error) {
-	s := solverPool.Get().(*Solver)
-	parts, cut, err := s.PartKway(g, k, opts)
-	solverPool.Put(s)
-	return parts, cut, err
+	return NewSolver().PartKway(g, k, opts)
 }
 
 // PartKway is the context-reusing form of the package-level PartKway:

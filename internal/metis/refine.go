@@ -21,16 +21,13 @@ func (s *Solver) seedRefinement(g *Graph, parts []int32, k int) {
 	s.totw = growI64(s.totw, n)
 	s.bndPos = growI32(s.bndPos, n)
 	s.bndList = s.bndList[:0]
-	xadj, adj, ew := g.XAdj, g.Adj, g.EWgt
+	xadj, adj, ew := g.XAdj, g.Adj, g.weights()
 	for u := 0; u < n; u++ {
 		pu := parts[u]
 		pw[pu] += g.NodeWeight(int32(u))
 		var ext, tot int64
 		for j, end := int(xadj[u]), int(xadj[u+1]); j < end; j++ {
-			w := int64(1)
-			if ew != nil {
-				w = int64(ew[j])
-			}
+			w := ew.at(j)
 			tot += w
 			if parts[adj[j]] != pu {
 				ext += w
@@ -59,25 +56,17 @@ func (s *Solver) applyMove(g *Graph, parts []int32, u, from, to int32, connTo, t
 	s.pw[to] += w
 	s.ed[u] = totW - connTo
 	s.updateBoundary(u)
-	xadj, adj, ew := g.XAdj, g.Adj, g.EWgt
+	xadj, adj, ew := g.XAdj, g.Adj, g.weights()
 	for j, end := int(xadj[u]), int(xadj[u+1]); j < end; j++ {
 		v := adj[j]
 		switch parts[v] {
 		case from:
 			// v's edge to u was internal and is now cut.
-			if ew != nil {
-				s.ed[v] += int64(ew[j])
-			} else {
-				s.ed[v]++
-			}
+			s.ed[v] += ew.at(j)
 			s.updateBoundary(v)
 		case to:
 			// v's edge to u was cut and is now internal.
-			if ew != nil {
-				s.ed[v] -= int64(ew[j])
-			} else {
-				s.ed[v]--
-			}
+			s.ed[v] -= ew.at(j)
 			s.updateBoundary(v)
 		}
 	}
@@ -124,7 +113,7 @@ func (s *Solver) kwayRefine(g *Graph, parts []int32, k, maxPasses int) {
 		queued[u] = true
 	}
 	cur := s.passList[:0]
-	xadj, adj, ew := g.XAdj, g.Adj, g.EWgt
+	xadj, adj, ew := g.XAdj, g.Adj, g.weights()
 	conn := s.conn
 	for pass := 0; pass < maxPasses; pass++ {
 		if len(next) == 0 {
@@ -142,10 +131,7 @@ func (s *Solver) kwayRefine(g *Graph, parts []int32, k, maxPasses int) {
 			touched = touched[:0]
 			for j, end := int(xadj[u]), int(xadj[u+1]); j < end; j++ {
 				p := parts[adj[j]]
-				w := int64(1)
-				if ew != nil {
-					w = int64(ew[j])
-				}
+				w := ew.at(j)
 				if conn[p] == 0 {
 					touched = append(touched, p)
 				}

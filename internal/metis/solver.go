@@ -3,7 +3,6 @@ package metis
 import (
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // Solver is a reusable partitioner context. It owns every scratch buffer
@@ -13,8 +12,8 @@ import (
 // grow to the largest graph seen and are re-sliced per level afterwards.
 //
 // A Solver is not safe for concurrent use. The package-level PartKway
-// recycles Solvers through a pool; hold your own Solver when you want
-// allocation-free steady state regardless of GC pressure.
+// uses a fresh one per call; hold your own Solver when you want the
+// allocation-free steady state.
 type Solver struct {
 	rng *rand.Rand
 	src rand.Source
@@ -140,10 +139,6 @@ func NewSolver() *Solver {
 	src := rand.NewSource(0)
 	return &Solver{rng: rand.New(src), src: src}
 }
-
-// solverPool recycles Solvers so the package-level PartKway is
-// allocation-lean at steady state without callers managing contexts.
-var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 
 // level returns the i-th levelData, extending the hierarchy as needed.
 func (s *Solver) level(i int) *levelData {

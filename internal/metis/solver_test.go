@@ -3,6 +3,7 @@ package metis
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -80,7 +81,7 @@ func TestPartKwayQualityVsNaive(t *testing.T) {
 // TestPartKwaySolverReuseByteIdentical verifies the scratch-reuse
 // contract: the same (g, k, seed) gives byte-identical labels from a
 // fresh Solver, a heavily reused Solver (including after runs on other
-// graphs and k values that dirty every buffer), the pooled package-level
+// graphs and k values that dirty every buffer), the package-level
 // PartKway, and under different GOMAXPROCS values.
 func TestPartKwaySolverReuseByteIdentical(t *testing.T) {
 	g := randomGraph(1500, 6000, 31)
@@ -124,7 +125,7 @@ func TestPartKwaySolverReuseByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("pooled PartKway", got, cut)
+	check("package-level PartKway", got, cut)
 
 	prev := runtime.GOMAXPROCS(0)
 	for _, procs := range []int{1, 4} {
@@ -165,7 +166,7 @@ func TestPartKwayBalanceCaps(t *testing.T) {
 			}
 		}
 		// Same seed must reproduce byte-identical labels on every
-		// randomized graph, through the pooled solver.
+		// randomized graph, through the package-level PartKway.
 		again, cut2, err := PartKway(g, k, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
@@ -250,5 +251,41 @@ func BenchmarkPartKwaySolver(b *testing.B) {
 		if _, _, err := s.PartKway(g, 16, Options{Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestTwoByteWeightsPartitionIdentically pins that EWgt16 is only a
+// narrower encoding: the same weights held as uint16 validate, cut and
+// partition exactly as they do as int32, on both refinement paths (FM
+// bisection at k = 2, greedy k-way above).
+func TestTwoByteWeightsPartitionIdentically(t *testing.T) {
+	g := randomGraph(1500, 6000, 31)
+	narrow := &Graph{XAdj: g.XAdj, Adj: g.Adj, EWgt16: make([]uint16, len(g.EWgt)), NWgt: g.NWgt}
+	for j, w := range g.EWgt {
+		narrow.EWgt16[j] = uint16(w)
+	}
+	if err := narrow.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{2, 12} {
+		want, wantCut, err := PartKway(g, k, Options{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, cut, err := PartKway(narrow, k, Options{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cut != wantCut || !slices.Equal(got, want) {
+			t.Fatalf("k=%d: two-byte weights cut %d, int32 weights %d (labels equal: %v)", k, cut, wantCut, slices.Equal(got, want))
+		}
+		if c := narrow.EdgeCut(got); c != wantCut {
+			t.Fatalf("k=%d: EdgeCut over two-byte weights = %d, want %d", k, c, wantCut)
+		}
+	}
+	both := *narrow
+	both.EWgt = g.EWgt
+	if err := both.Validate(); err == nil {
+		t.Fatal("Validate accepted a graph with both EWgt and EWgt16 set")
 	}
 }
