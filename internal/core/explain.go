@@ -76,28 +76,31 @@ func explainTable(res *Result, table string, tuples []int32, counts map[featsel.
 	}
 
 	// Build labelled rows: label = interned replica set (replicated tuples
-	// get virtual labels for their partition set, §4.3).
+	// get virtual labels for their partition set, §4.3). The rows are
+	// carved from one backing array, sized so that it never grows.
 	labelOf := make(map[string]int)
 	var labelSets [][]int
-	var rows [][]datum.D
-	var labels []int
+	var key []byte
+	cells := make([]datum.D, 0, len(sample)*len(candidates))
+	rows := make([][]datum.D, 0, len(sample))
+	labels := make([]int, 0, len(sample))
 	for _, d := range sample {
 		row := in.Resolver(res.Tuples[d])
 		if row == nil {
 			continue
 		}
-		vals := make([]datum.D, len(candidates))
-		for i, col := range candidates {
-			vals[i] = row.Get(col)
+		start := len(cells)
+		for _, col := range candidates {
+			cells = append(cells, row.Get(col))
 		}
-		key := setKey(res.Assignments[d])
-		l, ok := labelOf[key]
+		key = appendSetKey(key[:0], res.Assignments[d])
+		l, ok := labelOf[string(key)]
 		if !ok {
 			l = len(labelSets)
-			labelOf[key] = l
+			labelOf[string(key)] = l
 			labelSets = append(labelSets, res.Assignments[d])
 		}
-		rows = append(rows, vals)
+		rows = append(rows, cells[start:len(cells):len(cells)])
 		labels = append(labels, l)
 	}
 	if len(rows) == 0 {
@@ -154,13 +157,19 @@ func explainTable(res *Result, table string, tuples []int32, counts map[featsel.
 		}
 		attrs[i] = dtree.Attr{Name: candidates[a], Kind: kind}
 	}
-	ds := &dtree.Dataset{Attrs: attrs, NumLabels: len(labelSets)}
+	ds := &dtree.Dataset{
+		Attrs:     attrs,
+		Rows:      make([][]datum.D, 0, len(rows)),
+		Labels:    make([]int, 0, len(rows)),
+		NumLabels: len(labelSets),
+	}
+	kept := make([]datum.D, 0, len(rows)*len(keep))
 	for i, r := range rows {
-		vals := make([]datum.D, len(keep))
-		for j, a := range keep {
-			vals[j] = r[a]
+		start := len(kept)
+		for _, a := range keep {
+			kept = append(kept, r[a])
 		}
-		ds.Add(vals, labels[i])
+		ds.Add(kept[start:len(kept):len(kept)], labels[i])
 	}
 
 	tree := dtree.Train(ds, dtree.Options{})
@@ -221,12 +230,12 @@ func pctString(f float64) string {
 	return strconv.FormatFloat(100*f, 'f', 2, 64) + "%"
 }
 
-func setKey(parts []int) string {
-	b := make([]byte, len(parts))
-	for i, p := range parts {
-		b[i] = byte(p)
+// appendSetKey appends a replica set's label key to b.
+func appendSetKey(b []byte, parts []int) []byte {
+	for _, p := range parts {
+		b = append(b, byte(p))
 	}
-	return string(b)
+	return b
 }
 
 func majorityCount(labels []int, numLabels int) int {

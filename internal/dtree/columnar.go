@@ -73,6 +73,7 @@ type sweepScratch struct {
 	catHist     []int   // numCats x numLabels histogram (widest column)
 	catMark     []bool  // category already seen at this node
 	catSeen     []int32 // categories in node first-appearance order
+	catFirst    []int32 // first instance of each catSeen category
 	buf         []int32 // stable-partition spill buffer
 }
 
@@ -364,7 +365,7 @@ func (tr *trainer) sweepNumeric(a, lo, hi int, parentH float64, sc *sweepScratch
 	// the gain — the main guard against spurious splits on noisy
 	// continuous attributes.
 	mdl := math.Log2(float64(distinct-1)) / float64(total)
-	var best *split
+	bestP, bestGR := -1, 0.0
 	for p := 0; p < total-1; p++ {
 		i := vals[p]
 		left[tr.labels[i]]++
@@ -385,12 +386,14 @@ func (tr *trainer) sweepNumeric(a, lo, hi int, parentH float64, sc *sweepScratch
 		if si <= 0 {
 			continue
 		}
-		gr := gain / si
-		if best == nil || gr > best.gainRatio {
-			best = &split{attr: a, threshold: midpoint(c.vals[i], c.vals[vals[p+1]]), gainRatio: gr}
+		if gr := gain / si; bestP < 0 || gr > bestGR {
+			bestP, bestGR = p, gr
 		}
 	}
-	return best
+	if bestP < 0 {
+		return nil
+	}
+	return &split{attr: a, threshold: midpoint(c.vals[vals[bestP]], c.vals[vals[bestP+1]]), gainRatio: bestGR}
 }
 
 // sameValue reports whether instances x and y hold equal values of the
@@ -408,8 +411,7 @@ func (c *column) sameValue(x, y int32) bool {
 func (tr *trainer) sweepCategorical(a, lo, hi int, parentH float64, dist []int, sc *sweepScratch) *split {
 	c := &tr.cols[a]
 	L := tr.numLabels
-	seen := sc.catSeen[:0]
-	var firstVal []datum.D // lazily built: representative value per seen cat
+	seen, first := sc.catSeen[:0], sc.catFirst[:0]
 	for _, i := range tr.rows[lo:hi] {
 		cid := c.cat[i]
 		if cid < 0 {
@@ -418,11 +420,11 @@ func (tr *trainer) sweepCategorical(a, lo, hi int, parentH float64, dist []int, 
 		if !sc.catMark[cid] {
 			sc.catMark[cid] = true
 			seen = append(seen, cid)
-			firstVal = append(firstVal, c.vals[i])
+			first = append(first, i)
 		}
 		sc.catHist[int(cid)*L+int(tr.labels[i])]++
 	}
-	sc.catSeen = seen
+	sc.catSeen, sc.catFirst = seen, first
 	defer func() {
 		for _, cid := range seen {
 			sc.catMark[cid] = false
@@ -437,7 +439,7 @@ func (tr *trainer) sweepCategorical(a, lo, hi int, parentH float64, dist []int, 
 	}
 	total := hi - lo
 	right := sc.right
-	var best *split
+	bestS, bestGR := -1, 0.0
 	for s, cid := range seen {
 		leftDist := sc.catHist[int(cid)*L : int(cid+1)*L]
 		nl := sum(leftDist)
@@ -456,12 +458,15 @@ func (tr *trainer) sweepCategorical(a, lo, hi int, parentH float64, dist []int, 
 		if si <= 0 {
 			continue
 		}
-		gr := gain / si
-		if best == nil || gr > best.gainRatio {
-			best = &split{attr: a, threshold: firstVal[s], gainRatio: gr}
+		if gr := gain / si; bestS < 0 || gr > bestGR {
+			bestS, bestGR = s, gr
 		}
 	}
-	return best
+	if bestS < 0 {
+		return nil
+	}
+	// The category's representative value is its first instance's.
+	return &split{attr: a, threshold: c.vals[first[bestS]], gainRatio: bestGR}
 }
 
 func sortInt32(s []int32, less func(x, y int32) bool) {

@@ -24,22 +24,25 @@ type TableColumn struct {
 // Frequencies counts, for every column, the number of statements whose
 // WHERE clause (or inserted column list) references it. Statements that
 // fail to parse are skipped: traces may contain vendor-specific syntax.
+// A trace repeats a few statement shapes, and each is parsed once.
 func Frequencies(tr *workload.Trace) (counts map[TableColumn]int, totalStmts int) {
 	counts = make(map[TableColumn]int)
+	var memo sqlparse.ColumnMemo
 	for _, t := range tr.Txns {
 		for _, src := range t.SQL {
-			stmt, err := sqlparse.Parse(src)
-			if err != nil {
+			uses, ok := memo.WhereColumns(src)
+			if !ok {
 				continue
 			}
 			totalStmts++
-			seen := make(map[TableColumn]bool)
-			for _, use := range sqlparse.WhereColumns(stmt) {
-				tc := TableColumn{Table: use.Table, Column: use.Column}
-				if !seen[tc] {
-					seen[tc] = true
-					counts[tc]++
+		next:
+			for i, use := range uses {
+				for _, prev := range uses[:i] {
+					if prev.Table == use.Table && prev.Column == use.Column {
+						continue next // counted once per statement
+					}
 				}
+				counts[TableColumn{Table: use.Table, Column: use.Column}]++
 			}
 		}
 	}

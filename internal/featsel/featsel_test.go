@@ -2,9 +2,12 @@ package featsel
 
 import (
 	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"schism/internal/datum"
+	"schism/internal/sqlparse"
 	"schism/internal/workload"
 	"schism/internal/workloads"
 )
@@ -134,13 +137,102 @@ func TestDiscretiseManyDistinct(t *testing.T) {
 	}
 }
 
-// BenchmarkFrequencies mines a TPC-C 2-warehouse trace, as core.Run does
-// with its training half: the cost is parsing every statement.
+// frequenciesParseEach is Frequencies without the column memo: it parses
+// every statement on its own.
+func frequenciesParseEach(tr *workload.Trace) (map[TableColumn]int, int) {
+	counts := make(map[TableColumn]int)
+	total := 0
+	for _, t := range tr.Txns {
+		for _, src := range t.SQL {
+			stmt, err := sqlparse.Parse(src)
+			if err != nil {
+				continue
+			}
+			total++
+			seen := make(map[TableColumn]bool)
+			for _, use := range sqlparse.WhereColumns(stmt) {
+				tc := TableColumn{Table: use.Table, Column: use.Column}
+				if !seen[tc] {
+					seen[tc] = true
+					counts[tc]++
+				}
+			}
+		}
+	}
+	return counts, total
+}
+
+// TestFrequenciesMatchesParseEach holds Frequencies, which parses each
+// statement shape once, to parsing every statement: on every generator's
+// trace, and on a hand-written one whose pairs of statements differ in a
+// literal that decides whether they parse. Each pair names its own
+// columns, so a pair wrongly sharing a shape moves a count.
+func TestFrequenciesMatchesParseEach(t *testing.T) {
+	hand := workload.NewTrace()
+	hand.Add(nil,
+		"SELECT * FROM t1 WHERE a = 1 LIMIT 1",
+		"SELECT * FROM t1 WHERE a = 2 LIMIT 1.5",
+		"UPDATE t2 SET a = a -1 WHERE k = 2",
+		"UPDATE t2 SET a = a -9223372036854775808 WHERE k = 2",
+		"SELECT * FROM t3 WHERE a = 9223372036854775807",
+		"SELECT * FROM t3 WHERE a = 9223372036854775808",
+		"SELECT * FROM t4 WHERE a = 1.5",
+		"SELECT * FROM t4 WHERE a = 1.5.5",
+		"SELECT * FROM t5 WHERE s = 'it''s' AND u = 'x'",
+		"SELECT * FROM t5 WHERE s = 'plain' AND u = ''''",
+		"select * from t6 where a = 1 and b = 2",
+		"SELECT * FROM t6 WHERE a = 1 AND b = 2",
+		"SELECT * FROM t7 WHERE s = 'open",
+		"SELECT * FROM t7 WHERE s = 'shut'",
+		"SELECT * FROM t8 WHERE a IN (1, 2)",
+		"SELECT * FROM t8 WHERE a IN (1, 2, 3)",
+	)
+	for _, tc := range []struct {
+		name string
+		tr   *workload.Trace
+	}{
+		{"tpcc-2w", workloads.TPCC(workloads.TPCCConfig{Warehouses: 2, Customers: 10, Items: 100, InitialOrders: 5, Txns: 500, Seed: 2}).Trace},
+		{"epinions", workloads.Epinions(workloads.EpinionsConfig{Users: 300, Items: 150, Communities: 8, Txns: 500, Seed: 7}).Trace},
+		{"tpce", workloads.TPCE(workloads.TPCEConfig{Customers: 100, Securities: 50, Txns: 500, Seed: 8}).Trace},
+		{"ycsb-a", workloads.YCSBA(workloads.YCSBConfig{Rows: 1000, Txns: 500, Seed: 4}).Trace},
+		{"ycsb-e", workloads.YCSBE(workloads.YCSBConfig{Rows: 1000, Txns: 500, MaxScan: 20, Seed: 5}).Trace},
+		{"random", workloads.Random(workloads.RandomConfig{Rows: 1000, Txns: 500, Seed: 6}).Trace},
+		{"hand-written", hand},
+	} {
+		counts, total := Frequencies(tc.tr)
+		wantCounts, wantTotal := frequenciesParseEach(tc.tr)
+		if total != wantTotal || !reflect.DeepEqual(counts, wantCounts) {
+			t.Errorf("%s: Frequencies counts %d statements %v, parsing each %d %v",
+				tc.name, total, counts, wantTotal, wantCounts)
+		}
+		if total == 0 {
+			t.Errorf("%s: no statement parsed", tc.name)
+		}
+	}
+}
+
+// BenchmarkFrequencies mines a TPC-C 2-warehouse trace as core.Run does
+// its training half ("tpcc": 19 statement shapes, each parsed once), and
+// the memo's worst case ("unique-shapes": 1000 statements whose IN lists
+// grow by one value each, so every statement is a shape of its own and is
+// parsed).
 func BenchmarkFrequencies(b *testing.B) {
-	tr := workloads.TPCC(workloads.TPCCConfig{Warehouses: 2, Customers: 10, Items: 100, InitialOrders: 5, Txns: 1000, Seed: 2}).Trace
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Frequencies(tr)
+	tpcc := workloads.TPCC(workloads.TPCCConfig{Warehouses: 2, Customers: 10, Items: 100, InitialOrders: 5, Txns: 1000, Seed: 2}).Trace
+	unique := workload.NewTrace()
+	in := "0"
+	for i := 1; i <= 1000; i++ {
+		unique.Add(nil, "SELECT * FROM stock WHERE s_w_id = "+strconv.Itoa(i%8)+" AND s_i_id IN ("+in+")")
+		in += ", " + strconv.Itoa(i)
+	}
+	for _, bc := range []struct {
+		name string
+		tr   *workload.Trace
+	}{{"tpcc", tpcc}, {"unique-shapes", unique}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Frequencies(bc.tr)
+			}
+		})
 	}
 }

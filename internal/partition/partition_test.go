@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
 	"schism/internal/datum"
@@ -286,5 +287,55 @@ func TestRuleString(t *testing.T) {
 	empty := RangeRule{Parts: []int{0, 1}}
 	if got := empty.String(); got != "<empty> -> [0 1]" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestLocateSharedSets pins the key-hash and full-replication sets Locate
+// returns to shared, capacity-capped subslices: hash placement, hash on a
+// column, Range's and Lookup's hash fallbacks and full replication
+// allocate nothing, return the set they always did, and an append to one
+// copies instead of changing the next tuple's set. Above the shared
+// slice's length the sets are allocated and still right.
+func TestLocateSharedSets(t *testing.T) {
+	row := mapRow{"s_w_id": datum.NewInt(3)}
+	for _, k := range []int{1, 4, 8, 256, 300} {
+		router := lookup.NewRouter(k, nil)
+		cases := []struct {
+			name string
+			s    Strategy
+			row  Row
+			want func(key int64) []int
+		}{
+			{"hash", &Hash{K: k}, nil, func(key int64) []int { return []int{HashPart(key, k)} }},
+			{"hash-column", &Hash{K: k, Columns: map[string]string{"stock": "s_w_id"}}, row,
+				func(int64) []int { return []int{int(datum.Hash(datum.NewInt(3)) % uint64(k))} }},
+			{"range-fallback", &Range{K: k}, row, func(key int64) []int { return []int{HashPart(key, k)} }},
+			{"lookup-fallback", &Lookup{K: k, Router: router}, nil, func(key int64) []int { return []int{HashPart(key, k)} }},
+			{"replication", &FullReplication{K: k}, nil, func(int64) []int { return allParts(k) }},
+		}
+		for _, tc := range cases {
+			for key := int64(0); key < 50; key++ {
+				id := tid("stock", key)
+				got := tc.s.Locate(id, tc.row)
+				if want := tc.want(key); !slices.Equal(got, want) {
+					t.Fatalf("k=%d %s: Locate(%d) = %v, want %v", k, tc.name, key, got, want)
+				}
+				if k > len(identity) {
+					continue
+				}
+				if cap(got) != len(got) {
+					t.Fatalf("k=%d %s: Locate(%d) has cap %d, len %d", k, tc.name, key, cap(got), len(got))
+				}
+				_ = append(got, -1)
+				if n := testing.AllocsPerRun(10, func() { tc.s.Locate(id, tc.row) }); n != 0 {
+					t.Fatalf("k=%d %s: Locate allocates %v objects, want 0", k, tc.name, n)
+				}
+			}
+		}
+	}
+	for i, p := range identity {
+		if p != i {
+			t.Fatalf("shared set slot %d holds %d", i, p)
+		}
 	}
 }

@@ -50,6 +50,8 @@ type Strategy interface {
 	// NumPartitions returns k.
 	NumPartitions() int
 	// Locate returns the sorted replica set for a tuple. row may be nil.
+	// The set is read-only: it may be shared with other tuples and with
+	// the strategy itself.
 	Locate(id workload.TupleID, row Row) []int
 	// RouteStmt routes a parsed statement's constraints (App. C.2).
 	RouteStmt(table string, cons []sqlparse.Constraint, routable bool) Route
@@ -83,10 +85,10 @@ func (h *Hash) NumPartitions() int { return h.K }
 func (h *Hash) Locate(id workload.TupleID, row Row) []int {
 	if col, ok := h.Columns[id.Table]; ok && row != nil {
 		if v := row.Get(col); !v.IsNull() {
-			return []int{int(datum.Hash(v) % uint64(h.K))}
+			return onePart(int(datum.Hash(v) % uint64(h.K)))
 		}
 	}
-	return []int{int(datum.Hash(datum.NewInt(id.Key)) % uint64(h.K))}
+	return onePart(HashPart(id.Key, h.K))
 }
 
 // RouteStmt implements Strategy.
@@ -132,7 +134,7 @@ func (r *FullReplication) Complexity() int { return 0 }
 func (r *FullReplication) NumPartitions() int { return r.K }
 
 // Locate implements Strategy.
-func (r *FullReplication) Locate(workload.TupleID, Row) []int { return allParts(r.K) }
+func (r *FullReplication) Locate(workload.TupleID, Row) []int { return firstParts(r.K) }
 
 // RouteStmt implements Strategy.
 func (r *FullReplication) RouteStmt(string, []sqlparse.Constraint, bool) Route {
@@ -232,7 +234,7 @@ func (r *Range) Locate(id workload.TupleID, row Row) []int {
 	if r.Default != nil {
 		return r.Default
 	}
-	return []int{int(datum.Hash(datum.NewInt(id.Key)) % uint64(r.K))}
+	return onePart(HashPart(id.Key, r.K))
 }
 
 // RouteStmt implements Strategy: a rule is a candidate when every one of
@@ -392,7 +394,7 @@ func (l *Lookup) Locate(id workload.TupleID, row Row) []int {
 	if l.Default != nil {
 		return l.Default
 	}
-	return []int{HashPart(id.Key, l.K)}
+	return onePart(HashPart(id.Key, l.K))
 }
 
 // RouteStmt implements Strategy: equality constraints on the key column
@@ -492,6 +494,33 @@ func HashPart(key int64, k int) int {
 }
 
 func broadcast(k int) Route { return Route{All: allParts(k)} }
+
+// identity holds 0, 1, 2, …: the replica sets Locate returns for hash and
+// full placement are subslices of it, capped so that an append copies
+// instead of writing into it. Sets beyond it are allocated.
+var identity = func() []int {
+	s := make([]int, 256)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}()
+
+// onePart returns the read-only replica set {p}.
+func onePart(p int) []int {
+	if p < len(identity) {
+		return identity[p : p+1 : p+1]
+	}
+	return []int{p}
+}
+
+// firstParts returns the read-only replica set {0, …, k-1}.
+func firstParts(k int) []int {
+	if k <= len(identity) {
+		return identity[:k:k]
+	}
+	return allParts(k)
+}
 
 func allParts(k int) []int {
 	out := make([]int, k)

@@ -74,6 +74,50 @@ func WhereColumns(stmt Statement) []ColumnUse {
 	return uses
 }
 
+// ColumnMemo answers WhereColumns for statement texts and parses each
+// statement shape once: texts whose tokens differ only in literals the
+// parser treats alike (appendShape) share one answer. A trace repeats a
+// few templates, so mining one parses a few dozen statements, not every
+// one. The zero value is ready to use; a memo is not safe for concurrent
+// use, and it keeps the text of the first statement of every shape
+// reachable.
+type ColumnMemo struct {
+	key    []byte
+	shapes map[string]memoShape
+}
+
+type memoShape struct {
+	uses []ColumnUse
+	ok   bool
+}
+
+// WhereColumns returns WhereColumns(Parse(src)), and false where Parse
+// fails. The slice is shared by every statement of src's shape and must
+// not be modified. A statement of a shape seen before allocates nothing.
+func (m *ColumnMemo) WhereColumns(src string) ([]ColumnUse, bool) {
+	buf := tokenPool.Get().(*[]token)
+	toks, err := lex(src, *buf, true)
+	var shape memoShape
+	if err == nil {
+		m.key = appendShape(m.key[:0], toks)
+		var hit bool
+		if shape, hit = m.shapes[string(m.key)]; !hit {
+			// The tokens are still unparsed: parse them, not src again.
+			if stmt, _, err := parseTokens(toks, src, false); err == nil {
+				shape = memoShape{uses: WhereColumns(stmt), ok: true}
+			}
+			if m.shapes == nil {
+				m.shapes = make(map[string]memoShape)
+			}
+			m.shapes[string(m.key)] = shape
+		}
+	}
+	clear(toks)
+	*buf = toks[:0]
+	tokenPool.Put(buf)
+	return shape.uses, shape.ok
+}
+
 // Constraint is a routing-relevant restriction on a single column extracted
 // from a conjunctive WHERE clause (App. C.2).
 type Constraint struct {

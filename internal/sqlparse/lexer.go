@@ -37,8 +37,10 @@ type lexer struct {
 // lex tokenises the input into buf[:0] and returns the grown buffer, also
 // with the error it reports for an unterminated string or unexpected
 // byte. Only a string literal's text is allocated; every other token's is
-// a substring of src or a constant.
-func lex(src string, buf []token) ([]token, error) {
+// a substring of src or a constant. With raw set, a string literal's text
+// is its body in src, quotes doubled, so nothing is allocated: for a
+// caller that reads no literal's value.
+func lex(src string, buf []token, raw bool) ([]token, error) {
 	l := lexer{src: src, toks: buf[:0]}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
@@ -75,13 +77,12 @@ func lex(src string, buf []token) ([]token, error) {
 		case c == '\'':
 			start := l.pos
 			l.pos++
-			var sb strings.Builder
-			closed := false
+			closed, escaped := false, false
 			for l.pos < len(l.src) {
 				if l.src[l.pos] == '\'' {
 					// '' escapes a quote.
 					if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-						sb.WriteByte('\'')
+						escaped = true
 						l.pos += 2
 						continue
 					}
@@ -89,13 +90,20 @@ func lex(src string, buf []token) ([]token, error) {
 					closed = true
 					break
 				}
-				sb.WriteByte(l.src[l.pos])
 				l.pos++
 			}
 			if !closed {
 				return l.toks, fmt.Errorf("sqlparse: unterminated string at %d", start)
 			}
-			l.emit(tokString, sb.String(), start)
+			body := l.src[start+1 : l.pos-1]
+			switch {
+			case raw:
+			case escaped:
+				body = strings.ReplaceAll(body, "''", "'")
+			default:
+				body = strings.Clone(body)
+			}
+			l.emit(tokString, body, start)
 		case c == '?':
 			l.emit(tokPlaceholder, "?", l.pos)
 			l.pos++

@@ -28,7 +28,7 @@ var tokenPool = sync.Pool{New: func() any { return new([]token) }}
 // concurrently.
 func parse(src string, numbered bool) (Statement, int, error) {
 	buf := tokenPool.Get().(*[]token)
-	toks, err := lex(src, *buf)
+	toks, err := lex(src, *buf, false)
 	var stmt Statement
 	var n int
 	if err == nil {
@@ -544,4 +544,48 @@ func (p *parser) literal() (datum.D, error) {
 		}
 	}
 	return datum.NullD, p.errorf("expected literal")
+}
+
+// appendShape appends the shape key of a lexed statement to key: every
+// token's kind and text, except that a literal the parser treats alike
+// whatever its value stands as its kind alone. Those literals are a string
+// ('s'), an int that strconv.Atoi takes ('i': literal() and LIMIT both
+// accept it) and a float that literal() takes ('f': LIMIT rejects every
+// one), all without a sign. Any other number stays verbatim: a negative
+// one, which may be the folded "a -1" of an UPDATE's self-reference whose
+// magnitude must parse again, an int that overflows and "1.5.5". Two
+// statements with equal keys therefore parse alike: both fail, or both
+// yield the same statement but for literal values.
+func appendShape(key []byte, toks []token) []byte {
+	for _, t := range toks {
+		switch {
+		case t.kind == tokString:
+			key = append(key, 's')
+		case t.kind == tokNumber && t.text[0] != '-' && numberParses(t.text):
+			if strings.ContainsAny(t.text, ".eE") {
+				key = append(key, 'f')
+			} else {
+				key = append(key, 'i')
+			}
+		default:
+			key = append(key, byte('0'+t.kind))
+			key = append(key, t.text...)
+		}
+		// No text written here holds a space, so a space ends each token.
+		key = append(key, ' ')
+	}
+	return key
+}
+
+// numberParses reports whether a number token without a sign parses
+// wherever it stands: a float as literal() parses one, an int as LIMIT's
+// strconv.Atoi does. Atoi accepts no int that literal()'s ParseInt
+// rejects, and where int has 64 bits it accepts every other one.
+func numberParses(text string) bool {
+	if strings.ContainsAny(text, ".eE") {
+		f, err := strconv.ParseFloat(text, 64)
+		return err == nil && !math.IsInf(f, 0)
+	}
+	_, err := strconv.Atoi(text)
+	return err == nil
 }

@@ -13,8 +13,10 @@ import (
 // generated traces through Parse, whose token buffers come from a pool
 // shared by concurrent callers, and through a fresh lexer buffer and
 // parser. Both must render the same statement, extract the same WHERE
-// columns and fail alike. Four goroutines parse at once, so under -race
-// this also checks that no two parses share a buffer.
+// columns and fail alike, and a ColumnMemo per goroutine, which answers
+// most statements from a shape seen before, must give the fresh parse's
+// WHERE columns too. Four goroutines parse at once, so under -race this
+// also checks that no two parses share a buffer.
 func TestParseReusedBufferMatchesFresh(t *testing.T) {
 	var stmts []string
 	for _, w := range []*workloads.Workload{
@@ -33,6 +35,7 @@ func TestParseReusedBufferMatchesFresh(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var memo sqlparse.ColumnMemo
 			for i := g; i < len(stmts); i += workers {
 				src := stmts[i]
 				pooled, perr := sqlparse.Parse(src)
@@ -41,8 +44,17 @@ func TestParseReusedBufferMatchesFresh(t *testing.T) {
 					t.Errorf("%q: pooled error %v, fresh error %v", src, perr, ferr)
 					return
 				}
+				memoized, ok := memo.WhereColumns(src)
+				if ok != (ferr == nil) {
+					t.Errorf("%q: memo says parses %v, fresh error %v", src, ok, ferr)
+					return
+				}
 				if perr != nil {
 					continue
+				}
+				if f := sqlparse.WhereColumns(fresh); !reflect.DeepEqual(memoized, f) {
+					t.Errorf("%q: WHERE columns %v memoized, %v fresh", src, memoized, f)
+					return
 				}
 				if p, f := pooled.String(), fresh.String(); p != f {
 					t.Errorf("%q renders %q pooled, %q fresh", src, p, f)

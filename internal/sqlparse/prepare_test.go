@@ -186,7 +186,7 @@ func TestPrepareConstraintsAllocs(t *testing.T) {
 // literal replaced by a placeholder, returning the literals in order. The
 // count after LIMIT is syntax, not a literal.
 func parameterise(t testing.TB, text string) (string, []datum.D) {
-	toks, err := lex(text, nil)
+	toks, err := lex(text, nil, false)
 	if err != nil {
 		t.Fatalf("lex(%q): %v", text, err)
 	}

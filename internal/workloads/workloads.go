@@ -68,9 +68,10 @@ func (w *Workload) Resolver() partition.Resolver {
 
 // virtualRows reconstructs rows for tuples created by the trace's INSERTs.
 // Only a statement that starts with INSERT can parse to one, so no other
-// statement is parsed.
-func (w *Workload) virtualRows() map[workload.TupleID]storage.RowView {
-	out := make(map[workload.TupleID]storage.RowView)
+// statement is parsed. Each row is stored as the *storage.RowView the
+// resolver returns, so resolving it boxes nothing.
+func (w *Workload) virtualRows() map[workload.TupleID]*storage.RowView {
+	out := make(map[workload.TupleID]*storage.RowView)
 	for _, t := range w.Trace.Txns {
 		for _, src := range t.SQL {
 			if !startsWithInsert(src) {
@@ -101,7 +102,7 @@ func (w *Workload) virtualRows() map[workload.TupleID]storage.RowView {
 			}
 			id := workload.TupleID{Table: ins.Table, Key: key}
 			if _, dup := out[id]; !dup {
-				out[id] = storage.RowView{Schema: schema, Data: row}
+				out[id] = &storage.RowView{Schema: schema, Data: row}
 			}
 		}
 	}

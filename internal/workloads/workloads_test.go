@@ -360,8 +360,8 @@ func (m mapRowSC) Get(c string) datum.D { return m[c] }
 
 // virtualRowsParseAll is virtualRows without its INSERT filter: it parses
 // every statement of the trace.
-func virtualRowsParseAll(w *Workload) map[workload.TupleID]storage.RowView {
-	out := make(map[workload.TupleID]storage.RowView)
+func virtualRowsParseAll(w *Workload) map[workload.TupleID]*storage.RowView {
+	out := make(map[workload.TupleID]*storage.RowView)
 	for _, t := range w.Trace.Txns {
 		for _, src := range t.SQL {
 			stmt, err := sqlparse.Parse(src)
@@ -389,7 +389,7 @@ func virtualRowsParseAll(w *Workload) map[workload.TupleID]storage.RowView {
 			}
 			id := workload.TupleID{Table: ins.Table, Key: key}
 			if _, dup := out[id]; !dup {
-				out[id] = storage.RowView{Schema: schema, Data: row}
+				out[id] = &storage.RowView{Schema: schema, Data: row}
 			}
 		}
 	}
@@ -398,7 +398,8 @@ func virtualRowsParseAll(w *Workload) map[workload.TupleID]storage.RowView {
 
 // TestVirtualRowsMatchesParseAll holds virtualRows, which parses only the
 // statements that start with INSERT, to the rows found by parsing every
-// statement.
+// statement. reflect.DeepEqual follows the map's pointers, so the rows
+// compare by value.
 func TestVirtualRowsMatchesParseAll(t *testing.T) {
 	tpcc := TPCC(TPCCConfig{Warehouses: 2, Customers: 10, Items: 100, InitialOrders: 5, Txns: 500, Seed: 2})
 	handWritten := &Workload{DB: tpcc.DB, Trace: &workload.Trace{Txns: []*workload.Txn{{SQL: []string{
@@ -429,5 +430,25 @@ func TestVirtualRowsMatchesParseAll(t *testing.T) {
 		if len(want) < tc.min {
 			t.Errorf("%s: %d virtual rows, want at least %d", tc.name, len(want), tc.min)
 		}
+	}
+}
+
+// TestResolverAllocs pins resolving a tuple the trace inserted to no
+// allocation: its row is boxed once, when the resolver is built.
+func TestResolverAllocs(t *testing.T) {
+	w := TPCC(TPCCConfig{Warehouses: 2, Customers: 10, Items: 100, InitialOrders: 5, Txns: 500, Seed: 2})
+	var id workload.TupleID
+	for v := range w.virtualRows() {
+		if _, stored := w.DB.Table(v.Table).Get(v.Key); !stored {
+			id = v
+			break
+		}
+	}
+	resolve := w.Resolver()
+	if resolve(id) == nil {
+		t.Fatalf("%v: the resolver finds no row", id)
+	}
+	if n := testing.AllocsPerRun(100, func() { resolve(id) }); n != 0 {
+		t.Errorf("resolving virtual row %v allocates %v objects, want 0", id, n)
 	}
 }
