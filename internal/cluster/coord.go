@@ -274,6 +274,16 @@ type Txn struct {
 	sticky  groupMap[int]
 	groups  []int // participants' buffer; survives retries
 
+	// slots is the free list of request slots (a request with its reply
+	// channel) whose replies this handle has taken, and replies is
+	// fanout's reply buffer; both start in the Txn itself. They survive
+	// retries and die with the Txn: no slot is shared between
+	// transactions.
+	slots    []*request
+	replies  []response
+	slotBuf  [1]*request
+	replyBuf [1]response
+
 	capture CaptureFunc
 	accs    []workload.Access
 
@@ -320,6 +330,7 @@ func (co *Coordinator) begin(system bool) *Txn {
 		rng:  prng(co.c.clock.Next()),
 		mets: co.mets,
 	}
+	t.slots, t.replies = t.slotBuf[:0], t.replyBuf[:]
 	if t.mets != nil {
 		t.span = t.mets.tracer.Start("txn")
 	}
@@ -518,8 +529,34 @@ func (t *Txn) bind(p *sqlparse.Prepared, args []datum.D) (*plan, error) {
 	if len(args) != p.NumParams() {
 		return nil, fmt.Errorf("cluster: %d arguments for the %d placeholders of %q", len(args), p.NumParams(), p.SQL())
 	}
-	cons, routable := p.Constraints(args)
-	return &plan{stmt: p.Template(), args: args, table: p.Table(), write: p.Write(), cons: cons, routable: routable}, nil
+	pl := newPlan(p.NumConstraints())
+	pl.stmt, pl.args, pl.table, pl.write = p.Template(), args, p.Table(), p.Write()
+	pl.cons, pl.routable = p.Constraints(pl.cons, args)
+	return pl, nil
+}
+
+// newPlan returns an empty plan whose cons has room for n constraints
+// inside the plan's own allocation, so binding a statement allocates
+// once. Two sizes cover the workloads: a point or range statement's
+// few columns, and an INSERT's row.
+func newPlan(n int) *plan {
+	switch {
+	case n <= 2:
+		b := new(struct {
+			plan
+			buf [2]sqlparse.Constraint
+		})
+		b.cons = b.buf[:0]
+		return &b.plan
+	case n <= 8:
+		b := new(struct {
+			plan
+			buf [8]sqlparse.Constraint
+		})
+		b.cons = b.buf[:0]
+		return &b.plan
+	}
+	return &plan{cons: make([]sqlparse.Constraint, 0, n)}
 }
 
 // route picks the statement's target partitions (App. C.2) and runs it.
@@ -725,6 +762,7 @@ func (t *Txn) Commit() error {
 	}
 	for _, v := range votes {
 		if v.err != nil {
+			// v is a copy: the abort reuses the buffer votes points into.
 			t.fanout(reqAbort, nil, nodes)
 			return fmt.Errorf("cluster: participant voted no: %w", v.err)
 		}

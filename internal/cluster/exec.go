@@ -36,8 +36,10 @@ func (n *Node) execute(ts txn.TS, st *txnState, pl *plan, capture bool) response
 // candidates finds the keys of rows possibly matching the WHERE clause,
 // using the primary key or a secondary index when the constraints the
 // coordinator extracted allow, and a full scan otherwise. Caller re-checks
-// the predicate after locking.
-func (n *Node) candidates(tbl *storage.Table, pl *plan, where sqlparse.Expr) []int64 {
+// the predicate after locking. A point or IN key list is appended to
+// point, storage the caller owns (a stack buffer keeps a point statement
+// off the heap); the other paths return slices of their own.
+func (n *Node) candidates(point []int64, tbl *storage.Table, pl *plan, where sqlparse.Expr) []int64 {
 	n.latch.RLock()
 	defer n.latch.RUnlock()
 
@@ -51,10 +53,10 @@ func (n *Node) candidates(tbl *storage.Table, pl *plan, where sqlparse.Expr) []i
 			}
 			for _, v := range c.Eq {
 				if k, ok := v.AsInt(); ok {
-					keys = append(keys, k)
+					point = append(point, k)
 				}
 			}
-			return dedupInt64(keys)
+			return dedupInt64(point)
 		}
 		// Range on the primary key.
 		for _, c := range pl.cons {
@@ -146,7 +148,8 @@ func (n *Node) execSelect(ts txn.TS, pl *plan, s *sqlparse.Select, capture, lock
 	var rows []storage.Row
 	var keys []int64
 	order := 0
-	for _, k := range n.candidates(tbl, pl, s.Where) {
+	var point [4]int64
+	for _, k := range n.candidates(point[:0], tbl, pl, s.Where) {
 		if locked {
 			if err := n.locks.Acquire(ts, txn.LockKey{Table: s.Table, Key: k}, mode); err != nil {
 				return response{err: err}
@@ -221,7 +224,8 @@ func (n *Node) execUpdate(ts txn.TS, st *txnState, pl *plan, s *sqlparse.Update,
 	}
 	count := 0
 	var keys []int64
-	for _, k := range n.candidates(tbl, pl, s.Where) {
+	var point [4]int64
+	for _, k := range n.candidates(point[:0], tbl, pl, s.Where) {
 		if err := n.locks.Acquire(ts, txn.LockKey{Table: s.Table, Key: k}, txn.Exclusive); err != nil {
 			return response{err: err}
 		}
@@ -345,7 +349,8 @@ func (n *Node) execDelete(ts txn.TS, st *txnState, pl *plan, s *sqlparse.Delete,
 	}
 	count := 0
 	var keys []int64
-	for _, k := range n.candidates(tbl, pl, s.Where) {
+	var point [4]int64
+	for _, k := range n.candidates(point[:0], tbl, pl, s.Where) {
 		if err := n.locks.Acquire(ts, txn.LockKey{Table: s.Table, Key: k}, txn.Exclusive); err != nil {
 			return response{err: err}
 		}

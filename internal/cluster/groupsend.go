@@ -24,17 +24,21 @@ import (
 // call is one request in flight to member nid of group g.
 type call struct {
 	g, nid int
-	pinned bool // nid already executed for this attempt
-	reply  chan response
+	pinned bool     // nid already executed for this attempt
+	req    *request // the Txn's slot the request went out in
 	sp     *obs.Span
 }
 
 // fanout sends one request to each target group and returns the replies
-// in target order. Single-group SELECTs of groups the attempt has not
-// written are follower-readable where the group has followers: they take
-// no locks and do not make the group a 2PC participant.
+// in target order, in a Txn-owned buffer the next fanout overwrites.
+// Single-group SELECTs of groups the attempt has not written are
+// follower-readable where the group has followers: they take no locks
+// and do not make the group a 2PC participant.
 func (t *Txn) fanout(kind reqKind, pl *plan, targets []int) []response {
-	out := make([]response, len(targets))
+	if cap(t.replies) < len(targets) {
+		t.replies = make([]response, len(targets))
+	}
+	out := t.replies[:len(targets)]
 	if kind == reqExec && t.followerReadable(pl, targets) {
 		out[0] = t.readReplica(pl, targets[0])
 	} else {
@@ -79,20 +83,28 @@ func (t *Txn) dispatch(kind reqKind, pl *plan, targets []int, out []response) {
 	}
 }
 
-// post enqueues one request to member nid of group g. A statement for
-// the member already executing for this attempt carries cont: that
-// member's participant state must still exist (see request.cont).
+// post enqueues one request to member nid of group g, in a slot from
+// the Txn's free list. A statement for the member already executing for
+// this attempt carries cont: that member's participant state must still
+// exist (see request.cont).
 func (t *Txn) post(kind reqKind, pl *plan, g, nid int, pinned, replRead bool) call {
 	var sp *obs.Span
 	if t.span != nil {
 		sp = t.span.Child(reqName(kind))
 		sp.Annotate("node %d", nid)
 	}
-	reply := make(chan response, 1)
-	t.co.c.nodes[nid].send(&request{kind: kind, ts: t.ts, epoch: t.epoch, plan: pl,
+	var r *request
+	if n := len(t.slots); n > 0 {
+		r = t.slots[n-1]
+		t.slots = t.slots[:n-1]
+	} else {
+		r = &request{reply: make(chan response, 1)}
+	}
+	*r = request{kind: kind, ts: t.ts, epoch: t.epoch, plan: pl,
 		capture: t.capture != nil, replRead: replRead, twoPhase: t.twoPhase,
-		cont: pinned && kind == reqExec, reply: reply, trace: sp})
-	return call{g: g, nid: nid, pinned: pinned, reply: reply, sp: sp}
+		cont: pinned && kind == reqExec, reply: r.reply, trace: sp}
+	t.co.c.nodes[nid].send(r)
+	return call{g: g, nid: nid, pinned: pinned, req: r, sp: sp}
 }
 
 // bound is a request kind's reply timeout: RPCTimeout for the protocol
@@ -111,7 +123,10 @@ func (t *Txn) bound(kind reqKind) time.Duration {
 // — its request stays queued and MAY still execute later (a paused node
 // drains its queue on Resume), so the outcome is unknown, not "not
 // executed" — and once it has passed, replies already in hand are still
-// taken but nothing more is awaited.
+// taken but nothing more is awaited. A slot goes back on the Txn's free
+// list only once its reply is taken: a timed-out call abandons its slot
+// to the node that may still answer into it, so a late reply can never
+// land in a later request's channel.
 func (t *Txn) collect(calls []call, out []response, bound time.Duration) {
 	var expired <-chan time.Time
 	if bound > 0 {
@@ -125,18 +140,19 @@ func (t *Txn) collect(calls []call, out []response, bound time.Duration) {
 		var ok bool
 		if late {
 			select {
-			case out[i], ok = <-c.reply:
+			case out[i], ok = <-c.req.reply:
 			default:
 			}
 		} else {
 			select {
-			case out[i], ok = <-c.reply:
+			case out[i], ok = <-c.req.reply:
 			case <-expired:
 				late = true
 			}
 		}
 		if ok {
 			waitNet(out[i].sentAt, t.co.c.cfg.NetworkDelay)
+			t.slots = append(t.slots, c.req)
 		} else {
 			out[i] = response{err: fmt.Errorf("cluster: node %d: %w", c.nid, ErrRPCTimeout)}
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,20 +60,72 @@ func TestLateReplyAfterRPCTimeout(t *testing.T) {
 	}
 }
 
+// TestNoVoteOutlivesAbortFanout: one participant of a two-group
+// transaction votes no. The abort fanout that follows reuses the Txn's
+// reply buffer the vote loop is reading, and the abort's replies carry
+// no error; the error Commit returns must still be the refusing vote's.
+// Both participants must end rolled back, holding no state or lock.
+func TestNoVoteOutlivesAbortFanout(t *testing.T) {
+	c, co, strat := newChaosCluster(t, 2, 8, 50*time.Millisecond)
+	defer c.Close()
+	home := findKeys(t, func(k int64) int { return strat.Locate(tid(k), nil)[0] }, 2, 1)
+	accounts := []int64{home[0][0], home[1][0]}
+	balance := func(id int64) int64 {
+		rd := co.Begin()
+		rows, err := rd.ExecPrepared(selAccount, datum.NewInt(id))
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("read of account %d: rows %v, err %v", id, rows, err)
+		}
+		if err := rd.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return rows[0][1].I
+	}
+	before := []int64{balance(accounts[0]), balance(accounts[1])}
+
+	tx := co.Begin()
+	for i, id := range accounts {
+		if _, err := tx.ExecPrepared(moveAccount, datum.NewInt(int64(10*(2*i-1))), datum.NewInt(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first participant votes no, as after a failed statement; its
+	// abort then succeeds like the other's.
+	n := c.nodes[c.GroupLeader(tx.participants()[0])]
+	n.tmu.Lock()
+	n.txns[tx.ts].doomed = true
+	n.tmu.Unlock()
+	err := tx.Commit()
+	if err == nil || !strings.HasSuffix(err.Error(), "participant voted no: cluster: vote no") {
+		t.Fatalf("commit with a no vote: %v, want the vote's error", err)
+	}
+	for _, nd := range c.nodes {
+		if nd.hasState(tx.ts) || nd.locks.HeldLocks(tx.ts) != 0 {
+			t.Errorf("node %d kept the aborted transaction's state or locks", nd.ID)
+		}
+	}
+	for i, id := range accounts {
+		if got := balance(id); got != before[i] {
+			t.Errorf("account %d: balance %d after the abort, want %d", id, got, before[i])
+		}
+	}
+}
+
 // TestStatementRoundTripAllocs pins what a one-statement transaction
 // costs end to end — Begin, one prepared UPDATE, Commit — on a group of
-// one and on a group of three: the handle, the plan and its bound
-// constraints, a request and a reply channel per message, the lock
-// table's entries, the row images and the log. The participant list
-// and a single target's rows cost nothing.
+// one and on a group of three: the handle, the plan with its bound
+// constraints inside it, one request slot and its reply channel reused
+// by every message, the lock table's entry and key list, the row images
+// and the log. The participant list, the reply buffer, the point
+// lookup's key and a single target's rows cost nothing.
 func TestStatementRoundTripAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		r    int
 		max  float64
 	}{
-		{"R=1", 1, 22},
-		{"R=3", 3, 24},
+		{"R=1", 1, 12},
+		{"R=3", 3, 14},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var c *Cluster

@@ -72,7 +72,7 @@ func TestPreparedRouteAllocs(t *testing.T) {
 	var route Route
 	allocs := testing.AllocsPerRun(200, func() {
 		args := []datum.D{datum.NewInt(42)}
-		cons, ok := p.Constraints(args)
+		cons, ok := p.Constraints(nil, args)
 		route = l.RouteStmt(p.Table(), cons, ok)
 	})
 	if len(route.Single) != 2 {

@@ -76,13 +76,18 @@ func (p *Prepared) Write() bool { return p.write }
 // NumParams returns the number of placeholders.
 func (p *Prepared) NumParams() int { return p.nparams }
 
-// Constraints returns what sqlparse.Constraints would extract from the
-// statement with args bound, without walking the AST: the skeleton is
-// copied and each placeholder replaced. One-value Eq lists and range
-// bounds alias args, so the caller must not change args while the result
-// is in use. ok is false for an unroutable statement, a NULL argument or
-// a wrong argument count.
-func (p *Prepared) Constraints(args []datum.D) (cons []Constraint, ok bool) {
+// NumConstraints returns how many constraints Constraints appends when
+// the statement is routable: a caller sizes its storage with it.
+func (p *Prepared) NumConstraints() int { return len(p.skel) }
+
+// Constraints appends to dst what sqlparse.Constraints would extract
+// from the statement with args bound, without walking the AST: the
+// skeleton is copied and each placeholder replaced. It allocates nothing
+// when dst has room for NumConstraints more. One-value Eq lists and
+// range bounds alias args, so the caller must not change args while the
+// result is in use. ok is false, and cons nil, for an unroutable
+// statement, a NULL argument or a wrong argument count.
+func (p *Prepared) Constraints(dst []Constraint, args []datum.D) (cons []Constraint, ok bool) {
 	if !p.routable || len(args) != p.nparams {
 		return nil, false
 	}
@@ -92,11 +97,10 @@ func (p *Prepared) Constraints(args []datum.D) (cons []Constraint, ok bool) {
 		}
 	}
 	if len(p.skel) == 0 {
-		return nil, true
+		return dst, true
 	}
-	cons = make([]Constraint, len(p.skel))
-	copy(cons, p.skel)
-	for i := range cons {
+	cons = append(dst, p.skel...)
+	for i := len(dst); i < len(cons); i++ {
 		c := &cons[i]
 		if len(c.Eq) == 1 {
 			if j, param := paramIndex(c.Eq[0]); param {

@@ -52,7 +52,7 @@ func TestPrepareConstraints(t *testing.T) {
 
 	p := MustPrepare("SELECT * FROM t WHERE k = ? AND j > ?")
 	args := []datum.D{i(1), i(2)}
-	cons, ok := p.Constraints(args)
+	cons, ok := p.Constraints(nil, args)
 	if !ok || len(cons) != 2 {
 		t.Fatalf("cons %v ok %v", cons, ok)
 	}
@@ -117,7 +117,7 @@ func checkBound(t testing.TB, p *Prepared, args []datum.D) Statement {
 	t.Helper()
 	bound := bind(p, args)
 	table, want, wantOK := Constraints(bound)
-	got, ok := p.Constraints(args)
+	got, ok := p.Constraints(nil, args)
 	if table != p.Table() || ok != wantOK || len(got) != len(want) {
 		t.Fatalf("%q %v: constraints (%q %v %v), bound statement gives (%q %v %v)",
 			p.SQL(), args, p.Table(), got, ok, table, want, wantOK)
@@ -154,13 +154,13 @@ func whereOf(stmt Statement) Expr {
 func TestPrepareBadArguments(t *testing.T) {
 	p := MustPrepare("SELECT * FROM t WHERE k = ? AND j BETWEEN ? AND ?")
 	one := []datum.D{datum.NewInt(1)}
-	if _, ok := p.Constraints(one); ok {
+	if _, ok := p.Constraints(nil, one); ok {
 		t.Error("Constraints ok with 1 argument for 3 placeholders")
 	}
 	for null := 0; null < 3; null++ {
 		args := []datum.D{datum.NewInt(1), datum.NewInt(2), datum.NewInt(3)}
 		args[null] = datum.NullD
-		if _, ok := p.Constraints(args); ok {
+		if _, ok := p.Constraints(nil, args); ok {
 			t.Errorf("Constraints ok with NULL bound to placeholder %d", null)
 		}
 		checkBound(t, p, args)
@@ -177,8 +177,12 @@ func TestPrepareBadArguments(t *testing.T) {
 func TestPrepareConstraintsAllocs(t *testing.T) {
 	p := MustPrepare("SELECT * FROM t WHERE k = ? AND w = ?")
 	args := []datum.D{datum.NewInt(1), datum.NewInt(2)}
-	if n := testing.AllocsPerRun(100, func() { p.Constraints(args) }); n > 1 {
+	if n := testing.AllocsPerRun(100, func() { p.Constraints(nil, args) }); n > 1 {
 		t.Errorf("Prepared.Constraints allocates %v times, want 1 (the result)", n)
+	}
+	buf := make([]Constraint, 0, p.NumConstraints())
+	if n := testing.AllocsPerRun(100, func() { p.Constraints(buf, args) }); n > 0 {
+		t.Errorf("Prepared.Constraints into caller storage allocates %v times, want 0", n)
 	}
 }
 
@@ -259,7 +263,7 @@ func FuzzPrepareBind(f *testing.F) {
 		if len(args) == 0 {
 			return
 		}
-		if _, ok := p.Constraints(args[1:]); ok {
+		if _, ok := p.Constraints(nil, args[1:]); ok {
 			t.Fatalf("%q: Constraints ok with %d arguments", qtext, len(args)-1)
 		}
 		for i := range args {

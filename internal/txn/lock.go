@@ -8,6 +8,7 @@ package txn
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,7 +55,7 @@ var (
 type LockManager struct {
 	mu      sync.Mutex
 	locks   map[LockKey]*lockState
-	byTxn   map[TS]map[LockKey]struct{}
+	byTxn   map[TS][]LockKey // the keys each transaction holds, once each
 	maxWait time.Duration
 	closed  bool
 
@@ -79,9 +80,29 @@ func (lm *LockManager) Stats() LockStats {
 	}
 }
 
+// lockState is one key's entry: its holders in grant order and its
+// FIFO queue of waiters. A key has one or two holders almost always, so
+// the holder list starts in the entry itself; the entry is dropped when
+// its last holder and waiter leave.
 type lockState struct {
-	holders map[TS]Mode
+	holders []holder // inline[:0] until a third holder joins
+	inline  [2]holder
 	queue   []*waiter
+}
+
+type holder struct {
+	ts   TS
+	mode Mode
+}
+
+// holder returns ts's index in the holder list, or -1.
+func (ls *lockState) holder(ts TS) int {
+	for i, h := range ls.holders {
+		if h.ts == ts {
+			return i
+		}
+	}
+	return -1
 }
 
 type waiter struct {
@@ -98,7 +119,7 @@ func NewLockManager(maxWait time.Duration) *LockManager {
 	}
 	return &LockManager{
 		locks:   make(map[LockKey]*lockState),
-		byTxn:   make(map[TS]map[LockKey]struct{}),
+		byTxn:   make(map[TS][]LockKey),
 		maxWait: maxWait,
 	}
 }
@@ -114,11 +135,12 @@ func (lm *LockManager) Acquire(ts TS, key LockKey, mode Mode) error {
 	}
 	ls := lm.locks[key]
 	if ls == nil {
-		ls = &lockState{holders: make(map[TS]Mode)}
+		ls = &lockState{}
+		ls.holders = ls.inline[:0]
 		lm.locks[key] = ls
 	}
-	if held, ok := ls.holders[ts]; ok {
-		if held == Exclusive || mode == Shared {
+	if i := ls.holder(ts); i >= 0 {
+		if ls.holders[i].mode == Exclusive || mode == Shared {
 			lm.mu.Unlock()
 			return nil
 		}
@@ -173,22 +195,25 @@ func (lm *LockManager) grantable(ls *lockState, ts TS, mode Mode) bool {
 			return false
 		}
 	}
-	for hts, hmode := range ls.holders {
-		if hts == ts {
-			continue
-		}
-		if conflicts(hmode, mode) {
-			return false
+	return !ls.holderConflict(ts, mode)
+}
+
+// holderConflict reports whether a holder other than ts holds a mode
+// that conflicts with mode.
+func (ls *lockState) holderConflict(ts TS, mode Mode) bool {
+	for _, h := range ls.holders {
+		if h.ts != ts && conflicts(h.mode, mode) {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // olderConflict reports whether a holder or queued waiter other than ts
 // is older than ts and holds or wants a mode that conflicts with mode.
 func (ls *lockState) olderConflict(ts TS, mode Mode) bool {
-	for hts, hmode := range ls.holders {
-		if hts != ts && conflicts(hmode, mode) && hts < ts {
+	for _, h := range ls.holders {
+		if h.ts != ts && conflicts(h.mode, mode) && h.ts < ts {
 			return true
 		}
 	}
@@ -200,17 +225,18 @@ func (ls *lockState) olderConflict(ts TS, mode Mode) bool {
 	return false
 }
 
+// grant makes ts a holder of key in mode. A holder's mode only ever
+// rises, and only a new holder adds the key to ts's list, so the list
+// holds each key once however often ts re-requests or upgrades it.
 func (lm *LockManager) grant(ls *lockState, ts TS, key LockKey, mode Mode) {
-	if cur, ok := ls.holders[ts]; ok && cur == Exclusive {
-		mode = Exclusive // never downgrade
+	if i := ls.holder(ts); i >= 0 {
+		if mode == Exclusive {
+			ls.holders[i].mode = Exclusive
+		}
+		return
 	}
-	ls.holders[ts] = mode
-	keys := lm.byTxn[ts]
-	if keys == nil {
-		keys = make(map[LockKey]struct{})
-		lm.byTxn[ts] = keys
-	}
-	keys[key] = struct{}{}
+	ls.holders = append(ls.holders, holder{ts, mode})
+	lm.byTxn[ts] = append(lm.byTxn[ts], key)
 }
 
 func conflicts(a, b Mode) bool { return a == Exclusive || b == Exclusive }
@@ -221,12 +247,14 @@ func (lm *LockManager) ReleaseAll(ts TS) {
 	defer lm.mu.Unlock()
 	keys := lm.byTxn[ts]
 	delete(lm.byTxn, ts)
-	for key := range keys {
+	for _, key := range keys {
 		ls := lm.locks[key]
 		if ls == nil {
 			continue
 		}
-		delete(ls.holders, ts)
+		if i := ls.holder(ts); i >= 0 {
+			ls.holders = slices.Delete(ls.holders, i, i+1)
+		}
 		// Also drop any queued waiter for ts (a txn aborting while a
 		// concurrent statement waits).
 		for i := 0; i < len(ls.queue); {
@@ -253,14 +281,7 @@ func (lm *LockManager) ReleaseAll(ts TS) {
 func (lm *LockManager) wake(ls *lockState, key LockKey) {
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]
-		ok := true
-		for hts, hmode := range ls.holders {
-			if hts != w.ts && conflicts(hmode, w.mode) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if ls.holderConflict(w.ts, w.mode) {
 			break
 		}
 		ls.queue = ls.queue[1:]
@@ -270,8 +291,8 @@ func (lm *LockManager) wake(ls *lockState, key LockKey) {
 	for i := 0; i < len(ls.queue); {
 		w := ls.queue[i]
 		die := false
-		for hts, hmode := range ls.holders {
-			if hts != w.ts && conflicts(hmode, w.mode) && w.ts > hts {
+		for _, h := range ls.holders {
+			if h.ts != w.ts && conflicts(h.mode, w.mode) && w.ts > h.ts {
 				die = true
 				break
 			}
@@ -305,7 +326,7 @@ func (lm *LockManager) Close() {
 		ls.queue = nil
 		delete(lm.locks, key)
 	}
-	lm.byTxn = make(map[TS]map[LockKey]struct{})
+	lm.byTxn = make(map[TS][]LockKey)
 }
 
 // HeldLocks returns the number of locks ts currently holds (for tests and

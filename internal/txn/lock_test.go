@@ -396,3 +396,36 @@ func TestMixedModesReleaseClean(t *testing.T) {
 		t.Fatalf("%d entries and %d key sets left after every release", len(lm.locks), len(lm.byTxn))
 	}
 }
+
+// TestUncontendedLockAllocs pins what an uncontended transaction's locks
+// cost: 20 keys, one of them requested again and one upgraded, then
+// ReleaseAll. Each key's entry is one allocation, its first two holders
+// inside it, and the transaction's key list grows by doubling; the
+// re-entrant request and the upgrade add nothing, because only a new
+// holder appends its key.
+func TestUncontendedLockAllocs(t *testing.T) {
+	lm := NewLockManager(time.Second)
+	var clock Clock
+	run := func() {
+		ts := clock.Next()
+		for k := int64(0); k < 20; k++ {
+			if err := lm.Acquire(ts, key(k), Shared); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := lm.Acquire(ts, key(3), Shared); err != nil {
+			t.Fatal(err)
+		}
+		if err := lm.Acquire(ts, key(7), Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		if n := lm.HeldLocks(ts); n != 20 {
+			t.Fatalf("holds %d locks, want 20", n)
+		}
+		lm.ReleaseAll(ts)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs > 26 {
+		t.Errorf("20 uncontended locks allocate %v times, want <= 26", allocs)
+	}
+}

@@ -123,7 +123,7 @@ func TestPreparedMatchesFormattedSQL(t *testing.T) {
 			t.Fatalf("Parse(%q): %v", text, err)
 		}
 		table, cons, ok := sqlparse.Constraints(stmt)
-		pcons, pok := c.p.Constraints(c.args)
+		pcons, pok := c.p.Constraints(nil, c.args)
 		if table != c.p.Table() || ok != pok || !reflect.DeepEqual(cons, pcons) {
 			t.Fatalf("%s\n parsed: %q %+v %v\n  bound: %q %+v %v", text, table, cons, ok, c.p.Table(), pcons, pok)
 		}
