@@ -3,8 +3,10 @@
 //
 // A trace is the primary input to the Schism pipeline (the paper's "SQL
 // trace", Section 2). Generators in internal/workloads produce traces with
-// ground-truth read/write sets; internal/sqlparse can re-derive access sets
-// from the SQL text to exercise the paper's trace-extraction path (§5.3).
+// ground-truth read/write sets. Two readers use the SQL text:
+// featsel.Frequencies mines its WHERE columns (§5.2), and the workloads'
+// resolver (Workload.virtualRows) parses its INSERTs for the rows the
+// trace creates (App. C.2). Nothing re-derives access sets from the text.
 package workload
 
 import (
@@ -101,8 +103,10 @@ func NewTrace() *Trace { return &Trace{} }
 // read-only from here on.
 func FromCompact(c *Compact) *Trace { return &Trace{dense: c} }
 
-// Add appends a transaction, assigning it the next sequential ID. It
-// panics on a compact-only trace, which has no Txns to append to.
+// Add appends a transaction, assigning it the next sequential ID. The
+// transaction keeps accesses and sql as given, without copying them, so a
+// caller must not reuse their backing arrays afterwards. It panics on a
+// compact-only trace, which has no Txns to append to.
 func (tr *Trace) Add(accesses []Access, sql ...string) *Txn {
 	if tr.dense != nil {
 		panic("workload: Add to a compact-only trace")

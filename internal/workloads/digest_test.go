@@ -84,23 +84,29 @@ type benchTPCCShape struct {
 // bench/txn.go and bench/live.go at the given scale, seed 1. live-tpcc
 // uses a copy of the benchmark's rotating hotspot picker.
 func benchTPCCShapes(scale float64) []benchTPCCShape {
-	scaled := func(n, lo int) int { return max(int(float64(n)*scale), lo) }
-	window, perCycle := scaled(4000, 400), scaled(1000, 100)
-	cycles := 2 * scaled(24, 6)
 	return []benchTPCCShape{
 		{"plan-tpcc", func() TPCCConfig {
-			return TPCCConfig{Warehouses: 8, Districts: 10, Customers: 10, Items: 250, InitialOrders: 5, Txns: scaled(8000, 400), Seed: 1}
+			return TPCCConfig{Warehouses: 8, Districts: 10, Customers: 10, Items: 250, InitialOrders: 5, Txns: benchScaled(scale, 8000, 400), Seed: 1}
 		}},
 		{"txn-tpcc", func() TPCCConfig {
-			return TPCCConfig{Warehouses: 8, Districts: 10, Customers: 15, Items: 150, InitialOrders: 5, Txns: scaled(6000, 600), Seed: 1}
+			return TPCCConfig{Warehouses: 8, Districts: 10, Customers: 15, Items: 150, InitialOrders: 5, Txns: benchScaled(scale, 6000, 600), Seed: 1}
 		}},
-		{"live-tpcc", func() TPCCConfig {
-			return TPCCConfig{
-				Warehouses: 16, Districts: 10, Customers: 30, Items: 200, InitialOrders: 10,
-				Txns: (window + cycles*perCycle) * 21 / 20, Seed: 1,
-				PickWarehouse: rotatingHotspot(window, 6*perCycle),
-			}
-		}},
+		{"live-tpcc", func() TPCCConfig { return liveTPCCConfig(scale) }},
+	}
+}
+
+// benchScaled is the benchmark's size rule: n times the scale, at least lo.
+func benchScaled(scale float64, n, lo int) int { return max(int(float64(n)*scale), lo) }
+
+// liveTPCCConfig is live-tpcc's trace configuration at the given scale
+// (untraced, seed 1), with a fresh rotating hotspot picker.
+func liveTPCCConfig(scale float64) TPCCConfig {
+	window, perCycle := benchScaled(scale, 4000, 400), benchScaled(scale, 1000, 100)
+	cycles := 2 * benchScaled(scale, 24, 6)
+	return TPCCConfig{
+		Warehouses: 16, Districts: 10, Customers: 30, Items: 200, InitialOrders: 10,
+		Txns: (window + cycles*perCycle) * 21 / 20, Seed: 1,
+		PickWarehouse: rotatingHotspot(window, 6*perCycle),
 	}
 }
 

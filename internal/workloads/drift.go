@@ -83,8 +83,9 @@ func YCSBGroups(cfg YCSBGroupsConfig) *Workload {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gen := zipf.NewScrambled(rng, uint64(cfg.numGroups()), cfg.Theta)
 	tr := workload.NewTrace()
+	var text txnText
 	for i := 0; i < cfg.Txns; i++ {
-		acc, sql := ycsbGroupTxn(cfg, int(gen.Next()), rng)
+		acc, sql := ycsbGroupTxn(cfg, int(gen.Next()), rng, &text)
 		tr.Add(acc, sql...)
 	}
 	return &Workload{
@@ -99,20 +100,18 @@ func YCSBGroups(cfg YCSBGroupsConfig) *Workload {
 }
 
 // ycsbGroupTxn draws one transaction over group g: two reads and one
-// update on distinct group members.
-func ycsbGroupTxn(cfg YCSBGroupsConfig, g int, rng *rand.Rand) ([]workload.Access, []string) {
+// update on distinct group members, its statements rendered in text.
+func ycsbGroupTxn(cfg YCSBGroupsConfig, g int, rng *rand.Rand, text *txnText) ([]workload.Access, []string) {
 	r1, r2, w := cfg.drawMembers(g, rng)
 	acc := []workload.Access{
 		{Tuple: workload.TupleID{Table: "usertable", Key: r1}},
 		{Tuple: workload.TupleID{Table: "usertable", Key: r2}},
 		{Tuple: workload.TupleID{Table: "usertable", Key: w}, Write: true},
 	}
-	sql := []string{
-		fmt.Sprintf("SELECT * FROM usertable WHERE ycsb_key = %d", r1),
-		fmt.Sprintf("SELECT * FROM usertable WHERE ycsb_key = %d", r2),
-		fmt.Sprintf("UPDATE usertable SET field0 = 'u' WHERE ycsb_key = %d", w),
-	}
-	return acc, sql
+	text.add("SELECT * FROM usertable WHERE ycsb_key = %d", r1)
+	text.add("SELECT * FROM usertable WHERE ycsb_key = %d", r2)
+	text.add("UPDATE usertable SET field0 = 'u' WHERE ycsb_key = %d", w)
+	return acc, text.take()
 }
 
 // drawMembers picks the two read keys and the written key of one

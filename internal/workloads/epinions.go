@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"schism/internal/datum"
 	"schism/internal/lookup"
@@ -240,15 +241,21 @@ func Epinions(cfg EpinionsConfig) *Workload {
 		return randItem()
 	}
 
+	// A transaction's accesses and Q1's trusted set are built in scratch
+	// reused across the trace; the trace keeps an exact-size copy.
+	var (
+		text    txnText
+		scratch []workload.Access
+		trusted = map[int64]bool{}
+	)
 	for n := 0; n < cfg.Txns; n++ {
 		u := randUser()
-		var acc []workload.Access
-		var sql []string
+		acc := scratch[:0]
 		switch p := rng.Intn(100); {
 		case p < 30: // Q1: ratings of item i from users trusted by u
 			i := itemFor(u)
 			acc = append(acc, user(u, false), item(i, false))
-			trusted := map[int64]bool{}
+			clear(trusted)
 			for _, tid := range g.bySource[u] {
 				acc = append(acc, trustA(tid, false))
 				trusted[g.trustDst[tid]] = true
@@ -258,21 +265,20 @@ func Epinions(cfg EpinionsConfig) *Workload {
 					acc = append(acc, review(rid, false))
 				}
 			}
-			sql = append(sql,
-				fmt.Sprintf("SELECT * FROM reviews JOIN trust ON reviews.r_u_id = trust.t_target WHERE trust.t_source = %d AND reviews.r_i_id = %d", u, i))
+			text.add("SELECT * FROM reviews JOIN trust ON reviews.r_u_id = trust.t_target WHERE trust.t_source = %d AND reviews.r_i_id = %d", u, i)
 		case p < 45: // Q2: users trusted by u
 			acc = append(acc, user(u, false))
 			for _, tid := range g.bySource[u] {
 				acc = append(acc, trustA(tid, false), user(g.trustDst[tid], false))
 			}
-			sql = append(sql, fmt.Sprintf("SELECT * FROM users JOIN trust ON users.u_id = trust.t_target WHERE trust.t_source = %d", u))
+			text.add("SELECT * FROM users JOIN trust ON users.u_id = trust.t_target WHERE trust.t_source = %d", u)
 		case p < 57: // Q3: weighted average rating of item
 			i := itemFor(u)
 			acc = append(acc, item(i, false))
 			for _, rid := range g.byItem[i] {
 				acc = append(acc, review(rid, false))
 			}
-			sql = append(sql, fmt.Sprintf("SELECT * FROM reviews WHERE r_i_id = %d", i))
+			text.add("SELECT * FROM reviews WHERE r_i_id = %d", i)
 		case p < 82: // Q4: 10 most popular reviews of item
 			i := itemFor(u)
 			acc = append(acc, item(i, false))
@@ -283,7 +289,7 @@ func Epinions(cfg EpinionsConfig) *Workload {
 			for _, rid := range rids {
 				acc = append(acc, review(rid, false))
 			}
-			sql = append(sql, fmt.Sprintf("SELECT * FROM reviews WHERE r_i_id = %d ORDER BY r_rating DESC LIMIT 10", i))
+			text.add("SELECT * FROM reviews WHERE r_i_id = %d ORDER BY r_rating DESC LIMIT 10", i)
 		case p < 85: // Q5: 10 most popular reviews of user
 			acc = append(acc, user(u, false))
 			rids := g.byUser[u]
@@ -293,14 +299,14 @@ func Epinions(cfg EpinionsConfig) *Workload {
 			for _, rid := range rids {
 				acc = append(acc, review(rid, false))
 			}
-			sql = append(sql, fmt.Sprintf("SELECT * FROM reviews WHERE r_u_id = %d ORDER BY r_rating DESC LIMIT 10", u))
+			text.add("SELECT * FROM reviews WHERE r_u_id = %d ORDER BY r_rating DESC LIMIT 10", u)
 		case p < 87: // Q6: update user profile
 			acc = append(acc, user(u, true))
-			sql = append(sql, fmt.Sprintf("UPDATE users SET u_rep = u_rep + 1 WHERE u_id = %d", u))
+			text.add("UPDATE users SET u_rep = u_rep + 1 WHERE u_id = %d", u)
 		case p < 90: // Q7: update item metadata
 			i := itemFor(u)
 			acc = append(acc, item(i, true))
-			sql = append(sql, fmt.Sprintf("UPDATE items SET i_title = 'x' WHERE i_id = %d", i))
+			text.add("UPDATE items SET i_title = 'x' WHERE i_id = %d", i)
 		case p < 97: // Q8: insert/update a review
 			rids := g.byUser[u]
 			if len(rids) == 0 {
@@ -308,7 +314,7 @@ func Epinions(cfg EpinionsConfig) *Workload {
 			}
 			rid := rids[rng.Intn(len(rids))]
 			acc = append(acc, review(rid, true), item(g.reviewItem[rid], false))
-			sql = append(sql, fmt.Sprintf("UPDATE reviews SET r_rating = %d WHERE r_id = %d", 1+rng.Intn(5), rid))
+			text.add("UPDATE reviews SET r_rating = %d WHERE r_id = %d", int64(1+rng.Intn(5)), rid)
 		default: // Q9: update trust relation
 			tids := g.bySource[u]
 			if len(tids) == 0 {
@@ -316,10 +322,11 @@ func Epinions(cfg EpinionsConfig) *Workload {
 			}
 			tid := tids[rng.Intn(len(tids))]
 			acc = append(acc, trustA(tid, true), user(u, false))
-			sql = append(sql, fmt.Sprintf("UPDATE trust SET t_value = %d WHERE t_id = %d", rng.Intn(2), tid))
+			text.add("UPDATE trust SET t_value = %d WHERE t_id = %d", int64(rng.Intn(2)), tid)
 		}
+		scratch = acc
 		if len(acc) > 0 {
-			tr.Add(acc, sql...)
+			tr.Add(slices.Clone(acc), text.take()...)
 		}
 	}
 	return &Workload{

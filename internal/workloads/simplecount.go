@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"math/rand"
 
 	"schism/internal/datum"
@@ -81,16 +80,18 @@ func Simplecount(cfg SimplecountConfig, txns int, seed int64) *Workload {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	tr := workload.NewTrace()
+	var text txnText
 	for i := 0; i < txns; i++ {
 		a := rng.Int63n(int64(cfg.Rows))
 		b := rng.Int63n(int64(cfg.Rows))
+		text.add("SELECT * FROM simplecount WHERE id = %d", a)
+		text.add("SELECT * FROM simplecount WHERE id = %d", b)
 		tr.Add(
 			[]workload.Access{
 				{Tuple: workload.TupleID{Table: "simplecount", Key: a}},
 				{Tuple: workload.TupleID{Table: "simplecount", Key: b}},
 			},
-			fmt.Sprintf("SELECT * FROM simplecount WHERE id = %d", a),
-			fmt.Sprintf("SELECT * FROM simplecount WHERE id = %d", b),
+			text.take()...,
 		)
 	}
 	return &Workload{

@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"schism/internal/partition"
 	"schism/internal/storage"
@@ -22,6 +23,13 @@ type tpccState struct {
 	// recent[dKey] holds the last few orders for status/stock-level reads.
 	recent map[int64][]int64 // order keys
 	hist   int64
+
+	// Per-transaction scratch, reused across the trace: the statement
+	// text, the accesses of the transactions whose count is data-dependent
+	// and StockLevel's set of items already read.
+	text txnText
+	acc  []workload.Access
+	seen map[int]bool
 }
 
 type tpccOrder struct {
@@ -48,6 +56,7 @@ func newTPCCState(cfg TPCCConfig) *tpccState {
 		oldestNO: make(map[int64]int),
 		pending:  make(map[int64]tpccOrder),
 		recent:   make(map[int64][]int64),
+		seen:     make(map[int]bool),
 	}
 	for w := 1; w <= cfg.Warehouses; w++ {
 		for d := 1; d <= cfg.Districts; d++ {
@@ -85,6 +94,18 @@ func TPCC(cfg TPCCConfig) *Workload {
 	cfg = cfg.withDefaults()
 	db := storage.NewDatabase()
 	TPCCPopulate(db, cfg, 1, cfg.Warehouses, true)
+	return &Workload{
+		Name:       fmt.Sprintf("TPCC-%dW", cfg.Warehouses),
+		DB:         db,
+		Trace:      tpccTrace(cfg),
+		KeyColumns: TPCCKeyColumns(),
+		Manual:     func(k int) partition.Strategy { return TPCCManual(cfg, k) },
+	}
+}
+
+// tpccTrace draws cfg.Txns transactions of the mix against the database
+// TPCCPopulate builds for cfg, dropping the odd one that touches nothing.
+func tpccTrace(cfg TPCCConfig) *workload.Trace {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	st := newTPCCState(cfg)
 	tr := workload.NewTrace()
@@ -107,13 +128,7 @@ func TPCC(cfg TPCCConfig) *Workload {
 			tr.Add(acc, sql...)
 		}
 	}
-	return &Workload{
-		Name:       fmt.Sprintf("TPCC-%dW", cfg.Warehouses),
-		DB:         db,
-		Trace:      tr,
-		KeyColumns: TPCCKeyColumns(),
-		Manual:     func(k int) partition.Strategy { return TPCCManual(cfg, k) },
-	}
+	return tr
 }
 
 // remoteWarehouse picks a warehouse different from w (spec: remote stock
@@ -143,7 +158,7 @@ func (st *tpccState) newOrderTrace(rng *rand.Rand) ([]workload.Access, []string)
 
 	nItems := 5 + rng.Intn(11)
 	items := make([]int, nItems)
-	supply := make([]int, nItems)
+	var supply [15]int // nItems <= 15
 	for l := range items {
 		items[l] = rng.Intn(cfg.Items)
 		supply[l] = w
@@ -154,20 +169,21 @@ func (st *tpccState) newOrderTrace(rng *rand.Rand) ([]workload.Access, []string)
 	st.pending[oKey] = tpccOrder{cid: c, items: items}
 	st.pushRecent(dk, oKey)
 
-	acc := []workload.Access{
+	acc := make([]workload.Access, 0, 5+3*nItems)
+	acc = append(acc,
 		tup("warehouse", int64(w), false),
 		tup("district", dk, true),
 		tup("customer", k.customer(w, d, c), false),
 		tup("orders", oKey, true),
 		tup("new_order", oKey, true),
-	}
-	sql := []string{
-		fmt.Sprintf("SELECT * FROM warehouse WHERE w_id = %d", w),
-		fmt.Sprintf("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = %d AND d_id = %d", w, d),
-		fmt.Sprintf("SELECT * FROM customer WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d", w, d, c),
-		fmt.Sprintf("INSERT INTO orders (o_key, o_w_id, o_d_id, o_id, o_c_id, o_carrier_id, o_ol_cnt) VALUES (%d, %d, %d, %d, %d, 0, %d)", oKey, w, d, o, c, nItems),
-		fmt.Sprintf("INSERT INTO new_order (no_key, no_w_id, no_d_id, no_o_id) VALUES (%d, %d, %d, %d)", oKey, w, d, o),
-	}
+	)
+	w64, d64, o64 := int64(w), int64(d), int64(o)
+	text := &st.text
+	text.add("SELECT * FROM warehouse WHERE w_id = %d", w64)
+	text.add("UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = %d AND d_id = %d", w64, d64)
+	text.add("SELECT * FROM customer WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d", w64, d64, int64(c))
+	text.add("INSERT INTO orders (o_key, o_w_id, o_d_id, o_id, o_c_id, o_carrier_id, o_ol_cnt) VALUES (%d, %d, %d, %d, %d, 0, %d)", oKey, w64, d64, o64, int64(c), int64(nItems))
+	text.add("INSERT INTO new_order (no_key, no_w_id, no_d_id, no_o_id) VALUES (%d, %d, %d, %d)", oKey, w64, d64, o64)
 	for l, item := range items {
 		sw := supply[l]
 		acc = append(acc,
@@ -175,14 +191,12 @@ func (st *tpccState) newOrderTrace(rng *rand.Rand) ([]workload.Access, []string)
 			tup("stock", k.stock(sw, item), true),
 			tup("order_line", k.orderLine(oKey, l+1), true),
 		)
-		sql = append(sql,
-			fmt.Sprintf("SELECT * FROM item WHERE i_id = %d", item),
-			fmt.Sprintf("UPDATE stock SET s_quantity = s_quantity - 1, s_ytd = s_ytd + 1 WHERE s_w_id = %d AND s_i_id = %d", sw, item),
-			fmt.Sprintf("INSERT INTO order_line (ol_key, ol_w_id, ol_d_id, ol_o_id, ol_number, ol_i_id, ol_supply_w_id, ol_amount) VALUES (%d, %d, %d, %d, %d, %d, %d, %.2f)",
-				k.orderLine(oKey, l+1), w, d, o, l+1, item, sw, 9.99),
-		)
+		text.add("SELECT * FROM item WHERE i_id = %d", int64(item))
+		text.add("UPDATE stock SET s_quantity = s_quantity - 1, s_ytd = s_ytd + 1 WHERE s_w_id = %d AND s_i_id = %d", int64(sw), int64(item))
+		text.add("INSERT INTO order_line (ol_key, ol_w_id, ol_d_id, ol_o_id, ol_number, ol_i_id, ol_supply_w_id, ol_amount) VALUES (%d, %d, %d, %d, %d, %d, %d, 9.99)",
+			k.orderLine(oKey, l+1), w64, d64, o64, int64(l+1), int64(item), int64(sw))
 	}
-	return acc, sql
+	return acc, text.take()
 }
 
 func (st *tpccState) paymentTrace(rng *rand.Rand) ([]workload.Access, []string) {
@@ -202,13 +216,12 @@ func (st *tpccState) paymentTrace(rng *rand.Rand) ([]workload.Access, []string) 
 		tup("customer", k.customer(cw, d, c), true),
 		tup("history", st.hist, true),
 	}
-	sql := []string{
-		fmt.Sprintf("UPDATE warehouse SET w_ytd = w_ytd + 100.00 WHERE w_id = %d", w),
-		fmt.Sprintf("UPDATE district SET d_ytd = d_ytd + 100.00 WHERE d_w_id = %d AND d_id = %d", w, d),
-		fmt.Sprintf("UPDATE customer SET c_balance = c_balance - 100.00, c_ytd_payment = c_ytd_payment + 100.00 WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d", cw, d, c),
-		fmt.Sprintf("INSERT INTO history (h_id, h_w_id, h_amount) VALUES (%d, %d, 100.00)", st.hist, w),
-	}
-	return acc, sql
+	text := &st.text
+	text.add("UPDATE warehouse SET w_ytd = w_ytd + 100.00 WHERE w_id = %d", int64(w))
+	text.add("UPDATE district SET d_ytd = d_ytd + 100.00 WHERE d_w_id = %d AND d_id = %d", int64(w), int64(d))
+	text.add("UPDATE customer SET c_balance = c_balance - 100.00, c_ytd_payment = c_ytd_payment + 100.00 WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d", int64(cw), int64(d), int64(c))
+	text.add("INSERT INTO history (h_id, h_w_id, h_amount) VALUES (%d, %d, 100.00)", st.hist, int64(w))
+	return acc, text.take()
 }
 
 func (st *tpccState) orderStatusTrace(rng *rand.Rand) ([]workload.Access, []string) {
@@ -226,28 +239,28 @@ func (st *tpccState) orderStatusTrace(rng *rand.Rand) ([]workload.Access, []stri
 	if !ok {
 		ord = initialOrder(cfg, int(oKey%tpccOrderSpace))
 	}
-	acc := []workload.Access{
+	acc := make([]workload.Access, 0, 2+len(ord.items))
+	acc = append(acc,
 		tup("customer", k.customer(w, d, ord.cid), false),
 		tup("orders", oKey, false),
-	}
-	o := int(oKey % tpccOrderSpace)
-	sql := []string{
-		fmt.Sprintf("SELECT * FROM customer WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d", w, d, ord.cid),
-		fmt.Sprintf("SELECT * FROM orders WHERE o_w_id = %d AND o_d_id = %d AND o_id = %d", w, d, o),
-		fmt.Sprintf("SELECT * FROM order_line WHERE ol_w_id = %d AND ol_d_id = %d AND ol_o_id = %d", w, d, o),
-	}
+	)
 	for l := range ord.items {
 		acc = append(acc, tup("order_line", k.orderLine(oKey, l+1), false))
 	}
-	return acc, sql
+	o := oKey % tpccOrderSpace
+	text := &st.text
+	text.add("SELECT * FROM customer WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d", int64(w), int64(d), int64(ord.cid))
+	text.add("SELECT * FROM orders WHERE o_w_id = %d AND o_d_id = %d AND o_id = %d", int64(w), int64(d), o)
+	text.add("SELECT * FROM order_line WHERE ol_w_id = %d AND ol_d_id = %d AND ol_o_id = %d", int64(w), int64(d), o)
+	return acc, text.take()
 }
 
 func (st *tpccState) deliveryTrace(rng *rand.Rand) ([]workload.Access, []string) {
 	cfg := st.cfg
 	k := st.keys
 	w := cfg.pickW(rng)
-	var acc []workload.Access
-	var sql []string
+	acc := st.acc[:0]
+	text := &st.text
 	for d := 1; d <= cfg.Districts; d++ {
 		dk := k.district(w, d)
 		o := st.oldestNO[dk]
@@ -267,17 +280,17 @@ func (st *tpccState) deliveryTrace(rng *rand.Rand) ([]workload.Access, []string)
 			tup("orders", oKey, true),
 			tup("customer", k.customer(w, d, ord.cid), true),
 		)
-		sql = append(sql,
-			fmt.Sprintf("DELETE FROM new_order WHERE no_w_id = %d AND no_d_id = %d AND no_o_id = %d", w, d, o),
-			fmt.Sprintf("UPDATE orders SET o_carrier_id = 7 WHERE o_w_id = %d AND o_d_id = %d AND o_id = %d", w, d, o),
-			fmt.Sprintf("SELECT * FROM order_line WHERE ol_w_id = %d AND ol_d_id = %d AND ol_o_id = %d", w, d, o),
-			fmt.Sprintf("UPDATE customer SET c_balance = c_balance + 50.00 WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d", w, d, ord.cid),
-		)
+		w64, d64, o64 := int64(w), int64(d), int64(o)
+		text.add("DELETE FROM new_order WHERE no_w_id = %d AND no_d_id = %d AND no_o_id = %d", w64, d64, o64)
+		text.add("UPDATE orders SET o_carrier_id = 7 WHERE o_w_id = %d AND o_d_id = %d AND o_id = %d", w64, d64, o64)
+		text.add("SELECT * FROM order_line WHERE ol_w_id = %d AND ol_d_id = %d AND ol_o_id = %d", w64, d64, o64)
+		text.add("UPDATE customer SET c_balance = c_balance + 50.00 WHERE c_w_id = %d AND c_d_id = %d AND c_id = %d", w64, d64, int64(ord.cid))
 		for l := range ord.items {
 			acc = append(acc, tup("order_line", k.orderLine(oKey, l+1), false))
 		}
 	}
-	return acc, sql
+	st.acc = acc
+	return slices.Clone(acc), text.take()
 }
 
 func (st *tpccState) stockLevelTrace(rng *rand.Rand) ([]workload.Access, []string) {
@@ -286,26 +299,27 @@ func (st *tpccState) stockLevelTrace(rng *rand.Rand) ([]workload.Access, []strin
 	w := cfg.pickW(rng)
 	d := 1 + rng.Intn(cfg.Districts)
 	dk := k.district(w, d)
-	acc := []workload.Access{tup("district", dk, false)}
-	sql := []string{
-		fmt.Sprintf("SELECT * FROM district WHERE d_w_id = %d AND d_id = %d", w, d),
-	}
-	seen := map[int]bool{}
+	acc := append(st.acc[:0], tup("district", dk, false))
+	w64, d64 := int64(w), int64(d)
+	text := &st.text
+	text.add("SELECT * FROM district WHERE d_w_id = %d AND d_id = %d", w64, d64)
+	seen := st.seen
+	clear(seen)
 	for _, oKey := range st.recent[dk] {
 		ord, ok := st.pending[oKey]
 		if !ok {
 			ord = initialOrder(cfg, int(oKey%tpccOrderSpace))
 		}
-		o := int(oKey % tpccOrderSpace)
-		sql = append(sql, fmt.Sprintf("SELECT * FROM order_line WHERE ol_w_id = %d AND ol_d_id = %d AND ol_o_id = %d", w, d, o))
+		text.add("SELECT * FROM order_line WHERE ol_w_id = %d AND ol_d_id = %d AND ol_o_id = %d", w64, d64, oKey%tpccOrderSpace)
 		for l, item := range ord.items {
 			acc = append(acc, tup("order_line", k.orderLine(oKey, l+1), false))
 			if !seen[item] {
 				seen[item] = true
 				acc = append(acc, tup("stock", k.stock(w, item), false))
-				sql = append(sql, fmt.Sprintf("SELECT * FROM stock WHERE s_w_id = %d AND s_i_id = %d", w, item))
+				text.add("SELECT * FROM stock WHERE s_w_id = %d AND s_i_id = %d", w64, int64(item))
 			}
 		}
 	}
-	return acc, sql
+	st.acc = acc
+	return slices.Clone(acc), text.take()
 }

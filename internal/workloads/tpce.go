@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"schism/internal/datum"
 	"schism/internal/storage"
@@ -124,6 +125,12 @@ type tpceData struct {
 	acctTrd  map[int64][]int64
 	nextTID  int64
 	nextTH   int64
+
+	// Per-transaction scratch, reused across the trace: the statement
+	// text and the accesses of the transactions whose count is
+	// data-dependent.
+	text txnText
+	acc  []workload.Access
 }
 
 // TPCE builds the TPC-E-lite workload: 16 tables, 10 transaction types in
@@ -236,6 +243,7 @@ func containsInt(xs []int, v int) bool {
 func (d *tpceData) nextTxn(rng *rand.Rand) ([]workload.Access, []string) {
 	cfg := d.cfg
 	k := d.keys
+	text := &d.text
 	c := rng.Intn(cfg.Customers)
 	acct := k.account(c, rng.Intn(cfg.AccountsPerCustomer))
 	broker := tpceBroker(cfg, c)
@@ -251,33 +259,37 @@ func (d *tpceData) nextTxn(rng *rand.Rand) ([]workload.Access, []string) {
 			d.acctTrd[acct] = d.acctTrd[acct][1:]
 		}
 		hs := k.holdingSummary(acct, sec)
-		hsSQL := fmt.Sprintf("UPDATE holding_summary SET hs_qty = hs_qty + 10 WHERE hs_ca_id = %d AND hs_s_id = %d", acct, sec)
-		if !containsInt(d.acctSecs[acct], sec) {
-			// First position in this security: the holding row is created,
-			// not updated.
+		// A first position in this security creates the holding row
+		// instead of updating it.
+		newHolding := !containsInt(d.acctSecs[acct], sec)
+		if newHolding {
 			d.acctSecs[acct] = append(d.acctSecs[acct], sec)
-			hsSQL = fmt.Sprintf("INSERT INTO holding_summary (hs_id, hs_ca_id, hs_s_id, hs_qty) VALUES (%d, %d, %d, 10)", hs, acct, sec)
 		}
-		return []workload.Access{
-				tup("customer", int64(c), false),
-				tup("customer_account", acct, false),
-				tup("account_permission", acct, false),
-				tup("broker", broker, false),
-				tup("security", int64(sec), false),
-				tup("last_trade", int64(sec), false),
-				tup("charge", int64(rng.Intn(15)), false),
-				tup("trade", tid, true),
-				tup("trade_history", d.nextTH, true),
-				tup("holding_summary", hs, true),
-			}, []string{
-				fmt.Sprintf("SELECT * FROM customer WHERE c_id = %d", c),
-				fmt.Sprintf("SELECT * FROM customer_account WHERE ca_id = %d", acct),
-				fmt.Sprintf("SELECT * FROM security WHERE s_id = %d", sec),
-				fmt.Sprintf("SELECT * FROM last_trade WHERE lt_s_id = %d", sec),
-				fmt.Sprintf("INSERT INTO trade (t_id, t_ca_id, t_s_id, t_qty, t_price, t_is_sell, t_done) VALUES (%d, %d, %d, 10, 25.00, 0, 0)", tid, acct, sec),
-				fmt.Sprintf("INSERT INTO trade_history (th_id, th_t_id, th_event) VALUES (%d, %d, 0)", d.nextTH, tid),
-				hsSQL,
-			}
+		acc := []workload.Access{
+			tup("customer", int64(c), false),
+			tup("customer_account", acct, false),
+			tup("account_permission", acct, false),
+			tup("broker", broker, false),
+			tup("security", int64(sec), false),
+			tup("last_trade", int64(sec), false),
+			tup("charge", int64(rng.Intn(15)), false),
+			tup("trade", tid, true),
+			tup("trade_history", d.nextTH, true),
+			tup("holding_summary", hs, true),
+		}
+		sec64 := int64(sec)
+		text.add("SELECT * FROM customer WHERE c_id = %d", int64(c))
+		text.add("SELECT * FROM customer_account WHERE ca_id = %d", acct)
+		text.add("SELECT * FROM security WHERE s_id = %d", sec64)
+		text.add("SELECT * FROM last_trade WHERE lt_s_id = %d", sec64)
+		text.add("INSERT INTO trade (t_id, t_ca_id, t_s_id, t_qty, t_price, t_is_sell, t_done) VALUES (%d, %d, %d, 10, 25.00, 0, 0)", tid, acct, sec64)
+		text.add("INSERT INTO trade_history (th_id, th_t_id, th_event) VALUES (%d, %d, 0)", d.nextTH, tid)
+		if newHolding {
+			text.add("INSERT INTO holding_summary (hs_id, hs_ca_id, hs_s_id, hs_qty) VALUES (%d, %d, %d, 10)", hs, acct, sec64)
+		} else {
+			text.add("UPDATE holding_summary SET hs_qty = hs_qty + 10 WHERE hs_ca_id = %d AND hs_s_id = %d", acct, sec64)
+		}
+		return acc, text.take()
 	case p < 20: // TradeResult: complete a pending trade
 		trades := d.acctTrd[acct]
 		if len(trades) == 0 {
@@ -289,54 +301,54 @@ func (d *tpceData) nextTxn(rng *rand.Rand) ([]workload.Access, []string) {
 		if secs := d.acctSecs[acct]; len(secs) > 0 {
 			sec = secs[rng.Intn(len(secs))]
 		}
-		return []workload.Access{
-				tup("trade", tid, true),
-				tup("trade_history", d.nextTH, true),
-				tup("customer_account", acct, true),
-				tup("broker", broker, true),
-				tup("commission_rate", int64(rng.Intn(15)), false),
-				tup("holding_summary", k.holdingSummary(acct, sec), true),
-				tup("last_trade", int64(sec), false),
-			}, []string{
-				fmt.Sprintf("UPDATE trade SET t_done = 1 WHERE t_id = %d", tid),
-				fmt.Sprintf("INSERT INTO trade_history (th_id, th_t_id, th_event) VALUES (%d, %d, 1)", d.nextTH, tid),
-				fmt.Sprintf("UPDATE customer_account SET ca_bal = ca_bal + 250.00 WHERE ca_id = %d", acct),
-				fmt.Sprintf("UPDATE broker SET b_num_trades = b_num_trades + 1 WHERE b_id = %d", broker),
-				fmt.Sprintf("UPDATE holding_summary SET hs_qty = hs_qty - 10 WHERE hs_ca_id = %d AND hs_s_id = %d", acct, sec),
-			}
+		acc := []workload.Access{
+			tup("trade", tid, true),
+			tup("trade_history", d.nextTH, true),
+			tup("customer_account", acct, true),
+			tup("broker", broker, true),
+			tup("commission_rate", int64(rng.Intn(15)), false),
+			tup("holding_summary", k.holdingSummary(acct, sec), true),
+			tup("last_trade", int64(sec), false),
+		}
+		text.add("UPDATE trade SET t_done = 1 WHERE t_id = %d", tid)
+		text.add("INSERT INTO trade_history (th_id, th_t_id, th_event) VALUES (%d, %d, 1)", d.nextTH, tid)
+		text.add("UPDATE customer_account SET ca_bal = ca_bal + 250.00 WHERE ca_id = %d", acct)
+		text.add("UPDATE broker SET b_num_trades = b_num_trades + 1 WHERE b_id = %d", broker)
+		text.add("UPDATE holding_summary SET hs_qty = hs_qty - 10 WHERE hs_ca_id = %d AND hs_s_id = %d", acct, int64(sec))
+		return acc, text.take()
 	case p < 28: // TradeLookup: recent trades + their histories
 		trades := d.acctTrd[acct]
 		if len(trades) == 0 {
 			return nil, nil
 		}
-		acc := []workload.Access{tup("customer_account", acct, false)}
 		n := min(4, len(trades))
+		acc := make([]workload.Access, 0, 1+n)
+		acc = append(acc, tup("customer_account", acct, false))
 		for _, tid := range trades[len(trades)-n:] {
 			acc = append(acc, tup("trade", tid, false))
 		}
-		return acc, []string{
-			fmt.Sprintf("SELECT * FROM trade WHERE t_ca_id = %d", acct),
-		}
+		text.add("SELECT * FROM trade WHERE t_ca_id = %d", acct)
+		return acc, text.take()
 	case p < 47: // TradeStatus: account's latest trades + security info
 		trades := d.acctTrd[acct]
-		acc := []workload.Access{
+		n := min(5, len(trades))
+		acc := make([]workload.Access, 0, 3+n+len(d.acctSecs[acct]))
+		acc = append(acc,
 			tup("customer", int64(c), false),
 			tup("customer_account", acct, false),
 			tup("broker", broker, false),
-		}
-		n := min(5, len(trades))
+		)
 		for _, tid := range trades[len(trades)-n:] {
 			acc = append(acc, tup("trade", tid, false))
 		}
 		for _, s := range d.acctSecs[acct] {
 			acc = append(acc, tup("security", int64(s), false))
 		}
-		return acc, []string{
-			fmt.Sprintf("SELECT * FROM customer_account WHERE ca_id = %d", acct),
-			fmt.Sprintf("SELECT * FROM trade WHERE t_ca_id = %d", acct),
-		}
+		text.add("SELECT * FROM customer_account WHERE ca_id = %d", acct)
+		text.add("SELECT * FROM trade WHERE t_ca_id = %d", acct)
+		return acc, text.take()
 	case p < 60: // CustomerPosition: all accounts, holdings + market value
-		acc := []workload.Access{tup("customer", int64(c), false)}
+		acc := append(d.acc[:0], tup("customer", int64(c), false))
 		for a := 0; a < cfg.AccountsPerCustomer; a++ {
 			ca := k.account(c, a)
 			acc = append(acc, tup("customer_account", ca, false))
@@ -346,13 +358,13 @@ func (d *tpceData) nextTxn(rng *rand.Rand) ([]workload.Access, []string) {
 					tup("last_trade", int64(s), false))
 			}
 		}
-		return acc, []string{
-			fmt.Sprintf("SELECT * FROM customer WHERE c_id = %d", c),
-			fmt.Sprintf("SELECT * FROM customer_account WHERE ca_c_id = %d", c),
-			fmt.Sprintf("SELECT * FROM holding_summary WHERE hs_ca_id = %d", acct),
-		}
+		d.acc = acc
+		text.add("SELECT * FROM customer WHERE c_id = %d", int64(c))
+		text.add("SELECT * FROM customer_account WHERE ca_c_id = %d", int64(c))
+		text.add("SELECT * FROM holding_summary WHERE hs_ca_id = %d", acct)
+		return slices.Clone(acc), text.take()
 	case p < 65: // BrokerVolume: broker rollup across its customers' trades
-		acc := []workload.Access{tup("broker", broker, false)}
+		acc := append(d.acc[:0], tup("broker", broker, false))
 		for i := 0; i < 3; i++ {
 			cc := (int(broker) + i*cfg.Brokers) % cfg.Customers
 			ca := k.account(cc, 0)
@@ -360,24 +372,24 @@ func (d *tpceData) nextTxn(rng *rand.Rand) ([]workload.Access, []string) {
 				acc = append(acc, tup("trade", tid, false))
 			}
 		}
-		return acc, []string{
-			fmt.Sprintf("SELECT * FROM broker WHERE b_id = %d", broker),
-		}
+		d.acc = acc
+		text.add("SELECT * FROM broker WHERE b_id = %d", broker)
+		return slices.Clone(acc), text.take()
 	case p < 79: // SecurityDetail
-		sec := rng.Intn(cfg.Securities)
+		sec := int64(rng.Intn(cfg.Securities))
+		text.add("SELECT * FROM security WHERE s_id = %d", sec)
+		text.add("SELECT * FROM company WHERE co_id = %d", sec)
+		text.add("SELECT * FROM last_trade WHERE lt_s_id = %d", sec)
 		return []workload.Access{
-				tup("security", int64(sec), false),
-				tup("company", int64(sec), false),
-				tup("last_trade", int64(sec), false),
-				tup("exchange", int64(sec%4), false),
-				tup("sector", int64(sec%12), false),
-			}, []string{
-				fmt.Sprintf("SELECT * FROM security WHERE s_id = %d", sec),
-				fmt.Sprintf("SELECT * FROM company WHERE co_id = %d", sec),
-				fmt.Sprintf("SELECT * FROM last_trade WHERE lt_s_id = %d", sec),
-			}
+			tup("security", sec, false),
+			tup("company", sec, false),
+			tup("last_trade", sec, false),
+			tup("exchange", sec%4, false),
+			tup("sector", sec%12, false),
+		}, text.take()
 	case p < 97: // MarketWatch: price check over the customer's watch list
-		acc := []workload.Access{tup("watch_list", int64(c), false)}
+		acc := make([]workload.Access, 0, 11)
+		acc = append(acc, tup("watch_list", int64(c), false))
 		for nwi := 0; nwi < 5; nwi++ {
 			wi := k.watchItem(c, nwi)
 			acc = append(acc, tup("watch_item", wi, false))
@@ -387,30 +399,27 @@ func (d *tpceData) nextTxn(rng *rand.Rand) ([]workload.Access, []string) {
 			s := int64((c*31 + nwi*17) % cfg.Securities)
 			acc = append(acc, tup("last_trade", s, false))
 		}
-		return acc, []string{
-			fmt.Sprintf("SELECT * FROM watch_item WHERE wi_wl_id = %d", c),
-		}
+		text.add("SELECT * FROM watch_item WHERE wi_wl_id = %d", int64(c))
+		return acc, text.take()
 	case p < 98: // MarketFeed: batch price ticks across securities
-		acc := []workload.Access{}
-		var sql []string
+		acc := make([]workload.Access, 0, 10)
 		for i := 0; i < 10; i++ {
-			s := rng.Intn(cfg.Securities)
-			acc = append(acc, tup("last_trade", int64(s), true))
-			sql = append(sql, fmt.Sprintf("UPDATE last_trade SET lt_vol = lt_vol + 1 WHERE lt_s_id = %d", s))
+			s := int64(rng.Intn(cfg.Securities))
+			acc = append(acc, tup("last_trade", s, true))
+			text.add("UPDATE last_trade SET lt_vol = lt_vol + 1 WHERE lt_s_id = %d", s)
 		}
-		return acc, sql
+		return acc, text.take()
 	default: // TradeUpdate: amend recent trades
 		trades := lastN(d.acctTrd[acct], 2)
 		if len(trades) == 0 {
 			return nil, nil
 		}
-		var acc []workload.Access
-		var sql []string
+		acc := make([]workload.Access, 0, len(trades))
 		for _, tid := range trades {
 			acc = append(acc, tup("trade", tid, true))
-			sql = append(sql, fmt.Sprintf("UPDATE trade SET t_price = 26.00 WHERE t_id = %d", tid))
+			text.add("UPDATE trade SET t_price = 26.00 WHERE t_id = %d", tid)
 		}
-		return acc, sql
+		return acc, text.take()
 	}
 }
 

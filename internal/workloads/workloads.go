@@ -10,6 +10,7 @@
 package workloads
 
 import (
+	"strconv"
 	"strings"
 
 	"schism/internal/dtree"
@@ -114,6 +115,38 @@ func (w *Workload) virtualRows() map[workload.TupleID]*storage.RowView {
 func startsWithInsert(src string) bool {
 	src = strings.TrimLeft(src, " \t\n\r")
 	return len(src) >= len("INSERT") && strings.EqualFold(src[:len("INSERT")], "INSERT")
+}
+
+// txnText renders one transaction's statements into a byte buffer that a
+// generator reuses for its whole trace, so a statement costs neither a
+// format nor its own allocation. A template's only verb is %d.
+type txnText struct {
+	buf  []byte
+	ends []int // ends[i] is where statement i ends in buf
+}
+
+// add appends one statement: tmpl with each %d replaced by the next of args.
+func (t *txnText) add(tmpl string, args ...int64) {
+	for _, a := range args {
+		i := strings.Index(tmpl, "%d")
+		t.buf = strconv.AppendInt(append(t.buf, tmpl[:i]...), a, 10)
+		tmpl = tmpl[i+2:]
+	}
+	t.buf = append(t.buf, tmpl...)
+	t.ends = append(t.ends, len(t.buf))
+}
+
+// take returns the statements added since the last take as substrings of
+// one new string and empties the buffer for the next transaction.
+func (t *txnText) take() []string {
+	text := string(t.buf)
+	sql := make([]string, len(t.ends))
+	start := 0
+	for i, end := range t.ends {
+		sql[i], start = text[start:end], end
+	}
+	t.buf, t.ends = t.buf[:0], t.ends[:0]
+	return sql
 }
 
 // TupleSize returns a size function for data-size balancing.

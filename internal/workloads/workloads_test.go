@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -451,4 +452,41 @@ func TestResolverAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { resolve(id) }); n != 0 {
 		t.Errorf("resolving virtual row %v allocates %v objects, want 0", id, n)
 	}
+}
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
+
+// TestTPCCTraceAllocs pins what generating a TPC-C transaction allocates
+// at live-tpcc's configuration: its accesses, one string holding all its
+// statements and the slice of substrings over it, the Txn, NewOrder's item
+// list, and the generator state's share. Formatting each statement with
+// fmt read about 39 objects per transaction.
+func TestTPCCTraceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	txns := liveTPCCConfig(0.05).Txns
+	perTxn := testing.AllocsPerRun(3, func() { tpccTrace(liveTPCCConfig(0.05)) }) / float64(txns)
+	if perTxn > 8 {
+		t.Errorf("generating a TPC-C transaction allocates %.2f objects, want <= 8", perTxn)
+	}
+}
+
+// BenchmarkTPCCTrace measures TPC-C trace generation alone (no database)
+// at live-tpcc's configuration scaled down: time, bytes and objects per
+// generated transaction.
+func BenchmarkTPCCTrace(b *testing.B) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tpccTrace(liveTPCCConfig(0.05))
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	txns := float64(b.N * liveTPCCConfig(0.05).Txns)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/txns, "ns/txn")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/txns, "B/txn")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/txns, "objects/txn")
 }

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"fmt"
 	"math/rand"
 
 	"schism/internal/datum"
@@ -67,16 +66,16 @@ func YCSBA(cfg YCSBConfig) *Workload {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gen := zipf.NewScrambled(rng, uint64(cfg.Rows), zipf.YCSBTheta)
 	tr := workload.NewTrace()
+	var text txnText
 	for i := 0; i < cfg.Txns; i++ {
 		key := int64(gen.Next())
 		write := rng.Intn(2) == 0
-		var sql string
 		if write {
-			sql = fmt.Sprintf("UPDATE usertable SET field0 = 'u' WHERE ycsb_key = %d", key)
+			text.add("UPDATE usertable SET field0 = 'u' WHERE ycsb_key = %d", key)
 		} else {
-			sql = fmt.Sprintf("SELECT * FROM usertable WHERE ycsb_key = %d", key)
+			text.add("SELECT * FROM usertable WHERE ycsb_key = %d", key)
 		}
-		tr.Add([]workload.Access{{Tuple: workload.TupleID{Table: "usertable", Key: key}, Write: write}}, sql)
+		tr.Add([]workload.Access{{Tuple: workload.TupleID{Table: "usertable", Key: key}, Write: write}}, text.take()...)
 	}
 	return &Workload{
 		Name:       "YCSB-A",
@@ -97,6 +96,7 @@ func YCSBE(cfg YCSBConfig) *Workload {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gen := zipf.New(rng, uint64(cfg.Rows), zipf.YCSBTheta)
 	tr := workload.NewTrace()
+	var text txnText
 	for i := 0; i < cfg.Txns; i++ {
 		start := int64(gen.Next())
 		if rng.Intn(100) < 95 {
@@ -105,15 +105,17 @@ func YCSBE(cfg YCSBConfig) *Workload {
 			if end >= int64(cfg.Rows) {
 				end = int64(cfg.Rows) - 1
 			}
-			var acc []workload.Access
+			acc := make([]workload.Access, 0, end-start+1)
 			for k := start; k <= end; k++ {
 				acc = append(acc, workload.Access{Tuple: workload.TupleID{Table: "usertable", Key: k}})
 			}
-			tr.Add(acc, fmt.Sprintf("SELECT * FROM usertable WHERE ycsb_key BETWEEN %d AND %d", start, end))
+			text.add("SELECT * FROM usertable WHERE ycsb_key BETWEEN %d AND %d", start, end)
+			tr.Add(acc, text.take()...)
 		} else {
+			text.add("UPDATE usertable SET field0 = 'u' WHERE ycsb_key = %d", start)
 			tr.Add(
 				[]workload.Access{{Tuple: workload.TupleID{Table: "usertable", Key: start}, Write: true}},
-				fmt.Sprintf("UPDATE usertable SET field0 = 'u' WHERE ycsb_key = %d", start),
+				text.take()...,
 			)
 		}
 	}
@@ -182,16 +184,18 @@ func Random(cfg RandomConfig) *Workload {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := workload.NewTrace()
+	var text txnText
 	for i := 0; i < cfg.Txns; i++ {
 		a := rng.Int63n(int64(cfg.Rows))
 		b := rng.Int63n(int64(cfg.Rows))
+		text.add("UPDATE rnd SET val = val + 1 WHERE id = %d", a)
+		text.add("UPDATE rnd SET val = val + 1 WHERE id = %d", b)
 		tr.Add(
 			[]workload.Access{
 				{Tuple: workload.TupleID{Table: "rnd", Key: a}, Write: true},
 				{Tuple: workload.TupleID{Table: "rnd", Key: b}, Write: true},
 			},
-			fmt.Sprintf("UPDATE rnd SET val = val + 1 WHERE id = %d", a),
-			fmt.Sprintf("UPDATE rnd SET val = val + 1 WHERE id = %d", b),
+			text.take()...,
 		)
 	}
 	return &Workload{
