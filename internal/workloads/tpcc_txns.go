@@ -105,6 +105,7 @@ func TPCC(cfg TPCCConfig) *Workload {
 
 // tpccTrace draws cfg.Txns transactions of the mix against the database
 // TPCCPopulate builds for cfg, dropping the odd one that touches nothing.
+// cfg must have its defaults applied.
 func tpccTrace(cfg TPCCConfig) *workload.Trace {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	st := newTPCCState(cfg)

@@ -473,6 +473,9 @@ func TestTPCCTraceAllocs(t *testing.T) {
 	}
 }
 
+// traceSink keeps BenchmarkTPCCTrace's result reachable.
+var traceSink *workload.Trace
+
 // BenchmarkTPCCTrace measures TPC-C trace generation alone (no database)
 // at live-tpcc's configuration scaled down: time, bytes and objects per
 // generated transaction.
@@ -481,7 +484,7 @@ func BenchmarkTPCCTrace(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tpccTrace(liveTPCCConfig(0.05))
+		traceSink = tpccTrace(liveTPCCConfig(0.05))
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
