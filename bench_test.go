@@ -219,18 +219,13 @@ func BenchmarkLiveRepartition(b *testing.B) {
 	})
 }
 
-// epinionsTrace builds the ablation workload once per benchmark.
-func epinionsTrace() *workloads.Workload {
-	return workloads.Epinions(workloads.EpinionsConfig{
-		Users: 500, Items: 250, Communities: 5, Txns: 4000, Seed: 11,
-	})
-}
-
 // BenchmarkAblationReplication compares the graph with and without the
 // replicated-tuple star expansion (§4.1 / Fig. 3): the metric is the
 // min-cut the partitioner achieves.
 func BenchmarkAblationReplication(b *testing.B) {
-	w := epinionsTrace()
+	w := workloads.Epinions(workloads.EpinionsConfig{
+		Users: 500, Items: 250, Communities: 5, Txns: 4000, Seed: 11,
+	})
 	for _, repl := range []bool{true, false} {
 		name := "off"
 		if repl {
@@ -244,27 +239,6 @@ func BenchmarkAblationReplication(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(cut), "edgecut")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationTxnEdges compares clique vs star transaction edges
-// (App. B): the paper chose cliques for quality; stars build smaller
-// graphs.
-func BenchmarkAblationTxnEdges(b *testing.B) {
-	w := epinionsTrace()
-	for _, mode := range []struct {
-		name string
-		m    graph.EdgeMode
-	}{{"clique", graph.CliqueEdges}, {"star", graph.StarEdges}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g := mustBuild(graph.Build(w.Trace, graph.Options{Replication: true, TxnEdges: mode.m, Seed: 3}))
-				b.ReportMetric(float64(g.NumEdges()), "edges")
-				if _, _, err := g.Partition(2, metis.Options{Seed: 5}); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -7,10 +7,11 @@
 //	schism -workload epinions -partitions 10
 //	schism -workload ycsb-a|ycsb-e|tpce|random [-partitions k] [-seed n]
 //
-// Tuning flags expose the §5.1 graph heuristics (sampling, coalescing),
-// the replication ablation, and -hyper, which swaps the clique expansion
-// for the hypergraph-native representation (one net per transaction,
-// partitioned on the connectivity metric).
+// Tuning flags expose the §5.1 graph heuristics the pipeline implements
+// (-txn-sample, -no-coalesce), the replication ablation, and -hyper,
+// which swaps the clique expansion for the hypergraph-native
+// representation (one net per transaction, partitioned on the
+// connectivity metric).
 //
 // The online-repartitioning loop, the warm-start comparison and the
 // end-to-end strategy comparison run from cmd/experiments
@@ -35,7 +36,6 @@ func main() {
 	txns := flag.Int("txns", 0, "trace length (0 = workload default)")
 	warehouses := flag.Int("warehouses", 2, "TPC-C warehouses")
 	txnSample := flag.Float64("txn-sample", 0, "transaction-level sampling rate (0/1 = off)")
-	tupleSample := flag.Float64("tuple-sample", 0, "tuple-level sampling rate (0/1 = off)")
 	noReplication := flag.Bool("no-replication", false, "disable replicated-tuple expansion")
 	noCoalesce := flag.Bool("no-coalesce", false, "disable tuple coalescing")
 	hyper := flag.Bool("hyper", false, "use the hypergraph-native representation (one net per transaction, connectivity-metric partitioning) instead of the clique expansion")
@@ -75,9 +75,8 @@ func main() {
 		Seed:               *seed,
 		DisableReplication: *noReplication,
 		Graph: graph.Options{
-			TxnSampleRate:   *txnSample,
-			TupleSampleRate: *tupleSample,
-			Coalesce:        !*noCoalesce,
+			TxnSampleRate: *txnSample,
+			Coalesce:      !*noCoalesce,
 		},
 	})
 	if err != nil {

@@ -61,10 +61,6 @@ type Options struct {
 	// TrainTuplesPerTable caps the explanation training set per table
 	// (default 5000; the paper's stress test uses 250).
 	TrainTuplesPerTable int
-	// ValidationTolerance: strategies within this absolute distributed-
-	// transaction fraction of the best are "ties" resolved by simplicity
-	// (default 0.01).
-	ValidationTolerance float64
 	// Seed drives sampling.
 	Seed int64
 }
@@ -81,14 +77,15 @@ const (
 	// everywhere (the paper's Epinions policy), and above it a replicated
 	// tuple's own write fraction demotes it to one home.
 	readMostlyWriteFrac = 0.15
+	// validationTolerance: strategies within this absolute distributed-
+	// transaction fraction of the best are "ties" resolved by simplicity
+	// (§4.4).
+	validationTolerance = 0.01
 )
 
 func (o Options) withDefaults() Options {
 	if o.TrainTuplesPerTable <= 0 {
 		o.TrainTuplesPerTable = 5000
-	}
-	if o.ValidationTolerance <= 0 {
-		o.ValidationTolerance = 0.01
 	}
 	return o
 }
@@ -259,7 +256,7 @@ func Run(in Input, opts Options) (*Result, error) {
 	// simpler (§4.4).
 	for _, s := range candidates {
 		c := res.Costs[s.Name()]
-		if c.DistributedFrac() <= bestFrac+opts.ValidationTolerance && s.Complexity() < chosen.Complexity() {
+		if c.DistributedFrac() <= bestFrac+validationTolerance && s.Complexity() < chosen.Complexity() {
 			chosen = s
 		}
 	}
@@ -338,7 +335,7 @@ func pruneWriteReplicas(train *workload.Trace, in *workload.Interner, dense [][]
 	for _, tx := range train.Txns {
 		// The transaction's home vote: the partition holding the
 		// plurality of its singly-assigned tuples. Tuples the graph
-		// dropped (sampling, relevance filter) take no part.
+		// dropped (transaction sampling) take no part.
 		hist = hist[:0]
 		for _, a := range tx.Accesses {
 			d, ok := in.Lookup(a.Tuple)

@@ -130,16 +130,17 @@ func TestPruneWriteReplicasMatchesReference(t *testing.T) {
 		// widen replicates a random third of the tuples by hand, so the
 		// pass has write-hot candidates whatever the cut decided.
 		widen bool
-		// partial: the build drops tuples, so train holds unknown ones.
+		// partial: sampling drops every transaction of some tuples, so
+		// train holds tuples the graph never saw.
 		partial bool
 	}{
 		{name: "tpcc", trace: tpcc, k: 4},
 		{name: "tpcc-coalesced", trace: tpcc, k: 3, gopts: graph.Options{Coalesce: true}},
-		{name: "tpcc-tuple-sampled", trace: tpcc, k: 4, gopts: graph.Options{TupleSampleRate: 0.6}, partial: true},
-		{name: "tpcc-min-accesses", trace: tpcc, k: 4, gopts: graph.Options{MinAccesses: 3, TxnSampleRate: 0.7}, partial: true},
+		{name: "tpcc-txn-sampled", trace: tpcc, k: 4, gopts: graph.Options{TxnSampleRate: 0.6}, partial: true},
+		{name: "tpcc-coalesced-sampled", trace: tpcc, k: 4, gopts: graph.Options{Coalesce: true, TxnSampleRate: 0.3}, partial: true},
 		{name: "epinions", trace: epinions, k: 2},
 		{name: "write-hot", trace: writeHotTrace(11), k: 3, widen: true},
-		{name: "write-hot-sampled", trace: writeHotTrace(12), k: 4, gopts: graph.Options{TupleSampleRate: 0.5}, widen: true, partial: true},
+		{name: "write-hot-sampled", trace: writeHotTrace(12), k: 4, gopts: graph.Options{TxnSampleRate: 0.1}, widen: true, partial: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gopts := tc.gopts

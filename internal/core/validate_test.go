@@ -5,6 +5,7 @@ package core
 // balance rejection of degenerate explanations (§4.3 condition ii).
 
 import (
+	"math"
 	"testing"
 
 	"schism/internal/datum"
@@ -43,25 +44,27 @@ func TestValidationTieBreakPrefersSimpler(t *testing.T) {
 }
 
 // TestValidationToleranceTieBreak: the tie-break must also fire when the
-// simpler strategy is slightly WORSE but within ValidationTolerance, and
-// must NOT fire when the tolerance is tighter than the gap.
+// simpler strategy is slightly WORSE but within validationTolerance, and
+// must NOT fire when the gap is wider than the tolerance.
 func TestValidationToleranceTieBreak(t *testing.T) {
-	mk := func() *workload.Trace {
-		// 2% of transactions write a tuple pair that key hashing splits
-		// across the two partitions; the graph co-locates it. Everything
-		// else is single-tuple.
-		var pairA, pairB int64 = -1, -1
-		for a := int64(0); a < 100 && pairB < 0; a++ {
-			for b := a + 1; b < 100; b++ {
-				if partition.HashPart(a, 2) != partition.HashPart(b, 2) {
-					pairA, pairB = a, b
-					break
-				}
+	// pairA and pairB are keys that key hashing splits across the two
+	// partitions; the graph co-locates them.
+	var pairA, pairB int64 = -1, -1
+	for a := int64(0); a < 100 && pairB < 0; a++ {
+		for b := a + 1; b < 100; b++ {
+			if partition.HashPart(a, 2) != partition.HashPart(b, 2) {
+				pairA, pairB = a, b
+				break
 			}
 		}
+	}
+	// One transaction in every `every` writes the pair; everything else
+	// is single-tuple. The trace's halves train and test the same way, so
+	// hashing trails the lookup table by 1/every.
+	mk := func(every int) *workload.Trace {
 		tr := workload.NewTrace()
-		for i := 0; i < 500; i++ {
-			if i%50 == 0 {
+		for i := 0; i < 1000; i++ {
+			if i%every == 0 {
 				tr.Add([]workload.Access{
 					{Tuple: workload.TupleID{Table: "t", Key: pairA}, Write: true},
 					{Tuple: workload.TupleID{Table: "t", Key: pairB}, Write: true},
@@ -72,27 +75,28 @@ func TestValidationToleranceTieBreak(t *testing.T) {
 		}
 		return tr
 	}
-	loose, err := Run(Input{Trace: mk(), KeyColumns: map[string]string{"t": "id"}},
-		Options{Partitions: 2, Seed: 2, ValidationTolerance: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.Costs["hashing"].Distributed == 0 {
-		t.Fatal("setup: hashing should split the pair")
-	}
-	if loose.Costs["lookup-table"].Distributed != 0 {
-		t.Fatalf("setup: lookup should co-locate the pair\n%s", loose.Report())
-	}
-	if loose.ChosenName != "hashing" {
-		t.Errorf("loose tolerance: chose %s, want hashing\n%s", loose.ChosenName, loose.Report())
-	}
-	tight, err := Run(Input{Trace: mk(), KeyColumns: map[string]string{"t": "id"}},
-		Options{Partitions: 2, Seed: 2, ValidationTolerance: 0.0001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tight.ChosenName != "lookup-table" {
-		t.Errorf("tight tolerance: chose %s, want lookup-table\n%s", tight.ChosenName, tight.Report())
+	for _, tc := range []struct {
+		every int
+		want  string
+	}{
+		{250, "hashing"},     // a 0.4 % gap, inside the tolerance
+		{50, "lookup-table"}, // a 2 % gap, outside it
+	} {
+		res, err := Run(Input{Trace: mk(tc.every), KeyColumns: map[string]string{"t": "id"}},
+			Options{Partitions: 2, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Costs["lookup-table"].Distributed != 0 {
+			t.Fatalf("every %d: setup: lookup should co-locate the pair\n%s", tc.every, res.Report())
+		}
+		gap := res.Costs["hashing"].DistributedFrac()
+		if want := 1 / float64(tc.every); math.Abs(gap-want) > 1e-9 {
+			t.Fatalf("every %d: setup: hashing trails by %v, want %v\n%s", tc.every, gap, want, res.Report())
+		}
+		if res.ChosenName != tc.want {
+			t.Errorf("every %d (gap %v): chose %s, want %s\n%s", tc.every, gap, res.ChosenName, tc.want, res.Report())
+		}
 	}
 }
 

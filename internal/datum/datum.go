@@ -207,7 +207,7 @@ func fnvU64(h, v uint64) uint64 {
 }
 
 // Size returns the approximate in-memory size of the datum in bytes, used
-// for data-size balancing.
+// for the storage layer's byte accounting.
 func (d D) Size() int64 {
 	if d.K == String {
 		return int64(16 + len(d.S))

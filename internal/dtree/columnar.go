@@ -193,17 +193,17 @@ func (tr *trainer) buildColumn(ds *Dataset, a int) {
 }
 
 func (tr *trainer) train() *node {
-	return tr.build(0, tr.n, 0)
+	return tr.build(0, tr.n)
 }
 
-// build grows the subtree over segment [lo, hi) at the given depth.
-func (tr *trainer) build(lo, hi, d int) *node {
+// build grows the subtree over segment [lo, hi).
+func (tr *trainer) build(lo, hi int) *node {
 	dist := make([]int, tr.numLabels)
 	for _, i := range tr.rows[lo:hi] {
 		dist[tr.labels[i]]++
 	}
 	n := &node{dist: dist, label: argmax(dist)}
-	if pure(dist) || hi-lo < 2*tr.opts.MinLeaf || (tr.opts.MaxDepth > 0 && d >= tr.opts.MaxDepth) {
+	if pure(dist) || hi-lo < 2*tr.opts.MinLeaf {
 		n.leaf = true
 		return n
 	}
@@ -262,17 +262,17 @@ func (tr *trainer) build(lo, hi, d int) *node {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				n.right = tr.build(mid, hi, d+1)
+				n.right = tr.build(mid, hi)
 				<-tr.sem
 			}()
-			n.left = tr.build(lo, mid, d+1)
+			n.left = tr.build(lo, mid)
 			wg.Wait()
 			return n
 		default:
 		}
 	}
-	n.left = tr.build(lo, mid, d+1)
-	n.right = tr.build(mid, hi, d+1)
+	n.left = tr.build(lo, mid)
+	n.right = tr.build(mid, hi)
 	return n
 }
 

@@ -79,10 +79,10 @@ func genDataset(shape string, n int, rng *rand.Rand) *Dataset {
 
 var diffOptionMatrix = []Options{
 	{},
-	{MaxDepth: 3},
+	{MinLeaf: 1, Confidence: 0.5},
 	{MinLeaf: 5},
 	{Confidence: 1},
-	{MinLeaf: 3, MaxDepth: 5, Confidence: 0.1},
+	{MinLeaf: 3, Confidence: 0.1},
 }
 
 // TestColumnarMatchesNaive pins the columnar trainer to the reference

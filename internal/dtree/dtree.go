@@ -70,8 +70,6 @@ type Options struct {
 	// Confidence is the pruning confidence factor (J48's -C); lower prunes
 	// more aggressively. Default 0.25. Set to 1 to disable pruning.
 	Confidence float64
-	// MaxDepth bounds tree depth; 0 means unlimited.
-	MaxDepth int
 	// Workers bounds training parallelism; 0 means GOMAXPROCS. The learned
 	// tree is identical for every worker count.
 	Workers int

@@ -28,17 +28,17 @@ func naiveTrain(ds *Dataset, opts Options) *Tree {
 		idx[i] = i
 	}
 	t := &Tree{attrs: ds.Attrs, numLabels: ds.NumLabels}
-	t.root = naiveBuild(ds, idx, opts, 0)
+	t.root = naiveBuild(ds, idx, opts)
 	if opts.Confidence < 1 {
 		prune(t.root, opts.Confidence)
 	}
 	return t
 }
 
-func naiveBuild(ds *Dataset, idx []int, opts Options, d int) *node {
+func naiveBuild(ds *Dataset, idx []int, opts Options) *node {
 	dist := naiveDistribution(ds, idx)
 	n := &node{dist: dist, label: argmax(dist)}
-	if pure(dist) || len(idx) < 2*opts.MinLeaf || (opts.MaxDepth > 0 && d >= opts.MaxDepth) {
+	if pure(dist) || len(idx) < 2*opts.MinLeaf {
 		n.leaf = true
 		return n
 	}
@@ -62,8 +62,8 @@ func naiveBuild(ds *Dataset, idx []int, opts Options, d int) *node {
 	n.attr = s.attr
 	n.threshold = s.threshold
 	n.kind = ds.Attrs[s.attr].Kind
-	n.left = naiveBuild(ds, left, opts, d+1)
-	n.right = naiveBuild(ds, right, opts, d+1)
+	n.left = naiveBuild(ds, left, opts)
+	n.right = naiveBuild(ds, right, opts)
 	return n
 }
 
@@ -168,7 +168,7 @@ func naiveSeedTrain(ds *Dataset, opts Options) *Tree {
 		idx[i] = i
 	}
 	t := &Tree{attrs: ds.Attrs, numLabels: ds.NumLabels}
-	t.root = naiveBuild(ds, idx, opts, 0)
+	t.root = naiveBuild(ds, idx, opts)
 	if opts.Confidence < 1 {
 		naivePrune(t.root, opts.Confidence)
 	}

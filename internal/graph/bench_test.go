@@ -29,9 +29,9 @@ var tpcc50 = sync.OnceValue(func() *workload.Trace {
 })
 
 // BenchmarkGraphBuild measures trace→graph construction (§4.1) on a
-// TPCC-50W-scale trace across the edge-representation and coalescing
-// choices of App. B / §5.1. Run with -benchmem: the builder is the
-// allocation front door of the whole pipeline.
+// TPCC-50W-scale trace with and without §5.1's coalescing. Run with
+// -benchmem: the builder is the allocation front door of the whole
+// pipeline.
 func BenchmarkGraphBuild(b *testing.B) {
 	tr := tpcc50()
 	for _, bc := range []struct {
@@ -40,8 +40,6 @@ func BenchmarkGraphBuild(b *testing.B) {
 	}{
 		{"clique", graph.Options{Replication: true, Seed: 3}},
 		{"clique-coalesce", graph.Options{Replication: true, Coalesce: true, Seed: 3}},
-		{"star", graph.Options{Replication: true, TxnEdges: graph.StarEdges, Seed: 3}},
-		{"star-coalesce", graph.Options{Replication: true, TxnEdges: graph.StarEdges, Coalesce: true, Seed: 3}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			var nodes, edges int

@@ -16,8 +16,9 @@ import (
 // and from its expanded twin, a plain trace with the same transactions.
 // The builds must be identical — CSR or hypergraph, groups, members,
 // node weights and tuple table — over the shaped traces and a window
-// snapshot, across the option matrix and the §5.1 heuristics, which the
-// build applies to the interned form.
+// snapshot, across the option matrix and more sampling rates and seeds:
+// the build samples the interned form, so a sampled trace is a
+// renumbered Compact.
 func TestCompactOnlyMatchesExpanded(t *testing.T) {
 	traces := map[string]*workload.Trace{}
 	for name, tr := range graph.ShapedTraces() {
@@ -33,13 +34,12 @@ func TestCompactOnlyMatchesExpanded(t *testing.T) {
 	}
 	traces["window-decay0"] = w.Snapshot()
 	matrix := append(graph.OptsMatrix(),
-		graph.Options{Replication: true, Weights: graph.DataSizeWeight,
-			TupleSize: func(id workload.TupleID) int64 { return 10 + id.Key%7 }, Seed: 3},
-		graph.Options{Replication: true, Coalesce: true, BlanketMaxTuples: 8, Seed: 5},
-		graph.Options{Replication: true, Coalesce: true, MinAccesses: 2, Seed: 5},
 		graph.Options{Replication: true, Coalesce: true, TxnSampleRate: 0.6, Seed: 5},
-		graph.Options{Replication: true, TupleSampleRate: 0.6, MinAccesses: 2, Seed: 5},
-		graph.Options{Replication: true, TxnSampleRate: 0.7, TupleSampleRate: 0.7, BlanketMaxTuples: 30, MinAccesses: 3, Seed: 6},
+		graph.Options{Replication: true, TxnSampleRate: 0.3, Seed: 6},
+		graph.Options{Coalesce: true, TxnSampleRate: 0.7, Seed: 7},
+		graph.Options{TxnSampleRate: 0.1, Seed: 8},
+		graph.Options{Replication: true, Coalesce: true, TxnSampleRate: 0.9, Seed: 9},
+		graph.Options{Replication: true, TxnSampleRate: 1, Seed: 10},
 	)
 	builders := map[string]func(*workload.Trace, graph.Options) (*graph.Graph, error){
 		"Build": graph.Build, "BuildHyper": graph.BuildHyper,
@@ -51,9 +51,6 @@ func TestCompactOnlyMatchesExpanded(t *testing.T) {
 		twin := graph.Expand(workload.CompactTrace(dense))
 		for oi, opts := range matrix {
 			for bname, build := range builders {
-				if bname == "BuildHyper" && opts.TxnEdges == graph.StarEdges {
-					continue
-				}
 				t.Run(fmt.Sprintf("%s/opts%d/%s", name, oi, bname), func(t *testing.T) {
 					got, err := build(dense, opts)
 					if err != nil {

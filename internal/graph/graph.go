@@ -12,11 +12,10 @@
 // front half and node layout, so every placement translation works on
 // either and the clique path remains the differential reference.
 //
-// The package also implements the §5.1 graph-size heuristics: transaction-
-// and tuple-level sampling, blanket-statement filtering, relevance
-// filtering, star-shaped replication, and tuple coalescing. Options are
-// validated up front; contradictory combinations (such as Coalesce with
-// tuple sampling) fail with a typed *OptionsError.
+// Of the §5.1 graph-size heuristics the package implements transaction
+// sampling, tuple coalescing and star-shaped replication (DESIGN.md
+// "Pipeline" says why the others were dropped). Options are validated up
+// front; an out-of-range value fails with a typed *OptionsError.
 //
 // Construction is allocation-lean and parallel (see DESIGN.md): the trace
 // is interned into dense tuple ids once, per-transaction deduplication
@@ -38,30 +37,6 @@ import (
 	"schism/internal/workload"
 )
 
-// WeightMode selects how node weights (the balance metric) are assigned.
-type WeightMode int
-
-const (
-	// WorkloadWeight balances the number of tuple accesses per partition
-	// (node weight = transactions touching the tuple).
-	WorkloadWeight WeightMode = iota
-	// DataSizeWeight balances bytes per partition (node weight = tuple
-	// size; requires Options.TupleSize).
-	DataSizeWeight
-)
-
-// EdgeMode selects how a transaction's access set becomes edges (App. B).
-type EdgeMode int
-
-const (
-	// CliqueEdges connects every pair of tuples in the transaction — the
-	// representation the paper selected.
-	CliqueEdges EdgeMode = iota
-	// StarEdges connects the first tuple to each other tuple — the cheaper
-	// hyperedge approximation kept for ablation.
-	StarEdges
-)
-
 // Options configure graph construction.
 type Options struct {
 	// Replication enables the star-shaped replicated-tuple expansion
@@ -69,28 +44,12 @@ type Options struct {
 	// nodes around a centre node; replication edges weigh the tuple's
 	// update count.
 	Replication bool
-	// Weights selects the balance metric (§4.1).
-	Weights WeightMode
-	// TxnEdges selects clique or star transaction edges (App. B).
-	TxnEdges EdgeMode
 	// TxnSampleRate keeps each transaction with this probability;
 	// values <= 0 or >= 1 disable transaction sampling.
 	TxnSampleRate float64
-	// TupleSampleRate keeps each tuple with this probability;
-	// values <= 0 or >= 1 disable tuple sampling.
-	TupleSampleRate float64
-	// BlanketMaxTuples drops transactions touching more than this many
-	// tuples (blanket-statement filtering); 0 disables.
-	BlanketMaxTuples int
-	// MinAccesses drops tuples accessed fewer than this many times
-	// (relevance filtering); values <= 1 disable.
-	MinAccesses int
 	// Coalesce merges tuples that are always accessed together by exactly
 	// the same transactions into a single node (lossless).
 	Coalesce bool
-	// TupleSize returns a tuple's size in bytes for DataSizeWeight;
-	// nil means every tuple weighs 1.
-	TupleSize func(workload.TupleID) int64
 	// Seed drives sampling decisions.
 	Seed int64
 }
@@ -110,14 +69,14 @@ type Node struct {
 // Graph is the built workload graph plus the metadata needed to translate a
 // node partitioning back into a tuple placement.
 type Graph struct {
-	// CSR is the clique/star partitioner input Build fills: what the
+	// CSR is the clique partitioner input Build fills: what the
 	// offline pipeline cuts by default and the hypergraph's differential
 	// oracle. Nil for hypergraph builds (BuildHyper).
 	CSR *metis.Graph
 	// HG is the hypergraph partitioner input BuildHyper fills: one net
 	// per transaction over its distinct group nodes, plus replication
 	// nets. Every live cycle cuts it and ProjectLabels walks it. Nil for
-	// clique/star builds (Build).
+	// clique builds (Build).
 	HG *metis.HGraph
 	// Nodes maps node id -> provenance. Only Build fills it (its row
 	// writer reads it); a hypergraph's node layout is groupBase.
@@ -132,11 +91,9 @@ type Graph struct {
 	Intern *workload.Interner
 	// GroupOf maps dense tuple id -> group.
 	GroupOf []int32
-	// Compact is the post-filtering interned trace the graph represents:
-	// the input's interned form after the §5.1 heuristics.
+	// Compact is the interned trace the graph represents: the input's
+	// interned form after transaction sampling.
 	Compact *workload.Compact
-	// Opts echoes the options used.
-	Opts Options
 
 	// groupBase[g] is the first node id of group g; exploded groups occupy
 	// groupBase[g] (centre) through groupBase[g]+numReplicas(g).
@@ -212,11 +169,11 @@ func (g *Graph) nodeFor(gi, ti int32) int32 {
 	return base + 1 + int32(lo)
 }
 
-// Build constructs the clique/star workload graph for a trace. It
-// returns a typed *OptionsError for invalid or contradictory options,
-// and an error wrapping metis.ErrTooLarge when the adjacency rows would
-// overflow the int32 CSR index space or their total weight int32
-// (BuildHyper, linear in access-set size, usually still fits).
+// Build constructs the clique workload graph for a trace. It returns a
+// typed *OptionsError for invalid options, and an error wrapping
+// metis.ErrTooLarge when the adjacency rows would overflow the int32 CSR
+// index space or their total weight int32 (BuildHyper, linear in
+// access-set size, usually still fits).
 func Build(tr *workload.Trace, opts Options) (*Graph, error) {
 	g, nwgt, err := buildCore(tr, opts)
 	if err != nil {
@@ -231,37 +188,26 @@ func Build(tr *workload.Trace, opts Options) (*Graph, error) {
 }
 
 // buildCore is the shared front half of Build and BuildHyper: interning,
-// the §5.1 heuristics on the interned trace, accessor lists, coalescing,
-// node layout, and node weights. Only the final representation — clique/star edges vs
-// transaction nets — differs between the two entry points, so they
+// transaction sampling on the interned trace, accessor lists, coalescing,
+// node layout, and node weights. Only the final representation — clique
+// edges vs transaction nets — differs between the two entry points, so they
 // translate node partitionings back to tuples identically.
 func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
 	}
 	// Intern the trace (a shared memo, or a compact-only trace's own
-	// form): everything after indexes slices by dense tuple id. The §5.1
-	// heuristics then run on that form.
+	// form): everything after indexes slices by dense tuple id.
+	// Transaction sampling then runs on that form.
 	c := workload.CompactTrace(tr)
-	rng := rand.New(rand.NewSource(opts.Seed))
-	if opts.BlanketMaxTuples > 0 {
-		c = workload.FilterBlanket(c, opts.BlanketMaxTuples)
-	}
 	if opts.TxnSampleRate > 0 && opts.TxnSampleRate < 1 {
-		c = workload.SampleTxns(c, opts.TxnSampleRate, rng)
-	}
-	if opts.TupleSampleRate > 0 && opts.TupleSampleRate < 1 {
-		c = workload.SampleTuples(c, opts.TupleSampleRate, rng)
-	}
-	if opts.MinAccesses > 1 {
-		c = workload.FilterRelevance(c, opts.MinAccesses)
+		c = workload.SampleTxns(c, opts.TxnSampleRate, rand.New(rand.NewSource(opts.Seed)))
 	}
 	numTuples := c.NumTuples()
 	numTxns := c.NumTxns()
 
 	g := &Graph{
 		Compact: c,
-		Opts:    opts,
 		Intern:  c.In,
 	}
 
@@ -406,30 +352,18 @@ func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 		}
 	}
 
-	// Node weights. A group's size is its member count, or under
-	// DataSizeWeight its members' bytes. A star's centre weighs nothing
-	// and each replica the group's size; a plain node weighs its size,
-	// times its accessors under WorkloadWeight.
+	// Node weights (§4.1's workload balance). A group's size is its
+	// member count. A star's centre weighs nothing and each replica the
+	// group's size; a plain node weighs its size times its accessors.
 	nwgt := make([]int64, g.numNodes)
-	tuples := c.In.Tuples()
 	for gi := int32(0); int(gi) < numGroups; gi++ {
-		members := g.GroupMembers(gi)
-		size := int64(len(members))
-		if opts.Weights == DataSizeWeight && opts.TupleSize != nil {
-			size = 0
-			for _, d := range members {
-				size += opts.TupleSize(tuples[d])
-			}
-		}
+		size := int64(g.MemberOff[gi+1] - g.MemberOff[gi])
 		base := g.groupBase[gi]
-		switch {
-		case g.exploded[gi]:
+		if g.exploded[gi] {
 			for ri := int32(1); ri <= g.accCount[gi]; ri++ {
 				nwgt[base+ri] = size
 			}
-		case opts.Weights == DataSizeWeight:
-			nwgt[base] = size
-		default:
+		} else {
 			nwgt[base] = int64(g.accCount[gi]) * size
 		}
 	}
@@ -586,7 +520,7 @@ func (g *Graph) NumNodes() int {
 }
 
 // NumEdges returns the number of distinct undirected edges (Table 1
-// "Edges") for clique/star builds, or the number of nets for hypergraph
+// "Edges") for clique builds, or the number of nets for hypergraph
 // builds.
 func (g *Graph) NumEdges() int {
 	if g.HG != nil {

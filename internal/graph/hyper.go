@@ -17,21 +17,14 @@ import (
 // the same information Build encodes, but linear in total access-set
 // size where the clique expansion is quadratic.
 //
-// The front half (trace heuristics, interning, coalescing, node layout,
-// weights) is shared with Build, so the two representations describe
-// the same node space and every partitioning translation (Assignments,
+// The front half (interning, transaction sampling, coalescing, node
+// layout, weights) is shared with Build, so the two representations
+// describe the same node space and every partitioning translation (Assignments,
 // DenseAssignments, ...) works unchanged. Pin generation is sharded
 // across GOMAXPROCS workers by contiguous transaction ranges with each
 // worker writing into precomputed slots, so the result is byte-identical
 // to a single-threaded build regardless of worker count.
-//
-// A hypergraph has no transaction edges for Options.TxnEdges to shape:
-// StarEdges is a typed *OptionsError, not a silently ignored setting.
 func BuildHyper(tr *workload.Trace, opts Options) (*Graph, error) {
-	if opts.TxnEdges == StarEdges {
-		return nil, &OptionsError{Field: "TxnEdges",
-			Reason: "StarEdges shapes transaction edges; a hypergraph has nets, not edges"}
-	}
 	g, nwgt, err := buildCore(tr, opts)
 	if err != nil {
 		return nil, err

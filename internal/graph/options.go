@@ -1,15 +1,10 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// OptionsError reports an invalid or contradictory Options field. Build
-// and BuildHyper validate up front and return it typed, so a bad
-// configuration fails loudly instead of producing a plausible-looking
-// but meaningless graph (previously, contradictory settings like
-// Coalesce with tuple sampling were silently accepted).
+// OptionsError reports an invalid Options field. Build and BuildHyper
+// validate up front and return it typed, so a bad configuration fails
+// loudly instead of producing a plausible-looking but meaningless graph.
 type OptionsError struct {
 	Field  string
 	Reason string
@@ -19,57 +14,13 @@ func (e *OptionsError) Error() string {
 	return fmt.Sprintf("graph: invalid Options.%s: %s", e.Field, e.Reason)
 }
 
-// Validate checks the options for out-of-range values and contradictory
-// combinations, returning a *OptionsError describing the first problem
-// found, or nil.
+// Validate checks the options for out-of-range values, returning a
+// *OptionsError describing the problem, or nil. A sampling rate of
+// exactly 0 or 1 disables sampling; anything outside [0, 1] (or NaN) is
+// an error.
 func (o Options) Validate() error {
-	if err := checkRate("TxnSampleRate", o.TxnSampleRate); err != nil {
-		return err
-	}
-	if err := checkRate("TupleSampleRate", o.TupleSampleRate); err != nil {
-		return err
-	}
-	if o.BlanketMaxTuples < 0 {
-		return &OptionsError{Field: "BlanketMaxTuples",
-			Reason: fmt.Sprintf("%d is negative (0 disables blanket filtering)", o.BlanketMaxTuples)}
-	}
-	if o.MinAccesses < 0 {
-		return &OptionsError{Field: "MinAccesses",
-			Reason: fmt.Sprintf("%d is negative (values <= 1 disable relevance filtering)", o.MinAccesses)}
-	}
-	switch o.Weights {
-	case WorkloadWeight, DataSizeWeight:
-	default:
-		return &OptionsError{Field: "Weights",
-			Reason: fmt.Sprintf("unknown WeightMode %d", o.Weights)}
-	}
-	switch o.TxnEdges {
-	case CliqueEdges, StarEdges:
-	default:
-		return &OptionsError{Field: "TxnEdges",
-			Reason: fmt.Sprintf("unknown EdgeMode %d", o.TxnEdges)}
-	}
-	if o.Coalesce && o.TupleSampleRate > 0 && o.TupleSampleRate < 1 {
-		// Coalescing merges tuples that are "always accessed together",
-		// but tuple sampling drops random tuples from each transaction,
-		// making the access signatures — and therefore the groups — an
-		// artifact of the sample rather than of the workload.
-		return &OptionsError{Field: "TupleSampleRate",
-			Reason: "tuple sampling cannot be combined with Coalesce: sampled-away accesses " +
-				"make the coalescing signatures sample-dependent; disable Coalesce or use " +
-				"TxnSampleRate instead"}
-	}
-	return nil
-}
-
-// checkRate validates a sampling probability: values of exactly 0 or 1
-// disable sampling, anything outside [0, 1] (or NaN) is an error.
-func checkRate(field string, v float64) error {
-	if math.IsNaN(v) {
-		return &OptionsError{Field: field, Reason: "is NaN"}
-	}
-	if v < 0 || v > 1 {
-		return &OptionsError{Field: field,
+	if v := o.TxnSampleRate; !(v >= 0 && v <= 1) {
+		return &OptionsError{Field: "TxnSampleRate",
 			Reason: fmt.Sprintf("%v is outside [0, 1] (0 and 1 disable sampling)", v)}
 	}
 	return nil

@@ -42,23 +42,13 @@ func refSignatureKey(ga *refAccess) string {
 	return string(buf)
 }
 
-// referenceBuild takes the §5.1 filters from the workload package, which
-// pins them to their trace-space oracles; it applies them in its own
-// order and builds from the expanded result.
+// referenceBuild takes transaction sampling from the workload package,
+// which pins it to its trace-space oracle, and builds from the expanded
+// result.
 func referenceBuild(tr *workload.Trace, opts Options) *refGraph {
-	rng := rand.New(rand.NewSource(opts.Seed))
 	c := workload.CompactTrace(tr)
-	if opts.BlanketMaxTuples > 0 {
-		c = workload.FilterBlanket(c, opts.BlanketMaxTuples)
-	}
 	if opts.TxnSampleRate > 0 && opts.TxnSampleRate < 1 {
-		c = workload.SampleTxns(c, opts.TxnSampleRate, rng)
-	}
-	if opts.TupleSampleRate > 0 && opts.TupleSampleRate < 1 {
-		c = workload.SampleTuples(c, opts.TupleSampleRate, rng)
-	}
-	if opts.MinAccesses > 1 {
-		c = workload.FilterRelevance(c, opts.MinAccesses)
+		c = workload.SampleTxns(c, opts.TxnSampleRate, rand.New(rand.NewSource(opts.Seed)))
 	}
 	tr = expand(c)
 
@@ -142,17 +132,6 @@ func referenceBuild(tr *workload.Trace, opts Options) *refGraph {
 
 	g.nodes = make([]Node, numNodes)
 	nwgt := make([]int64, numNodes)
-	sizeOf := func(gi int) int64 {
-		var sz int64
-		for _, id := range groups[gi].tuples {
-			if opts.TupleSize != nil {
-				sz += opts.TupleSize(id)
-			} else {
-				sz++
-			}
-		}
-		return sz
-	}
 	for gi, grp := range groups {
 		base := g.groupBase[gi]
 		if groupTxnNode[gi] != nil {
@@ -161,21 +140,11 @@ func referenceBuild(tr *workload.Trace, opts Options) *refGraph {
 			for ri, ti := range grp.access.txns {
 				node := base + 1 + int32(ri)
 				g.nodes[node] = Node{Group: int32(gi), Txn: ti}
-				switch opts.Weights {
-				case DataSizeWeight:
-					nwgt[node] = sizeOf(gi)
-				default:
-					nwgt[node] = int64(len(grp.tuples))
-				}
+				nwgt[node] = int64(len(grp.tuples))
 			}
 		} else {
 			g.nodes[base] = Node{Group: int32(gi), Txn: -1}
-			switch opts.Weights {
-			case DataSizeWeight:
-				nwgt[base] = sizeOf(gi)
-			default:
-				nwgt[base] = int64(len(grp.access.txns)) * int64(len(grp.tuples))
-			}
+			nwgt[base] = int64(len(grp.access.txns)) * int64(len(grp.tuples))
 		}
 	}
 
@@ -199,19 +168,11 @@ func referenceBuild(tr *workload.Trace, opts Options) *refGraph {
 		if len(members) < 2 {
 			continue
 		}
-		switch opts.TxnEdges {
-		case StarEdges:
-			hub := nodeFor(members[0], int32(ti))
-			for _, gi := range members[1:] {
-				edges = append(edges, metis.BuilderEdge{U: hub, V: nodeFor(gi, int32(ti)), Weight: 1})
-			}
-		default:
-			for i := 0; i < len(members); i++ {
-				for j := i + 1; j < len(members); j++ {
-					edges = append(edges, metis.BuilderEdge{
-						U: nodeFor(members[i], int32(ti)), V: nodeFor(members[j], int32(ti)), Weight: 1,
-					})
-				}
+		for i := 0; i < len(members); i++ {
+			for j := i + 1; j < len(members); j++ {
+				edges = append(edges, metis.BuilderEdge{
+					U: nodeFor(members[i], int32(ti)), V: nodeFor(members[j], int32(ti)), Weight: 1,
+				})
 			}
 		}
 	}
@@ -302,13 +263,14 @@ func shapedTraces() map[string]*workload.Trace {
 	}
 }
 
-// optsMatrix is replication on/off × coalescing on/off × clique/star.
+// optsMatrix is replication on/off × coalescing on/off × the whole trace
+// or a transaction sample of it (a renumbered Compact).
 func optsMatrix() []Options {
 	var out []Options
 	for _, repl := range []bool{false, true} {
 		for _, coal := range []bool{false, true} {
-			for _, mode := range []EdgeMode{CliqueEdges, StarEdges} {
-				out = append(out, Options{Replication: repl, Coalesce: coal, TxnEdges: mode, Seed: 3})
+			for _, rate := range []float64{0, 0.6} {
+				out = append(out, Options{Replication: repl, Coalesce: coal, TxnSampleRate: rate, Seed: 3})
 			}
 		}
 	}
@@ -316,7 +278,7 @@ func optsMatrix() []Options {
 }
 
 // edgeListCSR rebuilds g's CSR the way Build did before the row writer:
-// enumerate every transaction's clique/star edges and every replication
+// enumerate every transaction's clique edges and every replication
 // edge over g's node layout, and let metis.NewGraph sort and fold them.
 func edgeListCSR(g *Graph) *metis.Graph {
 	var edges []metis.BuilderEdge
@@ -333,9 +295,7 @@ func edgeListCSR(g *Graph) *metis.Graph {
 		}
 		for i := 0; i < len(nodes); i++ {
 			for j := i + 1; j < len(nodes); j++ {
-				if i == 0 || g.Opts.TxnEdges == CliqueEdges {
-					edges = append(edges, metis.BuilderEdge{U: nodes[i], V: nodes[j], Weight: 1})
-				}
+				edges = append(edges, metis.BuilderEdge{U: nodes[i], V: nodes[j], Weight: 1})
 			}
 		}
 	}
@@ -414,15 +374,13 @@ func assertMatchesReference(t *testing.T, g *Graph, ref *refGraph) {
 
 // TestBuildMatchesReference cross-checks the rewritten builder against the
 // original map-based builder over random and TPC-C/YCSB-shaped traces and
-// the full option matrix: replication on/off × coalescing on/off ×
-// clique/star edges, plus data-size weights and the §5.1 trace filters.
+// the full option matrix: replication on/off × coalescing on/off × whole
+// or sampled trace, plus two more sampling rates and seeds.
 func TestBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	matrix := append(optsMatrix(),
-		Options{Replication: true, Weights: DataSizeWeight,
-			TupleSize: func(id workload.TupleID) int64 { return 10 + id.Key%7 }, Seed: 3},
-		Options{Replication: true, Coalesce: true, TxnSampleRate: 0.6,
-			BlanketMaxTuples: 8, MinAccesses: 2, Seed: 9},
+		Options{Replication: true, TxnSampleRate: 0.3, Seed: 9},
+		Options{Replication: true, Coalesce: true, TxnSampleRate: 0.9, Seed: 4},
 	)
 	traces := shapedTraces()
 	for trial := 0; trial < 4; trial++ {

@@ -12,17 +12,15 @@ import (
 	"schism/internal/workload"
 )
 
-// rowWriter writes the clique/star CSR row by row. A node's neighbours
+// rowWriter writes the clique CSR row by row. A node's neighbours
 // follow from the transactions it belongs to, so every adjacency row can
 // be sized and filled on its own — no edge list is materialised, nothing
 // is sorted globally, and each row has exactly one writer.
 type rowWriter struct {
-	g    *Graph
-	star bool
+	g *Graph
 	// txnNodes[txnOff[ti]:txnOff[ti+1]] are transaction ti's distinct
-	// member nodes: ascending for cliques, so that a row copied from them
-	// arrives sorted; in first-access order for stars, whose hub is the
-	// first.
+	// member nodes, ascending, so that a row copied from them arrives
+	// sorted.
 	txnNodes []int32
 	txnOff   []int32
 }
@@ -32,17 +30,10 @@ func (w *rowWriter) members(ti int32) []int32 {
 	return w.txnNodes[w.txnOff[ti]:w.txnOff[ti+1]]
 }
 
-// txnDegree is the number of neighbours transaction ti gives its member v.
-func (w *rowWriter) txnDegree(v, ti int32) int {
-	mem := w.members(ti)
-	switch {
-	case len(mem) < 2:
-		return 0
-	case w.star && mem[0] != v:
-		return 1
-	default:
-		return len(mem) - 1
-	}
+// txnDegree is the number of neighbours transaction ti gives each of its
+// members.
+func (w *rowWriter) txnDegree(ti int32) int {
+	return max(0, len(w.members(ti))-1)
 }
 
 // fillTxn writes the neighbours counted by txnDegree into dst and returns
@@ -51,13 +42,6 @@ func (w *rowWriter) fillTxn(dst []int32, v, ti int32) int {
 	mem := w.members(ti)
 	if len(mem) < 2 {
 		return 0
-	}
-	if w.star {
-		if mem[0] != v {
-			dst[0] = mem[0]
-			return 1
-		}
-		return copy(dst, mem[1:])
 	}
 	k := 0
 	for _, u := range mem {
@@ -79,11 +63,11 @@ func (w *rowWriter) degree(v int32) int {
 	case n.Center:
 		return int(g.accCount[n.Group])
 	case n.Txn >= 0:
-		return w.txnDegree(v, n.Txn) + 1
+		return w.txnDegree(n.Txn) + 1
 	}
 	d := 0
 	for _, ti := range g.groupTxns(n.Group) {
-		d += w.txnDegree(v, ti)
+		d += w.txnDegree(ti)
 	}
 	return d
 }
@@ -144,7 +128,7 @@ func fillRow[W weight](w *rowWriter, v int32, adj []int32, ewgt []W, updates W) 
 	return k
 }
 
-// buildCSR assembles the clique/star CSR over the node layout buildCore
+// buildCSR assembles the clique CSR over the node layout buildCore
 // produced. The result is what metis.NewGraph returns for the same edges —
 // sorted rows, duplicate edges summed — and is identical at any worker
 // count, because every row is computed from read-only inputs by the one
@@ -153,7 +137,6 @@ func (g *Graph) buildCSR(nwgt []int64) (*metis.Graph, error) {
 	c, numNodes, numTxns := g.Compact, int32(len(g.Nodes)), g.Compact.NumTxns()
 	w := &rowWriter{
 		g:        g,
-		star:     g.Opts.TxnEdges == StarEdges,
 		txnNodes: make([]int32, 0, len(g.txnList)),
 		txnOff:   make([]int32, numTxns+1),
 	}
@@ -177,9 +160,7 @@ func (g *Graph) buildCSR(nwgt []int64) (*metis.Graph, error) {
 			w.txnNodes = append(w.txnNodes, node)
 		}
 		w.txnOff[ti+1] = int32(len(w.txnNodes))
-		if !w.star {
-			slices.Sort(w.members(int32(ti)))
-		}
+		slices.Sort(w.members(int32(ti)))
 	}
 
 	// Row offsets at raw size. The sum runs in int64 and is checked before
@@ -213,7 +194,7 @@ func (g *Graph) buildCSR(nwgt []int64) (*metis.Graph, error) {
 	}
 	weight += entries
 	if err := metis.CheckCSRCapacity(entries); err != nil {
-		return nil, fmt.Errorf("graph: %d clique/star edges from %d transactions: %w (sample the trace or use BuildHyper)",
+		return nil, fmt.Errorf("graph: %d clique edges from %d transactions: %w (sample the trace or use BuildHyper)",
 			entries/2, numTxns, err)
 	}
 	if err := metis.CheckEdgeWeight(weight); err != nil {

@@ -63,22 +63,6 @@ func TestBuildRowsMatchEdgeList(t *testing.T) {
 			},
 		},
 		{
-			// The second transaction's hub is its first access, tuple 9,
-			// which has the highest node id of the three.
-			name:  "star-hub-first-access",
-			trace: traceOf([]int64{1, 5}, []int64{9, 1, 5}),
-			opts:  Options{TxnEdges: StarEdges},
-			check: func(t *testing.T, g *Graph) {
-				hub := node(g, 9)
-				if deg := g.CSR.XAdj[hub+1] - g.CSR.XAdj[hub]; deg != 2 {
-					t.Errorf("hub degree = %d, want 2", deg)
-				}
-				if w := edgeWeightBetween(g.CSR, node(g, 1), node(g, 5)); w != 1 {
-					t.Errorf("weight(1,5) = %d, want 1 (the star adds no spoke-spoke edge)", w)
-				}
-			},
-		},
-		{
 			// Tuple 7 is exploded, yet neither of its transactions has a
 			// second node: each replica's row is its centre alone.
 			name:  "replica-with-centre-only",

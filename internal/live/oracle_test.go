@@ -55,7 +55,7 @@ func TestLiveHyperWithinCliqueOracle(t *testing.T) {
 		t.Fatalf("trace has %d transactions, need %d", w.Trace.Len(), window+cycles*perCycle)
 	}
 	gopts := graph.Options{Coalesce: true, Replication: true, Seed: 1}
-	mopts := metis.Options{Seed: 1, Imbalance: 1.05}
+	mopts := metis.Options{Seed: 1}
 	rep := mustRep(t, RepartitionConfig{K: k, Graph: gopts, Metis: mopts, WarmStart: true, FullCutEveryN: cycles})
 
 	win := NewWindow(WindowConfig{Capacity: window})
@@ -111,14 +111,14 @@ func TestLiveHyperWithinCliqueOracle(t *testing.T) {
 		if !reflect.DeepEqual(g.DenseAssignments(parts), res.Assignments) {
 			t.Fatalf("cycle %d: replaying the %s cycle on its hypergraph gives a different placement", c, res.Mode)
 		}
-		// Balance: the partitioner's own bound, Imbalance over perfect
-		// plus one heaviest node of slack.
+		// Balance: the partitioner's own bound, 5 % over perfect plus one
+		// heaviest node of slack.
 		var maxNW, totalNW int64
 		for _, nw := range g.HG.NWgt {
 			totalNW += nw
 			maxNW = max(maxNW, nw)
 		}
-		limit := int64(float64(totalNW)*mopts.Imbalance/k) + 1 + maxNW
+		limit := int64(float64(totalNW)*1.05/k) + 1 + maxNW
 		for p, pw := range g.PartWeights(parts, k) {
 			if pw > limit {
 				t.Errorf("cycle %d: partition %d weight %d over balance bound %d", c, p, pw, limit)

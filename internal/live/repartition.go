@@ -63,11 +63,6 @@ func (c RepartitionConfig) Validate() error {
 		return &ConfigError{Field: "K",
 			Reason: fmt.Sprintf("%d partitions (lookup.MaxPartitions is %d)", c.K, lookup.MaxPartitions)}
 	}
-	if c.Graph.TxnEdges == graph.StarEdges {
-		// What graph.BuildHyper would return on every cycle.
-		return &graph.OptionsError{Field: "TxnEdges",
-			Reason: "StarEdges: live cycles cut the hypergraph, which has no transaction edges"}
-	}
 	return c.Graph.Validate()
 }
 

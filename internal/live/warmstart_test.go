@@ -308,22 +308,3 @@ func TestRepartitionConfigRejectsBadK(t *testing.T) {
 		}
 	}
 }
-
-// TestRepartitionConfigRejectsStarEdges: a live cycle cuts the
-// hypergraph, which has no transaction edges to shape, so StarEdges
-// fails at wiring time on both constructors with the graph package's
-// typed error instead of being ignored every cycle.
-func TestRepartitionConfigRejectsStarEdges(t *testing.T) {
-	star := graph.Options{TxnEdges: graph.StarEdges}
-	var oe *graph.OptionsError
-	if _, err := NewRepartitioner(RepartitionConfig{K: 4, Graph: star}); !errors.As(err, &oe) || oe.Field != "TxnEdges" {
-		t.Fatalf("NewRepartitioner(StarEdges) error = %v, want *graph.OptionsError on TxnEdges", err)
-	}
-	oe = nil
-	if _, err := NewController(Config{K: 4, Repartition: RepartitionConfig{Graph: star}}, nil, nil); !errors.As(err, &oe) || oe.Field != "TxnEdges" {
-		t.Fatalf("NewController(StarEdges) error = %v, want *graph.OptionsError on TxnEdges", err)
-	}
-	if err := (RepartitionConfig{K: 4, Graph: graph.Options{TxnEdges: graph.CliqueEdges}}).Validate(); err != nil {
-		t.Fatalf("CliqueEdges (the zero value) rejected: %v", err)
-	}
-}

@@ -37,10 +37,9 @@ func (s *Solver) PartHKway(h *HGraph, k int, opts Options) ([]int32, int64, erro
 		}
 		return parts, h.ConnectivityCost(parts, n), nil
 	}
-	opts = opts.withDefaults()
 	s.src.Seed(opts.Seed)
 
-	s.sizeRefineScratch(h.TotalNodeWeight(), k, opts.Imbalance)
+	s.sizeRefineScratch(h.TotalNodeWeight(), k)
 
 	numLevels := s.hcoarsen(h, coarsenTo(k))
 	coarsest := s.hlevelGraph(h, numLevels-1)
@@ -55,7 +54,7 @@ func (s *Solver) PartHKway(h *HGraph, k int, opts Options) ([]int32, int64, erro
 	if err != nil {
 		return nil, 0, err
 	}
-	s.initialPartition(cg, k, s.targets[:k], opts.Imbalance, cparts)
+	s.initialPartition(cg, k, s.targets[:k], cparts)
 
 	// Refine at the coarsest level, then project and refine at each finer
 	// level; balance caps are in total weight, invariant across levels.

@@ -6,7 +6,7 @@ package metis
 // len(targets) == k. All working memory comes from the solver context:
 // induced subgraphs, heaps, and side arrays live in s.bis, and node
 // subsets are stable in-place splits of s.initNodes.
-func (s *Solver) initialPartition(g *Graph, k int, targets []float64, imbalance float64, parts []int32) {
+func (s *Solver) initialPartition(g *Graph, k int, targets []float64, parts []int32) {
 	n := g.NumNodes()
 	s.localStamp = growI32(s.localStamp, n)
 	s.localID = growI32(s.localID, n)
@@ -15,13 +15,13 @@ func (s *Solver) initialPartition(g *Graph, k int, targets []float64, imbalance 
 	for i := range nodes {
 		nodes[i] = int32(i)
 	}
-	s.recursiveBisect(g, nodes, 0, k, targets, imbalance, parts)
+	s.recursiveBisect(g, nodes, 0, k, targets, parts)
 }
 
 // recursiveBisect assigns partitions [firstPart, firstPart+k) to the given
 // subset of nodes. nodes is reordered in place (stably, keeping ascending
 // id order on both sides) so each half is a contiguous subslice.
-func (s *Solver) recursiveBisect(g *Graph, nodes []int32, firstPart, k int, targets []float64, imbalance float64, parts []int32) {
+func (s *Solver) recursiveBisect(g *Graph, nodes []int32, firstPart, k int, targets []float64, parts []int32) {
 	if k == 1 {
 		for _, u := range nodes {
 			parts[u] = int32(firstPart)
@@ -41,7 +41,7 @@ func (s *Solver) recursiveBisect(g *Graph, nodes []int32, firstPart, k int, targ
 		fracAll = 1
 	}
 	s.induce(g, nodes)
-	side := s.bisect(&s.bis.sub, fracL/fracAll, imbalance)
+	side := s.bisect(&s.bis.sub, fracL/fracAll)
 	// Stable split: left side compacts forward, right side round-trips
 	// through the scratch buffer. Both halves stay in ascending id order,
 	// so induced subgraphs keep sorted adjacency at every depth.
@@ -57,8 +57,8 @@ func (s *Solver) recursiveBisect(g *Graph, nodes []int32, firstPart, k int, targ
 		}
 	}
 	copy(nodes[nl:], tmp)
-	s.recursiveBisect(g, nodes[:nl], firstPart, kL, targets, imbalance, parts)
-	s.recursiveBisect(g, nodes[nl:], firstPart+kL, kR, targets, imbalance, parts)
+	s.recursiveBisect(g, nodes[:nl], firstPart, kL, targets, parts)
+	s.recursiveBisect(g, nodes[nl:], firstPart+kL, kR, targets, parts)
 }
 
 // induce extracts the subgraph on the given nodes (edges to outside nodes
@@ -114,7 +114,7 @@ const ggAttempts = 4
 // fracL of the total node weight, using greedy graph growing followed by
 // FM refinement. Returns the side of each node (valid until the next
 // bisect call).
-func (s *Solver) bisect(g *Graph, fracL, imbalance float64) []int32 {
+func (s *Solver) bisect(g *Graph, fracL float64) []int32 {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil
@@ -127,7 +127,7 @@ func (s *Solver) bisect(g *Graph, fracL, imbalance float64) []int32 {
 	var bestCut int64 = -1
 	for try := 0; try < ggAttempts; try++ {
 		s.growRegion(g, side, target)
-		s.fmRefineBisection(g, side, target, total, imbalance, 4)
+		s.fmRefineBisection(g, side, target, total, 4)
 		cut := g.EdgeCut(side)
 		if bestCut < 0 || cut < bestCut {
 			bestCut = cut
@@ -205,7 +205,7 @@ func (s *Solver) growRegion(g *Graph, side []int32, target int64) {
 // in each pass vertices are moved one at a time in order of best gain
 // (subject to the balance constraint), each vertex at most once; at the end
 // of the pass the prefix of moves with the best cumulative cut is kept.
-func (s *Solver) fmRefineBisection(g *Graph, side []int32, targetL, total int64, imbalance float64, maxPasses int) {
+func (s *Solver) fmRefineBisection(g *Graph, side []int32, targetL, total int64, maxPasses int) {
 	n := g.NumNodes()
 	maxL := int64(float64(targetL) * imbalance)
 	maxR := int64(float64(total-targetL) * imbalance)

@@ -4,20 +4,13 @@ import "fmt"
 
 // Options control the partitioner.
 type Options struct {
-	// Imbalance is the permitted load factor per partition relative to
-	// perfect balance (METIS ufactor). 1.05 allows 5% overload.
-	// Values <= 1 are treated as the default.
-	Imbalance float64
 	// Seed drives all randomised decisions; equal seeds give equal output.
 	Seed int64
 }
 
-func (o Options) withDefaults() Options {
-	if o.Imbalance <= 1 {
-		o.Imbalance = 1.05
-	}
-	return o
-}
+// imbalance is the permitted load factor per partition relative to
+// perfect balance (METIS ufactor): 1.05 allows 5% overload.
+const imbalance = 1.05
 
 // refinePasses bounds the refinement passes per level.
 const refinePasses = 8
@@ -57,7 +50,6 @@ func (s *Solver) PartKway(g *Graph, k int, opts Options) ([]int32, int64, error)
 		}
 		return parts, g.EdgeCut(parts), nil
 	}
-	opts = opts.withDefaults()
 	s.src.Seed(opts.Seed)
 
 	// Size the k-dependent scratch. conn must start all-zero: refinement
@@ -84,12 +76,12 @@ func (s *Solver) PartKway(g *Graph, k int, opts Options) ([]int32, int64, error)
 		lv.parts = growI32(lv.parts, coarsest.NumNodes())
 		cparts = lv.parts[:coarsest.NumNodes()]
 	}
-	s.initialPartition(coarsest, k, targets, opts.Imbalance, cparts)
+	s.initialPartition(coarsest, k, targets, cparts)
 
 	total := g.TotalNodeWeight()
 	maxPW := s.maxPW[:k]
 	for p := 0; p < k; p++ {
-		m := int64(float64(total) * targets[p] * opts.Imbalance)
+		m := int64(float64(total) * targets[p] * imbalance)
 		// Always permit at least the ceiling of perfect balance so that a
 		// feasible assignment exists even for tiny graphs.
 		if ceil := (total + int64(k) - 1) / int64(k); m < ceil {

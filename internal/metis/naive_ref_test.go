@@ -26,7 +26,6 @@ func naivePartKway(g *Graph, k int, opts Options) ([]int32, int64, error) {
 		}
 		return parts, g.EdgeCut(parts), nil
 	}
-	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	levels := naiveCoarsen(g, coarsenTo(k), rng)
@@ -36,12 +35,12 @@ func naivePartKway(g *Graph, k int, opts Options) ([]int32, int64, error) {
 	for i := range targets {
 		targets[i] = 1.0 / float64(k)
 	}
-	cparts := naiveInitialPartition(coarsest, k, targets, opts.Imbalance, rng)
+	cparts := naiveInitialPartition(coarsest, k, targets, imbalance, rng)
 
 	total := g.TotalNodeWeight()
 	maxPW := make([]int64, k)
 	for p := 0; p < k; p++ {
-		m := int64(float64(total) * targets[p] * opts.Imbalance)
+		m := int64(float64(total) * targets[p] * imbalance)
 		if ceil := (total + int64(k) - 1) / int64(k); m < ceil {
 			m = ceil
 		}

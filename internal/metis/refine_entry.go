@@ -16,7 +16,7 @@ import "fmt"
 // RefineHKway refines a caller-supplied assignment of h into k parts in
 // place on the connectivity metric Σ w(e)·(λ(e)−1): it seeds the per-net
 // span state and boundary worklist from parts, rebalances any partition
-// over the Imbalance cap, and runs the same λ−1 boundary passes PartHKway
+// over the imbalance cap, and runs the same λ−1 boundary passes PartHKway
 // runs at its finest level. It returns the achieved connectivity cost.
 // Every label must already be in [0, k); out-of-range labels are an
 // error, not clamped, because a clamp would silently concentrate unknown
@@ -38,9 +38,8 @@ func (s *Solver) RefineHKway(h *HGraph, k int, parts []int32, opts Options) (int
 		}
 		return 0, nil
 	}
-	opts = opts.withDefaults()
 	s.src.Seed(opts.Seed)
-	s.sizeRefineScratch(h.TotalNodeWeight(), k, opts.Imbalance)
+	s.sizeRefineScratch(h.TotalNodeWeight(), k)
 
 	s.hseedRefinement(h, parts, k)
 	s.hrebalance(h, parts, k)
@@ -77,7 +76,7 @@ func checkRefineInput(n, k int, parts []int32) error {
 // the uniform targets and balance caps for PartHKway and RefineHKway
 // (PartKway does the same inline). conn must start all-zero: refinement
 // maintains that invariant via sparse resets.
-func (s *Solver) sizeRefineScratch(total int64, k int, imbalance float64) {
+func (s *Solver) sizeRefineScratch(total int64, k int) {
 	s.conn = growI64(s.conn, k)
 	for i := range s.conn {
 		s.conn[i] = 0

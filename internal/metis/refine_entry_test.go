@@ -17,11 +17,10 @@ func randomLabels(n, k int, seed int64) []int32 {
 }
 
 // checkBalance asserts no partition exceeds the cap RefineHKway enforces.
-func checkBalance(t *testing.T, h *HGraph, parts []int32, k int, opts Options) {
+func checkBalance(t *testing.T, h *HGraph, parts []int32, k int) {
 	t.Helper()
-	opts = opts.withDefaults()
 	total := h.TotalNodeWeight()
-	maxPW := int64(float64(total) / float64(k) * opts.Imbalance)
+	maxPW := int64(float64(total) / float64(k) * imbalance)
 	if ceil := (total + int64(k) - 1) / int64(k); maxPW < ceil {
 		maxPW = ceil
 	}
@@ -49,7 +48,7 @@ func TestRefineHKwayPreservesGoodStart(t *testing.T) {
 	if cost > cold {
 		t.Fatalf("refining the full cut worsened it: %d -> %d", cold, cost)
 	}
-	checkBalance(t, h, warm, 4, Options{Seed: 9})
+	checkBalance(t, h, warm, 4)
 }
 
 // TestRefineHKwayRejectsBadInput covers the precondition failures.
@@ -113,7 +112,7 @@ func TestRefineHKwayImprovesStripedStart(t *testing.T) {
 		if cost >= startCost {
 			t.Fatalf("k=%d: refinement did not improve: %d -> %d", k, startCost, cost)
 		}
-		checkBalance(t, h, parts, k, Options{Seed: 7})
+		checkBalance(t, h, parts, k)
 
 		// A random start is imbalanced: the mandatory rebalance must
 		// bring it under the caps, and the reported cost stays the true
@@ -126,7 +125,7 @@ func TestRefineHKwayImprovesStripedStart(t *testing.T) {
 		if got := h.ConnectivityCost(parts, k); got != cost {
 			t.Fatalf("k=%d random start: reported cost %d != recomputed %d", k, cost, got)
 		}
-		checkBalance(t, h, parts, k, Options{Seed: 7})
+		checkBalance(t, h, parts, k)
 	}
 }
 

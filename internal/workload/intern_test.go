@@ -73,8 +73,6 @@ type refStats struct {
 	reads, writes map[TupleID]int
 }
 
-func (s *refStats) accesses(id TupleID) int { return s.reads[id] + s.writes[id] }
-
 // referenceStats counts with one map per transaction, kept as the
 // semantic reference for the dense implementation.
 func referenceStats(tr *Trace) *refStats {
@@ -145,12 +143,11 @@ func TestCompactTraceMemo(t *testing.T) {
 		"Split test":  test,
 	}
 	for name, d := range map[string]*Compact{
-		"SampleTxns":      SampleTxns(c, 0.5, rand.New(rand.NewSource(1))),
-		"SampleTuples":    SampleTuples(c, 0.5, rand.New(rand.NewSource(1))),
-		"FilterBlanket":   FilterBlanket(c, 100),
-		"FilterRelevance": FilterRelevance(c, 2),
+		"SampleTxns(0.5)": SampleTxns(c, 0.5, rand.New(rand.NewSource(1))),
+		"SampleTxns(0.2)": SampleTxns(c, 0.2, rand.New(rand.NewSource(2))),
+		"SampleTxns(0.9)": SampleTxns(c, 0.9, rand.New(rand.NewSource(3))),
 	} {
-		// A filter's output is a new Compact, in a trace of its own.
+		// A sample is a new Compact, in a trace of its own.
 		if d == c {
 			t.Fatalf("%s returned its input", name)
 		}

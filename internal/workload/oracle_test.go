@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// The trace-space §5.1 heuristics the compact ones replaced, kept as
-// their oracles: each builds a new trace of the kept transactions, and
-// interning that trace is what the compact filter must return.
+// The trace-space transaction sampling the compact one replaced, kept as
+// its oracle: it builds a new trace of the kept transactions, and
+// interning that trace is what SampleTxns must return.
 
 func refSampleTxns(tr *Trace, rate float64, rng *rand.Rand) *Trace {
 	if rate >= 1 {
@@ -19,61 +19,6 @@ func refSampleTxns(tr *Trace, rate float64, rng *rand.Rand) *Trace {
 	for _, t := range tr.Txns {
 		if rng.Float64() < rate {
 			out.Add(t.Accesses, t.SQL...)
-		}
-	}
-	return out
-}
-
-func refSampleTuples(tr *Trace, rate float64, rng *rand.Rand) *Trace {
-	if rate >= 1 {
-		return tr
-	}
-	keep := make(map[TupleID]bool)
-	decided := make(map[TupleID]bool)
-	out := NewTrace()
-	for _, t := range tr.Txns {
-		var acc []Access
-		for _, a := range t.Accesses {
-			if !decided[a.Tuple] {
-				decided[a.Tuple] = true
-				keep[a.Tuple] = rng.Float64() < rate
-			}
-			if keep[a.Tuple] {
-				acc = append(acc, a)
-			}
-		}
-		if len(acc) > 0 {
-			out.Add(acc, t.SQL...)
-		}
-	}
-	return out
-}
-
-func refFilterBlanket(tr *Trace, maxTuples int) *Trace {
-	out := NewTrace()
-	for _, t := range tr.Txns {
-		if len(t.Tuples()) <= maxTuples {
-			out.Add(t.Accesses, t.SQL...)
-		}
-	}
-	return out
-}
-
-func refFilterRelevance(tr *Trace, minAccesses int) *Trace {
-	if minAccesses <= 1 {
-		return tr
-	}
-	stats := referenceStats(tr)
-	out := NewTrace()
-	for _, t := range tr.Txns {
-		var acc []Access
-		for _, a := range t.Accesses {
-			if stats.accesses(a.Tuple) >= minAccesses {
-				acc = append(acc, a)
-			}
-		}
-		if len(acc) > 0 {
-			out.Add(acc, t.SQL...)
 		}
 	}
 	return out
@@ -106,9 +51,8 @@ func sameCompact(got, want *Compact) string {
 }
 
 // oracleTrace has hot and cold tuples over three tables, duplicate
-// accesses and, every 17th transaction, no access at all: the filters
-// that drop emptied transactions must still keep those the trace began
-// with where the oracle does.
+// accesses and, every 17th transaction, no access at all: sampling must
+// keep or drop those like any other.
 func oracleTrace(rng *rand.Rand, txns int) *Trace {
 	tables := []string{"a", "b", "c"}
 	tr := NewTrace()
@@ -128,11 +72,10 @@ func oracleTrace(rng *rand.Rand, txns int) *Trace {
 	return tr
 }
 
-// TestFiltersMatchTraceOracle pins every compact §5.1 heuristic to its
+// TestFiltersMatchTraceOracle pins compact transaction sampling to its
 // trace-space oracle — the same kept transactions and accesses, ids in
-// first-appearance order, the same RNG draws — alone and chained in the
-// order the graph build applies them, on a trace and on its compact-only
-// twin.
+// first-appearance order, the same RNG draws — alone and applied to its
+// own renumbered output, on a trace and on its compact-only twin.
 func TestFiltersMatchTraceOracle(t *testing.T) {
 	type step struct {
 		name  string
@@ -140,23 +83,10 @@ func TestFiltersMatchTraceOracle(t *testing.T) {
 		dense func(*Compact, *rand.Rand) *Compact
 	}
 	steps := []step{}
-	for _, max := range []int{0, 3, 8, 100} {
-		steps = append(steps, step{fmt.Sprintf("FilterBlanket(%d)", max),
-			func(tr *Trace, _ *rand.Rand) *Trace { return refFilterBlanket(tr, max) },
-			func(c *Compact, _ *rand.Rand) *Compact { return FilterBlanket(c, max) }})
-	}
 	for _, rate := range []float64{0.01, 0.3, 0.7, 1} {
 		steps = append(steps, step{fmt.Sprintf("SampleTxns(%v)", rate),
 			func(tr *Trace, rng *rand.Rand) *Trace { return refSampleTxns(tr, rate, rng) },
 			func(c *Compact, rng *rand.Rand) *Compact { return SampleTxns(c, rate, rng) }})
-		steps = append(steps, step{fmt.Sprintf("SampleTuples(%v)", rate),
-			func(tr *Trace, rng *rand.Rand) *Trace { return refSampleTuples(tr, rate, rng) },
-			func(c *Compact, rng *rand.Rand) *Compact { return SampleTuples(c, rate, rng) }})
-	}
-	for _, min := range []int{1, 2, 4, 9} {
-		steps = append(steps, step{fmt.Sprintf("FilterRelevance(%d)", min),
-			func(tr *Trace, _ *rand.Rand) *Trace { return refFilterRelevance(tr, min) },
-			func(c *Compact, _ *rand.Rand) *Compact { return FilterRelevance(c, min) }})
 	}
 	check := func(t *testing.T, name string, tr *Trace, chain []step, seed int64) {
 		t.Helper()
@@ -171,7 +101,7 @@ func TestFiltersMatchTraceOracle(t *testing.T) {
 			t.Fatalf("%s: %s", name, diff)
 		}
 		if refRng.Int63() != rng.Int63() {
-			t.Fatalf("%s: the filters drew a different number of random values", name)
+			t.Fatalf("%s: sampling drew a different number of random values", name)
 		}
 	}
 	for trial := int64(0); trial < 6; trial++ {
@@ -179,14 +109,7 @@ func TestFiltersMatchTraceOracle(t *testing.T) {
 		for _, s := range steps {
 			check(t, fmt.Sprintf("trial %d %s", trial, s.name), tr, []step{s}, trial)
 		}
-		// The graph build's order: blanket, transactions, tuples, relevance.
-		var chain []step
-		for _, s := range steps {
-			switch s.name {
-			case "FilterBlanket(8)", "SampleTxns(0.7)", "SampleTuples(0.7)", "FilterRelevance(2)":
-				chain = append(chain, s)
-			}
-		}
-		check(t, fmt.Sprintf("trial %d chained", trial), tr, chain, trial)
+		// A sample of a sample: the second pass reads a renumbered Compact.
+		check(t, fmt.Sprintf("trial %d chained", trial), tr, []step{steps[2], steps[1]}, trial)
 	}
 }

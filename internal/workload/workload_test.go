@@ -3,7 +3,6 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -73,93 +72,6 @@ func TestSampleTxnsRate(t *testing.T) {
 	}
 	if SampleTxns(CompactTrace(tr), 1.0, rng).NumTxns() != 1000 {
 		t.Error("rate 1.0 must keep everything")
-	}
-}
-
-func TestSampleTuplesConsistency(t *testing.T) {
-	// A tuple must be uniformly kept or dropped across ALL transactions.
-	tr := NewTrace()
-	for i := 0; i < 100; i++ {
-		tr.Add([]Access{{Tuple: tid(1)}, {Tuple: tid(int64(i))}})
-	}
-	rng := rand.New(rand.NewSource(2))
-	s := expand(SampleTuples(CompactTrace(tr), 0.5, rng))
-	count := 0
-	for _, txn := range s.Txns {
-		for _, a := range txn.Accesses {
-			if a.Tuple == tid(1) {
-				count++
-				break
-			}
-		}
-	}
-	if count != 0 && count != 100 {
-		t.Errorf("tuple 1 kept in %d txns; must be all-or-nothing", count)
-	}
-}
-
-func TestFilterBlanket(t *testing.T) {
-	tr := NewTrace()
-	tr.Add([]Access{{Tuple: tid(1)}, {Tuple: tid(2)}})
-	var big []Access
-	for i := int64(0); i < 50; i++ {
-		big = append(big, Access{Tuple: tid(i)})
-	}
-	tr.Add(big)
-	out := FilterBlanket(CompactTrace(tr), 10)
-	if out.NumTxns() != 1 {
-		t.Fatalf("FilterBlanket kept %d txns, want 1", out.NumTxns())
-	}
-}
-
-func TestFilterRelevance(t *testing.T) {
-	tr := NewTrace()
-	for i := 0; i < 5; i++ {
-		tr.Add([]Access{{Tuple: tid(1)}, {Tuple: tid(int64(100 + i))}})
-	}
-	out := expand(FilterRelevance(CompactTrace(tr), 2))
-	for _, txn := range out.Txns {
-		for _, a := range txn.Accesses {
-			if a.Tuple != tid(1) {
-				t.Errorf("rare tuple %v survived relevance filter", a.Tuple)
-			}
-		}
-	}
-
-	// Differential: exactly the accesses whose tuple reaches the threshold
-	// survive, a tuple one transaction both reads and writes counting twice.
-	rng := rand.New(rand.NewSource(3))
-	rnd := NewTrace()
-	for i := 0; i < 200; i++ {
-		var acc []Access
-		for j := 0; j < 1+rng.Intn(6); j++ {
-			acc = append(acc, Access{Tuple: tid(int64(rng.Intn(60))), Write: rng.Intn(3) == 0})
-		}
-		rnd.Add(acc)
-	}
-	ref := referenceStats(rnd)
-	for _, min := range []int{2, 4, 9} {
-		want := NewTrace()
-		for _, txn := range rnd.Txns {
-			var acc []Access
-			for _, a := range txn.Accesses {
-				if ref.accesses(a.Tuple) >= min {
-					acc = append(acc, a)
-				}
-			}
-			if len(acc) > 0 {
-				want.Add(acc)
-			}
-		}
-		got := expand(FilterRelevance(CompactTrace(rnd), min))
-		if got.Len() != want.Len() {
-			t.Fatalf("min=%d: kept %d txns, want %d", min, got.Len(), want.Len())
-		}
-		for i := range want.Txns {
-			if !reflect.DeepEqual(got.Txns[i].Accesses, want.Txns[i].Accesses) {
-				t.Fatalf("min=%d txn %d: kept %v, want %v", min, i, got.Txns[i].Accesses, want.Txns[i].Accesses)
-			}
-		}
 	}
 }
 

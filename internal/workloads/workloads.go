@@ -148,20 +148,3 @@ func (t *txnText) take() []string {
 	t.buf, t.ends = t.buf[:0], t.ends[:0]
 	return sql
 }
-
-// TupleSize returns a size function for data-size balancing.
-func (w *Workload) TupleSize(id workload.TupleID) int64 {
-	tbl := w.DB.Table(id.Table)
-	if tbl == nil {
-		return 1
-	}
-	row, ok := tbl.Get(id.Key)
-	if !ok {
-		return 1
-	}
-	var s int64
-	for _, d := range row {
-		s += d.Size()
-	}
-	return s
-}
