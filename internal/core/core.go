@@ -94,13 +94,17 @@ func (o Options) withDefaults() Options {
 type Timings struct {
 	Graph     time.Duration
 	Partition time.Duration
-	Explain   time.Duration
-	Validate  time.Duration
+	// Lookup is the step between partitioning and explanation: the dense
+	// replica sets, the part weights, write-aware replica pruning and the
+	// lookup strategy.
+	Lookup   time.Duration
+	Explain  time.Duration
+	Validate time.Duration
 }
 
 // Total sums the phases.
 func (t Timings) Total() time.Duration {
-	return t.Graph + t.Partition + t.Explain + t.Validate
+	return t.Graph + t.Partition + t.Lookup + t.Explain + t.Validate
 }
 
 // GraphStats reports Table-1-style graph sizes.
@@ -205,6 +209,7 @@ func Run(in Input, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("core: partitioning failed: %w", err)
 	}
 	res.Timings.Partition = time.Since(t0)
+	t0 = time.Now()
 	res.EdgeCut = cut
 	res.Tuples = g.Intern.Tuples()
 	res.Assignments = g.DenseAssignments(parts)
@@ -218,6 +223,7 @@ func Run(in Input, opts Options) (*Result, error) {
 	// the graph's dense tuple ids (slice iteration, deterministic order).
 	readMostly := writeFraction(train) < readMostlyWriteFrac
 	res.Lookup = buildLookup(res.Tuples, res.Assignments, k, in, readMostly)
+	res.Timings.Lookup = time.Since(t0)
 
 	// Phase 4: explanation.
 	t0 = time.Now()
@@ -244,8 +250,8 @@ func Run(in Input, opts Options) (*Result, error) {
 	)
 	var chosen partition.Strategy
 	var bestFrac float64
-	for _, s := range candidates {
-		c := partition.Evaluate(test, s, in.Resolver)
+	for i, c := range evaluate(test, candidates, in.Resolver) {
+		s := candidates[i]
 		res.Costs[s.Name()] = c
 		if chosen == nil || c.DistributedFrac() < bestFrac {
 			chosen = s
@@ -264,6 +270,31 @@ func Run(in Input, opts Options) (*Result, error) {
 	res.ChosenName = chosen.Name()
 	res.Timings.Validate = time.Since(t0)
 	return res, nil
+}
+
+// evaluate returns partition.Evaluate(tr, s, resolve) for every candidate
+// s, in order, from one pass over the trace's tuples: each is resolved
+// once and located by every candidate on that row.
+func evaluate(tr *workload.Trace, candidates []partition.Strategy, resolve partition.Resolver) []partition.Cost {
+	c := workload.CompactTrace(tr)
+	sets := make([][][]int, len(candidates))
+	for i := range sets {
+		sets[i] = make([][]int, c.NumTuples())
+	}
+	for d, id := range c.In.Tuples() {
+		var row partition.Row
+		if resolve != nil {
+			row = resolve(id)
+		}
+		for i, s := range candidates {
+			sets[i][d] = s.Locate(id, row)
+		}
+	}
+	costs := make([]partition.Cost, len(candidates))
+	for i := range candidates {
+		costs[i] = partition.EvaluateAssignmentsCompact(c, sets[i], nil)
+	}
+	return costs
 }
 
 // balanced checks that the explained strategy spreads the graph's tuples
@@ -488,7 +519,7 @@ func (r *Result) Report() string {
 	}
 	fmt.Fprintf(&sb, "lookup tables: %d bytes across %d tables\n",
 		r.Lookup.MemoryBytes(), len(r.Lookup.Router.Names()))
-	fmt.Fprintf(&sb, "time: graph=%v partition=%v explain=%v validate=%v\n",
-		r.Timings.Graph, r.Timings.Partition, r.Timings.Explain, r.Timings.Validate)
+	fmt.Fprintf(&sb, "time: graph=%v partition=%v lookup=%v explain=%v validate=%v\n",
+		r.Timings.Graph, r.Timings.Partition, r.Timings.Lookup, r.Timings.Explain, r.Timings.Validate)
 	return sb.String()
 }

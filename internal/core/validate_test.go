@@ -232,3 +232,58 @@ func TestPipelineRejectsDegenerateExplanation(t *testing.T) {
 		}
 	}
 }
+
+// TestValidationMatchesEvaluate holds the validation phase, which resolves
+// each held-out tuple once and locates it under every candidate, to
+// partition.Evaluate run per candidate: every cost must be equal, with a
+// resolver and without one.
+func TestValidationMatchesEvaluate(t *testing.T) {
+	tpcc := workloads.TPCC(workloads.TPCCConfig{
+		Warehouses: 2, Customers: 20, Items: 120, InitialOrders: 8, Txns: cut(2000, 1000), Seed: 42,
+	})
+	epinions := workloads.Epinions(workloads.EpinionsConfig{
+		Users: 400, Items: 200, Communities: 4, ReviewsPerUser: 6, TrustPerUser: 4, Txns: cut(2000, 1000), Seed: 4,
+	})
+	ycsb := workloads.YCSBA(workloads.YCSBConfig{Rows: 2000, Txns: cut(2000, 1000), Seed: 1})
+	random := workloads.Random(workloads.RandomConfig{Rows: 4000, Txns: cut(1200, 600), Seed: 3})
+	for _, tc := range []struct {
+		name      string
+		w         *workloads.Workload
+		k         int
+		resolve   bool
+		wantRange bool
+	}{
+		{"tpcc", tpcc, 2, true, true},
+		{"tpcc-no-resolver", tpcc, 2, false, false},
+		{"epinions", epinions, 2, true, false},
+		{"ycsb-a", ycsb, 4, true, false},
+		{"ycsb-a-no-resolver", ycsb, 4, false, false},
+		{"random", random, 8, true, false},
+	} {
+		in := Input{Trace: tc.w.Trace, KeyColumns: tc.w.KeyColumns, DB: tc.w.DB}
+		if tc.resolve {
+			in.Resolver = tc.w.Resolver()
+		}
+		res, err := Run(in, Options{Partitions: tc.k, Seed: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.wantRange && res.Range == nil {
+			t.Fatalf("%s: no range strategy to validate\n%s", tc.name, res.Report())
+		}
+		candidates := []partition.Strategy{res.Lookup,
+			&partition.Hash{K: tc.k, KeyColumn: tc.w.KeyColumns}, &partition.FullReplication{K: tc.k}}
+		if res.Range != nil {
+			candidates = append(candidates, res.Range)
+		}
+		if len(res.Costs) != len(candidates) {
+			t.Fatalf("%s: %d costs, want %d", tc.name, len(res.Costs), len(candidates))
+		}
+		_, test := tc.w.Trace.Split(trainFrac)
+		for _, s := range candidates {
+			if got, want := res.Costs[s.Name()], partition.Evaluate(test, s, in.Resolver); got != want {
+				t.Errorf("%s: %s costs %+v, partition.Evaluate %+v", tc.name, s.Name(), got, want)
+			}
+		}
+	}
+}

@@ -48,3 +48,21 @@ func BenchmarkNewGraph(b *testing.B) {
 	}
 	b.ReportMetric(float64(g.NumEdges()), "edges")
 }
+
+// BenchmarkContract times one contraction of tpccClique's graph by its
+// heavy-edge matching: level 0 of the hierarchy PartKway builds for it.
+// Run it with -cpu 1,2 to see the contraction's workers.
+func BenchmarkContract(b *testing.B) {
+	g := tpccClique(b)
+	s := NewSolver()
+	cmap := make([]int32, g.NumNodes())
+	nc := s.heavyEdgeMatch(g, cmap)
+	var out levelData
+	s.contract(g, cmap, nc, &out)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.contract(g, cmap, nc, &out)
+	}
+	b.ReportMetric(float64(len(out.graph.Adj)), "entries")
+}

@@ -27,13 +27,12 @@ type Solver struct {
 	match []int32 // heavy-edge matching state
 
 	// Contraction scratch (see Solver.contract).
-	mstart  []int32 // member-list offsets per coarse node, len nc+1
-	members []int32 // fine nodes grouped by coarse id, len n
-	mark    []int32 // stamp of the coarse row that last saw each coarse neighbour
-	slot    []int32 // coarse neighbour -> fill position in the open row
-	pos     []int32 // scatter cursors, len nc
-	row     []int32 // one folded coarse row in first-encounter order
-	roww    []int64
+	mstart  []int32           // member-list offsets per coarse node, len nc+1
+	members []int32           // fine nodes grouped by coarse id, len n
+	pos     []int32           // member-list fill cursors, len nc
+	cws     []*contractWorker // per-worker ranges, marker tables, accumulators and rows
+	ct      contraction       // what the workers share, during one contraction
+	mark    []int32           // hypergraph contraction's stamps (see hcoarsen.go)
 
 	// Refinement scratch (see refine.go).
 	conn     []int64 // connectivity of the current node to each part

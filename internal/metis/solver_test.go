@@ -9,24 +9,48 @@ import (
 
 // TestContractMatchesNaive pins the direct-CSR contraction to be
 // bit-identical to the old BuilderEdge+NewGraph path for the same
-// matching, across random graphs (including edgeless and near-clique
-// shapes, unit and weighted nodes).
+// matching, at 1, 2, 3 and 8 workers: random graphs (edgeless and
+// near-clique shapes, unit and weighted nodes), graphs with fewer coarse
+// nodes than workers, dense rows that sort through the bitmap, long rows
+// over a wide id span that sort by comparison, and the two-byte and
+// absent weight forms.
 func TestContractMatchesNaive(t *testing.T) {
+	defer func(old int) { maxWorkers = old }(maxWorkers)
 	rng := rand.New(rand.NewSource(123))
-	s := NewSolver()
+	var graphs []*Graph
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(300)
 		m := rng.Intn(5 * n)
-		g := randomGraph(n, m, rng.Int63())
+		graphs = append(graphs, randomGraph(n, m, rng.Int63()))
+	}
+	graphs = append(graphs,
+		randomGraph(1, 0, 1), randomGraph(2, 1, 2), randomGraph(3, 3, 3), randomGraph(5, 0, 4),
+		randomGraph(200, 0, 5), randomGraph(200, 4000, 6), cliqueGraph(3, 40),
+		randomGraph(16000, 100000, 7))
+	unit := randomGraph(400, 3000, 8)
+	unit.EWgt = nil
+	short := randomGraph(400, 3000, 9)
+	short.EWgt16 = make([]uint16, len(short.EWgt))
+	for i, w := range short.EWgt {
+		short.EWgt16[i] = uint16(w)
+	}
+	short.EWgt = nil
+	graphs = append(graphs, unit, short)
+
+	s := NewSolver()
+	for gi, g := range graphs {
 		s.src.Seed(rng.Int63())
 		cmap := make([]int32, g.NumNodes())
 		nc := s.heavyEdgeMatch(g, cmap)
-		var out levelData
-		s.contract(g, cmap, nc, &out)
 		want := naiveContract(g, cmap, nc)
-		graphsEqual(t, &out.graph, want)
-		if err := out.graph.Validate(); err != nil {
-			t.Fatalf("trial %d: invalid coarse CSR: %v", trial, err)
+		for _, workers := range []int{1, 2, 3, 8} {
+			maxWorkers = workers
+			var out levelData
+			s.contract(g, cmap, nc, &out)
+			graphsEqual(t, &out.graph, want)
+			if err := out.graph.Validate(); err != nil {
+				t.Fatalf("graph %d, %d workers: invalid coarse CSR: %v", gi, workers, err)
+			}
 		}
 	}
 }

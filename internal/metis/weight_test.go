@@ -76,7 +76,7 @@ func TestEdgeWeightOverflowGuard(t *testing.T) {
 // tuple and a weight-1 edge per co-accessing transaction, folded by
 // NewGraph — the shape graph.Build gives the partitioner without
 // replication.
-func tpccClique(t *testing.T) *Graph {
+func tpccClique(t testing.TB) *Graph {
 	tr := workloads.TPCC(workloads.TPCCConfig{
 		Warehouses: 4, Customers: 10, Items: 200, InitialOrders: 3, Txns: 2000, Seed: 5,
 	}).Trace

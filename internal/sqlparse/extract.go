@@ -1,6 +1,8 @@
 package sqlparse
 
 import (
+	"strings"
+
 	"schism/internal/datum"
 )
 
@@ -116,6 +118,91 @@ func (m *ColumnMemo) WhereColumns(src string) ([]ColumnUse, bool) {
 	*buf = toks[:0]
 	tokenPool.Put(buf)
 	return shape.uses, shape.ok
+}
+
+// InsertMemo reads INSERT statements for the rows they carry and parses
+// each statement shape once, as ColumnMemo does: texts whose tokens differ
+// only in literals the parser treats alike (appendShape) share the table,
+// the column list and the place of every value's literal among the
+// tokens. A statement's values are then read from its own literal tokens.
+// A trace's INSERTs repeat a few templates, so reading them all parses a
+// few statements. The zero value is ready to use; a memo is not safe for
+// concurrent use, and it keeps no statement's text reachable.
+type InsertMemo struct {
+	key    []byte
+	vals   []datum.D
+	shapes map[string]insertShape
+}
+
+type insertShape struct {
+	table string
+	cols  []string
+	lits  []int32 // token index of each value's literal
+	ok    bool    // the shape parses to an *Insert
+}
+
+// Insert returns *Parse(src) when Parse(src) is an *Insert, and false
+// otherwise. Cols is shared by every statement of src's shape and Values
+// is the memo's buffer, overwritten by the next call; neither may be
+// modified. A string value is a copy, never a substring of src. A
+// statement of a shape seen before allocates only its string values.
+func (m *InsertMemo) Insert(src string) (Insert, bool) {
+	buf := tokenPool.Get().(*[]token)
+	toks, err := lex(src, *buf, true)
+	var ins Insert
+	var ok bool
+	if err == nil {
+		m.key = appendShape(m.key[:0], toks)
+		shape, hit := m.shapes[string(m.key)]
+		if !hit {
+			shape = newInsertShape(toks, src)
+			if m.shapes == nil {
+				m.shapes = make(map[string]insertShape)
+			}
+			m.shapes[string(m.key)] = shape
+		}
+		if ok = shape.ok; ok {
+			m.vals = m.vals[:0]
+			for _, at := range shape.lits {
+				m.vals = append(m.vals, literalValue(toks[at]))
+			}
+			ins = Insert{Table: shape.table, Cols: shape.cols, Values: m.vals}
+		}
+	}
+	clear(toks)
+	*buf = toks[:0]
+	tokenPool.Put(buf)
+	return ins, ok
+}
+
+// newInsertShape parses the raw tokens of the first statement of a shape.
+// Its names are copied, so the shape does not pin the statement's text.
+func newInsertShape(toks []token, src string) insertShape {
+	var lits []int32
+	p := parser{toks: toks, src: src, lits: &lits}
+	stmt, err := p.parseAll()
+	ins, isInsert := stmt.(*Insert)
+	if err != nil || !isInsert {
+		return insertShape{}
+	}
+	cols := make([]string, len(ins.Cols))
+	for i, c := range ins.Cols {
+		cols[i] = strings.Clone(c)
+	}
+	return insertShape{table: strings.Clone(ins.Table), cols: cols, lits: lits, ok: true}
+}
+
+// literalValue is the value literal() reads from a raw-lexed token of a
+// statement that parses: a number, a string, a placeholder or NULL.
+func literalValue(t token) datum.D {
+	switch t.kind {
+	case tokNumber:
+		v, _ := numberValue(t.text)
+		return v
+	case tokString:
+		return datum.NewString(unquote(t.text, strings.Contains(t.text, "''")))
+	}
+	return datum.NullD
 }
 
 // Constraint is a routing-relevant restriction on a single column extracted

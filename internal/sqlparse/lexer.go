@@ -96,18 +96,14 @@ func lex(src string, buf []token, raw bool) ([]token, error) {
 				return l.toks, fmt.Errorf("sqlparse: unterminated string at %d", start)
 			}
 			body := l.src[start+1 : l.pos-1]
-			switch {
-			case raw:
-			case escaped:
-				body = strings.ReplaceAll(body, "''", "'")
-			default:
-				body = strings.Clone(body)
+			if !raw {
+				body = unquote(body, escaped)
 			}
 			l.emit(tokString, body, start)
 		case c == '?':
 			l.emit(tokPlaceholder, "?", l.pos)
 			l.pos++
-		case strings.IndexByte("=<>!(),.*+-;", c) >= 0:
+		case isPunct(c):
 			start := l.pos
 			l.pos++
 			if l.pos < len(l.src) {
@@ -125,12 +121,30 @@ func lex(src string, buf []token, raw bool) ([]token, error) {
 	return l.toks, nil
 }
 
+// unquote is the value of a string literal whose body in the source is
+// body, escaped when it holds a doubled quote: a new string either way,
+// so the value never pins the statement's text.
+func unquote(body string, escaped bool) string {
+	if escaped {
+		return strings.ReplaceAll(body, "''", "'")
+	}
+	return strings.Clone(body)
+}
+
 func (l *lexer) emit(k tokenKind, text string, pos int) {
 	l.toks = append(l.toks, token{kind: k, text: text, pos: pos})
 }
 
 func (l *lexer) peekDigit() bool {
 	return l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9'
+}
+
+func isPunct(c byte) bool {
+	switch c {
+	case '=', '<', '>', '!', '(', ')', ',', '.', '*', '+', '-', ';':
+		return true
+	}
+	return false
 }
 
 func isIdentStart(c byte) bool {

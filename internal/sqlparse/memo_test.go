@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // memoPairs are statements whose shapes sit next to a rule of the shape
@@ -137,5 +138,116 @@ func FuzzColumnMemo(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		var m ColumnMemo
 		checkMemo(t, &m, src)
+	})
+}
+
+// insertStmts are INSERTs next to a rule of the shape key or of a value's
+// reading: a negative literal stays in the key, a doubled quote is undone
+// in the value, and a count mismatch or an overflowing key fails.
+var insertStmts = []string{
+	"INSERT INTO t (k, a) VALUES (-5, 3)",
+	"INSERT INTO t (k, s) VALUES (1, 'it''s')",
+	"INSERT INTO t (k, s, u) VALUES (1, '', '''')",
+	"INSERT INTO t (k, a, s) VALUES (1, NULL, ?)",
+	"INSERT INTO t (k, a) VALUES (1, 2, 3)",
+	"INSERT INTO t (k, a) VALUES (1.5e3, -0.25);",
+	"insert into T (K) values (9223372036854775807)",
+	"INSERT INTO t (k) VALUES (9223372036854775808)",
+	"INSERT INTO t (k) VALUES (1) trailing",
+	orderLineInsert,
+}
+
+// directInsert is the InsertMemo's oracle: a fresh parse, when it gives
+// an *Insert.
+func directInsert(src string) (Insert, bool) {
+	stmt, err := ParseFresh(src)
+	ins, ok := stmt.(*Insert)
+	if err != nil || !ok {
+		return Insert{}, false
+	}
+	return *ins, true
+}
+
+// checkInsertMemo asks a shared memo for src and then for its twin (see
+// memoTwin). Both answers must equal a fresh parse's, no string value may
+// point into the statement's text, and the twin must be a shape the memo
+// has already seen.
+func checkInsertMemo(t *testing.T, m *InsertMemo, src string) {
+	t.Helper()
+	check := func(src string) {
+		t.Helper()
+		got, ok := m.Insert(src)
+		want, wantOK := directInsert(src)
+		if ok != wantOK || ok && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: memo gives %+v, %v; a fresh parse %+v, %v", src, got, ok, want, wantOK)
+		}
+		text := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+		for _, v := range got.Values {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(v.S))); v.S != "" && p >= text && p < text+uintptr(len(src)) {
+				t.Fatalf("%q: value %q points into the statement's text", src, v.S)
+			}
+		}
+	}
+	check(src)
+	twin, lexes := memoTwin(src)
+	if !lexes {
+		return
+	}
+	shapes := len(m.shapes)
+	check(twin)
+	if len(m.shapes) != shapes {
+		t.Fatalf("twin %q of %q is a new shape", twin, src)
+	}
+}
+
+// TestInsertMemoMatchesParse holds one memo to a fresh parse over the
+// INSERTs above and every memo pair, both orders.
+func TestInsertMemoMatchesParse(t *testing.T) {
+	var forward, backward InsertMemo
+	for _, src := range insertStmts {
+		checkInsertMemo(t, &forward, src)
+	}
+	for _, p := range memoPairs {
+		checkInsertMemo(t, &forward, p[0])
+		checkInsertMemo(t, &forward, p[1])
+		checkInsertMemo(t, &backward, p[1])
+		checkInsertMemo(t, &backward, p[0])
+	}
+}
+
+// TestInsertMemoAllocs pins a memo hit to one allocation per string value
+// and none besides: the tokens go into a pooled buffer, the values into
+// the memo's own.
+func TestInsertMemoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	var m InsertMemo
+	for _, tc := range []struct {
+		src     string
+		strings float64
+	}{
+		{orderLineInsert, 0},
+		{"INSERT INTO history (h_id, h_w_id, h_data) VALUES (7, 1, 'paid')", 1},
+		{"INSERT INTO t (k, s, u) VALUES (1, 'it''s', 'x')", 2},
+	} {
+		m.Insert(tc.src)
+		if n := testing.AllocsPerRun(100, func() { m.Insert(tc.src) }); n != tc.strings {
+			t.Errorf("memo hit for %.30q... allocates %v objects, want %v", tc.src, n, tc.strings)
+		}
+	}
+}
+
+func FuzzInsertMemo(f *testing.F) {
+	for _, src := range insertStmts {
+		f.Add(src)
+	}
+	for _, p := range memoPairs {
+		f.Add(p[0])
+		f.Add(p[1])
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		var m InsertMemo
+		checkInsertMemo(t, &m, src)
 	})
 }

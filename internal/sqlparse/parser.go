@@ -43,18 +43,27 @@ func parse(src string, numbered bool) (Statement, int, error) {
 // parseTokens parses one statement from the tokens lex produced for src.
 func parseTokens(toks []token, src string, numbered bool) (Statement, int, error) {
 	p := &parser{toks: toks, src: src, numbered: numbered}
-	stmt, err := p.parseStatement()
+	stmt, err := p.parseAll()
 	if err != nil {
 		return nil, 0, err
+	}
+	return stmt, p.nparams, nil
+}
+
+// parseAll parses the parser's tokens as one statement and its end.
+func (p *parser) parseAll() (Statement, error) {
+	stmt, err := p.parseStatement()
+	if err != nil {
+		return nil, err
 	}
 	// Allow a trailing semicolon.
 	if p.peek().kind == tokPunct && p.peek().text == ";" {
 		p.next()
 	}
 	if p.peek().kind != tokEOF {
-		return nil, 0, p.errorf("trailing input %q", p.peek().text)
+		return nil, p.errorf("trailing input %q", p.peek().text)
 	}
-	return stmt, p.nparams, nil
+	return stmt, nil
 }
 
 // MustParse parses or panics; for tests and static workload definitions.
@@ -74,6 +83,8 @@ type parser struct {
 	// nparams counts them.
 	numbered bool
 	nparams  int
+	// lits, when set, collects the token index of every literal read.
+	lits *[]int32
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -509,24 +520,22 @@ func (p *parser) colRef() (ColRef, error) {
 // the router treats as "unknown value").
 func (p *parser) literal() (datum.D, error) {
 	t := p.peek()
+	if p.lits != nil {
+		*p.lits = append(*p.lits, int32(p.i))
+	}
 	switch t.kind {
 	case tokNumber:
 		// The error names the literal itself, so it is reported before
 		// the literal is consumed.
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil || math.IsInf(f, 0) {
-				return datum.NullD, p.errorf("bad float %q", t.text)
-			}
+		v, ok := numberValue(t.text)
+		switch {
+		case ok:
 			p.next()
-			return datum.NewFloat(f), nil
+			return v, nil
+		case v.K == datum.Float:
+			return datum.NullD, p.errorf("bad float %q", t.text)
 		}
-		v, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return datum.NullD, p.errorf("bad int %q", t.text)
-		}
-		p.next()
-		return datum.NewInt(v), nil
+		return datum.NullD, p.errorf("bad int %q", t.text)
 	case tokString:
 		p.next()
 		return datum.NewString(t.text), nil
@@ -546,6 +555,28 @@ func (p *parser) literal() (datum.D, error) {
 	return datum.NullD, p.errorf("expected literal")
 }
 
+// numberValue is the value of a number token's text, and false where it
+// does not parse; the value's kind says which parse was tried.
+func numberValue(text string) (datum.D, bool) {
+	if isFloat(text) {
+		f, err := strconv.ParseFloat(text, 64)
+		return datum.NewFloat(f), err == nil && !math.IsInf(f, 0)
+	}
+	v, err := strconv.ParseInt(text, 10, 64)
+	return datum.NewInt(v), err == nil
+}
+
+// isFloat reports whether a number token's text is a float's: it holds a
+// point or an exponent.
+func isFloat(text string) bool {
+	for i := 0; i < len(text); i++ {
+		if c := text[i]; c == '.' || c == 'e' || c == 'E' {
+			return true
+		}
+	}
+	return false
+}
+
 // appendShape appends the shape key of a lexed statement to key: every
 // token's kind and text, except that a literal the parser treats alike
 // whatever its value stands as its kind alone. Those literals are a string
@@ -558,16 +589,9 @@ func (p *parser) literal() (datum.D, error) {
 // yield the same statement but for literal values.
 func appendShape(key []byte, toks []token) []byte {
 	for _, t := range toks {
-		switch {
-		case t.kind == tokString:
-			key = append(key, 's')
-		case t.kind == tokNumber && t.text[0] != '-' && numberParses(t.text):
-			if strings.ContainsAny(t.text, ".eE") {
-				key = append(key, 'f')
-			} else {
-				key = append(key, 'i')
-			}
-		default:
+		if c := literalClass(t); c != 0 {
+			key = append(key, c)
+		} else {
 			key = append(key, byte('0'+t.kind))
 			key = append(key, t.text...)
 		}
@@ -577,15 +601,29 @@ func appendShape(key []byte, toks []token) []byte {
 	return key
 }
 
-// numberParses reports whether a number token without a sign parses
-// wherever it stands: a float as literal() parses one, an int as LIMIT's
-// strconv.Atoi does. Atoi accepts no int that literal()'s ParseInt
-// rejects, and where int has 64 bits it accepts every other one.
-func numberParses(text string) bool {
-	if strings.ContainsAny(text, ".eE") {
-		f, err := strconv.ParseFloat(text, 64)
-		return err == nil && !math.IsInf(f, 0)
+// literalClass is the letter a literal the parser treats alike whatever
+// its value stands as in a shape key ('s', 'i' or 'f'), and 0 for a token
+// that stands verbatim. An unsigned number parses wherever it stands if a
+// float parses as literal() parses one and an int as LIMIT's strconv.Atoi
+// does. Atoi accepts no int that literal()'s ParseInt rejects, and where
+// int has 64 bits it accepts every other one; an int token is digits
+// only, so 18 of them always parse.
+func literalClass(t token) byte {
+	switch {
+	case t.kind == tokString:
+		return 's'
+	case t.kind != tokNumber || t.text[0] == '-':
+		return 0
+	case isFloat(t.text):
+		if f, err := strconv.ParseFloat(t.text, 64); err == nil && !math.IsInf(f, 0) {
+			return 'f'
+		}
+		return 0
+	case len(t.text) <= 18:
+		return 'i'
 	}
-	_, err := strconv.Atoi(text)
-	return err == nil
+	if _, err := strconv.Atoi(t.text); err == nil {
+		return 'i'
+	}
+	return 0
 }

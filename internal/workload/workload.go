@@ -5,7 +5,7 @@
 // trace", Section 2). Generators in internal/workloads produce traces with
 // ground-truth read/write sets. Two readers use the SQL text:
 // featsel.Frequencies mines its WHERE columns (§5.2), and the workloads'
-// resolver (Workload.virtualRows) parses its INSERTs for the rows the
+// resolver (Workload.virtualRows) reads its INSERTs for the rows the
 // trace creates (App. C.2). Nothing re-derives access sets from the text.
 package workload
 

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 
+	"schism/internal/datum"
 	"schism/internal/dtree"
 	"schism/internal/partition"
 	"schism/internal/sqlparse"
@@ -69,42 +70,78 @@ func (w *Workload) Resolver() partition.Resolver {
 
 // virtualRows reconstructs rows for tuples created by the trace's INSERTs.
 // Only a statement that starts with INSERT can parse to one, so no other
-// statement is parsed. Each row is stored as the *storage.RowView the
-// resolver returns, so resolving it boxes nothing.
+// statement is read, and an InsertMemo parses one INSERT per statement
+// shape. Each row is stored as the *storage.RowView the resolver returns,
+// so resolving it boxes nothing; its string values are copies, so it
+// pins no trace text.
 func (w *Workload) virtualRows() map[workload.TupleID]*storage.RowView {
 	out := make(map[workload.TupleID]*storage.RowView)
+	var memo sqlparse.InsertMemo
+	// An INSERT shape's table and column positions are looked up once. The
+	// memo shares one column list per shape, so its first element's
+	// address names the shape.
+	type insertShape struct {
+		schema *storage.TableSchema // nil when the table does not exist
+		cols   []int                // schema position of each inserted column, or -1
+		key    int                  // the last inserted column that is the key, or -1
+	}
+	shapes := make(map[*string]insertShape)
+	// Rows and their views are cut from slabs: a new tuple allocates
+	// nothing of its own, and every row lives as long as the resolver.
+	const slab = 1024
+	var views []storage.RowView
+	var data []datum.D
 	for _, t := range w.Trace.Txns {
 		for _, src := range t.SQL {
 			if !startsWithInsert(src) {
 				continue
 			}
-			stmt, err := sqlparse.Parse(src)
-			if err != nil {
-				continue
-			}
-			ins, ok := stmt.(*sqlparse.Insert)
+			ins, ok := memo.Insert(src)
 			if !ok {
 				continue
 			}
-			tbl := w.DB.Table(ins.Table)
-			if tbl == nil {
+			sh, seen := shapes[&ins.Cols[0]]
+			if !seen {
+				sh.key = -1
+				if tbl := w.DB.Table(ins.Table); tbl != nil {
+					sh.schema = tbl.Schema
+					sh.cols = make([]int, len(ins.Cols))
+					for i, col := range ins.Cols {
+						sh.cols[i] = sh.schema.ColIndex(col)
+						if sh.cols[i] == sh.schema.KeyIndex() {
+							sh.key = i
+						}
+					}
+				}
+				shapes[&ins.Cols[0]] = sh
+			}
+			if sh.key < 0 {
 				continue
 			}
-			schema := tbl.Schema
-			row := make(storage.Row, len(schema.Columns))
-			for i, col := range ins.Cols {
-				if ci := schema.ColIndex(col); ci >= 0 {
-					row[ci] = ins.Values[i]
-				}
-			}
-			key, ok := row[schema.KeyIndex()].AsInt()
+			key, ok := ins.Values[sh.key].AsInt()
 			if !ok {
 				continue
 			}
 			id := workload.TupleID{Table: ins.Table, Key: key}
-			if _, dup := out[id]; !dup {
-				out[id] = &storage.RowView{Schema: schema, Data: row}
+			if _, dup := out[id]; dup {
+				continue
 			}
+			n := len(sh.schema.Columns)
+			if cap(data)-len(data) < n {
+				data = make([]datum.D, 0, max(n, slab))
+			}
+			row := data[len(data) : len(data)+n : len(data)+n]
+			data = data[:len(data)+n]
+			for i, ci := range sh.cols {
+				if ci >= 0 {
+					row[ci] = ins.Values[i]
+				}
+			}
+			if len(views) == cap(views) {
+				views = make([]storage.RowView, 0, slab)
+			}
+			views = append(views, storage.RowView{Schema: sh.schema, Data: row})
+			out[id] = &views[len(views)-1]
 		}
 	}
 	return out
@@ -113,8 +150,11 @@ func (w *Workload) virtualRows() map[workload.TupleID]*storage.RowView {
 // startsWithInsert reports whether src's first word, after the whitespace
 // the SQL lexer skips, begins with INSERT in any letter case.
 func startsWithInsert(src string) bool {
-	src = strings.TrimLeft(src, " \t\n\r")
-	return len(src) >= len("INSERT") && strings.EqualFold(src[:len("INSERT")], "INSERT")
+	i := 0
+	for i < len(src) && (src[i] == ' ' || src[i] == '\t' || src[i] == '\n' || src[i] == '\r') {
+		i++
+	}
+	return len(src)-i >= len("INSERT") && strings.EqualFold(src[i:i+len("INSERT")], "INSERT")
 }
 
 // txnText renders one transaction's statements into a byte buffer that a

@@ -411,6 +411,13 @@ func TestVirtualRowsMatchesParseAll(t *testing.T) {
 		"  Insert Into history (h_id) VALUES (900004)",
 		"SELECT * FROM history WHERE h_id = 900005",
 		"UPDATE history SET h_amount = h_amount -1 WHERE h_id = 900001",
+		"INSERT INTO history (h_id, h_w_id, h_amount) VALUES (900006, 1, -2.5)",
+		"INSERT INTO history (h_id, h_w_id, h_amount) VALUES (-900007, -1, 3)",
+		"INSERT INTO item (i_name, i_id) VALUES ('it''s', 900010)",
+		"INSERT INTO history (h_w_id, h_amount) VALUES (1, 3)",
+		"INSERT INTO history (h_id, h_w_id) VALUES (900008, 1)",
+		"INSERT INTO history (h_id, h_w_id) VALUES (900008, 2)",
+		"INSERT INTO history (h_id, h_w_id, h_id) VALUES (900011, 1, 900012)",
 	}}}}}
 	for _, tc := range []struct {
 		name string
@@ -421,7 +428,7 @@ func TestVirtualRowsMatchesParseAll(t *testing.T) {
 		{"epinions", Epinions(EpinionsConfig{Users: 300, Items: 150, Communities: 8, Txns: 500, Seed: 7}), 0},
 		{"tpce", TPCE(TPCEConfig{Customers: 100, Securities: 50, Txns: 500, Seed: 8}), 1},
 		{"ycsb-a", YCSBA(YCSBConfig{Rows: 1000, Txns: 500, Seed: 4}), 0},
-		{"hand-written", handWritten, 3},
+		{"hand-written", handWritten, 8},
 	} {
 		got, want := tc.w.virtualRows(), virtualRowsParseAll(tc.w)
 		if !reflect.DeepEqual(got, want) {
@@ -432,6 +439,54 @@ func TestVirtualRowsMatchesParseAll(t *testing.T) {
 			t.Errorf("%s: %d virtual rows, want at least %d", tc.name, len(want), tc.min)
 		}
 	}
+
+	// The hand-written rows' values, read without the oracle: the first
+	// INSERT of a key wins, a doubled quote is one quote, and a key column
+	// named twice takes its last value, as the row does.
+	rows := handWritten.virtualRows()
+	for _, tc := range []struct {
+		table string
+		key   int64
+		col   string
+		want  datum.D
+	}{
+		{"history", 900008, "h_w_id", datum.NewInt(1)},
+		{"history", 900006, "h_amount", datum.NewFloat(-2.5)},
+		{"history", -900007, "h_w_id", datum.NewInt(-1)},
+		{"item", 900010, "i_name", datum.NewString("it's")},
+		{"history", 900012, "h_w_id", datum.NewInt(1)},
+	} {
+		rv := rows[workload.TupleID{Table: tc.table, Key: tc.key}]
+		if rv == nil {
+			t.Errorf("no virtual row %s:%d", tc.table, tc.key)
+		} else if got := rv.Get(tc.col); !datum.Equal(got, tc.want) {
+			t.Errorf("%s:%d %s = %v, want %v", tc.table, tc.key, tc.col, got, tc.want)
+		}
+	}
+}
+
+// TestVirtualRowsAllocs pins what reading a trace's INSERTs allocates per
+// INSERT: the map's and the row slabs' shares, and one parse per shape.
+// Parsing every INSERT, and allocating each row and its RowView, cost
+// about 11 objects; two remained when only the parse went.
+func TestVirtualRowsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	w := TPCC(TPCCConfig{Warehouses: 2, Customers: 10, Items: 100, InitialOrders: 5, Txns: 2000, Seed: 2})
+	inserts := 0
+	for _, txn := range w.Trace.Txns {
+		for _, src := range txn.SQL {
+			if startsWithInsert(src) {
+				inserts++
+			}
+		}
+	}
+	perInsert := testing.AllocsPerRun(3, func() { w.virtualRows() }) / float64(inserts)
+	if perInsert > 0.25 {
+		t.Errorf("reading an INSERT allocates %.2f objects, want <= 0.25", perInsert)
+	}
+	t.Logf("%.2f objects per INSERT over %d INSERTs", perInsert, inserts)
 }
 
 // TestResolverAllocs pins resolving a tuple the trace inserted to no
