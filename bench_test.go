@@ -58,7 +58,7 @@ func BenchmarkPartKway(b *testing.B) {
 				parts, cut = p, c
 			}
 			b.StopTimer()
-			cost := partition.EvaluateAssignmentsCompact(g.Compact, g.DenseAssignments(parts), nil)
+			cost := partition.EvaluateAssignmentsCompact(g.Compact, g.DenseAssignments(parts))
 			b.ReportMetric(float64(cut), "edgecut")
 			b.ReportMetric(100*cost.DistributedFrac(), "%distributed")
 			b.ReportMetric(float64(g.CSR.NumNodes()), "nodes")
@@ -99,7 +99,7 @@ func BenchmarkPartHKway(b *testing.B) {
 				parts, conn = p, c
 			}
 			b.StopTimer()
-			cost := partition.EvaluateAssignmentsCompact(g.Compact, g.DenseAssignments(parts), nil)
+			cost := partition.EvaluateAssignmentsCompact(g.Compact, g.DenseAssignments(parts))
 			b.ReportMetric(float64(conn), "conncost")
 			b.ReportMetric(100*cost.DistributedFrac(), "%distributed")
 			b.ReportMetric(float64(g.HG.NumNodes()), "nodes")
@@ -282,7 +282,7 @@ func BenchmarkAblationSampling(b *testing.B) {
 					b.Fatal(err)
 				}
 				sets := g.DenseAssignmentsFor(full, parts)
-				cost := partition.EvaluateAssignmentsCompact(full, sets, nil)
+				cost := partition.EvaluateAssignmentsCompact(full, sets)
 				b.ReportMetric(100*cost.DistributedFrac(), "%distributed")
 			}
 		})

@@ -447,7 +447,7 @@ func (t *Txn) participants() []int {
 }
 
 // plan is one statement ready to run, the single shape every entry point
-// (Exec, ExecStmt, ExecStmtAt, ExecPrepared) reduces to and the request
+// (Exec, ExecStmtAt, ExecPrepared) reduces to and the request
 // carries to the node: the statement, the arguments its placeholders take
 // (nil for ad-hoc SQL, which has none), and what the coordinator already
 // derived from it, so the node's executor derives nothing twice.
@@ -478,11 +478,6 @@ func (t *Txn) Exec(sql string) ([]storage.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.ExecStmt(stmt)
-}
-
-// ExecStmt executes a pre-parsed statement.
-func (t *Txn) ExecStmt(stmt sqlparse.Statement) ([]storage.Row, error) {
 	if t.failed {
 		return nil, errTxnFailed
 	}

@@ -250,7 +250,7 @@ func Run(in Input, opts Options) (*Result, error) {
 	)
 	var chosen partition.Strategy
 	var bestFrac float64
-	for i, c := range evaluate(test, candidates, in.Resolver) {
+	for i, c := range partition.EvaluateEach(test, candidates, in.Resolver) {
 		s := candidates[i]
 		res.Costs[s.Name()] = c
 		if chosen == nil || c.DistributedFrac() < bestFrac {
@@ -270,31 +270,6 @@ func Run(in Input, opts Options) (*Result, error) {
 	res.ChosenName = chosen.Name()
 	res.Timings.Validate = time.Since(t0)
 	return res, nil
-}
-
-// evaluate returns partition.Evaluate(tr, s, resolve) for every candidate
-// s, in order, from one pass over the trace's tuples: each is resolved
-// once and located by every candidate on that row.
-func evaluate(tr *workload.Trace, candidates []partition.Strategy, resolve partition.Resolver) []partition.Cost {
-	c := workload.CompactTrace(tr)
-	sets := make([][][]int, len(candidates))
-	for i := range sets {
-		sets[i] = make([][]int, c.NumTuples())
-	}
-	for d, id := range c.In.Tuples() {
-		var row partition.Row
-		if resolve != nil {
-			row = resolve(id)
-		}
-		for i, s := range candidates {
-			sets[i][d] = s.Locate(id, row)
-		}
-	}
-	costs := make([]partition.Cost, len(candidates))
-	for i := range candidates {
-		costs[i] = partition.EvaluateAssignmentsCompact(c, sets[i], nil)
-	}
-	return costs
 }
 
 // balanced checks that the explained strategy spreads the graph's tuples
@@ -448,7 +423,7 @@ func writeFraction(tr *workload.Trace) float64 {
 // their transaction. Without a database, the untraced default applies to
 // every unknown key instead.
 func buildLookup(tuples []workload.TupleID, dense [][]int, k int, in Input, readMostly bool) *partition.Lookup {
-	router := lookup.NewRouter(k, nil)
+	router := lookup.NewRouter(k)
 	for d, parts := range dense {
 		id := tuples[d]
 		router.Set(id.Table, id.Key, parts)

@@ -130,7 +130,7 @@ func adaptRun(sc driftScenario, warm bool, chunks int) (AdaptRun, error) {
 	if err != nil {
 		return AdaptRun{}, err
 	}
-	locate := asDeployed(sc.db, initial.LocateFunc(), sc.k)
+	locate := sc.deployedLocate(initial.LocateFunc())
 	// The sweep's chunks are its windows: drop the scenario's MinWindow so
 	// every chunk scores even at -quick sizes.
 	dcfg := sc.detector
@@ -184,8 +184,7 @@ func adaptRun(sc driftScenario, warm bool, chunks int) (AdaptRun, error) {
 	if err != nil {
 		return AdaptRun{}, err
 	}
-	out.OfflineDist = live.ScoreWindow(sc.shiftedTr, sc.k,
-		asDeployed(sc.db, offline.LocateFunc(), sc.k)).Distributed
+	out.OfflineDist = live.ScoreWindow(sc.shiftedTr, sc.k, sc.deployedLocate(offline.LocateFunc())).Distributed
 	return out, nil
 }
 

@@ -12,7 +12,6 @@ import (
 	"schism/internal/live"
 	"schism/internal/metis"
 	"schism/internal/obs"
-	"schism/internal/partition"
 	"schism/internal/storage"
 	"schism/internal/workload"
 	"schism/internal/workloads"
@@ -198,26 +197,14 @@ func scenarioByName(name string, s Scale) (driftScenario, error) {
 	return driftScenario{}, fmt.Errorf("unknown drift scenario %q (want ycsb|tpcc)", name)
 }
 
-// asDeployed scores a repartitioning exactly as DeployLookup would deploy
-// it, so the offline comparator and the live deployment are judged under
-// identical unknown-tuple policies: tuples present in db get the
-// computed assignment (key-hash when the rerun never saw them), tuples
-// born after the db image (trace INSERTs) float with their transactions
-// — just like the live side's Floating lookup.
-func asDeployed(db *storage.Database, f live.LocateFunc, k int) live.LocateFunc {
-	return func(id workload.TupleID) []int {
-		tbl := db.Table(id.Table)
-		if tbl == nil {
-			return nil
-		}
-		if _, ok := tbl.Get(id.Key); !ok {
-			return nil // insert-born: floats, on both sides
-		}
-		if parts := f(id); parts != nil {
-			return parts
-		}
-		return []int{partition.HashPart(id.Key, k)}
-	}
+// deployedLocate places tuples exactly as DeployLookup deploys f, so the
+// offline comparator and the live deployment are judged under identical
+// unknown-tuple policies: tuples present in db get f's placement
+// (key-hash when f never saw them), tuples born after the db image
+// (trace INSERTs) float with their transactions.
+func (sc driftScenario) deployedLocate(f live.LocateFunc) live.LocateFunc {
+	l, _ := live.DeployLookup(sc.db, sc.k, sc.keyCols, f)
+	return func(id workload.TupleID) []int { return l.Locate(id, nil) }
 }
 
 // DriftSimRun runs the deterministic control-loop simulation of a
@@ -282,7 +269,7 @@ func DriftSimRun(name string, s Scale) (DriftSim, error) {
 		return DriftSim{}, err
 	}
 	out.LiveDist = live.ScoreWindow(sc.shiftedTr, sc.k, ctrl.Locate).Distributed
-	out.OfflineDist = live.ScoreWindow(sc.shiftedTr, sc.k, asDeployed(sc.db, offline.LocateFunc(), sc.k)).Distributed
+	out.OfflineDist = live.ScoreWindow(sc.shiftedTr, sc.k, sc.deployedLocate(offline.LocateFunc())).Distributed
 	return out, nil
 }
 

@@ -91,8 +91,8 @@ func Hyper(ks []int, s Scale) []HyperRow {
 			}
 			hyperPart := time.Since(start)
 
-			ccost := partition.EvaluateAssignmentsCompact(cg.Compact, cg.DenseAssignments(cparts), nil)
-			hcost := partition.EvaluateAssignmentsCompact(hg.Compact, hg.DenseAssignments(hparts), nil)
+			ccost := partition.EvaluateAssignmentsCompact(cg.Compact, cg.DenseAssignments(cparts))
+			hcost := partition.EvaluateAssignmentsCompact(hg.Compact, hg.DenseAssignments(hparts))
 			rows = append(rows, HyperRow{
 				Dataset:        w.Name,
 				Partitions:     k,

@@ -66,8 +66,8 @@ func TestHyperDifferentialMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed %d k=%d: hypergraph partition: %v", w.Name, seed, k, err)
 				}
-				cfrac := partition.EvaluateAssignmentsCompact(cg.Compact, cg.DenseAssignments(cparts), nil).DistributedFrac()
-				hfrac := partition.EvaluateAssignmentsCompact(hg.Compact, hg.DenseAssignments(hparts), nil).DistributedFrac()
+				cfrac := partition.EvaluateAssignmentsCompact(cg.Compact, cg.DenseAssignments(cparts)).DistributedFrac()
+				hfrac := partition.EvaluateAssignmentsCompact(hg.Compact, hg.DenseAssignments(hparts)).DistributedFrac()
 				t.Logf("%s seed %d k=%d: clique dist %.1f%%, hyper dist %.1f%%",
 					w.Name, seed, k, 100*cfrac, 100*hfrac)
 				if limit := cfrac*1.10 + 0.02; hfrac > limit {

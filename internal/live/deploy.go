@@ -19,7 +19,7 @@ import (
 // Floating: keys born after deployment follow their transactions until a
 // later repartition places them.
 func DeployLookup(db *storage.Database, k int, keyCols map[string]string, locate LocateFunc) (*partition.Lookup, map[string]*SyncTable) {
-	router := lookup.NewRouter(k, nil)
+	router := lookup.NewRouter(k)
 	sync := make(map[string]*SyncTable)
 	for _, name := range db.TableNames() {
 		t := lookup.NewCompact()

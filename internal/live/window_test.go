@@ -360,7 +360,7 @@ func refScoreWindow(tr *workload.Trace, k int, locate LocateFunc) Score {
 	for d, id := range c.In.Tuples() {
 		sets[d] = locate(id)
 	}
-	cost := partition.EvaluateAssignmentsCompact(c, sets, nil)
+	cost := partition.EvaluateAssignmentsCompact(c, sets)
 	load := make([]float64, k)
 	var total float64
 	for _, e := range c.Accs {

@@ -84,7 +84,7 @@ func BenchmarkRouterBuild(b *testing.B) {
 			b.ReportAllocs()
 			var mem int64
 			for i := 0; i < b.N; i++ {
-				r := NewRouter(8, nil)
+				r := NewRouter(8)
 				benchFill(r.Table("stock"), n)
 				if compress {
 					r.Compress()

@@ -285,7 +285,7 @@ func TestCompressPicksRepresentation(t *testing.T) {
 }
 
 func TestRouter(t *testing.T) {
-	r := NewRouter(4, nil)
+	r := NewRouter(4)
 	r.Set("stock", 10, []int{2})
 	r.Set("item", 5, []int{0, 1, 2, 3})
 	if parts, ok := r.Locate("stock", 10); !ok || parts[0] != 2 {

@@ -15,23 +15,19 @@ type Ranger interface {
 // representation; Compress re-encodes each finished table into whichever
 // representation is smallest for its key distribution.
 type Router struct {
-	k       int
-	factory func() Table
-	tables  map[string]Table
+	k      int
+	tables map[string]Table
 }
 
-// NewRouter returns an empty router for k partitions. factory builds
-// tables created on demand; nil means NewCompact.
-func NewRouter(k int, factory func() Table) *Router {
-	if factory == nil {
-		factory = func() Table { return NewCompact() }
-	}
-	return &Router{k: k, factory: factory, tables: make(map[string]Table)}
+// NewRouter returns an empty router for k partitions; tables created on
+// demand are Compact.
+func NewRouter(k int) *Router {
+	return &Router{k: k, tables: make(map[string]Table)}
 }
 
 // NewRouterFromTables wraps already-built tables in a router.
 func NewRouterFromTables(k int, tables map[string]Table) *Router {
-	r := NewRouter(k, nil)
+	r := NewRouter(k)
 	for name, t := range tables {
 		r.tables[name] = t
 	}
@@ -45,7 +41,7 @@ func (r *Router) K() int { return r.k }
 func (r *Router) Table(name string) Table {
 	t, ok := r.tables[name]
 	if !ok {
-		t = r.factory()
+		t = NewCompact()
 		r.tables[name] = t
 	}
 	return t

@@ -31,19 +31,36 @@ func (c Cost) DistributedFrac() float64 {
 // A transaction is single-sited iff one partition can serve all of it.
 // Tuples whose replica set is empty are unconstrained — brand-new tuples a
 // floating lookup strategy lets the transaction create at its home
-// partition — and impose no requirement. The trace is interned once and
-// every distinct tuple located once.
+// partition — and impose no requirement. Evaluate is EvaluateEach with
+// one candidate.
 func Evaluate(tr *workload.Trace, s Strategy, resolve Resolver) Cost {
+	return EvaluateEach(tr, []Strategy{s}, resolve)[0]
+}
+
+// EvaluateEach returns Evaluate(tr, s, resolve) for every candidate s, in
+// order, from one pass over the trace's tuples: the trace is interned
+// once and each distinct tuple resolved once and located by every
+// candidate on that row.
+func EvaluateEach(tr *workload.Trace, candidates []Strategy, resolve Resolver) []Cost {
 	c := workload.CompactTrace(tr)
-	sets := make([][]int, c.NumTuples())
+	sets := make([][][]int, len(candidates))
+	for i := range sets {
+		sets[i] = make([][]int, c.NumTuples())
+	}
 	for d, id := range c.In.Tuples() {
 		var row Row
 		if resolve != nil {
 			row = resolve(id)
 		}
-		sets[d] = s.Locate(id, row)
+		for i, s := range candidates {
+			sets[i][d] = s.Locate(id, row)
+		}
 	}
-	return EvaluateAssignmentsCompact(c, sets, nil)
+	costs := make([]Cost, len(candidates))
+	for i := range candidates {
+		costs[i] = EvaluateAssignmentsCompact(c, sets[i])
+	}
+	return costs
 }
 
 func contains(parts []int, p int) bool {
@@ -58,18 +75,12 @@ func contains(parts []int, p int) bool {
 // EvaluateAssignmentsCompact counts distributed transactions for a raw
 // per-tuple assignment (the graph partitioner's direct output) over an
 // interned trace: sets[d] is the replica set of dense tuple d in c's
-// interner, and unassigned tuples (nil) get the default replica set def
-// (nil means unconstrained: new tuples follow their transaction). This
-// is the "schism" series in Fig. 4 before any explanation is attempted.
-// Use graph.DenseAssignmentsFor to align a partitioning with the
-// evaluation trace's interner.
-func EvaluateAssignmentsCompact(c *workload.Compact, sets [][]int, def []int) Cost {
-	return EvaluateCompact(c, func(d int32) []int {
-		if p := sets[d]; p != nil {
-			return p
-		}
-		return def
-	})
+// interner, and unassigned tuples (nil) are unconstrained: new tuples
+// follow their transaction. This is the "schism" series in Fig. 4 before
+// any explanation is attempted. Use graph.DenseAssignmentsFor to align a
+// partitioning with the evaluation trace's interner.
+func EvaluateAssignmentsCompact(c *workload.Compact, sets [][]int) Cost {
+	return EvaluateCompact(c, func(d int32) []int { return sets[d] })
 }
 
 // EvaluateCompact is the evaluator every entry point shares: it counts

@@ -90,14 +90,9 @@ func txnDistributed(t *workload.Txn, locate func(workload.TupleID) []int) bool {
 }
 
 // evaluateAssignmentsMap is the map-keyed evaluator, kept as the oracle
-// for EvaluateAssignmentsCompact: unassigned tuples get def.
-func evaluateAssignmentsMap(tr *workload.Trace, asg map[workload.TupleID][]int, def []int) Cost {
-	locate := func(id workload.TupleID) []int {
-		if parts, ok := asg[id]; ok {
-			return parts
-		}
-		return def
-	}
+// for EvaluateAssignmentsCompact: unassigned tuples are unconstrained.
+func evaluateAssignmentsMap(tr *workload.Trace, asg map[workload.TupleID][]int) Cost {
+	locate := func(id workload.TupleID) []int { return asg[id] }
 	c := Cost{Total: tr.Len()}
 	for _, t := range tr.Txns {
 		if txnDistributed(t, locate) {
@@ -107,23 +102,17 @@ func evaluateAssignmentsMap(tr *workload.Trace, asg map[workload.TupleID][]int, 
 	return c
 }
 
-// mapStrategy places tuples by a map, def for the rest.
+// mapStrategy places tuples by a map and leaves the rest unconstrained.
 type mapStrategy struct {
 	Strategy
 	asg map[workload.TupleID][]int
-	def []int
 }
 
-func (m mapStrategy) Locate(id workload.TupleID, _ Row) []int {
-	if parts, ok := m.asg[id]; ok {
-		return parts
-	}
-	return m.def
-}
+func (m mapStrategy) Locate(id workload.TupleID, _ Row) []int { return m.asg[id] }
 
 // evaluateDense interns the trace, aligns the map-keyed assignment with
 // its dense ids and runs EvaluateAssignmentsCompact.
-func evaluateDense(tr *workload.Trace, asg map[workload.TupleID][]int, def []int) Cost {
+func evaluateDense(tr *workload.Trace, asg map[workload.TupleID][]int) Cost {
 	c := workload.CompactTrace(tr)
 	sets := make([][]int, c.NumTuples())
 	for d, id := range c.In.Tuples() {
@@ -131,12 +120,12 @@ func evaluateDense(tr *workload.Trace, asg map[workload.TupleID][]int, def []int
 			sets[d] = parts
 		}
 	}
-	return EvaluateAssignmentsCompact(c, sets, def)
+	return EvaluateAssignmentsCompact(c, sets)
 }
 
 // TestEvaluateAssignmentsCompactMatchesMap cross-checks the dense
 // evaluator against the map-based one over random traces, assignments
-// with replication, unassigned tuples, and both default policies.
+// with replication and unassigned tuples.
 func TestEvaluateAssignmentsCompactMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
@@ -156,7 +145,7 @@ func TestEvaluateAssignmentsCompactMatchesMap(t *testing.T) {
 		for key := int64(0); key < 40; key++ {
 			id := workload.TupleID{Table: "t", Key: key}
 			switch rng.Intn(4) {
-			case 0: // unassigned: default policy applies
+			case 0: // unassigned: unconstrained
 			case 1: // replicated to several partitions
 				n := 2 + rng.Intn(k-1)
 				perm := rng.Perm(k)[:n]
@@ -166,18 +155,13 @@ func TestEvaluateAssignmentsCompactMatchesMap(t *testing.T) {
 				asg[id] = []int{rng.Intn(k)}
 			}
 		}
-		var defs [][]int
-		defs = append(defs, nil, []int{0})
-		for _, def := range defs {
-			want := evaluateAssignmentsMap(tr, asg, def)
-			got := evaluateDense(tr, asg, def)
-			if got != want {
-				t.Fatalf("trial %d def=%v: compact %+v != map %+v", trial, def, got, want)
-			}
-			// Evaluate reaches the same evaluator through a Strategy.
-			if got := Evaluate(tr, mapStrategy{asg: asg, def: def}, nil); got != want {
-				t.Fatalf("trial %d def=%v: Evaluate %+v != map %+v", trial, def, got, want)
-			}
+		want := evaluateAssignmentsMap(tr, asg)
+		if got := evaluateDense(tr, asg); got != want {
+			t.Fatalf("trial %d: compact %+v != map %+v", trial, got, want)
+		}
+		// Evaluate reaches the same evaluator through a Strategy.
+		if got := Evaluate(tr, mapStrategy{asg: asg}, nil); got != want {
+			t.Fatalf("trial %d: Evaluate %+v != map %+v", trial, got, want)
 		}
 	}
 }

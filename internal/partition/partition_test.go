@@ -253,16 +253,16 @@ func TestEvaluateAssignments(t *testing.T) {
 	tr := workload.NewTrace()
 	tr.Add([]workload.Access{{Tuple: tid("t", 1)}, {Tuple: tid("t", 2)}})
 	tr.Add([]workload.Access{{Tuple: tid("t", 1)}, {Tuple: tid("t", 3)}})
-	c := evaluateDense(tr, asg, nil)
+	c := evaluateDense(tr, asg)
 	if c.Distributed != 1 {
 		t.Errorf("cost = %+v, want 1 distributed", c)
 	}
-	// Default replica set covers unknown tuples.
+	// An unassigned tuple is unconstrained: even its write follows the
+	// transaction.
 	tr2 := workload.NewTrace()
-	tr2.Add([]workload.Access{{Tuple: tid("t", 1)}, {Tuple: tid("t", 999)}})
-	c2 := evaluateDense(tr2, asg, []int{0, 1})
-	if c2.Distributed != 0 {
-		t.Errorf("unknown tuple replicated everywhere should be local: %+v", c2)
+	tr2.Add([]workload.Access{{Tuple: tid("t", 1)}, {Tuple: tid("t", 999), Write: true}})
+	if c2 := evaluateDense(tr2, asg); c2.Distributed != 0 {
+		t.Errorf("unassigned tuple should follow its transaction: %+v", c2)
 	}
 }
 
@@ -299,7 +299,7 @@ func TestRuleString(t *testing.T) {
 func TestLocateSharedSets(t *testing.T) {
 	row := mapRow{"s_w_id": datum.NewInt(3)}
 	for _, k := range []int{1, 4, 8, 256, 300} {
-		router := lookup.NewRouter(k, nil)
+		router := lookup.NewRouter(k)
 		cases := []struct {
 			name string
 			s    Strategy

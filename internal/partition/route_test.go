@@ -1,0 +1,355 @@
+package partition
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"schism/internal/datum"
+	"schism/internal/dtree"
+	"schism/internal/lookup"
+	"schism/internal/sqlparse"
+)
+
+// refRoute is the reference every RouteStmt is held to: the map-based
+// semantics, written out with per-key sets. Hash routes the union of the
+// constrained values' hash partitions; Range the union of its compatible
+// rules' replica sets (Single when one rule matches or the union is one
+// partition), its table Default when none does; Lookup the intersection
+// (Single) and union (All) of the keys' replica sets, a missing key being
+// unconstrained under Floating, else on Default, else on its key hash.
+func refRoute(s Strategy, table string, cons []sqlparse.Constraint, routable bool) Route {
+	k := s.NumPartitions()
+	everywhere := Route{All: allParts(k)}
+	if !routable {
+		return everywhere
+	}
+	switch s := s.(type) {
+	case *Hash:
+		col, ok := s.Columns[table]
+		if !ok {
+			if col = s.KeyColumn[table]; col == "" {
+				return everywhere
+			}
+		}
+		for _, c := range cons {
+			if c.Table != table || c.Column != col || len(c.Eq) == 0 {
+				continue
+			}
+			set := map[int]bool{}
+			for _, v := range c.Eq {
+				set[int(datum.Hash(v)%uint64(k))] = true
+			}
+			parts := sortedSet(set)
+			if len(parts) == 1 {
+				return Route{Single: parts, All: parts}
+			}
+			return Route{All: parts}
+		}
+	case *Range:
+		tr, ok := s.Tables[table]
+		if !ok {
+			return everywhere
+		}
+		set := map[int]bool{}
+		matched := 0
+		for _, rule := range tr.Rules {
+			if ruleCompatible(rule, table, cons) {
+				matched++
+				for _, p := range rule.Parts {
+					set[p] = true
+				}
+			}
+		}
+		if matched == 0 {
+			if tr.Default != nil {
+				return Route{Single: tr.Default, All: tr.Default}
+			}
+			return everywhere
+		}
+		parts := sortedSet(set)
+		if matched == 1 || len(parts) == 1 {
+			return Route{Single: parts, All: parts}
+		}
+		return Route{All: parts}
+	case *Lookup:
+		t, ok := s.Router.Get(table)
+		col := s.KeyColumn[table]
+		if !ok || col == "" {
+			return everywhere
+		}
+		for _, c := range cons {
+			if c.Table != table || c.Column != col || len(c.Eq) == 0 {
+				continue
+			}
+			var inter map[int]bool
+			union := map[int]bool{}
+			for _, v := range c.Eq {
+				key, ok := v.AsInt()
+				if !ok {
+					return everywhere
+				}
+				parts, found := t.Locate(key)
+				if !found {
+					switch {
+					case s.Floating:
+						continue
+					case s.Default != nil:
+						parts = s.Default
+					default:
+						parts = []int{HashPart(key, k)}
+					}
+				}
+				cur := map[int]bool{}
+				for _, p := range parts {
+					cur[p], union[p] = true, true
+				}
+				if inter == nil {
+					inter = cur
+					continue
+				}
+				for p := range inter {
+					if !cur[p] {
+						delete(inter, p)
+					}
+				}
+			}
+			if inter == nil {
+				return Route{Single: allParts(k)}
+			}
+			return Route{Single: sortedSet(inter), All: sortedSet(union)}
+		}
+	}
+	return everywhere
+}
+
+func sortedSet(set map[int]bool) []int {
+	out := make([]int, 0, len(set))
+	for p := range set {
+		out = append(out, p)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// choices draws the small decisions a routing case is built from: from a
+// seeded generator, or from a fuzz input (zeros once it is spent).
+type choices struct {
+	rng *rand.Rand
+	b   []byte
+}
+
+func (c *choices) intn(n int) int {
+	if c.rng != nil {
+		return c.rng.Intn(n)
+	}
+	if len(c.b) == 0 {
+		return 0
+	}
+	v := int(c.b[0]) % n
+	c.b = c.b[1:]
+	return v
+}
+
+// set draws a sorted, duplicate-free, non-empty replica set, the shape
+// every Locate set and every configured Default has.
+func (c *choices) set(k int) []int {
+	var out []int
+	for p := 0; p < k; p++ {
+		if c.intn(3) == 0 {
+			out = append(out, p)
+		}
+	}
+	if out == nil {
+		out = []int{c.intn(k)}
+	}
+	return out
+}
+
+// value draws a key value: mostly small integers, some floats (which
+// AsInt truncates) and strings (which Lookup cannot resolve).
+func (c *choices) value() datum.D {
+	switch c.intn(8) {
+	case 0:
+		return datum.NewFloat(float64(c.intn(24)) - 1.5)
+	case 1:
+		return datum.NewString(string(rune('a' + c.intn(3))))
+	}
+	return datum.NewInt(int64(c.intn(24)) - 2)
+}
+
+// routeCase is one strategy and one statement to route under it.
+type routeCase struct {
+	s        Strategy
+	table    string
+	cons     []sqlparse.Constraint
+	routable bool
+}
+
+// genRouteCase builds a Hash (by key or by column), Range (with or
+// without a table Default) or Lookup (hits, Floating, Default and
+// key-hash misses) strategy over table t, and a statement on t (or on a
+// table the strategy does not know) whose equality lists hold 1–4 values,
+// repeats included.
+func genRouteCase(c *choices) routeCase {
+	k := 2 + c.intn(7)
+	keyCols := map[string]string{"t": "id"}
+	var s Strategy
+	switch c.intn(3) {
+	case 0:
+		h := &Hash{K: k, KeyColumn: keyCols}
+		if c.intn(2) == 0 {
+			h.Columns = map[string]string{"t": "w"}
+		}
+		s = h
+	case 1:
+		tr := &TableRules{Table: "t"}
+		for i, n := 0, c.intn(5); i < n; i++ {
+			var rule RangeRule
+			for j, m := 0, c.intn(3); j < m; j++ {
+				col := "id"
+				if c.intn(3) == 0 {
+					col = "w"
+				}
+				op := []dtree.CondOp{dtree.CondLe, dtree.CondGt, dtree.CondEq, dtree.CondNe}[c.intn(4)]
+				rule.Conds = append(rule.Conds, RangeCond{Column: col, Op: op, Value: datum.NewInt(int64(c.intn(20)))})
+			}
+			rule.Parts = c.set(k)
+			tr.Rules = append(tr.Rules, rule)
+		}
+		if c.intn(2) == 0 {
+			tr.Default = c.set(k)
+		}
+		s = &Range{K: k, Tables: map[string]*TableRules{"t": tr}}
+	default:
+		idx := lookup.NewHashIndex()
+		for i, n := 0, c.intn(30); i < n; i++ {
+			idx.Set(int64(c.intn(20)), c.set(k))
+		}
+		l := &Lookup{K: k, KeyColumn: keyCols,
+			Router: lookup.NewRouterFromTables(k, map[string]lookup.Table{"t": idx})}
+		switch c.intn(3) {
+		case 1:
+			l.Floating = true
+		case 2:
+			l.Default = c.set(k)
+		}
+		s = l
+	}
+
+	rc := routeCase{s: s, table: "t", routable: c.intn(10) != 0}
+	if c.intn(10) == 0 {
+		rc.table = "u"
+	}
+	if c.intn(4) == 0 {
+		lo, hi := datum.NewInt(int64(c.intn(20))), datum.NewInt(int64(c.intn(20)))
+		rc.cons = append(rc.cons, sqlparse.Constraint{Table: "t", Column: "w", Lo: &lo, Hi: &hi})
+	}
+	col := "id"
+	if c.intn(3) == 0 {
+		col = "w"
+	}
+	eq := make([]datum.D, 1+c.intn(4))
+	for i := range eq {
+		if i > 0 && c.intn(3) == 0 {
+			eq[i] = eq[c.intn(i)] // a repeated key
+		} else {
+			eq[i] = c.value()
+		}
+	}
+	rc.cons = append(rc.cons, sqlparse.Constraint{Table: rc.table, Column: col, Eq: eq})
+	return rc
+}
+
+func checkRoute(t *testing.T, rc routeCase) {
+	t.Helper()
+	got := rc.s.RouteStmt(rc.table, rc.cons, rc.routable)
+	want := refRoute(rc.s, rc.table, rc.cons, rc.routable)
+	if !slices.Equal(got.Single, want.Single) || !slices.Equal(got.All, want.All) {
+		t.Fatalf("%s on %s %+v (routable %v): route %+v, reference %+v",
+			rc.s.Name(), rc.table, rc.cons, rc.routable, got, want)
+	}
+}
+
+// TestRouteStmtMatchesReference holds every strategy's RouteStmt to the
+// map-based reference over random strategies and statements.
+func TestRouteStmtMatchesReference(t *testing.T) {
+	c := &choices{rng: rand.New(rand.NewSource(1))}
+	for i := 0; i < 5000; i++ {
+		checkRoute(t, genRouteCase(c))
+	}
+}
+
+// FuzzRouteStmt is TestRouteStmtMatchesReference over fuzzer-chosen
+// cases.
+func FuzzRouteStmt(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 3, 2, 9, 1, 4, 0, 0, 0, 1, 2, 3})
+	f.Add([]byte{5, 1, 4, 1, 2, 0, 3, 2, 1, 1, 0, 7, 7, 7})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkRoute(t, genRouteCase(&choices{b: b}))
+	})
+}
+
+// TestRouteStmtAllocs pins what routing a point statement costs: a
+// one-key equality under Lookup (a hit and each unknown-key rule) or
+// Hash, and a broadcast, return sets the strategy already holds.
+func TestRouteStmtAllocs(t *testing.T) {
+	idx := lookup.NewHashIndex()
+	idx.Set(7, []int{1, 3})
+	router := lookup.NewRouterFromTables(4, map[string]lookup.Table{"t": idx})
+	keyCols := map[string]string{"t": "id"}
+	key := func(v int64) []sqlparse.Constraint {
+		return []sqlparse.Constraint{{Table: "t", Column: "id", Eq: []datum.D{datum.NewInt(v)}}}
+	}
+	for _, tc := range []struct {
+		name     string
+		s        Strategy
+		cons     []sqlparse.Constraint
+		routable bool
+	}{
+		{"lookup hit", &Lookup{K: 4, Router: router, KeyColumn: keyCols}, key(7), true},
+		{"lookup floating miss", &Lookup{K: 4, Router: router, KeyColumn: keyCols, Floating: true}, key(8), true},
+		{"lookup default miss", &Lookup{K: 4, Router: router, KeyColumn: keyCols, Default: []int{0, 2}}, key(8), true},
+		{"lookup hash miss", &Lookup{K: 4, Router: router, KeyColumn: keyCols}, key(8), true},
+		{"hash", &Hash{K: 4, KeyColumn: keyCols}, key(8), true},
+		{"broadcast", &Hash{K: 4, KeyColumn: keyCols}, key(8), false},
+	} {
+		var route Route
+		allocs := testing.AllocsPerRun(200, func() {
+			route = tc.s.RouteStmt("t", tc.cons, tc.routable)
+		})
+		if len(route.Single)+len(route.All) == 0 {
+			t.Fatalf("%s: empty route", tc.name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: RouteStmt allocates %v times, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestPreparedRouteAllocs pins the coordinator's per-statement routing cost
+// for a one-key SELECT under a lookup strategy: the argument slice and the
+// bound constraints — nothing for parsing, nothing for the route.
+func TestPreparedRouteAllocs(t *testing.T) {
+	idx := lookup.NewHashIndex()
+	for key := int64(0); key < 100; key++ {
+		idx.Set(key, []int{int(key % 4), 3})
+	}
+	var l Strategy = &Lookup{K: 4, KeyColumn: map[string]string{"t": "id"},
+		Router: lookup.NewRouterFromTables(4, map[string]lookup.Table{"t": idx})}
+	p := sqlparse.MustPrepare("SELECT * FROM t WHERE id = ?")
+	var route Route
+	allocs := testing.AllocsPerRun(200, func() {
+		args := []datum.D{datum.NewInt(42)}
+		cons, ok := p.Constraints(nil, args)
+		route = l.RouteStmt(p.Table(), cons, ok)
+	})
+	if len(route.Single) != 2 {
+		t.Fatalf("route %+v", route)
+	}
+	if allocs > 2 {
+		t.Errorf("bind + constraints + RouteStmt allocate %v times, want <= 2", allocs)
+	}
+}

@@ -7,7 +7,6 @@ package partition
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"schism/internal/datum"
@@ -28,7 +27,9 @@ type Row interface {
 // placement).
 type Resolver func(id workload.TupleID) Row
 
-// Route describes where a statement may execute (App. C.2).
+// Route describes where a statement may execute (App. C.2). Its sets are
+// read-only, as Locate's: they may be shared with other routes and with
+// the strategy itself.
 type Route struct {
 	// Single lists partitions any ONE of which holds every matching tuple
 	// (a read picks one, preferring a partition the transaction already
@@ -107,11 +108,10 @@ func (h *Hash) RouteStmt(table string, cons []sqlparse.Constraint, routable bool
 		if c.Table != table || c.Column != col || len(c.Eq) == 0 {
 			continue
 		}
-		set := map[int]bool{}
+		var parts []int
 		for _, v := range c.Eq {
-			set[int(datum.Hash(v)%uint64(h.K))] = true
+			parts = union(parts, onePart(int(datum.Hash(v)%uint64(h.K))))
 		}
-		parts := keys(set)
 		if len(parts) == 1 {
 			return Route{Single: parts, All: parts}
 		}
@@ -138,7 +138,7 @@ func (r *FullReplication) Locate(workload.TupleID, Row) []int { return firstPart
 
 // RouteStmt implements Strategy.
 func (r *FullReplication) RouteStmt(string, []sqlparse.Constraint, bool) Route {
-	all := allParts(r.K)
+	all := firstParts(r.K)
 	return Route{Single: all, All: all}
 }
 
@@ -245,19 +245,12 @@ func (r *Range) RouteStmt(table string, cons []sqlparse.Constraint, routable boo
 	if !ok || !routable {
 		return broadcast(r.K)
 	}
-	set := map[int]bool{}
-	single := true
+	var parts []int
 	matched := 0
 	for _, rule := range tr.Rules {
-		if !ruleCompatible(rule, table, cons) {
-			continue
-		}
-		matched++
-		if matched > 1 {
-			single = false
-		}
-		for _, p := range rule.Parts {
-			set[p] = true
+		if ruleCompatible(rule, table, cons) {
+			matched++
+			parts = union(parts, rule.Parts)
 		}
 	}
 	if matched == 0 {
@@ -266,8 +259,7 @@ func (r *Range) RouteStmt(table string, cons []sqlparse.Constraint, routable boo
 		}
 		return broadcast(r.K)
 	}
-	parts := keys(set)
-	if single || len(parts) == 1 {
+	if matched == 1 || len(parts) == 1 {
 		return Route{Single: parts, All: parts}
 	}
 	return Route{All: parts}
@@ -355,9 +347,10 @@ type Lookup struct {
 	// behind the lookup.Table interface) and is the routing hot path.
 	Router *lookup.Router
 	// Default is the replica set for keys missing from the tables (new or
-	// never-traced tuples). Nil means hash placement on the key, matching
-	// the paper's "insert into a random partition"; the Epinions experiment
-	// sets it to all partitions (replicate untouched read-mostly tuples).
+	// never-traced tuples), sorted and duplicate-free like every set Locate
+	// returns. Nil means hash placement on the key, matching the paper's
+	// "insert into a random partition"; the Epinions experiment sets it to
+	// all partitions (replicate untouched read-mostly tuples).
 	Default []int
 	// Floating declares that the tables cover every EXISTING tuple, so an
 	// unknown key is a brand-new tuple that may be created on any
@@ -385,20 +378,34 @@ func (l *Lookup) NumPartitions() int { return l.K }
 // Locate implements Strategy. A nil result means "unconstrained": the
 // tuple is new and can be created wherever the transaction runs.
 func (l *Lookup) Locate(id workload.TupleID, row Row) []int {
-	if parts, ok := l.Router.Locate(id.Table, id.Key); ok {
-		return parts
+	t, _ := l.Router.Get(id.Table)
+	return l.locate(t, id.Key)
+}
+
+// locate resolves one key of table t (nil when the router has no such
+// table) and holds the one unknown-key rule: a key missing from the table
+// is unconstrained (nil) under Floating, else placed on Default, else on
+// its key-hash partition. The set is read-only, as Locate's.
+func (l *Lookup) locate(t lookup.Table, key int64) []int {
+	if t != nil {
+		if parts, ok := t.Locate(key); ok {
+			return parts
+		}
 	}
-	if l.Floating {
+	switch {
+	case l.Floating:
 		return nil
-	}
-	if l.Default != nil {
+	case l.Default != nil:
 		return l.Default
 	}
-	return onePart(HashPart(id.Key, l.K))
+	return onePart(HashPart(key, l.K))
 }
 
 // RouteStmt implements Strategy: equality constraints on the key column
-// resolve through the lookup table; everything else broadcasts.
+// resolve through the lookup table; everything else broadcasts. The
+// intersection of the keys' replica sets serves the whole read and their
+// union is what writes must touch; unconstrained (Floating) keys narrow
+// neither. A one-key route is the set the key located.
 func (l *Lookup) RouteStmt(table string, cons []sqlparse.Constraint, routable bool) Route {
 	t, ok := l.Router.Get(table)
 	keyCol := l.KeyColumn[table]
@@ -409,91 +416,39 @@ func (l *Lookup) RouteStmt(table string, cons []sqlparse.Constraint, routable bo
 		if c.Table != table || c.Column != keyCol || len(c.Eq) == 0 {
 			continue
 		}
-		if len(c.Eq) == 1 {
-			return l.routeKey(t, c.Eq[0])
-		}
-		// Intersection of per-key replica sets serves the whole read;
-		// union is what writes must touch. Floating (new) keys do not
-		// constrain either.
-		var inter map[int]bool
-		union := map[int]bool{}
-		known := 0
+		var r Route
+		known := false
 		for _, v := range c.Eq {
 			k, ok := v.AsInt()
 			if !ok {
 				return broadcast(l.K)
 			}
-			parts, found := t.Locate(k)
-			if !found {
-				if l.Floating {
-					continue
-				}
-				if l.Default != nil {
-					parts = l.Default
-				} else {
-					parts = []int{HashPart(k, l.K)}
-				}
-			}
-			known++
-			cur := map[int]bool{}
-			for _, p := range parts {
-				cur[p] = true
-				union[p] = true
-			}
-			if inter == nil {
-				inter = cur
-			} else {
-				for p := range inter {
-					if !cur[p] {
-						delete(inter, p)
-					}
-				}
+			switch parts := l.locate(t, k); {
+			case parts == nil:
+			case !known:
+				r, known = Route{Single: parts, All: parts}, true
+			default:
+				r.Single, r.All = intersect(r.Single, parts), union(r.All, parts)
 			}
 		}
-		if known == 0 {
+		if !known {
 			// Every key is new: any single partition may host them.
-			return Route{Single: allParts(l.K)}
+			return Route{Single: firstParts(l.K)}
 		}
-		return Route{Single: keys(inter), All: keys(union)}
+		return r
 	}
 	return broadcast(l.K)
 }
 
-// routeKey routes a one-key equality, the shape of every point statement:
-// the key's replica set is both Single and All, so the set logic of the IN
-// path above reduces to one sorted copy (the lookup table keeps its own).
-func (l *Lookup) routeKey(t lookup.Table, v datum.D) Route {
-	k, ok := v.AsInt()
-	if !ok {
-		return broadcast(l.K)
-	}
-	parts, found := t.Locate(k)
-	if !found {
-		switch {
-		case l.Floating:
-			return Route{Single: allParts(l.K)}
-		case l.Default != nil:
-			parts = l.Default
-		default:
-			p := []int{HashPart(k, l.K)}
-			return Route{Single: p, All: p}
-		}
-	}
-	set := slices.Clone(parts)
-	slices.Sort(set)
-	set = slices.Compact(set)
-	return Route{Single: set, All: set}
-}
-
 // HashPart is the canonical key-hash fallback placement: the partition a
 // tuple lands on when no finer policy covers it. Every layer that
-// precomputes or mimics Lookup's fallback (live deployment, experiment
-// scoring) must use this same function.
+// precomputes Lookup's fallback into a table or a shard (core's lookup
+// build, live deployment, cluster loading) must use this same function.
 func HashPart(key int64, k int) int {
 	return int(datum.Hash(datum.NewInt(key)) % uint64(k))
 }
 
-func broadcast(k int) Route { return Route{All: allParts(k)} }
+func broadcast(k int) Route { return Route{All: firstParts(k)} }
 
 // identity holds 0, 1, 2, …: the replica sets Locate returns for hash and
 // full placement are subslices of it, capped so that an append copies
@@ -530,11 +485,40 @@ func allParts(k int) []int {
 	return out
 }
 
-func keys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for p := range set {
-		out = append(out, p)
+// intersect returns the sorted set a ∩ b of two sorted sets, a itself when
+// a ⊆ b. Neither input is written: either may be a strategy's own set.
+func intersect(a, b []int) []int {
+	if subset(a, b) {
+		return a
 	}
-	sort.Ints(out)
+	var out []int
+	for _, p := range a {
+		if contains(b, p) {
+			out = append(out, p)
+		}
+	}
 	return out
+}
+
+// union returns the sorted set a ∪ b of two sorted sets, a or b itself
+// when it holds the other. Neither input is written.
+func union(a, b []int) []int {
+	switch {
+	case subset(b, a):
+		return a
+	case subset(a, b):
+		return b
+	}
+	out := append(append(make([]int, 0, len(a)+len(b)), a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+func subset(a, b []int) bool {
+	for _, p := range a {
+		if !contains(b, p) {
+			return false
+		}
+	}
+	return true
 }

@@ -94,14 +94,16 @@ func stmtStrategies(cfg TPCCConfig, db *storage.Database) (*partition.Hash, part
 	keyCols := TPCCKeyColumns()
 	keyCols["usertable"], keyCols["simplecount"] = "ycsb_key", "id"
 	manual := TPCCManual(cfg, k)
-	router := lookup.NewRouter(k, func() lookup.Table { return lookup.NewHashIndex() })
+	tables := make(map[string]lookup.Table)
 	for _, tn := range db.TableNames() {
-		tbl := db.Table(tn)
+		tbl, idx := db.Table(tn), lookup.NewHashIndex()
 		tbl.ScanAll(func(key int64, row storage.Row) bool {
-			router.Set(tn, key, manual.Locate(workload.TupleID{Table: tn, Key: key}, storage.RowView{Schema: tbl.Schema, Data: row}))
+			idx.Set(key, manual.Locate(workload.TupleID{Table: tn, Key: key}, storage.RowView{Schema: tbl.Schema, Data: row}))
 			return true
 		})
+		tables[tn] = idx
 	}
+	router := lookup.NewRouterFromTables(k, tables)
 	return &partition.Hash{K: k, KeyColumn: keyCols}, manual, &partition.Lookup{K: k, Router: router, KeyColumn: keyCols}
 }
 
