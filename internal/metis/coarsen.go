@@ -9,41 +9,6 @@ import (
 	"sync"
 )
 
-// coarsen builds the multilevel hierarchy in the solver's reusable level
-// storage by repeated heavy-edge matching until the graph has at most
-// coarsenTo nodes or coarsening stalls. It returns the number of levels
-// (>= 1); level 0 is the caller's graph g, level i > 0 lives in
-// s.levels[i].graph, and s.levels[i].cmap maps level-i nodes to level-i+1
-// nodes.
-func (s *Solver) coarsen(g *Graph, coarsenTo int) int {
-	cur := g
-	li := 0
-	for cur.NumNodes() > coarsenTo && li < 39 {
-		lv := s.level(li)
-		lv.cmap = growI32(lv.cmap, cur.NumNodes())
-		cmap := lv.cmap[:cur.NumNodes()]
-		numCoarse := s.heavyEdgeMatch(cur, cmap)
-		// Stall detection: if matching barely shrinks the graph (typical of
-		// star-like graphs where most nodes share one hub), stop coarsening.
-		if float64(numCoarse) > 0.95*float64(cur.NumNodes()) {
-			break
-		}
-		next := s.level(li + 1)
-		s.contract(cur, cmap, numCoarse, next)
-		cur = &next.graph
-		li++
-	}
-	return li + 1
-}
-
-// levelGraph returns the graph at level i (the caller's graph at level 0).
-func (s *Solver) levelGraph(g *Graph, i int) *Graph {
-	if i == 0 {
-		return g
-	}
-	return &s.levels[i].graph
-}
-
 // heavyEdgeMatch computes a matching that pairs each unmatched node with
 // its unmatched neighbour of maximum edge weight (ties broken by first
 // encounter), visiting nodes in random order. Unmatchable nodes remain
@@ -78,21 +43,7 @@ func (s *Solver) heavyEdgeMatch(g *Graph, cmap []int32) int {
 			match[u] = u
 		}
 	}
-	for i := range cmap {
-		cmap[i] = -1
-	}
-	next := int32(0)
-	for u := int32(0); int(u) < n; u++ {
-		if cmap[u] >= 0 {
-			continue
-		}
-		cmap[u] = next
-		if m := match[u]; m != u && m >= 0 {
-			cmap[m] = next
-		}
-		next++
-	}
-	return int(next)
+	return numberMatching(match, cmap)
 }
 
 // contract builds the coarse graph induced by cmap directly in CSR form,

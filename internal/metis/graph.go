@@ -26,9 +26,9 @@
 // (gains, cuts, degrees, contraction folds) is int64.
 //
 // PartHKway is the hypergraph counterpart (hgraph.go, hcoarsen.go,
-// hrefine.go, hkway.go): the same multilevel shape over pin lists,
-// minimising the connectivity metric Σ w(e)·(λ(e)−1) — the number of
-// extra partitions each net spans — which prices distributed
+// hrefine.go, hkway.go): the same multilevel driver (multilevel.go) over
+// pin lists, minimising the connectivity metric Σ w(e)·(λ(e)−1) — the
+// number of extra partitions each net spans — which prices distributed
 // transactions and replication exactly where the clique expansion can
 // only approximate them (see DESIGN.md "Hypergraph partitioning").
 package metis

@@ -10,38 +10,6 @@ import "slices"
 // in nets as well as nodes, unlike clique contraction which can only
 // fold parallel edges.
 
-// hcoarsen builds the hypergraph hierarchy in the solver's reusable
-// hlevel storage until the node count is at most coarsenTo or matching
-// stalls. Level 0 is the caller's hypergraph; level i > 0 lives in
-// s.hlevels[i].hg, with s.hlevels[i].cmap mapping level-i nodes to
-// level-i+1 nodes. Returns the number of levels (>= 1).
-func (s *Solver) hcoarsen(h *HGraph, coarsenTo int) int {
-	cur := h
-	li := 0
-	for cur.NumNodes() > coarsenTo && li < 39 {
-		lv := s.hlevel(li)
-		lv.cmap = growI32(lv.cmap, cur.NumNodes())
-		cmap := lv.cmap[:cur.NumNodes()]
-		numCoarse := s.hconnMatch(cur, cmap)
-		if float64(numCoarse) > 0.95*float64(cur.NumNodes()) {
-			break
-		}
-		next := s.hlevel(li + 1)
-		s.hcontract(cur, cmap, numCoarse, next)
-		cur = &next.hg
-		li++
-	}
-	return li + 1
-}
-
-// hlevelGraph returns the hypergraph at level i (the caller's at level 0).
-func (s *Solver) hlevelGraph(h *HGraph, i int) *HGraph {
-	if i == 0 {
-		return h
-	}
-	return &s.hlevels[i].hg
-}
-
 // maxMatchNet caps the net size considered during matching: a net with
 // s pins contributes w/(s-1) of connectivity to each pin pair, so very
 // large nets say almost nothing about which pair belongs together while
@@ -110,21 +78,7 @@ func (s *Solver) hconnMatch(h *HGraph, cmap []int32) int {
 		}
 	}
 	s.hcand = cand[:0]
-	for i := range cmap {
-		cmap[i] = -1
-	}
-	next := int32(0)
-	for u := int32(0); int(u) < n; u++ {
-		if cmap[u] >= 0 {
-			continue
-		}
-		cmap[u] = next
-		if m := match[u]; m != u && m >= 0 {
-			cmap[m] = next
-		}
-		next++
-	}
-	return int(next)
+	return numberMatching(match, cmap)
 }
 
 // hashPins is a 64-bit FNV-1a-style hash of a sorted coarse pin list,
@@ -153,7 +107,7 @@ func hashPins(pins []int32) uint64 {
 // pin-by-pin verification (a hash collision keeps the nets separate —
 // harmless). Everything is deterministic: nets are visited in order and
 // pins sorted, so equal input gives equal output.
-func (s *Solver) hcontract(f *HGraph, cmap []int32, numCoarse int, out *hlevelData) {
+func (s *Solver) hcontract(f *HGraph, cmap []int32, numCoarse int, out *levelData) {
 	n := f.NumNodes()
 	nc := numCoarse
 

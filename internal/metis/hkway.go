@@ -1,7 +1,5 @@
 package metis
 
-import "fmt"
-
 // PartHKway partitions the hypergraph h into k balanced parts minimising
 // the connectivity metric Σ w(e)·(λ(e)−1) — the number of extra
 // partitions each transaction straddles, which is what the clique-cut
@@ -16,80 +14,69 @@ func PartHKway(h *HGraph, k int, opts Options) ([]int32, int64, error) {
 }
 
 // PartHKway is the context-reusing form of the package-level PartHKway,
-// following the PartKway multilevel shape: heavy-connectivity coarsening
-// over pins, initial partitioning by the existing recursive bisection on
-// a clique expansion of the *coarsest* hypergraph (small, so expansion
-// is cheap there), and λ−1 boundary refinement during uncoarsening.
-// Equal (h, k, opts) give byte-identical results whether the Solver is
-// fresh or reused.
+// the same multilevel driver as PartKway: heavy-connectivity coarsening
+// over pins, initial partitioning by the recursive bisection of a clique
+// expansion of the *coarsest* hypergraph (small, so expansion is cheap
+// there), and λ−1 boundary refinement during uncoarsening. Equal
+// (h, k, opts) give byte-identical results whether the Solver is fresh or
+// reused.
 func (s *Solver) PartHKway(h *HGraph, k int, opts Options) ([]int32, int64, error) {
-	n := h.NumNodes()
-	if k < 1 {
-		return nil, 0, fmt.Errorf("metis: k must be >= 1, got %d", k)
-	}
-	parts := make([]int32, n)
-	if k == 1 || n == 0 {
-		return parts, 0, nil
-	}
-	if k >= n {
-		for i := range parts {
-			parts[i] = int32(i)
-		}
-		return parts, h.ConnectivityCost(parts, n), nil
-	}
-	s.src.Seed(opts.Seed)
+	s.level(0).hg = *h
+	defer s.release()
+	return s.multilevel(hyperCut{s}, k, opts.Seed)
+}
 
-	s.sizeRefineScratch(h.TotalNodeWeight(), k)
+// hyperCut is the connectivity (λ−1) objective over hypergraphs.
+type hyperCut struct{ s *Solver }
 
-	numLevels := s.hcoarsen(h, coarsenTo(k))
-	coarsest := s.hlevelGraph(h, numLevels-1)
+func (c hyperCut) nodes(lv *levelData) int         { return lv.hg.NumNodes() }
+func (c hyperCut) totalWeight(lv *levelData) int64 { return lv.hg.TotalNodeWeight() }
 
-	cparts := parts
-	if numLevels > 1 {
-		lv := s.hlevels[numLevels-1]
-		lv.parts = growI32(lv.parts, coarsest.NumNodes())
-		cparts = lv.parts[:coarsest.NumNodes()]
-	}
-	cg, err := s.cliqueExpandCoarsest(coarsest)
+func (c hyperCut) match(lv *levelData, cmap []int32) int {
+	return c.s.hconnMatch(&lv.hg, cmap)
+}
+
+func (c hyperCut) contract(lv *levelData, cmap []int32, numCoarse int, next *levelData) {
+	c.s.hcontract(&lv.hg, cmap, numCoarse, next)
+}
+
+// initial bisects the coarsest hypergraph's clique expansion. A split of
+// that approximation may break the caps on the hypergraph itself, so —
+// unlike the clique cut's initial split — it is rebalanced before the
+// coarsest level is refined.
+func (c hyperCut) initial(lv *levelData, k int, parts []int32) error {
+	cg, err := c.s.cliqueExpandCoarsest(&lv.hg)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	s.initialPartition(cg, k, s.targets[:k], cparts)
+	c.s.initialPartition(cg, k, c.s.targets[:k], parts)
+	c.seed(lv, parts, k)
+	c.rebalance(lv, parts, k)
+	return nil
+}
 
-	// Refine at the coarsest level, then project and refine at each finer
-	// level; balance caps are in total weight, invariant across levels.
-	// The initial partition came from a clique approximation of the
-	// coarsest hypergraph, so it may violate the caps slightly —
-	// hrebalance runs at every level, including the coarsest.
-	s.hseedRefinement(coarsest, cparts, k)
-	s.hrebalance(coarsest, cparts, k)
-	s.hkwayRefine(coarsest, cparts, k, refinePasses)
-	for li := numLevels - 2; li >= 0; li-- {
-		fh := s.hlevelGraph(h, li)
-		fn := fh.NumNodes()
-		fparts := parts
-		if li > 0 {
-			lv := s.hlevels[li]
-			lv.parts = growI32(lv.parts, fn)
-			fparts = lv.parts[:fn]
-		}
-		cmap := s.hlevels[li].cmap[:fn]
-		for u := 0; u < fn; u++ {
-			fparts[u] = cparts[cmap[u]]
-		}
-		s.hseedRefinement(fh, fparts, k)
-		s.hrebalance(fh, fparts, k)
-		s.hkwayRefine(fh, fparts, k, refinePasses)
-		cparts = fparts
-	}
-	// The refinement state holds each finest-level net's λ in hpLen, so
-	// the cost is one O(nets) sum — no O(pins) recount. The partitioner
-	// tests re-verify this against HGraph.ConnectivityCost.
+func (c hyperCut) seed(lv *levelData, parts []int32, k int) {
+	c.s.hseedRefinement(&lv.hg, parts, k)
+}
+
+func (c hyperCut) rebalance(lv *levelData, parts []int32, k int) {
+	c.s.hrebalance(&lv.hg, parts, k)
+}
+
+func (c hyperCut) refine(lv *levelData, parts []int32, k int) {
+	c.s.hkwayRefine(&lv.hg, parts, refinePasses)
+}
+
+// cost sums w·(λ−1) over the nets, each λ the live length of the net's
+// span — one O(nets) pass, no O(pins) recount. The partitioner tests
+// re-verify it against HGraph.ConnectivityCost.
+func (c hyperCut) cost(lv *levelData) int64 {
+	h := &lv.hg
 	var cost int64
 	for e := int32(0); int(e) < h.NumNets(); e++ {
-		if lambda := int64(s.hpLen[e]); lambda > 1 {
+		if lambda := int64(c.s.hpLen[e]); lambda > 1 {
 			cost += h.netWeight(e) * (lambda - 1)
 		}
 	}
-	return parts, cost, nil
+	return cost
 }

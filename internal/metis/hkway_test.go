@@ -303,7 +303,7 @@ func TestHContractMergesNets(t *testing.T) {
 	// cmap: {0,1}->0, {2,3}->1, {4}->2, {5}->3.
 	cmap := []int32{0, 0, 1, 1, 2, 3}
 	s := NewSolver()
-	var out hlevelData
+	var out levelData
 	s.hcontract(h, cmap, 4, &out)
 	c := &out.hg
 	if err := c.Validate(); err != nil {

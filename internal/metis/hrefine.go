@@ -60,12 +60,8 @@ func (s *Solver) hseedRefinement(h *HGraph, parts []int32, k int) {
 	s.bndPos = growI32(s.bndPos, n)
 	s.bndList = s.bndList[:0]
 	for u := 0; u < n; u++ {
-		if hbcnt[u] > 0 {
-			s.bndPos[u] = int32(len(s.bndList))
-			s.bndList = append(s.bndList, int32(u))
-		} else {
-			s.bndPos[u] = -1
-		}
+		s.bndPos[u] = -1
+		s.updateBoundary(int32(u), hbcnt[u] > 0)
 	}
 }
 
@@ -121,38 +117,21 @@ func (s *Solver) hApplyMove(h *HGraph, parts []int32, u, from, to int32) {
 		if before <= 1 && after > 1 {
 			for _, v := range h.netPins(e) {
 				hbcnt[v]++
-				s.hUpdateBoundary(v)
+				s.updateBoundary(v, hbcnt[v] > 0)
 			}
 		} else if before > 1 && after <= 1 {
 			for _, v := range h.netPins(e) {
 				hbcnt[v]--
-				s.hUpdateBoundary(v)
+				s.updateBoundary(v, hbcnt[v] > 0)
 			}
 		}
 	}
 }
 
-// hUpdateBoundary reconciles u's worklist membership with its boundary
-// count, the hbcnt-keyed twin of updateBoundary.
-func (s *Solver) hUpdateBoundary(u int32) {
-	if s.hbcnt[u] > 0 {
-		if s.bndPos[u] < 0 {
-			s.bndPos[u] = int32(len(s.bndList))
-			s.bndList = append(s.bndList, u)
-		}
-	} else if p := s.bndPos[u]; p >= 0 {
-		last := s.bndList[len(s.bndList)-1]
-		s.bndList[p] = last
-		s.bndPos[last] = p
-		s.bndList = s.bndList[:len(s.bndList)-1]
-		s.bndPos[u] = -1
-	}
-}
-
 // hkwayRefine runs greedy k-way boundary refinement on the connectivity
-// metric: repeated passes over a shuffled worklist, moving each node to
-// the candidate partition that most reduces Σ w·(λ−1), subject to the
-// balance caps. For a move u: from → q the gain reduces to
+// metric: repeated passes over the shared pass queue (startPasses),
+// moving each node to the candidate partition that most reduces
+// Σ w·(λ−1), subject to the balance caps. For a move u: from → q the gain reduces to
 //
 //	gain(q) = conn(q) − Σ_{e ∋ u: cnt(e, from) > 1} w(e)
 //
@@ -160,178 +139,76 @@ func (s *Solver) hUpdateBoundary(u int32) {
 // net u is the last `from` pin of stops straddling from (+w) exactly
 // when q already holds a pin (else the straddle just moves), and a net
 // with other `from` pins grows λ (−w) exactly when q held none. Both
-// terms come from one scan of u's net spans. Zero-gain moves are taken
-// only when they improve balance. The queue discipline matches
-// kwayRefine: pass one visits the whole boundary, later passes only
-// re-queued neighbourhoods of applied moves.
-func (s *Solver) hkwayRefine(h *HGraph, parts []int32, k, maxPasses int) {
-	n := h.NumNodes()
-	touched := s.touched[:0]
-	s.queued = growBool(s.queued, n)
-	queued := s.queued[:n]
-	for i := range queued {
-		queued[i] = false
-	}
-	s.nextList = growI32(s.nextList, len(s.bndList))
-	next := append(s.nextList[:0], s.bndList...)
-	for _, u := range next {
-		queued[u] = true
-	}
-	cur := s.passList[:0]
-	conn := s.conn
+// terms come from one scan of u's net spans (scanNets), and the choice
+// is pickMove's, as in kwayRefine.
+func (s *Solver) hkwayRefine(h *HGraph, parts []int32, maxPasses int) {
+	s.startPasses(h.NumNodes())
 	for pass := 0; pass < maxPasses; pass++ {
-		if len(next) == 0 {
+		cur := s.nextPass()
+		if len(cur) == 0 {
 			break
 		}
-		cur, next = next, cur[:0]
-		s.shuffle(cur)
 		for _, u := range cur {
-			queued[u] = false
-			if s.bndPos[u] < 0 {
+			if !s.dequeue(u) {
 				continue // left the boundary since it was queued
 			}
 			from := parts[u]
-			var baseNeg int64 // Σ w(e) over nets where u is not the last `from` pin
-			touched = touched[:0]
-			for _, e := range h.Nets[h.XNets[u]:h.XNets[u+1]] {
-				w := h.netWeight(e)
-				base := s.hpOff[e]
-				end := base + s.hpLen[e]
-				for i := base; i < end; i++ {
-					p := s.hpPart[i]
-					if p == from {
-						if s.hpCnt[i] > 1 {
-							baseNeg += w
-						}
-						continue
-					}
-					if conn[p] == 0 {
-						touched = append(touched, p)
-					}
-					conn[p] += w
-				}
-			}
-			w := h.NodeWeight(u)
-			var best int32 = -1
-			var bestGain int64
-			for _, p := range touched {
-				if s.pw[p]+w > s.maxPW[p] {
-					continue
-				}
-				gain := conn[p] - baseNeg
-				switch {
-				case gain < 0:
-					// Never worsen the connectivity here; hrebalance
-					// handles overload with negative-gain moves.
-				case best < 0 && (gain > 0 || s.pw[p]+w < s.pw[from]):
-					best, bestGain = p, gain
-				case best >= 0 && gain > bestGain:
-					best, bestGain = p, gain
-				}
-			}
-			for _, p := range touched {
-				conn[p] = 0
-			}
-			if best >= 0 {
+			baseNeg := s.scanNets(h, u, from)
+			if best, _ := s.pickMove(from, h.NodeWeight(u), baseNeg); best >= 0 {
 				s.hApplyMove(h, parts, u, from, best)
 				// Re-queue the move's neighbourhood — every pin sharing a
-				// net with u may have a changed gain. Same deliberate
-				// drift from a full sweep as kwayRefine; the differential
-				// matrix bounds the effect.
-				if s.bndPos[u] >= 0 && !queued[u] {
-					queued[u] = true
-					next = append(next, u)
-				}
+				// net with u may have a changed gain.
+				s.requeue(u)
 				for _, e := range h.Nets[h.XNets[u]:h.XNets[u+1]] {
 					for _, v := range h.netPins(e) {
-						if s.bndPos[v] >= 0 && !queued[v] {
-							queued[v] = true
-							next = append(next, v)
-						}
+						s.requeue(v)
 					}
 				}
 			}
 		}
 	}
-	s.passList, s.nextList = cur[:0], next[:0]
-	s.touched = touched[:0]
 }
 
-// hrebalance moves nodes out of overloaded partitions into feasible
-// ones, preferring the partition the node's nets are most connected to
-// (least connectivity damage) and falling back to the least-loaded. It
-// runs after projection at each uncoarsening level, mirroring rebalance.
+// hrebalance moves nodes out of overloaded partitions, each to
+// rebalanceTarget's choice with connectivity counted over the node's net
+// spans. It runs wherever rebalance does, and on the coarsest level too
+// (hyperCut.initial).
 func (s *Solver) hrebalance(h *HGraph, parts []int32, k int) {
-	over := false
-	for p := 0; p < k; p++ {
-		if s.pw[p] > s.maxPW[p] {
-			over = true
-			break
-		}
-	}
-	if !over {
-		return
-	}
-	n := h.NumNodes()
-	s.overList = s.overList[:0]
-	for u := 0; u < n; u++ {
-		if s.pw[parts[u]] > s.maxPW[parts[u]] {
-			s.overList = append(s.overList, int32(u))
-		}
-	}
-	s.shuffle(s.overList)
-	touched := s.touched[:0]
-	conn := s.conn
-	for _, u := range s.overList {
+	for _, u := range s.overloaded(parts, k) {
 		from := parts[u]
 		if s.pw[from] <= s.maxPW[from] {
 			continue
 		}
-		w := h.NodeWeight(u)
-		touched = touched[:0]
-		for _, e := range h.Nets[h.XNets[u]:h.XNets[u+1]] {
-			nw := h.netWeight(e)
-			base := s.hpOff[e]
-			end := base + s.hpLen[e]
-			for i := base; i < end; i++ {
-				p := s.hpPart[i]
-				if p == from {
-					continue
-				}
-				if conn[p] == 0 {
-					touched = append(touched, p)
-				}
-				conn[p] += nw
-			}
-		}
-		var best int32 = -1
-		var bestConn int64 = -1
-		for _, p := range touched {
-			if s.pw[p]+w > s.maxPW[p] {
-				continue
-			}
-			if conn[p] > bestConn {
-				bestConn, best = conn[p], p
-			}
-		}
-		for _, p := range touched {
-			conn[p] = 0
-		}
-		if best < 0 {
-			var minLoad int64 = 1<<63 - 1
-			for p := 0; p < k; p++ {
-				if int32(p) == from {
-					continue
-				}
-				if s.pw[p]+w <= s.maxPW[p] && s.pw[p] < minLoad {
-					minLoad = s.pw[p]
-					best = int32(p)
-				}
-			}
-		}
-		if best >= 0 {
+		s.scanNets(h, u, from)
+		if best, _ := s.rebalanceTarget(from, h.NodeWeight(u), k); best >= 0 {
 			s.hApplyMove(h, parts, u, from, best)
 		}
 	}
-	s.touched = touched[:0]
+}
+
+// scanNets adds the weight of each of u's nets to every part other than
+// from that the net's span holds, into conn, listing those parts in
+// touched. It returns Σ w(e) over u's nets with another pin in from —
+// the nets a move off from adds a part to.
+func (s *Solver) scanNets(h *HGraph, u, from int32) int64 {
+	var baseNeg int64
+	conn, touched := s.conn, s.touched[:0]
+	for _, e := range h.Nets[h.XNets[u]:h.XNets[u+1]] {
+		w := h.netWeight(e)
+		for i, end := s.hpOff[e], s.hpOff[e]+s.hpLen[e]; i < end; i++ {
+			p := s.hpPart[i]
+			if p == from {
+				if s.hpCnt[i] > 1 {
+					baseNeg += w
+				}
+				continue
+			}
+			if conn[p] == 0 {
+				touched = append(touched, p)
+			}
+			conn[p] += w
+		}
+	}
+	s.touched = touched
+	return baseNeg
 }

@@ -1,7 +1,5 @@
 package metis
 
-import "fmt"
-
 // Options control the partitioner.
 type Options struct {
 	// Seed drives all randomised decisions; equal seeds give equal output.
@@ -11,12 +9,6 @@ type Options struct {
 // imbalance is the permitted load factor per partition relative to
 // perfect balance (METIS ufactor): 1.05 allows 5% overload.
 const imbalance = 1.05
-
-// refinePasses bounds the refinement passes per level.
-const refinePasses = 8
-
-// coarsenTo is the node count at which coarsening for a k-way cut stops.
-func coarsenTo(k int) int { return max(100, 15*k) }
 
 // PartKway partitions g into k balanced parts minimising the weighted edge
 // cut, in the style of METIS kmetis (§4.2 of the Schism paper). It returns
@@ -36,98 +28,58 @@ func PartKway(g *Graph, k int, opts Options) ([]int32, int64, error) {
 // and is recycled across calls. Equal (g, k, opts) give byte-identical
 // results whether the Solver is fresh or reused.
 func (s *Solver) PartKway(g *Graph, k int, opts Options) ([]int32, int64, error) {
-	n := g.NumNodes()
-	if k < 1 {
-		return nil, 0, fmt.Errorf("metis: k must be >= 1, got %d", k)
-	}
-	parts := make([]int32, n)
-	if k == 1 || n == 0 {
-		return parts, 0, nil
-	}
-	if k >= n {
-		for i := range parts {
-			parts[i] = int32(i)
-		}
-		return parts, g.EdgeCut(parts), nil
-	}
-	s.src.Seed(opts.Seed)
+	s.level(0).graph = *g
+	defer s.release()
+	return s.multilevel(cliqueCut{s}, k, opts.Seed)
+}
 
-	// Size the k-dependent scratch. conn must start all-zero: refinement
-	// maintains that invariant via sparse resets.
-	s.conn = growI64(s.conn, k)
-	for i := range s.conn {
-		s.conn[i] = 0
-	}
-	s.pw = growI64(s.pw, k)
-	s.maxPW = growI64(s.maxPW, k)
+// cliqueCut is the edge-cut objective over clique graphs: heavy-edge
+// matching, CSR contraction, recursive bisection of the coarsest graph,
+// and external-degree refinement — boundary FM for bisections, where
+// greedy positive-gain moves get stuck on plateaus, and the greedy
+// boundary pass for k > 2.
+type cliqueCut struct{ s *Solver }
 
-	numLevels := s.coarsen(g, coarsenTo(k))
-	coarsest := s.levelGraph(g, numLevels-1)
+func (c cliqueCut) nodes(lv *levelData) int         { return lv.graph.NumNodes() }
+func (c cliqueCut) totalWeight(lv *levelData) int64 { return lv.graph.TotalNodeWeight() }
 
-	s.targets = growF64(s.targets, k)
-	targets := s.targets[:k]
-	for i := range targets {
-		targets[i] = 1.0 / float64(k)
-	}
+func (c cliqueCut) match(lv *levelData, cmap []int32) int {
+	return c.s.heavyEdgeMatch(&lv.graph, cmap)
+}
 
-	cparts := parts
-	if numLevels > 1 {
-		lv := s.levels[numLevels-1]
-		lv.parts = growI32(lv.parts, coarsest.NumNodes())
-		cparts = lv.parts[:coarsest.NumNodes()]
-	}
-	s.initialPartition(coarsest, k, targets, cparts)
+func (c cliqueCut) contract(lv *levelData, cmap []int32, numCoarse int, next *levelData) {
+	c.s.contract(&lv.graph, cmap, numCoarse, next)
+}
 
-	total := g.TotalNodeWeight()
-	maxPW := s.maxPW[:k]
-	for p := 0; p < k; p++ {
-		m := int64(float64(total) * targets[p] * imbalance)
-		// Always permit at least the ceiling of perfect balance so that a
-		// feasible assignment exists even for tiny graphs.
-		if ceil := (total + int64(k) - 1) / int64(k); m < ceil {
-			m = ceil
-		}
-		maxPW[p] = m
-	}
+func (c cliqueCut) initial(lv *levelData, k int, parts []int32) error {
+	c.s.initialPartition(&lv.graph, k, c.s.targets[:k], parts)
+	c.s.seedRefinement(&lv.graph, parts, k)
+	return nil
+}
 
-	// Refine at the coarsest level, then project and refine at each finer
-	// level. Balance caps are expressed in total weight, which is invariant
-	// across levels; the boundary worklist is reseeded from the cut edges
-	// of each projection. Bisections get boundary-restricted FM (hill
-	// climbing with rollback); k > 2 gets the greedy boundary pass.
-	refine := func(lg *Graph, lparts []int32) {
-		if k == 2 {
-			s.fmRefine2(lg, lparts, refinePasses)
-		} else {
-			s.kwayRefine(lg, lparts, k, refinePasses)
-		}
+func (c cliqueCut) seed(lv *levelData, parts []int32, k int) {
+	c.s.seedRefinement(&lv.graph, parts, k)
+}
+
+func (c cliqueCut) rebalance(lv *levelData, parts []int32, k int) {
+	c.s.rebalance(&lv.graph, parts, k)
+}
+
+func (c cliqueCut) refine(lv *levelData, parts []int32, k int) {
+	if k == 2 {
+		c.s.fmRefine2(&lv.graph, parts, refinePasses)
+	} else {
+		c.s.kwayRefine(&lv.graph, parts, refinePasses)
 	}
-	s.seedRefinement(coarsest, cparts, k)
-	refine(coarsest, cparts)
-	for li := numLevels - 2; li >= 0; li-- {
-		fg := s.levelGraph(g, li)
-		fn := fg.NumNodes()
-		fparts := parts
-		if li > 0 {
-			lv := s.levels[li]
-			lv.parts = growI32(lv.parts, fn)
-			fparts = lv.parts[:fn]
-		}
-		cmap := s.levels[li].cmap[:fn]
-		for u := 0; u < fn; u++ {
-			fparts[u] = cparts[cmap[u]]
-		}
-		s.seedRefinement(fg, fparts, k)
-		s.rebalance(fg, fparts, k)
-		refine(fg, fparts)
-		cparts = fparts
-	}
-	// The refinement loop left s.ed consistent for the finest level, so
-	// the cut is half the external-degree sum — no O(E) recount. The
-	// partitioner tests re-verify this against Graph.EdgeCut.
+}
+
+// cost is half the external-degree sum, which refinement keeps
+// consistent — no O(E) recount. The partitioner tests re-verify it
+// against Graph.EdgeCut.
+func (c cliqueCut) cost(lv *levelData) int64 {
 	var cut int64
-	for _, e := range s.ed[:n] {
+	for _, e := range c.s.ed[:lv.graph.NumNodes()] {
 		cut += e
 	}
-	return parts, cut / 2, nil
+	return cut / 2
 }

@@ -305,16 +305,17 @@ func TestCoarsenHierarchy(t *testing.T) {
 	g := randomGraph(2000, 8000, 11)
 	s := NewSolver()
 	s.src.Seed(2)
-	numLevels := s.coarsen(g, 100)
+	s.level(0).graph = *g
+	numLevels := s.coarsen(cliqueCut{s}, 100)
 	if numLevels < 2 {
 		t.Fatal("expected at least one coarsening level")
 	}
 	for i := 0; i < numLevels-1; i++ {
-		fine := s.levelGraph(g, i)
+		fine := &s.levels[i].graph
 		if len(s.levels[i].cmap) < fine.NumNodes() {
 			t.Fatalf("level %d missing cmap", i)
 		}
-		if s.levelGraph(g, i+1).NumNodes() >= fine.NumNodes() {
+		if s.levels[i+1].graph.NumNodes() >= fine.NumNodes() {
 			t.Fatalf("level %d did not shrink", i)
 		}
 	}

@@ -35,12 +35,8 @@ func (s *Solver) seedRefinement(g *Graph, parts []int32, k int) {
 		}
 		s.ed[u] = ext
 		s.totw[u] = tot
-		if ext > 0 {
-			s.bndPos[u] = int32(len(s.bndList))
-			s.bndList = append(s.bndList, int32(u))
-		} else {
-			s.bndPos[u] = -1
-		}
+		s.bndPos[u] = -1
+		s.updateBoundary(int32(u), ext > 0)
 	}
 }
 
@@ -55,7 +51,7 @@ func (s *Solver) applyMove(g *Graph, parts []int32, u, from, to int32, connTo, t
 	s.pw[from] -= w
 	s.pw[to] += w
 	s.ed[u] = totW - connTo
-	s.updateBoundary(u)
+	s.updateBoundary(u, s.ed[u] > 0)
 	xadj, adj, ew := g.XAdj, g.Adj, g.weights()
 	for j, end := int(xadj[u]), int(xadj[u+1]); j < end; j++ {
 		v := adj[j]
@@ -63,215 +59,82 @@ func (s *Solver) applyMove(g *Graph, parts []int32, u, from, to int32, connTo, t
 		case from:
 			// v's edge to u was internal and is now cut.
 			s.ed[v] += ew.at(j)
-			s.updateBoundary(v)
+			s.updateBoundary(v, s.ed[v] > 0)
 		case to:
 			// v's edge to u was cut and is now internal.
 			s.ed[v] -= ew.at(j)
-			s.updateBoundary(v)
+			s.updateBoundary(v, s.ed[v] > 0)
 		}
-	}
-}
-
-// updateBoundary reconciles u's worklist membership with its external
-// degree. Removal is a swap-delete through the bndPos index, so both
-// directions are O(1).
-func (s *Solver) updateBoundary(u int32) {
-	if s.ed[u] > 0 {
-		if s.bndPos[u] < 0 {
-			s.bndPos[u] = int32(len(s.bndList))
-			s.bndList = append(s.bndList, u)
-		}
-	} else if p := s.bndPos[u]; p >= 0 {
-		last := s.bndList[len(s.bndList)-1]
-		s.bndList[p] = last
-		s.bndPos[last] = p
-		s.bndList = s.bndList[:len(s.bndList)-1]
-		s.bndPos[u] = -1
 	}
 }
 
 // kwayRefine runs greedy k-way boundary refinement: repeated passes over
-// a shuffled worklist of candidate nodes, moving each to the adjacent
-// partition that most reduces the cut, subject to the balance caps.
-// Zero-gain moves are taken only when they improve balance.
-//
-// The first pass visits the whole boundary; later passes visit only
-// nodes re-queued because a move changed their neighbourhood (the node
-// itself or a neighbour moved), so converged regions cost nothing after
-// pass one. Stops when the queue drains or maxPasses is reached.
-func (s *Solver) kwayRefine(g *Graph, parts []int32, k, maxPasses int) {
-	n := g.NumNodes()
-	touched := s.touched[:0]
-	s.queued = growBool(s.queued, n)
-	queued := s.queued[:n]
-	for i := range queued {
-		queued[i] = false
-	}
-	s.nextList = growI32(s.nextList, len(s.bndList))
-	next := append(s.nextList[:0], s.bndList...)
-	for _, u := range next {
-		queued[u] = true
-	}
-	cur := s.passList[:0]
-	xadj, adj, ew := g.XAdj, g.Adj, g.weights()
-	conn := s.conn
+// the shared pass queue (startPasses), moving each node to the adjacent
+// partition that most reduces the cut (pickMove, with gain
+// conn(to) − conn(from)), subject to the balance caps. Stops when the
+// queue drains or maxPasses is reached.
+func (s *Solver) kwayRefine(g *Graph, parts []int32, maxPasses int) {
+	s.startPasses(g.NumNodes())
 	for pass := 0; pass < maxPasses; pass++ {
-		if len(next) == 0 {
+		cur := s.nextPass()
+		if len(cur) == 0 {
 			break
 		}
-		cur, next = next, cur[:0]
-		s.shuffle(cur)
 		for _, u := range cur {
-			queued[u] = false
-			if s.bndPos[u] < 0 {
+			if !s.dequeue(u) {
 				continue // left the boundary since it was queued
 			}
 			from := parts[u]
-			var totW int64
-			touched = touched[:0]
-			for j, end := int(xadj[u]), int(xadj[u+1]); j < end; j++ {
-				p := parts[adj[j]]
-				w := ew.at(j)
-				if conn[p] == 0 {
-					touched = append(touched, p)
-				}
-				conn[p] += w
-				totW += w
-			}
-			w := g.NodeWeight(u)
-			var best int32 = -1
-			var bestGain int64
-			for _, p := range touched {
-				if p == from || s.pw[p]+w > s.maxPW[p] {
-					continue
-				}
-				gain := conn[p] - conn[from]
-				switch {
-				case gain < 0:
-					// Never worsen the cut here; rebalance() handles
-					// overload with negative-gain moves separately.
-				case best < 0 && (gain > 0 || s.pw[p]+w < s.pw[from]):
-					// First acceptable move: positive gain, or zero gain
-					// that strictly improves balance.
-					best, bestGain = p, gain
-				case best >= 0 && gain > bestGain:
-					best, bestGain = p, gain
-				}
-			}
-			var connBest int64
-			if best >= 0 {
-				connBest = conn[best]
-			}
-			for _, p := range touched {
-				conn[p] = 0
-			}
+			totW := s.scanEdges(g, parts, u)
+			best, connBest := s.pickMove(from, g.NodeWeight(u), s.conn[from])
 			if best >= 0 {
 				s.applyMove(g, parts, u, from, best, connBest, totW)
-				// Re-queue the move's neighbourhood for the next pass —
-				// the only nodes whose gains changed. A deliberate drift
-				// from the full-sweep reference: a balance-blocked node
-				// far from any move is not retried when capacity frees up
-				// elsewhere; the quality tests bound the effect.
-				if s.bndPos[u] >= 0 && !queued[u] {
-					queued[u] = true
-					next = append(next, u)
-				}
-				for j, end := int(xadj[u]), int(xadj[u+1]); j < end; j++ {
-					v := adj[j]
-					if s.bndPos[v] >= 0 && !queued[v] {
-						queued[v] = true
-						next = append(next, v)
-					}
+				// Re-queue the move's neighbourhood, the only nodes whose
+				// gains changed.
+				s.requeue(u)
+				for _, v := range g.Adj[g.XAdj[u]:g.XAdj[u+1]] {
+					s.requeue(v)
 				}
 			}
 		}
 	}
-	// Hand the buffers back so their capacity is retained across calls.
-	s.passList, s.nextList = cur[:0], next[:0]
-	s.touched = touched[:0]
 }
 
-// rebalance moves nodes out of overloaded partitions (weight > maxPW)
-// into the least-loaded feasible partitions, choosing moves that hurt the
-// cut least. It runs after projection at each uncoarsening level, where
-// the coarse partition may violate balance on the finer graph. Candidates
-// are only the nodes of overloaded partitions (collected in one O(N) id
-// scan, no per-node connectivity work for the rest), and every move keeps
-// the boundary worklist consistent for the refinement that follows.
+// rebalance moves nodes out of overloaded partitions (weight > maxPW),
+// each to rebalanceTarget's choice. It runs after projection at each
+// uncoarsening level, where the coarse partition may violate balance on
+// the finer graph, and every move keeps the boundary worklist consistent
+// for the refinement that follows.
 func (s *Solver) rebalance(g *Graph, parts []int32, k int) {
-	over := false
-	for p := 0; p < k; p++ {
-		if s.pw[p] > s.maxPW[p] {
-			over = true
-			break
-		}
-	}
-	if !over {
-		return
-	}
-	n := g.NumNodes()
-	s.overList = s.overList[:0]
-	for u := 0; u < n; u++ {
-		if s.pw[parts[u]] > s.maxPW[parts[u]] {
-			s.overList = append(s.overList, int32(u))
-		}
-	}
-	s.shuffle(s.overList)
-	touched := s.touched[:0]
-	for _, u := range s.overList {
+	for _, u := range s.overloaded(parts, k) {
 		from := parts[u]
 		if s.pw[from] <= s.maxPW[from] {
 			continue
 		}
-		w := g.NodeWeight(u)
-		var totW int64
-		touched = touched[:0]
-		for j := g.XAdj[u]; j < g.XAdj[u+1]; j++ {
-			p := parts[g.Adj[j]]
-			ew := g.edgeWeight(j)
-			if s.conn[p] == 0 {
-				touched = append(touched, p)
-			}
-			s.conn[p] += ew
-			totW += ew
-		}
-		// Prefer the adjacent partition with max connectivity that has room;
-		// fall back to the globally least-loaded partition.
-		var best int32 = -1
-		var bestConn int64 = -1
-		for _, p := range touched {
-			if p == from || s.pw[p]+w > s.maxPW[p] {
-				continue
-			}
-			if s.conn[p] > bestConn {
-				bestConn = s.conn[p]
-				best = p
-			}
-		}
-		if best < 0 {
-			var minLoad int64 = 1<<63 - 1
-			for p := 0; p < k; p++ {
-				if int32(p) == from {
-					continue
-				}
-				if s.pw[p]+w <= s.maxPW[p] && s.pw[p] < minLoad {
-					minLoad = s.pw[p]
-					best = int32(p)
-				}
-			}
-		}
-		var connBest int64
-		if best >= 0 {
-			connBest = s.conn[best]
-		}
-		for _, p := range touched {
-			s.conn[p] = 0
-		}
-		if best >= 0 {
+		totW := s.scanEdges(g, parts, u)
+		if best, connBest := s.rebalanceTarget(from, g.NodeWeight(u), k); best >= 0 {
 			s.applyMove(g, parts, u, from, best, connBest, totW)
 		}
 	}
-	s.touched = touched[:0]
+}
+
+// scanEdges adds u's edge weight to each neighbouring part into conn,
+// listing those parts in touched, and returns u's total edge weight.
+func (s *Solver) scanEdges(g *Graph, parts []int32, u int32) int64 {
+	adj, ew := g.Adj, g.weights()
+	var totW int64
+	conn, touched := s.conn, s.touched[:0]
+	for j, end := int(g.XAdj[u]), int(g.XAdj[u+1]); j < end; j++ {
+		p := parts[adj[j]]
+		w := ew.at(j)
+		if conn[p] == 0 {
+			touched = append(touched, p)
+		}
+		conn[p] += w
+		totW += w
+	}
+	s.touched = touched
+	return totW
 }
 
 // fmRefine2 is boundary-restricted Fiduccia–Mattheyses refinement for

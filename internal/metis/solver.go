@@ -6,21 +6,24 @@ import (
 )
 
 // Solver is a reusable partitioner context. It owns every scratch buffer
-// PartKway needs — the multilevel hierarchy, matching and contraction
-// arrays, refinement worklists, and the recursive-bisection scratch — so
-// repeated runs reach a steady state of near-zero allocations: buffers
-// grow to the largest graph seen and are re-sliced per level afterwards.
+// the partitioner needs — the multilevel hierarchy, matching and
+// contraction arrays, refinement worklists, and the recursive-bisection
+// scratch — so repeated runs reach a steady state of near-zero
+// allocations: buffers grow to the largest graph seen and are re-sliced
+// per level afterwards. PartKway, PartHKway and RefineHKway all run
+// through one multilevel driver (multilevel.go) over one level storage,
+// so a Solver serves both cut objectives in any order.
 //
 // A Solver is not safe for concurrent use. The package-level PartKway
-// uses a fresh one per call; hold your own Solver when you want the
-// allocation-free steady state.
+// and PartHKway use a fresh one per call; hold your own Solver when you
+// want the allocation-free steady state.
 type Solver struct {
 	rng *rand.Rand
 	src rand.Source
 
-	// Multilevel hierarchy storage, finest-first. levels[0] carries only
-	// cmap for the caller's graph; levels[i>0] also own the i-th coarse
-	// graph and its projected partition vector.
+	// Multilevel hierarchy storage, finest-first. levels[0] holds the
+	// caller's graph for the length of a call and its cmap; levels[i>0]
+	// also own the i-th coarse graph and its projected partition vector.
 	levels []*levelData
 
 	perm  []int32 // Fisher–Yates permutation buffer
@@ -62,8 +65,7 @@ type Solver struct {
 	stampGen   int32
 	bis        bisectScratch
 
-	// Hypergraph hierarchy and scratch (see hkway.go / hrefine.go).
-	hlevels  []*hlevelData
+	// Hypergraph scratch (see hcoarsen.go / hrefine.go).
 	hscore   []int64          // matching: per-candidate connectivity accumulator
 	hcand    []int32          // candidates with nonzero hscore, for sparse reset
 	hpinTmp  []int32          // contraction: coarse pin buffer for one net
@@ -79,30 +81,25 @@ type Solver struct {
 	hbcnt  []int32 // node -> incident nets with λ > 1 (boundary test)
 }
 
-// levelData is the reusable storage for one rung of the hierarchy.
+// levelData is the reusable storage for one rung of the hierarchy, of
+// either objective: a level holds a clique graph or a hypergraph, and a
+// Solver reused across objectives keeps the buffers of both.
 type levelData struct {
 	cmap  []int32 // this level's node -> next-coarser node
 	parts []int32 // partition labels at this level (levels > 0)
+	nwgt  []int64 // coarse node weights (levels > 0)
 
-	// Coarse-graph storage (levels > 0; level 0 is the caller's graph).
+	// Clique graph: the caller's at level 0, else contract's CSR.
 	xadj  []int32
 	adj   []int32
 	ewgt  []int32
-	nwgt  []int64
 	graph Graph
-}
 
-// hlevelData is the reusable storage for one rung of the hypergraph
-// hierarchy, the dual of levelData: coarse pin lists, merged net
-// weights, and the node → net transpose.
-type hlevelData struct {
-	cmap  []int32 // this level's node -> next-coarser node
-	parts []int32 // partition labels at this level (levels > 0)
-
+	// Hypergraph: the caller's at level 0, else hcontract's coarse pin
+	// lists, merged net weights and node → net transpose.
 	xpins  []int32
 	pins   []int32
 	netwgt []int64
-	nwgt   []int64
 	xnets  []int32
 	nets   []int32
 	hg     HGraph
@@ -147,12 +144,10 @@ func (s *Solver) level(i int) *levelData {
 	return s.levels[i]
 }
 
-// hlevel returns the i-th hlevelData, extending the hierarchy as needed.
-func (s *Solver) hlevel(i int) *hlevelData {
-	for len(s.hlevels) <= i {
-		s.hlevels = append(s.hlevels, &hlevelData{})
-	}
-	return s.hlevels[i]
+// release drops level 0's copy of the caller's graph, so that nothing a
+// call was given outlives it.
+func (s *Solver) release() {
+	s.levels[0].graph, s.levels[0].hg = Graph{}, HGraph{}
 }
 
 // grow returns b with length n, reallocating (with headroom) only when
