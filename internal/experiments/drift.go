@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"schism/internal/cluster"
@@ -308,20 +307,7 @@ func runDriftClusterScenario(sc driftScenario) (DriftCluster, error) {
 		LockTimeout: 2 * time.Second,
 		Obs:         reg,
 	}, func(node int) *storage.Database {
-		db := storage.NewDatabase()
-		for _, tn := range sc.db.TableNames() {
-			schema := *schemas[tn]
-			tbl := db.MustCreateTable(&schema)
-			sc.db.Table(tn).ViewAll(func(key int64, row storage.Row) bool {
-				if parts, ok := tables[tn].Locate(key); ok && slices.Contains(parts, node) {
-					if err := tbl.Insert(row); err != nil {
-						panic(err)
-					}
-				}
-				return true
-			})
-		}
-		return db
+		return cluster.SplitDatabase(sc.db, deployed, node)
 	})
 	defer c.Close()
 	co := cluster.NewCoordinator(c, deployed)
