@@ -109,10 +109,13 @@ func TestPartHKwayTrivial(t *testing.T) {
 	if _, _, err := PartHKway(h, 0, Options{}); err == nil {
 		t.Error("k=0 should error")
 	}
-	small := hyperFromNets(3, [][]int32{{0, 1}}, nil, nil)
-	parts, _, err = PartHKway(small, 5, Options{})
+	small := hyperFromNets(3, [][]int32{{0, 1}, {0, 1, 2}}, []int64{3, 2}, nil)
+	parts, cost, err = PartHKway(small, 5, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cost != 7 {
+		t.Errorf("k >= n cost = %d, want Σ w·(|e|−1) = 7", cost)
 	}
 	seen := map[int32]bool{}
 	for _, p := range parts {

@@ -131,7 +131,8 @@ func (s *Solver) hApplyMove(h *HGraph, parts []int32, u, from, to int32) {
 // hkwayRefine runs greedy k-way boundary refinement on the connectivity
 // metric: repeated passes over the shared pass queue (startPasses),
 // moving each node to the candidate partition that most reduces
-// Σ w·(λ−1), subject to the balance caps. For a move u: from → q the gain reduces to
+// Σ w·(λ−1), subject to the balance caps. For a move u: from → q the
+// gain reduces to
 //
 //	gain(q) = conn(q) − Σ_{e ∋ u: cnt(e, from) > 1} w(e)
 //

@@ -100,10 +100,13 @@ func TestPartKwayTrivial(t *testing.T) {
 		t.Error("k=0 should error")
 	}
 	// k >= n: every node its own partition.
-	small := mustGraph(NewGraph(3, []BuilderEdge{{U: 0, V: 1, Weight: 1}}, nil))
-	parts, _, err = PartKway(small, 5, Options{})
+	small := mustGraph(NewGraph(3, []BuilderEdge{{U: 0, V: 1, Weight: 3}, {U: 1, V: 2, Weight: 2}}, nil))
+	parts, cut, err = PartKway(small, 5, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cut != 5 {
+		t.Errorf("k >= n cut = %d, want every edge's weight, 5", cut)
 	}
 	seen := map[int32]bool{}
 	for _, p := range parts {

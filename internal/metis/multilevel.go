@@ -36,7 +36,7 @@ type objective interface {
 	rebalance(lv *levelData, parts []int32, k int)
 	// refine runs the boundary passes that lower the cut.
 	refine(lv *levelData, parts []int32, k int)
-	// cost is the cut of lv's labels, read off the seeded state.
+	// cost is the cut of lv's labels, read off the refinement state.
 	cost(lv *levelData) int64
 }
 
