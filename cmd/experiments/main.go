@@ -55,7 +55,17 @@ func main() {
 			ran = true
 		}
 	}
-	do("fig1", func() { experiments.PrintFig1(os.Stdout, experiments.Fig1(s)) })
+	fail := func(name string, err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, name+":", err)
+			os.Exit(1)
+		}
+	}
+	do("fig1", func() {
+		rows, err := experiments.Fig1(s)
+		fail("fig1", err)
+		experiments.PrintFig1(os.Stdout, rows)
+	})
 	do("fig4", func() { experiments.PrintFig4(os.Stdout, experiments.Fig4(s)) })
 	do("fig5", func() {
 		ks := []int{2, 4, 8, 16, 32, 64, 128, 256, 512}
@@ -64,7 +74,11 @@ func main() {
 		}
 		experiments.PrintFig5(os.Stdout, experiments.Fig5(ks, s))
 	})
-	do("fig6", func() { experiments.PrintFig6(os.Stdout, experiments.Fig6(s)) })
+	do("fig6", func() {
+		rows, err := experiments.Fig6(s)
+		fail("fig6", err)
+		experiments.PrintFig6(os.Stdout, rows)
+	})
 	do("table1", func() { experiments.PrintTable1(os.Stdout, experiments.Table1(s)) })
 	do("hyper", func() {
 		ks := []int{2, 8, 64}
@@ -75,27 +89,18 @@ func main() {
 	})
 	do("bench", func() {
 		res, err := experiments.Bench(experiments.BenchConfig{Obs: true}, s)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
+		fail("bench", err)
 		experiments.PrintBench(os.Stdout, res)
 	})
 	do("failover", func() {
 		rows, err := experiments.Failover(s)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "failover:", err)
-			os.Exit(1)
-		}
+		fail("failover", err)
 		experiments.PrintFailover(os.Stdout, rows)
 	})
 	do("drift", func() {
 		for _, sc := range []string{"ycsb", "tpcc"} {
 			res, err := experiments.Drift(sc, s)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "drift:", err)
-				os.Exit(1)
-			}
+			fail("drift", err)
 			experiments.PrintDrift(os.Stdout, res)
 			fmt.Println()
 		}
@@ -103,10 +108,7 @@ func main() {
 	do("adapt", func() {
 		for _, sc := range []string{"ycsb", "tpcc"} {
 			res, err := experiments.Adapt(sc, s)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "adapt:", err)
-				os.Exit(1)
-			}
+			fail("adapt", err)
 			experiments.PrintAdapt(os.Stdout, res)
 			fmt.Println()
 		}

@@ -1,5 +1,5 @@
 // Example tpcc: partition TPC-C with Schism, then run the live workload on
-// a simulated shared-nothing cluster partitioned by the derived rules —
+// a simulated shared-nothing cluster partitioned by the strategy it chose —
 // the end-to-end flow of §6.3. It exits non-zero if any transaction of
 // the run failed:
 //
@@ -16,9 +16,7 @@ import (
 	"schism/internal/core"
 	"schism/internal/datum"
 	"schism/internal/driver"
-	"schism/internal/partition"
 	"schism/internal/sqlparse"
-	"schism/internal/storage"
 	"schism/internal/workloads"
 )
 
@@ -45,32 +43,22 @@ func main() {
 	fmt.Println("=== pipeline ===")
 	fmt.Print(res.Report())
 
-	// 2. Deploy: install the learned strategy into the router and spread
-	// the warehouses across the cluster. (We use the range rules when the
-	// validation phase picked them; TPC-C always ends up warehouse-
-	// partitioned with the item table replicated.)
-	strategy := res.Chosen
-	if _, ok := strategy.(*partition.Range); !ok {
-		fmt.Println("note: validation picked", res.ChosenName, "- deploying range rules anyway for the cluster demo")
-		strategy = res.Range
-	}
-	c := cluster.New(cluster.Config{
+	// 2. Deploy the strategy validation chose: the router consults it,
+	// and every node is loaded with exactly the rows it places there.
+	c, co, err := cluster.Deploy(cluster.Config{
 		Nodes:        *k,
 		ServiceTime:  10 * time.Microsecond,
 		NetworkDelay: 100 * time.Microsecond,
-	}, func(node int) *storage.Database {
-		db := storage.NewDatabase()
-		wLo := node**warehouses / *k + 1
-		wHi := (node + 1) * *warehouses / *k
-		workloads.TPCCPopulate(db, cfg, wLo, wHi, true)
-		return db
-	})
+	}, w.DB, res.Chosen)
+	if err != nil {
+		panic(err)
+	}
 	defer c.Close()
-	co := cluster.NewCoordinator(c, strategy)
 
 	// 3. Drive the live five-transaction mix: closed-loop clients, each
 	// drawing from its own deterministic stream. Every statement carries
-	// the warehouse predicate the range rules route on.
+	// both the surrogate key and the warehouse predicate, so it routes
+	// under whichever strategy was chosen.
 	fmt.Println("=== live cluster run ===")
 	r := driver.Run(co, driver.Config{Clients: 4 * *k, Measure: *duration, Seed: 7}, workloads.TPCCStream(cfg))
 	fmt.Println(r)

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"schism/internal/storage"
 	"schism/internal/workload"
 )
 
@@ -261,14 +260,7 @@ func TestDrainDuringTraffic(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	var total int64
-	for i := 0; i < c.NumNodes(); i++ {
-		c.Node(i).DB().Table("account").ScanAll(func(_ int64, row storage.Row) bool {
-			total += row[1].I
-			return true
-		})
-	}
-	if total != 20*1000 {
+	if total := bankTotal(t, c); total != 20*1000 {
 		t.Fatalf("money not conserved across Drain: %d", total)
 	}
 }

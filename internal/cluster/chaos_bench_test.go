@@ -92,7 +92,7 @@ func BenchmarkChaosConvergence(b *testing.B) {
 		if st := plan.Stats(); st.Crashes != 2 || st.Restarts != 2 {
 			b.Fatalf("fault plan crashes=%d restarts=%d, want 2/2", st.Crashes, st.Restarts)
 		}
-		if sum := sumBalances(c); sum != 32*1000 {
+		if sum := bankTotal(b, c); sum != 32*1000 {
 			b.Fatalf("money not conserved: %d", sum)
 		}
 		c.Close()

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"schism/internal/datum"
 	"schism/internal/partition"
 	"schism/internal/storage"
 	"schism/internal/txn"
@@ -22,48 +21,26 @@ import (
 // surfaces ErrRPCTimeout instead of wedging), and no log-force latency.
 func newChaosCluster(t testing.TB, n, keysPerNode int, rpcTimeout time.Duration) (*Cluster, *Coordinator, *partition.Hash) {
 	t.Helper()
-	strat := &partition.Hash{K: n, KeyColumn: map[string]string{"account": "id"}}
-	schema := func() *storage.TableSchema {
-		return &storage.TableSchema{
-			Name: "account",
-			Columns: []storage.Column{
-				{Name: "id", Type: storage.IntCol},
-				{Name: "bal", Type: storage.IntCol},
-			},
-			Key: "id",
-		}
-	}
-	total := n * keysPerNode
-	c := New(Config{
+	strat := accountHash(n)
+	c, co := deploy(t, Config{
 		Nodes:       n,
 		LockTimeout: 500 * time.Millisecond,
 		RPCTimeout:  rpcTimeout,
-	}, func(node int) *storage.Database {
-		db := storage.NewDatabase()
-		tbl := db.MustCreateTable(schema())
-		for k := 0; k < total; k++ {
-			id := int64(k)
-			if strat.Locate(tid(id), nil)[0] != node {
-				continue
-			}
-			if err := tbl.Insert(storage.Row{datum.NewInt(id), datum.NewInt(1000)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	})
-	return c, NewCoordinator(c, strat), strat
+	}, accountDB(t, n*keysPerNode), strat)
+	return c, co, strat
 }
 
-// sumBalances scans every node's image and totals the bal column.
-func sumBalances(c *Cluster) int64 {
-	var total int64
-	for i := 0; i < c.NumNodes(); i++ {
-		c.Node(i).DB().Table("account").ScanAll(func(_ int64, row storage.Row) bool {
-			total += row[1].I
-			return true
-		})
+// bankTotal totals the balances of the cluster's logical snapshot,
+// failing the test if the snapshot does (copies that differ, a group
+// with no running member, replicas that do not converge).
+func bankTotal(t testing.TB, c *Cluster) int64 {
+	t.Helper()
+	snap, err := Logical(c)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var total int64
+	snap.Visit("account", func(_ int64, row storage.Row) { total += row[1].I })
 	return total
 }
 
@@ -127,7 +104,7 @@ func TestChaosCrashMatrix(t *testing.T) {
 				defer c.Close()
 				locate := func(k int64) int { return strat.Locate(tid(k), nil)[0] }
 				byNode := findKeys(t, locate, 2, 10)
-				total := sumBalances(c)
+				total := bankTotal(t, c)
 
 				plan := NewFaultPlan(co, Fault{
 					Point:        point,
@@ -162,7 +139,7 @@ func TestChaosCrashMatrix(t *testing.T) {
 				}); err != nil {
 					t.Fatalf("post-recovery transfer: %v", err)
 				}
-				if got := sumBalances(c); got != total {
+				if got := bankTotal(t, c); got != total {
 					t.Fatalf("money not conserved across crash at %v: got %d, want %d (recovery: %v)",
 						point, got, total, st.Recovery)
 				}
@@ -185,7 +162,7 @@ func TestChaosPauseMatrix(t *testing.T) {
 			defer c.Close()
 			locate := func(k int64) int { return strat.Locate(tid(k), nil)[0] }
 			byNode := findKeys(t, locate, 2, 10)
-			total := sumBalances(c)
+			total := bankTotal(t, c)
 
 			plan := NewFaultPlan(co, Fault{
 				Point:        point,
@@ -211,7 +188,7 @@ func TestChaosPauseMatrix(t *testing.T) {
 			if err := co.Drain(); err != nil {
 				t.Fatalf("Drain after resume: %v", err)
 			}
-			if got := sumBalances(c); got != total {
+			if got := bankTotal(t, c); got != total {
 				t.Fatalf("money not conserved across pause at %v: got %d, want %d", point, got, total)
 			}
 		})
@@ -230,7 +207,7 @@ func TestChaosRandomSchedule(t *testing.T) {
 			defer c.Close()
 			locate := func(k int64) int { return strat.Locate(tid(k), nil)[0] }
 			byNode := findKeys(t, locate, 3, 8)
-			total := sumBalances(c)
+			total := bankTotal(t, c)
 
 			faults := RandomFaults(seed, 3, 3, 40, 10*time.Millisecond, 30*time.Millisecond)
 			plan := NewFaultPlan(co, faults...)
@@ -259,7 +236,7 @@ func TestChaosRandomSchedule(t *testing.T) {
 			}); err != nil {
 				t.Fatalf("post-recovery transfer: %v", err)
 			}
-			if got := sumBalances(c); got != total {
+			if got := bankTotal(t, c); got != total {
 				st := plan.Stats()
 				t.Fatalf("money not conserved under schedule %v (commits=%d, stats=%+v): got %d, want %d",
 					faults, commits.Load(), st, got, total)
@@ -417,7 +394,7 @@ func TestCrashBetweenStatementsRetriesWhole(t *testing.T) {
 	c, co, _ := newChaosCluster(t, 1, 4, 0)
 	defer c.Close()
 	const total = 4000
-	if got := sumBalances(c); got != total {
+	if got := bankTotal(t, c); got != total {
 		t.Fatalf("seeded %d, want %d", got, total)
 	}
 	crash := func() {
@@ -438,7 +415,7 @@ func TestCrashBetweenStatementsRetriesWhole(t *testing.T) {
 	} else {
 		tx.Abort()
 	}
-	if got := sumBalances(c); got != total {
+	if got := bankTotal(t, c); got != total {
 		t.Fatalf("half a transfer committed (err %v): balances sum to %d, want %d", err, got, total)
 	}
 	if err == nil || !IsRetryable(err) {

@@ -10,6 +10,12 @@
 // bounds throughput when a partition hosts too few warehouses (Fig. 6).
 // Both emerge from real locking and real message counting.
 //
+// Deploy is the way to stand a workload up: it loads every node with
+// exactly the rows the deployed strategy places on its group, so the
+// data and the router agree by construction. Logical reads a drained
+// cluster back as one copy of each row and fails when two copies differ,
+// the one-copy equivalence partial replication must keep.
+//
 // Nodes can fail. Each node owns a write-ahead log (package wal) that
 // records before-images, prepare votes with their write-sets, and
 // commit/abort decisions; Crash discards a node's volatile state and
@@ -27,6 +33,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,6 +156,8 @@ type Cluster struct {
 
 // New starts a cluster; builddb is called once per node to populate that
 // node's local database (partition-local rows plus replicated tables).
+// Deploy is the way to stand a workload up; New stays for callers that
+// load nodes by hand, such as tests planting stray rows on purpose.
 func New(cfg Config, builddb func(node int) *storage.Database) *Cluster {
 	cfg = cfg.withDefaults()
 	if cfg.Nodes <= 0 {
@@ -165,11 +174,7 @@ func New(cfg Config, builddb func(node int) *storage.Database) *Cluster {
 		timeline: cfg.Obs.Timeline(),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		db := builddb(i)
-		if db == nil {
-			db = storage.NewDatabase()
-		}
-		c.nodes = append(c.nodes, newNode(i, cfg, db, &c.hooks))
+		c.nodes = append(c.nodes, newNode(i, cfg, builddb(i), &c.hooks))
 	}
 	r, ids := cfg.ReplicationFactor, allNodes(cfg.Nodes)
 	c.groups = make([][]int, c.NumGroups())
@@ -318,11 +323,34 @@ func (c *Cluster) Close() {
 	}
 }
 
+// settleTimeout bounds Deploy's wait for every group to elect a leader
+// and Logical's wait for every follower to apply its leader's log.
+const settleTimeout = 10 * time.Second
+
+// Deploy stands a workload up: it starts cfg.Nodes nodes, loads node n
+// with SplitDatabase(db, strat, n/R), waits for every group's leader when
+// R > 1, and returns the cluster with a coordinator routing through
+// strat. Unless strat has one partition per group (Nodes/R), it starts
+// nothing and returns an error.
+func Deploy(cfg Config, db *storage.Database, strat partition.Strategy) (*Cluster, *Coordinator, error) {
+	r := max(cfg.ReplicationFactor, 1)
+	if k := strat.NumPartitions(); k <= 0 || k*r != cfg.Nodes {
+		return nil, nil, fmt.Errorf("cluster: strategy %s has %d partitions; %d nodes in groups of %d need %d",
+			strat.Name(), k, cfg.Nodes, r, cfg.Nodes/r)
+	}
+	c := New(cfg, func(node int) *storage.Database { return SplitDatabase(db, strat, node/r) })
+	if !c.WaitForLeaders(settleTimeout) {
+		c.Close()
+		return nil, nil, fmt.Errorf("cluster: no leader elected in every group within %v", settleTimeout)
+	}
+	return c, NewCoordinator(c, strat), nil
+}
+
 // SplitDatabase materialises one node's shard of a single-node database
 // image: every tuple the strategy places (or replicates) on that node,
 // with partition.HashPart fallback for tuples the strategy leaves
-// unplaced. Experiments and tests use it so clusters are populated by
-// exactly the placement the router will consult.
+// unplaced. Deploy loads every node through it, so clusters are
+// populated by exactly the placement the router will consult.
 func SplitDatabase(src *storage.Database, strat partition.Strategy, node int) *storage.Database {
 	k := strat.NumPartitions()
 	db := storage.NewDatabase()
@@ -336,12 +364,9 @@ func SplitDatabase(src *storage.Database, strat partition.Strategy, node int) *s
 			if len(parts) == 0 {
 				parts = []int{partition.HashPart(key, k)}
 			}
-			for _, p := range parts {
-				if p == node {
-					if err := tbl.Insert(row); err != nil {
-						panic(err)
-					}
-					break
+			if slices.Contains(parts, node) {
+				if err := tbl.Insert(row); err != nil {
+					panic(err)
 				}
 			}
 			return true

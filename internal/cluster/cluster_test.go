@@ -17,38 +17,48 @@ import (
 
 func tid(k int64) workload.TupleID { return workload.TupleID{Table: "account", Key: k} }
 
+// accountDB is the single-node image of the bank: accounts 0 to n-1,
+// each holding 1000.
+func accountDB(t testing.TB, n int) *storage.Database {
+	t.Helper()
+	db := storage.NewDatabase()
+	tbl := db.MustCreateTable(&storage.TableSchema{
+		Name: "account",
+		Columns: []storage.Column{
+			{Name: "id", Type: storage.IntCol},
+			{Name: "bal", Type: storage.IntCol},
+		},
+		Key: "id",
+	})
+	for id := int64(0); id < int64(n); id++ {
+		if err := tbl.Insert(storage.Row{datum.NewInt(id), datum.NewInt(1000)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// deploy is Deploy that fails the test on error.
+func deploy(t testing.TB, cfg Config, db *storage.Database, strat partition.Strategy) (*Cluster, *Coordinator) {
+	t.Helper()
+	c, co, err := Deploy(cfg, db, strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, co
+}
+
+// accountHash places accounts by hash of their id over k partitions.
+func accountHash(k int) *partition.Hash {
+	return &partition.Hash{K: k, KeyColumn: map[string]string{"account": "id"}}
+}
+
 // newAccountCluster builds an n-node cluster where table "account" is hash
 // partitioned by id: key k lives on the node Hash strategy picks for it.
 func newAccountCluster(t testing.TB, n int, keysPerNode int) (*Cluster, *Coordinator, *partition.Hash) {
 	t.Helper()
-	strat := &partition.Hash{K: n, KeyColumn: map[string]string{"account": "id"}}
-	schema := func() *storage.TableSchema {
-		return &storage.TableSchema{
-			Name: "account",
-			Columns: []storage.Column{
-				{Name: "id", Type: storage.IntCol},
-				{Name: "bal", Type: storage.IntCol},
-			},
-			Key: "id",
-		}
-	}
-	total := n * keysPerNode
-	c := New(Config{Nodes: n, LockTimeout: 2 * time.Second}, func(node int) *storage.Database {
-		db := storage.NewDatabase()
-		tbl := db.MustCreateTable(schema())
-		for k := 0; k < total; k++ {
-			id := int64(k)
-			home := strat.Locate(tid(id), nil)[0]
-			if home != node {
-				continue
-			}
-			if err := tbl.Insert(storage.Row{datum.NewInt(id), datum.NewInt(1000)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	})
-	co := NewCoordinator(c, strat)
+	strat := accountHash(n)
+	c, co := deploy(t, Config{Nodes: n, LockTimeout: 2 * time.Second}, accountDB(t, n*keysPerNode), strat)
 	return c, co, strat
 }
 
@@ -219,16 +229,7 @@ func TestMoneyConservation(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	// Sum balances directly from node storage.
-	var total int64
-	for i := 0; i < c.NumNodes(); i++ {
-		tbl := c.Node(i).DB().Table("account")
-		tbl.ScanAll(func(_ int64, row storage.Row) bool {
-			total += row[1].I
-			return true
-		})
-	}
-	if total != 20*1000 {
+	if total := bankTotal(t, c); total != 20*1000 {
 		t.Fatalf("money not conserved: total = %d, want 20000", total)
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"schism/internal/datum"
 	"schism/internal/partition"
-	"schism/internal/storage"
 	"schism/internal/txn"
 )
 
@@ -18,19 +16,8 @@ import (
 // shrunk so failover completes in tens of milliseconds.
 func newGroupCluster(t testing.TB, groups, r, keysPerGroup int, rpcTimeout time.Duration) (*Cluster, *Coordinator, *partition.Hash) {
 	t.Helper()
-	strat := &partition.Hash{K: groups, KeyColumn: map[string]string{"account": "id"}}
-	schema := func() *storage.TableSchema {
-		return &storage.TableSchema{
-			Name: "account",
-			Columns: []storage.Column{
-				{Name: "id", Type: storage.IntCol},
-				{Name: "bal", Type: storage.IntCol},
-			},
-			Key: "id",
-		}
-	}
-	total := groups * keysPerGroup
-	c := New(Config{
+	strat := accountHash(groups)
+	c, co := deploy(t, Config{
 		Nodes:             groups * r,
 		ReplicationFactor: r,
 		LockTimeout:       500 * time.Millisecond,
@@ -38,81 +25,8 @@ func newGroupCluster(t testing.TB, groups, r, keysPerGroup int, rpcTimeout time.
 		ReplHeartbeat:     2 * time.Millisecond,
 		ReplElection:      25 * time.Millisecond,
 		ReplSeed:          7,
-	}, func(node int) *storage.Database {
-		group := node / r
-		db := storage.NewDatabase()
-		tbl := db.MustCreateTable(schema())
-		for k := 0; k < total; k++ {
-			id := int64(k)
-			if strat.Locate(tid(id), nil)[0] != group {
-				continue
-			}
-			if err := tbl.Insert(storage.Row{datum.NewInt(id), datum.NewInt(1000)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	})
-	co := NewCoordinator(c, strat)
-	if !c.WaitForLeaders(2 * time.Second) {
-		t.Fatal("no leaders elected")
-	}
+	}, accountDB(t, groups*keysPerGroup), strat)
 	return c, co, strat
-}
-
-// sumGroupBalances totals the account column over one replica per group
-// (the current leader's image). Only meaningful on a converged cluster.
-func sumGroupBalances(t testing.TB, c *Cluster) int64 {
-	t.Helper()
-	var total int64
-	for g := 0; g < c.NumGroups(); g++ {
-		l := c.groupLeaderNode(g)
-		if l < 0 {
-			t.Fatalf("group %d has no leader", g)
-		}
-		c.Node(l).DB().Table("account").ScanAll(func(_ int64, row storage.Row) bool {
-			total += row[1].I
-			return true
-		})
-	}
-	return total
-}
-
-// requireConverged asserts every running member of every group holds an
-// identical account image (call after Drain + WaitReplicated).
-func requireConverged(t *testing.T, c *Cluster) {
-	t.Helper()
-	if !c.WaitReplicated(5 * time.Second) {
-		t.Fatal("cluster did not converge (WaitReplicated timeout)")
-	}
-	for g := 0; g < c.NumGroups(); g++ {
-		var ref map[int64]int64
-		var refNode int
-		for _, m := range c.GroupMembers(g) {
-			if !c.NodeRunning(m) {
-				continue
-			}
-			img := make(map[int64]int64)
-			c.Node(m).DB().Table("account").ScanAll(func(k int64, row storage.Row) bool {
-				img[k] = row[1].I
-				return true
-			})
-			if ref == nil {
-				ref, refNode = img, m
-				continue
-			}
-			if len(img) != len(ref) {
-				t.Fatalf("group %d: node %d has %d rows, node %d has %d",
-					g, m, len(img), refNode, len(ref))
-			}
-			for k, v := range ref {
-				if img[k] != v {
-					t.Fatalf("group %d: key %d diverged: node %d=%d node %d=%d",
-						g, k, m, img[k], refNode, v)
-				}
-			}
-		}
-	}
 }
 
 // settleAndVerify is the common epilogue of every group chaos test:
@@ -138,8 +52,7 @@ func settleAndVerify(t *testing.T, c *Cluster, co *Coordinator, byGroup [][]int6
 	// conservation must hold once the group logs are fully applied.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		requireConverged(t, c)
-		if got := sumGroupBalances(t, c); got == total {
+		if got := bankTotal(t, c); got == total {
 			return
 		} else if time.Now().After(deadline) {
 			t.Fatalf("money not conserved: got %d, want %d", got, total)
@@ -156,7 +69,7 @@ func TestGroupClusterBasic(t *testing.T) {
 	defer c.Close()
 	locate := func(k int64) int { return strat.Locate(tid(k), nil)[0] }
 	byGroup := findKeys(t, locate, 2, 4)
-	total := sumGroupBalances(t, c)
+	total := bankTotal(t, c)
 
 	// Cross-group 2PC transfer.
 	if _, _, err := co.RunTxn(func(tx *Txn) error {
@@ -201,7 +114,7 @@ func TestGroupLeaderCrashMatrix(t *testing.T) {
 			defer c.Close()
 			locate := func(k int64) int { return strat.Locate(tid(k), nil)[0] }
 			byGroup := findKeys(t, locate, 2, 8)
-			total := sumGroupBalances(t, c)
+			total := bankTotal(t, c)
 
 			// Node 0 bootstraps as group 0's leader, so the trigger point
 			// fires on a leader in the middle of 2PC.
@@ -248,7 +161,7 @@ func TestGroupLeaderIsolationMatrix(t *testing.T) {
 			defer c.Close()
 			locate := func(k int64) int { return strat.Locate(tid(k), nil)[0] }
 			byGroup := findKeys(t, locate, 2, 8)
-			total := sumGroupBalances(t, c)
+			total := bankTotal(t, c)
 
 			plan := NewFaultPlan(co, Fault{
 				Point:        point,
@@ -289,7 +202,7 @@ func TestGroupInDoubtCommitFailover(t *testing.T) {
 	locate := func(k int64) int { return strat.Locate(tid(k), nil)[0] }
 	byGroup := findKeys(t, locate, 2, 1)
 	onA, onB := byGroup[0][0], byGroup[1][0]
-	total := sumGroupBalances(t, c)
+	total := bankTotal(t, c)
 
 	// Crash group 0's executing leader right after its yes vote is
 	// durable and acked (the prepare request follows the statements to
@@ -359,7 +272,7 @@ func TestGroupInDoubtAbortFailover(t *testing.T) {
 	locate := func(k int64) int { return strat.Locate(tid(k), nil)[0] }
 	byGroup := findKeys(t, locate, 2, 2)
 	onA, onB := byGroup[0][0], byGroup[1][0]
-	total := sumGroupBalances(t, c)
+	total := bankTotal(t, c)
 
 	// Target the members that actually executed each group's statements:
 	// group 0's dies after its yes vote, group 1's before voting. As in
@@ -423,7 +336,7 @@ func TestGroupSymmetricPartition(t *testing.T) {
 	defer c.Close()
 	locate := func(k int64) int { return strat.Locate(tid(k), nil)[0] }
 	byGroup := findKeys(t, locate, 2, 8)
-	total := sumGroupBalances(t, c)
+	total := bankTotal(t, c)
 
 	stop := make(chan struct{})
 	wg, commits, _ := runTransferTraffic(t, co, byGroup, 4, stop)
@@ -451,7 +364,7 @@ func TestGroupAsymmetricPartition(t *testing.T) {
 	defer c.Close()
 	locate := func(k int64) int { return strat.Locate(tid(k), nil)[0] }
 	byGroup := findKeys(t, locate, 2, 8)
-	total := sumGroupBalances(t, c)
+	total := bankTotal(t, c)
 
 	stop := make(chan struct{})
 	wg, commits, _ := runTransferTraffic(t, co, byGroup, 4, stop)
@@ -480,7 +393,7 @@ func TestGroupFlakyLinksStillCommit(t *testing.T) {
 	defer c.Close()
 	locate := func(k int64) int { return strat.Locate(tid(k), nil)[0] }
 	byGroup := findKeys(t, locate, 2, 8)
-	total := sumGroupBalances(t, c)
+	total := bankTotal(t, c)
 
 	for _, a := range []int{0, 1, 2} {
 		for _, b := range []int{0, 1, 2} {
@@ -506,8 +419,7 @@ func TestGroupFlakyLinksStillCommit(t *testing.T) {
 // follower's position, and restarts it: catch-up must go through a
 // snapshot install, after which the images converge.
 func TestGroupFollowerCatchUpPastTruncation(t *testing.T) {
-	strat := &partition.Hash{K: 1, KeyColumn: map[string]string{"account": "id"}}
-	c := New(Config{
+	c, co := deploy(t, Config{
 		Nodes:              3,
 		ReplicationFactor:  3,
 		LockTimeout:        500 * time.Millisecond,
@@ -515,29 +427,9 @@ func TestGroupFollowerCatchUpPastTruncation(t *testing.T) {
 		ReplElection:       25 * time.Millisecond,
 		ReplCompactEntries: 16, // compact aggressively so catch-up needs the snapshot
 		ReplSeed:           7,
-	}, func(node int) *storage.Database {
-		db := storage.NewDatabase()
-		tbl := db.MustCreateTable(&storage.TableSchema{
-			Name: "account",
-			Columns: []storage.Column{
-				{Name: "id", Type: storage.IntCol},
-				{Name: "bal", Type: storage.IntCol},
-			},
-			Key: "id",
-		})
-		for k := int64(0); k < 10; k++ {
-			if err := tbl.Insert(storage.Row{datum.NewInt(k), datum.NewInt(1000)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	})
+	}, accountDB(t, 10), accountHash(1))
 	defer c.Close()
-	co := NewCoordinator(c, strat)
-	if !c.WaitForLeaders(2 * time.Second) {
-		t.Fatal("no leader elected")
-	}
-	total := sumGroupBalances(t, c)
+	total := bankTotal(t, c)
 
 	c.Crash(2) // a follower (node 0 bootstraps as leader)
 	for i := 0; i < 80; i++ {
@@ -553,8 +445,7 @@ func TestGroupFollowerCatchUpPastTruncation(t *testing.T) {
 	if err := co.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	requireConverged(t, c)
-	if got := sumGroupBalances(t, c); got != total {
+	if got := bankTotal(t, c); got != total {
 		t.Fatalf("money not conserved: got %d, want %d", got, total)
 	}
 }

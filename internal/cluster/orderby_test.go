@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -27,13 +28,12 @@ func TestBroadcastOrderByLimitIsGlobal(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	all := make([]storage.Row, 0, total) // (id, bal) of every account
-	for node := 0; node < 2; node++ {
-		c.Node(node).DB().Table("account").ScanAll(func(_ int64, row storage.Row) bool {
-			all = append(all, row)
-			return true
-		})
+	snap, err := Logical(c)
+	if err != nil {
+		t.Fatal(err)
 	}
+	all := make([]storage.Row, 0, total) // (id, bal) of every account
+	snap.Visit("account", func(_ int64, row storage.Row) { all = append(all, slices.Clone(row)) })
 	if len(all) != total {
 		t.Fatalf("cluster holds %d accounts, want %d", len(all), total)
 	}

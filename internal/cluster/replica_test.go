@@ -6,10 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"schism/internal/datum"
 	"schism/internal/lookup"
 	"schism/internal/partition"
-	"schism/internal/storage"
 	"schism/internal/workload"
 )
 
@@ -38,39 +36,7 @@ func newReplicatedCluster(t testing.TB, n, singles, replicated int) (*Cluster, *
 		Router:    lookup.NewRouterFromTables(n, map[string]lookup.Table{"account": tbl}),
 		KeyColumn: map[string]string{"account": "id"},
 	}
-	schema := func() *storage.TableSchema {
-		return &storage.TableSchema{
-			Name: "account",
-			Columns: []storage.Column{
-				{Name: "id", Type: storage.IntCol},
-				{Name: "bal", Type: storage.IntCol},
-			},
-			Key: "id",
-		}
-	}
-	c := New(Config{Nodes: n, LockTimeout: 2 * time.Second}, func(node int) *storage.Database {
-		db := storage.NewDatabase()
-		tb := db.MustCreateTable(schema())
-		for k := 0; k < total; k++ {
-			if !containsInt(home(int64(k)), node) {
-				continue
-			}
-			if err := tb.Insert(storage.Row{datum.NewInt(int64(k)), datum.NewInt(1000)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	})
-	return c, NewCoordinator(c, strat)
-}
-
-func containsInt(set []int, p int) bool {
-	for _, q := range set {
-		if q == p {
-			return true
-		}
-	}
-	return false
+	return deploy(t, Config{Nodes: n, LockTimeout: 2 * time.Second}, accountDB(t, total), strat)
 }
 
 // TestPickReplicaPrefersTouchedNode pins the §5.4 replica-read rule: once

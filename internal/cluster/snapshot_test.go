@@ -12,7 +12,6 @@ import (
 
 	"schism/internal/cluster/repl"
 	"schism/internal/datum"
-	"schism/internal/partition"
 	"schism/internal/storage"
 	"schism/internal/txn"
 )
@@ -23,8 +22,7 @@ import (
 // rebuilds pendings from the same bytes: the image must be exactly the
 // group-committed prefix.
 func TestGroupSnapshotCommittedPrefix(t *testing.T) {
-	strat := &partition.Hash{K: 1, KeyColumn: map[string]string{"account": "id"}}
-	c := New(Config{
+	c, co := deploy(t, Config{
 		Nodes:              3,
 		ReplicationFactor:  3,
 		LockTimeout:        500 * time.Millisecond,
@@ -32,28 +30,8 @@ func TestGroupSnapshotCommittedPrefix(t *testing.T) {
 		ReplElection:       25 * time.Millisecond,
 		ReplCompactEntries: 8,
 		ReplSeed:           7,
-	}, func(node int) *storage.Database {
-		db := storage.NewDatabase()
-		tbl := db.MustCreateTable(&storage.TableSchema{
-			Name: "account",
-			Columns: []storage.Column{
-				{Name: "id", Type: storage.IntCol},
-				{Name: "bal", Type: storage.IntCol},
-			},
-			Key: "id",
-		})
-		for k := int64(0); k < 10; k++ {
-			if err := tbl.Insert(storage.Row{datum.NewInt(k), datum.NewInt(1000)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	})
+	}, accountDB(t, 10), accountHash(1))
 	defer c.Close()
-	co := NewCoordinator(c, strat)
-	if !c.WaitForLeaders(2 * time.Second) {
-		t.Fatal("no leader elected")
-	}
 	leader := c.LeaderOf(0)
 	member := c.GroupMembers(0)[0]
 	if member == leader {

@@ -75,13 +75,12 @@ func BenchmarkStmtPath(b *testing.B) {
 func benchNewOrder(b *testing.B, exec func(t *cluster.Txn, stmt int, args ...int64) ([]storage.Row, error)) {
 	cfg := workloads.TPCCConfig{Warehouses: 2, Districts: 2, Customers: 5, Items: 20, InitialOrders: 1}
 	db := storage.NewDatabase()
-	workloads.TPCCPopulate(db, cfg, 1, cfg.Warehouses, true)
-	strat := workloads.TPCCManual(cfg, 2)
-	c := cluster.New(cluster.Config{Nodes: 2}, func(node int) *storage.Database {
-		return cluster.SplitDatabase(db, strat, node)
-	})
+	workloads.TPCCPopulate(db, cfg)
+	c, co, err := cluster.Deploy(cluster.Config{Nodes: 2}, db, workloads.TPCCManual(cfg, 2))
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer c.Close()
-	co := cluster.NewCoordinator(c, strat)
 
 	// Warehouse 1, district 1, customer 1, items 0..9 supplied locally;
 	// the surrogate keys are read from the populated rows.

@@ -18,22 +18,14 @@ import (
 // through the fault schedule.
 func newChaosTPCCCluster(t testing.TB, cfg workloads.TPCCConfig, k int) (*cluster.Cluster, *cluster.Coordinator) {
 	t.Helper()
-	strat := workloads.TPCCManual(cfg, k)
-	c := cluster.New(cluster.Config{Nodes: k, LockTimeout: 500 * time.Millisecond},
-		func(node int) *storage.Database {
-			db := storage.NewDatabase()
-			wLo := node*cfg.Warehouses/k + 1
-			wHi := (node + 1) * cfg.Warehouses / k
-			workloads.TPCCPopulate(db, cfg, wLo, wHi, true)
-			return db
-		})
-	return c, cluster.NewCoordinator(c, strat)
+	db := storage.NewDatabase()
+	workloads.TPCCPopulate(db, cfg)
+	return deploy(t, cluster.Config{Nodes: k, LockTimeout: 500 * time.Millisecond}, db, workloads.TPCCManual(cfg, k))
 }
 
-// tpccSnapshot aggregates the quantities the TPC-C consistency
-// conditions relate. Every table below is partitioned by warehouse
-// under TPCCManual, so summing across nodes counts each row once.
-type tpccSnapshot struct {
+// tpccTotals aggregates the quantities the TPC-C consistency conditions
+// relate, over the logical rows of a cluster.
+type tpccTotals struct {
 	wYtd       float64 // sum(warehouse.w_ytd)
 	cBal       float64 // sum(customer.c_balance)
 	dNextOID   int64   // sum(district.d_next_o_id)
@@ -43,30 +35,21 @@ type tpccSnapshot struct {
 	history    int64   // count(history)
 }
 
-func snapshotTPCC(c *cluster.Cluster) tpccSnapshot {
-	var s tpccSnapshot
-	for n := 0; n < c.NumNodes(); n++ {
-		db := c.Node(n).DB()
-		db.Table("warehouse").ScanAll(func(_ int64, row storage.Row) bool {
-			s.wYtd += row[2].F
-			return true
-		})
-		db.Table("customer").ScanAll(func(_ int64, row storage.Row) bool {
-			s.cBal += row[4].F
-			return true
-		})
-		db.Table("district").ScanAll(func(_ int64, row storage.Row) bool {
-			s.dNextOID += row[3].I
-			return true
-		})
-		db.Table("stock").ScanAll(func(_ int64, row storage.Row) bool {
-			s.sYtd += row[4].I
-			return true
-		})
-		db.Table("orders").ScanAll(func(_ int64, _ storage.Row) bool { s.orders++; return true })
-		db.Table("order_line").ScanAll(func(_ int64, _ storage.Row) bool { s.orderLines++; return true })
-		db.Table("history").ScanAll(func(_ int64, _ storage.Row) bool { s.history++; return true })
+func readTPCCTotals(t testing.TB, c *cluster.Cluster) tpccTotals {
+	t.Helper()
+	snap, err := cluster.Logical(c)
+	if err != nil {
+		t.Fatal(err)
 	}
+	s := tpccTotals{
+		orders:     int64(snap.Len("orders")),
+		orderLines: int64(snap.Len("order_line")),
+		history:    int64(snap.Len("history")),
+	}
+	snap.Visit("warehouse", func(_ int64, row storage.Row) { s.wYtd += row[2].F })
+	snap.Visit("customer", func(_ int64, row storage.Row) { s.cBal += row[4].F })
+	snap.Visit("district", func(_ int64, row storage.Row) { s.dNextOID += row[3].I })
+	snap.Visit("stock", func(_ int64, row storage.Row) { s.sYtd += row[4].I })
 	return s
 }
 
@@ -91,7 +74,7 @@ func TestDriverTPCCInvariantsUnderCrashes(t *testing.T) {
 	c, co := newChaosTPCCCluster(t, cfg, 2)
 	defer c.Close()
 
-	before := snapshotTPCC(c)
+	before := readTPCCTotals(t, c)
 
 	// One crash at each 2PC trigger point, spread across both nodes.
 	// Distributed transactions (remote-customer payments, remote-supply
@@ -126,7 +109,7 @@ func TestDriverTPCCInvariantsUnderCrashes(t *testing.T) {
 		t.Fatal("no committed transactions under the fault schedule")
 	}
 
-	after := snapshotTPCC(c)
+	after := readTPCCTotals(t, c)
 
 	// Payment conservation: c_balance funds w_ytd one-for-one.
 	if got, want := after.wYtd+after.cBal, before.wYtd+before.cBal; math.Abs(got-want) > 1e-6 {

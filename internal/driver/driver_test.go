@@ -21,16 +21,19 @@ import (
 // warehouse-range partitioning, warehouses split contiguously.
 func newTPCCCluster(t testing.TB, cfg workloads.TPCCConfig, k int) (*cluster.Cluster, *cluster.Coordinator) {
 	t.Helper()
-	strat := workloads.TPCCManual(cfg, k)
-	c := cluster.New(cluster.Config{Nodes: k, LockTimeout: 2 * time.Second},
-		func(node int) *storage.Database {
-			db := storage.NewDatabase()
-			wLo := node*cfg.Warehouses/k + 1
-			wHi := (node + 1) * cfg.Warehouses / k
-			workloads.TPCCPopulate(db, cfg, wLo, wHi, true)
-			return db
-		})
-	return c, cluster.NewCoordinator(c, strat)
+	db := storage.NewDatabase()
+	workloads.TPCCPopulate(db, cfg)
+	return deploy(t, cluster.Config{Nodes: k, LockTimeout: 2 * time.Second}, db, workloads.TPCCManual(cfg, k))
+}
+
+// deploy is cluster.Deploy that fails the test on error.
+func deploy(t testing.TB, cfg cluster.Config, db *storage.Database, strat partition.Strategy) (*cluster.Cluster, *cluster.Coordinator) {
+	t.Helper()
+	c, co, err := cluster.Deploy(cfg, db, strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, co
 }
 
 // tpccTestConfig fixes every TPC-C size small, below the defaults.
@@ -170,15 +173,11 @@ func fnvHash(s string) uint64 {
 	return h
 }
 
-// clusterFromDB splits a single-node database image across k nodes per
-// the strategy's placement (cluster.SplitDatabase).
+// clusterFromDB deploys a single-node database image on
+// strat.NumPartitions() nodes.
 func clusterFromDB(t testing.TB, src *storage.Database, strat partition.Strategy) (*cluster.Cluster, *cluster.Coordinator) {
 	t.Helper()
-	c := cluster.New(cluster.Config{Nodes: strat.NumPartitions(), LockTimeout: 2 * time.Second},
-		func(node int) *storage.Database {
-			return cluster.SplitDatabase(src, strat, node)
-		})
-	return c, cluster.NewCoordinator(c, strat)
+	return deploy(t, cluster.Config{Nodes: strat.NumPartitions(), LockTimeout: 2 * time.Second}, src, strat)
 }
 
 // TestStreamsSmoke executes every workload stream generator against a
@@ -269,15 +268,38 @@ func BenchmarkDriverTPCC(b *testing.B) {
 
 // --- money conservation under the driver, with live migration ---
 
-func accountSchema() *storage.TableSchema {
-	return &storage.TableSchema{
+// accountDB is the single-node image of the bank: accounts 0 to n-1,
+// each holding 1000.
+func accountDB(t testing.TB, n int) *storage.Database {
+	t.Helper()
+	db := storage.NewDatabase()
+	tbl := db.MustCreateTable(&storage.TableSchema{
 		Name: "account",
 		Columns: []storage.Column{
 			{Name: "id", Type: storage.IntCol},
 			{Name: "bal", Type: storage.IntCol},
 		},
 		Key: "id",
+	})
+	for id := int64(0); id < int64(n); id++ {
+		if err := tbl.Insert(storage.Row{datum.NewInt(id), datum.NewInt(1000)}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return db
+}
+
+// bankTotal totals the balances of the cluster's logical snapshot,
+// failing the test if the snapshot does.
+func bankTotal(t testing.TB, c *cluster.Cluster) int64 {
+	t.Helper()
+	snap, err := cluster.Logical(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	snap.Visit("account", func(_ int64, row storage.Row) { total += row[1].I })
+	return total
 }
 
 // transferStream draws pre-parameterised transfer transactions: the
@@ -316,31 +338,11 @@ func transferStream(total int) driver.StreamMaker {
 func TestDriverMoneyConservationUnderMigration(t *testing.T) {
 	const nodes, total = 2, 30
 	place := func(key int64) int { return int(key) % nodes }
-	c := cluster.New(cluster.Config{Nodes: nodes, LockTimeout: 2 * time.Second},
-		func(node int) *storage.Database {
-			db := storage.NewDatabase()
-			tbl := db.MustCreateTable(accountSchema())
-			for k := 0; k < total; k++ {
-				if place(int64(k)) != node {
-					continue
-				}
-				if err := tbl.Insert(storage.Row{datum.NewInt(int64(k)), datum.NewInt(1000)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return db
-		})
-	defer c.Close()
-	full := storage.NewDatabase()
-	tbl := full.MustCreateTable(accountSchema())
-	for k := 0; k < total; k++ {
-		if err := tbl.Insert(storage.Row{datum.NewInt(int64(k)), datum.NewInt(1000)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	full := accountDB(t, total)
 	strat, tables := live.DeployLookup(full, nodes, map[string]string{"account": "id"},
 		func(id workload.TupleID) []int { return []int{place(id.Key)} })
-	co := cluster.NewCoordinator(c, strat)
+	c, co := deploy(t, cluster.Config{Nodes: nodes, LockTimeout: 2 * time.Second}, full, strat)
+	defer c.Close()
 
 	// Capture committed access sets into a live window while the driver
 	// runs (the capture hook is what the online loop feeds on).
@@ -348,7 +350,7 @@ func TestDriverMoneyConservationUnderMigration(t *testing.T) {
 	co.SetCapture(func(accs []workload.Access) { win.Record(accs) })
 
 	// Start the migration mid-benchmark: move every even key to node 1.
-	exec := live.NewExecutor(co, map[string]*storage.TableSchema{"account": accountSchema()}, tables)
+	exec := live.NewExecutor(co, map[string]*storage.TableSchema{"account": full.Table("account").Schema}, tables)
 	exec.BatchSize = 4
 	migDone := make(chan live.MigrationStats, 1)
 	go func() {
@@ -384,6 +386,8 @@ func TestDriverMoneyConservationUnderMigration(t *testing.T) {
 	if win.Total() == 0 {
 		t.Fatal("capture recorded nothing")
 	}
+	// Summed over node images, not the logical snapshot: a copy the
+	// migration left behind would count twice.
 	var sum int64
 	for node := 0; node < nodes; node++ {
 		c.Node(node).DB().Table("account").ScanAll(func(_ int64, row storage.Row) bool {

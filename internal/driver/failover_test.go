@@ -5,11 +5,8 @@ import (
 	"time"
 
 	"schism/internal/cluster"
-	"schism/internal/datum"
 	"schism/internal/driver"
 	"schism/internal/partition"
-	"schism/internal/storage"
-	"schism/internal/workload"
 )
 
 // newReplicatedBankCluster builds `groups` consensus groups of `r`
@@ -18,19 +15,7 @@ import (
 // tens of milliseconds.
 func newReplicatedBankCluster(t testing.TB, groups, r, keysPerGroup int) (*cluster.Cluster, *cluster.Coordinator) {
 	t.Helper()
-	strat := &partition.Hash{K: groups, KeyColumn: map[string]string{"account": "id"}}
-	schema := func() *storage.TableSchema {
-		return &storage.TableSchema{
-			Name: "account",
-			Columns: []storage.Column{
-				{Name: "id", Type: storage.IntCol},
-				{Name: "bal", Type: storage.IntCol},
-			},
-			Key: "id",
-		}
-	}
-	total := groups * keysPerGroup
-	c := cluster.New(cluster.Config{
+	return deploy(t, cluster.Config{
 		Nodes:             groups * r,
 		ReplicationFactor: r,
 		LockTimeout:       500 * time.Millisecond,
@@ -38,44 +23,7 @@ func newReplicatedBankCluster(t testing.TB, groups, r, keysPerGroup int) (*clust
 		ReplHeartbeat:     2 * time.Millisecond,
 		ReplElection:      25 * time.Millisecond,
 		ReplSeed:          11,
-	}, func(node int) *storage.Database {
-		group := node / r
-		db := storage.NewDatabase()
-		tbl := db.MustCreateTable(schema())
-		for k := 0; k < total; k++ {
-			id := int64(k)
-			if strat.Locate(workload.TupleID{Table: "account", Key: id}, nil)[0] != group {
-				continue
-			}
-			if err := tbl.Insert(storage.Row{datum.NewInt(id), datum.NewInt(1000)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	})
-	co := cluster.NewCoordinator(c, strat)
-	if !c.WaitForLeaders(2 * time.Second) {
-		t.Fatal("no leaders elected")
-	}
-	return c, co
-}
-
-// replicatedTotal sums the account column over the current leader's
-// image of each group. Meaningful only on a converged cluster.
-func replicatedTotal(t testing.TB, c *cluster.Cluster) int64 {
-	t.Helper()
-	var total int64
-	for g := 0; g < c.NumGroups(); g++ {
-		l := c.LeaderOf(g)
-		if l < 0 {
-			t.Fatalf("group %d has no leader", g)
-		}
-		c.Node(l).DB().Table("account").ScanAll(func(_ int64, row storage.Row) bool {
-			total += row[1].I
-			return true
-		})
-	}
-	return total
+	}, accountDB(t, groups*keysPerGroup), &partition.Hash{K: groups, KeyColumn: map[string]string{"account": "id"}})
 }
 
 // TestDriverFailoverAvailability is the headline availability claim:
@@ -90,7 +38,7 @@ func TestDriverFailoverAvailability(t *testing.T) {
 	const groups, r, keysPerGroup = 2, 3, 8
 	c, co := newReplicatedBankCluster(t, groups, r, keysPerGroup)
 	defer c.Close()
-	before := replicatedTotal(t, c)
+	before := bankTotal(t, c)
 
 	// One leader assassination per group, spread through the run, each
 	// victim restarted (and catching up as a follower) shortly after.
@@ -134,10 +82,7 @@ func TestDriverFailoverAvailability(t *testing.T) {
 	if err := co.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if !c.WaitReplicated(5 * time.Second) {
-		t.Fatal("replicas did not converge after the run")
-	}
-	if after := replicatedTotal(t, c); after != before {
+	if after := bankTotal(t, c); after != before {
 		t.Fatalf("money not conserved across failovers: %d -> %d", before, after)
 	}
 }

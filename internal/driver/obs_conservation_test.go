@@ -5,12 +5,9 @@ import (
 	"time"
 
 	"schism/internal/cluster"
-	"schism/internal/datum"
 	"schism/internal/driver"
 	"schism/internal/obs"
 	"schism/internal/partition"
-	"schism/internal/storage"
-	"schism/internal/workload"
 )
 
 // TestObsCountersMatchDriverResult is the metric-conservation gate: the
@@ -25,29 +22,12 @@ func TestObsCountersMatchDriverResult(t *testing.T) {
 	const nodes, total = 2, 24
 	reg := obs.NewRegistry()
 	reg.Tracer().SetSample(16)
-	strat := &partition.Hash{K: nodes, KeyColumn: map[string]string{"account": "id"}}
-	place := func(key int64) int {
-		return strat.Locate(workload.TupleID{Table: "account", Key: key}, nil)[0]
-	}
-	c := cluster.New(cluster.Config{
+	c, co := deploy(t, cluster.Config{
 		Nodes:       nodes,
 		LockTimeout: 500 * time.Millisecond,
 		Obs:         reg,
-	}, func(node int) *storage.Database {
-		db := storage.NewDatabase()
-		tbl := db.MustCreateTable(accountSchema())
-		for k := 0; k < total; k++ {
-			if place(int64(k)) != node {
-				continue
-			}
-			if err := tbl.Insert(storage.Row{datum.NewInt(int64(k)), datum.NewInt(1000)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	})
+	}, accountDB(t, total), &partition.Hash{K: nodes, KeyColumn: map[string]string{"account": "id"}})
 	defer c.Close()
-	co := cluster.NewCoordinator(c, strat)
 
 	plan := cluster.NewFaultPlan(co,
 		cluster.Fault{Point: cluster.BeforePrepareAck, Node: 1, After: 4, RestartAfter: 20 * time.Millisecond},
@@ -88,14 +68,7 @@ func TestObsCountersMatchDriverResult(t *testing.T) {
 	}
 
 	// Ground truth: the counters agree with each other AND with the data.
-	var sum int64
-	for node := 0; node < nodes; node++ {
-		c.Node(node).DB().Table("account").ScanAll(func(_ int64, row storage.Row) bool {
-			sum += row[1].I
-			return true
-		})
-	}
-	if sum != total*1000 {
+	if sum := bankTotal(t, c); sum != total*1000 {
 		t.Fatalf("money not conserved under chaos: %d, want %d", sum, total*1000)
 	}
 

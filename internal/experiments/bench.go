@@ -10,7 +10,6 @@ import (
 	"schism/internal/driver"
 	"schism/internal/obs"
 	"schism/internal/partition"
-	"schism/internal/storage"
 	"schism/internal/workloads"
 )
 
@@ -192,28 +191,25 @@ func benchOne(withObs bool, s Scale, tcfg workloads.TPCCConfig, w *workloads.Wor
 	if withObs {
 		reg = obs.NewRegistry()
 	}
-	c := cluster.New(cluster.Config{
+	// The measurement window must be long relative to the wait-die
+	// retry/backoff dynamics or run-to-run variance swamps the strategy
+	// gap; warmup lets the initial lock-conflict churn settle.
+	r, err := deployAndRun(cluster.Config{
 		Nodes:          k,
 		WorkersPerNode: benchWorkers,
 		ServiceTime:    benchServiceTime,
 		LockTimeout:    benchLockTimeout,
 		LogForce:       benchLogForce,
 		Obs:            reg,
-	}, func(node int) *storage.Database {
-		return cluster.SplitDatabase(w.DB, strat, node)
-	})
-	defer c.Close()
-	co := cluster.NewCoordinator(c, strat)
-
-	// The measurement window must be long relative to the wait-die
-	// retry/backoff dynamics or run-to-run variance swamps the strategy
-	// gap; warmup lets the initial lock-conflict churn settle.
-	r := driver.Run(co, driver.Config{
+	}, w.DB, strat, driver.Config{
 		Clients: benchClients,
 		Warmup:  time.Duration(s.scaled(500, 300)) * time.Millisecond,
 		Measure: time.Duration(s.scaled(2000, 1000)) * time.Millisecond,
 		Seed:    benchSeed,
 	}, workloads.TPCCNewOrderPaymentStream(tcfg))
+	if err != nil {
+		return BenchRow{}, err
+	}
 	if r.Committed == 0 {
 		return BenchRow{}, fmt.Errorf("bench: strategy %q committed no transactions", name)
 	}

@@ -301,16 +301,16 @@ func runDriftClusterScenario(sc driftScenario) (DriftCluster, error) {
 		schemas[tn] = sc.db.Table(tn).Schema
 	}
 	reg := obs.NewRegistry()
-	c := cluster.New(cluster.Config{
+	c, co, err := cluster.Deploy(cluster.Config{
 		Nodes: sc.k, WorkersPerNode: 4,
 		ServiceTime: 2 * time.Microsecond, NetworkDelay: sc.networkLat,
 		LockTimeout: 2 * time.Second,
 		Obs:         reg,
-	}, func(node int) *storage.Database {
-		return cluster.SplitDatabase(sc.db, deployed, node)
-	})
+	}, sc.db, deployed)
+	if err != nil {
+		return DriftCluster{}, err
+	}
 	defer c.Close()
-	co := cluster.NewCoordinator(c, deployed)
 	exec := live.NewExecutor(co, schemas, tables)
 	det, check := sc.detector, sc.check
 	if sc.clusterDetector != (live.DetectorConfig{}) {

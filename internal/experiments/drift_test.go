@@ -93,13 +93,13 @@ func TestDriftClusterSmoke(t *testing.T) {
 // ids.
 func TestPhaseStreamsShareOneCluster(t *testing.T) {
 	cfg := workloads.TPCCConfig{Warehouses: 2, Customers: 10, Items: 50, InitialOrders: 3}
-	c := cluster.New(cluster.Config{Nodes: 1}, func(int) *storage.Database {
-		db := storage.NewDatabase()
-		workloads.TPCCPopulate(db, cfg, 1, cfg.Warehouses, true)
-		return db
-	})
+	db := storage.NewDatabase()
+	workloads.TPCCPopulate(db, cfg)
+	c, co, err := cluster.Deploy(cluster.Config{Nodes: 1}, db, workloads.TPCCManual(cfg, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer c.Close()
-	co := cluster.NewCoordinator(c, workloads.TPCCManual(cfg, 1))
 	const clients, ops = 2, 30
 	for phase := 0; phase < 2; phase++ {
 		r := driver.Run(co, driver.Config{Clients: clients, Ops: ops, Seed: int64(11 + phase)},

@@ -14,6 +14,11 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
+
+	"schism/internal/cluster"
+	"schism/internal/driver"
+	"schism/internal/partition"
+	"schism/internal/storage"
 )
 
 // Scale multiplies the default dataset sizes (1 = laptop defaults).
@@ -37,6 +42,17 @@ func (s Scale) scaled(base, quick int) int {
 		return quick
 	}
 	return base * s.factor()
+}
+
+// deployAndRun stands db up under strat (cluster.Deploy), drives it with
+// stream and closes the cluster.
+func deployAndRun(cfg cluster.Config, db *storage.Database, strat partition.Strategy, dcfg driver.Config, stream driver.StreamMaker) (*driver.Result, error) {
+	c, co, err := cluster.Deploy(cfg, db, strat)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	return driver.Run(co, dcfg, stream), nil
 }
 
 // table renders rows with aligned columns.

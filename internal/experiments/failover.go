@@ -13,7 +13,6 @@ import (
 	"schism/internal/obs"
 	"schism/internal/partition"
 	"schism/internal/storage"
-	"schism/internal/workload"
 )
 
 // The failover experiment measures what replication buys and what it
@@ -86,9 +85,21 @@ func Failover(s Scale) ([]FailoverRow, error) {
 }
 
 func failoverCluster(r int, reg *obs.Registry) (*cluster.Cluster, *cluster.Coordinator, error) {
-	strat := &partition.Hash{K: failoverGroups, KeyColumn: map[string]string{"account": "id"}}
-	total := failoverGroups * failoverKeysPerGroup
-	c := cluster.New(cluster.Config{
+	db := storage.NewDatabase()
+	tbl := db.MustCreateTable(&storage.TableSchema{
+		Name: "account",
+		Columns: []storage.Column{
+			{Name: "id", Type: storage.IntCol},
+			{Name: "bal", Type: storage.IntCol},
+		},
+		Key: "id",
+	})
+	for id := int64(0); id < failoverGroups*failoverKeysPerGroup; id++ {
+		if err := tbl.Insert(storage.Row{datum.NewInt(id), datum.NewInt(1000)}); err != nil {
+			return nil, nil, err
+		}
+	}
+	return cluster.Deploy(cluster.Config{
 		Nodes:             failoverGroups * r,
 		ReplicationFactor: r,
 		LockTimeout:       500 * time.Millisecond,
@@ -97,34 +108,7 @@ func failoverCluster(r int, reg *obs.Registry) (*cluster.Cluster, *cluster.Coord
 		ReplElection:      failoverElection,
 		ReplSeed:          19,
 		Obs:               reg,
-	}, func(node int) *storage.Database {
-		group := node / r
-		db := storage.NewDatabase()
-		tbl := db.MustCreateTable(&storage.TableSchema{
-			Name: "account",
-			Columns: []storage.Column{
-				{Name: "id", Type: storage.IntCol},
-				{Name: "bal", Type: storage.IntCol},
-			},
-			Key: "id",
-		})
-		for k := 0; k < total; k++ {
-			id := int64(k)
-			if strat.Locate(workload.TupleID{Table: "account", Key: id}, nil)[0] != group {
-				continue
-			}
-			if err := tbl.Insert(storage.Row{datum.NewInt(id), datum.NewInt(1000)}); err != nil {
-				return nil
-			}
-		}
-		return db
-	})
-	co := cluster.NewCoordinator(c, strat)
-	if !c.WaitForLeaders(2 * time.Second) {
-		c.Close()
-		return nil, nil, fmt.Errorf("failover: no leaders elected at R=%d", r)
-	}
-	return c, co, nil
+	}, db, &partition.Hash{K: failoverGroups, KeyColumn: map[string]string{"account": "id"}})
 }
 
 // failoverStream is the transfer mix: single-unit moves between random

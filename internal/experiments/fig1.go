@@ -7,7 +7,6 @@ import (
 
 	"schism/internal/cluster"
 	"schism/internal/driver"
-	"schism/internal/storage"
 	"schism/internal/workloads"
 )
 
@@ -39,7 +38,7 @@ const (
 // — comes from the doubled per-transaction message count. Each point is a
 // closed-loop driver.Run over SimplecountStream; latency is the mean
 // commit latency, retries included.
-func Fig1(s Scale) []Fig1Row {
+func Fig1(s Scale) ([]Fig1Row, error) {
 	// Clients per server scale offered load with the cluster (the paper's
 	// 150 clients over 5 servers = 30 per server); keeping per-node load
 	// constant isolates the single-vs-distributed comparison. There are
@@ -52,35 +51,33 @@ func Fig1(s Scale) []Fig1Row {
 	var rows []Fig1Row
 	for n := 1; n <= fig1MaxServers; n++ {
 		sc := workloads.SimplecountConfig{Rows: fig1RowsPerNode * n, Partitions: n}
-		run := func(distributed bool) *driver.Result {
-			c := cluster.New(cluster.Config{
+		row := Fig1Row{Servers: n}
+		for _, distributed := range []bool{false, true} {
+			if distributed && n == 1 {
+				break
+			}
+			r, err := deployAndRun(cluster.Config{
 				Nodes:          n,
 				WorkersPerNode: fig1Workers,
 				ServiceTime:    fig1ServiceTime,
 				NetworkDelay:   fig1NetworkDelay,
-			}, func(node int) *storage.Database { return workloads.SimplecountDB(sc, node) })
-			defer c.Close()
-			co := cluster.NewCoordinator(c, workloads.SimplecountStrategy(sc))
-			return driver.Run(co, driver.Config{
+			}, workloads.SimplecountDB(sc), workloads.SimplecountStrategy(sc), driver.Config{
 				Clients: clientsPerServer * n,
 				Measure: duration,
 				Seed:    42,
 			}, workloads.SimplecountStream(sc, distributed))
-		}
-		single := run(false)
-		row := Fig1Row{
-			Servers:       n,
-			SingleTPS:     single.Throughput(),
-			SingleLatency: single.Latency.Mean(),
-		}
-		if n > 1 {
-			dist := run(true)
-			row.DistributedTPS = dist.Throughput()
-			row.DistLatency = dist.Latency.Mean()
+			if err != nil {
+				return nil, err
+			}
+			if distributed {
+				row.DistributedTPS, row.DistLatency = r.Throughput(), r.Latency.Mean()
+			} else {
+				row.SingleTPS, row.SingleLatency = r.Throughput(), r.Latency.Mean()
+			}
 		}
 		rows = append(rows, row)
 	}
-	return rows
+	return rows, nil
 }
 
 // PrintFig1 renders Fig. 1 rows.

@@ -48,11 +48,17 @@ var fig6Partitions = []int{1, 2, 4, 8}
 // the 16-per-machine series scales near-linearly (§6.3). Each point is a
 // closed-loop driver.Run over TPCCNewOrderPaymentStream, whose
 // statements carry the warehouse predicate TPCCManual routes on.
-func Fig6(s Scale) []Fig6Row {
+func Fig6(s Scale) ([]Fig6Row, error) {
 	var rows []Fig6Row
 	for _, k := range fig6Partitions {
-		fixed := fig6Run(s, k, fig6WarehousesFixed)
-		perMachine := fig6Run(s, k, fig6WarehousesPer*k)
+		fixed, err := fig6Run(s, k, fig6WarehousesFixed)
+		if err != nil {
+			return nil, err
+		}
+		perMachine, err := fig6Run(s, k, fig6WarehousesPer*k)
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, Fig6Row{
 			Partitions:    k,
 			FixedTotalTPS: fixed.Throughput(),
@@ -60,11 +66,11 @@ func Fig6(s Scale) []Fig6Row {
 			failed:        fixed.Failed + perMachine.Failed,
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // fig6Run measures one cluster size and warehouse count.
-func fig6Run(s Scale, k, warehouses int) *driver.Result {
+func fig6Run(s Scale, k, warehouses int) (*driver.Result, error) {
 	tcfg := workloads.TPCCConfig{
 		Warehouses: warehouses,
 		Customers:  s.scaled(60, 20),
@@ -85,8 +91,9 @@ func fig6Run(s Scale, k, warehouses int) *driver.Result {
 	if cap := 2 * warehouses; clients > cap {
 		clients = cap
 	}
-	strat := workloads.TPCCManual(tcfg, k)
-	c := cluster.New(cluster.Config{
+	db := storage.NewDatabase()
+	workloads.TPCCPopulate(db, tcfg)
+	return deployAndRun(cluster.Config{
 		Nodes: k,
 		// A lock wait parks the worker serving it. With fewer workers than
 		// clients, waiters on the hot district and warehouse rows can take
@@ -98,16 +105,7 @@ func fig6Run(s Scale, k, warehouses int) *driver.Result {
 		ServiceTime:    fig6ServiceTime,
 		NetworkDelay:   fig6NetworkDelay,
 		LockTimeout:    5 * time.Second,
-	}, func(node int) *storage.Database {
-		db := storage.NewDatabase()
-		wLo := node*warehouses/k + 1
-		wHi := (node + 1) * warehouses / k
-		workloads.TPCCPopulate(db, tcfg, wLo, wHi, true)
-		return db
-	})
-	defer c.Close()
-	co := cluster.NewCoordinator(c, strat)
-	return driver.Run(co, driver.Config{
+	}, db, workloads.TPCCManual(tcfg, k), driver.Config{
 		Clients: clients,
 		Measure: time.Duration(s.scaled(800, 200)) * time.Millisecond,
 		Seed:    17,

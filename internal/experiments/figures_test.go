@@ -111,7 +111,10 @@ func TestPaperFiguresQuick(t *testing.T) {
 		}
 	}
 
-	fig1 := Fig1(s)
+	fig1, err := Fig1(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	PrintFig1(&sb, fig1)
 	for _, r := range fig1 {
 		if r.SingleTPS <= 0 || (r.Servers > 1 && r.DistributedTPS <= 0) {
@@ -119,7 +122,10 @@ func TestPaperFiguresQuick(t *testing.T) {
 		}
 	}
 
-	fig6 := Fig6(s)
+	fig6, err := Fig6(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	PrintFig6(&sb, fig6)
 	for _, r := range fig6 {
 		if r.FixedTotalTPS <= 0 || r.PerMachineTPS <= 0 || r.failed != 0 {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"schism/internal/cluster"
-	"schism/internal/datum"
 	"schism/internal/storage"
 	"schism/internal/workload"
 )
@@ -18,35 +17,11 @@ import (
 // dead node fail fast instead of wedging a migration batch.
 func newChaosMigrationCluster(t testing.TB, n, total int) (*cluster.Cluster, *cluster.Coordinator, map[string]*SyncTable) {
 	t.Helper()
-	place := func(key int64) int { return int(key) % n }
-	c := cluster.New(cluster.Config{
+	return deployRoundRobin(t, cluster.Config{
 		Nodes:       n,
 		LockTimeout: 500 * time.Millisecond,
 		RPCTimeout:  10 * time.Millisecond,
-	}, func(node int) *storage.Database {
-		db := storage.NewDatabase()
-		tbl := db.MustCreateTable(accountSchema())
-		for k := 0; k < total; k++ {
-			if place(int64(k)) != node {
-				continue
-			}
-			if err := tbl.Insert(storage.Row{datum.NewInt(int64(k)), datum.NewInt(1000)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	})
-	full := storage.NewDatabase()
-	tbl := full.MustCreateTable(accountSchema())
-	for k := 0; k < total; k++ {
-		if err := tbl.Insert(storage.Row{datum.NewInt(int64(k)), datum.NewInt(1000)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	strat, tables := DeployLookup(full, n, map[string]string{"account": "id"},
-		func(id workload.TupleID) []int { return []int{place(id.Key)} })
-	co := cluster.NewCoordinator(c, strat)
-	return c, co, tables
+	}, n, total)
 }
 
 // holders returns, for each key, the set of nodes physically holding it

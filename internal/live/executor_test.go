@@ -25,35 +25,39 @@ func accountSchema() *storage.TableSchema {
 	}
 }
 
-// newMigrationCluster builds an n-node cluster with `total` account rows
-// placed round-robin, routed by a deployed sync-lookup strategy.
-func newMigrationCluster(t testing.TB, n int, total int) (*cluster.Cluster, *cluster.Coordinator, map[string]*SyncTable) {
+// accountDB is the single-node image of the bank: accounts 0 to n-1,
+// each holding 1000.
+func accountDB(t testing.TB, n int) *storage.Database {
 	t.Helper()
-	place := func(key int64) int { return int(key) % n }
-	c := cluster.New(cluster.Config{Nodes: n, LockTimeout: 2 * time.Second}, func(node int) *storage.Database {
-		db := storage.NewDatabase()
-		tbl := db.MustCreateTable(accountSchema())
-		for k := 0; k < total; k++ {
-			if place(int64(k)) != node {
-				continue
-			}
-			if err := tbl.Insert(storage.Row{datum.NewInt(int64(k)), datum.NewInt(1000)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	})
-	full := storage.NewDatabase()
-	tbl := full.MustCreateTable(accountSchema())
-	for k := 0; k < total; k++ {
+	db := storage.NewDatabase()
+	tbl := db.MustCreateTable(accountSchema())
+	for k := 0; k < n; k++ {
 		if err := tbl.Insert(storage.Row{datum.NewInt(int64(k)), datum.NewInt(1000)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	strat, tables := DeployLookup(full, n, map[string]string{"account": "id"},
-		func(id workload.TupleID) []int { return []int{place(id.Key)} })
-	co := cluster.NewCoordinator(c, strat)
+	return db
+}
+
+// deployRoundRobin deploys `total` accounts on cfg's groups, account k on
+// group k mod groups, routed by a deployed sync-lookup strategy.
+func deployRoundRobin(t testing.TB, cfg cluster.Config, groups, total int) (*cluster.Cluster, *cluster.Coordinator, map[string]*SyncTable) {
+	t.Helper()
+	full := accountDB(t, total)
+	strat, tables := DeployLookup(full, groups, map[string]string{"account": "id"},
+		func(id workload.TupleID) []int { return []int{int(id.Key) % groups} })
+	c, co, err := cluster.Deploy(cfg, full, strat)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return c, co, tables
+}
+
+// newMigrationCluster builds an n-node cluster with `total` account rows
+// placed round-robin, routed by a deployed sync-lookup strategy.
+func newMigrationCluster(t testing.TB, n int, total int) (*cluster.Cluster, *cluster.Coordinator, map[string]*SyncTable) {
+	t.Helper()
+	return deployRoundRobin(t, cluster.Config{Nodes: n, LockTimeout: 2 * time.Second}, n, total)
 }
 
 func countRows(c *cluster.Cluster, node int) int {
@@ -134,42 +138,15 @@ func TestExecutorMovesTuplesAndFlipsRouting(t *testing.T) {
 // replicate to every member before the routing flip becomes visible.
 func TestExecutorMovesTuplesOnReplicatedCluster(t *testing.T) {
 	const groups, r, total = 2, 2, 8
-	place := func(key int64) int { return int(key) % groups }
-	c := cluster.New(cluster.Config{
+	c, co, tables := deployRoundRobin(t, cluster.Config{
 		Nodes:             groups * r,
 		ReplicationFactor: r,
 		LockTimeout:       2 * time.Second,
 		ReplHeartbeat:     2 * time.Millisecond,
 		ReplElection:      25 * time.Millisecond,
 		ReplSeed:          5,
-	}, func(node int) *storage.Database {
-		group := node / r
-		db := storage.NewDatabase()
-		tbl := db.MustCreateTable(accountSchema())
-		for k := 0; k < total; k++ {
-			if place(int64(k)) != group {
-				continue
-			}
-			if err := tbl.Insert(storage.Row{datum.NewInt(int64(k)), datum.NewInt(1000)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	})
+	}, groups, total)
 	defer c.Close()
-	full := storage.NewDatabase()
-	tbl := full.MustCreateTable(accountSchema())
-	for k := 0; k < total; k++ {
-		if err := tbl.Insert(storage.Row{datum.NewInt(int64(k)), datum.NewInt(1000)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	strat, tables := DeployLookup(full, groups, map[string]string{"account": "id"},
-		func(id workload.TupleID) []int { return []int{place(id.Key)} })
-	co := cluster.NewCoordinator(c, strat)
-	if !c.WaitForLeaders(2 * time.Second) {
-		t.Fatal("no leaders elected")
-	}
 
 	exec := NewExecutor(co, map[string]*storage.TableSchema{"account": accountSchema()}, tables)
 	// Move keys 0 and 2 from group 0 to group 1.

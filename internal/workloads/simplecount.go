@@ -31,16 +31,12 @@ func SimplecountSchema() *storage.TableSchema {
 	}
 }
 
-// SimplecountDB builds one node's slice of the range-partitioned table.
-func SimplecountDB(cfg SimplecountConfig, node int) *storage.Database {
+// SimplecountDB builds the whole table, ids 0 to Rows-1 with a zero
+// counter; cluster.Deploy splits it by SimplecountStrategy.
+func SimplecountDB(cfg SimplecountConfig) *storage.Database {
 	db := storage.NewDatabase()
 	tbl := db.MustCreateTable(SimplecountSchema())
-	per := cfg.Rows / cfg.Partitions
-	lo, hi := node*per, (node+1)*per
-	if node == cfg.Partitions-1 {
-		hi = cfg.Rows
-	}
-	for id := lo; id < hi; id++ {
+	for id := 0; id < cfg.Rows; id++ {
 		if err := tbl.Insert(storage.Row{datum.NewInt(int64(id)), datum.NewInt(0)}); err != nil {
 			panic(err)
 		}
@@ -71,13 +67,6 @@ func SimplecountStrategy(cfg SimplecountConfig) partition.Strategy {
 // Simplecount builds the workload bundle (for pipeline experiments; the
 // Fig. 1 experiment drives the cluster with SimplecountStream).
 func Simplecount(cfg SimplecountConfig, txns int, seed int64) *Workload {
-	db := storage.NewDatabase()
-	tbl := db.MustCreateTable(SimplecountSchema())
-	for id := 0; id < cfg.Rows; id++ {
-		if err := tbl.Insert(storage.Row{datum.NewInt(int64(id)), datum.NewInt(0)}); err != nil {
-			panic(err)
-		}
-	}
 	rng := rand.New(rand.NewSource(seed))
 	tr := workload.NewTrace()
 	var text txnText
@@ -96,7 +85,7 @@ func Simplecount(cfg SimplecountConfig, txns int, seed int64) *Workload {
 	}
 	return &Workload{
 		Name:       "SIMPLECOUNT",
-		DB:         db,
+		DB:         SimplecountDB(cfg),
 		Trace:      tr,
 		KeyColumns: map[string]string{"simplecount": "id"},
 	}

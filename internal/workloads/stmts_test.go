@@ -38,7 +38,7 @@ func stmtFixture() (cfg TPCCConfig, db *storage.Database, cases []stmtCase) {
 	cfg = TPCCConfig{Warehouses: 4, Districts: 3, Customers: 6, Items: 30, InitialOrders: 3}.withDefaults()
 	k := tpccKeys{cfg}
 	db = storage.NewDatabase()
-	TPCCPopulate(db, cfg, 1, cfg.Warehouses, true)
+	TPCCPopulate(db, cfg)
 	users := db.MustCreateTable(ycsbSchema())
 	counts := db.MustCreateTable(SimplecountSchema())
 	for i := int64(0); i < 40; i++ {
@@ -137,10 +137,11 @@ func TestPreparedMatchesFormattedSQL(t *testing.T) {
 	}
 
 	newCluster := func() (*cluster.Cluster, *cluster.Coordinator) {
-		c := cluster.New(cluster.Config{Nodes: 2, LockTimeout: 2 * time.Second}, func(node int) *storage.Database {
-			return cluster.SplitDatabase(db, lkp, node)
-		})
-		return c, cluster.NewCoordinator(c, lkp)
+		c, co, err := cluster.Deploy(cluster.Config{Nodes: 2, LockTimeout: 2 * time.Second}, db, lkp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, co
 	}
 	adhocC, adhoc := newCluster()
 	defer adhocC.Close()

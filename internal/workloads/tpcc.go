@@ -206,35 +206,30 @@ func TPCCSchemas() []*storage.TableSchema {
 	}
 }
 
-// TPCCPopulate fills db with the warehouses in [wLo, wHi] (1-based,
-// inclusive) plus — when withItems — the full item table. Splitting by
-// warehouse range is exactly how the paper's partitioned deployments lay
-// data out. Unset sizes take the same defaults the streams apply, so the
-// rows a stream addresses exist.
-func TPCCPopulate(db *storage.Database, cfg TPCCConfig, wLo, wHi int, withItems bool) {
+// TPCCPopulate fills db with every warehouse of cfg and the item table:
+// the single-node image that cluster.Deploy splits across nodes by the
+// deployed strategy. Unset sizes take the same defaults the streams
+// apply, so the rows a stream addresses exist.
+func TPCCPopulate(db *storage.Database, cfg TPCCConfig) {
 	cfg = cfg.withDefaults()
 	k := tpccKeys{cfg}
 	for _, s := range TPCCSchemas() {
 		schema := *s
-		if db.Table(schema.Name) == nil {
-			db.MustCreateTable(&schema)
-		}
+		db.MustCreateTable(&schema)
 	}
 	ins := func(table string, row storage.Row) {
 		if err := db.Table(table).Insert(row); err != nil {
 			panic(err)
 		}
 	}
-	if withItems {
-		for i := 0; i < cfg.Items; i++ {
-			ins("item", storage.Row{
-				datum.NewInt(int64(i)),
-				datum.NewString(fmt.Sprintf("item-%d", i)),
-				datum.NewFloat(1 + float64(i%100)),
-			})
-		}
+	for i := 0; i < cfg.Items; i++ {
+		ins("item", storage.Row{
+			datum.NewInt(int64(i)),
+			datum.NewString(fmt.Sprintf("item-%d", i)),
+			datum.NewFloat(1 + float64(i%100)),
+		})
 	}
-	for w := wLo; w <= wHi; w++ {
+	for w := 1; w <= cfg.Warehouses; w++ {
 		ins("warehouse", storage.Row{
 			datum.NewInt(int64(w)),
 			datum.NewString(fmt.Sprintf("wh-%d", w)),

@@ -93,7 +93,7 @@ func (st *tpccState) pushRecent(dk, oKey int64) {
 func TPCC(cfg TPCCConfig) *Workload {
 	cfg = cfg.withDefaults()
 	db := storage.NewDatabase()
-	TPCCPopulate(db, cfg, 1, cfg.Warehouses, true)
+	TPCCPopulate(db, cfg)
 	return &Workload{
 		Name:       fmt.Sprintf("TPCC-%dW", cfg.Warehouses),
 		DB:         db,

@@ -211,14 +211,12 @@ func TestTPCCRuntimeOnCluster(t *testing.T) {
 	cfg := TPCCConfig{Warehouses: 4, Customers: 20, Items: 100, InitialOrders: 5, Seed: 9}
 	const k = 2
 	run := func() (*cluster.Cluster, *driver.Result) {
-		c := cluster.New(cluster.Config{Nodes: k, LockTimeout: 2 * time.Second}, func(node int) *storage.Database {
-			db := storage.NewDatabase()
-			wLo := node*cfg.Warehouses/k + 1
-			wHi := (node + 1) * cfg.Warehouses / k
-			TPCCPopulate(db, cfg, wLo, wHi, true) // item replicated on every node
-			return db
-		})
-		co := cluster.NewCoordinator(c, TPCCManual(cfg, k))
+		db := storage.NewDatabase()
+		TPCCPopulate(db, cfg)
+		c, co, err := cluster.Deploy(cluster.Config{Nodes: k, LockTimeout: 2 * time.Second}, db, TPCCManual(cfg, k))
+		if err != nil {
+			t.Fatal(err)
+		}
 		return c, driver.Run(co, driver.Config{Clients: 8, Ops: 50, Seed: 1}, TPCCStream(cfg))
 	}
 	c, res := run()
@@ -231,35 +229,30 @@ func TestTPCCRuntimeOnCluster(t *testing.T) {
 	if f := res.DistributedFrac(); f > 0.4 {
 		t.Errorf("distributed fraction %.2f too high for warehouse partitioning", f)
 	}
-	for n := 0; n < k; n++ {
-		db := c.Node(n).DB()
-		orders := map[int64]int64{} // district key -> orders
-		olCnt := map[int64]int64{}  // order key -> o_ol_cnt
-		lines := map[int64]int64{}  // order key -> order_line rows
-		db.Table("orders").ScanAll(func(key int64, row storage.Row) bool {
-			orders[key/tpccOrderSpace]++
-			olCnt[key], _ = row[6].AsInt()
-			return true
-		})
-		db.Table("order_line").ScanAll(func(key int64, _ storage.Row) bool {
-			lines[key/tpccLineSpace]++
-			return true
-		})
-		db.Table("district").ScanAll(func(key int64, row storage.Row) bool {
-			next, _ := row[3].AsInt()
-			if orders[key] != next {
-				t.Errorf("node %d district %d: next_o_id=%d but %d orders", n, key, next, orders[key])
-			}
-			return true
-		})
-		for oKey, want := range olCnt {
-			if lines[oKey] != want {
-				t.Errorf("node %d order %d: o_ol_cnt=%d but %d order lines", n, oKey, want, lines[oKey])
-			}
+	snap, err := cluster.Logical(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders := map[int64]int64{} // district key -> orders
+	olCnt := map[int64]int64{}  // order key -> o_ol_cnt
+	lines := map[int64]int64{}  // order key -> order_line rows
+	snap.Visit("orders", func(key int64, row storage.Row) {
+		orders[key/tpccOrderSpace]++
+		olCnt[key], _ = row[6].AsInt()
+	})
+	snap.Visit("order_line", func(key int64, _ storage.Row) { lines[key/tpccLineSpace]++ })
+	snap.Visit("district", func(key int64, row storage.Row) {
+		if next, _ := row[3].AsInt(); orders[key] != next {
+			t.Errorf("district %d: next_o_id=%d but %d orders", key, next, orders[key])
 		}
-		if len(lines) != len(olCnt) {
-			t.Errorf("node %d: order lines of %d orders, %d orders", n, len(lines), len(olCnt))
+	})
+	for oKey, want := range olCnt {
+		if lines[oKey] != want {
+			t.Errorf("order %d: o_ol_cnt=%d but %d order lines", oKey, want, lines[oKey])
 		}
+	}
+	if len(lines) != len(olCnt) {
+		t.Errorf("order lines of %d orders, %d orders", len(lines), len(olCnt))
 	}
 	c2, res2 := run()
 	c2.Close()
@@ -274,7 +267,7 @@ func TestTPCCRuntimeOnCluster(t *testing.T) {
 func TestTPCCPopulateAppliesDefaults(t *testing.T) {
 	cfg := TPCCConfig{Warehouses: 2, Items: 50, InitialOrders: 3}
 	db := storage.NewDatabase()
-	TPCCPopulate(db, cfg, 1, cfg.Warehouses, true)
+	TPCCPopulate(db, cfg)
 	full := cfg.withDefaults()
 	k := tpccKeys{full}
 	for w := 1; w <= full.Warehouses; w++ {
@@ -302,16 +295,14 @@ func TestSimplecountWorkload(t *testing.T) {
 			t.Fatal("simplecount txns read exactly 2 rows")
 		}
 	}
-	// Node DBs partition the id space evenly.
-	total := 0
+	// The strategy splits the id space evenly.
+	strat := SimplecountStrategy(cfg)
 	for n := 0; n < 4; n++ {
-		total += SimplecountDB(cfg, n).Table("simplecount").Len()
-	}
-	if total != 1000 {
-		t.Fatalf("node slices cover %d rows", total)
+		if got := cluster.SplitDatabase(w.DB, strat, n).Table("simplecount").Len(); got != 250 {
+			t.Fatalf("node %d holds %d rows, want 250", n, got)
+		}
 	}
 	// Strategy routes id=0 to node 0 and id=999 to node 3.
-	strat := SimplecountStrategy(cfg)
 	r0 := strat.Locate(workload.TupleID{Table: "simplecount", Key: 0}, mapRowSC{"id": datum.NewInt(0)})
 	r999 := strat.Locate(workload.TupleID{Table: "simplecount", Key: 999}, mapRowSC{"id": datum.NewInt(999)})
 	if len(r0) != 1 || r0[0] != 0 || len(r999) != 1 || r999[0] != 3 {
