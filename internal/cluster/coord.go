@@ -284,6 +284,18 @@ type Txn struct {
 	slotBuf  [1]*request
 	replyBuf [1]response
 
+	// pl is the plan every statement bound through ExecPrepared or
+	// ExecPreparedAt runs as: a statement waits for all its replies and no
+	// node reads a request after answering it, so the previous statement's
+	// plan is dead when the next one binds. cons is pl's constraint array,
+	// kept while pl.cons is nil for an unroutable statement; it and
+	// pl.args start in argBuf and consBuf and grow to the largest
+	// statement bound so far.
+	pl      plan
+	cons    []sqlparse.Constraint
+	argBuf  [2]datum.D
+	consBuf [2]sqlparse.Constraint
+
 	capture CaptureFunc
 	accs    []workload.Access
 
@@ -331,6 +343,7 @@ func (co *Coordinator) begin(system bool) *Txn {
 		mets: co.mets,
 	}
 	t.slots, t.replies = t.slotBuf[:0], t.replyBuf[:]
+	t.pl.args, t.cons = t.argBuf[:0], t.consBuf[:0]
 	if t.mets != nil {
 		t.span = t.mets.tracer.Start("txn")
 	}
@@ -496,7 +509,7 @@ func (t *Txn) Exec(sql string) ([]storage.Row, error) {
 // ExecPrepared executes a prepared statement with args bound to its
 // placeholders, in order. Nothing is parsed and the AST is not walked:
 // the routing constraints come from the statement's skeleton. args is
-// read until the statement returns; p may be shared between goroutines.
+// copied, so it does not escape; p may be shared between goroutines.
 func (t *Txn) ExecPrepared(p *sqlparse.Prepared, args ...datum.D) ([]storage.Row, error) {
 	pl, err := t.bind(p, args)
 	if err != nil {
@@ -516,7 +529,10 @@ func (t *Txn) ExecPreparedAt(p *sqlparse.Prepared, nodes []int, args ...datum.D)
 	return t.execOn(pl, nodes)
 }
 
-// bind plans a prepared statement with args bound to its placeholders.
+// bind plans a prepared statement with args bound to its placeholders,
+// in the Txn's one plan. The plan binds its own copy of args: the
+// constraints alias the arguments, and the caller's list may live on its
+// stack or be overwritten once the statement returns.
 func (t *Txn) bind(p *sqlparse.Prepared, args []datum.D) (*plan, error) {
 	if t.failed {
 		return nil, errTxnFailed
@@ -524,34 +540,13 @@ func (t *Txn) bind(p *sqlparse.Prepared, args []datum.D) (*plan, error) {
 	if len(args) != p.NumParams() {
 		return nil, fmt.Errorf("cluster: %d arguments for the %d placeholders of %q", len(args), p.NumParams(), p.SQL())
 	}
-	pl := newPlan(p.NumConstraints())
-	pl.stmt, pl.args, pl.table, pl.write = p.Template(), args, p.Table(), p.Write()
-	pl.cons, pl.routable = p.Constraints(pl.cons, args)
-	return pl, nil
-}
-
-// newPlan returns an empty plan whose cons has room for n constraints
-// inside the plan's own allocation, so binding a statement allocates
-// once. Two sizes cover the workloads: a point or range statement's
-// few columns, and an INSERT's row.
-func newPlan(n int) *plan {
-	switch {
-	case n <= 2:
-		b := new(struct {
-			plan
-			buf [2]sqlparse.Constraint
-		})
-		b.cons = b.buf[:0]
-		return &b.plan
-	case n <= 8:
-		b := new(struct {
-			plan
-			buf [8]sqlparse.Constraint
-		})
-		b.cons = b.buf[:0]
-		return &b.plan
+	if n := p.NumConstraints(); cap(t.cons) < n {
+		t.cons = make([]sqlparse.Constraint, 0, n)
 	}
-	return &plan{cons: make([]sqlparse.Constraint, 0, n)}
+	pl := &t.pl
+	pl.stmt, pl.args, pl.table, pl.write = p.Template(), append(pl.args[:0], args...), p.Table(), p.Write()
+	pl.cons, pl.routable = p.Constraints(t.cons[:0], pl.args)
+	return pl, nil
 }
 
 // route picks the statement's target partitions (App. C.2) and runs it.
@@ -695,7 +690,8 @@ func (t *Txn) pickReplica(single []int) int {
 			return p
 		}
 	}
-	avail := make([]int, 0, len(single))
+	var buf [4]int
+	avail := buf[:0]
 	for _, p := range single {
 		if c.partitionAvailable(p) {
 			avail = append(avail, p)

@@ -113,19 +113,20 @@ func TestNoVoteOutlivesAbortFanout(t *testing.T) {
 
 // TestStatementRoundTripAllocs pins what a one-statement transaction
 // costs end to end — Begin, one prepared UPDATE, Commit — on a group of
-// one and on a group of three: the handle, the plan with its bound
-// constraints inside it, one request slot and its reply channel reused
-// by every message, the lock table's entry and key list, the row images
-// and the log. The participant list, the reply buffer, the point
-// lookup's key and a single target's rows cost nothing.
+// one and on a group of three: the handle with its plan inside it, one
+// request slot and its reply channel reused by every message, the
+// participant state, the row images and the log. The argument list, the
+// bound constraints, the lock table's entry and key list, the
+// participant list, the reply buffer, the point lookup's key and a
+// single target's rows cost nothing.
 func TestStatementRoundTripAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		r    int
 		max  float64
 	}{
-		{"R=1", 1, 12},
-		{"R=3", 3, 14},
+		{"R=1", 1, 8},
+		{"R=3", 3, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var c *Cluster
@@ -136,10 +137,9 @@ func TestStatementRoundTripAllocs(t *testing.T) {
 				c, co, _ = newGroupCluster(t, 2, 3, 8, 0)
 			}
 			defer c.Close()
-			args := []datum.D{datum.NewInt(1), datum.NewInt(3)}
 			run := func() {
 				tx := co.Begin()
-				if _, err := tx.ExecPrepared(moveAccount, args...); err != nil {
+				if _, err := tx.ExecPrepared(moveAccount, datum.NewInt(1), datum.NewInt(3)); err != nil {
 					t.Fatal(err)
 				}
 				if err := tx.Commit(); err != nil {

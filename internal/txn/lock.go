@@ -59,6 +59,13 @@ type LockManager struct {
 	maxWait time.Duration
 	closed  bool
 
+	// freeStates and freeKeys recycle dropped entries and the key lists
+	// of transactions that released their locks, so a steady load
+	// allocates neither. Each holds at most as many as the node ever had
+	// in use at once.
+	freeStates []*lockState
+	freeKeys   [][]LockKey
+
 	waits    atomic.Int64 // acquisitions that had to queue
 	dies     atomic.Int64 // wait-die aborts (immediate and queued)
 	timeouts atomic.Int64 // lock waits that hit maxWait
@@ -83,7 +90,7 @@ func (lm *LockManager) Stats() LockStats {
 // lockState is one key's entry: its holders in grant order and its
 // FIFO queue of waiters. A key has one or two holders almost always, so
 // the holder list starts in the entry itself; the entry is dropped when
-// its last holder and waiter leave.
+// its last holder and waiter leave, and kept for the next key locked.
 type lockState struct {
 	holders []holder // inline[:0] until a third holder joins
 	inline  [2]holder
@@ -135,8 +142,7 @@ func (lm *LockManager) Acquire(ts TS, key LockKey, mode Mode) error {
 	}
 	ls := lm.locks[key]
 	if ls == nil {
-		ls = &lockState{}
-		ls.holders = ls.inline[:0]
+		ls = lm.newState()
 		lm.locks[key] = ls
 	}
 	if i := ls.holder(ts); i >= 0 {
@@ -173,14 +179,17 @@ func (lm *LockManager) Acquire(ts TS, key LockKey, mode Mode) error {
 	case <-timer.C:
 		lm.mu.Lock()
 		// Remove from queue if still present; if a grant raced with the
-		// timeout, honour the grant.
-		for i, q := range ls.queue {
-			if q == w {
-				ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-				lm.mu.Unlock()
-				lm.timeouts.Add(1)
-				return ErrTimeout
-			}
+		// timeout, honour the grant. Absent, w was granted, failed or shut
+		// down, each of which answered it: ls may by now be another key's
+		// entry, whose queue w cannot be in. The waiters w held back may
+		// now be grantable.
+		if i := slices.Index(ls.queue, w); i >= 0 {
+			ls.queue = slices.Delete(ls.queue, i, i+1)
+			lm.wake(ls, key)
+			lm.dropIfIdle(ls, key)
+			lm.mu.Unlock()
+			lm.timeouts.Add(1)
+			return ErrTimeout
 		}
 		lm.mu.Unlock()
 		return <-w.ready
@@ -236,7 +245,37 @@ func (lm *LockManager) grant(ls *lockState, ts TS, key LockKey, mode Mode) {
 		return
 	}
 	ls.holders = append(ls.holders, holder{ts, mode})
-	lm.byTxn[ts] = append(lm.byTxn[ts], key)
+	keys, ok := lm.byTxn[ts]
+	if n := len(lm.freeKeys); !ok && n > 0 {
+		keys = lm.freeKeys[n-1]
+		lm.freeKeys = lm.freeKeys[:n-1]
+	}
+	lm.byTxn[ts] = append(keys, key)
+}
+
+// newState returns an empty entry, a dropped one when there is one.
+func (lm *LockManager) newState() *lockState {
+	if n := len(lm.freeStates); n > 0 {
+		ls := lm.freeStates[n-1]
+		lm.freeStates = lm.freeStates[:n-1]
+		return ls
+	}
+	ls := &lockState{}
+	ls.holders = ls.inline[:0]
+	return ls
+}
+
+// dropIfIdle removes key's entry once no holder or waiter is left and
+// keeps it, emptied, for newState. A waiter that later times out finds
+// itself in no queue of the reused entry, so it cannot act on it.
+func (lm *LockManager) dropIfIdle(ls *lockState, key LockKey) {
+	if len(ls.holders) > 0 || len(ls.queue) > 0 {
+		return
+	}
+	delete(lm.locks, key)
+	*ls = lockState{}
+	ls.holders = ls.inline[:0]
+	lm.freeStates = append(lm.freeStates, ls)
 }
 
 func conflicts(a, b Mode) bool { return a == Exclusive || b == Exclusive }
@@ -245,7 +284,10 @@ func conflicts(a, b Mode) bool { return a == Exclusive || b == Exclusive }
 func (lm *LockManager) ReleaseAll(ts TS) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	keys := lm.byTxn[ts]
+	keys, ok := lm.byTxn[ts]
+	if !ok {
+		return
+	}
 	delete(lm.byTxn, ts)
 	for _, key := range keys {
 		ls := lm.locks[key]
@@ -267,10 +309,10 @@ func (lm *LockManager) ReleaseAll(ts TS) {
 			i++
 		}
 		lm.wake(ls, key)
-		if len(ls.holders) == 0 && len(ls.queue) == 0 {
-			delete(lm.locks, key)
-		}
+		lm.dropIfIdle(ls, key)
 	}
+	clear(keys)
+	lm.freeKeys = append(lm.freeKeys, keys[:0])
 }
 
 // wake grants queued waiters in FIFO order while they remain compatible,
@@ -327,6 +369,7 @@ func (lm *LockManager) Close() {
 		delete(lm.locks, key)
 	}
 	lm.byTxn = make(map[TS][]LockKey)
+	lm.freeStates, lm.freeKeys = nil, nil
 }
 
 // HeldLocks returns the number of locks ts currently holds (for tests and

@@ -399,10 +399,11 @@ func TestMixedModesReleaseClean(t *testing.T) {
 
 // TestUncontendedLockAllocs pins what an uncontended transaction's locks
 // cost: 20 keys, one of them requested again and one upgraded, then
-// ReleaseAll. Each key's entry is one allocation, its first two holders
-// inside it, and the transaction's key list grows by doubling; the
-// re-entrant request and the upgrade add nothing, because only a new
-// holder appends its key.
+// ReleaseAll. Each key takes the entry an earlier key dropped, and the
+// transaction the key list an earlier one released, so once the first
+// run has filled the free lists a run allocates nothing; the re-entrant
+// request and the upgrade add nothing either, because only a new holder
+// appends its key.
 func TestUncontendedLockAllocs(t *testing.T) {
 	lm := NewLockManager(time.Second)
 	var clock Clock
@@ -425,7 +426,128 @@ func TestUncontendedLockAllocs(t *testing.T) {
 		lm.ReleaseAll(ts)
 	}
 	run()
-	if allocs := testing.AllocsPerRun(100, run); allocs > 26 {
-		t.Errorf("20 uncontended locks allocate %v times, want <= 26", allocs)
+	if allocs := testing.AllocsPerRun(100, run); allocs > 0 {
+		t.Errorf("20 uncontended locks allocate %v times, want 0", allocs)
+	}
+}
+
+// TestTimeoutWakesCompatibleWaiter: ts 30 holds a key shared, ts 20
+// queues for it exclusive, and 100 ms later ts 10 queues shared behind
+// ts 20. When ts 20 times out, ts 10 is compatible with the holder and
+// must be granted then, 100 ms before its own wait would run out.
+func TestTimeoutWakesCompatibleWaiter(t *testing.T) {
+	const maxWait = 300 * time.Millisecond
+	lm := NewLockManager(maxWait)
+	if err := lm.Acquire(30, key(1), Shared); err != nil {
+		t.Fatal(err)
+	}
+	writer, reader := make(chan error, 1), make(chan error, 1)
+	go func() { writer <- lm.Acquire(20, key(1), Exclusive) }()
+	waitQueued(t, lm, 1)
+	time.Sleep(100 * time.Millisecond)
+	go func() { reader <- lm.Acquire(10, key(1), Shared) }()
+	if err := <-writer; !errors.Is(err, ErrTimeout) {
+		t.Fatalf("writer: got %v, want ErrTimeout", err)
+	}
+	if err := <-reader; err != nil {
+		t.Fatalf("reader behind the timed-out writer: got %v, want the grant", err)
+	}
+	if n := lm.HeldLocks(10); n != 1 {
+		t.Fatalf("reader holds %d locks, want 1", n)
+	}
+	lm.ReleaseAll(10)
+	lm.ReleaseAll(30)
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if len(lm.locks) != 0 {
+		t.Fatalf("%d entries left after every release", len(lm.locks))
+	}
+}
+
+// TestLockEntriesRecycled pushes 1 000 keys through Acquire and
+// ReleaseAll, 200 a round. Each key is held shared by h and by u; u's
+// upgrade queues and dies when u aborts, and o queues exclusive behind
+// it and times out. Every entry a new key takes from the free list must
+// start with no holder and no waiter — not even a queue array of the
+// key it served before — HeldLocks must be exact, and after each round
+// the table must be empty, its entries and key lists all free.
+func TestLockEntriesRecycled(t *testing.T) {
+	const rounds, perRound = 5, 200
+	lm := NewLockManager(100 * time.Millisecond)
+	fresh := func(ls *lockState) bool { return len(ls.holders) == 0 && ls.queue == nil }
+	var waits int64
+	for r := 0; r < rounds; r++ {
+		// o and u are older than h, so both may wait for it.
+		base := TS(r * 3 * perRound)
+		h := base + 3*perRound
+		o := func(i int) TS { return base + TS(i) + 1 }
+		u := func(i int) TS { return base + perRound + TS(i) + 1 }
+		k := func(i int) LockKey { return key(int64(r*perRound + i)) }
+		for i := 0; i < perRound; i++ {
+			lm.mu.Lock()
+			if n := len(lm.freeStates); n > 0 && !fresh(lm.freeStates[n-1]) {
+				t.Fatalf("round %d: free entry %+v is not empty", r, *lm.freeStates[n-1])
+			}
+			lm.mu.Unlock()
+			if err := lm.Acquire(h, k(i), Shared); err != nil {
+				t.Fatal(err)
+			}
+			lm.mu.Lock()
+			ls := lm.locks[k(i)]
+			if len(ls.holders) != 1 || ls.holders[0].ts != h || ls.queue != nil {
+				t.Fatalf("round %d: new entry %+v, want holder %d alone", r, *ls, h)
+			}
+			lm.mu.Unlock()
+			if err := lm.Acquire(u(i), k(i), Shared); err != nil {
+				t.Fatal(err)
+			}
+		}
+		upgrades, olds := make(chan error, perRound), make(chan error, perRound)
+		for i := 0; i < perRound; i++ {
+			go func() { upgrades <- lm.Acquire(u(i), k(i), Exclusive) }()
+		}
+		waits += perRound
+		waitQueued(t, lm, waits)
+		for i := 0; i < perRound; i++ {
+			go func() { olds <- lm.Acquire(o(i), k(i), Exclusive) }()
+		}
+		waits += perRound
+		waitQueued(t, lm, waits)
+		for i := 0; i < perRound; i++ {
+			lm.ReleaseAll(u(i))
+			if n := lm.HeldLocks(u(i)); n != 0 {
+				t.Fatalf("u holds %d locks after ReleaseAll", n)
+			}
+		}
+		for i := 0; i < perRound; i++ {
+			if err := <-upgrades; !errors.Is(err, ErrDie) {
+				t.Fatalf("round %d: upgrade of an aborted transaction: got %v, want ErrDie", r, err)
+			}
+			if err := <-olds; !errors.Is(err, ErrTimeout) {
+				t.Fatalf("round %d: waiter behind a holder: got %v, want ErrTimeout", r, err)
+			}
+		}
+		for i := 0; i < perRound; i++ {
+			if n := lm.HeldLocks(o(i)); n != 0 {
+				t.Fatalf("timed-out o holds %d locks", n)
+			}
+		}
+		if n := lm.HeldLocks(h); n != perRound {
+			t.Fatalf("h holds %d locks, want %d", n, perRound)
+		}
+		lm.ReleaseAll(h)
+		lm.mu.Lock()
+		if len(lm.locks) != 0 || len(lm.byTxn) != 0 {
+			t.Fatalf("round %d: %d entries and %d key lists left", r, len(lm.locks), len(lm.byTxn))
+		}
+		if len(lm.freeStates) != perRound {
+			t.Fatalf("round %d: %d free entries, want %d", r, len(lm.freeStates), perRound)
+		}
+		for _, ls := range lm.freeStates {
+			if !fresh(ls) {
+				t.Fatalf("round %d: free entry %+v is not empty", r, *ls)
+			}
+		}
+		lm.mu.Unlock()
 	}
 }
