@@ -108,6 +108,17 @@ type Graph struct {
 	accCount []int32
 	txnList  []int32
 	flagList []uint8
+
+	// Build scratch, kept with the graph so that RebuildHyper reuses it:
+	// buildCore's per-tuple epochs, counts and offsets, its coalescing
+	// index and group representatives, buildPins' per-worker dedup
+	// stamps. labels is the array ProjectLabels last returned and spare
+	// the previous build's, which the next ProjectLabels reuses.
+	last, cnt, tupOff []int32
+	rep, next         []int32
+	byHash            map[uint64]int32
+	seen              [][]int32
+	labels, spare     []int32
 }
 
 const (
@@ -175,7 +186,8 @@ func (g *Graph) nodeFor(gi, ti int32) int32 {
 // index space or their total weight int32 (BuildHyper, linear in
 // access-set size, usually still fits).
 func Build(tr *workload.Trace, opts Options) (*Graph, error) {
-	g, nwgt, err := buildCore(tr, opts)
+	g := new(Graph)
+	nwgt, err := g.buildCore(tr, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -192,9 +204,14 @@ func Build(tr *workload.Trace, opts Options) (*Graph, error) {
 // node layout, and node weights. Only the final representation — clique
 // edges vs transaction nets — differs between the two entry points, so they
 // translate node partitionings back to tuples identically.
-func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
+//
+// It writes into g's arrays (see regrow): a graph built before, by
+// BuildHyper or RebuildHyper, is rebuilt in place, node weights included
+// (its hypergraph's NWgt), and an empty one allocates every array at its
+// exact size.
+func (g *Graph) buildCore(tr *workload.Trace, opts Options) ([]int64, error) {
 	if err := opts.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Intern the trace (a shared memo, or a compact-only trace's own
 	// form): everything after indexes slices by dense tuple id.
@@ -206,18 +223,22 @@ func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 	numTuples := c.NumTuples()
 	numTxns := c.NumTxns()
 
-	g := &Graph{
-		Compact: c,
-		Intern:  c.In,
+	g.Compact, g.Intern = c, c.In
+	g.numNodes = 0
+	if g.labels != nil {
+		g.spare, g.labels = g.labels, nil
 	}
 
 	// Per-tuple accessor lists (tuple -> ascending txn ids + read/write
 	// flags), built with two epoch-stamped passes: count, then fill.
-	last := make([]int32, numTuples)
+	g.last = regrow(g.last, numTuples)
+	last := g.last
 	for i := range last {
 		last[i] = -1
 	}
-	cnt := make([]int32, numTuples)
+	g.cnt = regrow(g.cnt, numTuples)
+	cnt := g.cnt
+	clear(cnt)
 	for ti := 0; ti < numTxns; ti++ {
 		for _, e := range c.Txn(ti) {
 			d := int32(e &^ workload.WriteBit)
@@ -227,12 +248,14 @@ func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 			}
 		}
 	}
-	tupOff := make([]int32, numTuples+1)
+	g.tupOff = regrow(g.tupOff, numTuples+1)
+	tupOff := g.tupOff
+	tupOff[0] = 0
 	for d := 0; d < numTuples; d++ {
 		tupOff[d+1] = tupOff[d] + cnt[d]
 	}
-	g.txnList = make([]int32, tupOff[numTuples])
-	g.flagList = make([]uint8, tupOff[numTuples])
+	g.txnList = regrow(g.txnList, int(tupOff[numTuples]))
+	g.flagList = regrow(g.flagList, int(tupOff[numTuples]))
 	copy(cnt, tupOff[:numTuples]) // cnt becomes the fill cursor
 	for i := range last {
 		last[i] = -1
@@ -259,7 +282,7 @@ func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 	// signature (same transactions, same write pattern) share a group;
 	// signatures are 64-bit hashes verified element-wise on collision.
 	// Groups are numbered in first-access order either way.
-	g.GroupOf = make([]int32, numTuples)
+	g.GroupOf = regrow(g.GroupOf, numTuples)
 	var rep []int32 // representative dense tuple per group
 	if opts.Coalesce {
 		sigTxns := func(d int32) []int32 { return g.txnList[tupOff[d]:tupOff[d+1]] }
@@ -281,8 +304,14 @@ func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 		// the next older one with gi's hash (-1 ends the chain). Groups have
 		// distinct signatures, so at most one on a chain matches and the
 		// chain's order cannot change the grouping.
-		byHash := make(map[uint64]int32)
-		var next []int32
+		if g.byHash == nil {
+			g.byHash = make(map[uint64]int32)
+		} else {
+			clear(g.byHash)
+		}
+		byHash := g.byHash
+		rep = g.rep[:0]
+		next := g.next[:0]
 		for d := int32(0); int(d) < numTuples; d++ {
 			h := sigHash(sigTxns(d), sigFlags(d))
 			head, ok := byHash[h]
@@ -304,18 +333,20 @@ func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 			}
 			g.GroupOf[d] = gi
 		}
+		g.next = next
 	} else {
-		rep = make([]int32, numTuples)
+		rep = regrow(g.rep, numTuples)
 		for d := range g.GroupOf {
 			g.GroupOf[d] = int32(d)
 			rep[d] = int32(d)
 		}
 	}
+	g.rep = rep
 	numGroups := len(rep)
 
 	// Group accessor lists alias the representative tuple's list.
-	g.accOff = make([]int32, numGroups)
-	g.accCount = make([]int32, numGroups)
+	g.accOff = regrow(g.accOff, numGroups)
+	g.accCount = regrow(g.accCount, numGroups)
 	for gi, d := range rep {
 		g.accOff[gi] = tupOff[d]
 		g.accCount[gi] = tupOff[d+1] - tupOff[d]
@@ -323,8 +354,9 @@ func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 
 	// Group membership: dense ids, counting-sorted by group, so each
 	// group's members stay ascending.
-	g.MemberOff = make([]int32, numGroups+1)
-	g.Members = make([]int32, numTuples)
+	g.MemberOff = regrow(g.MemberOff, numGroups+1)
+	clear(g.MemberOff)
+	g.Members = regrow(g.Members, numTuples)
 	for _, gi := range g.GroupOf {
 		g.MemberOff[gi+1]++
 	}
@@ -340,12 +372,12 @@ func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 
 	// Lay out nodes: a single node per group, or centre + one replica per
 	// accessing transaction for exploded groups.
-	g.groupBase = make([]int32, numGroups)
-	g.exploded = make([]bool, numGroups)
+	g.groupBase = regrow(g.groupBase, numGroups)
+	g.exploded = regrow(g.exploded, numGroups)
 	for gi := 0; gi < numGroups; gi++ {
 		g.groupBase[gi] = g.numNodes
-		if opts.Replication && g.accCount[gi] >= 2 {
-			g.exploded[gi] = true
+		g.exploded[gi] = opts.Replication && g.accCount[gi] >= 2
+		if g.exploded[gi] {
 			g.numNodes += g.accCount[gi] + 1
 		} else {
 			g.numNodes++
@@ -355,7 +387,12 @@ func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 	// Node weights (§4.1's workload balance). A group's size is its
 	// member count. A star's centre weighs nothing and each replica the
 	// group's size; a plain node weighs its size times its accessors.
-	nwgt := make([]int64, g.numNodes)
+	var nwgt []int64
+	if g.HG != nil {
+		nwgt = g.HG.NWgt
+	}
+	nwgt = regrow(nwgt, int(g.numNodes))
+	clear(nwgt)
 	for gi := int32(0); int(gi) < numGroups; gi++ {
 		size := int64(g.MemberOff[gi+1] - g.MemberOff[gi])
 		base := g.groupBase[gi]
@@ -368,7 +405,23 @@ func buildCore(tr *workload.Trace, opts Options) (*Graph, []int64, error) {
 		}
 	}
 
-	return g, nwgt, nil
+	return nwgt, nil
+}
+
+// regrow returns b with length n for a build to overwrite: an array that
+// never had room (an empty graph's) is allocated at exactly n, one from an
+// earlier build is resliced when big enough and otherwise regrown with a
+// quarter's headroom, like metis.Solver's scratch, so that the next
+// window a little larger than this one fits. Retained elements keep their
+// old values; callers write or clear every one they read.
+func regrow[T any](b []T, n int) []T {
+	if cap(b) >= n {
+		return b[:n]
+	}
+	if cap(b) == 0 {
+		return make([]T, n)
+	}
+	return make([]T, n, n+n/4)
 }
 
 // nodeTable returns every node's provenance: what Build's row writer

@@ -25,19 +25,36 @@ import (
 // worker writing into precomputed slots, so the result is byte-identical
 // to a single-threaded build regardless of worker count.
 func BuildHyper(tr *workload.Trace, opts Options) (*Graph, error) {
-	g, nwgt, err := buildCore(tr, opts)
-	if err != nil {
-		return nil, err
-	}
-	xpins, pins, netWgt, err := g.buildPins()
-	if err != nil {
-		return nil, err
-	}
-	g.HG, err = metis.NewHGraph(int(g.numNodes), xpins, pins, netWgt, nwgt)
-	if err != nil {
+	g := new(Graph)
+	if err := g.RebuildHyper(tr, opts); err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// RebuildHyper makes g what BuildHyper(tr, opts) returns, in g's own
+// arrays: the accessor lists, groups, members, node layout and weights,
+// the pin lists and their transpose of a graph BuildHyper or RebuildHyper
+// made before are resliced when big enough and regrown with headroom when
+// not, so that rebuilding over a sliding window reaches a steady state of
+// few allocations. What the previous build handed out through g — its
+// slices, its HG and, at the next ProjectLabels, that call's array — is
+// overwritten; the interner and compact trace it pointed to are not. On
+// error g is unusable until the next successful rebuild.
+func (g *Graph) RebuildHyper(tr *workload.Trace, opts Options) error {
+	g.CSR, g.Nodes = nil, nil
+	nwgt, err := g.buildCore(tr, opts)
+	if err != nil {
+		return err
+	}
+	xpins, pins, netWgt, err := g.buildPins()
+	if err != nil {
+		return err
+	}
+	if g.HG == nil {
+		g.HG = new(metis.HGraph)
+	}
+	return g.HG.Rebuild(int(g.numNodes), xpins, pins, netWgt, nwgt)
 }
 
 // hyperNetScale is the fixed-point weight unit for hypergraph nets: a
@@ -68,9 +85,14 @@ func (g *Graph) buildPins() (xpins, pins []int32, netWgt []int64, err error) {
 	// Epoch-stamped dedup scratch, one per worker, shared by both passes
 	// (pass 1 stamps 2·ti, pass 2 stamps 2·ti+1, so the scratch stays
 	// valid without re-initialising between passes).
-	seenScratch := make([][]int32, workers)
+	if len(g.seen) < workers {
+		seen := make([][]int32, workers)
+		copy(seen, g.seen)
+		g.seen = seen
+	}
+	seenScratch := g.seen[:workers]
 	for s := range seenScratch {
-		seen := make([]int32, numGroups)
+		seen := regrow(seenScratch[s], numGroups)
 		for i := range seen {
 			seen[i] = -1
 		}
@@ -142,9 +164,13 @@ func (g *Graph) buildPins() (xpins, pins []int32, netWgt []int64, err error) {
 			totalPins, numTxns, err)
 	}
 
-	xpins = make([]int32, totalNets+1)
-	pins = make([]int32, totalPins)
-	netWgt = make([]int64, totalNets)
+	if h := g.HG; h != nil {
+		xpins, pins, netWgt = h.XPins, h.Pins, h.NetWgt
+	}
+	xpins = regrow(xpins, int(totalNets+1))
+	xpins[0] = 0
+	pins = regrow(pins, int(totalPins))
+	netWgt = regrow(netWgt, int(totalNets))
 
 	// Pass 2: each worker writes its shard's nets into place. The current
 	// transaction's pins are staged in a small buffer so an undersized

@@ -41,13 +41,19 @@ import "schism/internal/workload"
 // GOMAXPROCS — and every label is in [0, k). A graph without nets to walk
 // (built by Build, not BuildHyper) or k < 1 yields the empty slice, which
 // RefineHKway's length check rejects.
+//
+// The result is the caller's until g is rebuilt (RebuildHyper): the
+// first ProjectLabels after a rebuild writes into the array the last one
+// before it returned. Each call returns its own array otherwise, but
+// calls on one graph must not run concurrently.
 func (g *Graph) ProjectLabels(k int, locate func(workload.TupleID) []int) []int32 {
 	h := g.HG
 	if h == nil || k < 1 {
 		return nil
 	}
 	n := g.NumNodes()
-	parts := make([]int32, n)
+	parts := regrow(g.spare, n)
+	g.spare, g.labels = nil, parts
 	for i := range parts {
 		parts[i] = -1
 	}

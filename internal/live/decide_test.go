@@ -169,10 +169,16 @@ func TestWarmCycleAllocsIndependentOfWindow(t *testing.T) {
 // TestWarmCycleBytes pins the decision path's bytes on the shape of the
 // live-tpcc benchmark (16 warehouses, a 4 000-transaction window, k = 8,
 // a quarter of the window turned over): a warm cycle — Snapshot,
-// ScoreWindow, RepartitionDrift, BuildPlanSets — stays in the dense form,
-// so it allocates under 120 B per windowed access. Rehydrating the
-// snapshot into workload.Access values, a per-tuple score table or
-// TupleID group members push it past 150.
+// ScoreWindow, RepartitionDrift, BuildPlanSets — stays in the dense form
+// and rebuilds its hypergraph in the initial cycle's arrays, so it
+// allocates under 95 B per windowed access. It reads 88.5–91.6 at
+// GOMAXPROCS 1–8 (each pin-building worker adds its dedup array, ~0.4 B):
+// this window outgrows the initial one in nearly every array, so the
+// measured cycle still regrows them once (later cycles fit in the
+// headroom; graph's TestRebuildHyperSteadyStateBytes pins that). A fresh
+// hypergraph per cycle reads 96.7; rehydrating the snapshot into
+// workload.Access values, a per-tuple score table or TupleID group
+// members push it past 150.
 func TestWarmCycleBytes(t *testing.T) {
 	const k, window, turnover = 8, 4000, 1000
 	tr := workloads.TPCC(workloads.TPCCConfig{
@@ -221,8 +227,8 @@ func TestWarmCycleBytes(t *testing.T) {
 	}
 	perAccess := float64(bytes) / float64(accesses)
 	t.Logf("%d B for %d accesses (%.1f B/access), %d tuples, %d moves", bytes, accesses, perAccess, len(res.Tuples), len(plan.Moves))
-	if perAccess > 120 {
-		t.Errorf("a warm cycle allocated %.1f B per windowed access, want <= 120", perAccess)
+	if perAccess > 95 {
+		t.Errorf("a warm cycle allocated %.1f B per windowed access, want <= 95", perAccess)
 	}
 }
 

@@ -88,8 +88,16 @@ const (
 )
 
 // Repartition is the outcome of one incremental repartitioning run.
+//
+// Graph and Deployed live in arrays the Repartitioner reuses: they are
+// valid until the next call on the same Repartitioner. Everything else —
+// Tuples, Assignments, Perm and LocateFunc() — stays valid for good, so
+// a caller may keep an old cycle's placement (chaining LocateFuncs, say)
+// while later cycles run.
 type Repartition struct {
-	// Graph is the workload hypergraph built from the window (Graph.HG).
+	// Graph is the workload hypergraph built from the window (Graph.HG),
+	// valid until the next call on the Repartitioner, which rebuilds it
+	// in place.
 	Graph *graph.Graph
 	// EdgeCut is the cut's connectivity cost Σ w(e)·(λ(e)−1) in
 	// graph.BuildHyper's net weights, where a transaction net weighs 64.
@@ -125,7 +133,8 @@ type Repartition struct {
 	// computing Diff. Entries are nil for tuples the deployment does not
 	// know; the whole slice is nil-entried when locate was nil. Callers
 	// planning migration (BuildPlanSets) reuse it instead of paying a
-	// second per-tuple placement lookup.
+	// second per-tuple placement lookup. The slice is valid until the
+	// next call on the Repartitioner; the sets it holds are locate's.
 	Deployed [][]int
 	// PhaseGraph/PhaseCut/PhaseRelabel break the run down into its three
 	// pipeline stages (graph build, min-cut, movement-minimizing
@@ -133,16 +142,26 @@ type Repartition struct {
 	PhaseGraph   time.Duration
 	PhaseCut     time.Duration
 	PhaseRelabel time.Duration
+
+	// in resolves Tuples to their dense ids: the window's interner, which
+	// outlives the graph that was built over it.
+	in *workload.Interner
 }
 
 // Repartitioner reruns the graph + min-cut pipeline over live windows. It
-// holds one metis.Solver so steady-state repartitioning reuses all
-// partitioner scratch. Not safe for concurrent use; the Controller
-// serialises calls.
+// holds one metis.Solver and the last cycle's graph, so steady-state
+// repartitioning reuses all partitioner scratch and rebuilds each window's
+// hypergraph in the previous one's arrays (see Repartition for what that
+// means for a result's lifetime). Not safe for concurrent use; the
+// Controller serialises calls.
 type Repartitioner struct {
 	cfg    RepartitionConfig
 	solver *metis.Solver
-	cycle  uint64
+	// g is the last cycle's hypergraph and deployed its Deployed array,
+	// both rebuilt in place by the next cycle.
+	g        *graph.Graph
+	deployed [][]int
+	cycle    uint64
 	// sinceFull counts consecutive warm cycles since the last full cut,
 	// driving the FullCutEveryN backstop.
 	sinceFull int
@@ -170,7 +189,7 @@ func NewRepartitioner(cfg RepartitionConfig) (*Repartitioner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Repartitioner{cfg: cfg.withDefaults(), solver: metis.NewSolver()}, nil
+	return &Repartitioner{cfg: cfg.withDefaults(), solver: metis.NewSolver(), g: new(graph.Graph)}, nil
 }
 
 // chooseMode implements the drift-gated warm-start policy. Warm cycles
@@ -210,8 +229,8 @@ func (r *Repartitioner) RepartitionDrift(tr *workload.Trace, locate LocateFunc, 
 	gopts.Seed = cycleSeed(gopts.Seed, cycle)
 
 	phase := time.Now()
-	g, err := graph.BuildHyper(tr, gopts)
-	if err != nil {
+	g := r.g
+	if err := g.RebuildHyper(tr, gopts); err != nil {
 		return nil, err
 	}
 	graphDur := time.Since(phase)
@@ -220,6 +239,7 @@ func (r *Repartitioner) RepartitionDrift(tr *workload.Trace, locate LocateFunc, 
 	phase = time.Now()
 	var parts []int32
 	var cut int64
+	var err error
 	if mode == ModeWarm {
 		parts = g.ProjectLabels(r.cfg.K, locate)
 		cut, err = r.solver.RefineHKway(g.HG, r.cfg.K, parts, r.cfg.Metis)
@@ -237,14 +257,20 @@ func (r *Repartitioner) RepartitionDrift(tr *workload.Trace, locate LocateFunc, 
 	cutDur := time.Since(phase)
 	res := &Repartition{Graph: g, EdgeCut: cut, Mode: mode, Drift: drift,
 		Tuples: g.Intern.Tuples(), Cycle: cycle, SampleSeed: gopts.Seed,
-		PhaseGraph: graphDur, PhaseCut: cutDur}
+		PhaseGraph: graphDur, PhaseCut: cutDur, in: g.Intern}
 
 	newSets := g.DenseAssignments(parts)
-	oldSets := make([][]int, len(res.Tuples))
+	n := len(res.Tuples)
+	if cap(r.deployed) < n {
+		r.deployed = make([][]int, n, n+n/4)
+	}
+	oldSets := r.deployed[:n]
 	if locate != nil {
 		for d, id := range res.Tuples {
 			oldSets[d] = locate(id)
 		}
+	} else {
+		clear(oldSets)
 	}
 	res.Deployed = oldSets
 	res.NaiveDiff = partition.AssignmentDiff(oldSets, newSets, r.cfg.K)
@@ -270,12 +296,14 @@ func (r *Repartitioner) RepartitionDrift(tr *workload.Trace, locate LocateFunc, 
 
 // LocateFunc exposes the repartitioning as a placement function: the
 // relabeled replica set for tuples it covers, nil for anything else. It
-// resolves through the graph's interner, whose dense ids index
-// Assignments; the closure only reads, so it is safe for concurrent use.
-// It returns Assignments' shared slices themselves: callers must not
-// write to them (lookup tables copy what they are Set to).
+// resolves through the window's interner, whose dense ids index
+// Assignments, and not through Graph, so it keeps answering after later
+// cycles have rebuilt the graph. The closure only reads, so it is safe
+// for concurrent use. It returns Assignments' shared slices themselves:
+// callers must not write to them (lookup tables copy what they are Set
+// to).
 func (r *Repartition) LocateFunc() LocateFunc {
-	in, sets := r.Graph.Intern, r.Assignments
+	in, sets := r.in, r.Assignments
 	return func(id workload.TupleID) []int {
 		if d, ok := in.Lookup(id); ok {
 			return sets[d]

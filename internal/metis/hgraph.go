@@ -215,37 +215,61 @@ func buildNetTranspose(numNodes int, xpins, pins, xnets, nets []int32) {
 // nodeWeights may be nil (all ones). Returns ErrTooLarge (wrapped) when
 // the pin count exceeds int32 index capacity.
 func NewHGraph(numNodes int, xpins, pins []int32, netWeights, nodeWeights []int64) (*HGraph, error) {
+	h := new(HGraph)
+	if err := h.Rebuild(numNodes, xpins, pins, netWeights, nodeWeights); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// Rebuild is NewHGraph into h: h adopts the given pin lists and weights
+// and rebuilds its transpose in the arrays of h's previous one, growing
+// them only when they are too small; on an empty h it allocates the
+// transpose at its exact size. On error h is left unusable until the
+// next successful Rebuild.
+func (h *HGraph) Rebuild(numNodes int, xpins, pins []int32, netWeights, nodeWeights []int64) error {
 	if int64(len(pins)) > maxCSREntries {
-		return nil, fmt.Errorf("metis: %d pins over the int32 limit %d: %w",
+		return fmt.Errorf("metis: %d pins over the int32 limit %d: %w",
 			len(pins), maxCSREntries, ErrTooLarge)
 	}
-	h := &HGraph{
-		XPins: xpins, Pins: pins, NetWgt: netWeights, NWgt: nodeWeights,
-		XNets: make([]int32, numNodes+1),
-		Nets:  make([]int32, len(pins)),
-	}
+	h.XPins, h.Pins, h.NetWgt, h.NWgt = xpins, pins, netWeights, nodeWeights
+	h.XNets = regrow(h.XNets, numNodes+1)
+	h.Nets = regrow(h.Nets, len(pins))
 	m := h.NumNets()
 	if m > 0 && int(xpins[m]) != len(pins) {
-		return nil, fmt.Errorf("metis: XPins[m]=%d != len(Pins)=%d", xpins[m], len(pins))
+		return fmt.Errorf("metis: XPins[m]=%d != len(Pins)=%d", xpins[m], len(pins))
 	}
-	last := make([]int32, numNodes)
+	// The transpose's offsets are rebuilt from scratch below, so until
+	// then their array holds each node's last net for the duplicate check.
+	last := h.XNets[:numNodes]
 	for i := range last {
 		last[i] = -1
 	}
 	for e := int32(0); int(e) < m; e++ {
 		if xpins[e+1] < xpins[e] {
-			return nil, fmt.Errorf("metis: XPins not monotone at %d", e)
+			return fmt.Errorf("metis: XPins not monotone at %d", e)
 		}
 		for _, v := range pins[xpins[e]:xpins[e+1]] {
 			if v < 0 || int(v) >= numNodes {
-				return nil, fmt.Errorf("metis: pin out of range: %d", v)
+				return fmt.Errorf("metis: pin out of range: %d", v)
 			}
 			if last[v] == e {
-				return nil, fmt.Errorf("metis: duplicate pin %d in net %d", v, e)
+				return fmt.Errorf("metis: duplicate pin %d in net %d", v, e)
 			}
 			last[v] = e
 		}
 	}
 	buildNetTranspose(numNodes, xpins, pins, h.XNets, h.Nets)
-	return h, nil
+	return nil
+}
+
+// regrow is grow for an array a structure keeps across rebuilds: an
+// array that never had room (a first build) is sized exactly, and one
+// that has is resliced or regrown with grow's headroom, so that a
+// rebuild from a slightly larger input does not reallocate again.
+func regrow[T any](b []T, n int) []T {
+	if cap(b) == 0 {
+		return make([]T, n)
+	}
+	return grow(b, n)
 }
