@@ -61,8 +61,8 @@
 //
 // The whole stack is observable through internal/obs: a registry of
 // counters, gauges and the driver's lock-free HDR histograms (lifted
-// into obs and re-exported by internal/driver), sampled per-transaction
-// span traces across route/prepare/commit/quorum-append/WAL-force, and
+// into obs and re-exported by internal/driver) that time each
+// transaction's route/prepare/commit/quorum-append/WAL-force phases, and
 // a bounded event timeline (crashes, elections, lease expiries,
 // migrations, chaos triggers) that resolves a failover into
 // detect→elect→barrier→first-commit. Instrumentation follows a "nil

@@ -53,8 +53,7 @@ type Coordinator struct {
 // coordMetrics resolves the coordinator's metric handles once, so the
 // per-transaction path never takes the registry lock.
 type coordMetrics struct {
-	reg    *obs.Registry
-	tracer *obs.Tracer
+	reg *obs.Registry
 
 	committed   *obs.Counter
 	distributed *obs.Counter
@@ -75,7 +74,6 @@ func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 	}
 	m := &coordMetrics{
 		reg:         reg,
-		tracer:      reg.Tracer(),
 		committed:   reg.Counter("txn.committed"),
 		distributed: reg.Counter("txn.distributed"),
 		failed:      reg.Counter("txn.failed"),
@@ -300,11 +298,8 @@ type Txn struct {
 	accs    []workload.Access
 
 	// mets mirrors the coordinator's handle set (nil when observability
-	// is off); span is this attempt's sampled trace root, nil for the
-	// (vastly more common) unsampled attempts — every span call below is
-	// nil-safe and free in that case.
+	// is off).
 	mets *coordMetrics
-	span *obs.Span
 
 	observer StmtObserver
 	// Per-statement classification of the current attempt. A statement is
@@ -344,9 +339,6 @@ func (co *Coordinator) begin(system bool) *Txn {
 	}
 	t.slots, t.replies = t.slotBuf[:0], t.replyBuf[:]
 	t.pl.args, t.cons = t.argBuf[:0], t.consBuf[:0]
-	if t.mets != nil {
-		t.span = t.mets.tracer.Start("txn")
-	}
 	co.register(t.ts)
 	return t
 }
@@ -367,9 +359,6 @@ func (t *Txn) reset() {
 	t.epoch++ // new attempt: participants must not honour the old one's messages
 	t.accs = t.accs[:0]
 	t.stmtLocal, t.stmtDist = 0, 0
-	if t.mets != nil {
-		t.span = t.mets.tracer.Start("txn")
-	}
 	t.co.register(t.ts)
 }
 
@@ -812,8 +801,8 @@ func (t *Txn) deliverCommit(nodes []int) bool {
 }
 
 // captured runs on every successful commit: it counts the commit,
-// resolves the first-commit watch, closes the attempt's trace span, and
-// delivers the transaction's access set to the capture hook.
+// resolves the first-commit watch, and delivers the transaction's access
+// set to the capture hook.
 func (t *Txn) captured() {
 	if m := t.mets; m != nil {
 		m.committed.Inc()
@@ -826,11 +815,6 @@ func (t *Txn) captured() {
 			m.onePhase.Inc()
 		}
 		m.reg.MarkCommit(t.participants())
-		if t.span != nil {
-			t.span.Annotate("committed nodes=%d", t.Touched())
-			t.span.Finish()
-			t.span = nil
-		}
 	}
 	if t.capture != nil && len(t.accs) > 0 {
 		t.capture(t.accs)
@@ -843,27 +827,8 @@ func (t *Txn) Abort() {
 	if t.Touched() > 0 {
 		t.fanout(reqAbort, nil, t.participants())
 	}
-	if t.span != nil {
-		t.span.Annotate("aborted")
-		t.span.Finish()
-		t.span = nil
-	}
 	t.failed = true
 	t.co.deregister(t.ts)
-}
-
-// reqName is the trace-span label of a protocol message kind.
-func reqName(kind reqKind) string {
-	switch kind {
-	case reqExec:
-		return "exec"
-	case reqPrepare:
-		return "prepare"
-	case reqCommit:
-		return "commit"
-	default:
-		return "abort"
-	}
 }
 
 func allNodes(n int) []int {

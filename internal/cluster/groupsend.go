@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"schism/internal/obs"
 	"schism/internal/sqlparse"
 )
 
@@ -26,7 +25,6 @@ type call struct {
 	g, nid int
 	pinned bool     // nid already executed for this attempt
 	req    *request // the Txn's slot the request went out in
-	sp     *obs.Span
 }
 
 // fanout sends one request to each target group and returns the replies
@@ -88,11 +86,6 @@ func (t *Txn) dispatch(kind reqKind, pl *plan, targets []int, out []response) {
 // this attempt carries cont: that member's participant state must still
 // exist (see request.cont).
 func (t *Txn) post(kind reqKind, pl *plan, g, nid int, pinned, replRead bool) call {
-	var sp *obs.Span
-	if t.span != nil {
-		sp = t.span.Child(reqName(kind))
-		sp.Annotate("node %d", nid)
-	}
 	var r *request
 	if n := len(t.slots); n > 0 {
 		r = t.slots[n-1]
@@ -102,9 +95,9 @@ func (t *Txn) post(kind reqKind, pl *plan, g, nid int, pinned, replRead bool) ca
 	}
 	*r = request{kind: kind, ts: t.ts, epoch: t.epoch, plan: pl,
 		capture: t.capture != nil, replRead: replRead, twoPhase: t.twoPhase,
-		cont: pinned && kind == reqExec, reply: r.reply, trace: sp}
+		cont: pinned && kind == reqExec, reply: r.reply}
 	t.co.c.nodes[nid].send(r)
-	return call{g: g, nid: nid, pinned: pinned, req: r, sp: sp}
+	return call{g: g, nid: nid, pinned: pinned, req: r}
 }
 
 // bound is a request kind's reply timeout: RPCTimeout for the protocol
@@ -156,7 +149,6 @@ func (t *Txn) collect(calls []call, out []response, bound time.Duration) {
 		} else {
 			out[i] = response{err: fmt.Errorf("cluster: node %d: %w", c.nid, ErrRPCTimeout)}
 		}
-		c.sp.Finish()
 	}
 }
 

@@ -57,11 +57,6 @@ type request struct {
 	cont   bool
 	sentAt time.Time
 	reply  chan response
-	// trace is the coordinator-side span for this protocol message, nil
-	// unless the transaction was sampled. Node-side phases (quorum
-	// append, WAL force) hang children off it; all span calls are
-	// nil-safe.
-	trace *obs.Span
 }
 
 type response struct {
@@ -447,11 +442,9 @@ func (n *Node) prepareReplicated(gr *groupRuntime, r *request) error {
 	if n.mets != nil {
 		qStart = time.Now()
 	}
-	qsp := r.trace.Child("repl.append.quorum")
 	idx, err := gr.rep.Propose(repl.Entry{Kind: repl.KPrepare, TS: uint64(ts), Epoch: epoch, Redo: redo})
 	n.tmu.Unlock()
 	if err != nil {
-		qsp.Finish()
 		return n.notLeaderErr(gr)
 	}
 	bound := n.cfg.RPCTimeout
@@ -463,12 +456,9 @@ func (n *Node) prepareReplicated(gr *groupRuntime, r *request) error {
 		// later, but without the ack the coordinator aborts — kill the
 		// would-be pending so it cannot outlive the transaction. Presumed
 		// abort makes the no vote safe either way.
-		qsp.Annotate("quorum timeout")
-		qsp.Finish()
 		gr.rep.Propose(repl.Entry{Kind: repl.KAbort, TS: uint64(ts), Epoch: epoch})
 		return fmt.Errorf("cluster: vote no: prepare not replicated: %w", ErrRPCTimeout)
 	}
-	qsp.Finish()
 	if n.mets != nil {
 		n.mets.quorumAppend.Record(time.Since(qStart))
 	}
@@ -484,22 +474,20 @@ func (n *Node) prepareReplicated(gr *groupRuntime, r *request) error {
 	pay := n.wal.AppendPrepareAsync(uint64(ts), writeSet(st.undo))
 	st.prepared = true
 	n.tmu.Unlock()
-	n.payForce(pay, r.trace)
+	n.payForce(pay)
 	return nil
 }
 
-// payForce charges a deferred WAL force, timing it (histogram and, when
-// the transaction is sampled, a trace child) when observability is on.
-func (n *Node) payForce(pay func(), trace *obs.Span) {
+// payForce charges a deferred WAL force, timing it into the wal.force
+// histogram when observability is on.
+func (n *Node) payForce(pay func()) {
 	if n.mets == nil {
 		pay()
 		return
 	}
-	sp := trace.Child("wal.force")
 	start := time.Now()
 	pay()
 	n.mets.walForce.Record(time.Since(start))
-	sp.Finish()
 }
 
 // buildRedoLocked extracts a transaction's redo write-set: the CURRENT
@@ -576,11 +564,9 @@ func (n *Node) commitReplicated(gr *groupRuntime, r *request) error {
 	if n.mets != nil {
 		aStart = time.Now()
 	}
-	asp := r.trace.Child("repl.commit.apply")
 	idx, err := gr.rep.Propose(entry)
 	n.tmu.Unlock()
 	if err != nil {
-		asp.Finish()
 		return n.notLeaderErr(gr)
 	}
 	bound := n.cfg.RPCTimeout
@@ -588,15 +574,12 @@ func (n *Node) commitReplicated(gr *groupRuntime, r *request) error {
 		bound = n.cfg.LockTimeout
 	}
 	if werr := gr.rep.WaitApplied(idx, bound); werr != nil {
-		asp.Annotate("apply timeout")
-		asp.Finish()
 		// Proposed but not confirmed applied: the commit may still land.
 		// Deliberately NOT ErrNodeDown — the outcome is unknown, and a
 		// retry could double-execute. The decision record + resolver
 		// finish the job.
 		return fmt.Errorf("cluster: commit outcome unknown on node %d: %v", n.ID, werr)
 	}
-	asp.Finish()
 	if n.mets != nil {
 		n.mets.applyWait.Record(time.Since(aStart))
 	}
@@ -726,7 +709,7 @@ func (n *Node) prepare(r *request) error {
 	pay := n.wal.AppendPrepareAsync(uint64(r.ts), writeSet(st.undo))
 	st.prepared = true
 	n.tmu.Unlock()
-	n.payForce(pay, r.trace)
+	n.payForce(pay)
 	return nil
 }
 

@@ -21,7 +21,6 @@ import (
 func TestObsCountersMatchDriverResult(t *testing.T) {
 	const nodes, total = 2, 24
 	reg := obs.NewRegistry()
-	reg.Tracer().SetSample(16)
 	c, co := deploy(t, cluster.Config{
 		Nodes:       nodes,
 		LockTimeout: 500 * time.Millisecond,

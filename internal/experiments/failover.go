@@ -157,10 +157,8 @@ func failoverRun(measure time.Duration, r int) (FailoverRow, error) {
 
 	// Crash pass: kill group 0's leader a third of the way in, with the
 	// observability registry attached — the event timeline resolves the
-	// failover into its phases, and 1/64 span sampling keeps a few full
-	// transaction traces without perturbing the run.
+	// failover into its phases.
 	reg := obs.NewRegistry()
-	reg.Tracer().SetSample(64)
 	c, co, err = failoverCluster(r, reg)
 	if err != nil {
 		return row, err

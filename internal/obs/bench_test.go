@@ -36,38 +36,8 @@ func BenchmarkObsRecordDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceSpan measures a captured root span with two children —
-// the span-tree shape of a sampled local transaction.
-func BenchmarkTraceSpan(b *testing.B) {
-	tr := NewTracer(64)
-	tr.SetSample(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := tr.Start("txn")
-		s.Child("route").Finish()
-		s.Child("commit").Finish()
-		s.Finish()
-	}
-}
-
-// BenchmarkTraceSpanUnsampled measures the not-sampled path: Start
-// returns nil and every downstream span call is a nil-receiver no-op.
-func BenchmarkTraceSpanUnsampled(b *testing.B) {
-	tr := NewTracer(64)
-	tr.SetSample(1 << 30)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := tr.Start("txn")
-		s.Child("route").Finish()
-		s.Child("commit").Finish()
-		s.Finish()
-	}
-}
-
 // TestDisabledPathAllocFree pins the disabled mode at zero allocations:
-// nil handles and unsampled tracers must not allocate per operation.
+// nil handles must not allocate per operation.
 func TestDisabledPathAllocFree(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
@@ -81,15 +51,5 @@ func TestDisabledPathAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %.1f per op, want 0", allocs)
-	}
-	tr := NewTracer(4)
-	tr.SetSample(0)
-	allocs = testing.AllocsPerRun(1000, func() {
-		s := tr.Start("txn")
-		s.Child("route").Finish()
-		s.Finish()
-	})
-	if allocs != 0 {
-		t.Fatalf("unsampled tracer allocates %.1f per op, want 0", allocs)
 	}
 }

@@ -1,9 +1,12 @@
 // Package obs is the observability layer threaded through the cluster,
 // replication, WAL, live-repartitioning and benchmark-driver packages: a
 // registry of named counters, gauges and HDR histograms with atomic
-// zero-allocation hot-path recording, a sampled per-transaction span
-// tracer, and a bounded event timeline (crashes, elections, lease
-// expiries, migration batches, chaos triggers).
+// zero-allocation hot-path recording, and a bounded event timeline
+// (crashes, elections, lease expiries, migration batches, chaos
+// triggers). A transaction's phases are read from the histograms its
+// sites record (2pc.route, 2pc.prepare, 2pc.commit, repl.append.quorum,
+// repl.commit.apply, wal.force); a per-transaction statement record
+// comes from cluster's Txn.SetStmtObserver hook.
 //
 // The design rule is "nil means off". Every producer holds plain
 // pointers (*Counter, *Hist, *Registry) obtained once at construction;
@@ -97,7 +100,6 @@ type Registry struct {
 	collectors []Collector
 
 	timeline *Timeline
-	tracer   *Tracer
 
 	// firstCommit, when armed, makes the next qualifying MarkCommit
 	// record a "first-commit" timeline event; firstGroup scopes the watch
@@ -108,15 +110,13 @@ type Registry struct {
 	firstGroup  atomic.Int64
 }
 
-// NewRegistry returns an empty registry with a 4096-event timeline and
-// a tracer with span capture off (SetSample to enable).
+// NewRegistry returns an empty registry with a 4096-event timeline.
 func NewRegistry() *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Hist),
 		timeline: NewTimeline(4096),
-		tracer:   NewTracer(256),
 	}
 	setCurrent(r)
 	return r
@@ -188,14 +188,6 @@ func (r *Registry) Timeline() *Timeline {
 		return nil
 	}
 	return r.timeline
-}
-
-// Tracer returns the registry's span tracer (nil when disabled).
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
 }
 
 // ArmFirstCommit makes the next qualifying MarkCommit record a

@@ -34,10 +34,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	if r.Timeline().Events() != nil {
 		t.Fatalf("nil timeline has no events")
 	}
-	sp := r.Tracer().Start("txn")
-	sp.Child("route").Finish()
-	sp.Annotate("ignored")
-	sp.Finish()
 	r.ArmFirstCommit(-1)
 	r.MarkCommit(nil)
 }
@@ -140,60 +136,6 @@ func TestTimelineConcurrent(t *testing.T) {
 	}
 	if tl.Dropped() != 8*100-64 {
 		t.Fatalf("dropped = %d, want %d", tl.Dropped(), 8*100-64)
-	}
-}
-
-func TestTracerSampling(t *testing.T) {
-	tr := NewTracer(8)
-	if tr.Start("txn") != nil {
-		t.Fatalf("capture-off tracer must return nil spans")
-	}
-	tr.SetSample(3)
-	var captured int
-	for i := 0; i < 30; i++ {
-		if s := tr.Start("txn"); s != nil {
-			captured++
-			s.Finish()
-		}
-	}
-	if captured != 10 {
-		t.Fatalf("captured %d of 30 at 1/3 sampling", captured)
-	}
-	if got := len(tr.Traces()); got != 8 {
-		t.Fatalf("retained %d traces, want ring cap 8", got)
-	}
-}
-
-func TestSpanTree(t *testing.T) {
-	tr := NewTracer(4)
-	tr.SetSample(1)
-	root := tr.Start("txn")
-	if root == nil {
-		t.Fatal("1/1 sampling must capture")
-	}
-	route := root.Child("route")
-	route.Finish()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := root.Child("prepare")
-			c.Annotate("node %d", i)
-			c.Finish()
-		}(i)
-	}
-	wg.Wait()
-	root.Finish()
-	if len(root.Children) != 5 {
-		t.Fatalf("children = %d, want 5", len(root.Children))
-	}
-	if root.Dur <= 0 {
-		t.Fatalf("root duration not stamped")
-	}
-	out := root.String()
-	if out == "" || len(tr.Traces()) != 1 {
-		t.Fatalf("trace not retained or unprintable: %q", out)
 	}
 }
 
