@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"schism/internal/cluster"
 	"schism/internal/driver"
@@ -37,6 +38,7 @@ type tpccStream struct {
 	client  int
 	histSeq int64
 	full    bool // five-transaction mix; false = NewOrder/Payment only
+	sig     sigBuf
 }
 
 // histID returns a deterministic per-client history key: populate never
@@ -112,7 +114,8 @@ func (s *tpccStream) newOrderOp() driver.Op {
 			supply[l] = remoteWarehouse(rng, w, cfg.Warehouses)
 		}
 	}
-	sig := fmt.Sprintf("no w%d d%d c%d i%v s%v", w, d, c, items, supply)
+	sig := s.sig.text("no w").int(w).text(" d").int(d).text(" c").int(c).
+		text(" i").ints(items).text(" s").ints(supply).String()
 	run := func(t *cluster.Txn) error {
 		dk := k.district(w, d)
 		if _, err := t.ExecPrepared(selWarehouse, num(w)); err != nil {
@@ -168,7 +171,7 @@ func (s *tpccStream) paymentOp() driver.Op {
 		cw = remoteWarehouse(rng, w, cfg.Warehouses)
 	}
 	h := s.histID()
-	sig := fmt.Sprintf("pay w%d d%d c%d cw%d", w, d, c, cw)
+	sig := s.sig.text("pay w").int(w).text(" d").int(d).text(" c").int(c).text(" cw").int(cw).String()
 	run := func(t *cluster.Txn) error {
 		if _, err := t.ExecPrepared(updWarehouse, num(w)); err != nil {
 			return err
@@ -190,7 +193,7 @@ func (s *tpccStream) orderStatusOp() driver.Op {
 	w := cfg.pickW(rng)
 	d := 1 + rng.Intn(cfg.Districts)
 	c := 1 + rng.Intn(cfg.Customers)
-	sig := fmt.Sprintf("os w%d d%d c%d", w, d, c)
+	sig := s.sig.text("os w").int(w).text(" d").int(d).text(" c").int(c).String()
 	run := func(t *cluster.Txn) error {
 		if _, err := t.ExecPrepared(selCustomerByKey, num(k.customer(w, d, c)), num(w)); err != nil {
 			return err
@@ -211,7 +214,7 @@ func (s *tpccStream) orderStatusOp() driver.Op {
 func (s *tpccStream) deliveryOp() driver.Op {
 	cfg, k, rng := s.cfg, s.k, s.rng
 	w := cfg.pickW(rng)
-	sig := fmt.Sprintf("dl w%d", w)
+	sig := s.sig.text("dl w").int(w).String()
 	run := func(t *cluster.Txn) error {
 		for d := 1; d <= cfg.Districts; d++ {
 			dk := k.district(w, d)
@@ -254,7 +257,7 @@ func (s *tpccStream) stockLevelOp() driver.Op {
 	cfg, k, rng := s.cfg, s.k, s.rng
 	w := cfg.pickW(rng)
 	d := 1 + rng.Intn(cfg.Districts)
-	sig := fmt.Sprintf("sl w%d d%d", w, d)
+	sig := s.sig.text("sl w").int(w).text(" d").int(d).String()
 	run := func(t *cluster.Txn) error {
 		dk := k.district(w, d)
 		rows, err := t.ExecPrepared(selDistrictNextByKey, num(dk), num(w))
@@ -302,11 +305,12 @@ func YCSBAStream(cfg YCSBConfig) driver.StreamMaker {
 	return func(client int, seed int64) driver.Stream {
 		rng := rand.New(rand.NewSource(seed + int64(client)*7919))
 		gen := zipf.NewScrambled(rng, uint64(cfg.Rows), zipf.YCSBTheta)
+		var sig sigBuf
 		return driver.StreamFunc(func() driver.Op {
 			key := int64(gen.Next())
 			if rng.Intn(2) == 0 {
 				return driver.Op{
-					Sig: fmt.Sprintf("u %d", key),
+					Sig: sig.text("u ").int64(key).String(),
 					Run: func(t *cluster.Txn) error {
 						_, err := t.ExecPrepared(updUser, num(key))
 						return err
@@ -314,7 +318,7 @@ func YCSBAStream(cfg YCSBConfig) driver.StreamMaker {
 				}
 			}
 			return driver.Op{
-				Sig: fmt.Sprintf("r %d", key),
+				Sig: sig.text("r ").int64(key).String(),
 				Run: func(t *cluster.Txn) error {
 					_, err := t.ExecPrepared(selUser, num(key))
 					return err
@@ -332,6 +336,7 @@ func YCSBGroupsStream(cfg YCSBGroupsConfig) driver.StreamMaker {
 	groups := cfg.numGroups()
 	return func(client int, seed int64) driver.Stream {
 		rng := rand.New(rand.NewSource(seed + int64(client)*7919))
+		var sig sigBuf
 		return driver.StreamFunc(func() driver.Op {
 			// Zipf-free runtime skew: square a uniform draw to warm the
 			// low group ids.
@@ -342,7 +347,7 @@ func YCSBGroupsStream(cfg YCSBGroupsConfig) driver.StreamMaker {
 			}
 			r1, r2, w := cfg.drawMembers(g, rng)
 			return driver.Op{
-				Sig: fmt.Sprintf("g%d r%d r%d w%d", g, r1, r2, w),
+				Sig: sig.text("g").int(g).text(" r").int64(r1).text(" r").int64(r2).text(" w").int64(w).String(),
 				Run: func(t *cluster.Txn) error { return runYCSBGroup(t, r1, r2, w) },
 			}
 		})
@@ -361,6 +366,7 @@ func SimplecountStream(cfg SimplecountConfig, distributed bool) driver.StreamMak
 	per := cfg.Rows / cfg.Partitions
 	return func(client int, seed int64) driver.Stream {
 		rng := rand.New(rand.NewSource(seed + int64(client)*7919))
+		var sig sigBuf
 		return driver.StreamFunc(func() driver.Op {
 			p1 := rng.Intn(cfg.Partitions)
 			p2 := p1
@@ -369,7 +375,7 @@ func SimplecountStream(cfg SimplecountConfig, distributed bool) driver.StreamMak
 			}
 			id1, id2 := p1*per+rng.Intn(per), p2*per+rng.Intn(per)
 			return driver.Op{
-				Sig: fmt.Sprintf("sc %d %d", id1, id2),
+				Sig: sig.text("sc ").int(id1).text(" ").int(id2).String(),
 				Run: func(t *cluster.Txn) error {
 					if _, err := t.ExecPrepared(selCount, num(id1)); err != nil {
 						return err
@@ -392,6 +398,7 @@ type epinionsStream struct {
 	rng *rand.Rand
 	uz  *zipf.Zipf
 	iz  *zipf.Zipf
+	sig sigBuf
 }
 
 // EpinionsStream is the runtime Epinions mix as a deterministic
@@ -427,7 +434,7 @@ func (s *epinionsStream) Next() driver.Op {
 	case p < 30: // Q1: reviews of item i by users trusted by u
 		i := itemFor()
 		return driver.Op{
-			Sig: fmt.Sprintf("q1 u%d i%d", u, i),
+			Sig: s.sig.text("q1 u").int64(u).text(" i").int64(i).String(),
 			Run: func(t *cluster.Txn) error {
 				if _, err := t.Exec(fmt.Sprintf("SELECT * FROM trust WHERE t_source = %d", u)); err != nil {
 					return err
@@ -438,7 +445,7 @@ func (s *epinionsStream) Next() driver.Op {
 		}
 	case p < 45: // Q2: users trusted by u
 		return driver.Op{
-			Sig: fmt.Sprintf("q2 u%d", u),
+			Sig: s.sig.text("q2 u").int64(u).String(),
 			Run: func(t *cluster.Txn) error {
 				rows, err := t.Exec(fmt.Sprintf("SELECT * FROM trust WHERE t_source = %d", u))
 				if err != nil {
@@ -459,7 +466,7 @@ func (s *epinionsStream) Next() driver.Op {
 	case p < 57: // Q3: all ratings of an item
 		i := itemFor()
 		return driver.Op{
-			Sig: fmt.Sprintf("q3 i%d", i),
+			Sig: s.sig.text("q3 i").int64(i).String(),
 			Run: func(t *cluster.Txn) error {
 				_, err := t.Exec(fmt.Sprintf("SELECT * FROM reviews WHERE r_i_id = %d", i))
 				return err
@@ -468,7 +475,7 @@ func (s *epinionsStream) Next() driver.Op {
 	case p < 82: // Q4: top reviews of an item
 		i := itemFor()
 		return driver.Op{
-			Sig: fmt.Sprintf("q4 i%d", i),
+			Sig: s.sig.text("q4 i").int64(i).String(),
 			Run: func(t *cluster.Txn) error {
 				_, err := t.Exec(fmt.Sprintf("SELECT * FROM reviews WHERE r_i_id = %d ORDER BY r_rating DESC LIMIT 10", i))
 				return err
@@ -476,7 +483,7 @@ func (s *epinionsStream) Next() driver.Op {
 		}
 	case p < 85: // Q5: top reviews of a user
 		return driver.Op{
-			Sig: fmt.Sprintf("q5 u%d", u),
+			Sig: s.sig.text("q5 u").int64(u).String(),
 			Run: func(t *cluster.Txn) error {
 				_, err := t.Exec(fmt.Sprintf("SELECT * FROM reviews WHERE r_u_id = %d ORDER BY r_rating DESC LIMIT 10", u))
 				return err
@@ -484,7 +491,7 @@ func (s *epinionsStream) Next() driver.Op {
 		}
 	case p < 87: // Q6: update user profile
 		return driver.Op{
-			Sig: fmt.Sprintf("q6 u%d", u),
+			Sig: s.sig.text("q6 u").int64(u).String(),
 			Run: func(t *cluster.Txn) error {
 				_, err := t.Exec(fmt.Sprintf("UPDATE users SET u_rep = u_rep + 1 WHERE u_id = %d", u))
 				return err
@@ -493,7 +500,7 @@ func (s *epinionsStream) Next() driver.Op {
 	case p < 90: // Q7: update item metadata
 		i := itemFor()
 		return driver.Op{
-			Sig: fmt.Sprintf("q7 i%d", i),
+			Sig: s.sig.text("q7 i").int64(i).String(),
 			Run: func(t *cluster.Txn) error {
 				_, err := t.Exec(fmt.Sprintf("UPDATE items SET i_title = 'x' WHERE i_id = %d", i))
 				return err
@@ -504,7 +511,7 @@ func (s *epinionsStream) Next() driver.Op {
 			rid := rids[rng.Intn(len(rids))]
 			rating := 1 + rng.Intn(5)
 			return driver.Op{
-				Sig: fmt.Sprintf("q8 r%d v%d", rid, rating),
+				Sig: s.sig.text("q8 r").int64(rid).text(" v").int(rating).String(),
 				Run: func(t *cluster.Txn) error {
 					_, err := t.Exec(fmt.Sprintf("UPDATE reviews SET r_rating = %d WHERE r_id = %d", rating, rid))
 					return err
@@ -517,7 +524,7 @@ func (s *epinionsStream) Next() driver.Op {
 			tid := tids[rng.Intn(len(tids))]
 			v := rng.Intn(2)
 			return driver.Op{
-				Sig: fmt.Sprintf("q9 t%d v%d", tid, v),
+				Sig: s.sig.text("q9 t").int64(tid).text(" v").int(v).String(),
 				Run: func(t *cluster.Txn) error {
 					_, err := t.Exec(fmt.Sprintf("UPDATE trust SET t_value = %d WHERE t_id = %d", v, tid))
 					return err
@@ -531,10 +538,48 @@ func (s *epinionsStream) Next() driver.Op {
 // readUserOp is the fallback for write ops whose subject has no edges.
 func (s *epinionsStream) readUserOp(u int64) driver.Op {
 	return driver.Op{
-		Sig: fmt.Sprintf("ru u%d", u),
+		Sig: s.sig.text("ru u").int64(u).String(),
 		Run: func(t *cluster.Txn) error {
 			_, err := t.Exec(fmt.Sprintf("SELECT * FROM users WHERE u_id = %d", u))
 			return err
 		},
 	}
+}
+
+// sigBuf renders an Op's Sig byte for byte as fmt renders its format —
+// %d through strconv, a []int's %v as "[a b c]" — without boxing every
+// value. A stream keeps one and each Sig starts it over; only the
+// finished string is allocated.
+type sigBuf struct{ b []byte }
+
+// text appends literal text.
+func (w *sigBuf) text(s string) *sigBuf {
+	w.b = append(w.b, s...)
+	return w
+}
+
+func (w *sigBuf) int(v int) *sigBuf { return w.int64(int64(v)) }
+
+func (w *sigBuf) int64(v int64) *sigBuf {
+	w.b = strconv.AppendInt(w.b, v, 10)
+	return w
+}
+
+func (w *sigBuf) ints(vs []int) *sigBuf {
+	w.b = append(w.b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			w.b = append(w.b, ' ')
+		}
+		w.b = strconv.AppendInt(w.b, int64(v), 10)
+	}
+	w.b = append(w.b, ']')
+	return w
+}
+
+// String returns the Sig and empties the buffer for the next one.
+func (w *sigBuf) String() string {
+	s := string(w.b)
+	w.b = w.b[:0]
+	return s
 }
