@@ -48,6 +48,14 @@ type Coordinator struct {
 	// cluster has no observability registry. Every use is guarded by one
 	// nil check, keeping the disabled hot path free of clock reads.
 	mets *coordMetrics
+
+	// idle holds the handles of finished runTxn transactions for later
+	// begins, newest last; it is at most as long as the most transactions
+	// runTxn ran at once. A sync.Pool would spare the lock, but it empties
+	// at every collection and, under the race detector, drops a quarter
+	// of its puts, so what a transaction allocates would read at random.
+	idleMu sync.Mutex
+	idle   []*Txn
 }
 
 // coordMetrics resolves the coordinator's metric handles once, so the
@@ -253,15 +261,21 @@ func (co *Coordinator) SetCapture(fn CaptureFunc) {
 type StmtObserver func(table string, write bool, nodes int, d time.Duration)
 
 // Txn is a client transaction handle. Not safe for concurrent use.
+//
+// A handle that runTxn began outlives its transaction: when runTxn
+// returns, the handle goes back to the coordinator and a later begin
+// takes it, with its request slots, reply buffer, participant lists,
+// plan, constraint array and capture buffer; begin sets txnLife afresh.
+// Two kinds of handle are never reused: one with a timed-out call (a
+// node may still answer into its slot) and one from the public Begin,
+// which its caller owns.
 type Txn struct {
-	co       *Coordinator
-	ts       txn.TS
-	epoch    uint64 // attempt number; wait-die retries bump it (see request)
-	strat    partition.Strategy
-	failed   bool
-	system   bool // capture-exempt (migration and other internal work)
-	twoPhase bool // current commit concluded a prepare round
-	rng      prng
+	co *Coordinator
+	// mets mirrors the coordinator's handle set (nil when observability
+	// is off).
+	mets *coordMetrics
+
+	txnLife
 
 	// touched is the attempt's participant state, one entry per group:
 	// empty until the first locked statement, emptied by a retry. sticky
@@ -275,8 +289,9 @@ type Txn struct {
 	// slots is the free list of request slots (a request with its reply
 	// channel) whose replies this handle has taken, and replies is
 	// fanout's reply buffer; both start in the Txn itself. They survive
-	// retries and die with the Txn: no slot is shared between
-	// transactions.
+	// retries and go with the handle into its next transaction: a slot
+	// whose reply was never taken is not on the list, and the handle
+	// that abandoned it is not reused.
 	slots    []*request
 	replies  []response
 	slotBuf  [1]*request
@@ -294,13 +309,25 @@ type Txn struct {
 	argBuf  [2]datum.D
 	consBuf [2]sqlparse.Constraint
 
-	capture CaptureFunc
-	accs    []workload.Access
+	accs []workload.Access
+}
 
-	// mets mirrors the coordinator's handle set (nil when observability
-	// is off).
-	mets *coordMetrics
+// txnLife is the part of a handle that belongs to one transaction: begin
+// sets all of it, and recycle zeroes it, so nothing of a transaction
+// reaches the next one through a reused handle.
+type txnLife struct {
+	ts       txn.TS
+	epoch    uint64 // attempt number; wait-die retries bump it (see request)
+	strat    partition.Strategy
+	failed   bool
+	system   bool // capture-exempt (migration and other internal work)
+	twoPhase bool // current commit concluded a prepare round
+	// abandoned: a call timed out and left its slot to the node, which
+	// may still answer into it; the handle is not reused.
+	abandoned bool
+	rng       prng
 
+	capture  CaptureFunc
 	observer StmtObserver
 	// Per-statement classification of the current attempt. A statement is
 	// counted exactly once however many keys it matches or replicas it
@@ -332,15 +359,42 @@ func (co *Coordinator) begin(system bool) *Txn {
 	if system {
 		capture = nil
 	}
-	t := &Txn{
-		co: co, ts: co.c.clock.Next(), epoch: 1, strat: strat, capture: capture, system: system,
-		rng:  prng(co.c.clock.Next()),
-		mets: co.mets,
+	var t *Txn
+	co.idleMu.Lock()
+	if k := len(co.idle); k > 0 {
+		t, co.idle[k-1] = co.idle[k-1], nil
+		co.idle = co.idle[:k-1]
 	}
-	t.slots, t.replies = t.slotBuf[:0], t.replyBuf[:]
-	t.pl.args, t.cons = t.argBuf[:0], t.consBuf[:0]
+	co.idleMu.Unlock()
+	if t == nil {
+		t = &Txn{co: co, mets: co.mets}
+		t.slots, t.replies = t.slotBuf[:0], t.replyBuf[:]
+		t.pl.args, t.cons = t.argBuf[:0], t.consBuf[:0]
+	}
+	t.txnLife = txnLife{
+		ts: co.c.clock.Next(), epoch: 1, strat: strat, capture: capture, system: system,
+		rng: prng(co.c.clock.Next()),
+	}
+	t.touched.reset()
+	t.sticky.reset()
+	t.accs = t.accs[:0]
 	co.register(t.ts)
 	return t
+}
+
+// recycle hands a handle runTxn began back for a later begin, unless a
+// call of it timed out. The per-transaction part is zeroed and the
+// replies cleared, so an idle handle holds no strategy, hook or result
+// rows of the transaction it ran.
+func (co *Coordinator) recycle(t *Txn) {
+	if t.abandoned {
+		return
+	}
+	t.txnLife = txnLife{}
+	clear(t.replies)
+	co.idleMu.Lock()
+	co.idle = append(co.idle, t)
+	co.idleMu.Unlock()
 }
 
 // reset prepares the handle for a retry, KEEPING the timestamp: wait-die
@@ -918,7 +972,8 @@ type TxnResult struct {
 // RunTxn executes fn as a transaction, retrying concurrency-control aborts
 // with the same timestamp (so the retry ages and eventually wins). It
 // returns whether the committed execution was distributed and how many
-// aborts occurred.
+// aborts occurred. fn must not retain t: once RunTxn returns, the handle
+// runs a later transaction. Rows fn got from t are its own to keep.
 func (co *Coordinator) RunTxn(fn func(*Txn) error) (distributed bool, aborts int, err error) {
 	res, err := co.runTxn(co.begin(false), fn)
 	return res.Distributed, res.Aborts, err
@@ -926,20 +981,25 @@ func (co *Coordinator) RunTxn(fn func(*Txn) error) (distributed bool, aborts int
 
 // RunTxnStats is RunTxn with the full per-transaction result: node span
 // and per-statement distributed-vs-local classification. The benchmark
-// driver's counters are built from it.
+// driver's counters are built from it. As with RunTxn, fn must not
+// retain t.
 func (co *Coordinator) RunTxnStats(fn func(*Txn) error) (TxnResult, error) {
 	return co.runTxn(co.begin(false), fn)
 }
 
 // RunSystemTxn is RunTxn with workload capture suppressed: internal work
 // (the live migration executor) must not record its own transactions into
-// the drift window it is reacting to.
+// the drift window it is reacting to. As with RunTxn, fn must not retain
+// t.
 func (co *Coordinator) RunSystemTxn(fn func(*Txn) error) (distributed bool, aborts int, err error) {
 	res, err := co.runTxn(co.begin(true), fn)
 	return res.Distributed, res.Aborts, err
 }
 
+// runTxn owns the handle t, which begin made for it: it recycles t when
+// it returns.
 func (co *Coordinator) runTxn(t *Txn, fn func(*Txn) error) (TxnResult, error) {
+	defer co.recycle(t)
 	const maxAttempts = 200
 	res := TxnResult{}
 	for attempt := 0; attempt < maxAttempts; attempt++ {

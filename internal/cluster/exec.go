@@ -230,11 +230,12 @@ func (n *Node) execUpdate(ts txn.TS, st *txnState, pl *plan, s *sqlparse.Update,
 			return response{err: err}
 		}
 		n.latch.Lock()
-		// row is the one copy made per updated tuple: the before-image the
-		// WAL encodes and the undo chain keeps. The new values are built in
-		// the node's scratch row and written over the stored ones in place.
-		row, ok := tbl.Get(k)
-		if !ok || !evalRow(s.Where, pl.args, tbl.Schema, row) {
+		// row is the one copy made per updated tuple, in the state's image
+		// slab: the before-image the WAL encodes and the undo chain keeps.
+		// The new values are built in the node's scratch row and written
+		// over the stored ones in place.
+		row := st.nextImage(len(tbl.Schema.Columns))
+		if !tbl.GetInto(k, row) || !evalRow(s.Where, pl.args, tbl.Schema, row) {
 			n.latch.Unlock()
 			continue
 		}
@@ -246,7 +247,7 @@ func (n *Node) execUpdate(ts txn.TS, st *txnState, pl *plan, s *sqlparse.Update,
 		// Write-ahead: the before-image must be in the log before the row
 		// changes, or a crash between the two could lose the undo.
 		n.wal.AppendUpdate(uint64(ts), s.Table, k, row, true)
-		st.undo = append(st.undo, undoRec{table: s.Table, key: k, oldRow: row})
+		st.pushUndo(s.Table, k, row)
 		if err := tbl.Update(k, n.rowBuf); err != nil {
 			n.latch.Unlock()
 			return response{err: err}
@@ -334,7 +335,7 @@ func (n *Node) execInsert(ts txn.TS, st *txnState, pl *plan, s *sqlparse.Insert,
 		return response{err: err}
 	}
 	n.wal.AppendUpdate(uint64(ts), s.Table, key, nil, false)
-	st.undo = append(st.undo, undoRec{table: s.Table, key: key, oldRow: nil})
+	st.pushUndo(s.Table, key, nil)
 	resp := response{n: 1}
 	if capture {
 		resp.keys = []int64{key}
@@ -355,10 +356,10 @@ func (n *Node) execDelete(ts txn.TS, st *txnState, pl *plan, s *sqlparse.Delete,
 			return response{err: err}
 		}
 		n.latch.Lock()
-		row, ok := tbl.Get(k)
-		if ok && evalRow(s.Where, pl.args, tbl.Schema, row) {
+		row := st.nextImage(len(tbl.Schema.Columns))
+		if tbl.GetInto(k, row) && evalRow(s.Where, pl.args, tbl.Schema, row) {
 			n.wal.AppendUpdate(uint64(ts), s.Table, k, row, true)
-			st.undo = append(st.undo, undoRec{table: s.Table, key: k, oldRow: row})
+			st.pushUndo(s.Table, k, row)
 			tbl.Delete(k)
 			count++
 			if capture {

@@ -119,7 +119,8 @@ func (t *Txn) bound(kind reqKind) time.Duration {
 // taken but nothing more is awaited. A slot goes back on the Txn's free
 // list only once its reply is taken: a timed-out call abandons its slot
 // to the node that may still answer into it, so a late reply can never
-// land in a later request's channel.
+// land in a later request's channel, and marks the handle abandoned so
+// that no later transaction reuses it either.
 func (t *Txn) collect(calls []call, out []response, bound time.Duration) {
 	var expired <-chan time.Time
 	if bound > 0 {
@@ -148,6 +149,7 @@ func (t *Txn) collect(calls []call, out []response, bound time.Duration) {
 			t.slots = append(t.slots, c.req)
 		} else {
 			out[i] = response{err: fmt.Errorf("cluster: node %d: %w", c.nid, ErrRPCTimeout)}
+			t.abandoned = true
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"schism/internal/cluster/repl"
 	"schism/internal/cluster/wal"
+	"schism/internal/datum"
 	"schism/internal/obs"
 	"schism/internal/sqlparse"
 	"schism/internal/storage"
@@ -130,6 +131,11 @@ type Node struct {
 
 	tmu  sync.Mutex
 	txns map[txn.TS]*txnState
+	// free holds participant states that commit and matching aborts
+	// released, for later transactions (see recycleLocked). A free state
+	// is always taken before a new one is made, so the list is at most as
+	// long as the most transactions the node had at once. Guarded by tmu.
+	free []*txnState
 
 	// grp is this node's consensus-group membership (nil: replication
 	// off). The pointer swaps to a fresh runtime on restart.
@@ -167,11 +173,46 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 }
 
 // txnState is 2PC participant state for one transaction on this node.
+// Its undo log, its before-image slab and its write-set buffer outlive
+// the transaction: recycleLocked empties them for the next one.
 type txnState struct {
 	epoch    uint64 // attempt number that created this state (0: recovery)
 	undo     []undoRec
 	prepared bool
 	doomed   bool // a statement failed; must vote no
+	// images is the slab update and delete before-images are read into
+	// (nextImage) and cut from (pushUndo). When it runs out a bigger one
+	// replaces it; the images already cut keep the old one alive until
+	// the transaction ends.
+	images []datum.D
+	ws     []wal.Key // writeSet's buffer
+}
+
+// nextImage returns the room the next before-image, of ncols columns, is
+// read into; pushUndo claims it.
+func (st *txnState) nextImage(ncols int) storage.Row {
+	if cap(st.images)-len(st.images) < ncols {
+		st.images = make([]datum.D, 0, max(2*cap(st.images), ncols))
+	}
+	l := len(st.images)
+	return st.images[l : l+ncols : l+ncols]
+}
+
+// pushUndo records one write's undo. A non-nil oldRow must be the room
+// nextImage returned last, which it claims.
+func (st *txnState) pushUndo(table string, key int64, oldRow storage.Row) {
+	st.undo = append(st.undo, undoRec{table: table, key: key, oldRow: oldRow})
+	st.images = st.images[:len(st.images)+len(oldRow)]
+}
+
+// writeSet lists the (table, key) write-set of the undo log, in the
+// state's buffer.
+func (st *txnState) writeSet() []wal.Key {
+	st.ws = st.ws[:0]
+	for _, u := range st.undo {
+		st.ws = append(st.ws, wal.Key{Table: u.table, Key: u.key})
+	}
+	return st.ws
 }
 
 type undoRec struct {
@@ -471,22 +512,22 @@ func (n *Node) prepareReplicated(gr *groupRuntime, r *request) error {
 		gr.rep.Propose(repl.Entry{Kind: repl.KAbort, TS: uint64(ts), Epoch: epoch})
 		return errors.New("cluster: vote no: transaction aborted during prepare")
 	}
-	pay := n.wal.AppendPrepareAsync(uint64(ts), writeSet(st.undo))
+	n.wal.AppendPrepareAsync(uint64(ts), st.writeSet())
 	st.prepared = true
 	n.tmu.Unlock()
-	n.payForce(pay)
+	n.payForce()
 	return nil
 }
 
-// payForce charges a deferred WAL force, timing it into the wal.force
-// histogram when observability is on.
-func (n *Node) payForce(pay func()) {
+// payForce charges the WAL force AppendPrepareAsync deferred, timing it
+// into the wal.force histogram when observability is on.
+func (n *Node) payForce() {
 	if n.mets == nil {
-		pay()
+		n.wal.Force()
 		return
 	}
 	start := time.Now()
-	pay()
+	n.wal.Force()
 	n.mets.walForce.Record(time.Since(start))
 }
 
@@ -653,8 +694,7 @@ func (n *Node) execStmt(ts txn.TS, epoch uint64, pl *plan, capture, cont bool) r
 			return response{err: fmt.Errorf(
 				"cluster: node %d: participant state lost mid-transaction: %w", n.ID, ErrNodeDown)}
 		}
-		st = &txnState{epoch: epoch}
-		n.txns[ts] = st
+		st = n.newStateLocked(ts, epoch)
 	}
 	n.tmu.Unlock()
 	if st.doomed {
@@ -706,29 +746,24 @@ func (n *Node) prepare(r *request) error {
 		n.tmu.Unlock()
 		return err
 	}
-	pay := n.wal.AppendPrepareAsync(uint64(r.ts), writeSet(st.undo))
+	n.wal.AppendPrepareAsync(uint64(r.ts), st.writeSet())
 	st.prepared = true
 	n.tmu.Unlock()
-	n.payForce(pay)
+	n.payForce()
 	return nil
 }
 
-// writeSet extracts the (table, key) write-set from undo records.
-func writeSet(undo []undoRec) []wal.Key {
-	ws := make([]wal.Key, len(undo))
-	for i, u := range undo {
-		ws[i] = wal.Key{Table: u.table, Key: u.key}
-	}
-	return ws
-}
-
 // commit logs the commit decision (forced: the transaction is durable
-// once the ack leaves this node), drops participant state and releases
-// locks. The writes themselves were applied in place by the statements.
+// once the ack leaves this node), recycles participant state and
+// releases locks. The writes themselves were applied in place by the
+// statements.
 func (n *Node) commit(ts txn.TS) {
 	n.wal.AppendCommit(uint64(ts))
 	n.tmu.Lock()
-	delete(n.txns, ts)
+	if st := n.txns[ts]; st != nil {
+		delete(n.txns, ts)
+		n.recycleLocked(st)
+	}
 	n.tmu.Unlock()
 	n.locks.ReleaseAll(ts)
 }
@@ -748,7 +783,54 @@ func (n *Node) abort(ts txn.TS, epoch uint64) (wasPrepared bool) {
 		return false
 	}
 	n.rollbackLocked(ts, st)
-	return st.prepared
+	wasPrepared = st.prepared
+	n.recycleLocked(st)
+	return wasPrepared
+}
+
+// newStateLocked makes the participant state of attempt epoch of ts, off
+// the free list when it holds one. Caller holds tmu.
+func (n *Node) newStateLocked(ts txn.TS, epoch uint64) *txnState {
+	var st *txnState
+	if k := len(n.free); k > 0 {
+		st, n.free[k-1] = n.free[k-1], nil
+		n.free = n.free[:k-1]
+	} else {
+		st = new(txnState)
+	}
+	st.epoch = epoch
+	n.txns[ts] = st
+	return st
+}
+
+// recycleLocked puts a state commit or abort just took out of txns on
+// the free list, emptied: its undo records and images are cleared, so an
+// idle state pins no row or string. Caller holds tmu.
+//
+// Only commit and an abort whose epoch matches call it, because there no
+// one else holds the state. A state is reached outside tmu by the
+// statement executing on it and by prepareReplicated's quorum wait. The
+// coordinator sends an attempt's commit or abort only once every one of
+// its statements has answered (a statement's reply has no time bound),
+// and a wait-die retry is a new epoch, which a stale abort does not
+// match. prepareReplicated re-reads txns[ts] under tmu after its wait and
+// gives up unless it finds the same state at the same epoch; a state
+// recycled meanwhile and taken again by a retry of the same ts (the same
+// pointer under the same ts) carries the retry's higher epoch, and one
+// taken by another transaction is not under ts. The other ways out of
+// txns never recycle: the Restore sweep and a deposition sweep may run
+// while a statement or a quorum wait still holds the state, a stale
+// attempt rolled back by execStmt is left to the collector, and states
+// recovery reinstalled (epoch 0) keep undo images decoded from the log.
+func (n *Node) recycleLocked(st *txnState) {
+	if st.epoch == 0 {
+		return
+	}
+	clear(st.undo)
+	clear(st.images)
+	clear(st.ws)
+	*st = txnState{undo: st.undo[:0], images: st.images[:0], ws: st.ws[:0]}
+	n.free = append(n.free, st)
 }
 
 // rollbackLocked rolls one attempt's writes back, logs the abort and

@@ -113,20 +113,24 @@ func TestNoVoteOutlivesAbortFanout(t *testing.T) {
 
 // TestStatementRoundTripAllocs pins what a one-statement transaction
 // costs end to end — Begin, one prepared UPDATE, Commit — on a group of
-// one and on a group of three: the handle with its plan inside it, one
-// request slot and its reply channel reused by every message, the
-// participant state, the row images and the log. The argument list, the
-// bound constraints, the lock table's entry and key list, the
-// participant list, the reply buffer, the point lookup's key and a
-// single target's rows cost nothing.
+// one and on a group of three. A handle from the public Begin is its
+// caller's and never reused, so it is made afresh with its plan inside
+// it, one request slot and its reply channel reused by every message,
+// and its participant list; on a group of three the log entry's redo
+// list and after-image come on top. The participant state with its undo
+// log and row image comes back from the node's free list, and the
+// argument list, the bound constraints, the lock table's entry and key
+// list, the reply buffer, the point lookup's key and a single target's
+// rows cost nothing. TestRunTxnRoundTripAllocs pins the same transaction
+// on a reused handle.
 func TestStatementRoundTripAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		r    int
 		max  float64
 	}{
-		{"R=1", 1, 8},
-		{"R=3", 3, 10},
+		{"R=1", 1, 5},
+		{"R=3", 3, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var c *Cluster

@@ -120,9 +120,10 @@ func New(force time.Duration, compactAt int) *Log {
 	return &Log{force: force, compactAt: compactAt}
 }
 
-// logForce charges one durable-record flush: the single place the
-// LogForce cost is paid, exactly once per forced record.
-func (l *Log) logForce() {
+// Force charges one durable-record flush: the single place the LogForce
+// cost is paid, exactly once per forced record — by the append itself,
+// or by the caller of AppendPrepareAsync.
+func (l *Log) Force() {
 	l.forces.Add(1)
 	if l.force > 0 {
 		time.Sleep(l.force)
@@ -168,13 +169,11 @@ func (l *Log) AppendPrepare(ts uint64, writeSet []Key) {
 	l.append(true, encodePrepare(ts, writeSet))
 }
 
-// AppendPrepareAsync appends the yes-vote record but defers the forced
-// flush: the returned pay function charges the force (accounting and
-// modeled latency) and must be called — after the caller releases any
+// AppendPrepareAsync appends the yes-vote record but defers its forced
+// flush: the caller must then call Force once — after it releases any
 // locks of its own, and before the vote is acked.
-func (l *Log) AppendPrepareAsync(ts uint64, writeSet []Key) (pay func()) {
+func (l *Log) AppendPrepareAsync(ts uint64, writeSet []Key) {
 	l.append(false, encodePrepare(ts, writeSet))
-	return l.logForce
 }
 
 // AppendCommit logs the commit taking effect and forces the log.
@@ -231,7 +230,7 @@ func (l *Log) append(forced bool, encode func([]byte) []byte) {
 	}
 	l.mu.Unlock()
 	if forced {
-		l.logForce()
+		l.Force()
 	}
 }
 

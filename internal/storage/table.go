@@ -149,6 +149,20 @@ func (t *Table) Get(key int64) (Row, bool) {
 	return r, true
 }
 
+// GetInto copies the row under key into dst, which must have one
+// element per column, and reports whether the key exists (dst is left
+// as it was when not). It is Get into the caller's storage.
+func (t *Table) GetInto(key int64, dst Row) bool {
+	if len(dst) != t.tree.ncols {
+		panic(fmt.Sprintf("storage: GetInto a row of %d columns from %q's %d", len(dst), t.Schema.Name, t.tree.ncols))
+	}
+	l, i, ok := t.tree.find(key)
+	if ok {
+		t.tree.unpack(l, i, dst)
+	}
+	return ok
+}
+
 // Update overwrites the row under key (which must exist) in place. The new
 // row must keep the same key.
 func (t *Table) Update(key int64, row Row) error {
