@@ -996,10 +996,9 @@ func (co *Coordinator) RunSystemTxn(fn func(*Txn) error) (distributed bool, abor
 	return res.Distributed, res.Aborts, err
 }
 
-// runTxn owns the handle t, which begin made for it: it recycles t when
-// it returns.
+// runTxn owns the handle t, which begin made for it, and recycles it
+// when it returns. A panic out of fn leaves t to the collector.
 func (co *Coordinator) runTxn(t *Txn, fn func(*Txn) error) (TxnResult, error) {
-	defer co.recycle(t)
 	const maxAttempts = 200
 	res := TxnResult{}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -1010,6 +1009,7 @@ func (co *Coordinator) runTxn(t *Txn, fn func(*Txn) error) (TxnResult, error) {
 				res.Distributed = t.Touched() > 1
 				res.Nodes = t.Touched()
 				res.StmtLocal, res.StmtDistributed = t.stmtLocal, t.stmtDist
+				co.recycle(t)
 				return res, nil
 			}
 		} else {
@@ -1019,6 +1019,7 @@ func (co *Coordinator) runTxn(t *Txn, fn func(*Txn) error) (TxnResult, error) {
 			if m := co.mets; m != nil {
 				m.failed.Inc()
 			}
+			co.recycle(t)
 			return res, ferr
 		}
 		res.Aborts++
@@ -1040,6 +1041,7 @@ func (co *Coordinator) runTxn(t *Txn, fn func(*Txn) error) (TxnResult, error) {
 		t.reset()
 	}
 	t.co.deregister(t.ts)
+	co.recycle(t)
 	if m := co.mets; m != nil {
 		m.failed.Inc()
 	}

@@ -804,8 +804,9 @@ func (n *Node) newStateLocked(ts txn.TS, epoch uint64) *txnState {
 }
 
 // recycleLocked puts a state commit or abort just took out of txns on
-// the free list, emptied: its undo records and images are cleared, so an
-// idle state pins no row or string. Caller holds tmu.
+// the free list, emptied: its undo records, the images they claimed and
+// its write-set are cleared, so an idle state pins none of their rows or
+// strings. Caller holds tmu.
 //
 // Only commit and an abort whose epoch matches call it, because there no
 // one else holds the state. A state is reached outside tmu by the
@@ -818,10 +819,10 @@ func (n *Node) newStateLocked(ts txn.TS, epoch uint64) *txnState {
 // recycled meanwhile and taken again by a retry of the same ts (the same
 // pointer under the same ts) carries the retry's higher epoch, and one
 // taken by another transaction is not under ts. The other ways out of
-// txns never recycle: the Restore sweep and a deposition sweep may run
-// while a statement or a quorum wait still holds the state, a stale
-// attempt rolled back by execStmt is left to the collector, and states
-// recovery reinstalled (epoch 0) keep undo images decoded from the log.
+// txns never recycle: the Restore sweep may run while a statement still
+// holds the state, a deposition sweep and execStmt's rollback of a stale
+// attempt while its prepare's quorum wait does, and states recovery
+// reinstalled (epoch 0) hold undo images decoded from the log.
 func (n *Node) recycleLocked(st *txnState) {
 	if st.epoch == 0 {
 		return

@@ -181,10 +181,10 @@ func runPlanStmts(t *testing.T, r int, stmts []planStmt, oneTxn bool) ([][]stora
 
 // TestTxnBindsOnePlan pins that a Txn binds every prepared statement into
 // its one plan: 20 point UPDATEs of one row, each passed its own argument
-// list, allocate what one does. The node's recycled participant state
-// holds the undo images and the undo list (24 more objects while each
-// image was a row of its own); a plan or a constraint array per
-// statement, or an argument list that escapes, would add 19 each.
+// list, allocate what one does: the node's recycled participant state
+// holds the undo list and reads the undo images into its slab. A plan or
+// a constraint array per statement, an argument list that escapes, or a
+// row per undo image would add 19 each.
 func TestTxnBindsOnePlan(t *testing.T) {
 	c, co, _ := newAccountCluster(t, 2, 8)
 	defer c.Close()
