@@ -43,8 +43,11 @@
 // the harness, and BENCH_5.json keeps a frozen 3-iteration snapshot of
 // its numbers.
 //
-// Clients hand the coordinator statements two ways. Txn.Exec(sql) takes
-// ad-hoc text. A statement issued repeatedly is prepared once and bound
+// A client's transaction is a function the coordinator runs: RunTxn
+// begins it, hands fn the Txn, commits when fn returns nil, aborts
+// otherwise and retries concurrency-control aborts. Inside fn, clients
+// hand the coordinator statements two ways. Txn.Exec(sql) takes ad-hoc
+// text. A statement issued repeatedly is prepared once and bound
 // per call:
 //
 //	var stockOf = sqlparse.MustPrepare("SELECT * FROM stock WHERE s_key = ? AND s_w_id = ?")
@@ -56,8 +59,8 @@
 // arguments, routes, and ships the shared template plus the arguments
 // and constraints to the nodes, which parse and extract nothing. Both
 // ways converge on one internal plan and one executor (DESIGN.md,
-// "Statement path"); the TPC-C, YCSB and simplecount clients in
-// internal/workloads run on prepared statements.
+// "Statement path"); every client stream in internal/workloads and
+// internal/experiments runs on prepared statements.
 //
 // The whole stack is observable through internal/obs: a registry of
 // counters, gauges and the driver's lock-free HDR histograms (lifted

@@ -138,7 +138,7 @@ func TestPrepareVoteNoAborts2PC(t *testing.T) {
 	byNode := findKeys(t, locate, 2, 1)
 	onA, onB := byNode[0][0], byNode[1][0]
 
-	tx := co.Begin()
+	tx := co.begin(false)
 	if _, err := tx.Exec(fmt.Sprintf("UPDATE account SET bal = 1 WHERE id = %d", onA)); err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +148,13 @@ func TestPrepareVoteNoAborts2PC(t *testing.T) {
 	// Doom the participant state on node 1 (as a failed statement whose
 	// error was lost would): prepare must vote no.
 	c.Node(locate(onB)).state(tx.ts).doomed = true
-	err := tx.Commit()
+	err := tx.commit()
 	if err == nil || !strings.Contains(err.Error(), "voted no") {
 		t.Fatalf("commit error = %v, want participant vote-no", err)
 	}
 	// Both participants rolled back.
-	check := co.Begin()
-	defer check.Abort()
+	check := co.begin(false)
+	defer check.abort()
 	for _, key := range []int64{onA, onB} {
 		rows, err := check.Exec(fmt.Sprintf("SELECT * FROM account WHERE id = %d", key))
 		if err != nil || len(rows) != 1 || rows[0][1].I != 1000 {
@@ -171,7 +171,7 @@ func TestRetryOnAbortEventuallyWins(t *testing.T) {
 	c, co, _ := newAccountCluster(t, 1, 4)
 	defer c.Close()
 
-	older := co.Begin() // lower timestamp: wins conflicts
+	older := co.begin(false) // lower timestamp: wins conflicts
 	if _, err := older.Exec("UPDATE account SET bal = bal - 1 WHERE id = 0"); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestRetryOnAbortEventuallyWins(t *testing.T) {
 	// Hold the lock long enough that the younger transaction must die at
 	// least once, then release it.
 	time.Sleep(20 * time.Millisecond)
-	if err := older.Commit(); err != nil {
+	if err := older.commit(); err != nil {
 		t.Fatal(err)
 	}
 	out := <-done
@@ -201,8 +201,8 @@ func TestRetryOnAbortEventuallyWins(t *testing.T) {
 		t.Error("younger txn reported zero aborts despite the conflict")
 	}
 	// Both updates applied.
-	check := co.Begin()
-	defer check.Abort()
+	check := co.begin(false)
+	defer check.abort()
 	rows, _ := check.Exec("SELECT * FROM account WHERE id = 0")
 	if len(rows) != 1 || rows[0][1].I != 1000 {
 		t.Fatalf("final balance %v, want 1000 (-1 then +1)", rows)

@@ -33,7 +33,7 @@ func retryBackoff(attempt int, rng *prng) time.Duration {
 // prng is the per-transaction random source for replica choice and
 // backoff jitter: a splitmix64 word held by value in Txn, because most
 // transactions never draw from it and a math/rand source is a 4.9 KB
-// allocation per Begin. Any seed works, consecutive clock ticks included.
+// allocation per transaction. Any seed works, consecutive clock ticks included.
 type prng uint64
 
 func (r *prng) next() uint64 {

@@ -65,7 +65,7 @@ func newAccountCluster(t testing.TB, n int, keysPerNode int) (*Cluster, *Coordin
 func TestSingleNodeTxn(t *testing.T) {
 	c, co, _ := newAccountCluster(t, 1, 10)
 	defer c.Close()
-	tx := co.Begin()
+	tx := co.begin(false)
 	rows, err := tx.Exec("SELECT * FROM account WHERE id = 3")
 	if err != nil {
 		t.Fatal(err)
@@ -76,10 +76,10 @@ func TestSingleNodeTxn(t *testing.T) {
 	if _, err := tx.Exec("UPDATE account SET bal = bal - 100 WHERE id = 3"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); err != nil {
+	if err := tx.commit(); err != nil {
 		t.Fatal(err)
 	}
-	tx2 := co.Begin()
+	tx2 := co.begin(false)
 	rows, err = tx2.Exec("SELECT * FROM account WHERE id = 3")
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestSingleNodeTxn(t *testing.T) {
 	if rows[0][1].I != 900 {
 		t.Fatalf("bal = %v, want 900", rows[0][1])
 	}
-	if err := tx2.Commit(); err != nil {
+	if err := tx2.commit(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -95,7 +95,7 @@ func TestSingleNodeTxn(t *testing.T) {
 func TestAbortRollsBack(t *testing.T) {
 	c, co, _ := newAccountCluster(t, 1, 10)
 	defer c.Close()
-	tx := co.Begin()
+	tx := co.begin(false)
 	if _, err := tx.Exec("UPDATE account SET bal = 0 WHERE id = 5"); err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +105,10 @@ func TestAbortRollsBack(t *testing.T) {
 	if _, err := tx.Exec("INSERT INTO account (id, bal) VALUES (100, 7)"); err != nil {
 		t.Fatal(err)
 	}
-	tx.Abort()
+	tx.abort()
 
-	check := co.Begin()
-	defer check.Abort()
+	check := co.begin(false)
+	defer check.abort()
 	rows, err := check.Exec("SELECT * FROM account WHERE id = 5")
 	if err != nil || len(rows) != 1 || rows[0][1].I != 1000 {
 		t.Fatalf("update not rolled back: %v %v", rows, err)
@@ -141,22 +141,22 @@ func TestDistributedTxn2PC(t *testing.T) {
 	if b < 0 {
 		t.Fatal("no cross-node pair found")
 	}
-	tx := co.Begin()
+	tx := co.begin(false)
 	if _, err := tx.Exec(fmt.Sprintf("UPDATE account SET bal = bal - 100 WHERE id = %d", a)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tx.Exec(fmt.Sprintf("UPDATE account SET bal = bal + 100 WHERE id = %d", b)); err != nil {
 		t.Fatal(err)
 	}
-	if tx.Touched() != 2 {
-		t.Fatalf("touched %d nodes, want 2", tx.Touched())
+	if tx.span() != 2 {
+		t.Fatalf("touched %d nodes, want 2", tx.span())
 	}
-	if err := tx.Commit(); err != nil {
+	if err := tx.commit(); err != nil {
 		t.Fatal(err)
 	}
 	// Verify both sides.
-	check := co.Begin()
-	defer check.Abort()
+	check := co.begin(false)
+	defer check.abort()
 	rows, _ := check.Exec(fmt.Sprintf("SELECT * FROM account WHERE id = %d", a))
 	if rows[0][1].I != 900 {
 		t.Fatalf("a bal = %v", rows[0][1])
@@ -179,7 +179,7 @@ func TestVoteNoRollsBackAllParticipants(t *testing.T) {
 			onB = k
 		}
 	}
-	tx := co.Begin()
+	tx := co.begin(false)
 	if _, err := tx.Exec(fmt.Sprintf("UPDATE account SET bal = 1 WHERE id = %d", onA)); err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +187,12 @@ func TestVoteNoRollsBackAllParticipants(t *testing.T) {
 	if _, err := tx.Exec(fmt.Sprintf("INSERT INTO account (id, bal) VALUES (%d, 5)", onB)); err == nil {
 		t.Fatal("duplicate insert should fail")
 	}
-	if err := tx.Commit(); err == nil {
+	if err := tx.commit(); err == nil {
 		t.Fatal("commit of failed txn should error")
 	}
 	// Node A's update must be rolled back.
-	check := co.Begin()
-	defer check.Abort()
+	check := co.begin(false)
+	defer check.abort()
 	rows, _ := check.Exec(fmt.Sprintf("SELECT * FROM account WHERE id = %d", onA))
 	if rows[0][1].I != 1000 {
 		t.Fatalf("participant A not rolled back: %v", rows[0][1])
@@ -237,8 +237,8 @@ func TestMoneyConservation(t *testing.T) {
 func TestBroadcastQuery(t *testing.T) {
 	c, co, _ := newAccountCluster(t, 4, 5)
 	defer c.Close()
-	tx := co.Begin()
-	defer tx.Abort()
+	tx := co.begin(false)
+	defer tx.abort()
 	// No constraint on the key: router must broadcast and union.
 	rows, err := tx.Exec("SELECT * FROM account WHERE bal = 1000")
 	if err != nil {
@@ -247,16 +247,16 @@ func TestBroadcastQuery(t *testing.T) {
 	if len(rows) != 20 {
 		t.Fatalf("broadcast found %d rows, want 20", len(rows))
 	}
-	if tx.Touched() != 4 {
-		t.Fatalf("touched %d, want 4", tx.Touched())
+	if tx.span() != 4 {
+		t.Fatalf("touched %d, want 4", tx.span())
 	}
 }
 
 func TestRangeScanAndLimit(t *testing.T) {
 	c, co, _ := newAccountCluster(t, 1, 50)
 	defer c.Close()
-	tx := co.Begin()
-	defer tx.Abort()
+	tx := co.begin(false)
+	defer tx.abort()
 	rows, err := tx.Exec("SELECT * FROM account WHERE id BETWEEN 10 AND 19 ORDER BY id LIMIT 5")
 	if err != nil {
 		t.Fatal(err)
@@ -277,8 +277,8 @@ func TestRangeScanAndLimit(t *testing.T) {
 func TestProjection(t *testing.T) {
 	c, co, _ := newAccountCluster(t, 1, 5)
 	defer c.Close()
-	tx := co.Begin()
-	defer tx.Abort()
+	tx := co.begin(false)
+	defer tx.abort()
 	rows, err := tx.Exec("SELECT bal FROM account WHERE id = 2")
 	if err != nil {
 		t.Fatal(err)
@@ -291,13 +291,13 @@ func TestProjection(t *testing.T) {
 func TestUnsupportedStatement(t *testing.T) {
 	c, co, _ := newAccountCluster(t, 1, 5)
 	defer c.Close()
-	tx := co.Begin()
-	defer tx.Abort()
+	tx := co.begin(false)
+	defer tx.abort()
 	if _, err := tx.Exec("SELECT * FROM nosuch WHERE id = 1"); err == nil {
 		t.Error("missing table should error")
 	}
-	tx2 := co.Begin()
-	defer tx2.Abort()
+	tx2 := co.begin(false)
+	defer tx2.abort()
 	if _, err := tx2.Exec("SELECT * FROM account JOIN account ON account.id = account.id"); err == nil {
 		t.Error("join should error at runtime")
 	}
@@ -310,8 +310,8 @@ func TestUnsupportedStatement(t *testing.T) {
 func TestBuildRedoDedupesWriteSet(t *testing.T) {
 	c, co, _ := newAccountCluster(t, 1, 10)
 	defer c.Close()
-	tx := co.Begin()
-	defer tx.Abort()
+	tx := co.begin(false)
+	defer tx.abort()
 	for _, sql := range []string{
 		"UPDATE account SET bal = 7 WHERE id = 1",
 		"INSERT INTO account (id, bal) VALUES (100, 5)",

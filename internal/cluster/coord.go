@@ -176,7 +176,7 @@ func (co *Coordinator) Decision(ts txn.TS, node int) Decision {
 }
 
 // register/deregister maintain the active-transaction set Drain waits on.
-// A transaction is active from Begin (or retry reset) until it commits or
+// A transaction is active from begin (or retry reset) until it commits or
 // aborts; wait-die retries therefore leave and re-enter the set.
 func (co *Coordinator) register(ts txn.TS) {
 	co.actMu.Lock()
@@ -194,18 +194,14 @@ func (co *Coordinator) deregister(ts txn.TS) {
 // committed or aborted. Transactions begun afterwards are not waited for.
 // The live migration executor uses this as an epoch barrier: after a
 // routing-entry flip plus a Drain, no in-flight transaction can still be
-// operating on the pre-flip route.
+// operating on the pre-flip route. Every transaction runs inside runTxn,
+// which ends each attempt in a commit or an abort, so every wait ends.
 //
-// A handle abandoned without Commit or Abort would wedge the barrier, so
-// the wait per transaction is bounded: past ~2x the lock timeout the
-// transaction cannot be holding any lock wait and is treated as leaked —
-// it is evicted from the active set and skipped.
-//
-// Drain fails fast (instead of blocking toward the leak deadline) when
-// any node is crashed or paused: transactions queued on an unavailable
-// node cannot finish until it returns, so waiting is pointless and — for
-// the migration executor's epoch barrier — misleading. The check repeats
-// each poll so a node failing mid-drain also aborts the wait.
+// Drain fails fast when any node is crashed or paused: transactions
+// queued on an unavailable node cannot finish until it returns, so
+// waiting is pointless and — for the migration executor's epoch barrier
+// — misleading. The check repeats each poll so a node failing mid-drain
+// also aborts the wait.
 func (co *Coordinator) Drain() error {
 	if !co.c.allAvailable() {
 		return fmt.Errorf("%w: nodes %v unavailable", ErrDrainAborted, co.c.Unavailable())
@@ -216,7 +212,6 @@ func (co *Coordinator) Drain() error {
 		snap = append(snap, ts)
 	}
 	co.actMu.Unlock()
-	deadline := time.Now().Add(2 * co.c.cfg.LockTimeout)
 	for _, ts := range snap {
 		for {
 			co.actMu.Lock()
@@ -227,10 +222,6 @@ func (co *Coordinator) Drain() error {
 			}
 			if !co.c.allAvailable() {
 				return fmt.Errorf("%w: nodes %v unavailable", ErrDrainAborted, co.c.Unavailable())
-			}
-			if time.Now().After(deadline) {
-				co.deregister(ts)
-				break
 			}
 			time.Sleep(100 * time.Microsecond)
 		}
@@ -260,15 +251,14 @@ func (co *Coordinator) SetCapture(fn CaptureFunc) {
 // per-statement latency histograms.
 type StmtObserver func(table string, write bool, nodes int, d time.Duration)
 
-// Txn is a client transaction handle. Not safe for concurrent use.
+// Txn is the handle a transaction's statements run through; the RunTxn
+// family makes it and hands it to fn. Not safe for concurrent use.
 //
-// A handle that runTxn began outlives its transaction: when runTxn
-// returns, the handle goes back to the coordinator and a later begin
-// takes it, with its request slots, reply buffer, participant lists,
-// plan, constraint array and capture buffer; begin sets txnLife afresh.
-// Two kinds of handle are never reused: one with a timed-out call (a
-// node may still answer into its slot) and one from the public Begin,
-// which its caller owns.
+// A handle outlives its transaction: when runTxn returns, the handle
+// goes back to the coordinator and a later begin takes it, with its
+// request slots, reply buffer, participant lists, plan, constraint array
+// and capture buffer; begin sets txnLife afresh. A handle with a
+// timed-out call is never reused: a node may still answer into its slot.
 type Txn struct {
 	co *Coordinator
 	// mets mirrors the coordinator's handle set (nil when observability
@@ -341,17 +331,8 @@ type txnLife struct {
 // hook. Retries keep the observer.
 func (t *Txn) SetStmtObserver(fn StmtObserver) { t.observer = fn }
 
-// StmtCounts returns the current attempt's per-statement classification:
-// how many statements executed on a single node and how many spanned
-// several. Counters reset when a concurrency-control retry restarts the
-// transaction, so after Commit they describe the committed execution.
-func (t *Txn) StmtCounts() (local, distributed int) {
-	return t.stmtLocal, t.stmtDist
-}
-
-// Begin starts a transaction with a fresh wait-die timestamp.
-func (co *Coordinator) Begin() *Txn { return co.begin(false) }
-
+// begin starts a transaction with a fresh wait-die timestamp, on an idle
+// handle when there is one.
 func (co *Coordinator) begin(system bool) *Txn {
 	co.mu.RLock()
 	strat, capture := co.strategy, co.capture
@@ -416,9 +397,9 @@ func (t *Txn) reset() {
 	t.co.register(t.ts)
 }
 
-// Touched returns the number of partitions (groups; nodes when R = 1)
-// this transaction has accessed.
-func (t *Txn) Touched() int { return len(t.touched.list) }
+// span returns the number of partitions (groups; nodes when R = 1) this
+// attempt has accessed.
+func (t *Txn) span() int { return len(t.touched.list) }
 
 // part is a transaction attempt's state in one participant group.
 type part struct {
@@ -528,7 +509,8 @@ var errTxnFailed = errors.New("cluster: transaction already failed; abort and re
 
 // Exec parses, routes and executes one SQL statement within the
 // transaction, returning the (unioned) result rows. Statements a client
-// issues repeatedly are cheaper through ExecPrepared.
+// issues repeatedly are cheaper through ExecPrepared. The transaction's
+// end is runTxn's: there is no text BEGIN, COMMIT or ROLLBACK.
 func (t *Txn) Exec(sql string) ([]storage.Row, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -536,15 +518,6 @@ func (t *Txn) Exec(sql string) ([]storage.Row, error) {
 	}
 	if t.failed {
 		return nil, errTxnFailed
-	}
-	switch stmt.(type) {
-	case *sqlparse.Begin:
-		return nil, nil
-	case *sqlparse.Commit:
-		return nil, t.Commit()
-	case *sqlparse.Rollback:
-		t.Abort()
-		return nil, nil
 	}
 	return t.route(adhocPlan(stmt))
 }
@@ -746,12 +719,12 @@ func (t *Txn) pickReplica(single []int) int {
 	return avail[t.rng.intn(len(avail))]
 }
 
-// Commit finishes the transaction: a transaction on one group commits
+// commit finishes the transaction: a transaction on one group commits
 // in one round; one spanning groups runs two-phase commit (prepare all,
 // then commit or abort all) as in §3.
-func (t *Txn) Commit() error {
+func (t *Txn) commit() error {
 	if t.failed {
-		t.Abort()
+		t.abort()
 		return errors.New("cluster: commit of failed transaction")
 	}
 	defer t.co.deregister(t.ts)
@@ -860,7 +833,7 @@ func (t *Txn) deliverCommit(nodes []int) bool {
 func (t *Txn) captured() {
 	if m := t.mets; m != nil {
 		m.committed.Inc()
-		if t.Touched() > 1 {
+		if t.span() > 1 {
 			m.distributed.Inc()
 		}
 		if t.twoPhase {
@@ -876,9 +849,9 @@ func (t *Txn) captured() {
 	}
 }
 
-// Abort rolls the transaction back in every participant group.
-func (t *Txn) Abort() {
-	if t.Touched() > 0 {
+// abort rolls the transaction back in every participant group.
+func (t *Txn) abort() {
+	if t.span() > 0 {
 		t.fanout(reqAbort, nil, t.participants())
 	}
 	t.failed = true
@@ -912,7 +885,7 @@ func isWrite(stmt sqlparse.Statement) bool {
 // (ErrNotLeader, carrying a redirect hint via LeaderHintError) or a
 // follower whose lease lapsed mid-read (ErrLeaseExpired); both refuse
 // before acting, so the retry re-routes against the new leader. A
-// COMMIT round timeout is deliberately not retryable — see Commit.
+// COMMIT round timeout is deliberately not retryable — see commit.
 func IsRetryable(err error) bool {
 	return errors.Is(err, txn.ErrDie) || errors.Is(err, txn.ErrTimeout) ||
 		errors.Is(err, txn.ErrShutdown) || errors.Is(err, ErrNodeDown) ||
@@ -997,23 +970,34 @@ func (co *Coordinator) RunSystemTxn(fn func(*Txn) error) (distributed bool, abor
 }
 
 // runTxn owns the handle t, which begin made for it, and recycles it
-// when it returns. A panic out of fn leaves t to the collector.
+// when it returns. Every attempt ends in a commit or an abort, so no
+// return leaves the timestamp registered. A panic out of fn aborts the
+// attempt on its way up, releasing its locks and its registration, and
+// leaves t to the collector.
 func (co *Coordinator) runTxn(t *Txn, fn func(*Txn) error) (TxnResult, error) {
+	inFn := false
+	defer func() {
+		if inFn {
+			t.abort()
+		}
+	}()
 	const maxAttempts = 200
 	res := TxnResult{}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
+		inFn = true
 		ferr := fn(t)
+		inFn = false
 		if ferr == nil {
-			ferr = t.Commit()
+			ferr = t.commit()
 			if ferr == nil {
-				res.Distributed = t.Touched() > 1
-				res.Nodes = t.Touched()
+				res.Distributed = t.span() > 1
+				res.Nodes = t.span()
 				res.StmtLocal, res.StmtDistributed = t.stmtLocal, t.stmtDist
 				co.recycle(t)
 				return res, nil
 			}
 		} else {
-			t.Abort()
+			t.abort()
 		}
 		if !IsRetryable(ferr) {
 			if m := co.mets; m != nil {

@@ -88,9 +88,9 @@ func TestGroupClusterBasic(t *testing.T) {
 	// so poll briefly rather than demanding instant visibility.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		rd := co.Begin()
+		rd := co.begin(false)
 		rows, err := rd.Exec(fmt.Sprintf("SELECT * FROM account WHERE id = %d", byGroup[0][0]))
-		rd.Abort()
+		rd.abort()
 		if err == nil && len(rows) == 1 && rows[0][1].I == 850 {
 			break
 		}
@@ -212,13 +212,13 @@ func TestGroupInDoubtCommitFailover(t *testing.T) {
 	// aborts cleanly (no vote, no money moved) and we simply re-arm.
 	var victim int
 	for attempt := 0; ; attempt++ {
-		tx := co.Begin()
+		tx := co.begin(false)
 		if err := transfer(tx, onA, onB, 100); err != nil {
 			t.Fatal(err)
 		}
 		victim, _ = tx.served(0)
 		plan := NewFaultPlan(co, Fault{Point: AfterPrepareAck, Node: victim})
-		err := tx.Commit()
+		err := tx.commit()
 		plan.Close()
 		if err == nil && !c.NodeRunning(victim) {
 			break // the vote was acked and the leader died in doubt
@@ -242,9 +242,9 @@ func TestGroupInDoubtCommitFailover(t *testing.T) {
 	// (directly, or via the resolver consulting the decision record).
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		rd := co.Begin()
+		rd := co.begin(false)
 		rows, err := rd.Exec(fmt.Sprintf("SELECT * FROM account WHERE id = %d", onA))
-		rd.Abort()
+		rd.abort()
 		if err == nil && len(rows) == 1 && rows[0][1].I == 900 {
 			break
 		}
@@ -280,7 +280,7 @@ func TestGroupInDoubtAbortFailover(t *testing.T) {
 	// trigger fires — the txn aborts with no crash, so re-arm and retry
 	// until both faults actually fired.
 	for attempt := 0; ; attempt++ {
-		tx := co.Begin()
+		tx := co.begin(false)
 		if err := transfer(tx, onA, onB, 100); err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestGroupInDoubtAbortFailover(t *testing.T) {
 			Fault{Point: AfterPrepareAck, Node: v0},
 			Fault{Point: BeforePrepareAck, Node: v1},
 		)
-		err := tx.Commit()
+		err := tx.commit()
 		plan.Close()
 		if err == nil {
 			t.Fatal("commit succeeded despite a participant group voting no")
@@ -460,7 +460,7 @@ func TestGroupFollowerCatchUpPastTruncation(t *testing.T) {
 func TestGroupLeaderReadDieIsAborted(t *testing.T) {
 	c, co, _ := newGroupCluster(t, 1, 3, 8, 0)
 	defer c.Close()
-	writer := co.Begin() // older: wait-die kills younger requesters of its rows
+	writer := co.begin(false) // older: wait-die kills younger requesters of its rows
 	if _, err := writer.Exec("UPDATE account SET bal = bal - 1 WHERE id = 5"); err != nil {
 		t.Fatal(err)
 	}
@@ -468,12 +468,12 @@ func TestGroupLeaderReadDieIsAborted(t *testing.T) {
 	if !ok {
 		t.Fatal("writer's statement pinned no member")
 	}
-	reader := co.Begin()
+	reader := co.begin(false)
 	reader.sticky.set(0, leader)
 	if _, err := reader.Exec("SELECT * FROM account WHERE id IN (2, 5)"); !errors.Is(err, txn.ErrDie) {
 		t.Fatalf("leader-served read of a held row: %v, want wait-die", err)
 	}
-	reader.Abort()
+	reader.abort()
 	n := c.Node(leader)
 	n.tmu.Lock()
 	_, leaked := n.txns[reader.ts]
@@ -489,7 +489,7 @@ func TestGroupLeaderReadDieIsAborted(t *testing.T) {
 	if d, w := time.Since(start), n.locks.Stats().Waits-waits; w != 0 || d > 100*time.Millisecond {
 		t.Fatalf("older writer waited (%d lock waits, %v) on a row the aborted reader held", w, d)
 	}
-	if err := writer.Commit(); err != nil {
+	if err := writer.commit(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -506,7 +506,7 @@ func TestGroupReadFailsOverFromCrashedReplica(t *testing.T) {
 	key := byGroup[0][0]
 	q := fmt.Sprintf("SELECT * FROM account WHERE id = %d", key)
 
-	tx := co.Begin()
+	tx := co.begin(false)
 	if rows, err := tx.Exec(q); err != nil || len(rows) != 1 {
 		t.Fatalf("first read: rows=%v err=%v", rows, err)
 	}
@@ -521,8 +521,8 @@ func TestGroupReadFailsOverFromCrashedReplica(t *testing.T) {
 		// A pinned (locked) read cannot survive losing its member — that
 		// is the 2PC participant contract. Only the lock-free follower
 		// path is required to fail over; re-run on a follower.
-		tx.Abort()
-		tx = co.Begin()
+		tx.abort()
+		tx = co.begin(false)
 		tx.sticky.set(0, (sticky+1)%3)
 		if rows, err := tx.Exec(q); err != nil || len(rows) != 1 {
 			t.Fatalf("follower read: rows=%v err=%v", rows, err)
@@ -537,7 +537,7 @@ func TestGroupReadFailsOverFromCrashedReplica(t *testing.T) {
 	if again, ok := tx.sticky.get(0); ok && again == sticky {
 		t.Fatalf("stickiness not re-seeded off crashed replica %d", sticky)
 	}
-	tx.Abort()
+	tx.abort()
 	if _, err := co.RestartNode(sticky); err != nil {
 		t.Fatal(err)
 	}

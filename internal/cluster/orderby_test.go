@@ -63,12 +63,12 @@ func TestBroadcastOrderByLimitIsGlobal(t *testing.T) {
 		{"SELECT bal, id FROM account WHERE id >= 0 ORDER BY bal DESC LIMIT 3", want([]int{1, 0}, 0, true, 3)},
 		{"SELECT id FROM account WHERE bal >= 0 ORDER BY id DESC LIMIT 4", want([]int{0}, 0, true, 4)},
 	} {
-		tx := co.Begin()
+		tx := co.begin(false)
 		rows, err := tx.Exec(tc.sql)
-		if _, dist := tx.StmtCounts(); err != nil || dist != 1 {
-			t.Fatalf("%s: err %v, %d distributed statements, want a broadcast", tc.sql, err, dist)
+		if err != nil || tx.stmtDist != 1 {
+			t.Fatalf("%s: err %v, %d distributed statements, want a broadcast", tc.sql, err, tx.stmtDist)
 		}
-		tx.Abort()
+		tx.abort()
 		if !reflect.DeepEqual(rows, tc.want) {
 			t.Errorf("%s\n got %v\nwant %v", tc.sql, rows, tc.want)
 		}

@@ -126,7 +126,7 @@ func runPlanStmts(t *testing.T, r int, stmts []planStmt, oneTxn bool) ([][]stora
 	if oneTxn {
 		// blocker is older than the Txn below and holds a row of wide no
 		// statement scans, so the Txn's locking read of it dies at once.
-		blocker := co.Begin()
+		blocker := co.begin(false)
 		if _, err := exec(blocker, planStmt{insWide, []int64{999, 1, 1, 1, 1, 1, 1, 1}}); err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func runPlanStmts(t *testing.T, r int, stmts []planStmt, oneTxn bool) ([][]stora
 					if !errors.Is(err, txn.ErrDie) {
 						t.Errorf("locking read behind an older writer: %v, want ErrDie", err)
 					}
-					blocker.Abort()
+					blocker.abort()
 					return err
 				}
 			}
@@ -155,13 +155,13 @@ func runPlanStmts(t *testing.T, r int, stmts []planStmt, oneTxn bool) ([][]stora
 		}
 	} else {
 		for i, s := range stmts {
-			tx := co.Begin()
+			tx := co.begin(false)
 			out, err := exec(tx, s)
 			if err != nil {
 				t.Fatalf("statement %d: %v", i, err)
 			}
 			rows[i] = out
-			if err := tx.Commit(); err != nil {
+			if err := tx.commit(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -190,13 +190,13 @@ func TestTxnBindsOnePlan(t *testing.T) {
 	defer c.Close()
 	updates := func(n int) func() {
 		return func() {
-			tx := co.Begin()
+			tx := co.begin(false)
 			for i := 0; i < n; i++ {
 				if _, err := tx.ExecPrepared(moveAccount, datum.NewInt(1), datum.NewInt(3)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := tx.Commit(); err != nil {
+			if err := tx.commit(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -18,7 +18,7 @@ var (
 func TestExecPrepared(t *testing.T) {
 	c, co, _ := newAccountCluster(t, 2, 10)
 	defer c.Close()
-	tx := co.Begin()
+	tx := co.begin(false)
 	if _, err := tx.ExecPrepared(moveAccount, datum.NewInt(-100), datum.NewInt(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +26,8 @@ func TestExecPrepared(t *testing.T) {
 	if err != nil || len(rows) != 1 || rows[0][1].I != 900 {
 		t.Fatalf("rows %v err %v, want balance 900", rows, err)
 	}
-	if tx.Touched() != 1 {
-		t.Errorf("point statements touched %d nodes, want 1", tx.Touched())
+	if tx.span() != 1 {
+		t.Errorf("point statements touched %d nodes, want 1", tx.span())
 	}
 	// A statement no key constrains broadcasts like its ad-hoc twin, and
 	// its LIMIT holds across both nodes' rows.
@@ -39,7 +39,7 @@ func TestExecPrepared(t *testing.T) {
 	if _, err := tx.ExecPrepared(selAccount); err == nil {
 		t.Error("ExecPrepared accepted 0 arguments for 1 placeholder")
 	}
-	if err := tx.Commit(); err != nil {
+	if err := tx.commit(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -91,7 +91,7 @@ func sharePrepared(t *testing.T, co *Coordinator) {
 		}(cl)
 	}
 	wg.Wait()
-	tx := co.Begin()
+	tx := co.begin(false)
 	rows, err := tx.Exec("SELECT * FROM account")
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func sharePrepared(t *testing.T, co *Coordinator) {
 	if len(rows) != 16 || total != 16*1000 {
 		t.Fatalf("%d accounts holding %d, want 16 holding 16000", len(rows), total)
 	}
-	tx.Abort()
+	tx.abort()
 }
 
 // TestBeginCommitAllocs: an empty transaction at R = 1 allocates its handle
@@ -113,11 +113,11 @@ func TestBeginCommitAllocs(t *testing.T) {
 	c, co, _ := newAccountCluster(t, 1, 1)
 	defer c.Close()
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := co.Begin().Commit(); err != nil {
+		if err := co.begin(false).commit(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 1 {
-		t.Errorf("Begin + Commit of an empty transaction allocates %v times, want <= 1", allocs)
+		t.Errorf("begin + commit of an empty transaction allocates %v times, want <= 1", allocs)
 	}
 }

@@ -143,7 +143,7 @@ func TestWaitDieRetryOnRecycledState(t *testing.T) {
 	c, co, _ := newAccountCluster(t, 1, 8)
 	defer c.Close()
 	n := c.nodes[0]
-	older := co.Begin() // an older holder: the younger requester dies
+	older := co.begin(false) // an older holder: the younger requester dies
 	if _, err := older.ExecPrepared(moveAccount, datum.NewInt(3), datum.NewInt(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestWaitDieRetryOnRecycledState(t *testing.T) {
 			if !errors.Is(err, txn.ErrDie) {
 				t.Errorf("write behind an older holder: %v, want ErrDie", err)
 			}
-			if err := older.Commit(); err != nil {
+			if err := older.commit(); err != nil {
 				t.Error(err)
 			}
 			return err

@@ -46,13 +46,13 @@ func TestPickReplicaPrefersTouchedNode(t *testing.T) {
 	c, co := newReplicatedCluster(t, 4, 8, 4)
 	defer c.Close()
 	for key := int64(0); key < 8; key++ {
-		tx := co.Begin()
+		tx := co.begin(false)
 		// Touch the single-homed key's node first.
 		if _, err := tx.Exec(fmt.Sprintf("SELECT * FROM account WHERE id = %d", key)); err != nil {
 			t.Fatal(err)
 		}
-		if tx.Touched() != 1 {
-			t.Fatalf("touched %d nodes after keyed read", tx.Touched())
+		if tx.span() != 1 {
+			t.Fatalf("touched %d nodes after keyed read", tx.span())
 		}
 		// Replicated reads must stay on the already-touched node — for any
 		// txn, so the preference cannot be a lucky random pick.
@@ -61,10 +61,10 @@ func TestPickReplicaPrefersTouchedNode(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if tx.Touched() != 1 {
-			t.Fatalf("replicated reads left home: touched %d nodes", tx.Touched())
+		if tx.span() != 1 {
+			t.Fatalf("replicated reads left home: touched %d nodes", tx.span())
 		}
-		if err := tx.Commit(); err != nil {
+		if err := tx.commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,8 +84,8 @@ func TestPickReplicaFailsOverFromDownNode(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			c, co := newReplicatedCluster(t, 3, 0, 6)
 			defer c.Close()
-			tx := co.Begin()
-			defer tx.Abort()
+			tx := co.begin(false)
+			defer tx.abort()
 			if _, err := tx.Exec("SELECT * FROM account WHERE id = 0"); err != nil {
 				t.Fatal(err)
 			}
@@ -106,13 +106,13 @@ func TestPickReplicaFailsOverFromDownNode(t *testing.T) {
 				t.Fatalf("replicated read through %s of sticky node %d: rows=%v err=%v",
 					name, sticky, rows, err)
 			}
-			if tx.Touched() != 2 {
+			if tx.span() != 2 {
 				t.Fatalf("read did not re-seed to a live replica: touched=%v", tx.touched.list)
 			}
 			if pause {
 				c.Resume(sticky)
 			} else {
-				tx.Abort()
+				tx.abort()
 				if _, err := co.RestartNode(sticky); err != nil {
 					t.Fatal(err)
 				}
@@ -146,14 +146,14 @@ func TestReadAnywhereWriteAll(t *testing.T) {
 		}
 	}
 	// A single replicated read is served by exactly one node.
-	tx := co.Begin()
-	defer tx.Abort()
+	tx := co.begin(false)
+	defer tx.abort()
 	rows, err := tx.Exec("SELECT * FROM account WHERE id = 4")
 	if err != nil || len(rows) != 1 || rows[0][1].I != 5 {
 		t.Fatalf("replicated read: rows=%v err=%v", rows, err)
 	}
-	if tx.Touched() != 1 {
-		t.Fatalf("replicated read touched %d nodes, want 1", tx.Touched())
+	if tx.span() != 1 {
+		t.Fatalf("replicated read touched %d nodes, want 1", tx.span())
 	}
 }
 
@@ -181,11 +181,11 @@ func TestCaptureHookRecordsAccessSets(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	aborted := co.Begin()
+	aborted := co.begin(false)
 	if _, err := aborted.Exec("SELECT * FROM account WHERE id = 3"); err != nil {
 		t.Fatal(err)
 	}
-	aborted.Abort()
+	aborted.abort()
 
 	co.SetCapture(nil)
 	if len(got) != 1 {
@@ -207,8 +207,8 @@ func TestCaptureHookRecordsAccessSets(t *testing.T) {
 func TestCaptureOffHasNoKeys(t *testing.T) {
 	c, co := newReplicatedCluster(t, 1, 2, 0)
 	defer c.Close()
-	tx := co.Begin()
-	defer tx.Abort()
+	tx := co.begin(false)
+	defer tx.abort()
 	if _, err := tx.Exec("SELECT * FROM account WHERE id = 0"); err != nil {
 		t.Fatal(err)
 	}

@@ -19,14 +19,14 @@ func TestLateReplyAfterRPCTimeout(t *testing.T) {
 	home := findKeys(t, func(k int64) int { return strat.Locate(tid(k), nil)[0] }, 2, 1)
 	accounts := []int64{home[0][0], home[1][0]}
 
-	tx := co.Begin()
+	tx := co.begin(false)
 	for _, id := range accounts {
 		if _, err := tx.ExecPrepared(moveAccount, datum.NewInt(0), datum.NewInt(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.Pause(1)
-	if err := tx.Commit(); !errors.Is(err, ErrRPCTimeout) {
+	if err := tx.commit(); !errors.Is(err, ErrRPCTimeout) {
 		t.Fatalf("commit with a paused participant: %v, want ErrRPCTimeout", err)
 	}
 	c.Resume(1)
@@ -53,8 +53,8 @@ func TestLateReplyAfterRPCTimeout(t *testing.T) {
 			}
 		}
 		if attempt == 0 {
-			tx.Abort()
-		} else if err := tx.Commit(); err != nil {
+			tx.abort()
+		} else if err := tx.commit(); err != nil {
 			t.Fatalf("retry %d: commit: %v", attempt, err)
 		}
 	}
@@ -71,19 +71,19 @@ func TestNoVoteOutlivesAbortFanout(t *testing.T) {
 	home := findKeys(t, func(k int64) int { return strat.Locate(tid(k), nil)[0] }, 2, 1)
 	accounts := []int64{home[0][0], home[1][0]}
 	balance := func(id int64) int64 {
-		rd := co.Begin()
+		rd := co.begin(false)
 		rows, err := rd.ExecPrepared(selAccount, datum.NewInt(id))
 		if err != nil || len(rows) != 1 {
 			t.Fatalf("read of account %d: rows %v, err %v", id, rows, err)
 		}
-		if err := rd.Commit(); err != nil {
+		if err := rd.commit(); err != nil {
 			t.Fatal(err)
 		}
 		return rows[0][1].I
 	}
 	before := []int64{balance(accounts[0]), balance(accounts[1])}
 
-	tx := co.Begin()
+	tx := co.begin(false)
 	for i, id := range accounts {
 		if _, err := tx.ExecPrepared(moveAccount, datum.NewInt(int64(10*(2*i-1))), datum.NewInt(id)); err != nil {
 			t.Fatal(err)
@@ -95,7 +95,7 @@ func TestNoVoteOutlivesAbortFanout(t *testing.T) {
 	n.tmu.Lock()
 	n.txns[tx.ts].doomed = true
 	n.tmu.Unlock()
-	err := tx.Commit()
+	err := tx.commit()
 	if err == nil || !strings.HasSuffix(err.Error(), "participant voted no: cluster: vote no") {
 		t.Fatalf("commit with a no vote: %v, want the vote's error", err)
 	}
@@ -112,11 +112,11 @@ func TestNoVoteOutlivesAbortFanout(t *testing.T) {
 }
 
 // TestStatementRoundTripAllocs pins what a one-statement transaction
-// costs end to end — Begin, one prepared UPDATE, Commit — on a group of
-// one and on a group of three. A handle from the public Begin is its
-// caller's and never reused, so it is made afresh with its plan inside
-// it, one request slot and its reply channel reused by every message,
-// and its participant list; on a group of three the log entry's redo
+// costs end to end — begin, one prepared UPDATE, commit — on a group of
+// one and on a group of three, on a handle begin makes afresh (no handle
+// is idle, as for each of the first transactions that run at once): its
+// plan inside it, one request slot and its reply channel reused by every
+// message, and its participant list; on a group of three the log entry's redo
 // list and after-image come on top. The participant state with its undo
 // log and row image comes back from the node's free list, and the
 // argument list, the bound constraints, the lock table's entry and key
@@ -142,11 +142,11 @@ func TestStatementRoundTripAllocs(t *testing.T) {
 			}
 			defer c.Close()
 			run := func() {
-				tx := co.Begin()
+				tx := co.begin(false)
 				if _, err := tx.ExecPrepared(moveAccount, datum.NewInt(1), datum.NewInt(3)); err != nil {
 					t.Fatal(err)
 				}
-				if err := tx.Commit(); err != nil {
+				if err := tx.commit(); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -41,8 +41,8 @@ func TestGroupSnapshotCommittedPrefix(t *testing.T) {
 
 	// In flight on the leader: key 1 updated, key 100 inserted, key 2
 	// deleted.
-	tx := co.Begin()
-	defer tx.Abort()
+	tx := co.begin(false)
+	defer tx.abort()
 	for _, sql := range []string{
 		"UPDATE account SET bal = 7 WHERE id = 1",
 		"INSERT INTO account (id, bal) VALUES (100, 5)",

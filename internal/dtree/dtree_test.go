@@ -255,6 +255,23 @@ func TestKFoldError(t *testing.T) {
 	}
 }
 
+// TestKFoldErrorSortedRanges: explanation hands KFoldError its rows
+// sorted by key, and a key-sorted table is range-labelled (TPC-C's keys
+// are warehouse-major). An ascending attribute whose label is constant
+// over 10 contiguous ranges is learnable from any fold's training rows,
+// so its cross-validation error is 0. Folds of contiguous rows would
+// hold out whole ranges the tree never saw and read ~1.
+func TestKFoldErrorSortedRanges(t *testing.T) {
+	ds := numericDS("x")
+	for i := 0; i < 1000; i++ {
+		x := int64(i / 10) // 10 rows per value, so every fold trains on every value
+		ds.Add([]datum.D{datum.NewInt(x)}, int(x/10))
+	}
+	if err := KFoldError(ds, 5, Options{}); err != 0 {
+		t.Errorf("CV error %f on range-labelled sorted rows, want 0", err)
+	}
+}
+
 func TestRuleString(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ds := warehouseDS(200, rng)

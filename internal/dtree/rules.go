@@ -147,9 +147,11 @@ func (t *Tree) RuleString(r Rule) string {
 }
 
 // KFoldError estimates generalisation error by k-fold cross-validation,
-// returning the fraction of held-out instances misclassified. Folds are
-// contiguous blocks; callers should shuffle the dataset first if instance
-// order is meaningful.
+// returning the fraction of held-out instances misclassified. Fold f
+// holds out every instance i with i % k == f, so each fold samples the
+// whole dataset: rows sorted on an attribute (explanation's are sorted
+// by key) still show the tree every range of it, and the estimate stays
+// deterministic.
 func KFoldError(ds *Dataset, k int, opts Options) float64 {
 	n := ds.Len()
 	if n == 0 || k < 2 {
@@ -160,19 +162,14 @@ func KFoldError(ds *Dataset, k int, opts Options) float64 {
 	}
 	wrong := 0
 	for fold := 0; fold < k; fold++ {
-		lo := fold * n / k
-		hi := (fold + 1) * n / k
 		train := &Dataset{Attrs: ds.Attrs, NumLabels: ds.NumLabels}
 		for i := 0; i < n; i++ {
-			if i < lo || i >= hi {
+			if i%k != fold {
 				train.Add(ds.Rows[i], ds.Labels[i])
 			}
 		}
-		if train.Len() == 0 {
-			continue
-		}
 		t := Train(train, opts)
-		for i := lo; i < hi; i++ {
+		for i := fold; i < n; i += k {
 			if t.Classify(ds.Rows[i]) != ds.Labels[i] {
 				wrong++
 			}

@@ -12,6 +12,7 @@ import (
 	"schism/internal/driver"
 	"schism/internal/obs"
 	"schism/internal/partition"
+	"schism/internal/sqlparse"
 	"schism/internal/storage"
 )
 
@@ -111,6 +112,12 @@ func failoverCluster(r int, reg *obs.Registry) (*cluster.Cluster, *cluster.Coord
 	}, db, &partition.Hash{K: failoverGroups, KeyColumn: map[string]string{"account": "id"}})
 }
 
+// The transfer's two statements, prepared once.
+var (
+	debitAccount  = sqlparse.MustPrepare("UPDATE account SET bal = bal - 1 WHERE id = ?")
+	creditAccount = sqlparse.MustPrepare("UPDATE account SET bal = bal + 1 WHERE id = ?")
+)
+
 // failoverStream is the transfer mix: single-unit moves between random
 // accounts, a blend of single-group and cross-group 2PC transactions.
 func failoverStream(total int) driver.StreamMaker {
@@ -125,10 +132,10 @@ func failoverStream(total int) driver.StreamMaker {
 			return driver.Op{
 				Sig: fmt.Sprintf("tr %d %d", from, to),
 				Run: func(t *cluster.Txn) error {
-					if _, err := t.Exec(fmt.Sprintf("UPDATE account SET bal = bal - 1 WHERE id = %d", from)); err != nil {
+					if _, err := t.ExecPrepared(debitAccount, datum.NewInt(int64(from))); err != nil {
 						return err
 					}
-					_, err := t.Exec(fmt.Sprintf("UPDATE account SET bal = bal + 1 WHERE id = %d", to))
+					_, err := t.ExecPrepared(creditAccount, datum.NewInt(int64(to)))
 					return err
 				},
 			}

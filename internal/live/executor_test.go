@@ -108,14 +108,7 @@ func TestExecutorMovesTuplesAndFlipsRouting(t *testing.T) {
 		t.Fatalf("key 1 routes to %v, want [0 1]", p)
 	}
 	// Rows remain reachable through SQL (moved, replicated, untouched).
-	tx := co.Begin()
-	for _, key := range []int64{0, 1, 3, 4} {
-		rows, err := tx.Exec(fmt.Sprintf("SELECT * FROM account WHERE id = %d", key))
-		if err != nil || len(rows) != 1 || rows[0][1].I != 1000 {
-			t.Fatalf("key %d after migration: rows=%v err=%v", key, rows, err)
-		}
-	}
-	tx.Abort() // release read locks before the write below
+	readKeys(t, co, 0, 1, 3, 4)
 	// A write to the replicated key must reach both nodes.
 	_, _, err := co.RunTxn(func(tx *cluster.Txn) error {
 		_, err := tx.Exec("UPDATE account SET bal = 7 WHERE id = 1")
@@ -182,13 +175,23 @@ func TestExecutorMovesTuplesOnReplicatedCluster(t *testing.T) {
 	if p, _ := tables["account"].Locate(0); len(p) != 1 || p[0] != 1 {
 		t.Fatalf("key 0 routes to %v, want [1]", p)
 	}
-	tx := co.Begin()
-	defer tx.Abort()
-	for _, key := range []int64{0, 2, 1} {
-		rows, err := tx.Exec(fmt.Sprintf("SELECT * FROM account WHERE id = %d", key))
-		if err != nil || len(rows) != 1 || rows[0][1].I != 1000 {
-			t.Fatalf("key %d after migration: rows=%v err=%v", key, rows, err)
+	readKeys(t, co, 0, 2, 1)
+}
+
+// readKeys reads each key in one transaction and fails the test unless
+// every key has its row, still holding 1000.
+func readKeys(t *testing.T, co *cluster.Coordinator, keys ...int64) {
+	t.Helper()
+	if _, _, err := co.RunTxn(func(tx *cluster.Txn) error {
+		for _, key := range keys {
+			rows, err := tx.Exec(fmt.Sprintf("SELECT * FROM account WHERE id = %d", key))
+			if err != nil || len(rows) != 1 || rows[0][1].I != 1000 {
+				return fmt.Errorf("key %d after migration: rows=%v err=%v", key, rows, err)
+			}
 		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -163,23 +163,10 @@ type Delete struct {
 	Where Expr
 }
 
-// Begin, Commit and Rollback are transaction-control statements.
-type (
-	// Begin starts a transaction.
-	Begin struct{}
-	// Commit commits a transaction.
-	Commit struct{}
-	// Rollback aborts a transaction.
-	Rollback struct{}
-)
-
-func (*Select) stmt()   {}
-func (*Update) stmt()   {}
-func (*Insert) stmt()   {}
-func (*Delete) stmt()   {}
-func (*Begin) stmt()    {}
-func (*Commit) stmt()   {}
-func (*Rollback) stmt() {}
+func (*Select) stmt() {}
+func (*Update) stmt() {}
+func (*Insert) stmt() {}
+func (*Delete) stmt() {}
 
 func (s *Select) String() string {
 	var sb strings.Builder
@@ -258,7 +245,3 @@ func (s *Delete) String() string {
 	}
 	return out
 }
-
-func (*Begin) String() string    { return "BEGIN" }
-func (*Commit) String() string   { return "COMMIT" }
-func (*Rollback) String() string { return "ROLLBACK" }

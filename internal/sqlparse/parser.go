@@ -139,16 +139,6 @@ func (p *parser) parseStatement() (Statement, error) {
 		return p.parseInsert()
 	case "DELETE":
 		return p.parseDelete()
-	case "BEGIN", "START":
-		p.next()
-		p.keyword("TRANSACTION")
-		return &Begin{}, nil
-	case "COMMIT":
-		p.next()
-		return &Commit{}, nil
-	case "ROLLBACK", "ABORT":
-		p.next()
-		return &Rollback{}, nil
 	}
 	return nil, p.errorf("unsupported statement %q", t.text)
 }

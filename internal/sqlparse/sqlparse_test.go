@@ -100,21 +100,6 @@ func TestParseInsertDelete(t *testing.T) {
 	}
 }
 
-func TestParseTxnControl(t *testing.T) {
-	if _, ok := MustParse("BEGIN").(*Begin); !ok {
-		t.Error("BEGIN")
-	}
-	if _, ok := MustParse("COMMIT").(*Commit); !ok {
-		t.Error("COMMIT")
-	}
-	if _, ok := MustParse("ROLLBACK").(*Rollback); !ok {
-		t.Error("ROLLBACK")
-	}
-	if _, ok := MustParse("ABORT").(*Rollback); !ok {
-		t.Error("ABORT")
-	}
-}
-
 func TestParseBetweenOrNegative(t *testing.T) {
 	s := MustParse("SELECT * FROM t WHERE k BETWEEN 10 AND 20 OR k = -5").(*Select)
 	or, ok := s.Where.(*Or)

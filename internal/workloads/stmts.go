@@ -5,8 +5,8 @@ import (
 	"schism/internal/sqlparse"
 )
 
-// Every statement the TPC-C, YCSB and simplecount streams (streams.go)
-// issue at run time, prepared once, so a statement's text exists in one
+// Every statement the TPC-C, YCSB, Epinions and simplecount streams
+// (streams.go) issue at run time, prepared once, so a statement's text exists in one
 // place and a call costs a bind, not a format, a lex and a parse.
 //
 // TPC-C has one statement family: a statement that addresses a row by
@@ -42,6 +42,16 @@ var (
 	updUser = sqlparse.MustPrepare("UPDATE usertable SET field0 = 'u' WHERE ycsb_key = ?")
 
 	selCount = sqlparse.MustPrepare("SELECT * FROM simplecount WHERE id = ?")
+
+	selTrustBySource    = sqlparse.MustPrepare("SELECT * FROM trust WHERE t_source = ?")
+	selReviewsByItem    = sqlparse.MustPrepare("SELECT * FROM reviews WHERE r_i_id = ?")
+	selTopReviewsByItem = sqlparse.MustPrepare("SELECT * FROM reviews WHERE r_i_id = ? ORDER BY r_rating DESC LIMIT 10")
+	selTopReviewsByUser = sqlparse.MustPrepare("SELECT * FROM reviews WHERE r_u_id = ? ORDER BY r_rating DESC LIMIT 10")
+	selMember           = sqlparse.MustPrepare("SELECT * FROM users WHERE u_id = ?")
+	updMemberRep        = sqlparse.MustPrepare("UPDATE users SET u_rep = u_rep + 1 WHERE u_id = ?")
+	updItemTitle        = sqlparse.MustPrepare("UPDATE items SET i_title = 'x' WHERE i_id = ?")
+	updReviewRating     = sqlparse.MustPrepare("UPDATE reviews SET r_rating = ? WHERE r_id = ?")
+	updTrustValue       = sqlparse.MustPrepare("UPDATE trust SET t_value = ? WHERE t_id = ?")
 )
 
 // num is an integer argument of a prepared statement.

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -83,6 +84,30 @@ func stmtFixture() (cfg TPCCConfig, db *storage.Database, cases []stmtCase) {
 	add(selUser, num(17))
 	add(updUser, num(17))
 	add(selCount, num(5))
+
+	// A small Epinions graph beside them; user u has reviews and trust
+	// edges to update.
+	g := generateEpinions(EpinionsConfig{Users: 20, Items: 10, Communities: 2}.withDefaults(), rand.New(rand.NewSource(1)))
+	ep := epinionsDB(g)
+	for _, tn := range ep.TableNames() {
+		tbl := db.MustCreateTable(ep.Table(tn).Schema)
+		ep.Table(tn).ScanAll(func(_ int64, row storage.Row) bool {
+			if err := tbl.Insert(row); err != nil {
+				panic(err)
+			}
+			return true
+		})
+	}
+	const u, i = 3, 4
+	add(selTrustBySource, num(u))
+	add(selReviewsByItem, num(i))
+	add(selTopReviewsByItem, num(i))
+	add(selTopReviewsByUser, num(u))
+	add(selMember, num(u))
+	add(updMemberRep, num(u))
+	add(updItemTitle, num(i))
+	add(updReviewRating, num(4), num(g.byUser[u][0]))
+	add(updTrustValue, num(0), num(g.bySource[u][0]))
 	return cfg, db, cases
 }
 
@@ -93,6 +118,7 @@ func stmtStrategies(cfg TPCCConfig, db *storage.Database) (*partition.Hash, part
 	const k = 2
 	keyCols := TPCCKeyColumns()
 	keyCols["usertable"], keyCols["simplecount"] = "ycsb_key", "id"
+	keyCols["users"], keyCols["items"], keyCols["reviews"], keyCols["trust"] = "u_id", "i_id", "r_id", "t_id"
 	manual := TPCCManual(cfg, k)
 	tables := make(map[string]lookup.Table)
 	for _, tn := range db.TableNames() {
@@ -182,9 +208,24 @@ func TestPreparedMatchesFormattedSQL(t *testing.T) {
 	}
 	payment := []stmtCase{call(updWarehouse), call(updDistrictYtdByKey), call(updCustomerPayByKey),
 		{insHistory, []datum.D{num(int64(1)<<40 | 2), num(2)}}}
-	holder := bound.Begin()
-	if _, err := holder.ExecPrepared(payment[1].p, payment[1].args...); err != nil {
-		t.Fatal(err)
+	// The holder runs in its own goroutine, holding the row until the
+	// Payment's first attempt has died on it.
+	held, release, holderDone := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, _, err := bound.RunTxn(func(tx *cluster.Txn) error {
+			if _, err := tx.ExecPrepared(payment[1].p, payment[1].args...); err != nil {
+				return err
+			}
+			close(held)
+			<-release
+			return nil
+		})
+		holderDone <- err
+	}()
+	select {
+	case <-held:
+	case err := <-holderDone:
+		t.Fatalf("lock holder: %v", err)
 	}
 	attempts := 0
 	_, aborts, err := bound.RunTxn(func(tx *cluster.Txn) error {
@@ -192,8 +233,9 @@ func TestPreparedMatchesFormattedSQL(t *testing.T) {
 		for _, c := range payment {
 			if _, err := tx.ExecPrepared(c.p, c.args...); err != nil {
 				if attempts == 1 {
-					if cerr := holder.Commit(); cerr != nil {
-						t.Error(cerr)
+					close(release)
+					if herr := <-holderDone; herr != nil {
+						t.Error(herr)
 					}
 				}
 				return err

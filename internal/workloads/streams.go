@@ -436,10 +436,10 @@ func (s *epinionsStream) Next() driver.Op {
 		return driver.Op{
 			Sig: s.sig.text("q1 u").int64(u).text(" i").int64(i).String(),
 			Run: func(t *cluster.Txn) error {
-				if _, err := t.Exec(fmt.Sprintf("SELECT * FROM trust WHERE t_source = %d", u)); err != nil {
+				if _, err := t.ExecPrepared(selTrustBySource, num(u)); err != nil {
 					return err
 				}
-				_, err := t.Exec(fmt.Sprintf("SELECT * FROM reviews WHERE r_i_id = %d", i))
+				_, err := t.ExecPrepared(selReviewsByItem, num(i))
 				return err
 			},
 		}
@@ -447,7 +447,7 @@ func (s *epinionsStream) Next() driver.Op {
 		return driver.Op{
 			Sig: s.sig.text("q2 u").int64(u).String(),
 			Run: func(t *cluster.Txn) error {
-				rows, err := t.Exec(fmt.Sprintf("SELECT * FROM trust WHERE t_source = %d", u))
+				rows, err := t.ExecPrepared(selTrustBySource, num(u))
 				if err != nil {
 					return err
 				}
@@ -456,7 +456,7 @@ func (s *epinionsStream) Next() driver.Op {
 						break
 					}
 					target, _ := row[2].AsInt()
-					if _, err := t.Exec(fmt.Sprintf("SELECT * FROM users WHERE u_id = %d", target)); err != nil {
+					if _, err := t.ExecPrepared(selMember, num(target)); err != nil {
 						return err
 					}
 				}
@@ -468,7 +468,7 @@ func (s *epinionsStream) Next() driver.Op {
 		return driver.Op{
 			Sig: s.sig.text("q3 i").int64(i).String(),
 			Run: func(t *cluster.Txn) error {
-				_, err := t.Exec(fmt.Sprintf("SELECT * FROM reviews WHERE r_i_id = %d", i))
+				_, err := t.ExecPrepared(selReviewsByItem, num(i))
 				return err
 			},
 		}
@@ -477,7 +477,7 @@ func (s *epinionsStream) Next() driver.Op {
 		return driver.Op{
 			Sig: s.sig.text("q4 i").int64(i).String(),
 			Run: func(t *cluster.Txn) error {
-				_, err := t.Exec(fmt.Sprintf("SELECT * FROM reviews WHERE r_i_id = %d ORDER BY r_rating DESC LIMIT 10", i))
+				_, err := t.ExecPrepared(selTopReviewsByItem, num(i))
 				return err
 			},
 		}
@@ -485,7 +485,7 @@ func (s *epinionsStream) Next() driver.Op {
 		return driver.Op{
 			Sig: s.sig.text("q5 u").int64(u).String(),
 			Run: func(t *cluster.Txn) error {
-				_, err := t.Exec(fmt.Sprintf("SELECT * FROM reviews WHERE r_u_id = %d ORDER BY r_rating DESC LIMIT 10", u))
+				_, err := t.ExecPrepared(selTopReviewsByUser, num(u))
 				return err
 			},
 		}
@@ -493,7 +493,7 @@ func (s *epinionsStream) Next() driver.Op {
 		return driver.Op{
 			Sig: s.sig.text("q6 u").int64(u).String(),
 			Run: func(t *cluster.Txn) error {
-				_, err := t.Exec(fmt.Sprintf("UPDATE users SET u_rep = u_rep + 1 WHERE u_id = %d", u))
+				_, err := t.ExecPrepared(updMemberRep, num(u))
 				return err
 			},
 		}
@@ -502,7 +502,7 @@ func (s *epinionsStream) Next() driver.Op {
 		return driver.Op{
 			Sig: s.sig.text("q7 i").int64(i).String(),
 			Run: func(t *cluster.Txn) error {
-				_, err := t.Exec(fmt.Sprintf("UPDATE items SET i_title = 'x' WHERE i_id = %d", i))
+				_, err := t.ExecPrepared(updItemTitle, num(i))
 				return err
 			},
 		}
@@ -513,7 +513,7 @@ func (s *epinionsStream) Next() driver.Op {
 			return driver.Op{
 				Sig: s.sig.text("q8 r").int64(rid).text(" v").int(rating).String(),
 				Run: func(t *cluster.Txn) error {
-					_, err := t.Exec(fmt.Sprintf("UPDATE reviews SET r_rating = %d WHERE r_id = %d", rating, rid))
+					_, err := t.ExecPrepared(updReviewRating, num(rating), num(rid))
 					return err
 				},
 			}
@@ -526,7 +526,7 @@ func (s *epinionsStream) Next() driver.Op {
 			return driver.Op{
 				Sig: s.sig.text("q9 t").int64(tid).text(" v").int(v).String(),
 				Run: func(t *cluster.Txn) error {
-					_, err := t.Exec(fmt.Sprintf("UPDATE trust SET t_value = %d WHERE t_id = %d", v, tid))
+					_, err := t.ExecPrepared(updTrustValue, num(v), num(tid))
 					return err
 				},
 			}
@@ -540,7 +540,7 @@ func (s *epinionsStream) readUserOp(u int64) driver.Op {
 	return driver.Op{
 		Sig: s.sig.text("ru u").int64(u).String(),
 		Run: func(t *cluster.Txn) error {
-			_, err := t.Exec(fmt.Sprintf("SELECT * FROM users WHERE u_id = %d", u))
+			_, err := t.ExecPrepared(selMember, num(u))
 			return err
 		},
 	}
