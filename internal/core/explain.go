@@ -172,7 +172,21 @@ func explainTable(res *Result, table string, tuples []int32, counts map[featsel.
 		ds.Add(kept[start:len(kept):len(kept)], labels[i])
 	}
 
-	tree := dtree.Train(ds, dtree.Options{})
+	// A covered table has every stored row in the training set (TPC-C's
+	// warehouse: 50 rows, one per w_id), so there is nothing unseen to
+	// over-fit to: its tree may give one row a leaf of its own, and the
+	// cross-validation guard is skipped.
+	covered := false
+	if in.DB != nil {
+		if st := in.DB.Table(table); st != nil {
+			covered = st.Len() == ds.Len()
+		}
+	}
+	var topts dtree.Options
+	if covered {
+		topts.MinLeaf = 1
+	}
+	tree := dtree.Train(ds, topts)
 	// Guard against useless explanations (§4.3 condition ii): the tree
 	// must beat always-predict-majority on the training set.
 	maj := majorityCount(labels, len(labelSets))
@@ -180,7 +194,7 @@ func explainTable(res *Result, table string, tuples []int32, counts map[featsel.
 		return nil
 	}
 	// Cross-validate to catch over-fitting (§4.3 condition iii).
-	if ds.Len() >= 50 {
+	if !covered && ds.Len() >= 50 {
 		if cv := dtree.KFoldError(ds, 5, dtree.Options{}); cv > 0.5 {
 			return nil
 		}
