@@ -346,6 +346,8 @@ func TestGroupSymmetricPartition(t *testing.T) {
 	before := commits.Load()
 	time.Sleep(150 * time.Millisecond)
 	if after := commits.Load(); after == before {
+		close(stop) // join the traffic: the deferred Close must not race its sends
+		wg.Wait()
 		t.Fatalf("no commits while group 0's old leader was partitioned away (stuck at %d)", after)
 	}
 	c.HealNetwork()
@@ -375,6 +377,8 @@ func TestGroupAsymmetricPartition(t *testing.T) {
 	before := commits.Load()
 	time.Sleep(150 * time.Millisecond)
 	if after := commits.Load(); after == before {
+		close(stop) // join the traffic: the deferred Close must not race its sends
+		wg.Wait()
 		t.Fatal("no commits under asymmetric partition of group 0's leader")
 	}
 	c.HealNetwork()
