@@ -352,7 +352,6 @@ func Deploy(cfg Config, db *storage.Database, strat partition.Strategy) (*Cluste
 // unplaced. Deploy loads every node through it, so clusters are
 // populated by exactly the placement the router will consult.
 func SplitDatabase(src *storage.Database, strat partition.Strategy, node int) *storage.Database {
-	k := strat.NumPartitions()
 	db := storage.NewDatabase()
 	for _, tn := range src.TableNames() {
 		st := src.Table(tn)
@@ -360,11 +359,7 @@ func SplitDatabase(src *storage.Database, strat partition.Strategy, node int) *s
 		tbl := db.MustCreateTable(&schema)
 		st.ViewAll(func(key int64, row storage.Row) bool {
 			id := workload.TupleID{Table: tn, Key: key}
-			parts := strat.Locate(id, storage.RowView{Schema: st.Schema, Data: row})
-			if len(parts) == 0 {
-				parts = []int{partition.HashPart(key, k)}
-			}
-			if slices.Contains(parts, node) {
+			if slices.Contains(strat.Locate(id, storage.RowView{Schema: st.Schema, Data: row}), node) {
 				if err := tbl.Insert(row); err != nil {
 					panic(err)
 				}

@@ -568,20 +568,10 @@ func (t *Txn) bind(p *sqlparse.Prepared, args []datum.D) (*plan, error) {
 // route picks the statement's target partitions (App. C.2) and runs it.
 func (t *Txn) route(pl *plan) ([]storage.Row, error) {
 	route := t.strat.RouteStmt(pl.table, pl.cons, pl.routable)
-	var targets []int
-	switch {
-	case pl.write && len(route.All) > 0:
-		targets = route.All
-	case len(route.Single) > 0:
-		// A read any one replica serves, or an unconstrained write (e.g.
-		// INSERT of a brand-new tuple under a floating lookup strategy):
-		// place it at the transaction's home.
+	targets := route.All
+	if !pl.write && len(route.Single) > 0 {
+		// A read any one replica serves.
 		targets = []int{t.pickReplica(route.Single)}
-	default:
-		targets = route.All
-	}
-	if len(targets) == 0 {
-		targets = allNodes(t.co.c.NumGroups())
 	}
 	return t.execOn(pl, targets)
 }

@@ -236,6 +236,16 @@ func Run(in Input, opts Options) (*Result, error) {
 			res.RuleStrings = map[string][]string{}
 		}
 	}
+	// A key the lookup tables miss takes its place under the explanation;
+	// without a database, untraced tuples of a read-mostly trace are
+	// replicated everywhere.
+	res.Lookup.Miss = res.Range
+	if in.DB == nil && readMostly {
+		res.Lookup.Miss = &partition.Range{K: k, Default: allParts(k)}
+		if res.Range != nil {
+			res.Lookup.Miss.Tables = res.Range.Tables
+		}
+	}
 	res.Timings.Explain = time.Since(t0)
 
 	// Phase 5: validation on the held-out trace.
@@ -418,10 +428,9 @@ func writeFraction(tr *workload.Trace) float64 {
 // tuples[d] and dense[d] are the graph's interned tuples and their replica
 // sets. Traced tuples get the graph's placement. With a database
 // available, existing-but-untraced tuples are also covered (replicate-
-// everywhere for read-mostly workloads, hash placement otherwise) and the
-// strategy is marked Floating: unknown keys are new tuples that follow
-// their transaction. Without a database, the untraced default applies to
-// every unknown key instead.
+// everywhere for read-mostly workloads, hash placement otherwise). The
+// keys the tables miss are placed by the strategy's Miss, which Run sets
+// once the explanation is known.
 func buildLookup(tuples []workload.TupleID, dense [][]int, k int, in Input, readMostly bool) *partition.Lookup {
 	router := lookup.NewRouter(k)
 	for d, parts := range dense {
@@ -430,9 +439,6 @@ func buildLookup(tuples []workload.TupleID, dense [][]int, k int, in Input, read
 	}
 	out := &partition.Lookup{K: k, Router: router, KeyColumn: in.KeyColumns}
 	if in.DB == nil {
-		if readMostly {
-			out.Default = allParts(k)
-		}
 		router.Compress()
 		return out
 	}
@@ -450,7 +456,6 @@ func buildLookup(tuples []workload.TupleID, dense [][]int, k int, in Input, read
 			return true
 		})
 	}
-	out.Floating = true
 	router.Compress()
 	return out
 }

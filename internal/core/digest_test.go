@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"schism/internal/partition"
 	"schism/internal/workload"
 	"schism/internal/workloads"
 )
@@ -91,9 +92,9 @@ func shortCase(name string) bool {
 
 // answerDigest hashes what a core.Run answer deploys and reports: the
 // lookup strategy's placement of every tuple the trace touches (first-
-// access order), the validation costs and pick, the explanation's rules,
+// access order, each located on the row resolve gives it), the validation costs and pick, the explanation's rules,
 // the pruned-replica count, the cut and the graph phase's part weights.
-func answerDigest(tr *workload.Trace, res *Result) uint64 {
+func answerDigest(tr *workload.Trace, res *Result, resolve partition.Resolver) uint64 {
 	h := fnv.New64a()
 	names := make([]string, 0, len(res.Costs))
 	for n := range res.Costs {
@@ -120,11 +121,7 @@ func answerDigest(tr *workload.Trace, res *Result) uint64 {
 				continue
 			}
 			seen[a.Tuple] = true
-			if parts := res.Lookup.Locate(a.Tuple, nil); parts == nil {
-				fmt.Fprintln(h, a.Tuple.Table, a.Tuple.Key, "floating")
-			} else {
-				fmt.Fprintln(h, a.Tuple.Table, a.Tuple.Key, parts)
-			}
+			fmt.Fprintln(h, a.Tuple.Table, a.Tuple.Key, res.Lookup.Locate(a.Tuple, resolve(a.Tuple)))
 		}
 	}
 	return h.Sum64()
@@ -180,7 +177,7 @@ func TestAnswerDigest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		sum := fmt.Sprintf("%016x", answerDigest(c.w.Trace, res))
+		sum := fmt.Sprintf("%016x", answerDigest(c.w.Trace, res, c.w.Resolver()))
 		lines = append(lines, c.name+" "+sum)
 		if !*update && golden[c.name] != sum {
 			changed = append(changed, fmt.Sprintf("%s: %s, golden %q", c.name, sum, golden[c.name]))

@@ -38,8 +38,7 @@ func hashBackedCopy(t *testing.T, l *partition.Lookup) *partition.Lookup {
 	return &partition.Lookup{
 		K:         l.K,
 		Router:    lookup.NewRouterFromTables(l.K, tables),
-		Default:   l.Default,
-		Floating:  l.Floating,
+		Miss:      l.Miss,
 		KeyColumn: l.KeyColumn,
 	}
 }
@@ -103,8 +102,8 @@ func diffRouting(t *testing.T, w *workloads.Workload, res *Result) {
 }
 
 // TestCompressedRoutingMatchesHashIndexTPCC: write-heavy workload with a
-// database, so untraced tuples get hash placement and the strategy is
-// Floating.
+// database, so untraced tuples get hash placement and new ones the
+// explanation's rules.
 func TestCompressedRoutingMatchesHashIndexTPCC(t *testing.T) {
 	w := workloads.TPCC(workloads.TPCCConfig{
 		Warehouses: 2, Customers: 20, Items: 120, InitialOrders: 8, Txns: cut(2000, 1000), Seed: 21,

@@ -1,16 +1,17 @@
 package core
 
 // Tests for previously uncovered validation-phase branches: the
-// simplicity tie-break (§4.4), Floating unknown-key semantics, and the
-// balance rejection of degenerate explanations (§4.3 condition ii).
+// simplicity tie-break (§4.4), the placement of keys the lookup tables
+// miss, and the balance rejection of degenerate explanations (§4.3
+// condition ii).
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"schism/internal/datum"
 	"schism/internal/dtree"
-	"schism/internal/lookup"
 	"schism/internal/partition"
 	"schism/internal/sqlparse"
 	"schism/internal/storage"
@@ -100,47 +101,91 @@ func TestValidationToleranceTieBreak(t *testing.T) {
 	}
 }
 
-// TestFloatingUnknownKeys: with a database present the lookup strategy
-// covers every existing tuple and is marked Floating — unknown keys are
-// brand-new tuples that stay unconstrained (Locate nil) and route to "any
-// single partition", while known keys route to their stored replica set.
-func TestFloatingUnknownKeys(t *testing.T) {
+// TestMissedKeysFollowRules: with a database present the lookup tables
+// cover every existing tuple, and the strategy's Miss is the balanced
+// explanation, so a key the tables miss still has one home. A fully bound
+// INSERT of a new key routes exactly where Locate places the row it
+// creates, its rule's home; a read that binds only the key routes to the
+// union of the rules compatible with it; and a table without rules places
+// the key on the Miss's Default, else on its key hash.
+func TestMissedKeysFollowRules(t *testing.T) {
 	w := workloads.TPCC(workloads.TPCCConfig{
 		Warehouses: 2, Customers: 15, Items: 80, InitialOrders: 6, Txns: 800, Seed: 3,
 	})
 	res := runPipeline(t, w, 2, Options{Seed: 3})
 	l := res.Lookup
-	if !l.Floating {
-		t.Fatal("lookup strategy not Floating despite DB coverage")
+	if res.Range == nil || l.Miss != res.Range {
+		t.Fatalf("lookup Miss %p, explanation %p", l.Miss, res.Range)
 	}
-	unknown := workload.TupleID{Table: "stock", Key: 1 << 40}
-	if got := l.Locate(unknown, nil); got != nil {
-		t.Errorf("unknown key Locate = %v, want nil (floating)", got)
+	const newKey = 1 << 40
+	inserts, reads := 0, 0
+	done := map[string]bool{}
+	for _, txn := range w.Trace.Txns {
+		for _, sql := range txn.SQL {
+			stmt, err := sqlparse.Parse(sql)
+			ins, ok := stmt.(*sqlparse.Insert)
+			if err != nil || !ok || done[ins.Table] || res.Range.Tables[ins.Table] == nil {
+				continue
+			}
+			done[ins.Table] = true
+			keyCol := l.KeyColumn[ins.Table]
+			fresh := sqlparse.Insert{Table: ins.Table, Cols: ins.Cols, Values: slices.Clone(ins.Values)}
+			for i, c := range fresh.Cols {
+				if c == keyCol {
+					fresh.Values[i] = datum.NewInt(newKey)
+				}
+			}
+			row := rowFunc(func(col string) datum.D {
+				if i := slices.Index(fresh.Cols, col); i >= 0 {
+					return fresh.Values[i]
+				}
+				return datum.D{}
+			})
+			id := workload.TupleID{Table: ins.Table, Key: newKey}
+			table, cons, ok := sqlparse.Constraints(&fresh)
+			home := l.Locate(id, row)
+			if route := l.RouteStmt(table, cons, ok); !slices.Equal(route.All, home) || !slices.Equal(route.Single, home) {
+				t.Errorf("%s: INSERT of a new key routes %+v, Locate places its row on %v", table, route, home)
+			}
+			if want := res.Range.Locate(id, row); !slices.Equal(home, want) {
+				t.Errorf("%s: new row on %v, its rule's home %v", table, home, want)
+			}
+			inserts++
+
+			// A read binding the key alone leaves every rule on another
+			// column undecided.
+			first := res.Range.Tables[table].Rules[0]
+			if len(first.Conds) == 0 || slices.ContainsFunc(first.Conds, func(c partition.RangeCond) bool { return c.Column == keyCol }) {
+				continue
+			}
+			read := []sqlparse.Constraint{{Table: table, Column: keyCol, Eq: []datum.D{datum.NewInt(newKey)}}}
+			got, want := l.RouteStmt(table, read, true), res.Range.RouteStmt(table, read, true)
+			if !slices.Equal(got.Single, want.Single) || !slices.Equal(got.All, want.All) {
+				t.Errorf("%s: read of a new key routes %+v, compatible rules %+v", table, got, want)
+			}
+			if !slices.Contains(got.All, home[0]) {
+				t.Errorf("%s: read of a new key routes %+v, which misses its home %v", table, got, home)
+			}
+			reads++
+		}
 	}
-	keyCol := l.KeyColumn["stock"]
-	routeFor := func(key int64) partition.Route {
-		cons := []sqlparse.Constraint{{Table: "stock", Column: keyCol, Eq: []datum.D{datum.NewInt(key)}}}
-		return l.RouteStmt("stock", cons, true)
+	if inserts == 0 || reads == 0 {
+		t.Fatalf("%d INSERTs and %d reads checked; rules for %v", inserts, reads, res.RuleStrings)
 	}
-	// Brand-new key: any single partition may host it.
-	r := routeFor(1 << 40)
-	if len(r.Single) != 2 || len(r.All) != 0 {
-		t.Errorf("floating route for new key = %+v, want Single = all partitions", r)
+
+	// A table without rules: the Miss's Default, else the key hash.
+	id := workload.TupleID{Table: "nosuch", Key: newKey}
+	if got := l.Locate(id, nil); !slices.Equal(got, []int{partition.HashPart(newKey, 2)}) {
+		t.Errorf("table without rules: %v, want its key hash", got)
 	}
-	// Known key: the stored replica set.
+	withDefault := *l
+	withDefault.Miss = &partition.Range{K: 2, Tables: res.Range.Tables, Default: []int{1}}
+	if got := withDefault.Locate(id, nil); !slices.Equal(got, []int{1}) {
+		t.Errorf("table without rules under a Default: %v, want [1]", got)
+	}
+
+	// Every existing stock row is covered by the tables.
 	tbl, _ := l.Router.Get("stock")
-	var knownKey int64
-	tbl.(lookup.Ranger).Range(func(key int64, _ []int) bool {
-		knownKey = key
-		return false
-	})
-	want, _ := tbl.Locate(knownKey)
-	r = routeFor(knownKey)
-	if len(r.All) != len(want) || len(r.Single) != len(want) {
-		t.Errorf("known key %d route %+v, want replica set %v", knownKey, r, want)
-	}
-	// Every existing stock row must be covered (that is what licenses the
-	// floating semantics).
 	missing := 0
 	w.DB.Table("stock").ScanAll(func(key int64, _ storage.Row) bool {
 		if _, ok := tbl.Locate(key); !ok {
@@ -153,8 +198,8 @@ func TestFloatingUnknownKeys(t *testing.T) {
 	}
 }
 
-// TestWithoutDBDefaultApplies: no database and a write-heavy trace means
-// unknown keys hash-place (Default nil, not Floating).
+// TestWithoutDBDefaultApplies: no database, no resolver and a write-heavy
+// trace mean no Miss, so unknown keys hash-place.
 func TestWithoutDBDefaultApplies(t *testing.T) {
 	tr := workload.NewTrace()
 	for i := 0; i < 200; i++ {
@@ -165,11 +210,8 @@ func TestWithoutDBDefaultApplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := res.Lookup
-	if l.Floating {
-		t.Error("no DB: strategy must not be Floating")
-	}
-	if l.Default != nil {
-		t.Errorf("write-heavy trace: Default = %v, want nil (hash placement)", l.Default)
+	if l.Miss != nil {
+		t.Errorf("write-heavy trace: Miss = %+v, want nil (hash placement)", l.Miss)
 	}
 	got := l.Locate(workload.TupleID{Table: "t", Key: 1 << 30}, nil)
 	if len(got) != 1 || got[0] != partition.HashPart(1<<30, 2) {

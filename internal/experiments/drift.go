@@ -200,7 +200,7 @@ func scenarioByName(name string, s Scale) (driftScenario, error) {
 // offline comparator and the live deployment are judged under identical
 // unknown-tuple policies: tuples present in db get f's placement
 // (key-hash when f never saw them), tuples born after the db image
-// (trace INSERTs) float with their transactions.
+// (trace INSERTs) their key hash.
 func (sc driftScenario) deployedLocate(f live.LocateFunc) live.LocateFunc {
 	l, _ := live.DeployLookup(sc.db, sc.k, sc.keyCols, f)
 	return func(id workload.TupleID) []int { return l.Locate(id, nil) }

@@ -30,7 +30,10 @@ func TestFig4WithinManual(t *testing.T) {
 		{"YCSB-A", 2, 0, true},
 		{"YCSB-E", 2, 2.6, false},
 		{"TPCC-2W", 2, 0, false},
-		{"TPCC-2W (sampled)", 2, 38.1, false},
+		// 38.1 while keys the lookup tables miss floated with their
+		// transaction at no cost; pinned to the explanation's rules,
+		// new rows land apart from untraced rows the tables hash-place.
+		{"TPCC-2W (sampled)", 2, 38.9, false},
 		{"TPCC-50W", 10, 55.1, false},
 		{"TPC-E", 10, noManual, false},
 		{"EPINIONS", 2, 0.8, false},

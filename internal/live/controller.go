@@ -132,7 +132,8 @@ func NewController(cfg Config, tables map[string]*SyncTable, exec *Executor) (*C
 func (c *Controller) Window() *Window { return c.win }
 
 // Locate resolves a tuple's deployed replica set through the routing
-// tables; nil when unknown (floating).
+// tables; nil when they hold no entry for it (a key born after
+// deployment, which sits at its key hash).
 func (c *Controller) Locate(id workload.TupleID) []int {
 	if t := c.tables[id.Table]; t != nil {
 		if parts, ok := t.Locate(id.Key); ok {

@@ -15,9 +15,8 @@ import (
 // Runs, whose Set splits intervals in O(runs): these tables are flipped
 // twice per moved tuple by the migration executor under the SyncTable
 // write lock, so they need Compact's O(1) mutable slots. The returned
-// SyncTables are what the executor flips as tuples move. The strategy is
-// Floating: keys born after deployment follow their transactions until a
-// later repartition places them.
+// SyncTables are what the executor flips as tuples move. The strategy has
+// no Miss: a key born after deployment sits at its key hash.
 func DeployLookup(db *storage.Database, k int, keyCols map[string]string, locate LocateFunc) (*partition.Lookup, map[string]*SyncTable) {
 	router := lookup.NewRouter(k)
 	sync := make(map[string]*SyncTable)
@@ -38,5 +37,5 @@ func DeployLookup(db *storage.Database, k int, keyCols map[string]string, locate
 		sync[name] = st
 		router.Put(name, st)
 	}
-	return &partition.Lookup{K: k, Router: router, Floating: true, KeyColumn: keyCols}, sync
+	return &partition.Lookup{K: k, Router: router, KeyColumn: keyCols}, sync
 }

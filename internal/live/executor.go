@@ -230,12 +230,11 @@ func (e *Executor) applyBatch(batch []Move, stats *MigrationStats, scratch *[]in
 
 // copyRows is step 3's transaction body. It locks the batch's source rows
 // with one SELECT … IN … FOR UPDATE per (table, source) run of the sorted
-// batch and records each move's row in rows (nil when the row no longer
-// exists: concurrently deleted, or a floating tuple the plan mislocated).
-// It then clears lingering replicas on the add targets, which a previously
-// failed cleanup can leave behind and which would make the INSERT hit a
-// duplicate key and permanently fail the batch, and re-creates each row
-// there with the table's prepared INSERT.
+// batch and records each move's row in rows (nil when the row has since
+// been deleted). It then clears lingering replicas on the add targets,
+// which a previously failed cleanup can leave behind and which would make
+// the INSERT hit a duplicate key and permanently fail the batch, and
+// re-creates each row there with the table's prepared INSERT.
 func (e *Executor) copyRows(t *cluster.Txn, batch []Move, rows []storage.Row) error {
 	clear(rows) // a retried attempt starts over
 	for lo := 0; lo < len(batch); {

@@ -37,9 +37,9 @@ type Plan struct {
 
 // BuildPlan diffs the deployed placement against a new assignment:
 // tuples[i] gets replica set newSets[i]. Tuples whose deployed set is
-// unknown (locate returns nil — new tuples that float with their
-// transactions) are left alone: their rows live wherever they were
-// created, and only the routing layer knows nothing either way.
+// unknown (locate returns nil — keys born after deployment) are left
+// alone: their rows stay at the key hash the routing layer places them
+// on.
 func BuildPlan(tuples []workload.TupleID, locate LocateFunc, newSets [][]int) Plan {
 	oldSets := make([][]int, len(tuples))
 	for i, id := range tuples {

@@ -29,10 +29,9 @@ func (c Cost) DistributedFrac() float64 {
 //     transaction already needs.
 //
 // A transaction is single-sited iff one partition can serve all of it.
-// Tuples whose replica set is empty are unconstrained — brand-new tuples a
-// floating lookup strategy lets the transaction create at its home
-// partition — and impose no requirement. Evaluate is EvaluateEach with
-// one candidate.
+// A Strategy places every tuple; the empty replica set that
+// EvaluateCompact treats as unconstrained comes only from raw
+// assignments. Evaluate is EvaluateEach with one candidate.
 func Evaluate(tr *workload.Trace, s Strategy, resolve Resolver) Cost {
 	return EvaluateEach(tr, []Strategy{s}, resolve)[0]
 }

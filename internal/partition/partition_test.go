@@ -153,13 +153,13 @@ func TestLookupStrategy(t *testing.T) {
 	if got := l.Locate(tid("t", 3), nil); len(got) != 2 {
 		t.Errorf("replicated tuple: %v", got)
 	}
-	// Unknown key with nil Default falls back to hashing.
+	// Unknown key without a Miss falls back to hashing.
 	got := l.Locate(tid("t", 99), nil)
 	if len(got) != 1 {
 		t.Errorf("unknown key: %v", got)
 	}
-	// Unknown key with Default = everywhere.
-	lAll := &Lookup{K: 2, Router: lookup.NewRouterFromTables(2, map[string]lookup.Table{"t": idx}), Default: []int{0, 1}}
+	// Unknown key with a Miss whose Default is everywhere.
+	lAll := &Lookup{K: 2, Router: lookup.NewRouterFromTables(2, map[string]lookup.Table{"t": idx}), Miss: &Range{K: 2, Default: []int{0, 1}}}
 	if got := lAll.Locate(tid("t", 99), nil); len(got) != 2 {
 		t.Errorf("default replica set: %v", got)
 	}

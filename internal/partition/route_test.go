@@ -17,8 +17,8 @@ import (
 // constrained values' hash partitions; Range the union of its compatible
 // rules' replica sets (Single when one rule matches or the union is one
 // partition), its table Default when none does; Lookup the intersection
-// (Single) and union (All) of the keys' replica sets, a missing key being
-// unconstrained under Floating, else on Default, else on its key hash.
+// (Single) and union (All) of the keys' routes, a key in the tables
+// routing to its entry and a missing one as refMissRoute says.
 func refRoute(s Strategy, table string, cons []sqlparse.Constraint, routable bool) Route {
 	k := s.NumPartitions()
 	everywhere := Route{All: allParts(k)}
@@ -74,11 +74,11 @@ func refRoute(s Strategy, table string, cons []sqlparse.Constraint, routable boo
 		}
 		return Route{All: parts}
 	case *Lookup:
-		t, ok := s.Router.Get(table)
 		col := s.KeyColumn[table]
-		if !ok || col == "" {
+		if col == "" {
 			return everywhere
 		}
+		t, _ := s.Router.Get(table)
 		for _, c := range cons {
 			if c.Table != table || c.Column != col || len(c.Eq) == 0 {
 				continue
@@ -90,20 +90,18 @@ func refRoute(s Strategy, table string, cons []sqlparse.Constraint, routable boo
 				if !ok {
 					return everywhere
 				}
-				parts, found := t.Locate(key)
-				if !found {
-					switch {
-					case s.Floating:
-						continue
-					case s.Default != nil:
-						parts = s.Default
-					default:
-						parts = []int{HashPart(key, k)}
-					}
+				var r Route
+				if parts, found := entry(t, key); found {
+					r = Route{Single: parts, All: parts}
+				} else {
+					r = refMissRoute(s, table, col, key, cons)
 				}
 				cur := map[int]bool{}
-				for _, p := range parts {
-					cur[p], union[p] = true, true
+				for _, p := range r.Single {
+					cur[p] = true
+				}
+				for _, p := range r.All {
+					union[p] = true
 				}
 				if inter == nil {
 					inter = cur
@@ -115,13 +113,63 @@ func refRoute(s Strategy, table string, cons []sqlparse.Constraint, routable boo
 					}
 				}
 			}
-			if inter == nil {
-				return Route{Single: allParts(k)}
-			}
 			return Route{Single: sortedSet(inter), All: sortedSet(union)}
 		}
 	}
 	return everywhere
+}
+
+// entry is key's entry in t, which may be nil.
+func entry(t lookup.Table, key int64) ([]int, bool) {
+	if t == nil {
+		return nil, false
+	}
+	return t.Locate(key)
+}
+
+// refMissRoute routes a key a Lookup's tables miss: the statement binds
+// the key column to key and every column its first one-value equality
+// names. The first rule of the key's table that no bound value fails is
+// the key's home when the statement binds all of its columns; when it
+// does not, the route is the Miss's own Range route. With no such rule
+// the key lives on the table's default, else the Miss's default, else its
+// key hash, as with no Miss at all.
+func refMissRoute(s *Lookup, table, keyCol string, key int64, cons []sqlparse.Constraint) Route {
+	home := []int{HashPart(key, s.K)}
+	if s.Miss == nil {
+		return Route{Single: home, All: home}
+	}
+	bound := map[string]datum.D{keyCol: datum.NewInt(key)}
+	for _, c := range cons {
+		if _, ok := bound[c.Column]; !ok && c.Table == table && len(c.Eq) == 1 {
+			bound[c.Column] = c.Eq[0]
+		}
+	}
+	tr := s.Miss.Tables[table]
+	if tr != nil {
+	rules:
+		for _, rule := range tr.Rules {
+			all := true
+			for _, rc := range rule.Conds {
+				v, ok := bound[rc.Column]
+				if ok && !rc.Matches(mapRow{rc.Column: v}) {
+					continue rules
+				}
+				all = all && ok
+			}
+			if !all {
+				return refRoute(s.Miss, table, cons, true)
+			}
+			return Route{Single: rule.Parts, All: rule.Parts}
+		}
+	}
+	switch {
+	case tr != nil && tr.Default != nil:
+		home = tr.Default
+	case s.Miss.Default != nil:
+		home = s.Miss.Default
+	}
+	return Route{Single: home, All: home}
 }
 
 func sortedSet(set map[int]bool) []int {
@@ -187,14 +235,42 @@ type routeCase struct {
 	routable bool
 }
 
-// genRouteCase builds a Hash (by key or by column), Range (with or
-// without a table Default) or Lookup (hits, Floating, Default and
-// key-hash misses) strategy over table t, and a statement on t (or on a
-// table the strategy does not know) whose equality lists hold 1–4 values,
-// repeats included.
+// genRange draws a Range over table t: up to four rules of up to two
+// conditions on its key id and its column w, with or without a table
+// Default and a Range Default.
+func genRange(c *choices, k int) *Range {
+	tr := &TableRules{Table: "t"}
+	for i, n := 0, c.intn(5); i < n; i++ {
+		var rule RangeRule
+		for j, m := 0, c.intn(3); j < m; j++ {
+			col := "id"
+			if c.intn(3) == 0 {
+				col = "w"
+			}
+			op := []dtree.CondOp{dtree.CondLe, dtree.CondGt, dtree.CondEq, dtree.CondNe}[c.intn(4)]
+			rule.Conds = append(rule.Conds, RangeCond{Column: col, Op: op, Value: datum.NewInt(int64(c.intn(20)))})
+		}
+		rule.Parts = c.set(k)
+		tr.Rules = append(tr.Rules, rule)
+	}
+	if c.intn(2) == 0 {
+		tr.Default = c.set(k)
+	}
+	r := &Range{K: k, Tables: map[string]*TableRules{"t": tr}}
+	if c.intn(2) == 0 {
+		r.Default = c.set(k)
+	}
+	return r
+}
+
+// genRouteCase builds a Hash (by key or by column), Range or Lookup (hits,
+// and misses placed by rules, by a Default or by the key hash) strategy
+// over table t, and a statement on t or on table u, which has a key
+// column but no rules or lookup table. Its equality lists hold 1–4
+// values, repeats included, and it may bind w to one value besides.
 func genRouteCase(c *choices) routeCase {
 	k := 2 + c.intn(7)
-	keyCols := map[string]string{"t": "id"}
+	keyCols := map[string]string{"t": "id", "u": "id"}
 	var s Strategy
 	switch c.intn(3) {
 	case 0:
@@ -204,24 +280,7 @@ func genRouteCase(c *choices) routeCase {
 		}
 		s = h
 	case 1:
-		tr := &TableRules{Table: "t"}
-		for i, n := 0, c.intn(5); i < n; i++ {
-			var rule RangeRule
-			for j, m := 0, c.intn(3); j < m; j++ {
-				col := "id"
-				if c.intn(3) == 0 {
-					col = "w"
-				}
-				op := []dtree.CondOp{dtree.CondLe, dtree.CondGt, dtree.CondEq, dtree.CondNe}[c.intn(4)]
-				rule.Conds = append(rule.Conds, RangeCond{Column: col, Op: op, Value: datum.NewInt(int64(c.intn(20)))})
-			}
-			rule.Parts = c.set(k)
-			tr.Rules = append(tr.Rules, rule)
-		}
-		if c.intn(2) == 0 {
-			tr.Default = c.set(k)
-		}
-		s = &Range{K: k, Tables: map[string]*TableRules{"t": tr}}
+		s = genRange(c, k)
 	default:
 		idx := lookup.NewHashIndex()
 		for i, n := 0, c.intn(30); i < n; i++ {
@@ -231,9 +290,9 @@ func genRouteCase(c *choices) routeCase {
 			Router: lookup.NewRouterFromTables(k, map[string]lookup.Table{"t": idx})}
 		switch c.intn(3) {
 		case 1:
-			l.Floating = true
+			l.Miss = genRange(c, k)
 		case 2:
-			l.Default = c.set(k)
+			l.Miss = &Range{K: k, Default: c.set(k)}
 		}
 		s = l
 	}
@@ -242,9 +301,12 @@ func genRouteCase(c *choices) routeCase {
 	if c.intn(10) == 0 {
 		rc.table = "u"
 	}
-	if c.intn(4) == 0 {
+	switch c.intn(4) {
+	case 0:
 		lo, hi := datum.NewInt(int64(c.intn(20))), datum.NewInt(int64(c.intn(20)))
 		rc.cons = append(rc.cons, sqlparse.Constraint{Table: "t", Column: "w", Lo: &lo, Hi: &hi})
+	case 1:
+		rc.cons = append(rc.cons, sqlparse.Constraint{Table: rc.table, Column: "w", Eq: []datum.D{c.value()}})
 	}
 	col := "id"
 	if c.intn(3) == 0 {
@@ -293,8 +355,9 @@ func FuzzRouteStmt(f *testing.F) {
 }
 
 // TestRouteStmtAllocs pins what routing a point statement costs: a
-// one-key equality under Lookup (a hit and each unknown-key rule) or
-// Hash, and a broadcast, return sets the strategy already holds.
+// one-key equality under Lookup (a hit, and a miss placed by a rule, by a
+// Default and by the key hash) or Hash, and a broadcast, return sets the
+// strategy already holds.
 func TestRouteStmtAllocs(t *testing.T) {
 	idx := lookup.NewHashIndex()
 	idx.Set(7, []int{1, 3})
@@ -303,6 +366,11 @@ func TestRouteStmtAllocs(t *testing.T) {
 	key := func(v int64) []sqlparse.Constraint {
 		return []sqlparse.Constraint{{Table: "t", Column: "id", Eq: []datum.D{datum.NewInt(v)}}}
 	}
+	insert := append(key(8), sqlparse.Constraint{Table: "t", Column: "w", Eq: []datum.D{datum.NewInt(3)}})
+	rules := &Range{K: 4, Tables: map[string]*TableRules{"t": {Table: "t", Rules: []RangeRule{
+		{Conds: []RangeCond{{Column: "w", Op: dtree.CondLe, Value: datum.NewInt(2)}}, Parts: []int{1}},
+		{Conds: []RangeCond{{Column: "w", Op: dtree.CondGt, Value: datum.NewInt(2)}}, Parts: []int{2, 3}},
+	}}}}
 	for _, tc := range []struct {
 		name     string
 		s        Strategy
@@ -310,8 +378,8 @@ func TestRouteStmtAllocs(t *testing.T) {
 		routable bool
 	}{
 		{"lookup hit", &Lookup{K: 4, Router: router, KeyColumn: keyCols}, key(7), true},
-		{"lookup floating miss", &Lookup{K: 4, Router: router, KeyColumn: keyCols, Floating: true}, key(8), true},
-		{"lookup default miss", &Lookup{K: 4, Router: router, KeyColumn: keyCols, Default: []int{0, 2}}, key(8), true},
+		{"lookup rule miss", &Lookup{K: 4, Router: router, KeyColumn: keyCols, Miss: rules}, insert, true},
+		{"lookup default miss", &Lookup{K: 4, Router: router, KeyColumn: keyCols, Miss: &Range{K: 4, Default: []int{0, 2}}}, key(8), true},
 		{"lookup hash miss", &Lookup{K: 4, Router: router, KeyColumn: keyCols}, key(8), true},
 		{"hash", &Hash{K: 4, KeyColumn: keyCols}, key(8), true},
 		{"broadcast", &Hash{K: 4, KeyColumn: keyCols}, key(8), false},

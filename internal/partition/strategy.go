@@ -150,8 +150,10 @@ type RangeCond struct {
 }
 
 // Matches reports whether a row satisfies the condition.
-func (c RangeCond) Matches(row Row) bool {
-	v := row.Get(c.Column)
+func (c RangeCond) Matches(row Row) bool { return c.admits(row.Get(c.Column)) }
+
+// admits reports whether the value v of c's column satisfies c.
+func (c RangeCond) admits(v datum.D) bool {
 	switch c.Op {
 	case dtree.CondLe:
 		return datum.Compare(v, c.Value) <= 0
@@ -285,27 +287,7 @@ func ruleCompatible(rule RangeRule, table string, cons []sqlparse.Constraint) bo
 // rule condition rc.
 func condIntersects(rc RangeCond, c sqlparse.Constraint) bool {
 	if len(c.Eq) > 0 {
-		for _, v := range c.Eq {
-			switch rc.Op {
-			case dtree.CondLe:
-				if datum.Compare(v, rc.Value) <= 0 {
-					return true
-				}
-			case dtree.CondGt:
-				if datum.Compare(v, rc.Value) > 0 {
-					return true
-				}
-			case dtree.CondEq:
-				if datum.Equal(v, rc.Value) {
-					return true
-				}
-			case dtree.CondNe:
-				if !datum.Equal(v, rc.Value) {
-					return true
-				}
-			}
-		}
-		return false
+		return slices.ContainsFunc(c.Eq, rc.admits)
 	}
 	// Range constraint [Lo, Hi]: intersect with the rule's half-line.
 	switch rc.Op {
@@ -340,25 +322,17 @@ func condIntersects(rc RangeCond, c sqlparse.Constraint) bool {
 }
 
 // Lookup is the fine-grained per-tuple strategy backed by lookup tables
-// (§4.2): the direct output of the graph partitioner.
+// (§4.2): the direct output of the graph partitioner. Every key has one
+// home: its table entry, else its place under Miss.
 type Lookup struct {
 	K int
 	// Router holds the per-table lookup tables (compressed representations
 	// behind the lookup.Table interface) and is the routing hot path.
 	Router *lookup.Router
-	// Default is the replica set for keys missing from the tables (new or
-	// never-traced tuples), sorted and duplicate-free like every set Locate
-	// returns. Nil means hash placement on the key, matching the paper's
-	// "insert into a random partition"; the Epinions experiment sets it to
-	// all partitions (replicate untouched read-mostly tuples).
-	Default []int
-	// Floating declares that the tables cover every EXISTING tuple, so an
-	// unknown key is a brand-new tuple that may be created on any
-	// partition: Locate returns nil (unconstrained), the cost model lets
-	// the transaction place it at its home partition, and the router sends
-	// its INSERT wherever the transaction already is. Takes precedence
-	// over Default.
-	Floating bool
+	// Miss places the keys missing from the tables, new tuples above all,
+	// as Range.Locate does: the table's first matching rule, else its
+	// default, else Miss.Default, else the key hash. Nil is the key hash.
+	Miss *Range
 	// KeyColumn maps table -> key column name for routing.
 	KeyColumn map[string]string
 }
@@ -375,69 +349,105 @@ func (l *Lookup) Complexity() int { return 2 }
 // NumPartitions implements Strategy.
 func (l *Lookup) NumPartitions() int { return l.K }
 
-// Locate implements Strategy. A nil result means "unconstrained": the
-// tuple is new and can be created wherever the transaction runs.
+// Locate implements Strategy.
 func (l *Lookup) Locate(id workload.TupleID, row Row) []int {
-	t, _ := l.Router.Get(id.Table)
-	return l.locate(t, id.Key)
-}
-
-// locate resolves one key of table t (nil when the router has no such
-// table) and holds the one unknown-key rule: a key missing from the table
-// is unconstrained (nil) under Floating, else placed on Default, else on
-// its key-hash partition. The set is read-only, as Locate's.
-func (l *Lookup) locate(t lookup.Table, key int64) []int {
-	if t != nil {
-		if parts, ok := t.Locate(key); ok {
+	if t, ok := l.Router.Get(id.Table); ok {
+		if parts, ok := t.Locate(id.Key); ok {
 			return parts
 		}
 	}
-	switch {
-	case l.Floating:
-		return nil
-	case l.Default != nil:
-		return l.Default
+	return l.missLocate(id, row)
+}
+
+// missLocate places a key the tables miss.
+func (l *Lookup) missLocate(id workload.TupleID, row Row) []int {
+	if l.Miss == nil {
+		return onePart(HashPart(id.Key, l.K))
 	}
-	return onePart(HashPart(key, l.K))
+	return l.Miss.Locate(id, row)
 }
 
 // RouteStmt implements Strategy: equality constraints on the key column
-// resolve through the lookup table; everything else broadcasts. The
-// intersection of the keys' replica sets serves the whole read and their
-// union is what writes must touch; unconstrained (Floating) keys narrow
-// neither. A one-key route is the set the key located.
+// route key by key; everything else broadcasts. The intersection of the
+// keys' routes serves the whole read and their union is what writes must
+// touch. A key in the tables routes to its entry, a missing one through
+// missRoute. A one-key route is the set the key located.
 func (l *Lookup) RouteStmt(table string, cons []sqlparse.Constraint, routable bool) Route {
-	t, ok := l.Router.Get(table)
 	keyCol := l.KeyColumn[table]
-	if !ok || !routable || keyCol == "" {
+	if !routable || keyCol == "" {
 		return broadcast(l.K)
 	}
+	t, _ := l.Router.Get(table)
 	for _, c := range cons {
 		if c.Table != table || c.Column != keyCol || len(c.Eq) == 0 {
 			continue
 		}
 		var r Route
-		known := false
-		for _, v := range c.Eq {
+		for i, v := range c.Eq {
 			k, ok := v.AsInt()
 			if !ok {
 				return broadcast(l.K)
 			}
-			switch parts := l.locate(t, k); {
-			case parts == nil:
-			case !known:
-				r, known = Route{Single: parts, All: parts}, true
-			default:
-				r.Single, r.All = intersect(r.Single, parts), union(r.All, parts)
+			parts, hit := []int(nil), false
+			if t != nil {
+				parts, hit = t.Locate(k)
 			}
-		}
-		if !known {
-			// Every key is new: any single partition may host them.
-			return Route{Single: firstParts(l.K)}
+			kr := Route{Single: parts, All: parts}
+			if !hit {
+				kr = l.missRoute(table, keyCol, k, cons)
+			}
+			if i == 0 {
+				r = kr
+			} else {
+				r.Single, r.All = intersect(r.Single, kr.Single), union(r.All, kr.All)
+			}
 		}
 		return r
 	}
 	return broadcast(l.K)
+}
+
+// missRoute routes a key the tables miss to where Locate places it. Its
+// table's rules are decided in order on the values the statement binds:
+// the key column to key, and each column it constrains to one value. The
+// first rule that holds is the home, as for an INSERT, which binds every
+// column; a rule left undecided gives Range.RouteStmt's union of the
+// compatible rules. With no rule holding, the home is the table's
+// default, else Miss.Default, else the key hash.
+func (l *Lookup) missRoute(table, keyCol string, key int64, cons []sqlparse.Constraint) Route {
+	if m := l.Miss; m != nil && m.Tables[table] != nil {
+		for _, rule := range m.Tables[table].Rules {
+			switch fails, decided := decideRule(rule, table, keyCol, key, cons); {
+			case fails:
+			case !decided:
+				return m.RouteStmt(table, cons, true)
+			default:
+				return Route{Single: rule.Parts, All: rule.Parts}
+			}
+		}
+	}
+	home := l.missLocate(workload.TupleID{Table: table, Key: key}, nil)
+	return Route{Single: home, All: home}
+}
+
+// decideRule decides rule for the tuple with key key of a statement with
+// constraints cons: fails when a bound condition fails, decided when
+// every condition is bound.
+func decideRule(rule RangeRule, table, keyCol string, key int64, cons []sqlparse.Constraint) (fails, decided bool) {
+	decided = true
+	for _, rc := range rule.Conds {
+		v, bound := datum.NewInt(key), rc.Column == keyCol
+		for i := 0; !bound && i < len(cons); i++ {
+			if c := &cons[i]; c.Table == table && c.Column == rc.Column && len(c.Eq) == 1 {
+				v, bound = c.Eq[0], true
+			}
+		}
+		if bound && !rc.admits(v) {
+			return true, false
+		}
+		decided = decided && bound
+	}
+	return false, decided
 }
 
 // HashPart is the canonical key-hash fallback placement: the partition a
