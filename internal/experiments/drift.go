@@ -196,14 +196,18 @@ func scenarioByName(name string, s Scale) (driftScenario, error) {
 	return driftScenario{}, fmt.Errorf("unknown drift scenario %q (want ycsb|tpcc)", name)
 }
 
-// deployedLocate places tuples exactly as DeployLookup deploys f, so the
-// offline comparator and the live deployment are judged under identical
-// unknown-tuple policies: tuples present in db get f's placement
-// (key-hash when f never saw them), tuples born after the db image
-// (trace INSERTs) their key hash.
+// deployedLocate resolves tuples through the tables DeployLookup fills
+// from f, as Controller.Locate does, so the offline comparator and the
+// live deployment are judged under identical unknown-tuple policies:
+// tuples present in db get f's placement (key-hash when f never saw
+// them), and tuples born after the db image (trace INSERTs) have no
+// entry, which scoring counts as unconstrained.
 func (sc driftScenario) deployedLocate(f live.LocateFunc) live.LocateFunc {
 	l, _ := live.DeployLookup(sc.db, sc.k, sc.keyCols, f)
-	return func(id workload.TupleID) []int { return l.Locate(id, nil) }
+	return func(id workload.TupleID) []int {
+		parts, _ := l.Router.Locate(id.Table, id.Key)
+		return parts
+	}
 }
 
 // DriftSimRun runs the deterministic control-loop simulation of a
