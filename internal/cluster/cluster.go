@@ -347,10 +347,9 @@ func Deploy(cfg Config, db *storage.Database, strat partition.Strategy) (*Cluste
 }
 
 // SplitDatabase materialises one node's shard of a single-node database
-// image: every tuple the strategy places (or replicates) on that node,
-// with partition.HashPart fallback for tuples the strategy leaves
-// unplaced. Deploy loads every node through it, so clusters are
-// populated by exactly the placement the router will consult.
+// image: every tuple the strategy places (or replicates) on that node.
+// Deploy loads every node through it, so clusters are populated by
+// exactly the placement the router will consult.
 func SplitDatabase(src *storage.Database, strat partition.Strategy, node int) *storage.Database {
 	db := storage.NewDatabase()
 	for _, tn := range src.TableNames() {

@@ -23,10 +23,11 @@ import (
 // strategy names for it. The strategies are hash, full replication and
 // the workload's manual strategy where it has one, and on TPC-C also the
 // lookup table and the validation pick that core.Run learns from the
-// workload's trace. The learned rows take 3 000 operations: the INSERTs
-// of keys the lookup table never saw, read back and deleted by later
-// Deliveries, are what they test, and fewer operations did not reach
-// them while such keys could float to any partition.
+// workload's trace. The learned rows run 3 000 operations, enough for
+// Deliveries to read back and delete rows that earlier NewOrders
+// inserted under keys the lookup tables miss: that is where a missed key
+// placed off its home changes the logical state, and 1 000 operations do
+// not reach it (checkPlacement still does).
 //
 // R = 3 is left out: follower reads are not pinned to the writer's
 // timeline (ROADMAP item 12).

@@ -29,9 +29,9 @@ func (c Cost) DistributedFrac() float64 {
 //     transaction already needs.
 //
 // A transaction is single-sited iff one partition can serve all of it.
-// A Strategy places every tuple; the empty replica set that
-// EvaluateCompact treats as unconstrained comes only from raw
-// assignments. Evaluate is EvaluateEach with one candidate.
+// A Strategy places every tuple; the empty sets EvaluateCompact treats as
+// unconstrained come from raw assignments and from deployed tables that
+// hold no entry. Evaluate is EvaluateEach with one candidate.
 func Evaluate(tr *workload.Trace, s Strategy, resolve Resolver) Cost {
 	return EvaluateEach(tr, []Strategy{s}, resolve)[0]
 }

@@ -452,8 +452,8 @@ func decideRule(rule RangeRule, table, keyCol string, key int64, cons []sqlparse
 
 // HashPart is the canonical key-hash fallback placement: the partition a
 // tuple lands on when no finer policy covers it. Every layer that
-// precomputes Lookup's fallback into a table or a shard (core's lookup
-// build, live deployment, cluster loading) must use this same function.
+// precomputes Lookup's fallback into a table (core's lookup build, live
+// deployment) must use this same function.
 func HashPart(key int64, k int) int {
 	return int(datum.Hash(datum.NewInt(key)) % uint64(k))
 }
