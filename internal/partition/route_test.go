@@ -94,7 +94,7 @@ func refRoute(s Strategy, table string, cons []sqlparse.Constraint, routable boo
 				if parts, found := entry(t, key); found {
 					r = Route{Single: parts, All: parts}
 				} else {
-					r = refMissRoute(s, table, col, key, cons)
+					r = refMissRoute(s, table, key, cons)
 				}
 				cur := map[int]bool{}
 				for _, p := range r.Single {
@@ -127,46 +127,18 @@ func entry(t lookup.Table, key int64) ([]int, bool) {
 	return t.Locate(key)
 }
 
-// refMissRoute routes a key a Lookup's tables miss: the statement binds
-// the key column to key and every column its first one-value equality
-// names. The first rule of the key's table that no bound value fails is
-// the key's home when the statement binds all of its columns; when it
-// does not, the route is the Miss's own Range route. With no such rule
-// the key lives on the table's default, else the Miss's default, else its
-// key hash, as with no Miss at all.
-func refMissRoute(s *Lookup, table, keyCol string, key int64, cons []sqlparse.Constraint) Route {
+// refMissRoute routes a key a Lookup's tables miss: a table the Miss has
+// rules for routes as the Miss's own Range; any other key lives on the
+// Miss's default, else its key hash, as with no Miss at all.
+func refMissRoute(s *Lookup, table string, key int64, cons []sqlparse.Constraint) Route {
 	home := []int{HashPart(key, s.K)}
 	if s.Miss == nil {
 		return Route{Single: home, All: home}
 	}
-	bound := map[string]datum.D{keyCol: datum.NewInt(key)}
-	for _, c := range cons {
-		if _, ok := bound[c.Column]; !ok && c.Table == table && len(c.Eq) == 1 {
-			bound[c.Column] = c.Eq[0]
-		}
+	if s.Miss.Tables[table] != nil {
+		return refRoute(s.Miss, table, cons, true)
 	}
-	tr := s.Miss.Tables[table]
-	if tr != nil {
-	rules:
-		for _, rule := range tr.Rules {
-			all := true
-			for _, rc := range rule.Conds {
-				v, ok := bound[rc.Column]
-				if ok && !rc.Matches(mapRow{rc.Column: v}) {
-					continue rules
-				}
-				all = all && ok
-			}
-			if !all {
-				return refRoute(s.Miss, table, cons, true)
-			}
-			return Route{Single: rule.Parts, All: rule.Parts}
-		}
-	}
-	switch {
-	case tr != nil && tr.Default != nil:
-		home = tr.Default
-	case s.Miss.Default != nil:
+	if s.Miss.Default != nil {
 		home = s.Miss.Default
 	}
 	return Route{Single: home, All: home}

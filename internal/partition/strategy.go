@@ -153,7 +153,7 @@ type RangeCond struct {
 func (c RangeCond) Matches(row Row) bool { return c.admits(row.Get(c.Column)) }
 
 // admits reports whether the value v of c's column satisfies c.
-func (c RangeCond) admits(v datum.D) bool {
+func (c *RangeCond) admits(v datum.D) bool {
 	switch c.Op {
 	case dtree.CondLe:
 		return datum.Compare(v, c.Value) <= 0
@@ -269,10 +269,14 @@ func (r *Range) RouteStmt(table string, cons []sqlparse.Constraint, routable boo
 
 // ruleCompatible reports whether some tuple could satisfy both the rule's
 // conditions and the statement's constraints (a sound over-approximation).
+// It walks both lists by index: a constraint and a condition are each
+// too large to copy per pair on the routing hot path.
 func ruleCompatible(rule RangeRule, table string, cons []sqlparse.Constraint) bool {
-	for _, rc := range rule.Conds {
-		for _, c := range cons {
-			if c.Table != table || c.Column != rc.Column {
+	for i := range rule.Conds {
+		rc := &rule.Conds[i]
+		for j := range cons {
+			c := &cons[j]
+			if c.Column != rc.Column || c.Table != table {
 				continue
 			}
 			if !condIntersects(rc, c) {
@@ -285,9 +289,14 @@ func ruleCompatible(rule RangeRule, table string, cons []sqlparse.Constraint) bo
 
 // condIntersects reports whether constraint c admits any value satisfying
 // rule condition rc.
-func condIntersects(rc RangeCond, c sqlparse.Constraint) bool {
+func condIntersects(rc *RangeCond, c *sqlparse.Constraint) bool {
 	if len(c.Eq) > 0 {
-		return slices.ContainsFunc(c.Eq, rc.admits)
+		for i := range c.Eq {
+			if rc.admits(c.Eq[i]) {
+				return true
+			}
+		}
+		return false
 	}
 	// Range constraint [Lo, Hi]: intersect with the rule's half-line.
 	switch rc.Op {
@@ -394,7 +403,7 @@ func (l *Lookup) RouteStmt(table string, cons []sqlparse.Constraint, routable bo
 			}
 			kr := Route{Single: parts, All: parts}
 			if !hit {
-				kr = l.missRoute(table, keyCol, k, cons)
+				kr = l.missRoute(table, k, cons)
 			}
 			if i == 0 {
 				r = kr
@@ -407,47 +416,18 @@ func (l *Lookup) RouteStmt(table string, cons []sqlparse.Constraint, routable bo
 	return broadcast(l.K)
 }
 
-// missRoute routes a key the tables miss to where Locate places it. Its
-// table's rules are decided in order on the values the statement binds:
-// the key column to key, and each column it constrains to one value. The
-// first rule that holds is the home, as for an INSERT, which binds every
-// column; a rule left undecided gives Range.RouteStmt's union of the
-// compatible rules. With no rule holding, the home is the table's
-// default, else Miss.Default, else the key hash.
-func (l *Lookup) missRoute(table, keyCol string, key int64, cons []sqlparse.Constraint) Route {
+// missRoute routes a key the tables miss to where Locate places it. A
+// table with rules routes as Miss does: the explanation's rules are the
+// leaves of a decision tree, so they never overlap and together cover
+// every row, and a statement that binds every rule column, as an INSERT
+// does, is compatible with the one rule its row matches. A table without
+// rules has one home: Miss.Default, else the key hash.
+func (l *Lookup) missRoute(table string, key int64, cons []sqlparse.Constraint) Route {
 	if m := l.Miss; m != nil && m.Tables[table] != nil {
-		for _, rule := range m.Tables[table].Rules {
-			switch fails, decided := decideRule(rule, table, keyCol, key, cons); {
-			case fails:
-			case !decided:
-				return m.RouteStmt(table, cons, true)
-			default:
-				return Route{Single: rule.Parts, All: rule.Parts}
-			}
-		}
+		return m.RouteStmt(table, cons, true)
 	}
 	home := l.missLocate(workload.TupleID{Table: table, Key: key}, nil)
 	return Route{Single: home, All: home}
-}
-
-// decideRule decides rule for the tuple with key key of a statement with
-// constraints cons: fails when a bound condition fails, decided when
-// every condition is bound.
-func decideRule(rule RangeRule, table, keyCol string, key int64, cons []sqlparse.Constraint) (fails, decided bool) {
-	decided = true
-	for _, rc := range rule.Conds {
-		v, bound := datum.NewInt(key), rc.Column == keyCol
-		for i := 0; !bound && i < len(cons); i++ {
-			if c := &cons[i]; c.Table == table && c.Column == rc.Column && len(c.Eq) == 1 {
-				v, bound = c.Eq[0], true
-			}
-		}
-		if bound && !rc.admits(v) {
-			return true, false
-		}
-		decided = decided && bound
-	}
-	return false, decided
 }
 
 // HashPart is the canonical key-hash fallback placement: the partition a
