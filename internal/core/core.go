@@ -426,38 +426,32 @@ func writeFraction(tr *workload.Trace) float64 {
 
 // buildLookup turns per-tuple assignments into per-table lookup tables:
 // tuples[d] and dense[d] are the graph's interned tuples and their replica
-// sets. Traced tuples get the graph's placement. With a database
-// available, existing-but-untraced tuples are also covered (replicate-
-// everywhere for read-mostly workloads, hash placement otherwise). The
-// keys the tables miss are placed by the strategy's Miss, which Run sets
-// once the explanation is known.
+// sets. Traced tuples get the graph's placement. For a read-mostly
+// workload with a database, existing-but-untraced tuples are replicated
+// everywhere. Every other key the tables miss, untraced rows and new
+// tuples alike, is placed by the strategy's Miss, which Run sets once the
+// explanation is known, so a new row sits where its untraced neighbours
+// do.
 func buildLookup(tuples []workload.TupleID, dense [][]int, k int, in Input, readMostly bool) *partition.Lookup {
 	router := lookup.NewRouter(k)
 	for d, parts := range dense {
 		id := tuples[d]
 		router.Set(id.Table, id.Key, parts)
 	}
-	out := &partition.Lookup{K: k, Router: router, KeyColumn: in.KeyColumns}
-	if in.DB == nil {
-		router.Compress()
-		return out
-	}
-	all := allParts(k)
-	for _, name := range in.DB.TableNames() {
-		t := router.Table(name)
-		in.DB.Table(name).ScanAllKeys(func(key int64) bool {
-			if _, ok := t.Locate(key); !ok {
-				if readMostly {
+	if in.DB != nil && readMostly {
+		all := allParts(k)
+		for _, name := range in.DB.TableNames() {
+			t := router.Table(name)
+			in.DB.Table(name).ScanAllKeys(func(key int64) bool {
+				if _, ok := t.Locate(key); !ok {
 					t.Set(key, all)
-				} else {
-					t.Set(key, []int{partition.HashPart(key, k)})
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	router.Compress()
-	return out
+	return &partition.Lookup{K: k, Router: router, KeyColumn: in.KeyColumns}
 }
 
 func allParts(k int) []int {

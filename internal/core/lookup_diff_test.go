@@ -102,8 +102,7 @@ func diffRouting(t *testing.T, w *workloads.Workload, res *Result) {
 }
 
 // TestCompressedRoutingMatchesHashIndexTPCC: write-heavy workload with a
-// database, so untraced tuples get hash placement and new ones the
-// explanation's rules.
+// database, so untraced and new tuples alike get the explanation's rules.
 func TestCompressedRoutingMatchesHashIndexTPCC(t *testing.T) {
 	w := workloads.TPCC(workloads.TPCCConfig{
 		Warehouses: 2, Customers: 20, Items: 120, InitialOrders: 8, Txns: cut(2000, 1000), Seed: 21,

@@ -128,9 +128,8 @@ func benchTPCCConfig(s Scale) workloads.TPCCConfig {
 		Items:         s.scaled(300, 100),
 		InitialOrders: 5,
 		// The trace must cover the key space densely enough that the
-		// lookup tables place (rather than hash-scatter) the tuples the
-		// runtime streams touch; untraced tuples are the main source of
-		// avoidable distributed transactions at small scale.
+		// lookup tables place the tuples the runtime streams touch;
+		// untraced tuples fall to the explanation's coarser rules.
 		Txns: s.scaled(30000, 12000),
 		Seed: benchSeed,
 	}

@@ -61,8 +61,10 @@ func (s Score) String() string {
 }
 
 // LocateFunc resolves a tuple's currently deployed replica set; nil means
-// the placement is unknown (new tuples float to their transaction's home,
-// matching partition.Lookup semantics). The returned slice may be shared
+// the placement is unknown (a key born after deployment, which the
+// deployed tables hold no entry for, or a tuple outside a Repartition's
+// window): scoring counts it as unconstrained and planning leaves it
+// alone. The returned slice may be shared
 // by every tuple with the same set, as lookup tables and
 // Repartition.LocateFunc share them: read it, never write it.
 type LocateFunc func(id workload.TupleID) []int
