@@ -91,7 +91,7 @@ func main() {
 	fmt.Print(res.Report())
 	fmt.Println("per-tuple placement (cf. Figure 3's lookup table):")
 	for id := int64(1); id <= 5; id++ {
-		fmt.Printf("  tuple %d -> partitions %v\n", id, res.Lookup.Locate(acct(id), nil))
+		fmt.Printf("  tuple %d -> partitions %v\n", id, res.Lookup.Locate(acct(id), resolver(acct(id))))
 	}
 	fmt.Printf("recommended strategy: %s\n", res.ChosenName)
 }

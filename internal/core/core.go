@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"schism/internal/lookup"
 	"schism/internal/metis"
 	"schism/internal/partition"
+	"schism/internal/sqlparse"
 	"schism/internal/storage"
 	"schism/internal/workload"
 )
@@ -33,11 +35,10 @@ type Input struct {
 	// KeyColumns maps each table to its primary-key column.
 	KeyColumns map[string]string
 	// DB, when set, lets the lookup phase cover tuples that exist but were
-	// never traced: read-mostly workloads replicate them everywhere (the
-	// paper's Epinions policy), write-heavy workloads hash-place them (the
-	// paper's "random partition"). Keys absent from the finished lookup
-	// table are then guaranteed to be NEW tuples, which float to their
-	// transaction's home partition.
+	// never traced: a read-mostly workload replicates them everywhere (the
+	// paper's Epinions policy). Every other key the lookup tables miss,
+	// untraced or new, is placed by the explanation's rules (Lookup.Miss),
+	// else by its key hash.
 	DB *storage.Database
 	// Hyper selects the hypergraph-native representation: graph.BuildHyper
 	// (one net per transaction, linear in access-set size) partitioned on
@@ -94,9 +95,9 @@ func (o Options) withDefaults() Options {
 type Timings struct {
 	Graph     time.Duration
 	Partition time.Duration
-	// Lookup is the step between partitioning and explanation: the dense
-	// replica sets, the part weights, write-aware replica pruning and the
-	// lookup strategy.
+	// Lookup is the step between partitioning and explanation (the dense
+	// replica sets, the part weights and write-aware replica pruning) plus
+	// the lookup tables built after explanation.
 	Lookup   time.Duration
 	Explain  time.Duration
 	Validate time.Duration
@@ -132,7 +133,9 @@ type Result struct {
 	// PrunedReplicas counts write-hot tuples demoted from replicated to
 	// single-home placement (see pruneWriteReplicas).
 	PrunedReplicas int
-	// Lookup is the fine-grained strategy (always built).
+	// Lookup is the fine-grained strategy (always built). Its tables hold
+	// the traced tuples that its Miss, the explanation, places elsewhere
+	// than the graph does.
 	Lookup *partition.Lookup
 	// Range is the explanation-phase strategy (nil when no explanation was
 	// found).
@@ -218,35 +221,42 @@ func Run(in Input, opts Options) (*Result, error) {
 	// deployed replica sets but not the graph labels.
 	res.PartWeight = g.PartWeights(parts, k)
 	res.PrunedReplicas = pruneWriteReplicas(train, g.Intern, res.Assignments, k)
-
-	// Fine-grained lookup strategy from the raw assignments, built over
-	// the graph's dense tuple ids (slice iteration, deterministic order).
 	readMostly := writeFraction(train) < readMostlyWriteFrac
-	res.Lookup = buildLookup(res.Tuples, res.Assignments, k, in, readMostly)
 	res.Timings.Lookup = time.Since(t0)
 
-	// Phase 4: explanation.
+	// Phase 4: explanation. The balance check resolves every traced tuple
+	// once, and its home under the rules decides the tuple's entry below.
 	t0 = time.Now()
+	var memo sqlparse.ColumnMemo
+	var homes [][]int
 	if in.Resolver != nil {
-		res.Range = explain(res, train, in, opts)
-		if res.Range != nil && !balanced(res.Range, res.Tuples, in.Resolver, k) {
-			// §4.3 condition (ii): an explanation that funnels the load
-			// onto few partitions degrades the graph solution; discard it.
-			res.Range = nil
-			res.RuleStrings = map[string][]string{}
-		}
-	}
-	// A key the lookup tables miss takes its place under the explanation;
-	// without a database, untraced tuples of a read-mostly trace are
-	// replicated everywhere.
-	res.Lookup.Miss = res.Range
-	if in.DB == nil && readMostly {
-		res.Lookup.Miss = &partition.Range{K: k, Default: allParts(k)}
+		res.Range = explain(res, train, &memo, in, opts)
 		if res.Range != nil {
-			res.Lookup.Miss.Tables = res.Range.Tables
+			var ok bool
+			if homes, ok = balanced(res.Range, res.Tuples, in.Resolver, k); !ok {
+				// §4.3 condition (ii): an explanation that funnels the load
+				// onto few partitions degrades the graph solution; discard it.
+				res.Range, homes = nil, nil
+				res.RuleStrings = map[string][]string{}
+			}
 		}
 	}
 	res.Timings.Explain = time.Since(t0)
+
+	// The fine-grained lookup strategy: the explanation places every key,
+	// and the tables keep the traced tuples it places wrong. Without a
+	// database, untraced tuples of a read-mostly trace are replicated
+	// everywhere.
+	t0 = time.Now()
+	miss := res.Range
+	if in.DB == nil && readMostly {
+		miss = &partition.Range{K: k, Default: allParts(k)}
+		if res.Range != nil {
+			miss.Tables = res.Range.Tables
+		}
+	}
+	res.Lookup = buildLookup(res, homes, miss, keyRouted(&memo, miss, in.KeyColumns), g.Intern, in, readMostly)
+	res.Timings.Lookup += time.Since(t0)
 
 	// Phase 5: validation on the held-out trace.
 	t0 = time.Now()
@@ -284,31 +294,30 @@ func Run(in Input, opts Options) (*Result, error) {
 
 // balanced checks that the explained strategy spreads the graph's tuples
 // acceptably: no partition may hold more than twice its fair share
-// (replicated tuples count toward every replica).
-func balanced(r *partition.Range, tuples []workload.TupleID, resolve partition.Resolver, k int) bool {
-	if k <= 1 {
-		return true
-	}
+// (replicated tuples count toward every replica). It returns every
+// tuple's replica set under r, homes[d] for tuples[d].
+func balanced(r *partition.Range, tuples []workload.TupleID, resolve partition.Resolver, k int) (homes [][]int, ok bool) {
+	homes = make([][]int, len(tuples))
 	load := make([]int64, k)
 	var total int64
-	for _, id := range tuples {
-		for _, p := range r.Locate(id, resolve(id)) {
+	for d, id := range tuples {
+		homes[d] = r.Locate(id, resolve(id))
+		for _, p := range homes[d] {
 			if p >= 0 && p < k {
 				load[p]++
 				total++
 			}
 		}
 	}
-	if total == 0 {
-		return true
-	}
-	limit := 2 * total / int64(k)
-	for _, l := range load {
-		if l > limit {
-			return false
+	if k > 1 {
+		limit := 2 * total / int64(k)
+		for _, l := range load {
+			if l > limit {
+				return homes, false
+			}
 		}
 	}
-	return true
+	return homes, true
 }
 
 // pruneWriteReplicas demotes replicated write-hot tuples (more than
@@ -424,26 +433,38 @@ func writeFraction(tr *workload.Trace) float64 {
 	return float64(w) / float64(tr.Len())
 }
 
-// buildLookup turns per-tuple assignments into per-table lookup tables:
-// tuples[d] and dense[d] are the graph's interned tuples and their replica
-// sets. Traced tuples get the graph's placement. For a read-mostly
-// workload with a database, existing-but-untraced tuples are replicated
-// everywhere. Every other key the tables miss, untraced rows and new
-// tuples alike, is placed by the strategy's Miss, which Run sets once the
-// explanation is known, so a new row sits where its untraced neighbours
-// do.
-func buildLookup(tuples []workload.TupleID, dense [][]int, k int, in Input, readMostly bool) *partition.Lookup {
+// buildLookup builds the lookup strategy whose Miss places the keys its
+// tables miss. A traced tuple, res.Tuples[d], gets an entry only where
+// the graph's replica set differs from its home under miss: homes[d] in
+// a table with rules, else miss's default or the key hash. A table in
+// full keeps an entry for every traced tuple. For a read-mostly workload
+// with a database, existing-but-untraced tuples are replicated
+// everywhere.
+func buildLookup(res *Result, homes [][]int, miss *partition.Range, full map[string]bool, intern *workload.Interner, in Input, readMostly bool) *partition.Lookup {
+	k := res.K
 	router := lookup.NewRouter(k)
-	for d, parts := range dense {
-		id := tuples[d]
-		router.Set(id.Table, id.Key, parts)
+	for d, parts := range res.Assignments {
+		id := res.Tuples[d]
+		var placed bool
+		switch {
+		case full[id.Table]:
+		case miss == nil:
+			placed = len(parts) == 1 && parts[0] == partition.HashPart(id.Key, k)
+		case miss.Tables[id.Table] != nil:
+			placed = slices.Equal(parts, homes[d])
+		default:
+			placed = slices.Equal(parts, miss.Locate(id, nil))
+		}
+		if !placed {
+			router.Set(id.Table, id.Key, parts)
+		}
 	}
 	if in.DB != nil && readMostly {
 		all := allParts(k)
 		for _, name := range in.DB.TableNames() {
 			t := router.Table(name)
 			in.DB.Table(name).ScanAllKeys(func(key int64) bool {
-				if _, ok := t.Locate(key); !ok {
+				if _, traced := intern.Lookup(workload.TupleID{Table: name, Key: key}); !traced {
 					t.Set(key, all)
 				}
 				return true
@@ -451,7 +472,40 @@ func buildLookup(tuples []workload.TupleID, dense [][]int, k int, in Input, read
 		}
 	}
 	router.Compress()
-	return &partition.Lookup{K: k, Router: router, KeyColumn: in.KeyColumns}
+	return &partition.Lookup{K: k, Router: router, Miss: miss, KeyColumn: in.KeyColumns}
+}
+
+// keyRouted returns the tables of miss with rules that some training
+// statement, one of memo's shapes, names by key equality without naming
+// every column the rules test by equality too. A key the tables miss
+// routes by those columns (Lookup.missRoute), so such a statement would
+// reach every rule's groups: these tables keep an entry for every traced
+// tuple. An INSERT names every column it sets.
+func keyRouted(memo *sqlparse.ColumnMemo, miss *partition.Range, keyCols map[string]string) map[string]bool {
+	if miss == nil || len(miss.Tables) == 0 {
+		return nil
+	}
+	full := make(map[string]bool)
+	memo.Shapes(func(uses []sqlparse.ColumnUse) {
+		names := func(table, col string) bool {
+			return slices.ContainsFunc(uses, func(u sqlparse.ColumnUse) bool {
+				return u.Table == table && u.Column == col && u.Op == sqlparse.OpEq
+			})
+		}
+		for table, tr := range miss.Tables {
+			if full[table] || !names(table, keyCols[table]) {
+				continue
+			}
+			for _, rule := range tr.Rules {
+				for _, c := range rule.Conds {
+					if !names(table, c.Column) {
+						full[table] = true
+					}
+				}
+			}
+		}
+	})
+	return full
 }
 
 func allParts(k int) []int {

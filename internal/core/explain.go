@@ -11,6 +11,7 @@ import (
 	"schism/internal/dtree"
 	"schism/internal/featsel"
 	"schism/internal/partition"
+	"schism/internal/sqlparse"
 	"schism/internal/workload"
 )
 
@@ -18,9 +19,10 @@ import (
 // WHERE attributes, select those correlated with the partition label,
 // train a decision tree on (tuple attributes -> replica-set label), and
 // convert its rules into a range-predicate strategy. Returns nil when no
-// table could be explained.
-func explain(res *Result, train *workload.Trace, in Input, opts Options) *partition.Range {
-	counts, totalStmts := featsel.Frequencies(train)
+// table could be explained. memo is left holding the training trace's
+// statement shapes.
+func explain(res *Result, train *workload.Trace, memo *sqlparse.ColumnMemo, in Input, opts Options) *partition.Range {
+	counts, totalStmts := featsel.Frequencies(train, memo)
 	if totalStmts == 0 {
 		return nil
 	}

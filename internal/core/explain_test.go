@@ -6,6 +6,7 @@ import (
 
 	"schism/internal/datum"
 	"schism/internal/partition"
+	"schism/internal/sqlparse"
 	"schism/internal/storage"
 	"schism/internal/workload"
 )
@@ -44,7 +45,7 @@ func TestCoveredTableExplained(t *testing.T) {
 		if stored == 0 {
 			in.DB = nil
 		}
-		return explain(res, tr, in, Options{Partitions: k}.withDefaults())
+		return explain(res, tr, new(sqlparse.ColumnMemo), in, Options{Partitions: k}.withDefaults())
 	}
 	r := run(n)
 	if r == nil || r.Tables["w"] == nil {

@@ -1,10 +1,10 @@
 package core
 
-// Differential tests for the compressed routing path: the pipeline's
-// lookup strategy (Compact/Runs tables chosen by lookup.Compress) must
-// make routing decisions identical to a HashIndex-backed strategy with
-// the same contents — per-tuple placement, per-statement routes, and
-// validation-phase costs.
+// Differential test for the exceptions-only lookup tables: beside the
+// explanation's rules, the pipeline's tables keep only the traced tuples
+// the rules place wrong, and the strategy must make the same routing
+// decisions as one whose HashIndex tables hold every traced tuple —
+// per-tuple placement, per-statement routes, and validation-phase costs.
 
 import (
 	"reflect"
@@ -13,15 +13,18 @@ import (
 	"schism/internal/lookup"
 	"schism/internal/partition"
 	"schism/internal/sqlparse"
+	"schism/internal/storage"
 	"schism/internal/workload"
 	"schism/internal/workloads"
 )
 
-// hashBackedCopy rebuilds a lookup strategy with every table re-encoded
-// into the seed's HashIndex representation.
-func hashBackedCopy(t *testing.T, l *partition.Lookup) *partition.Lookup {
+// fullTables rebuilds a result's lookup strategy with an entry for every
+// traced tuple, its graph placement, beside every entry the strategy
+// already holds, all in HashIndex tables.
+func fullTables(t *testing.T, res *Result) *partition.Lookup {
 	t.Helper()
-	tables := make(map[string]lookup.Table)
+	l := res.Lookup
+	ref := lookup.NewRouter(l.K)
 	for _, name := range l.Router.Names() {
 		tbl, _ := l.Router.Get(name)
 		rng, ok := tbl.(lookup.Ranger)
@@ -33,38 +36,39 @@ func hashBackedCopy(t *testing.T, l *partition.Lookup) *partition.Lookup {
 			h.Set(key, parts)
 			return true
 		})
-		tables[name] = h
+		ref.Put(name, h)
 	}
-	return &partition.Lookup{
-		K:         l.K,
-		Router:    lookup.NewRouterFromTables(l.K, tables),
-		Miss:      l.Miss,
-		KeyColumn: l.KeyColumn,
+	for d, id := range res.Tuples {
+		if _, ok := ref.Get(id.Table); !ok {
+			ref.Put(id.Table, lookup.NewHashIndex())
+		}
+		ref.Set(id.Table, id.Key, res.Assignments[d])
 	}
+	return &partition.Lookup{K: l.K, Router: ref, Miss: l.Miss, KeyColumn: l.KeyColumn}
 }
 
-func diffRouting(t *testing.T, w *workloads.Workload, res *Result) {
+func diffExceptions(t *testing.T, w *workloads.Workload, res *Result) {
 	t.Helper()
 	l := res.Lookup
-	ref := hashBackedCopy(t, l)
+	ref := fullTables(t, res)
+	resolve := w.Resolver()
 
-	// Per-tuple placement: every stored key, plus probes around and far
-	// outside each table's range, must resolve identically.
-	for _, name := range l.Router.Names() {
-		tbl, _ := l.Router.Get(name)
-		probes := []int64{-1, 0, 1 << 40}
-		tbl.(lookup.Ranger).Range(func(key int64, _ []int) bool {
-			probes = append(probes, key, key+1)
+	// Per-tuple placement: every traced tuple and every stored row, each
+	// with its row.
+	locate := func(id workload.TupleID, row partition.Row) {
+		if got, want := l.Locate(id, row), ref.Locate(id, row); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Locate(%s:%d) = %v, full tables %v", id.Table, id.Key, got, want)
+		}
+	}
+	for _, id := range res.Tuples {
+		locate(id, resolve(id))
+	}
+	for _, name := range w.DB.TableNames() {
+		tbl := w.DB.Table(name)
+		tbl.ViewAll(func(key int64, row storage.Row) bool {
+			locate(workload.TupleID{Table: name, Key: key}, storage.RowView{Schema: tbl.Schema, Data: row})
 			return true
 		})
-		for _, key := range probes {
-			id := workload.TupleID{Table: name, Key: key}
-			got := l.Locate(id, nil)
-			want := ref.Locate(id, nil)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("Locate(%s:%d) = %v, hash-backed %v", name, key, got, want)
-			}
-		}
 	}
 
 	// Per-statement routing over the workload's actual SQL.
@@ -79,7 +83,7 @@ func diffRouting(t *testing.T, w *workloads.Workload, res *Result) {
 			got := l.RouteStmt(table, cons, ok)
 			want := ref.RouteStmt(table, cons, ok)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("RouteStmt(%q) = %+v, hash-backed %+v", sql, got, want)
+				t.Fatalf("RouteStmt(%q) = %+v, full tables %+v", sql, got, want)
 			}
 			stmts++
 		}
@@ -89,34 +93,52 @@ func diffRouting(t *testing.T, w *workloads.Workload, res *Result) {
 	}
 
 	// Validation-phase cost on the held-out trace.
-	_, test := w.Trace.Split(0.5)
-	if got, want := partition.Evaluate(test, l, w.Resolver()), partition.Evaluate(test, ref, w.Resolver()); got != want {
-		t.Fatalf("cost %+v, hash-backed %+v", got, want)
+	_, test := w.Trace.Split(trainFrac)
+	if got, want := partition.Evaluate(test, l, resolve), partition.Evaluate(test, ref, resolve); got != want {
+		t.Fatalf("cost %+v, full tables %+v", got, want)
 	}
 
-	// The compressed tables must actually be smaller than the hash-backed
-	// equivalent (the point of the representation change).
-	if lm, hm := l.Router.MemoryBytes(), ref.Router.MemoryBytes(); lm >= hm {
-		t.Errorf("compressed router %d bytes >= hash-backed %d bytes", lm, hm)
+	// Dropping the entries the rules repeat is the point of the build.
+	if lm, fm := l.MemoryBytes(), ref.MemoryBytes(); lm >= fm {
+		t.Errorf("exception tables %d bytes >= full tables %d bytes", lm, fm)
 	}
 }
 
-// TestCompressedRoutingMatchesHashIndexTPCC: write-heavy workload with a
-// database, so untraced and new tuples alike get the explanation's rules.
-func TestCompressedRoutingMatchesHashIndexTPCC(t *testing.T) {
-	w := workloads.TPCC(workloads.TPCCConfig{
-		Warehouses: 2, Customers: 20, Items: 120, InitialOrders: 8, Txns: cut(2000, 1000), Seed: 21,
-	})
-	res := runPipeline(t, w, 2, Options{Seed: 7})
-	diffRouting(t, w, res)
-}
-
-// TestCompressedRoutingMatchesHashIndexEpinions: read-mostly workload with
-// replicated tuples, exercising multi-replica interned sets.
-func TestCompressedRoutingMatchesHashIndexEpinions(t *testing.T) {
-	w := workloads.Epinions(workloads.EpinionsConfig{
-		Users: 200, Items: 100, Communities: 2, Txns: cut(2000, 1200), Seed: 5,
-	})
-	res := runPipeline(t, w, 2, Options{Seed: 3})
-	diffRouting(t, w, res)
+// TestExceptionsRouteAsFullTables: TPC-C is write-heavy with a database,
+// so untraced and new tuples alike get the explanation's rules, and
+// every table drops the entries its rules repeat. Epinions is
+// read-mostly and replicates tuples; its trace updates reviews and trust
+// by key alone, so with rules those tables keep every entry (at k = 10
+// they have rules). YCSB-E's rules test the key itself.
+func TestExceptionsRouteAsFullTables(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		w    func() *workloads.Workload
+		k    int
+		seed int64
+	}{
+		{"tpcc-2w", func() *workloads.Workload {
+			return workloads.TPCC(workloads.TPCCConfig{
+				Warehouses: 2, Customers: 20, Items: 120, InitialOrders: 8, Txns: cut(2000, 1000), Seed: 21,
+			})
+		}, 2, 7},
+		{"epinions-k2", func() *workloads.Workload {
+			return workloads.Epinions(workloads.EpinionsConfig{
+				Users: 200, Items: 100, Communities: 2, Txns: cut(2000, 1200), Seed: 5,
+			})
+		}, 2, 3},
+		{"epinions-k10", func() *workloads.Workload {
+			return workloads.Epinions(workloads.EpinionsConfig{
+				Users: 400, Items: 200, Communities: 10, Txns: cut(2000, 1200), Seed: 5,
+			})
+		}, 10, 3},
+		{"ycsb-e", func() *workloads.Workload {
+			return workloads.YCSBE(workloads.YCSBConfig{Rows: 2000, Txns: cut(2000, 1000), MaxScan: 20, Seed: 5})
+		}, 4, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := tc.w()
+			diffExceptions(t, w, runPipeline(t, w, tc.k, Options{Seed: tc.seed}))
+		})
+	}
 }

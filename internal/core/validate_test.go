@@ -101,13 +101,14 @@ func TestValidationToleranceTieBreak(t *testing.T) {
 	}
 }
 
-// TestMissedKeysFollowRules: with a database present the lookup tables
-// cover every existing tuple, and the strategy's Miss is the balanced
-// explanation, so a key the tables miss still has one home. A fully bound
-// INSERT of a new key routes exactly where Locate places the row it
-// creates, its rule's home; a read that binds only the key routes to the
-// union of the rules compatible with it; and a table without rules places
-// the key on the Miss's Default, else on its key hash.
+// TestMissedKeysFollowRules: the strategy's Miss is the balanced
+// explanation, so a key the lookup tables miss still has one home. A
+// fully bound INSERT of a new key routes exactly where Locate places the
+// row it creates, its rule's home; a read that binds only the key routes
+// to the union of the rules compatible with it; a table without rules
+// places the key on the Miss's Default, else on its key hash; and an
+// existing row sits on its cut set if it was traced, else on its rule's
+// home.
 func TestMissedKeysFollowRules(t *testing.T) {
 	w := workloads.TPCC(workloads.TPCCConfig{
 		Warehouses: 2, Customers: 15, Items: 80, InitialOrders: 6, Txns: 800, Seed: 3,
@@ -184,17 +185,30 @@ func TestMissedKeysFollowRules(t *testing.T) {
 		t.Errorf("table without rules under a Default: %v, want [1]", got)
 	}
 
-	// Every existing stock row is covered by the tables.
-	tbl, _ := l.Router.Get("stock")
-	missing := 0
-	w.DB.Table("stock").ScanAll(func(key int64, _ storage.Row) bool {
-		if _, ok := tbl.Locate(key); !ok {
-			missing++
+	// Every existing stock row sits on its cut set if it was traced, else
+	// on its rule's home.
+	cutOf := map[int64][]int{}
+	for d, id := range res.Tuples {
+		if id.Table == "stock" {
+			cutOf[id.Key] = res.Assignments[d]
+		}
+	}
+	stock := w.DB.Table("stock")
+	misplaced := 0
+	stock.ViewAll(func(key int64, data storage.Row) bool {
+		id := workload.TupleID{Table: "stock", Key: key}
+		row := storage.RowView{Schema: stock.Schema, Data: data}
+		want, traced := cutOf[key]
+		if !traced {
+			want = res.Range.Locate(id, row)
+		}
+		if !slices.Equal(l.Locate(id, row), want) {
+			misplaced++
 		}
 		return true
 	})
-	if missing != 0 {
-		t.Errorf("%d existing stock tuples missing from the lookup table", missing)
+	if misplaced != 0 {
+		t.Errorf("%d of %d stock rows off their cut or rule home", misplaced, stock.Len())
 	}
 }
 
@@ -241,10 +255,10 @@ func TestBalancedRejectsFunnel(t *testing.T) {
 	funnel := &partition.Range{K: k, Tables: map[string]*partition.TableRules{
 		"t": {Table: "t", Rules: []partition.RangeRule{{Parts: []int{0}}}, Default: []int{0}},
 	}}
-	if balanced(funnel, tuples, resolve, k) {
+	if _, ok := balanced(funnel, tuples, resolve, k); ok {
 		t.Error("funnel explanation accepted")
 	}
-	if !balanced(funnel, tuples, resolve, 1) {
+	if _, ok := balanced(funnel, tuples, resolve, 1); !ok {
 		t.Error("k=1 must always be balanced")
 	}
 	// Rules splitting on x = key mod k spread the load evenly.
@@ -255,7 +269,7 @@ func TestBalancedRejectsFunnel(t *testing.T) {
 			{Conds: []partition.RangeCond{{Column: "x", Op: dtree.CondLe, Value: datum.NewInt(2)}}, Parts: []int{2}},
 		}, Default: []int{3}},
 	}}
-	if !balanced(spread, tuples, resolve, k) {
+	if _, ok := balanced(spread, tuples, resolve, k); !ok {
 		t.Error("spread explanation rejected")
 	}
 }
@@ -269,7 +283,7 @@ func TestPipelineRejectsDegenerateExplanation(t *testing.T) {
 	res := runPipeline(t, w, 8, Options{Seed: 4})
 	if res.Range != nil {
 		// Any surviving explanation must itself be balanced.
-		if !balanced(res.Range, res.Tuples, w.Resolver(), 8) {
+		if _, ok := balanced(res.Range, res.Tuples, w.Resolver(), 8); !ok {
 			t.Errorf("unbalanced explanation survived:\n%s", res.Report())
 		}
 	}

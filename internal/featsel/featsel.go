@@ -24,10 +24,10 @@ type TableColumn struct {
 // Frequencies counts, for every column, the number of statements whose
 // WHERE clause (or inserted column list) references it. Statements that
 // fail to parse are skipped: traces may contain vendor-specific syntax.
-// A trace repeats a few statement shapes, and each is parsed once.
-func Frequencies(tr *workload.Trace) (counts map[TableColumn]int, totalStmts int) {
+// A trace repeats a few statement shapes, and each is parsed once, into
+// memo, whose shapes the caller may read afterwards.
+func Frequencies(tr *workload.Trace, memo *sqlparse.ColumnMemo) (counts map[TableColumn]int, totalStmts int) {
 	counts = make(map[TableColumn]int)
-	var memo sqlparse.ColumnMemo
 	for _, t := range tr.Txns {
 		for _, src := range t.SQL {
 			uses, ok := memo.WhereColumns(src)

@@ -20,7 +20,7 @@ func TestFrequencies(t *testing.T) {
 		"UPDATE stock SET s_qty = 3 WHERE s_w_id = 1 AND s_i_id = 9",
 	)
 	tr.Add(nil, "SELECT * FROM item WHERE i_id = 7", "not valid sql !!!")
-	counts, total := Frequencies(tr)
+	counts, total := Frequencies(tr, new(sqlparse.ColumnMemo))
 	if total != 4 {
 		t.Errorf("parsed stmts = %d, want 4 (invalid skipped)", total)
 	}
@@ -199,7 +199,7 @@ func TestFrequenciesMatchesParseEach(t *testing.T) {
 		{"random", workloads.Random(workloads.RandomConfig{Rows: 1000, Txns: 500, Seed: 6}).Trace},
 		{"hand-written", hand},
 	} {
-		counts, total := Frequencies(tc.tr)
+		counts, total := Frequencies(tc.tr, new(sqlparse.ColumnMemo))
 		wantCounts, wantTotal := frequenciesParseEach(tc.tr)
 		if total != wantTotal || !reflect.DeepEqual(counts, wantCounts) {
 			t.Errorf("%s: Frequencies counts %d statements %v, parsing each %d %v",
@@ -231,7 +231,7 @@ func BenchmarkFrequencies(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Frequencies(bc.tr)
+				Frequencies(bc.tr, new(sqlparse.ColumnMemo))
 			}
 		})
 	}

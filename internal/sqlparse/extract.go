@@ -120,6 +120,17 @@ func (m *ColumnMemo) WhereColumns(src string) ([]ColumnUse, bool) {
 	return shape.uses, shape.ok
 }
 
+// Shapes calls f with the columns of every statement shape the memo has
+// parsed, in no particular order; a shape that failed to parse is
+// skipped. f must not modify the slice.
+func (m *ColumnMemo) Shapes(f func(uses []ColumnUse)) {
+	for _, shape := range m.shapes {
+		if shape.ok {
+			f(shape.uses)
+		}
+	}
+}
+
 // InsertMemo reads INSERT statements for the rows they carry and parses
 // each statement shape once, as ColumnMemo does: texts whose tokens differ
 // only in literals the parser treats alike (appendShape) share the table,

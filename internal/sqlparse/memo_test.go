@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -108,6 +109,28 @@ func TestColumnMemoPairs(t *testing.T) {
 		checkMemo(t, &forward, p[1])
 		checkMemo(t, &backward, p[1])
 		checkMemo(t, &backward, p[0])
+	}
+}
+
+// TestColumnMemoShapes: Shapes reports each parsed shape once, with the
+// columns WhereColumns gave its statements, and skips unparsable ones.
+func TestColumnMemoShapes(t *testing.T) {
+	var m ColumnMemo
+	srcs := []string{stockUpdate, customerSelect, orderLineInsert, stockUpdate, "SELECT FROM"}
+	want := map[string]bool{}
+	for _, src := range srcs {
+		if uses, ok := m.WhereColumns(src); ok {
+			want[fmt.Sprint(uses)] = true
+		}
+	}
+	got := map[string]bool{}
+	n := 0
+	m.Shapes(func(uses []ColumnUse) {
+		got[fmt.Sprint(uses)] = true
+		n++
+	})
+	if n != 3 || !reflect.DeepEqual(got, want) {
+		t.Errorf("Shapes gave %d shapes %v, want 3: %v", n, got, want)
 	}
 }
 
