@@ -10,13 +10,12 @@ import (
 // DeployLookup builds the mutable routing state the live loop adapts: a
 // per-tuple lookup strategy covering every existing tuple of db, placed
 // by locate (nil replica sets fall back to key-hash placement so every
-// existing tuple gets a definite home). Each table is filled into the
-// compressed Compact representation — deliberately NOT Compress'd into
-// Runs, whose Set splits intervals in O(runs): these tables are flipped
-// twice per moved tuple by the migration executor under the SyncTable
-// write lock, so they need Compact's O(1) mutable slots. The returned
-// SyncTables are what the executor flips as tuples move. The strategy has
-// no Miss: a key born after deployment sits at its key hash.
+// existing tuple gets a definite home). Each table is a Compact with a
+// slot for every existing key: the migration executor flips each moved
+// tuple's entry twice under the SyncTable write lock, and a slot flips in
+// O(1). The returned SyncTables are what the executor flips as tuples
+// move. The strategy has no Miss: a key born after deployment sits at its
+// key hash.
 func DeployLookup(db *storage.Database, k int, keyCols map[string]string, locate LocateFunc) (*partition.Lookup, map[string]*SyncTable) {
 	router := lookup.NewRouter(k)
 	sync := make(map[string]*SyncTable)

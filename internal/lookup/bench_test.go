@@ -24,8 +24,8 @@ func benchFill(t Table, n int) {
 
 // BenchmarkRouterLocate measures the per-statement routing hot path —
 // Table.Locate — and each representation's memory footprint (reported as
-// table-bytes) at TPCC-50W scale. The seed routed through HashIndex;
-// compact and runs are the compressed representations Router deploys.
+// table-bytes) at TPCC-50W scale: hashindex is the map a table is built
+// in, compact the dense representation Compress deploys for it.
 func BenchmarkRouterLocate(b *testing.B) {
 	const n = 500000
 	reps := []struct {
@@ -34,7 +34,6 @@ func BenchmarkRouterLocate(b *testing.B) {
 	}{
 		{"hashindex", func() Table { return NewHashIndex() }},
 		{"compact", func() Table { return NewCompact() }},
-		{"runs", func() Table { return NewRuns() }},
 	}
 	for _, rep := range reps {
 		rep := rep

@@ -2,6 +2,7 @@ package lookup
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -88,44 +89,9 @@ func TestCompactWidthPromotion(t *testing.T) {
 	}
 }
 
-func TestRuns(t *testing.T) {
-	testTableBasics(t, func() Table { return NewRuns() })
-
-	r := NewRuns()
-	// A range partitioning collapses to one run per partition.
-	for k := int64(0); k < 40000; k++ {
-		r.Set(k, []int{int(k / 10000)})
-	}
-	if r.NumRuns() != 4 {
-		t.Errorf("runs = %d, want 4", r.NumRuns())
-	}
-	if mem := r.MemoryBytes(); mem > 1000 {
-		t.Errorf("memory = %d, want ~20 bytes/run", mem)
-	}
-	// Overwriting a key mid-run splits it; restoring re-merges.
-	r.Set(5000, []int{9})
-	if r.NumRuns() != 6 {
-		t.Errorf("after split: runs = %d, want 6", r.NumRuns())
-	}
-	if parts, ok := r.Locate(5000); !ok || parts[0] != 9 {
-		t.Errorf("split key: %v %v", parts, ok)
-	}
-	if parts, ok := r.Locate(4999); !ok || parts[0] != 0 {
-		t.Errorf("left of split: %v %v", parts, ok)
-	}
-	r.Set(5000, []int{0})
-	if r.NumRuns() != 4 {
-		t.Errorf("after re-merge: runs = %d, want 4", r.NumRuns())
-	}
-	if r.Len() != 40000 {
-		t.Errorf("Len = %d", r.Len())
-	}
-}
-
 // TestExtremeKeys: keys at and near the int64 domain edges must store and
 // resolve exactly in every representation — Compact routes them to its
-// side map (dense range arithmetic would overflow) and Runs keeps
-// MaxInt64 out of interval runs (its exclusive end is unrepresentable).
+// side map (dense range arithmetic would overflow).
 func TestExtremeKeys(t *testing.T) {
 	const maxI = int64(^uint64(0) >> 1) // math.MaxInt64
 	minI := -maxI - 1
@@ -133,7 +99,7 @@ func TestExtremeKeys(t *testing.T) {
 	for _, mk := range []struct {
 		name string
 		t    Table
-	}{{"compact", NewCompact()}, {"runs", NewRuns()}, {"hashindex", NewHashIndex()}} {
+	}{{"compact", NewCompact()}, {"hashindex", NewHashIndex()}} {
 		tbl := mk.t
 		for i, k := range keys {
 			tbl.Set(k, []int{i % 5})
@@ -169,30 +135,14 @@ func TestExtremeKeys(t *testing.T) {
 			}
 		}
 	}
-	// Runs: ascending fill ending at MaxInt64 must not wrap the last run.
-	r := NewRuns()
-	for k := maxI - 3; ; k++ {
-		r.Set(k, []int{1})
-		if k == maxI {
-			break
-		}
-	}
-	for k := maxI - 3; ; k++ {
-		if parts, ok := r.Locate(k); !ok || parts[0] != 1 {
-			t.Fatalf("runs: Locate(%d) = %v %v after ascending fill to MaxInt64", k, parts, ok)
-		}
-		if k == maxI {
-			break
-		}
-	}
 }
 
-// TestTableEquivalenceQuick: all three representations agree under random
+// TestTableEquivalenceQuick: both representations agree under random
 // workloads (quick-check property, complements the fuzz harness).
 func TestTableEquivalenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tables := []Table{NewHashIndex(), NewCompact(), NewRuns()}
+		tables := []Table{NewHashIndex(), NewCompact()}
 		for i := 0; i < 400; i++ {
 			k := rng.Int63n(512)
 			if rng.Intn(8) == 0 {
@@ -227,43 +177,68 @@ func TestTableEquivalenceQuick(t *testing.T) {
 	}
 }
 
+// TestCompressPicksRepresentation: dense keys compress to Compact, sparse
+// ones (a table's exceptions to its rules) stay a HashIndex, and either
+// way Compress keeps the contents.
 func TestCompressPicksRepresentation(t *testing.T) {
-	// Range-clustered contents compress to Runs.
-	h := NewHashIndex()
-	for k := int64(0); k < 20000; k++ {
-		h.Set(k, []int{int(k / 5000)})
-	}
-	if _, ok := Compress(h).(*Runs); !ok {
-		t.Errorf("range-clustered table should compress to Runs, got %T", Compress(h))
-	}
-	// Dense scattered sets compress to Compact.
-	h2 := NewHashIndex()
-	rng := rand.New(rand.NewSource(7))
-	for k := int64(0); k < 20000; k++ {
-		h2.Set(k, []int{rng.Intn(8)})
-	}
-	if _, ok := Compress(h2).(*Compact); !ok {
-		t.Errorf("dense scattered table should compress to Compact, got %T", Compress(h2))
-	}
-	// Compression preserves contents and shrinks memory.
-	c := Compress(h2)
-	if c.MemoryBytes() >= h2.MemoryBytes() {
-		t.Errorf("compress grew memory: %d -> %d", h2.MemoryBytes(), c.MemoryBytes())
-	}
-	for k := int64(0); k < 20000; k++ {
-		want, _ := h2.Locate(k)
-		got, ok := c.Locate(k)
-		if !ok || got[0] != want[0] {
-			t.Fatalf("Locate(%d) = %v %v, want %v", k, got, ok, want)
+	same := func(name string, want, got Table, keys []int64) {
+		t.Helper()
+		for _, k := range keys {
+			w, _ := want.Locate(k)
+			g, ok := got.Locate(k)
+			if !ok || !slices.Equal(g, w) {
+				t.Fatalf("%s: Locate(%d) = %v %v, want %v", name, k, g, ok, w)
+			}
 		}
 	}
+	// Dense keys compress to Compact, range-clustered or scattered.
+	rng := rand.New(rand.NewSource(7))
+	clustered, scattered := NewHashIndex(), NewHashIndex()
+	var dense []int64
+	for k := int64(0); k < 20000; k++ {
+		clustered.Set(k, []int{int(k / 5000)})
+		scattered.Set(k, []int{rng.Intn(8)})
+		dense = append(dense, k)
+	}
+	for name, h := range map[string]*HashIndex{"clustered": clustered, "scattered": scattered} {
+		c := Compress(h)
+		if _, ok := c.(*Compact); !ok {
+			t.Errorf("%s: dense table compressed to %T, want Compact", name, c)
+		}
+		if c.MemoryBytes() >= h.MemoryBytes() {
+			t.Errorf("%s: compress grew memory: %d -> %d", name, h.MemoryBytes(), c.MemoryBytes())
+		}
+		same(name, h, c, dense)
+	}
+	// Sparse keys stay in the map: one key in a thousand costs less there
+	// than a slot for every key of its span.
+	sparse := NewHashIndex()
+	var spread []int64
+	for k := int64(0); k < 1000; k++ {
+		sparse.Set(k*1000, []int{int(k % 4)})
+		spread = append(spread, k*1000)
+	}
+	if c := Compress(sparse); c != Table(sparse) {
+		t.Errorf("sparse table compressed to %T (%d bytes), want it unchanged (%d bytes)", c, c.MemoryBytes(), sparse.MemoryBytes())
+	}
+	// A Compact built sparse moves to a map.
+	sc := NewCompact()
+	for _, k := range spread {
+		v, _ := sparse.Locate(k)
+		sc.Set(k, v)
+	}
+	if c := Compress(sc); c == Table(sc) || c.MemoryBytes() >= sc.MemoryBytes() {
+		t.Errorf("sparse Compact (%d bytes) compressed to %T (%d bytes), want a smaller HashIndex", sc.MemoryBytes(), c, c.MemoryBytes())
+	} else {
+		same("sparse-compact", sparse, c, spread)
+	}
 	// A table without Range passes through unchanged.
-	opaque := struct{ Table }{h2}
+	opaque := struct{ Table }{scattered}
 	if Compress(opaque) != Table(opaque) {
 		t.Error("non-Ranger table should pass through Compress")
 	}
-	// A range-clustered table plus outlier keys near both int64 extremes:
-	// the dense-span estimate must not wrap negative and shadow Runs.
+	// Dense keys plus outliers near both int64 extremes: the dense-span
+	// estimate must not wrap negative and pick Compact.
 	hx := NewHashIndex()
 	for k := int64(0); k < 20000; k++ {
 		hx.Set(k, []int{int(k / 5000)})
@@ -271,16 +246,8 @@ func TestCompressPicksRepresentation(t *testing.T) {
 	const maxI = int64(^uint64(0) >> 1)
 	hx.Set(maxI-5, []int{1})
 	hx.Set(-maxI+5, []int{2})
-	cx := Compress(hx)
-	if _, ok := cx.(*Runs); !ok {
-		t.Errorf("extreme-spanned clustered table compressed to %T (%d bytes), want Runs", cx, cx.MemoryBytes())
-	}
-	for _, k := range []int64{0, 9999, 19999, maxI - 5, -maxI + 5} {
-		want, _ := hx.Locate(k)
-		got, ok := cx.Locate(k)
-		if !ok || got[0] != want[0] {
-			t.Fatalf("extreme Compress: Locate(%d) = %v %v, want %v", k, got, ok, want)
-		}
+	if cx := Compress(hx); cx != Table(hx) {
+		t.Errorf("extreme-spanned table compressed to %T (%d bytes), want it unchanged", cx, cx.MemoryBytes())
 	}
 }
 

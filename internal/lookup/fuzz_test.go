@@ -2,8 +2,8 @@ package lookup
 
 // Fuzz harness for Set/Locate equivalence: an arbitrary op stream decoded
 // from the fuzz input is applied to every table representation
-// (HashIndex as the oracle; Compact and Runs as implementations under
-// test) and to a Compress'd snapshot, and all must agree on every
+// (HashIndex as the oracle; Compact as the implementation under test)
+// and to a Compress'd snapshot, and all must agree on every
 // touched key and its neighbourhood.
 
 import (
@@ -16,7 +16,7 @@ import (
 // 1 set-size byte, 3 partition bytes.
 func decodeOps(data []byte) (keys []int64, sets [][]int) {
 	// Cap the op count so adversarially long inputs don't stall the fuzz
-	// loop in the O(runs) Runs.Set path.
+	// loop.
 	if len(data) > 8*512 {
 		data = data[:8*512]
 	}
@@ -68,10 +68,7 @@ func FuzzTableEquivalence(f *testing.F) {
 			return
 		}
 		oracle := NewHashIndex()
-		impls := map[string]Table{
-			"compact": NewCompact(),
-			"runs":    NewRuns(),
-		}
+		impls := map[string]Table{"compact": NewCompact()}
 		for i, key := range keys {
 			oracle.Set(key, sets[i])
 			for _, tbl := range impls {

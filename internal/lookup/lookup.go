@@ -1,10 +1,11 @@
 // Package lookup implements the lookup tables behind fine-grained
 // (per-tuple) partitioning (§4.2, App. C.1): HashIndex, the general
-// in-memory map a table is built in, and the compressed representations
-// the deployment routes through — Compact (dense set-dictionary ids, 1–2
-// bytes per tuple) and Runs (run-length intervals for range-clustered
-// keys) — bundled per table behind Router (router.go), which picks the
-// smallest encoding.
+// in-memory map a table is built in, and Compact, dense set-dictionary
+// ids at 1–2 bytes per tuple, bundled per table behind Router
+// (router.go), whose Compress keeps each finished table in the smaller
+// of the two. Beside an explanation's rules a table holds only the keys
+// whose placement the rules get wrong (partition.Lookup places the rest),
+// so a sparse map of exceptions is as common as a dense table.
 package lookup
 
 import (

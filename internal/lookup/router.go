@@ -98,38 +98,29 @@ func (r *Router) Compress() {
 	}
 }
 
-// Compress rebuilds a finished table in whichever representation —
-// run-length intervals, dense Compact slots, or the general HashIndex —
-// is estimated smallest for its contents. A table that cannot enumerate
-// itself (no Ranger) is returned unchanged, as is any table the estimate
-// cannot beat.
+// Compress rebuilds a finished table as Compact or HashIndex, whichever
+// is estimated smaller for its contents: Compact pays one slot per key of
+// the span its keys cover, HashIndex ~16 bytes per key, so dense keys
+// compact and sparse ones, such as the exceptions to a table's rules,
+// stay in a map. A table that cannot enumerate itself (no Ranger) is
+// returned unchanged, as is any table the estimate cannot beat.
 func Compress(t Table) Table {
 	src, ok := t.(Ranger)
 	if !ok {
 		return t
 	}
 	// One enumeration pass gathers the sizing inputs: key count, dense
-	// span, run count, and the dictionary cost of the distinct sets.
+	// span, and the dictionary cost of the distinct sets.
 	var (
-		n        int64
-		first    int64
-		last     int64
-		runs     int64
-		prevKey  int64
-		prevID   uint32
-		havePrev bool
-		dict     setDict
+		n           int64
+		first, last int64
+		dict        setDict
 	)
 	src.Range(func(key int64, parts []int) bool {
-		id := dict.intern(parts)
-		if !havePrev {
+		dict.intern(parts)
+		if n == 0 {
 			first = key
-			runs = 1
-			havePrev = true
-		} else if key != prevKey+1 || id != prevID {
-			runs++
 		}
-		prevKey, prevID = key, id
 		last = key
 		n++
 		return true
@@ -154,16 +145,12 @@ func Compress(t Table) Table {
 	if diff < (uint64(1)<<62)/width {
 		compactBytes = (diff+1)*width + dictBytes
 	}
-	runsBytes := uint64(runs)*20 + dictBytes
 	hashBytes := uint64(n)*16 + dictBytes
 
 	var out Table
-	switch {
-	case runsBytes <= compactBytes && runsBytes <= hashBytes:
-		out = NewRuns()
-	case compactBytes <= hashBytes:
+	if compactBytes <= hashBytes {
 		out = NewCompact()
-	default:
+	} else {
 		out = NewHashIndex()
 	}
 	src.Range(func(key int64, parts []int) bool {
