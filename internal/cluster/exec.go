@@ -145,24 +145,60 @@ func (n *Node) execSelect(ts txn.TS, pl *plan, s *sqlparse.Select, capture, lock
 	if s.ForUpdate {
 		mode = txn.Exclusive
 	}
+	schema := tbl.Schema
+	// The WHERE clause reads each candidate in scratch on the stack
+	// (per call: followers read under a shared latch), and a match is
+	// copied once, at the width the SELECT returns. cols holds the
+	// selected columns' positions, -1 for one the table lacks (NULL);
+	// nil selects them all.
+	var scratchBuf [16]datum.D
+	scratch := storage.Row(scratchBuf[:])
+	if nc := len(schema.Columns); nc <= len(scratch) {
+		scratch = scratch[:nc]
+	} else {
+		scratch = make(storage.Row, nc)
+	}
+	var colBuf [16]int
+	var cols []int
+	if len(s.Cols) > 0 {
+		cols = colBuf[:0]
+		for _, c := range s.Cols {
+			cols = append(cols, schema.ColIndex(c.Column))
+		}
+	}
 	var rows []storage.Row
 	var keys []int64
 	order := 0
 	var point [4]int64
-	for _, k := range n.candidates(point[:0], tbl, pl, s.Where) {
+	cands := n.candidates(point[:0], tbl, pl, s.Where)
+	for j, k := range cands {
 		if locked {
 			if err := n.locks.Acquire(ts, txn.LockKey{Table: s.Table, Key: k}, mode); err != nil {
 				return response{err: err}
 			}
 		}
 		n.latch.RLock()
-		row, ok := tbl.Get(k)
+		ok := tbl.GetInto(k, scratch) && evalRow(s.Where, pl.args, schema, scratch)
 		n.latch.RUnlock()
-		if ok && evalRow(s.Where, pl.args, tbl.Schema, row) {
-			rows = append(rows, projectRow(s, tbl.Schema, row))
-			if capture {
-				keys = append(keys, k)
+		if !ok {
+			continue
+		}
+		if rows == nil {
+			rows = make([]storage.Row, 0, len(cands)-j)
+		}
+		if cols == nil {
+			rows = append(rows, slices.Clone(scratch))
+		} else {
+			out := make(storage.Row, len(cols))
+			for i, ci := range cols {
+				if ci >= 0 {
+					out[i] = scratch[ci]
+				}
 			}
+			rows = append(rows, out)
+		}
+		if capture {
+			keys = append(keys, k)
 		}
 	}
 	if s.OrderBy != nil {
@@ -188,21 +224,6 @@ func (n *Node) execSelect(ts txn.TS, pl *plan, s *sqlparse.Select, capture, lock
 	// keys lists every matched (hence locked and read) row, including any
 	// trimmed off by LIMIT: those reads happened.
 	return response{rows: rows, n: len(rows), keys: keys, order: order}
-}
-
-// projectRow applies the SELECT column list (copying; * returns the row).
-func projectRow(s *sqlparse.Select, schema *storage.TableSchema, row storage.Row) storage.Row {
-	if len(s.Cols) == 0 {
-		return row
-	}
-	out := make(storage.Row, len(s.Cols))
-	for i, c := range s.Cols {
-		ci := schema.ColIndex(c.Column)
-		if ci >= 0 {
-			out[i] = row[ci]
-		}
-	}
-	return out
 }
 
 func projectedIndex(s *sqlparse.Select, schema *storage.TableSchema, col string) int {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"schism/internal/datum"
+	"schism/internal/sqlparse"
 	"schism/internal/storage"
 	"schism/internal/txn"
 )
@@ -48,6 +49,45 @@ func TestRunTxnRoundTripAllocs(t *testing.T) {
 			run()
 			if allocs := testing.AllocsPerRun(200, run); allocs > tc.max {
 				t.Errorf("a one-UPDATE RunTxn allocates %v times, want <= %v", allocs, tc.max)
+			}
+		})
+	}
+}
+
+// TestSelectRoundTripAllocs pins what a one-row SELECT copies through
+// RunTxn on a group of one: the result slice and the row, at the width
+// the SELECT returns. The WHERE clause reads the stored row in scratch
+// that does not escape the call.
+func TestSelectRoundTripAllocs(t *testing.T) {
+	selBal := sqlparse.MustPrepare("SELECT bal FROM account WHERE id = ?")
+	for _, tc := range []struct {
+		name  string
+		stmt  *sqlparse.Prepared
+		width int
+	}{
+		{"star", selAccount, 2},
+		{"projected", selBal, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, co, _ := newAccountCluster(t, 2, 8)
+			defer c.Close()
+			id := datum.NewInt(3)
+			var rows []storage.Row
+			run := func() {
+				if _, _, err := co.RunTxn(func(tx *Txn) error {
+					var err error
+					rows, err = tx.ExecPrepared(tc.stmt, id)
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			if len(rows) != 1 || len(rows[0]) != tc.width || rows[0][tc.width-1].I != 1000 {
+				t.Fatalf("rows %v, want one row of %d columns ending in balance 1000", rows, tc.width)
+			}
+			if allocs := testing.AllocsPerRun(200, run); allocs > 2 {
+				t.Errorf("a one-row SELECT through RunTxn allocates %v times, want <= 2", allocs)
 			}
 		})
 	}

@@ -167,7 +167,7 @@ func runFig4Case(c fig4Case, s Scale) Fig4Row {
 	stored := 0
 	for _, id := range res.Tuples {
 		if tbl := w.DB.Table(id.Table); tbl != nil {
-			if _, ok := tbl.Get(id.Key); ok {
+			if tbl.Has(id.Key) {
 				stored++
 			}
 		}

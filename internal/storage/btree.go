@@ -49,6 +49,10 @@ type leaf struct {
 	slab []uint64
 	strs []string
 	next *leaf
+	// run is the position right after the row the leaf's last insert
+	// opened, or -1 once a split moved that row away or halved the leaf:
+	// an insert landing there continues an ascending run (see insertNode).
+	run int
 }
 
 type internal struct {
@@ -231,7 +235,12 @@ func (t *btree) set(key int64, row Row) bool {
 }
 
 // insertNode inserts into the subtree; on child split it returns the
-// separator key and new right sibling.
+// separator key and new right sibling. A leaf that overflows splits in
+// half, unless the insert continues an ascending run (order ids within a
+// district, history ids within a client): then it splits right after
+// the new row, and the left part keeps its arrays for the run to go on
+// filling. A run that has reached its leaf's end moves on to a new leaf
+// allocated at full capacity.
 func (t *btree) insertNode(n node, key int64, row Row) (splitKey int64, right node, inserted bool) {
 	switch x := n.(type) {
 	case *leaf:
@@ -240,19 +249,33 @@ func (t *btree) insertNode(n node, key int64, row Row) (splitKey int64, right no
 			t.pack(x, i, row)
 			return 0, nil, false
 		}
+		run := i == x.run
 		t.openRow(x, i, key)
 		t.pack(x, i, row)
-		if len(x.keys) > maxLeaf {
-			mid, next := len(x.keys)/2, x.next
-			r := t.slice(x, mid, len(x.keys))
-			// The left half moves to right-sized arrays too: under ascending
-			// keys (order ids, history ids) it never grows again, and keeping
-			// the overflowed arrays would hold twice what it stores.
-			*x = *t.slice(x, 0, mid)
-			x.next, r.next = r, next
-			return r.keys[0], r, true
+		x.run = i + 1
+		if len(x.keys) <= maxLeaf {
+			return 0, nil, true
 		}
-		return 0, nil, true
+		var r *leaf
+		next := x.next
+		switch {
+		case run && i == maxLeaf:
+			r = t.slice(x, i, i+1, maxLeaf+1)
+			t.truncate(x, i)
+			r.run, x.run = 1, -1
+		case run:
+			r = t.slice(x, i+1, len(x.keys), len(x.keys)-i-1)
+			t.truncate(x, i+1)
+		default:
+			mid := len(x.keys) / 2
+			r = t.slice(x, mid, len(x.keys), len(x.keys)-mid)
+			// The left half moves to right-sized arrays too: no run fills
+			// it, and keeping the overflowed arrays would hold twice what
+			// it stores.
+			*x = *t.slice(x, 0, mid, mid)
+		}
+		x.next, r.next = r, next
+		return r.keys[0], r, true
 	case *internal:
 		i := searchKeys(x.keys, key)
 		if i < len(x.keys) && x.keys[i] == key {
@@ -285,7 +308,8 @@ func (t *btree) insertNode(n node, key int64, row Row) (splitKey int64, right no
 
 // openRow makes room for key at position i and leaves its row all NULL.
 // Capacity doubles up to half a leaf and then goes straight to the one
-// row past maxLeaf a leaf holds before it splits.
+// row past maxLeaf a leaf holds before it splits: a leaf's capacity goes
+// 4, 8, 16, 32, 65, and a leaf that splits keeps its 65 only for a run.
 func (t *btree) openRow(l *leaf, i int, key int64) {
 	n := len(l.keys)
 	if n == cap(l.keys) {
@@ -305,11 +329,15 @@ func (t *btree) openRow(l *leaf, i int, key int64) {
 	clear(l.slab[i*s : (i+1)*s])
 }
 
-// slice copies rows [from, to) of l into a leaf of exactly that size,
-// moving their strings to slots of its own.
-func (t *btree) slice(l *leaf, from, to int) *leaf {
+// slice copies rows [from, to) of l into a new leaf with room for c
+// rows, moving their strings to slots of its own.
+func (t *btree) slice(l *leaf, from, to, c int) *leaf {
 	// make, not append: openRow relies on keys and slab filling up together.
-	out := &leaf{keys: make([]int64, to-from), slab: make([]uint64, (to-from)*t.stride)}
+	out := &leaf{
+		keys: make([]int64, to-from, c),
+		slab: make([]uint64, (to-from)*t.stride, c*t.stride),
+		run:  -1,
+	}
 	copy(out.keys, l.keys[from:to])
 	copy(out.slab, l.slab[from*t.stride:to*t.stride])
 	n := 0
@@ -324,6 +352,14 @@ func (t *btree) slice(l *leaf, from, to int) *leaf {
 	return out
 }
 
+// truncate drops l's rows from n on, freeing their string slots; l keeps
+// its arrays.
+func (t *btree) truncate(l *leaf, n int) {
+	t.eachSlot(l, n, len(l.keys), func(val *uint64) { l.strs[*val] = "" })
+	l.keys = l.keys[:n]
+	l.slab = l.slab[:n*t.stride]
+}
+
 // delete removes key, reporting whether it was present.
 func (t *btree) delete(key int64) bool {
 	l, i, ok := t.find(key)
@@ -331,6 +367,9 @@ func (t *btree) delete(key int64) bool {
 		return false
 	}
 	t.eachSlot(l, i, i+1, func(val *uint64) { l.strs[*val] = "" })
+	if i < l.run {
+		l.run--
+	}
 	s := t.stride
 	l.keys = append(l.keys[:i], l.keys[i+1:]...)
 	l.slab = append(l.slab[:i*s], l.slab[(i+1)*s:]...)

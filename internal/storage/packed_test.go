@@ -84,6 +84,9 @@ func randRow(rng *rand.Rand, s *TableSchema, key int64) Row {
 func checkLeaves(t *testing.T, tree *btree) {
 	t.Helper()
 	for l := tree.findLeaf(minInt64); l != nil; l = l.next {
+		if len(l.keys) > maxLeaf {
+			t.Fatalf("leaf holds %d rows, more than %d", len(l.keys), maxLeaf)
+		}
 		if len(l.slab) != len(l.keys)*tree.stride || cap(l.slab) != cap(l.keys)*tree.stride {
 			t.Fatalf("leaf holds %d/%d keys and %d/%d slab words of stride %d",
 				len(l.keys), cap(l.keys), len(l.slab), cap(l.slab), tree.stride)
@@ -212,16 +215,33 @@ func checkModel(t *testing.T, rng *rand.Rand, tbl *Table, ref map[int64]Row) {
 	}
 }
 
+// interleavedRuns is a key source of ascending runs in disjoint key
+// ranges (run<<32 | seq), advanced round-robin: TPC-C's order ids per
+// district. Each run's next key lands right after its last one, mostly
+// inside a leaf rather than at the tree's right edge.
+type interleavedRuns struct {
+	seq  []int64
+	turn int
+}
+
+func (r *interleavedRuns) next() int64 {
+	run := r.turn % len(r.seq)
+	r.turn++
+	r.seq[run]++
+	return int64(run)<<32 | r.seq[run]
+}
+
 // TestTableMatchesModel drives random operations against a map of Rows:
 // every read path must agree with it after every batch, through leaf
-// splits, mid-leaf inserts, deletes down to empty leaves and strings
-// coming and going.
+// splits (in half, and after an ascending run's insert at the leaf's end
+// or inside it), mid-leaf inserts, deletes down to empty leaves and
+// strings coming and going.
 func TestTableMatchesModel(t *testing.T) {
-	ops := 130000
+	ops := 160000
 	if testing.Short() {
-		ops = 110000
+		ops = 135000
 	}
-	patterns := []string{"ascending", "descending", "random", "clustered"}
+	patterns := []string{"ascending", "descending", "random", "clustered", "interleaved"}
 	done := 0
 	for seed := int64(1); done < ops; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -230,6 +250,22 @@ func TestTableMatchesModel(t *testing.T) {
 		tbl := NewDatabase().MustCreateTable(schema)
 		ref := make(map[int64]Row)
 		next := int64(0)
+		var runs interleavedRuns
+		if pattern == "interleaved" {
+			// Each run is pre-seeded with a few keys, so the round-robin
+			// starts with every run's tail inside a leaf.
+			runs.seq = make([]int64, 8+rng.Intn(73))
+			for i := range runs.seq {
+				runs.seq[i] = int64(rng.Intn(6))
+				for k := int64(1); k <= runs.seq[i]; k++ {
+					r := randRow(rng, schema, int64(i)<<32|k)
+					if err := tbl.Insert(r); err != nil {
+						t.Fatal(err)
+					}
+					ref[int64(i)<<32|k] = r
+				}
+			}
+		}
 		newKey := func() int64 {
 			next++
 			switch pattern {
@@ -239,6 +275,8 @@ func TestTableMatchesModel(t *testing.T) {
 				return -next
 			case "clustered":
 				return math.MinInt64 + rng.Int63n(3000)
+			case "interleaved":
+				return runs.next()
 			}
 			return rng.Int63() - rng.Int63()
 		}
@@ -359,41 +397,95 @@ func FuzzPackedRow(f *testing.F) {
 	})
 }
 
+// insertRuns inserts n 8-column numeric rows (order_line's shape, 80
+// stored bytes each) under keys from next.
+func insertRuns(t *testing.T, tbl *Table, n int, next func() int64) {
+	t.Helper()
+	row := make(Row, len(tbl.Schema.Columns))
+	for i := 0; i < n; i++ {
+		k := next()
+		for c := range row {
+			row[c] = datum.NewInt(k + int64(c))
+		}
+		row[len(row)-1] = datum.NewFloat(float64(k) / 100)
+		row[tbl.Schema.keyIdx] = datum.NewInt(k)
+		if err := tbl.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// keyOrders are the insert orders TPC-C's tables see: one ascending run
+// (a load, or history under one client), and 80 runs advanced
+// round-robin (orders, new_order and order_line within each district).
+var keyOrders = []struct {
+	name string
+	next func() func() int64
+}{
+	{"ascending", func() func() int64 {
+		k := int64(0)
+		return func() int64 { k++; return k }
+	}},
+	{"interleaved", func() func() int64 {
+		return (&interleavedRuns{seq: make([]int64, 80)}).next
+	}},
+}
+
 // TestRowFootprint bounds what a stored all-numeric row costs on the heap,
 // key, tree and slack included: order_line's shape under order-id keys.
 // A []Row leaf cost about 370 bytes for the same row.
 func TestRowFootprint(t *testing.T) {
 	const n, ncols = 100000, 8
-	tbl := NewDatabase().MustCreateTable(modelSchema(ncols, false))
-	row := make(Row, ncols)
 	heap := func() uint64 {
 		var m runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	before := heap()
-	for k := int64(0); k < n; k++ {
-		for c := range row {
-			row[c] = datum.NewInt(k + int64(c))
-		}
-		row[ncols-1] = datum.NewFloat(float64(k) / 100)
-		row[tbl.Schema.keyIdx] = datum.NewInt(k)
-		if err := tbl.Insert(row); err != nil {
-			t.Fatal(err)
-		}
+	for _, order := range keyOrders {
+		t.Run(order.name, func(t *testing.T) {
+			before := heap()
+			tbl := NewDatabase().MustCreateTable(modelSchema(ncols, false))
+			insertRuns(t, tbl, n, order.next())
+			perRow := float64(heap()-before) / n
+			t.Logf("%.1f heap bytes per %d-column row", perRow, ncols)
+			if perRow > 100 {
+				t.Fatalf("a stored row costs %.1f bytes, want <= 100", perRow)
+			}
+			runtime.KeepAlive(tbl)
+		})
 	}
-	perRow := float64(heap()-before) / n
-	t.Logf("%.1f heap bytes per %d-column row", perRow, ncols)
-	if perRow > 100 {
-		t.Fatalf("a stored row costs %.1f bytes, want <= 100", perRow)
+}
+
+// TestInsertAllocatedBytes bounds the bytes inserting a row allocates,
+// kept or not, at 1.6 times the 80 it stores. A run's insert that
+// overflows its leaf leaves the run the leaf's arrays to go on filling,
+// or a new leaf with room for a whole one; splitting every leaf in half
+// cost ~350 bytes per row, each half copied and then regrown.
+func TestInsertAllocatedBytes(t *testing.T) {
+	const n, ncols, stored = 100000, 8, 80
+	for _, order := range keyOrders {
+		t.Run(order.name, func(t *testing.T) {
+			tbl := NewDatabase().MustCreateTable(modelSchema(ncols, false))
+			next := order.next()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			insertRuns(t, tbl, n, next)
+			runtime.ReadMemStats(&after)
+			perRow := float64(after.TotalAlloc-before.TotalAlloc) / n
+			t.Logf("%.1f bytes allocated per %d-byte row", perRow, stored)
+			if perRow > 1.6*stored {
+				t.Fatalf("inserting a row allocates %.1f bytes, want <= %.0f", perRow, 1.6*stored)
+			}
+		})
 	}
-	runtime.KeepAlive(tbl)
 }
 
 // TestTableAllocs pins the copies the write and read paths make: none to
-// store or overwrite a row (leaf growth amortises below one per insert;
-// an index entry is touched only when its column changes), one to read it.
+// store or overwrite a row (ascending keys are a run, which fills each
+// leaf after the first in the one allocation that gives it its full
+// capacity: about 1/64 per insert; an index entry is touched only when
+// its column changes), one to read it.
 func TestTableAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
