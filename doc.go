@@ -12,10 +12,11 @@
 // the explanation phase trains its decision trees columnar
 // (SLIQ/SPRINT-style pre-sorted index columns, parallel and
 // byte-identical at any worker count, differential-tested against the
-// seed C4.5); and statement routing resolves through the explanation's
-// rules and compressed lookup tables of their exceptions
-// (internal/lookup: dense set-dictionary arrays or hash indexes behind
-// lookup.Router, fuzz-tested equivalent to each other). DESIGN.md
+// seed C4.5); and statement routing resolves through one layered
+// placement, partition.Lookup: the explanation's rules, then compressed
+// lookup tables of their exceptions (internal/lookup: dense
+// set-dictionary arrays or hash indexes behind lookup.Router,
+// fuzz-tested equivalent to each other). DESIGN.md
 // documents those layers; bench/ (its own module, declared by
 // BENCHMARK.json) measures them end to end and per layer.
 //

@@ -63,13 +63,15 @@ type Coordinator struct {
 type coordMetrics struct {
 	reg *obs.Registry
 
-	committed   *obs.Counter
-	distributed *obs.Counter
-	failed      *obs.Counter
-	onePhase    *obs.Counter
-	twoPhase    *obs.Counter
-	retries     map[string]*obs.Counter // keyed by RetryCause
-	backoffNS   *obs.Counter
+	committed    *obs.Counter
+	distributed  *obs.Counter
+	failed       *obs.Counter
+	onePhase     *obs.Counter
+	twoPhase     *obs.Counter
+	retries      map[string]*obs.Counter // keyed by RetryCause
+	backoffNS    *obs.Counter
+	targets      *obs.Counter // partitions statements are sent to
+	emptyTargets *obs.Counter // targets whose reply matched no row
 
 	route   *obs.Hist // per-statement fan-out latency
 	prepare *obs.Hist // 2PC prepare round (vote collection)
@@ -81,17 +83,19 @@ func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 		return nil
 	}
 	m := &coordMetrics{
-		reg:         reg,
-		committed:   reg.Counter("txn.committed"),
-		distributed: reg.Counter("txn.distributed"),
-		failed:      reg.Counter("txn.failed"),
-		onePhase:    reg.Counter("txn.commit.one_phase"),
-		twoPhase:    reg.Counter("txn.commit.two_phase"),
-		backoffNS:   reg.Counter("txn.backoff_ns"),
-		retries:     make(map[string]*obs.Counter),
-		route:       reg.Hist("2pc.route"),
-		prepare:     reg.Hist("2pc.prepare"),
-		commit:      reg.Hist("2pc.commit"),
+		reg:          reg,
+		committed:    reg.Counter("txn.committed"),
+		distributed:  reg.Counter("txn.distributed"),
+		failed:       reg.Counter("txn.failed"),
+		onePhase:     reg.Counter("txn.commit.one_phase"),
+		twoPhase:     reg.Counter("txn.commit.two_phase"),
+		backoffNS:    reg.Counter("txn.backoff_ns"),
+		retries:      make(map[string]*obs.Counter),
+		targets:      reg.Counter("stmt.targets"),
+		emptyTargets: reg.Counter("stmt.empty_targets"),
+		route:        reg.Hist("2pc.route"),
+		prepare:      reg.Hist("2pc.prepare"),
+		commit:       reg.Hist("2pc.commit"),
 	}
 	for _, cause := range RetryCauses {
 		m.retries[cause] = reg.Counter("txn.retry." + cause)
@@ -620,6 +624,7 @@ func (t *Txn) execOn(pl *plan, targets []int) ([]storage.Row, error) {
 	resps := t.fanout(reqExec, pl, targets)
 	var rows []storage.Row
 	order := 0 // ORDER BY column's position in the rows, as the nodes report it
+	empty := 0 // targets whose reply matched no row
 	var seen map[int64]struct{}
 	if t.capture != nil && len(targets) > 1 {
 		seen = make(map[int64]struct{})
@@ -635,6 +640,9 @@ func (t *Txn) execOn(pl *plan, targets []int) ([]storage.Row, error) {
 			rows = append(rows, r.rows...)
 		}
 		order = r.order
+		if r.n == 0 {
+			empty++
+		}
 		if t.capture != nil {
 			for _, k := range r.keys {
 				if seen != nil {
@@ -658,8 +666,10 @@ func (t *Txn) execOn(pl *plan, targets []int) ([]storage.Row, error) {
 		if t.observer != nil {
 			t.observer(pl.table, pl.write, len(targets), d)
 		}
-		if t.mets != nil {
-			t.mets.route.Record(d)
+		if m := t.mets; m != nil {
+			m.route.Record(d)
+			m.targets.Add(int64(len(targets)))
+			m.emptyTargets.Add(int64(empty))
 		}
 	}
 	return rows, nil

@@ -146,6 +146,15 @@ func (n *Node) execSelect(ts txn.TS, pl *plan, s *sqlparse.Select, capture, lock
 		mode = txn.Exclusive
 	}
 	schema := tbl.Schema
+	// ORDER BY sorts on the column's position in the rows returned, so the
+	// rows must hold it: with explicit columns, the projection may have
+	// moved it or left it out.
+	order := 0
+	if s.OrderBy != nil {
+		if order = projectedIndex(s, schema, s.OrderBy.Column); order < 0 {
+			return response{err: fmt.Errorf("cluster: ORDER BY %s: not a selected column", s.OrderBy.Column)}
+		}
+	}
 	// The WHERE clause reads each candidate in scratch on the stack
 	// (per call: followers read under a shared latch), and a match is
 	// copied once, at the width the SELECT returns. cols holds the
@@ -168,7 +177,6 @@ func (n *Node) execSelect(ts txn.TS, pl *plan, s *sqlparse.Select, capture, lock
 	}
 	var rows []storage.Row
 	var keys []int64
-	order := 0
 	var point [4]int64
 	cands := n.candidates(point[:0], tbl, pl, s.Where)
 	for j, k := range cands {
@@ -202,16 +210,8 @@ func (n *Node) execSelect(ts txn.TS, pl *plan, s *sqlparse.Select, capture, lock
 		}
 	}
 	if s.OrderBy != nil {
-		ci := tbl.Schema.ColIndex(s.OrderBy.Column)
-		// Projection may have reordered columns; order on the projected
-		// position when explicit columns are selected.
-		pi := projectedIndex(s, tbl.Schema, s.OrderBy.Column)
-		if pi >= 0 {
-			ci = pi
-		}
-		order = ci
 		sort.SliceStable(rows, func(i, j int) bool {
-			cmp := datum.Compare(rows[i][ci], rows[j][ci])
+			cmp := datum.Compare(rows[i][order], rows[j][order])
 			if s.Desc {
 				return cmp > 0
 			}

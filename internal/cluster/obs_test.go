@@ -36,3 +36,28 @@ func TestObsAddsNoAllocations(t *testing.T) {
 	}
 	t.Logf("allocs per committed UPDATE: %v without a registry, %v with one", off, on)
 }
+
+// TestStmtTargetsCounted: the coordinator counts the partitions each
+// statement is sent to and those whose reply matched no row. A key-range
+// SELECT that matches one row, broadcast under Hash at k = 4, reads 4
+// targets and 3 empty ones.
+func TestStmtTargetsCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, co := deploy(t, Config{Nodes: 4, LockTimeout: 2 * time.Second, Obs: reg},
+		accountDB(t, 16), accountHash(4))
+	defer c.Close()
+	targets, empty := reg.Counter("stmt.targets"), reg.Counter("stmt.empty_targets")
+	t0, e0 := targets.Value(), empty.Value()
+	if _, _, err := co.RunTxn(func(tx *Txn) error {
+		rows, err := tx.Exec("SELECT * FROM account WHERE id BETWEEN 5 AND 5")
+		if err == nil && len(rows) != 1 {
+			t.Errorf("%d rows, want 1", len(rows))
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, gotEmpty := targets.Value()-t0, empty.Value()-e0; got != 4 || gotEmpty != 3 {
+		t.Errorf("broadcast read of one row: %d targets, %d empty; want 4 and 3", got, gotEmpty)
+	}
+}

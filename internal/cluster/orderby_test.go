@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"schism/internal/storage"
@@ -72,5 +73,44 @@ func TestBroadcastOrderByLimitIsGlobal(t *testing.T) {
 		if !reflect.DeepEqual(rows, tc.want) {
 			t.Errorf("%s\n got %v\nwant %v", tc.sql, rows, tc.want)
 		}
+	}
+}
+
+// TestOrderByUnselectedColumnFails: a SELECT whose ORDER BY column is not
+// in the rows it returns, because it selects other columns or the table
+// lacks it, fails with an error instead of indexing each row at the
+// column's table position, which panicked the node's worker. The cluster
+// goes on serving, without replication and with it.
+func TestOrderByUnselectedColumnFails(t *testing.T) {
+	for _, r := range []int{1, 3} {
+		var c *Cluster
+		var co *Coordinator
+		if r == 1 {
+			c, co, _ = newAccountCluster(t, 2, 8)
+		} else {
+			c, co, _ = newGroupCluster(t, 2, 3, 8, 0)
+		}
+		exec := func(sql string) ([]storage.Row, error) {
+			var rows []storage.Row
+			_, _, err := co.RunTxn(func(tx *Txn) error {
+				var err error
+				rows, err = tx.Exec(sql)
+				return err
+			})
+			return rows, err
+		}
+		for _, sql := range []string{
+			"SELECT id FROM account WHERE bal = 1000 ORDER BY bal LIMIT 3",
+			"SELECT * FROM account WHERE id = 3 ORDER BY nosuch",
+		} {
+			if _, err := exec(sql); err == nil || !strings.Contains(err.Error(), "ORDER BY") {
+				t.Errorf("R=%d %s: err %v, want an ORDER BY error", r, sql, err)
+			}
+		}
+		rows, err := exec("SELECT bal, id FROM account WHERE bal = 1000 ORDER BY id LIMIT 3")
+		if err != nil || len(rows) != 3 || rows[0][1].I != 0 || rows[2][1].I != 2 {
+			t.Errorf("R=%d: ordered read after the failures: %v, %v", r, rows, err)
+		}
+		c.Close()
 	}
 }

@@ -37,7 +37,7 @@ type Input struct {
 	// DB, when set, lets the lookup phase cover tuples that exist but were
 	// never traced: a read-mostly workload replicates them everywhere (the
 	// paper's Epinions policy). Every other key the lookup tables miss,
-	// untraced or new, is placed by the explanation's rules (Lookup.Miss),
+	// untraced or new, is placed by the explanation's rules (Lookup.Tables),
 	// else by its key hash.
 	DB *storage.Database
 	// Hyper selects the hypergraph-native representation: graph.BuildHyper
@@ -133,13 +133,13 @@ type Result struct {
 	// PrunedReplicas counts write-hot tuples demoted from replicated to
 	// single-home placement (see pruneWriteReplicas).
 	PrunedReplicas int
-	// Lookup is the fine-grained strategy (always built). Its tables hold
-	// the traced tuples that its Miss, the explanation, places elsewhere
+	// Lookup is the fine-grained strategy (always built): the explanation's
+	// rules, and entries for the traced tuples the rules place elsewhere
 	// than the graph does.
 	Lookup *partition.Lookup
-	// Range is the explanation-phase strategy (nil when no explanation was
-	// found).
-	Range *partition.Range
+	// Range is the explanation-phase strategy: Lookup's rules without its
+	// entries (nil when no explanation was found).
+	Range *partition.Lookup
 	// RuleStrings renders the learned rules per table for reporting, in
 	// the style of §5.2.
 	RuleStrings map[string][]string
@@ -228,15 +228,16 @@ func Run(in Input, opts Options) (*Result, error) {
 	// once, and its home under the rules decides the tuple's entry below.
 	t0 = time.Now()
 	var memo sqlparse.ColumnMemo
+	var rules map[string]*partition.TableRules
 	var homes [][]int
 	if in.Resolver != nil {
-		res.Range = explain(res, train, &memo, in, opts)
-		if res.Range != nil {
+		if rules = explain(res, train, &memo, in, opts); rules != nil {
+			res.Range = &partition.Lookup{K: k, Tables: rules, KeyColumn: in.KeyColumns}
 			var ok bool
 			if homes, ok = balanced(res.Range, res.Tuples, in.Resolver, k); !ok {
 				// §4.3 condition (ii): an explanation that funnels the load
 				// onto few partitions degrades the graph solution; discard it.
-				res.Range, homes = nil, nil
+				res.Range, rules, homes = nil, nil, nil
 				res.RuleStrings = map[string][]string{}
 			}
 		}
@@ -248,14 +249,12 @@ func Run(in Input, opts Options) (*Result, error) {
 	// database, untraced tuples of a read-mostly trace are replicated
 	// everywhere.
 	t0 = time.Now()
-	miss := res.Range
+	l := &partition.Lookup{K: k, Tables: rules, KeyColumn: in.KeyColumns}
 	if in.DB == nil && readMostly {
-		miss = &partition.Range{K: k, Default: allParts(k)}
-		if res.Range != nil {
-			miss.Tables = res.Range.Tables
-		}
+		l.Default = allParts(k)
 	}
-	res.Lookup = buildLookup(res, homes, miss, keyRouted(&memo, miss, in.KeyColumns), g.Intern, in, readMostly)
+	l.Router = buildRouter(res, homes, l, keyRouted(&memo, l.Tables, in.KeyColumns), g.Intern, in, readMostly)
+	res.Lookup = l
 	res.Timings.Lookup += time.Since(t0)
 
 	// Phase 5: validation on the held-out trace.
@@ -296,7 +295,7 @@ func Run(in Input, opts Options) (*Result, error) {
 // acceptably: no partition may hold more than twice its fair share
 // (replicated tuples count toward every replica). It returns every
 // tuple's replica set under r, homes[d] for tuples[d].
-func balanced(r *partition.Range, tuples []workload.TupleID, resolve partition.Resolver, k int) (homes [][]int, ok bool) {
+func balanced(r partition.Strategy, tuples []workload.TupleID, resolve partition.Resolver, k int) (homes [][]int, ok bool) {
 	homes = make([][]int, len(tuples))
 	load := make([]int64, k)
 	var total int64
@@ -433,14 +432,14 @@ func writeFraction(tr *workload.Trace) float64 {
 	return float64(w) / float64(tr.Len())
 }
 
-// buildLookup builds the lookup strategy whose Miss places the keys its
-// tables miss. A traced tuple, res.Tuples[d], gets an entry only where
-// the graph's replica set differs from its home under miss: homes[d] in
-// a table with rules, else miss's default or the key hash. A table in
-// full keeps an entry for every traced tuple. For a read-mostly workload
-// with a database, existing-but-untraced tuples are replicated
-// everywhere.
-func buildLookup(res *Result, homes [][]int, miss *partition.Range, full map[string]bool, intern *workload.Interner, in Input, readMostly bool) *partition.Lookup {
+// buildRouter builds the lookup tables of rules, a Lookup without
+// entries yet, that keep the keys it places wrong. A traced tuple,
+// res.Tuples[d], gets an entry only where the graph's replica set
+// differs from its place under rules: homes[d] in a table with rules,
+// else rules' Default or the key hash. A table in full keeps an entry
+// for every traced tuple. For a read-mostly workload with a database,
+// existing-but-untraced tuples are replicated everywhere.
+func buildRouter(res *Result, homes [][]int, rules *partition.Lookup, full map[string]bool, intern *workload.Interner, in Input, readMostly bool) *lookup.Router {
 	k := res.K
 	router := lookup.NewRouter(k)
 	for d, parts := range res.Assignments {
@@ -448,12 +447,10 @@ func buildLookup(res *Result, homes [][]int, miss *partition.Range, full map[str
 		var placed bool
 		switch {
 		case full[id.Table]:
-		case miss == nil:
-			placed = len(parts) == 1 && parts[0] == partition.HashPart(id.Key, k)
-		case miss.Tables[id.Table] != nil:
+		case rules.Tables[id.Table] != nil:
 			placed = slices.Equal(parts, homes[d])
 		default:
-			placed = slices.Equal(parts, miss.Locate(id, nil))
+			placed = slices.Equal(parts, rules.Locate(id, nil))
 		}
 		if !placed {
 			router.Set(id.Table, id.Key, parts)
@@ -472,19 +469,16 @@ func buildLookup(res *Result, homes [][]int, miss *partition.Range, full map[str
 		}
 	}
 	router.Compress()
-	return &partition.Lookup{K: k, Router: router, Miss: miss, KeyColumn: in.KeyColumns}
+	return router
 }
 
-// keyRouted returns the tables of miss with rules that some training
-// statement, one of memo's shapes, names by key equality without naming
-// every column the rules test by equality too. A key the tables miss
-// routes by those columns (Lookup.missRoute), so such a statement would
-// reach every rule's groups: these tables keep an entry for every traced
+// keyRouted returns the tables with rules that some training statement,
+// one of memo's shapes, names by key equality without naming every
+// column the rules test by equality too. A key the tables miss routes by
+// those columns (Lookup.RouteStmt), so such a statement would reach
+// every rule's groups: these tables keep an entry for every traced
 // tuple. An INSERT names every column it sets.
-func keyRouted(memo *sqlparse.ColumnMemo, miss *partition.Range, keyCols map[string]string) map[string]bool {
-	if miss == nil || len(miss.Tables) == 0 {
-		return nil
-	}
+func keyRouted(memo *sqlparse.ColumnMemo, rules map[string]*partition.TableRules, keyCols map[string]string) map[string]bool {
 	full := make(map[string]bool)
 	memo.Shapes(func(uses []sqlparse.ColumnUse) {
 		names := func(table, col string) bool {
@@ -492,7 +486,7 @@ func keyRouted(memo *sqlparse.ColumnMemo, miss *partition.Range, keyCols map[str
 				return u.Table == table && u.Column == col && u.Op == sqlparse.OpEq
 			})
 		}
-		for table, tr := range miss.Tables {
+		for table, tr := range rules {
 			if full[table] || !names(table, keyCols[table]) {
 				continue
 			}

@@ -18,10 +18,10 @@ import (
 // explain implements phase 4 (§4.3, §5.2): per table, mine frequently used
 // WHERE attributes, select those correlated with the partition label,
 // train a decision tree on (tuple attributes -> replica-set label), and
-// convert its rules into a range-predicate strategy. Returns nil when no
+// convert its rules into per-table range predicates. Returns nil when no
 // table could be explained. memo is left holding the training trace's
 // statement shapes.
-func explain(res *Result, train *workload.Trace, memo *sqlparse.ColumnMemo, in Input, opts Options) *partition.Range {
+func explain(res *Result, train *workload.Trace, memo *sqlparse.ColumnMemo, in Input, opts Options) map[string]*partition.TableRules {
 	counts, totalStmts := featsel.Frequencies(train, memo)
 	if totalStmts == 0 {
 		return nil
@@ -39,7 +39,7 @@ func explain(res *Result, train *workload.Trace, memo *sqlparse.ColumnMemo, in I
 		return cmp.Or(cmp.Compare(ta.Table, tb.Table), cmp.Compare(ta.Key, tb.Key))
 	})
 
-	out := &partition.Range{K: res.K, Tables: make(map[string]*partition.TableRules)}
+	out := make(map[string]*partition.TableRules)
 	for lo, hi := 0, 0; lo < len(order); lo = hi {
 		table := res.Tuples[order[lo]].Table
 		hi = lo + 1
@@ -47,10 +47,10 @@ func explain(res *Result, train *workload.Trace, memo *sqlparse.ColumnMemo, in I
 			hi++
 		}
 		if tr := explainTable(res, table, order[lo:hi], counts, in, opts, rng); tr != nil {
-			out.Tables[table] = tr
+			out[table] = tr
 		}
 	}
-	if len(out.Tables) == 0 {
+	if len(out) == 0 {
 		return nil
 	}
 	return out
@@ -115,7 +115,6 @@ func explainTable(res *Result, table string, tuples []int32, counts map[featsel.
 		res.RuleStrings[table] = append(res.RuleStrings[table],
 			"<empty> -> "+partsString(labelSets[0])+" (pred. error: 0.00%)")
 		return &partition.TableRules{
-			Table:   table,
 			Rules:   []partition.RangeRule{{Parts: labelSets[0]}},
 			Default: labelSets[0],
 		}
@@ -146,7 +145,6 @@ func explainTable(res *Result, table string, tuples []int32, counts map[featsel.
 			"<empty> -> "+partsString(labelSets[maj])+
 				" (pred. error: "+pctString(1-float64(majN)/float64(len(labels)))+")")
 		return &partition.TableRules{
-			Table:   table,
 			Rules:   []partition.RangeRule{{Parts: labelSets[maj]}},
 			Default: labelSets[maj],
 		}
@@ -202,7 +200,7 @@ func explainTable(res *Result, table string, tuples []int32, counts map[featsel.
 		}
 	}
 
-	tr := &partition.TableRules{Table: table}
+	tr := &partition.TableRules{}
 	majority := 0
 	majorityN := -1
 	for _, rule := range tree.Rules() {

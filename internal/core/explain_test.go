@@ -24,7 +24,7 @@ func TestCoveredTableExplained(t *testing.T) {
 	row := func(key int64) partition.Row {
 		return rowFunc(func(string) datum.D { return datum.NewInt(key) })
 	}
-	run := func(stored int) *partition.Range {
+	run := func(stored int) map[string]*partition.TableRules {
 		db := storage.NewDatabase()
 		tbl := db.MustCreateTable(&storage.TableSchema{Name: "w", Key: "w_id",
 			Columns: []storage.Column{{Name: "w_id", Type: storage.IntCol}}})
@@ -47,10 +47,11 @@ func TestCoveredTableExplained(t *testing.T) {
 		}
 		return explain(res, tr, new(sqlparse.ColumnMemo), in, Options{Partitions: k}.withDefaults())
 	}
-	r := run(n)
-	if r == nil || r.Tables["w"] == nil {
+	rules := run(n)
+	if rules["w"] == nil {
 		t.Fatal("covered table not explained")
 	}
+	r := &partition.Lookup{K: k, Tables: rules}
 	for i := 0; i < n; i++ {
 		if got := r.Locate(workload.TupleID{Table: "w", Key: int64(i)}, row(int64(i))); len(got) != 1 || got[0] != label(i) {
 			t.Fatalf("row %d placed on %v, want [%d]", i, got, label(i))

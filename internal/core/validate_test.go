@@ -7,6 +7,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -101,22 +102,21 @@ func TestValidationToleranceTieBreak(t *testing.T) {
 	}
 }
 
-// TestMissedKeysFollowRules: the strategy's Miss is the balanced
-// explanation, so a key the lookup tables miss still has one home. A
+// TestMissedKeysFollowRules: the strategy's rules are the balanced
+// explanation's, so a key the lookup tables miss still has one home. A
 // fully bound INSERT of a new key routes exactly where Locate places the
 // row it creates, its rule's home; a read that binds only the key routes
 // to the union of the rules compatible with it; a table without rules
-// places the key on the Miss's Default, else on its key hash; and an
-// existing row sits on its cut set if it was traced, else on its rule's
-// home.
+// places the key on the Default, else on its key hash; and an existing
+// row sits on its cut set if it was traced, else on its rule's home.
 func TestMissedKeysFollowRules(t *testing.T) {
 	w := workloads.TPCC(workloads.TPCCConfig{
 		Warehouses: 2, Customers: 15, Items: 80, InitialOrders: 6, Txns: 800, Seed: 3,
 	})
 	res := runPipeline(t, w, 2, Options{Seed: 3})
 	l := res.Lookup
-	if res.Range == nil || l.Miss != res.Range {
-		t.Fatalf("lookup Miss %p, explanation %p", l.Miss, res.Range)
+	if res.Range == nil || !reflect.DeepEqual(l.Tables, res.Range.Tables) || res.Range.Router != nil {
+		t.Fatalf("lookup rules %v, explanation %+v", l.Tables, res.Range)
 	}
 	const newKey = 1 << 40
 	inserts, reads := 0, 0
@@ -174,13 +174,13 @@ func TestMissedKeysFollowRules(t *testing.T) {
 		t.Fatalf("%d INSERTs and %d reads checked; rules for %v", inserts, reads, res.RuleStrings)
 	}
 
-	// A table without rules: the Miss's Default, else the key hash.
+	// A table without rules: the Default, else the key hash.
 	id := workload.TupleID{Table: "nosuch", Key: newKey}
 	if got := l.Locate(id, nil); !slices.Equal(got, []int{partition.HashPart(newKey, 2)}) {
 		t.Errorf("table without rules: %v, want its key hash", got)
 	}
 	withDefault := *l
-	withDefault.Miss = &partition.Range{K: 2, Tables: res.Range.Tables, Default: []int{1}}
+	withDefault.Default = []int{1}
 	if got := withDefault.Locate(id, nil); !slices.Equal(got, []int{1}) {
 		t.Errorf("table without rules under a Default: %v, want [1]", got)
 	}
@@ -213,7 +213,7 @@ func TestMissedKeysFollowRules(t *testing.T) {
 }
 
 // TestWithoutDBDefaultApplies: no database, no resolver and a write-heavy
-// trace mean no Miss, so unknown keys hash-place.
+// trace mean no rules and no Default, so unknown keys hash-place.
 func TestWithoutDBDefaultApplies(t *testing.T) {
 	tr := workload.NewTrace()
 	for i := 0; i < 200; i++ {
@@ -224,8 +224,8 @@ func TestWithoutDBDefaultApplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := res.Lookup
-	if l.Miss != nil {
-		t.Errorf("write-heavy trace: Miss = %+v, want nil (hash placement)", l.Miss)
+	if l.Tables != nil || l.Default != nil {
+		t.Errorf("write-heavy trace: rules %v, Default %v, want none (hash placement)", l.Tables, l.Default)
 	}
 	got := l.Locate(workload.TupleID{Table: "t", Key: 1 << 30}, nil)
 	if len(got) != 1 || got[0] != partition.HashPart(1<<30, 2) {
@@ -252,8 +252,8 @@ func TestBalancedRejectsFunnel(t *testing.T) {
 		key := id.Key
 		return rowFunc(func(string) datum.D { return datum.NewInt(key % k) })
 	}
-	funnel := &partition.Range{K: k, Tables: map[string]*partition.TableRules{
-		"t": {Table: "t", Rules: []partition.RangeRule{{Parts: []int{0}}}, Default: []int{0}},
+	funnel := &partition.Lookup{K: k, Tables: map[string]*partition.TableRules{
+		"t": {Rules: []partition.RangeRule{{Parts: []int{0}}}, Default: []int{0}},
 	}}
 	if _, ok := balanced(funnel, tuples, resolve, k); ok {
 		t.Error("funnel explanation accepted")
@@ -262,8 +262,8 @@ func TestBalancedRejectsFunnel(t *testing.T) {
 		t.Error("k=1 must always be balanced")
 	}
 	// Rules splitting on x = key mod k spread the load evenly.
-	spread := &partition.Range{K: k, Tables: map[string]*partition.TableRules{
-		"t": {Table: "t", Rules: []partition.RangeRule{
+	spread := &partition.Lookup{K: k, Tables: map[string]*partition.TableRules{
+		"t": {Rules: []partition.RangeRule{
 			{Conds: []partition.RangeCond{{Column: "x", Op: dtree.CondLe, Value: datum.NewInt(0)}}, Parts: []int{0}},
 			{Conds: []partition.RangeCond{{Column: "x", Op: dtree.CondLe, Value: datum.NewInt(1)}}, Parts: []int{1}},
 			{Conds: []partition.RangeCond{{Column: "x", Op: dtree.CondLe, Value: datum.NewInt(2)}}, Parts: []int{2}},

@@ -198,14 +198,10 @@ func TestStreamsSmoke(t *testing.T) {
 	ecfg := workloads.EpinionsConfig{Users: 150, Items: 60, Txns: 1, Seed: 5}
 	cases := []tc{
 		{
-			name: "tpcc-full-mix",
-			db:   workloads.TPCC(tcfg).DB,
-			strat: &partition.Hash{K: 2, Columns: map[string]string{
-				"warehouse": "w_id", "district": "d_w_id", "customer": "c_w_id",
-				"history": "h_w_id", "new_order": "no_w_id", "orders": "o_w_id",
-				"order_line": "ol_w_id", "stock": "s_w_id",
-			}, KeyColumn: workloads.TPCCKeyColumns()},
-			mk: workloads.TPCCStream(tcfg),
+			name:  "tpcc-full-mix",
+			db:    workloads.TPCC(tcfg).DB,
+			strat: workloads.TPCCManual(tcfg, 2),
+			mk:    workloads.TPCCStream(tcfg),
 		},
 		{
 			name:  "ycsb-a",

@@ -14,7 +14,7 @@ import (
 // slot for every existing key: the migration executor flips each moved
 // tuple's entry twice under the SyncTable write lock, and a slot flips in
 // O(1). The returned SyncTables are what the executor flips as tuples
-// move. The strategy has no Miss: a key born after deployment sits at its
+// move. The strategy has no rules: a key born after deployment sits at its
 // key hash.
 func DeployLookup(db *storage.Database, k int, keyCols map[string]string, locate LocateFunc) (*partition.Lookup, map[string]*SyncTable) {
 	router := lookup.NewRouter(k)

@@ -30,17 +30,6 @@ func TestHashLocateDeterministic(t *testing.T) {
 	}
 }
 
-func TestHashOnColumn(t *testing.T) {
-	h := &Hash{K: 2, Columns: map[string]string{"stock": "s_w_id"}}
-	r1 := mapRow{"s_w_id": datum.NewInt(1)}
-	r2 := mapRow{"s_w_id": datum.NewInt(1)}
-	a := h.Locate(tid("stock", 100), r1)
-	b := h.Locate(tid("stock", 999), r2)
-	if a[0] != b[0] {
-		t.Error("tuples with equal hash column must co-locate")
-	}
-}
-
 func TestHashRouting(t *testing.T) {
 	h := &Hash{K: 4, KeyColumn: map[string]string{"t": "id"}}
 	_, cons, ok := sqlparse.Constraints(sqlparse.MustParse("SELECT * FROM t WHERE id = 42"))
@@ -68,21 +57,19 @@ func TestFullReplicationRouting(t *testing.T) {
 	}
 }
 
-func rangeStrategy() *Range {
+func rangeStrategy() *Lookup {
 	// The paper's TPC-C rules: s_w_id <= 1 -> {0}; s_w_id > 1 -> {1};
 	// item replicated everywhere.
-	return &Range{
+	return &Lookup{
 		K: 2,
 		Tables: map[string]*TableRules{
 			"stock": {
-				Table: "stock",
 				Rules: []RangeRule{
 					{Conds: []RangeCond{{Column: "s_w_id", Op: dtree.CondLe, Value: datum.NewInt(1)}}, Parts: []int{0}},
 					{Conds: []RangeCond{{Column: "s_w_id", Op: dtree.CondGt, Value: datum.NewInt(1)}}, Parts: []int{1}},
 				},
 			},
 			"item": {
-				Table: "item",
 				Rules: []RangeRule{{Parts: []int{0, 1}}},
 			},
 		},
@@ -142,6 +129,16 @@ func TestRangeRouting(t *testing.T) {
 	if len(route.All) != 2 || len(route.Single) != 0 {
 		t.Errorf("OR route: %+v", route)
 	}
+	// Entries for stock, which may place a matching row anywhere, make a
+	// statement naming no stock key broadcast; entries for item alone
+	// leave stock routed by its rules.
+	cons, ok = parse("UPDATE stock SET s_ytd = 1 WHERE s_w_id = 2 AND s_i_id = 7")
+	for table, want := range map[string]int{"item": 1, "stock": 2} {
+		r.Router = lookup.NewRouterFromTables(2, map[string]lookup.Table{table: lookup.NewHashIndex()})
+		if route = r.RouteStmt("stock", cons, ok); len(route.All) != want {
+			t.Errorf("entries for %s: stock routes %+v, want %d partitions", table, route, want)
+		}
+	}
 }
 
 func TestLookupStrategy(t *testing.T) {
@@ -153,13 +150,13 @@ func TestLookupStrategy(t *testing.T) {
 	if got := l.Locate(tid("t", 3), nil); len(got) != 2 {
 		t.Errorf("replicated tuple: %v", got)
 	}
-	// Unknown key without a Miss falls back to hashing.
+	// Unknown key without rules or a Default falls back to hashing.
 	got := l.Locate(tid("t", 99), nil)
 	if len(got) != 1 {
 		t.Errorf("unknown key: %v", got)
 	}
-	// Unknown key with a Miss whose Default is everywhere.
-	lAll := &Lookup{K: 2, Router: lookup.NewRouterFromTables(2, map[string]lookup.Table{"t": idx}), Miss: &Range{K: 2, Default: []int{0, 1}}}
+	// Unknown key under a Default that is everywhere.
+	lAll := &Lookup{K: 2, Router: lookup.NewRouterFromTables(2, map[string]lookup.Table{"t": idx}), Default: []int{0, 1}}
 	if got := lAll.Locate(tid("t", 99), nil); len(got) != 2 {
 		t.Errorf("default replica set: %v", got)
 	}
@@ -291,8 +288,8 @@ func TestRuleString(t *testing.T) {
 }
 
 // TestLocateSharedSets pins the key-hash and full-replication sets Locate
-// returns to shared, capacity-capped subslices: hash placement, hash on a
-// column, Range's and Lookup's hash fallbacks and full replication
+// returns to shared, capacity-capped subslices: hash placement, the hash
+// fallbacks of Lookup without and with entries, and full replication
 // allocate nothing, return the set they always did, and an append to one
 // copies instead of changing the next tuple's set. Above the shared
 // slice's length the sets are allocated and still right.
@@ -307,9 +304,7 @@ func TestLocateSharedSets(t *testing.T) {
 			want func(key int64) []int
 		}{
 			{"hash", &Hash{K: k}, nil, func(key int64) []int { return []int{HashPart(key, k)} }},
-			{"hash-column", &Hash{K: k, Columns: map[string]string{"stock": "s_w_id"}}, row,
-				func(int64) []int { return []int{int(datum.Hash(datum.NewInt(3)) % uint64(k))} }},
-			{"range-fallback", &Range{K: k}, row, func(key int64) []int { return []int{HashPart(key, k)} }},
+			{"range-fallback", &Lookup{K: k}, row, func(key int64) []int { return []int{HashPart(key, k)} }},
 			{"lookup-fallback", &Lookup{K: k, Router: router}, nil, func(key int64) []int { return []int{HashPart(key, k)} }},
 			{"replication", &FullReplication{K: k}, nil, func(int64) []int { return allParts(k) }},
 		}

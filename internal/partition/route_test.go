@@ -13,28 +13,26 @@ import (
 )
 
 // refRoute is the reference every RouteStmt is held to: the map-based
-// semantics, written out with per-key sets. Hash routes the union of the
-// constrained values' hash partitions; Range the union of its compatible
-// rules' replica sets (Single when one rule matches or the union is one
-// partition), its table Default when none does; Lookup the intersection
-// (Single) and union (All) of the keys' routes, a key in the tables
-// routing to its entry and a missing one as refMissRoute says.
+// semantics, written out with per-key sets. FullReplication routes
+// anywhere; Hash routes the union of the constrained key values' hash
+// partitions; Lookup, for a statement naming keys, the intersection
+// (Single) and union (All) of the keys' routes, a key with an entry
+// routing to it and a missed one as refMissRoute says, and for any other
+// statement refRuleRoute's on a table without entries.
 func refRoute(s Strategy, table string, cons []sqlparse.Constraint, routable bool) Route {
 	k := s.NumPartitions()
 	everywhere := Route{All: allParts(k)}
+	if _, ok := s.(*FullReplication); ok {
+		return Route{Single: allParts(k), All: allParts(k)}
+	}
 	if !routable {
 		return everywhere
 	}
 	switch s := s.(type) {
 	case *Hash:
-		col, ok := s.Columns[table]
-		if !ok {
-			if col = s.KeyColumn[table]; col == "" {
-				return everywhere
-			}
-		}
+		col := s.KeyColumn[table]
 		for _, c := range cons {
-			if c.Table != table || c.Column != col || len(c.Eq) == 0 {
+			if col == "" || c.Table != table || c.Column != col || len(c.Eq) == 0 {
 				continue
 			}
 			set := map[int]bool{}
@@ -47,40 +45,14 @@ func refRoute(s Strategy, table string, cons []sqlparse.Constraint, routable boo
 			}
 			return Route{All: parts}
 		}
-	case *Range:
-		tr, ok := s.Tables[table]
-		if !ok {
-			return everywhere
-		}
-		set := map[int]bool{}
-		matched := 0
-		for _, rule := range tr.Rules {
-			if ruleCompatible(rule, table, cons) {
-				matched++
-				for _, p := range rule.Parts {
-					set[p] = true
-				}
-			}
-		}
-		if matched == 0 {
-			if tr.Default != nil {
-				return Route{Single: tr.Default, All: tr.Default}
-			}
-			return everywhere
-		}
-		parts := sortedSet(set)
-		if matched == 1 || len(parts) == 1 {
-			return Route{Single: parts, All: parts}
-		}
-		return Route{All: parts}
 	case *Lookup:
-		col := s.KeyColumn[table]
-		if col == "" {
-			return everywhere
+		var t lookup.Table
+		if s.Router != nil {
+			t, _ = s.Router.Get(table)
 		}
-		t, _ := s.Router.Get(table)
+		col := s.KeyColumn[table]
 		for _, c := range cons {
-			if c.Table != table || c.Column != col || len(c.Eq) == 0 {
+			if col == "" || c.Table != table || c.Column != col || len(c.Eq) == 0 {
 				continue
 			}
 			var inter map[int]bool
@@ -115,31 +87,55 @@ func refRoute(s Strategy, table string, cons []sqlparse.Constraint, routable boo
 			}
 			return Route{Single: sortedSet(inter), All: sortedSet(union)}
 		}
+		if t == nil {
+			return refRuleRoute(s, table, cons)
+		}
 	}
 	return everywhere
 }
 
-// entry is key's entry in t, which may be nil.
-func entry(t lookup.Table, key int64) ([]int, bool) {
-	if t == nil {
-		return nil, false
+// refRuleRoute routes by a Lookup's rules alone: the union of its
+// compatible rules' replica sets (Single when one rule matches or the
+// union is one partition), its table Default when none does, and
+// everywhere on a table without rules.
+func refRuleRoute(s *Lookup, table string, cons []sqlparse.Constraint) Route {
+	everywhere := Route{All: allParts(s.K)}
+	tr := s.Tables[table]
+	if tr == nil {
+		return everywhere
 	}
-	return t.Locate(key)
+	set := map[int]bool{}
+	matched := 0
+	for _, rule := range tr.Rules {
+		if ruleCompatible(rule, table, cons) {
+			matched++
+			for _, p := range rule.Parts {
+				set[p] = true
+			}
+		}
+	}
+	if matched == 0 {
+		if tr.Default != nil {
+			return Route{Single: tr.Default, All: tr.Default}
+		}
+		return everywhere
+	}
+	parts := sortedSet(set)
+	if matched == 1 || len(parts) == 1 {
+		return Route{Single: parts, All: parts}
+	}
+	return Route{All: parts}
 }
 
-// refMissRoute routes a key a Lookup's tables miss: a table the Miss has
-// rules for routes as the Miss's own Range; any other key lives on the
-// Miss's default, else its key hash, as with no Miss at all.
+// refMissRoute routes a key a Lookup's tables miss: a table with rules
+// routes by them; any other key lives on the Default, else its key hash.
 func refMissRoute(s *Lookup, table string, key int64, cons []sqlparse.Constraint) Route {
+	if s.Tables[table] != nil {
+		return refRuleRoute(s, table, cons)
+	}
 	home := []int{HashPart(key, s.K)}
-	if s.Miss == nil {
-		return Route{Single: home, All: home}
-	}
-	if s.Miss.Tables[table] != nil {
-		return refRoute(s.Miss, table, cons, true)
-	}
-	if s.Miss.Default != nil {
-		home = s.Miss.Default
+	if s.Default != nil {
+		home = s.Default
 	}
 	return Route{Single: home, All: home}
 }
@@ -207,66 +203,79 @@ type routeCase struct {
 	routable bool
 }
 
-// genRange draws a Range over table t: up to four rules of up to two
-// conditions on its key id and its column w, with or without a table
-// Default and a Range Default.
-func genRange(c *choices, k int) *Range {
-	tr := &TableRules{Table: "t"}
-	for i, n := 0, c.intn(5); i < n; i++ {
-		var rule RangeRule
-		for j, m := 0, c.intn(3); j < m; j++ {
-			col := "id"
-			if c.intn(3) == 0 {
-				col = "w"
-			}
-			op := []dtree.CondOp{dtree.CondLe, dtree.CondGt, dtree.CondEq, dtree.CondNe}[c.intn(4)]
-			rule.Conds = append(rule.Conds, RangeCond{Column: col, Op: op, Value: datum.NewInt(int64(c.intn(20)))})
+// genRules draws the rules of table t as the explanation learns them:
+// the leaves of a decision tree of depth at most two over its key id and
+// its column w, so they never overlap and together cover every row (or no
+// rules at all), with or without a table Default.
+func genRules(c *choices, k int) *TableRules {
+	tr := &TableRules{}
+	var grow func(conds []RangeCond, depth int)
+	grow = func(conds []RangeCond, depth int) {
+		if depth == 2 || c.intn(3) == 0 {
+			tr.Rules = append(tr.Rules, RangeRule{Conds: conds, Parts: c.set(k)})
+			return
 		}
-		rule.Parts = c.set(k)
-		tr.Rules = append(tr.Rules, rule)
+		col := "id"
+		if c.intn(3) == 0 {
+			col = "w"
+		}
+		v := datum.NewInt(int64(c.intn(20)))
+		ops := []dtree.CondOp{dtree.CondLe, dtree.CondGt}
+		if c.intn(3) == 0 {
+			ops = []dtree.CondOp{dtree.CondEq, dtree.CondNe}
+		}
+		for _, op := range ops {
+			grow(append(slices.Clip(conds), RangeCond{Column: col, Op: op, Value: v}), depth+1)
+		}
+	}
+	if c.intn(5) != 0 {
+		grow(nil, 0)
 	}
 	if c.intn(2) == 0 {
 		tr.Default = c.set(k)
 	}
-	r := &Range{K: k, Tables: map[string]*TableRules{"t": tr}}
-	if c.intn(2) == 0 {
-		r.Default = c.set(k)
-	}
-	return r
+	return tr
 }
 
-// genRouteCase builds a Hash (by key or by column), Range or Lookup (hits,
-// and misses placed by rules, by a Default or by the key hash) strategy
-// over table t, and a statement on t or on table u, which has a key
-// column but no rules or lookup table. Its equality lists hold 1–4
-// values, repeats included, and it may bind w to one value besides.
-func genRouteCase(c *choices) routeCase {
-	k := 2 + c.intn(7)
-	keyCols := map[string]string{"t": "id", "u": "id"}
-	var s Strategy
-	switch c.intn(3) {
-	case 0:
-		h := &Hash{K: k, KeyColumn: keyCols}
-		if c.intn(2) == 0 {
-			h.Columns = map[string]string{"t": "w"}
-		}
-		s = h
-	case 1:
-		s = genRange(c, k)
-	default:
+// genLookup draws a Lookup over table t: with or without rules, a
+// Default, entries (none: the range-predicate strategy; else up to 30
+// over keys 0–19, possibly none) and key columns.
+func genLookup(c *choices, k int, keyCols map[string]string) *Lookup {
+	l := &Lookup{K: k, KeyColumn: keyCols}
+	if c.intn(3) != 0 {
+		l.Tables = map[string]*TableRules{"t": genRules(c, k)}
+	}
+	if c.intn(3) == 0 {
+		l.Default = c.set(k)
+	}
+	if c.intn(3) != 0 {
 		idx := lookup.NewHashIndex()
 		for i, n := 0, c.intn(30); i < n; i++ {
 			idx.Set(int64(c.intn(20)), c.set(k))
 		}
-		l := &Lookup{K: k, KeyColumn: keyCols,
-			Router: lookup.NewRouterFromTables(k, map[string]lookup.Table{"t": idx})}
-		switch c.intn(3) {
-		case 1:
-			l.Miss = genRange(c, k)
-		case 2:
-			l.Miss = &Range{K: k, Default: c.set(k)}
-		}
-		s = l
+		l.Router = lookup.NewRouterFromTables(k, map[string]lookup.Table{"t": idx})
+	}
+	if c.intn(4) == 0 {
+		l.KeyColumn = nil
+	}
+	return l
+}
+
+// genRouteCase builds a FullReplication, Hash or Lookup strategy over
+// table t, and a statement on t or on table u, which has a key column but
+// no rules or lookup table. Its equality lists hold 1–4 values, repeats
+// included, and it may bind w to one value or a range besides.
+func genRouteCase(c *choices) routeCase {
+	k := 2 + c.intn(7)
+	keyCols := map[string]string{"t": "id", "u": "id"}
+	var s Strategy
+	switch c.intn(4) {
+	case 0:
+		s = &Hash{K: k, KeyColumn: keyCols}
+	case 1:
+		s = &FullReplication{K: k}
+	default:
+		s = genLookup(c, k, keyCols)
 	}
 
 	rc := routeCase{s: s, table: "t", routable: c.intn(10) != 0}
@@ -326,10 +335,93 @@ func FuzzRouteStmt(f *testing.F) {
 	})
 }
 
+// idw is a row of table t or u: its key id and its column w.
+type idw struct{ id, w int64 }
+
+func (r idw) Get(col string) datum.D {
+	switch col {
+	case "id":
+		return datum.NewInt(r.id)
+	case "w":
+		return datum.NewInt(r.w)
+	}
+	return datum.D{}
+}
+
+// satisfies reports whether a row of table satisfies every constraint
+// the statement puts on that table.
+func satisfies(table string, cons []sqlparse.Constraint, row Row) bool {
+	for i := range cons {
+		c := &cons[i]
+		if c.Table != table {
+			continue
+		}
+		v := row.Get(c.Column)
+		if len(c.Eq) > 0 {
+			if !slices.ContainsFunc(c.Eq, func(e datum.D) bool { return datum.Equal(v, e) }) {
+				return false
+			}
+			continue
+		}
+		if c.Lo != nil {
+			if cmp := datum.Compare(v, *c.Lo); cmp < 0 || cmp == 0 && c.LoStrict {
+				return false
+			}
+		}
+		if c.Hi != nil {
+			if cmp := datum.Compare(v, *c.Hi); cmp > 0 || cmp == 0 && c.HiStrict {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkSound holds a route to the rows it must reach: every row (id, w)
+// of a small universe that satisfies the statement sits only on
+// partitions in All, and on every partition in Single.
+func checkSound(t *testing.T, rc routeCase) {
+	t.Helper()
+	r := rc.s.RouteStmt(rc.table, rc.cons, rc.routable)
+	for id := int64(-3); id <= 22; id++ {
+		for w := int64(-3); w <= 22; w++ {
+			row := idw{id, w}
+			if !satisfies(rc.table, rc.cons, row) {
+				continue
+			}
+			if home := rc.s.Locate(tid(rc.table, id), row); !subset(home, r.All) || !subset(r.Single, home) {
+				t.Fatalf("%s on %s %+v (routable %v): route %+v misses row %+v on %v",
+					rc.s.Name(), rc.table, rc.cons, rc.routable, r, row, home)
+			}
+		}
+	}
+}
+
+// TestRouteCoversMatchingRows holds every strategy's routes to its own
+// placement over random strategies and statements: a route reaches every
+// row the statement may touch, and a read's Single serves all of them.
+func TestRouteCoversMatchingRows(t *testing.T) {
+	c := &choices{rng: rand.New(rand.NewSource(2))}
+	for i := 0; i < 5000; i++ {
+		checkSound(t, genRouteCase(c))
+	}
+}
+
+// FuzzRouteSound is TestRouteCoversMatchingRows over fuzzer-chosen cases.
+func FuzzRouteSound(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 3, 2, 9, 1, 4, 0, 0, 0, 1, 2, 3})
+	f.Add([]byte{3, 2, 1, 1, 2, 0, 4, 1, 2, 0, 5, 1, 1, 0, 7, 7})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkSound(t, genRouteCase(&choices{b: b}))
+	})
+}
+
 // TestRouteStmtAllocs pins what routing a point statement costs: a
 // one-key equality under Lookup (a hit, and a miss placed by a rule, by a
-// Default and by the key hash) or Hash, and a broadcast, return sets the
-// strategy already holds.
+// Default and by the key hash) or Hash, a statement routed by the rules
+// of a table without entries, and a broadcast, return sets the strategy
+// already holds.
 func TestRouteStmtAllocs(t *testing.T) {
 	idx := lookup.NewHashIndex()
 	idx.Set(7, []int{1, 3})
@@ -339,10 +431,10 @@ func TestRouteStmtAllocs(t *testing.T) {
 		return []sqlparse.Constraint{{Table: "t", Column: "id", Eq: []datum.D{datum.NewInt(v)}}}
 	}
 	insert := append(key(8), sqlparse.Constraint{Table: "t", Column: "w", Eq: []datum.D{datum.NewInt(3)}})
-	rules := &Range{K: 4, Tables: map[string]*TableRules{"t": {Table: "t", Rules: []RangeRule{
+	rules := map[string]*TableRules{"t": {Rules: []RangeRule{
 		{Conds: []RangeCond{{Column: "w", Op: dtree.CondLe, Value: datum.NewInt(2)}}, Parts: []int{1}},
 		{Conds: []RangeCond{{Column: "w", Op: dtree.CondGt, Value: datum.NewInt(2)}}, Parts: []int{2, 3}},
-	}}}}
+	}}}
 	for _, tc := range []struct {
 		name     string
 		s        Strategy
@@ -350,8 +442,9 @@ func TestRouteStmtAllocs(t *testing.T) {
 		routable bool
 	}{
 		{"lookup hit", &Lookup{K: 4, Router: router, KeyColumn: keyCols}, key(7), true},
-		{"lookup rule miss", &Lookup{K: 4, Router: router, KeyColumn: keyCols, Miss: rules}, insert, true},
-		{"lookup default miss", &Lookup{K: 4, Router: router, KeyColumn: keyCols, Miss: &Range{K: 4, Default: []int{0, 2}}}, key(8), true},
+		{"lookup rule miss", &Lookup{K: 4, Router: router, KeyColumn: keyCols, Tables: rules}, insert, true},
+		{"lookup default miss", &Lookup{K: 4, Router: router, KeyColumn: keyCols, Default: []int{0, 2}}, key(8), true},
+		{"rules without entries", &Lookup{K: 4, KeyColumn: keyCols, Tables: rules}, insert[1:], true},
 		{"lookup hash miss", &Lookup{K: 4, Router: router, KeyColumn: keyCols}, key(8), true},
 		{"hash", &Hash{K: 4, KeyColumn: keyCols}, key(8), true},
 		{"broadcast", &Hash{K: 4, KeyColumn: keyCols}, key(8), false},

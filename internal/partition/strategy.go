@@ -1,5 +1,6 @@
 // Package partition defines partitioning/replication strategies (hash,
-// range-predicate, lookup-table, full replication) and the cost model
+// full replication, and Lookup: range-predicate rules, with or without
+// lookup-table entries for their exceptions) and the cost model
 // Schism's validation phase uses to choose among them: the number of
 // distributed transactions a strategy induces on a workload trace (§4.4).
 package partition
@@ -58,16 +59,9 @@ type Strategy interface {
 	RouteStmt(table string, cons []sqlparse.Constraint, routable bool) Route
 }
 
-// Hash partitions each tuple by hashing its key (the paper's baseline) or,
-// when Columns maps the tuple's table to an attribute, by hashing that
-// attribute's value (the validation phase's "hash on most frequent
-// attribute").
+// Hash partitions each tuple by hashing its key (the paper's baseline).
 type Hash struct {
 	K int
-	// Columns optionally maps table -> attribute to hash on. Tables not
-	// listed hash on the tuple key. The attribute must functionally
-	// determine placement for routing to work (e.g. w_id in TPC-C).
-	Columns map[string]string
 	// KeyColumn maps table -> name of its key column, so statements with
 	// equality predicates on the key route exactly. Optional.
 	KeyColumn map[string]string
@@ -83,26 +77,13 @@ func (h *Hash) Complexity() int { return 0 }
 func (h *Hash) NumPartitions() int { return h.K }
 
 // Locate implements Strategy.
-func (h *Hash) Locate(id workload.TupleID, row Row) []int {
-	if col, ok := h.Columns[id.Table]; ok && row != nil {
-		if v := row.Get(col); !v.IsNull() {
-			return onePart(int(datum.Hash(v) % uint64(h.K)))
-		}
-	}
-	return onePart(HashPart(id.Key, h.K))
-}
+func (h *Hash) Locate(id workload.TupleID, _ Row) []int { return onePart(HashPart(id.Key, h.K)) }
 
 // RouteStmt implements Strategy.
 func (h *Hash) RouteStmt(table string, cons []sqlparse.Constraint, routable bool) Route {
-	if !routable {
+	col := h.KeyColumn[table]
+	if !routable || col == "" {
 		return broadcast(h.K)
-	}
-	col, hashByCol := h.Columns[table]
-	if !hashByCol {
-		col = h.KeyColumn[table]
-		if col == "" {
-			return broadcast(h.K)
-		}
 	}
 	for _, c := range cons {
 		if c.Table != table || c.Column != col || len(c.Eq) == 0 {
@@ -190,36 +171,70 @@ func (r RangeRule) String() string {
 
 // TableRules is the predicate-based placement of one table.
 type TableRules struct {
-	Table string
 	Rules []RangeRule
 	// Default is the replica set for rows matching no rule.
 	Default []int
 }
 
-// Range is the predicate-based strategy produced by the explanation phase
-// (§4.3): per-table decision-tree rules over frequently used attributes.
-type Range struct {
+// Lookup is the layered placement Schism deploys: the explanation's
+// per-table decision-tree rules (§4.3), and per-key lookup-table entries
+// (§4.2) for the keys the rules place wrong. A key's home is its entry,
+// else its table's first matching rule, else the table default, else
+// Default, else its key hash. Without a Router it is the range-predicate
+// strategy; with one, the lookup-table strategy.
+type Lookup struct {
 	K      int
 	Tables map[string]*TableRules
 	// Default is the replica set for tables without rules; nil means
-	// replicate everywhere (the paper's choice for untouched read-mostly
-	// tables) is NOT assumed — key-hash placement is used instead.
+	// key-hash placement (replicate-everywhere, the paper's choice for
+	// untouched read-mostly tables, is NOT assumed).
 	Default []int
+	// Router holds the per-table lookup tables (compressed representations
+	// behind the lookup.Table interface); nil means no entries.
+	Router *lookup.Router
+	// KeyColumn maps table -> key column name for routing.
+	KeyColumn map[string]string
 }
 
 // Name implements Strategy.
-func (r *Range) Name() string { return "range-predicates" }
+func (l *Lookup) Name() string {
+	if l.Router == nil {
+		return "range-predicates"
+	}
+	return "lookup-table"
+}
 
-// Complexity implements Strategy.
-func (r *Range) Complexity() int { return 1 }
+// Complexity implements Strategy: rules alone are 1, rules with entries 2.
+func (l *Lookup) Complexity() int {
+	if l.Router == nil {
+		return 1
+	}
+	return 2
+}
 
 // NumPartitions implements Strategy.
-func (r *Range) NumPartitions() int { return r.K }
+func (l *Lookup) NumPartitions() int { return l.K }
+
+// MemoryBytes reports the routing-metadata footprint (App. C.1).
+func (l *Lookup) MemoryBytes() int64 {
+	if l.Router == nil {
+		return 0
+	}
+	return l.Router.MemoryBytes()
+}
 
 // Locate implements Strategy.
-func (r *Range) Locate(id workload.TupleID, row Row) []int {
-	tr, ok := r.Tables[id.Table]
-	if ok && row != nil {
+func (l *Lookup) Locate(id workload.TupleID, row Row) []int {
+	if l.Router != nil {
+		if parts, ok := l.Router.Locate(id.Table, id.Key); ok {
+			return parts
+		}
+	}
+	tr := l.Tables[id.Table]
+	if tr == nil {
+		return l.fallback(id.Key)
+	}
+	if row != nil {
 	rules:
 		for _, rule := range tr.Rules {
 			for _, c := range rule.Conds {
@@ -230,22 +245,90 @@ func (r *Range) Locate(id workload.TupleID, row Row) []int {
 			return rule.Parts
 		}
 	}
-	if ok && tr.Default != nil {
+	if tr.Default != nil {
 		return tr.Default
 	}
-	if r.Default != nil {
-		return r.Default
-	}
-	return onePart(HashPart(id.Key, r.K))
+	return l.fallback(id.Key)
 }
 
-// RouteStmt implements Strategy: a rule is a candidate when every one of
-// its conditions is consistent with the statement's constraints; the route
-// is the union of candidate rules' replica sets.
-func (r *Range) RouteStmt(table string, cons []sqlparse.Constraint, routable bool) Route {
-	tr, ok := r.Tables[table]
-	if !ok || !routable {
-		return broadcast(r.K)
+// fallback is the home of a key that no entry and no rule of its table
+// places: Default, else the key hash.
+func (l *Lookup) fallback(key int64) []int {
+	if l.Default != nil {
+		return l.Default
+	}
+	return onePart(HashPart(key, l.K))
+}
+
+// RouteStmt implements Strategy. Equality constraints on the key column
+// route key by key: the intersection of the keys' routes serves the whole
+// read and their union is what writes must touch. A key with an entry
+// routes to it; a missed key of a table with rules routes by the rules,
+// and of any other table to its one home. Any other statement routes by
+// the rules when its table keeps no entries, and broadcasts otherwise. A
+// one-key route is the set the key located.
+func (l *Lookup) RouteStmt(table string, cons []sqlparse.Constraint, routable bool) Route {
+	if !routable {
+		return broadcast(l.K)
+	}
+	var t lookup.Table
+	if l.Router != nil {
+		t, _ = l.Router.Get(table)
+	}
+	keyCol := l.KeyColumn[table]
+	for _, c := range cons {
+		if keyCol == "" || c.Table != table || c.Column != keyCol || len(c.Eq) == 0 {
+			continue
+		}
+		var r Route
+		for i, v := range c.Eq {
+			k, ok := v.AsInt()
+			if !ok {
+				return broadcast(l.K)
+			}
+			var kr Route
+			switch parts, hit := entry(t, k); {
+			case hit:
+				kr = Route{Single: parts, All: parts}
+			case l.Tables[table] != nil:
+				kr = l.ruleRoute(table, cons)
+			default:
+				home := l.fallback(k)
+				kr = Route{Single: home, All: home}
+			}
+			if i == 0 {
+				r = kr
+			} else {
+				r.Single, r.All = intersect(r.Single, kr.Single), union(r.All, kr.All)
+			}
+		}
+		return r
+	}
+	if t == nil {
+		return l.ruleRoute(table, cons)
+	}
+	return broadcast(l.K)
+}
+
+// entry is key's entry in t, which may be nil.
+func entry(t lookup.Table, key int64) ([]int, bool) {
+	if t == nil {
+		return nil, false
+	}
+	return t.Locate(key)
+}
+
+// ruleRoute routes by the table's rules alone: a rule is a candidate when
+// every one of its conditions is consistent with the statement's
+// constraints, and the route is the union of the candidates' replica
+// sets. The explanation's rules are the leaves of a decision tree, so
+// they never overlap and together cover every row, and a statement that
+// binds every rule column, as an INSERT does, is compatible with the one
+// rule its row matches. A table without rules broadcasts.
+func (l *Lookup) ruleRoute(table string, cons []sqlparse.Constraint) Route {
+	tr := l.Tables[table]
+	if tr == nil {
+		return broadcast(l.K)
 	}
 	var parts []int
 	matched := 0
@@ -259,7 +342,7 @@ func (r *Range) RouteStmt(table string, cons []sqlparse.Constraint, routable boo
 		if tr.Default != nil {
 			return Route{Single: tr.Default, All: tr.Default}
 		}
-		return broadcast(r.K)
+		return broadcast(l.K)
 	}
 	if matched == 1 || len(parts) == 1 {
 		return Route{Single: parts, All: parts}
@@ -328,106 +411,6 @@ func condIntersects(rc *RangeCond, c *sqlparse.Constraint) bool {
 		// A range almost always contains a value != X.
 	}
 	return true
-}
-
-// Lookup is the fine-grained per-tuple strategy backed by lookup tables
-// (§4.2): the direct output of the graph partitioner. Every key has one
-// home: its table entry, else its place under Miss.
-type Lookup struct {
-	K int
-	// Router holds the per-table lookup tables (compressed representations
-	// behind the lookup.Table interface) and is the routing hot path.
-	Router *lookup.Router
-	// Miss places the keys missing from the tables, new tuples above all,
-	// as Range.Locate does: the table's first matching rule, else its
-	// default, else Miss.Default, else the key hash. Nil is the key hash.
-	Miss *Range
-	// KeyColumn maps table -> key column name for routing.
-	KeyColumn map[string]string
-}
-
-// Name implements Strategy.
-func (l *Lookup) Name() string { return "lookup-table" }
-
-// MemoryBytes reports the routing-metadata footprint (App. C.1).
-func (l *Lookup) MemoryBytes() int64 { return l.Router.MemoryBytes() }
-
-// Complexity implements Strategy.
-func (l *Lookup) Complexity() int { return 2 }
-
-// NumPartitions implements Strategy.
-func (l *Lookup) NumPartitions() int { return l.K }
-
-// Locate implements Strategy.
-func (l *Lookup) Locate(id workload.TupleID, row Row) []int {
-	if t, ok := l.Router.Get(id.Table); ok {
-		if parts, ok := t.Locate(id.Key); ok {
-			return parts
-		}
-	}
-	return l.missLocate(id, row)
-}
-
-// missLocate places a key the tables miss.
-func (l *Lookup) missLocate(id workload.TupleID, row Row) []int {
-	if l.Miss == nil {
-		return onePart(HashPart(id.Key, l.K))
-	}
-	return l.Miss.Locate(id, row)
-}
-
-// RouteStmt implements Strategy: equality constraints on the key column
-// route key by key; everything else broadcasts. The intersection of the
-// keys' routes serves the whole read and their union is what writes must
-// touch. A key in the tables routes to its entry, a missing one through
-// missRoute. A one-key route is the set the key located.
-func (l *Lookup) RouteStmt(table string, cons []sqlparse.Constraint, routable bool) Route {
-	keyCol := l.KeyColumn[table]
-	if !routable || keyCol == "" {
-		return broadcast(l.K)
-	}
-	t, _ := l.Router.Get(table)
-	for _, c := range cons {
-		if c.Table != table || c.Column != keyCol || len(c.Eq) == 0 {
-			continue
-		}
-		var r Route
-		for i, v := range c.Eq {
-			k, ok := v.AsInt()
-			if !ok {
-				return broadcast(l.K)
-			}
-			parts, hit := []int(nil), false
-			if t != nil {
-				parts, hit = t.Locate(k)
-			}
-			kr := Route{Single: parts, All: parts}
-			if !hit {
-				kr = l.missRoute(table, k, cons)
-			}
-			if i == 0 {
-				r = kr
-			} else {
-				r.Single, r.All = intersect(r.Single, kr.Single), union(r.All, kr.All)
-			}
-		}
-		return r
-	}
-	return broadcast(l.K)
-}
-
-// missRoute routes a key the tables miss to where Locate places it. A
-// table with rules routes as Miss does: the explanation's rules are the
-// leaves of a decision tree, so they never overlap and together cover
-// every row, and a statement that binds every rule column, as an INSERT
-// does, is compatible with the one rule its row matches. A table without
-// rules has one home: Miss.Default, else the key hash.
-func (l *Lookup) missRoute(table string, key int64, cons []sqlparse.Constraint) Route {
-	if m := l.Miss; m != nil && m.Tables[table] != nil {
-		return m.RouteStmt(table, cons, true)
-	}
-	home := l.missLocate(workload.TupleID{Table: table, Key: key}, nil)
-	return Route{Single: home, All: home}
 }
 
 // HashPart is the canonical key-hash fallback placement: the partition a

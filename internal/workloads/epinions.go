@@ -369,7 +369,7 @@ func epinionsManual(g *epinionsGraph, k int) partition.Strategy {
 		Router: lookup.NewRouterFromTables(k, map[string]lookup.Table{
 			"reviews": reviewLT, "items": itemLT, "users": usersLT, "trust": trustLT,
 		}),
-		Miss:      &partition.Range{K: k, Default: all},
+		Default:   all,
 		KeyColumn: map[string]string{"users": "u_id", "items": "i_id", "reviews": "r_id", "trust": "t_id"},
 	}
 }

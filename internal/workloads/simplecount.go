@@ -58,9 +58,9 @@ func SimplecountStrategy(cfg SimplecountConfig) partition.Strategy {
 		}
 		rules = append(rules, r)
 	}
-	return &partition.Range{
+	return &partition.Lookup{
 		K:      cfg.Partitions,
-		Tables: map[string]*partition.TableRules{"simplecount": {Table: "simplecount", Rules: rules}},
+		Tables: map[string]*partition.TableRules{"simplecount": {Rules: rules}},
 	}
 }
 

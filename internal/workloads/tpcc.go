@@ -335,14 +335,14 @@ func TPCCManual(cfg TPCCConfig, k int) partition.Strategy {
 			}
 			rules = append(rules, r)
 		}
-		tables[table] = &partition.TableRules{Table: table, Rules: rules}
+		tables[table] = &partition.TableRules{Rules: rules}
 	}
 	all := make([]int, k)
 	for i := range all {
 		all[i] = i
 	}
-	tables["item"] = &partition.TableRules{Table: "item", Rules: []partition.RangeRule{{Parts: all}}}
-	return &partition.Range{K: k, Tables: tables}
+	tables["item"] = &partition.TableRules{Rules: []partition.RangeRule{{Parts: all}}}
+	return &partition.Lookup{K: k, Tables: tables}
 }
 
 // TPCCKeyColumns maps tables to their surrogate key columns.

@@ -143,9 +143,9 @@ func ycsbRangeManual(rows, k int) partition.Strategy {
 		}
 		rules = append(rules, r)
 	}
-	return &partition.Range{
+	return &partition.Lookup{
 		K:      k,
-		Tables: map[string]*partition.TableRules{"usertable": {Table: "usertable", Rules: rules}},
+		Tables: map[string]*partition.TableRules{"usertable": {Rules: rules}},
 	}
 }
 
