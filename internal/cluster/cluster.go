@@ -349,16 +349,20 @@ func Deploy(cfg Config, db *storage.Database, strat partition.Strategy) (*Cluste
 // SplitDatabase materialises one node's shard of a single-node database
 // image: every tuple the strategy places (or replicates) on that node.
 // Deploy loads every node through it, so clusters are populated by
-// exactly the placement the router will consult.
+// exactly the placement the router will consult. Each table's rows are
+// located through one view that points at ViewAll's buffer, so a row
+// is neither copied nor boxed to be located.
 func SplitDatabase(src *storage.Database, strat partition.Strategy, node int) *storage.Database {
 	db := storage.NewDatabase()
 	for _, tn := range src.TableNames() {
 		st := src.Table(tn)
 		schema := *st.Schema
 		tbl := db.MustCreateTable(&schema)
+		view := &storage.RowView{Schema: st.Schema}
 		st.ViewAll(func(key int64, row storage.Row) bool {
 			id := workload.TupleID{Table: tn, Key: key}
-			if slices.Contains(strat.Locate(id, storage.RowView{Schema: st.Schema, Data: row}), node) {
+			view.Data = row
+			if slices.Contains(strat.Locate(id, view), node) {
 				if err := tbl.Insert(row); err != nil {
 					panic(err)
 				}

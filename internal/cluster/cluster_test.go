@@ -338,3 +338,22 @@ func TestBuildRedoDedupesWriteSet(t *testing.T) {
 		t.Fatalf("redo write set:\n got %v\nwant %v", redo, want)
 	}
 }
+
+// TestSplitDatabaseAllocs pins SplitDatabase to a per-table cost: a node
+// that owns no rows allocates as much for 10 000 rows as for 1 000, so
+// locating a row boxes nothing (one RowView per row was one object more
+// per row).
+func TestSplitDatabaseAllocs(t *testing.T) {
+	strat := &partition.Lookup{K: 2, Default: []int{1}}
+	allocs := func(n int) float64 {
+		db := accountDB(t, n)
+		return testing.AllocsPerRun(5, func() {
+			if got := SplitDatabase(db, strat, 0).NumTuples(); got != 0 {
+				t.Fatalf("node 0 holds %d rows, want 0", got)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(10000); large != small {
+		t.Errorf("splitting 10 000 rows allocates %v objects, 1 000 rows %v: want equal", large, small)
+	}
+}

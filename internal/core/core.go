@@ -31,6 +31,8 @@ type Input struct {
 	Trace *workload.Trace
 	// Resolver returns a tuple's column values (for the explanation phase
 	// and attribute-hash strategies). May be nil: explanation is skipped.
+	// Run calls it from one goroutine and reads each row before the next
+	// call, so a resolver may reuse one row's storage for the next.
 	Resolver partition.Resolver
 	// KeyColumns maps each table to its primary-key column.
 	KeyColumns map[string]string
@@ -294,7 +296,8 @@ func Run(in Input, opts Options) (*Result, error) {
 // balanced checks that the explained strategy spreads the graph's tuples
 // acceptably: no partition may hold more than twice its fair share
 // (replicated tuples count toward every replica). It returns every
-// tuple's replica set under r, homes[d] for tuples[d].
+// tuple's replica set under r, homes[d] for tuples[d]. Each row is
+// located as soon as it is resolved and not kept.
 func balanced(r partition.Strategy, tuples []workload.TupleID, resolve partition.Resolver, k int) (homes [][]int, ok bool) {
 	homes = make([][]int, len(tuples))
 	load := make([]int64, k)
@@ -334,26 +337,32 @@ func balanced(r partition.Strategy, tuples []workload.TupleID, resolve partition
 // home's shared singleton, so equal sets still share one slice.
 func pruneWriteReplicas(train *workload.Trace, in *workload.Interner, dense [][]int, k int) int {
 	// Access statistics, kept for replicated tuples only (votes != nil);
-	// votes[i] counts the transactions homed on dense[d][i].
+	// votes[i] counts the transactions homed on dense[d][i]. Every votes
+	// slice is cut from one array, sized by the first loop.
 	type stat struct {
 		reads, writes int
 		votes         []int
 	}
 	stats := make([]stat, len(dense))
-	replicated := false
+	nvotes := 0
 	// singles[p] is the {p} single-home tuples share: the graph's own, or
 	// one made for the first tuple demoted to p.
 	singles := make([][]int, k)
-	for d, parts := range dense {
+	for _, parts := range dense {
 		if len(parts) > 1 {
-			stats[d].votes = make([]int, len(parts))
-			replicated = true
+			nvotes += len(parts)
 		} else if len(parts) == 1 && singles[parts[0]] == nil {
 			singles[parts[0]] = parts
 		}
 	}
-	if !replicated {
+	if nvotes == 0 {
 		return 0
+	}
+	votes := make([]int, nvotes)
+	for d, parts := range dense {
+		if len(parts) > 1 {
+			stats[d].votes, votes = votes[:len(parts):len(parts)], votes[len(parts):]
+		}
 	}
 	var hist []int
 	for _, tx := range train.Txns {

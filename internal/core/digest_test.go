@@ -5,12 +5,14 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
+	"schism/internal/datum"
 	"schism/internal/partition"
 	"schism/internal/workload"
 	"schism/internal/workloads"
@@ -92,7 +94,8 @@ func shortCase(name string) bool {
 
 // answerDigest hashes what a core.Run answer deploys and reports: the
 // lookup strategy's placement of every tuple the trace touches (first-
-// access order, each located on the row resolve gives it), the validation costs and pick, the explanation's rules,
+// access order, each located on the row resolve gives it before the next
+// resolve), the validation costs and pick, the explanation's rules,
 // the pruned-replica count, the cut and the graph phase's part weights.
 func answerDigest(tr *workload.Trace, res *Result, resolve partition.Resolver) uint64 {
 	h := fnv.New64a()
@@ -125,6 +128,77 @@ func answerDigest(tr *workload.Trace, res *Result, resolve partition.Resolver) u
 		}
 	}
 	return h.Sum64()
+}
+
+// TestResolvedRowLifetime checks that core.Run keeps no resolved row past
+// the resolver's next call, as the partition.Resolver contract requires:
+// under poisonResolver, which spoils every row once the next is
+// resolved, the -short matrix must still give the golden digests. A
+// phase that kept rows to read them later (explanation collecting rows
+// instead of copying their cells) would train on poison and change its
+// answer. CI also runs it under the race detector, where a parallel
+// caller sharing one resolver's scratch races on the wrapper's state.
+func TestResolvedRowLifetime(t *testing.T) {
+	if *update {
+		t.Skip("-update rewrites the golden; nothing to compare")
+	}
+	golden := readGolden(t)
+	for _, c := range digestCases() {
+		if !shortCase(c.name) {
+			continue
+		}
+		res, err := Run(Input{
+			Trace:      c.w.Trace,
+			Resolver:   poisonResolver(c.w.Resolver()),
+			KeyColumns: c.w.KeyColumns,
+			DB:         c.w.DB,
+			Hyper:      c.hyper,
+		}, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if sum := fmt.Sprintf("%016x", answerDigest(c.w.Trace, res, poisonResolver(c.w.Resolver()))); sum != golden[c.name] {
+			t.Errorf("%s: %s under poisoned rows, golden %q", c.name, sum, golden[c.name])
+		}
+	}
+}
+
+// poisonValue is what a row reads once it is no longer valid: an integer
+// no generator produces.
+var poisonValue = datum.NewInt(math.MinInt64 + 1)
+
+// poisonRow is a resolved row that reads as poisonValue in every column
+// once dead is set.
+type poisonRow struct {
+	row  partition.Row
+	dead bool
+}
+
+// Get implements partition.Row.
+func (p *poisonRow) Get(col string) datum.D {
+	if p.dead {
+		return poisonValue
+	}
+	return p.row.Get(col)
+}
+
+// poisonResolver wraps resolve so that each call first overwrites the row
+// the previous call returned with poison, the strictest resolver the
+// partition.Resolver contract allows.
+func poisonResolver(resolve partition.Resolver) partition.Resolver {
+	var prev *poisonRow
+	return func(id workload.TupleID) partition.Row {
+		if prev != nil {
+			prev.dead = true
+			prev = nil
+		}
+		row := resolve(id)
+		if row == nil {
+			return nil
+		}
+		prev = &poisonRow{row: row}
+		return prev
+	}
 }
 
 func readGolden(t *testing.T) map[string]string {

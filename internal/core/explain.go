@@ -79,7 +79,9 @@ func explainTable(res *Result, table string, tuples []int32, counts map[featsel.
 
 	// Build labelled rows: label = interned replica set (replicated tuples
 	// get virtual labels for their partition set, §4.3). The rows are
-	// carved from one backing array, sized so that it never grows.
+	// carved from one backing array, sized so that it never grows; each
+	// resolved row's cells are copied into it, since the row is only
+	// valid until the next resolve.
 	labelOf := make(map[string]int)
 	var labelSets [][]int
 	var key []byte

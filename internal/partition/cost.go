@@ -39,7 +39,8 @@ func Evaluate(tr *workload.Trace, s Strategy, resolve Resolver) Cost {
 // EvaluateEach returns Evaluate(tr, s, resolve) for every candidate s, in
 // order, from one pass over the trace's tuples: the trace is interned
 // once and each distinct tuple resolved once and located by every
-// candidate on that row.
+// candidate on that row before the next tuple is resolved, so the row
+// may live in the resolver's scratch.
 func EvaluateEach(tr *workload.Trace, candidates []Strategy, resolve Resolver) []Cost {
 	c := workload.CompactTrace(tr)
 	sets := make([][][]int, len(candidates))

@@ -25,7 +25,10 @@ type Row interface {
 
 // Resolver fetches the stored row for a tuple id; it returns nil when the
 // tuple's contents are unknown (strategies then fall back to key-only
-// placement).
+// placement). A resolved row is valid until the resolver's next call: a
+// resolver may read each row into scratch it reuses, so one resolver is
+// one sequential reader, and a caller that keeps a row's values copies
+// them before it resolves again.
 type Resolver func(id workload.TupleID) Row
 
 // Route describes where a statement may execute (App. C.2). Its sets are

@@ -220,9 +220,9 @@ func (l *leaf) putString(s string) uint64 {
 	return uint64(len(l.strs) - 1)
 }
 
-// set inserts or replaces the row under key, reporting whether the key was
-// newly inserted.
-func (t *btree) set(key int64, row Row) bool {
+// insert adds the row under key in one descent, reporting whether it did:
+// a key already stored is refused, and its row is left as it was.
+func (t *btree) insert(key int64, row Row) bool {
 	splitKey, right, inserted := t.insertNode(t.root, key, row)
 	if right != nil {
 		t.root = &internal{keys: []int64{splitKey}, children: []node{t.root, right}}
@@ -234,19 +234,18 @@ func (t *btree) set(key int64, row Row) bool {
 	return inserted
 }
 
-// insertNode inserts into the subtree; on child split it returns the
-// separator key and new right sibling. A leaf that overflows splits in
-// half, unless the insert continues an ascending run (order ids within a
-// district, history ids within a client): then it splits right after
-// the new row, and the left part keeps its arrays for the run to go on
-// filling. A run that has reached its leaf's end moves on to a new leaf
-// allocated at full capacity.
+// insertNode inserts into the subtree, or refuses a key it holds; on
+// child split it returns the separator key and new right sibling. A leaf
+// that overflows splits in half, unless the insert continues an
+// ascending run (order ids within a district, history ids within a
+// client): then it splits right after the new row, and the left part
+// keeps its arrays for the run to go on filling. A run that has reached
+// its leaf's end moves on to a new leaf allocated at full capacity.
 func (t *btree) insertNode(n node, key int64, row Row) (splitKey int64, right node, inserted bool) {
 	switch x := n.(type) {
 	case *leaf:
 		i := searchKeys(x.keys, key)
 		if i < len(x.keys) && x.keys[i] == key {
-			t.pack(x, i, row)
 			return 0, nil, false
 		}
 		run := i == x.run

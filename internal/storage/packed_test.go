@@ -380,11 +380,11 @@ func FuzzPackedRow(f *testing.F) {
 			}
 		}
 		for k := int64(0); k < 3*maxLeaf; k++ {
-			tree.set(k*2, a)
+			tree.insert(k*2, a)
 		}
 		for k := int64(0); k < 3*maxLeaf; k += 2 {
-			tree.set(k*2, b) // overwrite in place
-			tree.set(k*2+1, b)
+			put(tree, k*2, b) // overwrite in place
+			tree.insert(k*2+1, b)
 			tree.delete(k*2 + 2)
 		}
 		for k := int64(0); k < 3*maxLeaf; k += 2 {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -60,6 +61,41 @@ func TestTableCRUD(t *testing.T) {
 	}
 	if tbl.Len() != 0 {
 		t.Fatalf("Len = %d", tbl.Len())
+	}
+}
+
+// TestDuplicateInsertLeavesRow checks that Insert, which finds a stored
+// key in the same descent that would place a new one, refuses a
+// duplicate without touching the stored row, Len, SizeBytes or the
+// secondary index, across leaf splits.
+func TestDuplicateInsertLeavesRow(t *testing.T) {
+	tbl := NewDatabase().MustCreateTable(accountSchema())
+	const n = 3 * maxLeaf
+	for k := int64(0); k < n; k++ {
+		if err := tbl.Insert(row(k, "orig", float64(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := tbl.SizeBytes()
+	for k := int64(0); k < n; k += 7 {
+		err := tbl.Insert(row(k, "a much longer replacement name", -1))
+		if err == nil || !strings.Contains(err.Error(), "duplicate key") {
+			t.Fatalf("duplicate insert of %d: err = %v", k, err)
+		}
+	}
+	if tbl.Len() != n || tbl.SizeBytes() != size {
+		t.Fatalf("after duplicates: Len %d, SizeBytes %d; want %d, %d", tbl.Len(), tbl.SizeBytes(), n, size)
+	}
+	for k := int64(0); k < n; k++ {
+		if r, ok := tbl.Get(k); !ok || !sameRow(r, row(k, "orig", float64(k))) {
+			t.Fatalf("row %d reads %v after duplicate inserts", k, r)
+		}
+	}
+	if got := tbl.LookupIndex("name", datum.NewString("a much longer replacement name")); len(got) != 0 {
+		t.Fatalf("refused rows reached the index: %v", got)
+	}
+	if got := tbl.LookupIndex("name", datum.NewString("orig")); len(got) != n {
+		t.Fatalf("index holds %d of %d original rows", len(got), n)
 	}
 }
 
@@ -224,7 +260,7 @@ func TestBTreeMatchesMap(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0, 1:
 				v := rng.Float64()
-				tree.set(k, Row{datum.NewFloat(v)})
+				put(tree, k, Row{datum.NewFloat(v)})
 				ref[k] = v
 			case 2:
 				treeHad := tree.delete(k)
@@ -263,11 +299,20 @@ func TestBTreeMatchesMap(t *testing.T) {
 	}
 }
 
+// put stores row under key, overwriting a stored row in place as
+// Table.Update does.
+func put(tree *btree, key int64, row Row) {
+	if !tree.insert(key, row) {
+		l, i, _ := tree.find(key)
+		tree.pack(l, i, row)
+	}
+}
+
 func TestBTreeLargeSequential(t *testing.T) {
 	tree := newBTree(1)
 	const n = 50000
 	for i := int64(0); i < n; i++ {
-		tree.set(i, Row{datum.NewInt(i)})
+		tree.insert(i, Row{datum.NewInt(i)})
 	}
 	if tree.Len() != n {
 		t.Fatalf("Len = %d", tree.Len())
@@ -296,14 +341,14 @@ func BenchmarkBTreeInsert(b *testing.B) {
 	r := Row{datum.NewInt(0)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.set(int64(i), r)
+		tree.insert(int64(i), r)
 	}
 }
 
 func BenchmarkBTreeGet(b *testing.B) {
 	tree := newBTree(1)
 	for i := int64(0); i < 100000; i++ {
-		tree.set(i, Row{datum.NewInt(i)})
+		tree.insert(i, Row{datum.NewInt(i)})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

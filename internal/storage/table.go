@@ -120,10 +120,9 @@ func (t *Table) Insert(row Row) error {
 	if !ok {
 		return fmt.Errorf("storage: non-integer key in %q", t.Schema.Name)
 	}
-	if t.Has(key) {
+	if !t.tree.insert(key, row) {
 		return fmt.Errorf("storage: duplicate key %d in %q", key, t.Schema.Name)
 	}
-	t.tree.set(key, row)
 	t.sizeBytes += rowSize(row)
 	for col, idx := range t.secondary {
 		h := datum.Hash(row[t.Schema.ColIndex(col)])

@@ -12,6 +12,7 @@ package workloads
 import (
 	"strconv"
 	"strings"
+	"sync"
 
 	"schism/internal/datum"
 	"schism/internal/dtree"
@@ -44,6 +45,11 @@ type Workload struct {
 	// Manual builds the paper's best-known manual strategy for k
 	// partitions, or nil when none is reported (TPC-E).
 	Manual func(k int) partition.Strategy
+
+	// virtual holds the rows of the tuples the trace inserts, built on
+	// the first Resolver call and shared, read-only, by every resolver.
+	virtualOnce sync.Once
+	virtual     map[workload.TupleID]*storage.RowView
 }
 
 // Resolver returns a partition.Resolver that reads tuple attribute values
@@ -51,15 +57,32 @@ type Workload struct {
 // the trace's INSERT statements for tuples the trace creates. The fallback
 // mirrors the real router (App. C.2), which routes an INSERT by the column
 // values it carries.
+//
+// A stored row is read into one scratch view per table, so resolving it
+// neither copies it into a fresh slice nor boxes it; as the
+// partition.Resolver contract allows, the row is valid until the
+// resolver's next call. A virtual row is one of the views that every
+// resolver of the workload shares, built on the first call.
 func (w *Workload) Resolver() partition.Resolver {
-	virtual := w.virtualRows()
+	w.virtualOnce.Do(func() { w.virtual = w.virtualRows() })
+	virtual := w.virtual
+	type scratch struct {
+		tbl  *storage.Table
+		view storage.RowView
+	}
+	tables := make(map[string]*scratch)
 	return func(id workload.TupleID) partition.Row {
-		tbl := w.DB.Table(id.Table)
-		if tbl == nil {
-			return nil
+		s := tables[id.Table]
+		if s == nil {
+			tbl := w.DB.Table(id.Table)
+			if tbl == nil {
+				return nil
+			}
+			s = &scratch{tbl: tbl, view: storage.RowView{Schema: tbl.Schema, Data: make(storage.Row, len(tbl.Schema.Columns))}}
+			tables[id.Table] = s
 		}
-		if row, ok := tbl.Get(id.Key); ok {
-			return storage.RowView{Schema: tbl.Schema, Data: row}
+		if s.tbl.GetInto(id.Key, s.view.Data) {
+			return &s.view
 		}
 		if rv, ok := virtual[id]; ok {
 			return rv
@@ -87,7 +110,7 @@ func (w *Workload) virtualRows() map[workload.TupleID]*storage.RowView {
 	}
 	shapes := make(map[*string]insertShape)
 	// Rows and their views are cut from slabs: a new tuple allocates
-	// nothing of its own, and every row lives as long as the resolver.
+	// nothing of its own, and every row lives as long as the workload.
 	const slab = 1024
 	var views []storage.RowView
 	var data []datum.D

@@ -480,23 +480,32 @@ func TestVirtualRowsAllocs(t *testing.T) {
 	t.Logf("%.2f objects per INSERT over %d INSERTs", perInsert, inserts)
 }
 
-// TestResolverAllocs pins resolving a tuple the trace inserted to no
-// allocation: its row is boxed once, when the resolver is built.
+// TestResolverAllocs pins resolving a tuple to no allocation. A tuple the
+// trace inserted has its row boxed once, when the workload's virtual rows
+// are built; a stored row is read into its table's scratch view, where
+// copying it into a fresh slice and boxing a RowView cost 2 objects.
 func TestResolverAllocs(t *testing.T) {
 	w := TPCC(TPCCConfig{Warehouses: 2, Customers: 10, Items: 100, InitialOrders: 5, Txns: 500, Seed: 2})
-	var id workload.TupleID
+	var virtual workload.TupleID
 	for v := range w.virtualRows() {
-		if _, stored := w.DB.Table(v.Table).Get(v.Key); !stored {
-			id = v
+		if !w.DB.Table(v.Table).Has(v.Key) {
+			virtual = v
 			break
 		}
 	}
+	stored := workload.TupleID{Table: "customer"}
+	w.DB.Table("customer").ScanAllKeys(func(key int64) bool { stored.Key = key; return false })
 	resolve := w.Resolver()
-	if resolve(id) == nil {
-		t.Fatalf("%v: the resolver finds no row", id)
-	}
-	if n := testing.AllocsPerRun(100, func() { resolve(id) }); n != 0 {
-		t.Errorf("resolving virtual row %v allocates %v objects, want 0", id, n)
+	for _, tc := range []struct {
+		kind string
+		id   workload.TupleID
+	}{{"virtual", virtual}, {"stored", stored}} {
+		if resolve(tc.id) == nil {
+			t.Fatalf("%s row %v: the resolver finds no row", tc.kind, tc.id)
+		}
+		if n := testing.AllocsPerRun(100, func() { resolve(tc.id) }); n != 0 {
+			t.Errorf("resolving %s row %v allocates %v objects, want 0", tc.kind, tc.id, n)
+		}
 	}
 }
 
