@@ -114,3 +114,48 @@ func TestOrderByUnselectedColumnFails(t *testing.T) {
 		c.Close()
 	}
 }
+
+// TestKeyColumnUpdateFails: an UPDATE that assigns a row a new key fails
+// with storage's refusal and leaves the row as it was, without
+// replication and with it; one that assigns the key it already has
+// commits.
+func TestKeyColumnUpdateFails(t *testing.T) {
+	for _, r := range []int{1, 3} {
+		var c *Cluster
+		var co *Coordinator
+		if r == 1 {
+			c, co, _ = newAccountCluster(t, 2, 8)
+		} else {
+			c, co, _ = newGroupCluster(t, 2, 3, 8, 0)
+		}
+		exec := func(sql string) ([]storage.Row, error) {
+			var rows []storage.Row
+			_, _, err := co.RunTxn(func(tx *Txn) error {
+				var err error
+				rows, err = tx.Exec(sql)
+				return err
+			})
+			return rows, err
+		}
+		// A locking read is served by the group's leader, never by a
+		// follower that may trail it.
+		read := func() string {
+			rows, err := exec("SELECT id, bal FROM account WHERE id = 3 FOR UPDATE")
+			return fmt.Sprint(rows, err)
+		}
+		before := read()
+		if _, err := exec("UPDATE account SET id = 99, bal = 5 WHERE id = 3"); err == nil || !strings.Contains(err.Error(), "may not change key") {
+			t.Errorf("R=%d: key-changing UPDATE: err %v, want storage's refusal", r, err)
+		}
+		if after := read(); after != before || before != "[[3 1000]] <nil>" {
+			t.Errorf("R=%d: row reads %s after the refused UPDATE, %s before", r, after, before)
+		}
+		if _, err := exec("UPDATE account SET id = 3, bal = 7 WHERE id = 3"); err != nil {
+			t.Errorf("R=%d: same-key UPDATE: %v", r, err)
+		}
+		if got := read(); got != "[[3 7]] <nil>" {
+			t.Errorf("R=%d: row reads %s after the same-key UPDATE", r, got)
+		}
+		c.Close()
+	}
+}

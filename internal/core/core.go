@@ -499,11 +499,9 @@ func keyRouted(memo *sqlparse.ColumnMemo, rules map[string]*partition.TableRules
 			if full[table] || !names(table, keyCols[table]) {
 				continue
 			}
-			for _, rule := range tr.Rules {
-				for _, c := range rule.Conds {
-					if !names(table, c.Column) {
-						full[table] = true
-					}
+			for _, n := range tr.Nodes {
+				if n.Parts == nil && !names(table, n.Column) {
+					full[table] = true
 				}
 			}
 		}
@@ -548,8 +546,8 @@ func (r *Result) Report() string {
 			fmt.Fprintf(&sb, "  %s\n", rule)
 		}
 	}
-	fmt.Fprintf(&sb, "lookup tables: %d bytes across %d tables\n",
-		r.Lookup.MemoryBytes(), len(r.Lookup.Router.Names()))
+	fmt.Fprintf(&sb, "routing state: %d bytes (rules of %d tables, lookup tables of %d)\n",
+		r.Lookup.MemoryBytes(), len(r.Lookup.Tables), len(r.Lookup.Router.Names()))
 	fmt.Fprintf(&sb, "time: graph=%v partition=%v lookup=%v explain=%v validate=%v\n",
 		r.Timings.Graph, r.Timings.Partition, r.Timings.Lookup, r.Timings.Explain, r.Timings.Validate)
 	return sb.String()

@@ -53,14 +53,12 @@ func TestTPCCExplanation(t *testing.T) {
 	if stock == nil {
 		t.Fatalf("no rules for stock:\n%s", res.Report())
 	}
-	for _, rule := range stock.Rules {
-		for _, c := range rule.Conds {
-			if c.Column != "s_w_id" {
-				t.Errorf("stock rule uses %s; want s_w_id only (rule %v)", c.Column, rule)
-			}
+	for _, n := range stock.Nodes {
+		if n.Parts == nil && n.Column != "s_w_id" {
+			t.Errorf("stock rule tests %s; want s_w_id only (node %+v)", n.Column, n)
 		}
-		if len(rule.Parts) != 1 {
-			t.Errorf("stock should not be replicated: %v", rule)
+		if n.Parts != nil && len(n.Parts) != 1 {
+			t.Errorf("stock should not be replicated: %+v", n)
 		}
 	}
 	// The two warehouses must land on different partitions.
@@ -74,13 +72,13 @@ func TestTPCCExplanation(t *testing.T) {
 		t.Fatalf("no rules for item:\n%s", res.Report())
 	}
 	repl := false
-	for _, rule := range item.Rules {
-		if len(rule.Parts) == 2 {
+	for _, n := range item.Nodes {
+		if len(n.Parts) == 2 {
 			repl = true
 		}
 	}
 	if !repl {
-		t.Errorf("item table not replicated: %+v\n%s", item.Rules, res.Report())
+		t.Errorf("item table not replicated: %+v\n%s", item.Nodes, res.Report())
 	}
 
 	// Range predicates must decisively beat key hashing (paper: ~3-4% vs

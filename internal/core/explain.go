@@ -18,9 +18,8 @@ import (
 // explain implements phase 4 (§4.3, §5.2): per table, mine frequently used
 // WHERE attributes, select those correlated with the partition label,
 // train a decision tree on (tuple attributes -> replica-set label), and
-// convert its rules into per-table range predicates. Returns nil when no
-// table could be explained. memo is left holding the training trace's
-// statement shapes.
+// keep the tree as the table's rules. Returns nil when no table could be
+// explained. memo is left holding the training trace's statement shapes.
 func explain(res *Result, train *workload.Trace, memo *sqlparse.ColumnMemo, in Input, opts Options) map[string]*partition.TableRules {
 	counts, totalStmts := featsel.Frequencies(train, memo)
 	if totalStmts == 0 {
@@ -116,10 +115,7 @@ func explainTable(res *Result, table string, tuples []int32, counts map[featsel.
 	if len(labelSets) == 1 {
 		res.RuleStrings[table] = append(res.RuleStrings[table],
 			"<empty> -> "+partsString(labelSets[0])+" (pred. error: 0.00%)")
-		return &partition.TableRules{
-			Rules:   []partition.RangeRule{{Parts: labelSets[0]}},
-			Default: labelSets[0],
-		}
+		return &partition.TableRules{Nodes: []partition.RuleNode{{Parts: labelSets[0]}}, Default: labelSets[0]}
 	}
 
 	// Correlation-based attribute selection (drops s_i_id in TPC-C).
@@ -146,10 +142,7 @@ func explainTable(res *Result, table string, tuples []int32, counts map[featsel.
 		res.RuleStrings[table] = append(res.RuleStrings[table],
 			"<empty> -> "+partsString(labelSets[maj])+
 				" (pred. error: "+pctString(1-float64(majN)/float64(len(labels)))+")")
-		return &partition.TableRules{
-			Rules:   []partition.RangeRule{{Parts: labelSets[maj]}},
-			Default: labelSets[maj],
-		}
+		return &partition.TableRules{Nodes: []partition.RuleNode{{Parts: labelSets[maj]}}, Default: labelSets[maj]}
 	}
 	attrs := make([]dtree.Attr, len(keep))
 	for i, a := range keep {
@@ -203,18 +196,18 @@ func explainTable(res *Result, table string, tuples []int32, counts map[featsel.
 	}
 
 	tr := &partition.TableRules{}
+	dtree.Fold(tree, func(label int) int32 {
+		return tr.Add(partition.RuleNode{Parts: labelSets[label]})
+	}, func(attr int, kind dtree.AttrKind, threshold datum.D, left, right int32) int32 {
+		op := dtree.CondLe
+		if kind == dtree.Categorical {
+			op = dtree.CondEq
+		}
+		return tr.Add(partition.RuleNode{Column: attrs[attr].Name, Op: op, Value: threshold, Left: left, Right: right})
+	})
 	majority := 0
 	majorityN := -1
 	for _, rule := range tree.Rules() {
-		conds := make([]partition.RangeCond, len(rule.Conds))
-		for i, c := range rule.Conds {
-			conds[i] = partition.RangeCond{
-				Column: attrs[c.Attr].Name,
-				Op:     c.Op,
-				Value:  c.Value,
-			}
-		}
-		tr.Rules = append(tr.Rules, partition.RangeRule{Conds: conds, Parts: labelSets[rule.Label]})
 		res.RuleStrings[table] = append(res.RuleStrings[table],
 			ruleString(tree, rule, labelSets[rule.Label]))
 		if rule.Support > majorityN {

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"schism/internal/datum"
-	"schism/internal/dtree"
 	"schism/internal/partition"
 	"schism/internal/sqlparse"
 	"schism/internal/storage"
@@ -105,10 +104,10 @@ func TestValidationToleranceTieBreak(t *testing.T) {
 // TestMissedKeysFollowRules: the strategy's rules are the balanced
 // explanation's, so a key the lookup tables miss still has one home. A
 // fully bound INSERT of a new key routes exactly where Locate places the
-// row it creates, its rule's home; a read that binds only the key routes
-// to the union of the rules compatible with it; a table without rules
-// places the key on the Default, else on its key hash; and an existing
-// row sits on its cut set if it was traced, else on its rule's home.
+// row it creates, its leaf's home; a read that binds only the key routes
+// to the union of the leaves it reaches; a table without rules places
+// the key on the Default, else on its key hash; and an existing row sits
+// on its cut set if it was traced, else on its leaf's home.
 func TestMissedKeysFollowRules(t *testing.T) {
 	w := workloads.TPCC(workloads.TPCCConfig{
 		Warehouses: 2, Customers: 15, Items: 80, InitialOrders: 6, Txns: 800, Seed: 3,
@@ -149,20 +148,20 @@ func TestMissedKeysFollowRules(t *testing.T) {
 				t.Errorf("%s: INSERT of a new key routes %+v, Locate places its row on %v", table, route, home)
 			}
 			if want := res.Range.Locate(id, row); !slices.Equal(home, want) {
-				t.Errorf("%s: new row on %v, its rule's home %v", table, home, want)
+				t.Errorf("%s: new row on %v, its leaf's home %v", table, home, want)
 			}
 			inserts++
 
-			// A read binding the key alone leaves every rule on another
+			// A read binding the key alone leaves every test on another
 			// column undecided.
-			first := res.Range.Tables[table].Rules[0]
-			if len(first.Conds) == 0 || slices.ContainsFunc(first.Conds, func(c partition.RangeCond) bool { return c.Column == keyCol }) {
+			tree := res.Range.Tables[table].Nodes
+			if len(tree) == 1 || slices.ContainsFunc(tree, func(n partition.RuleNode) bool { return n.Parts == nil && n.Column == keyCol }) {
 				continue
 			}
 			read := []sqlparse.Constraint{{Table: table, Column: keyCol, Eq: []datum.D{datum.NewInt(newKey)}}}
 			got, want := l.RouteStmt(table, read, true), res.Range.RouteStmt(table, read, true)
 			if !slices.Equal(got.Single, want.Single) || !slices.Equal(got.All, want.All) {
-				t.Errorf("%s: read of a new key routes %+v, compatible rules %+v", table, got, want)
+				t.Errorf("%s: read of a new key routes %+v, the rules alone %+v", table, got, want)
 			}
 			if !slices.Contains(got.All, home[0]) {
 				t.Errorf("%s: read of a new key routes %+v, which misses its home %v", table, got, home)
@@ -253,7 +252,7 @@ func TestBalancedRejectsFunnel(t *testing.T) {
 		return rowFunc(func(string) datum.D { return datum.NewInt(key % k) })
 	}
 	funnel := &partition.Lookup{K: k, Tables: map[string]*partition.TableRules{
-		"t": {Rules: []partition.RangeRule{{Parts: []int{0}}}, Default: []int{0}},
+		"t": {Nodes: []partition.RuleNode{{Parts: []int{0}}}, Default: []int{0}},
 	}}
 	if _, ok := balanced(funnel, tuples, resolve, k); ok {
 		t.Error("funnel explanation accepted")
@@ -263,11 +262,7 @@ func TestBalancedRejectsFunnel(t *testing.T) {
 	}
 	// Rules splitting on x = key mod k spread the load evenly.
 	spread := &partition.Lookup{K: k, Tables: map[string]*partition.TableRules{
-		"t": {Rules: []partition.RangeRule{
-			{Conds: []partition.RangeCond{{Column: "x", Op: dtree.CondLe, Value: datum.NewInt(0)}}, Parts: []int{0}},
-			{Conds: []partition.RangeCond{{Column: "x", Op: dtree.CondLe, Value: datum.NewInt(1)}}, Parts: []int{1}},
-			{Conds: []partition.RangeCond{{Column: "x", Op: dtree.CondLe, Value: datum.NewInt(2)}}, Parts: []int{2}},
-		}, Default: []int{3}},
+		"t": partition.Ranges("x", []int64{0, 1, 2}),
 	}}
 	if _, ok := balanced(spread, tuples, resolve, k); !ok {
 		t.Error("spread explanation rejected")

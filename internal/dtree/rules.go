@@ -87,6 +87,22 @@ func (t *Tree) Rules() []Rule {
 	return out
 }
 
+// Fold folds the tree bottom up, each node's children before it: leaf
+// maps a leaf's label, and inner a split (its attribute, kind and
+// threshold; numeric values <= the threshold and categorical values
+// equal to it go left) with its children's results. It returns the root's.
+func Fold[T any](t *Tree, leaf func(label int) T, inner func(attr int, kind AttrKind, threshold datum.D, left, right T) T) T {
+	var fold func(n *node) T
+	fold = func(n *node) T {
+		if n.leaf {
+			return leaf(n.label)
+		}
+		left := fold(n.left)
+		return inner(n.attr, n.kind, n.threshold, left, fold(n.right))
+	}
+	return fold(t.root)
+}
+
 // simplify keeps, per attribute, only the tightest upper (<=) and lower (>)
 // bounds; equality conditions pass through.
 func simplify(conds []Cond) []Cond {

@@ -3,9 +3,9 @@ package partition
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"schism/internal/datum"
-	"schism/internal/dtree"
 	"schism/internal/lookup"
 	"schism/internal/sqlparse"
 	"schism/internal/workload"
@@ -63,15 +63,8 @@ func rangeStrategy() *Lookup {
 	return &Lookup{
 		K: 2,
 		Tables: map[string]*TableRules{
-			"stock": {
-				Rules: []RangeRule{
-					{Conds: []RangeCond{{Column: "s_w_id", Op: dtree.CondLe, Value: datum.NewInt(1)}}, Parts: []int{0}},
-					{Conds: []RangeCond{{Column: "s_w_id", Op: dtree.CondGt, Value: datum.NewInt(1)}}, Parts: []int{1}},
-				},
-			},
-			"item": {
-				Rules: []RangeRule{{Parts: []int{0, 1}}},
-			},
+			"stock": Ranges("s_w_id", []int64{1}),
+			"item":  {Nodes: []RuleNode{{Parts: []int{0, 1}}}},
 		},
 	}
 }
@@ -273,17 +266,23 @@ func TestCostDistributedFrac(t *testing.T) {
 	}
 }
 
-func TestRuleString(t *testing.T) {
-	r := RangeRule{
-		Conds: []RangeCond{{Column: "w_id", Op: dtree.CondLe, Value: datum.NewInt(1)}},
-		Parts: []int{0},
+// TestMemoryBytesCountsRules: the routing footprint of a Lookup without
+// entries is its trees, every node and every leaf's set, and the lookup
+// tables add theirs.
+func TestMemoryBytesCountsRules(t *testing.T) {
+	l := rangeStrategy()
+	// stock: two leaves of one partition and the split; item: one leaf
+	// of two.
+	node, word := int64(unsafe.Sizeof(RuleNode{})), int64(unsafe.Sizeof(0))
+	want := 3*node + 2*word + node + 2*word
+	if got := l.MemoryBytes(); got != want {
+		t.Errorf("rules alone: MemoryBytes = %d, want %d", got, want)
 	}
-	if got := r.String(); got != "w_id <= 1 -> [0]" {
-		t.Errorf("String = %q", got)
-	}
-	empty := RangeRule{Parts: []int{0, 1}}
-	if got := empty.String(); got != "<empty> -> [0 1]" {
-		t.Errorf("String = %q", got)
+	idx := lookup.NewHashIndex()
+	idx.Set(3, []int{1})
+	l.Router = lookup.NewRouterFromTables(2, map[string]lookup.Table{"stock": idx})
+	if got := l.MemoryBytes(); got != want+idx.MemoryBytes() {
+		t.Errorf("rules and entries: MemoryBytes = %d, want %d", got, want+idx.MemoryBytes())
 	}
 }
 

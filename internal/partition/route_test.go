@@ -4,21 +4,23 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"schism/internal/datum"
 	"schism/internal/dtree"
 	"schism/internal/lookup"
 	"schism/internal/sqlparse"
+	"schism/internal/workload"
 )
 
 // refRoute is the reference every RouteStmt is held to: the map-based
-// semantics, written out with per-key sets. FullReplication routes
-// anywhere; Hash routes the union of the constrained key values' hash
-// partitions; Lookup, for a statement naming keys, the intersection
-// (Single) and union (All) of the keys' routes, a key with an entry
-// routing to it and a missed one as refMissRoute says, and for any other
-// statement refRuleRoute's on a table without entries.
+// semantics, written out with per-key sets, over refRuleRoute's leaf
+// walk. FullReplication routes anywhere; Hash routes the union of the
+// constrained key values' hash partitions; Lookup, for a statement naming
+// keys, the intersection (Single) and union (All) of the keys' routes, a
+// key with an entry routing to it and a missed one as refMissRoute says,
+// and for any other statement refRuleRoute's on a table without entries.
 func refRoute(s Strategy, table string, cons []sqlparse.Constraint, routable bool) Route {
 	k := s.NumPartitions()
 	everywhere := Route{All: allParts(k)}
@@ -51,6 +53,8 @@ func refRoute(s Strategy, table string, cons []sqlparse.Constraint, routable boo
 			t, _ = s.Router.Get(table)
 		}
 		col := s.KeyColumn[table]
+		// Every missed key of a table with rules takes the same route.
+		rules := sync.OnceValue(func() Route { return refRuleRoute(s, table, cons) })
 		for _, c := range cons {
 			if col == "" || c.Table != table || c.Column != col || len(c.Eq) == 0 {
 				continue
@@ -66,7 +70,7 @@ func refRoute(s Strategy, table string, cons []sqlparse.Constraint, routable boo
 				if parts, found := entry(t, key); found {
 					r = Route{Single: parts, All: parts}
 				} else {
-					r = refMissRoute(s, table, key, cons)
+					r = refMissRoute(s, table, key, rules)
 				}
 				cur := map[int]bool{}
 				for _, p := range r.Single {
@@ -94,9 +98,86 @@ func refRoute(s Strategy, table string, cons []sqlparse.Constraint, routable boo
 	return everywhere
 }
 
-// refRuleRoute routes by a Lookup's rules alone: the union of its
-// compatible rules' replica sets (Single when one rule matches or the
-// union is one partition), its table Default when none does, and
+// refCond is one test on a root-to-leaf path of a rules tree: the
+// column's value is <= (CondLe), > (CondGt), = (CondEq) or != (CondNe)
+// the node's Value.
+type refCond struct {
+	column string
+	op     dtree.CondOp
+	value  datum.D
+}
+
+// admits reports whether the value v of c's column satisfies c.
+func (c refCond) admits(v datum.D) bool {
+	switch c.op {
+	case dtree.CondLe:
+		return datum.Compare(v, c.value) <= 0
+	case dtree.CondGt:
+		return datum.Compare(v, c.value) > 0
+	case dtree.CondEq:
+		return datum.Equal(v, c.value)
+	}
+	return !datum.Equal(v, c.value)
+}
+
+// intersects reports whether constraint k admits some value satisfying c
+// (a sound over-approximation).
+func (c refCond) intersects(k sqlparse.Constraint) bool {
+	if len(k.Eq) > 0 {
+		return slices.ContainsFunc(k.Eq, c.admits)
+	}
+	// Range constraint [Lo, Hi]: intersect with the test's half-line.
+	switch c.op {
+	case dtree.CondLe:
+		if k.Lo != nil {
+			cmp := datum.Compare(*k.Lo, c.value)
+			return cmp < 0 || cmp == 0 && !k.LoStrict
+		}
+	case dtree.CondGt:
+		return k.Hi == nil || datum.Compare(*k.Hi, c.value) > 0
+	case dtree.CondEq:
+		if k.Lo != nil {
+			if cmp := datum.Compare(c.value, *k.Lo); cmp < 0 || cmp == 0 && k.LoStrict {
+				return false
+			}
+		}
+		if k.Hi != nil {
+			if cmp := datum.Compare(c.value, *k.Hi); cmp > 0 || cmp == 0 && k.HiStrict {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// refLeaves calls visit with each leaf of a tree, from left to right,
+// and every test on its root-to-leaf path, until visit returns false.
+func refLeaves(tr *TableRules, visit func(path []refCond, parts []int) bool) {
+	var path []refCond
+	var walk func(i int32) bool
+	walk = func(i int32) bool {
+		n := &tr.Nodes[i]
+		if n.Parts != nil {
+			return visit(path, n.Parts)
+		}
+		left, right := dtree.CondLe, dtree.CondGt
+		if n.Op == dtree.CondEq {
+			left, right = dtree.CondEq, dtree.CondNe
+		}
+		path = append(path, refCond{n.Column, left, n.Value})
+		more := walk(n.Left)
+		path[len(path)-1].op = right
+		more = more && walk(n.Right)
+		path = path[:len(path)-1]
+		return more
+	}
+	walk(int32(len(tr.Nodes) - 1))
+}
+
+// refRuleRoute routes by a Lookup's rules alone: the union of the sets
+// of the leaves compatible with the statement, those every test of whose
+// path some constraint on its column admits, Single when one leaf is or
+// the union is one partition; its table Default when none is; and
 // everywhere on a table without rules.
 func refRuleRoute(s *Lookup, table string, cons []sqlparse.Constraint) Route {
 	everywhere := Route{All: allParts(s.K)}
@@ -106,14 +187,20 @@ func refRuleRoute(s *Lookup, table string, cons []sqlparse.Constraint) Route {
 	}
 	set := map[int]bool{}
 	matched := 0
-	for _, rule := range tr.Rules {
-		if ruleCompatible(rule, table, cons) {
-			matched++
-			for _, p := range rule.Parts {
-				set[p] = true
+	refLeaves(tr, func(path []refCond, parts []int) bool {
+		for _, rc := range path {
+			for _, c := range cons {
+				if c.Table == table && c.Column == rc.column && !rc.intersects(c) {
+					return true
+				}
 			}
 		}
-	}
+		matched++
+		for _, p := range parts {
+			set[p] = true
+		}
+		return true
+	})
 	if matched == 0 {
 		if tr.Default != nil {
 			return Route{Single: tr.Default, All: tr.Default}
@@ -127,11 +214,45 @@ func refRuleRoute(s *Lookup, table string, cons []sqlparse.Constraint) Route {
 	return Route{All: parts}
 }
 
-// refMissRoute routes a key a Lookup's tables miss: a table with rules
-// routes by them; any other key lives on the Default, else its key hash.
-func refMissRoute(s *Lookup, table string, key int64, cons []sqlparse.Constraint) Route {
+// refLocate is the reference for a Lookup's Locate: the key's entry, else
+// the first leaf of its table every test of whose path the row passes,
+// else the table Default, else Default, else the key hash.
+func refLocate(s *Lookup, id workload.TupleID, row Row) []int {
+	if s.Router != nil {
+		t, _ := s.Router.Get(id.Table)
+		if parts, hit := entry(t, id.Key); hit {
+			return parts
+		}
+	}
+	if tr := s.Tables[id.Table]; tr != nil {
+		var first []int
+		if row != nil {
+			refLeaves(tr, func(path []refCond, parts []int) bool {
+				if !slices.ContainsFunc(path, func(c refCond) bool { return !c.admits(row.Get(c.column)) }) {
+					first = parts
+				}
+				return first == nil
+			})
+		}
+		if first != nil {
+			return first
+		}
+		if tr.Default != nil {
+			return tr.Default
+		}
+	}
+	if s.Default != nil {
+		return s.Default
+	}
+	return []int{HashPart(id.Key, s.K)}
+}
+
+// refMissRoute routes a key a Lookup's tables miss: on a table with
+// rules, the statement's route by the rules, rules(); any other key lives
+// on the Default, else its key hash.
+func refMissRoute(s *Lookup, table string, key int64, rules func() Route) Route {
 	if s.Tables[table] != nil {
-		return refRuleRoute(s, table, cons)
+		return rules()
 	}
 	home := []int{HashPart(key, s.K)}
 	if s.Default != nil {
@@ -203,39 +324,39 @@ type routeCase struct {
 	routable bool
 }
 
-// genRules draws the rules of table t as the explanation learns them:
-// the leaves of a decision tree of depth at most two over its key id and
-// its column w, so they never overlap and together cover every row (or no
-// rules at all), with or without a table Default.
+// genRules draws the rules of table t as the explanation learns them: a
+// decision tree of depth at most four over its key id, its column w and
+// its categorical column s, with or without a table Default.
 func genRules(c *choices, k int) *TableRules {
 	tr := &TableRules{}
-	var grow func(conds []RangeCond, depth int)
-	grow = func(conds []RangeCond, depth int) {
-		if depth == 2 || c.intn(3) == 0 {
-			tr.Rules = append(tr.Rules, RangeRule{Conds: conds, Parts: c.set(k)})
-			return
+	var grow func(depth int) int32
+	grow = func(depth int) int32 {
+		if depth == 4 || c.intn(3) == 0 {
+			return tr.Add(RuleNode{Parts: c.set(k)})
 		}
-		col := "id"
-		if c.intn(3) == 0 {
-			col = "w"
+		n := RuleNode{Column: "id", Op: dtree.CondLe, Value: datum.NewInt(int64(c.intn(20)))}
+		switch c.intn(3) {
+		case 0:
+			n.Column = "w"
+		case 1:
+			n.Column, n.Op, n.Value = "s", dtree.CondEq, str(c)
 		}
-		v := datum.NewInt(int64(c.intn(20)))
-		ops := []dtree.CondOp{dtree.CondLe, dtree.CondGt}
-		if c.intn(3) == 0 {
-			ops = []dtree.CondOp{dtree.CondEq, dtree.CondNe}
+		if n.Column != "s" && c.intn(4) == 0 {
+			n.Op = dtree.CondEq
 		}
-		for _, op := range ops {
-			grow(append(slices.Clip(conds), RangeCond{Column: col, Op: op, Value: v}), depth+1)
-		}
+		n.Left = grow(depth + 1)
+		n.Right = grow(depth + 1)
+		return tr.Add(n)
 	}
-	if c.intn(5) != 0 {
-		grow(nil, 0)
-	}
+	grow(0)
 	if c.intn(2) == 0 {
 		tr.Default = c.set(k)
 	}
 	return tr
 }
+
+// str draws a value of column s.
+func str(c *choices) datum.D { return datum.NewString(string(rune('a' + c.intn(4)))) }
 
 // genLookup draws a Lookup over table t: with or without rules, a
 // Default, entries (none: the range-predicate strategy; else up to 30
@@ -264,7 +385,7 @@ func genLookup(c *choices, k int, keyCols map[string]string) *Lookup {
 // genRouteCase builds a FullReplication, Hash or Lookup strategy over
 // table t, and a statement on t or on table u, which has a key column but
 // no rules or lookup table. Its equality lists hold 1–4 values, repeats
-// included, and it may bind w to one value or a range besides.
+// included, and it may bind w or s to one value or a range besides.
 func genRouteCase(c *choices) routeCase {
 	k := 2 + c.intn(7)
 	keyCols := map[string]string{"t": "id", "u": "id"}
@@ -282,12 +403,17 @@ func genRouteCase(c *choices) routeCase {
 	if c.intn(10) == 0 {
 		rc.table = "u"
 	}
-	switch c.intn(4) {
+	switch c.intn(6) {
 	case 0:
 		lo, hi := datum.NewInt(int64(c.intn(20))), datum.NewInt(int64(c.intn(20)))
-		rc.cons = append(rc.cons, sqlparse.Constraint{Table: "t", Column: "w", Lo: &lo, Hi: &hi})
+		rc.cons = append(rc.cons, sqlparse.Constraint{Table: "t", Column: "w", Lo: &lo, Hi: &hi, LoStrict: c.intn(2) == 0})
 	case 1:
 		rc.cons = append(rc.cons, sqlparse.Constraint{Table: rc.table, Column: "w", Eq: []datum.D{c.value()}})
+	case 2:
+		lo, hi := str(c), str(c)
+		rc.cons = append(rc.cons, sqlparse.Constraint{Table: "t", Column: "s", Lo: &lo, Hi: &hi, HiStrict: c.intn(2) == 0})
+	case 3:
+		rc.cons = append(rc.cons, sqlparse.Constraint{Table: rc.table, Column: "s", Eq: []datum.D{str(c), c.value()}})
 	}
 	col := "id"
 	if c.intn(3) == 0 {
@@ -313,10 +439,28 @@ func checkRoute(t *testing.T, rc routeCase) {
 		t.Fatalf("%s on %s %+v (routable %v): route %+v, reference %+v",
 			rc.s.Name(), rc.table, rc.cons, rc.routable, got, want)
 	}
+	l, ok := rc.s.(*Lookup)
+	if !ok {
+		return
+	}
+	for _, id := range []int64{-1, 0, 5, 10, 19, 21} {
+		if got, want := l.Locate(tid("t", id), nil), refLocate(l, tid("t", id), nil); !slices.Equal(got, want) {
+			t.Fatalf("Locate(%d, nil) = %v, reference %v", id, got, want)
+		}
+		for _, w := range []int64{-1, 0, 5, 10, 19, 21} {
+			for _, s := range []string{"a", "c", "e"} {
+				row := idws{id, w, s}
+				if got, want := l.Locate(tid("t", id), row), refLocate(l, tid("t", id), row); !slices.Equal(got, want) {
+					t.Fatalf("Locate(%+v) = %v, reference %v", row, got, want)
+				}
+			}
+		}
+	}
 }
 
-// TestRouteStmtMatchesReference holds every strategy's RouteStmt to the
-// map-based reference over random strategies and statements.
+// TestRouteStmtMatchesReference holds every strategy's RouteStmt, and
+// Lookup's Locate, to the leaf-walk reference over random strategies,
+// statements and rows.
 func TestRouteStmtMatchesReference(t *testing.T) {
 	c := &choices{rng: rand.New(rand.NewSource(1))}
 	for i := 0; i < 5000; i++ {
@@ -335,15 +479,20 @@ func FuzzRouteStmt(f *testing.F) {
 	})
 }
 
-// idw is a row of table t or u: its key id and its column w.
-type idw struct{ id, w int64 }
+// idws is a row of table t or u: its key id and its columns w and s.
+type idws struct {
+	id, w int64
+	s     string
+}
 
-func (r idw) Get(col string) datum.D {
+func (r idws) Get(col string) datum.D {
 	switch col {
 	case "id":
 		return datum.NewInt(r.id)
 	case "w":
 		return datum.NewInt(r.w)
+	case "s":
+		return datum.NewString(r.s)
 	}
 	return datum.D{}
 }
@@ -377,21 +526,23 @@ func satisfies(table string, cons []sqlparse.Constraint, row Row) bool {
 	return true
 }
 
-// checkSound holds a route to the rows it must reach: every row (id, w)
-// of a small universe that satisfies the statement sits only on
+// checkSound holds a route to the rows it must reach: every row (id, w,
+// s) of a small universe that satisfies the statement sits only on
 // partitions in All, and on every partition in Single.
 func checkSound(t *testing.T, rc routeCase) {
 	t.Helper()
 	r := rc.s.RouteStmt(rc.table, rc.cons, rc.routable)
 	for id := int64(-3); id <= 22; id++ {
 		for w := int64(-3); w <= 22; w++ {
-			row := idw{id, w}
-			if !satisfies(rc.table, rc.cons, row) {
-				continue
-			}
-			if home := rc.s.Locate(tid(rc.table, id), row); !subset(home, r.All) || !subset(r.Single, home) {
-				t.Fatalf("%s on %s %+v (routable %v): route %+v misses row %+v on %v",
-					rc.s.Name(), rc.table, rc.cons, rc.routable, r, row, home)
+			for _, s := range []string{"a", "b", "c", "d", "e"} {
+				row := idws{id, w, s}
+				if !satisfies(rc.table, rc.cons, row) {
+					continue
+				}
+				if home := rc.s.Locate(tid(rc.table, id), row); !subset(home, r.All) || !subset(r.Single, home) {
+					t.Fatalf("%s on %s %+v (routable %v): route %+v misses row %+v on %v",
+						rc.s.Name(), rc.table, rc.cons, rc.routable, r, row, home)
+				}
 			}
 		}
 	}
@@ -431,9 +582,9 @@ func TestRouteStmtAllocs(t *testing.T) {
 		return []sqlparse.Constraint{{Table: "t", Column: "id", Eq: []datum.D{datum.NewInt(v)}}}
 	}
 	insert := append(key(8), sqlparse.Constraint{Table: "t", Column: "w", Eq: []datum.D{datum.NewInt(3)}})
-	rules := map[string]*TableRules{"t": {Rules: []RangeRule{
-		{Conds: []RangeCond{{Column: "w", Op: dtree.CondLe, Value: datum.NewInt(2)}}, Parts: []int{1}},
-		{Conds: []RangeCond{{Column: "w", Op: dtree.CondGt, Value: datum.NewInt(2)}}, Parts: []int{2, 3}},
+	rules := map[string]*TableRules{"t": {Nodes: []RuleNode{
+		{Parts: []int{1}}, {Parts: []int{2, 3}},
+		{Column: "w", Op: dtree.CondLe, Value: datum.NewInt(2), Left: 0, Right: 1},
 	}}}
 	for _, tc := range []struct {
 		name     string

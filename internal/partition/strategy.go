@@ -6,9 +6,8 @@
 package partition
 
 import (
-	"fmt"
 	"slices"
-	"strings"
+	"unsafe"
 
 	"schism/internal/datum"
 	"schism/internal/dtree"
@@ -126,65 +125,136 @@ func (r *FullReplication) RouteStmt(string, []sqlparse.Constraint, bool) Route {
 	return Route{Single: all, All: all}
 }
 
-// RangeCond is one predicate of a range rule.
-type RangeCond struct {
-	Column string
-	Op     dtree.CondOp
-	Value  datum.D
+// RuleNode is one node of a table's placement tree (§4.3). An inner node
+// sends a value of Column Left when it passes Op against Value (CondLe
+// for a numeric split, CondEq for a categorical one), else Right. A leaf
+// holds Parts, the replica set of the rows that reach it.
+type RuleNode struct {
+	Column      string
+	Op          dtree.CondOp
+	Value       datum.D
+	Left, Right int32
+	Parts       []int
 }
 
-// Matches reports whether a row satisfies the condition.
-func (c RangeCond) Matches(row Row) bool { return c.admits(row.Get(c.Column)) }
-
-// admits reports whether the value v of c's column satisfies c.
-func (c *RangeCond) admits(v datum.D) bool {
-	switch c.Op {
-	case dtree.CondLe:
-		return datum.Compare(v, c.Value) <= 0
-	case dtree.CondGt:
-		return datum.Compare(v, c.Value) > 0
-	case dtree.CondEq:
-		return datum.Equal(v, c.Value)
-	case dtree.CondNe:
-		return !datum.Equal(v, c.Value)
+// goesLeft reports whether the value v of n's column takes n's left side.
+func (n *RuleNode) goesLeft(v datum.D) bool {
+	if n.Op == dtree.CondEq {
+		return datum.Equal(v, n.Value)
 	}
-	return false
+	return datum.Compare(v, n.Value) <= 0
 }
 
-func (c RangeCond) String() string {
-	return c.Column + " " + c.Op.String() + " " + c.Value.String()
-}
-
-// RangeRule maps a conjunction of predicates to a replica set.
-type RangeRule struct {
-	Conds []RangeCond
-	Parts []int
-}
-
-func (r RangeRule) String() string {
-	if len(r.Conds) == 0 {
-		return fmt.Sprintf("<empty> -> %v", r.Parts)
+// sides reports which of n's sides some value that constraint c admits
+// can take: each side an equality list's values go to. A range holds a
+// value <= Value unless it starts above Value, and a value > Value unless
+// it ends at or below it; it holds Value itself, a categorical test's
+// left side, only if it also ends at or above Value, and almost always
+// some other value.
+func (n *RuleNode) sides(c *sqlparse.Constraint) (left, right bool) {
+	if len(c.Eq) > 0 {
+		for i := range c.Eq {
+			if n.goesLeft(c.Eq[i]) {
+				left = true
+			} else {
+				right = true
+			}
+		}
+		return left, right
 	}
-	ps := make([]string, len(r.Conds))
-	for i, c := range r.Conds {
-		ps[i] = c.String()
+	left = true
+	if c.Lo != nil {
+		cmp := datum.Compare(*c.Lo, n.Value)
+		left = cmp < 0 || cmp == 0 && !c.LoStrict
 	}
-	return fmt.Sprintf("%s -> %v", strings.Join(ps, " AND "), r.Parts)
+	if n.Op == dtree.CondEq {
+		if left && c.Hi != nil {
+			cmp := datum.Compare(*c.Hi, n.Value)
+			left = cmp > 0 || cmp == 0 && !c.HiStrict
+		}
+		return left, true
+	}
+	return left, c.Hi == nil || datum.Compare(*c.Hi, n.Value) > 0
 }
 
-// TableRules is the predicate-based placement of one table.
+// TableRules is the predicate-based placement of one table: its decision
+// tree, flat. Nodes are stored children first, so the last node is the
+// root; a TableRules always has one, and a table without rules has none.
 type TableRules struct {
-	Rules []RangeRule
-	// Default is the replica set for rows matching no rule.
+	Nodes []RuleNode
+	// Default is the replica set of a row that is not known (a nil row).
 	Default []int
+}
+
+// Add appends node n to the tree and returns its index. A node's children
+// are added before it, and the root last.
+func (t *TableRules) Add(n RuleNode) int32 {
+	t.Nodes = append(t.Nodes, n)
+	return int32(len(t.Nodes) - 1)
+}
+
+// Ranges range-partitions a table on an integer column at ascending upper
+// bounds, as a balanced tree: partition p holds the values v with
+// upper[p-1] < v <= upper[p], and the last, len(upper), every value above.
+func Ranges(column string, upper []int64) *TableRules {
+	t := &TableRules{}
+	var grow func(lo, hi int) int32
+	grow = func(lo, hi int) int32 {
+		if lo == hi {
+			return t.Add(RuleNode{Parts: onePart(lo)})
+		}
+		mid := (lo + hi) / 2
+		left, right := grow(lo, mid), grow(mid+1, hi)
+		return t.Add(RuleNode{Column: column, Op: dtree.CondLe, Value: datum.NewInt(upper[mid]), Left: left, Right: right})
+	}
+	grow(0, len(upper))
+	return t
+}
+
+// leaf returns the replica set of the leaf row reaches.
+func (t *TableRules) leaf(row Row) []int {
+	n := &t.Nodes[len(t.Nodes)-1]
+	for n.Parts == nil {
+		next := n.Right
+		if n.goesLeft(row.Get(n.Column)) {
+			next = n.Left
+		}
+		n = &t.Nodes[next]
+	}
+	return n.Parts
+}
+
+// reach descends from node i to every leaf a row of table that satisfies
+// the statement's constraints may reach: at each node, to each side that
+// every constraint on the node's column admits. It adds each reached
+// leaf's set to parts and counts the leaves.
+func (t *TableRules) reach(i int32, table string, cons []sqlparse.Constraint, parts []int, leaves int) ([]int, int) {
+	n := &t.Nodes[i]
+	if n.Parts != nil {
+		return union(parts, n.Parts), leaves + 1
+	}
+	left, right := true, true
+	for j := range cons {
+		if c := &cons[j]; c.Column == n.Column && c.Table == table {
+			l, r := n.sides(c)
+			left, right = left && l, right && r
+		}
+	}
+	if left {
+		parts, leaves = t.reach(n.Left, table, cons, parts, leaves)
+	}
+	if right {
+		parts, leaves = t.reach(n.Right, table, cons, parts, leaves)
+	}
+	return parts, leaves
 }
 
 // Lookup is the layered placement Schism deploys: the explanation's
 // per-table decision-tree rules (§4.3), and per-key lookup-table entries
 // (§4.2) for the keys the rules place wrong. A key's home is its entry,
-// else its table's first matching rule, else the table default, else
-// Default, else its key hash. Without a Router it is the range-predicate
-// strategy; with one, the lookup-table strategy.
+// else the leaf its row reaches in its table's tree, else (for a nil row)
+// the table default, else Default, else its key hash. Without a Router it
+// is the range-predicate strategy; with one, the lookup-table strategy.
 type Lookup struct {
 	K      int
 	Tables map[string]*TableRules
@@ -218,12 +288,20 @@ func (l *Lookup) Complexity() int {
 // NumPartitions implements Strategy.
 func (l *Lookup) NumPartitions() int { return l.K }
 
-// MemoryBytes reports the routing-metadata footprint (App. C.1).
+// MemoryBytes reports the routing-metadata footprint (App. C.1): every
+// table's tree, its nodes and its leaves' sets, and every lookup table.
 func (l *Lookup) MemoryBytes() int64 {
-	if l.Router == nil {
-		return 0
+	var n int64
+	for _, tr := range l.Tables {
+		n += int64(len(tr.Nodes)) * int64(unsafe.Sizeof(RuleNode{}))
+		for i := range tr.Nodes {
+			n += int64(len(tr.Nodes[i].Parts)) * int64(unsafe.Sizeof(0))
+		}
 	}
-	return l.Router.MemoryBytes()
+	if l.Router != nil {
+		n += l.Router.MemoryBytes()
+	}
+	return n
 }
 
 // Locate implements Strategy.
@@ -233,22 +311,11 @@ func (l *Lookup) Locate(id workload.TupleID, row Row) []int {
 			return parts
 		}
 	}
-	tr := l.Tables[id.Table]
-	if tr == nil {
-		return l.fallback(id.Key)
-	}
-	if row != nil {
-	rules:
-		for _, rule := range tr.Rules {
-			for _, c := range rule.Conds {
-				if !c.Matches(row) {
-					continue rules
-				}
-			}
-			return rule.Parts
-		}
-	}
-	if tr.Default != nil {
+	switch tr := l.Tables[id.Table]; {
+	case tr == nil:
+	case row != nil:
+		return tr.leaf(row)
+	case tr.Default != nil:
 		return tr.Default
 	}
 	return l.fallback(id.Key)
@@ -321,99 +388,26 @@ func entry(t lookup.Table, key int64) ([]int, bool) {
 	return t.Locate(key)
 }
 
-// ruleRoute routes by the table's rules alone: a rule is a candidate when
-// every one of its conditions is consistent with the statement's
-// constraints, and the route is the union of the candidates' replica
-// sets. The explanation's rules are the leaves of a decision tree, so
-// they never overlap and together cover every row, and a statement that
-// binds every rule column, as an INSERT does, is compatible with the one
-// rule its row matches. A table without rules broadcasts.
+// ruleRoute routes by the table's rules alone: the union of the sets of
+// the leaves its tree walk reaches (reach), the table default when it
+// reaches none, and a broadcast on a table without rules. A statement
+// that binds every column its tree tests, as an INSERT does, reaches the
+// one leaf its row does.
 func (l *Lookup) ruleRoute(table string, cons []sqlparse.Constraint) Route {
 	tr := l.Tables[table]
 	if tr == nil {
 		return broadcast(l.K)
 	}
-	var parts []int
-	matched := 0
-	for _, rule := range tr.Rules {
-		if ruleCompatible(rule, table, cons) {
-			matched++
-			parts = union(parts, rule.Parts)
-		}
-	}
-	if matched == 0 {
-		if tr.Default != nil {
-			return Route{Single: tr.Default, All: tr.Default}
-		}
+	parts, leaves := tr.reach(int32(len(tr.Nodes)-1), table, cons, nil, 0)
+	switch {
+	case leaves == 0 && tr.Default != nil:
+		return Route{Single: tr.Default, All: tr.Default}
+	case leaves == 0:
 		return broadcast(l.K)
-	}
-	if matched == 1 || len(parts) == 1 {
+	case leaves == 1 || len(parts) == 1:
 		return Route{Single: parts, All: parts}
 	}
 	return Route{All: parts}
-}
-
-// ruleCompatible reports whether some tuple could satisfy both the rule's
-// conditions and the statement's constraints (a sound over-approximation).
-// It walks both lists by index: a constraint and a condition are each
-// too large to copy per pair on the routing hot path.
-func ruleCompatible(rule RangeRule, table string, cons []sqlparse.Constraint) bool {
-	for i := range rule.Conds {
-		rc := &rule.Conds[i]
-		for j := range cons {
-			c := &cons[j]
-			if c.Column != rc.Column || c.Table != table {
-				continue
-			}
-			if !condIntersects(rc, c) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// condIntersects reports whether constraint c admits any value satisfying
-// rule condition rc.
-func condIntersects(rc *RangeCond, c *sqlparse.Constraint) bool {
-	if len(c.Eq) > 0 {
-		for i := range c.Eq {
-			if rc.admits(c.Eq[i]) {
-				return true
-			}
-		}
-		return false
-	}
-	// Range constraint [Lo, Hi]: intersect with the rule's half-line.
-	switch rc.Op {
-	case dtree.CondLe: // rule wants v <= X
-		if c.Lo != nil {
-			cmp := datum.Compare(*c.Lo, rc.Value)
-			if cmp > 0 || (cmp == 0 && c.LoStrict) {
-				return false
-			}
-		}
-	case dtree.CondGt: // rule wants v > X; needs the upper bound to exceed X
-		if c.Hi != nil && datum.Compare(*c.Hi, rc.Value) <= 0 {
-			return false
-		}
-	case dtree.CondEq:
-		if c.Lo != nil {
-			cmp := datum.Compare(rc.Value, *c.Lo)
-			if cmp < 0 || (cmp == 0 && c.LoStrict) {
-				return false
-			}
-		}
-		if c.Hi != nil {
-			cmp := datum.Compare(rc.Value, *c.Hi)
-			if cmp > 0 || (cmp == 0 && c.HiStrict) {
-				return false
-			}
-		}
-	case dtree.CondNe:
-		// A range almost always contains a value != X.
-	}
-	return true
 }
 
 // HashPart is the canonical key-hash fallback placement: the partition a

@@ -46,21 +46,9 @@ func SimplecountDB(cfg SimplecountConfig) *storage.Database {
 
 // SimplecountStrategy range-partitions ids evenly (used by the router).
 func SimplecountStrategy(cfg SimplecountConfig) partition.Strategy {
-	per := cfg.Rows / cfg.Partitions
-	rules := make([]partition.RangeRule, 0, cfg.Partitions)
-	for p := 0; p < cfg.Partitions; p++ {
-		r := partition.RangeRule{Parts: []int{p}}
-		if p > 0 {
-			r.Conds = append(r.Conds, partition.RangeCond{Column: "id", Op: condGt, Value: datum.NewInt(int64(p*per - 1))})
-		}
-		if p < cfg.Partitions-1 {
-			r.Conds = append(r.Conds, partition.RangeCond{Column: "id", Op: condLe, Value: datum.NewInt(int64((p+1)*per - 1))})
-		}
-		rules = append(rules, r)
-	}
 	return &partition.Lookup{
 		K:      cfg.Partitions,
-		Tables: map[string]*partition.TableRules{"simplecount": {Rules: rules}},
+		Tables: map[string]*partition.TableRules{"simplecount": partition.Ranges("id", evenUpper(cfg.Rows, cfg.Partitions))},
 	}
 }
 

@@ -321,27 +321,18 @@ func TPCCManual(cfg TPCCConfig, k int) partition.Strategy {
 		"stock":      "s_w_id",
 	}
 	tables := make(map[string]*partition.TableRules, len(wCols)+1)
+	upper := make([]int64, k-1)
+	for p := range upper {
+		upper[p] = int64((p + 1) * cfg.Warehouses / k)
+	}
 	for table, col := range wCols {
-		var rules []partition.RangeRule
-		for p := 0; p < k; p++ {
-			lo := p*cfg.Warehouses/k + 1
-			hi := (p + 1) * cfg.Warehouses / k
-			r := partition.RangeRule{Parts: []int{p}}
-			if p > 0 {
-				r.Conds = append(r.Conds, partition.RangeCond{Column: col, Op: condGt, Value: datum.NewInt(int64(lo - 1))})
-			}
-			if p < k-1 {
-				r.Conds = append(r.Conds, partition.RangeCond{Column: col, Op: condLe, Value: datum.NewInt(int64(hi))})
-			}
-			rules = append(rules, r)
-		}
-		tables[table] = &partition.TableRules{Rules: rules}
+		tables[table] = partition.Ranges(col, upper)
 	}
 	all := make([]int, k)
 	for i := range all {
 		all[i] = i
 	}
-	tables["item"] = &partition.TableRules{Rules: []partition.RangeRule{{Parts: all}}}
+	tables["item"] = &partition.TableRules{Nodes: []partition.RuleNode{{Parts: all}}}
 	return &partition.Lookup{K: k, Tables: tables}
 }
 

@@ -15,19 +15,21 @@ import (
 	"sync"
 
 	"schism/internal/datum"
-	"schism/internal/dtree"
 	"schism/internal/partition"
 	"schism/internal/sqlparse"
 	"schism/internal/storage"
 	"schism/internal/workload"
 )
 
-// Local aliases keep rule-building code readable.
-const (
-	condLe = dtree.CondLe
-	condGt = dtree.CondGt
-	condEq = dtree.CondEq
-)
+// evenUpper is the upper bounds of k equal-width ranges of the keys 0 …
+// rows-1, for partition.Ranges: the last range also takes the remainder.
+func evenUpper(rows, k int) []int64 {
+	upper := make([]int64, k-1)
+	for p := range upper {
+		upper[p] = int64((p+1)*(rows/k) - 1)
+	}
+	return upper
+}
 
 // Workload bundles everything the Schism pipeline needs for one benchmark.
 type Workload struct {

@@ -131,21 +131,9 @@ func YCSBE(cfg YCSBConfig) *Workload {
 // ycsbRangeManual is the hand-built equal-width range partitioning a DBA
 // would choose for scan workloads.
 func ycsbRangeManual(rows, k int) partition.Strategy {
-	per := rows / k
-	rules := make([]partition.RangeRule, 0, k)
-	for p := 0; p < k; p++ {
-		r := partition.RangeRule{Parts: []int{p}}
-		if p > 0 {
-			r.Conds = append(r.Conds, partition.RangeCond{Column: "ycsb_key", Op: condGt, Value: datum.NewInt(int64(p*per - 1))})
-		}
-		if p < k-1 {
-			r.Conds = append(r.Conds, partition.RangeCond{Column: "ycsb_key", Op: condLe, Value: datum.NewInt(int64((p+1)*per - 1))})
-		}
-		rules = append(rules, r)
-	}
 	return &partition.Lookup{
 		K:      k,
-		Tables: map[string]*partition.TableRules{"usertable": {Rules: rules}},
+		Tables: map[string]*partition.TableRules{"usertable": partition.Ranges("ycsb_key", evenUpper(rows, k))},
 	}
 }
 
