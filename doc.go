@@ -14,9 +14,9 @@
 // byte-identical at any worker count, differential-tested against the
 // seed C4.5); and statement routing resolves through one layered
 // placement, partition.Lookup: the explanation's rules, then compressed
-// lookup tables of their exceptions (internal/lookup: dense
-// set-dictionary arrays or hash indexes behind lookup.Router,
-// fuzz-tested equivalent to each other). DESIGN.md
+// lookup tables of their exceptions (internal/lookup: one table type,
+// set-dictionary ids in dense slots or a sparse side map, behind
+// lookup.Router, fuzz-tested against a map model). DESIGN.md
 // documents those layers; bench/ (its own module, declared by
 // BENCHMARK.json) measures them end to end and per layer.
 //

@@ -21,7 +21,7 @@ func newReplicatedCluster(t testing.TB, n, singles, replicated int) (*Cluster, *
 	for i := range all {
 		all[i] = i
 	}
-	tbl := lookup.NewHashIndex()
+	router := lookup.NewRouter(n)
 	home := func(k int64) []int {
 		if k < int64(singles) {
 			return []int{int(k) % n}
@@ -29,11 +29,11 @@ func newReplicatedCluster(t testing.TB, n, singles, replicated int) (*Cluster, *
 		return all
 	}
 	for k := 0; k < total; k++ {
-		tbl.Set(int64(k), home(int64(k)))
+		router.Set("account", int64(k), home(int64(k)))
 	}
 	strat := &partition.Lookup{
 		K:         n,
-		Router:    lookup.NewRouterFromTables(n, map[string]lookup.Table{"account": tbl}),
+		Router:    router,
 		KeyColumn: map[string]string{"account": "id"},
 	}
 	return deploy(t, Config{Nodes: n, LockTimeout: 2 * time.Second}, accountDB(t, total), strat)

@@ -10,12 +10,14 @@ import (
 // DeployLookup builds the mutable routing state the live loop adapts: a
 // per-tuple lookup strategy covering every existing tuple of db, placed
 // by locate (nil replica sets fall back to key-hash placement so every
-// existing tuple gets a definite home). Each table is a Compact with a
-// slot for every existing key: the migration executor flips each moved
-// tuple's entry twice under the SyncTable write lock, and a slot flips in
-// O(1). The returned SyncTables are what the executor flips as tuples
-// move. The strategy has no rules: a key born after deployment sits at its
-// key hash.
+// existing tuple gets a definite home). Each table is a Compact holding
+// every existing key, finished by Trim: dense keys stay in slots, and a
+// table whose keys are too sparse for them keeps its keys in its side map.
+// Either way the migration executor flips each moved tuple's entry twice
+// under the SyncTable write lock, in O(1), and a finished table keeps
+// accepting those Sets. The returned SyncTables are what the executor
+// flips as tuples move. The strategy has no rules: a key born after
+// deployment sits at its key hash.
 func DeployLookup(db *storage.Database, k int, keyCols map[string]string, locate LocateFunc) (*partition.Lookup, map[string]*SyncTable) {
 	router := lookup.NewRouter(k)
 	sync := make(map[string]*SyncTable)

@@ -23,55 +23,40 @@ func benchFill(t Table, n int) {
 }
 
 // BenchmarkRouterLocate measures the per-statement routing hot path —
-// Table.Locate — and each representation's memory footprint (reported as
-// table-bytes) at TPCC-50W scale: hashindex is the map a table is built
-// in, compact the dense representation Compress deploys for it.
+// Table.Locate on a finished Compact — and its memory footprint (reported
+// as table-bytes) at TPCC-50W scale.
 func BenchmarkRouterLocate(b *testing.B) {
 	const n = 500000
-	reps := []struct {
-		name string
-		mk   func() Table
-	}{
-		{"hashindex", func() Table { return NewHashIndex() }},
-		{"compact", func() Table { return NewCompact() }},
+	t := NewCompact()
+	benchFill(t, n)
+	t.Trim()
+	rng := rand.New(rand.NewSource(7))
+	keys := make([]int64, 4096)
+	for i := range keys {
+		keys[i] = rng.Int63n(n)
 	}
-	for _, rep := range reps {
-		rep := rep
-		b.Run(rep.name, func(b *testing.B) {
-			t := rep.mk()
-			benchFill(t, n)
-			if c, ok := t.(*Compact); ok {
-				c.Trim()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink int
+	// Each iteration locates the whole probe batch, so per-locate timing
+	// is meaningful even at bench-smoke iteration counts.
+	for i := 0; i < b.N; i++ {
+		for _, key := range keys {
+			parts, ok := t.Locate(key)
+			if !ok {
+				b.Fatal("miss")
 			}
-			rng := rand.New(rand.NewSource(7))
-			keys := make([]int64, 4096)
-			for i := range keys {
-				keys[i] = rng.Int63n(n)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var sink int
-			// Each iteration locates the whole probe batch, so per-locate
-			// timing is meaningful even at bench-smoke iteration counts.
-			for i := 0; i < b.N; i++ {
-				for _, key := range keys {
-					parts, ok := t.Locate(key)
-					if !ok {
-						b.Fatal("miss")
-					}
-					sink += parts[0]
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/locate")
-			b.ReportMetric(float64(t.MemoryBytes()), "table-bytes")
-			_ = sink
-		})
+			sink += parts[0]
+		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/locate")
+	b.ReportMetric(float64(t.MemoryBytes()), "table-bytes")
+	_ = sink
 }
 
-// BenchmarkRouterBuild measures building + compressing a full deployment
-// (what core.buildLookup and live.DeployLookup do per repartition).
+// BenchmarkRouterBuild measures building and finishing a full deployment
+// (what core's buildRouter and live.DeployLookup do per repartition).
 func BenchmarkRouterBuild(b *testing.B) {
 	const n = 500000
 	for _, compress := range []bool{false, true} {

@@ -3,7 +3,7 @@ package lookup
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // setDict interns replica sets: each distinct (sorted, deduplicated)
@@ -17,9 +17,9 @@ type setDict struct {
 	keybuf  []byte
 }
 
-// intern canonicalises parts into an owned scratch buffer (so known sets
-// cost zero allocations) and returns the set's id, adding it on first
-// sight. Partition ids must be in [0, 254), as in normalise.
+// intern canonicalises parts (sorted, deduplicated) into an owned scratch
+// buffer, so known sets cost zero allocations, and returns the set's id,
+// adding it on first sight. Partition ids must be in [0, MaxPartitions).
 func (d *setDict) intern(parts []int) uint32 {
 	s := append(d.scratch[:0], parts...)
 	// Insertion sort + dedup: replica sets are tiny.
@@ -65,13 +65,14 @@ func (d *setDict) memoryBytes() int64 {
 	return total + int64(len(d.sets))*16 // interning map entries
 }
 
-// Compact is the dense compressed lookup table: one small set-dictionary
-// id per key in a contiguous key range — 1 byte per tuple while the
-// deployment has at most 255 distinct replica sets, 2 bytes up to 65535,
-// 4 beyond. The range grows adaptively as keys arrive; keys too far
-// outside it to justify dense storage spill to a sparse side map. This is
-// the paper's App. C.1 "1 byte per tuple id" design generalised from
-// single partitions to interned replica sets.
+// Compact is the lookup table: one small set-dictionary id per key in a
+// contiguous key range — 1 byte per tuple while the deployment has at
+// most 255 distinct replica sets, 2 bytes up to 65535, 4 beyond. The
+// range grows adaptively as keys arrive; keys too far outside it to
+// justify dense storage go to a sparse side map of ids into the same
+// dictionary. This is the paper's App. C.1 "1 byte per tuple id" design
+// generalised from single partitions to interned replica sets. Trim
+// finishes a table, choosing between slots and the side map for its keys.
 type Compact struct {
 	base    int64 // key of slot 0
 	width   int   // bytes per slot: 1, 2 or 4
@@ -79,13 +80,17 @@ type Compact struct {
 	slots16 []uint16
 	slots32 []uint32
 	dict    setDict
-	side    map[int64][]int
-	numSet  int // keys stored in slots
+	side    map[int64]uint32 // key -> dictionary id
+	numSet  int              // keys stored in slots
 }
+
+// sideEntryBytes is the estimated cost of one side-map entry: an 8-byte
+// key, a 4-byte id and the map's per-entry overhead.
+const sideEntryBytes = 16
 
 // NewCompact returns an empty compact lookup table.
 func NewCompact() *Compact {
-	return &Compact{width: 1, side: make(map[int64][]int)}
+	return &Compact{width: 1, side: make(map[int64]uint32)}
 }
 
 // numSlots returns the current dense capacity.
@@ -172,7 +177,7 @@ func (c *Compact) Set(key int64, parts []int) {
 		c.widen()
 	}
 	if key < minDenseKey || key > maxDenseKey {
-		c.side[key] = c.dict.sets[id]
+		c.side[key] = id
 		return
 	}
 	if c.numSlots() == 0 {
@@ -180,10 +185,10 @@ func (c *Compact) Set(key int64, parts []int) {
 		c.growTo(key, key+1)
 	} else if key < c.base || key >= c.base+c.numSlots() {
 		if !c.affordable(key) {
-			c.side[key] = c.dict.sets[id]
+			c.side[key] = id
 			return
 		}
-		c.growTo(min64(c.base, key), max64(c.base+c.numSlots(), key+1))
+		c.growTo(min(c.base, key), max(c.base+c.numSlots(), key+1))
 	}
 	i := key - c.base
 	if c.slot(i) == 0 {
@@ -201,8 +206,8 @@ func (c *Compact) Set(key int64, parts []int) {
 // map instead of inflating the array. The span is computed in uint64 so a
 // range crossing most of the int64 domain cannot wrap to a small number.
 func (c *Compact) affordable(key int64) bool {
-	hi := max64(c.base+c.numSlots(), key+1)
-	lo := min64(c.base, key)
+	hi := max(c.base+c.numSlots(), key+1)
+	lo := min(c.base, key)
 	span := uint64(hi) - uint64(lo) // exact unsigned difference
 	return span <= uint64(1024+8*(c.numSet+len(c.side)+1))
 }
@@ -217,10 +222,10 @@ func (c *Compact) growTo(newBase, newEnd int64) {
 		// Double in the direction of growth (bounded by affordability,
 		// which the caller has already established for the requested span).
 		if newEnd > oldBase+oldN && span < 2*oldN {
-			newEnd = newBase + min64(2*oldN, span+oldN)
+			newEnd = newBase + min(2*oldN, span+oldN)
 		}
 		if newBase < oldBase && span < 2*oldN {
-			newBase = newEnd - min64(2*oldN, span+oldN)
+			newBase = newEnd - min(2*oldN, span+oldN)
 		}
 		// Headroom must not push the range into the guard bands. The
 		// requested bounds stay covered: Set guarantees base >= minDenseKey
@@ -249,21 +254,25 @@ func (c *Compact) growTo(newBase, newEnd int64) {
 		c.slots32 = ns
 	}
 	c.base = newBase
-	for key, parts := range c.side {
+	for key, id := range c.side {
 		if key >= c.base && key < c.base+span {
 			delete(c.side, key)
 			i := key - c.base
 			if c.slot(i) == 0 {
 				c.numSet++
 			}
-			c.setSlot(i, c.dict.intern(parts)+1)
+			c.setSlot(i, id+1)
 		}
 	}
 }
 
-// Trim reallocates the slot array to the exact span of stored keys,
-// dropping the geometric-growth headroom and any leading/trailing unset
-// slots. Called on finished tables (Compress does it automatically).
+// Trim finishes a table in place. It drops the geometric-growth headroom
+// and any leading/trailing unset slots, then keeps the slotted keys in
+// slots only while their span costs no more than holding each of them in
+// the side map; otherwise it moves them there, so a sparse table, such as
+// the exceptions to a table's rules, ends as a map. Either way the table
+// ends no larger, by MemoryBytes, than the other layout, and it keeps
+// accepting Set.
 func (c *Compact) Trim() {
 	n := c.numSlots()
 	var lo, hi int64 = 0, n
@@ -272,6 +281,14 @@ func (c *Compact) Trim() {
 	}
 	for hi > lo && c.slot(hi-1) == 0 {
 		hi--
+	}
+	if (hi-lo)*int64(c.width) > sideEntryBytes*int64(c.numSet) {
+		for i := lo; i < hi; i++ {
+			if v := c.slot(i); v != 0 {
+				c.side[c.base+i] = v - 1
+			}
+		}
+		lo, hi, c.numSet = 0, 0, 0
 	}
 	if lo == 0 && hi == n {
 		return
@@ -295,63 +312,46 @@ func (c *Compact) Locate(key int64) ([]int, bool) {
 		}
 		return nil, false
 	}
-	p, ok := c.side[key]
-	return p, ok
+	id, ok := c.side[key]
+	if !ok {
+		return nil, false
+	}
+	return c.dict.sets[id], true
 }
 
 // Len returns the number of keys stored.
 func (c *Compact) Len() int { return c.numSet + len(c.side) }
 
-// MemoryBytes is dominated by the slot array: width bytes per key of
-// span, plus the interned set dictionary and the sparse side map.
+// MemoryBytes estimates the resident size: width bytes per slot of the
+// dense span, sideEntryBytes per side-map key, and the set dictionary.
 func (c *Compact) MemoryBytes() int64 {
-	var side int64
-	for _, s := range c.side {
-		side += 24 + int64(8*len(s))
-	}
-	return c.numSlots()*int64(c.width) + c.dict.memoryBytes() + side
+	return c.numSlots()*int64(c.width) + int64(len(c.side))*sideEntryBytes + c.dict.memoryBytes()
 }
 
-// Range implements Ranger: ascending-key enumeration of every stored key.
+// Range enumerates every stored key in ascending order.
 func (c *Compact) Range(f func(key int64, parts []int) bool) {
-	sideKeys := make([]int64, 0, len(c.side))
+	side := make([]int64, 0, len(c.side))
 	for k := range c.side {
-		sideKeys = append(sideKeys, k)
+		side = append(side, k)
 	}
-	sort.Slice(sideKeys, func(i, j int) bool { return sideKeys[i] < sideKeys[j] })
-	si := 0
-	n := c.numSlots()
-	for si < len(sideKeys) && sideKeys[si] < c.base {
-		if !f(sideKeys[si], c.side[sideKeys[si]]) {
-			return
-		}
-		si++
-	}
-	for i := int64(0); i < n; i++ {
-		if v := c.slot(i); v != 0 {
-			if !f(c.base+i, c.dict.sets[v-1]) {
-				return
+	slices.Sort(side)
+	emit := func(keys []int64) bool {
+		for _, k := range keys {
+			if !f(k, c.dict.sets[c.side[k]]) {
+				return false
 			}
 		}
+		return true
 	}
-	for si < len(sideKeys) {
-		if !f(sideKeys[si], c.side[sideKeys[si]]) {
+	// No side key falls inside the dense range.
+	below, _ := slices.BinarySearch(side, c.base)
+	if !emit(side[:below]) {
+		return
+	}
+	for i := int64(0); i < c.numSlots(); i++ {
+		if v := c.slot(i); v != 0 && !f(c.base+i, c.dict.sets[v-1]) {
 			return
 		}
-		si++
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	emit(side[below:])
 }

@@ -90,23 +90,23 @@ func TestCompactWidthPromotion(t *testing.T) {
 }
 
 // TestExtremeKeys: keys at and near the int64 domain edges must store and
-// resolve exactly in every representation — Compact routes them to its
-// side map (dense range arithmetic would overflow).
+// resolve exactly — Compact routes them to its side map (dense range
+// arithmetic would overflow) — before and after Trim.
 func TestExtremeKeys(t *testing.T) {
 	const maxI = int64(^uint64(0) >> 1) // math.MaxInt64
 	minI := -maxI - 1
 	keys := []int64{minI, minI + 1, -1, 0, 1, maxI - 1, maxI}
-	for _, mk := range []struct {
-		name string
-		t    Table
-	}{{"compact", NewCompact()}, {"hashindex", NewHashIndex()}} {
-		tbl := mk.t
-		for i, k := range keys {
-			tbl.Set(k, []int{i % 5})
+	c := NewCompact()
+	for i, k := range keys {
+		c.Set(k, []int{i % 5})
+	}
+	// Overwrite the extremes to exercise the update path too.
+	c.Set(maxI, []int{7})
+	c.Set(minI, []int{8})
+	for _, stage := range []string{"built", "trimmed"} {
+		if stage == "trimmed" {
+			c.Trim()
 		}
-		// Overwrite the extremes to exercise the update path too.
-		tbl.Set(maxI, []int{7})
-		tbl.Set(minI, []int{8})
 		for i, k := range keys {
 			want := i % 5
 			switch k {
@@ -115,35 +115,63 @@ func TestExtremeKeys(t *testing.T) {
 			case minI:
 				want = 8
 			}
-			parts, ok := tbl.Locate(k)
+			parts, ok := c.Locate(k)
 			if !ok || len(parts) != 1 || parts[0] != want {
-				t.Errorf("%s: Locate(%d) = %v %v, want [%d]", mk.name, k, parts, ok, want)
+				t.Errorf("%s: Locate(%d) = %v %v, want [%d]", stage, k, parts, ok, want)
 			}
 		}
-		if _, ok := tbl.Locate(maxI - 2); ok {
-			t.Errorf("%s: unset near-extreme key resolved", mk.name)
+		if _, ok := c.Locate(maxI - 2); ok {
+			t.Errorf("%s: unset near-extreme key resolved", stage)
 		}
 		// Enumeration must include the extremes exactly once, in order.
-		if rng, ok := tbl.(Ranger); ok {
-			var got []int64
-			rng.Range(func(key int64, _ []int) bool {
-				got = append(got, key)
-				return true
-			})
-			if len(got) != len(keys) || got[0] != minI || got[len(got)-1] != maxI {
-				t.Errorf("%s: Range keys = %v", mk.name, got)
-			}
+		var got []int64
+		c.Range(func(key int64, _ []int) bool {
+			got = append(got, key)
+			return true
+		})
+		if !slices.IsSorted(got) || len(got) != len(keys) || got[0] != minI || got[len(got)-1] != maxI {
+			t.Errorf("%s: Range keys = %v", stage, got)
 		}
 	}
 }
 
-// TestTableEquivalenceQuick: both representations agree under random
-// workloads (quick-check property, complements the fuzz harness).
+// model is the reference a table is checked against: a plain map from key
+// to its sorted, deduplicated replica set.
+type model map[int64][]int
+
+func (m model) set(key int64, parts []int) {
+	s := slices.Clone(parts)
+	slices.Sort(s)
+	m[key] = slices.Compact(s)
+}
+
+// agrees reports the first key of keys on which c and m differ.
+func (m model) agrees(c *Compact, keys []int64) (int64, bool) {
+	for _, k := range keys {
+		want, wantOK := m[k]
+		got, ok := c.Locate(k)
+		if ok != wantOK || !slices.Equal(got, want) {
+			return k, false
+		}
+	}
+	return 0, true
+}
+
+// TestTableEquivalenceQuick: Compact agrees with the model under random
+// workloads, with a Trim partway and more Sets after it (quick-check
+// property, complements the fuzz harness).
 func TestTableEquivalenceQuick(t *testing.T) {
+	var probes []int64
+	for k := int64(-2); k < 514; k++ {
+		probes = append(probes, k)
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tables := []Table{NewHashIndex(), NewCompact()}
+		c, m := NewCompact(), model{}
 		for i := 0; i < 400; i++ {
+			if i == 200 {
+				c.Trim()
+			}
 			k := rng.Int63n(512)
 			if rng.Intn(8) == 0 {
 				k = rng.Int63n(1 << 30) // occasional far key
@@ -152,102 +180,138 @@ func TestTableEquivalenceQuick(t *testing.T) {
 			for j := range parts {
 				parts[j] = rng.Intn(16)
 			}
-			for _, tbl := range tables {
-				tbl.Set(k, parts)
-			}
+			c.Set(k, parts)
+			m.set(k, parts)
 		}
-		for k := int64(-2); k < 514; k++ {
-			want, wantOK := tables[0].Locate(k)
-			for _, tbl := range tables[1:] {
-				got, ok := tbl.Locate(k)
-				if ok != wantOK || len(got) != len(want) {
-					return false
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						return false
-					}
-				}
-			}
-		}
-		return true
+		_, ok := m.agrees(c, probes)
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestCompressPicksRepresentation: dense keys compress to Compact, sparse
-// ones (a table's exceptions to its rules) stay a HashIndex, and either
-// way Compress keeps the contents.
-func TestCompressPicksRepresentation(t *testing.T) {
-	same := func(name string, want, got Table, keys []int64) {
-		t.Helper()
+// TestTrimPicksLayout: Trim keeps dense keys in slots, range-clustered or
+// scattered, and moves sparse ones (a table's exceptions to its rules) to
+// the side map, and either way keeps the contents.
+func TestTrimPicksLayout(t *testing.T) {
+	fill := func(keys []int64, set func(k int64) []int) (*Compact, model) {
+		c, m := NewCompact(), model{}
 		for _, k := range keys {
-			w, _ := want.Locate(k)
-			g, ok := got.Locate(k)
-			if !ok || !slices.Equal(g, w) {
-				t.Fatalf("%s: Locate(%d) = %v %v, want %v", name, k, g, ok, w)
-			}
+			parts := set(k)
+			c.Set(k, parts)
+			m.set(k, parts)
+		}
+		return c, m
+	}
+	check := func(name string, c *Compact, m model, slots int64) {
+		t.Helper()
+		before := c.MemoryBytes()
+		c.Trim()
+		if c.numSlots() != slots {
+			t.Errorf("%s: %d slots after Trim, want %d (%d keys in the side map)", name, c.numSlots(), slots, len(c.side))
+		}
+		if c.MemoryBytes() > before {
+			t.Errorf("%s: Trim grew memory: %d -> %d", name, before, c.MemoryBytes())
+		}
+		keys := make([]int64, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		if k, ok := m.agrees(c, keys); !ok {
+			t.Errorf("%s: Locate(%d) changed across Trim", name, k)
 		}
 	}
-	// Dense keys compress to Compact, range-clustered or scattered.
+	// Dense keys finish in slots, range-clustered or scattered.
 	rng := rand.New(rand.NewSource(7))
-	clustered, scattered := NewHashIndex(), NewHashIndex()
 	var dense []int64
 	for k := int64(0); k < 20000; k++ {
-		clustered.Set(k, []int{int(k / 5000)})
-		scattered.Set(k, []int{rng.Intn(8)})
 		dense = append(dense, k)
 	}
-	for name, h := range map[string]*HashIndex{"clustered": clustered, "scattered": scattered} {
-		c := Compress(h)
-		if _, ok := c.(*Compact); !ok {
-			t.Errorf("%s: dense table compressed to %T, want Compact", name, c)
-		}
-		if c.MemoryBytes() >= h.MemoryBytes() {
-			t.Errorf("%s: compress grew memory: %d -> %d", name, h.MemoryBytes(), c.MemoryBytes())
-		}
-		same(name, h, c, dense)
-	}
-	// Sparse keys stay in the map: one key in a thousand costs less there
-	// than a slot for every key of its span.
-	sparse := NewHashIndex()
+	c, m := fill(dense, func(k int64) []int { return []int{int(k / 5000)} })
+	check("clustered", c, m, 20000)
+	c, m = fill(dense, func(int64) []int { return []int{rng.Intn(8)} })
+	check("scattered", c, m, 20000)
+
+	// One key in a thousand costs less in the side map than a slot for
+	// every key of its span, in whatever order it was set.
 	var spread []int64
 	for k := int64(0); k < 1000; k++ {
-		sparse.Set(k*1000, []int{int(k % 4)})
 		spread = append(spread, k*1000)
 	}
-	if c := Compress(sparse); c != Table(sparse) {
-		t.Errorf("sparse table compressed to %T (%d bytes), want it unchanged (%d bytes)", c, c.MemoryBytes(), sparse.MemoryBytes())
+	quarter := func(k int64) []int { return []int{int(k/1000) % 4} }
+	c, m = fill(spread, quarter)
+	check("sparse", c, m, 0)
+	shuffled := slices.Clone(spread)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	c, m = fill(shuffled, quarter)
+	check("sparse-shuffled", c, m, 0)
+	// A table built sparse: 50 keys 20 apart all fit the slot span that
+	// growth allows a small table, but cost more there than in the map.
+	var few []int64
+	for k := int64(0); k < 50; k++ {
+		few = append(few, k*20)
 	}
-	// A Compact built sparse moves to a map.
-	sc := NewCompact()
-	for _, k := range spread {
-		v, _ := sparse.Locate(k)
-		sc.Set(k, v)
+	c, m = fill(few, quarter)
+	if len(c.side) != 0 {
+		t.Fatalf("built-sparse: %d keys in the side map before Trim, want all in slots", len(c.side))
 	}
-	if c := Compress(sc); c == Table(sc) || c.MemoryBytes() >= sc.MemoryBytes() {
-		t.Errorf("sparse Compact (%d bytes) compressed to %T (%d bytes), want a smaller HashIndex", sc.MemoryBytes(), c, c.MemoryBytes())
-	} else {
-		same("sparse-compact", sparse, c, spread)
-	}
-	// A table without Range passes through unchanged.
-	opaque := struct{ Table }{scattered}
-	if Compress(opaque) != Table(opaque) {
-		t.Error("non-Ranger table should pass through Compress")
-	}
-	// Dense keys plus outliers near both int64 extremes: the dense-span
-	// estimate must not wrap negative and pick Compact.
-	hx := NewHashIndex()
-	for k := int64(0); k < 20000; k++ {
-		hx.Set(k, []int{int(k / 5000)})
-	}
+	check("built-sparse", c, m, 0)
+
+	// Dense keys plus outliers near both int64 extremes: the outliers
+	// must not stretch the slot span.
 	const maxI = int64(^uint64(0) >> 1)
-	hx.Set(maxI-5, []int{1})
-	hx.Set(-maxI+5, []int{2})
-	if cx := Compress(hx); cx != Table(hx) {
-		t.Errorf("extreme-spanned table compressed to %T (%d bytes), want it unchanged", cx, cx.MemoryBytes())
+	c, m = fill(append(slices.Clone(dense), maxI-5, -maxI+5), func(k int64) []int { return []int{int(k&3) + 1} })
+	check("extreme-spanned", c, m, 20000)
+}
+
+// TestTrimNeverLarger: on tables of every density Trim leaves a table no
+// larger, by MemoryBytes, than all its keys in the side map, and a table
+// Trim spilled keeps every key across later Sets and a second Trim.
+func TestTrimNeverLarger(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	gaps := []int64{1, 3, 10, 17, 30, 100, 1000}
+	var spills int
+	for _, gap := range gaps {
+		c, m := NewCompact(), model{}
+		var keys []int64
+		for i := 0; i < 2000; i++ {
+			k := rng.Int63n(2000 * gap)
+			c.Set(k, []int{int(k % 6)})
+			m.set(k, []int{int(k % 6)})
+			keys = append(keys, k)
+		}
+		c.Trim()
+		if other := int64(c.Len())*sideEntryBytes + c.dict.memoryBytes(); c.MemoryBytes() > other {
+			t.Errorf("gap %d: trimmed table %d bytes, all in the side map %d", gap, c.MemoryBytes(), other)
+		}
+		spilled := c.numSlots() == 0
+		if spilled {
+			spills++
+		}
+		// Later Sets: new dense keys, overwrites and far keys.
+		for i := 0; i < 3000; i++ {
+			k := rng.Int63n(4000)
+			if i%3 == 0 {
+				k = keys[rng.Intn(len(keys))]
+			}
+			c.Set(k, []int{int(k % 5), 5})
+			m.set(k, []int{int(k % 5), 5})
+			keys = append(keys, k)
+		}
+		if k, ok := m.agrees(c, keys); !ok {
+			t.Fatalf("gap %d (spilled %v): Locate(%d) lost across Sets after Trim", gap, spilled, k)
+		}
+		c.Trim()
+		if k, ok := m.agrees(c, keys); !ok {
+			t.Fatalf("gap %d (spilled %v): Locate(%d) lost across a second Trim", gap, spilled, k)
+		}
+		if c.Len() != len(m) {
+			t.Errorf("gap %d: Len = %d, want %d", gap, c.Len(), len(m))
+		}
+	}
+	if spills == 0 || spills == len(gaps) {
+		t.Errorf("Trim spilled %d of %d tables, want some of each layout", spills, len(gaps))
 	}
 }
 
@@ -273,14 +337,24 @@ func TestRouter(t *testing.T) {
 	if r.MemoryBytes() <= 0 {
 		t.Error("MemoryBytes should be positive")
 	}
-	// Compress keeps contents.
+	// Compress keeps contents, the dense table in slots and the sparse
+	// one in its side map.
 	for k := int64(0); k < 5000; k++ {
 		r.Set("stock", k, []int{int(k % 4)})
+	}
+	for k := int64(0); k < 10; k++ {
+		r.Set("item", k*1000, []int{0, 1, 2, 3})
 	}
 	before, _ := r.Locate("stock", 1234)
 	r.Compress()
 	after, ok := r.Locate("stock", 1234)
 	if !ok || after[0] != before[0] {
 		t.Errorf("Compress changed routing: %v -> %v", before, after)
+	}
+	if stock, _ := r.Get("stock"); stock.(*Compact).numSlots() != 5000 {
+		t.Errorf("stock: %d slots after Compress, want 5000", stock.(*Compact).numSlots())
+	}
+	if item, _ := r.Get("item"); item.(*Compact).numSlots() != 0 {
+		t.Errorf("item: %d slots after Compress, want its sparse keys in the side map", item.(*Compact).numSlots())
 	}
 }

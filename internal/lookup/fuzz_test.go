@@ -1,10 +1,12 @@
 package lookup
 
 // Fuzz harness for Set/Locate equivalence: an arbitrary op stream decoded
-// from the fuzz input is applied to every table representation
-// (HashIndex as the oracle; Compact as the implementation under test)
-// and to a Compress'd snapshot, and all must agree on every
-// touched key and its neighbourhood.
+// from the fuzz input is applied to a Compact and to a plain map model,
+// with a Trim halfway and more Sets after it, so dense and spilled
+// finished tables are both exercised. The table must agree with the model
+// on every touched key and its neighbourhood after the stream and after
+// a final Trim, and each Trim must leave it no larger than all its keys
+// in the side map.
 
 import (
 	"encoding/binary"
@@ -67,42 +69,32 @@ func FuzzTableEquivalence(f *testing.F) {
 		if len(keys) == 0 {
 			return
 		}
-		oracle := NewHashIndex()
-		impls := map[string]Table{"compact": NewCompact()}
+		c, m := NewCompact(), model{}
+		trim := func() {
+			c.Trim()
+			if other := int64(c.Len())*sideEntryBytes + c.dict.memoryBytes(); c.MemoryBytes() > other {
+				t.Fatalf("trimmed table %d bytes, all in the side map %d", c.MemoryBytes(), other)
+			}
+		}
 		for i, key := range keys {
-			oracle.Set(key, sets[i])
-			for _, tbl := range impls {
-				tbl.Set(key, sets[i])
+			if i == len(keys)/2 {
+				trim()
 			}
+			c.Set(key, sets[i])
+			m.set(key, sets[i])
 		}
-		impls["compressed"] = Compress(oracle)
-		probe := func(key int64) {
-			want, wantOK := oracle.Locate(key)
-			for name, tbl := range impls {
-				got, ok := tbl.Locate(key)
-				if ok != wantOK {
-					t.Fatalf("%s: Locate(%d) ok=%v, oracle %v", name, key, ok, wantOK)
-				}
-				if !ok {
-					continue
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s: Locate(%d) = %v, oracle %v", name, key, got, want)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s: Locate(%d) = %v, oracle %v", name, key, got, want)
-					}
-				}
-			}
-		}
+		probes := []int64{0, -1, 1 << 45}
 		for _, key := range keys {
-			probe(key)
-			probe(key - 1)
-			probe(key + 1)
+			probes = append(probes, key-1, key, key+1)
 		}
-		probe(0)
-		probe(-1)
-		probe(1 << 45)
+		for _, stage := range []string{"built", "trimmed"} {
+			if stage == "trimmed" {
+				trim()
+			}
+			if k, ok := m.agrees(c, probes); !ok {
+				got, gotOK := c.Locate(k)
+				t.Fatalf("%s: Locate(%d) = %v %v, model %v", stage, k, got, gotOK, m[k])
+			}
+		}
 	})
 }

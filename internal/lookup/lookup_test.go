@@ -45,17 +45,18 @@ func containsAll(parts []int, want ...int) bool {
 	return true
 }
 
-func TestHashIndex(t *testing.T) {
-	testTableBasics(t, func() Table { return NewHashIndex() })
-	h := NewHashIndex()
-	h.Set(1, []int{0})
-	h.Set(2, []int{0})
-	if h.Len() != 2 {
-		t.Errorf("Len = %d", h.Len())
+// TestCompactInternsSets: keys with one set share one dictionary entry,
+// in slots and in the side map alike.
+func TestCompactInternsSets(t *testing.T) {
+	c := NewCompact()
+	c.Set(1, []int{0, 2})
+	c.Set(2, []int{2, 0, 2})
+	c.Set(1<<40, []int{0, 2})
+	if c.Len() != 3 || len(c.side) != 1 {
+		t.Errorf("Len = %d with %d in the side map, want 3 with 1", c.Len(), len(c.side))
 	}
-	// Interning: identical sets share storage.
-	if len(h.sets) != 1 {
-		t.Errorf("sets interned = %d, want 1", len(h.sets))
+	if len(c.dict.sets) != 1 {
+		t.Errorf("sets interned = %d, want 1", len(c.dict.sets))
 	}
 }
 
@@ -65,5 +66,5 @@ func TestNormalisePanicsOnBadPartition(t *testing.T) {
 			t.Error("expected panic for partition >= 254")
 		}
 	}()
-	NewHashIndex().Set(1, []int{300})
+	NewCompact().Set(1, []int{300})
 }

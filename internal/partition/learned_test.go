@@ -2,6 +2,8 @@ package partition_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -61,7 +63,7 @@ func learnedCases() []learnedCase {
 						break
 					}
 					name := fmt.Sprintf("%s/k%d/%s/%s", w.name, k, kind, v.name)
-					if testing.Short() && !strings.Contains(name, "/k2/clique/plain") && !strings.Contains(name, "/k2/hyper/coalesce") {
+					if testing.Short() && !shortCase(name) {
 						continue
 					}
 					opts := core.Options{Partitions: k, Seed: 11}
@@ -72,6 +74,35 @@ func learnedCases() []learnedCase {
 		}
 	}
 	return out
+}
+
+// shortCase keeps, under -short, every workload's plain clique and
+// coalesced hypergraph configurations at k = 2, as core's digest does.
+func shortCase(name string) bool {
+	return strings.Contains(name, "/k2/clique/plain") || strings.Contains(name, "/k2/hyper/coalesce")
+}
+
+// TestLearnedCasesMatchDigest keeps learnedCases in step with core's
+// answer-digest matrix, which it copies by hand: its names must be the
+// configurations of core's answer golden, in order, and under -short the
+// ones shortCase keeps.
+func TestLearnedCasesMatchDigest(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "core", "testdata", "answer.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		if name, _, _ := strings.Cut(line, " "); !testing.Short() || shortCase(name) {
+			want = append(want, name)
+		}
+	}
+	for _, c := range learnedCases() {
+		got = append(got, c.name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("learnedCases names\n%s\ncore's answer golden\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }
 
 // stmt is one trace statement's routing input.

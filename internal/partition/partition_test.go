@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"schism/internal/datum"
+	"schism/internal/dtree"
 	"schism/internal/lookup"
 	"schism/internal/sqlparse"
 	"schism/internal/workload"
@@ -127,7 +128,8 @@ func TestRangeRouting(t *testing.T) {
 	// leave stock routed by its rules.
 	cons, ok = parse("UPDATE stock SET s_ytd = 1 WHERE s_w_id = 2 AND s_i_id = 7")
 	for table, want := range map[string]int{"item": 1, "stock": 2} {
-		r.Router = lookup.NewRouterFromTables(2, map[string]lookup.Table{table: lookup.NewHashIndex()})
+		r.Router = lookup.NewRouter(2)
+		r.Router.Table(table)
 		if route = r.RouteStmt("stock", cons, ok); len(route.All) != want {
 			t.Errorf("entries for %s: stock routes %+v, want %d partitions", table, route, want)
 		}
@@ -135,11 +137,11 @@ func TestRangeRouting(t *testing.T) {
 }
 
 func TestLookupStrategy(t *testing.T) {
-	idx := lookup.NewHashIndex()
-	idx.Set(1, []int{0})
-	idx.Set(2, []int{1})
-	idx.Set(3, []int{0, 1})
-	l := &Lookup{K: 2, Router: lookup.NewRouterFromTables(2, map[string]lookup.Table{"t": idx}), KeyColumn: map[string]string{"t": "id"}}
+	router := lookup.NewRouter(2)
+	router.Set("t", 1, []int{0})
+	router.Set("t", 2, []int{1})
+	router.Set("t", 3, []int{0, 1})
+	l := &Lookup{K: 2, Router: router, KeyColumn: map[string]string{"t": "id"}}
 	if got := l.Locate(tid("t", 3), nil); len(got) != 2 {
 		t.Errorf("replicated tuple: %v", got)
 	}
@@ -149,7 +151,7 @@ func TestLookupStrategy(t *testing.T) {
 		t.Errorf("unknown key: %v", got)
 	}
 	// Unknown key under a Default that is everywhere.
-	lAll := &Lookup{K: 2, Router: lookup.NewRouterFromTables(2, map[string]lookup.Table{"t": idx}), Default: []int{0, 1}}
+	lAll := &Lookup{K: 2, Router: router, Default: []int{0, 1}}
 	if got := lAll.Locate(tid("t", 99), nil); len(got) != 2 {
 		t.Errorf("default replica set: %v", got)
 	}
@@ -174,15 +176,15 @@ func TestLookupStrategy(t *testing.T) {
 // Cost-model tests use a tiny 2-partition layout:
 // tuples 0..9 on partition 0, 10..19 on partition 1, tuple 100 replicated.
 func costStrategy() Strategy {
-	idx := lookup.NewHashIndex()
+	router := lookup.NewRouter(2)
 	for k := int64(0); k < 10; k++ {
-		idx.Set(k, []int{0})
+		router.Set("t", k, []int{0})
 	}
 	for k := int64(10); k < 20; k++ {
-		idx.Set(k, []int{1})
+		router.Set("t", k, []int{1})
 	}
-	idx.Set(100, []int{0, 1})
-	return &Lookup{K: 2, Router: lookup.NewRouterFromTables(2, map[string]lookup.Table{"t": idx})}
+	router.Set("t", 100, []int{0, 1})
+	return &Lookup{K: 2, Router: router}
 }
 
 func TestEvaluateSingleSited(t *testing.T) {
@@ -267,8 +269,8 @@ func TestCostDistributedFrac(t *testing.T) {
 }
 
 // TestMemoryBytesCountsRules: the routing footprint of a Lookup without
-// entries is its trees, every node and every leaf's set, and the lookup
-// tables add theirs.
+// entries is its trees, every node and each distinct leaf set once, and
+// the lookup tables add theirs.
 func TestMemoryBytesCountsRules(t *testing.T) {
 	l := rangeStrategy()
 	// stock: two leaves of one partition and the split; item: one leaf
@@ -278,9 +280,21 @@ func TestMemoryBytesCountsRules(t *testing.T) {
 	if got := l.MemoryBytes(); got != want {
 		t.Errorf("rules alone: MemoryBytes = %d, want %d", got, want)
 	}
-	idx := lookup.NewHashIndex()
+	// Two leaves that share one set, as an explanation's leaves of one
+	// label do, count it once.
+	shared := []int{0, 1}
+	l.Tables["district"] = &TableRules{Nodes: []RuleNode{
+		{Parts: shared}, {Parts: shared},
+		{Column: "d_w_id", Op: dtree.CondLe, Value: datum.NewInt(1), Left: 0, Right: 1},
+	}}
+	want += 3*node + 2*word
+	if got := l.MemoryBytes(); got != want {
+		t.Errorf("shared leaf set: MemoryBytes = %d, want %d", got, want)
+	}
+	idx := lookup.NewCompact()
 	idx.Set(3, []int{1})
-	l.Router = lookup.NewRouterFromTables(2, map[string]lookup.Table{"stock": idx})
+	l.Router = lookup.NewRouter(2)
+	l.Router.Put("stock", idx)
 	if got := l.MemoryBytes(); got != want+idx.MemoryBytes() {
 		t.Errorf("rules and entries: MemoryBytes = %d, want %d", got, want+idx.MemoryBytes())
 	}

@@ -370,11 +370,11 @@ func genLookup(c *choices, k int, keyCols map[string]string) *Lookup {
 		l.Default = c.set(k)
 	}
 	if c.intn(3) != 0 {
-		idx := lookup.NewHashIndex()
+		l.Router = lookup.NewRouter(k)
+		idx := l.Router.Table("t")
 		for i, n := 0, c.intn(30); i < n; i++ {
 			idx.Set(int64(c.intn(20)), c.set(k))
 		}
-		l.Router = lookup.NewRouterFromTables(k, map[string]lookup.Table{"t": idx})
 	}
 	if c.intn(4) == 0 {
 		l.KeyColumn = nil
@@ -574,9 +574,8 @@ func FuzzRouteSound(f *testing.F) {
 // of a table without entries, and a broadcast, return sets the strategy
 // already holds.
 func TestRouteStmtAllocs(t *testing.T) {
-	idx := lookup.NewHashIndex()
-	idx.Set(7, []int{1, 3})
-	router := lookup.NewRouterFromTables(4, map[string]lookup.Table{"t": idx})
+	router := lookup.NewRouter(4)
+	router.Set("t", 7, []int{1, 3})
 	keyCols := map[string]string{"t": "id"}
 	key := func(v int64) []sqlparse.Constraint {
 		return []sqlparse.Constraint{{Table: "t", Column: "id", Eq: []datum.D{datum.NewInt(v)}}}
@@ -619,12 +618,11 @@ func TestRouteStmtAllocs(t *testing.T) {
 // constraints bound into another. Nothing is allocated: not the argument
 // list, not the constraints, nothing for parsing, nothing for the route.
 func TestPreparedRouteAllocs(t *testing.T) {
-	idx := lookup.NewHashIndex()
+	router := lookup.NewRouter(4)
 	for key := int64(0); key < 100; key++ {
-		idx.Set(key, []int{int(key % 4), 3})
+		router.Set("t", key, []int{int(key % 4), 3})
 	}
-	var l Strategy = &Lookup{K: 4, KeyColumn: map[string]string{"t": "id"},
-		Router: lookup.NewRouterFromTables(4, map[string]lookup.Table{"t": idx})}
+	var l Strategy = &Lookup{K: 4, KeyColumn: map[string]string{"t": "id"}, Router: router}
 	p := sqlparse.MustPrepare("SELECT * FROM t WHERE id = ?")
 	var route Route
 	own := make([]datum.D, 0, 1)

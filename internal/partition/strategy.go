@@ -289,13 +289,18 @@ func (l *Lookup) Complexity() int {
 func (l *Lookup) NumPartitions() int { return l.K }
 
 // MemoryBytes reports the routing-metadata footprint (App. C.1): every
-// table's tree, its nodes and its leaves' sets, and every lookup table.
+// table's tree, its nodes and each distinct leaf set once (leaves with one
+// label share one slice), and every lookup table.
 func (l *Lookup) MemoryBytes() int64 {
 	var n int64
 	for _, tr := range l.Tables {
 		n += int64(len(tr.Nodes)) * int64(unsafe.Sizeof(RuleNode{}))
-		for i := range tr.Nodes {
-			n += int64(len(tr.Nodes[i].Parts)) * int64(unsafe.Sizeof(0))
+		seen := make(map[*int]bool)
+		for _, nd := range tr.Nodes {
+			if len(nd.Parts) > 0 && !seen[&nd.Parts[0]] {
+				seen[&nd.Parts[0]] = true
+				n += int64(len(nd.Parts)) * int64(unsafe.Sizeof(0))
+			}
 		}
 	}
 	if l.Router != nil {

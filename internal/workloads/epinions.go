@@ -348,27 +348,23 @@ func epinionsManual(g *epinionsGraph, k int) partition.Strategy {
 	}
 	// Reviews are co-located with their item via a lookup table derived
 	// from the same hash function (hash of r_i_id, not of r_id).
-	reviewLT := lookup.NewHashIndex()
+	router := lookup.NewRouter(k)
 	for rid, item := range g.reviewItem {
-		reviewLT.Set(int64(rid), []int{int(datum.Hash(datum.NewInt(item)) % uint64(k))})
+		router.Set("reviews", int64(rid), []int{int(datum.Hash(datum.NewInt(item)) % uint64(k))})
 	}
-	itemLT := lookup.NewHashIndex()
 	for i := 0; i < g.cfg.Items; i++ {
-		itemLT.Set(int64(i), []int{int(datum.Hash(datum.NewInt(int64(i))) % uint64(k))})
+		router.Set("items", int64(i), []int{int(datum.Hash(datum.NewInt(int64(i))) % uint64(k))})
 	}
-	usersLT := lookup.NewHashIndex()
-	trustLT := lookup.NewHashIndex()
 	for u := 0; u < g.cfg.Users; u++ {
-		usersLT.Set(int64(u), all)
+		router.Set("users", int64(u), all)
 	}
 	for tid := range g.trustSrc {
-		trustLT.Set(int64(tid), all)
+		router.Set("trust", int64(tid), all)
 	}
+	router.Compress()
 	return &partition.Lookup{
-		K: k,
-		Router: lookup.NewRouterFromTables(k, map[string]lookup.Table{
-			"reviews": reviewLT, "items": itemLT, "users": usersLT, "trust": trustLT,
-		}),
+		K:         k,
+		Router:    router,
 		Default:   all,
 		KeyColumn: map[string]string{"users": "u_id", "items": "i_id", "reviews": "r_id", "trust": "t_id"},
 	}

@@ -120,16 +120,14 @@ func stmtStrategies(cfg TPCCConfig, db *storage.Database) (*partition.Hash, part
 	keyCols["usertable"], keyCols["simplecount"] = "ycsb_key", "id"
 	keyCols["users"], keyCols["items"], keyCols["reviews"], keyCols["trust"] = "u_id", "i_id", "r_id", "t_id"
 	manual := TPCCManual(cfg, k)
-	tables := make(map[string]lookup.Table)
+	router := lookup.NewRouter(k)
 	for _, tn := range db.TableNames() {
-		tbl, idx := db.Table(tn), lookup.NewHashIndex()
+		tbl, idx := db.Table(tn), router.Table(tn)
 		tbl.ScanAll(func(key int64, row storage.Row) bool {
 			idx.Set(key, manual.Locate(workload.TupleID{Table: tn, Key: key}, storage.RowView{Schema: tbl.Schema, Data: row}))
 			return true
 		})
-		tables[tn] = idx
 	}
-	router := lookup.NewRouterFromTables(k, tables)
 	return &partition.Hash{K: k, KeyColumn: keyCols}, manual, &partition.Lookup{K: k, Router: router, KeyColumn: keyCols}
 }
 
