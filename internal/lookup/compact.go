@@ -170,13 +170,15 @@ const (
 	maxDenseKey = math.MaxInt64 - (1 << 20)
 )
 
-// Set records the replica set for key.
+// Set records the replica set for key. A key in the side map stays
+// there, so the entries of a table Trim spilled flip in O(1) instead of
+// regrowing slots over the map.
 func (c *Compact) Set(key int64, parts []int) {
 	id := c.dict.intern(parts)
 	for id > c.maxID() {
 		c.widen()
 	}
-	if key < minDenseKey || key > maxDenseKey {
+	if _, inSide := c.side[key]; inSide || key < minDenseKey || key > maxDenseKey {
 		c.side[key] = id
 		return
 	}
@@ -195,9 +197,6 @@ func (c *Compact) Set(key int64, parts []int) {
 		c.numSet++
 	}
 	c.setSlot(i, id+1)
-	if len(c.side) > 0 {
-		delete(c.side, key)
-	}
 }
 
 // affordable reports whether extending the dense range to cover key is

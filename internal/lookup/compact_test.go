@@ -315,6 +315,31 @@ func TestTrimNeverLarger(t *testing.T) {
 	}
 }
 
+// TestSpilledFlipsStayInSideMap: flipping the entries of a table Trim
+// spilled, as the live migration executor does, updates them in the side
+// map; it does not grow slots again over the map's keys.
+func TestSpilledFlipsStayInSideMap(t *testing.T) {
+	c, m := NewCompact(), model{}
+	for k := int64(0); k < 1000; k++ {
+		c.Set(k*1000, []int{0})
+	}
+	c.Trim()
+	for k := int64(999); k >= 0; k-- {
+		c.Set(k*1000, []int{int(k % 3), 3})
+		m.set(k*1000, []int{int(k % 3), 3})
+	}
+	if c.numSlots() != 0 || len(c.side) != 1000 {
+		t.Errorf("flips grew %d slots, left %d keys in the side map", c.numSlots(), len(c.side))
+	}
+	keys := make([]int64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	if k, ok := m.agrees(c, keys); !ok {
+		t.Errorf("Locate(%d) wrong after the flips", k)
+	}
+}
+
 func TestRouter(t *testing.T) {
 	r := NewRouter(4)
 	r.Set("stock", 10, []int{2})
